@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
         let locater = common::warmed_locater(&fixture, config);
         let query = common::inside_query(&fixture, &locater);
         group.bench_function(label, |b| {
-            b.iter(|| criterion::black_box(locater.locate(&query).unwrap().location))
+            b.iter(|| criterion::black_box(locater.locate(&query).unwrap().location()))
         });
     }
     group.finish();

@@ -1,5 +1,6 @@
 //! Shared setup for the Criterion benches: a micro-scale campus fixture, a warmed
-//! LOCATER instance and a query that exercises the fine-grained (room-level) path.
+//! single-shard service and a request that exercises the fine-grained (room-level)
+//! path.
 
 // Each bench target compiles this module independently and uses a different subset of
 // the helpers.
@@ -8,7 +9,7 @@
 use criterion::Criterion;
 use locater_bench::datasets::{campus_fixture, BenchScale, CampusFixture};
 use locater_bench::runner::warm_up;
-use locater_core::system::{Locater, LocaterConfig, Query};
+use locater_core::system::{LocateRequest, LocaterConfig, ShardedLocaterService};
 use std::time::Duration;
 
 /// Criterion configuration tuned so the whole bench suite finishes in minutes: small
@@ -26,26 +27,26 @@ pub fn fixture() -> CampusFixture {
     campus_fixture(&BenchScale::micro())
 }
 
-/// Builds a LOCATER instance over the fixture and warms its per-device models and
-/// affinity cache with a few queries.
-pub fn warmed_locater(fixture: &CampusFixture, config: LocaterConfig) -> Locater {
-    let locater = Locater::new(fixture.store.clone(), config);
-    warm_up(&locater, fixture, 10);
-    locater
+/// Builds a single-shard service over the fixture and warms its per-device models
+/// and affinity cache with a few queries.
+pub fn warmed_locater(fixture: &CampusFixture, config: LocaterConfig) -> ShardedLocaterService {
+    let service = ShardedLocaterService::new(fixture.store.clone(), config, 1);
+    warm_up(&service, fixture, 10);
+    service
 }
 
-/// Picks a query from the university workload that the given system answers with a
-/// room (i.e. one that exercises the fine-grained path), falling back to the first
+/// Picks a request from the university workload that the given service answers with
+/// a room (i.e. one that exercises the fine-grained path), falling back to the first
 /// query of the workload.
-pub fn inside_query(fixture: &CampusFixture, locater: &Locater) -> Query {
+pub fn inside_query(fixture: &CampusFixture, service: &ShardedLocaterService) -> LocateRequest {
     for workload_query in &fixture.university.queries {
-        let query = Query::by_mac(&workload_query.mac, workload_query.t);
-        if let Ok(answer) = locater.locate(&query) {
-            if answer.is_inside() {
-                return query;
+        let request = LocateRequest::by_mac(&workload_query.mac, workload_query.t);
+        if let Ok(response) = service.locate(&request) {
+            if response.answer.is_inside() {
+                return request;
             }
         }
     }
     let first = &fixture.university.queries[0];
-    Query::by_mac(&first.mac, first.t)
+    LocateRequest::by_mac(&first.mac, first.t)
 }

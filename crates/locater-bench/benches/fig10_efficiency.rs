@@ -5,7 +5,7 @@
 mod common;
 
 use criterion::{criterion_main, Criterion};
-use locater_core::system::{CacheMode, FineMode, Locater, LocaterConfig};
+use locater_core::system::{CacheMode, FineMode, LocaterConfig, ShardedLocaterService};
 
 fn bench(c: &mut Criterion) {
     let fixture = common::fixture();
@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
         let locater = common::warmed_locater(&fixture, config);
         let query = common::inside_query(&fixture, &locater);
         group.bench_function(label, |b| {
-            b.iter(|| criterion::black_box(locater.locate(&query).unwrap().location))
+            b.iter(|| criterion::black_box(locater.locate(&query).unwrap().location()))
         });
     }
 
@@ -32,14 +32,15 @@ fn bench(c: &mut Criterion) {
     group.bench_function("D-LOCATER+C_cold_start", |b| {
         b.iter_with_setup(
             || {
-                Locater::new(
+                ShardedLocaterService::new(
                     fixture.store.clone(),
                     LocaterConfig::default()
                         .with_fine_mode(FineMode::Dependent)
                         .with_cache(CacheMode::Enabled),
+                    1,
                 )
             },
-            |locater| criterion::black_box(locater.locate(&query).unwrap().location),
+            |locater| criterion::black_box(locater.locate(&query).unwrap().location()),
         )
     });
     group.finish();

@@ -1,5 +1,5 @@
 //! Live-service bench: interleaved ingestion and querying through
-//! `LocaterService`, tracked alongside `batch_throughput` so the cost of
+//! a single-shard `ShardedLocaterService`, tracked alongside `batch_throughput` so the cost of
 //! epoch-based cache invalidation shows up in the perf trajectory.
 //!
 //! Three measurements:
@@ -11,13 +11,13 @@
 mod common;
 
 use criterion::{criterion_main, Criterion};
-use locater_core::system::{LocateRequest, LocaterConfig, LocaterService};
+use locater_core::system::{LocateRequest, LocaterConfig, ShardedLocaterService};
 use locater_store::RawEvent;
 
 /// The devices and query times the bench rounds cycle through, plus a cursor
 /// generating fresh future events for those devices.
 struct LiveWorkload {
-    service: LocaterService,
+    service: ShardedLocaterService,
     requests: Vec<LocateRequest>,
     macs: Vec<String>,
     ap: String,
@@ -26,7 +26,7 @@ struct LiveWorkload {
 
 fn workload() -> LiveWorkload {
     let fixture = common::fixture();
-    let service = LocaterService::new(fixture.store.clone(), LocaterConfig::default());
+    let service = ShardedLocaterService::new(fixture.store.clone(), LocaterConfig::default(), 1);
     let requests: Vec<LocateRequest> = fixture
         .university
         .queries

@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
     let region = locater
         .locate(&query)
         .ok()
-        .and_then(|a| a.region())
+        .and_then(|response| response.answer.region())
         .unwrap_or(locater_space::RegionId::new(0));
 
     let mut group = c.benchmark_group("table2_fine_weights");

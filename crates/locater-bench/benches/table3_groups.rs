@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
         let system =
             common::warmed_locater(&fixture, LocaterConfig::default().with_fine_mode(mode));
         group.bench_function(label, |b| {
-            b.iter(|| criterion::black_box(system.locate(&query).unwrap().location))
+            b.iter(|| criterion::black_box(system.locate(&query).unwrap().location()))
         });
     }
     group.finish();

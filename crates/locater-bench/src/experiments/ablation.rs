@@ -14,7 +14,9 @@ use crate::datasets::{campus_fixture, BenchScale};
 use crate::report::{millis, pct, Table};
 use crate::runner::{evaluate_locater, truth_at};
 use locater_core::metrics::EvaluationReport;
-use locater_core::system::{CacheMode, FineMode, Locater, LocaterConfig, Location, Query};
+use locater_core::system::{
+    CacheMode, FineMode, LocateRequest, LocaterConfig, Location, ShardedLocaterService,
+};
 use locater_events::clock;
 use std::time::{Duration, Instant};
 
@@ -51,22 +53,24 @@ pub fn neighbor_order(scale: &BenchScale) -> Table {
         let config = LocaterConfig::default()
             .with_fine_mode(FineMode::Independent)
             .with_cache(cache);
-        let locater = Locater::new(fixture.store.clone(), config);
+        let service = ShardedLocaterService::new(fixture.store.clone(), config, 1);
         let mut report = EvaluationReport::new(label);
         let mut neighbors_processed = 0usize;
         let mut fine_queries = 0usize;
         let mut elapsed = Duration::ZERO;
         for query in &fixture.university.queries {
             let started = Instant::now();
-            let outcome = locater.locate_detailed(&Query::by_mac(&query.mac, query.t));
+            let request = LocateRequest::by_mac(&query.mac, query.t).with_diagnostics();
+            let outcome = service.locate(&request);
             elapsed += started.elapsed();
             let predicted = match &outcome {
-                Ok((answer, diagnostics)) => {
-                    if let Some(fine) = &diagnostics.fine {
+                Ok(response) => {
+                    if let Some(fine) = response.diagnostics.as_ref().and_then(|d| d.fine.as_ref())
+                    {
                         neighbors_processed += fine.neighbors_processed;
                         fine_queries += 1;
                     }
-                    answer.location
+                    response.answer.location
                 }
                 Err(_) => Location::Outside,
             };

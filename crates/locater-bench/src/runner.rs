@@ -8,7 +8,7 @@
 use crate::datasets::CampusFixture;
 use locater_core::baselines::BaselineSystem;
 use locater_core::metrics::{EvaluationReport, PrecisionCounts, TruthLocation};
-use locater_core::system::{Locater, LocaterConfig, Location, Query};
+use locater_core::system::{LocateRequest, LocaterConfig, Location, ShardedLocaterService};
 use locater_events::clock::Timestamp;
 use locater_sim::{QueryWorkload, SimOutput};
 use locater_store::EventStore;
@@ -93,14 +93,14 @@ pub fn evaluate_locater(
     workload: &QueryWorkload,
     group_of: &dyn Fn(&str) -> String,
 ) -> SystemEvaluation {
-    let locater = Locater::new(store.clone(), config);
+    let service = ShardedLocaterService::new(store.clone(), config, 1);
     let mut report = EvaluationReport::new(name);
     let mut per_query = Vec::with_capacity(workload.len());
     for query in &workload.queries {
         let started = Instant::now();
-        let predicted = locater
-            .locate(&Query::by_mac(&query.mac, query.t))
-            .map(|answer| answer.location)
+        let predicted = service
+            .locate(&LocateRequest::by_mac(&query.mac, query.t))
+            .map(|response| response.answer.location)
             // Devices absent from the log cannot be placed inside the building.
             .unwrap_or(Location::Outside);
         per_query.push(started.elapsed());
@@ -145,9 +145,9 @@ pub fn evaluate_baseline(
 /// Runs a warm-up pass over the first `n` queries of the university workload so that
 /// per-device coarse models and the affinity cache are populated before timing
 /// (used by the Criterion benches).
-pub fn warm_up(locater: &Locater, fixture: &CampusFixture, n: usize) {
+pub fn warm_up(service: &ShardedLocaterService, fixture: &CampusFixture, n: usize) {
     for query in fixture.university.queries.iter().take(n) {
-        let _ = locater.locate(&Query::by_mac(&query.mac, query.t));
+        let _ = service.locate(&LocateRequest::by_mac(&query.mac, query.t));
     }
 }
 

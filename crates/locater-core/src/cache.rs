@@ -15,10 +15,8 @@
 use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Canonical (unordered) edge key between two devices.
 pub(crate) fn edge_key(a: DeviceId, b: DeviceId) -> (DeviceId, DeviceId) {
@@ -256,49 +254,6 @@ impl GlobalAffinityGraph {
     }
 }
 
-/// A thread-safe, cheaply cloneable handle to a [`GlobalAffinityGraph`].
-///
-/// The benchmark harness shares one graph across query threads (crossbeam scoped
-/// threads); `parking_lot::RwLock` keeps read-mostly access cheap.
-#[derive(Debug, Clone, Default)]
-pub struct SharedAffinityGraph {
-    inner: Arc<RwLock<GlobalAffinityGraph>>,
-}
-
-impl SharedAffinityGraph {
-    /// Creates an empty shared graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an existing graph.
-    pub fn from_graph(graph: GlobalAffinityGraph) -> Self {
-        Self {
-            inner: Arc::new(RwLock::new(graph)),
-        }
-    }
-
-    /// Runs `f` with shared (read) access to the graph.
-    pub fn read<R>(&self, f: impl FnOnce(&GlobalAffinityGraph) -> R) -> R {
-        f(&self.inner.read())
-    }
-
-    /// Runs `f` with exclusive (write) access to the graph.
-    pub fn write<R>(&self, f: impl FnOnce(&mut GlobalAffinityGraph) -> R) -> R {
-        f(&mut self.inner.write())
-    }
-
-    /// Number of edges currently cached.
-    pub fn num_edges(&self) -> usize {
-        self.inner.read().num_edges()
-    }
-
-    /// Total number of cached samples.
-    pub fn num_samples(&self) -> usize {
-        self.inner.read().num_samples()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,26 +360,5 @@ mod tests {
         graph.clear();
         assert!(graph.is_empty());
         assert_eq!(graph.num_samples(), 0);
-    }
-
-    #[test]
-    fn shared_graph_supports_concurrent_readers() {
-        let shared = SharedAffinityGraph::new();
-        shared.write(|g| g.record(DeviceId::new(1), DeviceId::new(2), 0.6, 0.7, 10));
-        assert_eq!(shared.num_edges(), 1);
-        assert_eq!(shared.num_samples(), 1);
-
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let graph = shared.clone();
-                std::thread::spawn(move || {
-                    graph.read(|g| g.weight(DeviceId::new(1), DeviceId::new(2), 10))
-                })
-            })
-            .collect();
-        for handle in handles {
-            let w = handle.join().unwrap();
-            assert!((w - 0.6).abs() < 1e-9);
-        }
     }
 }

@@ -14,8 +14,9 @@
 //!
 //! Training the per-device models is the expensive part, so the localizer exposes
 //! [`CoarseLocalizer::train_device_model`] separately from
-//! [`CoarseLocalizer::classify_with_model`]; the [`crate::system::Locater`] facade
-//! caches one [`DeviceCoarseModel`] per device and retrains lazily.
+//! [`CoarseLocalizer::classify_with_model`]; the service
+//! ([`crate::system::ShardedLocaterService`]) caches one [`DeviceCoarseModel`]
+//! per device and retrains lazily.
 
 use crate::coarse::bootstrap::{bootstrap_labels, BootstrapLabel, BootstrapSummary};
 use crate::coarse::features::GapFeatures;

@@ -17,17 +17,17 @@
 //! * [`cache`] — the **caching engine** (paper §5): local affinity graphs produced by
 //!   each query are merged into a global affinity graph whose temporally-weighted
 //!   edges drive the neighbor processing order of later queries.
-//! * [`system`] — the [`Locater`](system::Locater) facade tying the engines together
-//!   behind the query API `Q = (device, time)`, plus the live services:
-//!   [`LocaterService`](system::LocaterService) (online ingestion + epoch-based
-//!   cache invalidation) and [`ShardedLocaterService`](system::ShardedLocaterService)
-//!   (N per-device partitions, each with its own store, lock, epochs and caches).
+//! * [`system`] — the one service tying the engines together behind the query
+//!   API `Q = (device, time)`:
+//!   [`ShardedLocaterService`](system::ShardedLocaterService) — online ingestion,
+//!   epoch-based cache invalidation, and `N ≥ 1` per-device partitions, each with
+//!   its own store, lock, epochs and caches.
 //! * [`baselines`] — the two baselines of the evaluation (§6.1).
 //! * [`metrics`] — the `P_c` / `P_f` / `P_o` precision metrics of §6.1.
 //!
-//! ## Sharded ingest-then-locate
+//! ## Ingest-then-locate
 //!
-//! The sharded service routes each event to its device's home shard, so
+//! The service routes each event to its device's home shard, so
 //! concurrent ingests for different devices never contend on a lock — and
 //! answers stay byte-identical to a single-shard deployment:
 //!

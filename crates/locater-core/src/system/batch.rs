@@ -1,6 +1,4 @@
-//! The deterministic sharded batch pipeline shared by
-//! [`Locater::locate_batch`](super::Locater::locate_batch),
-//! [`LocaterService::locate_batch`](super::LocaterService::locate_batch) and
+//! The deterministic batch pipeline behind
 //! [`ShardedLocaterService::locate_batch`](super::ShardedLocaterService::locate_batch).
 //!
 //! The pipeline is built for determinism: results are **identical for every
@@ -8,10 +6,10 @@
 //! in query order. Three properties make that hold:
 //!
 //! 1. every query is answered against a *frozen* snapshot of the global
-//!    affinity graph (supplied by the caller — for the sharded service, the
-//!    union of every shard's cache), so no worker observes another worker's
-//!    cache warming — and, unlike per-query `locate` loops, no query observes
-//!    warming from *earlier batch queries* either;
+//!    affinity graph (supplied by the caller: the union of every shard's
+//!    cache), so no worker observes another worker's cache warming — and,
+//!    unlike per-query `locate` loops, no query observes warming from
+//!    *earlier batch queries* either;
 //! 2. queries are grouped **by device** — a device's queries are processed by
 //!    one worker in query order, so its lazily trained coarse model evolves
 //!    exactly as in the sequential path (worker-local model maps are seeded
@@ -23,16 +21,15 @@
 //! Device → worker assignment balances per-device query counts greedily, so
 //! skewed workloads still spread across the pool.
 
-use super::epoch::{EpochCache, EpochRead};
-use super::service::{Effective, Engines, ModelUse};
-use super::{assemble_answer, Answer, CacheMode};
-use crate::coarse::{CoarseLabel, DeviceCoarseModel};
+use super::engine::{fine_plan, relock, Effective, Engine, ModelCache};
+use super::epoch::{EpochCache, EpochRead, ModelEntry};
+use super::{Answer, CacheMode};
 use crate::error::LocaterError;
 use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use locater_store::EventRead;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One batch entry: the query time, the resolved device (or the error to
 /// report in place), and the per-request effective engine view.
@@ -47,30 +44,30 @@ pub(crate) struct BatchItem {
 /// post-join merge into the live cache(s).
 #[derive(Debug, Clone)]
 pub(crate) struct BatchContribution {
-    pub(crate) query_index: usize,
+    query_index: usize,
     pub(crate) device: DeviceId,
     pub(crate) t: Timestamp,
     pub(crate) neighbors: Vec<NeighborContribution>,
 }
 
 /// Everything one worker produces: answers (tagged with their query index),
-/// affinity contributions, and the worker-local trained models.
+/// affinity contributions, and the models it trained.
 #[derive(Debug, Default)]
 struct WorkerOutput {
     answers: Vec<(usize, Answer)>,
     contributions: Vec<BatchContribution>,
-    models: HashMap<DeviceId, DeviceCoarseModel>,
+    trained: HashMap<DeviceId, ModelEntry>,
 }
 
 /// What a batch run hands back to its caller: in-order answers, affinity
 /// contributions sorted by query index (apply them to the live cache in this
 /// order), and the models freshly trained along the way (write them back to
-/// the per-device model cache stamped with the devices' current epochs).
+/// the per-device model cache of each device's home shard).
 #[derive(Debug)]
 pub(crate) struct BatchOutcome {
     pub(crate) answers: Vec<Result<Answer, LocaterError>>,
     pub(crate) contributions: Vec<BatchContribution>,
-    pub(crate) trained: HashMap<DeviceId, DeviceCoarseModel>,
+    pub(crate) trained: HashMap<DeviceId, ModelEntry>,
 }
 
 /// `true` if any resolved item may consult the caching engine — the caller
@@ -84,20 +81,20 @@ pub(crate) fn wants_cache(items: &[BatchItem]) -> bool {
 /// Answers a batch of resolved items across `jobs` worker threads.
 /// Unresolvable items error in place and never reach a worker.
 ///
-/// `seeds` are the epoch-live per-device coarse models at batch start, taken
-/// by value: each device lands in exactly one worker, so every seed moves
-/// into its worker's map without another clone. `frozen` is the immutable
-/// affinity-cache snapshot every worker reads. The caller owns applying
-/// [`BatchOutcome::contributions`] and [`BatchOutcome::trained`] back to the
-/// live state — see [`merge_into_engines`] for the single-cache case.
+/// `seeds` are the per-device coarse models cached at batch start, taken by
+/// value: each device lands in exactly one worker, so every seed moves into
+/// its worker's map without another clone. `frozen` is the immutable
+/// affinity-cache snapshot every worker reads (empty when no item
+/// [`wants_cache`]). The caller owns applying [`BatchOutcome::contributions`]
+/// and [`BatchOutcome::trained`] back to the live state.
 pub(crate) fn run_batch(
-    engines: &Engines,
+    engine: &Engine,
     store: &dyn EventRead,
     epochs: &dyn EpochRead,
     items: &[BatchItem],
     jobs: usize,
-    mut seeds: HashMap<DeviceId, DeviceCoarseModel>,
-    frozen: Option<&EpochCache>,
+    mut seeds: HashMap<DeviceId, ModelEntry>,
+    frozen: &EpochCache,
 ) -> BatchOutcome {
     if items.is_empty() {
         return BatchOutcome {
@@ -137,33 +134,32 @@ pub(crate) fn run_batch(
     // Worker-local model maps seeded from the live cache: per-device state
     // crosses into exactly one worker (so seeds move, never clone),
     // preserving sequential semantics.
-    let seeded: Vec<HashMap<DeviceId, DeviceCoarseModel>> = groups
+    let seeded: Vec<HashMap<DeviceId, ModelEntry>> = groups
         .iter()
         .map(|indices| {
-            let mut seed: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
-            for &idx in indices {
-                if let Ok(device) = items[idx].device {
-                    if let Some(model) = seeds.remove(&device) {
-                        seed.insert(device, model);
-                    }
-                }
-            }
-            seed
+            indices
+                .iter()
+                .filter_map(|&idx| {
+                    let device = *items[idx].device.as_ref().ok()?;
+                    Some((device, seeds.remove(&device)?))
+                })
+                .collect()
         })
         .collect();
 
     // Parallel phase: all workers answer against the same frozen cache. The
     // snapshot carries its epoch stamps, so stale edges stay invisible inside
-    // the batch too.
+    // the batch too. The scope joins every worker and re-raises a worker's
+    // panic on this thread.
     let mut outputs: Vec<WorkerOutput> = Vec::new();
     outputs.resize_with(jobs, WorkerOutput::default);
-    rayon::scope(|scope| {
+    std::thread::scope(|scope| {
         for ((indices, seed), out) in groups.iter().zip(seeded).zip(outputs.iter_mut()) {
             if indices.is_empty() {
                 continue;
             }
-            scope.spawn(move |_| {
-                *out = run_worker(engines, store, epochs, items, indices, seed, frozen);
+            scope.spawn(move || {
+                *out = run_worker(engine, store, epochs, items, indices, seed, frozen);
             });
         }
     });
@@ -171,13 +167,13 @@ pub(crate) fn run_batch(
     // Deterministic merge: contributions in query order, models per device.
     let mut answers: Vec<Option<Answer>> = vec![None; items.len()];
     let mut contributions: Vec<BatchContribution> = Vec::new();
-    let mut trained: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
+    let mut trained: HashMap<DeviceId, ModelEntry> = HashMap::new();
     for output in outputs {
         for (idx, answer) in output.answers {
             answers[idx] = Some(answer);
         }
         contributions.extend(output.contributions);
-        trained.extend(output.models);
+        trained.extend(output.trained);
     }
     contributions.sort_by_key(|c| c.query_index);
 
@@ -196,112 +192,48 @@ pub(crate) fn run_batch(
     }
 }
 
-/// Collects the epoch-live model seeds for the batch items from one live model
-/// map (the single-cache deployments; the sharded service gathers seeds from
-/// each device's home shard instead).
-pub(crate) fn live_seeds(
-    engines: &Engines,
-    epochs: &dyn EpochRead,
-    items: &[BatchItem],
-) -> HashMap<DeviceId, DeviceCoarseModel> {
-    let models = engines.models.read();
-    let mut seeds = HashMap::new();
-    for item in items {
-        if let Ok(device) = item.device {
-            if let Some(entry) = models.get(&device) {
-                if entry.epoch == epochs.epoch_of(device) {
-                    seeds.entry(device).or_insert_with(|| entry.model.clone());
-                }
-            }
-        }
-    }
-    seeds
-}
-
-/// Applies a batch outcome to a single-cache engine: contributions merge into
-/// the global graph in query order, trained models are stamped with the
-/// devices' current epochs. (The sharded service routes the same effects to
-/// the owner shard of each edge / device instead.)
-pub(crate) fn merge_into_engines(
-    engines: &Engines,
-    epochs: &dyn EpochRead,
-    outcome: &BatchOutcome,
-) {
-    if !outcome.contributions.is_empty() {
-        let mut cache = engines.cache.write();
-        for contribution in &outcome.contributions {
-            cache.merge_local(
-                contribution.device,
-                &contribution.neighbors,
-                contribution.t,
-                epochs,
-            );
-        }
-    }
-    if !outcome.trained.is_empty() {
-        let mut models = engines.models.write();
-        for (device, model) in &outcome.trained {
-            let epoch = epochs.epoch_of(*device);
-            models.insert(
-                *device,
-                super::epoch::ModelEntry {
-                    model: model.clone(),
-                    epoch,
-                },
-            );
-        }
-    }
-}
-
-/// Answers one worker's queries (in query order) against the frozen cache,
-/// collecting answers, affinity contributions, and freshly trained models
-/// (untouched seed models are not reported back).
+/// Answers one worker's queries (in query order) through the one locate path
+/// ([`Engine::locate_detailed`]), with the model state in a worker-local map
+/// and the cache state in the frozen snapshot; collects answers, affinity
+/// contributions, and freshly trained models (untouched seeds are not
+/// reported back).
 fn run_worker(
-    engines: &Engines,
+    engine: &Engine,
     store: &dyn EventRead,
     epochs: &dyn EpochRead,
     items: &[BatchItem],
     indices: &[usize],
-    mut models: HashMap<DeviceId, DeviceCoarseModel>,
-    cache: Option<&EpochCache>,
+    seed: HashMap<DeviceId, ModelEntry>,
+    frozen: &EpochCache,
 ) -> WorkerOutput {
+    let models = ModelCache::new(seed);
     let mut output = WorkerOutput::default();
-    let mut trained: std::collections::HashSet<DeviceId> = std::collections::HashSet::new();
+    let mut trained: HashSet<DeviceId> = HashSet::new();
     for &idx in indices {
         let item = &items[idx];
-        let device = match item.device {
-            Ok(device) => device,
-            Err(_) => continue,
-        };
+        let Ok(device) = item.device else { continue };
         let t_q = item.t;
-        let (coarse, model_use) = engines.coarse_outcome_in(store, &mut models, device, t_q);
-        if model_use == ModelUse::Trained {
+        let plan = |neighbors: &[DeviceId]| fine_plan(epochs, device, t_q, neighbors, |_| frozen);
+        let (answer, diagnostics) =
+            engine.locate_detailed(store, epochs, device, t_q, &item.eff, &models, &plan);
+        output.answers.push((idx, answer));
+        // A model-classified gap that reused no model trained one.
+        if diagnostics.coarse.gap.is_some() && !diagnostics.coarse_model_reused {
             trained.insert(device);
         }
-        let answer = match coarse.label {
-            CoarseLabel::Outside => assemble_answer(device, t_q, &coarse, None),
-            CoarseLabel::Inside(region) => {
-                let use_cache = item.eff.cache == CacheMode::Enabled;
-                let plan = cache.filter(|_| use_cache).map(|cache| {
-                    let neighbors = engines.fine_neighbors(store, &item.eff, device, t_q, region);
-                    engines.fine_plan(epochs, device, t_q, &neighbors, cache)
-                });
-                let (mut fine, _) = engines.fine_exec(store, &item.eff, device, t_q, region, plan);
-                let answer = assemble_answer(device, t_q, &coarse, Some((&fine, region)));
-                if use_cache && cache.is_some() && !fine.contributions.is_empty() {
-                    output.contributions.push(BatchContribution {
-                        query_index: idx,
-                        device,
-                        t: t_q,
-                        neighbors: std::mem::take(&mut fine.contributions),
-                    });
-                }
-                answer
-            }
-        };
-        output.answers.push((idx, answer));
+        let neighbors = diagnostics
+            .fine
+            .map_or_else(Vec::new, |fine| fine.contributions);
+        if item.eff.cache == CacheMode::Enabled && !neighbors.is_empty() {
+            output.contributions.push(BatchContribution {
+                query_index: idx,
+                device,
+                t: t_q,
+                neighbors,
+            });
+        }
     }
-    models.retain(|device, _| trained.contains(device));
-    output.models = models;
+    output.trained = relock(models.into_inner());
+    output.trained.retain(|device, _| trained.contains(device));
     output
 }

@@ -1,0 +1,287 @@
+//! The query engine behind [`ShardedLocaterService`](super::ShardedLocaterService):
+//! the one function that answers a query ([`Engine::locate_detailed`]) and
+//! the steps it sequences.
+//!
+//! The engine itself is stateless — configuration plus the two localizers.
+//! The state a query reads and warms (per-device coarse models, affinity
+//! edges) is handed in by the caller, because *where it lives* is the only
+//! thing the callers differ in: the live service passes the queried device's
+//! home-shard model map and a plan closure over the per-owner cache guards,
+//! the batch workers ([`super::batch`]) pass a worker-local model map and a
+//! plan closure over the frozen union snapshot.
+
+use super::epoch::{EpochCache, EpochRead, ModelEntry};
+use super::request::LocateRequest;
+use super::{assemble_answer, Answer, CacheMode, LocaterConfig, QueryDiagnostics};
+use crate::cache::rank_by_weight;
+use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel};
+use crate::error::LocaterError;
+use crate::fine::{FineConfig, FineLocalizer, FineOutcome};
+use locater_events::clock::Timestamp;
+use locater_events::DeviceId;
+use locater_space::RegionId;
+use locater_store::EventRead;
+use std::collections::HashMap;
+use std::sync::{LockResult, PoisonError, RwLock};
+use std::time::Instant;
+
+/// Takes a lock whether or not a previous holder panicked. Every mutation
+/// made under the service's locks is a whole step (one event appended, one
+/// epoch bumped, one edge or model inserted), so the data is valid after a
+/// panicked holder — and the server's per-request `catch_unwind` isolation
+/// depends on one panicking request not wedging every later one.
+pub(crate) fn relock<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Per-device coarse models, epoch-stamped: one map per shard (the models of
+/// the devices it owns) or per batch worker.
+pub(crate) type ModelCache = RwLock<HashMap<DeviceId, ModelEntry>>;
+
+/// The stateless half of the service: the configuration and the two
+/// localizers built from it.
+#[derive(Debug)]
+pub(crate) struct Engine {
+    pub(crate) config: LocaterConfig,
+    coarse: CoarseLocalizer,
+    fine: FineLocalizer,
+}
+
+/// The per-request view of the engine configuration: the fine localizer to
+/// run, whether the caching engine may be consulted, and whether the answer
+/// stops after the coarse step. Computed once per request from the service
+/// config plus the request overrides.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Effective {
+    pub(crate) fine: FineLocalizer,
+    pub(crate) cache: CacheMode,
+    pub(crate) coarse_only: bool,
+}
+
+/// Resolves a (mac, device-id) target against a store.
+pub(crate) fn resolve_target(
+    store: &dyn EventRead,
+    mac: Option<&str>,
+    device: Option<DeviceId>,
+) -> Result<DeviceId, LocaterError> {
+    if let Some(device) = device {
+        if device.index() < store.num_devices() {
+            return Ok(device);
+        }
+        return Err(LocaterError::UnknownDevice(device.to_string()));
+    }
+    match mac {
+        Some(mac) => store
+            .device_id(mac)
+            .ok_or_else(|| LocaterError::UnknownDevice(mac.to_string())),
+        None => Err(LocaterError::MissingDevice),
+    }
+}
+
+/// The graph-derived inputs of one fine-step execution: neighbor processing
+/// order, cached pairwise affinities, and whether the graph was warm for the
+/// queried device. Extracted under the graph lock(s); executed lock-free.
+pub(crate) struct FinePlan {
+    order: Vec<DeviceId>,
+    cached: HashMap<DeviceId, f64>,
+    warm: bool,
+}
+
+impl Engine {
+    pub(crate) fn new(config: LocaterConfig) -> Self {
+        Self {
+            config,
+            coarse: CoarseLocalizer::new(config.coarse),
+            fine: FineLocalizer::new(config.fine),
+        }
+    }
+
+    /// The per-request engine view for one request's overrides.
+    pub(crate) fn effective_for(&self, request: &LocateRequest, coarse_only: bool) -> Effective {
+        let fine = match request.fine_mode {
+            Some(mode) if mode != self.config.fine.mode => FineLocalizer::new(FineConfig {
+                mode,
+                ..self.config.fine
+            }),
+            _ => self.fine,
+        };
+        Effective {
+            fine,
+            cache: request.cache.unwrap_or(self.config.cache),
+            coarse_only,
+        }
+    }
+
+    /// Answers one query: coarse step, then — for an inside answer that is
+    /// not coarse-only — neighbor scan, plan extraction, fine step, and the
+    /// answer assembled from both outcomes. The neighbor scan and the fine
+    /// localization run lock-free; `cache_plan` (called only when the request
+    /// may consult the caching engine) is where the caller reads whichever
+    /// affinity cache(s) hold the queried device's edges.
+    ///
+    /// Nothing is written back to an affinity cache here: the fine outcome's
+    /// contributions are returned in the diagnostics and the caller merges
+    /// them where its cache state lives.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn locate_detailed(
+        &self,
+        store: &dyn EventRead,
+        epochs: &dyn EpochRead,
+        device: DeviceId,
+        t_q: Timestamp,
+        eff: &Effective,
+        models: &ModelCache,
+        cache_plan: &dyn Fn(&[DeviceId]) -> FinePlan,
+    ) -> (Answer, QueryDiagnostics) {
+        let start = Instant::now();
+        let (coarse, coarse_model_reused) = self.coarse_outcome(store, epochs, device, t_q, models);
+        let (fine, cache_warm) = match coarse.label {
+            CoarseLabel::Inside(region) if !eff.coarse_only => {
+                let plan = (eff.cache == CacheMode::Enabled)
+                    .then(|| cache_plan(&self.fine_neighbors(store, eff, device, t_q, region)));
+                let (fine, warm) = self.fine_exec(store, eff, device, t_q, region, plan);
+                (Some(fine), warm)
+            }
+            _ => (None, false),
+        };
+        let answer = assemble_answer(device, t_q, &coarse, fine.as_ref());
+        let diagnostics = QueryDiagnostics {
+            coarse,
+            fine,
+            elapsed: start.elapsed(),
+            coarse_model_reused,
+            cache_warm,
+        };
+        (answer, diagnostics)
+    }
+
+    /// Runs the coarse step, reusing the cached per-device model when it is
+    /// still epoch-live and covers the query time. Returns the outcome and
+    /// whether a cached model was reused; an outcome that carries a gap and
+    /// did not reuse a model trained (and cached) one.
+    ///
+    /// Lock discipline is read-mostly: the reuse check and classification take
+    /// the read lock, and expensive model training happens outside any lock,
+    /// so concurrent callers with warm models never serialize.
+    fn coarse_outcome(
+        &self,
+        store: &dyn EventRead,
+        epochs: &dyn EpochRead,
+        device: DeviceId,
+        t_q: Timestamp,
+        models: &ModelCache,
+    ) -> (CoarseOutcome, bool) {
+        let certain = |label, method| CoarseOutcome {
+            label,
+            method,
+            confidence: 1.0,
+            gap: None,
+        };
+        if let Some(region) = store.covering_region(device, t_q) {
+            let label = CoarseLabel::Inside(region);
+            return (certain(label, CoarseMethod::CoveredByEvent), false);
+        }
+        let Some(gap) = store.gap_at(device, t_q) else {
+            return (
+                certain(CoarseLabel::Outside, CoarseMethod::OutOfSpan),
+                false,
+            );
+        };
+        let epoch = epochs.epoch_of(device);
+        if let Some(entry) = relock(models.read()).get(&device) {
+            if entry.epoch == epoch && self.model_covers(&entry.model, t_q) {
+                return (
+                    self.coarse.classify_with_model(store, &entry.model, &gap),
+                    true,
+                );
+            }
+        }
+        // Classify with the model just trained — never a re-read of the shared
+        // map, which a concurrent query for the same device at a different
+        // time could have overwritten with a model that does not cover `t_q`.
+        let model = self.coarse.train_device_model(store, device, t_q);
+        let outcome = self.coarse.classify_with_model(store, &model, &gap);
+        relock(models.write()).insert(device, ModelEntry { model, epoch });
+        (outcome, false)
+    }
+
+    /// `true` if a cached model is still valid for a query at `t_q` (time
+    /// coverage only; epoch liveness is checked by the caller).
+    fn model_covers(&self, model: &DeviceCoarseModel, t_q: Timestamp) -> bool {
+        t_q >= model.history.start && t_q <= model.history.end + self.config.model_refresh_slack
+    }
+
+    /// The neighbor devices eligible for the fine step — a store scan that
+    /// needs no lock.
+    fn fine_neighbors(
+        &self,
+        store: &dyn EventRead,
+        eff: &Effective,
+        device: DeviceId,
+        t_q: Timestamp,
+        region: RegionId,
+    ) -> Vec<DeviceId> {
+        eff.fine
+            .candidate_neighbors(store, device, t_q, region)
+            .into_iter()
+            .map(|(d, _)| d)
+            .collect()
+    }
+
+    /// Runs the fine step with an optional cache plan. Returns the outcome and
+    /// whether the affinity graph was warm for the queried device.
+    fn fine_exec(
+        &self,
+        store: &dyn EventRead,
+        eff: &Effective,
+        device: DeviceId,
+        t_q: Timestamp,
+        region: RegionId,
+        plan: Option<FinePlan>,
+    ) -> (FineOutcome, bool) {
+        let Some(FinePlan {
+            order,
+            cached,
+            warm,
+        }) = plan
+        else {
+            return (eff.fine.locate(store, device, t_q, region, None), false);
+        };
+        let lookup = move |neighbor: DeviceId| cached.get(&neighbor).copied();
+        let fine =
+            eff.fine
+                .locate_with_cache(store, device, t_q, region, Some(&order), Some(&lookup));
+        (fine, warm)
+    }
+}
+
+/// Extracts what the fine step needs from the affinity cache(s): the neighbor
+/// processing order, cached pairwise affinities (which replace the per-pair
+/// history scans of cold queries), and cache warmth. `cache_of(n)` is the
+/// cache holding the edge `{device, n}` — the owner shard's for the live
+/// service, the frozen union for a batch. Only epoch-live edges are visible.
+pub(crate) fn fine_plan<'c>(
+    epochs: &dyn EpochRead,
+    device: DeviceId,
+    t_q: Timestamp,
+    neighbors: &[DeviceId],
+    cache_of: impl Fn(DeviceId) -> &'c EpochCache,
+) -> FinePlan {
+    let warm = neighbors
+        .iter()
+        .any(|&n| !cache_of(n).samples(device, n, epochs).is_empty());
+    let cached: HashMap<DeviceId, f64> = neighbors
+        .iter()
+        .filter_map(|&n| {
+            cache_of(n)
+                .cached_pair_affinity(device, n, t_q, epochs)
+                .map(|affinity| (n, affinity))
+        })
+        .collect();
+    let order = rank_by_weight(neighbors, |n| cache_of(n).weight(device, n, t_q, epochs));
+    FinePlan {
+        order,
+        cached,
+        warm,
+    }
+}

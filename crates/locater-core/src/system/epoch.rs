@@ -24,9 +24,9 @@
 //! whose inputs changed, and queries over untouched devices keep their warm
 //! cache.
 //!
-//! The frozen [`Locater`](super::Locater) facade uses an [`EpochTable`] that is
-//! never bumped, so every stamp stays live forever and the behaviour of the
-//! original frozen-store system is preserved bit for bit.
+//! A service that never ingests never bumps an epoch, so every stamp stays
+//! live forever: offline evaluation over a fixed dataset behaves like a
+//! clear-cache-only system.
 
 use crate::cache::{edge_key, rank_by_weight, AffinitySample, GlobalAffinityGraph};
 use crate::coarse::DeviceCoarseModel;
@@ -56,7 +56,7 @@ impl EpochRead for EpochTable {
 ///
 /// `epoch(d)` starts at 0 and is bumped once per event ingested for `d` (and
 /// once per device by bulk invalidations such as
-/// [`LocaterService::invalidate_all`](super::LocaterService::invalidate_all)).
+/// [`ShardedLocaterService::invalidate_all`](super::ShardedLocaterService::invalidate_all)).
 /// Devices the table has never seen report epoch 0.
 #[derive(Debug, Clone, Default)]
 pub struct EpochTable {

@@ -18,7 +18,7 @@
 //! assert!(request.diagnostics);
 //! ```
 
-use super::{Answer, CacheMode, Query, QueryDiagnostics};
+use super::{Answer, CacheMode, QueryDiagnostics};
 use crate::fine::FineMode;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
@@ -73,27 +73,6 @@ impl LocateRequest {
         }
     }
 
-    /// A request equivalent to a legacy [`Query`] (no overrides).
-    pub fn from_query(query: &Query) -> Self {
-        Self {
-            mac: query.mac.clone(),
-            device: query.device,
-            t: query.t,
-            fine_mode: None,
-            cache: None,
-            diagnostics: false,
-        }
-    }
-
-    /// The legacy [`Query`] this request targets (overrides are dropped).
-    pub fn to_query(&self) -> Query {
-        Query {
-            mac: self.mac.clone(),
-            device: self.device,
-            t: self.t,
-        }
-    }
-
     /// Overrides the fine-grained mode for this request only.
     pub fn with_fine_mode(mut self, mode: FineMode) -> Self {
         self.fine_mode = Some(mode);
@@ -116,12 +95,6 @@ impl LocateRequest {
     pub fn with_diagnostics(mut self) -> Self {
         self.diagnostics = true;
         self
-    }
-}
-
-impl From<Query> for LocateRequest {
-    fn from(query: Query) -> Self {
-        Self::from_query(&query)
     }
 }
 
@@ -168,13 +141,5 @@ mod tests {
         assert_eq!(by_device.fine_mode, None);
         assert_eq!(by_device.cache, None);
         assert!(!by_device.diagnostics);
-    }
-
-    #[test]
-    fn query_roundtrip_drops_overrides() {
-        let query = Query::by_mac("aa", 99);
-        let request = LocateRequest::from(query.clone()).with_diagnostics();
-        assert_eq!(request.to_query(), query);
-        assert_eq!(LocateRequest::from_query(&query).to_query(), query);
     }
 }

@@ -1,5 +1,5 @@
-//! The sharded live service: N independent per-device partitions behind one
-//! query API.
+//! The live service: N ≥ 1 independent per-device partitions behind one query
+//! API.
 //!
 //! LOCATER's pipeline is embarrassingly partitionable by device — coarse
 //! localization, δ estimation, epochs and model state are per-device, and only
@@ -11,6 +11,21 @@
 //! ([`locater_store::ShardedRead`]) assembled from per-shard read guards taken
 //! in ascending shard order.
 //!
+//! ## Lifecycle
+//!
+//! 1. **build** — construct the service over an initial (possibly empty) store;
+//! 2. **serve** — answer [`LocateRequest`]s concurrently from many threads;
+//! 3. **ingest** — append live events through
+//!    [`ShardedLocaterService::ingest`] / [`ShardedLocaterService::ingest_batch`];
+//!    each appended event bumps its device's epoch;
+//! 4. **invalidate** — nothing to do: the epoch bump makes exactly the cached
+//!    state derived from the touched device stale (see [`super::epoch`]), and
+//!    the next query over that device recomputes it.
+//!
+//! Locks are `std::sync` locks taken through one poison-recovering helper
+//! (`relock` in `engine.rs` states why recovery is sound here): a request
+//! that panics under a shard lock must not wedge every later request.
+//!
 //! ## State placement
 //!
 //! | State | Lives in |
@@ -21,29 +36,26 @@
 //!
 //! ## Equivalence
 //!
-//! Answers are **byte-identical to a single-shard
-//! [`LocaterService`](super::LocaterService)** for
-//! every shard count — the public [`LocaterService`](super::LocaterService)
-//! *is* the `shards = 1`
-//! special case of this type. The canonical `(t, device)` order of the global
-//! timeline index makes the merged neighbor scan representation-transparent,
-//! and edge/model/epoch placement partitions (never duplicates) the state a
-//! single-shard deployment would hold. `tests/shard_equivalence.rs` enforces
-//! this for LCG-seeded ingest/locate interleavings at N ∈ {2, 3, 8}.
+//! Answers are **byte-identical for every shard count**, `shards = 1` — one
+//! store behind one lock — included. The canonical `(t, device)` order of the
+//! global timeline index makes the merged neighbor scan
+//! representation-transparent, and edge/model/epoch placement partitions
+//! (never duplicates) the state a single-shard deployment would hold.
+//! `tests/shard_equivalence.rs` enforces this for LCG-seeded ingest/locate
+//! interleavings at N ∈ {2, 3, 8}.
 
 use super::batch::{self, BatchItem};
+use super::engine::{fine_plan, relock, resolve_target, Engine, FinePlan, ModelCache};
 use super::epoch::{EpochCache, EpochRead, EpochTable, ModelEntry};
 use super::request::{LocateRequest, LocateResponse};
-use super::service::{resolve_target, Engines, FinePlan};
-use super::{assemble_answer, Answer, CacheMode, LocaterConfig, Location, QueryDiagnostics};
-use crate::cache::{edge_key, rank_by_weight};
-use crate::coarse::{CoarseLabel, DeviceCoarseModel};
+use super::{CacheMode, LocaterConfig};
+use crate::cache::edge_key;
 use crate::error::LocaterError;
 use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::validity::estimate_delta_events;
 use locater_events::{DeviceId, EventId};
-use locater_space::Space;
+use locater_space::{AccessPointId, Space};
 use locater_store::recovery::{
     initialize_wal, recover_store_io, write_checkpoint_io, RecoveryReport,
 };
@@ -52,11 +64,10 @@ use locater_store::{
     IngestError, RawEvent, RealIo, ShardWal, ShardedRead, StorageIo, StoreError, WalError,
     WalRecord, WalShardStats,
 };
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
 
 /// The mutable half of one shard: its partition of the event store, the epoch
@@ -71,12 +82,28 @@ struct ShardLive {
     wal: Option<ShardWal>,
 }
 
-/// One shard: its mutable `(store, epochs)` pair plus its own engines (config,
-/// localizers, affinity cache, model cache).
+/// One shard: its mutable `(store, epochs)` pair plus its slice of the
+/// caching engine — the affinity edges it owns and the coarse models of its
+/// owned devices.
 #[derive(Debug)]
 struct Shard {
     live: RwLock<ShardLive>,
-    engines: Engines,
+    cache: RwLock<EpochCache>,
+    models: ModelCache,
+}
+
+impl Shard {
+    fn new(store: EventStore) -> Self {
+        Self {
+            live: RwLock::new(ShardLive {
+                store,
+                epochs: EpochTable::new(),
+                wal: None,
+            }),
+            cache: RwLock::default(),
+            models: ModelCache::default(),
+        }
+    }
 }
 
 /// Per-shard observability counters reported by
@@ -175,13 +202,17 @@ impl EpochRead for ShardedEpochs<'_> {
     }
 }
 
-/// The sharded live LOCATER service: online ingestion + query answering over
-/// `N` per-device partitions (see the [module docs](self) for the design).
+/// The live LOCATER service: a cleaning + caching engine over a **mutable**
+/// event store, partitioned into `N ≥ 1` per-device shards, that ingests
+/// connectivity events while answering queries (see the [module docs](self)
+/// for the design).
 ///
-/// The public API mirrors [`LocaterService`](super::LocaterService) — which is
-/// exactly this type with one shard — and answers are byte-identical for every
-/// shard count. Use more shards when concurrent ingest throughput matters:
-/// an ingest for a known device write-locks only the device's home shard.
+/// Correctness under ingestion is maintained by epoch-based invalidation (see
+/// [`super::epoch`]): after any ingest sequence, answers are identical to
+/// those of a freshly built service over the same final store — and
+/// byte-identical for every shard count. Use more shards when concurrent
+/// ingest throughput matters: an ingest for a known device write-locks only
+/// the device's home shard.
 ///
 /// ```
 /// use locater_core::system::{LocateRequest, LocaterConfig, ShardedLocaterService};
@@ -209,6 +240,7 @@ impl EpochRead for ShardedEpochs<'_> {
 /// ```
 #[derive(Debug)]
 pub struct ShardedLocaterService {
+    engine: Engine,
     shards: Vec<Shard>,
     /// Global event-id sequence: ids stay globally sequential across shards
     /// (each append aligns the owning shard's counter from here), so the
@@ -236,16 +268,10 @@ impl ShardedLocaterService {
         let shards = store
             .split(shards.max(1))
             .into_iter()
-            .map(|piece| Shard {
-                live: RwLock::new(ShardLive {
-                    store: piece,
-                    epochs: EpochTable::new(),
-                    wal: None,
-                }),
-                engines: Engines::new(config),
-            })
+            .map(Shard::new)
             .collect();
         Self {
+            engine: Engine::new(config),
             shards,
             next_event_id,
             durability: None,
@@ -276,9 +302,9 @@ impl ShardedLocaterService {
         let writers = initialize_wal(&durability, &store, shards.max(1))?.0;
         let mut service = Self::new(store, config, shards);
         for (shard, wal) in service.shards.iter().zip(writers) {
-            shard.live.write().wal = Some(wal);
+            relock(shard.live.write()).wal = Some(wal);
         }
-        *service.last_checkpoint.lock() = Some(Instant::now());
+        *relock(service.last_checkpoint.lock()) = Some(Instant::now());
         service.checkpoints.store(1, Ordering::Relaxed);
         service.durability = Some(durability);
         Ok((service, report))
@@ -295,28 +321,6 @@ impl ShardedLocaterService {
         Ok(Self::new(EventStore::load_snapshot(path)?, config, shards))
     }
 
-    /// Builds a single-shard service around existing engines (cache and model
-    /// state carry over) — the [`Locater::into_service`](super::Locater::into_service)
-    /// conversion path.
-    pub(crate) fn from_parts_single(store: EventStore, engines: Engines) -> Self {
-        let next_event_id = AtomicU64::new(store.next_event_id());
-        Self {
-            shards: vec![Shard {
-                live: RwLock::new(ShardLive {
-                    store,
-                    epochs: EpochTable::new(),
-                    wal: None,
-                }),
-                engines,
-            }],
-            next_event_id,
-            durability: None,
-            last_checkpoint: Mutex::new(None),
-            checkpoints: AtomicU64::new(0),
-            compaction: Mutex::new(CompactionState::default()),
-        }
-    }
-
     /// Number of shards the service is partitioned into.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -329,18 +333,51 @@ impl ShardedLocaterService {
 
     /// The system configuration (per-request overrides are applied on top).
     pub fn config(&self) -> &LocaterConfig {
-        &self.shards[0].engines.config
+        &self.engine.config
     }
 
     /// Read guards on every shard, taken in ascending shard order (the
     /// service-wide lock order; writers acquire in the same order).
     fn read_all(&self) -> Vec<RwLockReadGuard<'_, ShardLive>> {
-        self.shards.iter().map(|shard| shard.live.read()).collect()
+        self.shards
+            .iter()
+            .map(|shard| relock(shard.live.read()))
+            .collect()
     }
 
     /// Write guards on every shard, in ascending shard order.
     fn write_all(&self) -> Vec<RwLockWriteGuard<'_, ShardLive>> {
-        self.shards.iter().map(|shard| shard.live.write()).collect()
+        self.shards
+            .iter()
+            .map(|shard| relock(shard.live.write()))
+            .collect()
+    }
+
+    /// Read access to the state every shard replicates (device table, space):
+    /// the first shard whose lock is free answers, so a lookup never waits
+    /// behind an ingest into a shard it has no other business with. Only when
+    /// every shard is being written to does it wait, on shard 0.
+    fn any_shard(&self) -> RwLockReadGuard<'_, ShardLive> {
+        self.shards
+            .iter()
+            .find_map(|shard| match shard.live.try_read() {
+                Ok(guard) => Some(guard),
+                Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            })
+            .unwrap_or_else(|| relock(self.shards[0].live.read()))
+    }
+
+    /// Runs `f` over one consistent read view of the whole service: the
+    /// multi-shard store view and the matching epoch view, both backed by
+    /// every shard's read lock held for the duration of the call.
+    fn with_view<R>(&self, f: impl FnOnce(&ShardedRead<'_>, &ShardedEpochs<'_>) -> R) -> R {
+        let guards = self.read_all();
+        let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
+        let epochs = ShardedEpochs {
+            tables: guards.iter().map(|guard| &guard.epochs).collect(),
+        };
+        f(&view, &epochs)
     }
 
     // ------------------------------------------------------------------
@@ -371,45 +408,41 @@ impl ShardedLocaterService {
         ap_name: &str,
         request_id: Option<u64>,
     ) -> Result<EventId, IngestError> {
-        let known = self.shards[0].live.read().store.device_id(mac);
+        let known = self.any_shard().store.device_id(mac);
         if let Some(device) = known {
-            let home = self.home_shard(device);
-            let mut live = self.shards[home].live.write();
-            live.store.validate_raw(t, ap_name)?;
-            let id = self.sequenced_ingest(&mut live, mac, t, ap_name, request_id)?;
-            live.epochs.bump(device);
-            return Ok(id);
+            let mut live = relock(self.shards[self.home_shard(device)].live.write());
+            let ap = live.store.validate_raw(t, ap_name)?;
+            return self.sequenced_ingest(&mut live, device, mac, t, ap, request_id);
         }
         // New device: intern into every shard under the full lock so the
         // replicated tables assign the same dense id everywhere.
         let mut guards = self.write_all();
-        let device = Self::intern_everywhere(&mut guards, mac, t, ap_name)?;
+        let (device, ap) = Self::validate_and_intern(&mut guards, mac, t, ap_name)?;
         let home = shard_of_device(device, guards.len());
-        let id = self.sequenced_ingest(&mut guards[home], mac, t, ap_name, request_id)?;
-        guards[home].epochs.bump(device);
-        Ok(id)
+        self.sequenced_ingest(&mut guards[home], device, mac, t, ap, request_id)
     }
 
-    /// Appends one pre-validated event, drawing its id from the service-wide
-    /// sequence so ids stay globally sequential across shards. When the shard
-    /// carries a write-ahead log, the record is appended to the log *before*
-    /// the in-memory apply, under the same shard write lock (log-then-apply):
-    /// the event is pre-validated and its device already interned, so an
-    /// event that reached the log always applies — the store never runs ahead
-    /// of what recovery can reproduce. A failed log append rejects the event
-    /// ([`IngestError::Wal`]) without mutating the store; the drawn id is
-    /// skipped, which recovery tolerates (ids are merged, not assumed dense).
+    /// Appends one validated event of an interned device and bumps the
+    /// device's epoch, drawing the event id from the service-wide sequence so
+    /// ids stay globally sequential across shards. When the shard carries a
+    /// write-ahead log, the record is appended to the log *before* the
+    /// in-memory apply, under the same shard write lock (log-then-apply):
+    /// an event that reached the log always applies — the store never runs
+    /// ahead of what recovery can reproduce. A failed log append rejects the
+    /// event ([`IngestError::Wal`]) without mutating the store; the drawn id
+    /// is skipped, which recovery tolerates (ids are merged, not assumed
+    /// dense).
     fn sequenced_ingest(
         &self,
         live: &mut ShardLive,
+        device: DeviceId,
         mac: &str,
         t: Timestamp,
-        ap_name: &str,
+        ap: AccessPointId,
         request_id: Option<u64>,
     ) -> Result<EventId, IngestError> {
         let id = self.next_event_id.fetch_add(1, Ordering::Relaxed);
         if let Some(wal) = live.wal.as_mut() {
-            let ap = live.store.validate_raw(t, ap_name)?;
             wal.append(&WalRecord {
                 id,
                 t,
@@ -420,7 +453,9 @@ impl ShardedLocaterService {
             .map_err(|e| IngestError::Wal(e.to_string()))?;
         }
         live.store.set_next_event_id(id);
-        live.store.ingest_raw(mac, t, ap_name)
+        let id = live.store.ingest(mac, t, ap)?;
+        live.epochs.bump(device);
+        Ok(id)
     }
 
     /// Appends a batch of raw events under one all-shard write lock (the batch
@@ -434,46 +469,43 @@ impl ShardedLocaterService {
         let mut guards = self.write_all();
         let mut count = 0usize;
         for event in events {
-            let device = match guards[0].store.device_id(&event.mac) {
-                Some(device) => device,
-                None => Self::intern_everywhere(&mut guards, &event.mac, event.t, &event.ap)?,
-            };
-            guards[0].store.validate_raw(event.t, &event.ap)?;
+            let (device, ap) =
+                Self::validate_and_intern(&mut guards, &event.mac, event.t, &event.ap)?;
             let home = shard_of_device(device, guards.len());
             // Batch tokens are not persisted per event: a batch is acked only
             // as a whole, and a partially durable batch must re-execute on
             // retry, so its replay window stays in-memory (see the server's
             // dedup cache).
-            self.sequenced_ingest(&mut guards[home], &event.mac, event.t, &event.ap, None)?;
-            guards[home].epochs.bump(device);
+            self.sequenced_ingest(&mut guards[home], device, &event.mac, event.t, ap, None)?;
             count += 1;
         }
         Ok(count)
     }
 
-    /// Interns a new device into every shard's replicated table, validating
-    /// the event first so an invalid event interns nothing (mirroring the
-    /// error order of [`EventStore::ingest_raw`]: access point, then
-    /// timestamp, then MAC).
-    fn intern_everywhere(
+    /// Validates one raw event and resolves its device under the all-shard
+    /// write lock, interning a new device into every shard's replicated
+    /// table. Validation comes first, so an invalid event interns nothing and
+    /// the error order is that of [`EventStore::ingest_raw`]: access point,
+    /// then timestamp, then MAC.
+    fn validate_and_intern(
         guards: &mut [RwLockWriteGuard<'_, ShardLive>],
         mac: &str,
         t: Timestamp,
         ap_name: &str,
-    ) -> Result<DeviceId, IngestError> {
-        // Re-check under the write lock: another ingest may have interned the
-        // device between our read probe and lock acquisition.
+    ) -> Result<(DeviceId, AccessPointId), IngestError> {
+        let ap = guards[0].store.validate_raw(t, ap_name)?;
+        // Looked up under the write lock: another ingest may have interned the
+        // device since the caller's read probe.
         if let Some(device) = guards[0].store.device_id(mac) {
-            return Ok(device);
+            return Ok((device, ap));
         }
-        guards[0].store.validate_raw(t, ap_name)?;
         let mut device = None;
         for guard in guards.iter_mut() {
             let interned = guard.store.intern_device(mac)?;
             debug_assert!(device.is_none() || device == Some(interned));
             device = Some(interned);
         }
-        Ok(device.expect("at least one shard"))
+        Ok((device.expect("at least one shard"), ap))
     }
 
     /// Re-estimates every device's validity period δ from its history (held by
@@ -513,9 +545,7 @@ impl ShardedLocaterService {
     /// Bumps one device's epoch without touching the store, invalidating every
     /// cached value derived from its history.
     pub fn invalidate_device(&self, device: DeviceId) {
-        self.shards[self.home_shard(device)]
-            .live
-            .write()
+        relock(self.shards[self.home_shard(device)].live.write())
             .epochs
             .bump(device);
     }
@@ -536,7 +566,7 @@ impl ShardedLocaterService {
     /// Resolves the device a request refers to (the device table is replicated,
     /// so one shard answers).
     pub fn resolve(&self, request: &LocateRequest) -> Result<DeviceId, LocaterError> {
-        let live = self.shards[0].live.read();
+        let live = self.any_shard();
         resolve_target(&live.store, request.mac.as_deref(), request.device)
     }
 
@@ -545,115 +575,54 @@ impl ShardedLocaterService {
     /// concurrent queries proceed in parallel and ingests are only delayed by
     /// in-flight queries touching their shard.
     pub fn locate(&self, request: &LocateRequest) -> Result<LocateResponse, LocaterError> {
-        let guards = self.read_all();
-        let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let device = resolve_target(&view, request.mac.as_deref(), request.device)?;
-        let home = self.home_shard(device);
-        let eff = self.shards[home].engines.effective_for(request);
-        let (answer, diagnostics) =
-            self.locate_detailed(&view, &epochs, device, request.t, &eff, home);
-        Ok(LocateResponse {
-            answer,
-            device_epoch: epochs.epoch_of(device),
-            events_seen: view.num_events(),
-            diagnostics: request.diagnostics.then_some(diagnostics),
-        })
+        self.locate_to_depth(request, false)
     }
 
     /// Answers one request with the coarse step only — the *degraded* path a
     /// server takes when a request's deadline has already expired: the room
-    /// stays unknown ([`Location::Region`]) but the caller still learns
-    /// whether the device was inside and where, at coarse-step cost (no
-    /// neighbor scan, no fine-step iterations, no cache writes).
+    /// stays unknown ([`Location::Region`](super::Location::Region)) but the
+    /// caller still learns whether the device was inside and where, at
+    /// coarse-step cost (no neighbor scan, no fine-step iterations, no cache
+    /// writes, no diagnostics).
     pub fn locate_coarse(&self, request: &LocateRequest) -> Result<LocateResponse, LocaterError> {
-        let guards = self.read_all();
-        let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let device = resolve_target(&view, request.mac.as_deref(), request.device)?;
-        let home = self.home_shard(device);
-        let engines = &self.shards[home].engines;
-        let (coarse, _model_reused) = engines.coarse_outcome(&view, &epochs, device, request.t);
-        let answer = Answer {
-            device,
-            t: request.t,
-            location: match coarse.label {
-                CoarseLabel::Outside => Location::Outside,
-                CoarseLabel::Inside(region) => Location::Region(region),
-            },
-            coarse_method: coarse.method,
-            confidence: coarse.confidence,
-        };
-        Ok(LocateResponse {
-            answer,
-            device_epoch: epochs.epoch_of(device),
-            events_seen: view.num_events(),
-            diagnostics: None,
-        })
+        self.locate_to_depth(request, true)
     }
 
-    /// The sharded analogue of [`Engines::locate_detailed`]: coarse and model
-    /// state come from the queried device's home shard, fine-step cache reads
-    /// and writes route to each edge's owner shard.
-    fn locate_detailed(
+    /// The live-service caller of [`Engine::locate_detailed`]: model state is
+    /// the queried device's home-shard map, fine-step cache reads and writes
+    /// route to each edge's owner shard.
+    fn locate_to_depth(
         &self,
-        view: &ShardedRead<'_>,
-        epochs: &dyn EpochRead,
-        device: DeviceId,
-        t_q: Timestamp,
-        eff: &super::service::Effective,
-        home: usize,
-    ) -> (Answer, QueryDiagnostics) {
-        let engines = &self.shards[home].engines;
-        let start = Instant::now();
-
-        let (coarse, model_reused) = engines.coarse_outcome(view, epochs, device, t_q);
-        let region = match coarse.label {
-            CoarseLabel::Outside => {
-                let answer = assemble_answer(device, t_q, &coarse, None);
-                let diagnostics = QueryDiagnostics {
-                    coarse,
-                    fine: None,
-                    elapsed: start.elapsed(),
-                    coarse_model_reused: model_reused,
-                    cache_warm: false,
-                };
-                return (answer, diagnostics);
+        request: &LocateRequest,
+        coarse_only: bool,
+    ) -> Result<LocateResponse, LocaterError> {
+        self.with_view(|view, epochs| {
+            let device = resolve_target(view, request.mac.as_deref(), request.device)?;
+            let eff = self.engine.effective_for(request, coarse_only);
+            let models = &self.shards[self.home_shard(device)].models;
+            let plan =
+                |neighbors: &[DeviceId]| self.owner_plan(epochs, device, request.t, neighbors);
+            let (answer, diagnostics) = self
+                .engine
+                .locate_detailed(view, epochs, device, request.t, &eff, models, &plan);
+            if let Some(fine) = &diagnostics.fine {
+                if eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
+                    self.merge_contributions(device, &fine.contributions, request.t, epochs);
+                }
             }
-            CoarseLabel::Inside(region) => region,
-        };
-
-        let plan = match eff.cache {
-            CacheMode::Enabled => {
-                let neighbors = engines.fine_neighbors(view, eff, device, t_q, region);
-                Some(self.fine_plan(epochs, device, t_q, &neighbors))
-            }
-            CacheMode::Disabled => None,
-        };
-        let (fine, cache_warm) = engines.fine_exec(view, eff, device, t_q, region, plan);
-        if eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
-            self.merge_contributions(device, &fine.contributions, t_q, epochs);
-        }
-
-        let answer = assemble_answer(device, t_q, &coarse, Some((&fine, region)));
-        let diagnostics = QueryDiagnostics {
-            coarse,
-            fine: Some(fine),
-            elapsed: start.elapsed(),
-            coarse_model_reused: model_reused,
-            cache_warm,
-        };
-        (answer, diagnostics)
+            Ok(LocateResponse {
+                answer,
+                device_epoch: epochs.epoch_of(device),
+                events_seen: view.num_events(),
+                diagnostics: (request.diagnostics && !coarse_only).then_some(diagnostics),
+            })
+        })
     }
 
     /// Extracts the fine-step plan from the owner shards' caches: each edge
     /// `{device, n}` is read from the cache of `min(device, n)`'s home shard.
     /// The needed cache read guards are taken once, in ascending shard order.
-    fn fine_plan(
+    fn owner_plan(
         &self,
         epochs: &dyn EpochRead,
         device: DeviceId,
@@ -670,30 +639,13 @@ impl ShardedLocaterService {
             .shards
             .iter()
             .zip(&needed)
-            .map(|(shard, &needed)| needed.then(|| shard.engines.cache.read()))
+            .map(|(shard, &needed)| needed.then(|| relock(shard.cache.read())))
             .collect();
-        let cache_of = |neighbor: DeviceId| -> &EpochCache {
+        fine_plan(epochs, device, t_q, neighbors, |neighbor| {
             caches[owner_of(neighbor)]
                 .as_deref()
                 .expect("owner cache guard was taken above")
-        };
-        let warm = neighbors
-            .iter()
-            .any(|&n| !cache_of(n).samples(device, n, epochs).is_empty());
-        let cached: HashMap<DeviceId, f64> = neighbors
-            .iter()
-            .filter_map(|&n| {
-                cache_of(n)
-                    .cached_pair_affinity(device, n, t_q, epochs)
-                    .map(|affinity| (n, affinity))
-            })
-            .collect();
-        let order = rank_by_weight(neighbors, |n| cache_of(n).weight(device, n, t_q, epochs));
-        FinePlan {
-            order,
-            cached,
-            warm,
-        }
+        })
     }
 
     /// Merges one answered query's local affinity graph into the owner shards'
@@ -707,11 +659,7 @@ impl ShardedLocaterService {
     ) {
         let shards = self.shards.len();
         if shards == 1 {
-            self.shards[0]
-                .engines
-                .cache
-                .write()
-                .merge_local(center, contributions, t, epochs);
+            relock(self.shards[0].cache.write()).merge_local(center, contributions, t, epochs);
             return;
         }
         let mut per_owner: Vec<Vec<NeighborContribution>> = vec![Vec::new(); shards];
@@ -721,11 +669,7 @@ impl ShardedLocaterService {
         }
         for (shard, subset) in self.shards.iter().zip(per_owner) {
             if !subset.is_empty() {
-                shard
-                    .engines
-                    .cache
-                    .write()
-                    .merge_local(center, &subset, t, epochs);
+                relock(shard.cache.write()).merge_local(center, &subset, t, epochs);
             }
         }
     }
@@ -735,105 +679,81 @@ impl ShardedLocaterService {
     /// worker threads, answered against a frozen union snapshot of every
     /// shard's affinity cache, and the results merge back to each edge's and
     /// model's owner shard in query order. Responses are identical for every
-    /// `jobs` value **and every shard count**, in request order; batch
-    /// responses carry no diagnostics.
+    /// `jobs` value **and every shard count**, in request order; per-request
+    /// overrides are honored; batch responses carry no diagnostics.
     pub fn locate_batch(
         &self,
         requests: &[LocateRequest],
         jobs: usize,
     ) -> Vec<Result<LocateResponse, LocaterError>> {
-        let guards = self.read_all();
-        let view = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect());
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let shards = self.shards.len();
-        let engines = &self.shards[0].engines;
-        let items: Vec<BatchItem> = requests
-            .iter()
-            .map(|request| BatchItem {
-                t: request.t,
-                device: resolve_target(&view, request.mac.as_deref(), request.device),
-                eff: engines.effective_for(request),
-            })
-            .collect();
+        self.with_view(|view, epochs| {
+            let items: Vec<BatchItem> = requests
+                .iter()
+                .map(|request| BatchItem {
+                    t: request.t,
+                    device: resolve_target(view, request.mac.as_deref(), request.device),
+                    eff: self.engine.effective_for(request, false),
+                })
+                .collect();
 
-        // Epoch-live model seeds come from each device's home shard.
-        let mut seeds: HashMap<DeviceId, DeviceCoarseModel> = HashMap::new();
-        for item in &items {
-            let Ok(device) = item.device else { continue };
-            if seeds.contains_key(&device) {
-                continue;
-            }
-            let home = shard_of_device(device, shards);
-            let models = self.shards[home].engines.models.read();
-            if let Some(entry) = models.get(&device) {
-                if entry.epoch == epochs.epoch_of(device) {
-                    seeds.insert(device, entry.model.clone());
+            // Epoch-live model seeds come from each device's home shard.
+            let mut seeds: HashMap<DeviceId, ModelEntry> = HashMap::new();
+            for &device in items.iter().filter_map(|item| item.device.as_ref().ok()) {
+                if seeds.contains_key(&device) {
+                    continue;
+                }
+                let models = relock(self.shards[self.home_shard(device)].models.read());
+                if let Some(entry) = models.get(&device) {
+                    if entry.epoch == epochs.epoch_of(device) {
+                        seeds.insert(device, entry.clone());
+                    }
                 }
             }
-        }
 
-        // The frozen snapshot is the union of every shard's cache — edge sets
-        // are disjoint (each edge lives in its owner shard), so the union is
-        // exactly the cache a single-shard deployment would hold.
-        let frozen: Option<EpochCache> = batch::wants_cache(&items).then(|| {
-            let mut union = self.shards[0].engines.cache.read().clone();
-            for shard in &self.shards[1..] {
-                union.absorb(shard.engines.cache.read().clone());
+            // The frozen snapshot is the union of every shard's cache — edge
+            // sets are disjoint (each edge lives in its owner shard), so the
+            // union is exactly the cache a single-shard deployment would hold.
+            let mut frozen = EpochCache::new();
+            if batch::wants_cache(&items) {
+                let mut caches = self
+                    .shards
+                    .iter()
+                    .map(|shard| relock(shard.cache.read()).clone());
+                frozen = caches.next().expect("at least one shard");
+                caches.for_each(|cache| frozen.absorb(cache));
             }
-            union
-        });
 
-        let outcome = batch::run_batch(
-            engines,
-            &view,
-            &epochs,
-            &items,
-            jobs,
-            seeds,
-            frozen.as_ref(),
-        );
+            let outcome =
+                batch::run_batch(&self.engine, view, epochs, &items, jobs, seeds, &frozen);
 
-        // Post-join merge: contributions route to edge owners in query order,
-        // trained models to their devices' home shards.
-        for contribution in &outcome.contributions {
-            self.merge_contributions(
-                contribution.device,
-                &contribution.neighbors,
-                contribution.t,
-                &epochs,
-            );
-        }
-        for (&device, model) in &outcome.trained {
-            let home = shard_of_device(device, shards);
-            self.shards[home].engines.models.write().insert(
-                device,
-                ModelEntry {
-                    model: model.clone(),
-                    epoch: epochs.epoch_of(device),
-                },
-            );
-        }
+            // Post-join merge: contributions route to edge owners in query
+            // order, trained models to their devices' home shards.
+            for contribution in &outcome.contributions {
+                self.merge_contributions(
+                    contribution.device,
+                    &contribution.neighbors,
+                    contribution.t,
+                    epochs,
+                );
+            }
+            for (device, entry) in outcome.trained {
+                relock(self.shards[self.home_shard(device)].models.write()).insert(device, entry);
+            }
 
-        let events_seen = view.num_events();
-        outcome
-            .answers
-            .into_iter()
-            .zip(&items)
-            .map(|(answer, item)| {
-                answer.map(|answer| LocateResponse {
-                    device_epoch: item
-                        .device
-                        .as_ref()
-                        .map(|&d| epochs.epoch_of(d))
-                        .unwrap_or(0),
-                    events_seen,
-                    answer,
-                    diagnostics: None,
+            let events_seen = view.num_events();
+            outcome
+                .answers
+                .into_iter()
+                .map(|answer| {
+                    answer.map(|answer| LocateResponse {
+                        device_epoch: epochs.epoch_of(answer.device),
+                        events_seen,
+                        answer,
+                        diagnostics: None,
+                    })
                 })
-            })
-            .collect()
+                .collect()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -843,28 +763,26 @@ impl ShardedLocaterService {
     /// The current ingest epoch of a device (0 for devices never ingested
     /// through the service).
     pub fn device_epoch(&self, device: DeviceId) -> u64 {
-        self.shards[self.home_shard(device)]
-            .live
-            .read()
+        relock(self.shards[self.home_shard(device)].live.read())
             .epochs
             .of(device)
     }
 
     /// The space metadata the service answers over.
     pub fn space(&self) -> Arc<Space> {
-        self.shards[0].live.read().store.space().clone()
+        self.any_shard().store.space().clone()
     }
 
     /// Looks up a device id by MAC address / log identifier.
     pub fn device_id(&self, mac: &str) -> Option<DeviceId> {
-        self.shards[0].live.read().store.device_id(mac)
+        self.any_shard().store.device_id(mac)
     }
 
     /// Runs `f` with read access to one shard's store partition (the lock is
     /// held for the duration of the closure — keep it short). With one shard,
     /// shard 0 holds the whole dataset.
     pub fn with_shard_store<R>(&self, shard: usize, f: impl FnOnce(&EventStore) -> R) -> R {
-        f(&self.shards[shard].live.read().store)
+        f(&relock(self.shards[shard].live.read()).store)
     }
 
     /// A combined clone of the current store — the basis of the service's
@@ -916,7 +834,7 @@ impl ShardedLocaterService {
                 wal.reset()?;
             }
         }
-        *self.last_checkpoint.lock() = Some(Instant::now());
+        *relock(self.last_checkpoint.lock()) = Some(Instant::now());
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(Some(bytes))
     }
@@ -984,7 +902,7 @@ impl ShardedLocaterService {
         let mut summaries: Vec<DwellSummary> = Vec::new();
         let mut spills: Vec<EventStore> = Vec::new();
         for shard in &self.shards {
-            let report = shard.live.write().store.compact(horizon);
+            let report = relock(shard.live.write()).store.compact(horizon);
             cut = report.cut;
             if report.evicted_events == 0 {
                 continue;
@@ -996,7 +914,7 @@ impl ShardedLocaterService {
         }
 
         let status = {
-            let mut state = self.compaction.lock();
+            let mut state = relock(self.compaction.lock());
             if evicted_events > 0 {
                 state.status.runs += 1;
                 state.status.evicted_events += evicted_events as u64;
@@ -1050,14 +968,14 @@ impl ShardedLocaterService {
     /// The cumulative compaction gauges (runs, evictions, last cut, summary
     /// rows) since boot.
     pub fn compaction_status(&self) -> CompactionStatus {
-        self.compaction.lock().status
+        relock(self.compaction.lock()).status
     }
 
     /// The accumulated summary-tier rows (per-device per-AP dwell statistics
     /// of all evicted history) — the training input that outlives the raw
     /// events.
     pub fn dwell_summaries(&self) -> Vec<DwellSummary> {
-        self.compaction.lock().summaries.clone()
+        relock(self.compaction.lock()).summaries.clone()
     }
 
     /// Approximate resident heap bytes across all shard stores (allocated
@@ -1079,9 +997,7 @@ impl ShardedLocaterService {
             .iter()
             .filter_map(|guard| guard.wal.as_ref().map(|wal| wal.stats()))
             .collect();
-        let age = self
-            .last_checkpoint
-            .lock()
+        let age = relock(self.last_checkpoint.lock())
             .map(|at| at.elapsed().as_millis() as u64)
             .unwrap_or(0);
         Some(WalStatus {
@@ -1107,7 +1023,7 @@ impl ShardedLocaterService {
     /// Number of distinct devices currently known (the device table is
     /// replicated, so one shard answers).
     pub fn num_devices(&self) -> usize {
-        self.shards[0].live.read().store.num_devices()
+        self.any_shard().store.num_devices()
     }
 
     /// Number of edges and samples physically held across all shard caches,
@@ -1116,7 +1032,7 @@ impl ShardedLocaterService {
         let mut edges = 0usize;
         let mut samples = 0usize;
         for shard in &self.shards {
-            let (e, s) = shard.engines.cache.read().stats();
+            let (e, s) = relock(shard.cache.read()).stats();
             edges += e;
             samples += s;
         }
@@ -1126,84 +1042,584 @@ impl ShardedLocaterService {
     /// Number of edges and samples live under the current epochs across all
     /// shard caches — the state queries can actually observe.
     pub fn live_cache_stats(&self) -> (usize, usize) {
-        let guards = self.read_all();
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let mut edges = 0usize;
-        let mut samples = 0usize;
-        for shard in &self.shards {
-            let (e, s) = shard.engines.cache.read().live_stats(&epochs);
-            edges += e;
-            samples += s;
-        }
-        (edges, samples)
+        self.with_view(|_, epochs| {
+            let mut edges = 0usize;
+            let mut samples = 0usize;
+            for shard in &self.shards {
+                let (e, s) = relock(shard.cache.read()).live_stats(epochs);
+                edges += e;
+                samples += s;
+            }
+            (edges, samples)
+        })
     }
 
     /// Per-shard event/device/cache counters (what `locater-cli serve`'s
     /// `stats` command prints).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let guards = self.read_all();
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
         let shards = self.shards.len();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| {
-                let store = &guards[index].store;
-                let owned_devices = (0..store.num_devices())
-                    .filter(|&idx| shard_of_device(DeviceId::new(idx as u32), shards) == index)
-                    .count();
-                let cache = shard.engines.cache.read();
-                let (edges, samples) = cache.stats();
-                let (live_edges, live_samples) = cache.live_stats(&epochs);
-                let colocation = store.colocation_stats();
-                let tiers = store.tier_stats();
-                ShardStats {
-                    shard: index,
-                    events: store.num_events(),
-                    owned_devices,
-                    edges,
-                    live_edges,
-                    samples,
-                    live_samples,
-                    index_ap_lists: colocation.ap_lists,
-                    index_buckets: colocation.buckets,
-                    head_segments: tiers.head_segments,
-                    sealed_segments: tiers.sealed_segments,
-                    resident_bytes: tiers.resident_bytes,
-                }
-            })
-            .collect()
+        self.with_view(|view, epochs| {
+            self.shards
+                .iter()
+                .enumerate()
+                .map(|(index, shard)| {
+                    let store = view.shard(index);
+                    let owned_devices = (0..store.num_devices())
+                        .filter(|&idx| shard_of_device(DeviceId::new(idx as u32), shards) == index)
+                        .count();
+                    let cache = relock(shard.cache.read());
+                    let (edges, samples) = cache.stats();
+                    let (live_edges, live_samples) = cache.live_stats(epochs);
+                    let colocation = store.colocation_stats();
+                    let tiers = store.tier_stats();
+                    ShardStats {
+                        shard: index,
+                        events: store.num_events(),
+                        owned_devices,
+                        edges,
+                        live_edges,
+                        samples,
+                        live_samples,
+                        index_ap_lists: colocation.ap_lists,
+                        index_buckets: colocation.buckets,
+                        head_segments: tiers.head_segments,
+                        sealed_segments: tiers.sealed_segments,
+                        resident_bytes: tiers.resident_bytes,
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Eagerly evicts stale affinity edges and stale coarse models from every
     /// shard, returning `(edges_evicted, models_evicted)`. Optional
     /// maintenance — queries never observe stale state either way.
     pub fn purge_stale(&self) -> (usize, usize) {
-        let guards = self.read_all();
-        let epochs = ShardedEpochs {
-            tables: guards.iter().map(|guard| &guard.epochs).collect(),
-        };
-        let mut edges = 0usize;
-        let mut models_evicted = 0usize;
-        for shard in &self.shards {
-            edges += shard.engines.cache.write().purge_stale(&epochs);
-            let mut models = shard.engines.models.write();
-            let before = models.len();
-            models.retain(|&device, entry| entry.epoch == epochs.epoch_of(device));
-            models_evicted += before - models.len();
-        }
-        (edges, models_evicted)
+        self.with_view(|_, epochs| {
+            let mut edges = 0usize;
+            let mut models_evicted = 0usize;
+            for shard in &self.shards {
+                edges += relock(shard.cache.write()).purge_stale(epochs);
+                let mut models = relock(shard.models.write());
+                let before = models.len();
+                models.retain(|&device, entry| entry.epoch == epochs.epoch_of(device));
+                models_evicted += before - models.len();
+            }
+            (edges, models_evicted)
+        })
     }
 
     /// Drops all cached affinities and per-device coarse models on every shard
     /// (epochs are untouched; prefer letting epoch invalidation work instead).
     pub fn clear_cache(&self) {
         for shard in &self.shards {
-            shard.engines.clear_cache();
+            relock(shard.cache.write()).clear();
+            relock(shard.models.write()).clear();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coarse::CoarseMethod;
+    use crate::fine::FineMode;
+    use crate::system::Location;
+    use locater_events::clock;
+    use locater_space::{RegionId, RoomType, SpaceBuilder};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn space() -> Space {
+        SpaceBuilder::new("service-test")
+            .add_access_point("wap0", &["office-a", "office-b", "lounge"])
+            .add_access_point("wap1", &["lounge", "lab"])
+            .room_type("lounge", RoomType::Public)
+            .room_owner("office-a", "alice")
+            .room_owner("office-b", "bob")
+            .build()
+            .unwrap()
+    }
+
+    /// Alice and Bob work together on wap0 on weekdays for `weeks` weeks.
+    fn office_store(weeks: i64) -> EventStore {
+        let mut store = EventStore::new(space());
+        for week in 0..weeks {
+            for day in 0..5 {
+                let d = week * 7 + day;
+                for slot in 0..16 {
+                    let t = clock::at(d, 9, slot * 30, 0);
+                    store.ingest_raw("alice", t, "wap0").unwrap();
+                    store.ingest_raw("bob", t + 45, "wap0").unwrap();
+                }
+            }
+        }
+        store
+    }
+
+    /// Every behaviour pinned here must hold for one store behind one lock and
+    /// for a partitioned one: each listed `fn(shards)` becomes one test per
+    /// shard count.
+    macro_rules! at_shard_counts_1_and_3 {
+        ($($name:ident),* $(,)?) => {
+            mod one_shard {
+                $(#[test] fn $name() { super::$name(1); })*
+            }
+            mod three_shards {
+                $(#[test] fn $name() { super::$name(3); })*
+            }
+        };
+    }
+
+    at_shard_counts_1_and_3!(
+        request_resolution_by_mac_and_id,
+        covered_query_resolves_to_a_room_in_the_covering_region,
+        coarse_only_answer_stops_at_the_region,
+        overnight_query_is_outside,
+        out_of_span_query_is_outside,
+        coarse_models_are_cached_and_reused,
+        caching_engine_accumulates_edges_across_queries,
+        disabled_cache_never_stores_affinities,
+        configured_modes_answer,
+        locate_batch_is_identical_across_job_counts,
+        locate_batch_preserves_request_order_and_errors,
+        locate_batch_warms_cache_and_models_afterwards,
+        locate_batch_with_cache_disabled_stores_nothing,
+        locate_batch_on_empty_input_is_empty,
+        batch_routes_through_request_layer_in_order,
+        ingest_appends_and_bumps_epochs,
+        ingest_batch_stops_at_first_error_but_keeps_prefix,
+        panic_under_the_write_locks_does_not_wedge_the_service,
+        locate_answers_and_reports_epoch_and_store_size,
+        per_request_cache_bypass_stores_nothing,
+        per_request_fine_mode_override_answers,
+        ingest_invalidates_exactly_the_touched_device,
+        invalidate_all_and_reestimate_deltas_bump_every_device,
+    );
+
+    fn office_service(weeks: i64, config: LocaterConfig, shards: usize) -> ShardedLocaterService {
+        ShardedLocaterService::new(office_store(weeks), config, shards)
+    }
+
+    fn empty_service(shards: usize) -> ShardedLocaterService {
+        ShardedLocaterService::new(EventStore::new(space()), LocaterConfig::default(), shards)
+    }
+
+    fn request_resolution_by_mac_and_id(shards: usize) {
+        let service = office_service(1, LocaterConfig::default(), shards);
+        let alice = service.device_id("alice").unwrap();
+        let resolve = |request: LocateRequest| service.resolve(&request);
+        assert_eq!(resolve(LocateRequest::by_mac("alice", 0)).unwrap(), alice);
+        assert_eq!(resolve(LocateRequest::by_device(alice, 0)).unwrap(), alice);
+        assert!(matches!(
+            resolve(LocateRequest::by_mac("nobody", 0)),
+            Err(LocaterError::UnknownDevice(_))
+        ));
+        assert!(matches!(
+            resolve(LocateRequest::by_device(DeviceId::new(99), 0)),
+            Err(LocaterError::UnknownDevice(_))
+        ));
+        let mut nameless = LocateRequest::by_mac("alice", 0);
+        nameless.mac = None;
+        assert!(matches!(
+            resolve(nameless),
+            Err(LocaterError::MissingDevice)
+        ));
+    }
+
+    fn covered_query_resolves_to_a_room_in_the_covering_region(shards: usize) {
+        let service = office_service(2, LocaterConfig::default(), shards);
+        let t_q = clock::at(8, 9, 5, 10);
+        let answer = service
+            .locate(&LocateRequest::by_mac("alice", t_q))
+            .unwrap()
+            .answer;
+        assert!(answer.is_inside());
+        assert_eq!(answer.coarse_method, CoarseMethod::CoveredByEvent);
+        let region = answer.region().unwrap();
+        assert_eq!(region, RegionId::new(0));
+        let room = answer.room().unwrap();
+        assert!(service.space().rooms_in_region(region).contains(&room));
+        assert!(answer.confidence > 0.0);
+    }
+
+    fn coarse_only_answer_stops_at_the_region(shards: usize) {
+        let service = office_service(2, LocaterConfig::default(), shards);
+        let request = LocateRequest::by_mac("alice", clock::at(8, 9, 5, 10)).with_diagnostics();
+        let full = service.locate(&request).unwrap();
+        let degraded = service.locate_coarse(&request).unwrap();
+        assert_eq!(
+            degraded.answer.location,
+            Location::Region(full.answer.region().unwrap())
+        );
+        assert_eq!(degraded.answer.coarse_method, full.answer.coarse_method);
+        assert!(degraded.diagnostics.is_none());
+        assert_eq!(degraded.events_seen, full.events_seen);
+    }
+
+    fn overnight_query_is_outside(shards: usize) {
+        let service = office_service(4, LocaterConfig::default(), shards);
+        let t_q = clock::at(22, 3, 0, 0);
+        let answer = service
+            .locate(&LocateRequest::by_mac("alice", t_q))
+            .unwrap()
+            .answer;
+        assert!(answer.is_outside());
+        assert_eq!(answer.location, Location::Outside);
+        assert_eq!(answer.room(), None);
+        assert_eq!(answer.region(), None);
+    }
+
+    fn out_of_span_query_is_outside(shards: usize) {
+        let service = office_service(1, LocaterConfig::default(), shards);
+        let answer = service
+            .locate(&LocateRequest::by_mac("alice", clock::at(400, 12, 0, 0)))
+            .unwrap()
+            .answer;
+        assert!(answer.is_outside());
+        assert_eq!(answer.coarse_method, CoarseMethod::OutOfSpan);
+    }
+
+    fn coarse_models_are_cached_and_reused(shards: usize) {
+        let service = office_service(4, LocaterConfig::default(), shards);
+        // A query in a short mid-day gap on the last week.
+        let t_q = clock::at(22, 9, 20, 10);
+        let diagnostics = |t| {
+            service
+                .locate(&LocateRequest::by_mac("alice", t).with_diagnostics())
+                .unwrap()
+                .diagnostics
+                .unwrap()
+        };
+        let first = diagnostics(t_q);
+        let second = diagnostics(t_q + 60);
+        // The first gap-classifying query trains the model; the second reuses it
+        // (covered queries never touch the model, so pick gap times).
+        if first.coarse.gap.is_some() && second.coarse.gap.is_some() {
+            assert!(!first.coarse_model_reused);
+            assert!(second.coarse_model_reused);
+        }
+    }
+
+    fn caching_engine_accumulates_edges_across_queries(shards: usize) {
+        let service = office_service(3, LocaterConfig::default(), shards);
+        assert_eq!(service.cache_stats(), (0, 0));
+        // Alice is covered at this time and Bob is online nearby: the fine step runs
+        // and produces contributions.
+        let t_q = clock::at(15, 9, 30, 20);
+        let diagnostics = |t| {
+            service
+                .locate(&LocateRequest::by_mac("alice", t).with_diagnostics())
+                .unwrap()
+                .diagnostics
+                .unwrap()
+        };
+        assert!(diagnostics(t_q).fine.is_some());
+        let (edges, samples) = service.cache_stats();
+        assert!(edges >= 1, "expected cached edges after a fine query");
+        assert!(samples >= 1);
+        // The second query sees a warm cache.
+        assert!(diagnostics(t_q + 120).cache_warm);
+        service.clear_cache();
+        assert_eq!(service.cache_stats(), (0, 0));
+    }
+
+    fn disabled_cache_never_stores_affinities(shards: usize) {
+        let config = LocaterConfig::default().with_cache(CacheMode::Disabled);
+        let service = office_service(3, config, shards);
+        let t_q = clock::at(15, 9, 30, 20);
+        service
+            .locate(&LocateRequest::by_mac("alice", t_q))
+            .unwrap();
+        assert_eq!(service.cache_stats(), (0, 0));
+    }
+
+    fn configured_modes_answer(shards: usize) {
+        let config = LocaterConfig::default()
+            .with_fine_mode(FineMode::Dependent)
+            .with_cache(CacheMode::Disabled)
+            .with_history(clock::weeks(2));
+        let service = office_service(2, config, shards);
+        let response = service
+            .locate(&LocateRequest::by_mac("bob", clock::at(8, 9, 30, 10)))
+            .unwrap();
+        assert!(response.answer.is_inside());
+    }
+
+    /// A mixed batch workload over the office store: covered instants, gaps,
+    /// out-of-span times, and an unknown device.
+    fn batch_requests() -> Vec<LocateRequest> {
+        let mut requests = Vec::new();
+        for day in 10..20 {
+            for (mac, minute) in [("alice", 5), ("bob", 20), ("alice", 40)] {
+                requests.push(LocateRequest::by_mac(mac, clock::at(day, 9, minute, 10)));
+                requests.push(LocateRequest::by_mac(mac, clock::at(day, 13, minute, 0)));
+                requests.push(LocateRequest::by_mac(mac, clock::at(day, 3, minute, 0)));
+            }
+        }
+        requests.push(LocateRequest::by_mac("ghost", clock::at(12, 9, 0, 0)));
+        requests.push(LocateRequest::by_mac("alice", clock::at(400, 9, 0, 0)));
+        requests
+    }
+
+    fn locate_batch_is_identical_across_job_counts(shards: usize) {
+        let requests = batch_requests();
+        let baseline = office_service(4, LocaterConfig::default(), shards);
+        let sequential = baseline.locate_batch(&requests, 1);
+        for jobs in [2, 3, 8, 64] {
+            let service = office_service(4, LocaterConfig::default(), shards);
+            let parallel = service.locate_batch(&requests, jobs);
+            assert_eq!(sequential, parallel, "jobs={jobs} diverged from jobs=1");
+        }
+    }
+
+    fn locate_batch_preserves_request_order_and_errors(shards: usize) {
+        let service = office_service(3, LocaterConfig::default(), shards);
+        let requests = batch_requests();
+        let results = service.locate_batch(&requests, 4);
+        assert_eq!(results.len(), requests.len());
+        for (request, result) in requests.iter().zip(&results) {
+            match result {
+                Ok(response) => assert_eq!(response.answer.t, request.t),
+                Err(e) => assert!(matches!(e, LocaterError::UnknownDevice(_))),
+            }
+        }
+        // The ghost request errors in place; its neighbors are still answered.
+        let ghost = requests
+            .iter()
+            .position(|r| r.mac.as_deref() == Some("ghost"));
+        assert!(results[ghost.unwrap()].is_err());
+        assert!(results.iter().filter(|r| r.is_ok()).count() >= requests.len() - 1);
+    }
+
+    fn locate_batch_warms_cache_and_models_afterwards(shards: usize) {
+        let service = office_service(3, LocaterConfig::default(), shards);
+        assert_eq!(service.cache_stats(), (0, 0));
+        let requests: Vec<LocateRequest> = (0..8)
+            .map(|i| LocateRequest::by_mac("alice", clock::at(15, 9, 30, 20 + i)))
+            .collect();
+        let results = service.locate_batch(&requests, 2);
+        assert!(results.iter().all(Result::is_ok));
+        let (edges, samples) = service.cache_stats();
+        assert!(
+            edges >= 1,
+            "batch contributions must reach the global graph"
+        );
+        assert!(samples >= 1);
+
+        // A batch of gap queries trains alice's model; the write-back makes
+        // the next single query reuse it.
+        let gap = clock::at(15, 9, 20, 10);
+        service.locate_batch(&[LocateRequest::by_mac("alice", gap)], 2);
+        let diagnostics = service
+            .locate(&LocateRequest::by_mac("alice", gap + 60).with_diagnostics())
+            .unwrap()
+            .diagnostics
+            .unwrap();
+        if diagnostics.coarse.gap.is_some() {
+            assert!(diagnostics.coarse_model_reused);
+        }
+    }
+
+    fn locate_batch_with_cache_disabled_stores_nothing(shards: usize) {
+        let config = LocaterConfig::default().with_cache(CacheMode::Disabled);
+        let service = office_service(3, config, shards);
+        let results = service.locate_batch(&batch_requests(), 4);
+        assert!(results.iter().any(Result::is_ok));
+        assert_eq!(service.cache_stats(), (0, 0));
+    }
+
+    fn locate_batch_on_empty_input_is_empty(shards: usize) {
+        let service = office_service(1, LocaterConfig::default(), shards);
+        assert!(service.locate_batch(&[], 4).is_empty());
+    }
+
+    fn batch_routes_through_request_layer_in_order(shards: usize) {
+        let service = office_service(3, LocaterConfig::default(), shards);
+        let requests = vec![
+            LocateRequest::by_mac("alice", clock::at(15, 9, 30, 20)),
+            LocateRequest::by_mac("ghost", 1_000),
+            LocateRequest::by_mac("bob", clock::at(15, 3, 0, 0)).bypass_cache(),
+        ];
+        let responses = service.locate_batch(&requests, 2);
+        assert_eq!(responses.len(), 3);
+        assert!(responses[0].as_ref().unwrap().answer.is_inside());
+        assert!(matches!(responses[1], Err(LocaterError::UnknownDevice(_))));
+        assert!(responses[2].as_ref().unwrap().answer.is_outside());
+    }
+
+    fn ingest_appends_and_bumps_epochs(shards: usize) {
+        let service = empty_service(shards);
+        assert_eq!(service.num_events(), 0);
+        service.ingest("alice", 1_000, "wap0").unwrap();
+        service.ingest("alice", 1_300, "wap0").unwrap();
+        service.ingest("bob", 1_100, "wap1").unwrap();
+        assert_eq!(service.num_events(), 3);
+        assert_eq!(service.num_devices(), 2);
+        let alice = service.device_id("alice").unwrap();
+        let bob = service.device_id("bob").unwrap();
+        assert_eq!(service.device_epoch(alice), 2);
+        assert_eq!(service.device_epoch(bob), 1);
+
+        // Unknown AP: error surfaces, nothing appended.
+        assert!(service.ingest("alice", 2_000, "wap9").is_err());
+        assert_eq!(service.num_events(), 3);
+        assert_eq!(service.device_epoch(alice), 2);
+    }
+
+    fn ingest_batch_stops_at_first_error_but_keeps_prefix(shards: usize) {
+        let service = empty_service(shards);
+        let events = [
+            RawEvent::new("alice", 1_000, "wap0"),
+            RawEvent::new("bob", 1_100, "wap1"),
+            RawEvent::new("alice", 1_200, "nope"),
+            RawEvent::new("bob", 1_300, "wap1"),
+        ];
+        let err = service.ingest_batch(events.iter()).unwrap_err();
+        assert!(matches!(err, IngestError::UnknownAccessPoint(_)));
+        assert_eq!(service.num_events(), 2);
+        let alice = service.device_id("alice").unwrap();
+        assert_eq!(service.device_epoch(alice), 1);
+    }
+
+    /// `ingest_batch` pulls a caller-supplied iterator under the all-shard
+    /// write lock. A panic out of that iterator poisons every shard lock; the
+    /// service must recover them (the server isolates requests with
+    /// `catch_unwind` and keeps serving), with the events applied before the
+    /// panic intact.
+    fn panic_under_the_write_locks_does_not_wedge_the_service(shards: usize) {
+        let service = empty_service(shards);
+        let events = [
+            RawEvent::new("alice", 1_000, "wap0"),
+            RawEvent::new("bob", 1_100, "wap1"),
+        ];
+        let mut pulled = 0;
+        let panicking = std::iter::from_fn(|| {
+            pulled += 1;
+            match pulled {
+                1 | 2 => Some(&events[pulled - 1]),
+                _ => panic!("iterator failed on its third next()"),
+            }
+        });
+        let outcome = catch_unwind(AssertUnwindSafe(|| service.ingest_batch(panicking)));
+        assert!(outcome.is_err(), "the iterator's panic must propagate");
+
+        // The two events before the panic are visible...
+        assert_eq!(service.num_events(), 2);
+        let alice = service.device_id("alice").unwrap();
+        assert_eq!(service.device_epoch(alice), 1);
+        // ...and ingest, locate and ingest_batch all still work.
+        service.ingest("alice", 4_000, "wap0").unwrap();
+        let response = service
+            .locate(&LocateRequest::by_mac("alice", 2_500))
+            .unwrap();
+        assert!(response.answer.is_inside());
+        assert_eq!(response.events_seen, 3);
+        let more = [RawEvent::new("carol", 1_200, "wap1")];
+        assert_eq!(service.ingest_batch(more.iter()).unwrap(), 1);
+        assert_eq!(service.num_events(), 4);
+    }
+
+    /// The device table is replicated, so looking a device up must not wait
+    /// behind a write to a shard the device does not live on: while shard 0 is
+    /// write-locked, an ingest for a device homed elsewhere goes through.
+    #[test]
+    fn ingest_does_not_wait_behind_a_write_to_another_shard() {
+        let service = office_service(1, LocaterConfig::default(), 3);
+        let (mac, device) = ["alice", "bob"]
+            .into_iter()
+            .map(|mac| (mac, service.device_id(mac).unwrap()))
+            .find(|&(_, device)| service.home_shard(device) != 0)
+            .expect("two dense ids cannot both live on shard 0 of 3");
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let busy = relock(service.shards[0].live.write());
+            scope.spawn(|| {
+                let ingested = service.ingest(mac, clock::at(8, 9, 0, 0), "wap0");
+                let looked_up = service.device_id(mac);
+                done.send((ingested.is_ok(), looked_up)).unwrap();
+            });
+            let outcome = finished.recv_timeout(std::time::Duration::from_secs(10));
+            drop(busy);
+            assert_eq!(outcome, Ok((true, Some(device))));
+        });
+    }
+
+    fn locate_answers_and_reports_epoch_and_store_size(shards: usize) {
+        let service = office_service(2, LocaterConfig::default(), shards);
+        let t_q = clock::at(8, 9, 5, 10);
+        let response = service
+            .locate(&LocateRequest::by_mac("alice", t_q))
+            .unwrap();
+        assert!(response.answer.is_inside());
+        assert_eq!(response.device_epoch, 0, "no live ingests yet");
+        assert_eq!(response.events_seen, service.num_events());
+        assert!(response.diagnostics.is_none(), "diagnostics are opt-in");
+
+        let detailed = service
+            .locate(&LocateRequest::by_mac("alice", t_q).with_diagnostics())
+            .unwrap();
+        assert!(detailed.diagnostics.is_some());
+    }
+
+    fn per_request_cache_bypass_stores_nothing(shards: usize) {
+        let service = office_service(3, LocaterConfig::default(), shards);
+        let t_q = clock::at(15, 9, 30, 20);
+        let bypass = LocateRequest::by_mac("alice", t_q).bypass_cache();
+        service.locate(&bypass).unwrap();
+        assert_eq!(service.cache_stats(), (0, 0));
+
+        // The same request without the bypass warms the graph.
+        service
+            .locate(&LocateRequest::by_mac("alice", t_q))
+            .unwrap();
+        assert!(service.cache_stats().0 >= 1);
+    }
+
+    fn per_request_fine_mode_override_answers(shards: usize) {
+        let service = office_service(3, LocaterConfig::default(), shards);
+        let t_q = clock::at(15, 9, 30, 20);
+        let response = service
+            .locate(&LocateRequest::by_mac("alice", t_q).with_fine_mode(FineMode::Dependent))
+            .unwrap();
+        assert!(response.answer.is_inside());
+    }
+
+    fn ingest_invalidates_exactly_the_touched_device(shards: usize) {
+        let service = office_service(3, LocaterConfig::default(), shards);
+        let t_q = clock::at(15, 9, 30, 20);
+        // Warm alice↔bob (via alice's query).
+        service
+            .locate(&LocateRequest::by_mac("alice", t_q))
+            .unwrap();
+        let (live_edges, _) = service.live_cache_stats();
+        assert!(live_edges >= 1);
+
+        // An event for bob invalidates the alice↔bob edge...
+        service.ingest("bob", t_q + 600, "wap0").unwrap();
+        assert_eq!(service.live_cache_stats().0, 0);
+        assert!(
+            service.cache_stats().0 >= 1,
+            "stale edge lingers until eviction"
+        );
+
+        // ...and a purge reclaims it.
+        let (edges_evicted, _) = service.purge_stale();
+        assert!(edges_evicted >= 1);
+        assert_eq!(service.cache_stats().0, 0);
+    }
+
+    fn invalidate_all_and_reestimate_deltas_bump_every_device(shards: usize) {
+        let service = office_service(1, LocaterConfig::default(), shards);
+        let alice = service.device_id("alice").unwrap();
+        let bob = service.device_id("bob").unwrap();
+        service.invalidate_all();
+        assert_eq!(service.device_epoch(alice), 1);
+        assert_eq!(service.device_epoch(bob), 1);
+        service.reestimate_deltas();
+        assert_eq!(service.device_epoch(alice), 2);
+        assert_eq!(service.device_epoch(bob), 2);
+        service.invalidate_device(alice);
+        assert_eq!(service.device_epoch(alice), 3);
+        assert_eq!(service.device_epoch(bob), 2);
     }
 }

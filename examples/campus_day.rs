@@ -27,7 +27,7 @@ fn main() {
     );
 
     let space = store.space().clone();
-    let service = LocaterService::new(store, LocaterConfig::default());
+    let service = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
 
     // 2. Pick the most predictable monitored person and replay their last Thursday.
     let person = output

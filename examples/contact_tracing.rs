@@ -25,7 +25,7 @@ fn main() {
     // D-FINE is requested per query through the request layer; the service
     // itself keeps the default (I-FINE) configuration.
     let space = store.space().clone();
-    let service = LocaterService::new(store, LocaterConfig::default());
+    let service = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
     let dependent =
         |mac: &str, t| LocateRequest::by_mac(mac, t).with_fine_mode(FineMode::Dependent);
 

@@ -31,7 +31,7 @@ fn main() {
     // 2. A live LOCATER service over the dataset (an HVAC deployment keeps
     //    ingesting events; here the dataset is static for reproducibility).
     let space = store.space().clone();
-    let service = LocaterService::new(store, LocaterConfig::default());
+    let service = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
 
     // 3. Occupancy per region for every hour of the second Wednesday (day 9),
     //    each hour answered as one deterministic batch through the typed

@@ -51,7 +51,8 @@ fn main() {
     // The service starts over an *empty* store and ingests the live event
     // stream as it arrives — the always-on regime the paper's service framing
     // targets.
-    let service = LocaterService::new(EventStore::new(space.clone()), LocaterConfig::default());
+    let service =
+        ShardedLocaterService::new(EventStore::new(space.clone()), LocaterConfig::default(), 1);
     let events = [
         ("7fbh", at(12, 45, 2), "wap3"),
         ("7fbh", at(13, 4, 35), "wap3"),
@@ -71,9 +72,7 @@ fn main() {
     // 7fbh is a chatty laptop whose events are only trusted for ±2 minutes, so the
     // stretch after its 13:04:35 event is a genuine hole in its log — the missing
     // value of Fig. 1(c) that the coarse cleaning step has to repair.
-    let laptop = service
-        .with_store(|s| s.device_id("7fbh"))
-        .expect("device was ingested");
+    let laptop = service.device_id("7fbh").expect("device was ingested");
     service.set_delta(laptop, 120);
 
     // ------------------------------------------------------------------

@@ -33,14 +33,14 @@
 //! * `simulate metro_campus` generates the large metropolitan-campus corpus,
 //!   sized by `LOCATER_METRO_SCALE` / `LOCATER_METRO_WEEKS` (see
 //!   `CampusConfig::metro_from_env`).
-//! * `batch` runs the parallel batch pipeline (`LocaterService::locate_batch`
-//!   through the typed request layer): every query is answered against a frozen
+//! * `batch` runs the parallel batch pipeline
+//!   (`ShardedLocaterService::locate_batch` through the typed request layer): every query is answered against a frozen
 //!   snapshot of the affinity cache, so the output is deterministic and
 //!   identical for every `--jobs` value (earlier CLI releases answered rows one
 //!   by one, progressively warming the cache, so row-level confidences could
 //!   differ from today's output).
-//! * `serve` starts a live [`ShardedLocaterService`] (`--shards N`, default 1 —
-//!   the plain `LocaterService` regime). Without `--listen` it reads commands
+//! * `serve` starts a live [`ShardedLocaterService`] (`--shards N`, default
+//!   1). Without `--listen` it reads commands
 //!   from stdin — the legacy verb syntax (`ingest <mac,timestamp,ap>`,
 //!   `locate <mac> <timestamp>`, `stats`, `compact [retain-seconds]`,
 //!   `ping`, `snapshot <path>`, `shutdown`, `quit`) or raw NDJSON [`WireRequest`]
@@ -210,7 +210,7 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parses `--shards N` (default 1 — the single-shard `LocaterService` regime).
+/// Parses `--shards N` (default 1).
 fn shards_from_flags(args: &[String]) -> Result<usize, CliError> {
     match flag_value(args, "--shards") {
         Some(v) => v
@@ -317,14 +317,15 @@ fn locate(args: &[String]) -> Result<String, CliError> {
         .parse()
         .map_err(|_| "timestamp must be an integer number of seconds")?;
     let store = load_store(space_path, events_path)?;
-    let locater = Locater::new(store, config_from_flags(args));
-    let answer = locater
-        .locate(&Query::by_mac(mac.clone(), t))
-        .map_err(|e| e.to_string())?;
+    let service = ShardedLocaterService::new(store, config_from_flags(args), 1);
+    let answer = service
+        .locate(&LocateRequest::by_mac(mac.clone(), t))
+        .map_err(|e| e.to_string())?
+        .answer;
     Ok(format!(
         "{mac} @ {}: {} (decided by {:?}, confidence {:.2})\n",
         locater::events::clock::format_timestamp(t),
-        describe_location(locater.store().space(), &answer.location),
+        describe_location(&service.space(), &answer.location),
         answer.coarse_method,
         answer.confidence
     ))

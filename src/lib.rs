@@ -32,7 +32,7 @@
 //! | [`locater_events`] | connectivity events, devices, validity periods, gap detection |
 //! | [`locater_store`] | segmented event storage, indices, per-device sharding, CSV/NDJSON ingestion, binary snapshots, statistics |
 //! | [`locater_learn`] | logistic regression + semi-supervised self-training (Algorithm 1) |
-//! | [`locater_core`] | coarse & fine localization, caching, baselines, metrics, the `Locater` system |
+//! | [`locater_core`] | coarse & fine localization, caching, baselines, metrics, the `ShardedLocaterService` |
 //! | [`locater_sim`] | SmartBench-style scenario simulator + DBH-like campus dataset generator |
 //! | [`locater_proto`] | versioned NDJSON wire protocol: `WireRequest`/`WireResponse` frames, codec, REPL syntax |
 //! | [`locater_client`] | resilient TCP client: reconnect, per-request timeouts, seeded backoff, idempotent retries |
@@ -52,50 +52,33 @@
 //!     .build()
 //!     .expect("valid space");
 //!
+//! // One service (here with a single shard) over an initially empty store.
+//! let service = ShardedLocaterService::new(EventStore::new(space), LocaterConfig::default(), 1);
+//!
 //! // Ingest connectivity events.
-//! let mut store = EventStore::new(space.clone());
-//! store.ingest_raw("aa:bb:cc:dd:ee:01", 1_000, "wap1").unwrap();
-//! store.ingest_raw("aa:bb:cc:dd:ee:01", 4_000, "wap1").unwrap();
-//!
-//! // Ask LOCATER where the device was between the two events.
-//! let locater = Locater::new(store, LocaterConfig::default());
-//! let answer = locater.locate(&Query::by_mac("aa:bb:cc:dd:ee:01", 2_500)).unwrap();
-//! assert!(answer.is_inside());
-//! ```
-//!
-//! ## Live service
-//!
-//! [`Locater`](locater_core::system::Locater) freezes its dataset at
-//! construction. A long-running deployment that keeps ingesting WiFi events
-//! while answering queries uses
-//! [`LocaterService`](locater_core::system::LocaterService) instead: events
-//! appended through `ingest`/`ingest_batch` bump per-device *epoch counters*
-//! that invalidate exactly the cached state (affinity-graph edges, per-device
-//! coarse models) derived from the touched device's history — answers after
-//! any ingest sequence are identical to those of a freshly built service over
-//! the same data. When concurrent ingest throughput matters, the same service
-//! scales out as [`ShardedLocaterService`](locater_core::system::ShardedLocaterService)
-//! (`N` per-device partitions, byte-identical answers for every `N`;
-//! `LocaterService` is the `N = 1` case).
-//!
-//! ```
-//! use locater::prelude::*;
-//!
-//! let space = SpaceBuilder::new("demo")
-//!     .add_access_point("wap1", &["1001", "1002"])
-//!     .build()
-//!     .expect("valid space");
-//! let service = LocaterService::new(EventStore::new(space), LocaterConfig::default());
-//!
 //! service.ingest("aa:bb:cc:dd:ee:01", 1_000, "wap1").unwrap();
 //! service.ingest("aa:bb:cc:dd:ee:01", 4_000, "wap1").unwrap();
 //!
+//! // Ask LOCATER where the device was between the two events.
 //! let response = service
 //!     .locate(&LocateRequest::by_mac("aa:bb:cc:dd:ee:01", 2_500).with_diagnostics())
 //!     .unwrap();
 //! assert!(response.answer.is_inside());
 //! assert!(response.diagnostics.is_some());
 //! ```
+//!
+//! ## One service
+//!
+//! [`ShardedLocaterService`](locater_core::system::ShardedLocaterService) is
+//! the only service type. It keeps ingesting WiFi events while answering
+//! queries: events appended through `ingest`/`ingest_batch` bump per-device
+//! *epoch counters* that invalidate exactly the cached state (affinity-graph
+//! edges, per-device coarse models) derived from the touched device's history
+//! — answers after any ingest sequence are identical to those of a freshly
+//! built service over the same data. A dataset that never grows is the same
+//! service without ingests. When concurrent ingest throughput matters, build
+//! it with more shards (`N` per-device partitions, byte-identical answers for
+//! every `N`).
 
 pub use locater_client as client;
 pub use locater_core as core;
@@ -113,8 +96,8 @@ pub mod prelude {
     pub use locater_core::baselines::{Baseline1, Baseline2, BaselineSystem};
     pub use locater_core::metrics::{EvaluationReport, PrecisionCounts};
     pub use locater_core::system::{
-        Answer, CacheMode, FineMode, LocateRequest, LocateResponse, Locater, LocaterConfig,
-        LocaterService, Query, ShardStats, ShardedLocaterService,
+        Answer, CacheMode, FineMode, LocateRequest, LocateResponse, LocaterConfig, ShardStats,
+        ShardedLocaterService,
     };
     pub use locater_events::{ConnectivityEvent, Device, DeviceId, EventId, Gap, Timestamp};
     pub use locater_proto::{WireError, WireRequest, WireResponse, WireStats, PROTOCOL_VERSION};

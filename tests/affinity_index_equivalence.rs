@@ -240,7 +240,7 @@ fn live_ingest_interleavings_keep_index_and_scan_in_step() {
     // the service's store (index included) equals a scan-checked rebuild, and
     // engine answers stay bit-identical.
     let mut rng = Lcg(0xC01C);
-    let service = LocaterService::new(EventStore::new(space()), LocaterConfig::default());
+    let service = ShardedLocaterService::new(EventStore::new(space()), LocaterConfig::default(), 1);
     let mut t = 1_000i64;
     for burst in 0..12 {
         for _ in 0..40 {
@@ -268,7 +268,7 @@ fn live_ingest_interleavings_keep_index_and_scan_in_step() {
         // And the service's answers match a freshly built service (the
         // index is rebuilt from scratch there) — the service_equivalence
         // guarantee extended over the index.
-        let rebuilt = LocaterService::new(snapshot, LocaterConfig::default());
+        let rebuilt = ShardedLocaterService::new(snapshot, LocaterConfig::default(), 1);
         let probe = LocateRequest::by_mac(MACS[burst % MACS.len()], t - 300);
         match (service.locate(&probe), rebuilt.locate(&probe)) {
             (Ok(live), Ok(fresh)) => assert_eq!(live.answer, fresh.answer, "burst {burst}"),

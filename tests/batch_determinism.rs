@@ -16,7 +16,7 @@ fn workload_size() -> usize {
 }
 
 /// Builds the campus store and a uniform query workload over it.
-fn campus_workload(queries: usize) -> (EventStore, Vec<Query>) {
+fn campus_workload(queries: usize) -> (EventStore, Vec<LocateRequest>) {
     let config = CampusConfig {
         weeks: 4,
         population: 48,
@@ -29,10 +29,10 @@ fn campus_workload(queries: usize) -> (EventStore, Vec<Query>) {
     let mut store = output.build_store();
     store.estimate_deltas();
     let workload = generated_workload(&output, queries, 0xBA7C4);
-    let queries: Vec<Query> = workload
+    let queries: Vec<LocateRequest> = workload
         .queries
         .iter()
-        .map(|q| Query::by_mac(&q.mac, q.t))
+        .map(|q| LocateRequest::by_mac(&q.mac, q.t))
         .collect();
     (store, queries)
 }
@@ -46,19 +46,20 @@ fn locate_batch_is_deterministic_across_jobs_on_campus_workload() {
         "workload generator produced too few queries"
     );
 
-    let baseline = Locater::new(store.clone(), LocaterConfig::default());
+    let baseline = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
     let sequential = baseline.locate_batch(&queries, 1);
     assert_eq!(sequential.len(), queries.len());
 
     for jobs in [8] {
-        let locater = Locater::new(store.clone(), LocaterConfig::default());
-        let parallel = locater.locate_batch(&queries, jobs);
+        let service = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
+        let parallel = service.locate_batch(&queries, jobs);
         assert_eq!(sequential.len(), parallel.len());
         for (idx, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
             match (a, b) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(
-                        a.location, b.location,
+                        a.location(),
+                        b.location(),
                         "query {idx}: location diverged between jobs=1 and jobs={jobs}"
                     );
                     assert_eq!(a, b, "query {idx}: answer diverged (jobs={jobs})");
@@ -70,29 +71,18 @@ fn locate_batch_is_deterministic_across_jobs_on_campus_workload() {
 }
 
 #[test]
-fn request_layer_batch_is_deterministic_and_matches_legacy() {
-    // The typed request/response layer routes through the same sharded
-    // pipeline: responses must be identical for every job count, and equal to
-    // the legacy `Locater::locate_batch` answers over the same store.
+fn request_layer_batch_is_deterministic() {
+    // Whole responses (answer, device epoch, store size) must be identical
+    // for every job count, odd ones included.
     let size = (workload_size() / 10).clamp(500, 5_000);
-    let (store, queries) = campus_workload(size);
-    let requests: Vec<LocateRequest> = queries.iter().map(LocateRequest::from_query).collect();
+    let (store, requests) = campus_workload(size);
 
-    let legacy = Locater::new(store.clone(), LocaterConfig::default());
-    let legacy_answers = legacy.locate_batch(&queries, 1);
-
-    let baseline = LocaterService::new(store.clone(), LocaterConfig::default());
+    let baseline = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
     let sequential = baseline.locate_batch(&requests, 1);
-    assert_eq!(sequential.len(), legacy_answers.len());
-    for (idx, (legacy, response)) in legacy_answers.iter().zip(&sequential).enumerate() {
-        match (legacy, response) {
-            (Ok(a), Ok(b)) => assert_eq!(a, &b.answer, "query {idx}: request layer diverged"),
-            (a, b) => assert_eq!(a.is_err(), b.is_err(), "query {idx}: outcome diverged"),
-        }
-    }
+    assert_eq!(sequential.len(), requests.len());
 
     for jobs in [3, 8] {
-        let service = LocaterService::new(store.clone(), LocaterConfig::default());
+        let service = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
         let parallel = service.locate_batch(&requests, jobs);
         assert_eq!(
             sequential, parallel,
@@ -107,7 +97,7 @@ fn locate_batch_agrees_with_single_queries_on_a_cold_system() {
     // the first query of each device must match what a *fresh* system answers
     // for that query alone (both see an empty affinity graph and no models).
     let (store, queries) = campus_workload(500);
-    let batch = Locater::new(store.clone(), LocaterConfig::default());
+    let batch = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
     let batch_answers = batch.locate_batch(&queries, 4);
 
     let mut seen = std::collections::HashSet::new();
@@ -116,10 +106,10 @@ fn locate_batch_agrees_with_single_queries_on_a_cold_system() {
         if !seen.insert(query.mac.clone()) {
             continue;
         }
-        let fresh = Locater::new(store.clone(), LocaterConfig::default());
+        let fresh = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
         let one = fresh.locate(query);
         match (one, batch_answer) {
-            (Ok(a), Ok(b)) => assert_eq!(a.location, b.location),
+            (Ok(a), Ok(b)) => assert_eq!(a.location(), b.location()),
             (a, b) => assert_eq!(a.is_err(), b.is_err()),
         }
         checked += 1;

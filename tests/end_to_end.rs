@@ -33,7 +33,7 @@ fn locater_cleans_a_campus_log_and_beats_the_random_room_baseline() {
     let workload = locater::sim::university_workload(&output, 25, 7);
     assert!(!workload.is_empty());
 
-    let locater = Locater::new(store.clone(), LocaterConfig::default());
+    let locater = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
     let mut locater_counts = PrecisionCounts::new();
     let mut baseline_counts = PrecisionCounts::new();
     let mut baseline = Baseline1::default();
@@ -41,8 +41,9 @@ fn locater_cleans_a_campus_log_and_beats_the_random_room_baseline() {
     for query in &workload.queries {
         let truth = truth_of(&output, &query.mac, query.t);
         let answer = locater
-            .locate(&Query::by_mac(&query.mac, query.t))
-            .expect("monitored devices appear in the log");
+            .locate(&LocateRequest::by_mac(&query.mac, query.t))
+            .expect("monitored devices appear in the log")
+            .answer;
         locater_counts.record_answer(&space, truth, &answer);
 
         let device = store.device_id(&query.mac).expect("device exists");
@@ -81,16 +82,18 @@ fn locater_cleans_a_campus_log_and_beats_the_random_room_baseline() {
 fn answers_are_internally_consistent_with_the_space_model() {
     let (output, store) = campus();
     let space = store.space().clone();
-    let locater = Locater::new(
+    let locater = ShardedLocaterService::new(
         store,
         LocaterConfig::default().with_fine_mode(FineMode::Dependent),
+        1,
     );
     let workload = locater::sim::generated_workload(&output, 150, 3);
 
     for query in &workload.queries {
-        let Ok(answer) = locater.locate(&Query::by_mac(&query.mac, query.t)) else {
+        let Ok(response) = locater.locate(&LocateRequest::by_mac(&query.mac, query.t)) else {
             continue; // devices that never produced an event cannot be resolved
         };
+        let answer = response.answer;
         match (answer.region(), answer.room()) {
             (Some(region), Some(room)) => {
                 assert!(
@@ -113,17 +116,18 @@ fn answers_are_internally_consistent_with_the_space_model() {
 fn caching_engine_warms_up_and_does_not_change_coarse_answers() {
     let (output, store) = campus();
     let workload = locater::sim::university_workload(&output, 10, 11);
-    let cached = Locater::new(store.clone(), LocaterConfig::default());
-    let uncached = Locater::new(
+    let cached = ShardedLocaterService::new(store.clone(), LocaterConfig::default(), 1);
+    let uncached = ShardedLocaterService::new(
         store,
         LocaterConfig::default().with_cache(CacheMode::Disabled),
+        1,
     );
 
     let mut disagreements = 0usize;
     for query in &workload.queries {
-        let q = Query::by_mac(&query.mac, query.t);
-        let a = cached.locate(&q).unwrap();
-        let b = uncached.locate(&q).unwrap();
+        let q = LocateRequest::by_mac(&query.mac, query.t);
+        let a = cached.locate(&q).unwrap().answer;
+        let b = uncached.locate(&q).unwrap().answer;
         // The coarse (building/region) decision never depends on the cache.
         assert_eq!(a.is_inside(), b.is_inside());
         assert_eq!(a.region(), b.region());

@@ -37,10 +37,10 @@ proptest! {
             store.ingest_raw(&format!("device-{device}"), *t, &format!("wap{ap}")).unwrap();
         }
         store.estimate_deltas();
-        let locater = Locater::new(store, LocaterConfig::default());
+        let locater = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
         for (device, t) in probes {
-            let query = Query::by_mac(format!("device-{device}"), t);
-            match locater.locate(&query) {
+            let query = LocateRequest::by_mac(format!("device-{device}"), t);
+            match locater.locate(&query).map(|response| response.answer) {
                 Ok(answer) => {
                     prop_assert!((0.0..=1.0).contains(&answer.confidence));
                     match (answer.region(), answer.room()) {
@@ -66,29 +66,25 @@ proptest! {
     #[test]
     fn covered_instants_follow_the_log(events in arb_events(), mode_dependent in any::<bool>()) {
         let space = space();
-        let mut store = EventStore::new(space);
+        let mut store = EventStore::new(space.clone());
         for (device, t, ap) in &events {
             store.ingest_raw(&format!("device-{device}"), *t, &format!("wap{ap}")).unwrap();
         }
         let mode = if mode_dependent { FineMode::Dependent } else { FineMode::Independent };
-        let locater = Locater::new(store, LocaterConfig::default().with_fine_mode(mode));
+        let locater = ShardedLocaterService::new(store, LocaterConfig::default().with_fine_mode(mode), 1);
         // Probe exactly at event timestamps: these are always covered.
         for (device, t, ap) in events.iter().take(25) {
             let answer = locater
-                .locate(&Query::by_mac(format!("device-{device}"), *t))
-                .unwrap();
-            prop_assert!(answer.is_inside());
-            let expected_region = locater
-                .store()
-                .space()
-                .ap_id(&format!("wap{ap}"))
+                .locate(&LocateRequest::by_mac(format!("device-{device}"), *t))
                 .unwrap()
-                .region();
+                .answer;
+            prop_assert!(answer.is_inside());
+            let expected_region = space.ap_id(&format!("wap{ap}")).unwrap().region();
             // The answer's region must cover the AP the device was connected to at
             // that instant — it is either that AP's region or one sharing the room.
             let region = answer.region().unwrap();
             if region != expected_region {
-                prop_assert!(locater.store().space().regions_overlap(region, expected_region));
+                prop_assert!(space.regions_overlap(region, expected_region));
             }
         }
     }

@@ -4,6 +4,7 @@
 
 use locater::core::baselines::{Baseline1, Baseline2, BaselineSystem};
 use locater::core::metrics::{EvaluationReport, TruthLocation};
+use locater::core::LocaterError;
 use locater::prelude::*;
 use locater::space::SpaceMetadata;
 use locater::store::{parse_csv, RawEvent};
@@ -63,16 +64,18 @@ fn query_by_mac_and_by_device_agree() {
         .ingest_raw("aa:aa:aa:aa:aa:01", 9_000, "wap-a")
         .unwrap();
     let device = store.device_id("aa:aa:aa:aa:aa:01").unwrap();
-    let locater = Locater::new(store, LocaterConfig::default());
+    let locater = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
     let by_mac = locater
-        .locate(&Query::by_mac("aa:aa:aa:aa:aa:01", 5_000))
+        .locate(&LocateRequest::by_mac("aa:aa:aa:aa:aa:01", 5_000))
         .unwrap();
-    let by_device = locater.locate(&Query::by_device(device, 5_000)).unwrap();
-    assert_eq!(by_mac.location, by_device.location);
-    assert_eq!(by_mac.device, by_device.device);
+    let by_device = locater
+        .locate(&LocateRequest::by_device(device, 5_000))
+        .unwrap();
+    assert_eq!(by_mac.location(), by_device.location());
+    assert_eq!(by_mac.answer.device, by_device.answer.device);
 
     // Unknown devices produce a descriptive error, not a panic.
-    let err = locater.locate(&Query::by_mac("ff:ff:ff:ff:ff:ff", 5_000));
+    let err = locater.locate(&LocateRequest::by_mac("ff:ff:ff:ff:ff:ff", 5_000));
     assert!(err.is_err());
     assert!(err.unwrap_err().to_string().contains("unknown device"));
 }
@@ -144,9 +147,10 @@ fn baselines_and_metrics_compose_into_a_report() {
 
 #[test]
 fn live_service_surface_ingest_locate_and_epochs() {
-    // The LocaterService / LocateRequest / LocateResponse surface a downstream
+    // The ShardedLocaterService / LocateRequest / LocateResponse surface a downstream
     // deployment composes: build → serve → ingest → (epoch) invalidate.
-    let service = LocaterService::new(EventStore::new(demo_space()), LocaterConfig::default());
+    let service =
+        ShardedLocaterService::new(EventStore::new(demo_space()), LocaterConfig::default(), 1);
     assert_eq!(service.num_events(), 0);
     assert_eq!(service.config().cache, CacheMode::Enabled);
 
@@ -161,12 +165,8 @@ fn live_service_surface_ingest_locate_and_epochs() {
     assert_eq!(service.num_devices(), 2);
 
     // Epoch observability: one counter per device, bumped per event.
-    let d1 = service
-        .with_store(|s| s.device_id("aa:aa:aa:aa:aa:01"))
-        .unwrap();
-    let d2 = service
-        .with_store(|s| s.device_id("aa:aa:aa:aa:aa:02"))
-        .unwrap();
+    let d1 = service.device_id("aa:aa:aa:aa:aa:01").unwrap();
+    let d2 = service.device_id("aa:aa:aa:aa:aa:02").unwrap();
     assert_eq!(service.device_epoch(d1), 2);
     assert_eq!(service.device_epoch(d2), 1);
 
@@ -207,13 +207,27 @@ fn live_service_surface_ingest_locate_and_epochs() {
     assert_eq!(after.device_epoch, 3);
     assert!(after.answer.is_inside());
 
-    // Legacy interop: Query converts into LocateRequest, Locater into a service.
-    let legacy = LocateRequest::from_query(&Query::by_mac("aa:aa:aa:aa:aa:01", 5_000));
-    assert_eq!(legacy.to_query(), Query::by_mac("aa:aa:aa:aa:aa:01", 5_000));
-    let snapshot = service.store_snapshot();
-    let frozen = Locater::new(snapshot, LocaterConfig::default());
-    let service_again: LocaterService = frozen.into_service();
-    assert_eq!(service_again.num_events(), service.num_events());
+    // One service: by-MAC and by-device requests are the same query, and a
+    // device the log never saw is a typed error on either form.
+    let by_mac = service.locate(&request).unwrap();
+    let by_id = service
+        .locate(&LocateRequest::by_device(d1, request.t))
+        .unwrap();
+    assert_eq!(by_mac.answer, by_id.answer);
+    assert!(matches!(
+        service.locate(&LocateRequest::by_mac("ff:ff:ff:ff:ff:ff", 5_000)),
+        Err(LocaterError::UnknownDevice(_))
+    ));
+    assert!(matches!(
+        service.locate(&LocateRequest::by_device(DeviceId::new(99), 5_000)),
+        Err(LocaterError::UnknownDevice(_))
+    ));
+
+    // Rebuilding from the store snapshot gives a service over the same data,
+    // at any shard count.
+    let rebuilt = ShardedLocaterService::new(service.store_snapshot(), *service.config(), 3);
+    assert_eq!(rebuilt.num_events(), service.num_events());
+    assert_eq!(rebuilt.locate(&request).unwrap().answer, by_mac.answer);
 }
 
 #[test]
@@ -224,12 +238,12 @@ fn simulator_output_feeds_directly_into_the_cleaning_engine() {
             .with_scale(0.15),
     );
     let store = output.build_store();
-    let locater = Locater::new(store, LocaterConfig::default());
+    let locater = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
     // Query every monitored person at noon of day 2; all answers must be well-formed.
     for person in output.monitored() {
         let t = locater::events::clock::at(2, 12, 0, 0);
-        match locater.locate(&Query::by_mac(&person.mac, t)) {
-            Ok(answer) => assert!((0.0..=1.0).contains(&answer.confidence)),
+        match locater.locate(&LocateRequest::by_mac(&person.mac, t)) {
+            Ok(response) => assert!((0.0..=1.0).contains(&response.answer.confidence)),
             Err(e) => assert!(e.to_string().contains("unknown device")),
         }
     }

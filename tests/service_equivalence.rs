@@ -95,7 +95,7 @@ impl Lcg {
 /// Runs one interleaving of `ingest_batch` and `locate` calls and asserts the
 /// post-quiescence equivalence with a rebuilt service.
 fn assert_equivalence(config: LocaterConfig, seed: u64, days: i64) {
-    let service = LocaterService::new(EventStore::new(space()), config);
+    let service = ShardedLocaterService::new(EventStore::new(space()), config, 1);
     let mut rng = Lcg(seed);
 
     for day in 0..days {
@@ -134,7 +134,7 @@ fn assert_equivalence(config: LocaterConfig, seed: u64, days: i64) {
     );
 
     // A freshly built service over the exact final store.
-    let fresh = LocaterService::new(service.store_snapshot(), config);
+    let fresh = ShardedLocaterService::new(service.store_snapshot(), config, 1);
 
     // Probe trace: both services answer the same queries in the same order,
     // warming their caches as they go. Answers must stay byte-identical.
@@ -201,7 +201,7 @@ fn delta_reestimation_invalidates_and_stays_equivalent() {
     // all epochs so that answers keep matching a rebuild of the final store
     // (whose snapshot carries the re-estimated deltas).
     let config = LocaterConfig::default();
-    let service = LocaterService::new(EventStore::new(space()), config);
+    let service = ShardedLocaterService::new(EventStore::new(space()), config, 1);
     for day in 0..5 {
         service.ingest_batch(day_chunk(day).iter()).unwrap();
         let t = locater::events::clock::at(day, 12, 10, 0);
@@ -211,7 +211,7 @@ fn delta_reestimation_invalidates_and_stays_equivalent() {
     service.reestimate_deltas();
     assert_eq!(service.live_cache_stats(), (0, 0));
 
-    let fresh = LocaterService::new(service.store_snapshot(), config);
+    let fresh = ShardedLocaterService::new(service.store_snapshot(), config, 1);
     for probe in probes(5) {
         let live = service.locate(&probe).unwrap();
         let rebuilt = fresh.locate(&probe).unwrap();
@@ -223,7 +223,7 @@ fn delta_reestimation_invalidates_and_stays_equivalent() {
 fn partial_ingest_invalidates_only_touched_devices() {
     // Epoch granularity: an ingest for one device must stale exactly the
     // edges incident to it, keeping the rest of the warm cache live.
-    let service = LocaterService::new(EventStore::new(space()), LocaterConfig::default());
+    let service = ShardedLocaterService::new(EventStore::new(space()), LocaterConfig::default(), 1);
     for day in 0..4 {
         service.ingest_batch(day_chunk(day).iter()).unwrap();
     }
@@ -239,8 +239,8 @@ fn partial_ingest_invalidates_only_touched_devices() {
     let (live_before, _) = service.live_cache_stats();
     assert!(live_before > 0, "expected a warm cache");
 
-    let alice = service.with_store(|s| s.device_id("alice")).unwrap();
-    let carol = service.with_store(|s| s.device_id("carol")).unwrap();
+    let alice = service.device_id("alice").unwrap();
+    let carol = service.device_id("carol").unwrap();
     let alice_epoch = service.device_epoch(alice);
     let carol_epoch = service.device_epoch(carol);
 

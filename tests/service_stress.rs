@@ -54,7 +54,7 @@ fn writer_stream(first_day: i64, days: i64) -> Vec<RawEvent> {
 
 #[test]
 fn concurrent_ingest_and_locate_is_safe_and_converges() {
-    let service = LocaterService::new(seed_store(), LocaterConfig::default());
+    let service = ShardedLocaterService::new(seed_store(), LocaterConfig::default(), 1);
     let answered = AtomicUsize::new(0);
     let ingested = AtomicUsize::new(0);
 
@@ -109,7 +109,7 @@ fn concurrent_ingest_and_locate_is_safe_and_converges() {
     // the concurrent phase cached is invisible once its epochs moved on.
     service.invalidate_all();
     assert_eq!(service.live_cache_stats(), (0, 0));
-    let fresh = LocaterService::new(service.store_snapshot(), LocaterConfig::default());
+    let fresh = ShardedLocaterService::new(service.store_snapshot(), LocaterConfig::default(), 1);
     for day in [2i64, 5, 6] {
         for mac in MACS {
             for (hour, minute) in [(9, 40), (12, 10), (3, 0)] {

@@ -1,6 +1,6 @@
 //! The correctness cornerstone of the sharded service: **a
 //! `ShardedLocaterService` with any shard count answers byte-identically to
-//! the single-shard `LocaterService`** — with the caching engine *enabled*, so
+//! the same service with one shard** — with the caching engine *enabled*, so
 //! per-shard cache placement, the multi-shard read view, and per-shard epoch
 //! tables are all proven equivalent rather than sidestepped.
 //!
@@ -96,10 +96,10 @@ impl Lcg {
 }
 
 /// Replays one LCG-seeded interleaving of ingests and locates on both a
-/// single-shard `LocaterService` and a `ShardedLocaterService` with `shards`
-/// partitions, asserting byte-identical behaviour throughout.
+/// single-shard `ShardedLocaterService` and one with `shards` partitions,
+/// asserting byte-identical behaviour throughout.
 fn assert_shard_equivalence(config: LocaterConfig, shards: usize, seed: u64, days: i64) {
-    let single = LocaterService::new(EventStore::new(space()), config);
+    let single = ShardedLocaterService::new(EventStore::new(space()), config, 1);
     let sharded = ShardedLocaterService::new(EventStore::new(space()), config, shards);
     assert_eq!(sharded.num_shards(), shards);
     let mut rng = Lcg(seed);
@@ -226,7 +226,7 @@ fn delta_reestimation_stays_equivalent_across_shards() {
     // replicated device table) and the same invalidation effects as the
     // single-shard service.
     let config = LocaterConfig::default();
-    let single = LocaterService::new(EventStore::new(space()), config);
+    let single = ShardedLocaterService::new(EventStore::new(space()), config, 1);
     let sharded = ShardedLocaterService::new(EventStore::new(space()), config, 3);
     for day in 0..5 {
         single.ingest_batch(day_chunk(day).iter()).unwrap();
@@ -278,7 +278,7 @@ fn sharded_snapshot_roundtrip_is_bit_identical() {
 
 #[test]
 fn single_event_ingest_errors_match_single_shard() {
-    let single = LocaterService::new(EventStore::new(space()), LocaterConfig::default());
+    let single = ShardedLocaterService::new(EventStore::new(space()), LocaterConfig::default(), 1);
     let sharded = ShardedLocaterService::new(EventStore::new(space()), LocaterConfig::default(), 3);
 
     // Unknown AP for a brand-new device: nothing interned on either side.
