@@ -1,9 +1,9 @@
-//! Dataset construction shared by the experiment harness and the Criterion benches.
+//! Dataset construction for the experiment harness.
 //!
-//! Every experiment runs against synthetic data (see `DESIGN.md` §2 for the
-//! substitution rationale); the sizes are controlled by a [`BenchScale`] so the whole
-//! suite completes quickly by default (`quick`) and can be scaled up
-//! (`LOCATER_BENCH_SCALE=full`) when more time is available.
+//! Every experiment runs against synthetic data (neither the DBH logs nor the
+//! SmartBench outputs are redistributable — see `docs/PAPER_MAPPING.md`); the sizes
+//! are controlled by a [`BenchScale`] so the whole suite completes quickly by default
+//! (`quick`) and can be scaled up (`exp --full`) when more time is available.
 
 use locater_sim::{
     generated_workload, university_workload, CampusConfig, QueryWorkload, ScenarioConfig,
@@ -60,31 +60,6 @@ impl BenchScale {
             generated_queries: 100_000,
             scenario_scale: 1.0,
             scenario_days: 15,
-        }
-    }
-
-    /// A minimal configuration used by the Criterion benches, where dataset
-    /// construction happens inside the (untimed) setup of every bench target and must
-    /// stay in the low seconds.
-    pub fn micro() -> Self {
-        Self {
-            campus_weeks: 3,
-            campus_population: 24,
-            campus_access_points: 6,
-            campus_monitored: 6,
-            queries_per_person: 8,
-            generated_queries: 120,
-            scenario_scale: 0.2,
-            scenario_days: 5,
-        }
-    }
-
-    /// Reads the scale from the `LOCATER_BENCH_SCALE` environment variable
-    /// (`quick` / `full`), defaulting to quick.
-    pub fn from_env() -> Self {
-        match std::env::var("LOCATER_BENCH_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Self::full(),
-            _ => Self::quick(),
         }
     }
 
@@ -187,8 +162,6 @@ mod tests {
         assert!(quick.campus_weeks < full.campus_weeks);
         assert!(quick.generated_queries < full.generated_queries);
         assert!(quick.scenario_scale < full.scenario_scale);
-        // Default env (unset) falls back to quick.
-        assert_eq!(BenchScale::from_env(), quick);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in `DESIGN.md`:
+//! Ablation studies for this reproduction's design choices:
 //!
 //! 1. **Neighbor processing order** — §5 argues that processing neighbors in
 //!    decreasing cached-affinity order makes the iterative fine-grained algorithm

@@ -1,11 +1,11 @@
 //! One module per table/figure of the paper's evaluation (§6), plus the ablation
-//! studies called out in `DESIGN.md`.
+//! studies.
 //!
 //! Every module exposes `run(scale) -> Vec<Table>`: it builds the required synthetic
 //! datasets, evaluates the relevant systems, and returns result tables that contain
 //! the measured values of this reproduction next to the values the paper reports.
-//! The `exp_*` binaries print those tables; `exp_all` concatenates them into the
-//! content of `EXPERIMENTS.md`.
+//! [`EXPERIMENTS`] names them in paper order; the `exp` binary prints one by name
+//! and [`run_all`] concatenates them all.
 
 pub mod ablation;
 pub mod fig10;
@@ -21,20 +21,25 @@ pub mod table4;
 use crate::datasets::BenchScale;
 use crate::report::Table;
 
+type Run = fn(&BenchScale) -> Vec<Table>;
+
+/// Every experiment in paper order: the name `exp` accepts and the `run` behind it.
+pub const EXPERIMENTS: [(&str, Run); 10] = [
+    ("fig7", fig7::run),
+    ("table2", table2::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("table3", table3::run),
+    ("table4", table4::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12", fig12::run),
+    ("ablations", ablation::run),
+];
+
 /// Runs every experiment in paper order and returns all result tables.
 pub fn run_all(scale: &BenchScale) -> Vec<Table> {
-    let mut tables = Vec::new();
-    tables.extend(fig7::run(scale));
-    tables.extend(table2::run(scale));
-    tables.extend(fig8::run(scale));
-    tables.extend(fig9::run(scale));
-    tables.extend(table3::run(scale));
-    tables.extend(table4::run(scale));
-    tables.extend(fig10::run(scale));
-    tables.extend(fig11::run(scale));
-    tables.extend(fig12::run(scale));
-    tables.extend(ablation::run(scale));
-    tables
+    EXPERIMENTS.iter().flat_map(|(_, run)| run(scale)).collect()
 }
 
 /// The scale used by the experiment unit tests: small enough for CI, large enough to

@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn table4_covers_one_scenario_with_all_profiles() {
         // Run a single scenario in the unit test to keep it fast; the full sweep is
-        // exercised by the exp_table4_scenarios binary.
+        // exercised by `exp table4`.
         let table = run_scenario(ScenarioKind::Office, &test_scale());
         assert_eq!(table.num_rows(), 5);
         let profiles: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();

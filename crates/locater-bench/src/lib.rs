@@ -9,27 +9,23 @@
 //! Three layers:
 //!
 //! * [`datasets`] — synthetic campus / scenario fixtures sized by a [`datasets::BenchScale`]
-//!   (`quick` by default, `LOCATER_BENCH_SCALE=full` for paper-sized runs);
+//!   (`quick` by default, `exp --full` for paper-sized runs);
 //! * [`runner`] — the query-evaluation loops (precision scoring + per-query timing);
 //! * [`experiments`] — one module per table/figure plus the ablations, each exposing
 //!   `run(scale) -> Vec<Table>`.
 //!
-//! The `exp_*` binaries print individual experiments; `exp_all` runs the whole
-//! evaluation and emits the markdown that `EXPERIMENTS.md` is built from. The
-//! Criterion benches in `benches/` measure the latency-oriented aspects of the same
-//! experiments (query latency with/without caching, with/without stop conditions,
-//! micro-operations).
+//! The `exp` binary prints one experiment by name (`exp fig7`) or the whole
+//! evaluation (`exp all`) as markdown. Performance is measured elsewhere: the
+//! repo benchmark under `benchmark/` is the only performance harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod datasets;
 pub mod experiments;
 pub mod report;
 pub mod runner;
 
-pub use chaos::{ChaosAction, ChaosConfig, ChaosCounters, ChaosProxy};
 pub use datasets::{campus_fixture, scenario_fixture, BenchScale, CampusFixture, ScenarioFixture};
 pub use report::Table;
 pub use runner::{evaluate_baseline, evaluate_locater, truth_at, SystemEvaluation};

@@ -6,8 +6,8 @@ use std::fmt::Write as _;
 /// A simple column-oriented result table rendered as GitHub-flavoured markdown.
 ///
 /// Every experiment produces one or more `Table`s containing the *measured* values of
-/// this reproduction next to the values the paper reports, so `EXPERIMENTS.md` can be
-/// regenerated mechanically.
+/// this reproduction next to the values the paper reports, so `exp all` regenerates
+/// the whole paper-vs-measured record mechanically.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Table {
     /// Table title (e.g. "Figure 7 — Pc vs τ_l").

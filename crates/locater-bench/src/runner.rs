@@ -5,7 +5,6 @@
 //! simulator ground truth with the paper's `P_c` / `P_f` / `P_o` metrics and timing
 //! every query for the efficiency experiments.
 
-use crate::datasets::CampusFixture;
 use locater_core::baselines::BaselineSystem;
 use locater_core::metrics::{EvaluationReport, PrecisionCounts, TruthLocation};
 use locater_core::system::{LocateRequest, LocaterConfig, Location, ShardedLocaterService};
@@ -142,19 +141,10 @@ pub fn evaluate_baseline(
     }
 }
 
-/// Runs a warm-up pass over the first `n` queries of the university workload so that
-/// per-device coarse models and the affinity cache are populated before timing
-/// (used by the Criterion benches).
-pub fn warm_up(service: &ShardedLocaterService, fixture: &CampusFixture, n: usize) {
-    for query in fixture.university.queries.iter().take(n) {
-        let _ = service.locate(&LocateRequest::by_mac(&query.mac, query.t));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::{campus_fixture, BenchScale};
+    use crate::datasets::{campus_fixture, BenchScale, CampusFixture};
     use locater_core::baselines::{Baseline1, Baseline2};
     use locater_core::system::FineMode;
 

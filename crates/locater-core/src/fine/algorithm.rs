@@ -21,8 +21,8 @@
 //! i.e. "with probability `1 − α_pair` the devices are not co-located and the neighbor
 //! carries no information (uniform floor); with probability `α_pair` they are, and the
 //! group affinity applies". This keeps the update monotone in the group affinity,
-//! reduces to the paper's behaviour as `α_pair → 1`, and is documented as a deviation
-//! in `DESIGN.md`.
+//! reduces to the paper's behaviour as `α_pair → 1`, and is a documented deviation
+//! from the paper.
 //!
 //! The independent variant (`I-FINE`) treats neighbors as conditionally independent;
 //! the dependent variant (`D-FINE`) clusters neighbors that are themselves co-located

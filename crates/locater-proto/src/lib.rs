@@ -10,8 +10,8 @@
 //!   (`ingest …` / `locate …` / `stats` / `quit`) is a thin compatibility
 //!   parser over the same frames ([`parse_repl_line`]) — raw JSON frames are
 //!   accepted on stdin too;
-//! * the `locater-load` load generator and the `locater-cli request` one-shot
-//!   client.
+//! * the `locater-cli request` one-shot client and the repo benchmark's
+//!   `RetryClient` connections.
 //!
 //! There is exactly one protocol definition; anything that can be said over a
 //! socket can be said over stdio and vice versa.

@@ -98,8 +98,8 @@ impl CampusConfig {
 
     /// The `metro_campus` large-scenario configuration: a metropolitan campus
     /// an order of magnitude bigger than [`CampusConfig::default`] (64 APs,
-    /// hundreds of occupants, a quarter of simulated history), used to size the
-    /// snapshot and segment-pruning benchmarks like a real deployment's corpus.
+    /// hundreds of occupants, a quarter of simulated history), sized like a real
+    /// deployment's corpus; the repo benchmark's pinned scenario.
     pub fn metro() -> Self {
         Self {
             access_points: 64,
@@ -111,37 +111,6 @@ impl CampusConfig {
             weeks: 13,
             seed: 0x3E7209,
         }
-    }
-
-    /// [`CampusConfig::metro`] resized by environment variables, so CI smoke
-    /// runs and full-scale local runs share one entry point:
-    ///
-    /// * `LOCATER_METRO_SCALE` — float multiplier applied to population,
-    ///   visitors and access points (default 1.0);
-    /// * `LOCATER_METRO_WEEKS` — simulated weeks (default 13);
-    /// * `LOCATER_METRO_SEED` — random seed.
-    ///
-    /// Unparsable values fall back to the defaults.
-    pub fn metro_from_env() -> Self {
-        fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok()?.trim().parse().ok()
-        }
-        let mut config = Self::metro();
-        if let Some(scale) = env_parse::<f64>("LOCATER_METRO_SCALE") {
-            let scale = scale.clamp(0.01, 100.0);
-            let scaled = |n: usize| ((n as f64 * scale).round() as usize).max(1);
-            config.access_points = scaled(config.access_points).max(2);
-            config.population = scaled(config.population);
-            config.visitors = scaled(config.visitors);
-            config.monitored = scaled(config.monitored).min(config.population);
-        }
-        if let Some(weeks) = env_parse::<i64>("LOCATER_METRO_WEEKS") {
-            config.weeks = weeks.max(1);
-        }
-        if let Some(seed) = env_parse::<u64>("LOCATER_METRO_SEED") {
-            config.seed = seed;
-        }
-        config
     }
 }
 
@@ -397,11 +366,5 @@ mod tests {
         assert!(metro.access_points > default.access_points);
         assert!(metro.population > default.population);
         assert!(metro.weeks > default.weeks);
-        // Env sizing falls back to the defaults when the variables are unset
-        // or unparsable (the test must not depend on ambient env state).
-        let sized = CampusConfig::metro_from_env();
-        assert!(sized.access_points >= 2);
-        assert!(sized.population >= 1);
-        assert!(sized.weeks >= 1);
     }
 }

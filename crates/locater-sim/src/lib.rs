@@ -36,8 +36,8 @@
 //! ```
 //!
 //! The four SmartBench scenarios come from [`ScenarioConfig`]; the large
-//! `metro_campus` corpus (used by the snapshot and segment-pruning benches) is
-//! an environment-sized campus:
+//! `metro_campus` corpus (the repo benchmark's pinned scenario) is
+//! [`CampusConfig::metro`]:
 //!
 //! ```
 //! use locater_sim::{CampusConfig, ScenarioConfig, ScenarioKind, Simulator};
@@ -47,8 +47,6 @@
 //! );
 //! assert!(office.people.iter().any(|p| p.profile == "Employees"));
 //!
-//! // `metro()` is the full-size configuration; `metro_from_env()` resizes it
-//! // via LOCATER_METRO_SCALE / LOCATER_METRO_WEEKS for CI-sized runs.
 //! let metro = CampusConfig::metro();
 //! assert!(metro.access_points > CampusConfig::default().access_points);
 //! ```

@@ -30,9 +30,8 @@
 //!   versioned binary file; `snapshot load` verifies and summarizes it; and
 //!   `serve --snapshot` cold-starts the live service from it without replaying
 //!   the CSV.
-//! * `simulate metro_campus` generates the large metropolitan-campus corpus,
-//!   sized by `LOCATER_METRO_SCALE` / `LOCATER_METRO_WEEKS` (see
-//!   `CampusConfig::metro_from_env`).
+//! * `simulate metro_campus` generates the large metropolitan-campus corpus
+//!   (`CampusConfig::metro`: 64 APs, 13 weeks unless `--days` says otherwise).
 //! * `batch` runs the parallel batch pipeline
 //!   (`ShardedLocaterService::locate_batch` through the typed request layer): every query is answered against a frozen
 //!   snapshot of the affinity cache, so the output is deterministic and
@@ -95,6 +94,7 @@ use locater::store::{
 };
 use std::fmt::Write as _;
 use std::io::{BufRead, Write as _};
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -150,7 +150,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N|interval=MS] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]\n  locater-cli request  <addr> <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap> [--embed-index]\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
+    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N|interval=MS] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap> [--embed-index]\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
 }
 
 /// Parses arguments and runs one command, returning the text to print.
@@ -210,44 +210,49 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// Parses the value after flag `name`: `None` when the flag is absent, a usage
+/// error when it is the last argument or its value does not parse as `T`
+/// (`what` names the expected value, e.g. "a positive integer").
+fn parsed_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    what: &str,
+) -> Result<Option<T>, CliError> {
+    let Some(idx) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(idx + 1)
+        .ok_or_else(|| CliError::Usage(format!("{name} requires {what}")))?;
+    let parsed = value.parse();
+    parsed
+        .map(Some)
+        .map_err(|_| CliError::Usage(format!("{name} must be {what}")))
+}
+
+/// The `what` of every count flag; the `NonZero*` parsers reject `0`.
+const POSITIVE: &str = "a positive integer";
+
 /// Parses `--shards N` (default 1).
 fn shards_from_flags(args: &[String]) -> Result<usize, CliError> {
-    match flag_value(args, "--shards") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&shards| shards >= 1)
-            .ok_or("--shards must be a positive integer".into()),
-        None if args.iter().any(|a| a == "--shards") => Err("--shards requires a value".into()),
-        None => Ok(1),
-    }
+    Ok(parsed_flag::<NonZeroUsize>(args, "--shards", POSITIVE)?.map_or(1, NonZeroUsize::get))
 }
 
 /// Parses an optional non-negative integer-seconds flag (`--retain`,
 /// `--horizon`, `--compact-interval`), rejecting a dangling flag or a bad
 /// value.
 fn secs_flag(args: &[String], name: &str) -> Result<Option<Timestamp>, CliError> {
-    match flag_value(args, name) {
-        Some(v) => v
-            .parse::<Timestamp>()
-            .ok()
-            .filter(|&n| n >= 0)
-            .map(Some)
-            .ok_or_else(|| CliError::Usage(format!("{name} must be a non-negative integer"))),
-        None if args.iter().any(|a| a == name) => {
-            Err(CliError::Usage(format!("{name} requires a value")))
-        }
-        None => Ok(None),
+    let what = "a non-negative integer";
+    match parsed_flag::<Timestamp>(args, name, what)? {
+        Some(secs) if secs < 0 => Err(CliError::Usage(format!("{name} must be {what}"))),
+        secs => Ok(secs),
     }
 }
 
 /// Parses the durability flags: `--wal-dir DIR` switches the WAL on,
 /// `--fsync` and `--wal-segment-bytes` tune it (and are rejected without it).
 fn durability_from_flags(args: &[String]) -> Result<Option<Durability>, CliError> {
-    let Some(dir) = flag_value(args, "--wal-dir") else {
-        if args.iter().any(|a| a == "--wal-dir") {
-            return Err("--wal-dir requires a directory".into());
-        }
+    let Some(dir) = parsed_flag::<String>(args, "--wal-dir", "a directory")? else {
         for flag in ["--fsync", "--wal-segment-bytes"] {
             if args.iter().any(|a| a == flag) {
                 return Err(CliError::Usage(format!("{flag} requires --wal-dir")));
@@ -256,20 +261,12 @@ fn durability_from_flags(args: &[String]) -> Result<Option<Durability>, CliError
         return Ok(None);
     };
     let mut durability = Durability::new(dir);
-    if let Some(v) = flag_value(args, "--fsync") {
+    let policy = "a policy (always|every=N|interval=MS)";
+    if let Some(v) = parsed_flag::<String>(args, "--fsync", policy)? {
         durability = durability.with_fsync(FsyncPolicy::parse(&v).map_err(CliError::Usage)?);
-    } else if args.iter().any(|a| a == "--fsync") {
-        return Err("--fsync requires a policy (always|every=N|interval=MS)".into());
     }
-    if let Some(v) = flag_value(args, "--wal-segment-bytes") {
-        let bytes = v
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--wal-segment-bytes must be a positive integer")?;
-        durability = durability.with_segment_max_bytes(bytes);
-    } else if args.iter().any(|a| a == "--wal-segment-bytes") {
-        return Err("--wal-segment-bytes requires a value".into());
+    if let Some(bytes) = parsed_flag::<NonZeroU64>(args, "--wal-segment-bytes", POSITIVE)? {
+        durability = durability.with_segment_max_bytes(bytes.get());
     }
     Ok(Some(durability))
 }
@@ -335,15 +332,8 @@ fn batch(args: &[String]) -> Result<String, CliError> {
     let space_path = args.get(1).ok_or("missing space.json")?;
     let events_path = args.get(2).ok_or("missing events.csv")?;
     let queries_path = args.get(3).ok_or("missing queries.csv")?;
-    let jobs: usize = match flag_value(args, "--jobs") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&jobs| jobs >= 1)
-            .ok_or("--jobs must be a positive integer")?,
-        None if args.iter().any(|a| a == "--jobs") => {
-            return Err("--jobs requires a value".into());
-        }
+    let jobs = match parsed_flag::<NonZeroUsize>(args, "--jobs", POSITIVE)? {
+        Some(jobs) => jobs.get(),
         None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -449,14 +439,8 @@ fn serve(args: &[String]) -> Result<String, CliError> {
     // limit, an id acked moments ago survives at least three more full
     // admission waves before FIFO eviction can reach it — longer than any
     // client's retry backoff at the server's own saturation throughput.
-    let admission_limit = match flag_value(args, "--queue") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--queue must be a positive integer")?,
-        None => ServerConfig::default().admission_limit,
-    };
+    let admission_limit = parsed_flag::<NonZeroUsize>(args, "--queue", POSITIVE)?
+        .map_or(ServerConfig::default().admission_limit, NonZeroUsize::get);
     let state = Arc::new(
         ServerState::new(service, flag_value(args, "--drain-snapshot"))
             .with_retention(retain, spill_dir)
@@ -564,27 +548,15 @@ fn append_drain_summary(out: &mut String, drain: &DrainSummary) -> Result<(), Cl
 /// until a graceful drain (`shutdown` request or SIGTERM).
 fn serve_tcp(state: Arc<ServerState>, listen: &str, args: &[String]) -> Result<String, CliError> {
     let mut config = ServerConfig::default();
-    if let Some(v) = flag_value(args, "--workers") {
-        config.workers = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--workers must be a positive integer")?;
+    if let Some(workers) = parsed_flag::<NonZeroUsize>(args, "--workers", POSITIVE)? {
+        config.workers = workers.get();
     }
-    if let Some(v) = flag_value(args, "--queue") {
-        config.admission_limit = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--queue must be a positive integer")?;
+    if let Some(limit) = parsed_flag::<NonZeroUsize>(args, "--queue", POSITIVE)? {
+        config.admission_limit = limit.get();
     }
-    if let Some(v) = flag_value(args, "--idle-timeout") {
-        let secs = v
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--idle-timeout must be a positive number of seconds")?;
-        config.idle_timeout = Duration::from_secs(secs);
+    let idle = "a positive number of seconds";
+    if let Some(secs) = parsed_flag::<NonZeroU64>(args, "--idle-timeout", idle)? {
+        config.idle_timeout = Duration::from_secs(secs.get());
     }
     #[cfg(unix)]
     locater::server::install_sigterm_drain(&state);
@@ -938,14 +910,10 @@ fn render_inspection(inspection: &WalInspection) -> String {
 fn simulate(args: &[String]) -> Result<String, CliError> {
     let kind = args.get(1).ok_or("missing scenario kind")?;
     let prefix = args.get(2).ok_or("missing output prefix")?;
-    let days: i64 = flag_value(args, "--days")
-        .map(|v| v.parse().map_err(|_| "--days must be an integer"))
-        .transpose()?
-        .unwrap_or(14);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|v| v.parse().map_err(|_| "--seed must be an integer"))
-        .transpose()?
-        .unwrap_or(7);
+    let days_flag =
+        parsed_flag::<NonZeroU32>(args, "--days", POSITIVE)?.map(|days| i64::from(days.get()));
+    let days = days_flag.unwrap_or(14);
+    let seed: u64 = parsed_flag(args, "--seed", "an integer")?.unwrap_or(7);
 
     let output = match kind.as_str() {
         "campus" => Simulator::new(seed).run_campus(&CampusConfig {
@@ -953,9 +921,9 @@ fn simulate(args: &[String]) -> Result<String, CliError> {
             ..CampusConfig::default()
         }),
         "metro_campus" => {
-            // Env-sized large scenario; --days overrides the env/default weeks.
-            let mut config = CampusConfig::metro_from_env();
-            if flag_value(args, "--days").is_some() {
+            // The large scenario keeps its own 13 weeks unless --days is given.
+            let mut config = CampusConfig::metro();
+            if let Some(days) = days_flag {
                 config.weeks = (days / 7).max(1);
             }
             Simulator::new(seed).run_campus(&config)
@@ -1630,5 +1598,45 @@ ingest aa:bb:cc:dd:ee:01,4000,wap1
         );
         assert!(shards_from_flags(&["--shards".into()]).is_err());
         assert!(shards_from_flags(&["--shards".into(), "0".into()]).is_err());
+    }
+
+    #[test]
+    fn simulate_rejects_non_positive_days_and_dangling_flags() {
+        let prefix = std::env::temp_dir().join("locater-cli-never-written");
+        let prefix = prefix.to_string_lossy().to_string();
+        for flags in [
+            &["--days", "-5"][..],
+            &["--days", "0"],
+            &["--days"],
+            &["--seed"],
+            &["--seed", "seven"],
+        ] {
+            let mut args: Vec<String> = vec!["simulate".into(), "office".into(), prefix.clone()];
+            args.extend(flags.iter().map(|f| f.to_string()));
+            let error = run(&args).expect_err("bad simulate flags must not run");
+            assert!(
+                matches!(&error, CliError::Usage(m) if m.starts_with(flags[0])),
+                "{flags:?}: {error:?}"
+            );
+        }
+        assert!(!std::path::Path::new(&format!("{prefix}.events.csv")).exists());
+    }
+
+    /// Every `"--flag"` literal the commands match must be in the help text.
+    #[test]
+    fn usage_names_every_flag_the_commands_parse() {
+        let source = include_str!("locater-cli.rs");
+        let commands = &source[..source.find("#[cfg(test)]").expect("test module")];
+        let mut flags: Vec<&str> = commands
+            .split('"')
+            .filter(|literal| literal.starts_with("--"))
+            .filter_map(|literal| literal.split_whitespace().next())
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert!(flags.contains(&"--retries") && flags.contains(&"--days"));
+        for flag in flags {
+            assert!(usage().contains(flag), "usage() omits {flag}");
+        }
     }
 }

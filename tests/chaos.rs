@@ -27,13 +27,16 @@ use locater::prelude::*;
 use locater::proto::{decode_response, encode_request};
 use locater::server::{ServerState, CHAOS_PANIC_MAC};
 use locater::store::{Durability, FaultIo, FaultPlan, FsyncPolicy, RealIo, StorageIo};
-use locater_bench::{ChaosConfig, ChaosProxy};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+#[path = "support/chaos_proxy.rs"]
+mod chaos_proxy;
+use chaos_proxy::{ChaosConfig, ChaosProxy};
 
 const CLIENTS: usize = 2;
 const PER_CLIENT: usize = 24;

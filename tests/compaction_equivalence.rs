@@ -254,6 +254,82 @@ fn late_backfill_below_the_cut_is_accepted_and_aged_out_by_the_next_run() {
     assert_eq!(compacted.num_events(), before - 1);
 }
 
+/// The bounded-memory claim: a service compacted once per simulated day holds
+/// a flat resident set over a multi-week trace while an uncompacted control
+/// fed the same events keeps growing, and retained answers never drift.
+#[test]
+fn compacted_resident_bytes_plateau_while_the_control_grows() {
+    const DAY: i64 = 86_400;
+    const DAYS: usize = 21;
+    let compacted = service(4);
+    let control = service(4);
+    let mut times: std::collections::HashMap<&str, Vec<i64>> = std::collections::HashMap::new();
+    // Resident bytes of (compacted, control) at the end of each simulated day.
+    let mut samples: Vec<(usize, usize)> = Vec::new();
+    let mut compared = 0usize;
+    // `trace` advances each device ≈ 70 s per op, so 30k ops cover > 21 days;
+    // its own `Compact` ops are skipped — the day boundary compacts instead,
+    // retaining two days so the plateau (≈ 250 kB) dwarfs allocator jitter.
+    for op in trace(0x50A1, 30_000) {
+        match op {
+            Op::Ingest(mac, t, ap) => {
+                let watermark = compacted.watermark().unwrap_or(t);
+                if t.div_euclid(DAY) > watermark.div_euclid(DAY) {
+                    compacted.compact_all(2 * DAY, None).expect("compact");
+                    samples.push((
+                        compacted.approx_resident_bytes(),
+                        control.approx_resident_bytes(),
+                    ));
+                    if samples.len() == DAYS {
+                        break;
+                    }
+                }
+                compacted.ingest(mac, t, ap).expect("compacted ingest");
+                control.ingest(mac, t, ap).expect("control ingest");
+                let slot = times.entry(mac).or_default();
+                let at = slot.partition_point(|&x| x <= t);
+                slot.insert(at, t);
+            }
+            Op::Locate(mac, t) => {
+                let cut = compacted.compaction_status().last_cut.unwrap_or(i64::MIN);
+                if in_scope(times.get(mac).map(Vec::as_slice).unwrap_or(&[]), t, cut) {
+                    compared += 1;
+                    assert_eq!(
+                        answer_bytes(&compacted, mac, t),
+                        answer_bytes(&control, mac, t),
+                        "in-window answer drifted (mac={mac}, t={t}, cut={cut})"
+                    );
+                }
+            }
+            Op::Compact => {}
+        }
+    }
+    assert_eq!(
+        samples.len(),
+        DAYS,
+        "the trace must span {DAYS} simulated days"
+    );
+    assert!(compared >= 200, "too few in-scope probes: {compared}");
+    let status = compacted.compaction_status();
+    assert!(
+        status.runs >= 1 && status.evicted_events > 0,
+        "compaction never evicted anything: {status:?}"
+    );
+    let (quarter, last) = (samples[DAYS / 4], samples[DAYS - 1]);
+    assert!(
+        last.0 as f64 <= 1.10 * quarter.0 as f64,
+        "compacted resident bytes grew past the 25% mark: {} -> {}",
+        quarter.0,
+        last.0
+    );
+    assert!(
+        last.1 as f64 >= 1.05 * quarter.1 as f64,
+        "control grew too little to tell a plateau from natural growth: {} -> {}",
+        quarter.1,
+        last.1
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Kill-and-recover equivalence across a compaction run
 // ---------------------------------------------------------------------------
