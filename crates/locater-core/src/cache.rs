@@ -69,8 +69,6 @@ pub struct AffinitySample {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalAffinityGraph {
     edges: HashMap<(DeviceId, DeviceId), Vec<AffinitySample>>,
-    /// Standard deviation, in seconds, of the temporal weighting kernel.
-    temporal_sigma: f64,
     /// Upper bound on the number of samples kept per edge (oldest evicted first).
     max_samples_per_edge: usize,
 }
@@ -81,22 +79,18 @@ impl Default for GlobalAffinityGraph {
     }
 }
 
+/// Standard deviation, in seconds, of the temporal weighting kernel: one day.
+/// The paper uses a unit-variance normal; on our integer-second timeline a
+/// day-scale kernel expresses the same intent ("closer query times weigh
+/// more") at a meaningful scale.
+const TEMPORAL_SIGMA_SECONDS: f64 = 86_400.0;
+const TWO_SIGMA_SQ: f64 = 2.0 * TEMPORAL_SIGMA_SECONDS * TEMPORAL_SIGMA_SECONDS;
+
 impl GlobalAffinityGraph {
-    /// Default temporal kernel width: one day. The paper uses a unit-variance normal;
-    /// on our integer-second timeline a day-scale kernel expresses the same intent
-    /// ("closer query times weigh more") at a meaningful scale.
-    pub const DEFAULT_SIGMA_SECONDS: f64 = 86_400.0;
-
-    /// Creates an empty graph with the default temporal kernel.
+    /// Creates an empty graph.
     pub fn new() -> Self {
-        Self::with_sigma(Self::DEFAULT_SIGMA_SECONDS)
-    }
-
-    /// Creates an empty graph with a custom temporal kernel width (seconds).
-    pub fn with_sigma(temporal_sigma: f64) -> Self {
         Self {
             edges: HashMap::new(),
-            temporal_sigma: temporal_sigma.max(1.0),
             max_samples_per_edge: 64,
         }
     }
@@ -177,12 +171,11 @@ impl GlobalAffinityGraph {
         if samples.is_empty() {
             return 0.0;
         }
-        let two_sigma_sq = 2.0 * self.temporal_sigma * self.temporal_sigma;
         let mut kernel_total = 0.0;
         let mut weighted = 0.0;
         for sample in samples {
             let dt = (sample.t - t_q) as f64;
-            let kernel = (-(dt * dt) / two_sigma_sq).exp();
+            let kernel = (-(dt * dt) / TWO_SIGMA_SQ).exp();
             kernel_total += kernel;
             weighted += kernel * sample.weight;
         }
@@ -204,12 +197,11 @@ impl GlobalAffinityGraph {
         if samples.is_empty() {
             return None;
         }
-        let two_sigma_sq = 2.0 * self.temporal_sigma * self.temporal_sigma;
         let mut kernel_total = 0.0;
         let mut weighted = 0.0;
         for sample in samples {
             let dt = (sample.t - t_q) as f64;
-            let kernel = (-(dt * dt) / two_sigma_sq).exp();
+            let kernel = (-(dt * dt) / TWO_SIGMA_SQ).exp();
             kernel_total += kernel;
             weighted += kernel * sample.pair_affinity;
         }
@@ -295,12 +287,13 @@ mod tests {
 
     #[test]
     fn temporal_weighting_prefers_nearby_samples() {
-        let mut graph = GlobalAffinityGraph::with_sigma(3_600.0);
+        // Distances are in units of the one-day kernel width.
+        let mut graph = GlobalAffinityGraph::new();
         let (a, b) = (DeviceId::new(1), DeviceId::new(2));
         graph.record(a, b, 0.9, 0.9, 0); // long ago
-        graph.record(a, b, 0.1, 0.1, 1_000_000); // recent
-        let near_recent = graph.weight(a, b, 1_000_100);
-        let near_old = graph.weight(a, b, 100);
+        graph.record(a, b, 0.1, 0.1, 24_000_000); // recent
+        let near_recent = graph.weight(a, b, 24_002_400);
+        let near_old = graph.weight(a, b, 2_400);
         assert!(
             near_recent < 0.2,
             "recent sample should dominate: {near_recent}"
@@ -310,7 +303,7 @@ mod tests {
             "old sample should dominate near its time: {near_old}"
         );
         // Query far from all samples falls back to the plain average.
-        let far = graph.weight(a, b, 500_000);
+        let far = graph.weight(a, b, 12_000_000);
         assert!((far - 0.5).abs() < 0.01);
     }
 

@@ -164,18 +164,6 @@ pub struct DeviceCoarseModel {
     pub dominant_region: Option<RegionId>,
 }
 
-impl DeviceCoarseModel {
-    /// `true` if a building-level classifier could be trained.
-    pub fn has_building_classifier(&self) -> bool {
-        self.building.is_some()
-    }
-
-    /// `true` if a region-level classifier could be trained.
-    pub fn has_region_classifier(&self) -> bool {
-        self.region.is_some()
-    }
-}
-
 /// The coarse-grained localizer.
 ///
 /// Stateless apart from its configuration; per-device models are returned to the

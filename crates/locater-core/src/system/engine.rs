@@ -17,7 +17,7 @@ use crate::cache::rank_by_weight;
 use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel};
 use crate::error::LocaterError;
 use crate::fine::{FineConfig, FineLocalizer, FineOutcome};
-use locater_events::clock::Timestamp;
+use locater_events::clock::{self, Timestamp};
 use locater_events::DeviceId;
 use locater_space::RegionId;
 use locater_store::EventRead;
@@ -189,7 +189,7 @@ impl Engine {
         };
         let epoch = epochs.epoch_of(device);
         if let Some(entry) = relock(models.read()).get(&device) {
-            if entry.epoch == epoch && self.model_covers(&entry.model, t_q) {
+            if entry.epoch == epoch && Self::model_covers(&entry.model, t_q) {
                 return (
                     self.coarse.classify_with_model(store, &entry.model, &gap),
                     true,
@@ -207,8 +207,11 @@ impl Engine {
 
     /// `true` if a cached model is still valid for a query at `t_q` (time
     /// coverage only; epoch liveness is checked by the caller).
-    fn model_covers(&self, model: &DeviceCoarseModel, t_q: Timestamp) -> bool {
-        t_q >= model.history.start && t_q <= model.history.end + self.config.model_refresh_slack
+    fn model_covers(model: &DeviceCoarseModel, t_q: Timestamp) -> bool {
+        /// A cached model is reused for queries up to this long after the end
+        /// of the window it was trained on.
+        const MODEL_REFRESH_SLACK: Timestamp = clock::days(7);
+        t_q >= model.history.start && t_q <= model.history.end + MODEL_REFRESH_SLACK
     }
 
     /// The neighbor devices eligible for the fine step — a store scan that

@@ -37,7 +37,7 @@ pub use shard::{CompactionStatus, ShardStats, ShardedLocaterService, WalStatus};
 
 use crate::coarse::{CoarseConfig, CoarseLabel, CoarseMethod, CoarseOutcome};
 use crate::fine::{FineConfig, FineOutcome};
-use locater_events::clock::{self, Timestamp};
+use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use locater_space::{RegionId, RoomId};
 use serde::{Deserialize, Serialize};
@@ -158,9 +158,6 @@ pub struct LocaterConfig {
     pub fine: FineConfig,
     /// Whether the caching engine is active (§5).
     pub cache: CacheMode,
-    /// A cached per-device coarse model is reused as long as the query time is within
-    /// this many seconds after the end of the window it was trained on.
-    pub model_refresh_slack: Timestamp,
 }
 
 impl Default for LocaterConfig {
@@ -169,7 +166,6 @@ impl Default for LocaterConfig {
             coarse: CoarseConfig::default(),
             fine: FineConfig::default(),
             cache: CacheMode::Enabled,
-            model_refresh_slack: clock::days(7),
         }
     }
 }
@@ -231,6 +227,7 @@ pub(crate) fn assemble_answer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locater_events::clock;
 
     #[test]
     fn config_builders_adjust_modes() {

@@ -299,7 +299,7 @@ impl ShardedLocaterService {
         durability: Durability,
     ) -> Result<(Self, RecoveryReport), WalError> {
         let (store, report) = recover_store_io(&durability.dir, store, durability.io.as_ref())?;
-        let writers = initialize_wal(&durability, &store, shards.max(1))?.0;
+        let writers = initialize_wal(&durability, &store, shards.max(1))?;
         let mut service = Self::new(store, config, shards);
         for (shard, wal) in service.shards.iter().zip(writers) {
             relock(shard.live.write()).wal = Some(wal);
@@ -393,7 +393,7 @@ impl ShardedLocaterService {
     /// brief all-shard write lock to intern it into every replicated device
     /// table at the same dense id.
     pub fn ingest(&self, mac: &str, t: Timestamp, ap_name: &str) -> Result<EventId, IngestError> {
-        self.ingest_tagged(mac, t, ap_name, None)
+        self.ingest_tagged(mac, t, ap_name, None).map(|(id, ..)| id)
     }
 
     /// [`ingest`](Self::ingest) carrying the client's idempotency token. When
@@ -401,13 +401,17 @@ impl ShardedLocaterService {
     /// frame, so crash recovery can report which acked ingests a retrying
     /// client might replay (see `RecoveryReport::acked_ingests`) — without it,
     /// a replay-dedup cache cannot survive a restart.
+    ///
+    /// Returns the event id together with the device's id and the epoch this
+    /// very ingest left it at (read under the same write lock), which is what
+    /// an ack reports.
     pub fn ingest_tagged(
         &self,
         mac: &str,
         t: Timestamp,
         ap_name: &str,
         request_id: Option<u64>,
-    ) -> Result<EventId, IngestError> {
+    ) -> Result<(EventId, DeviceId, u64), IngestError> {
         let known = self.any_shard().store.device_id(mac);
         if let Some(device) = known {
             let mut live = relock(self.shards[self.home_shard(device)].live.write());
@@ -440,7 +444,7 @@ impl ShardedLocaterService {
         t: Timestamp,
         ap: AccessPointId,
         request_id: Option<u64>,
-    ) -> Result<EventId, IngestError> {
+    ) -> Result<(EventId, DeviceId, u64), IngestError> {
         let id = self.next_event_id.fetch_add(1, Ordering::Relaxed);
         if let Some(wal) = live.wal.as_mut() {
             wal.append(&WalRecord {
@@ -455,7 +459,7 @@ impl ShardedLocaterService {
         live.store.set_next_event_id(id);
         let id = live.store.ingest(mac, t, ap)?;
         live.epochs.bump(device);
-        Ok(id)
+        Ok((id, device, live.epochs.of(device)))
     }
 
     /// Appends a batch of raw events under one all-shard write lock (the batch
@@ -778,13 +782,6 @@ impl ShardedLocaterService {
         self.any_shard().store.device_id(mac)
     }
 
-    /// Runs `f` with read access to one shard's store partition (the lock is
-    /// held for the duration of the closure — keep it short). With one shard,
-    /// shard 0 holds the whole dataset.
-    pub fn with_shard_store<R>(&self, shard: usize, f: impl FnOnce(&EventStore) -> R) -> R {
-        f(&relock(self.shards[shard].live.read()).store)
-    }
-
     /// A combined clone of the current store — the basis of the service's
     /// answers at this instant, reassembled from the shard partitions
     /// ([`EventStore::rejoin`]); bit-identical to what a single-shard service
@@ -837,20 +834,6 @@ impl ShardedLocaterService {
         *relock(self.last_checkpoint.lock()) = Some(Instant::now());
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(Some(bytes))
-    }
-
-    /// Takes a *delta snapshot*: seals every shard's active segment (fsync +
-    /// rotate), making everything ingested so far durable and immutable
-    /// without rewriting the (much larger) checkpoint snapshot. No-op without
-    /// a WAL.
-    pub fn seal_wal(&self) -> Result<(), WalError> {
-        let mut guards = self.write_all();
-        for guard in guards.iter_mut() {
-            if let Some(wal) = guard.wal.as_mut() {
-                wal.seal()?;
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -39,7 +39,8 @@
 //! panic.
 
 use locater_core::system::{
-    Answer, CacheMode, FineMode, LocateRequest, LocateResponse, ShardStats,
+    Answer, CacheMode, CompactionStatus, FineMode, LocateRequest, LocateResponse, ShardStats,
+    WalStatus,
 };
 use locater_core::LocaterError;
 use locater_events::clock::Timestamp;
@@ -260,11 +261,6 @@ impl WireResponse {
             events_seen: response.events_seen,
             degraded,
         }
-    }
-
-    /// `true` for [`WireResponse::Error`] frames.
-    pub fn is_error(&self) -> bool {
-        matches!(self, WireResponse::Error(_))
     }
 }
 
@@ -510,6 +506,20 @@ pub struct WireWalStats {
     pub checkpoints: u64,
 }
 
+impl From<WalStatus> for WireWalStats {
+    fn from(wal: WalStatus) -> Self {
+        Self {
+            dir: wal.dir,
+            fsync: wal.fsync,
+            segments: wal.segments,
+            frames: wal.frames,
+            bytes: wal.bytes,
+            last_checkpoint_age_ms: wal.last_checkpoint_age_ms,
+            checkpoints: wal.checkpoints,
+        }
+    }
+}
+
 /// The wire form of the service's cumulative compaction gauges (see
 /// `ShardedLocaterService::compaction_status` in `locater-core`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -526,6 +536,18 @@ pub struct WireCompactionStats {
     pub last_cut: Option<Timestamp>,
     /// Dwell-summary rows accumulated in the summary tier.
     pub summary_rows: usize,
+}
+
+impl From<CompactionStatus> for WireCompactionStats {
+    fn from(status: CompactionStatus) -> Self {
+        Self {
+            runs: status.runs,
+            evicted_events: status.evicted_events,
+            evicted_segments: status.evicted_segments,
+            last_cut: status.last_cut,
+            summary_rows: status.summary_rows,
+        }
+    }
 }
 
 /// The wire form of one shard's counters (see

@@ -8,10 +8,7 @@
 
 use locater_core::system::{Location, ShardedLocaterService};
 use locater_events::clock::Timestamp;
-use locater_proto::{
-    WireCompactionStats, WireError, WireRequest, WireResponse, WireStats, WireWalStats,
-    PROTOCOL_VERSION,
-};
+use locater_proto::{WireError, WireRequest, WireResponse, WireStats, PROTOCOL_VERSION};
 use locater_space::{AccessPointId, Space};
 use locater_store::RecoveryReport;
 use std::collections::{HashMap, VecDeque};
@@ -20,21 +17,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-
-/// Ingesting this MAC panics inside the executor. The chaos tests use it to
-/// prove that a worker panic is isolated into a typed [`WireError::Internal`]
-/// response instead of wedging the connection or poisoning server locks.
-#[doc(hidden)]
-pub const CHAOS_PANIC_MAC: &str = "chaos:panic";
-
-/// Ingesting this MAC stalls inside the executor for a moment before
-/// applying. The dedup tests use it to hold a request id in its in-flight
-/// window long enough for a concurrent duplicate of the same id to arrive.
-/// (Colon-free on purpose: unlike [`CHAOS_PANIC_MAC`], this identifier
-/// continues into a real ingest, and a colon would trip strict hardware-MAC
-/// syntax validation.)
-#[doc(hidden)]
-pub const CHAOS_STALL_MAC: &str = "chaos-stall";
 
 /// Default bound on how many acknowledged ingest request ids the server
 /// remembers for replay deduplication ([`ServerState::with_dedup_capacity`]
@@ -109,6 +91,8 @@ pub struct ServerState {
     /// Where compaction persists its cold tiers (`serve --spill-dir`);
     /// `None` keeps summaries in memory only and discards spills.
     spill_dir: Option<PathBuf>,
+    /// Test-only fault injection ([`with_ingest_hook`](Self::with_ingest_hook)).
+    ingest_hook: Option<fn(&str)>,
 }
 
 impl ServerState {
@@ -134,7 +118,18 @@ impl ServerState {
             drain_snapshot,
             retain: None,
             spill_dir: None,
+            ingest_hook: None,
         }
+    }
+
+    /// Installs a function the `Ingest` arm calls with the request's MAC
+    /// before applying it, inside the panic fence. Tests use it to panic or
+    /// stall on chosen identifiers; no front end installs one, so nothing a
+    /// client sends can reach such behaviour.
+    #[doc(hidden)]
+    pub fn with_ingest_hook(mut self, hook: fn(&str)) -> Self {
+        self.ingest_hook = Some(hook);
+        self
     }
 
     /// Configures retention: the default `retain` for compact requests that
@@ -355,25 +350,16 @@ impl ServerState {
                 ap,
                 request_id,
             } => {
-                if mac == CHAOS_PANIC_MAC {
-                    panic!("injected chaos panic (mac {CHAOS_PANIC_MAC})");
-                }
-                if mac == CHAOS_STALL_MAC {
-                    std::thread::sleep(std::time::Duration::from_millis(150));
+                if let Some(hook) = self.ingest_hook {
+                    hook(mac);
                 }
                 match self.service.ingest_tagged(mac, *t, ap, *request_id) {
-                    Ok(_) => {
-                        let device = self
-                            .service
-                            .device_id(mac)
-                            .expect("ingest interned the device");
-                        WireResponse::Ingested {
-                            mac: mac.clone(),
-                            t: *t,
-                            ap: ap.clone(),
-                            device_epoch: self.service.device_epoch(device),
-                        }
-                    }
+                    Ok((_, _, device_epoch)) => WireResponse::Ingested {
+                        mac: mac.clone(),
+                        t: *t,
+                        ap: ap.clone(),
+                        device_epoch,
+                    },
                     Err(e) => WireResponse::Error(e.into()),
                 }
             }
@@ -423,13 +409,7 @@ impl ServerState {
                     }
                 };
                 match outcome {
-                    Ok(status) => WireResponse::Compacted(WireCompactionStats {
-                        runs: status.runs,
-                        evicted_events: status.evicted_events,
-                        evicted_segments: status.evicted_segments,
-                        last_cut: status.last_cut,
-                        summary_rows: status.summary_rows,
-                    }),
+                    Ok(status) => WireResponse::Compacted(status.into()),
                     Err(e) => WireResponse::Error(WireError::Internal {
                         message: e.to_string(),
                     }),
@@ -479,26 +459,9 @@ impl ServerState {
             resident_bytes: per_shard.iter().map(|s| s.resident_bytes).sum(),
             head_segments: per_shard.iter().map(|s| s.head_segments).sum(),
             sealed_segments: per_shard.iter().map(|s| s.sealed_segments).sum(),
-            compaction: {
-                let status = self.service.compaction_status();
-                WireCompactionStats {
-                    runs: status.runs,
-                    evicted_events: status.evicted_events,
-                    evicted_segments: status.evicted_segments,
-                    last_cut: status.last_cut,
-                    summary_rows: status.summary_rows,
-                }
-            },
+            compaction: self.service.compaction_status().into(),
             per_shard,
-            wal: self.service.wal_status().map(|wal| WireWalStats {
-                dir: wal.dir,
-                fsync: wal.fsync,
-                segments: wal.segments,
-                frames: wal.frames,
-                bytes: wal.bytes,
-                last_checkpoint_age_ms: wal.last_checkpoint_age_ms,
-                checkpoints: wal.checkpoints,
-            }),
+            wal: self.service.wal_status().map(Into::into),
         }
     }
 
@@ -773,9 +736,27 @@ pub fn render_response(space: &Space, request: &WireRequest, response: &WireResp
 mod tests {
     use super::*;
     use locater_core::system::LocaterConfig;
-    use locater_proto::PROTOCOL_VERSION;
+    use locater_proto::{WireCompactionStats, PROTOCOL_VERSION};
     use locater_space::SpaceBuilder;
     use locater_store::EventStore;
+
+    const PANIC_MAC: &str = "chaos:panic";
+    /// Colon-free on purpose: unlike [`PANIC_MAC`], this identifier continues
+    /// into a real ingest, and a colon would trip strict hardware-MAC syntax
+    /// validation.
+    const STALL_MAC: &str = "chaos-stall";
+    const STALL: std::time::Duration = std::time::Duration::from_millis(150);
+
+    /// Panics on [`PANIC_MAC`]; holds [`STALL_MAC`] in its in-flight window
+    /// long enough for a concurrent duplicate of the same id to arrive.
+    fn chaos_hook(mac: &str) {
+        if mac == PANIC_MAC {
+            panic!("injected chaos panic (mac {PANIC_MAC})");
+        }
+        if mac == STALL_MAC {
+            std::thread::sleep(STALL);
+        }
+    }
 
     fn state() -> ServerState {
         let space = SpaceBuilder::new("exec-test")
@@ -966,9 +947,9 @@ mod tests {
 
     #[test]
     fn concurrent_duplicates_of_one_id_apply_once() {
-        let state = state();
+        let state = state().with_ingest_hook(chaos_hook);
         let stall = WireRequest::Ingest {
-            mac: CHAOS_STALL_MAC.into(),
+            mac: STALL_MAC.into(),
             t: 1_000,
             ap: "wap1".into(),
             request_id: Some(9),
@@ -1118,9 +1099,9 @@ mod tests {
 
     #[test]
     fn worker_panics_become_internal_errors() {
-        let state = state();
+        let state = state().with_ingest_hook(chaos_hook);
         let boom = WireRequest::Ingest {
-            mac: CHAOS_PANIC_MAC.into(),
+            mac: PANIC_MAC.into(),
             t: 1_000,
             ap: "wap1".into(),
             request_id: None,
@@ -1141,6 +1122,32 @@ mod tests {
         let stats = state.stats();
         assert_eq!(stats.panics, 1);
         assert_eq!(stats.events, 0);
+    }
+
+    #[test]
+    fn without_a_hook_the_chaos_identifiers_are_ordinary_input() {
+        let state = state();
+        let ingest = |mac: &str| WireRequest::Ingest {
+            mac: mac.into(),
+            t: 1_000,
+            ap: "wap1".into(),
+            request_id: None,
+        };
+        // Colon-bearing, so it must parse as a hardware MAC — and does not.
+        let response = state.execute(&ingest(PANIC_MAC));
+        assert!(
+            matches!(response, WireResponse::Error(WireError::Ingest { .. })),
+            "got {response:?}"
+        );
+        let started = Instant::now();
+        let response = state.execute(&ingest(STALL_MAC));
+        assert!(
+            matches!(response, WireResponse::Ingested { .. }),
+            "got {response:?}"
+        );
+        assert!(started.elapsed() < STALL, "no hook, no stall");
+        let stats = state.stats();
+        assert_eq!((stats.panics, stats.events), (0, 1));
     }
 
     #[test]

@@ -45,7 +45,7 @@
 mod exec;
 mod server;
 
-pub use exec::{describe_location, render_response, DrainSummary, ServerState, CHAOS_PANIC_MAC};
+pub use exec::{describe_location, render_response, DrainSummary, ServerState};
 #[cfg(unix)]
 pub use server::install_sigterm_drain;
 pub use server::{Server, ServerConfig, ServerReport};

@@ -328,11 +328,18 @@ fn graceful_shutdown_drains_and_snapshot_equals_direct_save() {
 
 #[test]
 fn a_panicking_request_does_not_wedge_the_server() {
-    let server = start(1, ServerConfig::default(), None);
+    const PANIC_MAC: &str = "chaos:panic";
+    fn panic_hook(mac: &str) {
+        if mac == PANIC_MAC {
+            panic!("injected chaos panic (mac {PANIC_MAC})");
+        }
+    }
+    let state = Arc::new(ServerState::new(service(1), None).with_ingest_hook(panic_hook));
+    let server = Server::bind(state, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(&server);
-    // The magic chaos MAC panics inside the executor; the panic must come
-    // back as a typed internal error, not close or wedge anything.
-    client.send(&ingest(locater_server::CHAOS_PANIC_MAC, 1_000, "wap1"));
+    // The hooked MAC panics inside the executor; the panic must come back
+    // as a typed internal error, not close or wedge anything.
+    client.send(&ingest(PANIC_MAC, 1_000, "wap1"));
     match client.recv() {
         WireResponse::Error(WireError::Internal { message }) => {
             assert!(message.contains("panicked"), "message: {message}");

@@ -97,19 +97,6 @@ impl BucketedTimestamps {
         &self.ts
     }
 
-    /// The `(bucket id, timestamps)` runs, oldest first — the snapshot
-    /// format's unit.
-    pub(crate) fn bucket_runs(&self) -> impl Iterator<Item = (i64, &[Timestamp])> + '_ {
-        self.buckets.iter().enumerate().map(|(idx, bucket)| {
-            let end = self
-                .buckets
-                .get(idx + 1)
-                .map(|next| next.start)
-                .unwrap_or(self.ts.len());
-            (bucket.bucket, &self.ts[bucket.start..end])
-        })
-    }
-
     /// Records one timestamp (O(1) amortized for in-order arrivals;
     /// out-of-order timestamps splice into place).
     pub(crate) fn record(&mut self, t: Timestamp) {
@@ -363,21 +350,6 @@ impl DevicePostings {
         }
     }
 
-    /// Rebuilds a device's postings from decoded per-AP lists (the all-APs
-    /// multiset is derived — it is the sorted union of the lists).
-    pub(crate) fn from_lists(lists: Vec<ApPostings>, span: Timestamp) -> Self {
-        let mut ts: Vec<Timestamp> = lists
-            .iter()
-            .flat_map(|list| list.ts.timestamps().iter().copied())
-            .collect();
-        ts.sort_unstable();
-        let mut all = BucketedTimestamps::new(span);
-        for t in ts {
-            all.record(t);
-        }
-        Self { lists, all }
-    }
-
     /// Total number of indexed events of the device.
     pub fn len(&self) -> usize {
         self.all.len()
@@ -528,10 +500,6 @@ impl ColocationIndex {
         &self.devices[device.index()]
     }
 
-    pub(crate) fn devices(&self) -> &[DevicePostings] {
-        &self.devices
-    }
-
     /// TTL trim across all devices: drops every posting bucket below
     /// `cut_bucket`. Returns the number of indexed events removed. Because
     /// buckets partition time at the store's segment span, this removes
@@ -581,6 +549,16 @@ mod tests {
         AccessPointId::new(raw)
     }
 
+    /// The bucket table read back as `(bucket id, timestamps)` runs.
+    fn bucket_runs(ts: &BucketedTimestamps) -> Vec<(i64, Vec<Timestamp>)> {
+        let starts = ts.buckets.iter().map(|bucket| bucket.start);
+        let ends = starts.clone().skip(1).chain([ts.ts.len()]);
+        let ids = ts.buckets.iter().map(|bucket| bucket.bucket);
+        ids.zip(starts.zip(ends))
+            .map(|(id, (start, end))| (id, ts.ts[start..end].to_vec()))
+            .collect()
+    }
+
     /// An index over one device with a scripted event set.
     fn index_with(events: &[(Timestamp, u32)], span: Timestamp) -> ColocationIndex {
         let mut index = ColocationIndex::new(span);
@@ -606,13 +584,10 @@ mod tests {
         assert_eq!(stats.ap_lists, 2);
         assert_eq!(stats.buckets, 3);
         assert_eq!(stats.events, 4);
-        // Bucket runs expose the wire-format grouping.
-        let runs: Vec<(i64, Vec<Timestamp>)> = list0
-            .timestamps()
-            .bucket_runs()
-            .map(|(b, ts)| (b, ts.to_vec()))
-            .collect();
-        assert_eq!(runs, vec![(0, vec![10, 20]), (1, vec![150])]);
+        assert_eq!(
+            bucket_runs(list0.timestamps()),
+            vec![(0, vec![10, 20]), (1, vec![150])]
+        );
     }
 
     #[test]
@@ -626,13 +601,8 @@ mod tests {
         // Ties count once per event.
         assert_eq!(list.count_in(Interval::new(10, 11)), 3);
         // Bucket table stays consistent after splices.
-        let runs: Vec<(i64, Vec<Timestamp>)> = list
-            .timestamps()
-            .bucket_runs()
-            .map(|(b, ts)| (b, ts.to_vec()))
-            .collect();
         assert_eq!(
-            runs,
+            bucket_runs(list.timestamps()),
             vec![(0, vec![4, 10, 10, 10]), (1, vec![320]), (2, vec![500])]
         );
     }

@@ -12,7 +12,7 @@ pub enum IngestError {
     InvalidDevice(EventError),
     /// The timestamp was negative (events are expected after the deployment epoch).
     InvalidTimestamp(i64),
-    /// A CSV / NDJSON line could not be parsed.
+    /// A CSV line could not be parsed.
     Malformed {
         /// 1-based line number.
         line: usize,
@@ -136,7 +136,7 @@ pub enum StoreError {
     Unencodable(String),
     /// The embedded space metadata could not be rebuilt.
     Space(String),
-    /// Event ingestion failed while streaming a CSV/NDJSON source.
+    /// Event ingestion failed while streaming a CSV source.
     Ingest(IngestError),
 }
 

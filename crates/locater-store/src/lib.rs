@@ -22,16 +22,17 @@
 //!   [`EventStore::load_snapshot`]) — the whole store round-trips bit-identically
 //!   through a compact, versioned, checksummed binary format (see [`snapshot`]), so
 //!   cold starts skip CSV replay entirely;
-//! * **streaming loaders** — CSV ([`EventStore::load_csv_reader`]) and NDJSON
-//!   ([`EventStore::load_ndjson_reader`]) sources are ingested one line at a time in
+//! * **a streaming loader** — CSV, the one event-file format
+//!   ([`EventStore::load_csv_reader`]), is ingested one line at a time in
 //!   bounded memory, with parse *and* semantic errors annotated with their input
-//!   line (and column, for CSV field errors);
+//!   line (and column, for field errors);
 //! * **durability** ([`wal`] + [`recovery`]) — a per-shard append-only
 //!   write-ahead log of checksummed frames makes every acknowledged ingest
 //!   crash-safe; recovery loads the last checkpoint snapshot and replays the
 //!   log tail (truncating a torn final frame), reproducing the pre-crash
-//!   store bit-identically. [`DurableEventStore`] is the single-store
-//!   embedding;
+//!   store bit-identically. The ingest path that drives them (validate →
+//!   draw id → append → apply) lives in `locater-core`'s
+//!   `ShardedLocaterService::with_durability`;
 //! * **compaction and tiered ageing** ([`compaction`]) —
 //!   [`EventStore::compact`] evicts whole segment buckets below a retention
 //!   horizon from all three structures in one coherent mutation, distilling
@@ -115,7 +116,6 @@ pub mod compaction;
 mod csv;
 mod error;
 pub mod io;
-mod ndjson;
 mod read;
 pub mod recovery;
 mod segment;
@@ -136,15 +136,14 @@ pub use compaction::{
 pub use csv::{format_csv, parse_csv, parse_csv_line, RawEvent, CSV_HEADER};
 pub use error::{IngestError, StoreError};
 pub use io::{FaultIo, FaultKind, FaultPlan, RealIo, StorageIo};
-pub use ndjson::{format_ndjson, parse_ndjson, parse_ndjson_line};
 pub use read::{EventRead, ScanRead};
 pub use recovery::{
     initialize_wal, recover_store, recover_store_io, write_checkpoint, write_checkpoint_io,
-    AckedIngest, DurableEventStore, RecoveryReport,
+    AckedIngest, RecoveryReport,
 };
 pub use segment::{DeviceTimeline, EventsInRange, Segment, TimelineIter, DEFAULT_SEGMENT_SPAN};
 pub use shard::{shard_of_device, ShardedRead};
-pub use snapshot::{SnapshotIndexMode, MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::DatasetStatistics;
 pub use store::EventStore;
 pub use timeline::{NearbyDevice, Timeline};

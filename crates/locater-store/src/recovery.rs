@@ -1,5 +1,4 @@
-//! Crash recovery: checkpoint snapshot + WAL-tail replay, and the
-//! single-store durable ingest wrapper.
+//! Crash recovery: checkpoint snapshot + WAL-tail replay.
 //!
 //! Recovery reconstructs the exact pre-crash store from what is durable on
 //! disk:
@@ -23,15 +22,13 @@
 //! are skipped, so a crash *between* writing a checkpoint and trimming the
 //! segments loses nothing and duplicates nothing.
 
-use crate::error::IngestError;
 use crate::io::{RealIo, StorageIo};
 use crate::snapshot::write_atomic_io;
 use crate::store::EventStore;
 use crate::wal::{
     checkpoint_path, list_segments, list_shard_dirs, scan_segment_io, Durability, ShardWal,
-    WalError, WalRecord, WalShardStats,
+    WalError, WalRecord,
 };
-use locater_events::MacAddress;
 use locater_space::AccessPointId;
 use std::path::{Path, PathBuf};
 
@@ -206,13 +203,13 @@ pub fn write_checkpoint_io(
 /// replayed prefix is captured durably), removes every existing shard
 /// directory (their records are now inside the checkpoint — and the previous
 /// process may have run with a different shard count), and creates `shards`
-/// empty logs. Returns the writers (index = shard) and the checkpoint size.
+/// empty logs. Returns the writers (index = shard).
 pub fn initialize_wal(
     config: &Durability,
     store: &EventStore,
     shards: usize,
-) -> Result<(Vec<ShardWal>, u64), WalError> {
-    let checkpoint_bytes = write_checkpoint_io(&config.dir, store, config.io.as_ref())?;
+) -> Result<Vec<ShardWal>, WalError> {
+    write_checkpoint_io(&config.dir, store, config.io.as_ref())?;
     for (_, shard_path) in list_shard_dirs(&config.dir)? {
         std::fs::remove_dir_all(&shard_path)?;
     }
@@ -223,113 +220,13 @@ pub fn initialize_wal(
         debug_assert!(existing.is_empty(), "freshly created shard log is empty");
         writers.push(wal);
     }
-    Ok((writers, checkpoint_bytes))
-}
-
-/// An [`EventStore`] with a write-ahead log attached: every accepted ingest
-/// is framed and appended to the log *before* mutating the store, so the
-/// in-memory state never runs ahead of what recovery can reproduce. This is
-/// the single-store embedding of the durability subsystem (the sharded
-/// service wires the same primitives per shard).
-#[derive(Debug)]
-pub struct DurableEventStore {
-    store: EventStore,
-    wal: ShardWal,
-    config: Durability,
-}
-
-impl DurableEventStore {
-    /// Opens the WAL at `config.dir`, recovering any durable state found
-    /// there (checkpoint + tails); `fallback` seeds the store when the
-    /// directory holds no checkpoint yet. On success the directory is
-    /// checkpointed and trimmed, so the returned store starts with an empty
-    /// tail.
-    pub fn open(
-        config: Durability,
-        fallback: EventStore,
-    ) -> Result<(Self, RecoveryReport), WalError> {
-        let (store, report) = recover_store_io(&config.dir, fallback, config.io.as_ref())?;
-        let (mut writers, _bytes) = initialize_wal(&config, &store, 1)?;
-        let wal = writers.pop().expect("initialize_wal returns one writer");
-        Ok((DurableEventStore { store, wal, config }, report))
-    }
-
-    /// Durable ingest: validates the event fully (access point, timestamp,
-    /// device identifier), appends it to the WAL, then applies it to the
-    /// store. Validation precedes the id draw and the append, so an event
-    /// that reached the log always applies cleanly — the store and the log
-    /// cannot diverge.
-    pub fn ingest_raw(&mut self, mac: &str, t: i64, ap_name: &str) -> Result<u64, IngestError> {
-        let ap = self.store.validate_raw(t, ap_name)?;
-        if self.store.device_id(mac).is_none() {
-            MacAddress::parse(mac).map_err(IngestError::InvalidDevice)?;
-        }
-        let id = self.store.next_event_id();
-        self.wal
-            .append(&WalRecord {
-                id,
-                t,
-                ap: ap.raw(),
-                mac: mac.to_string(),
-                request_id: None,
-            })
-            .map_err(|e| IngestError::Wal(e.to_string()))?;
-        self.store
-            .ingest(mac, t, ap)
-            .map(|event_id| event_id.0)
-            .map_err(|err| {
-                debug_assert!(false, "pre-validated ingest failed after WAL append: {err}");
-                err
-            })
-    }
-
-    /// Checkpoints: writes a fresh snapshot of the store and trims the log.
-    /// After this, recovery loads the snapshot and replays nothing. Returns
-    /// the checkpoint size in bytes.
-    pub fn checkpoint(&mut self) -> Result<u64, WalError> {
-        let bytes = write_checkpoint_io(&self.config.dir, &self.store, self.config.io.as_ref())?;
-        self.wal.reset()?;
-        Ok(bytes)
-    }
-
-    /// Delta snapshot: seals the active segment (see [`ShardWal::seal`]), so
-    /// everything ingested so far is durable without rewriting the
-    /// checkpoint.
-    pub fn seal(&mut self) -> Result<(), WalError> {
-        self.wal.seal()
-    }
-
-    /// Forces buffered WAL frames to disk now, regardless of fsync policy.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.wal.sync()
-    }
-
-    /// The underlying store (read-only; mutations must go through the
-    /// durable ingest path).
-    pub fn store(&self) -> &EventStore {
-        &self.store
-    }
-
-    /// The durability configuration this store was opened with.
-    pub fn config(&self) -> &Durability {
-        &self.config
-    }
-
-    /// Live WAL counters.
-    pub fn wal_stats(&self) -> WalShardStats {
-        self.wal.stats()
-    }
-
-    /// Consumes the wrapper, returning the in-memory store (the log keeps
-    /// whatever tail it had; reopening replays it idempotently).
-    pub fn into_store(self) -> EventStore {
-        self.store
-    }
+    Ok(writers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::IngestError;
     use locater_space::SpaceBuilder;
     use std::path::PathBuf;
 
@@ -352,6 +249,27 @@ mod tests {
         dir
     }
 
+    /// Validate → append → apply for one `(mac, t, ap name)` event: the order
+    /// `ShardedLocaterService::sequenced_ingest` keeps, so a rejected event
+    /// reaches neither the log nor the store.
+    fn log_then_apply(
+        store: &mut EventStore,
+        wal: &mut ShardWal,
+        (mac, t, ap_name): (&str, i64, &str),
+    ) -> Result<u64, IngestError> {
+        let ap = store.validate_raw(t, ap_name)?.raw();
+        let (id, mac) = (store.next_event_id(), mac.to_string());
+        let record = WalRecord {
+            id,
+            t,
+            ap,
+            mac,
+            request_id: None,
+        };
+        wal.append(&record).unwrap();
+        store.ingest_raw(&record.mac, t, ap_name).map(|id| id.0)
+    }
+
     #[test]
     fn durable_store_recovers_bit_identically_after_drop() {
         let dir = temp_dir("bit-identical");
@@ -359,26 +277,28 @@ mod tests {
         let config = Durability::new(&dir);
         let mut reference = EventStore::new(space());
         {
-            let (mut durable, report) =
-                DurableEventStore::open(config.clone(), EventStore::new(space())).unwrap();
+            // First boot: nothing to recover; checkpoint the (empty) base and
+            // attach a writer, as a durable service does.
+            let (mut store, report) = recover_store(&dir, EventStore::new(space())).unwrap();
             assert!(!report.checkpoint_loaded);
+            write_checkpoint(&dir, &store).unwrap();
+            let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
             for i in 0..40u64 {
                 let mac = format!("aa:bb:cc:dd:ee:{:02x}", i % 5);
                 let t = 1_000 + (i as i64) * 7;
                 let ap = format!("wap{}", i % 3);
-                durable.ingest_raw(&mac, t, &ap).unwrap();
+                log_then_apply(&mut store, &mut wal, (&mac, t, &ap)).unwrap();
                 reference.ingest_raw(&mac, t, &ap).unwrap();
             }
             // Dropped without checkpoint: simulates a crash (fsync=always,
             // so every frame is durable).
         }
-        let (recovered, report) =
-            DurableEventStore::open(config, EventStore::new(space())).unwrap();
+        let (recovered, report) = recover_store(&dir, EventStore::new(space())).unwrap();
         assert!(report.checkpoint_loaded);
         assert_eq!(report.replayed, 40);
-        assert_eq!(recovered.store(), &reference);
+        assert_eq!(recovered, reference);
         assert_eq!(
-            recovered.store().to_snapshot_bytes().unwrap(),
+            recovered.to_snapshot_bytes().unwrap(),
             reference.to_snapshot_bytes().unwrap()
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -389,22 +309,22 @@ mod tests {
         let dir = temp_dir("checkpoint-trim");
         std::fs::remove_dir_all(&dir).ok();
         let config = Durability::new(&dir);
-        let (mut durable, _) =
-            DurableEventStore::open(config.clone(), EventStore::new(space())).unwrap();
+        let mut store = EventStore::new(space());
+        let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
         for i in 0..10u64 {
-            durable
-                .ingest_raw("aa:bb:cc:dd:ee:01", 100 + i as i64, "wap0")
-                .unwrap();
+            let event = ("aa:bb:cc:dd:ee:01", 100 + i as i64, "wap0");
+            log_then_apply(&mut store, &mut wal, event).unwrap();
         }
-        durable.checkpoint().unwrap();
-        assert_eq!(durable.wal_stats().frames, 0);
-        let snapshot = durable.store().to_snapshot_bytes().unwrap();
-        drop(durable);
-        let (recovered, report) =
-            DurableEventStore::open(config, EventStore::new(space())).unwrap();
+        // Checkpoint, then trim: recovery loads the snapshot, replays nothing.
+        write_checkpoint(&dir, &store).unwrap();
+        wal.reset().unwrap();
+        assert_eq!(wal.stats().frames, 0);
+        let snapshot = store.to_snapshot_bytes().unwrap();
+        drop(wal);
+        let (recovered, report) = recover_store(&dir, EventStore::new(space())).unwrap();
         assert_eq!(report.replayed, 0);
         assert_eq!(report.base_events, 10);
-        assert_eq!(recovered.store().to_snapshot_bytes().unwrap(), snapshot);
+        assert_eq!(recovered.to_snapshot_bytes().unwrap(), snapshot);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -415,17 +335,16 @@ mod tests {
         let dir = temp_dir("idempotent");
         std::fs::remove_dir_all(&dir).ok();
         let config = Durability::new(&dir);
-        let (mut durable, _) =
-            DurableEventStore::open(config.clone(), EventStore::new(space())).unwrap();
+        let mut store = EventStore::new(space());
+        let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
         for i in 0..8u64 {
-            durable
-                .ingest_raw("aa:bb:cc:dd:ee:02", 500 + i as i64, "wap1")
-                .unwrap();
+            let event = ("aa:bb:cc:dd:ee:02", 500 + i as i64, "wap1");
+            log_then_apply(&mut store, &mut wal, event).unwrap();
         }
         // Write the checkpoint WITHOUT trimming (crash window).
-        write_checkpoint(&config.dir, durable.store()).unwrap();
-        let snapshot = durable.store().to_snapshot_bytes().unwrap();
-        drop(durable);
+        write_checkpoint(&config.dir, &store).unwrap();
+        let snapshot = store.to_snapshot_bytes().unwrap();
+        drop(wal);
         let (recovered, report) = recover_store(&config.dir, EventStore::new(space())).unwrap();
         assert!(report.checkpoint_loaded);
         assert_eq!(report.replayed, 0);
@@ -529,17 +448,15 @@ mod tests {
         let dir = temp_dir("append-fail");
         std::fs::remove_dir_all(&dir).ok();
         let config = Durability::new(&dir);
-        let (mut durable, _) = DurableEventStore::open(config, EventStore::new(space())).unwrap();
-        durable
-            .ingest_raw("aa:bb:cc:dd:ee:01", 100, "wap0")
-            .unwrap();
+        let mut store = EventStore::new(space());
+        let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
+        log_then_apply(&mut store, &mut wal, ("aa:bb:cc:dd:ee:01", 100, "wap0")).unwrap();
         // Unknown AP fails validation before the id draw and the append.
-        let err = durable
-            .ingest_raw("aa:bb:cc:dd:ee:01", 200, "wap9")
-            .unwrap_err();
+        let err =
+            log_then_apply(&mut store, &mut wal, ("aa:bb:cc:dd:ee:01", 200, "wap9")).unwrap_err();
         assert!(matches!(err, IngestError::UnknownAccessPoint(_)));
-        assert_eq!(durable.store().num_events(), 1);
-        assert_eq!(durable.wal_stats().frames, 1);
+        assert_eq!(store.num_events(), 1);
+        assert_eq!(wal.stats().frames, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,10 +19,9 @@
 //!   devices   u32 count, then per device: mac (u16 len + UTF-8), δ (i64)
 //!   runs      per device: u32 segment count, then per segment:
 //!             bucket (i64), u32 event count, events as (id u64, t i64, ap u32)
-//!   index     u8 mode (0 = rebuild on load, 1 = embedded), then when 1,
-//!             per device: u32 posting-list count, per list: ap (u32),
-//!             u32 bucket count, per bucket: bucket (i64), u32 timestamp
-//!             count, timestamps (i64 ×count)
+//!   index     u8 mode: 0 = rebuild on load (the only mode written);
+//!             1 = legacy, skipped: an embedded posting-list section runs to
+//!             the end of the payload and is ignored
 //! ```
 //!
 //! All integers are little-endian. Events inside a segment are stored in the
@@ -31,12 +30,11 @@
 //! round-trip is bit-identical, event ids and epoch-relevant ordering included.
 //!
 //! The co-location index (see [`crate::colocation`]) is a deterministic
-//! function of the event runs, so it need not be persisted: the default
-//! [`SnapshotIndexMode::Rebuild`] writes one flag byte and reconstructs the
-//! index on load. [`SnapshotIndexMode::Embedded`] trades snapshot size for
-//! cold-start time by persisting the posting lists verbatim (the decoded
-//! index is validated against the runs). Version-1 snapshots (no index
-//! section) are still read and rebuild on load.
+//! function of the event runs, so it is not persisted: the writer emits one
+//! mode byte (`0`) and the index is rebuilt on load. Files from older builds
+//! that embedded the posting lists (mode `1`) still load: the section is
+//! covered by the payload checksum, skipped, and the index rebuilt.
+//! Version-1 snapshots (no index section) rebuild on load too.
 //!
 //! Versions 1 and 2 stored the space as name-canonical
 //! [`SpaceMetadata`] JSON and re-interned names on load, which could
@@ -53,12 +51,11 @@
 //! [`StoreError::UnsupportedVersion`], [`StoreError::Truncated`],
 //! [`StoreError::ChecksumMismatch`], [`StoreError::Corrupt`]) — never panics.
 
-use crate::colocation::{ApPostings, ColocationIndex, DevicePostings};
 use crate::error::StoreError;
 use crate::segment::DeviceTimeline;
 use crate::store::EventStore;
 use locater_events::validity::ValidityConfig;
-use locater_events::{Device, DeviceId, EventId, MacAddress, StoredEvent, Timestamp};
+use locater_events::{Device, DeviceId, EventId, MacAddress, StoredEvent};
 use locater_space::{AccessPointId, Space, SpaceMetadata};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -69,18 +66,6 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"LOCATRSN";
 pub const SNAPSHOT_VERSION: u32 = 3;
 /// Oldest snapshot format version this build still reads.
 pub const MIN_SNAPSHOT_VERSION: u32 = 1;
-
-/// How a snapshot treats the co-location index (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotIndexMode {
-    /// Write only the event runs; the index is rebuilt on load (smallest
-    /// file, deterministic bytes — the default).
-    #[default]
-    Rebuild,
-    /// Persist the posting lists alongside the runs so a cold start skips the
-    /// index rebuild (larger file).
-    Embedded,
-}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -111,7 +96,7 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_payload(store: &EventStore, mode: SnapshotIndexMode) -> Result<Vec<u8>, StoreError> {
+fn encode_payload(store: &EventStore) -> Result<Vec<u8>, StoreError> {
     let (space, validity, span, next_event_id, devices, timelines) = store.snapshot_parts();
     let mut out = Vec::with_capacity(64 + store.num_events() * 20);
 
@@ -163,97 +148,9 @@ fn encode_payload(store: &EventStore, mode: SnapshotIndexMode) -> Result<Vec<u8>
         }
     }
 
-    match mode {
-        SnapshotIndexMode::Rebuild => out.push(0),
-        SnapshotIndexMode::Embedded => {
-            out.push(1);
-            for postings in store.colocation_index().devices() {
-                put_u32(&mut out, postings.ap_lists().len() as u32);
-                for list in postings.ap_lists() {
-                    put_u32(&mut out, list.ap().raw());
-                    put_u32(&mut out, list.num_buckets() as u32);
-                    for (bucket, ts) in list.timestamps().bucket_runs() {
-                        put_i64(&mut out, bucket);
-                        put_u32(&mut out, ts.len() as u32);
-                        for &t in ts {
-                            put_i64(&mut out, t);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    // Index mode: always "rebuild on load".
+    out.push(0);
     Ok(out)
-}
-
-/// Decodes the embedded co-location index section (mode byte already read).
-fn decode_index(
-    d: &mut Decoder<'_>,
-    span: Timestamp,
-    device_count: usize,
-    num_access_points: usize,
-) -> Result<ColocationIndex, StoreError> {
-    let mut devices = Vec::with_capacity(device_count.min(1 << 20));
-    for idx in 0..device_count {
-        let list_count = d.u32()? as usize;
-        let mut lists = Vec::with_capacity(list_count.min(1 << 16));
-        let mut prev_ap: Option<u32> = None;
-        for _ in 0..list_count {
-            let ap = d.u32()?;
-            if prev_ap.is_some_and(|prev| ap <= prev) {
-                return Err(StoreError::Corrupt(format!(
-                    "device {idx}: index posting lists out of AP order"
-                )));
-            }
-            prev_ap = Some(ap);
-            if ap as usize >= num_access_points {
-                return Err(StoreError::Corrupt(format!(
-                    "device {idx}: index references unknown access point wap#{ap}"
-                )));
-            }
-            let bucket_count = d.u32()? as usize;
-            if bucket_count == 0 {
-                return Err(StoreError::Corrupt(format!(
-                    "device {idx}: empty index posting list for wap#{ap}"
-                )));
-            }
-            // Validated timestamps arrive globally ascending (buckets
-            // ascending, timestamps ascending inside each), so replaying them
-            // through `record` is all O(1) appends and reproduces the exact
-            // in-memory structure.
-            let mut list = ApPostings::new(AccessPointId::new(ap), span);
-            let mut prev_bucket = i64::MIN;
-            for _ in 0..bucket_count {
-                let bucket = d.i64()?;
-                if bucket <= prev_bucket {
-                    return Err(StoreError::Corrupt(format!(
-                        "device {idx}: index buckets out of order"
-                    )));
-                }
-                prev_bucket = bucket;
-                let ts_count = d.u32()? as usize;
-                if ts_count == 0 {
-                    return Err(StoreError::Corrupt(format!(
-                        "device {idx}: empty index bucket {bucket}"
-                    )));
-                }
-                let mut prev_t = i64::MIN;
-                for _ in 0..ts_count {
-                    let t = d.i64()?;
-                    if t < prev_t || t.div_euclid(span) != bucket {
-                        return Err(StoreError::Corrupt(format!(
-                            "device {idx}: index timestamps out of order or outside bucket {bucket}"
-                        )));
-                    }
-                    prev_t = t;
-                    list.record(t);
-                }
-            }
-            lists.push(list);
-        }
-        devices.push(DevicePostings::from_lists(lists, span));
-    }
-    Ok(ColocationIndex::from_devices(span, devices))
 }
 
 // ---------------------------------------------------------------------------
@@ -388,25 +285,19 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<EventStore, StoreError
         }
         timelines.push(timeline);
     }
-    // Version 1 predates the co-location index section; it rebuilds on load.
-    let index = if version >= 2 {
+    // Version 1 predates the index-mode byte.
+    if version >= 2 {
         match d.take(1)?[0] {
-            0 => None,
-            1 => Some(decode_index(
-                &mut d,
-                span,
-                device_count,
-                space.num_access_points(),
-            )?),
+            0 => {}
+            // Legacy embedded posting lists: the rest of the payload.
+            1 => d.pos = payload.len(),
             mode => {
                 return Err(StoreError::Corrupt(format!(
                     "unknown index mode byte {mode}"
                 )));
             }
         }
-    } else {
-        None
-    };
+    }
     if !d.done() {
         return Err(StoreError::Corrupt(format!(
             "{} trailing bytes after payload",
@@ -420,7 +311,7 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<EventStore, StoreError
         next_event_id,
         devices,
         timelines,
-        index,
+        None,
     )
 }
 
@@ -430,15 +321,9 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<EventStore, StoreError
 
 impl EventStore {
     /// Encodes the store as a snapshot byte buffer (header + checksummed
-    /// payload), with the default rebuild-on-load index mode.
+    /// payload).
     pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        self.to_snapshot_bytes_with(SnapshotIndexMode::default())
-    }
-
-    /// [`EventStore::to_snapshot_bytes`] with an explicit co-location index
-    /// mode (see [`SnapshotIndexMode`]).
-    pub fn to_snapshot_bytes_with(&self, mode: SnapshotIndexMode) -> Result<Vec<u8>, StoreError> {
-        let payload = encode_payload(self, mode)?;
+        let payload = encode_payload(self)?;
         let mut out = Vec::with_capacity(payload.len() + 28);
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -488,23 +373,13 @@ impl EventStore {
         Self::from_snapshot_bytes(&bytes)
     }
 
-    /// Saves the store as a snapshot file (rebuild-on-load index mode).
-    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        self.save_snapshot_with(path, SnapshotIndexMode::default())
-    }
-
-    /// Saves the store as a snapshot file with an explicit index mode.
+    /// Saves the store as a snapshot file.
     ///
     /// The write is atomic: the bytes go to a temporary file in the same
     /// directory which is renamed over `path` only after a successful
     /// `fsync`, so a crash mid-save never destroys an existing good snapshot.
-    pub fn save_snapshot_with(
-        &self,
-        path: impl AsRef<Path>,
-        mode: SnapshotIndexMode,
-    ) -> Result<(), StoreError> {
-        let bytes = self.to_snapshot_bytes_with(mode)?;
-        write_atomic(path.as_ref(), &bytes)
+    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
+        write_atomic(path.as_ref(), &self.to_snapshot_bytes()?)
     }
 
     /// Loads a store from a snapshot file.
@@ -609,38 +484,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn embedded_index_roundtrip_is_bit_identical() {
-        let store = sample_store();
-        let bytes = store
-            .to_snapshot_bytes_with(SnapshotIndexMode::Embedded)
-            .unwrap();
-        assert!(
-            bytes.len() > store.to_snapshot_bytes().unwrap().len(),
-            "the embedded index section must actually be written"
-        );
-        let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(back, store);
-        // Re-encoding in the same mode is deterministic.
-        assert_eq!(
-            back.to_snapshot_bytes_with(SnapshotIndexMode::Embedded)
-                .unwrap(),
-            bytes
-        );
-        // A structurally invalid index section is caught even when the
-        // checksum is "right": blow up the last posting timestamp (it lands
-        // outside its bucket) and re-checksum.
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 4;
-        corrupt[last] ^= 0x01;
-        let checksum = super::fnv1a(&corrupt[28..]);
-        corrupt[12..20].copy_from_slice(&checksum.to_le_bytes());
-        assert!(matches!(
-            EventStore::from_snapshot_bytes(&corrupt),
-            Err(StoreError::Corrupt(_))
-        ));
-    }
-
     /// The current payload with the space section swapped back to the
     /// v1/v2-era `SpaceMetadata` blob (everything after it is unchanged).
     fn legacy_payload(store: &EventStore) -> Vec<u8> {
@@ -688,16 +531,46 @@ mod tests {
     }
 
     #[test]
-    fn unknown_index_mode_byte_is_corrupt() {
+    fn legacy_embedded_index_section_is_skipped_and_the_index_rebuilt() {
         let store = sample_store();
-        let mut bytes = store.to_snapshot_bytes().unwrap();
-        // The mode byte is the last payload byte; patch it and re-checksum.
-        let last = bytes.len() - 1;
-        bytes[last] = 7;
-        let checksum = super::fnv1a(&bytes[28..]);
-        bytes[12..20].copy_from_slice(&checksum.to_le_bytes());
+        let current = store.to_snapshot_bytes().unwrap();
+        // The mode byte is the last payload byte. Flip it to 1 and append a
+        // posting section the way the former embedding writer laid it out:
+        // per device a list count, per list (ap, bucket count), per bucket
+        // (bucket, timestamp count, timestamps).
+        let mut payload = current[28..].to_vec();
+        *payload.last_mut().unwrap() = 1;
+        for device in store.devices() {
+            let lists = store.colocation_index().device(device.id).ap_lists();
+            payload.extend_from_slice(&(lists.len() as u32).to_le_bytes());
+            for list in lists {
+                payload.extend_from_slice(&list.ap().raw().to_le_bytes());
+                payload.extend_from_slice(&(list.num_buckets() as u32).to_le_bytes());
+                let span = store.segment_span();
+                let same_bucket = |a: &i64, b: &i64| a.div_euclid(span) == b.div_euclid(span);
+                for ts in list.timestamps().timestamps().chunk_by(same_bucket) {
+                    payload.extend_from_slice(&ts[0].div_euclid(span).to_le_bytes());
+                    payload.extend_from_slice(&(ts.len() as u32).to_le_bytes());
+                    ts.iter()
+                        .for_each(|t| payload.extend_from_slice(&t.to_le_bytes()));
+                }
+            }
+        }
+        assert!(payload.len() > current.len() - 28 + 8 * store.num_events());
+        let back = EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)).unwrap();
+        // `EventStore` equality covers the (rebuilt) index.
+        assert_eq!(back, store);
+        assert_eq!(back.to_snapshot_bytes().unwrap(), current);
+    }
+
+    #[test]
+    fn unknown_index_mode_byte_is_corrupt() {
+        // 2 is the first value no build ever wrote.
+        let current = sample_store().to_snapshot_bytes().unwrap();
+        let mut payload = current[28..].to_vec();
+        *payload.last_mut().unwrap() = 2;
         assert!(matches!(
-            EventStore::from_snapshot_bytes(&bytes),
+            EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)),
             Err(StoreError::Corrupt(_))
         ));
     }

@@ -4,7 +4,6 @@ use crate::colocation::{ColocationIndex, ColocationIndexStats, DevicePostings};
 use crate::compaction::{self, CompactionReport, TierStats};
 use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
 use crate::error::{IngestError, StoreError};
-use crate::ndjson::parse_ndjson_line;
 use crate::segment::{DeviceTimeline, EventsInRange, DEFAULT_SEGMENT_SPAN};
 use crate::stats::DatasetStatistics;
 use crate::timeline::{NearbyDevice, Timeline};
@@ -467,7 +466,7 @@ impl EventStore {
     }
 
     // ------------------------------------------------------------------
-    // Statistics / CSV / NDJSON
+    // Statistics / CSV
     // ------------------------------------------------------------------
 
     /// Computes dataset statistics (event counts, devices, span, events per day).
@@ -497,15 +496,9 @@ impl EventStore {
     /// line number.
     pub fn from_csv(space: Space, csv: &str) -> Result<Self, IngestError> {
         let mut store = Self::new(space);
-        store.ingest_lines(csv.lines(), csv_line_parser)?;
-        Ok(store)
-    }
-
-    /// Builds a store from an NDJSON document (one `{"mac", "t", "ap"}` object
-    /// per line; see [`crate::parse_ndjson`]).
-    pub fn from_ndjson(space: Space, ndjson: &str) -> Result<Self, IngestError> {
-        let mut store = Self::new(space);
-        store.ingest_lines(ndjson.lines(), parse_ndjson_line)?;
+        for (idx, line) in csv.lines().enumerate() {
+            store.ingest_parsed_line(line, idx + 1)?;
+        }
         Ok(store)
     }
 
@@ -513,51 +506,18 @@ impl EventStore {
     /// line at a time — a multi-gigabyte export never materializes). Returns
     /// the number of events ingested. Errors carry the 1-based line number.
     pub fn load_csv_reader(&mut self, reader: impl BufRead) -> Result<usize, StoreError> {
-        self.load_lines(reader, csv_line_parser)
-    }
-
-    /// Streams NDJSON events from a reader into the store in bounded memory.
-    /// Returns the number of events ingested. Errors carry the line number.
-    pub fn load_ndjson_reader(&mut self, reader: impl BufRead) -> Result<usize, StoreError> {
-        self.load_lines(reader, parse_ndjson_line)
-    }
-
-    fn load_lines(
-        &mut self,
-        reader: impl BufRead,
-        parse: impl Fn(&str, usize) -> Result<Option<RawEvent>, IngestError>,
-    ) -> Result<usize, StoreError> {
         let mut count = 0usize;
         for (idx, line) in reader.lines().enumerate() {
             let line = line?;
-            count += self.ingest_parsed_line(&line, idx + 1, &parse)? as usize;
-        }
-        Ok(count)
-    }
-
-    /// [`EventStore::load_lines`] over an in-memory line iterator, where I/O
-    /// cannot fail and every error is an [`IngestError`] with line context.
-    fn ingest_lines<'a>(
-        &mut self,
-        lines: impl Iterator<Item = &'a str>,
-        parse: impl Fn(&str, usize) -> Result<Option<RawEvent>, IngestError>,
-    ) -> Result<usize, IngestError> {
-        let mut count = 0usize;
-        for (idx, line) in lines.enumerate() {
-            count += self.ingest_parsed_line(line, idx + 1, &parse)? as usize;
+            count += self.ingest_parsed_line(&line, idx + 1)? as usize;
         }
         Ok(count)
     }
 
     /// Parses and ingests one input line, annotating semantic ingestion errors
     /// with the 1-based line number. Returns whether an event was ingested.
-    fn ingest_parsed_line(
-        &mut self,
-        line: &str,
-        line_no: usize,
-        parse: &impl Fn(&str, usize) -> Result<Option<RawEvent>, IngestError>,
-    ) -> Result<bool, IngestError> {
-        let Some(event) = parse(line, line_no)? else {
+    fn ingest_parsed_line(&mut self, line: &str, line_no: usize) -> Result<bool, IngestError> {
+        let Some(event) = csv_line_parser(line, line_no)? else {
             return Ok(false);
         };
         self.ingest_raw(&event.mac, event.t, &event.ap)
@@ -890,26 +850,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn ndjson_roundtrip_matches_csv_ingestion() {
-        let store = store_with_events();
-        let rows = crate::parse_csv(&store.to_csv()).unwrap();
-        let ndjson = crate::format_ndjson(&rows);
-        let back = EventStore::from_ndjson(space(), &ndjson).unwrap();
-        // Same events end up in the same segments (event ids differ because the
-        // CSV export re-sorts rows globally by time).
-        assert_eq!(back.num_events(), store.num_events());
-        assert_eq!(back.num_devices(), store.num_devices());
-        assert_eq!(back.num_segments(), store.num_segments());
-        let d1 = back.device_id("d1").unwrap();
-        let ts: Vec<Timestamp> = back.timeline_of(d1).iter().map(|e| e.t).collect();
-        assert_eq!(ts, vec![1_000, 1_200, 10_000]);
-        // Bad NDJSON reports its line.
-        let err = EventStore::from_ndjson(space(), "{\"mac\":\"d1\",\"t\":1,\"ap\":\"wap9\"}\n")
-            .unwrap_err();
-        assert_eq!(err.line(), Some(1));
     }
 
     #[test]

@@ -53,10 +53,9 @@
 //! * [`FsyncPolicy`] decides when appends reach the platters: `always` (one
 //!   `fdatasync` per append), `every=N` (amortized), `interval=MS`
 //!   (time-bounded loss window).
-//! * [`ShardWal::seal`] is the *delta snapshot* primitive: it fsyncs and
-//!   closes the active segment, so exactly the events since the last
-//!   checkpoint are durable regardless of policy — without rewriting the
-//!   (much larger) checkpoint snapshot.
+//! * Rotation ([`Durability::segment_max_bytes`]): an append that would
+//!   overflow the active segment first fsyncs and seals it, so every sealed
+//!   segment is durable and immutable regardless of policy.
 //! * A checkpoint (snapshot write + [`ShardWal::reset`]) trims the replayed
 //!   prefix: segment indices keep growing so a pre-checkpoint segment can
 //!   never be mistaken for a post-checkpoint one.
@@ -258,7 +257,7 @@ pub enum WalError {
     /// the on-disk tail is in an unknown state (a short write may have left
     /// torn bytes; a failed fsync may have dropped pages), so appending or
     /// re-syncing could silently bury acknowledged frames. Every subsequent
-    /// `append`/`sync`/`seal`/`reset` returns this; the only way out is to
+    /// `append`/`reset` returns this; the only way out is to
     /// reopen the log, which re-scans and truncates to the valid prefix.
     Poisoned {
         /// The poisoned shard.
@@ -857,7 +856,7 @@ impl ShardWal {
     /// failed `fdatasync` poisons the writer permanently: the kernel may have
     /// dropped the dirty pages, so a *retried* fsync that succeeds proves
     /// nothing about the frames the failed one covered.
-    pub fn sync(&mut self) -> Result<(), WalError> {
+    fn sync(&mut self) -> Result<(), WalError> {
         self.check_poisoned()?;
         if self.unsynced > 0 {
             if let Err(err) = self.io.sync_data(&self.file) {
@@ -869,11 +868,9 @@ impl ShardWal {
         Ok(())
     }
 
-    /// The *delta snapshot* primitive: syncs and seals the active segment and
-    /// opens the next one. Everything appended so far — exactly the events
-    /// since the last checkpoint not yet in a sealed segment — is now durable
-    /// and immutable, without rewriting the checkpoint snapshot.
-    pub fn seal(&mut self) -> Result<(), WalError> {
+    /// Rotation: syncs and seals the active segment and opens the next one.
+    /// Everything appended so far is now durable and immutable.
+    fn seal(&mut self) -> Result<(), WalError> {
         self.check_poisoned()?;
         if let Err(err) = self.io.sync_data(&self.file) {
             return Err(self.poison("seal fsync", WalError::Io(err)));

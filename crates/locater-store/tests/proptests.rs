@@ -373,7 +373,9 @@ proptest! {
 // Durability: WAL round-trips and replay idempotence
 // ---------------------------------------------------------------------------
 
-use locater_store::{recover_store, write_checkpoint, Durability, DurableEventStore, FsyncPolicy};
+use locater_store::{
+    recover_store, write_checkpoint, Durability, FsyncPolicy, ShardWal, WalRecord,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static WAL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -401,6 +403,25 @@ fn mac_of(dev: u8) -> String {
     format!("aa:00:00:00:00:{:02x}", dev + 1)
 }
 
+/// Validate → append → apply for one generated event, the order the sharded
+/// service's durable ingest keeps. Returns the id the frame carried.
+fn log_then_apply(store: &mut EventStore, wal: &mut ShardWal, (dev, t, ap): (u8, i64, u8)) -> u64 {
+    let ap_name = format!("wap{ap}");
+    let ap = store.validate_raw(t, &ap_name).unwrap().raw();
+    let (id, mac) = (store.next_event_id(), mac_of(dev));
+    let record = WalRecord {
+        id,
+        t,
+        ap,
+        mac,
+        request_id: None,
+    };
+    wal.append(&record).unwrap();
+    let applied = store.ingest_raw(&record.mac, t, &ap_name).unwrap();
+    assert_eq!(applied.0, id, "the store assigns the id the frame carries");
+    id
+}
+
 proptest! {
     /// Any trace — out-of-order *splice* ingests, cross-device timestamp
     /// ties, arbitrary AP churn — written through the WAL recovers
@@ -412,10 +433,10 @@ proptest! {
         let dir = wal_scratch();
         let mut expected = EventStore::new(space());
         {
-            let (mut durable, _) =
-                DurableEventStore::open(wal_config(&dir), EventStore::new(space())).unwrap();
+            let mut store = EventStore::new(space());
+            let (mut wal, _) = ShardWal::open(&wal_config(&dir), 0).unwrap();
             for (dev, t, ap) in &events {
-                let appended = durable.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
+                let appended = log_then_apply(&mut store, &mut wal, (*dev, *t, *ap));
                 let direct = expected.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
                 prop_assert_eq!(appended, direct.0, "ids advance in lockstep");
             }
@@ -446,18 +467,18 @@ proptest! {
         let cut = (cut_seed as usize) % (events.len() + 1);
         let mut expected = EventStore::new(space());
         {
-            let (mut durable, _) =
-                DurableEventStore::open(wal_config(&dir), EventStore::new(space())).unwrap();
+            let mut store = EventStore::new(space());
+            let (mut wal, _) = ShardWal::open(&wal_config(&dir), 0).unwrap();
             for (i, (dev, t, ap)) in events.iter().enumerate() {
                 if i == cut {
                     // Checkpoint the prefix but leave every frame in place.
-                    write_checkpoint(&dir, durable.store()).unwrap();
+                    write_checkpoint(&dir, &store).unwrap();
                 }
-                durable.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
+                log_then_apply(&mut store, &mut wal, (*dev, *t, *ap));
                 expected.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
             }
             if cut == events.len() {
-                write_checkpoint(&dir, durable.store()).unwrap();
+                write_checkpoint(&dir, &store).unwrap();
             }
         }
         let (recovered, report) = recover_store(&dir, EventStore::new(space())).unwrap();

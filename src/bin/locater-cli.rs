@@ -15,7 +15,7 @@
 //! locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]
 //! locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>
 //! locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]
-//! locater-cli snapshot save <space.json> <events.csv> <out.snap> [--embed-index]
+//! locater-cli snapshot save <space.json> <events.csv> <out.snap>
 //! locater-cli snapshot load <store.snap>
 //! locater-cli wal inspect  <wal-dir>
 //! locater-cli wal truncate <wal-dir>
@@ -89,8 +89,7 @@ use locater::server::{
 };
 use locater::space::SpaceMetadata;
 use locater::store::{
-    inspect_wal, truncate_wal, Durability, FsyncPolicy, RecoveryReport, SnapshotIndexMode,
-    WalInspection,
+    inspect_wal, truncate_wal, Durability, FsyncPolicy, RecoveryReport, WalInspection,
 };
 use std::fmt::Write as _;
 use std::io::{BufRead, Write as _};
@@ -150,7 +149,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N|interval=MS] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap> [--embed-index]\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
+    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N|interval=MS] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
 }
 
 /// Parses arguments and runs one command, returning the text to print.
@@ -752,28 +751,16 @@ fn snapshot(args: &[String]) -> Result<String, CliError> {
             let space_path = args.get(2).ok_or("missing space.json")?;
             let events_path = args.get(3).ok_or("missing events.csv")?;
             let out_path = args.get(4).ok_or("missing output snapshot path")?;
-            // `--embed-index` persists the co-location posting lists so a cold
-            // start skips the index rebuild (larger file); the default
-            // rebuilds the index on load.
-            let mode = if args.iter().any(|a| a == "--embed-index") {
-                SnapshotIndexMode::Embedded
-            } else {
-                SnapshotIndexMode::Rebuild
-            };
             let store = load_store(space_path, events_path)?;
             store
-                .save_snapshot_with(out_path, mode)
+                .save_snapshot(out_path)
                 .map_err(|e| format!("cannot write {out_path}: {e}"))?;
             let size = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
             Ok(format!(
-                "saved {out_path}: {} events, {} devices, {} segments ({size} bytes, index {})\n",
+                "saved {out_path}: {} events, {} devices, {} segments ({size} bytes)\n",
                 store.num_events(),
                 store.num_devices(),
                 store.num_segments(),
-                match mode {
-                    SnapshotIndexMode::Embedded => "embedded",
-                    SnapshotIndexMode::Rebuild => "rebuilt on load",
-                }
             ))
         }
         "load" => {
@@ -1114,33 +1101,13 @@ mod tests {
         .expect("snapshot save succeeds");
         assert!(saved.contains("saved"));
         assert!(saved.contains("segments"));
+        assert!(!saved.contains("index"), "one index mode, not worth naming");
 
         let loaded =
             run(&["snapshot".into(), "load".into(), snap.clone()]).expect("snapshot load succeeds");
         assert!(loaded.contains("events"));
         assert!(loaded.contains("segments:"));
         assert!(loaded.contains("co-location index:"));
-
-        // `--embed-index` persists the posting lists: bigger file, identical
-        // store on load.
-        let embedded_snap = format!("{prefix}.embedded.snap");
-        let saved_embedded = run(&[
-            "snapshot".into(),
-            "save".into(),
-            format!("{prefix}.space.json"),
-            events.clone(),
-            embedded_snap.clone(),
-            "--embed-index".into(),
-        ])
-        .expect("embedded snapshot save succeeds");
-        assert!(saved_embedded.contains("index embedded"));
-        let plain = std::fs::metadata(&snap).unwrap().len();
-        let embedded = std::fs::metadata(&embedded_snap).unwrap().len();
-        assert!(embedded > plain, "embedded index must grow the snapshot");
-        assert_eq!(
-            EventStore::load_snapshot(&embedded_snap).unwrap(),
-            EventStore::load_snapshot(&snap).unwrap(),
-        );
 
         // Serving straight from the snapshot answers queries without the CSV.
         let csv = std::fs::read_to_string(&events).unwrap();

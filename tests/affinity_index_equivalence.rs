@@ -13,7 +13,7 @@
 
 use locater::core::fine::{AffinityEngine, FineConfig, FineLocalizer, FineMode};
 use locater::prelude::*;
-use locater::store::{ScanRead, ShardedRead, SnapshotIndexMode};
+use locater::store::{ScanRead, ShardedRead};
 use locater_store::EventRead;
 
 fn space() -> Space {
@@ -225,13 +225,14 @@ fn equivalence_survives_split_and_rejoin() {
 
 #[test]
 fn equivalence_survives_snapshot_roundtrips_in_both_modes() {
+    // The writer has one mode (the index is rebuilt on load); the legacy
+    // embedded section the reader still accepts is unit-tested in
+    // `locater-store`'s snapshot module.
     let (store, anchors) = random_store(7_777, 220);
-    for mode in [SnapshotIndexMode::Rebuild, SnapshotIndexMode::Embedded] {
-        let bytes = store.to_snapshot_bytes_with(mode).unwrap();
-        let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(back, store, "round-trip through {mode:?} must be identical");
-        assert_engine_equivalence(&back, &format!("snapshot {mode:?}"), &anchors);
-    }
+    let bytes = store.to_snapshot_bytes().unwrap();
+    let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
+    assert_eq!(back, store, "the round-trip must be identical");
+    assert_engine_equivalence(&back, "snapshot", &anchors);
 }
 
 #[test]

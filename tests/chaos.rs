@@ -25,7 +25,7 @@
 use locater::events::Interval;
 use locater::prelude::*;
 use locater::proto::{decode_response, encode_request};
-use locater::server::{ServerState, CHAOS_PANIC_MAC};
+use locater::server::ServerState;
 use locater::store::{Durability, FaultIo, FaultPlan, FsyncPolicy, RealIo, StorageIo};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -453,9 +453,15 @@ fn combined_fault_schedules_hold_every_invariant() {
 /// holds the exactly-once invariant.
 #[test]
 fn a_panicking_request_mid_storm_does_not_wedge_the_durable_server() {
+    const PANIC_MAC: &str = "chaos:panic";
+    fn panic_hook(mac: &str) {
+        if mac == PANIC_MAC {
+            panic!("injected chaos panic (mac {PANIC_MAC})");
+        }
+    }
     let dir = scratch("panic");
     let service = boot(&dir, Arc::new(RealIo)).expect("boot");
-    let state = Arc::new(ServerState::new(service, None));
+    let state = Arc::new(ServerState::new(service, None).with_ingest_hook(panic_hook));
     let server = Server::bind(state, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
 
@@ -476,7 +482,7 @@ fn a_panicking_request_mid_storm_does_not_wedge_the_durable_server() {
     // The panic injection hook: retryable `internal` errors until retries
     // run out, never a hang, never a dead server.
     let storm_error = client.request(&WireRequest::Ingest {
-        mac: CHAOS_PANIC_MAC.into(),
+        mac: PANIC_MAC.into(),
         t: 1_060,
         ap: "wap0".into(),
         request_id: None,

@@ -171,6 +171,63 @@ fn kill_and_recover_is_byte_identical_to_the_uncrashed_prefix() {
 }
 
 #[test]
+fn rejected_ingests_reach_neither_the_log_nor_the_store() {
+    // Validation precedes the id draw and the append, so the store and the
+    // log cannot diverge: every rejection leaves both exactly as they were.
+    for shards in [1usize, 3] {
+        let dir = scratch("rejected");
+        let (service, _) = ShardedLocaterService::with_durability(
+            EventStore::new(space()),
+            LocaterConfig::default(),
+            shards,
+            durability(&dir),
+        )
+        .expect("durable boot");
+        let accepted = trace(0xBAD, 12);
+        let rejected = [
+            (MACS[0], 9_000, "no-such-ap"),
+            (MACS[0], -5, "wap0"),
+            ("not:a:mac", 9_000, "wap0"),
+        ];
+        for (i, (mac, t, ap)) in accepted.iter().enumerate() {
+            service.ingest(mac, *t, ap).expect("durable ingest");
+            let device = service.device_id(MACS[0]);
+            let gauges = || {
+                (
+                    service.wal_status().expect("durable").frames,
+                    service.num_events(),
+                    device.map(|d| service.device_epoch(d)),
+                )
+            };
+            let before = gauges();
+            let (mac, t, ap) = rejected[i % rejected.len()];
+            service
+                .ingest(mac, t, ap)
+                .expect_err("invalid event must be rejected");
+            assert_eq!(gauges(), before, "{mac} {t} {ap} (shards={shards})");
+            assert_eq!(service.device_id("not:a:mac"), None, "nothing interned");
+        }
+        assert_eq!(service.wal_status().unwrap().frames, accepted.len() as u64);
+        drop(service); // crash
+
+        let (rebooted, report) = ShardedLocaterService::with_durability(
+            EventStore::new(space()),
+            LocaterConfig::default(),
+            shards,
+            durability(&dir),
+        )
+        .expect("reboot");
+        assert_eq!(report.replayed, accepted.len() as u64);
+        assert_eq!(
+            rebooted.store_snapshot().to_snapshot_bytes().unwrap(),
+            reference_bytes(shards, &accepted),
+            "exactly the accepted ingests replay (shards={shards})"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn recovery_survives_a_reboot_of_a_reboot() {
     // Crash, recover, ingest more, crash again, recover again: the second
     // recovery sees the first recovery's checkpoint plus the new tail.
