@@ -44,6 +44,12 @@ impl GapFeatures {
         events: impl IntoIterator<Item = &'a StoredEvent>,
         history: Interval,
     ) -> Self {
+        Self::with_density(gap, connection_density(gap, events, history))
+    }
+
+    /// The features of `gap` given its connection density, however computed
+    /// ([`connection_density`] for one gap, [`connection_densities`] for many).
+    pub fn with_density(gap: &Gap, density: f64) -> Self {
         Self {
             start_time_of_day: clock::seconds_of_day(gap.start) as f64,
             end_time_of_day: clock::seconds_of_day(gap.end) as f64,
@@ -52,7 +58,7 @@ impl GapFeatures {
             end_day: gap.end_day().index() as f64,
             start_region: gap.start_region().raw() as f64,
             end_region: gap.end_region().raw() as f64,
-            density: connection_density(gap, events, history),
+            density,
         }
     }
 
@@ -79,7 +85,7 @@ pub fn connection_density<'a>(
     events: impl IntoIterator<Item = &'a StoredEvent>,
     history: Interval,
 ) -> f64 {
-    let days = ((history.duration() + clock::SECONDS_PER_DAY - 1) / clock::SECONDS_PER_DAY).max(1);
+    let days = days_of(history);
     let window_start = clock::seconds_of_day(gap.start);
     let window_end = clock::seconds_of_day(gap.end);
     let count = events
@@ -95,6 +101,29 @@ pub fn connection_density<'a>(
         })
         .count();
     count as f64 / days as f64
+}
+
+/// Length of the history period in (started) days, at least one.
+fn days_of(history: Interval) -> i64 {
+    ((history.duration() + clock::SECONDS_PER_DAY - 1) / clock::SECONDS_PER_DAY).max(1)
+}
+
+/// [`connection_density`] of every gap in `gaps`: the events' seconds of day are
+/// sorted once, and each gap then costs two binary searches instead of a scan.
+pub fn connection_densities(gaps: &[Gap], events: &[StoredEvent], history: Interval) -> Vec<f64> {
+    let mut sod: Vec<_> = events.iter().map(|e| clock::seconds_of_day(e.t)).collect();
+    sod.sort_unstable();
+    let days = days_of(history) as f64;
+    let density = |gap: &Gap| {
+        let start = clock::seconds_of_day(gap.start);
+        let end = clock::seconds_of_day(gap.end);
+        // A window wrapping past midnight holds all but the stretch in between.
+        let wrapped = if start <= end { 0 } else { sod.len() };
+        let in_window =
+            wrapped + sod.partition_point(|&s| s <= end) - sod.partition_point(|&s| s < start);
+        in_window as f64 / days
+    };
+    gaps.iter().map(density).collect()
 }
 
 #[cfg(test)]

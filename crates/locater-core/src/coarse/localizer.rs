@@ -12,14 +12,15 @@
 //!    region) are grown from the bootstrapped labels with the self-training loop of
 //!    Algorithm 1 and applied to the query gap.
 //!
-//! Training the per-device models is the expensive part, so the localizer exposes
-//! [`CoarseLocalizer::train_device_model`] separately from
-//! [`CoarseLocalizer::classify_with_model`]; the service
-//! ([`crate::system::ShardedLocaterService`]) caches one [`DeviceCoarseModel`]
-//! per device and retrains lazily.
+//! Fitting the per-device classifiers is the expensive part, and only step 3
+//! reads them: a [`DeviceCoarseModel`] is a `(device, history window)` pair whose
+//! classifiers are fitted the first time [`CoarseLocalizer::classify_with_model`]
+//! meets a gap the duration thresholds cannot decide. The service
+//! ([`crate::system::ShardedLocaterService`]) caches one model per device;
+//! [`CoarseLocalizer::train_device_model`] is the eager form.
 
-use crate::coarse::bootstrap::{bootstrap_labels, BootstrapLabel, BootstrapSummary};
-use crate::coarse::features::GapFeatures;
+use crate::coarse::bootstrap::{bootstrap_labels, BootstrapLabel};
+use crate::coarse::features::{connection_densities, GapFeatures};
 use crate::error::LocaterError;
 use locater_events::clock::{self, Timestamp};
 use locater_events::{DeviceId, Gap, Interval, StoredEvent};
@@ -27,6 +28,7 @@ use locater_learn::{Dataset, SelfTrainingClassifier, SelfTrainingConfig, TrainCo
 use locater_space::RegionId;
 use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Number of features of the gap feature vector (re-exported for dataset sizing).
 use crate::coarse::features::NUM_GAP_FEATURES;
@@ -144,24 +146,34 @@ impl CoarseOutcome {
     }
 }
 
-/// Per-device trained models: the inside/outside classifier and the region classifier
-/// with its class → region mapping, plus bookkeeping about the training data.
-#[derive(Debug, Clone)]
+/// The per-device model: a history window of one device and, once a gap needed
+/// it, what was fitted on the device's events in that window — a pure function
+/// of those events (`docs/ARCHITECTURE.md`, *The coarse-model cache contract*).
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceCoarseModel {
     /// Device the model belongs to.
     pub device: DeviceId,
-    /// History window the model was trained on.
+    /// History window the model is (to be) fitted on.
     pub history: Interval,
+    fitted: OnceLock<FittedModel>,
+}
+
+impl DeviceCoarseModel {
+    /// `true` once the classifiers have been fitted.
+    pub fn is_fitted(&self) -> bool {
+        self.fitted.get().is_some()
+    }
+}
+
+/// What only ambiguous gaps (and the region fallback of short ones) read.
+#[derive(Debug, Clone, PartialEq)]
+struct FittedModel {
     /// Inside/outside classifier (class 0 = inside, 1 = outside), if trainable.
     building: Option<SelfTrainingClassifier>,
     /// Region classifier and its class-index → region mapping, if trainable.
     region: Option<(SelfTrainingClassifier, Vec<RegionId>)>,
-    /// Bootstrapping counters for the training window.
-    pub bootstrap: BootstrapSummary,
-    /// Number of gaps used for training.
-    pub training_gaps: usize,
-    /// The most frequently seen region in the training history (fallback label).
-    pub dominant_region: Option<RegionId>,
+    /// The most frequently seen region in the history window (fallback label).
+    dominant_region: Option<RegionId>,
 }
 
 /// The coarse-grained localizer.
@@ -216,10 +228,23 @@ impl CoarseLocalizer {
         Ok(self.classify_with_model(store, &model, &gap))
     }
 
-    /// Trains the per-device classifiers over the `history` window ending at `until`.
-    ///
-    /// Training reads only the segments of the device timeline that overlap the
-    /// history window: both the event scan and the gap scan are segment-pruned,
+    /// The model of `device` for the `history` window ending at `until`, with
+    /// nothing read or fitted yet.
+    pub(crate) fn prepare_device_model(
+        &self,
+        device: DeviceId,
+        until: Timestamp,
+    ) -> DeviceCoarseModel {
+        let history = Interval::new(until - self.config.history, until);
+        DeviceCoarseModel {
+            device,
+            history,
+            fitted: OnceLock::new(),
+        }
+    }
+
+    /// Trains the per-device classifiers over the `history` window ending at
+    /// `until`, eagerly. Both the event scan and the gap scan are segment-pruned,
     /// so a device with years of history costs the same as one with exactly
     /// `history` worth of data.
     pub fn train_device_model(
@@ -228,16 +253,53 @@ impl CoarseLocalizer {
         device: DeviceId,
         until: Timestamp,
     ) -> DeviceCoarseModel {
-        let history = Interval::new(until - self.config.history, until);
+        let model = self.prepare_device_model(device, until);
+        self.fitted(store, &model);
+        model
+    }
+
+    /// Fits `model` now if it is still unfitted and the fit reads an event an
+    /// eviction of everything before `below` would take; returns whether it did.
+    /// The oldest event a fit reads is the last one at or before
+    /// `history.start + δ` (it opens the first gap that can overlap the window),
+    /// or else the device's first.
+    pub(crate) fn fit_before_eviction(
+        &self,
+        store: &dyn EventRead,
+        model: &DeviceCoarseModel,
+        below: Timestamp,
+    ) -> bool {
+        let timeline = store.timeline_of(model.device);
+        let reach = model
+            .history
+            .start
+            .saturating_add(store.delta(model.device));
+        let oldest = timeline.get(timeline.partition_le(reach).saturating_sub(1));
+        let fit = !model.is_fitted() && oldest.is_some_and(|event| event.t < below);
+        if fit {
+            self.fitted(store, model);
+        }
+        fit
+    }
+
+    /// The fitted part of `model`, fitted on first use: concurrent callers
+    /// block on one fit and share its result.
+    fn fitted<'m>(&self, store: &dyn EventRead, model: &'m DeviceCoarseModel) -> &'m FittedModel {
+        model
+            .fitted
+            .get_or_init(|| self.fit(store, model.device, model.history))
+    }
+
+    fn fit(&self, store: &dyn EventRead, device: DeviceId, history: Interval) -> FittedModel {
         // One segment-pruned materialization of the window, shared by the
-        // bootstrap heuristics and every per-gap feature extraction below.
+        // bootstrap heuristics and the gap densities below.
         let events: Vec<StoredEvent> = store.events_of_in(device, history).copied().collect();
         let mut gaps: Vec<Gap> = store.gaps_of_in(device, history);
         if gaps.len() > self.config.max_training_gaps {
             let skip = gaps.len() - self.config.max_training_gaps;
             gaps.drain(..skip);
         }
-        let (labels, bootstrap) = bootstrap_labels(
+        let (labels, _) = bootstrap_labels(
             &gaps,
             &events,
             self.config.tau_low,
@@ -245,78 +307,63 @@ impl CoarseLocalizer {
             self.config.region_tau_low,
             self.config.region_tau_high,
         );
+        let densities = connection_densities(&gaps, &events, history);
 
-        // Dominant region over the history window (fallback region label).
-        let dominant_region = dominant_region(&events);
-
-        // ---- Building-level classifier: class 0 = inside, 1 = outside. ----
+        // One feature row per gap, routed to the building-level data set
+        // (class 0 = inside, 1 = outside) and, for gaps labelled inside, to the
+        // region-level one.
         let mut building_labeled = Dataset::new(NUM_GAP_FEATURES, 2);
         let mut building_unlabeled: Vec<Vec<f64>> = Vec::new();
-        for (gap, label) in gaps.iter().zip(&labels) {
-            let features = GapFeatures::extract(gap, &events, history).to_vec();
-            match label {
-                BootstrapLabel::Inside(_) => building_labeled.push(features, 0),
-                BootstrapLabel::Outside => building_labeled.push(features, 1),
-                BootstrapLabel::Unlabeled => building_unlabeled.push(features),
-            }
-        }
-        let building = if building_labeled.has_multiple_classes() {
-            SelfTrainingClassifier::train(
-                &building_labeled,
-                &building_unlabeled,
-                &self.config.self_training,
-            )
-            .ok()
-        } else {
-            None
-        };
-
-        // ---- Region-level classifier over the gaps labelled inside. ----
         let mut region_classes: Vec<RegionId> = Vec::new();
         let mut region_rows: Vec<(Vec<f64>, usize)> = Vec::new();
         let mut region_unlabeled: Vec<Vec<f64>> = Vec::new();
-        for (gap, label) in gaps.iter().zip(&labels) {
+        for ((gap, label), density) in gaps.iter().zip(&labels).zip(densities) {
+            let features = GapFeatures::with_density(gap, density).to_vec();
             match label {
-                BootstrapLabel::Inside(Some(region)) => {
-                    let class = match region_classes.iter().position(|r| r == region) {
-                        Some(idx) => idx,
-                        None => {
-                            region_classes.push(*region);
-                            region_classes.len() - 1
+                BootstrapLabel::Unlabeled => building_unlabeled.push(features),
+                BootstrapLabel::Outside => building_labeled.push(features, 1),
+                BootstrapLabel::Inside(region) => {
+                    building_labeled.push_row(&features, 0);
+                    match region {
+                        Some(region) => {
+                            let known = region_classes.iter().position(|r| r == region);
+                            let class = known.unwrap_or_else(|| {
+                                region_classes.push(*region);
+                                region_classes.len() - 1
+                            });
+                            region_rows.push((features, class));
                         }
-                    };
-                    region_rows.push((GapFeatures::extract(gap, &events, history).to_vec(), class));
+                        None => region_unlabeled.push(features),
+                    }
                 }
-                BootstrapLabel::Inside(None) => {
-                    region_unlabeled.push(GapFeatures::extract(gap, &events, history).to_vec());
-                }
-                _ => {}
             }
         }
+        let train = |labeled: &Dataset, unlabeled: &[Vec<f64>]| {
+            SelfTrainingClassifier::train(labeled, unlabeled, &self.config.self_training).ok()
+        };
+        let building = building_labeled
+            .has_multiple_classes()
+            .then(|| train(&building_labeled, &building_unlabeled))
+            .flatten();
         let region = if region_classes.len() >= 2 {
             let mut labeled = Dataset::new(NUM_GAP_FEATURES, region_classes.len());
             for (row, class) in region_rows {
                 labeled.push(row, class);
             }
-            SelfTrainingClassifier::train(&labeled, &region_unlabeled, &self.config.self_training)
-                .ok()
-                .map(|clf| (clf, region_classes.clone()))
+            train(&labeled, &region_unlabeled).map(|clf| (clf, region_classes))
         } else {
             None
         };
-
-        DeviceCoarseModel {
-            device,
-            history,
+        FittedModel {
             building,
             region,
-            bootstrap,
-            training_gaps: gaps.len(),
-            dominant_region,
+            dominant_region: dominant_region(&events),
         }
     }
 
-    /// Classifies the query gap with an already-trained device model.
+    /// Classifies the query gap with a device model, fitting the model's
+    /// classifiers first if this is the first gap to need them. A gap the
+    /// duration thresholds decide reads no event of the history window.
     pub fn classify_with_model(
         &self,
         store: &dyn EventRead,
@@ -352,7 +399,8 @@ impl CoarseLocalizer {
             model.history,
         )
         .to_vec();
-        match &model.building {
+        let fitted = self.fitted(store, model);
+        match &fitted.building {
             Some(classifier) => {
                 let prediction = classifier.model().predict(&features);
                 if prediction.label == 1 {
@@ -364,7 +412,7 @@ impl CoarseLocalizer {
                     };
                 }
                 // Inside: pick the region.
-                let (region, region_confidence) = match &model.region {
+                let (region, region_confidence) = match &fitted.region {
                     Some((clf, classes)) => {
                         let p = clf.model().predict(&features);
                         (classes[p.label], p.confidence())
@@ -413,7 +461,7 @@ impl CoarseLocalizer {
             gap,
             store.events_of_in(model.device, model.history),
         )
-        .or(model.dominant_region)
+        .or_else(|| self.fitted(store, model).dominant_region)
         .unwrap_or_else(|| gap.start_region())
     }
 }
@@ -538,7 +586,7 @@ mod tests {
         let localizer = CoarseLocalizer::default();
         let t_q = at(39, 12, 30, 0);
         let model = localizer.train_device_model(&store, device, t_q);
-        assert!(model.training_gaps > 0);
+        assert!(model.is_fitted());
         let gap = store.gap_at(device, t_q).unwrap();
         let from_model = localizer.classify_with_model(&store, &model, &gap);
         let from_pipeline = localizer.localize(&store, device, t_q).unwrap();
@@ -572,9 +620,36 @@ mod tests {
         assert_eq!(out.method, CoarseMethod::BootstrapHeuristic);
     }
 
+    /// A weekday pattern with all three bootstrap labels: three 5-minute gaps
+    /// in the morning (inside), a 2h25 one to the 13:00 event (unlabeled) and
+    /// the night (outside) — so the building classifier is trainable.
+    fn gappy_store(weeks: i64) -> EventStore {
+        gappy_store_on(0..weeks * 7)
+    }
+
+    /// [`gappy_store`] over the weekdays among `days`.
+    fn gappy_store_on(days: impl Iterator<Item = i64>) -> EventStore {
+        let mut store = EventStore::new(space()).with_segment_span(clock::days(1));
+        for day in days.filter(|day| day % 7 < 5) {
+            for (hour, minute) in [(9, 0), (9, 25), (9, 50), (10, 15), (13, 0)] {
+                store
+                    .ingest_raw("worker", at(day, hour, minute, 0), "wap0")
+                    .unwrap();
+            }
+        }
+        store
+    }
+
+    /// Number of gaps the model's building classifier was grown from.
+    fn training_gaps(model: &DeviceCoarseModel) -> usize {
+        let fitted = model.fitted.get().expect("fitted");
+        let building = fitted.building.as_ref().expect("two classes");
+        building.report().initially_labeled + building.assigned_labels().len()
+    }
+
     #[test]
     fn bigger_history_window_sees_more_gaps() {
-        let store = predictable_store(8);
+        let store = gappy_store(8);
         let device = store.device_id("worker").unwrap();
         let short = CoarseLocalizer::new(CoarseConfig {
             history: clock::weeks(1),
@@ -587,18 +662,138 @@ mod tests {
         let t_q = at(55, 12, 0, 0);
         let short_model = short.train_device_model(&store, device, t_q);
         let long_model = long.train_device_model(&store, device, t_q);
-        assert!(long_model.training_gaps > short_model.training_gaps);
+        assert!(training_gaps(&long_model) > training_gaps(&short_model));
     }
 
     #[test]
     fn max_training_gaps_caps_the_dataset() {
-        let store = predictable_store(8);
+        let store = gappy_store(8);
         let device = store.device_id("worker").unwrap();
         let capped = CoarseLocalizer::new(CoarseConfig {
             max_training_gaps: 10,
             ..CoarseConfig::default()
         });
         let model = capped.train_device_model(&store, device, at(55, 12, 0, 0));
-        assert!(model.training_gaps <= 10);
+        assert_eq!(training_gaps(&model), 10);
+    }
+
+    /// A store view that counts the gap scans of model fits (`fit` is the only
+    /// caller of `gaps_of_in` on the classify path).
+    struct CountingRead<'a> {
+        inner: &'a EventStore,
+        fits: std::sync::atomic::AtomicUsize,
+    }
+
+    impl EventRead for CountingRead<'_> {
+        fn space(&self) -> &std::sync::Arc<Space> {
+            self.inner.space()
+        }
+        fn devices(&self) -> &[locater_events::Device] {
+            self.inner.devices()
+        }
+        fn device_id(&self, mac: &str) -> Option<DeviceId> {
+            self.inner.device_id(mac)
+        }
+        fn num_events(&self) -> usize {
+            self.inner.num_events()
+        }
+        fn max_delta(&self) -> Timestamp {
+            self.inner.max_delta()
+        }
+        fn timeline_of(&self, device: DeviceId) -> &locater_store::DeviceTimeline {
+            self.inner.timeline_of(device)
+        }
+        fn devices_near(
+            &self,
+            t: Timestamp,
+            slack: Timestamp,
+            exclude: Option<DeviceId>,
+        ) -> Vec<locater_store::NearbyDevice> {
+            self.inner.devices_near(t, slack, exclude)
+        }
+        fn gaps_of_in(&self, device: DeviceId, window: Interval) -> Vec<Gap> {
+            self.fits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.gaps_of_in(device, window)
+        }
+    }
+
+    #[test]
+    fn decisive_gaps_fit_nothing_and_racing_ambiguous_ones_fit_once() {
+        let store = gappy_store(6);
+        let view = CountingRead {
+            inner: &store,
+            fits: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let device = store.device_id("worker").unwrap();
+        let localizer = CoarseLocalizer::default();
+        let model = localizer.prepare_device_model(device, at(39, 23, 0, 0));
+        let fits = || view.fits.load(std::sync::atomic::Ordering::SeqCst);
+
+        // The night (≥ τ_h) and a 5-minute same-region gap (≤ τ_l) are decided
+        // by duration alone.
+        let night = store.gap_at(device, at(38, 3, 0, 0)).unwrap();
+        let short = store.gap_at(device, at(38, 9, 12, 0)).unwrap();
+        for gap in [&night, &short] {
+            let out = localizer.classify_with_model(&view, &model, gap);
+            assert_eq!(out.method, CoarseMethod::BootstrapHeuristic);
+        }
+        assert!(!model.is_fitted());
+        assert_eq!(fits(), 0);
+
+        // Two threads released together onto the same ambiguous gap.
+        let ambiguous = store.gap_at(device, at(38, 11, 30, 0)).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let classify = || {
+            barrier.wait();
+            localizer.classify_with_model(&view, &model, &ambiguous)
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(classify);
+            (classify(), other.join().unwrap())
+        });
+        assert_eq!(a.method, CoarseMethod::Classifier);
+        assert_eq!(a, b);
+        assert!(model.is_fitted());
+        assert_eq!(fits(), 1);
+        // And what they fitted is what an eager caller gets.
+        assert_eq!(
+            model,
+            localizer.train_device_model(&store, device, at(39, 23, 0, 0))
+        );
+    }
+
+    #[test]
+    fn fit_before_eviction_fits_exactly_the_models_an_eviction_would_change() {
+        // Weeks 0–1 and 4–5 present, weeks 2–3 absent: the absence is a gap
+        // that overlaps a window starting inside it, opened by an event (the
+        // Friday 13:00 of week 1) well before that window.
+        let mut store = gappy_store_on((0..14).chain(28..42));
+        let device = store.device_id("worker").unwrap();
+        let localizer = CoarseLocalizer::new(CoarseConfig {
+            history: clock::weeks(3),
+            ..CoarseConfig::default()
+        });
+        let until = at(40, 12, 0, 0); // window starts on day 19, mid-absence
+        let opener = at(11, 13, 0, 0);
+        let eager = localizer.train_device_model(&store, device, until);
+
+        // Evicting strictly below the opener takes nothing the fit reads …
+        let model = localizer.prepare_device_model(device, until);
+        assert!(!localizer.fit_before_eviction(&store, &model, opener));
+        let mut kept = store.clone();
+        assert!(kept.compact(opener).evicted_events > 0);
+        assert_eq!(localizer.train_device_model(&kept, device, until), eager);
+
+        // … evicting the opener does, although the window starts above the cut.
+        let cut = at(12, 0, 0, 0);
+        assert!(model.history.start > cut);
+        assert!(localizer.fit_before_eviction(&store, &model, cut));
+        assert!(
+            !localizer.fit_before_eviction(&store, &model, cut),
+            "already fitted"
+        );
+        store.compact(cut);
+        assert_ne!(localizer.train_device_model(&store, device, until), eager);
+        assert_eq!(model, eager, "fitted before the eviction");
     }
 }

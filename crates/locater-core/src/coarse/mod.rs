@@ -20,7 +20,7 @@ mod localizer;
 pub use bootstrap::{
     bootstrap_label, bootstrap_labels, most_visited_region, BootstrapLabel, BootstrapSummary,
 };
-pub use features::{connection_density, GapFeatures, NUM_GAP_FEATURES};
+pub use features::{connection_densities, connection_density, GapFeatures, NUM_GAP_FEATURES};
 pub use localizer::{
     CoarseConfig, CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel,
 };

@@ -13,7 +13,9 @@
 //! 2. queries are grouped **by device** — a device's queries are processed by
 //!    one worker in query order, so its lazily trained coarse model evolves
 //!    exactly as in the sequential path (worker-local model maps are seeded
-//!    from the live model cache, which is also per-device);
+//!    from the live model cache, which is also per-device; a seed is the
+//!    live entry's `Arc`, so classifiers a worker fits on it are fitted for
+//!    the live cache too);
 //! 3. the worker-local affinity contributions are handed back in ascending
 //!    query order (`BatchOutcome::contributions`) and the caller applies
 //!    them to the live cache(s) only after all workers join.

@@ -22,7 +22,7 @@ use locater_events::DeviceId;
 use locater_space::RegionId;
 use locater_store::EventRead;
 use std::collections::HashMap;
-use std::sync::{LockResult, PoisonError, RwLock};
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Takes a lock whether or not a previous holder panicked. Every mutation
@@ -43,7 +43,7 @@ pub(crate) type ModelCache = RwLock<HashMap<DeviceId, ModelEntry>>;
 #[derive(Debug)]
 pub(crate) struct Engine {
     pub(crate) config: LocaterConfig,
-    coarse: CoarseLocalizer,
+    pub(crate) coarse: CoarseLocalizer,
     fine: FineLocalizer,
 }
 
@@ -158,11 +158,12 @@ impl Engine {
     /// Runs the coarse step, reusing the cached per-device model when it is
     /// still epoch-live and covers the query time. Returns the outcome and
     /// whether a cached model was reused; an outcome that carries a gap and
-    /// did not reuse a model trained (and cached) one.
+    /// did not reuse a model cached a new one (a window — its classifiers are
+    /// fitted by the first gap the duration thresholds leave undecided).
     ///
-    /// Lock discipline is read-mostly: the reuse check and classification take
-    /// the read lock, and expensive model training happens outside any lock,
-    /// so concurrent callers with warm models never serialize.
+    /// The map lock is held only to look an entry up or to insert one;
+    /// classification, and with it any fit, runs on the `Arc` taken out of
+    /// the map, and racing callers of one entry share one fit.
     fn coarse_outcome(
         &self,
         store: &dyn EventRead,
@@ -188,18 +189,17 @@ impl Engine {
             );
         };
         let epoch = epochs.epoch_of(device);
-        if let Some(entry) = relock(models.read()).get(&device) {
-            if entry.epoch == epoch && Self::model_covers(&entry.model, t_q) {
-                return (
-                    self.coarse.classify_with_model(store, &entry.model, &gap),
-                    true,
-                );
-            }
+        let cached = relock(models.read())
+            .get(&device)
+            .filter(|entry| entry.epoch == epoch && Self::model_covers(&entry.model, t_q))
+            .map(|entry| Arc::clone(&entry.model));
+        if let Some(model) = cached {
+            return (self.coarse.classify_with_model(store, &model, &gap), true);
         }
-        // Classify with the model just trained — never a re-read of the shared
+        // Classify with the model just made — never a re-read of the shared
         // map, which a concurrent query for the same device at a different
         // time could have overwritten with a model that does not cover `t_q`.
-        let model = self.coarse.train_device_model(store, device, t_q);
+        let model = Arc::new(self.coarse.prepare_device_model(device, t_q));
         let outcome = self.coarse.classify_with_model(store, &model, &gap);
         relock(models.write()).insert(device, ModelEntry { model, epoch });
         (outcome, false)

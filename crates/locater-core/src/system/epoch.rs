@@ -10,9 +10,9 @@
 //! Every ingested event bumps the counter of the device it belongs to; cached
 //! state is stamped with the epochs of the devices it was derived from:
 //!
-//! * a coarse model for device `d` is stamped with `epoch(d)` at training time
-//!   (the model reads only `d`'s own event sequence — see
-//!   [`crate::coarse::CoarseLocalizer::train_device_model`]);
+//! * a coarse model for device `d` is stamped with `epoch(d)` when its window
+//!   is cached (the model reads only `d`'s own event sequence, whenever its
+//!   classifiers come to be fitted — see [`crate::coarse::DeviceCoarseModel`]);
 //! * an affinity-graph edge `{a, b}` is stamped with `(epoch(a), epoch(b))` at
 //!   record time (its weight and cached pairwise affinity are derived from the
 //!   two devices' histories).
@@ -34,6 +34,7 @@ use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Read access to per-device ingest epochs.
 ///
@@ -105,12 +106,14 @@ impl EpochTable {
     }
 }
 
-/// A cached per-device coarse model plus the device epoch it was trained at.
+/// A cached per-device coarse model plus the device epoch it was cached at.
+/// The model sits behind an `Arc` so a reader can take it out of the map and
+/// fit it with no map lock held, and so a batch's seeds share that fit.
 #[derive(Debug, Clone)]
 pub struct ModelEntry {
-    /// The trained model.
-    pub model: DeviceCoarseModel,
-    /// `epoch(device)` at training time; the entry is live while this matches.
+    /// The model: a history window, fitted on first ambiguous use.
+    pub model: Arc<DeviceCoarseModel>,
+    /// `epoch(device)` at caching time; the entry is live while this matches.
     pub epoch: u64,
 }
 

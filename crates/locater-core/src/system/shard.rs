@@ -865,7 +865,9 @@ impl ShardedLocaterService {
     ///   shard proceed throughout the run;
     /// * **epoch-safe** — no device epoch is bumped: answers whose consulted
     ///   window lies inside the retained history are byte-identical before
-    ///   and after, so every cached affinity and model stays valid;
+    ///   and after, so every cached affinity and model stays valid (a model
+    ///   still to be fitted on events this run evicts is fitted first, under
+    ///   the same shard lock: [`Self::fit_pending_models`]);
     /// * **WAL-coherent** — on a durable service an effective run is followed
     ///   by a [`Self::checkpoint`], so recovery restarts from the compacted
     ///   state instead of resurrecting evicted history from an old snapshot
@@ -885,7 +887,10 @@ impl ShardedLocaterService {
         let mut summaries: Vec<DwellSummary> = Vec::new();
         let mut spills: Vec<EventStore> = Vec::new();
         for shard in &self.shards {
-            let report = relock(shard.live.write()).store.compact(horizon);
+            let mut live = relock(shard.live.write());
+            self.fit_pending(shard, &live, horizon);
+            let report = live.store.compact(horizon);
+            drop(live);
             cut = report.cut;
             if report.evicted_events == 0 {
                 continue;
@@ -1072,6 +1077,40 @@ impl ShardedLocaterService {
                 })
                 .collect()
         })
+    }
+
+    /// The cached coarse-model entry of a device, live or stale, if any.
+    pub fn cached_model(&self, device: DeviceId) -> Option<ModelEntry> {
+        relock(self.shards[self.home_shard(device)].models.read())
+            .get(&device)
+            .cloned()
+    }
+
+    /// Fits the classifiers of every epoch-live cached coarse model that has
+    /// not needed them yet and whose fit reads an event older than `below`;
+    /// returns how many were fitted. Classifiers are a pure function of the
+    /// device's events in the model's window, so this changes no answer:
+    /// [`Self::compact_to`] does it before evicting those events, and with
+    /// `below = i64::MAX` the service becomes one that trains eagerly.
+    pub fn fit_pending_models(&self, below: Timestamp) -> usize {
+        let fit = |shard: &Shard| {
+            let live = relock(shard.live.read());
+            self.fit_pending(shard, &live, below)
+        };
+        self.shards.iter().map(fit).sum()
+    }
+
+    /// [`Self::fit_pending_models`] for one shard, whose `live` lock the caller
+    /// holds. The models leave the map lock before any of them is fitted.
+    fn fit_pending(&self, shard: &Shard, live: &ShardLive, below: Timestamp) -> usize {
+        let pending: Vec<_> = relock(shard.models.read())
+            .values()
+            .filter(|e| !e.model.is_fitted() && e.epoch == live.epochs.of(e.model.device))
+            .map(|entry| Arc::clone(&entry.model))
+            .collect();
+        let coarse = &self.engine.coarse;
+        let fit = |model: &&Arc<_>| coarse.fit_before_eviction(&live.store, model, below);
+        pending.iter().filter(fit).count()
     }
 
     /// Eagerly evicts stale affinity edges and stale coarse models from every

@@ -1,11 +1,13 @@
 //! Property-based tests of the cleaning engine's probabilistic invariants:
 //! room-affinity distributions, group affinities, the possible-world bounds of
-//! Theorems 1–3, the stop conditions, and the caching engine's ordering.
+//! Theorems 1–3, the stop conditions, the caching engine's ordering, and the
+//! indexed connection density against its naive definition.
 
 use locater_core::cache::GlobalAffinityGraph;
+use locater_core::coarse::{connection_densities, connection_density};
 use locater_core::fine::{AffinityEngine, PosteriorBounds, RoomAffinityWeights, RoomPosterior};
-use locater_events::DeviceId;
-use locater_space::{RoomType, Space, SpaceBuilder};
+use locater_events::{DeviceId, EventId, Gap, Interval, StoredEvent};
+use locater_space::{AccessPointId, RoomType, Space, SpaceBuilder};
 use locater_store::EventStore;
 use proptest::prelude::*;
 
@@ -188,5 +190,48 @@ proptest! {
         for pair in weights.windows(2) {
             prop_assert!(pair[0] >= pair[1] - 1e-12);
         }
+    }
+
+    /// The sorted-seconds-of-day index counts exactly the events the naive scan
+    /// counts: for windows inside a day and windows that wrap midnight, for
+    /// events sitting on either (inclusive) window bound, and for no events.
+    #[test]
+    fn indexed_density_equals_the_naive_scan(
+        raw_times in prop::collection::vec(0i64..(30 * 86_400), 0..80),
+        band in (0i64..86_400, 1i64..86_400),
+        start in 0i64..(30 * 86_400),
+        duration in 1i64..(3 * 86_400),
+        start_on_event in 0usize..80,
+        end_on_event in 0usize..80,
+        snap in 0u8..4,
+    ) {
+        let ap = AccessPointId::new(0);
+        // Events keep to one band of the day, so windows with nothing between
+        // their bounds — on either side of midnight — are common.
+        let times: Vec<i64> = raw_times
+            .iter()
+            .map(|&t| t - t % 86_400 + (band.0 + t % band.1) % 86_400)
+            .collect();
+        let events: Vec<StoredEvent> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| StoredEvent::new(EventId::new(i as u64), t, ap))
+            .collect();
+        // Optionally put a window bound on an event's second of day.
+        let (mut start, mut end) = (start, start + duration);
+        if !times.is_empty() && snap & 1 != 0 {
+            start = times[start_on_event % times.len()] % 86_400;
+            end = start + duration;
+        }
+        if !times.is_empty() && snap & 2 != 0 {
+            end = start - start % 86_400 + 86_400 + times[end_on_event % times.len()] % 86_400;
+        }
+        let gap = Gap { start, end, prev_t: start - 600, next_t: end + 600, start_ap: ap, end_ap: ap };
+        let history = Interval::new(0, 30 * 86_400);
+        let wrapping = Gap { start: end, end: start + 86_400 * 4, ..gap };
+        let indexed = connection_densities(&[gap, wrapping], &events, history);
+        prop_assert_eq!(indexed[0], connection_density(&gap, &events, history));
+        prop_assert_eq!(indexed[1], connection_density(&wrapping, &events, history));
+        prop_assert_eq!(connection_densities(&[gap], &[], history), vec![0.0]);
     }
 }

@@ -44,14 +44,19 @@ impl Dataset {
         self.num_classes
     }
 
-    /// Appends a row. Panics on dimension mismatch in debug builds; use
-    /// [`Dataset::try_push`] for checked insertion.
+    /// Appends an owned row; see [`Dataset::push_row`].
     pub fn push(&mut self, features: Vec<f64>, label: usize) {
+        self.push_row(&features, label);
+    }
+
+    /// Appends a row (the data set copies it into its flat buffer). Panics on a
+    /// dimension or label mismatch; use [`Dataset::try_push`] for checked insertion.
+    pub fn push_row(&mut self, features: &[f64], label: usize) {
         self.try_push(features, label).expect("invalid row");
     }
 
     /// Appends a row, validating dimensionality and label range.
-    pub fn try_push(&mut self, features: Vec<f64>, label: usize) -> Result<(), LearnError> {
+    pub fn try_push(&mut self, features: &[f64], label: usize) -> Result<(), LearnError> {
         if features.len() != self.num_features {
             return Err(LearnError::DimensionMismatch {
                 expected: self.num_features,
@@ -64,7 +69,7 @@ impl Dataset {
                 num_classes: self.num_classes,
             });
         }
-        self.features.extend_from_slice(&features);
+        self.features.extend_from_slice(features);
         self.labels.push(label);
         Ok(())
     }
@@ -136,20 +141,20 @@ mod tests {
     fn try_push_validates_dimensions_and_labels() {
         let mut d = Dataset::new(2, 2);
         assert!(matches!(
-            d.try_push(vec![1.0], 0),
+            d.try_push(&[1.0], 0),
             Err(LearnError::DimensionMismatch {
                 expected: 2,
                 got: 1
             })
         ));
         assert!(matches!(
-            d.try_push(vec![1.0, 2.0], 5),
+            d.try_push(&[1.0, 2.0], 5),
             Err(LearnError::InvalidLabel {
                 label: 5,
                 num_classes: 2
             })
         ));
-        assert!(d.try_push(vec![1.0, 2.0], 1).is_ok());
+        assert!(d.try_push(&[1.0, 2.0], 1).is_ok());
     }
 
     #[test]

@@ -92,13 +92,20 @@ impl LogisticRegression {
             StandardScaler::identity(nf)
         };
 
+        // Every epoch reads the same standardized rows: transform them once.
+        let mut scaled = Vec::with_capacity(data.len() * nf);
+        for (row, _) in data.iter() {
+            let at = scaled.len();
+            scaled.extend_from_slice(row);
+            scaler.transform_in_place(&mut scaled[at..]);
+        }
+
         let n = data.len() as f64;
         let mut weights = vec![0.0; nc * nf];
         let mut biases = vec![0.0; nc];
         let mut grad_w = vec![0.0; nc * nf];
         let mut grad_b = vec![0.0; nc];
         let mut probs = vec![0.0; nc];
-        let mut scaled_row = vec![0.0; nf];
         let mut prev_loss = f64::INFINITY;
 
         for _ in 0..config.epochs {
@@ -106,10 +113,9 @@ impl LogisticRegression {
             grad_b.iter_mut().for_each(|g| *g = 0.0);
             let mut loss = 0.0;
 
-            for (row, label) in data.iter() {
-                scaled_row.copy_from_slice(row);
-                scaler.transform_in_place(&mut scaled_row);
-                softmax_into(&weights, &biases, &scaled_row, nf, nc, &mut probs);
+            for (i, &label) in data.labels().iter().enumerate() {
+                let x = &scaled[i * nf..(i + 1) * nf];
+                softmax_into(&weights, &biases, x, nf, nc, &mut probs);
                 if !probs[label].is_finite() {
                     return Err(LearnError::Diverged);
                 }
@@ -118,8 +124,8 @@ impl LogisticRegression {
                     let err = probs[c] - if c == label { 1.0 } else { 0.0 };
                     grad_b[c] += err;
                     let wrow = &mut grad_w[c * nf..(c + 1) * nf];
-                    for (g, &x) in wrow.iter_mut().zip(&scaled_row) {
-                        *g += err * x;
+                    for (g, &v) in wrow.iter_mut().zip(x) {
+                        *g += err * v;
                     }
                 }
             }
@@ -162,28 +168,34 @@ impl LogisticRegression {
 
     /// Class probabilities for one feature vector.
     pub fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(features.len(), self.num_features);
-        let scaled = self.scaler.transform(features);
-        let mut probs = vec![0.0; self.num_classes];
-        softmax_into(
-            &self.weights,
-            &self.biases,
-            &scaled,
-            self.num_features,
-            self.num_classes,
-            &mut probs,
-        );
-        probs
+        self.predict(features).probabilities
     }
 
     /// Predicts the most probable class along with the full probability array.
     pub fn predict(&self, features: &[f64]) -> Prediction {
-        let probabilities = self.predict_proba(features);
-        let label = argmax(&probabilities);
-        Prediction {
-            label,
-            probabilities,
-        }
+        let mut prediction = Prediction {
+            label: 0,
+            probabilities: vec![0.0; self.num_classes],
+        };
+        self.predict_into(features, &mut vec![0.0; self.num_features], &mut prediction);
+        prediction
+    }
+
+    /// [`Self::predict`] into caller-owned buffers (`scaled`: `num_features`
+    /// long, `out.probabilities`: `num_classes` long), for loops over many rows.
+    pub(crate) fn predict_into(&self, features: &[f64], scaled: &mut [f64], out: &mut Prediction) {
+        scaled.copy_from_slice(features);
+        self.scaler.transform_in_place(scaled);
+        let (nf, nc) = (self.num_features, self.num_classes);
+        softmax_into(
+            &self.weights,
+            &self.biases,
+            scaled,
+            nf,
+            nc,
+            &mut out.probabilities,
+        );
+        out.label = argmax(&out.probabilities);
     }
 
     /// Accuracy over a labelled dataset.
@@ -211,7 +223,9 @@ fn softmax_into(weights: &[f64], biases: &[f64], x: &[f64], nf: usize, nc: usize
     }
     let mut sum = 0.0;
     for o in out.iter_mut() {
-        *o = (*o - max_logit).exp();
+        // `exp(0.0)` is exactly 1.0: the max logit needs no call.
+        let shifted = *o - max_logit;
+        *o = if shifted == 0.0 { 1.0 } else { shifted.exp() };
         sum += *o;
     }
     for o in out.iter_mut() {
@@ -326,6 +340,148 @@ mod tests {
             LogisticRegression::fit(&d, &config).unwrap_err(),
             LearnError::Diverged
         );
+    }
+
+    /// The fit loop as it stood before rows were standardized once and the max
+    /// logit's `exp` was skipped; `fit` must reproduce it bit for bit.
+    fn fit_reference(data: &Dataset, config: &TrainConfig) -> LogisticRegression {
+        fn softmax_into(w: &[f64], b: &[f64], x: &[f64], nf: usize, nc: usize, out: &mut [f64]) {
+            let mut max_logit = f64::NEG_INFINITY;
+            for c in 0..nc {
+                let wrow = &w[c * nf..(c + 1) * nf];
+                let logit: f64 = b[c] + wrow.iter().zip(x).map(|(w, v)| w * v).sum::<f64>();
+                out[c] = logit;
+                if logit > max_logit {
+                    max_logit = logit;
+                }
+            }
+            let mut sum = 0.0;
+            for o in out.iter_mut() {
+                *o = (*o - max_logit).exp();
+                sum += *o;
+            }
+            for o in out.iter_mut() {
+                *o /= sum;
+            }
+        }
+        let nf = data.num_features();
+        let nc = data.num_classes();
+        let scaler = if config.standardize {
+            StandardScaler::fit(data)
+        } else {
+            StandardScaler::identity(nf)
+        };
+
+        let n = data.len() as f64;
+        let mut weights = vec![0.0; nc * nf];
+        let mut biases = vec![0.0; nc];
+        let mut grad_w = vec![0.0; nc * nf];
+        let mut grad_b = vec![0.0; nc];
+        let mut probs = vec![0.0; nc];
+        let mut scaled_row = vec![0.0; nf];
+        let mut prev_loss = f64::INFINITY;
+
+        for _ in 0..config.epochs {
+            grad_w.iter_mut().for_each(|g| *g = 0.0);
+            grad_b.iter_mut().for_each(|g| *g = 0.0);
+            let mut loss = 0.0;
+
+            for (row, label) in data.iter() {
+                scaled_row.copy_from_slice(row);
+                scaler.transform_in_place(&mut scaled_row);
+                softmax_into(&weights, &biases, &scaled_row, nf, nc, &mut probs);
+                assert!(probs[label].is_finite());
+                loss -= (probs[label].max(1e-15)).ln();
+                for c in 0..nc {
+                    let err = probs[c] - if c == label { 1.0 } else { 0.0 };
+                    grad_b[c] += err;
+                    let wrow = &mut grad_w[c * nf..(c + 1) * nf];
+                    for (g, &x) in wrow.iter_mut().zip(&scaled_row) {
+                        *g += err * x;
+                    }
+                }
+            }
+
+            assert!(loss.is_finite());
+            for (w, g) in weights.iter_mut().zip(&grad_w) {
+                *w -= config.learning_rate * (g / n + config.l2 * *w);
+            }
+            for (b, g) in biases.iter_mut().zip(&grad_b) {
+                *b -= config.learning_rate * (g / n);
+            }
+            let avg_loss = loss / n;
+            if (prev_loss - avg_loss).abs() < config.tolerance {
+                break;
+            }
+            prev_loss = avg_loss;
+        }
+
+        LogisticRegression {
+            num_features: nf,
+            num_classes: nc,
+            weights,
+            biases,
+            scaler,
+        }
+    }
+
+    /// `rows` rows of three varying features plus one constant column
+    /// (σ < 1e-12, so the scaler divides it by 1), labels cycling over the
+    /// classes with some overlap between them.
+    fn overlapping(classes: usize, rows: usize) -> Dataset {
+        let mut d = Dataset::new(4, classes);
+        for i in 0..rows {
+            let class = i % classes;
+            let wobble = ((i * 7919) % 13) as f64 / 13.0;
+            d.push(
+                vec![
+                    class as f64 + 1.7 * wobble,
+                    3_600.0 * wobble - 40.0 * class as f64,
+                    ((i * 31) % 7) as f64,
+                    5.0,
+                ],
+                class,
+            );
+        }
+        d
+    }
+
+    #[test]
+    fn fit_matches_the_reference_loop_bit_for_bit() {
+        for classes in 2..=4 {
+            let data = overlapping(classes, 40);
+            for standardize in [true, false] {
+                // Unscaled features of this size need a small step to stay finite.
+                let learning_rate = if standardize { 0.1 } else { 1e-8 };
+                let run_to_the_end = TrainConfig {
+                    standardize,
+                    learning_rate,
+                    epochs: 80,
+                    tolerance: 0.0,
+                    ..TrainConfig::default()
+                };
+                let stops_early = TrainConfig {
+                    tolerance: 1e-2,
+                    ..run_to_the_end
+                };
+                let full = LogisticRegression::fit(&data, &run_to_the_end).unwrap();
+                assert_eq!(full, fit_reference(&data, &run_to_the_end));
+                let early = LogisticRegression::fit(&data, &stops_early).unwrap();
+                assert_eq!(early, fit_reference(&data, &stops_early));
+                if standardize {
+                    assert_ne!(early, full, "the tolerance must cut the run short");
+                }
+                // Prediction goes through the same softmax.
+                let probe = data.row(1);
+                assert_eq!(
+                    full.predict_proba(probe).iter().sum::<f64>(),
+                    fit_reference(&data, &run_to_the_end)
+                        .predict_proba(probe)
+                        .iter()
+                        .sum::<f64>()
+                );
+            }
+        }
     }
 
     #[test]

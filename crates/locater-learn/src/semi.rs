@@ -17,7 +17,7 @@
 
 use crate::dataset::Dataset;
 use crate::error::LearnError;
-use crate::logistic::{LogisticRegression, TrainConfig};
+use crate::logistic::{LogisticRegression, Prediction, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the self-training loop.
@@ -55,10 +55,10 @@ pub struct SelfTrainingReport {
 
 /// The classifier produced by Algorithm 1, together with the labels it assigned to the
 /// initially unlabelled samples.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelfTrainingClassifier {
     model: LogisticRegression,
-    assigned_labels: Vec<usize>,
+    assigned_labels: Vec<Option<usize>>,
     report: SelfTrainingReport,
 }
 
@@ -76,11 +76,17 @@ impl SelfTrainingClassifier {
             return Err(LearnError::EmptyDataset);
         }
         let mut working = labeled.clone();
-        let mut pool: Vec<(usize, Vec<f64>)> = unlabeled.iter().cloned().enumerate().collect();
-        let mut assigned_labels = vec![0usize; unlabeled.len()];
+        // Original indices of the samples still unlabelled.
+        let mut pool: Vec<usize> = (0..unlabeled.len()).collect();
+        let mut assigned_labels = vec![None; unlabeled.len()];
         let mut model = LogisticRegression::fit(&working, &config.train)?;
         let mut rounds = 0usize;
         let promote = config.promote_per_round.max(1);
+        let mut scaled = vec![0.0; labeled.num_features()];
+        let mut prediction = Prediction {
+            label: 0,
+            probabilities: vec![0.0; labeled.num_classes()],
+        };
 
         while !pool.is_empty() && rounds < config.max_rounds {
             rounds += 1;
@@ -88,12 +94,13 @@ impl SelfTrainingClassifier {
             let mut scored: Vec<(usize, f64, usize)> = pool
                 .iter()
                 .enumerate()
-                .map(|(pool_idx, (_, features))| {
-                    let prediction = model.predict(features);
+                .map(|(pool_idx, &original_idx)| {
+                    model.predict_into(&unlabeled[original_idx], &mut scaled, &mut prediction);
                     (pool_idx, prediction.variance(), prediction.label)
                 })
                 .collect();
-            // Highest confidence (variance) first.
+            // Highest confidence (variance) first; the sort is stable, so ties
+            // promote in pool order.
             scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
             let take = promote.min(scored.len());
             // Remove promoted items from the pool in descending pool-index order so the
@@ -104,9 +111,9 @@ impl SelfTrainingClassifier {
                 .collect();
             chosen.sort_by_key(|&(pool_idx, _)| std::cmp::Reverse(pool_idx));
             for (pool_idx, label) in chosen {
-                let (original_idx, features) = pool.swap_remove(pool_idx);
-                assigned_labels[original_idx] = label;
-                working.push(features, label);
+                let original_idx = pool.swap_remove(pool_idx);
+                assigned_labels[original_idx] = Some(label);
+                working.push_row(&unlabeled[original_idx], label);
             }
             model = LogisticRegression::fit(&working, &config.train)?;
         }
@@ -128,8 +135,9 @@ impl SelfTrainingClassifier {
         &self.model
     }
 
-    /// Labels assigned to the initially unlabelled samples, in their original order.
-    pub fn assigned_labels(&self) -> &[usize] {
+    /// Labels assigned to the initially unlabelled samples, in their original order;
+    /// `None` for a sample `max_rounds` ended the loop before promoting.
+    pub fn assigned_labels(&self) -> &[Option<usize>] {
         &self.assigned_labels
     }
 
@@ -177,7 +185,7 @@ mod tests {
             .assigned_labels()
             .iter()
             .zip(&truth)
-            .filter(|(a, b)| a == b)
+            .filter(|(a, b)| **a == Some(**b))
             .count();
         assert!(correct as f64 / truth.len() as f64 > 0.95);
         assert_eq!(clf.report().initially_labeled, 4);
@@ -229,5 +237,22 @@ mod tests {
         let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
         assert_eq!(clf.report().rounds, 3);
         assert_eq!(clf.report().promoted, 3);
+    }
+
+    #[test]
+    fn samples_never_promoted_carry_no_label() {
+        let (labeled, _, _) = clustered_problem();
+        // The middle sample sits deepest inside cluster 0, so one round of one
+        // promotion takes it and must leave the other two unassigned — not
+        // reported as class 0.
+        let unlabeled = vec![vec![4.0, 4.0], vec![-3.0, -3.0], vec![4.5, 4.4]];
+        let config = SelfTrainingConfig {
+            max_rounds: 1,
+            promote_per_round: 1,
+            ..SelfTrainingConfig::default()
+        };
+        let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
+        assert_eq!(clf.report().promoted, 1);
+        assert_eq!(clf.assigned_labels(), &[None, Some(0), None]);
     }
 }
