@@ -60,9 +60,8 @@ use locater_store::recovery::{
     initialize_wal, recover_store_io, write_checkpoint_io, RecoveryReport,
 };
 use locater_store::{
-    compaction, shard_of_device, CompactionReport, Durability, DwellSummary, EventRead, EventStore,
-    IngestError, RawEvent, RealIo, ShardWal, ShardedRead, StorageIo, StoreError, WalError,
-    WalRecord, WalShardStats,
+    shard_of_device, write_spill, Durability, EventRead, EventStore, IngestError, RawEvent, RealIo,
+    ShardWal, ShardedRead, StorageIo, StoreError, WalError, WalRecord, WalShardStats,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -153,16 +152,6 @@ pub struct CompactionStatus {
     /// The bucket-aligned cut of the most recent effective run, if any:
     /// every event with `t <` this is out of the hot tier.
     pub last_cut: Option<Timestamp>,
-    /// Dwell-summary rows currently accumulated in the summary tier.
-    pub summary_rows: usize,
-}
-
-/// In-memory compaction state: cumulative gauges plus the accumulated
-/// summary tier (also persisted to the spill directory when one is given).
-#[derive(Debug, Default)]
-struct CompactionState {
-    status: CompactionStatus,
-    summaries: Vec<DwellSummary>,
 }
 
 /// Service-wide write-ahead-log gauges reported by
@@ -254,10 +243,10 @@ pub struct ShardedLocaterService {
     last_checkpoint: Mutex<Option<Instant>>,
     /// Checkpoints taken since boot.
     checkpoints: AtomicU64,
-    /// Compaction gauges and the in-memory summary tier. Held briefly by
-    /// compaction runs and `stats` reads — never while a shard lock is held
-    /// for ingest or query work.
-    compaction: Mutex<CompactionState>,
+    /// Cumulative compaction gauges. Held briefly by compaction runs and
+    /// `stats` reads — never while a shard lock is held for ingest or query
+    /// work.
+    compaction: Mutex<CompactionStatus>,
 }
 
 impl ShardedLocaterService {
@@ -277,7 +266,7 @@ impl ShardedLocaterService {
             durability: None,
             last_checkpoint: Mutex::new(None),
             checkpoints: AtomicU64::new(0),
-            compaction: Mutex::new(CompactionState::default()),
+            compaction: Mutex::new(CompactionStatus::default()),
         }
     }
 
@@ -785,22 +774,20 @@ impl ShardedLocaterService {
     /// A combined clone of the current store — the basis of the service's
     /// answers at this instant, reassembled from the shard partitions
     /// ([`EventStore::rejoin`]); bit-identical to what a single-shard service
-    /// over the same events would hold. Useful for rebuild-equivalence checks
-    /// and snapshots.
+    /// over the same events would hold. Useful for rebuild-equivalence checks.
     pub fn store_snapshot(&self) -> EventStore {
         let guards = self.read_all();
-        if guards.len() == 1 {
-            return guards[0].store.clone();
-        }
         EventStore::rejoin(guards.iter().map(|guard| &guard.store))
             .expect("shards of one service always rejoin")
     }
 
     /// Persists the combined store as one binary snapshot — the same file a
     /// single-shard deployment writes, loadable with any shard count
-    /// ([`ShardedLocaterService::from_snapshot`]).
+    /// ([`ShardedLocaterService::from_snapshot`]). Encoded straight from the
+    /// segments the shards hold; no combined store is assembled.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        self.store_snapshot().save_snapshot(path)
+        let bytes = self.with_view(|view, _| view.to_snapshot_bytes())?;
+        locater_store::snapshot::write_atomic(path.as_ref(), &bytes)
     }
 
     /// The durability configuration, when a WAL is attached.
@@ -819,13 +806,9 @@ impl ShardedLocaterService {
             return Ok(None);
         };
         let mut guards = self.write_all();
-        let combined = if guards.len() == 1 {
-            guards[0].store.clone()
-        } else {
-            EventStore::rejoin(guards.iter().map(|guard| &guard.store))
-                .expect("shards of one service always rejoin")
-        };
-        let bytes = write_checkpoint_io(&durability.dir, &combined, durability.io.as_ref())?;
+        let snapshot = ShardedRead::new(guards.iter().map(|guard| &guard.store).collect())
+            .to_snapshot_bytes()?;
+        let bytes = write_checkpoint_io(&durability.dir, &snapshot, durability.io.as_ref())?;
         for guard in guards.iter_mut() {
             if let Some(wal) = guard.wal.as_mut() {
                 wal.reset()?;
@@ -852,17 +835,16 @@ impl ShardedLocaterService {
     }
 
     /// Compacts every shard to `horizon`: sealed segment buckets entirely
-    /// below the bucket-aligned cut leave the hot tier, are distilled into
-    /// dwell summaries (accumulated in memory and reported by
-    /// [`Self::compaction_status`]), and — when `spill_dir` is given — are
-    /// persisted as a `spill-<cut>.snap` snapshot plus the merged
-    /// `summaries.json`.
+    /// below the bucket-aligned cut leave the hot tier and — only when
+    /// `spill_dir` is given — are written there as one `spill-<cut>.<first
+    /// id>.snap` snapshot, encoded straight from the evicted segments.
+    /// Without a spill directory the run keeps nothing of what it evicts.
     ///
     /// Scheduling properties, in the order they matter operationally:
     ///
     /// * **off the ingest path** — shards are compacted sequentially, one
-    ///   shard write lock at a time, so ingest and queries on every other
-    ///   shard proceed throughout the run;
+    ///   shard write lock at a time and only for the eviction itself, so
+    ///   ingest and queries on every other shard proceed throughout the run;
     /// * **epoch-safe** — no device epoch is bumped: answers whose consulted
     ///   window lies inside the retained history are byte-identical before
     ///   and after, so every cached affinity and model stays valid (a model
@@ -874,8 +856,10 @@ impl ShardedLocaterService {
     ///   (either way answers in the retained window are unchanged).
     ///
     /// Returns the updated cumulative [`CompactionStatus`]. A run that evicts
-    /// nothing is a cheap no-op (no summary merge, no spill file, no
-    /// checkpoint).
+    /// nothing is a cheap no-op (no spill file, no checkpoint). When the
+    /// spill write fails the events are already out of the hot tier and the
+    /// checkpoint is skipped: on a durable service the previous checkpoint
+    /// plus the logs still hold them.
     pub fn compact_to(
         &self,
         horizon: Timestamp,
@@ -884,53 +868,41 @@ impl ShardedLocaterService {
         let mut evicted_events = 0usize;
         let mut evicted_segments = 0usize;
         let mut cut = horizon;
-        let mut summaries: Vec<DwellSummary> = Vec::new();
-        let mut spills: Vec<EventStore> = Vec::new();
+        let mut evicted = Vec::new();
         for shard in &self.shards {
             let mut live = relock(shard.live.write());
             self.fit_pending(shard, &live, horizon);
             let report = live.store.compact(horizon);
             drop(live);
             cut = report.cut;
-            if report.evicted_events == 0 {
-                continue;
-            }
             evicted_events += report.evicted_events;
             evicted_segments += report.evicted_segments;
-            compaction::merge_dwell_summaries(&mut summaries, &report.summaries);
-            spills.extend(report.spill);
+            if spill_dir.is_some() {
+                evicted.extend(report.evicted);
+            }
         }
 
         let status = {
-            let mut state = relock(self.compaction.lock());
+            let mut status = relock(self.compaction.lock());
             if evicted_events > 0 {
-                state.status.runs += 1;
-                state.status.evicted_events += evicted_events as u64;
-                state.status.evicted_segments += evicted_segments as u64;
-                state.status.last_cut = Some(cut);
-                compaction::merge_dwell_summaries(&mut state.summaries, &summaries);
-                state.status.summary_rows = state.summaries.len();
+                status.runs += 1;
+                status.evicted_events += evicted_events as u64;
+                status.evicted_segments += evicted_segments as u64;
+                status.last_cut = Some(cut);
             }
-            state.status
+            *status
         };
         if evicted_events == 0 {
             return Ok(status);
         }
 
         if let Some(dir) = spill_dir {
-            let combined = CompactionReport {
-                horizon,
-                cut,
-                evicted_events,
-                evicted_segments,
-                summaries,
-                spill: compaction::merge_spills(spills),
-            };
+            let bytes = self.with_view(|view, _| view.spill_snapshot_bytes(&evicted))?;
             let io: &dyn StorageIo = match self.durability.as_ref() {
                 Some(durability) => durability.io.as_ref(),
                 None => &RealIo,
             };
-            compaction::persist_tiers_io(dir, &combined, io)?;
+            write_spill(dir, cut, &evicted, &bytes, io)?;
         }
         if self.durability.is_some() {
             self.checkpoint()?;
@@ -953,17 +925,10 @@ impl ShardedLocaterService {
         }
     }
 
-    /// The cumulative compaction gauges (runs, evictions, last cut, summary
-    /// rows) since boot.
+    /// The cumulative compaction gauges (runs, evictions, last cut) since
+    /// boot.
     pub fn compaction_status(&self) -> CompactionStatus {
-        relock(self.compaction.lock()).status
-    }
-
-    /// The accumulated summary-tier rows (per-device per-AP dwell statistics
-    /// of all evicted history) — the training input that outlives the raw
-    /// events.
-    pub fn dwell_summaries(&self) -> Vec<DwellSummary> {
-        relock(self.compaction.lock()).summaries.clone()
+        *relock(self.compaction.lock())
     }
 
     /// Approximate resident heap bytes across all shard stores (allocated

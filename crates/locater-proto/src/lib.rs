@@ -62,7 +62,12 @@ use std::fmt;
 /// [`WireError::retryable`] classification, and the `panics` / `degraded` /
 /// `deduped` counters on [`WireStats`]. All additions are `#[serde(default)]`
 /// optional, so v2 frames still decode.
-pub const PROTOCOL_VERSION: u32 = 3;
+///
+/// v4 dropped `summary_rows` from [`WireCompactionStats`] (the dwell-summary
+/// tier it counted is gone). Unknown fields are ignored on decode, so a v3
+/// frame that still carries it decodes; a v3 client cannot decode a v4
+/// `Compacted` / `Stats` frame, which is what the bump announces.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -126,13 +131,15 @@ pub enum WireRequest {
     /// placement is server configuration (`--spill-dir`), not part of the
     /// request.
     Compact {
-        /// Seconds of history to retain behind the event-time watermark.
-        /// `None` falls back to the server's configured `--retain`; a request
-        /// with neither is rejected with [`WireError::BadRequest`].
+        /// Seconds of history to retain behind the event-time watermark
+        /// (negative is rejected with [`WireError::BadRequest`]). `None`
+        /// falls back to the server's configured `--retain`; a request with
+        /// neither is rejected too.
         #[serde(default)]
         retain: Option<Timestamp>,
         /// Absolute horizon timestamp instead of a relative retention
-        /// (mutually exclusive with `retain`; `retain` wins if both appear).
+        /// (mutually exclusive with `retain`: a request carrying both is
+        /// rejected with [`WireError::BadRequest`]).
         #[serde(default)]
         horizon: Option<Timestamp>,
     },
@@ -534,8 +541,6 @@ pub struct WireCompactionStats {
     /// first eviction): every event with `t <` this is out of the hot tier.
     #[serde(default)]
     pub last_cut: Option<Timestamp>,
-    /// Dwell-summary rows accumulated in the summary tier.
-    pub summary_rows: usize,
 }
 
 impl From<CompactionStatus> for WireCompactionStats {
@@ -545,7 +550,6 @@ impl From<CompactionStatus> for WireCompactionStats {
             evicted_events: status.evicted_events,
             evicted_segments: status.evicted_segments,
             last_cut: status.last_cut,
-            summary_rows: status.summary_rows,
         }
     }
 }
@@ -708,7 +712,7 @@ pub fn parse_repl_line(line: &str) -> Result<ReplCommand, WireError> {
                     horizon: None,
                 }));
             }
-            let Ok(retain) = rest.parse::<Timestamp>() else {
+            let Some(retain) = rest.parse::<Timestamp>().ok().filter(|retain| *retain >= 0) else {
                 return Err(WireError::BadRequest {
                     message: "usage: compact [retain-seconds]".to_string(),
                 });
@@ -923,6 +927,12 @@ mod tests {
                 horizon: None
             })
         );
+        for bad in ["compact -10000000", "compact soon"] {
+            assert!(matches!(
+                parse_repl_line(bad),
+                Err(WireError::BadRequest { .. })
+            ));
+        }
         assert_eq!(
             parse_repl_line("ingest aa:bb,100,wap1").unwrap(),
             ReplCommand::Request(WireRequest::Ingest {

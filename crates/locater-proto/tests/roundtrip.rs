@@ -43,7 +43,6 @@ fn sample_stats() -> WireStats {
             evicted_events: 400,
             evicted_segments: 8,
             last_cut: Some(604_800),
-            summary_rows: 17,
         },
         per_shard: vec![
             WireShardStats {
@@ -205,7 +204,6 @@ fn every_response() -> Vec<WireResponse> {
             evicted_events: 250,
             evicted_segments: 5,
             last_cut: Some(86_400),
-            summary_rows: 9,
         }),
         WireResponse::Compacted(WireCompactionStats::default()),
         WireResponse::ShuttingDown,
@@ -300,7 +298,7 @@ fn v1_stats_without_tiering_fields_still_decodes() {
         }
     }
     stripped = stripped.replace(
-        ",\"compaction\":{\"runs\":2,\"evicted_events\":400,\"evicted_segments\":8,\"summary_rows\":17}",
+        ",\"compaction\":{\"runs\":2,\"evicted_events\":400,\"evicted_segments\":8}",
         "",
     );
     assert_ne!(stripped, line, "the v2 fields were present to strip");
@@ -315,6 +313,25 @@ fn v1_stats_without_tiering_fields_still_decodes() {
         shard.sealed_segments = 0;
     }
     assert_eq!(back, WireResponse::Stats(stats));
+}
+
+/// A `Compacted` frame from a v3 server still carries the summary-row gauge
+/// v4 dropped with the tier it counted: the unknown field is ignored.
+#[test]
+fn v3_compacted_frame_still_decodes() {
+    let expected = WireResponse::Compacted(WireCompactionStats {
+        runs: 1,
+        evicted_events: 250,
+        evicted_segments: 5,
+        last_cut: Some(86_400),
+    });
+    let v4 = encode_response(&expected);
+    assert_eq!(
+        v4,
+        "{\"Compacted\":{\"runs\":1,\"evicted_events\":250,\"evicted_segments\":5,\"last_cut\":86400}}"
+    );
+    let v3 = v4.replace("}}", ",\"summary_rows\":9}}");
+    assert_eq!(decode_response(&v3).unwrap(), expected);
 }
 
 /// A deterministic LCG-driven fuzz pass: random structured requests round-trip,

@@ -88,8 +88,8 @@ pub struct ServerState {
     /// Default retention for `compact` requests that carry no horizon of
     /// their own (`serve --retain`); `None` means such requests are rejected.
     retain: Option<Timestamp>,
-    /// Where compaction persists its cold tiers (`serve --spill-dir`);
-    /// `None` keeps summaries in memory only and discards spills.
+    /// Where compaction writes its spill files (`serve --spill-dir`);
+    /// `None` drops what it evicts.
     spill_dir: Option<PathBuf>,
     /// Test-only fault injection ([`with_ingest_hook`](Self::with_ingest_hook)).
     ingest_hook: Option<fn(&str)>,
@@ -397,16 +397,31 @@ impl ServerState {
             },
             WireRequest::Compact { retain, horizon } => {
                 let spill = self.spill_dir.as_deref();
-                let outcome = match (retain.or(self.retain), horizon) {
-                    (Some(retain), _) => self.service.compact_all(retain, spill),
-                    (None, Some(horizon)) => self.service.compact_to(*horizon, spill),
-                    (None, None) => {
-                        return WireResponse::Error(WireError::BadRequest {
-                            message: "compact needs a retain or horizon (or start the server \
-                                      with --retain)"
-                                .to_string(),
-                        })
+                let bad_request = |message: &str| {
+                    WireResponse::Error(WireError::BadRequest {
+                        message: message.to_string(),
+                    })
+                };
+                // A negative retention puts the horizon past the newest
+                // event: the whole hot tier would go.
+                let outcome = match (*retain, *horizon) {
+                    (Some(_), Some(_)) => {
+                        return bad_request("compact takes a retain or a horizon, not both")
                     }
+                    (Some(retain), None) if retain < 0 => {
+                        return bad_request("compact retain must be 0 or more seconds")
+                    }
+                    (Some(retain), None) => self.service.compact_all(retain, spill),
+                    (None, Some(horizon)) => self.service.compact_to(horizon, spill),
+                    (None, None) => match self.retain {
+                        Some(retain) => self.service.compact_all(retain, spill),
+                        None => {
+                            return bad_request(
+                                "compact needs a retain or horizon (or start the server with \
+                                 --retain)",
+                            )
+                        }
+                    },
                 };
                 match outcome {
                     Ok(status) => WireResponse::Compacted(status.into()),
@@ -688,13 +703,12 @@ pub fn render_response(space: &Space, request: &WireRequest, response: &WireResp
             );
             let _ = write!(
                 report,
-                "\ntiers: {} head + {} sealed segment(s), ~{} resident bytes; compaction: {} run(s), {} events evicted, {} summary rows{}",
+                "\ntiers: {} head + {} sealed segment(s), ~{} resident bytes; compaction: {} run(s), {} events evicted{}",
                 stats.head_segments,
                 stats.sealed_segments,
                 stats.resident_bytes,
                 stats.compaction.runs,
                 stats.compaction.evicted_events,
-                stats.compaction.summary_rows,
                 match stats.compaction.last_cut {
                     Some(cut) => format!(", last cut @ {cut}"),
                     None => String::new(),
@@ -717,11 +731,10 @@ pub fn render_response(space: &Space, request: &WireRequest, response: &WireResp
         }
         WireResponse::SnapshotSaved { path, bytes } => format!("saved {path} ({bytes} bytes)"),
         WireResponse::Compacted(c) => format!(
-            "compacted: {} run(s) since boot, {} events in {} segment(s) evicted, {} summary rows{}",
+            "compacted: {} run(s) since boot, {} events in {} segment(s) evicted{}",
             c.runs,
             c.evicted_events,
             c.evicted_segments,
-            c.summary_rows,
             match c.last_cut {
                 Some(cut) => format!(", last cut @ {cut}"),
                 None => String::new(),
@@ -833,6 +846,18 @@ mod tests {
             }),
             WireResponse::Error(WireError::BadRequest { .. })
         ));
+        // A negative retention (it would evict the whole hot tier) and a
+        // request naming both a retention and a horizon are refused too.
+        for (retain, horizon) in [(Some(-10_000_000), None), (Some(1_000_000), Some(500))] {
+            assert!(matches!(
+                state.execute(&WireRequest::Compact { retain, horizon }),
+                WireResponse::Error(WireError::BadRequest { .. })
+            ));
+        }
+        let WireResponse::Stats(after) = state.execute(&WireRequest::Stats) else {
+            panic!("stats request answers with stats");
+        };
+        assert_eq!(after.events, 1, "a refused compact evicts nothing");
         // With one, it answers with the cumulative gauges (nothing evictable
         // here: all history is within the retention).
         assert_eq!(
@@ -901,7 +926,7 @@ mod tests {
         );
         assert!(stats.contains("1 events, 1 devices across 2 shard(s)"));
         assert!(stats.contains("shard 0:"));
-        assert!(stats.contains("server: protocol v3"));
+        assert!(stats.contains("server: protocol v4"));
         assert!(stats.contains("rejected: 0 overloaded, 0 shutting-down"));
         assert!(stats.contains("faults: 0 panic(s), 0 degraded, 0 deduped"));
         assert!(

@@ -1,4 +1,4 @@
-//! Compaction and tiered ageing of the event store.
+//! Compaction of the event store: evict what the engine no longer reads.
 //!
 //! LOCATER's cleaning engine only ever consults the configured history window
 //! (coarse bootstrap and fine affinity, paper §4–5), so events older than the
@@ -8,16 +8,16 @@
 //! mutation across all three structures (per-device segmented timelines, the
 //! global timeline index and the co-location posting lists — buckets
 //! partition time at the shared segment span, so the three trims remove
-//! exactly the same event set), and ages the evicted history into two colder
-//! tiers:
+//! exactly the same event set) and hands the evicted segments back
+//! ([`CompactionReport::evicted`]). It builds nothing from them.
 //!
-//! * **summary tier** — per-device, per-access-point dwell statistics at
-//!   bucket granularity ([`DwellSummary`]), sufficient input for coarse-model
-//!   training without the raw events;
-//! * **spill tier** — the raw evicted events as an eviction-only
-//!   [`crate::EventStore`] carrying the original event ids, persisted in the
-//!   ordinary snapshot format ([`spill_path`] / [`load_spill`]) and reloadable
-//!   on demand for offline reprocessing.
+//! There is one cold tier, and only where a spill directory asks for it: the
+//! evicted segments are encoded — by the same encoder every snapshot goes
+//! through ([`crate::ShardedRead::spill_snapshot_bytes`]) — as an ordinary
+//! snapshot holding the full device table, the original event ids and only
+//! the evicted events, and written with [`write_spill`].
+//! [`crate::EventStore::load_snapshot`] opens it like any other snapshot.
+//! Without a spill directory the evicted segments are simply dropped.
 //!
 //! Compaction never touches the event-id counter and never rewrites retained
 //! segments, so answers whose full consulted window lies at or above the cut
@@ -25,62 +25,11 @@
 //! `compaction_equivalence` test and the store property tests assert this).
 
 use crate::error::StoreError;
+use crate::io::StorageIo;
 use crate::segment::Segment;
 use crate::snapshot::write_atomic_io;
-use crate::store::EventStore;
-use locater_events::{Device, DeviceId, Timestamp};
-use locater_space::Space;
-use serde::{Deserialize, Serialize};
+use locater_events::{DeviceId, Timestamp};
 use std::path::{Path, PathBuf};
-
-/// Per-device, per-access-point dwell statistics over one evicted time
-/// bucket — the coarse tier a compaction distills evicted segments into.
-/// Devices and access points are identified by their stable names (MAC and AP
-/// name), so summaries merge across shards and across compaction runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DwellSummary {
-    /// MAC address / log identifier of the device.
-    pub mac: String,
-    /// Name of the access point.
-    pub ap: String,
-    /// Time bucket (`t.div_euclid(segment span)`) the statistics cover.
-    pub bucket: i64,
-    /// Number of evicted events of this device on this AP in the bucket.
-    pub events: u64,
-    /// Earliest event timestamp in the bucket.
-    pub min_t: Timestamp,
-    /// Latest event timestamp in the bucket.
-    pub max_t: Timestamp,
-    /// Total dwell seconds: per event, `min(δ, next event − event)` — the
-    /// length of the event's validity stretch, the quantity the coarse model
-    /// averages over history.
-    pub dwell_seconds: i64,
-}
-
-/// The canonical merge key of a summary row.
-fn summary_key(s: &DwellSummary) -> (String, String, i64) {
-    (s.mac.clone(), s.ap.clone(), s.bucket)
-}
-
-/// Merges newly produced summary rows into an accumulated set, summing rows
-/// that share `(mac, ap, bucket)` (late backfill can repopulate an already
-/// summarized bucket, which a later compaction then evicts again). Keeps the
-/// accumulated set sorted by key.
-pub fn merge_dwell_summaries(into: &mut Vec<DwellSummary>, fresh: &[DwellSummary]) {
-    for row in fresh {
-        let key = summary_key(row);
-        match into.binary_search_by_key(&key, summary_key) {
-            Ok(idx) => {
-                let slot = &mut into[idx];
-                slot.events += row.events;
-                slot.min_t = slot.min_t.min(row.min_t);
-                slot.max_t = slot.max_t.max(row.max_t);
-                slot.dwell_seconds += row.dwell_seconds;
-            }
-            Err(idx) => into.insert(idx, row.clone()),
-        }
-    }
-}
 
 /// What one [`crate::EventStore::compact`] call did.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,194 +43,46 @@ pub struct CompactionReport {
     pub evicted_events: usize,
     /// Sealed segments evicted.
     pub evicted_segments: usize,
-    /// Dwell summaries distilled from the evicted events (the summary tier).
-    pub summaries: Vec<DwellSummary>,
-    /// The evicted raw events as an eviction-only store in the snapshot
-    /// format (the spill tier), when anything was evicted. Event ids are the
-    /// originals, so a spill rejoins cleanly with offline tooling.
-    pub spill: Option<EventStore>,
+    /// The evicted segments themselves, per device in device order, oldest
+    /// bucket first — moved out of the timelines, original event ids and
+    /// all. Drop them, or encode them into a spill file
+    /// ([`crate::ShardedRead::spill_snapshot_bytes`]).
+    pub evicted: Vec<(DeviceId, Vec<Segment>)>,
 }
 
-impl CompactionReport {
-    /// A no-op report for a cut that evicted nothing.
-    pub(crate) fn empty(horizon: Timestamp, cut: Timestamp) -> Self {
-        Self {
-            horizon,
-            cut,
-            evicted_events: 0,
-            evicted_segments: 0,
-            summaries: Vec::new(),
-            spill: None,
-        }
-    }
-}
-
-/// Builds the summary rows for one device's evicted segments. `delta` is the
-/// device's validity period; the dwell of each event is its validity stretch
-/// `min(δ, gap to the next evicted event)` (the final evicted event of the
-/// device contributes a full `δ` — its successor is beyond the cut).
-pub(crate) fn summarize_device(
-    space: &Space,
-    device: &Device,
-    segments: &[Segment],
-    span: Timestamp,
-    out: &mut Vec<DwellSummary>,
-) {
-    let mut rows: Vec<DwellSummary> = Vec::new();
-    let delta = device.delta;
-    let events: Vec<_> = segments.iter().flat_map(|s| s.events().iter()).collect();
-    for (idx, event) in events.iter().enumerate() {
-        let dwell = match events.get(idx + 1) {
-            Some(next) => delta.min(next.t - event.t),
-            None => delta,
-        };
-        let ap_name = &space.access_point(event.ap).name;
-        let bucket = event.t.div_euclid(span);
-        match rows
-            .iter_mut()
-            .find(|row| row.bucket == bucket && row.ap == *ap_name)
-        {
-            Some(row) => {
-                row.events += 1;
-                row.min_t = row.min_t.min(event.t);
-                row.max_t = row.max_t.max(event.t);
-                row.dwell_seconds += dwell;
-            }
-            None => rows.push(DwellSummary {
-                mac: device.mac.as_str().to_string(),
-                ap: ap_name.clone(),
-                bucket,
-                events: 1,
-                min_t: event.t,
-                max_t: event.t,
-                dwell_seconds: dwell,
-            }),
-        }
-    }
-    out.extend(rows);
-}
-
-/// Assembles the spill-tier store from the evicted segments: the same space,
-/// device table, validity configuration and segment span as the source store,
-/// with only the evicted events (original ids). Round-trips through the
-/// ordinary snapshot format.
-pub(crate) fn build_spill(
-    source: &EventStore,
-    evicted: &[(DeviceId, Vec<Segment>)],
-) -> Result<EventStore, StoreError> {
-    let mut spill =
-        EventStore::with_validity(source.space().as_ref().clone(), *source.validity_config())
-            .with_segment_span(source.segment_span());
-    for device in source.devices() {
-        spill
-            .intern_device(device.mac.as_str())
-            .map_err(|err| StoreError::Corrupt(format!("spill device table: {err}")))?;
-        spill.set_delta(device.id, device.delta);
-    }
-    for (device, segments) in evicted {
-        let mac = source.device(*device).mac.as_str().to_string();
-        for segment in segments {
-            for event in segment.events() {
-                spill.set_next_event_id(event.id.0);
-                spill
-                    .ingest(&mac, event.t, event.ap)
-                    .map_err(|err| StoreError::Corrupt(format!("spill rebuild: {err}")))?;
-            }
-        }
-    }
-    spill.set_next_event_id(source.next_event_id());
-    Ok(spill)
-}
-
-/// Merges per-shard spill partitions (as produced by compacting each shard of
-/// a sharded service at the same horizon) into one combined spill store.
-/// Events carry their original ids and the store's canonical `(t, id)`
-/// ordering is a pure function of the event set, so the merge order is
-/// irrelevant — this is the backfill-splice path, reused.
-pub fn merge_spills(spills: impl IntoIterator<Item = EventStore>) -> Option<EventStore> {
-    let mut spills = spills.into_iter();
-    let mut base = spills.next()?;
-    let top = base.next_event_id();
-    for spill in spills {
-        for device in spill.devices() {
-            let mac = device.mac.as_str().to_string();
-            for event in spill.timeline_of(device.id).iter() {
-                base.set_next_event_id(event.id.0);
-                base.ingest(&mac, event.t, event.ap)
-                    .expect("spill partitions share the space and device table");
-            }
-        }
-    }
-    base.set_next_event_id(top);
-    Some(base)
-}
-
-/// The spill-file path for a compaction cut inside a spill directory:
-/// `spill-<cut>.snap`.
-pub fn spill_path(dir: &Path, cut: Timestamp) -> PathBuf {
-    dir.join(format!("spill-{cut}.snap"))
-}
-
-/// The summary-file path inside a spill directory (one JSON document holding
-/// the accumulated [`DwellSummary`] rows): `summaries.json`.
-pub fn summary_path(dir: &Path) -> PathBuf {
-    dir.join("summaries.json")
-}
-
-/// Persists a compaction's cold tiers into `dir`: writes the spill store (if
-/// any events were evicted) as `spill-<cut>.snap` and atomically rewrites the
-/// accumulated `summaries.json` with `report`'s rows merged in. Returns the
-/// spill path when one was written.
-pub fn persist_tiers(dir: &Path, report: &CompactionReport) -> Result<Option<PathBuf>, StoreError> {
-    persist_tiers_io(dir, report, &crate::io::RealIo)
-}
-
-/// [`persist_tiers`] with an explicit storage backend, so chaos tests can
-/// inject `ENOSPC` and torn renames into the spill tier. Both files go
-/// through the atomic write path, so a faulted persist never corrupts an
-/// existing spill or summary file.
-pub fn persist_tiers_io(
+/// Writes one run's spill file into `dir` (created if missing) as
+/// `spill-<cut>.<first id>.snap`: `bytes` is the encoding of `evicted`
+/// ([`crate::ShardedRead::spill_snapshot_bytes`]) and `first id` its lowest
+/// event id. Event ids are never reused, so two runs that land on the same
+/// bucket-aligned cut (a late ingest below it, evicted by the next run) get
+/// distinct names and the later spill never replaces the earlier one — while
+/// re-running a compaction over the same input names the same file. The
+/// write is atomic: a faulted write leaves no partial spill behind. Returns
+/// the path written, or `None` when `evicted` holds no event.
+pub fn write_spill(
     dir: &Path,
-    report: &CompactionReport,
-    io: &dyn crate::io::StorageIo,
+    cut: Timestamp,
+    evicted: &[(DeviceId, Vec<Segment>)],
+    bytes: &[u8],
+    io: &dyn StorageIo,
 ) -> Result<Option<PathBuf>, StoreError> {
-    std::fs::create_dir_all(dir)?;
-    let spilled = match &report.spill {
-        Some(spill) => {
-            let path = spill_path(dir, report.cut);
-            let bytes = spill.to_snapshot_bytes()?;
-            write_atomic_io(&path, &bytes, io)?;
-            Some(path)
-        }
-        None => None,
+    let first_id = evicted
+        .iter()
+        .flat_map(|(_, segments)| segments)
+        .flat_map(Segment::events)
+        .map(|event| event.id.0)
+        .min();
+    let Some(first_id) = first_id else {
+        return Ok(None);
     };
-    if !report.summaries.is_empty() {
-        let mut accumulated = load_summaries(dir)?;
-        merge_dwell_summaries(&mut accumulated, &report.summaries);
-        let json = serde_json::to_string(&accumulated)
-            .map_err(|err| StoreError::Corrupt(format!("summaries encode: {err}")))?;
-        write_atomic_io(&summary_path(dir), json.as_bytes(), io)?;
-    }
-    Ok(spilled)
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("spill-{cut}.{first_id}.snap"));
+    write_atomic_io(&path, bytes, io)?;
+    Ok(Some(path))
 }
 
-/// Loads the accumulated dwell summaries from a spill directory (empty if the
-/// file does not exist yet).
-pub fn load_summaries(dir: &Path) -> Result<Vec<DwellSummary>, StoreError> {
-    let path = summary_path(dir);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    let json = std::fs::read_to_string(&path)?;
-    serde_json::from_str(&json).map_err(|err| StoreError::Corrupt(format!("summaries: {err}")))
-}
-
-/// Reloads one spill file on demand — an ordinary snapshot load.
-pub fn load_spill(path: &Path) -> Result<EventStore, StoreError> {
-    EventStore::load_snapshot(path)
-}
-
-/// Lists the spill files in a directory, sorted by their cut timestamp.
+/// Lists the spill files in a directory, sorted by their cut timestamp (then
+/// by name). Also recognises the `spill-<cut>.snap` names older builds wrote.
 pub fn list_spills(dir: &Path) -> Result<Vec<(Timestamp, PathBuf)>, StoreError> {
     let mut out = Vec::new();
     if !dir.exists() {
@@ -295,6 +96,7 @@ pub fn list_spills(dir: &Path) -> Result<Vec<(Timestamp, PathBuf)>, StoreError> 
         if let Some(cut) = name
             .strip_prefix("spill-")
             .and_then(|rest| rest.strip_suffix(".snap"))
+            .and_then(|rest| rest.split('.').next())
             .and_then(|cut| cut.parse::<Timestamp>().ok())
         {
             out.push((cut, path));
@@ -321,44 +123,52 @@ pub struct TierStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(mac: &str, ap: &str, bucket: i64, events: u64, dwell: i64) -> DwellSummary {
-        DwellSummary {
-            mac: mac.to_string(),
-            ap: ap.to_string(),
-            bucket,
-            events,
-            min_t: bucket * 100,
-            max_t: bucket * 100 + 50,
-            dwell_seconds: dwell,
-        }
-    }
-
-    #[test]
-    fn merge_sums_matching_rows_and_keeps_sorted_order() {
-        let mut acc = Vec::new();
-        merge_dwell_summaries(
-            &mut acc,
-            &[row("b", "ap1", 2, 3, 30), row("a", "ap2", 1, 1, 10)],
-        );
-        assert_eq!(acc.len(), 2);
-        assert_eq!(acc[0].mac, "a");
-        merge_dwell_summaries(&mut acc, &[row("b", "ap1", 2, 2, 20)]);
-        assert_eq!(acc.len(), 2);
-        let merged = &acc[1];
-        assert_eq!((merged.events, merged.dwell_seconds), (5, 50));
-    }
+    use crate::{EventStore, RealIo, ShardedRead};
+    use locater_space::SpaceBuilder;
 
     #[test]
     fn spill_paths_are_parseable() {
-        let dir = Path::new("/tmp/spill-dir");
+        let dir = std::env::temp_dir().join(format!("locater-spill-names-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let space = SpaceBuilder::new("spill-names")
+            .add_access_point("wap0", &["r0"])
+            .build()
+            .unwrap();
+        let mut store = EventStore::new(space).with_segment_span(100);
+        for t in [250, 40, 10, 130] {
+            store.ingest_raw("aa:00:00:00:00:01", t, "wap0").unwrap();
+        }
+        // Two runs: ids {1, 2} below cut 100, then id 3 below cut 200.
+        for (horizon, name) in [(150, "spill-100.1.snap"), (200, "spill-200.3.snap")] {
+            let report = store.compact(horizon);
+            let bytes = ShardedRead::new(vec![&store])
+                .spill_snapshot_bytes(&report.evicted)
+                .unwrap();
+            let path = write_spill(&dir, report.cut, &report.evicted, &bytes, &RealIo).unwrap();
+            assert_eq!(path, Some(dir.join(name)));
+        }
+        let nothing = store.compact(200);
         assert_eq!(
-            spill_path(dir, 604_800),
-            Path::new("/tmp/spill-dir/spill-604800.snap")
+            write_spill(&dir, nothing.cut, &nothing.evicted, &[], &RealIo).unwrap(),
+            None
         );
+        // Names from older builds are listed too; anything else is skipped.
+        for name in ["spill-0.snap", "spill-x.1.snap", "checkpoint.snap"] {
+            std::fs::write(dir.join(name), b"").unwrap();
+        }
+        let listed: Vec<(Timestamp, String)> = list_spills(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|(cut, path)| (cut, path.file_name().unwrap().to_string_lossy().to_string()))
+            .collect();
         assert_eq!(
-            summary_path(dir),
-            Path::new("/tmp/spill-dir/summaries.json")
+            listed,
+            vec![
+                (0, "spill-0.snap".to_string()),
+                (100, "spill-100.1.snap".to_string()),
+                (200, "spill-200.3.snap".to_string()),
+            ]
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

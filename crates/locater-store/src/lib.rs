@@ -33,13 +33,13 @@
 //!   store bit-identically. The ingest path that drives them (validate →
 //!   draw id → append → apply) lives in `locater-core`'s
 //!   `ShardedLocaterService::with_durability`;
-//! * **compaction and tiered ageing** ([`compaction`]) —
-//!   [`EventStore::compact`] evicts whole segment buckets below a retention
-//!   horizon from all three structures in one coherent mutation, distilling
-//!   the evicted history into per-device per-AP dwell summaries (the coarse
-//!   tier) and an eviction-only spill store in the snapshot format (the cold
-//!   tier), so an always-on service runs at bounded memory while answers
-//!   inside the retained window stay byte-identical;
+//! * **compaction** ([`compaction`]) — [`EventStore::compact`] evicts whole
+//!   segment buckets below a retention horizon from all three structures in
+//!   one coherent mutation and hands the evicted segments back; where a
+//!   spill directory asks for them they are encoded as an ordinary snapshot
+//!   (the one cold tier), otherwise dropped, so an always-on service runs at
+//!   bounded memory while answers inside the retained window stay
+//!   byte-identical;
 //! * **per-device sharding** — [`EventStore::split`] / [`EventStore::rejoin`]
 //!   partition a store into per-device shards and reassemble them
 //!   bit-identically ([`shard_of_device`] is the assignment), and the
@@ -129,10 +129,7 @@ pub mod wal;
 pub use colocation::{
     ApPostings, ColocationIndex, ColocationIndexStats, DevicePostings, PostingCursor,
 };
-pub use compaction::{
-    list_spills, load_spill, load_summaries, merge_dwell_summaries, merge_spills, persist_tiers,
-    persist_tiers_io, spill_path, summary_path, CompactionReport, DwellSummary, TierStats,
-};
+pub use compaction::{list_spills, write_spill, CompactionReport, TierStats};
 pub use csv::{format_csv, parse_csv, parse_csv_line, RawEvent, CSV_HEADER};
 pub use error::{IngestError, StoreError};
 pub use io::{FaultIo, FaultKind, FaultPlan, RealIo, StorageIo};

@@ -181,21 +181,21 @@ pub fn recover_store_io(
 /// Writes (atomically) the checkpoint snapshot for `store` under `dir`,
 /// creating the directory if needed. Returns the snapshot size in bytes.
 pub fn write_checkpoint(dir: &Path, store: &EventStore) -> Result<u64, WalError> {
-    write_checkpoint_io(dir, store, &RealIo)
+    write_checkpoint_io(dir, &store.to_snapshot_bytes()?, &RealIo)
 }
 
-/// [`write_checkpoint`] with an explicit storage backend, so chaos tests can
-/// fault the snapshot write, its fsync, or the commit rename. Whatever fails,
-/// an existing checkpoint at the same path is never damaged.
+/// Writes already-encoded snapshot bytes as the checkpoint under `dir`, with
+/// an explicit storage backend, so chaos tests can fault the snapshot write,
+/// its fsync, or the commit rename. Whatever fails, an existing checkpoint
+/// at the same path is never damaged.
 pub fn write_checkpoint_io(
     dir: &Path,
-    store: &EventStore,
+    snapshot: &[u8],
     io: &dyn StorageIo,
 ) -> Result<u64, WalError> {
     std::fs::create_dir_all(dir)?;
-    let bytes = store.to_snapshot_bytes()?;
-    write_atomic_io(&checkpoint_path(dir), &bytes, io)?;
-    Ok(bytes.len() as u64)
+    write_atomic_io(&checkpoint_path(dir), snapshot, io)?;
+    Ok(snapshot.len() as u64)
 }
 
 /// Brings a WAL directory to a clean post-recovery state for `store` and
@@ -209,7 +209,7 @@ pub fn initialize_wal(
     store: &EventStore,
     shards: usize,
 ) -> Result<Vec<ShardWal>, WalError> {
-    write_checkpoint_io(&config.dir, store, config.io.as_ref())?;
+    write_checkpoint_io(&config.dir, &store.to_snapshot_bytes()?, config.io.as_ref())?;
     for (_, shard_path) in list_shard_dirs(&config.dir)? {
         std::fs::remove_dir_all(&shard_path)?;
     }

@@ -25,7 +25,8 @@
 
 use crate::colocation::{ColocationIndex, DevicePostings};
 use crate::read::EventRead;
-use crate::segment::DeviceTimeline;
+use crate::segment::{DeviceTimeline, Segment};
+use crate::snapshot::{encode_snapshot, SnapshotParts};
 use crate::store::EventStore;
 use crate::timeline::{devices_near_in, devices_online_in, NearbyDevice, TimelineEntry};
 use crate::StoreError;
@@ -60,15 +61,15 @@ impl EventStore {
     /// original store bit for bit.
     pub fn split(&self, shards: usize) -> Vec<EventStore> {
         let shards = shards.max(1);
-        let (space, validity, span, next_event_id, devices, timelines) = self.snapshot_parts();
+        let parts = self.snapshot_parts();
+        let (span, devices) = (parts.span, parts.devices);
         (0..shards)
             .map(|shard| {
-                let masked: Vec<DeviceTimeline> = timelines
+                let masked: Vec<DeviceTimeline> = devices
                     .iter()
-                    .enumerate()
-                    .map(|(idx, timeline)| {
-                        if shard_of_device(DeviceId::new(idx as u32), shards) == shard {
-                            timeline.clone()
+                    .map(|device| {
+                        if shard_of_device(device.id, shards) == shard {
+                            self.timeline_of(device.id).clone()
                         } else {
                             DeviceTimeline::new(span)
                         }
@@ -90,10 +91,10 @@ impl EventStore {
                     })
                     .collect();
                 EventStore::from_snapshot_parts(
-                    space.clone(),
-                    *validity,
+                    parts.space.clone(),
+                    *parts.validity,
                     span,
-                    next_event_id,
+                    parts.next_event_id,
                     devices.to_vec(),
                     masked,
                     Some(ColocationIndex::from_devices(span, postings)),
@@ -119,20 +120,20 @@ impl EventStore {
         let first = shards
             .first()
             .ok_or_else(|| StoreError::Corrupt("cannot rejoin zero shards".to_string()))?;
-        let (space, validity, span, mut next_event_id, devices, _) = first.snapshot_parts();
+        let parts = first.snapshot_parts();
+        let (span, devices, mut next_event_id) = (parts.span, parts.devices, parts.next_event_id);
         for (idx, shard) in shards.iter().enumerate().skip(1) {
-            let (other_space, other_validity, other_span, other_next, other_devices, _) =
-                shard.snapshot_parts();
-            if other_space != space
-                || other_validity != validity
-                || other_span != span
-                || other_devices != devices
+            let other = shard.snapshot_parts();
+            if other.space != parts.space
+                || other.validity != parts.validity
+                || other.span != span
+                || other.devices != devices
             {
                 return Err(StoreError::Corrupt(format!(
                     "shard {idx} disagrees with shard 0 on space/devices/validity/span"
                 )));
             }
-            next_event_id = next_event_id.max(other_next);
+            next_event_id = next_event_id.max(other.next_event_id);
         }
         let timelines: Vec<DeviceTimeline> = devices
             .iter()
@@ -164,8 +165,8 @@ impl EventStore {
             )));
         }
         EventStore::from_snapshot_parts(
-            space.clone(),
-            *validity,
+            parts.space.clone(),
+            *parts.validity,
             span,
             next_event_id,
             devices.to_vec(),
@@ -215,6 +216,48 @@ impl<'a> ShardedRead<'a> {
     /// The per-shard store at `shard`.
     pub fn shard(&self, shard: usize) -> &'a EventStore {
         self.shards[shard]
+    }
+
+    /// The store-wide snapshot parts of the combined store: the replicated
+    /// tables of shard 0 and the furthest event-id counter of any shard
+    /// (what [`EventStore::rejoin`] gives the store it assembles).
+    fn snapshot_parts(&self) -> SnapshotParts<'a> {
+        let next_event_id = self.shards.iter().map(|s| s.next_event_id()).max();
+        SnapshotParts {
+            next_event_id: next_event_id.expect("a view has at least one shard"),
+            ..self.shards[0].snapshot_parts()
+        }
+    }
+
+    /// Encodes the combined store as one snapshot, straight from the segments
+    /// the shards hold — byte-identical to
+    /// `EventStore::rejoin(shards)?.to_snapshot_bytes()` without assembling
+    /// that store.
+    pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, StoreError> {
+        encode_snapshot(&self.snapshot_parts(), |device| {
+            self.shards[self.owner_of(device)]
+                .timeline_of(device)
+                .segments()
+        })
+    }
+
+    /// Encodes the segments a compaction evicted from these shards
+    /// ([`crate::CompactionReport::evicted`]; per-shard runs are disjoint by
+    /// device and concatenate in any order) as a spill: an ordinary snapshot
+    /// with this deployment's space, device table, validity configuration,
+    /// span and event-id counter, holding only the evicted events under
+    /// their original ids. The bytes are a pure function of the evicted event
+    /// set and those tables — the shard count does not show.
+    pub fn spill_snapshot_bytes(
+        &self,
+        evicted: &[(DeviceId, Vec<Segment>)],
+    ) -> Result<Vec<u8>, StoreError> {
+        let parts = self.snapshot_parts();
+        let mut runs: Vec<&[Segment]> = vec![&[]; parts.devices.len()];
+        for (device, segments) in evicted {
+            runs[device.index()] = segments;
+        }
+        encode_snapshot(&parts, |device| runs[device.index()])
     }
 
     /// K-way merge of the shards' `(t, device, id)`-sorted windows in

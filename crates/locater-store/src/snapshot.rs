@@ -52,10 +52,10 @@
 //! [`StoreError::ChecksumMismatch`], [`StoreError::Corrupt`]) — never panics.
 
 use crate::error::StoreError;
-use crate::segment::DeviceTimeline;
+use crate::segment::{DeviceTimeline, Segment};
 use crate::store::EventStore;
 use locater_events::validity::ValidityConfig;
-use locater_events::{Device, DeviceId, EventId, MacAddress, StoredEvent};
+use locater_events::{Device, DeviceId, EventId, MacAddress, StoredEvent, Timestamp};
 use locater_space::{AccessPointId, Space, SpaceMetadata};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -66,6 +66,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"LOCATRSN";
 pub const SNAPSHOT_VERSION: u32 = 3;
 /// Oldest snapshot format version this build still reads.
 pub const MIN_SNAPSHOT_VERSION: u32 = 1;
+
+/// Magic (8) + version (4) + payload checksum (8) + payload length (8).
+const HEADER_LEN: usize = 28;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -96,14 +99,42 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_payload(store: &EventStore) -> Result<Vec<u8>, StoreError> {
-    let (space, validity, span, next_event_id, devices, timelines) = store.snapshot_parts();
-    let mut out = Vec::with_capacity(64 + store.num_events() * 20);
+/// The parts of a store a snapshot is a pure function of, minus the event
+/// runs: what [`encode_snapshot`] needs besides one `&[Segment]` per device.
+/// A whole store, a partitioned deployment ([`crate::ShardedRead`]) and a
+/// compaction's evicted runs all encode through it, so the three files are
+/// the same format by construction.
+pub(crate) struct SnapshotParts<'a> {
+    pub space: &'a Space,
+    pub validity: &'a ValidityConfig,
+    pub span: Timestamp,
+    pub next_event_id: u64,
+    pub devices: &'a [Device],
+}
+
+/// Encodes a snapshot byte buffer (header + checksummed payload) from the
+/// store-wide parts and each device's segment run, asked for in device order.
+pub(crate) fn encode_snapshot<'a>(
+    parts: &SnapshotParts<'_>,
+    segments_of: impl Fn(DeviceId) -> &'a [Segment],
+) -> Result<Vec<u8>, StoreError> {
+    let (validity, devices) = (parts.validity, parts.devices);
+    let num_events: usize = devices
+        .iter()
+        .flat_map(|device| segments_of(device.id))
+        .map(Segment::len)
+        .sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + 64 + num_events * 20);
+    out.extend_from_slice(SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    // Checksum and length of the payload: filled in once it is written.
+    out.extend_from_slice(&[0; 16]);
 
     // The full id-preserving form, not `SpaceMetadata`: event records below
     // reference access points by raw id, so the space section must restore
     // the exact same id assignment on load.
-    let space_json = space
+    let space_json = parts
+        .space
         .to_json()
         .map_err(|e| StoreError::Space(e.to_string()))?;
     put_u32(&mut out, space_json.len() as u32);
@@ -115,8 +146,8 @@ fn encode_payload(store: &EventStore) -> Result<Vec<u8>, StoreError> {
     put_u64(&mut out, validity.percentile.to_bits());
     put_u64(&mut out, validity.min_samples as u64);
 
-    put_i64(&mut out, span);
-    put_u64(&mut out, next_event_id);
+    put_i64(&mut out, parts.span);
+    put_u64(&mut out, parts.next_event_id);
 
     put_u32(&mut out, devices.len() as u32);
     for device in devices {
@@ -135,9 +166,10 @@ fn encode_payload(store: &EventStore) -> Result<Vec<u8>, StoreError> {
         out.extend_from_slice(mac);
         put_i64(&mut out, device.delta);
     }
-    for timeline in timelines {
-        put_u32(&mut out, timeline.num_segments() as u32);
-        for segment in timeline.segments() {
+    for device in devices {
+        let segments = segments_of(device.id);
+        put_u32(&mut out, segments.len() as u32);
+        for segment in segments {
             put_i64(&mut out, segment.bucket());
             put_u32(&mut out, segment.len() as u32);
             for event in segment.events() {
@@ -150,6 +182,10 @@ fn encode_payload(store: &EventStore) -> Result<Vec<u8>, StoreError> {
 
     // Index mode: always "rebuild on load".
     out.push(0);
+
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    header[12..20].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    header[20..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     Ok(out)
 }
 
@@ -323,14 +359,9 @@ impl EventStore {
     /// Encodes the store as a snapshot byte buffer (header + checksummed
     /// payload).
     pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        let payload = encode_payload(self)?;
-        let mut out = Vec::with_capacity(payload.len() + 28);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok(out)
+        encode_snapshot(&self.snapshot_parts(), |device| {
+            self.timeline_of(device).segments()
+        })
     }
 
     /// Decodes a snapshot produced by [`EventStore::to_snapshot_bytes`] (any
@@ -392,7 +423,9 @@ impl EventStore {
 /// Atomically replaces `path` with `bytes`: writes a temporary file in the
 /// same directory, fsyncs it, and renames it into place — so a crash at any
 /// point leaves either the old file or the new one, never a truncated mix.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// How [`EventStore::save_snapshot`] writes; public for callers that encode
+/// under a lock and write outside it.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     write_atomic_io(path, bytes, &crate::io::RealIo)
 }
 

@@ -1,10 +1,11 @@
 //! The time-partitioned, segmented event store.
 
 use crate::colocation::{ColocationIndex, ColocationIndexStats, DevicePostings};
-use crate::compaction::{self, CompactionReport, TierStats};
+use crate::compaction::{CompactionReport, TierStats};
 use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
 use crate::error::{IngestError, StoreError};
 use crate::segment::{DeviceTimeline, EventsInRange, DEFAULT_SEGMENT_SPAN};
+use crate::snapshot::SnapshotParts;
 use crate::stats::DatasetStatistics;
 use crate::timeline::{NearbyDevice, Timeline};
 use locater_events::validity::{estimate_delta_events, ValidityConfig};
@@ -381,9 +382,8 @@ impl EventStore {
     /// Compacts the store against a retention horizon: evicts every whole
     /// segment bucket strictly below `horizon` from the per-device timelines,
     /// the global timeline index and the co-location posting lists in one
-    /// coherent mutation, and distills the evicted history into the cold
-    /// tiers of the returned [`CompactionReport`] (per-device per-AP dwell
-    /// summaries plus an eviction-only spill store).
+    /// coherent mutation, and hands the evicted segments back in the returned
+    /// [`CompactionReport`] — nothing else is built from them here.
     ///
     /// The cut is **bucket-aligned** (`cut = horizon.div_euclid(span) · span ≤
     /// horizon`): buckets partition time uniformly for all devices and for
@@ -395,7 +395,7 @@ impl EventStore {
     pub fn compact(&mut self, horizon: Timestamp) -> CompactionReport {
         let cut_bucket = horizon.div_euclid(self.segment_span);
         let cut = cut_bucket.saturating_mul(self.segment_span);
-        let mut evicted: Vec<(DeviceId, Vec<crate::segment::Segment>)> = Vec::new();
+        let mut evicted = Vec::new();
         let mut evicted_events = 0usize;
         let mut evicted_segments = 0usize;
         for (idx, timeline) in self.timelines.iter_mut().enumerate() {
@@ -406,32 +406,18 @@ impl EventStore {
                 evicted.push((DeviceId::new(idx as u32), segments));
             }
         }
-        if evicted_events == 0 {
-            return CompactionReport::empty(horizon, cut);
+        if evicted_events > 0 {
+            let trimmed_entries = self.timeline.trim_before(cut);
+            let trimmed_postings = self.colocation.trim_before_bucket(cut_bucket);
+            debug_assert_eq!(trimmed_entries, evicted_events);
+            debug_assert_eq!(trimmed_postings, evicted_events);
         }
-        let trimmed_entries = self.timeline.trim_before(cut);
-        let trimmed_postings = self.colocation.trim_before_bucket(cut_bucket);
-        debug_assert_eq!(trimmed_entries, evicted_events);
-        debug_assert_eq!(trimmed_postings, evicted_events);
-        let mut summaries = Vec::new();
-        for (device, segments) in &evicted {
-            compaction::summarize_device(
-                &self.space,
-                &self.devices[device.index()],
-                segments,
-                self.segment_span,
-                &mut summaries,
-            );
-        }
-        let spill = compaction::build_spill(self, &evicted)
-            .expect("evicted events came from this store and re-ingest cleanly");
         CompactionReport {
             horizon,
             cut,
             evicted_events,
             evicted_segments,
-            summaries,
-            spill: Some(spill),
+            evicted,
         }
     }
 
@@ -529,24 +515,14 @@ impl EventStore {
     // Snapshot plumbing (the format lives in `crate::snapshot`)
     // ------------------------------------------------------------------
 
-    pub(crate) fn snapshot_parts(
-        &self,
-    ) -> (
-        &Space,
-        &ValidityConfig,
-        Timestamp,
-        u64,
-        &[Device],
-        &[DeviceTimeline],
-    ) {
-        (
-            &self.space,
-            &self.validity,
-            self.segment_span,
-            self.next_event_id,
-            &self.devices,
-            &self.timelines,
-        )
+    pub(crate) fn snapshot_parts(&self) -> SnapshotParts<'_> {
+        SnapshotParts {
+            space: &self.space,
+            validity: &self.validity,
+            span: self.segment_span,
+            next_event_id: self.next_event_id,
+            devices: &self.devices,
+        }
     }
 
     /// Reassembles a store from decoded snapshot parts: rebuilds the MAC index

@@ -337,17 +337,20 @@ proptest! {
         }
     }
 
-    /// Compact → snapshot → load is bit-identical, and the spill tier the
-    /// run produces is itself an ordinary round-trippable snapshot holding
-    /// exactly the evicted events.
+    /// Compact → snapshot → load is bit-identical, and the evicted runs the
+    /// report hands back are exactly the removed events (original ids): the
+    /// spill encoded from them is an ordinary round-trippable snapshot, and
+    /// the per-shard runs of a partitioned store encode to the same bytes.
     #[test]
     fn compact_snapshot_load_roundtrip_is_bit_identical(
         events in arb_events(),
         span in 500i64..50_000,
         horizon in 0i64..600_000,
+        shards in 2usize..5,
     ) {
-        let mut store = build_store(&events, span);
-        store.estimate_deltas();
+        let mut full = build_store(&events, span);
+        full.estimate_deltas();
+        let mut store = full.clone();
         let report = store.compact(horizon);
 
         let bytes = store.to_snapshot_bytes().unwrap();
@@ -355,17 +358,48 @@ proptest! {
         prop_assert_eq!(&back, &store);
         prop_assert_eq!(back.to_snapshot_bytes().unwrap(), bytes);
 
-        match report.spill {
-            Some(spill) => {
-                prop_assert_eq!(spill.num_events(), report.evicted_events);
-                prop_assert_eq!(spill.num_events() + store.num_events(), events.len());
-                let spill_bytes = spill.to_snapshot_bytes().unwrap();
-                let spill_back = EventStore::from_snapshot_bytes(&spill_bytes).unwrap();
-                prop_assert_eq!(&spill_back, &spill);
-                prop_assert_eq!(spill_back.to_snapshot_bytes().unwrap(), spill_bytes);
-            }
-            None => prop_assert_eq!(report.evicted_events, 0),
+        // The runs, concatenated, are the events the hot tier lost.
+        let mut evicted: Vec<_> = report
+            .evicted
+            .iter()
+            .flat_map(|(device, segments)| {
+                segments.iter().flat_map(|s| s.events()).map(move |e| (*device, *e))
+            })
+            .collect();
+        prop_assert_eq!(evicted.len(), report.evicted_events);
+        prop_assert!(evicted.iter().all(|(_, e)| e.t < report.cut));
+        let mut removed: Vec<_> = full
+            .devices()
+            .iter()
+            .flat_map(|d| full.timeline_of(d.id).iter().map(move |e| (d.id, *e)))
+            .filter(|(d, e)| !store.timeline_of(*d).iter().any(|kept| kept.id == e.id))
+            .collect();
+        evicted.sort_by_key(|(_, e)| e.id);
+        removed.sort_by_key(|(_, e)| e.id);
+        prop_assert_eq!(&evicted, &removed);
+
+        // The spill is a snapshot of exactly those events.
+        let spill_bytes = ShardedRead::new(vec![&store])
+            .spill_snapshot_bytes(&report.evicted)
+            .unwrap();
+        let spill = EventStore::from_snapshot_bytes(&spill_bytes).unwrap();
+        prop_assert_eq!(spill.num_events(), report.evicted_events);
+        prop_assert_eq!(spill.devices(), store.devices());
+        prop_assert_eq!(spill.next_event_id(), store.next_event_id());
+        for (device, segments) in &report.evicted {
+            prop_assert_eq!(spill.timeline_of(*device).segments(), segments.as_slice());
         }
+        prop_assert_eq!(spill.to_snapshot_bytes().unwrap(), &spill_bytes[..]);
+
+        // Per-shard evictions concatenate (in any order) to the same file.
+        let mut parts = full.split(shards);
+        let mut runs = Vec::new();
+        for part in parts.iter_mut().rev() {
+            runs.extend(part.compact(horizon).evicted);
+        }
+        let view = ShardedRead::new(parts.iter().collect());
+        prop_assert_eq!(view.spill_snapshot_bytes(&runs).unwrap(), spill_bytes);
+        prop_assert_eq!(view.to_snapshot_bytes().unwrap(), bytes);
     }
 }
 

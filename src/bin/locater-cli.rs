@@ -66,16 +66,16 @@
 //!   to the final segment).
 //! * `serve --retain SECS` bounds the hot tier: history older than the
 //!   retention (measured from the event-time watermark, rounded down to a
-//!   whole segment bucket) is compacted away — distilled into per-device
-//!   per-AP dwell summaries and, with `--spill-dir`, spilled as reloadable
-//!   snapshot files. `--compact-interval SECS` schedules the compaction tick
+//!   whole segment bucket) is compacted away — with `--spill-dir` spilled as
+//!   reloadable snapshot files (one per run, never replaced), otherwise
+//!   dropped. `--compact-interval SECS` schedules the compaction tick
 //!   on a background thread off the ingest path (`--listen` mode); the
 //!   `compact` REPL/wire verb triggers one on demand. Answers inside the
 //!   retained window are byte-identical with compaction on or off.
 //! * `compact` is the offline counterpart: load a snapshot, evict history
 //!   below the horizon (absolute `--horizon` or watermark-relative
-//!   `--retain`), persist the cold tiers, write the compacted snapshot back
-//!   (in place, or to `--out`).
+//!   `--retain`), spill it into `--spill-dir`, write the compacted snapshot
+//!   back (in place, or to `--out`).
 //! * `request` sends one request (verb syntax or raw JSON) to a running
 //!   `serve --listen` server and prints the raw NDJSON response frame.
 //! * `simulate` writes `<out-prefix>.space.json`, `<out-prefix>.events.csv` and
@@ -89,7 +89,8 @@ use locater::server::{
 };
 use locater::space::SpaceMetadata;
 use locater::store::{
-    inspect_wal, truncate_wal, Durability, FsyncPolicy, RecoveryReport, WalInspection,
+    inspect_wal, truncate_wal, Durability, FsyncPolicy, RealIo, RecoveryReport, ShardedRead,
+    WalInspection,
 };
 use std::fmt::Write as _;
 use std::io::{BufRead, Write as _};
@@ -688,10 +689,10 @@ fn request(args: &[String]) -> Result<String, CliError> {
 /// The `compact` command: offline compaction of a snapshot file. Loads the
 /// store, evicts whole segment buckets below the horizon (absolute
 /// `--horizon T`, or `--retain SECS` behind the event-time watermark),
-/// persists the cold tiers into `--spill-dir` (spill snapshot + merged
-/// dwell summaries), and writes the compacted snapshot back — in place, or
-/// to `--out`. Answers inside the retained window are unchanged; the
-/// evicted history stays reloadable from the spill file.
+/// writes the evicted events into `--spill-dir` as a spill snapshot, and
+/// writes the compacted snapshot back — in place, or to `--out`. Answers
+/// inside the retained window are unchanged; the evicted history stays
+/// reloadable from the spill file (without `--spill-dir` it is dropped).
 fn compact(args: &[String]) -> Result<String, CliError> {
     let snap = args
         .get(1)
@@ -713,27 +714,23 @@ fn compact(args: &[String]) -> Result<String, CliError> {
     };
     let report = store.compact(horizon);
     let mut out = format!(
-        "compacted {snap}: {} event(s) in {} segment(s) evicted below cut {} ({} summary row(s)); {} event(s) retained\n",
+        "compacted {snap}: {} event(s) in {} segment(s) evicted below cut {}; {} event(s) retained\n",
         report.evicted_events,
         report.evicted_segments,
         report.cut,
-        report.summaries.len(),
         store.num_events()
     );
     if let Some(dir) = &spill_dir {
-        let dir_path = std::path::Path::new(dir);
-        let spilled = locater::store::persist_tiers(dir_path, &report)
-            .map_err(|e| format!("cannot persist tiers into {dir}: {e}"))?;
+        let spilled = ShardedRead::new(vec![&store])
+            .spill_snapshot_bytes(&report.evicted)
+            .and_then(|bytes| {
+                let dir = std::path::Path::new(dir);
+                locater::store::write_spill(dir, report.cut, &report.evicted, &bytes, &RealIo)
+            })
+            .map_err(|e| format!("cannot write the spill into {dir}: {e}"))?;
         if let Some(path) = spilled {
             let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             let _ = writeln!(out, "spilled {} ({bytes} bytes)", path.display());
-        }
-        if !report.summaries.is_empty() {
-            let _ = writeln!(
-                out,
-                "summaries merged into {}",
-                locater::store::summary_path(dir_path).display()
-            );
         }
     }
     store
@@ -1189,32 +1186,61 @@ mod tests {
         assert_eq!(EventStore::load_snapshot(&compacted).unwrap(), before);
 
         // One week of retention on a three-week corpus evicts history and
-        // persists both cold tiers.
+        // spills it.
         let spill_dir = dir.join("spill");
-        let out = run(&[
-            "compact".into(),
-            snap.clone(),
-            "--retain".into(),
-            "604800".into(),
-            "--spill-dir".into(),
-            spill_dir.to_string_lossy().to_string(),
-        ])
-        .expect("compact succeeds");
+        let compact_in_place = || {
+            run(&[
+                "compact".into(),
+                snap.clone(),
+                "--retain".into(),
+                "604800".into(),
+                "--spill-dir".into(),
+                spill_dir.to_string_lossy().to_string(),
+            ])
+            .expect("compact succeeds")
+        };
+        let out = compact_in_place();
         assert!(!out.contains("0 event(s) in 0 segment(s)"), "{out}");
         assert!(out.contains("spilled"), "{out}");
-        assert!(out.contains("summaries merged into"), "{out}");
         assert!(out.contains(&format!("wrote {snap}")), "{out}");
-        let after = EventStore::load_snapshot(&snap).unwrap();
+        let mut after = EventStore::load_snapshot(&snap).unwrap();
         assert!(after.num_events() < before.num_events());
         // Evicted + retained account for every original event, and the spill
         // reloads as an ordinary snapshot.
         let spills = locater::store::list_spills(&spill_dir).unwrap();
         assert_eq!(spills.len(), 1);
-        let spill = locater::store::load_spill(&spills[0].1).unwrap();
-        assert_eq!(spill.num_events() + after.num_events(), before.num_events());
-        assert!(!locater::store::load_summaries(&spill_dir)
-            .unwrap()
-            .is_empty());
+        let first = EventStore::load_snapshot(&spills[0].1).unwrap();
+        assert_eq!(first.num_events() + after.num_events(), before.num_events());
+
+        // A late event below the cut, then the same command again: the same
+        // bucket-aligned cut, a one-event spill — and the first spill is
+        // still there, untouched.
+        let late_mac = before.devices()[0].mac.as_str().to_string();
+        let late_t = spills[0].0 - 1_000;
+        let late_ap = before.space().access_points()[0].name.clone();
+        let late = after.ingest_raw(&late_mac, late_t, &late_ap).unwrap();
+        after.save_snapshot(&snap).unwrap();
+        let out = compact_in_place();
+        assert!(out.contains("1 event(s) in 1 segment(s) evicted"), "{out}");
+        let spills = locater::store::list_spills(&spill_dir).unwrap();
+        assert_eq!(spills.len(), 2, "a spill never replaces a spill");
+        assert_eq!((spills[0].0, spills[1].0), (late_t + 1_000, late_t + 1_000));
+        let mut spilled_ids = Vec::new();
+        for (_, path) in &spills {
+            let spill = EventStore::load_snapshot(path).unwrap();
+            for device in spill.devices() {
+                spilled_ids.extend(spill.timeline_of(device.id).iter().map(|e| e.id));
+            }
+        }
+        spilled_ids.sort();
+        let mut expected: Vec<_> = first
+            .devices()
+            .iter()
+            .flat_map(|d| first.timeline_of(d.id).iter().map(|e| e.id))
+            .chain([late])
+            .collect();
+        expected.sort();
+        assert_eq!(spilled_ids, expected, "every evicted id exactly once");
 
         // Bad usage is rejected before touching any file.
         assert!(run(&["compact".into()]).is_err());
@@ -1332,7 +1358,7 @@ locate aa:bb:cc:dd:ee:01 1000
         assert_eq!(commands, 3, "shutdown stops the loop");
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("ingested aa:bb:cc:dd:ee:01 @ 1000 via wap1 (device epoch 1)"));
-        assert!(out.contains("pong (protocol v3)"));
+        assert!(out.contains("pong (protocol v4)"));
         assert!(out.contains("shutting down"));
         assert!(state.is_draining());
         let summary = state.finish_drain();

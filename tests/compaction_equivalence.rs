@@ -22,6 +22,11 @@
 //! compacted state bit-for-bit; and a crash at the end recovers compacted
 //! prefix + replayed tail, byte-identical to an uncrashed control that
 //! compacted live.
+//!
+//! The third part pins the cold tier: a spill file is a pure function of the
+//! evicted event set (same bytes from 1 shard, 3 shards and the offline
+//! `locater-cli compact`), a run without a spill directory leaves nothing
+//! behind, and a spill never replaces a spill.
 
 use locater::prelude::*;
 use locater::proto::{encode_response, WireResponse};
@@ -480,5 +485,192 @@ fn compaction_survives_kill_and_recover_at_every_interesting_instant() {
         for d in [&dir, &pre, &post] {
             std::fs::remove_dir_all(d).ok();
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The cold tier: one spill file per run, a pure function of what was evicted
+// ---------------------------------------------------------------------------
+
+/// Every event of a store as `(id, mac, t, ap)`, sorted by id.
+fn events_of(store: &EventStore) -> Vec<(u64, String, i64, u32)> {
+    let mut events: Vec<_> = store
+        .devices()
+        .iter()
+        .flat_map(|device| {
+            store
+                .timeline_of(device.id)
+                .iter()
+                .map(|e| (e.id.0, device.mac.as_str().to_string(), e.t, e.ap.raw()))
+        })
+        .collect();
+    events.sort();
+    events
+}
+
+/// The spill files of a directory, loaded, in `list_spills` order.
+fn read_spills(dir: &Path) -> Vec<EventStore> {
+    locater::store::list_spills(dir)
+        .expect("list spills")
+        .iter()
+        .map(|(_, path)| EventStore::load_snapshot(path).expect("a spill is a snapshot"))
+        .collect()
+}
+
+#[test]
+fn spill_bytes_depend_on_the_evicted_events_not_on_shards_or_entry_point() {
+    let seeded = {
+        let s = service(1);
+        for op in trace(99, 400) {
+            if let Op::Ingest(mac, t, ap) = op {
+                s.ingest(mac, t, ap).unwrap();
+            }
+        }
+        s.store_snapshot()
+    };
+    let horizon = seeded.time_span().unwrap().end - RETAIN;
+    let dir = scratch("spill-eq");
+
+    // Without a spill directory a run leaves nothing behind — on a durable
+    // service the WAL directory holds the checkpoint and the logs, no more.
+    let wal = dir.join("wal");
+    let (durable, _) =
+        ShardedLocaterService::with_durability(seeded.clone(), config(), 3, durability(&wal))
+            .expect("durable boot");
+    let status = durable.compact_to(horizon, None).expect("durable compact");
+    assert!(status.evicted_events > 0, "the run must evict something");
+    let mut left: Vec<String> = std::fs::read_dir(&wal)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().to_string())
+        .collect();
+    left.sort();
+    assert_eq!(
+        left,
+        ["checkpoint.snap", "shard-0000", "shard-0001", "shard-0002"]
+    );
+
+    // One shard, three shards and the offline CLI write the same file.
+    let spill_of = |spill_dir: &Path| {
+        let spills = locater::store::list_spills(spill_dir).unwrap();
+        assert_eq!(spills.len(), 1, "one run, one file");
+        let name = spills[0].1.file_name().unwrap().to_owned();
+        (name, std::fs::read(&spills[0].1).unwrap())
+    };
+    let mut files = Vec::new();
+    let mut hot = Vec::new();
+    for shards in [1usize, 3] {
+        let s = ShardedLocaterService::new(seeded.clone(), config(), shards);
+        let spill_dir = dir.join(format!("spill-{shards}"));
+        let run = s.compact_to(horizon, Some(&spill_dir)).expect("compact");
+        assert_eq!(run.evicted_events, status.evicted_events);
+        files.push(spill_of(&spill_dir));
+        hot.push(snapshot_bytes(&s));
+    }
+    let snap = dir.join("seeded.snap");
+    let out = dir.join("compacted.snap");
+    let cli_dir = dir.join("spill-cli");
+    seeded.save_snapshot(&snap).unwrap();
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_locater-cli"))
+        .arg("compact")
+        .arg(&snap)
+        .args(["--horizon", &horizon.to_string()])
+        .arg("--spill-dir")
+        .arg(&cli_dir)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("run locater-cli");
+    assert!(cli.status.success(), "{cli:?}");
+    files.push(spill_of(&cli_dir));
+    hot.push(std::fs::read(&out).unwrap());
+    assert!(files[0] == files[1], "3 shards wrote a different spill");
+    assert!(files[0] == files[2], "the CLI wrote a different spill");
+    assert!(hot[0] == hot[1] && hot[0] == hot[2], "the hot tiers differ");
+    assert_eq!(hot[0], snapshot_bytes(&durable));
+
+    // And the file is what it says: the evicted events, nothing else.
+    let spill = EventStore::from_snapshot_bytes(&files[0].1).unwrap();
+    let kept = EventStore::from_snapshot_bytes(&hot[0]).unwrap();
+    assert_eq!(spill.num_events() as u64, status.evicted_events);
+    let mut both = events_of(&spill);
+    both.extend(events_of(&kept));
+    both.sort();
+    assert_eq!(both, events_of(&seeded));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two runs can land on the same bucket-aligned cut (a late ingest below it,
+/// then the next tick at the same retention). The second spill must not
+/// replace the first: after any sequence of runs every evicted event id is in
+/// exactly one spill file, and hot ∪ spills is the never-compacted store.
+#[test]
+fn a_spill_never_replaces_a_spill() {
+    for shards in [1usize, 3] {
+        let dir = scratch("no-clobber");
+        let compacted = service(shards);
+        let reference = service(shards);
+        let both = |mac: &str, t: i64, ap: &str| {
+            compacted.ingest(mac, t, ap).unwrap();
+            reference.ingest(mac, t, ap).unwrap();
+        };
+        let mut t = 5_000;
+        for i in 0..120 {
+            t += 400;
+            both(MACS[i % 4], t, "wap0");
+        }
+        let first = compacted.compact_all(RETAIN, Some(&dir)).unwrap();
+        let cut = first.last_cut.expect("evicted");
+        assert_eq!(read_spills(&dir).len(), 1);
+        let first_spill = std::fs::read(&locater::store::list_spills(&dir).unwrap()[0].1).unwrap();
+
+        // One late event below the cut; the next tick lands on the same cut.
+        both(MACS[0], cut - 2_000, "wap1");
+        let second = compacted.compact_all(RETAIN, Some(&dir)).unwrap();
+        assert_eq!(second.last_cut, Some(cut));
+        assert_eq!(second.evicted_events, first.evicted_events + 1);
+        let spills = locater::store::list_spills(&dir).unwrap();
+        assert_eq!(spills.len(), 2, "shards={shards}");
+        assert!(
+            spills
+                .iter()
+                .any(|(_, path)| std::fs::read(path).unwrap() == first_spill),
+            "the first spill was replaced (shards={shards})"
+        );
+
+        // A longer seeded run on top: frontier ingest, backfill below earlier
+        // cuts, and a spilling compaction wherever the trace asks for one.
+        for op in trace(31 + shards as u64, 500) {
+            match op {
+                Op::Ingest(mac, at, ap) => both(mac, t + at, ap),
+                Op::Locate(..) => {}
+                Op::Compact => {
+                    compacted.compact_all(RETAIN, Some(&dir)).unwrap();
+                }
+            }
+        }
+        let status = compacted.compaction_status();
+        assert!(status.runs > 2, "the trace must compact: {status:?}");
+
+        let spills = read_spills(&dir);
+        assert_eq!(
+            spills.len() as u64,
+            status.runs,
+            "one file per effective run"
+        );
+        let mut all = events_of(&compacted.store_snapshot());
+        let mut spilled = 0u64;
+        for spill in &spills {
+            spilled += spill.num_events() as u64;
+            all.extend(events_of(spill));
+        }
+        all.sort();
+        assert_eq!(spilled, status.evicted_events);
+        assert_eq!(
+            all,
+            events_of(&reference.store_snapshot()),
+            "hot ∪ spills must be the never-compacted store (shards={shards})"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,7 +18,9 @@
 use locater::prelude::*;
 use locater::proto::{WireRequest, WireResponse};
 use locater::server::ServerState;
-use locater::store::{inspect_wal, truncate_wal, Durability, FsyncPolicy, WalError};
+use locater::store::{
+    checkpoint_path, inspect_wal, truncate_wal, Durability, FsyncPolicy, WalError,
+};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -559,6 +561,38 @@ fn graceful_drain_checkpoints_and_leaves_an_empty_tail() {
         reference_bytes(4, &ops),
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The checkpoint is encoded straight from the shard partitions; the file
+/// must be, byte for byte, the snapshot of the rejoined store — and so must a
+/// `save_snapshot` of the same service.
+#[test]
+fn checkpoint_file_is_the_snapshot_of_the_rejoined_store() {
+    for shards in [1usize, 3] {
+        let dir = scratch("checkpoint-bytes");
+        let (service, _) = ShardedLocaterService::with_durability(
+            EventStore::new(space()),
+            LocaterConfig::default(),
+            shards,
+            durability(&dir),
+        )
+        .unwrap();
+        for (mac, t, ap) in &trace(23, 60) {
+            service.ingest(mac, *t, ap).expect("durable ingest");
+        }
+        let size = service.checkpoint().unwrap().expect("wal attached");
+        let expected = service.store_snapshot().to_snapshot_bytes().unwrap();
+        let written = std::fs::read(checkpoint_path(&dir)).unwrap();
+        assert_eq!(size, written.len() as u64);
+        assert!(written == expected, "checkpoint bytes (shards={shards})");
+        let saved = dir.join("saved.snap");
+        service.save_snapshot(&saved).unwrap();
+        assert!(
+            std::fs::read(&saved).unwrap() == expected,
+            "shards={shards}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
