@@ -210,6 +210,8 @@ pub struct ClientStats {
 pub struct RetryClient {
     config: ClientConfig,
     conn: Option<BufReader<TcpStream>>,
+    /// The response line buffer, reused across attempts and requests.
+    line: String,
     next_id: u64,
     stats: ClientStats,
 }
@@ -220,6 +222,7 @@ impl RetryClient {
         RetryClient {
             config,
             conn: None,
+            line: String::new(),
             next_id: 0,
             stats: ClientStats::default(),
         }
@@ -261,9 +264,20 @@ impl RetryClient {
     /// frames are stamped with a request id before the first send, so a
     /// retry that crosses a reconnect cannot double-apply.
     pub fn request(&mut self, request: &WireRequest) -> Result<WireResponse, ClientError> {
-        let request = self.stamped(request);
+        // Only a frame that gets a token is copied; the rest go out as given.
+        let lacks_id = matches!(
+            request,
+            WireRequest::Ingest {
+                request_id: None,
+                ..
+            } | WireRequest::IngestBatch {
+                request_id: None,
+                ..
+            }
+        );
+        let stamped = lacks_id.then(|| self.stamped(request));
         let frame = {
-            let mut line = encode_request(&request);
+            let mut line = encode_request(stamped.as_ref().unwrap_or(request));
             line.push('\n');
             line
         };
@@ -306,15 +320,15 @@ impl RetryClient {
         }
         let reader = self.conn.as_mut().expect("connection just ensured");
         reader.get_mut().write_all(frame.as_bytes())?;
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
+        self.line.clear();
+        let n = reader.read_line(&mut self.line)?;
         if n == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection before answering",
             ));
         }
-        decode_response(line.trim_end())
+        decode_response(self.line.trim_end())
             .map_err(|e| std::io::Error::other(format!("undecodable response frame: {e}")))
     }
 

@@ -1,5 +1,6 @@
 //! The request executor: one [`ServerState::execute`] path shared by every
-//! protocol front end (TCP workers, the stdin REPL, one-shot CLI requests).
+//! protocol front end (TCP connection threads, the stdin REPL, one-shot CLI
+//! requests).
 //!
 //! The executor owns the [`ShardedLocaterService`] plus the serving-layer
 //! counters ([`WireStats`] uptime, in-flight/queued gauges, rejection
@@ -28,7 +29,7 @@ const DEDUP_CAPACITY: usize = 1024;
 /// One request id's place in the replay-dedup window.
 #[derive(Debug, Clone)]
 enum DedupSlot {
-    /// A worker claimed the id and is executing it right now. Concurrent
+    /// A thread claimed the id and is executing it right now. Concurrent
     /// arrivals of the same id park on the marker instead of executing a
     /// second apply.
     InFlight,
@@ -39,7 +40,7 @@ enum DedupSlot {
 
 /// The bounded replay cache: per-request-id slots plus the insertion order
 /// of *completed* acks, so eviction is FIFO over completed entries only —
-/// an in-flight marker is never evicted (the worker that planted it always
+/// an in-flight marker is never evicted (the thread that planted it always
 /// completes or removes it).
 #[derive(Debug, Default)]
 struct DedupCache {
@@ -230,8 +231,8 @@ impl ServerState {
     /// replays its original ack (the client is retrying an ingest the
     /// server already applied; the ack was lost on the wire). An unseen id
     /// is claimed with an in-flight marker; the caller must resolve it with
-    /// [`complete_dedup`](Self::complete_dedup). An id some other worker is
-    /// executing right now parks until that worker resolves the marker,
+    /// [`complete_dedup`](Self::complete_dedup). An id some other thread is
+    /// executing right now parks until that thread resolves the marker,
     /// then replays its ack — or, if it resolved to an error (which removes
     /// the marker: nothing was applied, nothing to replay), claims the id
     /// and re-executes.
@@ -326,7 +327,8 @@ impl ServerState {
     /// Runs the request with a panic fence around it: a panic anywhere in
     /// the service becomes a typed `Internal` error (retryable — the client
     /// cannot know how far the request got) and bumps the `panics` counter,
-    /// instead of unwinding through the worker and poisoning shared locks.
+    /// instead of unwinding through the serving thread and poisoning shared
+    /// locks.
     fn execute_guarded(&self, request: &WireRequest, over_deadline: bool) -> WireResponse {
         catch_unwind(AssertUnwindSafe(|| {
             self.execute_inner(request, over_deadline)
@@ -509,7 +511,8 @@ impl ServerState {
     }
 
     /// Moves one admitted request from the queued gauge to the in-flight
-    /// gauge (called by a worker as it picks the request up).
+    /// gauge (called by the connection thread once it holds an execution
+    /// permit).
     pub fn begin_execution(&self) {
         self.queued.fetch_sub(1, Ordering::Relaxed);
         self.in_flight.fetch_add(1, Ordering::Relaxed);

@@ -12,10 +12,12 @@
 //! * [`ServerState`] — the transport-independent executor: it owns the
 //!   service plus the serving-layer counters and maps every request variant
 //!   to a response. The stdin REPL in `locater-cli serve` runs this executor
-//!   directly; the TCP server runs it from a worker pool. One protocol, one
-//!   executor, N transports.
-//! * [`Server`] — the socket machinery: accept thread, one reader thread per
-//!   connection, a bounded global ready queue, and a worker pool. Admission
+//!   directly; the TCP server runs it on each connection's thread. One
+//!   protocol, one executor, N transports.
+//! * [`Server`] — the socket machinery: an accept thread and one thread per
+//!   connection that reads a request, executes it under one of
+//!   [`ServerConfig::workers`] execution permits and writes the answer, so a
+//!   connection's responses are in request order by construction. Admission
 //!   control rejects work beyond [`ServerConfig::admission_limit`] with an
 //!   explicit `overloaded` response (backpressure, not silent drops), idle
 //!   connections time out, and a `shutdown` request or SIGTERM

@@ -3,54 +3,59 @@
 //! ## Architecture
 //!
 //! ```text
-//! accept thread ──► one reader thread per connection
-//!                        │  decode + admission control
-//!                        ▼
-//!                per-connection FIFO of jobs (Exec | Ready)
-//!                        │  connection enters the global ready queue
-//!                        ▼
-//!                worker pool (thread per core by default)
-//!                        │  one job per pickup, per-connection serial
+//! accept thread ──► one thread per connection, which does the whole request:
+//!                        │  read a line (bounded by `MAX_FRAME_BYTES`)
+//!                        │  decode + drain check + admission control
+//!                        │  take one of `workers` execution permits
+//!                        │  execute (deadline verdict, panic fence, dedup)
 //!                        ▼
 //!                response line written back on the same socket
 //! ```
 //!
 //! * **Pipelining with strict ordering** — a client may write many request
-//!   lines before reading; responses come back in request order because each
-//!   connection's jobs form a FIFO and rejections (`overloaded`,
-//!   `shutting_down`, parse errors) are enqueued as pre-computed `Ready`
-//!   responses occupying their slot in the same FIFO.
-//! * **Per-connection serial execution** — a connection is in the ready queue
-//!   at most once and a worker takes one job per pickup, so one connection's
-//!   requests execute in order (ingest-then-locate over one socket behaves
-//!   exactly like the same calls on an in-process service) while different
-//!   connections execute concurrently.
-//! * **Admission control** — `queued + in_flight` is bounded by
+//!   lines before reading; one thread reads, executes and answers them one
+//!   at a time, so responses come back in request order and rejections
+//!   (`overloaded`, `shutting_down`, parse errors) are written in place. The
+//!   backlog a client pipelines waits in the kernel socket buffer under TCP
+//!   flow control, not in the process.
+//! * **Per-connection serial execution** — ingest-then-locate over one socket
+//!   behaves exactly like the same calls on an in-process service, while
+//!   different connections execute concurrently, at most
+//!   [`ServerConfig::workers`] at once.
+//! * **Admission control** — `queued + in_flight` (requests waiting for a
+//!   permit + requests executing) is bounded by
 //!   [`ServerConfig::admission_limit`]; excess requests get an explicit
-//!   [`WireError::Overloaded`] response, never a silent drop.
+//!   [`WireError::Overloaded`] response, never a silent drop. A connection
+//!   has at most one request admitted, so `overloaded` always means *other*
+//!   connections hold the limit.
 //! * **Graceful drain** — a `shutdown` request (or SIGTERM via
 //!   [`install_sigterm_drain`]) stops admission, lets in-flight requests
 //!   finish, flushes their responses, closes connections, writes the
 //!   configured drain snapshot, and returns a [`ServerReport`].
 
 use crate::exec::{DrainSummary, ServerState};
-use locater_proto::{decode_request, encode_response, WireRequest, WireResponse};
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use locater_proto::{decode_request, encode_response, WireError, WireResponse};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Longest request line the server reads, newline excluded. A peer that
+/// sends more without a newline is answered `BadRequest` and disconnected,
+/// so no connection can grow its line buffer without bound. 4 MiB holds an
+/// `IngestBatch` of some 60,000 events; every other frame is under 1 KiB.
+const MAX_FRAME_BYTES: usize = 4 << 20;
 
 /// Locks a mutex, recovering from poison instead of propagating the panic.
 ///
 /// The executor fences request panics with `catch_unwind`, but a defect in
 /// the serving layer itself could still unwind while holding a lock. Every
-/// structure guarded here (connection FIFOs, the ready queue, the connection
-/// registry) is mutated in small all-or-nothing steps, so the inner value is
-/// structurally valid even after a panicked holder — serving must continue,
-/// not cascade the panic through every thread that touches the lock next.
+/// structure guarded here (the permit count, the connection registry) is
+/// mutated in small all-or-nothing steps, so the inner value is structurally
+/// valid even after a panicked holder — serving must continue, not cascade
+/// the panic through every thread that touches the lock next.
 fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -58,19 +63,22 @@ fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Tuning knobs for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests; `0` means one per core (minimum 2).
+    /// Requests executing at once (execution permits); `0` means one per
+    /// core (minimum 2). Threads are one per connection, not this many.
     pub workers: usize,
-    /// Bound on `queued + in_flight` requests; beyond it new requests are
-    /// rejected with [`locater_proto::WireError::Overloaded`].
+    /// Bound on `queued + in_flight` (requests waiting for a permit +
+    /// requests executing); beyond it new requests are rejected with
+    /// [`locater_proto::WireError::Overloaded`].
     pub admission_limit: usize,
     /// A connection idle (no request line) for this long is closed; also the
     /// per-response write timeout guarding against stuck clients.
     pub idle_timeout: Duration,
-    /// Time budget from admission to execution pickup. A `Locate` picked up
-    /// past its deadline degrades to the coarse-only answer (flagged
-    /// `degraded: true` on the wire) instead of spending a fine-grained
-    /// budget the request no longer has; other request types run in full
-    /// regardless. `None` disables deadline-based degradation.
+    /// Time budget from admission to execution pickup, i.e. for the wait for
+    /// an execution permit. A `Locate` picked up past its deadline degrades
+    /// to the coarse-only answer (flagged `degraded: true` on the wire)
+    /// instead of spending a fine-grained budget the request no longer has;
+    /// other request types run in full regardless. `None` disables
+    /// deadline-based degradation.
     pub deadline: Option<Duration>,
 }
 
@@ -103,42 +111,53 @@ pub struct ServerReport {
     pub drain: DrainSummary,
 }
 
-/// One pending unit of work on a connection: either a request to execute or a
-/// pre-computed response (rejections, parse errors) holding its ordered slot.
-// Sized by `WireResponse` (see the allow there); a queue slot is short-lived.
-#[allow(clippy::large_enum_variant)]
-enum Pending {
-    /// A request to execute, stamped with its admission time so the worker
-    /// that picks it up can tell whether the deadline budget is spent.
-    Exec(WireRequest, Instant),
-    Ready(WireResponse),
-}
-
-#[derive(Default)]
-struct ConnQueue {
-    jobs: VecDeque<Pending>,
-    /// Whether the connection currently sits in the ready queue or is held by
-    /// a worker — at most one of either, guaranteeing serial execution.
-    scheduled: bool,
-    /// Set on write failure: remaining responses are dropped (the peer is
-    /// gone) but admitted work still executes so the gauges stay balanced.
-    dead: bool,
-}
-
-struct Conn {
-    stream: TcpStream,
-    queue: Mutex<ConnQueue>,
+/// The execution permits: how many are free, and how many connection threads
+/// wait for one (so a release only pays for a wake-up when someone sleeps).
+struct Permits {
+    free: usize,
+    waiting: usize,
 }
 
 struct Shared {
     state: Arc<ServerState>,
     config: ServerConfig,
-    ready: Mutex<VecDeque<Arc<Conn>>>,
-    ready_cv: Condvar,
-    stop_workers: AtomicBool,
-    busy_workers: AtomicUsize,
-    conns: Mutex<Vec<Weak<Conn>>>,
+    permits: Mutex<Permits>,
+    permit_freed: Condvar,
+    /// Every connection whose thread may still run: the socket (gone once
+    /// the thread has exited and closed it) and the thread.
+    conns: Mutex<Vec<(Weak<TcpStream>, JoinHandle<()>)>>,
     connections: AtomicU64,
+}
+
+/// One held execution permit; dropping it returns the permit.
+struct Permit<'a>(&'a Shared);
+
+impl Shared {
+    /// Takes one of the [`ServerConfig::workers`] execution permits, sleeping
+    /// while all are out. Never contended while connections ≤ permits.
+    fn acquire_permit(&self) -> Permit<'_> {
+        let mut permits = relock(&self.permits);
+        permits.waiting += 1;
+        while permits.free == 0 {
+            permits = self
+                .permit_freed
+                .wait(permits)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        permits.waiting -= 1;
+        permits.free -= 1;
+        Permit(self)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut permits = relock(&self.0.permits);
+        permits.free += 1;
+        if permits.waiting > 0 {
+            self.0.permit_freed.notify_one();
+        }
+    }
 }
 
 /// A running TCP server. Construct with [`Server::bind`]; [`Server::join`]
@@ -147,12 +166,11 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     accept: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7474`, or port `0` for an ephemeral
-    /// port) and starts the accept thread plus the worker pool.
+    /// port) and starts the accept thread.
     pub fn bind(
         state: Arc<ServerState>,
         addr: impl ToSocketAddrs,
@@ -160,7 +178,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let worker_count = if config.workers == 0 {
+        let free = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -171,10 +189,8 @@ impl Server {
         let shared = Arc::new(Shared {
             state,
             config,
-            ready: Mutex::new(VecDeque::new()),
-            ready_cv: Condvar::new(),
-            stop_workers: AtomicBool::new(false),
-            busy_workers: AtomicUsize::new(0),
+            permits: Mutex::new(Permits { free, waiting: 0 }),
+            permit_freed: Condvar::new(),
             conns: Mutex::new(Vec::new()),
             connections: AtomicU64::new(0),
         });
@@ -184,19 +200,10 @@ impl Server {
                 .name("locater-accept".into())
                 .spawn(move || accept_loop(&shared, &listener))?
         };
-        let workers = (0..worker_count)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("locater-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Server {
             shared,
             local_addr,
             accept,
-            workers,
         })
     }
 
@@ -217,35 +224,28 @@ impl Server {
     /// carried inside [`ServerReport::drain`] rather than replacing the
     /// report — the serving counters survive a failed snapshot write.
     pub fn join(self) -> ServerReport {
-        // The accept thread exits once the drain flag is up.
+        // The accept thread exits once the drain flag is up, so the
+        // connection registry is final from here on.
         let _ = self.accept.join();
         let state = &self.shared.state;
-        // Phase 1: every admitted request finishes executing. Readers are
-        // already rejecting new work with `shutting_down`.
+        // Phase 1: every admitted request finishes executing. Connection
+        // threads are already answering new lines with `shutting_down`.
         while state.queued() > 0 || state.in_flight() > 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        // Phase 2: stop the readers (EOF on the read half) so no further
-        // rejection responses are enqueued, then let the workers flush what
-        // is already queued.
-        for conn in relock(&self.shared.conns).iter() {
-            if let Some(conn) = conn.upgrade() {
-                let _ = conn.stream.shutdown(Shutdown::Read);
+        // Phase 2: EOF on the read half of every live connection. Its
+        // thread answers what it had already read, writes its last frame,
+        // exits and thereby closes the socket.
+        let conns = std::mem::take(&mut *relock(&self.shared.conns));
+        for (stream, _) in &conns {
+            if let Some(stream) = stream.upgrade() {
+                let _ = stream.shutdown(Shutdown::Read);
             }
         }
-        loop {
-            let ready_empty = relock(&self.shared.ready).is_empty();
-            if ready_empty && self.shared.busy_workers.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        for (_, thread) in conns {
+            let _ = thread.join();
         }
-        // Phase 3: stop the workers and persist the drain snapshot.
-        self.shared.stop_workers.store(true, Ordering::SeqCst);
-        self.shared.ready_cv.notify_all();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        // Phase 3: nothing can touch the store any more; persist it.
         let stats = state.stats();
         let drain = state.finish_drain();
         ServerReport {
@@ -269,21 +269,24 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
+                // An idle connection (no complete line within the timeout)
+                // is closed, and so is one whose peer stopped reading.
+                let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
                 let _ = stream.set_write_timeout(Some(shared.config.idle_timeout));
-                let conn = Arc::new(Conn {
-                    stream,
-                    queue: Mutex::new(ConnQueue::default()),
-                });
+                let stream = Arc::new(stream);
                 shared.connections.fetch_add(1, Ordering::Relaxed);
-                {
+                let registered = Arc::downgrade(&stream);
+                let thread = {
+                    let shared = Arc::clone(shared);
+                    std::thread::Builder::new()
+                        .name("locater-conn".into())
+                        .spawn(move || connection_loop(&shared, &stream))
+                };
+                if let Ok(thread) = thread {
                     let mut conns = relock(&shared.conns);
-                    conns.retain(|weak| weak.strong_count() > 0);
-                    conns.push(Arc::downgrade(&conn));
+                    conns.retain(|(_, thread)| !thread.is_finished());
+                    conns.push((registered, thread));
                 }
-                let shared = Arc::clone(shared);
-                let _ = std::thread::Builder::new()
-                    .name("locater-conn".into())
-                    .spawn(move || reader_loop(&shared, &conn));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -293,122 +296,79 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-/// Reads request lines off one socket, turning each into a job on the
-/// connection's FIFO: decode + admission control happen here so rejections
-/// occupy their response slot in order.
-fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>) {
-    let Ok(read_half) = conn.stream.try_clone() else {
-        return;
-    };
-    // An idle connection (no complete line within the timeout) is closed.
-    let _ = read_half.set_read_timeout(Some(shared.config.idle_timeout));
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+/// Serves one socket: reads a request line, answers it, repeats. One thread
+/// does the whole request, so responses leave in request order by
+/// construction and a peer that stops reading them blocks only this thread.
+fn connection_loop(shared: &Shared, stream: &TcpStream) {
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    // One request buffer for the life of the connection.
+    let mut line = Vec::new();
     let mut line_no = 0u64;
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        // One byte past the cap tells an oversized line from one at the cap.
+        let mut bounded = (&mut reader).take(MAX_FRAME_BYTES as u64 + 1);
+        match bounded.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
             Ok(_) => {}
-            Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let oversized = line.len() > MAX_FRAME_BYTES && !line.ends_with(b"\n");
+        let text = std::str::from_utf8(&line);
+        if text.is_ok_and(|text| text.trim().is_empty()) {
             continue;
         }
         line_no += 1;
-        let state = &shared.state;
-        let job = if state.is_draining() {
-            Pending::Ready(WireResponse::Error(state.reject_shutting_down()))
+        let response = if oversized {
+            WireResponse::Error(WireError::BadRequest {
+                message: format!("request line exceeds {MAX_FRAME_BYTES} bytes"),
+            })
         } else {
-            match decode_request(&line) {
-                Err(e) => Pending::Ready(WireResponse::Error(e.at_line(line_no))),
-                Ok(request) => match state.try_admit(shared.config.admission_limit) {
-                    Ok(()) => Pending::Exec(request, Instant::now()),
-                    Err(e) => Pending::Ready(WireResponse::Error(e)),
-                },
-            }
+            respond(shared, text, line_no)
         };
-        submit(shared, conn, job);
+        let mut frame = encode_response(&response);
+        frame.push('\n');
+        // A failed write means the peer is gone; an oversized line leaves
+        // the stream mid-frame. Either way the connection ends here.
+        if writer.write_all(frame.as_bytes()).is_err() || oversized {
+            return;
+        }
     }
 }
 
-/// Appends a job to the connection FIFO and schedules the connection if it is
-/// not already in the ready queue or held by a worker.
-fn submit(shared: &Shared, conn: &Arc<Conn>, job: Pending) {
-    let schedule = {
-        let mut queue = relock(&conn.queue);
-        queue.jobs.push_back(job);
-        !std::mem::replace(&mut queue.scheduled, true)
+/// Answers one request line: drain check, decode, admission, then execution
+/// under a permit. Every outcome is a response in the line's own slot.
+fn respond(shared: &Shared, text: Result<&str, std::str::Utf8Error>, line_no: u64) -> WireResponse {
+    let state = &shared.state;
+    if state.is_draining() {
+        return WireResponse::Error(state.reject_shutting_down());
+    }
+    let decoded = match text {
+        Ok(text) => decode_request(text),
+        Err(e) => Err(WireError::Parse {
+            line: 0,
+            column: e.valid_up_to() as u64 + 1,
+            message: "request line is not valid UTF-8".to_string(),
+        }),
     };
-    if schedule {
-        relock(&shared.ready).push_back(Arc::clone(conn));
-        shared.ready_cv.notify_one();
+    let request = match decoded {
+        Ok(request) => request,
+        Err(e) => return WireResponse::Error(e.at_line(line_no)),
+    };
+    if let Err(e) = state.try_admit(shared.config.admission_limit) {
+        return WireResponse::Error(e);
     }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let conn = {
-            let mut ready = relock(&shared.ready);
-            loop {
-                if let Some(conn) = ready.pop_front() {
-                    break conn;
-                }
-                if shared.stop_workers.load(Ordering::SeqCst) {
-                    return;
-                }
-                ready = shared
-                    .ready_cv
-                    .wait_timeout(ready, Duration::from_millis(100))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .0;
-            }
-        };
-        shared.busy_workers.fetch_add(1, Ordering::SeqCst);
-        // One job per pickup: keeps scheduling fair across connections while
-        // preserving per-connection execution order.
-        let job = relock(&conn.queue).jobs.pop_front();
-        let response = match job {
-            None => None,
-            Some(Pending::Ready(response)) => Some(response),
-            Some(Pending::Exec(request, admitted)) => {
-                let state = &shared.state;
-                state.begin_execution();
-                let over_deadline = shared
-                    .config
-                    .deadline
-                    .is_some_and(|budget| admitted.elapsed() > budget);
-                let response = state.execute_with_budget(&request, over_deadline);
-                state.finish_execution();
-                Some(response)
-            }
-        };
-        if let Some(response) = response {
-            let dead = relock(&conn.queue).dead;
-            if !dead {
-                let mut frame = encode_response(&response);
-                frame.push('\n');
-                let mut write_half = &conn.stream;
-                if write_half.write_all(frame.as_bytes()).is_err() {
-                    relock(&conn.queue).dead = true;
-                }
-            }
-        }
-        let reschedule = {
-            let mut queue = relock(&conn.queue);
-            if queue.jobs.is_empty() {
-                queue.scheduled = false;
-                false
-            } else {
-                true
-            }
-        };
-        if reschedule {
-            relock(&shared.ready).push_back(Arc::clone(&conn));
-            shared.ready_cv.notify_one();
-        }
-        shared.busy_workers.fetch_sub(1, Ordering::SeqCst);
-    }
+    // The deadline budget covers the wait for a permit and nothing else.
+    let admitted = Instant::now();
+    let _permit = shared.acquire_permit();
+    state.begin_execution();
+    let over_deadline = shared
+        .config
+        .deadline
+        .is_some_and(|budget| admitted.elapsed() > budget);
+    let response = state.execute_with_budget(&request, over_deadline);
+    state.finish_execution();
+    response
 }
 
 /// Installs a SIGTERM handler that starts a graceful drain of `state`, so

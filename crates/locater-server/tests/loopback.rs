@@ -10,10 +10,11 @@ use locater_proto::{
 use locater_server::{Server, ServerConfig, ServerState};
 use locater_space::{Space, SpaceBuilder};
 use locater_store::{EventStore, RawEvent};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn space() -> Space {
     SpaceBuilder::new("net-test")
@@ -30,6 +31,53 @@ fn service(shards: usize) -> ShardedLocaterService {
 fn start(shards: usize, config: ServerConfig, drain_snapshot: Option<String>) -> Server {
     let state = Arc::new(ServerState::new(service(shards), drain_snapshot));
     Server::bind(state, "127.0.0.1:0", config).expect("bind loopback")
+}
+
+/// One gate per test that stalls a request (tests run in parallel): an
+/// ingest of `stall-<i>` stays inside the executor until gate `i` opens.
+static GATES: [AtomicBool; 3] = [
+    AtomicBool::new(false),
+    AtomicBool::new(false),
+    AtomicBool::new(false),
+];
+
+fn stall_hook(mac: &str) {
+    if let Some(gate) = mac
+        .strip_prefix("stall-")
+        .and_then(|i| i.parse::<usize>().ok())
+    {
+        while !GATES[gate].load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+fn start_stallable(config: ServerConfig) -> Server {
+    let state = Arc::new(ServerState::new(service(2), None).with_ingest_hook(stall_hook));
+    Server::bind(state, "127.0.0.1:0", config).expect("bind loopback")
+}
+
+/// A connection whose ingest is parked inside the executor behind `gate`.
+fn stalled_client(server: &Server, gate: usize) -> Client {
+    let mut client = Client::connect(server);
+    client.send(&ingest(&format!("stall-{gate}"), 1_000, "wap1"));
+    wait_until("the stalled ingest is executing", || {
+        server.state().in_flight() == 1
+    });
+    client
+}
+
+/// Polls `condition` until it holds; a condition that never does fails the
+/// test instead of hanging it.
+fn wait_until(what: &str, condition: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !condition() {
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "timed out waiting until {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 struct Client {
@@ -68,6 +116,12 @@ impl Client {
     fn recv(&mut self) -> WireResponse {
         let line = self.recv_line();
         decode_response(&line).unwrap_or_else(|e| panic!("bad response frame {line:?}: {e}"))
+    }
+
+    fn expect_eof(&mut self) {
+        let mut line = String::new();
+        let n = self.reader.read_line(&mut line).expect("clean EOF");
+        assert_eq!(n, 0, "expected EOF, got {line:?}");
     }
 }
 
@@ -207,68 +261,223 @@ fn malformed_frames_get_line_stamped_parse_errors_and_the_connection_survives() 
     client.send_line("");
     client.send(&WireRequest::Ping);
     assert!(matches!(client.recv(), WireResponse::Pong { .. }));
+    // Bytes that are not UTF-8 are a malformed frame like any other.
+    client.writer.write_all(b"\"Pi\xffng\"\n").unwrap();
+    match client.recv() {
+        WireResponse::Error(WireError::Parse { line, column, .. }) => {
+            assert_eq!((line, column), (5, 4), "the first invalid byte is located");
+        }
+        other => panic!("expected parse error, got {other:?}"),
+    }
+    client.send(&WireRequest::Ping);
+    assert!(matches!(client.recv(), WireResponse::Pong { .. }));
 }
 
 #[test]
 fn overload_yields_explicit_backpressure_not_silent_drops() {
-    // One worker and an admission limit of 1: while a slow batch executes,
-    // pipelined pings must be rejected with explicit `overloaded` frames.
-    let config = ServerConfig {
+    // One permit and an admission limit of 1: while connection A's ingest
+    // is stalled inside the executor, connection B's pipelined pings must
+    // each be rejected with an explicit `overloaded` frame.
+    let server = start_stallable(ServerConfig {
         workers: 1,
         admission_limit: 1,
         ..ServerConfig::default()
-    };
-    let pings = 300usize;
-    let mut saw_overload = false;
-    for _attempt in 0..5 {
-        let server = start(2, config.clone(), None);
-        let mut client = Client::connect(&server);
-        let events: Vec<RawEvent> = (0..5_000)
-            .map(|i| {
-                RawEvent::new(
-                    format!("aa:bb:cc:00:{:02x}:{:02x}", i / 256 % 256, i % 256),
-                    1_000 + i,
-                    "wap1",
-                )
-            })
-            .collect();
-        client.send(&WireRequest::IngestBatch {
-            events,
-            request_id: None,
-        });
-        for _ in 0..pings {
-            client.send(&WireRequest::Ping);
+    });
+    let mut a = stalled_client(&server, 0);
+    let mut b = Client::connect(&server);
+    let pings = 50usize;
+    for _ in 0..pings {
+        b.send(&WireRequest::Ping);
+    }
+    // One frame per ping, in order — nothing is dropped.
+    for _ in 0..pings {
+        match b.recv() {
+            WireResponse::Error(WireError::Overloaded {
+                in_flight,
+                queued,
+                limit,
+            }) => assert_eq!((in_flight, queued, limit), (1, 0, 1)),
+            other => panic!("expected an overloaded frame, got {other:?}"),
         }
-        // Responses come back in request order: the batch ack first, then one
-        // frame per ping — nothing is dropped.
-        assert_eq!(
-            client.recv(),
-            WireResponse::IngestedBatch { appended: 5_000 }
-        );
-        let mut pongs = 0usize;
-        let mut overloaded = 0usize;
-        for _ in 0..pings {
-            match client.recv() {
-                WireResponse::Pong { .. } => pongs += 1,
-                WireResponse::Error(WireError::Overloaded { limit, .. }) => {
-                    assert_eq!(limit, 1);
-                    overloaded += 1;
-                }
-                other => panic!("unexpected frame {other:?}"),
-            }
+    }
+    assert_eq!(server.state().stats().rejected_overloaded as usize, pings);
+
+    GATES[0].store(true, Ordering::SeqCst);
+    assert!(matches!(a.recv(), WireResponse::Ingested { .. }));
+    // A's ack is written after its request left the gauges: B is admitted.
+    b.send(&WireRequest::Ping);
+    assert!(matches!(b.recv(), WireResponse::Pong { .. }));
+    assert_eq!(server.state().stats().rejected_overloaded as usize, pings);
+}
+
+#[test]
+fn a_locate_that_outwaits_its_deadline_for_a_permit_degrades() {
+    let server = start_stallable(ServerConfig {
+        workers: 1,
+        deadline: Some(Duration::from_millis(5)),
+        ..ServerConfig::default()
+    });
+    let mut b = Client::connect(&server);
+    b.send(&ingest("aa:bb:cc:dd:ee:01", 1_000, "wap1"));
+    assert!(matches!(b.recv(), WireResponse::Ingested { .. }));
+    // A holds the only permit; B's locate is admitted and waits for it.
+    let mut a = stalled_client(&server, 1);
+    b.send(&locate("aa:bb:cc:dd:ee:01", 1_000));
+    wait_until("B's locate waits for the permit", || {
+        server.state().queued() == 1
+    });
+    std::thread::sleep(Duration::from_millis(10)); // spend B's 5 ms budget
+    GATES[1].store(true, Ordering::SeqCst);
+    assert!(matches!(a.recv(), WireResponse::Ingested { .. }));
+    match b.recv() {
+        WireResponse::Located {
+            answer, degraded, ..
+        } => {
+            assert!(degraded, "the permit wait outlasted the deadline");
+            assert!(!answer.is_outside());
         }
-        assert_eq!(pongs + overloaded, pings);
-        let stats = server.state().stats();
-        assert_eq!(stats.rejected_overloaded as usize, overloaded);
-        if overloaded > 0 {
-            saw_overload = true;
+        other => panic!("expected a located answer, got {other:?}"),
+    }
+    assert_eq!(server.state().stats().degraded, 1);
+}
+
+#[test]
+fn a_reader_that_stops_reading_blocks_only_its_own_connection() {
+    let server = start(
+        1,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        None,
+    );
+    // A pipelines `Stats` frames until its own write would block and never
+    // reads a response: the server's writes to A fill both socket buffers.
+    let a = Client::connect(&server);
+    a.writer.set_nonblocking(true).unwrap();
+    let chunk = "\"Stats\"\n".repeat(4096);
+    loop {
+        match (&a.writer).write(chunk.as_bytes()) {
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) => panic!("write to the server: {e}"),
+        }
+    }
+    // B keeps pinging until A's thread has stopped making progress (it is
+    // stuck writing to A), then once more: every ping is answered promptly.
+    let mut b = Client::connect(&server);
+    b.writer
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let served = || server.state().stats().requests_served;
+    loop {
+        let before = served();
+        b.send(&WireRequest::Ping);
+        assert!(matches!(b.recv(), WireResponse::Pong { .. }));
+        std::thread::sleep(Duration::from_millis(50));
+        if served() == before + 1 {
             break;
         }
     }
-    assert!(
-        saw_overload,
-        "admission control never engaged across 5 attempts"
+    b.send(&WireRequest::Ping);
+    assert!(matches!(b.recv(), WireResponse::Pong { .. }));
+}
+
+#[test]
+fn oversized_request_lines_are_rejected_and_the_connection_closed() {
+    // The server's `MAX_FRAME_BYTES`.
+    const LIMIT: usize = 4 << 20;
+    let server = start(2, ServerConfig::default(), None);
+    let mut client = Client::connect(&server);
+    // A large frame under the cap is served like any other…
+    let events: Vec<RawEvent> = (0..5_000)
+        .map(|i| {
+            RawEvent::new(
+                format!("aa:bb:cc:00:{:02x}:{:02x}", i / 256 % 256, i % 256),
+                1_000 + i,
+                "wap1",
+            )
+        })
+        .collect();
+    client.send(&WireRequest::IngestBatch {
+        events,
+        request_id: None,
+    });
+    assert_eq!(
+        client.recv(),
+        WireResponse::IngestedBatch { appended: 5_000 }
     );
+    // …a line that passes the cap without a newline is answered and cut off.
+    client.writer.write_all(&vec![b'x'; LIMIT + 1]).unwrap();
+    match client.recv() {
+        WireResponse::Error(WireError::BadRequest { message }) => {
+            assert!(message.contains(&LIMIT.to_string()), "message: {message}");
+        }
+        other => panic!("expected a bad-request frame, got {other:?}"),
+    }
+    client.expect_eof();
+    assert_eq!(server.state().stats().events, 5_000);
+}
+
+#[test]
+fn a_final_line_without_a_newline_is_still_answered() {
+    let server = start(1, ServerConfig::default(), None);
+    let mut client = Client::connect(&server);
+    client.writer.write_all(b"\"Ping\"").unwrap();
+    client.writer.shutdown(Shutdown::Write).unwrap();
+    assert!(matches!(client.recv(), WireResponse::Pong { .. }));
+    client.expect_eof();
+}
+
+#[test]
+fn a_drain_waits_for_the_request_that_is_still_executing() {
+    let server = start_stallable(ServerConfig::default());
+    let mut a = stalled_client(&server, 2);
+    let mut b = Client::connect(&server);
+    b.send(&WireRequest::Shutdown);
+    assert_eq!(b.recv(), WireResponse::ShuttingDown);
+    let state = Arc::clone(server.state());
+    let join = std::thread::spawn(move || server.join());
+    // The drain is under way and A's request is still inside the executor:
+    // it must be finished and acked, not cut off.
+    GATES[2].store(true, Ordering::SeqCst);
+    assert!(matches!(a.recv(), WireResponse::Ingested { .. }));
+    let report = join.join().expect("join thread");
+    a.expect_eof();
+    b.expect_eof();
+    assert_eq!(report.requests_served, 2, "the ingest and the shutdown");
+    assert_eq!(state.service().num_events(), 1);
+}
+
+#[test]
+fn a_shutdown_mid_burst_answers_every_frame_in_order_then_closes() {
+    let server = start(2, ServerConfig::default(), None);
+    let mut client = Client::connect(&server);
+    let (before, after) = (10i64, 10usize);
+    for i in 0..before {
+        client.send(&ingest("aa:bb:cc:dd:ee:01", 1_000 + i, "wap1"));
+    }
+    client.send(&WireRequest::Shutdown);
+    for _ in 0..after {
+        client.send(&WireRequest::Ping);
+    }
+    for i in 0..before {
+        match client.recv() {
+            WireResponse::Ingested { t, .. } => assert_eq!(t, 1_000 + i),
+            other => panic!("expected ingest ack {i}, got {other:?}"),
+        }
+    }
+    assert_eq!(client.recv(), WireResponse::ShuttingDown);
+    for _ in 0..after {
+        assert_eq!(client.recv(), WireResponse::Error(WireError::ShuttingDown));
+    }
+    let report = server.join();
+    client.expect_eof();
+    assert_eq!(
+        report.requests_served + report.rejected_shutting_down,
+        before as u64 + 1 + after as u64
+    );
+    assert_eq!(report.rejected_shutting_down, after as u64);
 }
 
 #[test]
@@ -419,9 +628,7 @@ fn idle_connections_are_closed() {
     client.send(&WireRequest::Ping);
     assert!(matches!(client.recv(), WireResponse::Pong { .. }));
     // No traffic: the server closes the socket after the idle timeout.
-    let mut line = String::new();
-    let n = client.reader.read_line(&mut line).expect("clean EOF");
-    assert_eq!(n, 0, "expected EOF after idle timeout, got {line:?}");
+    client.expect_eof();
 }
 
 #[test]

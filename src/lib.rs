@@ -36,7 +36,7 @@
 //! | [`locater_sim`] | SmartBench-style scenario simulator + DBH-like campus dataset generator |
 //! | [`locater_proto`] | versioned NDJSON wire protocol: `WireRequest`/`WireResponse` frames, codec, REPL syntax |
 //! | [`locater_client`] | resilient TCP client: reconnect, per-request timeouts, seeded backoff, idempotent retries |
-//! | [`locater_server`] | std-net TCP server: worker pool, pipelining, admission control, graceful drain |
+//! | [`locater_server`] | std-net TCP server: one thread per connection, pipelining, admission control, graceful drain |
 //!
 //! ## Quickstart
 //!
