@@ -161,8 +161,7 @@ pub struct CompactionStatus {
 pub struct WalStatus {
     /// The WAL directory.
     pub dir: String,
-    /// The configured fsync policy, rendered (`always` / `every=N` /
-    /// `interval=MS`).
+    /// The configured fsync policy, rendered (`always` / `every=N`).
     pub fsync: String,
     /// Live segment files across all shards.
     pub segments: u64,

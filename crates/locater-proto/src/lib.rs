@@ -498,7 +498,7 @@ pub struct WireStats {
 pub struct WireWalStats {
     /// The WAL directory the server logs to.
     pub dir: String,
-    /// The fsync policy, rendered (`always` / `every=N` / `interval=MS`).
+    /// The fsync policy, rendered (`always` / `every=N`).
     pub fsync: String,
     /// Live segment files across all shards.
     pub segments: u64,

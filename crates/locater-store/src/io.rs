@@ -46,7 +46,7 @@ pub trait StorageIo: Send + Sync + fmt::Debug {
     /// leaves the file in place.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
 
-    /// Truncates/extends a file (torn-tail repair).
+    /// Truncates/extends a file (`wal truncate`'s cut).
     fn set_len(&self, file: &File, len: u64) -> io::Result<()>;
 }
 
@@ -364,8 +364,8 @@ impl StorageIo for FaultIo {
     }
 
     fn set_len(&self, file: &File, len: u64) -> io::Result<()> {
-        // Torn-tail repair is never faulted: it runs on the recovery path,
-        // where a failure is already surfaced as an open error.
+        // Never faulted: the only cut is `wal truncate`'s offline repair,
+        // which runs on real storage.
         RealIo.set_len(file, len)
     }
 

@@ -29,10 +29,10 @@
 //! * **durability** ([`wal`] + [`recovery`]) — a per-shard append-only
 //!   write-ahead log of checksummed frames makes every acknowledged ingest
 //!   crash-safe; recovery loads the last checkpoint snapshot and replays the
-//!   log tail (truncating a torn final frame), reproducing the pre-crash
-//!   store bit-identically. The ingest path that drives them (validate →
-//!   draw id → append → apply) lives in `locater-core`'s
-//!   `ShardedLocaterService::with_durability`;
+//!   log tail (stopping at a torn final frame; the boot checkpoint then
+//!   replaces the log), reproducing the pre-crash store bit-identically.
+//!   The ingest path that drives them (validate → draw id → append →
+//!   apply) lives in `locater-core`'s `ShardedLocaterService::with_durability`;
 //! * **compaction** ([`compaction`]) — [`EventStore::compact`] evicts whole
 //!   segment buckets below a retention horizon from all three structures in
 //!   one coherent mutation and hands the evicted segments back; where a
@@ -145,6 +145,6 @@ pub use stats::DatasetStatistics;
 pub use store::EventStore;
 pub use timeline::{NearbyDevice, Timeline};
 pub use wal::{
-    checkpoint_path, inspect_wal, scan_segment, scan_segment_io, truncate_wal, Durability,
-    FsyncPolicy, ShardWal, WalError, WalInspection, WalRecord, WalShardStats,
+    checkpoint_path, inspect_wal, scan_segment, truncate_wal, Durability, FsyncPolicy, ShardWal,
+    WalError, WalInspection, WalRecord, WalShardStats,
 };

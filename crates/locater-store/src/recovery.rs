@@ -6,10 +6,10 @@
 //! 1. load `<wal-dir>/checkpoint.snap` if present (a regular
 //!    [`crate::snapshot`] file — bit-identical round-trip, event ids
 //!    included), otherwise start from the caller-provided fallback store;
-//! 2. scan every shard's segments and collect the valid records — strict for
-//!    all but the last segment of each shard (damage there needs an explicit
-//!    `wal truncate`), lenient on the last (a torn tail is the expected
-//!    signature of a crash mid-append and is cut at the last whole frame);
+//! 2. scan every shard's segments and collect the valid records — damage in
+//!    any but the last segment of a shard refuses recovery (it needs an
+//!    explicit `wal truncate`); on the last it is the expected signature of
+//!    a crash mid-append, and the records stop at the last whole frame;
 //! 3. merge the per-shard tails by global event id and replay each record
 //!    with its original id pinned.
 //!
@@ -26,8 +26,7 @@ use crate::io::{RealIo, StorageIo};
 use crate::snapshot::write_atomic_io;
 use crate::store::EventStore;
 use crate::wal::{
-    checkpoint_path, list_segments, list_shard_dirs, scan_segment_io, Durability, ShardWal,
-    WalError, WalRecord,
+    checkpoint_path, scan_segment, walk_wal, Durability, ShardWal, WalError, WalRecord,
 };
 use locater_space::AccessPointId;
 use std::path::{Path, PathBuf};
@@ -75,33 +74,34 @@ pub struct AckedIngest {
     pub ap: u32,
 }
 
-/// Reads the durable tail of every shard under `dir`: strict scans for all
-/// but each shard's last segment, lenient for the last. Purely read-only —
-/// physical truncation of torn tails happens when a writer re-attaches
-/// ([`ShardWal::open`]) or via [`crate::wal::truncate_wal`].
+/// Reads the durable tail of every shard under `dir`, read-only. Damage in a
+/// shard's last segment ends that shard's tail (and is reported as torn);
+/// anywhere else it is [`WalError::Corrupt`], as is a segment that is not
+/// the one its directory and name say.
 fn read_tails(
     dir: &Path,
     report: &mut RecoveryReport,
     io: &dyn StorageIo,
 ) -> Result<Vec<WalRecord>, WalError> {
     let mut records = Vec::new();
-    for (_shard, shard_path) in list_shard_dirs(dir)? {
+    for log in walk_wal(dir)? {
         report.shards += 1;
-        let segments = list_segments(&shard_path)?;
-        let Some(((_, last_path), earlier)) = segments.split_last() else {
-            continue;
-        };
-        for (_, path) in earlier {
-            let scan = scan_segment_io(path, false, io)?;
+        let last = log.segments.len().saturating_sub(1);
+        for (position, (_, path)) in log.segments.iter().enumerate() {
+            let scan = scan_segment(path, io)?;
             report.segments += 1;
+            if let Some(torn) = scan.torn {
+                if position != last {
+                    return Err(WalError::Corrupt {
+                        segment: path.clone(),
+                        offset: torn.offset,
+                        reason: torn.reason,
+                    });
+                }
+                report.torn.push((path.clone(), torn.offset));
+            }
             records.extend(scan.records);
         }
-        let scan = scan_segment_io(last_path, true, io)?;
-        report.segments += 1;
-        if let Some(torn) = &scan.torn {
-            report.torn.push((last_path.clone(), torn.offset));
-        }
-        records.extend(scan.records);
     }
     Ok(records)
 }
@@ -210,15 +210,13 @@ pub fn initialize_wal(
     shards: usize,
 ) -> Result<Vec<ShardWal>, WalError> {
     write_checkpoint_io(&config.dir, &store.to_snapshot_bytes()?, config.io.as_ref())?;
-    for (_, shard_path) in list_shard_dirs(&config.dir)? {
-        std::fs::remove_dir_all(&shard_path)?;
+    for log in walk_wal(&config.dir)? {
+        std::fs::remove_dir_all(&log.dir)?;
     }
     crate::wal::fsync_dir(&config.dir);
     let mut writers = Vec::with_capacity(shards);
     for shard in 0..shards {
-        let (wal, existing) = ShardWal::open(config, shard as u32)?;
-        debug_assert!(existing.is_empty(), "freshly created shard log is empty");
-        writers.push(wal);
+        writers.push(ShardWal::open(config, shard as u32)?.0);
     }
     Ok(writers)
 }
@@ -440,6 +438,31 @@ mod tests {
         drop(wal);
         let err = recover_store(&dir, EventStore::new(space())).unwrap_err();
         assert!(matches!(err, WalError::Replay(_)), "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_segment_whose_header_disagrees_with_its_name_is_refused() {
+        let dir = temp_dir("misnamed");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = Durability::new(&dir);
+        let mut store = EventStore::new(space());
+        let (mut wal, seg) = ShardWal::open(&config, 0).unwrap();
+        log_then_apply(&mut store, &mut wal, ("aa:bb:cc:dd:ee:01", 100, "wap0")).unwrap();
+        drop(wal);
+        let renamed = seg.with_file_name("seg-0000000000000005.wal");
+        std::fs::rename(&seg, &renamed).unwrap();
+        let err = recover_store(&dir, EventStore::new(space())).unwrap_err();
+        assert!(
+            matches!(&err, WalError::Corrupt { segment, offset: 12, .. } if *segment == renamed),
+            "got: {err}"
+        );
+        // The repair tool drops the misnamed segment, and the log recovers.
+        let repair = crate::wal::truncate_wal(&dir).unwrap();
+        assert_eq!(repair[0].segments_removed, 1);
+        assert!(!renamed.exists());
+        let (_, report) = recover_store(&dir, EventStore::new(space())).unwrap();
+        assert_eq!((report.segments, report.replayed), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -43,16 +43,24 @@
 //! ```
 //!
 //! All integers are little-endian. A frame is valid only if it is complete
-//! *and* its checksum matches; scanning stops at the first invalid frame. On
-//! the **last** segment of a shard that is expected (a torn tail from a crash
-//! mid-write) and the tail is truncated away; anywhere else it is a typed
-//! [`WalError`] — never a panic, the same standard as [`crate::snapshot`].
+//! *and* its checksum matches; [`scan_segment`] stops at the first invalid
+//! frame and reports where, and a header must name the shard and segment its
+//! directory and file name say. Recovery accepts damage only in the **last**
+//! segment of a shard (a torn tail from a crash mid-write, whose frame was
+//! never acknowledged); anywhere else it is a typed [`WalError`] — never a
+//! panic, the same standard as [`crate::snapshot`].
+//!
+//! A log is never reopened: [`ShardWal::open`] only starts fresh ones. A boot
+//! recovers the old logs read-only, checkpoints, and replaces them
+//! ([`crate::recovery::initialize_wal`]) — which is how a torn tail leaves
+//! the disk.
 //!
 //! ## Durability levers
 //!
 //! * [`FsyncPolicy`] decides when appends reach the platters: `always` (one
-//!   `fdatasync` per append), `every=N` (amortized), `interval=MS`
-//!   (time-bounded loss window).
+//!   `fdatasync` per append) or `every=N` (amortized; bounds loss by count,
+//!   not by time — the last < N acks stay unflushed until N more appends, a
+//!   rotation or a checkpoint).
 //! * Rotation ([`Durability::segment_max_bytes`]): an append that would
 //!   overflow the active segment first fsyncs and seals it, so every sealed
 //!   segment is durable and immutable regardless of policy.
@@ -67,7 +75,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Magic bytes every WAL segment starts with.
 pub const WAL_MAGIC: &[u8; 8] = b"LOCATRWL";
@@ -95,6 +102,24 @@ fn segment_path(shard_dir: &Path, index: u64) -> PathBuf {
     shard_dir.join(format!("seg-{index:016x}.wal"))
 }
 
+/// The shard a `shard-NNNN` directory name stands for.
+fn shard_of_dir_name(name: &str) -> Option<u32> {
+    name.strip_prefix("shard-")?.parse().ok()
+}
+
+/// The segment index a `seg-<16 hex>.wal` file name stands for.
+fn index_of_segment_name(name: &str) -> Option<u64> {
+    let hex = name.strip_prefix("seg-")?.strip_suffix(".wal")?;
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// The `(shard, segment index)` a segment's directory and file name give it.
+fn segment_identity(path: &Path) -> Option<(u32, u64)> {
+    let shard = shard_of_dir_name(path.parent()?.file_name()?.to_str()?)?;
+    let index = index_of_segment_name(path.file_name()?.to_str()?)?;
+    Some((shard, index))
+}
+
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
@@ -105,41 +130,24 @@ pub enum FsyncPolicy {
     /// Sync after every append: an acknowledged ingest is always durable.
     Always,
     /// Sync once every N appends: bounded-count loss window, amortized cost.
+    /// Not bounded in time — the last < N appends stay unsynced until N more
+    /// arrive, a rotation seals the segment, or a checkpoint replaces it.
     EveryN(u64),
-    /// Sync when at least this much time passed since the last sync:
-    /// bounded-time loss window.
-    Interval(Duration),
 }
 
 impl FsyncPolicy {
-    /// Parses the CLI syntax: `always`, `every=N`, or `interval=MS`.
+    /// Parses the CLI syntax: `always` or `every=N`.
     pub fn parse(s: &str) -> Result<Self, String> {
         if s == "always" {
             return Ok(FsyncPolicy::Always);
         }
-        if let Some(n) = s.strip_prefix("every=") {
-            return n
-                .parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .map(FsyncPolicy::EveryN)
-                .ok_or_else(|| {
-                    format!("invalid fsync policy {s:?}: N must be a positive integer")
-                });
+        match s.strip_prefix("every=").map(str::parse::<u64>) {
+            Some(Ok(n)) if n >= 1 => Ok(FsyncPolicy::EveryN(n)),
+            Some(_) => Err(format!(
+                "invalid fsync policy {s:?}: N must be a positive integer"
+            )),
+            None => Err(format!("invalid fsync policy {s:?} (always | every=N)")),
         }
-        if let Some(ms) = s.strip_prefix("interval=") {
-            return ms
-                .parse::<u64>()
-                .ok()
-                .filter(|&ms| ms >= 1)
-                .map(|ms| FsyncPolicy::Interval(Duration::from_millis(ms)))
-                .ok_or_else(|| {
-                    format!("invalid fsync policy {s:?}: MS must be a positive integer")
-                });
-        }
-        Err(format!(
-            "invalid fsync policy {s:?} (always | every=N | interval=MS)"
-        ))
     }
 }
 
@@ -148,7 +156,6 @@ impl fmt::Display for FsyncPolicy {
         match self {
             FsyncPolicy::Always => f.write_str("always"),
             FsyncPolicy::EveryN(n) => write!(f, "every={n}"),
-            FsyncPolicy::Interval(d) => write!(f, "interval={}", d.as_millis()),
         }
     }
 }
@@ -162,27 +169,15 @@ pub struct Durability {
     /// When appended frames are forced to disk.
     pub fsync: FsyncPolicy,
     /// Rotate the active segment once it exceeds this size (bytes). Sealed
-    /// segments are immutable, so rotation bounds the cost of a torn-tail
-    /// scan and makes deltas (segments sealed since the last checkpoint)
-    /// explicit files.
+    /// segments are immutable, so rotation bounds the whole-file read
+    /// recovery makes per segment and makes deltas (segments sealed since
+    /// the last checkpoint) explicit files.
     pub segment_max_bytes: u64,
     /// The storage backend every durability-critical operation routes
     /// through: [`RealIo`] in production, a [`crate::io::FaultIo`] in chaos
     /// tests. Shared across shards so one fault schedule spans the service.
     pub io: Arc<dyn StorageIo>,
 }
-
-// The io handle is a behavior plug, not configuration state: two configs are
-// the same durability setup regardless of which backend executes the ops.
-impl PartialEq for Durability {
-    fn eq(&self, other: &Self) -> bool {
-        self.dir == other.dir
-            && self.fsync == other.fsync
-            && self.segment_max_bytes == other.segment_max_bytes
-    }
-}
-
-impl Eq for Durability {}
 
 impl Durability {
     /// Durability at `dir` with the safe defaults: `fsync=always`, 8 MiB
@@ -238,10 +233,10 @@ pub enum WalError {
     /// A record cannot be represented in the frame format (e.g. an oversized
     /// device identifier). Reported at *append* time.
     Unencodable(String),
-    /// A segment that recovery is not allowed to truncate (any segment but
-    /// the last of its shard) contains an invalid frame, or a header
-    /// disagrees with its file name. `locater-cli wal truncate` repairs this
-    /// by discarding everything from the damage onward.
+    /// A segment before the last of its shard contains an invalid frame, or
+    /// a segment's header disagrees with its directory and file name.
+    /// `locater-cli wal truncate` repairs this by discarding everything from
+    /// the damage onward.
     Corrupt {
         /// The damaged segment file.
         segment: PathBuf,
@@ -250,6 +245,10 @@ pub enum WalError {
         /// What was wrong.
         reason: String,
     },
+    /// [`ShardWal::open`] found segments in the shard directory it was asked
+    /// to start a log in. Logs are only ever started fresh: a boot recovers
+    /// the old ones and replaces them ([`crate::recovery::initialize_wal`]).
+    LogExists(PathBuf),
     /// The per-shard logs are individually valid but mutually inconsistent
     /// (e.g. two shards claim the same event id).
     InvalidLog(String),
@@ -257,8 +256,8 @@ pub enum WalError {
     /// the on-disk tail is in an unknown state (a short write may have left
     /// torn bytes; a failed fsync may have dropped pages), so appending or
     /// re-syncing could silently bury acknowledged frames. Every subsequent
-    /// `append`/`reset` returns this; the only way out is to
-    /// reopen the log, which re-scans and truncates to the valid prefix.
+    /// `append`/`reset` returns this; the only way out is a restart, whose
+    /// recovery stops at any tear and whose boot checkpoint replaces the log.
     Poisoned {
         /// The poisoned shard.
         shard: u32,
@@ -293,11 +292,16 @@ impl fmt::Display for WalError {
                 "corrupt WAL segment {} at byte {offset}: {reason} (run `locater-cli wal truncate` to repair)",
                 segment.display()
             ),
+            WalError::LogExists(dir) => write!(
+                f,
+                "{} already holds a WAL log; shard logs are only started fresh, after recovery",
+                dir.display()
+            ),
             WalError::InvalidLog(reason) => write!(f, "invalid WAL: {reason}"),
             WalError::Poisoned { shard, reason } => write!(
                 f,
                 "WAL writer for shard {shard} is poisoned by an earlier failure ({reason}); \
-                 reopen the log to recover the durable prefix"
+                 restart the service to recover the durable prefix"
             ),
             WalError::Snapshot(err) => write!(f, "WAL checkpoint snapshot: {err}"),
             WalError::Replay(err) => write!(f, "WAL replay: {err}"),
@@ -432,6 +436,30 @@ fn encode_frame(record: &WalRecord) -> Result<Vec<u8>, WalError> {
     Ok(frame)
 }
 
+/// Decodes the frame at the start of `bytes`: the record and the frame's
+/// length, or why the frame is invalid.
+fn decode_frame(bytes: &[u8]) -> Result<(WalRecord, usize), String> {
+    if bytes.len() < WAL_FRAME_HEADER_LEN {
+        return Err(format!("incomplete frame header ({} bytes)", bytes.len()));
+    }
+    let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+    let expected = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes"));
+    let available = bytes.len() - WAL_FRAME_HEADER_LEN;
+    if available < len {
+        return Err(format!(
+            "frame declares {len} payload bytes but only {available} remain"
+        ));
+    }
+    let payload = &bytes[WAL_FRAME_HEADER_LEN..WAL_FRAME_HEADER_LEN + len];
+    let actual = fnv1a(payload);
+    if actual != expected {
+        return Err(format!(
+            "frame checksum mismatch (header says {expected:#018x}, payload hashes to {actual:#018x})"
+        ));
+    }
+    Ok((decode_record(payload)?, WAL_FRAME_HEADER_LEN + len))
+}
+
 fn encode_segment_header(shard: u32, index: u64) -> [u8; WAL_HEADER_LEN] {
     let mut header = [0u8; WAL_HEADER_LEN];
     header[0..8].copy_from_slice(WAL_MAGIC);
@@ -445,7 +473,7 @@ fn encode_segment_header(shard: u32, index: u64) -> [u8; WAL_HEADER_LEN] {
 // Scanning
 // ---------------------------------------------------------------------------
 
-/// Where and why a lenient scan stopped before the end of the file.
+/// Where and why a scan stopped before the end of the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TornTail {
     /// Byte offset of the first invalid frame: the valid prefix ends here.
@@ -457,14 +485,10 @@ pub struct TornTail {
 /// The result of scanning one segment file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentScan {
-    /// The scanned file.
-    pub path: PathBuf,
-    /// `(shard, segment index)` from the header — `None` when the header
-    /// itself was torn (lenient scans only).
-    pub header: Option<(u32, u64)>,
     /// The valid records, in append order.
     pub records: Vec<WalRecord>,
-    /// Length in bytes of the valid prefix (header + valid frames).
+    /// Length in bytes of the valid prefix (header + valid frames; 0 when
+    /// the header itself is torn).
     pub valid_bytes: u64,
     /// Actual file length.
     pub file_len: u64,
@@ -472,61 +496,33 @@ pub struct SegmentScan {
     pub torn: Option<TornTail>,
 }
 
-impl SegmentScan {
-    /// `true` when every byte of the file was a valid header or frame.
-    pub fn is_clean(&self) -> bool {
-        self.torn.is_none()
-    }
-}
-
-/// Scans one segment file. `lenient` mode treats any invalid frame (and a
-/// torn header) as the end of the valid prefix and reports it in
-/// [`SegmentScan::torn`]; strict mode turns the same condition into a typed
-/// [`WalError::Corrupt`]. A wrong magic or an unsupported version is an error
-/// in both modes — foreign files are never silently truncated.
-pub fn scan_segment(path: &Path, lenient: bool) -> Result<SegmentScan, WalError> {
-    scan_segment_io(path, lenient, &RealIo)
-}
-
-/// [`scan_segment`] with an explicit storage backend, so chaos tests can
-/// inject interrupted reads into the recovery path.
-pub fn scan_segment_io(
-    path: &Path,
-    lenient: bool,
-    io: &dyn StorageIo,
-) -> Result<SegmentScan, WalError> {
+/// Scans one segment file: its valid records up to the first invalid frame
+/// (or a torn header), which is returned as [`SegmentScan::torn`] rather
+/// than raised — whether it is a crash's torn tail or corruption depends on
+/// where the segment sits in its shard's log, which only the caller knows.
+/// A file that is not the segment its path names is an error: a wrong magic,
+/// an unsupported version, or a header whose shard and index disagree with
+/// the `shard-NNNN` directory and `seg-<index>.wal` name (a
+/// [`WalError::Corrupt`] at byte 12).
+pub fn scan_segment(path: &Path, io: &dyn StorageIo) -> Result<SegmentScan, WalError> {
     let bytes = io.read(path)?;
-    let file_len = bytes.len() as u64;
-    let torn_or_err = |offset: u64, reason: String| -> Result<Option<TornTail>, WalError> {
-        if lenient {
-            Ok(Some(TornTail { offset, reason }))
-        } else {
-            Err(WalError::Corrupt {
-                segment: path.to_path_buf(),
-                offset,
-                reason,
-            })
-        }
+    let mut scan = SegmentScan {
+        records: Vec::new(),
+        valid_bytes: 0,
+        file_len: bytes.len() as u64,
+        torn: None,
     };
-
     if bytes.len() < WAL_HEADER_LEN {
         // A crash can tear the header of a freshly created segment; a full
         // header with the wrong magic is a different file kind, not a tear.
         if bytes.len() >= WAL_MAGIC.len() && &bytes[0..8] != WAL_MAGIC {
             return Err(WalError::NotAWalSegment(path.to_path_buf()));
         }
-        let torn = torn_or_err(
-            0,
-            format!("incomplete segment header ({} bytes)", bytes.len()),
-        )?;
-        return Ok(SegmentScan {
-            path: path.to_path_buf(),
-            header: None,
-            records: Vec::new(),
-            valid_bytes: 0,
-            file_len,
-            torn,
+        scan.torn = Some(TornTail {
+            offset: 0,
+            reason: format!("incomplete segment header ({} bytes)", bytes.len()),
         });
+        return Ok(scan);
     }
     if &bytes[0..8] != WAL_MAGIC {
         return Err(WalError::NotAWalSegment(path.to_path_buf()));
@@ -540,106 +536,87 @@ pub fn scan_segment_io(
     }
     let shard = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
     let index = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    let expected = segment_identity(path);
+    if expected != Some((shard, index)) {
+        let expected = expected
+            .map_or("a shard-NNNN/seg-<index>.wal path".to_string(), |(s, i)| {
+                format!("shard {s} segment {i}")
+            });
+        return Err(WalError::Corrupt {
+            segment: path.to_path_buf(),
+            offset: 12,
+            reason: format!("header claims shard {shard} segment {index}, expected {expected}"),
+        });
+    }
 
-    let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN;
-    let mut torn = None;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < WAL_FRAME_HEADER_LEN {
-            torn = torn_or_err(
-                pos as u64,
-                format!("incomplete frame header ({remaining} bytes)"),
-            )?;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let expected = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-        if remaining - WAL_FRAME_HEADER_LEN < len {
-            torn = torn_or_err(
-                pos as u64,
-                format!(
-                    "frame declares {len} payload bytes but only {} remain",
-                    remaining - WAL_FRAME_HEADER_LEN
-                ),
-            )?;
-            break;
-        }
-        let payload = &bytes[pos + WAL_FRAME_HEADER_LEN..pos + WAL_FRAME_HEADER_LEN + len];
-        let actual = fnv1a(payload);
-        if actual != expected {
-            torn = torn_or_err(
-                pos as u64,
-                format!(
-                    "frame checksum mismatch (header says {expected:#018x}, payload hashes to {actual:#018x})"
-                ),
-            )?;
-            break;
-        }
-        match decode_record(payload) {
-            Ok(record) => records.push(record),
+        match decode_frame(&bytes[pos..]) {
+            Ok((record, len)) => {
+                scan.records.push(record);
+                pos += len;
+            }
             Err(reason) => {
-                torn = torn_or_err(pos as u64, reason)?;
+                scan.torn = Some(TornTail {
+                    offset: pos as u64,
+                    reason,
+                });
                 break;
             }
         }
-        pos += WAL_FRAME_HEADER_LEN + len;
     }
-    let valid_bytes = match &torn {
-        Some(t) => t.offset,
-        None => pos as u64,
-    };
-    Ok(SegmentScan {
-        path: path.to_path_buf(),
-        header: Some((shard, index)),
-        records,
-        valid_bytes,
-        file_len,
-        torn,
-    })
+    scan.valid_bytes = pos as u64;
+    Ok(scan)
 }
 
 /// Lists a shard directory's segment files as `(index, path)`, sorted by
 /// index. Files not matching the `seg-*.wal` pattern are ignored.
-pub fn list_segments(shard_dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
+fn list_segments(shard_dir: &Path) -> Result<Vec<(u64, PathBuf)>, WalError> {
     let mut segments = Vec::new();
     for entry in std::fs::read_dir(shard_dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(index) = name
-            .strip_prefix("seg-")
-            .and_then(|rest| rest.strip_suffix(".wal"))
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        else {
-            continue;
-        };
-        segments.push((index, entry.path()));
+        if let Some(index) = name.to_str().and_then(index_of_segment_name) {
+            segments.push((index, entry.path()));
+        }
     }
     segments.sort_unstable_by_key(|(index, _)| *index);
     Ok(segments)
 }
 
-/// Lists the shard sub-directories of a WAL directory as `(shard, path)`,
-/// sorted by shard index.
-pub fn list_shard_dirs(dir: &Path) -> Result<Vec<(u32, PathBuf)>, WalError> {
+/// One shard's log as it sits on disk.
+pub(crate) struct ShardLog {
+    /// Shard index (from the directory name).
+    pub(crate) shard: u32,
+    /// The shard directory.
+    pub(crate) dir: PathBuf,
+    /// Its segment files as `(index, path)`, in index order. Callers read
+    /// them with [`scan_segment`] in this order and stop where they must, so
+    /// nothing past an error is read.
+    pub(crate) segments: Vec<(u64, PathBuf)>,
+}
+
+/// The one walk over a WAL directory, shared by recovery, [`inspect_wal`]
+/// and [`truncate_wal`]: every `shard-NNNN` directory in shard order, each
+/// with its segment files.
+pub(crate) fn walk_wal(dir: &Path) -> Result<Vec<ShardLog>, WalError> {
     let mut shards = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         if !entry.file_type()?.is_dir() {
             continue;
         }
-        let name = entry.file_name();
-        let Some(shard) = name
-            .to_str()
-            .and_then(|name| name.strip_prefix("shard-"))
-            .and_then(|digits| digits.parse::<u32>().ok())
-        else {
-            continue;
-        };
-        shards.push((shard, entry.path()));
+        if let Some(shard) = entry.file_name().to_str().and_then(shard_of_dir_name) {
+            let dir = entry.path();
+            let segments = list_segments(&dir)?;
+            shards.push(ShardLog {
+                shard,
+                dir,
+                segments,
+            });
+        }
     }
-    shards.sort_unstable_by_key(|(shard, _)| *shard);
+    shards.sort_unstable_by_key(|log| log.shard);
     Ok(shards)
 }
 
@@ -682,7 +659,6 @@ pub struct ShardWal {
     sealed_frames: u64,
     sealed_segments: u64,
     unsynced: u64,
-    last_sync: Instant,
     /// Set (with the rendered cause) by the first failed write or fsync:
     /// from then on every mutation returns [`WalError::Poisoned`]. Sticky by
     /// design — after a failed `sync_data` the kernel may have *dropped* the
@@ -693,96 +669,37 @@ pub struct ShardWal {
 }
 
 impl ShardWal {
-    /// Opens (or creates) shard `shard`'s log under `config.dir`. An existing
-    /// log is scanned first: all segments must be valid except that the last
-    /// may have a torn tail, which is **physically truncated** here so the
-    /// file ends on a frame boundary before any append. Returns the writer
-    /// and the valid records found (in append order) — the durable tail a
-    /// caller may want to replay.
-    pub fn open(config: &Durability, shard: u32) -> Result<(Self, Vec<WalRecord>), WalError> {
+    /// Starts shard `shard`'s log under `config.dir`: creates the shard
+    /// directory and its first segment, and returns the writer with that
+    /// segment's path. A log is never reopened — a boot recovers the old one
+    /// read-only and [`crate::recovery::initialize_wal`] clears the shard
+    /// directories first — so a directory that already holds segments is
+    /// refused with [`WalError::LogExists`], and nothing in it is read or
+    /// changed.
+    pub fn open(config: &Durability, shard: u32) -> Result<(Self, PathBuf), WalError> {
         let dir = shard_dir(&config.dir, shard);
         std::fs::create_dir_all(&dir)?;
-        let segments = list_segments(&dir)?;
-        let mut records = Vec::new();
-        let mut sealed_bytes = 0u64;
-        let mut sealed_frames = 0u64;
-        let io = Arc::clone(&config.io);
-        let mut wal = if let Some((&(last_index, ref last_path), earlier)) = segments.split_last() {
-            for (index, path) in earlier {
-                let scan = scan_segment_io(path, false, io.as_ref())?;
-                check_header(&scan, shard, *index)?;
-                sealed_bytes += scan.valid_bytes;
-                sealed_frames += scan.records.len() as u64;
-                records.extend(scan.records);
-            }
-            let scan = scan_segment_io(last_path, true, io.as_ref())?;
-            if let Some((header_shard, header_index)) = scan.header {
-                check_header(&scan, shard, last_index)?;
-                let _ = (header_shard, header_index);
-            }
-            let file = OpenOptions::new().append(true).open(last_path)?;
-            if scan.valid_bytes < scan.file_len || scan.header.is_none() {
-                // Torn tail: truncate to the last complete frame (or rewrite
-                // a torn header from scratch) so appends extend a valid file.
-                io.set_len(
-                    &file,
-                    scan.valid_bytes.max(if scan.header.is_some() {
-                        WAL_HEADER_LEN as u64
-                    } else {
-                        0
-                    }),
-                )?;
-                io.sync_data(&file)?;
-            }
-            let mut wal = ShardWal {
-                dir,
-                shard,
-                fsync: config.fsync,
-                segment_max_bytes: config.segment_max_bytes,
-                io: Arc::clone(&io),
-                file,
-                active_index: last_index,
-                active_bytes: scan.valid_bytes.max(WAL_HEADER_LEN as u64),
-                active_frames: scan.records.len() as u64,
-                sealed_bytes,
-                sealed_frames,
-                sealed_segments: segments.len() as u64 - 1,
-                unsynced: 0,
-                last_sync: Instant::now(),
-                poisoned: None,
-            };
-            if scan.header.is_none() {
-                // The file was truncated to zero above; give it a header.
-                io.write_all(&mut wal.file, &encode_segment_header(shard, last_index))?;
-                io.sync_data(&wal.file)?;
-                wal.active_bytes = WAL_HEADER_LEN as u64;
-                wal.active_frames = 0;
-            }
-            records.extend(scan.records);
-            wal
-        } else {
-            let (file, path) = create_segment_io(&dir, shard, 0, io.as_ref())?;
-            let _ = path;
-            ShardWal {
-                dir,
-                shard,
-                fsync: config.fsync,
-                segment_max_bytes: config.segment_max_bytes,
-                io: Arc::clone(&io),
-                file,
-                active_index: 0,
-                active_bytes: WAL_HEADER_LEN as u64,
-                active_frames: 0,
-                sealed_bytes: 0,
-                sealed_frames: 0,
-                sealed_segments: 0,
-                unsynced: 0,
-                last_sync: Instant::now(),
-                poisoned: None,
-            }
+        if !list_segments(&dir)?.is_empty() {
+            return Err(WalError::LogExists(dir));
+        }
+        let (file, path) = create_segment_io(&dir, shard, 0, config.io.as_ref())?;
+        let wal = ShardWal {
+            dir,
+            shard,
+            fsync: config.fsync,
+            segment_max_bytes: config.segment_max_bytes,
+            io: Arc::clone(&config.io),
+            file,
+            active_index: 0,
+            active_bytes: WAL_HEADER_LEN as u64,
+            active_frames: 0,
+            sealed_bytes: 0,
+            sealed_frames: 0,
+            sealed_segments: 0,
+            unsynced: 0,
+            poisoned: None,
         };
-        wal.last_sync = Instant::now();
-        Ok((wal, records))
+        Ok((wal, path))
     }
 
     /// The shard this writer logs for.
@@ -836,18 +753,12 @@ impl ShardWal {
         self.active_bytes += frame.len() as u64;
         self.active_frames += 1;
         self.unsynced += 1;
-        match self.fsync {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Interval(window) => {
-                if self.last_sync.elapsed() >= window {
-                    self.sync()?;
-                }
-            }
+        let every = match self.fsync {
+            FsyncPolicy::Always => 1,
+            FsyncPolicy::EveryN(n) => n,
+        };
+        if self.unsynced >= every {
+            self.sync()?;
         }
         Ok(())
     }
@@ -864,7 +775,6 @@ impl ShardWal {
             }
         }
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -876,7 +786,6 @@ impl ShardWal {
             return Err(self.poison("seal fsync", WalError::Io(err)));
         }
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         self.sealed_bytes += self.active_bytes;
         self.sealed_frames += self.active_frames;
         self.sealed_segments += 1;
@@ -911,8 +820,9 @@ impl ShardWal {
             if index != next {
                 // A stale segment the checkpoint already covers must not
                 // outlive the trim: a failed delete poisons the writer so the
-                // operator reopens the log (which retries the trim) instead of
-                // appending alongside a segment recovery will rescan.
+                // operator restarts (recovery skips the covered frames by id
+                // and the boot replaces the log) instead of appending
+                // alongside a segment recovery will rescan.
                 if let Err(err) = self.io.remove_file(&path) {
                     return Err(self.poison("reset trim", WalError::Io(err)));
                 }
@@ -927,7 +837,6 @@ impl ShardWal {
         self.sealed_frames = 0;
         self.sealed_segments = 0;
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -941,22 +850,6 @@ impl ShardWal {
             tail_frames: self.active_frames,
         }
     }
-}
-
-fn check_header(scan: &SegmentScan, shard: u32, index: u64) -> Result<(), WalError> {
-    if let Some((header_shard, header_index)) = scan.header {
-        if header_shard != shard || header_index != index {
-            return Err(WalError::Corrupt {
-                segment: scan.path.clone(),
-                offset: 12,
-                reason: format!(
-                    "header claims shard {header_shard} segment {header_index}, \
-                     expected shard {shard} segment {index}"
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
 fn create_segment_io(
@@ -989,8 +882,8 @@ pub(crate) fn fsync_dir(dir: &Path) {
 // Maintenance: inspect / truncate
 // ---------------------------------------------------------------------------
 
-/// What `wal inspect` reports for one segment file (always scanned
-/// leniently: inspection describes damage, it never fails on it).
+/// What `wal inspect` reports for one segment file (inspection describes
+/// damage, it never fails on it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentInspection {
     /// The segment file.
@@ -1048,44 +941,44 @@ pub fn inspect_wal(dir: &Path) -> Result<WalInspection, WalError> {
             None
         }
     };
-    let mut shards = Vec::new();
-    for (shard, shard_path) in list_shard_dirs(dir)? {
-        let mut segments = Vec::new();
-        for (index, path) in list_segments(&shard_path)? {
-            let segment = match scan_segment(&path, true) {
-                Ok(scan) => SegmentInspection {
-                    path: path.clone(),
-                    index,
-                    frames: scan.records.len() as u64,
-                    valid_bytes: scan.valid_bytes,
-                    file_len: scan.file_len,
-                    id_range: match (scan.records.first(), scan.records.last()) {
-                        (Some(first), Some(last)) => Some((first.id, last.id)),
-                        _ => None,
+    let shards = walk_wal(dir)?
+        .into_iter()
+        .map(|log| ShardInspection {
+            shard: log.shard,
+            dir: log.dir,
+            segments: log
+                .segments
+                .into_iter()
+                .map(|(index, path)| match scan_segment(&path, &RealIo) {
+                    Ok(scan) => SegmentInspection {
+                        path,
+                        index,
+                        frames: scan.records.len() as u64,
+                        valid_bytes: scan.valid_bytes,
+                        file_len: scan.file_len,
+                        id_range: match (scan.records.first(), scan.records.last()) {
+                            (Some(first), Some(last)) => Some((first.id, last.id)),
+                            _ => None,
+                        },
+                        damage: scan
+                            .torn
+                            .map(|torn| format!("at byte {}: {}", torn.offset, torn.reason)),
                     },
-                    damage: scan
-                        .torn
-                        .map(|torn| format!("at byte {}: {}", torn.offset, torn.reason)),
-                },
-                // Foreign files / unsupported versions: report, don't fail.
-                Err(e) => SegmentInspection {
-                    path: path.clone(),
-                    index,
-                    frames: 0,
-                    valid_bytes: 0,
-                    file_len: std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
-                    id_range: None,
-                    damage: Some(e.to_string()),
-                },
-            };
-            segments.push(segment);
-        }
-        shards.push(ShardInspection {
-            shard,
-            dir: shard_path,
-            segments,
-        });
-    }
+                    // Foreign files / unsupported versions / misnamed
+                    // segments: report, don't fail.
+                    Err(e) => SegmentInspection {
+                        file_len: std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
+                        path,
+                        index,
+                        frames: 0,
+                        valid_bytes: 0,
+                        id_range: None,
+                        damage: Some(e.to_string()),
+                    },
+                })
+                .collect(),
+        })
+        .collect();
     Ok(WalInspection {
         dir: dir.to_path_buf(),
         checkpoint,
@@ -1112,53 +1005,52 @@ pub struct ShardTruncation {
 
 /// Repairs a damaged WAL in place: for each shard, everything from the first
 /// invalid frame onward is discarded — the damaged segment is truncated to
-/// its valid prefix and all later segments are deleted. This is the manual
-/// counterpart of the automatic torn-tail handling recovery applies to the
-/// *last* segment only; use it when an earlier segment is damaged and
-/// recovery refuses with [`WalError::Corrupt`].
+/// its valid prefix (or removed, when it is not a readable segment of its
+/// shard) and all later segments are deleted. Recovery tolerates damage in a
+/// shard's *last* segment on its own; use this when it refuses with
+/// [`WalError::Corrupt`].
 pub fn truncate_wal(dir: &Path) -> Result<Vec<ShardTruncation>, WalError> {
     let mut report = Vec::new();
-    for (shard, shard_path) in list_shard_dirs(dir)? {
+    for log in walk_wal(dir)? {
         let mut truncation = ShardTruncation {
-            shard,
+            shard: log.shard,
             truncated: None,
             bytes_cut: 0,
             segments_removed: 0,
             frames_removed: 0,
         };
         let mut damaged = false;
-        for (_index, path) in list_segments(&shard_path)? {
+        for (_, path) in &log.segments {
+            let scan = scan_segment(path, &RealIo);
             if damaged {
-                let scan = scan_segment(&path, true);
                 if let Ok(scan) = scan {
                     truncation.frames_removed += scan.records.len() as u64;
                 }
-                std::fs::remove_file(&path)?;
+                std::fs::remove_file(path)?;
                 truncation.segments_removed += 1;
                 continue;
             }
-            let scan = match scan_segment(&path, true) {
-                Ok(scan) => scan,
+            match scan {
+                // Foreign / unreadable / misnamed file in the sequence: cut here.
                 Err(_) => {
-                    // Foreign / unreadable file in the sequence: cut here.
                     damaged = true;
                     truncation.truncated = Some(path.clone());
-                    truncation.bytes_cut += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                    std::fs::remove_file(&path)?;
+                    truncation.bytes_cut += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+                    std::fs::remove_file(path)?;
                     truncation.segments_removed += 1;
-                    continue;
                 }
-            };
-            if !scan.is_clean() {
-                damaged = true;
-                truncation.truncated = Some(path.clone());
-                truncation.bytes_cut += scan.file_len - scan.valid_bytes;
-                let file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(scan.valid_bytes)?;
-                file.sync_data()?;
+                Ok(scan) if scan.torn.is_some() => {
+                    damaged = true;
+                    truncation.truncated = Some(path.clone());
+                    truncation.bytes_cut += scan.file_len - scan.valid_bytes;
+                    let file = OpenOptions::new().write(true).open(path)?;
+                    RealIo.set_len(&file, scan.valid_bytes)?;
+                    RealIo.sync_data(&file)?;
+                }
+                Ok(_) => {}
             }
         }
-        fsync_dir(&shard_path);
+        fsync_dir(&log.dir);
         report.push(truncation);
     }
     Ok(report)
@@ -1167,6 +1059,9 @@ pub fn truncate_wal(dir: &Path) -> Result<Vec<ShardTruncation>, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{initialize_wal, recover_store, RecoveryReport};
+    use crate::EventStore;
+    use locater_space::{AccessPointId, Space, SpaceBuilder};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1174,6 +1069,7 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -1190,6 +1086,31 @@ mod tests {
         }
     }
 
+    /// A space knowing every access point [`record`] names.
+    fn space() -> Space {
+        SpaceBuilder::new("wal-test")
+            .add_access_point("wap0", &["r0"])
+            .add_access_point("wap1", &["r1"])
+            .add_access_point("wap2", &["r2"])
+            .build()
+            .unwrap()
+    }
+
+    /// Reads `dir` back the way a boot does: recovery over an empty store.
+    fn recover(dir: &Path) -> (EventStore, RecoveryReport) {
+        recover_store(dir, EventStore::new(space())).unwrap()
+    }
+
+    /// The store `records` replay into, each with its id pinned.
+    fn replayed(records: &[WalRecord]) -> EventStore {
+        let mut store = EventStore::new(space());
+        for r in records {
+            store.set_next_event_id(r.id);
+            store.ingest(&r.mac, r.t, AccessPointId::new(r.ap)).unwrap();
+        }
+        store
+    }
+
     #[test]
     fn fsync_policy_parses_and_displays() {
         assert_eq!(FsyncPolicy::parse("always").unwrap(), FsyncPolicy::Always);
@@ -1197,27 +1118,22 @@ mod tests {
             FsyncPolicy::parse("every=8").unwrap(),
             FsyncPolicy::EveryN(8)
         );
-        assert_eq!(
-            FsyncPolicy::parse("interval=200").unwrap(),
-            FsyncPolicy::Interval(Duration::from_millis(200))
-        );
-        for bad in ["", "sometimes", "every=", "every=0", "interval=-1"] {
+        for bad in ["", "sometimes", "every=", "every=0", "interval=200"] {
             assert!(FsyncPolicy::parse(bad).is_err(), "{bad:?} must not parse");
         }
+        assert!(FsyncPolicy::parse("interval=200")
+            .unwrap_err()
+            .contains("(always | every=N)"));
         assert_eq!(FsyncPolicy::Always.to_string(), "always");
         assert_eq!(FsyncPolicy::EveryN(4).to_string(), "every=4");
-        assert_eq!(
-            FsyncPolicy::Interval(Duration::from_millis(50)).to_string(),
-            "interval=50"
-        );
     }
 
     #[test]
     fn append_and_rescan_roundtrips() {
         let dir = temp_dir("roundtrip");
         let config = Durability::new(&dir);
-        let (mut wal, existing) = ShardWal::open(&config, 0).unwrap();
-        assert!(existing.is_empty());
+        let (mut wal, path) = ShardWal::open(&config, 0).unwrap();
+        assert_eq!(path, segment_path(&shard_dir(&dir, 0), 0));
         let records: Vec<WalRecord> = (0..10).map(record).collect();
         for r in &records {
             wal.append(r).unwrap();
@@ -1226,10 +1142,16 @@ mod tests {
         assert_eq!(stats.frames, 10);
         assert_eq!(stats.segments, 1);
         drop(wal);
-        // Reopen: the same records come back, in order.
-        let (wal, recovered) = ShardWal::open(&config, 0).unwrap();
-        assert_eq!(recovered, records);
-        assert_eq!(wal.stats().frames, 10);
+        // Recovery reads the same records back, in order.
+        let (store, report) = recover(&dir);
+        assert_eq!(report.replayed, 10);
+        assert_eq!(store, replayed(&records));
+        // Restart: the checkpoint holds them and the new log starts empty.
+        let wal = initialize_wal(&config, &store, 1).unwrap().remove(0);
+        assert_eq!(wal.stats().frames, 0);
+        let (again, report) = recover(&dir);
+        assert_eq!((report.base_events, report.replayed), (10, 0));
+        assert_eq!(again, store);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1243,12 +1165,21 @@ mod tests {
         for r in &records {
             wal.append(r).unwrap();
         }
-        assert!(wal.stats().segments > 1, "rotation must have happened");
-        let total = wal.stats().frames;
+        let stats = wal.stats();
+        assert!(stats.segments > 1, "rotation must have happened");
         drop(wal);
-        let (wal, recovered) = ShardWal::open(&config, 2).unwrap();
-        assert_eq!(recovered, records);
-        assert_eq!(wal.stats().frames, total);
+        let (store, report) = recover(&dir);
+        assert_eq!(report.segments, stats.segments);
+        assert_eq!(report.replayed, stats.frames);
+        assert_eq!(store, replayed(&records));
+        // Restart with one shard: shard 2's log is replaced by shard 0's.
+        let mut wal = initialize_wal(&config, &store, 1).unwrap().remove(0);
+        assert_eq!(wal.shard(), 0);
+        wal.append(&record(5)).unwrap();
+        drop(wal);
+        let (store, report) = recover(&dir);
+        assert_eq!((report.shards, report.replayed), (1, 1));
+        assert_eq!(store, replayed(&(0..6).map(record).collect::<Vec<_>>()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1256,33 +1187,35 @@ mod tests {
     fn torn_tail_is_truncated_at_every_byte_boundary() {
         let dir = temp_dir("torn");
         let config = Durability::new(&dir);
-        let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
+        let (mut wal, path) = ShardWal::open(&config, 0).unwrap();
         for i in 0..3 {
             wal.append(&record(i)).unwrap();
         }
-        let before_last = {
-            let path = segment_path(&shard_dir(&dir, 0), 0);
-            std::fs::metadata(&path).unwrap().len()
-        };
+        let before_last = std::fs::metadata(&path).unwrap().len();
         wal.append(&record(3)).unwrap();
         drop(wal);
-        let path = segment_path(&shard_dir(&dir, 0), 0);
         let full = std::fs::read(&path).unwrap();
+        let durable: Vec<WalRecord> = (0..3).map(record).collect();
         // Cut the file at every byte boundary inside the last frame: the
         // first three records always survive, the fourth only when complete.
         for cut in before_last..full.len() as u64 {
+            std::fs::remove_dir_all(&dir).unwrap();
+            std::fs::create_dir_all(shard_dir(&dir, 0)).unwrap();
             std::fs::write(&path, &full[..cut as usize]).unwrap();
-            let (wal, recovered) = ShardWal::open(&config, 0).unwrap();
-            assert_eq!(recovered.len(), 3, "cut at {cut}");
-            assert_eq!(recovered, (0..3).map(record).collect::<Vec<_>>());
-            // The writer truncated the file back to a frame boundary.
-            assert_eq!(
-                std::fs::metadata(&path).unwrap().len(),
-                before_last,
-                "cut at {cut}"
-            );
+            let (store, report) = recover(&dir);
+            assert_eq!(report.replayed, 3, "cut at {cut}");
+            assert_eq!(store, replayed(&durable), "cut at {cut}");
+            let torn = if cut == before_last { 0 } else { 1 };
+            assert_eq!(report.torn.len(), torn, "cut at {cut}");
+            // Restart: the boot replaces the torn log and the lost record
+            // can be appended again.
+            let mut wal = initialize_wal(&config, &store, 1).unwrap().remove(0);
+            wal.append(&record(3)).unwrap();
             drop(wal);
-            std::fs::write(&path, &full).unwrap();
+            let (store, report) = recover(&dir);
+            assert!(report.torn.is_empty(), "cut at {cut}");
+            assert_eq!(report.replayed, 1, "cut at {cut}");
+            assert_eq!(store, replayed(&(0..4).map(record).collect::<Vec<_>>()));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1297,26 +1230,34 @@ mod tests {
         }
         assert!(wal.stats().segments >= 3);
         drop(wal);
-        // Flip one payload byte in the FIRST segment: not the tail, so the
-        // open must refuse with a positioned Corrupt error, not truncate.
+        // Flip one payload byte in the FIRST segment: not the tail, so
+        // recovery must refuse with a positioned Corrupt error.
         let first = list_segments(&shard_dir(&dir, 0)).unwrap()[0].1.clone();
         let mut bytes = std::fs::read(&first).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&first, &bytes).unwrap();
-        let err = ShardWal::open(&config, 0).unwrap_err();
-        assert!(
-            matches!(err, WalError::Corrupt { .. }),
-            "unexpected error: {err}"
-        );
+        let err = recover_store(&dir, EventStore::new(space())).unwrap_err();
+        match &err {
+            WalError::Corrupt {
+                segment,
+                offset,
+                reason,
+            } => {
+                assert_eq!(segment, &first);
+                assert_eq!(*offset, WAL_HEADER_LEN as u64, "the first frame");
+                assert!(reason.starts_with("frame checksum mismatch"), "{reason}");
+            }
+            other => panic!("unexpected error: {other}"),
+        }
         assert!(err.to_string().contains("wal truncate"));
         // wal truncate repairs it: damage point onward is discarded.
         let report = truncate_wal(&dir).unwrap();
         assert_eq!(report.len(), 1);
         assert!(report[0].truncated.is_some());
         assert!(report[0].segments_removed > 0);
-        let (_, recovered) = ShardWal::open(&config, 0).unwrap();
-        assert!(recovered.len() < 5, "frames after the damage are gone");
+        let (_, recovered) = recover(&dir);
+        assert!(recovered.replayed < 5, "frames after the damage are gone");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1326,14 +1267,14 @@ mod tests {
         let seg = dir.join("seg-0000000000000000.wal");
         std::fs::write(&seg, b"definitely not a wal segment").unwrap();
         assert!(matches!(
-            scan_segment(&seg, true),
+            scan_segment(&seg, &RealIo),
             Err(WalError::NotAWalSegment(_))
         ));
         let mut header = encode_segment_header(0, 0).to_vec();
         header[8..12].copy_from_slice(&9u32.to_le_bytes());
         std::fs::write(&seg, &header).unwrap();
         assert!(matches!(
-            scan_segment(&seg, true),
+            scan_segment(&seg, &RealIo),
             Err(WalError::UnsupportedVersion { found: 9, .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1359,8 +1300,9 @@ mod tests {
         assert_eq!(segments.len(), 1);
         assert!(segments[0].0 >= 2);
         drop(wal);
-        let (_, recovered) = ShardWal::open(&config, 1).unwrap();
-        assert!(recovered.is_empty(), "reset discarded all records");
+        let (_, report) = recover(&dir);
+        assert_eq!(report.segments, 1);
+        assert_eq!(report.replayed, 0, "reset discarded all records");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1387,11 +1329,15 @@ mod tests {
             WalError::Poisoned { shard: 0, .. }
         ));
         assert_eq!(io.fired(), vec![(FaultKind::RemoveFailure, 0)]);
-        // The stale segment survived the failed delete; reopening recovers
-        // its records (replay is idempotent, so nothing is lost or doubled).
+        // The stale segment survived the failed delete; recovery replays its
+        // record (replay is idempotent, so nothing is lost or doubled).
         drop(wal);
-        let (mut wal, recovered) = ShardWal::open(&Durability::new(&dir), 0).unwrap();
-        assert_eq!(recovered.len(), 1);
+        let (store, report) = recover(&dir);
+        assert_eq!(report.replayed, 1);
+        // The restart replaces the log with one fresh segment.
+        let clean = Durability::new(&dir);
+        let mut wal = initialize_wal(&clean, &store, 1).unwrap().remove(0);
+        assert_eq!(list_segments(&shard_dir(&dir, 0)).unwrap().len(), 1);
         wal.reset().unwrap();
         assert_eq!(list_segments(&shard_dir(&dir, 0)).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -1449,9 +1395,10 @@ mod tests {
         ));
         assert_eq!(io.fired(), vec![(FaultKind::SyncFailure, 1)]);
         drop(wal);
-        // Reopening re-scans the durable prefix and yields a healthy writer.
+        // Restarting recovers the durable prefix and yields a healthy writer.
+        let (store, _) = recover(&dir);
         let clean = Durability::new(&dir);
-        let (mut wal, _) = ShardWal::open(&clean, 0).unwrap();
+        let mut wal = initialize_wal(&clean, &store, 1).unwrap().remove(0);
         assert!(wal.poisoned().is_none());
         wal.append(&record(2)).unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -1475,7 +1422,7 @@ mod tests {
             .find(|&p| FaultIo::new(p).schedule() == vec![(FaultKind::ShortWrite, 1)])
             .expect("some seed schedules a short write at op 1");
         let config = Durability::new(&dir).with_io(std::sync::Arc::new(FaultIo::new(plan)));
-        let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
+        let (mut wal, seg) = ShardWal::open(&config, 0).unwrap();
         let err = wal.append(&record(0)).unwrap_err();
         assert!(matches!(err, WalError::Io(_)), "unexpected error: {err}");
         assert!(matches!(
@@ -1483,18 +1430,48 @@ mod tests {
             WalError::Poisoned { .. }
         ));
         drop(wal);
-        // The torn half-frame is on disk; reopening truncates it away and
-        // recovers exactly the acked (empty) prefix.
-        let seg = segment_path(&shard_dir(&dir, 0), 0);
+        // The torn half-frame is on disk; recovery stops at it and recovers
+        // exactly the acked (empty) prefix.
         assert!(std::fs::metadata(&seg).unwrap().len() > WAL_HEADER_LEN as u64);
+        let (store, report) = recover(&dir);
+        assert_eq!(report.replayed, 0, "the torn frame was never acked");
+        assert_eq!(report.torn, vec![(seg, WAL_HEADER_LEN as u64)]);
+        // The restart replaces the torn log; the record can be logged again.
         let clean = Durability::new(&dir);
-        let (mut wal, recovered) = ShardWal::open(&clean, 0).unwrap();
-        assert!(recovered.is_empty(), "the torn frame was never acked");
-        assert_eq!(
-            std::fs::metadata(&seg).unwrap().len(),
-            WAL_HEADER_LEN as u64
-        );
+        let mut wal = initialize_wal(&clean, &store, 1).unwrap().remove(0);
         wal.append(&record(0)).unwrap();
+        drop(wal);
+        let (_, report) = recover(&dir);
+        assert!(report.torn.is_empty());
+        assert_eq!(report.replayed, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_refuses_a_directory_that_already_holds_a_log() {
+        let dir = temp_dir("open-existing");
+        let config = Durability::new(&dir).with_segment_max_bytes(64);
+        let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
+        for i in 0..3 {
+            wal.append(&record(i)).unwrap();
+        }
+        drop(wal);
+        let shard = shard_dir(&dir, 0);
+        let files = || {
+            list_segments(&shard)
+                .unwrap()
+                .into_iter()
+                .map(|(_, path)| (std::fs::read(&path).unwrap(), path))
+                .collect::<Vec<_>>()
+        };
+        let before = files();
+        assert_eq!(before.len(), 3);
+        let err = ShardWal::open(&config, 0).unwrap_err();
+        assert!(
+            matches!(&err, WalError::LogExists(d) if *d == shard),
+            "unexpected error: {err}"
+        );
+        assert_eq!(files(), before, "the refused log is left byte-identical");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1502,13 +1479,12 @@ mod tests {
     fn inspect_reports_shards_segments_and_damage() {
         let dir = temp_dir("inspect");
         let config = Durability::new(&dir);
-        let (mut wal, _) = ShardWal::open(&config, 0).unwrap();
+        let (mut wal, seg) = ShardWal::open(&config, 0).unwrap();
         for i in 0..4 {
             wal.append(&record(i)).unwrap();
         }
         drop(wal);
         // Tear the tail by cutting three bytes off.
-        let seg = list_segments(&shard_dir(&dir, 0)).unwrap()[0].1.clone();
         let bytes = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
         let inspection = inspect_wal(&dir).unwrap();

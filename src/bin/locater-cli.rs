@@ -11,7 +11,7 @@
 //! locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]
 //! locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]
 //! locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]
-//! locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N|interval=MS] [--wal-segment-bytes N]
+//! locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]
 //! locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]
 //! locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>
 //! locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]
@@ -54,16 +54,16 @@
 //!   `--shards` value.
 //! * `serve --wal-dir` makes ingests durable: every accepted event is framed
 //!   into a per-shard write-ahead log before it mutates the store, a crash is
-//!   recovered on the next boot (checkpoint snapshot + WAL tail replay, torn
-//!   final frames truncated), and a graceful drain checkpoints so a clean
-//!   shutdown leaves an empty tail. `--fsync` picks the durability/throughput
-//!   trade-off (`always` per record, `every=N` records, `interval=MS`);
-//!   `--wal-segment-bytes` bounds segment files before rotation.
+//!   recovered on the next boot (checkpoint snapshot + WAL tail replay up to
+//!   any torn final frame; the boot checkpoint then replaces the log), and a
+//!   graceful drain checkpoints so a clean shutdown leaves an empty tail.
+//!   `--fsync` picks the durability/throughput trade-off (`always` per
+//!   record, `every=N` records); `--wal-segment-bytes` bounds segment files
+//!   before rotation.
 //! * `wal inspect` reports a WAL directory read-only — checkpoint, segments,
 //!   frame counts, id ranges, damage; `wal truncate` repairs a damaged log by
-//!   discarding everything from the first invalid frame onward (the manual
-//!   counterpart of the torn-tail truncation recovery applies automatically
-//!   to the final segment).
+//!   discarding everything from the first invalid frame onward (needed only
+//!   when damage sits before a shard's final segment, where recovery refuses).
 //! * `serve --retain SECS` bounds the hot tier: history older than the
 //!   retention (measured from the event-time watermark, rounded down to a
 //!   whole segment bucket) is compacted away — with `--spill-dir` spilled as
@@ -150,7 +150,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N|interval=MS] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
+    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
 }
 
 /// Parses arguments and runs one command, returning the text to print.
@@ -261,7 +261,7 @@ fn durability_from_flags(args: &[String]) -> Result<Option<Durability>, CliError
         return Ok(None);
     };
     let mut durability = Durability::new(dir);
-    let policy = "a policy (always|every=N|interval=MS)";
+    let policy = "a policy (always|every=N)";
     if let Some(v) = parsed_flag::<String>(args, "--fsync", policy)? {
         durability = durability.with_fsync(FsyncPolicy::parse(&v).map_err(CliError::Usage)?);
     }
@@ -1498,6 +1498,15 @@ ingest aa:bb:cc:dd:ee:01,4000,wap1
             "sometimes".into()
         ])
         .is_err());
+        let Err(CliError::Usage(message)) = durability_from_flags(&[
+            "--wal-dir".into(),
+            "/tmp/w".into(),
+            "--fsync".into(),
+            "interval=200".into(),
+        ]) else {
+            panic!("interval=MS is not a policy");
+        };
+        assert!(message.contains("(always | every=N)"), "{message}");
         assert!(durability_from_flags(&[
             "--wal-dir".into(),
             "/tmp/w".into(),

@@ -10,7 +10,8 @@
 //! runs between the last acknowledged append and the reboot, exactly like a
 //! `SIGKILL` after the last `fdatasync` returned. On top of the clean kills,
 //! the suite simulates *torn* final writes by truncating the last segment at
-//! **every byte boundary** of its final frame, proves that a corrupt middle
+//! **every byte boundary** of its final frame (and reboots once more to show
+//! the boot replaced the torn log), proves that a corrupt middle
 //! segment is a typed error (never a panic, never silent data loss) repaired
 //! by `truncate_wal`, and that a graceful drain checkpoints so a clean
 //! shutdown leaves an empty tail.
@@ -359,8 +360,27 @@ fn torn_final_frame_is_truncated_at_every_byte_boundary() {
                 expect_durable,
                 "durable prefix diverged after a cut at byte {cut}"
             );
+            // The boot is the way back: its checkpoint replaced the torn
+            // log, so the lost ingest logs again and the next crash
+            // recovers it from a clean tail.
+            let (mac, t, ap) = last;
+            recovered.ingest(mac, *t, ap).unwrap();
+            drop(recovered);
+            let (rebooted, report) = ShardedLocaterService::with_durability(
+                EventStore::new(space()),
+                LocaterConfig::default(),
+                1,
+                durability(&case),
+            )
+            .unwrap_or_else(|e| panic!("reboot after a cut at byte {cut}: {e}"));
+            assert_eq!(report.replayed, 1, "cut at byte {cut}");
+            assert!(report.torn.is_empty(), "cut at byte {cut}");
+            assert_eq!(
+                rebooted.store_snapshot().to_snapshot_bytes().unwrap(),
+                expect_full,
+                "cut at byte {cut}"
+            );
         }
-        drop(recovered);
         std::fs::remove_dir_all(&case).ok();
     }
     std::fs::remove_dir_all(&dir).ok();
