@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use locater_proto::{decode_response, encode_request, WireError, WireRequest, WireResponse};
+use locater_proto::{decode_response, encode_request_into, WireError, WireRequest, WireResponse};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -210,6 +210,8 @@ pub struct ClientStats {
 pub struct RetryClient {
     config: ClientConfig,
     conn: Option<BufReader<TcpStream>>,
+    /// The request frame buffer, reused across requests.
+    frame: String,
     /// The response line buffer, reused across attempts and requests.
     line: String,
     next_id: u64,
@@ -222,6 +224,7 @@ impl RetryClient {
         RetryClient {
             config,
             conn: None,
+            frame: String::new(),
             line: String::new(),
             next_id: 0,
             stats: ClientStats::default(),
@@ -276,11 +279,9 @@ impl RetryClient {
             }
         );
         let stamped = lacks_id.then(|| self.stamped(request));
-        let frame = {
-            let mut line = encode_request(stamped.as_ref().unwrap_or(request));
-            line.push('\n');
-            line
-        };
+        self.frame.clear();
+        encode_request_into(stamped.as_ref().unwrap_or(request), &mut self.frame);
+        self.frame.push('\n');
         let attempts = self.config.max_retries.saturating_add(1);
         let mut last = String::new();
         for attempt in 0..attempts {
@@ -289,7 +290,7 @@ impl RetryClient {
                 std::thread::sleep(self.config.backoff.delay(attempt - 1));
             }
             self.stats.attempts += 1;
-            match self.attempt(&frame) {
+            match self.attempt() {
                 Ok(WireResponse::Error(e)) if e.retryable() => {
                     // The server may be draining or mid-recovery: the frame
                     // was not applied (or its replay is deduped), try again.
@@ -313,13 +314,14 @@ impl RetryClient {
         Err(ClientError::RetriesExhausted { attempts, last })
     }
 
-    /// One write+read over the current (or a fresh) connection.
-    fn attempt(&mut self, frame: &str) -> std::io::Result<WireResponse> {
+    /// One write of the encoded frame + one read over the current (or a
+    /// fresh) connection.
+    fn attempt(&mut self) -> std::io::Result<WireResponse> {
         if self.conn.is_none() {
             self.conn = Some(self.dial()?);
         }
         let reader = self.conn.as_mut().expect("connection just ensured");
-        reader.get_mut().write_all(frame.as_bytes())?;
+        reader.get_mut().write_all(self.frame.as_bytes())?;
         self.line.clear();
         let n = reader.read_line(&mut self.line)?;
         if n == 0 {

@@ -30,6 +30,15 @@
 //! assert_eq!(decode_request(&frame).unwrap(), decode_request(&frame).unwrap());
 //! ```
 //!
+//! ## Codec
+//!
+//! One encoder and one decoder per frame type, both single passes over the
+//! frame (the vendored serde shim writes JSON directly and parses in linear
+//! time). [`encode_request`] / [`encode_response`] return a fresh line;
+//! [`encode_request_into`] / [`encode_response_into`] append the same bytes
+//! to a caller's `String`, so a connection can write every frame through one
+//! reused buffer — the server's connection threads and `RetryClient` do.
+//!
 //! ## Versioning
 //!
 //! [`PROTOCOL_VERSION`] names the current frame vocabulary; servers report it
@@ -612,21 +621,43 @@ impl From<ShardStats> for WireShardStats {
 // NDJSON codec
 // ---------------------------------------------------------------------------
 
+/// What a fresh frame buffer starts with: a `Located` reply, the longest hot
+/// frame, is about 190 bytes, so one allocation holds it.
+const FRAME_CAPACITY: usize = 256;
+
 /// Encodes a request as one NDJSON line (no trailing newline; JSON string
 /// escaping guarantees the frame itself contains none).
 pub fn encode_request(request: &WireRequest) -> String {
-    serde_json::to_string(request).expect("wire frames always serialize")
+    let mut line = String::with_capacity(FRAME_CAPACITY);
+    encode_request_into(request, &mut line);
+    line
+}
+
+/// Appends a request's NDJSON line (no trailing newline) to `out`: the same
+/// bytes as [`encode_request`], written in one pass into a buffer the caller
+/// reuses across frames.
+pub fn encode_request_into(request: &WireRequest, out: &mut String) {
+    request.serialize(out);
 }
 
 /// Encodes a response as one NDJSON line.
 pub fn encode_response(response: &WireResponse) -> String {
-    serde_json::to_string(response).expect("wire frames always serialize")
+    let mut line = String::with_capacity(FRAME_CAPACITY);
+    encode_response_into(response, &mut line);
+    line
 }
 
-/// Decodes one request line. Failures are structured [`WireError::Parse`]
-/// values carrying the 1-based byte column when the JSON parser reported one
-/// (the connection line number is stamped by the caller via
-/// [`WireError::at_line`]).
+/// Appends a response's NDJSON line (no trailing newline) to `out`; see
+/// [`encode_request_into`].
+pub fn encode_response_into(response: &WireResponse, out: &mut String) {
+    response.serialize(out);
+}
+
+/// Decodes one request line in one pass over it (the cost is linear in its
+/// length). Failures are structured [`WireError::Parse`] values carrying the
+/// 1-based byte column when the JSON parser reported one — for a bad escape
+/// sequence, the column of its backslash (the connection line number is
+/// stamped by the caller via [`WireError::at_line`]).
 pub fn decode_request(line: &str) -> Result<WireRequest, WireError> {
     decode_frame(line)
 }
@@ -646,9 +677,11 @@ fn decode_frame<T: Deserialize>(line: &str) -> Result<T, WireError> {
             message: "empty frame".to_string(),
         });
     }
+    // Columns count from the start of the line, leading blanks included.
+    let lead = line.len() - line.trim_start().len();
     serde_json::from_str(trimmed).map_err(|e| WireError::Parse {
         line: 0,
-        column: e.offset().map(|o| o as u64 + 1).unwrap_or(0),
+        column: e.offset().map(|o| (lead + o) as u64 + 1).unwrap_or(0),
         message: e.to_string(),
     })
 }

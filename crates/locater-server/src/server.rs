@@ -34,7 +34,7 @@
 //!   configured drain snapshot, and returns a [`ServerReport`].
 
 use crate::exec::{DrainSummary, ServerState};
-use locater_proto::{decode_request, encode_response, WireError, WireResponse};
+use locater_proto::{decode_request, encode_response_into, WireError, WireResponse};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -302,8 +302,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 fn connection_loop(shared: &Shared, stream: &TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut writer = stream;
-    // One request buffer for the life of the connection.
+    // One request buffer and one response buffer for the life of the
+    // connection.
     let mut line = Vec::new();
+    let mut frame = String::new();
     let mut line_no = 0u64;
     loop {
         line.clear();
@@ -326,7 +328,8 @@ fn connection_loop(shared: &Shared, stream: &TcpStream) {
         } else {
             respond(shared, text, line_no)
         };
-        let mut frame = encode_response(&response);
+        frame.clear();
+        encode_response_into(&response, &mut frame);
         frame.push('\n');
         // A failed write means the peer is gone; an oversized line leaves
         // the stream mid-frame. Either way the connection ends here.

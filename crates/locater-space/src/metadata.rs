@@ -213,6 +213,63 @@ mod tests {
         assert_eq!(back, meta);
     }
 
+    /// The pretty form is pinned byte for byte, empty containers included:
+    /// captured from the encoder this one replaced.
+    #[test]
+    fn to_json_emits_the_pinned_bytes() {
+        assert_eq!(
+            sample_metadata().to_json().unwrap(),
+            r#"{
+  "name": "DBH",
+  "coverage": [
+    [
+      "wap1",
+      [
+        "2002",
+        "2004"
+      ]
+    ],
+    [
+      "wap2",
+      [
+        "2004",
+        "2061"
+      ]
+    ]
+  ],
+  "public_rooms": [
+    "2004"
+  ],
+  "owners": [
+    [
+      "2061",
+      [
+        "d1"
+      ]
+    ]
+  ],
+  "preferred": [
+    [
+      "d2",
+      [
+        "2004"
+      ]
+    ]
+  ]
+}"#
+        );
+        assert_eq!(
+            SpaceMetadata::default().to_json().unwrap(),
+            r#"{
+  "name": "",
+  "coverage": [],
+  "public_rooms": [],
+  "owners": [],
+  "preferred": []
+}"#
+        );
+    }
+
     /// `RoomId` assignment depends on first-mention order, and rebuilding from
     /// metadata visits APs in `BTreeMap` name order — with ten or more APs,
     /// "wap10" rebuilds before "wap2", so intern order shifts. The canonical

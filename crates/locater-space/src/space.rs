@@ -40,7 +40,7 @@ pub struct Space {
 }
 
 impl Deserialize for Space {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn from_value(v: &serde::Value<'_>) -> Result<Self, serde::Error> {
         /// The authoritative fields only; serialized derived fields
         /// (`room_regions`, `region_overlap`) are ignored and recomputed by
         /// [`Space::from_parts`].
@@ -453,6 +453,27 @@ mod tests {
         let space = sample_space();
         let expected = (6 + 7 + 7 + 6) as f64 / 4.0;
         assert!((space.avg_rooms_per_ap() - expected).abs() < 1e-9);
+    }
+
+    /// Snapshots embed `Space::to_json`, so its bytes are pinned: captured
+    /// from the encoder this one replaced, maps as `[key, value]` pairs in
+    /// key order.
+    #[test]
+    fn to_json_emits_the_pinned_bytes() {
+        let space = SpaceBuilder::new("B \"1\"")
+            .add_access_point("wap1", &["r1", "r2"])
+            .add_access_point("wap\\2", &["r2", "r3"])
+            .room_type("r2", RoomType::Public)
+            .room_owner("r3", "d1")
+            .preferred_room("d2", "r1")
+            .build()
+            .unwrap();
+        let json = space.to_json().unwrap();
+        assert_eq!(
+            json,
+            r#"{"name":"B \"1\"","rooms":[{"id":0,"name":"r1","room_type":"Private","owners":[]},{"id":1,"name":"r2","room_type":"Public","owners":[]},{"id":2,"name":"r3","room_type":"Private","owners":["d1"]}],"room_names":[["r1",0],["r2",1],["r3",2]],"access_points":[{"id":0,"name":"wap1"},{"id":1,"name":"wap\\2"}],"ap_names":[["wap1",0],["wap\\2",1]],"regions":[{"id":0,"access_point":0,"rooms":[0,1]},{"id":1,"access_point":1,"rooms":[1,2]}],"room_regions":[[0],[0,1],[1]],"region_overlap":[true,true,true,true],"preferred":[["d1",[2]],["d2",[0]]]}"#
+        );
+        assert_eq!(Space::from_json(&json).unwrap(), space);
     }
 
     #[test]
