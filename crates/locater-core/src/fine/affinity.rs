@@ -354,8 +354,8 @@ impl<'a> AffinityEngine<'a> {
     /// The indexed fast path of [`AffinityEngine::device_affinity`] for one
     /// device of the set.
     ///
-    /// The window event *total* is one bucket-pruned count over the device's
-    /// all-APs multiset. The *intersecting* count then only ever touches
+    /// The window event *total* is two partition points on the device's
+    /// timeline. The *intersecting* count then only ever touches
     /// access points **every** device of the set connected to: the devices'
     /// AP lists are intersected by a sorted merge (each other device's list
     /// pointer advances monotonically), and on each shared AP the device's
@@ -373,7 +373,7 @@ impl<'a> AffinityEngine<'a> {
         total: &mut usize,
         intersecting: &mut usize,
     ) {
-        *total += postings.count_in(window);
+        *total += self.store.timeline_of(device).count_in(window);
         let others: Vec<OtherDevice<'_>> = devices
             .iter()
             .filter(|&&other| other != device)
@@ -660,7 +660,7 @@ impl<'a> PairAffinitySession<'a> {
                 });
             }
             QuerySide {
-                total_in_window: postings.count_in(window),
+                total_in_window: engine.store.timeline_of(device).count_in(window),
                 ext: Interval::new(window.start - delta, window.end + delta),
                 cursors: std::cell::RefCell::new(vec![(0, 0); aps.len()]),
                 slot_of,
@@ -688,23 +688,21 @@ impl<'a> PairAffinitySession<'a> {
     /// within the neighbor's δ. The neighbor's per-AP posting lists are never
     /// touched — only its timeline slice, read sequentially.
     pub fn affinity(&self, other: DeviceId) -> f64 {
-        let (Some(side), Some(pb)) = (
-            (other != self.device)
-                .then_some(self.side.as_ref())
-                .flatten(),
-            self.engine.store.postings_of(other),
-        ) else {
-            return self.engine.pair_affinity(self.device, other, self.until);
+        let store = self.engine.store;
+        let side = match &self.side {
+            Some(side) if other != self.device && store.postings_of(other).is_some() => side,
+            _ => return self.engine.pair_affinity(self.device, other, self.until),
         };
-        let total = side.total_in_window + pb.count_in(self.window);
+        let timeline = store.timeline_of(other);
+        let total = side.total_in_window + timeline.count_in(self.window);
         if total == 0 {
             return 0.0;
         }
-        let delta_b = self.engine.store.delta(other);
+        let delta_b = store.delta(other);
         let mut cursors = side.cursors.borrow_mut();
         cursors.fill((0, 0));
         let mut intersecting = 0usize;
-        for event in self.engine.store.events_of_in(other, side.ext) {
+        for event in timeline.in_range(side.ext) {
             let slot = side.slot_of[event.ap.index()];
             if slot == u32::MAX {
                 // The queried device has no events near the window on this

@@ -36,6 +36,7 @@ use locater_events::DeviceId;
 use locater_space::{RegionId, RoomId};
 use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Which variant of Algorithm 2 to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -222,6 +223,33 @@ impl FineLocalizer {
         preferred_order: Option<&[DeviceId]>,
         cached_affinities: Option<&dyn Fn(DeviceId) -> Option<f64>>,
     ) -> FineOutcome {
+        let neighbors = self.candidate_neighbors(store, device, t_q, region);
+        self.locate_among(
+            store,
+            device,
+            t_q,
+            region,
+            neighbors,
+            preferred_order,
+            cached_affinities,
+        )
+    }
+
+    /// [`FineLocalizer::locate_with_cache`] over `neighbors`, the result of
+    /// [`FineLocalizer::candidate_neighbors`] for the same query — for a
+    /// caller that scanned them already (the engine plans its cache reads
+    /// from that list) and must not pay the scan twice.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn locate_among(
+        &self,
+        store: &dyn EventRead,
+        device: DeviceId,
+        t_q: Timestamp,
+        region: RegionId,
+        mut neighbors: Vec<(DeviceId, RegionId)>,
+        preferred_order: Option<&[DeviceId]>,
+        cached_affinities: Option<&dyn Fn(DeviceId) -> Option<f64>>,
+    ) -> FineOutcome {
         let engine = AffinityEngine::new(store, self.config.weights, self.config.affinity_window);
         let candidates: Vec<RoomId> = store.space().rooms_in_region(region).to_vec();
         // One memo per query: every room-affinity distribution this call
@@ -248,7 +276,6 @@ impl FineLocalizer {
             };
         }
 
-        let mut neighbors = self.candidate_neighbors(store, device, t_q, region);
         order_neighbors(&mut neighbors, preferred_order);
         neighbors.truncate(self.config.max_neighbors);
         let neighbors_considered = neighbors.len();
@@ -507,13 +534,12 @@ fn order_neighbors(neighbors: &mut [(DeviceId, RegionId)], preferred_order: Opti
     let Some(order) = preferred_order else {
         return;
     };
-    let rank = |device: DeviceId| -> usize {
-        order
-            .iter()
-            .position(|&d| d == device)
-            .unwrap_or(order.len())
-    };
-    neighbors.sort_by_key(|&(device, _)| rank(device));
+    // A device's rank is its first position in `order`.
+    let mut rank: HashMap<DeviceId, usize> = HashMap::with_capacity(order.len());
+    for (idx, &device) in order.iter().enumerate() {
+        rank.entry(device).or_insert(idx);
+    }
+    neighbors.sort_by_key(|(device, _)| rank.get(device).copied().unwrap_or(order.len()));
 }
 
 /// The indices of the two rooms with the highest current posterior, if at least two

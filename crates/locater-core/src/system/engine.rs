@@ -137,9 +137,7 @@ impl Engine {
         let (coarse, coarse_model_reused) = self.coarse_outcome(store, epochs, device, t_q, models);
         let (fine, cache_warm) = match coarse.label {
             CoarseLabel::Inside(region) if !eff.coarse_only => {
-                let plan = (eff.cache == CacheMode::Enabled)
-                    .then(|| cache_plan(&self.fine_neighbors(store, eff, device, t_q, region)));
-                let (fine, warm) = self.fine_exec(store, eff, device, t_q, region, plan);
+                let (fine, warm) = self.fine_exec(store, eff, device, t_q, region, cache_plan);
                 (Some(fine), warm)
             }
             _ => (None, false),
@@ -214,24 +212,9 @@ impl Engine {
         t_q >= model.history.start && t_q <= model.history.end + MODEL_REFRESH_SLACK
     }
 
-    /// The neighbor devices eligible for the fine step — a store scan that
-    /// needs no lock.
-    fn fine_neighbors(
-        &self,
-        store: &dyn EventRead,
-        eff: &Effective,
-        device: DeviceId,
-        t_q: Timestamp,
-        region: RegionId,
-    ) -> Vec<DeviceId> {
-        eff.fine
-            .candidate_neighbors(store, device, t_q, region)
-            .into_iter()
-            .map(|(d, _)| d)
-            .collect()
-    }
-
-    /// Runs the fine step with an optional cache plan. Returns the outcome and
+    /// Runs the fine step. With the cache enabled, the neighbor scan (a store
+    /// read that needs no lock) runs once: its devices go to `cache_plan`,
+    /// and the scanned list itself to Algorithm 2. Returns the outcome and
     /// whether the affinity graph was warm for the queried device.
     fn fine_exec(
         &self,
@@ -240,20 +223,28 @@ impl Engine {
         device: DeviceId,
         t_q: Timestamp,
         region: RegionId,
-        plan: Option<FinePlan>,
+        cache_plan: &dyn Fn(&[DeviceId]) -> FinePlan,
     ) -> (FineOutcome, bool) {
-        let Some(FinePlan {
+        if eff.cache != CacheMode::Enabled {
+            return (eff.fine.locate(store, device, t_q, region, None), false);
+        }
+        let neighbors = eff.fine.candidate_neighbors(store, device, t_q, region);
+        let devices: Vec<DeviceId> = neighbors.iter().map(|&(d, _)| d).collect();
+        let FinePlan {
             order,
             cached,
             warm,
-        }) = plan
-        else {
-            return (eff.fine.locate(store, device, t_q, region, None), false);
-        };
+        } = cache_plan(&devices);
         let lookup = move |neighbor: DeviceId| cached.get(&neighbor).copied();
-        let fine =
-            eff.fine
-                .locate_with_cache(store, device, t_q, region, Some(&order), Some(&lookup));
+        let fine = eff.fine.locate_among(
+            store,
+            device,
+            t_q,
+            region,
+            neighbors,
+            Some(&order),
+            Some(&lookup),
+        );
         (fine, warm)
     }
 }

@@ -16,8 +16,9 @@
 //! segments prune identically). With it, a pair affinity becomes a
 //! *bucket-intersection merge*:
 //!
-//! * APs only one of the devices ever touched contribute their window event
-//!   count through the device's all-APs multiset — no per-event work at all;
+//! * APs only one of the devices ever touched contribute only to the window
+//!   event total, which the device's own [`DeviceTimeline::count_in`] answers
+//!   with two partition points — no per-event work at all;
 //! * APs both devices touched are resolved by merging the two sorted
 //!   timestamp slices in place (no copies): covered stretches are counted
 //!   run-length-wise, disjoint stretches are skipped by binary search.
@@ -53,8 +54,7 @@ pub(crate) struct BucketRef {
 }
 
 /// A sorted multiset of event timestamps with a time-bucket offset table —
-/// the storage shared by the per-AP posting lists and each device's all-APs
-/// list.
+/// the storage of one per-AP posting list.
 ///
 /// Timestamps are one flat ascending array (duplicates allowed — one entry
 /// per event), so range queries are plain binary searches and merge code
@@ -333,31 +333,23 @@ impl ApPostings {
 }
 
 /// The co-location postings of one device: one [`ApPostings`] list per access
-/// point the device ever connected to (sorted by access-point id), plus the
-/// all-APs timestamp multiset so windowed event *totals* cost two binary
-/// searches instead of one per list.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// point the device ever connected to (sorted by access-point id). Windowed
+/// event *totals* are not kept here: the device's [`DeviceTimeline::count_in`]
+/// answers them with two partition points.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DevicePostings {
     lists: Vec<ApPostings>,
-    all: BucketedTimestamps,
 }
 
 impl DevicePostings {
-    pub(crate) fn new(span: Timestamp) -> Self {
-        Self {
-            lists: Vec::new(),
-            all: BucketedTimestamps::new(span),
-        }
-    }
-
-    /// Total number of indexed events of the device.
+    /// Total number of indexed events of the device (summed over its lists).
     pub fn len(&self) -> usize {
-        self.all.len()
+        self.lists.iter().map(ApPostings::len).sum()
     }
 
-    /// `true` if the device has no indexed events.
+    /// `true` if the device has no indexed events (lists are never empty).
     pub fn is_empty(&self) -> bool {
-        self.all.is_empty()
+        self.lists.is_empty()
     }
 
     /// The per-AP posting lists, sorted by access-point id.
@@ -373,14 +365,7 @@ impl DevicePostings {
             .map(|idx| &self.lists[idx])
     }
 
-    /// Number of events of the device with `t` in `[range.start, range.end)`
-    /// — answered from the all-APs multiset, not by iterating the lists.
-    pub fn count_in(&self, range: Interval) -> usize {
-        self.all.count_in(range)
-    }
-
     fn record(&mut self, t: Timestamp, ap: AccessPointId, span: Timestamp) {
-        self.all.record(t);
         let idx = match self.lists.binary_search_by_key(&ap, |list| list.ap) {
             Ok(idx) => idx,
             Err(idx) => {
@@ -392,15 +377,15 @@ impl DevicePostings {
     }
 
     /// TTL trim: drops every posting bucket below `cut_bucket` from the
-    /// per-AP lists and the all-APs multiset, removing posting lists that
-    /// become empty. Returns the number of postings removed (per the all-APs
-    /// multiset; each per-AP list loses its share of the same events).
+    /// per-AP lists, removing lists that become empty. Returns the number of
+    /// postings removed.
     fn trim_before_bucket(&mut self, cut_bucket: i64) -> usize {
-        let removed = self.all.trim_before_bucket(cut_bucket);
+        let removed: usize = self
+            .lists
+            .iter_mut()
+            .map(|list| list.ts.trim_before_bucket(cut_bucket))
+            .sum();
         if removed > 0 {
-            for list in &mut self.lists {
-                list.ts.trim_before_bucket(cut_bucket);
-            }
             self.lists.retain(|list| !list.is_empty());
             self.lists.shrink_to_fit();
         }
@@ -410,7 +395,6 @@ impl DevicePostings {
     /// Approximate heap footprint in bytes (allocated capacity).
     pub fn approx_bytes(&self) -> usize {
         self.lists.capacity() * std::mem::size_of::<ApPostings>()
-            + self.all.approx_bytes()
             + self
                 .lists
                 .iter()
@@ -484,7 +468,7 @@ impl ColocationIndex {
     }
 
     pub(crate) fn add_device(&mut self) {
-        self.devices.push(DevicePostings::new(self.span));
+        self.devices.push(DevicePostings::default());
     }
 
     pub(crate) fn record(&mut self, device: DeviceId, t: Timestamp, ap: AccessPointId) {
@@ -530,12 +514,10 @@ impl ColocationIndex {
                 stats.devices += 1;
             }
             stats.ap_lists += postings.lists.len();
-            stats.buckets += postings
-                .lists
-                .iter()
-                .map(ApPostings::num_buckets)
-                .sum::<usize>();
-            stats.events += postings.len();
+            for list in &postings.lists {
+                stats.buckets += list.num_buckets();
+                stats.events += list.len();
+            }
         }
         stats
     }
@@ -567,6 +549,19 @@ mod tests {
             index.record(DeviceId::new(0), t, ap(a));
         }
         index
+    }
+
+    /// The device timeline of the same scripted event set (ids in order).
+    fn timeline_with(events: &[(Timestamp, u32)], span: Timestamp) -> DeviceTimeline {
+        let mut timeline = DeviceTimeline::new(span);
+        for (i, &(t, a)) in events.iter().enumerate() {
+            timeline.push(locater_events::StoredEvent::new(
+                locater_events::EventId::new(i as u64),
+                t,
+                ap(a),
+            ));
+        }
+        timeline
     }
 
     #[test]
@@ -621,6 +616,7 @@ mod tests {
         ];
         let index = index_with(&events, 100);
         let postings = index.device(DeviceId::new(0));
+        let timeline = timeline_with(&events, 100);
         for window in [
             Interval::new(15, 421),
             Interval::new(-100, 0),
@@ -649,8 +645,9 @@ mod tests {
                     None => assert!(expected.is_empty()),
                 }
             }
+            // Windowed totals come from the device timeline, not the index.
             let total_expected = events.iter().filter(|&&(t, _)| window.contains(t)).count();
-            assert_eq!(postings.count_in(window), total_expected);
+            assert_eq!(timeline.count_in(window), total_expected);
         }
     }
 
@@ -666,16 +663,7 @@ mod tests {
             (4, 1),
         ];
         let incremental = index_with(&events, 250);
-
-        let mut timeline = DeviceTimeline::new(250);
-        for (i, &(t, a)) in events.iter().enumerate() {
-            timeline.push(locater_events::StoredEvent::new(
-                locater_events::EventId::new(i as u64),
-                t,
-                ap(a),
-            ));
-        }
-        let rebuilt = ColocationIndex::rebuild(250, &[timeline]);
+        let rebuilt = ColocationIndex::rebuild(250, &[timeline_with(&events, 250)]);
         assert_eq!(rebuilt, incremental);
     }
 
@@ -725,9 +713,10 @@ mod tests {
         assert_eq!(index.span(), 1);
         assert_eq!(index.num_devices(), 0);
         assert_eq!(index.stats(), ColocationIndexStats::default());
-        let postings = DevicePostings::new(100);
+        let postings = DevicePostings::default();
         assert!(postings.is_empty());
-        assert_eq!(postings.count_in(Interval::new(0, 100)), 0);
+        assert_eq!(postings.len(), 0);
+        assert_eq!(DeviceTimeline::new(100).count_in(Interval::new(0, 100)), 0);
         assert!(postings.on_ap(ap(0)).is_none());
         let list = ApPostings::new(ap(0), 100);
         assert!(list.is_empty());

@@ -225,6 +225,14 @@ impl DeviceTimeline {
         self.starts[seg] + self.segments[seg].events().partition_point(|e| e.t < at)
     }
 
+    /// Number of events with `t` in `[range.start, range.end)` — two
+    /// partition points, no iteration. The affinity engine's windowed event
+    /// totals read this.
+    pub fn count_in(&self, range: Interval) -> usize {
+        self.partition_lt(range.end)
+            .saturating_sub(self.partition_lt(range.start))
+    }
+
     /// First event, if any.
     pub fn first(&self) -> Option<&StoredEvent> {
         self.segments.first().and_then(|s| s.events.first())
@@ -565,7 +573,11 @@ mod tests {
                 tl.partition_lt(probe),
                 seq.events().partition_point(|e| e.t < probe)
             );
+            let window = Interval::new(probe, probe + 400);
+            let expected = seq.events().iter().filter(|e| window.contains(e.t));
+            assert_eq!(tl.count_in(window), expected.count());
         }
+        assert_eq!(tl.count_in(Interval::new(400, 10)), 0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::read::EventRead;
 use crate::segment::{DeviceTimeline, Segment};
 use crate::snapshot::{encode_snapshot, SnapshotParts};
 use crate::store::EventStore;
-use crate::timeline::{devices_near_in, devices_online_in, NearbyDevice, TimelineEntry};
+use crate::timeline::{devices_near_in, devices_online_in, entry_key, NearbyDevice, TimelineEntry};
 use crate::StoreError;
 use locater_events::{Device, DeviceId, Timestamp};
 use locater_space::{RegionId, Space};
@@ -86,7 +86,7 @@ impl EventStore {
                         if shard_of_device(device, shards) == shard {
                             self.device_postings(device).clone()
                         } else {
-                            DevicePostings::new(span)
+                            DevicePostings::default()
                         }
                     })
                     .collect();
@@ -260,9 +260,11 @@ impl<'a> ShardedRead<'a> {
         encode_snapshot(&parts, |device| runs[device.index()])
     }
 
-    /// K-way merge of the shards' `(t, device, id)`-sorted windows in
-    /// `[from, to)` — restores the canonical global scan order, so the shared
-    /// scan helpers run exactly as they would on the combined index.
+    /// K-way merge of the shards' canonically sorted windows in `[from, to)`
+    /// — restores the canonical global scan order, so the shared scan helpers
+    /// run exactly as they would on the combined index. Comparing `(t,
+    /// device)` suffices: a device's entries never span shards, so equal keys
+    /// come from one window, already in order.
     fn merged_window(&self, from: Timestamp, to: Timestamp) -> Vec<&'a TimelineEntry> {
         let windows: Vec<&[TimelineEntry]> = self
             .shards
@@ -278,10 +280,7 @@ impl<'a> ShardedRead<'a> {
                 if let Some(entry) = window.get(cursors[shard]) {
                     let better = match best {
                         None => true,
-                        Some((_, current)) => {
-                            (entry.t, entry.device, entry.id)
-                                < (current.t, current.device, current.id)
-                        }
+                        Some((_, current)) => entry_key(entry) < entry_key(current),
                     };
                     if better {
                         best = Some((shard, entry));

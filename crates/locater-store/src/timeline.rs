@@ -6,19 +6,19 @@
 //! connected in `[t_q − slack, t_q + slack]`, and to which AP?" with one binary search
 //! plus a short range scan.
 
-use locater_events::{Device, DeviceId, EventId, Timestamp};
+use locater_events::{Device, DeviceId, Timestamp};
 use locater_space::{AccessPointId, RegionId};
 use serde::{Deserialize, Serialize};
 
-/// One entry of the global timeline: a device connected to an AP at a time.
+/// One entry of the global timeline: a device connected to an AP at a time
+/// (16 bytes). It carries no event id: entries of one device at one
+/// timestamp keep the order of the device's own timeline, which is by id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimelineEntry {
     /// Event timestamp.
     pub t: Timestamp,
     /// Device that produced the event.
     pub device: DeviceId,
-    /// Id of the event (breaks `(t, device)` ties canonically).
-    pub id: EventId,
     /// Access point that logged it.
     pub ap: AccessPointId,
 }
@@ -38,22 +38,27 @@ pub struct NearbyDevice {
 ///
 /// Entries are kept in **canonical `(t, device, id)` order**: ties at the same
 /// timestamp are ordered by device id, and ties of the *same* device at the
-/// same timestamp by event id. This makes the index — and everything derived
-/// from it, most importantly the neighbor order of
-/// [`Timeline::devices_near`] — a pure function of the event *set*, independent
-/// of the interleaving the events arrived in (backfill included). That
-/// representation transparency is what lets a sharded deployment (per-device
-/// partitioned stores, see [`crate::ShardedRead`]) reproduce the answers of a
-/// single store bit for bit, and what makes late/out-of-order ingest safe.
+/// same timestamp by event id. The id is not stored: an entry sits after the
+/// entries with a smaller `(t, device)`, at the rank its event has among the
+/// device's events at `t` — the device's own [`crate::DeviceTimeline`]
+/// orders those by id. This makes the index — and everything derived from
+/// it, most importantly the neighbor order of [`Timeline::devices_near`] — a
+/// pure function of the event *set*, independent of the interleaving the
+/// events arrived in (backfill included). Because one device's entries all
+/// live in one store, merging per-shard timelines needs only `(t, device)`.
+/// That representation transparency is what lets a sharded deployment
+/// (per-device partitioned stores, see [`crate::ShardedRead`]) reproduce the
+/// answers of a single store bit for bit, and what makes late/out-of-order
+/// ingest safe.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Timeline {
     entries: Vec<TimelineEntry>,
 }
 
-/// The canonical ordering key of a timeline entry: time, device id, event id.
+/// The stored part of the canonical ordering key: time, then device id.
 #[inline]
-fn entry_key(entry: &TimelineEntry) -> (Timestamp, DeviceId, EventId) {
-    (entry.t, entry.device, entry.id)
+pub(crate) fn entry_key(entry: &TimelineEntry) -> (Timestamp, DeviceId) {
+    (entry.t, entry.device)
 }
 
 /// Scans canonically ordered timeline entries and reports each device once with
@@ -207,15 +212,28 @@ impl Timeline {
         self.entries.is_empty()
     }
 
+    /// Adopts entries already in canonical order (exact capacity kept).
+    pub(crate) fn from_canonical(entries: Vec<TimelineEntry>) -> Self {
+        debug_assert!(entries.is_sorted_by_key(entry_key));
+        Self { entries }
+    }
+
     /// Records an event, keeping the index in canonical `(t, device, id)`
-    /// order. Appends are O(1) when events arrive in canonical order;
+    /// order: `rank` is the number of the device's events at `t` with a
+    /// smaller id. Appends are O(1) when events arrive in canonical order;
     /// out-of-order backfill splices into place.
-    pub fn record(&mut self, t: Timestamp, device: DeviceId, id: EventId, ap: AccessPointId) {
-        let entry = TimelineEntry { t, device, id, ap };
+    pub(crate) fn record(
+        &mut self,
+        t: Timestamp,
+        device: DeviceId,
+        ap: AccessPointId,
+        rank: usize,
+    ) {
+        let entry = TimelineEntry { t, device, ap };
         let key = entry_key(&entry);
         match self.entries.last() {
-            Some(last) if entry_key(last) > key => {
-                let pos = self.entries.partition_point(|e| entry_key(e) <= key);
+            Some(last) if entry_key(last) >= key => {
+                let pos = self.entries.partition_point(|e| entry_key(e) < key) + rank;
                 self.entries.insert(pos, entry);
             }
             _ => self.entries.push(entry),
@@ -281,11 +299,27 @@ mod tests {
         (t, DeviceId::new(d), AccessPointId::new(ap))
     }
 
-    fn timeline(entries: &[(Timestamp, DeviceId, AccessPointId)]) -> Timeline {
-        let mut tl = Timeline::new();
-        for (i, &(t, d, ap)) in entries.iter().enumerate() {
-            tl.record(t, d, EventId::new(i as u64), ap);
+    /// Records `(t, device, id, ap)` events in the given order, ranking each
+    /// by id among the already-recorded events of its device at `t` — what
+    /// the store reads off the device timeline.
+    fn record_all(tl: &mut Timeline, events: &[(Timestamp, u32, u64, u32)]) {
+        for (i, &(t, d, id, ap)) in events.iter().enumerate() {
+            let rank = events[..i]
+                .iter()
+                .filter(|&&(pt, pd, pid, _)| (pt, pd) == (t, d) && pid < id)
+                .count();
+            tl.record(t, DeviceId::new(d), AccessPointId::new(ap), rank);
         }
+    }
+
+    fn timeline(entries: &[(Timestamp, DeviceId, AccessPointId)]) -> Timeline {
+        let events: Vec<(Timestamp, u32, u64, u32)> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, d, ap))| (t, d.0, i as u64, ap.raw()))
+            .collect();
+        let mut tl = Timeline::new();
+        record_all(&mut tl, &events);
         tl
     }
 
@@ -349,24 +383,15 @@ mod tests {
             (100, 0, 1, 2),
             (100, 1, 2, 1),
             (50, 0, 3, 0),
+            (100, 0, 4, 1),
         ];
-        for &(t, d, id, ap) in &events {
-            forward.record(
-                t,
-                DeviceId::new(d),
-                EventId::new(id),
-                AccessPointId::new(ap),
-            );
-        }
-        for &(t, d, id, ap) in events.iter().rev() {
-            backward.record(
-                t,
-                DeviceId::new(d),
-                EventId::new(id),
-                AccessPointId::new(ap),
-            );
-        }
+        record_all(&mut forward, &events);
+        let reversed: Vec<_> = events.iter().rev().copied().collect();
+        record_all(&mut backward, &reversed);
         assert_eq!(forward, backward);
+        // Device 0's three events at t = 100 keep their id order (APs 0, 2, 1).
+        let aps: Vec<u32> = forward.range(0, 1_000).iter().map(|e| e.ap.raw()).collect();
+        assert_eq!(aps, vec![0, 0, 2, 1, 1]);
     }
 
     #[test]

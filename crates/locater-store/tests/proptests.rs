@@ -1,8 +1,8 @@
 //! Property-based tests for the segmented event store.
 
-use locater_events::Interval;
-use locater_space::{Space, SpaceBuilder};
-use locater_store::{EventRead, EventStore, ShardedRead};
+use locater_events::{DeviceId, Interval};
+use locater_space::{RegionId, Space, SpaceBuilder};
+use locater_store::{shard_of_device, EventRead, EventStore, NearbyDevice, ShardedRead};
 use proptest::prelude::*;
 
 fn space() -> Space {
@@ -208,8 +208,9 @@ proptest! {
 
     /// The co-location index holds exactly the timeline's `(t, ap)` multiset:
     /// per-AP window slices, counts and existence probes agree with naive
-    /// timeline filters for arbitrary ingest orders and windows, and totals
-    /// sum up across the posting lists.
+    /// timeline filters for arbitrary ingest orders and windows, and the
+    /// windowed total the affinity engine reads off the device timeline
+    /// counts the same events.
     #[test]
     fn colocation_index_matches_timeline_filters(
         events in arb_events(),
@@ -222,9 +223,11 @@ proptest! {
         for device in store.devices() {
             let postings = store.device_postings(device.id);
             prop_assert_eq!(postings.len(), store.timeline_of(device.id).len());
+            let total = store.timeline_of(device.id).count_in(window);
+            prop_assert_eq!(total, store.events_of_in(device.id, window).count());
             prop_assert_eq!(
-                postings.count_in(window),
-                store.events_of_in(device.id, window).count()
+                total,
+                postings.ap_lists().iter().map(|list| list.count_in(window)).sum::<usize>()
             );
             let mut per_ap: std::collections::BTreeMap<u32, Vec<i64>> =
                 std::collections::BTreeMap::new();
@@ -268,15 +271,7 @@ proptest! {
             labeled.push((id.0, mac_of(*dev), *t, format!("wap{ap}")));
         }
 
-        // Seeded Fisher–Yates: every case gets its own permutation.
-        let mut state = perm_seed | 1;
-        let mut rand = move |n: usize| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) % n as u64) as usize
-        };
-        for i in (1..labeled.len()).rev() {
-            labeled.swap(i, rand(i + 1));
-        }
+        shuffle(&mut labeled, perm_seed);
 
         let mut replay = EventStore::new(space()).with_segment_span(span);
         for (dev, _, _) in &events {
@@ -293,6 +288,53 @@ proptest! {
             replay.to_snapshot_bytes().unwrap(),
             reference.to_snapshot_bytes().unwrap()
         );
+    }
+
+    /// Ordering ties need no stored event id. Events with the same
+    /// `(t, device)` on different APs, plus timestamp ties across devices,
+    /// are replayed under pinned ids in two permuted orders straight into 1
+    /// and 3 shards. Every neighbour scan equals the reference built from
+    /// per-device lookups alone, the answers are identical across the
+    /// permutations, and so are the snapshot bytes. The store loaded from
+    /// those bytes answers the same.
+    #[test]
+    fn ties_order_without_event_ids(
+        base in prop::collection::vec((0u8..4, 0i64..30, 0u8..3, 0u8..3), 1..80),
+        seeds in (0u64..u64::MAX, 0u64..u64::MAX),
+        probes in prop::collection::vec((-700i64..3_700, 1i64..2_000), 1..6),
+    ) {
+        // Slot times tie across devices; a non-zero `dup` adds a second
+        // event at the same `(t, device)` on another AP.
+        let mut events: Vec<(u8, i64, u8)> = Vec::new();
+        for &(dev, slot, ap, dup) in &base {
+            events.push((dev, slot * 100, ap));
+            if dup > 0 {
+                events.push((dev, slot * 100, (ap + dup) % 3));
+            }
+        }
+        for shards in [1usize, 3] {
+            let mut runs = Vec::new();
+            for seed in [seeds.0, seeds.1] {
+                let stores = replay_into_shards(&events, seed, shards);
+                let view = ShardedRead::new(stores.iter().collect());
+                let mut answers = Vec::new();
+                for &(probe, slack) in &probes {
+                    let near = view.devices_near(probe, slack, None);
+                    prop_assert_eq!(&near, &reference_near(&view, probe, slack));
+                    let online = view.devices_online_at(probe, None);
+                    prop_assert_eq!(&online, &reference_online(&view, probe));
+                    answers.push((near, online));
+                }
+                let bytes = view.to_snapshot_bytes().unwrap();
+                let loaded = EventStore::from_snapshot_bytes(&bytes).unwrap();
+                for (&(probe, slack), (near, online)) in probes.iter().zip(&answers) {
+                    prop_assert_eq!(&loaded.devices_near(probe, slack, None), near);
+                    prop_assert_eq!(&loaded.devices_online_at(probe, None), online);
+                }
+                runs.push((answers, bytes));
+            }
+            prop_assert_eq!(&runs[0], &runs[1]);
+        }
     }
 
     /// Compaction's coordinated trim evicts exactly the events below the
@@ -435,6 +477,94 @@ fn wal_config(dir: &std::path::Path) -> Durability {
 
 fn mac_of(dev: u8) -> String {
     format!("aa:00:00:00:00:{:02x}", dev + 1)
+}
+
+/// Seeded Fisher–Yates: every seed gets its own permutation.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed | 1;
+    let mut rand = move |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) % n as u64) as usize
+    };
+    for i in (1..items.len()).rev() {
+        items.swap(i, rand(i + 1));
+    }
+}
+
+/// Ingests `events` (event `i` under pinned id `i`) in the order `seed`
+/// permutes them, each into its owner among `shards` stores that share one
+/// device table — four devices with distinct validity periods.
+fn replay_into_shards(events: &[(u8, i64, u8)], seed: u64, shards: usize) -> Vec<EventStore> {
+    let mut base = EventStore::new(space());
+    for dev in 0..4u8 {
+        let device = base.intern_device(&mac_of(dev)).unwrap();
+        base.set_delta(device, 300 + 150 * i64::from(dev));
+    }
+    let mut stores = base.split(shards);
+    let mut labeled: Vec<(u64, (u8, i64, u8))> = (0u64..).zip(events.iter().copied()).collect();
+    shuffle(&mut labeled, seed);
+    for (id, (dev, t, ap)) in labeled {
+        let store = &mut stores[shard_of_device(DeviceId::new(u32::from(dev)), shards)];
+        store.set_next_event_id(id);
+        store
+            .ingest_raw(&mac_of(dev), t, &format!("wap{ap}"))
+            .unwrap();
+    }
+    for store in &mut stores {
+        store.set_next_event_id(events.len() as u64);
+    }
+    stores
+}
+
+/// `devices_near` from per-device lookups alone: each device with an event
+/// in `[t − slack, t + slack]`, with its event nearest `t` (the earlier in
+/// timeline order on a tie), listed by `(first event time, device)`.
+fn reference_near(view: &dyn EventRead, t: i64, slack: i64) -> Vec<NearbyDevice> {
+    let window = Interval::new(t - slack, t + slack + 1);
+    let mut found = Vec::new();
+    for device in view.devices() {
+        let mut events = view.events_of_in(device.id, window);
+        let Some(&first) = events.next() else {
+            continue;
+        };
+        let nearest = events.fold(first, |best, &e| {
+            if (e.t - t).abs() < (best.t - t).abs() {
+                e
+            } else {
+                best
+            }
+        });
+        let near = NearbyDevice {
+            device: device.id,
+            ap: nearest.ap,
+            t: nearest.t,
+        };
+        found.push((first.t, near));
+    }
+    found.sort_by_key(|&(first_t, near)| (first_t, near.device));
+    found.into_iter().map(|(_, near)| near).collect()
+}
+
+/// `devices_online_at` from per-device `covering_event` lookups alone,
+/// listed by `(first event time in the max-δ window, device)`.
+fn reference_online(view: &dyn EventRead, t: i64) -> Vec<(DeviceId, RegionId)> {
+    let slack = view.max_delta();
+    let window = Interval::new(t - slack, t + slack + 1);
+    let mut found = Vec::new();
+    for device in view.devices() {
+        if let Some((_, event)) = view.covering_event(device.id, t) {
+            let first = view.events_of_in(device.id, window).next();
+            let first_t = first.expect("a covering event lies within max δ").t;
+            found.push((first_t, device.id, event.region()));
+        }
+    }
+    found.sort_by_key(|&(first_t, device, _)| (first_t, device));
+    found
+        .into_iter()
+        .map(|(_, device, region)| (device, region))
+        .collect()
 }
 
 /// Validate → append → apply for one generated event, the order the sharded

@@ -301,7 +301,16 @@ fn stats(space_path: &str, events_path: &str) -> Result<String, CliError> {
         "co-location index: {} AP posting lists, {} time buckets over {} events ({} devices indexed)",
         index.ap_lists, index.buckets, index.events, index.devices
     );
+    let _ = writeln!(out, "{}", resident_line(&store));
     Ok(out)
+}
+
+/// The store's resident heap (`EventStore::approx_resident_bytes`) in total
+/// and per event — the figure memory sizing multiplies by the event count.
+fn resident_line(store: &EventStore) -> String {
+    let bytes = store.approx_resident_bytes();
+    let per_event = bytes as f64 / store.num_events().max(1) as f64;
+    format!("resident: {bytes} bytes ({per_event:.1} B/event)")
 }
 
 fn locate(args: &[String]) -> Result<String, CliError> {
@@ -779,6 +788,7 @@ fn snapshot(args: &[String]) -> Result<String, CliError> {
                 "co-location index: {} AP posting lists, {} time buckets",
                 index.ap_lists, index.buckets
             );
+            let _ = writeln!(out, "{}", resident_line(&store));
             Ok(out)
         }
         other => Err(CliError::Usage(format!(
@@ -998,6 +1008,7 @@ mod tests {
         assert!(stats_out.contains("devices"));
         assert!(stats_out.contains("gaps to clean"));
         assert!(stats_out.contains("co-location index:"));
+        assert!(stats_out.contains(" B/event)"));
 
         // Locate the first device found in the events file at its first event time:
         // always answerable.
@@ -1105,6 +1116,7 @@ mod tests {
         assert!(loaded.contains("events"));
         assert!(loaded.contains("segments:"));
         assert!(loaded.contains("co-location index:"));
+        assert!(loaded.contains("resident: ") && loaded.contains(" B/event)"));
 
         // Serving straight from the snapshot answers queries without the CSV.
         let csv = std::fs::read_to_string(&events).unwrap();
