@@ -80,7 +80,7 @@ pub fn run(scale: &BenchScale) -> Vec<Table> {
     );
     row_for(&mut table, &b1, &PAPER_ROWS[0].1);
 
-    let mut baseline2 = Baseline2::default();
+    let mut baseline2 = Baseline2;
     let b2 = evaluate_baseline(
         &fixture.output,
         &fixture.store,

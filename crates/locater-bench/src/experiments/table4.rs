@@ -77,7 +77,7 @@ pub fn run_scenario(kind: ScenarioKind, scale: &BenchScale) -> Table {
         &fixture.workload,
         &group,
     );
-    let mut baseline2 = Baseline2::default();
+    let mut baseline2 = Baseline2;
     let b2 = evaluate_baseline(
         &fixture.output,
         &fixture.store,

@@ -196,7 +196,7 @@ mod tests {
             &fixture.university,
             &group,
         );
-        let mut baseline2 = Baseline2::default();
+        let mut baseline2 = Baseline2;
         let b2 = evaluate_baseline(
             &fixture.output,
             &fixture.store,

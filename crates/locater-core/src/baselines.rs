@@ -56,11 +56,13 @@ fn coarse_baseline(
     }
 }
 
+/// The paper's outside-gap threshold for both baselines: one hour.
+const OUTSIDE_THRESHOLD: Timestamp = clock::hours(1);
+
 /// Baseline1: coarse baseline + a room chosen uniformly at random among the
 /// candidates of the region.
 #[derive(Debug, Clone)]
 pub struct Baseline1 {
-    outside_threshold: Timestamp,
     rng: StdRng,
 }
 
@@ -68,15 +70,8 @@ impl Baseline1 {
     /// Creates the baseline with the paper's one-hour threshold and a fixed seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            outside_threshold: clock::hours(1),
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Overrides the outside-gap threshold (defaults to one hour).
-    pub fn with_threshold(mut self, threshold: Timestamp) -> Self {
-        self.outside_threshold = threshold.max(1);
-        self
     }
 }
 
@@ -92,7 +87,7 @@ impl BaselineSystem for Baseline1 {
     }
 
     fn locate(&mut self, store: &EventStore, device: DeviceId, t_q: Timestamp) -> Answer {
-        let (region, method) = coarse_baseline(store, device, t_q, self.outside_threshold);
+        let (region, method) = coarse_baseline(store, device, t_q, OUTSIDE_THRESHOLD);
         let location = match region {
             None => Location::Outside,
             Some(region) => {
@@ -118,30 +113,7 @@ impl BaselineSystem for Baseline1 {
 /// Baseline2: coarse baseline + the user's metadata room (their office / preferred
 /// room), falling back to the first candidate room of the region.
 #[derive(Debug, Clone)]
-pub struct Baseline2 {
-    outside_threshold: Timestamp,
-}
-
-impl Baseline2 {
-    /// Creates the baseline with the paper's one-hour threshold.
-    pub fn new() -> Self {
-        Self {
-            outside_threshold: clock::hours(1),
-        }
-    }
-
-    /// Overrides the outside-gap threshold (defaults to one hour).
-    pub fn with_threshold(mut self, threshold: Timestamp) -> Self {
-        self.outside_threshold = threshold.max(1);
-        self
-    }
-}
-
-impl Default for Baseline2 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct Baseline2;
 
 impl BaselineSystem for Baseline2 {
     fn name(&self) -> &str {
@@ -149,7 +121,7 @@ impl BaselineSystem for Baseline2 {
     }
 
     fn locate(&mut self, store: &EventStore, device: DeviceId, t_q: Timestamp) -> Answer {
-        let (region, method) = coarse_baseline(store, device, t_q, self.outside_threshold);
+        let (region, method) = coarse_baseline(store, device, t_q, OUTSIDE_THRESHOLD);
         let location = match region {
             None => Location::Outside,
             Some(region) => {
@@ -251,7 +223,7 @@ mod tests {
     fn baseline2_prefers_the_metadata_room() {
         let store = store();
         let alice = store.device_id("alice").unwrap();
-        let mut baseline = Baseline2::default();
+        let mut baseline = Baseline2;
         let answer = baseline.locate(&store, alice, clock::at(0, 9, 15, 0));
         assert_eq!(
             answer.room(),
@@ -264,7 +236,7 @@ mod tests {
     fn baseline2_falls_back_when_metadata_room_is_not_in_the_region() {
         let store = store();
         let alice = store.device_id("alice").unwrap();
-        let mut baseline = Baseline2::default();
+        let mut baseline = Baseline2;
         // At 14:00 alice is covered by wap1 whose region does not contain office-a.
         let answer = baseline.locate(&store, alice, clock::at(0, 14, 0, 30));
         assert!(answer.is_inside());
@@ -277,24 +249,19 @@ mod tests {
         let store = store();
         let alice = store.device_id("alice").unwrap();
         // With a 10-minute threshold even the short gap counts as outside.
-        let mut strict = Baseline1::default().with_threshold(clock::minutes(10));
-        assert!(strict
-            .locate(&store, alice, clock::at(0, 9, 15, 0))
-            .is_outside());
-        let mut strict2 = Baseline2::default().with_threshold(clock::minutes(10));
-        assert!(strict2
-            .locate(&store, alice, clock::at(0, 9, 15, 0))
-            .is_outside());
+        let t_q = clock::at(0, 9, 15, 0);
+        let (region, _) = coarse_baseline(&store, alice, t_q, clock::minutes(10));
+        assert_eq!(region, None);
+        let (region, _) = coarse_baseline(&store, alice, t_q, OUTSIDE_THRESHOLD);
+        assert_eq!(region, Some(RegionId::new(0)));
     }
 
     #[test]
     fn baselines_work_through_the_trait_object() {
         let store = store();
         let alice = store.device_id("alice").unwrap();
-        let mut systems: Vec<Box<dyn BaselineSystem>> = vec![
-            Box::new(Baseline1::default()),
-            Box::new(Baseline2::default()),
-        ];
+        let mut systems: Vec<Box<dyn BaselineSystem>> =
+            vec![Box::new(Baseline1::default()), Box::new(Baseline2)];
         for system in &mut systems {
             let answer = system.locate(&store, alice, clock::at(0, 9, 15, 0));
             assert!(answer.is_inside(), "{} should answer inside", system.name());

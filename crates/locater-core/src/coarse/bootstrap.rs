@@ -35,13 +35,6 @@ pub enum BootstrapLabel {
     Unlabeled,
 }
 
-impl BootstrapLabel {
-    /// `true` for [`BootstrapLabel::Unlabeled`].
-    pub fn is_unlabeled(&self) -> bool {
-        matches!(self, BootstrapLabel::Unlabeled)
-    }
-}
-
 /// Counters describing a bootstrapping pass, used in reports and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BootstrapSummary {
@@ -198,7 +191,6 @@ mod tests {
         let gap = gaps_in(&seq, 300)[0];
         assert!(gap.duration() > TAU_L && gap.duration() < TAU_H);
         assert_eq!(label_of(&seq, &gap), BootstrapLabel::Unlabeled);
-        assert!(label_of(&seq, &gap).is_unlabeled());
     }
 
     #[test]

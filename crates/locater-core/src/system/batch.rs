@@ -5,10 +5,10 @@
 //! `jobs` value** (including the sequential `jobs = 1` path) and are returned
 //! in query order. Three properties make that hold:
 //!
-//! 1. every query is answered against a *frozen* snapshot of the global
-//!    affinity graph (supplied by the caller: the union of every shard's
-//!    cache), so no worker observes another worker's cache warming — and,
-//!    unlike per-query `locate` loops, no query observes warming from
+//! 1. every query is answered against the same state of the global affinity
+//!    graph (the caller holds the service's one graph read-locked for the
+//!    whole run), so no worker observes another worker's cache warming —
+//!    and, unlike per-query `locate` loops, no query observes warming from
 //!    *earlier batch queries* either;
 //! 2. queries are grouped **by device** — a device's queries are processed by
 //!    one worker in query order, so its lazily trained coarse model evolves
@@ -18,14 +18,16 @@
 //!    the live cache too);
 //! 3. the worker-local affinity contributions are handed back in ascending
 //!    query order (`BatchOutcome::contributions`) and the caller applies
-//!    them to the live cache(s) only after all workers join.
+//!    them to the graph only after all workers join and it has dropped its
+//!    read guard.
 //!
 //! Device → worker assignment balances per-device query counts greedily, so
 //! skewed workloads still spread across the pool.
 
-use super::engine::{fine_plan, relock, Effective, Engine, ModelCache};
-use super::epoch::{EpochCache, EpochRead, ModelEntry};
+use super::engine::{relock, Effective, Engine, ModelCache};
+use super::epoch::{EpochRead, ModelEntry};
 use super::{Answer, CacheMode};
+use crate::cache::GlobalAffinityGraph;
 use crate::error::LocaterError;
 use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
@@ -43,7 +45,7 @@ pub(crate) struct BatchItem {
 }
 
 /// The local affinity graph of one batch-answered query, queued for the
-/// post-join merge into the live cache(s).
+/// post-join merge into the global affinity graph.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchContribution {
     query_index: usize,
@@ -72,23 +74,15 @@ pub(crate) struct BatchOutcome {
     pub(crate) trained: HashMap<DeviceId, ModelEntry>,
 }
 
-/// `true` if any resolved item may consult the caching engine — the caller
-/// only needs to snapshot the live cache(s) in that case.
-pub(crate) fn wants_cache(items: &[BatchItem]) -> bool {
-    items
-        .iter()
-        .any(|item| item.eff.cache == CacheMode::Enabled && item.device.is_ok())
-}
-
 /// Answers a batch of resolved items across `jobs` worker threads.
 /// Unresolvable items error in place and never reach a worker.
 ///
 /// `seeds` are the per-device coarse models cached at batch start, taken by
 /// value: each device lands in exactly one worker, so every seed moves into
-/// its worker's map without another clone. `frozen` is the immutable
-/// affinity-cache snapshot every worker reads (empty when no item
-/// [`wants_cache`]). The caller owns applying [`BatchOutcome::contributions`]
-/// and [`BatchOutcome::trained`] back to the live state.
+/// its worker's map without another clone. `graph` is the global affinity
+/// graph every worker reads; nothing here locks or writes it. The caller
+/// owns applying [`BatchOutcome::contributions`] and
+/// [`BatchOutcome::trained`] back to the live state.
 pub(crate) fn run_batch(
     engine: &Engine,
     store: &dyn EventRead,
@@ -96,7 +90,7 @@ pub(crate) fn run_batch(
     items: &[BatchItem],
     jobs: usize,
     mut seeds: HashMap<DeviceId, ModelEntry>,
-    frozen: &EpochCache,
+    graph: &GlobalAffinityGraph,
 ) -> BatchOutcome {
     if items.is_empty() {
         return BatchOutcome {
@@ -149,10 +143,9 @@ pub(crate) fn run_batch(
         })
         .collect();
 
-    // Parallel phase: all workers answer against the same frozen cache. The
-    // snapshot carries its epoch stamps, so stale edges stay invisible inside
-    // the batch too. The scope joins every worker and re-raises a worker's
-    // panic on this thread.
+    // Parallel phase: all workers answer against the same graph, whose epoch
+    // stamps keep stale edges invisible inside the batch too. The scope joins
+    // every worker and re-raises a worker's panic on this thread.
     let mut outputs: Vec<WorkerOutput> = Vec::new();
     outputs.resize_with(jobs, WorkerOutput::default);
     std::thread::scope(|scope| {
@@ -161,7 +154,7 @@ pub(crate) fn run_batch(
                 continue;
             }
             scope.spawn(move || {
-                *out = run_worker(engine, store, epochs, items, indices, seed, frozen);
+                *out = run_worker(engine, store, epochs, items, indices, seed, graph);
             });
         }
     });
@@ -196,7 +189,7 @@ pub(crate) fn run_batch(
 
 /// Answers one worker's queries (in query order) through the one locate path
 /// ([`Engine::locate_detailed`]), with the model state in a worker-local map
-/// and the cache state in the frozen snapshot; collects answers, affinity
+/// and the cache state in the shared graph; collects answers, affinity
 /// contributions, and freshly trained models (untouched seeds are not
 /// reported back).
 fn run_worker(
@@ -206,7 +199,7 @@ fn run_worker(
     items: &[BatchItem],
     indices: &[usize],
     seed: HashMap<DeviceId, ModelEntry>,
-    frozen: &EpochCache,
+    graph: &GlobalAffinityGraph,
 ) -> WorkerOutput {
     let models = ModelCache::new(seed);
     let mut output = WorkerOutput::default();
@@ -215,7 +208,7 @@ fn run_worker(
         let item = &items[idx];
         let Ok(device) = item.device else { continue };
         let t_q = item.t;
-        let plan = |neighbors: &[DeviceId]| fine_plan(epochs, device, t_q, neighbors, |_| frozen);
+        let plan = |neighbors: &[DeviceId]| graph.plan(device, neighbors, t_q, epochs);
         let (answer, diagnostics) =
             engine.locate_detailed(store, epochs, device, t_q, &item.eff, &models, &plan);
         output.answers.push((idx, answer));

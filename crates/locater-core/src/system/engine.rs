@@ -6,14 +6,15 @@
 //! The state a query reads and warms (per-device coarse models, affinity
 //! edges) is handed in by the caller, because *where it lives* is the only
 //! thing the callers differ in: the live service passes the queried device's
-//! home-shard model map and a plan closure over the per-owner cache guards,
-//! the batch workers ([`super::batch`]) pass a worker-local model map and a
-//! plan closure over the frozen union snapshot.
+//! home-shard model map and a plan closure that read-locks the service's one
+//! affinity graph for the plan alone; the batch workers ([`super::batch`])
+//! pass a worker-local model map and a plan closure over the graph their
+//! batch holds read-locked throughout.
 
-use super::epoch::{EpochCache, EpochRead, ModelEntry};
+use super::epoch::{EpochRead, ModelEntry};
 use super::request::LocateRequest;
 use super::{assemble_answer, Answer, CacheMode, LocaterConfig, QueryDiagnostics};
-use crate::cache::rank_by_weight;
+use crate::cache::FinePlan;
 use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel};
 use crate::error::LocaterError;
 use crate::fine::{FineConfig, FineLocalizer, FineOutcome};
@@ -78,15 +79,6 @@ pub(crate) fn resolve_target(
     }
 }
 
-/// The graph-derived inputs of one fine-step execution: neighbor processing
-/// order, cached pairwise affinities, and whether the graph was warm for the
-/// queried device. Extracted under the graph lock(s); executed lock-free.
-pub(crate) struct FinePlan {
-    order: Vec<DeviceId>,
-    cached: HashMap<DeviceId, f64>,
-    warm: bool,
-}
-
 impl Engine {
     pub(crate) fn new(config: LocaterConfig) -> Self {
         Self {
@@ -116,8 +108,8 @@ impl Engine {
     /// not coarse-only — neighbor scan, plan extraction, fine step, and the
     /// answer assembled from both outcomes. The neighbor scan and the fine
     /// localization run lock-free; `cache_plan` (called only when the request
-    /// may consult the caching engine) is where the caller reads whichever
-    /// affinity cache(s) hold the queried device's edges.
+    /// may consult the caching engine) is where the caller reads the affinity
+    /// graph.
     ///
     /// Nothing is written back to an affinity cache here: the fine outcome's
     /// contributions are returned in the diagnostics and the caller merges
@@ -230,11 +222,8 @@ impl Engine {
         }
         let neighbors = eff.fine.candidate_neighbors(store, device, t_q, region);
         let devices: Vec<DeviceId> = neighbors.iter().map(|&(d, _)| d).collect();
-        let FinePlan {
-            order,
-            cached,
-            warm,
-        } = cache_plan(&devices);
+        let FinePlan { order, cached } = cache_plan(&devices);
+        let warm = !cached.is_empty();
         let lookup = move |neighbor: DeviceId| cached.get(&neighbor).copied();
         let fine = eff.fine.locate_among(
             store,
@@ -246,36 +235,5 @@ impl Engine {
             Some(&lookup),
         );
         (fine, warm)
-    }
-}
-
-/// Extracts what the fine step needs from the affinity cache(s): the neighbor
-/// processing order, cached pairwise affinities (which replace the per-pair
-/// history scans of cold queries), and cache warmth. `cache_of(n)` is the
-/// cache holding the edge `{device, n}` — the owner shard's for the live
-/// service, the frozen union for a batch. Only epoch-live edges are visible.
-pub(crate) fn fine_plan<'c>(
-    epochs: &dyn EpochRead,
-    device: DeviceId,
-    t_q: Timestamp,
-    neighbors: &[DeviceId],
-    cache_of: impl Fn(DeviceId) -> &'c EpochCache,
-) -> FinePlan {
-    let warm = neighbors
-        .iter()
-        .any(|&n| !cache_of(n).samples(device, n, epochs).is_empty());
-    let cached: HashMap<DeviceId, f64> = neighbors
-        .iter()
-        .filter_map(|&n| {
-            cache_of(n)
-                .cached_pair_affinity(device, n, t_q, epochs)
-                .map(|affinity| (n, affinity))
-        })
-        .collect();
-    let order = rank_by_weight(neighbors, |n| cache_of(n).weight(device, n, t_q, epochs));
-    FinePlan {
-        order,
-        cached,
-        warm,
     }
 }

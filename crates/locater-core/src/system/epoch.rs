@@ -13,13 +13,13 @@
 //! * a coarse model for device `d` is stamped with `epoch(d)` when its window
 //!   is cached (the model reads only `d`'s own event sequence, whenever its
 //!   classifiers come to be fitted — see [`crate::coarse::DeviceCoarseModel`]);
-//! * an affinity-graph edge `{a, b}` is stamped with `(epoch(a), epoch(b))` at
-//!   record time (its weight and cached pairwise affinity are derived from the
-//!   two devices' histories).
+//! * an affinity-graph edge `{a, b}` carries `(epoch(a), epoch(b))` beside its
+//!   samples in the service's one [`GlobalAffinityGraph`] (its weight and
+//!   cached pairwise affinity are derived from the two devices' histories).
 //!
 //! A cached entry is **live** iff its stamp equals the current epochs; stale
 //! entries are skipped on read and evicted when the edge is next written (or in
-//! bulk by [`EpochCache::purge_stale`]). This replaces the
+//! bulk by [`GlobalAffinityGraph::purge_stale`]). This replaces the
 //! clear-cache-and-rebuild regime: an ingest batch invalidates exactly the state
 //! whose inputs changed, and queries over untouched devices keep their warm
 //! cache.
@@ -27,13 +27,12 @@
 //! A service that never ingests never bumps an epoch, so every stamp stays
 //! live forever: offline evaluation over a fixed dataset behaves like a
 //! clear-cache-only system.
+//!
+//! [`GlobalAffinityGraph`]: crate::cache::GlobalAffinityGraph
+//! [`GlobalAffinityGraph::purge_stale`]: crate::cache::GlobalAffinityGraph::purge_stale
 
-use crate::cache::{edge_key, rank_by_weight, AffinitySample, GlobalAffinityGraph};
 use crate::coarse::DeviceCoarseModel;
-use crate::fine::NeighborContribution;
-use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Read access to per-device ingest epochs.
@@ -117,184 +116,11 @@ pub struct ModelEntry {
     pub epoch: u64,
 }
 
-/// The global affinity graph plus per-edge epoch stamps.
-///
-/// Reads (`weight`, `cached_pair_affinity`, `order_neighbors`, `samples`) treat
-/// stale edges as absent; writes through [`EpochCache::merge_local`] evict a
-/// stale edge's samples before recording, so the visible cache state is always
-/// exactly what a freshly built system would have accumulated from the same
-/// post-invalidation query sequence.
-#[derive(Debug, Clone, Default)]
-pub struct EpochCache {
-    graph: GlobalAffinityGraph,
-    stamps: HashMap<(DeviceId, DeviceId), (u64, u64)>,
-}
-
-impl EpochCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying affinity graph (stale edges included; use the epoch-aware
-    /// accessors for answer-relevant reads).
-    pub fn graph(&self) -> &GlobalAffinityGraph {
-        &self.graph
-    }
-
-    /// The stamp the edge `{a, b}` would carry if recorded now.
-    fn current_stamp(a: DeviceId, b: DeviceId, epochs: &dyn EpochRead) -> (u64, u64) {
-        let (lo, hi) = edge_key(a, b);
-        (epochs.epoch_of(lo), epochs.epoch_of(hi))
-    }
-
-    /// `true` if the edge `{a, b}` exists and its stamp matches the current
-    /// epochs of both endpoints.
-    pub fn is_live(&self, a: DeviceId, b: DeviceId, epochs: &dyn EpochRead) -> bool {
-        self.stamps
-            .get(&edge_key(a, b))
-            .is_some_and(|&stamp| stamp == Self::current_stamp(a, b, epochs))
-    }
-
-    /// The live samples cached for the pair `{a, b}` (empty when absent or stale).
-    pub fn samples(&self, a: DeviceId, b: DeviceId, epochs: &dyn EpochRead) -> &[AffinitySample] {
-        if self.is_live(a, b, epochs) {
-            self.graph.samples(a, b)
-        } else {
-            &[]
-        }
-    }
-
-    /// Epoch-aware [`GlobalAffinityGraph::weight`]: stale edges weigh 0.
-    pub fn weight(&self, a: DeviceId, b: DeviceId, t_q: Timestamp, epochs: &dyn EpochRead) -> f64 {
-        if self.is_live(a, b, epochs) {
-            self.graph.weight(a, b, t_q)
-        } else {
-            0.0
-        }
-    }
-
-    /// Epoch-aware [`GlobalAffinityGraph::cached_pair_affinity`]: stale edges miss.
-    pub fn cached_pair_affinity(
-        &self,
-        a: DeviceId,
-        b: DeviceId,
-        t_q: Timestamp,
-        epochs: &dyn EpochRead,
-    ) -> Option<f64> {
-        if self.is_live(a, b, epochs) {
-            self.graph.cached_pair_affinity(a, b, t_q)
-        } else {
-            None
-        }
-    }
-
-    /// Epoch-aware [`GlobalAffinityGraph::order_neighbors`]: candidates are
-    /// ranked by decreasing live cached affinity; devices without a live edge
-    /// rank last, keeping their relative input order.
-    pub fn order_neighbors(
-        &self,
-        center: DeviceId,
-        candidates: &[DeviceId],
-        t_q: Timestamp,
-        epochs: &dyn EpochRead,
-    ) -> Vec<DeviceId> {
-        rank_by_weight(candidates, |device| {
-            self.weight(center, device, t_q, epochs)
-        })
-    }
-
-    /// Merges the local affinity graph of one answered query, evicting any edge
-    /// whose stamp went stale before recording into it (so stale samples never
-    /// mix with fresh ones).
-    pub fn merge_local(
-        &mut self,
-        center: DeviceId,
-        contributions: &[NeighborContribution],
-        t: Timestamp,
-        epochs: &dyn EpochRead,
-    ) {
-        for contribution in contributions {
-            let neighbor = contribution.device;
-            if neighbor == center {
-                continue;
-            }
-            let key = edge_key(center, neighbor);
-            let stamp = Self::current_stamp(center, neighbor, epochs);
-            match self.stamps.get_mut(&key) {
-                Some(existing) if *existing == stamp => {}
-                Some(existing) => {
-                    self.graph.evict_edge(center, neighbor);
-                    *existing = stamp;
-                }
-                None => {
-                    self.stamps.insert(key, stamp);
-                }
-            }
-            self.graph.record(
-                center,
-                neighbor,
-                contribution.edge_weight,
-                contribution.pair_affinity,
-                t,
-            );
-        }
-    }
-
-    /// Number of edges and samples physically held (live *and* stale).
-    pub fn stats(&self) -> (usize, usize) {
-        (self.graph.num_edges(), self.graph.num_samples())
-    }
-
-    /// Number of edges and samples that are live under the given epochs.
-    pub fn live_stats(&self, epochs: &dyn EpochRead) -> (usize, usize) {
-        let mut edges = 0usize;
-        let mut samples = 0usize;
-        for (&(a, b), &stamp) in &self.stamps {
-            if stamp == Self::current_stamp(a, b, epochs) {
-                edges += 1;
-                samples += self.graph.samples(a, b).len();
-            }
-        }
-        (edges, samples)
-    }
-
-    /// Evicts every stale edge, returning the number of edges removed. Reads
-    /// already skip stale edges; this is an optional maintenance sweep that
-    /// reclaims their memory eagerly.
-    pub fn purge_stale(&mut self, epochs: &dyn EpochRead) -> usize {
-        let stale: Vec<(DeviceId, DeviceId)> = self
-            .stamps
-            .iter()
-            .filter(|(&(a, b), &stamp)| stamp != Self::current_stamp(a, b, epochs))
-            .map(|(&key, _)| key)
-            .collect();
-        for &(a, b) in &stale {
-            self.graph.evict_edge(a, b);
-            self.stamps.remove(&(a, b));
-        }
-        stale.len()
-    }
-
-    /// Moves every stamped edge of `other` into this cache. Used to assemble
-    /// the frozen union snapshot of a sharded batch from the per-shard caches,
-    /// whose edge sets are disjoint (each edge lives in the cache of the shard
-    /// owning its lower endpoint).
-    pub fn absorb(&mut self, other: EpochCache) {
-        self.graph.absorb(other.graph);
-        self.stamps.extend(other.stamps);
-    }
-
-    /// Drops every cached edge, live or stale.
-    pub fn clear(&mut self) {
-        self.graph.clear();
-        self.stamps.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::GlobalAffinityGraph;
+    use crate::fine::NeighborContribution;
     use locater_space::RegionId;
 
     fn contribution(device: u32, weight: f64) -> NeighborContribution {
@@ -324,90 +150,96 @@ mod tests {
         assert!(!epochs.is_empty());
     }
 
+    /// Whether `{a, b}` has a live edge in `graph` under `epochs`.
+    fn live(graph: &GlobalAffinityGraph, a: u32, b: u32, epochs: &EpochTable) -> bool {
+        graph
+            .lookup(DeviceId::new(a), DeviceId::new(b), 100, epochs)
+            .is_some()
+    }
+
     #[test]
     fn ingest_on_either_endpoint_invalidates_the_edge() {
-        let mut epochs = EpochTable::new();
-        let mut cache = EpochCache::new();
-        let (a, b) = (DeviceId::new(1), DeviceId::new(2));
-        cache.merge_local(a, &[contribution(2, 0.6)], 100, &epochs);
-        assert!(cache.is_live(a, b, &epochs));
-        assert!(cache.weight(a, b, 100, &epochs) > 0.0);
-        assert!(cache.cached_pair_affinity(a, b, 100, &epochs).is_some());
+        for bumped in [1, 2] {
+            let mut epochs = EpochTable::new();
+            let mut graph = GlobalAffinityGraph::new();
+            graph.merge_stamped(DeviceId::new(1), &[contribution(2, 0.6)], 100, &epochs);
+            assert!(live(&graph, 1, 2, &epochs));
 
-        epochs.bump(b);
-        assert!(!cache.is_live(a, b, &epochs));
-        assert_eq!(cache.weight(a, b, 100, &epochs), 0.0);
-        assert!(cache.cached_pair_affinity(a, b, 100, &epochs).is_none());
-        assert!(cache.samples(a, b, &epochs).is_empty());
-        // Physically still present until purged or rewritten.
-        assert_eq!(cache.stats().0, 1);
-        assert_eq!(cache.live_stats(&epochs).0, 0);
+            epochs.bump(DeviceId::new(bumped));
+            assert!(!live(&graph, 1, 2, &epochs));
+            assert!(!live(&graph, 2, 1, &epochs));
+            let plan = graph.plan(DeviceId::new(1), &[DeviceId::new(2)], 100, &epochs);
+            assert!(plan.cached.is_empty());
+            // Physically still present until purged or rewritten.
+            assert_eq!(graph.num_edges(), 1);
+            assert_eq!(graph.live_stats(&epochs), (0, 0));
+        }
     }
 
     #[test]
     fn rewrite_of_a_stale_edge_evicts_old_samples_first() {
         let mut epochs = EpochTable::new();
-        let mut cache = EpochCache::new();
+        let mut graph = GlobalAffinityGraph::new();
         let (a, b) = (DeviceId::new(1), DeviceId::new(2));
-        cache.merge_local(a, &[contribution(2, 0.9)], 100, &epochs);
-        cache.merge_local(a, &[contribution(2, 0.9)], 200, &epochs);
-        assert_eq!(cache.stats().1, 2);
+        graph.merge_stamped(a, &[contribution(2, 0.9)], 100, &epochs);
+        graph.merge_stamped(a, &[contribution(2, 0.9)], 200, &epochs);
+        assert_eq!(graph.num_samples(), 2);
 
         epochs.bump(a);
-        cache.merge_local(a, &[contribution(2, 0.1)], 300, &epochs);
+        graph.merge_stamped(a, &[contribution(2, 0.1)], 300, &epochs);
         // Only the fresh sample remains: stale history must not leak into the
         // temporally weighted affinity.
-        assert_eq!(cache.samples(a, b, &epochs).len(), 1);
-        assert!((cache.weight(a, b, 300, &epochs) - 0.1).abs() < 1e-9);
-        assert!(cache.is_live(a, b, &epochs));
+        assert_eq!(graph.live_stats(&epochs), (1, 1));
+        let (weight, pair_affinity) = graph.lookup(a, b, 300, &epochs).unwrap();
+        assert!((weight - 0.1).abs() < 1e-9);
+        assert!((pair_affinity - 0.1).abs() < 1e-9);
     }
 
     #[test]
     fn untouched_edges_stay_live() {
         let mut epochs = EpochTable::new();
-        let mut cache = EpochCache::new();
-        let (a, b, c) = (DeviceId::new(1), DeviceId::new(2), DeviceId::new(3));
-        cache.merge_local(a, &[contribution(2, 0.5)], 100, &epochs);
-        cache.merge_local(b, &[contribution(3, 0.5)], 100, &epochs);
-        epochs.bump(a);
-        assert!(!cache.is_live(a, b, &epochs));
-        assert!(cache.is_live(b, c, &epochs));
-        assert_eq!(cache.live_stats(&epochs), (1, 1));
-        assert_eq!(cache.purge_stale(&epochs), 1);
-        assert_eq!(cache.stats(), (1, 1));
+        let mut graph = GlobalAffinityGraph::new();
+        graph.merge_stamped(DeviceId::new(1), &[contribution(2, 0.5)], 100, &epochs);
+        graph.merge_stamped(DeviceId::new(2), &[contribution(3, 0.5)], 100, &epochs);
+        epochs.bump(DeviceId::new(1));
+        assert!(!live(&graph, 1, 2, &epochs));
+        assert!(live(&graph, 2, 3, &epochs));
+        assert_eq!(graph.live_stats(&epochs), (1, 1));
+        assert_eq!(graph.purge_stale(&epochs), 1);
+        assert_eq!((graph.num_edges(), graph.num_samples()), (1, 1));
+        assert!(live(&graph, 2, 3, &epochs));
     }
 
     #[test]
     fn order_neighbors_ignores_stale_edges() {
         let mut epochs = EpochTable::new();
-        let mut cache = EpochCache::new();
+        let mut graph = GlobalAffinityGraph::new();
         let center = DeviceId::new(0);
-        cache.merge_local(
+        graph.merge_stamped(
             center,
             &[contribution(5, 0.9), contribution(7, 0.4)],
             10,
             &epochs,
         );
         let candidates = [DeviceId::new(7), DeviceId::new(5), DeviceId::new(9)];
-        let order = cache.order_neighbors(center, &candidates, 10, &epochs);
-        assert_eq!(order[0], DeviceId::new(5));
+        let plan = graph.plan(center, &candidates, 10, &epochs);
+        assert_eq!(plan.order[0], DeviceId::new(5));
 
         // Staling device 5's edge demotes it to input order (all weights 0 for
         // 5 and 9, 7 still live).
         epochs.bump(DeviceId::new(5));
-        let order = cache.order_neighbors(center, &candidates, 10, &epochs);
-        assert_eq!(order[0], DeviceId::new(7));
-        assert_eq!(order[1], DeviceId::new(5));
-        assert_eq!(order[2], DeviceId::new(9));
+        let plan = graph.plan(center, &candidates, 10, &epochs);
+        assert_eq!(plan.order, candidates);
+        assert!(!plan.cached.contains_key(&DeviceId::new(5)));
     }
 
     #[test]
     fn clear_drops_everything() {
         let epochs = EpochTable::new();
-        let mut cache = EpochCache::new();
-        cache.merge_local(DeviceId::new(0), &[contribution(1, 0.5)], 10, &epochs);
-        cache.clear();
-        assert_eq!(cache.stats(), (0, 0));
-        assert_eq!(cache.live_stats(&epochs), (0, 0));
+        let mut graph = GlobalAffinityGraph::new();
+        graph.merge_stamped(DeviceId::new(0), &[contribution(1, 0.5)], 10, &epochs);
+        graph.clear();
+        assert_eq!((graph.num_edges(), graph.num_samples()), (0, 0));
+        assert_eq!(graph.live_stats(&epochs), (0, 0));
     }
 }

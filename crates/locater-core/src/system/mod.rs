@@ -31,7 +31,7 @@ pub mod epoch;
 pub mod request;
 pub mod shard;
 
-pub use epoch::{EpochCache, EpochRead, EpochTable, ModelEntry};
+pub use epoch::{EpochRead, EpochTable, ModelEntry};
 pub use request::{LocateRequest, LocateResponse};
 pub use shard::{CompactionStatus, ShardStats, ShardedLocaterService, WalStatus};
 

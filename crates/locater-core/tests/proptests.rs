@@ -5,9 +5,12 @@
 
 use locater_core::cache::GlobalAffinityGraph;
 use locater_core::coarse::{connection_densities, connection_density};
-use locater_core::fine::{AffinityEngine, PosteriorBounds, RoomAffinityWeights, RoomPosterior};
+use locater_core::fine::{
+    AffinityEngine, NeighborContribution, PosteriorBounds, RoomAffinityWeights, RoomPosterior,
+};
+use locater_core::system::EpochTable;
 use locater_events::{DeviceId, EventId, Gap, Interval, StoredEvent};
-use locater_space::{AccessPointId, RoomType, Space, SpaceBuilder};
+use locater_space::{AccessPointId, RegionId, RoomType, Space, SpaceBuilder};
 use locater_store::EventStore;
 use proptest::prelude::*;
 
@@ -165,30 +168,47 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&bounds.max));
     }
 
-    /// The caching engine's neighbor ordering is a permutation of its input and is
-    /// sorted by decreasing cached weight.
+    /// The caching engine's neighbor ordering is a permutation of its input,
+    /// sorted by decreasing live cached weight, and the plan's cached
+    /// affinities are exactly the live edges' — also when some went stale.
     #[test]
     fn cache_ordering_is_a_sorted_permutation(
         edges in prop::collection::vec((1u32..40, 0.0f64..1.0, 0i64..500_000), 0..60),
         candidates in prop::collection::vec(1u32..40, 1..20),
+        bumped in prop::collection::vec(0u32..40, 0..4),
         t_q in 0i64..500_000,
     ) {
         let center = DeviceId::new(0);
+        let mut epochs = EpochTable::new();
         let mut graph = GlobalAffinityGraph::new();
         for (other, weight, t) in edges {
-            graph.record(center, DeviceId::new(other), weight, weight, t);
+            let contribution = NeighborContribution {
+                device: DeviceId::new(other),
+                region: RegionId::new(0),
+                pair_affinity: weight,
+                edge_weight: weight,
+            };
+            graph.merge_stamped(center, &[contribution], t, &epochs);
+        }
+        for device in bumped {
+            epochs.bump(DeviceId::new(device));
         }
         let candidate_ids: Vec<DeviceId> = candidates.iter().map(|&c| DeviceId::new(c)).collect();
-        let ordered = graph.order_neighbors(center, &candidate_ids, t_q);
+        let plan = graph.plan(center, &candidate_ids, t_q, &epochs);
+        let ordered = plan.order;
         prop_assert_eq!(ordered.len(), candidate_ids.len());
         let mut sorted_input = candidate_ids.clone();
         sorted_input.sort();
         let mut sorted_output = ordered.clone();
         sorted_output.sort();
         prop_assert_eq!(sorted_input, sorted_output);
-        let weights: Vec<f64> = ordered.iter().map(|&d| graph.weight(center, d, t_q)).collect();
+        let lookup = |d: DeviceId| graph.lookup(center, d, t_q, &epochs);
+        let weights: Vec<f64> = ordered.iter().map(|&d| lookup(d).map_or(0.0, |(w, _)| w)).collect();
         for pair in weights.windows(2) {
             prop_assert!(pair[0] >= pair[1] - 1e-12);
+        }
+        for &device in &candidate_ids {
+            prop_assert_eq!(plan.cached.get(&device).copied(), lookup(device).map(|(_, pair)| pair));
         }
     }
 

@@ -97,12 +97,6 @@ pub fn day_index(t: Timestamp) -> i64 {
     t.div_euclid(SECONDS_PER_DAY)
 }
 
-/// Index of the ISO-like week this timestamp falls in (week 0 starts at the epoch).
-#[inline]
-pub fn week_index(t: Timestamp) -> i64 {
-    t.div_euclid(SECONDS_PER_WEEK)
-}
-
 /// Seconds elapsed since the last midnight.
 #[inline]
 pub fn seconds_of_day(t: Timestamp) -> Timestamp {
@@ -113,12 +107,6 @@ pub fn seconds_of_day(t: Timestamp) -> Timestamp {
 #[inline]
 pub fn day_of_week(t: Timestamp) -> DayOfWeek {
     DayOfWeek::from_index(rem_euclid(day_index(t), 7) as usize)
-}
-
-/// Timestamp of the midnight starting the day that contains `t`.
-#[inline]
-pub fn start_of_day(t: Timestamp) -> Timestamp {
-    day_index(t) * SECONDS_PER_DAY
 }
 
 /// Builds a timestamp from `(day, hour, minute, second)` where `day` counts from the
@@ -175,17 +163,14 @@ mod tests {
         assert_eq!(day_of_week(0), DayOfWeek::Monday);
         assert_eq!(seconds_of_day(0), 0);
         assert_eq!(day_index(0), 0);
-        assert_eq!(week_index(0), 0);
     }
 
     #[test]
     fn day_arithmetic() {
         let t = at(9, 13, 4, 35); // day 9 (second Wednesday), 13:04:35
         assert_eq!(day_index(t), 9);
-        assert_eq!(week_index(t), 1);
         assert_eq!(day_of_week(t), DayOfWeek::Wednesday);
         assert_eq!(seconds_of_day(t), 13 * 3600 + 4 * 60 + 35);
-        assert_eq!(start_of_day(t), 9 * SECONDS_PER_DAY);
     }
 
     #[test]

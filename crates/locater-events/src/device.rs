@@ -68,23 +68,6 @@ impl MacAddress {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// `true` if the identifier is a syntactically valid colon-separated hardware MAC.
-    pub fn is_hardware_mac(&self) -> bool {
-        self.0.contains(':')
-    }
-
-    /// Whether the hardware address has the locally-administered bit set, which is how
-    /// modern mobile OSes mark randomized (privacy) MAC addresses. Returns `false` for
-    /// opaque identifiers.
-    pub fn is_randomized(&self) -> bool {
-        if !self.is_hardware_mac() {
-            return false;
-        }
-        u8::from_str_radix(&self.0[0..2], 16)
-            .map(|first| first & 0b10 != 0)
-            .unwrap_or(false)
-    }
 }
 
 impl fmt::Display for MacAddress {
@@ -134,15 +117,12 @@ mod tests {
     fn parse_normalizes_case_and_whitespace() {
         let mac = MacAddress::parse("  AA:BB:CC:DD:EE:0F ").unwrap();
         assert_eq!(mac.as_str(), "aa:bb:cc:dd:ee:0f");
-        assert!(mac.is_hardware_mac());
     }
 
     #[test]
     fn parse_accepts_opaque_identifiers() {
         let mac = MacAddress::parse("7fbh-anon-123").unwrap();
         assert_eq!(mac.as_str(), "7fbh-anon-123");
-        assert!(!mac.is_hardware_mac());
-        assert!(!mac.is_randomized());
     }
 
     #[test]
@@ -152,19 +132,6 @@ mod tests {
         assert!(MacAddress::parse("aa:bb:cc").is_err());
         assert!(MacAddress::parse("aa:bb:cc:dd:ee:gg").is_err());
         assert!(MacAddress::parse("aaa:bb:cc:dd:ee:ff").is_err());
-    }
-
-    #[test]
-    fn randomized_mac_detection_uses_local_bit() {
-        assert!(MacAddress::parse("02:00:00:00:00:01")
-            .unwrap()
-            .is_randomized());
-        assert!(MacAddress::parse("da:a1:19:00:00:01")
-            .unwrap()
-            .is_randomized());
-        assert!(!MacAddress::parse("00:16:3e:00:00:01")
-            .unwrap()
-            .is_randomized());
     }
 
     #[test]

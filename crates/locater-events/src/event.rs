@@ -155,12 +155,6 @@ impl EventSeq {
         &self.events[lo..hi]
     }
 
-    /// Index of the last event with `t <= at`, if any.
-    pub fn index_at_or_before(&self, at: Timestamp) -> Option<usize> {
-        let pos = self.events.partition_point(|e| e.t <= at);
-        pos.checked_sub(1)
-    }
-
     /// The validity interval of the event at `index`, given validity period `delta`:
     /// `(t − δ, t + δ)` truncated at the timestamp of the next event of the device
     /// (paper §2, Fig. 2).
@@ -316,10 +310,6 @@ mod tests {
     #[test]
     fn index_at_or_before_and_span() {
         let seq = EventSeq::from_pairs(&[(100, 0), (200, 0)]);
-        assert_eq!(seq.index_at_or_before(50), None);
-        assert_eq!(seq.index_at_or_before(100), Some(0));
-        assert_eq!(seq.index_at_or_before(150), Some(0));
-        assert_eq!(seq.index_at_or_before(500), Some(1));
         assert_eq!(seq.span(), Some(Interval::new(100, 201)));
         assert_eq!(EventSeq::new().span(), None);
     }

@@ -74,11 +74,6 @@ impl Gap {
     pub fn end_day(&self) -> crate::clock::DayOfWeek {
         clock::day_of_week(self.end)
     }
-
-    /// `true` if the gap spans more than one calendar day.
-    pub fn spans_days(&self) -> bool {
-        clock::day_index(self.start) != clock::day_index(self.end)
-    }
 }
 
 /// The gap between two *consecutive* events of one device, if their spacing exceeds
@@ -206,10 +201,5 @@ mod tests {
         let g = gaps_in(&seq, clock::minutes(10))[0];
         assert_eq!(g.start_day(), crate::clock::DayOfWeek::Tuesday);
         assert_eq!(g.end_day(), crate::clock::DayOfWeek::Wednesday);
-        assert!(g.spans_days());
-
-        let seq2 = EventSeq::from_pairs(&[(at(1, 9, 0, 0), 0), (at(1, 11, 0, 0), 0)]);
-        let g2 = gaps_in(&seq2, clock::minutes(10))[0];
-        assert!(!g2.spans_days());
     }
 }

@@ -5,14 +5,13 @@
 //! how often it reconnects, and the typical spacing between those events is how long a
 //! single event should be trusted.
 //!
-//! [`estimate_delta`] implements that idea: it looks at the distribution of
+//! [`estimate_delta_events`] implements that idea: it looks at the distribution of
 //! inter-event times of a device restricted to *stationary stretches* (consecutive
 //! events on the same access point), takes a configurable percentile of it, and clamps
 //! the result to a `[min, max]` range so that chatty devices do not get a
 //! uselessly-small δ and silent devices do not get an enormous one.
 
 use crate::clock::Timestamp;
-use crate::event::EventSeq;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for validity-period estimation.
@@ -44,19 +43,13 @@ impl Default for ValidityConfig {
     }
 }
 
-/// Estimates the validity period `δ(d)` of a device from its event sequence.
+/// Estimates the validity period `δ(d)` of a device from its time-sorted events.
 ///
 /// Only inter-event times between consecutive events logged by the *same* access point
 /// are considered (the device was most likely stationary), and only those below
 /// `config.max_delta * 4` (larger spacings are treated as absences, not as connection
-/// periodicity).
-pub fn estimate_delta(seq: &EventSeq, config: &ValidityConfig) -> Timestamp {
-    estimate_delta_events(seq.events(), config)
-}
-
-/// [`estimate_delta`] over any time-sorted run of events, without requiring them to
-/// live in one contiguous [`EventSeq`] — the segmented store estimates δ by chaining
-/// its segments through this entry point.
+/// periodicity). The events need not live in one contiguous slice: the segmented store
+/// estimates δ by chaining its segments.
 pub fn estimate_delta_events<'a>(
     events: impl IntoIterator<Item = &'a crate::event::StoredEvent>,
     config: &ValidityConfig,
@@ -87,6 +80,7 @@ pub fn estimate_delta_events<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventSeq;
 
     #[test]
     fn defaults_are_sane() {
@@ -100,8 +94,11 @@ mod tests {
     fn sparse_history_falls_back_to_default() {
         let seq = EventSeq::from_pairs(&[(0, 0), (100, 0)]);
         let c = ValidityConfig::default();
-        assert_eq!(estimate_delta(&seq, &c), c.default_delta);
-        assert_eq!(estimate_delta(&EventSeq::new(), &c), c.default_delta);
+        assert_eq!(estimate_delta_events(seq.events(), &c), c.default_delta);
+        assert_eq!(
+            estimate_delta_events(EventSeq::new().events(), &c),
+            c.default_delta
+        );
     }
 
     #[test]
@@ -110,7 +107,7 @@ mod tests {
         let pairs: Vec<(Timestamp, u32)> = (0..20).map(|i| (i * 300, 0u32)).collect();
         let seq = EventSeq::from_pairs(&pairs);
         let c = ValidityConfig::default();
-        assert_eq!(estimate_delta(&seq, &c), 300);
+        assert_eq!(estimate_delta_events(seq.events(), &c), 300);
     }
 
     #[test]
@@ -119,14 +116,14 @@ mod tests {
         let chatty: Vec<(Timestamp, u32)> = (0..50).map(|i| (i * 10, 0u32)).collect();
         let c = ValidityConfig::default();
         assert_eq!(
-            estimate_delta(&EventSeq::from_pairs(&chatty), &c),
+            estimate_delta_events(EventSeq::from_pairs(&chatty).events(), &c),
             c.min_delta
         );
 
         // Very quiet device: every 40 minutes (below the 4× cap) → clamped to max.
         let quiet: Vec<(Timestamp, u32)> = (0..20).map(|i| (i * 2_400, 0u32)).collect();
         assert_eq!(
-            estimate_delta(&EventSeq::from_pairs(&quiet), &c),
+            estimate_delta_events(EventSeq::from_pairs(&quiet).events(), &c),
             c.max_delta
         );
     }
@@ -137,7 +134,7 @@ mod tests {
         let pairs: Vec<(Timestamp, u32)> = (0..20).map(|i| (i * 300, (i % 2) as u32)).collect();
         let c = ValidityConfig::default();
         assert_eq!(
-            estimate_delta(&EventSeq::from_pairs(&pairs), &c),
+            estimate_delta_events(EventSeq::from_pairs(&pairs).events(), &c),
             c.default_delta
         );
     }
@@ -148,6 +145,9 @@ mod tests {
         let mut pairs: Vec<(Timestamp, u32)> = (0..10).map(|i| (i * 300, 0u32)).collect();
         pairs.extend((0..10).map(|i| (100_000 + i * 300, 0u32)));
         let c = ValidityConfig::default();
-        assert_eq!(estimate_delta(&EventSeq::from_pairs(&pairs), &c), 300);
+        assert_eq!(
+            estimate_delta_events(EventSeq::from_pairs(&pairs).events(), &c),
+            300
+        );
     }
 }

@@ -108,14 +108,6 @@ impl Dataset {
     pub fn has_multiple_classes(&self) -> bool {
         self.class_counts().iter().filter(|&&c| c > 0).count() >= 2
     }
-
-    /// Applies a function to every feature row in place (used by the scaler).
-    pub fn transform_rows(&mut self, mut f: impl FnMut(&mut [f64])) {
-        for i in 0..self.labels.len() {
-            let start = i * self.num_features;
-            f(&mut self.features[start..start + self.num_features]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,19 +176,5 @@ mod tests {
         d.push(vec![6.0], 0);
         let collected: Vec<(f64, usize)> = d.iter().map(|(r, l)| (r[0], l)).collect();
         assert_eq!(collected, vec![(5.0, 1), (6.0, 0)]);
-    }
-
-    #[test]
-    fn transform_rows_mutates_in_place() {
-        let mut d = Dataset::new(2, 2);
-        d.push(vec![1.0, 2.0], 0);
-        d.push(vec![3.0, 4.0], 1);
-        d.transform_rows(|row| {
-            for v in row.iter_mut() {
-                *v *= 10.0;
-            }
-        });
-        assert_eq!(d.row(0), &[10.0, 20.0]);
-        assert_eq!(d.row(1), &[30.0, 40.0]);
     }
 }

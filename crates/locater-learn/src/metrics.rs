@@ -54,32 +54,6 @@ impl ConfusionMatrix {
             tp as f64 / predicted as f64
         }
     }
-
-    /// Recall of one class: `TP / (TP + FN)`. Returns 0 when the class never occurred.
-    pub fn recall(&self, class: usize) -> f64 {
-        let tp = self.count(class, class);
-        let actual: u64 = (0..self.num_classes).map(|p| self.count(class, p)).sum();
-        if actual == 0 {
-            0.0
-        } else {
-            tp as f64 / actual as f64
-        }
-    }
-
-    /// Macro-averaged F1 score over all classes.
-    pub fn macro_f1(&self) -> f64 {
-        let mut sum = 0.0;
-        for c in 0..self.num_classes {
-            let p = self.precision(c);
-            let r = self.recall(c);
-            sum += if p + r > 0.0 {
-                2.0 * p * r / (p + r)
-            } else {
-                0.0
-            };
-        }
-        sum / self.num_classes as f64
-    }
 }
 
 /// Plain accuracy of a sequence of `(truth, predicted)` pairs.
@@ -122,8 +96,6 @@ mod tests {
             m.record(0, 0);
         }
         assert!((m.precision(1) - 0.75).abs() < 1e-12);
-        assert!((m.recall(1) - 0.6).abs() < 1e-12);
-        assert!(m.macro_f1() > 0.0 && m.macro_f1() < 1.0);
     }
 
     #[test]
@@ -131,7 +103,6 @@ mod tests {
         let m = ConfusionMatrix::new(3);
         assert_eq!(m.accuracy(), 0.0);
         assert_eq!(m.precision(0), 0.0);
-        assert_eq!(m.recall(2), 0.0);
         assert_eq!(accuracy(&[]), 0.0);
     }
 

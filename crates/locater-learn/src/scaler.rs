@@ -76,11 +76,6 @@ impl StandardScaler {
         self.transform_in_place(&mut out);
         out
     }
-
-    /// Standardizes every row of a dataset in place.
-    pub fn transform_dataset(&self, data: &mut Dataset) {
-        data.transform_rows(|row| self.transform_in_place(row));
-    }
 }
 
 #[cfg(test)]
@@ -110,16 +105,15 @@ mod tests {
 
     #[test]
     fn transformed_dataset_has_zero_mean_unit_variance() {
-        let mut data = sample();
+        let data = sample();
         let scaler = StandardScaler::fit(&data);
-        scaler.transform_dataset(&mut data);
+        let rows: Vec<Vec<f64>> = (0..data.len())
+            .map(|i| scaler.transform(data.row(i)))
+            .collect();
         for f in 0..2 {
-            let mean: f64 =
-                (0..data.len()).map(|i| data.row(i)[f]).sum::<f64>() / data.len() as f64;
-            let var: f64 = (0..data.len())
-                .map(|i| (data.row(i)[f] - mean).powi(2))
-                .sum::<f64>()
-                / data.len() as f64;
+            let mean: f64 = rows.iter().map(|row| row[f]).sum::<f64>() / rows.len() as f64;
+            let var: f64 =
+                rows.iter().map(|row| (row[f] - mean).powi(2)).sum::<f64>() / rows.len() as f64;
             assert!(mean.abs() < 1e-9, "feature {f} mean {mean}");
             assert!((var - 1.0).abs() < 1e-9, "feature {f} var {var}");
         }

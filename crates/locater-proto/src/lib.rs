@@ -76,7 +76,12 @@ use std::fmt;
 /// tier it counted is gone). Unknown fields are ignored on decode, so a v3
 /// frame that still carries it decodes; a v3 client cannot decode a v4
 /// `Compacted` / `Stats` frame, which is what the bump announces.
-pub const PROTOCOL_VERSION: u32 = 4;
+///
+/// v5 dropped the affinity-cache counters (`edges`, `live_edges`, `samples`,
+/// `live_samples`) from [`WireShardStats`]: the service holds one affinity
+/// graph, not one per shard, so only the [`WireStats`] totals remain. A v4
+/// `Stats` frame still decodes (the per-shard keys are ignored).
+pub const PROTOCOL_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -573,14 +578,6 @@ pub struct WireShardStats {
     pub events: usize,
     /// Devices whose home shard this is.
     pub owned_devices: usize,
-    /// Affinity edges physically held by this shard's cache.
-    pub edges: usize,
-    /// Affinity edges live under current epochs.
-    pub live_edges: usize,
-    /// Affinity samples physically held.
-    pub samples: usize,
-    /// Affinity samples live under current epochs.
-    pub live_samples: usize,
     /// Co-location-index AP posting lists held by this shard.
     pub index_ap_lists: usize,
     /// Co-location-index time buckets held by this shard.
@@ -604,10 +601,6 @@ impl From<ShardStats> for WireShardStats {
             shard: s.shard,
             events: s.events,
             owned_devices: s.owned_devices,
-            edges: s.edges,
-            live_edges: s.live_edges,
-            samples: s.samples,
-            live_samples: s.live_samples,
             index_ap_lists: s.index_ap_lists,
             index_buckets: s.index_buckets,
             head_segments: s.head_segments,

@@ -50,10 +50,6 @@ fn sample_stats() -> WireStats {
                 shard: 0,
                 events: 6,
                 owned_devices: 2,
-                edges: 4,
-                live_edges: 3,
-                samples: 9,
-                live_samples: 7,
                 index_ap_lists: 3,
                 index_buckets: 4,
                 head_segments: 2,
@@ -64,10 +60,6 @@ fn sample_stats() -> WireStats {
                 shard: 1,
                 events: 4,
                 owned_devices: 1,
-                edges: 0,
-                live_edges: 0,
-                samples: 0,
-                live_samples: 0,
                 index_ap_lists: 2,
                 index_buckets: 2,
                 head_segments: 1,
@@ -367,7 +359,7 @@ fn golden_responses() -> Vec<(WireResponse, &'static str)> {
             WireResponse::Pong {
                 version: PROTOCOL_VERSION,
             },
-            r#"{"Pong":{"version":4}}"#,
+            r#"{"Pong":{"version":5}}"#,
         ),
         (
             WireResponse::Ingested {
@@ -419,11 +411,11 @@ fn golden_responses() -> Vec<(WireResponse, &'static str)> {
         ),
         (
             WireResponse::Stats(stats),
-            r#"{"Stats":{"version":4,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"index_buckets":6,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"head_segments":3,"sealed_segments":12,"compaction":{"runs":2,"evicted_events":400,"evicted_segments":8,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":3,"index_buckets":4,"head_segments":2,"sealed_segments":7,"resident_bytes":40960}],"wal":null}}"#,
+            r#"{"Stats":{"version":5,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"index_buckets":6,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"head_segments":3,"sealed_segments":12,"compaction":{"runs":2,"evicted_events":400,"evicted_segments":8,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"index_buckets":4,"head_segments":2,"sealed_segments":7,"resident_bytes":40960}],"wal":null}}"#,
         ),
         (
             WireResponse::Stats(sample_stats()),
-            r#"{"Stats":{"version":4,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"index_buckets":6,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"head_segments":3,"sealed_segments":12,"compaction":{"runs":2,"evicted_events":400,"evicted_segments":8,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":3,"index_buckets":4,"head_segments":2,"sealed_segments":7,"resident_bytes":40960},{"shard":1,"events":4,"owned_devices":1,"edges":0,"live_edges":0,"samples":0,"live_samples":0,"index_ap_lists":2,"index_buckets":2,"head_segments":1,"sealed_segments":5,"resident_bytes":24576}],"wal":{"dir":"/var/lib/locater/wal","fsync":"every=32","segments":3,"frames":128,"bytes":4096,"last_checkpoint_age_ms":60000,"checkpoints":2}}}"#,
+            r#"{"Stats":{"version":5,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"index_buckets":6,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"head_segments":3,"sealed_segments":12,"compaction":{"runs":2,"evicted_events":400,"evicted_segments":8,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"index_buckets":4,"head_segments":2,"sealed_segments":7,"resident_bytes":40960},{"shard":1,"events":4,"owned_devices":1,"index_ap_lists":2,"index_buckets":2,"head_segments":1,"sealed_segments":5,"resident_bytes":24576}],"wal":{"dir":"/var/lib/locater/wal","fsync":"every=32","segments":3,"frames":128,"bytes":4096,"last_checkpoint_age_ms":60000,"checkpoints":2}}}"#,
         ),
         (
             WireResponse::SnapshotSaved {
@@ -573,6 +565,37 @@ fn v3_compacted_frame_still_decodes() {
     );
     let v3 = v4.replace("}}", ",\"summary_rows\":9}}");
     assert_eq!(decode_response(&v3).unwrap(), expected);
+}
+
+/// A `stats` frame from a v4 server still carries the per-shard cache
+/// counters v5 dropped with the per-shard caches: the unknown keys are
+/// ignored.
+#[test]
+fn a_v4_stats_frame_still_decodes() {
+    let expected = WireResponse::Stats(sample_stats());
+    let v5 = encode_response(&expected);
+    let mut v4 = v5.replace("\"version\":5", "\"version\":4");
+    // Where a v4 server wrote them: right after each shard's device count.
+    for (owned, counters) in [
+        (
+            "\"owned_devices\":2,",
+            "\"edges\":4,\"live_edges\":3,\"samples\":9,\"live_samples\":7,",
+        ),
+        (
+            "\"owned_devices\":1,",
+            "\"edges\":0,\"live_edges\":0,\"samples\":0,\"live_samples\":0,",
+        ),
+    ] {
+        let at = v4.find(owned).expect("every shard has a line") + owned.len();
+        v4.insert_str(at, counters);
+    }
+    assert_eq!(v4.matches("\"live_edges\"").count(), 3);
+    let WireResponse::Stats(mut back) = decode_response(&v4).unwrap() else {
+        panic!("a stats frame decodes to stats");
+    };
+    assert_eq!(back.version, 4);
+    back.version = PROTOCOL_VERSION;
+    assert_eq!(WireResponse::Stats(back), expected);
 }
 
 /// A deterministic LCG-driven fuzz pass: random structured requests round-trip,

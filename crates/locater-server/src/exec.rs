@@ -439,9 +439,9 @@ impl ServerState {
         }
     }
 
-    /// One consistent statistics sweep: store totals are sums of the
-    /// per-shard counters (the header can never disagree with the lines),
-    /// plus the serving-layer gauges.
+    /// One statistics sweep: store totals are sums of the per-shard counters
+    /// (the header can never disagree with the lines), plus the affinity
+    /// graph's counters and the serving-layer gauges.
     pub fn stats(&self) -> WireStats {
         let per_shard: Vec<_> = self
             .service
@@ -449,6 +449,8 @@ impl ServerState {
             .into_iter()
             .map(Into::into)
             .collect();
+        let (edges, samples) = self.service.cache_stats();
+        let (live_edges, live_samples) = self.service.live_cache_stats();
         WireStats {
             version: PROTOCOL_VERSION,
             uptime_ms: self.started.elapsed().as_millis() as u64,
@@ -458,10 +460,10 @@ impl ServerState {
                 .sum(),
             devices: self.service.num_devices(),
             shards: self.service.num_shards(),
-            edges: per_shard.iter().map(|s| s.edges).sum(),
-            live_edges: per_shard.iter().map(|s| s.live_edges).sum(),
-            samples: per_shard.iter().map(|s| s.samples).sum(),
-            live_samples: per_shard.iter().map(|s| s.live_samples).sum(),
+            edges,
+            live_edges,
+            samples,
+            live_samples,
             index_ap_lists: per_shard.iter().map(|s| s.index_ap_lists).sum(),
             index_buckets: per_shard.iter().map(|s| s.index_buckets).sum(),
             requests_served: self.requests_served.load(Ordering::Relaxed),
@@ -677,14 +679,10 @@ pub fn render_response(space: &Space, request: &WireRequest, response: &WireResp
             for shard in &stats.per_shard {
                 let _ = write!(
                     report,
-                    "\nshard {}: {} events, {} devices; cache: {}/{} edges live, {}/{} samples live; index: {} AP lists, {} buckets",
+                    "\nshard {}: {} events, {} devices; index: {} AP lists, {} buckets",
                     shard.shard,
                     shard.events,
                     shard.owned_devices,
-                    shard.live_edges,
-                    shard.edges,
-                    shard.live_samples,
-                    shard.samples,
                     shard.index_ap_lists,
                     shard.index_buckets
                 );
@@ -929,7 +927,7 @@ mod tests {
         );
         assert!(stats.contains("1 events, 1 devices across 2 shard(s)"));
         assert!(stats.contains("shard 0:"));
-        assert!(stats.contains("server: protocol v4"));
+        assert!(stats.contains("server: protocol v5"));
         assert!(stats.contains("rejected: 0 overloaded, 0 shutting-down"));
         assert!(stats.contains("faults: 0 panic(s), 0 degraded, 0 deduped"));
         assert!(

@@ -73,11 +73,6 @@ impl GroundTruth {
         self.stays.len()
     }
 
-    /// Total number of recorded stays across all devices.
-    pub fn num_stays(&self) -> usize {
-        self.stays.values().map(Vec::len).sum()
-    }
-
     /// The stays of one device, time-sorted. Empty if the device is unknown.
     pub fn stays_of(&self, mac: &str) -> &[Stay] {
         self.stays.get(mac).map(Vec::as_slice).unwrap_or(&[])
@@ -143,7 +138,7 @@ mod tests {
         truth.record("d1", Stay::new(RoomId::new(1), 100, 200));
         truth.record("d1", Stay::new(RoomId::new(2), 300, 400));
         assert_eq!(truth.num_devices(), 1);
-        assert_eq!(truth.num_stays(), 2);
+        assert_eq!(truth.stays_of("d1").len(), 2);
         assert_eq!(truth.room_at("d1", 150), Some(RoomId::new(1)));
         assert_eq!(truth.room_at("d1", 350), Some(RoomId::new(2)));
         assert_eq!(truth.room_at("d1", 250), None); // between stays: outside
@@ -169,7 +164,7 @@ mod tests {
         let mut truth = GroundTruth::new();
         truth.record("d1", Stay::new(RoomId::new(1), 200, 200));
         truth.record("d1", Stay::new(RoomId::new(1), 300, 250));
-        assert_eq!(truth.num_stays(), 0);
+        assert_eq!(truth.num_devices(), 0);
         assert_eq!(truth.inside_seconds("d1"), 0);
     }
 

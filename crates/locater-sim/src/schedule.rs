@@ -61,12 +61,6 @@ impl ScheduledEvent {
         }
     }
 
-    /// Restricts the event to specific days of the week (0 = Monday).
-    pub fn on_days(mut self, days: &[usize]) -> Self {
-        self.days = days.iter().map(|&d| d % 7).collect();
-        self
-    }
-
     /// Sets the maximum number of attendees per occurrence.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity.max(1);
@@ -161,16 +155,6 @@ mod tests {
         for day in 0..14 {
             assert!(event.occurs_on(day));
         }
-    }
-
-    #[test]
-    fn custom_days_are_normalized() {
-        let event =
-            ScheduledEvent::weekdays("seminar", RoomId::new(0), 0, 3_600).on_days(&[1, 3, 8]);
-        assert!(event.occurs_on(1)); // Tuesday
-        assert!(event.occurs_on(3)); // Thursday
-        assert!(!event.occurs_on(0));
-        assert!(event.occurs_on(8)); // 8 % 7 = 1 → Tuesday of week 2
     }
 
     #[test]

@@ -11,7 +11,6 @@ use locater_store::{EventStore, RawEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A fully specified simulation world: the space, its people and its recurring
 /// events. Scenario and campus builders produce a `World`; [`simulate`] turns it into
@@ -57,15 +56,6 @@ impl SimOutput {
     /// The monitored (ground-truth panel) person records.
     pub fn monitored(&self) -> impl Iterator<Item = &PersonRecord> {
         self.people.iter().filter(|p| p.monitored)
-    }
-
-    /// Person records grouped by predictability band.
-    pub fn records_by_group(&self) -> BTreeMap<String, Vec<&PersonRecord>> {
-        let mut groups: BTreeMap<String, Vec<&PersonRecord>> = BTreeMap::new();
-        for record in &self.people {
-            groups.entry(record.group.clone()).or_default().push(record);
-        }
-        groups
     }
 
     /// The record of one person, looked up by device identifier.
@@ -172,7 +162,7 @@ mod tests {
         assert_eq!(output.days, 14);
         assert_eq!(output.people.len(), 2);
         assert!(!output.events.is_empty());
-        assert!(output.ground_truth.num_stays() > 0);
+        assert!(output.ground_truth.num_devices() > 0);
         // Events are sorted by time.
         for w in output.events.windows(2) {
             assert!(w[0].t <= w[1].t);
@@ -198,7 +188,6 @@ mod tests {
         assert!(alice.monitored);
         assert!(!bob.monitored);
         assert_eq!(output.monitored().count(), 1);
-        assert!(!output.records_by_group().is_empty());
     }
 
     #[test]
@@ -227,7 +216,7 @@ mod tests {
         let world = tiny_world();
         let output = simulate(&world, 0, 1);
         assert!(output.events.is_empty());
-        assert_eq!(output.ground_truth.num_stays(), 0);
+        assert_eq!(output.ground_truth.num_devices(), 0);
         assert!(output.span().is_none());
     }
 }

@@ -69,20 +69,6 @@ impl SpaceBuilder {
         self
     }
 
-    /// Extends the coverage of an already-declared access point.
-    pub fn extend_coverage(mut self, ap_name: &str, rooms: &[&str]) -> Self {
-        match self.ap_names.get(ap_name).copied() {
-            Some(ap) => {
-                let extra: Vec<RoomId> = rooms.iter().map(|r| self.intern_room(r)).collect();
-                self.coverage[ap.index()].extend(extra);
-            }
-            None => self
-                .errors
-                .push(SpaceError::UnknownAccessPoint(ap_name.to_string())),
-        }
-        self
-    }
-
     /// Sets the type of a room (creating it if necessary).
     pub fn room_type(mut self, name: &str, room_type: RoomType) -> Self {
         let id = self.intern_room(name);
@@ -195,27 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_coverage_adds_rooms() {
-        let space = SpaceBuilder::new("b")
-            .add_access_point("wap1", &["a"])
-            .extend_coverage("wap1", &["b", "c"])
-            .build()
-            .unwrap();
-        let g = space.ap_id("wap1").unwrap().region();
-        assert_eq!(space.rooms_in_region(g).len(), 3);
-    }
-
-    #[test]
-    fn extend_coverage_of_unknown_ap_errors_at_build() {
-        let err = SpaceBuilder::new("b")
-            .add_access_point("wap1", &["a"])
-            .extend_coverage("wap9", &["b"])
-            .build()
-            .unwrap_err();
-        assert_eq!(err, SpaceError::UnknownAccessPoint("wap9".into()));
-    }
-
-    #[test]
     fn room_owner_registers_ownership_and_preference() {
         let space = SpaceBuilder::new("b")
             .add_access_point("wap1", &["office", "lab"])
@@ -223,7 +188,7 @@ mod tests {
             .build()
             .unwrap();
         let office = space.room_id("office").unwrap();
-        assert!(space.room(office).is_owned_by("aa:bb"));
+        assert_eq!(space.room(office).owners, ["aa:bb"]);
         assert_eq!(space.preferred_rooms("aa:bb"), &[office]);
     }
 

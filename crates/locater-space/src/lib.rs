@@ -34,7 +34,7 @@
 //!     .unwrap();
 //!
 //! let wap2 = space.ap_id("wap2").unwrap();
-//! let region = space.region_of_ap(wap2);
+//! let region = wap2.region();
 //! assert_eq!(space.rooms_in_region(region).len(), 4);
 //! // room 2004 is covered by both APs, i.e. it belongs to two overlapping regions.
 //! let r2004 = space.room_id("2004").unwrap();
@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 mod access_point;
-mod adjacency;
 mod builder;
 mod error;
 mod ids;
@@ -55,11 +54,10 @@ mod room;
 mod space;
 
 pub use access_point::AccessPoint;
-pub use adjacency::RoomAdjacency;
 pub use builder::SpaceBuilder;
 pub use error::SpaceError;
 pub use ids::{AccessPointId, RegionId, RoomId};
-pub use metadata::{SpaceMetadata, SpaceSummary};
+pub use metadata::SpaceMetadata;
 pub use region::Region;
 pub use room::{Room, RoomType};
 pub use space::Space;

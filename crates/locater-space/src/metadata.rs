@@ -126,38 +126,6 @@ impl SpaceMetadata {
     }
 }
 
-/// Summary statistics of a space, used in dataset reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpaceSummary {
-    /// Building name.
-    pub name: String,
-    /// Number of access points / regions.
-    pub access_points: usize,
-    /// Number of rooms.
-    pub rooms: usize,
-    /// Number of public rooms.
-    pub public_rooms: usize,
-    /// Average number of rooms covered by one access point.
-    pub avg_rooms_per_ap: f64,
-    /// Number of devices with registered preferred rooms.
-    pub devices_with_preferences: usize,
-}
-
-impl SpaceSummary {
-    /// Computes the summary for a space.
-    pub fn of(space: &Space) -> Self {
-        let (public, _) = space.room_type_counts();
-        Self {
-            name: space.name().to_string(),
-            access_points: space.num_access_points(),
-            rooms: space.num_rooms(),
-            public_rooms: public,
-            avg_rooms_per_ap: space.avg_rooms_per_ap(),
-            devices_with_preferences: space.preferred_map().len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,22 +263,5 @@ mod tests {
     fn invalid_json_reports_metadata_error() {
         let err = SpaceMetadata::from_json("{not json").unwrap_err();
         matches!(err, SpaceError::Metadata(_));
-    }
-
-    #[test]
-    fn summary_counts_match_space() {
-        let space = SpaceBuilder::new("b")
-            .add_access_point("wap1", &["a", "b"])
-            .add_access_point("wap2", &["b", "c", "d"])
-            .room_type("b", RoomType::Public)
-            .preferred_room("m1", "a")
-            .build()
-            .unwrap();
-        let summary = SpaceSummary::of(&space);
-        assert_eq!(summary.access_points, 2);
-        assert_eq!(summary.rooms, 4);
-        assert_eq!(summary.public_rooms, 1);
-        assert_eq!(summary.devices_with_preferences, 1);
-        assert!((summary.avg_rooms_per_ap - 2.5).abs() < 1e-9);
     }
 }

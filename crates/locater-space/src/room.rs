@@ -68,11 +68,6 @@ impl Room {
     pub fn is_public(&self) -> bool {
         self.room_type.is_public()
     }
-
-    /// `true` if `mac` is registered as an owner of this room.
-    pub fn is_owned_by(&self, mac: &str) -> bool {
-        self.owners.iter().any(|m| m == mac)
-    }
 }
 
 impl fmt::Display for Room {
@@ -91,15 +86,6 @@ mod tests {
         assert_eq!(room.room_type, RoomType::Private);
         assert!(!room.is_public());
         assert!(room.owners.is_empty());
-        assert!(!room.is_owned_by("aa:bb:cc:dd:ee:ff"));
-    }
-
-    #[test]
-    fn ownership_lookup_matches_exact_mac() {
-        let mut room = Room::new(RoomId::new(1), "2061");
-        room.owners.push("aa:bb:cc:dd:ee:01".to_string());
-        assert!(room.is_owned_by("aa:bb:cc:dd:ee:01"));
-        assert!(!room.is_owned_by("aa:bb:cc:dd:ee:02"));
     }
 
     #[test]

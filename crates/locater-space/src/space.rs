@@ -217,11 +217,6 @@ impl Space {
         &self.access_points[id.index()]
     }
 
-    /// The region covered by access point `ap`.
-    pub fn region_of_ap(&self, ap: AccessPointId) -> RegionId {
-        ap.region()
-    }
-
     /// The access point whose coverage defines region `region`.
     pub fn ap_of_region(&self, region: RegionId) -> AccessPointId {
         region.access_point()
@@ -321,15 +316,6 @@ impl Space {
         (pf, pb, pr)
     }
 
-    /// Public rooms covered by `region`, in sorted order.
-    pub fn public_rooms_in(&self, region: RegionId) -> Vec<RoomId> {
-        self.rooms_in_region(region)
-            .iter()
-            .copied()
-            .filter(|&r| self.is_public(r))
-            .collect()
-    }
-
     /// Counts rooms of each [`RoomType`](crate::room::RoomType): `(public, private)`.
     pub fn room_type_counts(&self) -> (usize, usize) {
         let public = self.rooms.iter().filter(|r| r.is_public()).count();
@@ -372,7 +358,7 @@ mod tests {
         assert_eq!(space.num_regions(), 4);
         let wap3 = space.ap_id("wap3").unwrap();
         assert_eq!(space.access_point(wap3).name, "wap3");
-        let g3 = space.region_of_ap(wap3);
+        let g3 = wap3.region();
         assert_eq!(space.ap_of_region(g3), wap3);
         assert_eq!(space.rooms_in_region(g3).len(), 7);
         assert!(space.room_id("2065").is_some());
@@ -440,7 +426,12 @@ mod tests {
     fn public_room_helpers() {
         let space = sample_space();
         let g3 = space.ap_id("wap3").unwrap().region();
-        let publics = space.public_rooms_in(g3);
+        let publics: Vec<RoomId> = space
+            .rooms_in_region(g3)
+            .iter()
+            .copied()
+            .filter(|&r| space.is_public(r))
+            .collect();
         assert_eq!(publics.len(), 1);
         assert_eq!(space.room(publics[0]).name, "2065");
         let (public, private) = space.room_type_counts();

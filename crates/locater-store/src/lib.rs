@@ -22,10 +22,10 @@
 //!   [`EventStore::load_snapshot`]) — the whole store round-trips bit-identically
 //!   through a compact, versioned, checksummed binary format (see [`snapshot`]), so
 //!   cold starts skip CSV replay entirely;
-//! * **a streaming loader** — CSV, the one event-file format
-//!   ([`EventStore::load_csv_reader`]), is ingested one line at a time in
-//!   bounded memory, with parse *and* semantic errors annotated with their input
-//!   line (and column, for field errors);
+//! * **a CSV loader** — CSV, the one event-file format
+//!   ([`EventStore::from_csv`]), is ingested one line at a time, with parse
+//!   *and* semantic errors annotated with their input line (and column, for
+//!   field errors);
 //! * **durability** ([`wal`] + [`recovery`]) — a per-shard append-only
 //!   write-ahead log of checksummed frames makes every acknowledged ingest
 //!   crash-safe; recovery loads the last checkpoint snapshot and replays the

@@ -437,17 +437,6 @@ impl DeviceTimeline {
                 .map(|s| s.events.approx_bytes())
                 .sum::<usize>()
     }
-
-    /// Materializes the timeline into one contiguous [`EventSeq`] (mainly for
-    /// tests and format conversions; queries should use the segment-pruned
-    /// accessors instead).
-    pub fn to_seq(&self) -> EventSeq {
-        let mut seq = EventSeq::new();
-        for event in self.iter() {
-            seq.push(*event);
-        }
-        seq
-    }
 }
 
 impl<'a> IntoIterator for &'a DeviceTimeline {
@@ -562,7 +551,7 @@ mod tests {
             tl.push(ev(i as u64, t, (i % 2) as u32));
             seq.push(ev(i as u64, t, (i % 2) as u32));
         }
-        assert_eq!(tl.to_seq(), seq);
+        assert!(tl.iter().eq(seq.events()));
         // Global partition points agree with the flat representation.
         for probe in [-5, 0, 4, 10, 11, 320, 5_000, 10_000] {
             assert_eq!(

@@ -57,7 +57,6 @@ use crate::store::EventStore;
 use locater_events::validity::ValidityConfig;
 use locater_events::{Device, DeviceId, EventId, MacAddress, StoredEvent, Timestamp};
 use locater_space::{AccessPointId, Space, SpaceMetadata};
-use std::io::{Read, Write};
 use std::path::Path;
 
 /// Magic bytes every snapshot starts with.
@@ -389,21 +388,6 @@ impl EventStore {
         decode_payload(payload, version)
     }
 
-    /// Writes the snapshot to a writer.
-    pub fn write_snapshot(&self, writer: &mut impl Write) -> Result<(), StoreError> {
-        let bytes = self.to_snapshot_bytes()?;
-        writer.write_all(&bytes)?;
-        Ok(())
-    }
-
-    /// Reads a snapshot from a reader (the input is buffered fully; snapshots
-    /// are single files sized well below the store they decode into).
-    pub fn read_snapshot(reader: &mut impl Read) -> Result<Self, StoreError> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Self::from_snapshot_bytes(&bytes)
-    }
-
     /// Saves the store as a snapshot file.
     ///
     /// The write is atomic: the bytes go to a temporary file in the same
@@ -505,11 +489,6 @@ mod tests {
     #[test]
     fn io_roundtrip_through_writer_and_file() {
         let store = sample_store();
-        let mut buf: Vec<u8> = Vec::new();
-        store.write_snapshot(&mut buf).unwrap();
-        let back = EventStore::read_snapshot(&mut std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(back, store);
-
         let path = std::env::temp_dir().join(format!("locater-snap-{}.bin", std::process::id()));
         store.save_snapshot(&path).unwrap();
         let back = EventStore::load_snapshot(&path).unwrap();
@@ -574,7 +553,7 @@ mod tests {
         let mut payload = current[28..].to_vec();
         *payload.last_mut().unwrap() = 1;
         for device in store.devices() {
-            let lists = store.colocation_index().device(device.id).ap_lists();
+            let lists = store.device_postings(device.id).ap_lists();
             payload.extend_from_slice(&(lists.len() as u32).to_le_bytes());
             for list in lists {
                 payload.extend_from_slice(&list.ap().raw().to_le_bytes());

@@ -14,7 +14,6 @@ use locater_events::{
 };
 use locater_space::{AccessPointId, RegionId, Space};
 use std::collections::HashMap;
-use std::io::BufRead;
 use std::sync::Arc;
 
 /// The per-line parser the CSV loaders share (skips a first-line header).
@@ -362,14 +361,9 @@ impl EventStore {
         &self.timeline
     }
 
-    /// The incremental co-location index (per-AP, time-bucketed posting lists
-    /// per device; see [`crate::colocation`]). Maintained in the same mutation
-    /// that appends an event, so it is never stale.
-    pub fn colocation_index(&self) -> &ColocationIndex {
-        &self.colocation
-    }
-
-    /// The co-location postings of one device.
+    /// The co-location postings of one device (per-AP, time-bucketed posting
+    /// lists; see [`crate::colocation`]). Maintained in the same mutation that
+    /// appends an event, so they are never stale.
     ///
     /// # Panics
     /// Panics if the id does not belong to this store.
@@ -495,27 +489,15 @@ impl EventStore {
         Ok(store)
     }
 
-    /// Streams CSV events from a reader into the store in bounded memory (one
-    /// line at a time — a multi-gigabyte export never materializes). Returns
-    /// the number of events ingested. Errors carry the 1-based line number.
-    pub fn load_csv_reader(&mut self, reader: impl BufRead) -> Result<usize, StoreError> {
-        let mut count = 0usize;
-        for (idx, line) in reader.lines().enumerate() {
-            let line = line?;
-            count += self.ingest_parsed_line(&line, idx + 1)? as usize;
-        }
-        Ok(count)
-    }
-
     /// Parses and ingests one input line, annotating semantic ingestion errors
-    /// with the 1-based line number. Returns whether an event was ingested.
-    fn ingest_parsed_line(&mut self, line: &str, line_no: usize) -> Result<bool, IngestError> {
+    /// with the 1-based line number. Blank and header lines ingest nothing.
+    fn ingest_parsed_line(&mut self, line: &str, line_no: usize) -> Result<(), IngestError> {
         let Some(event) = csv_line_parser(line, line_no)? else {
-            return Ok(false);
+            return Ok(());
         };
         self.ingest_raw(&event.mac, event.t, &event.ap)
             .map_err(|err| err.at_line(line_no))?;
-        Ok(true)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -915,11 +897,8 @@ mod tests {
 
     #[test]
     fn streaming_loader_counts_events() {
-        let mut store = EventStore::new(space());
-        let n = store
-            .load_csv_reader("mac,timestamp,ap\nd1,100,wap1\n\nd2,200,wap2\n".as_bytes())
-            .unwrap();
-        assert_eq!(n, 2);
+        let csv = "mac,timestamp,ap\nd1,100,wap1\n\nd2,200,wap2\n";
+        let store = EventStore::from_csv(space(), csv).unwrap();
         assert_eq!(store.num_events(), 2);
     }
 }

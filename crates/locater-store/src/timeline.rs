@@ -279,16 +279,6 @@ impl Timeline {
             exclude,
         )
     }
-
-    /// Number of events per day index, for statistics.
-    pub fn events_per_day(&self) -> std::collections::BTreeMap<i64, usize> {
-        let mut out = std::collections::BTreeMap::new();
-        for e in &self.entries {
-            *out.entry(locater_events::clock::day_index(e.t))
-                .or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -404,14 +394,5 @@ mod tests {
         assert!(tl.is_empty());
         assert_eq!(tl.trim_before(1_000), 0);
         assert!(tl.approx_bytes() < std::mem::size_of::<TimelineEntry>() * 4);
-    }
-
-    #[test]
-    fn events_per_day_counts() {
-        let day = locater_events::SECONDS_PER_DAY;
-        let tl = timeline(&[entry(10, 0, 0), entry(20, 1, 0), entry(day + 5, 0, 0)]);
-        let per_day = tl.events_per_day();
-        assert_eq!(per_day.get(&0), Some(&2));
-        assert_eq!(per_day.get(&1), Some(&1));
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# How much code and public surface the workspace carries — the two counts
-# every simplicity PR reports before and after. Informational: no threshold.
+# How much code and public surface the workspace carries — the counts every
+# simplicity PR reports before and after. Informational: no threshold.
 # Run from the repository root:
 #
 #   scripts/loc.sh
@@ -9,17 +9,35 @@
 #   `tests/` directory, counted up to (not including) its first
 #   `#[cfg(test)]`;
 # * pub items: lines declaring a `pub` fn / struct / enum / trait / const /
-#   type, per crate (`crates/*/src`) and for the root crate (`src`).
+#   type, per crate (`crates/*/src`) and for the root crate (`src`);
+# * unnamed outside: of those, the items whose name appears nowhere outside
+#   the crate's own `src/` — not in another crate, an integration test
+#   (`tests/`, `crates/*/tests/`), `examples/` or `benchmark/`. Each is a
+#   candidate for `pub(crate)`; a name shared with an unrelated identifier
+#   elsewhere hides an item from this count, never adds one.
 set -eu
+export LC_ALL=C
 
 find crates src vendor -name '*.rs' -not -path '*/tests/*' | while read -r file; do
     awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$file"
 done | awk '{lines += $1} END {print "non-test lines (crates src vendor): " lines}'
 
+pub_decl='pub (const fn|fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*'
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
 total=0
+unnamed_total=0
 for dir in crates/*/src src; do
     count=$(grep -rhE 'pub (const fn|fn|struct|enum|trait|const|type) ' "$dir" | wc -l)
-    printf '  %-28s %5d pub items\n' "$dir" "$count"
+    # Every identifier written anywhere outside this crate's src/.
+    find crates src tests examples benchmark -name '*.rs' \
+        -not -path "$dir/*" -not -path '*/target/*' -print0 \
+        | xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$scratch/outside"
+    grep -rhoE "$pub_decl" "$dir" | awk '{print $NF}' | sort >"$scratch/names"
+    unnamed=$(join -v 1 "$scratch/names" "$scratch/outside" | wc -l)
+    printf '  %-28s %5d pub items, %4d unnamed outside\n' "$dir" "$count" "$unnamed"
     total=$((total + count))
+    unnamed_total=$((unnamed_total + unnamed))
 done
-echo "pub items (crates/*/src src): $total"
+echo "pub items (crates/*/src src): $total ($unnamed_total unnamed outside their crate)"

@@ -33,8 +33,8 @@
 //! * `simulate metro_campus` generates the large metropolitan-campus corpus
 //!   (`CampusConfig::metro`: 64 APs, 13 weeks unless `--days` says otherwise).
 //! * `batch` runs the parallel batch pipeline
-//!   (`ShardedLocaterService::locate_batch` through the typed request layer): every query is answered against a frozen
-//!   snapshot of the affinity cache, so the output is deterministic and
+//!   (`ShardedLocaterService::locate_batch` through the typed request layer): every query is answered against the same
+//!   state of the affinity cache, so the output is deterministic and
 //!   identical for every `--jobs` value (earlier CLI releases answered rows one
 //!   by one, progressively warming the cache, so row-level confidences could
 //!   differ from today's output).
@@ -1370,7 +1370,7 @@ locate aa:bb:cc:dd:ee:01 1000
         assert_eq!(commands, 3, "shutdown stops the loop");
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("ingested aa:bb:cc:dd:ee:01 @ 1000 via wap1 (device epoch 1)"));
-        assert!(out.contains("pong (protocol v4)"));
+        assert!(out.contains("pong (protocol v5)"));
         assert!(out.contains("shutting down"));
         assert!(state.is_draining());
         let summary = state.finish_drain();

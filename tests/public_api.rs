@@ -119,7 +119,7 @@ fn baselines_and_metrics_compose_into_a_report() {
 
     let mut report = EvaluationReport::new("Baseline comparison");
     let mut b1: Box<dyn BaselineSystem> = Box::new(Baseline1::default());
-    let mut b2: Box<dyn BaselineSystem> = Box::new(Baseline2::default());
+    let mut b2: Box<dyn BaselineSystem> = Box::new(Baseline2);
     let d1 = store.device_id("aa:aa:aa:aa:aa:01").unwrap();
     let d2 = store.device_id("aa:aa:aa:aa:aa:02").unwrap();
 

@@ -170,12 +170,9 @@ fn assert_shard_equivalence(config: LocaterConfig, shards: usize, seed: u64, day
         }
     }
 
-    // Cache liveness totals agree: edges partitioned across shards sum to the
-    // single service's cache.
+    // Cache liveness totals agree.
     assert_eq!(single.live_cache_stats(), sharded.live_cache_stats());
     assert_eq!(single.cache_stats(), sharded.cache_stats());
-    let per_shard: usize = sharded.shard_stats().iter().map(|s| s.edges).sum();
-    assert_eq!(per_shard, sharded.cache_stats().0);
 
     // The batch path: identical on both services for every job count. Both
     // sides run every batch (a batch's merge warms the cache, so the k-th
