@@ -10,19 +10,23 @@
 //!    whole run), so no worker observes another worker's cache warming —
 //!    and, unlike per-query `locate` loops, no query observes warming from
 //!    *earlier batch queries* either;
-//! 2. queries are grouped **by device** — a device's queries are processed by
+//! 2. queries are grouped **by device** — a device's queries are answered by
 //!    one worker in query order, so its lazily trained coarse model evolves
-//!    exactly as in the sequential path (worker-local model maps are seeded
-//!    from the live model cache, which is also per-device; a seed is the
-//!    live entry's `Arc`, so classifiers a worker fits on it are fitted for
-//!    the live cache too);
+//!    exactly as in the sequential path (the model state is per-device, and
+//!    a device's seed from the live model cache travels with its group; a
+//!    seed is the live entry's `Arc`, so classifiers a worker fits on it are
+//!    fitted for the live cache too);
 //! 3. the worker-local affinity contributions are handed back in ascending
 //!    query order (`BatchOutcome::contributions`) and the caller applies
 //!    them to the graph only after all workers join and it has dropped its
 //!    read guard.
 //!
-//! Device → worker assignment balances per-device query counts greedily, so
-//! skewed workloads still spread across the pool.
+//! Workers claim device groups as they free up, from one shared atomic index
+//! over the groups sorted by decreasing query count (ties by device id): the
+//! largest groups start first, and a worker that drew cheap devices takes
+//! more. By property 2, which worker answers a device never changes an
+//! answer. The calling thread is one of the `jobs` workers, so `jobs = 1`
+//! spawns no thread.
 
 use super::engine::{relock, Effective, Engine, ModelCache};
 use super::epoch::{EpochRead, ModelEntry};
@@ -33,7 +37,9 @@ use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use locater_store::EventRead;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One batch entry: the query time, the resolved device (or the error to
 /// report in place), and the per-request effective engine view.
@@ -52,6 +58,15 @@ pub(crate) struct BatchContribution {
     pub(crate) device: DeviceId,
     pub(crate) t: Timestamp,
     pub(crate) neighbors: Vec<NeighborContribution>,
+}
+
+/// One device's share of a batch: its query indices in query order and its
+/// coarse model cached at batch start, if any.
+#[derive(Debug)]
+struct DeviceGroup {
+    device: DeviceId,
+    indices: Vec<usize>,
+    seed: Option<ModelEntry>,
 }
 
 /// Everything one worker produces: answers (tagged with their query index),
@@ -74,12 +89,12 @@ pub(crate) struct BatchOutcome {
     pub(crate) trained: HashMap<DeviceId, ModelEntry>,
 }
 
-/// Answers a batch of resolved items across `jobs` worker threads.
-/// Unresolvable items error in place and never reach a worker.
+/// Answers a batch of resolved items across `jobs` workers, the calling
+/// thread included. Unresolvable items error in place and never reach a
+/// worker.
 ///
 /// `seeds` are the per-device coarse models cached at batch start, taken by
-/// value: each device lands in exactly one worker, so every seed moves into
-/// its worker's map without another clone. `graph` is the global affinity
+/// value: each moves into its device's group. `graph` is the global affinity
 /// graph every worker reads; nothing here locks or writes it. The caller
 /// owns applying [`BatchOutcome::contributions`] and
 /// [`BatchOutcome::trained`] back to the live state.
@@ -92,71 +107,37 @@ pub(crate) fn run_batch(
     mut seeds: HashMap<DeviceId, ModelEntry>,
     graph: &GlobalAffinityGraph,
 ) -> BatchOutcome {
-    if items.is_empty() {
-        return BatchOutcome {
-            answers: Vec::new(),
-            contributions: Vec::new(),
-            trained: HashMap::new(),
-        };
-    }
-
-    // Deterministic device → worker assignment: devices ordered by decreasing
-    // query count (ties by device id) go to the least-loaded worker (ties by
-    // worker index). A worker is a real thread, so the job count is capped by
-    // the distinct-device count — extra workers could only ever be empty.
-    let mut query_counts: HashMap<DeviceId, usize> = HashMap::new();
-    for item in items {
-        if let Ok(device) = item.device {
-            *query_counts.entry(device).or_insert(0) += 1;
-        }
-    }
-    let jobs = jobs.clamp(1, items.len()).min(query_counts.len().max(1));
-    let mut devices: Vec<(DeviceId, usize)> = query_counts.into_iter().collect();
-    devices.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let mut load = vec![0usize; jobs];
-    let mut worker_of: HashMap<DeviceId, usize> = HashMap::new();
-    for (device, count) in devices {
-        let worker = (0..jobs).min_by_key(|&i| (load[i], i)).expect("jobs >= 1");
-        load[worker] += count;
-        worker_of.insert(device, worker);
-    }
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); jobs];
+    let mut by_device: HashMap<DeviceId, Vec<usize>> = HashMap::new();
     for (idx, item) in items.iter().enumerate() {
         if let Ok(device) = item.device {
-            groups[worker_of[&device]].push(idx);
+            by_device.entry(device).or_default().push(idx);
         }
     }
-
-    // Worker-local model maps seeded from the live cache: per-device state
-    // crosses into exactly one worker (so seeds move, never clone),
-    // preserving sequential semantics.
-    let seeded: Vec<HashMap<DeviceId, ModelEntry>> = groups
-        .iter()
-        .map(|indices| {
-            indices
-                .iter()
-                .filter_map(|&idx| {
-                    let device = *items[idx].device.as_ref().ok()?;
-                    Some((device, seeds.remove(&device)?))
-                })
-                .collect()
+    let mut groups: Vec<DeviceGroup> = by_device
+        .into_iter()
+        .map(|(device, indices)| DeviceGroup {
+            device,
+            indices,
+            seed: seeds.remove(&device),
         })
         .collect();
+    groups.sort_by_key(|group| (Reverse(group.indices.len()), group.device));
 
     // Parallel phase: all workers answer against the same graph, whose epoch
-    // stamps keep stale edges invisible inside the batch too. The scope joins
-    // every worker and re-raises a worker's panic on this thread.
+    // stamps keep stale edges invisible inside the batch too. A worker is a
+    // real thread, so there are never more workers than groups. The scope
+    // joins every worker and re-raises a worker's panic on this thread.
+    let jobs = jobs.clamp(1, groups.len().max(1));
+    let next = AtomicUsize::new(0);
+    let work = || run_worker(engine, store, epochs, items, &groups, &next, graph);
     let mut outputs: Vec<WorkerOutput> = Vec::new();
     outputs.resize_with(jobs, WorkerOutput::default);
     std::thread::scope(|scope| {
-        for ((indices, seed), out) in groups.iter().zip(seeded).zip(outputs.iter_mut()) {
-            if indices.is_empty() {
-                continue;
-            }
-            scope.spawn(move || {
-                *out = run_worker(engine, store, epochs, items, indices, seed, graph);
-            });
+        let (caller, spawned) = outputs.split_first_mut().expect("jobs >= 1");
+        for out in spawned {
+            scope.spawn(move || *out = work());
         }
+        *caller = work();
     });
 
     // Deterministic merge: contributions in query order, models per device.
@@ -187,7 +168,8 @@ pub(crate) fn run_batch(
     }
 }
 
-/// Answers one worker's queries (in query order) through the one locate path
+/// Claims device groups until none is left and answers each group's queries
+/// (in query order) through the one locate path
 /// ([`Engine::locate_detailed`]), with the model state in a worker-local map
 /// and the cache state in the shared graph; collects answers, affinity
 /// contributions, and freshly trained models (untouched seeds are not
@@ -197,35 +179,42 @@ fn run_worker(
     store: &dyn EventRead,
     epochs: &dyn EpochRead,
     items: &[BatchItem],
-    indices: &[usize],
-    seed: HashMap<DeviceId, ModelEntry>,
+    groups: &[DeviceGroup],
+    next: &AtomicUsize,
     graph: &GlobalAffinityGraph,
 ) -> WorkerOutput {
-    let models = ModelCache::new(seed);
+    let models = ModelCache::default();
     let mut output = WorkerOutput::default();
     let mut trained: HashSet<DeviceId> = HashSet::new();
-    for &idx in indices {
-        let item = &items[idx];
-        let Ok(device) = item.device else { continue };
-        let t_q = item.t;
-        let plan = |neighbors: &[DeviceId]| graph.plan(device, neighbors, t_q, epochs);
-        let (answer, diagnostics) =
-            engine.locate_detailed(store, epochs, device, t_q, &item.eff, &models, &plan);
-        output.answers.push((idx, answer));
-        // A model-classified gap that reused no model trained one.
-        if diagnostics.coarse.gap.is_some() && !diagnostics.coarse_model_reused {
-            trained.insert(device);
+    // `Relaxed` suffices: the index publishes no data — `groups` is frozen
+    // before the spawn, and the scope's join orders the outputs.
+    while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+        let device = group.device;
+        if let Some(seed) = &group.seed {
+            relock(models.write()).insert(device, seed.clone());
         }
-        let neighbors = diagnostics
-            .fine
-            .map_or_else(Vec::new, |fine| fine.contributions);
-        if item.eff.cache == CacheMode::Enabled && !neighbors.is_empty() {
-            output.contributions.push(BatchContribution {
-                query_index: idx,
-                device,
-                t: t_q,
-                neighbors,
-            });
+        for &idx in &group.indices {
+            let item = &items[idx];
+            let t_q = item.t;
+            let plan = |neighbors: &[DeviceId]| graph.plan(device, neighbors, t_q, epochs);
+            let (answer, diagnostics) =
+                engine.locate_detailed(store, epochs, device, t_q, &item.eff, &models, &plan);
+            output.answers.push((idx, answer));
+            // A model-classified gap that reused no model trained one.
+            if diagnostics.coarse.gap.is_some() && !diagnostics.coarse_model_reused {
+                trained.insert(device);
+            }
+            let neighbors = diagnostics
+                .fine
+                .map_or_else(Vec::new, |fine| fine.contributions);
+            if item.eff.cache == CacheMode::Enabled && !neighbors.is_empty() {
+                output.contributions.push(BatchContribution {
+                    query_index: idx,
+                    device,
+                    t: t_q,
+                    neighbors,
+                });
+            }
         }
     }
     output.trained = relock(models.into_inner());

@@ -607,8 +607,9 @@ impl ShardedLocaterService {
     }
 
     /// Answers a batch of requests through the deterministic batch pipeline
-    /// (see [`super::batch`]): requests are grouped by device across `jobs`
-    /// worker threads and answered under one read guard of the affinity
+    /// (see [`super::batch`]): requests are grouped by device, `jobs`
+    /// workers (the calling thread is one) claim device groups as they free
+    /// up, and every group is answered under one read guard of the affinity
     /// graph; after the workers join, the guard is dropped and the results
     /// merge back — edges into the graph in query order, models to their
     /// devices' home shards. Responses are identical for every
@@ -1092,6 +1093,8 @@ mod tests {
         locate_batch_warms_cache_and_models_afterwards,
         locate_batch_with_cache_disabled_stores_nothing,
         locate_batch_on_empty_input_is_empty,
+        consecutive_locate_batches_are_identical_across_job_counts,
+        locate_batch_of_only_unresolvable_requests_errors_in_place,
         batch_routes_through_request_layer_in_order,
         ingest_appends_and_bumps_epochs,
         ingest_batch_stops_at_first_error_but_keeps_prefix,
@@ -1338,6 +1341,83 @@ mod tests {
     fn locate_batch_on_empty_input_is_empty(shards: usize) {
         let service = office_service(1, LocaterConfig::default(), shards);
         assert!(service.locate_batch(&[], 4).is_empty());
+    }
+
+    /// Three pairs of colleagues on three access points for four weeks. Erin
+    /// and Frank are silent from 11:00 to 13:30: a gap the duration
+    /// thresholds leave to the classifiers, so their queries train models.
+    fn three_team_service(shards: usize) -> ShardedLocaterService {
+        let mut store = office_store(4);
+        work_together(&mut store, ("carol", "dave"), "wap1", 4);
+        for day in (0..4).flat_map(|week| (0..5).map(move |day| week * 7 + day)) {
+            for slot in (0..16).filter(|slot| !(5..9).contains(slot)) {
+                let t = clock::at(day, 9, slot * 30, 0);
+                store.ingest_raw("erin", t, "wap2").unwrap();
+                store.ingest_raw("frank", t + 45, "wap2").unwrap();
+            }
+        }
+        ShardedLocaterService::new(store, LocaterConfig::default(), shards)
+    }
+
+    /// Covered, gap and overnight queries over ten days, `k + 1` a day for
+    /// the `k`-th device, so groups differ in size; `offset` seconds later
+    /// than the base times.
+    fn skewed_requests(offset: i64) -> Vec<LocateRequest> {
+        let macs = ["alice", "bob", "carol", "dave", "erin", "frank"];
+        let mut requests = Vec::new();
+        for day in 10..20 {
+            for (k, mac) in macs.into_iter().enumerate() {
+                for j in 0..=k as i64 {
+                    let hour = [9, 13, 3][(j % 3) as usize];
+                    let t = clock::at(day, hour, 5 + 7 * j, 10) + offset;
+                    requests.push(LocateRequest::by_mac(mac, t));
+                }
+            }
+        }
+        requests
+    }
+
+    fn consecutive_locate_batches_are_identical_across_job_counts(shards: usize) {
+        // The second call reads the models and edges the first merged, so a
+        // write-back that depends on which thread answered shows up there.
+        let (first, second) = (skewed_requests(0), skewed_requests(60));
+        let run = |jobs: usize| {
+            let service = three_team_service(shards);
+            let first = service.locate_batch(&first, jobs);
+            let after_first = service.live_cache_stats();
+            let second = service.locate_batch(&second, jobs);
+            (first, after_first, second, service.live_cache_stats())
+        };
+        let sequential = run(1);
+        assert!(sequential.1 .0 > 0, "the first call must merge edges");
+        let answers = || sequential.0.iter().chain(&sequential.2);
+        assert!(answers().all(Result::is_ok));
+        assert!(
+            answers()
+                .flatten()
+                .any(|r| r.answer.coarse_method == CoarseMethod::Classifier),
+            "the calls must train and reuse models"
+        );
+        for jobs in [2, 5] {
+            assert_eq!(run(jobs), sequential, "jobs={jobs} diverged from jobs=1");
+        }
+    }
+
+    fn locate_batch_of_only_unresolvable_requests_errors_in_place(shards: usize) {
+        let service = office_service(1, LocaterConfig::default(), shards);
+        let mut nameless = LocateRequest::by_mac("alice", 0);
+        nameless.mac = None;
+        let requests = [
+            LocateRequest::by_mac("ghost", clock::at(3, 9, 0, 0)),
+            nameless,
+            LocateRequest::by_device(DeviceId::new(99), clock::at(3, 9, 0, 0)),
+        ];
+        let results = service.locate_batch(&requests, 4);
+        assert_eq!(results.len(), 3);
+        assert!(matches!(results[0], Err(LocaterError::UnknownDevice(_))));
+        assert!(matches!(results[1], Err(LocaterError::MissingDevice)));
+        assert!(matches!(results[2], Err(LocaterError::UnknownDevice(_))));
+        assert_eq!(service.cache_stats(), (0, 0));
     }
 
     fn batch_routes_through_request_layer_in_order(shards: usize) {

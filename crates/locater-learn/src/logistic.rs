@@ -3,8 +3,11 @@
 //! The paper's coarse-grained localization trains logistic-regression classifiers over
 //! gap feature vectors (§3). We implement the multinomial form; the inside/outside
 //! classifier is simply the two-class case. No external linear-algebra dependency is
-//! used: the model is small (≲10 features, ≲1 + |G| classes) and dense loops are fast
-//! enough (performance-book guidance: keep the inner loop allocation-free).
+//! used: the model is small (≲10 features, ≲1 + |G| classes), so a dot product is a
+//! short serial chain of dependent additions. The fit therefore computes the logits of
+//! four rows together — four independent chains the CPU overlaps — while every row
+//! still sums its features in order, so the weights are bit-identical to a row-at-a-time
+//! loop. The inner loops allocate nothing.
 
 use crate::dataset::Dataset;
 use crate::error::LearnError;
@@ -105,7 +108,8 @@ impl LogisticRegression {
         let mut biases = vec![0.0; nc];
         let mut grad_w = vec![0.0; nc * nf];
         let mut grad_b = vec![0.0; nc];
-        let mut probs = vec![0.0; nc];
+        // Class probabilities of one block of rows, row-major.
+        let mut probs = vec![0.0; BLOCK * nc];
         let mut prev_loss = f64::INFINITY;
 
         for _ in 0..config.epochs {
@@ -113,19 +117,31 @@ impl LogisticRegression {
             grad_b.iter_mut().for_each(|g| *g = 0.0);
             let mut loss = 0.0;
 
-            for (i, &label) in data.labels().iter().enumerate() {
-                let x = &scaled[i * nf..(i + 1) * nf];
-                softmax_into(&weights, &biases, x, nf, nc, &mut probs);
-                if !probs[label].is_finite() {
-                    return Err(LearnError::Diverged);
+            // The forward pass runs a block of rows at a time; the loss and
+            // the gradient still take the rows one by one, in order.
+            for (first, labels) in (0..).step_by(BLOCK).zip(data.labels().chunks(BLOCK)) {
+                let xs = &scaled[first * nf..(first + labels.len()) * nf];
+                if labels.len() == BLOCK {
+                    softmax_block(&weights, &biases, xs, nf, nc, &mut probs);
+                } else {
+                    for (r, out) in probs.chunks_exact_mut(nc).take(labels.len()).enumerate() {
+                        softmax_into(&weights, &biases, &xs[r * nf..(r + 1) * nf], nf, nc, out);
+                    }
                 }
-                loss -= (probs[label].max(1e-15)).ln();
-                for c in 0..nc {
-                    let err = probs[c] - if c == label { 1.0 } else { 0.0 };
-                    grad_b[c] += err;
-                    let wrow = &mut grad_w[c * nf..(c + 1) * nf];
-                    for (g, &v) in wrow.iter_mut().zip(x) {
-                        *g += err * v;
+                for (r, &label) in labels.iter().enumerate() {
+                    let x = &xs[r * nf..(r + 1) * nf];
+                    let probs = &probs[r * nc..(r + 1) * nc];
+                    if !probs[label].is_finite() {
+                        return Err(LearnError::Diverged);
+                    }
+                    loss -= (probs[label].max(1e-15)).ln();
+                    for c in 0..nc {
+                        let err = probs[c] - if c == label { 1.0 } else { 0.0 };
+                        grad_b[c] += err;
+                        let wrow = &mut grad_w[c * nf..(c + 1) * nf];
+                        for (g, &v) in wrow.iter_mut().zip(x) {
+                            *g += err * v;
+                        }
                     }
                 }
             }
@@ -211,12 +227,52 @@ impl LogisticRegression {
     }
 }
 
+/// Rows per block in [`LogisticRegression::fit`]'s forward pass.
+const BLOCK: usize = 4;
+
 fn softmax_into(weights: &[f64], biases: &[f64], x: &[f64], nf: usize, nc: usize, out: &mut [f64]) {
-    let mut max_logit = f64::NEG_INFINITY;
     for c in 0..nc {
         let wrow = &weights[c * nf..(c + 1) * nf];
-        let logit: f64 = biases[c] + wrow.iter().zip(x).map(|(w, v)| w * v).sum::<f64>();
-        out[c] = logit;
+        out[c] = biases[c] + wrow.iter().zip(x).map(|(w, v)| w * v).sum::<f64>();
+    }
+    softmax_in_place(out);
+}
+
+/// [`softmax_into`] for the `BLOCK` rows of `xs` (row-major) into `out`
+/// (`BLOCK × nc`, row-major). The logits of a class are computed for all
+/// rows together: `BLOCK` independent sums instead of one serial chain. Each
+/// row still adds its features in order from the start value `f64::sum`
+/// uses, so every probability is bit-identical to [`softmax_into`]'s.
+fn softmax_block(
+    weights: &[f64],
+    biases: &[f64],
+    xs: &[f64],
+    nf: usize,
+    nc: usize,
+    out: &mut [f64],
+) {
+    let rows: [&[f64]; BLOCK] = std::array::from_fn(|r| &xs[r * nf..(r + 1) * nf]);
+    for c in 0..nc {
+        let wrow = &weights[c * nf..(c + 1) * nf];
+        let mut sums = [-0.0; BLOCK];
+        for (j, &w) in wrow.iter().enumerate() {
+            for (sum, row) in sums.iter_mut().zip(&rows) {
+                *sum += w * row[j];
+            }
+        }
+        for (r, sum) in sums.into_iter().enumerate() {
+            out[r * nc + c] = biases[c] + sum;
+        }
+    }
+    for probs in out.chunks_exact_mut(nc) {
+        softmax_in_place(probs);
+    }
+}
+
+/// Turns logits into class probabilities, shifted by the largest logit.
+fn softmax_in_place(out: &mut [f64]) {
+    let mut max_logit = f64::NEG_INFINITY;
+    for &logit in out.iter() {
         if logit > max_logit {
             max_logit = logit;
         }
@@ -425,31 +481,47 @@ mod tests {
         }
     }
 
-    /// `rows` rows of three varying features plus one constant column
-    /// (σ < 1e-12, so the scaler divides it by 1), labels cycling over the
-    /// classes with some overlap between them.
-    fn overlapping(classes: usize, rows: usize) -> Dataset {
-        let mut d = Dataset::new(4, classes);
+    /// `rows` rows of three varying features, one constant column (σ < 1e-12,
+    /// so the scaler divides it by 1) and `features - 4` more varying ones,
+    /// labels cycling over the classes with some overlap between them.
+    fn overlapping(features: usize, classes: usize, rows: usize) -> Dataset {
+        let mut d = Dataset::new(features, classes);
         for i in 0..rows {
             let class = i % classes;
             let wobble = ((i * 7919) % 13) as f64 / 13.0;
-            d.push(
-                vec![
-                    class as f64 + 1.7 * wobble,
-                    3_600.0 * wobble - 40.0 * class as f64,
-                    ((i * 31) % 7) as f64,
-                    5.0,
-                ],
-                class,
-            );
+            let mut row = vec![
+                class as f64 + 1.7 * wobble,
+                3_600.0 * wobble - 40.0 * class as f64,
+                ((i * 31) % 7) as f64,
+                5.0,
+            ];
+            row.extend((4..features).map(|j| ((i * (j + 3)) % 11) as f64 * 0.5 - class as f64));
+            d.push(row, class);
         }
         d
     }
 
+    /// The bits of every weight and bias: `==` on `f64` would let `-0.0`
+    /// pass for `0.0`.
+    fn parameter_bits(model: &LogisticRegression) -> Vec<u64> {
+        model
+            .weights
+            .iter()
+            .chain(&model.biases)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Production's gap features are 8 wide; the row counts cover less than
+    /// one block of four and every remainder of a block.
     #[test]
     fn fit_matches_the_reference_loop_bit_for_bit() {
-        for classes in 2..=4 {
-            let data = overlapping(classes, 40);
+        for (features, classes, rows) in (2..=5)
+            .flat_map(|classes| [(4, classes, 40), (8, classes, 3)])
+            .chain((40..=43).map(|rows| (8, 3, rows)))
+            .chain([(8, 5, 42), (8, 2, 43)])
+        {
+            let data = overlapping(features, classes, rows);
             for standardize in [true, false] {
                 // Unscaled features of this size need a small step to stay finite.
                 let learning_rate = if standardize { 0.1 } else { 1e-8 };
@@ -464,23 +536,53 @@ mod tests {
                     tolerance: 1e-2,
                     ..run_to_the_end
                 };
+                let case = format!("{features} features, {classes} classes, {rows} rows, standardize {standardize}");
                 let full = LogisticRegression::fit(&data, &run_to_the_end).unwrap();
-                assert_eq!(full, fit_reference(&data, &run_to_the_end));
+                let reference = fit_reference(&data, &run_to_the_end);
+                assert_eq!(full, reference, "{case}");
+                assert_eq!(parameter_bits(&full), parameter_bits(&reference), "{case}");
                 let early = LogisticRegression::fit(&data, &stops_early).unwrap();
-                assert_eq!(early, fit_reference(&data, &stops_early));
+                let early_reference = fit_reference(&data, &stops_early);
+                assert_eq!(early, early_reference, "{case}");
+                assert_eq!(
+                    parameter_bits(&early),
+                    parameter_bits(&early_reference),
+                    "{case}"
+                );
                 if standardize {
-                    assert_ne!(early, full, "the tolerance must cut the run short");
+                    assert_ne!(early, full, "the tolerance must cut the run short: {case}");
                 }
                 // Prediction goes through the same softmax.
                 let probe = data.row(1);
                 assert_eq!(
                     full.predict_proba(probe).iter().sum::<f64>(),
-                    fit_reference(&data, &run_to_the_end)
-                        .predict_proba(probe)
-                        .iter()
-                        .sum::<f64>()
+                    reference.predict_proba(probe).iter().sum::<f64>(),
+                    "{case}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn nan_in_the_third_row_of_a_block_still_diverges() {
+        let config = TrainConfig {
+            standardize: false,
+            ..TrainConfig::default()
+        };
+        for nan_row in [2, 6] {
+            let mut data = Dataset::new(8, 3);
+            for (i, (row, label)) in overlapping(8, 3, 43).iter().enumerate() {
+                let mut row = row.to_vec();
+                if i == nan_row {
+                    row[5] = f64::NAN;
+                }
+                data.push(row, label);
+            }
+            assert_eq!(
+                LogisticRegression::fit(&data, &config).unwrap_err(),
+                LearnError::Diverged,
+                "NaN in row {nan_row}"
+            );
         }
     }
 

@@ -66,7 +66,8 @@ impl SelfTrainingClassifier {
     /// Runs Algorithm 1.
     ///
     /// `labeled` is `S_labeled`; `unlabeled` are the feature vectors of `S_unlabeled`
-    /// (same dimensionality). Returns an error if `labeled` is empty.
+    /// (same dimensionality). Returns an error if `labeled` is empty or an
+    /// unlabelled row's length differs from `labeled.num_features()`.
     pub fn train(
         labeled: &Dataset,
         unlabeled: &[Vec<f64>],
@@ -74,6 +75,13 @@ impl SelfTrainingClassifier {
     ) -> Result<Self, LearnError> {
         if labeled.is_empty() {
             return Err(LearnError::EmptyDataset);
+        }
+        let expected = labeled.num_features();
+        if let Some(row) = unlabeled.iter().find(|row| row.len() != expected) {
+            return Err(LearnError::DimensionMismatch {
+                expected,
+                got: row.len(),
+            });
         }
         let mut working = labeled.clone();
         // Original indices of the samples still unlabelled.
@@ -225,6 +233,22 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, LearnError::EmptyDataset);
+    }
+
+    #[test]
+    fn ragged_unlabeled_row_is_a_dimension_mismatch() {
+        let (labeled, mut unlabeled, _) = clustered_problem();
+        unlabeled.insert(7, vec![1.0, 2.0, 3.0]);
+        let err =
+            SelfTrainingClassifier::train(&labeled, &unlabeled, &SelfTrainingConfig::default())
+                .unwrap_err();
+        assert_eq!(
+            err,
+            LearnError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
     }
 
     #[test]
