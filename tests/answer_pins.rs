@@ -1,0 +1,121 @@
+//! Pinned answers: a fixed small-campus query set, answered through
+//! `ShardedLocaterService` in both fine modes (I-FINE, D-FINE) with the
+//! caching engine on and off, must hash to the constants below.
+//!
+//! The hash is an FNV-1a over each answer's location, confidence bits and
+//! coarse method, in query order. A behaviour-preserving refactor of the
+//! coarse or fine step leaves every constant unchanged; a change that is
+//! meant to move answers updates them and says so.
+
+use locater::prelude::*;
+use locater::sim::generated_workload;
+
+/// `(mode, cache, expected FNV)`.
+const PINS: [(FineMode, CacheMode, u64); 4] = [
+    (
+        FineMode::Independent,
+        CacheMode::Enabled,
+        0x1e8f_81cf_ddd5_17ce,
+    ),
+    (
+        FineMode::Independent,
+        CacheMode::Disabled,
+        0xcbb6_d9dc_6c94_f18f,
+    ),
+    (
+        FineMode::Dependent,
+        CacheMode::Enabled,
+        0x1792_33c1_52cb_a9fe,
+    ),
+    (
+        FineMode::Dependent,
+        CacheMode::Disabled,
+        0x0e8a_74d9_2d16_a088,
+    ),
+];
+
+/// Answers that name a room in every run: the fine step answers 229 of the
+/// 400 queries.
+const ROOM_ANSWERS: usize = 229;
+
+/// A two-week, six-AP campus and 400 queries: 200 uniform over the span
+/// (mostly gaps: every coarse path) and 200 one minute after an event
+/// (mostly covered instants: the fine step with online neighbours).
+fn campus() -> (EventStore, Vec<LocateRequest>) {
+    let config = CampusConfig {
+        weeks: 2,
+        population: 32,
+        visitors: 8,
+        monitored: 8,
+        access_points: 6,
+        ..CampusConfig::default()
+    };
+    let output = Simulator::new(0x9115).run_campus(&config);
+    let store = output.build_store();
+    let mut queries: Vec<LocateRequest> = generated_workload(&output, 200, 0x9115)
+        .queries
+        .iter()
+        .map(|q| LocateRequest::by_mac(&q.mac, q.t))
+        .collect();
+    let stride = (output.events.len() / 200).max(1);
+    queries.extend(
+        output
+            .events
+            .iter()
+            .step_by(stride)
+            .take(200)
+            .map(|e| LocateRequest::by_mac(e.mac.as_str(), e.t + 60)),
+    );
+    (store, queries)
+}
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The FNV of every answer, and how many answers name a room.
+fn answer_hash(service: &ShardedLocaterService, queries: &[LocateRequest]) -> (u64, usize) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut rooms = 0usize;
+    for query in queries {
+        let line = match service.locate(query) {
+            Ok(response) => {
+                let answer = response.answer;
+                rooms += usize::from(answer.location.room().is_some());
+                format!(
+                    "{:?}|{:016x}|{:?}",
+                    answer.location,
+                    answer.confidence.to_bits(),
+                    answer.coarse_method
+                )
+            }
+            Err(err) => format!("error: {err}"),
+        };
+        fnv1a(&mut hash, line.as_bytes());
+        fnv1a(&mut hash, b"\n");
+    }
+    (hash, rooms)
+}
+
+#[test]
+fn answers_are_pinned_in_both_fine_modes_with_and_without_the_cache() {
+    let (store, queries) = campus();
+    let mut measured = Vec::new();
+    for (mode, cache, _) in PINS {
+        let config = LocaterConfig::default()
+            .with_fine_mode(mode)
+            .with_cache(cache);
+        let service = ShardedLocaterService::new(store.clone(), config, 2);
+        measured.push(answer_hash(&service, &queries));
+    }
+    for ((mode, cache, fnv), &(got_fnv, got_rooms)) in PINS.iter().zip(&measured) {
+        assert_eq!(
+            (got_fnv, got_rooms),
+            (*fnv, ROOM_ANSWERS),
+            "{mode} with cache {cache:?}: answers moved (all pins measured: {measured:x?})"
+        );
+    }
+}
