@@ -28,6 +28,7 @@ use locater_learn::{Dataset, SelfTrainingClassifier, SelfTrainingConfig, TrainCo
 use locater_space::RegionId;
 use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
 /// Number of features of the gap feature vector (re-exported for dataset sizing).
@@ -208,24 +209,38 @@ impl CoarseLocalizer {
         if device.index() >= store.num_devices() {
             return Err(LocaterError::UnknownDevice(device.to_string()));
         }
-        // Step 1: covered instant.
+        let gap = match Self::query_gap(store, device, t_q) {
+            ControlFlow::Continue(gap) => gap,
+            ControlFlow::Break(certain) => return Ok(certain),
+        };
+        let model = self.train_device_model(store, device, t_q);
+        Ok(self.classify_with_model(store, &model, &gap))
+    }
+
+    /// Steps 1–2 of every coarse query: a covered instant is certainly inside
+    /// (`CoveredByEvent`), an instant outside the device's observed span
+    /// certainly outside (`OutOfSpan`). Breaks with that certain outcome, or
+    /// continues with the gap the query falls into, for a model to classify.
+    pub(crate) fn query_gap(
+        store: &dyn EventRead,
+        device: DeviceId,
+        t_q: Timestamp,
+    ) -> ControlFlow<CoarseOutcome, Gap> {
         if let Some(region) = store.covering_region(device, t_q) {
-            return Ok(CoarseOutcome::certain(
+            return ControlFlow::Break(CoarseOutcome::certain(
                 CoarseLabel::Inside(region),
                 CoarseMethod::CoveredByEvent,
                 None,
             ));
         }
-        // Step 2: find the gap. Outside the observed span ⇒ outside the building.
-        let Some(gap) = store.gap_at(device, t_q) else {
-            return Ok(CoarseOutcome::certain(
+        match store.gap_at(device, t_q) {
+            Some(gap) => ControlFlow::Continue(gap),
+            None => ControlFlow::Break(CoarseOutcome::certain(
                 CoarseLabel::Outside,
                 CoarseMethod::OutOfSpan,
                 None,
-            ));
-        };
-        let model = self.train_device_model(store, device, t_q);
-        Ok(self.classify_with_model(store, &model, &gap))
+            )),
+        }
     }
 
     /// The model of `device` for the `history` window ending at `until`, with

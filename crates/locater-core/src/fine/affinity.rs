@@ -2,7 +2,7 @@
 
 use locater_events::clock::Timestamp;
 use locater_events::{DeviceId, Interval};
-use locater_space::{RegionId, RoomId, Space};
+use locater_space::{RegionId, RoomId};
 use locater_store::{DevicePostings, EventRead, PostingCursor};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -77,7 +77,7 @@ impl Default for RoomAffinityWeights {
 }
 
 /// The partition a candidate room falls into for one device (§4.1), in the
-/// precedence order of [`Space::partition_candidates`].
+/// precedence order of [`locater_space::Space::partition_candidates`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Partition {
     Preferred,
@@ -89,7 +89,7 @@ enum Partition {
 /// `α(d_i, r_j, t_q)` for every `r_j ∈ R(g_x)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoomAffinity {
-    /// Candidate rooms, in the order of [`Space::rooms_in_region`].
+    /// Candidate rooms, in the order of [`locater_space::Space::rooms_in_region`].
     pub rooms: Vec<RoomId>,
     /// Affinity of each candidate room; sums to 1 whenever `rooms` is non-empty.
     pub affinities: Vec<f64>,
@@ -104,82 +104,14 @@ impl RoomAffinity {
             .map(|i| self.affinities[i])
             .unwrap_or(0.0)
     }
-
-    /// The room with the highest affinity, if any.
-    pub fn best(&self) -> Option<RoomId> {
-        self.affinities
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| self.rooms[i])
-    }
-
-    /// Conditional probability `P(@(d, r_j) | @(d, R_is))` of the device being in
-    /// `room` given that it is in one of the rooms of `subset` (§4.1). Returns 0 when
-    /// `room` is not in `subset` or the subset has zero total affinity.
-    pub fn conditional_within(&self, room: RoomId, subset: &[RoomId]) -> f64 {
-        if !subset.contains(&room) {
-            return 0.0;
-        }
-        let total: f64 = subset.iter().map(|&r| self.of(r)).sum();
-        if total <= 0.0 {
-            // All-zero subset: fall back to a uniform distribution over the subset, so
-            // that devices without metadata still contribute.
-            return 1.0 / subset.len() as f64;
-        }
-        self.of(room) / total
-    }
 }
 
-/// One "other" device of a device-affinity set, as seen by the indexed fast
-/// path: its full postings when its store view is indexed, or a marker to
-/// probe it through segment-pruned timeline scans.
-enum OtherDevice<'a> {
-    Indexed(&'a DevicePostings),
-    Scanned(DeviceId),
-}
-
-/// How one "other" device is probed for co-presence on a specific access
-/// point: through a merge cursor over its posting list (the probed windows
-/// advance monotonically, so the whole probe sequence is one two-pointer
-/// merge), or by a segment-pruned timeline scan.
-enum OtherOnAp<'a> {
-    Indexed(PostingCursor<'a>),
-    Scanned(DeviceId),
-}
-
-/// Per-query memo of room-affinity distributions.
+/// Per-query memo of room-affinity distributions, keyed by `(device, region)`.
 ///
 /// `α(d, r_j, t_q)` is a pure function of `(device, region)` against a frozen
-/// store, so one `locate` call computes each distribution at most once and
-/// every group-affinity evaluation reuses it — the dependent-mode inner loop
-/// previously recomputed it once per candidate room per cluster member.
-#[derive(Debug, Default)]
-pub struct RoomAffinityMemo {
-    entries: HashMap<(DeviceId, RegionId), RoomAffinity>,
-}
-
-impl RoomAffinityMemo {
-    /// Creates an empty memo (one per query).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The memoized distribution of `(device, region)`, if already computed.
-    pub fn get(&self, device: DeviceId, region: RegionId) -> Option<&RoomAffinity> {
-        self.entries.get(&(device, region))
-    }
-
-    /// Number of distinct `(device, region)` distributions computed so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
+/// store, so one `locate` call computes each distribution at most once: the
+/// prior, and every member of every group Algorithm 2 evaluates, read it here.
+pub type RoomAffinityMemo = HashMap<(DeviceId, RegionId), RoomAffinity>;
 
 /// Computes room, device and group affinities against one event store.
 ///
@@ -203,16 +135,6 @@ impl<'a> AffinityEngine<'a> {
             weights,
             window: window.max(1),
         }
-    }
-
-    /// The space the engine computes affinities over.
-    pub fn space(&self) -> &Space {
-        self.store.space()
-    }
-
-    /// The room-affinity weights in use.
-    pub fn weights(&self) -> RoomAffinityWeights {
-        self.weights
     }
 
     // ------------------------------------------------------------------
@@ -294,184 +216,126 @@ impl<'a> AffinityEngine<'a> {
     ///
     /// Returns 0 for sets of fewer than two devices or with no events in the window.
     ///
-    /// When the store maintains a co-location index
-    /// ([`EventRead::postings_of`]), the count runs as a bucket-intersection
-    /// merge over only the access points the devices share — APs only one
-    /// device touched contribute a windowed count without per-event work, and
-    /// each co-presence probe is a bucket-pruned binary search instead of a
-    /// timeline rescan. Without an index the original per-event window scan
-    /// runs. Both paths count the same events, so the returned ratio is
-    /// **bit-identical** either way (`tests/affinity_index_equivalence.rs`).
+    /// One dispatch, on [`EventRead::postings_of`] looked up once per member:
+    /// when every member is indexed, a distinct pair runs as one
+    /// [`PairAffinitySession`] merge and any other set as a bucket-intersection
+    /// merge over only the access points all members share. A view that
+    /// leaves any member unindexed is answered by the per-event window scan,
+    /// the naive oracle. Every route counts the same events, so the returned
+    /// ratio is **bit-identical** either way
+    /// (`tests/affinity_index_equivalence.rs`).
     pub fn device_affinity(&self, devices: &[DeviceId], until: Timestamp) -> f64 {
         if devices.len() < 2 {
             return 0.0;
         }
         let window = Interval::new(until - self.window, until + 1);
-        let mut total = 0usize;
-        let mut intersecting = 0usize;
-        // The dominant shape — one distinct pair, both sides indexed — runs
-        // as a single pass over the second device's timeline slice against
-        // the first device's posting slices (see [`PairAffinitySession`]).
-        // The one-shot session pays its dispatch-table setup for a single
-        // merge, but still measures faster than a per-AP slice merge — and
-        // the hot caller (Algorithm 2) amortizes one session across all
-        // neighbors of a query.
+        // A distinct pair, the dominant shape, runs as one session merge: even
+        // one-shot, it measures faster than the per-AP merge of a k-set.
         if let [a, b] = *devices {
-            if a != b && self.store.postings_of(a).is_some() && self.store.postings_of(b).is_some()
-            {
-                return self.pair_session(a, until).affinity(b);
+            if a != b {
+                return match (self.store.postings_of(a), self.store.postings_of(b)) {
+                    (Some(_), Some(_)) => self.pair_session(a, until).affinity(b),
+                    _ => self.tally_scanned(devices, window),
+                };
             }
         }
-        for &device in devices {
-            let delta = self.store.delta(device);
-            match self.store.postings_of(device) {
-                Some(postings) => self.tally_indexed(
-                    postings,
-                    devices,
-                    device,
-                    delta,
-                    window,
-                    &mut total,
-                    &mut intersecting,
-                ),
-                None => self.tally_scanned(
-                    devices,
-                    device,
-                    delta,
-                    window,
-                    &mut total,
-                    &mut intersecting,
-                ),
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            intersecting as f64 / total as f64
+        let postings: Option<Vec<&DevicePostings>> = devices
+            .iter()
+            .map(|&device| self.store.postings_of(device))
+            .collect();
+        match postings {
+            Some(postings) => self.tally_indexed(devices, &postings, window),
+            None => self.tally_scanned(devices, window),
         }
     }
 
-    /// The indexed fast path of [`AffinityEngine::device_affinity`] for one
-    /// device of the set.
+    /// The indexed route of [`AffinityEngine::device_affinity`] for a k-set
+    /// or a duplicate-member set; `postings[i]` belongs to `devices[i]`.
     ///
-    /// The window event *total* is two partition points on the device's
-    /// timeline. The *intersecting* count then only ever touches
-    /// access points **every** device of the set connected to: the devices'
-    /// AP lists are intersected by a sorted merge (each other device's list
-    /// pointer advances monotonically), and on each shared AP the device's
-    /// window timestamps merge against the others' posting lists through
-    /// forward-only cursors. APs not shared by the whole set — typically most
-    /// of them — cost nothing at all.
-    #[allow(clippy::too_many_arguments)]
+    /// Each member's window total is two partition points on its timeline.
+    /// Its *intersecting* count only ever touches access points **every**
+    /// other member connected to: the AP lists are intersected by a sorted
+    /// merge, and on each shared AP the member's window timestamps merge
+    /// against one forward-only [`PostingCursor`] per other member. APs not
+    /// shared by the whole set cost nothing at all.
     fn tally_indexed(
         &self,
-        postings: &DevicePostings,
         devices: &[DeviceId],
-        device: DeviceId,
-        delta: Timestamp,
+        postings: &[&DevicePostings],
         window: Interval,
-        total: &mut usize,
-        intersecting: &mut usize,
-    ) {
-        *total += self.store.timeline_of(device).count_in(window);
-        let others: Vec<OtherDevice<'_>> = devices
-            .iter()
-            .filter(|&&other| other != device)
-            .map(|&other| match self.store.postings_of(other) {
-                Some(other_postings) => OtherDevice::Indexed(other_postings),
-                None => OtherDevice::Scanned(other),
-            })
-            .collect();
-        // Sorted-merge position of each indexed other device's AP lists;
-        // advances monotonically with this device's AP iteration.
-        let mut ap_pos: Vec<usize> = vec![0; others.len()];
-        let mut probes: Vec<OtherOnAp<'_>> = Vec::with_capacity(others.len());
-        for list in postings.ap_lists() {
-            let ap = list.ap();
-            // Lists without window events need no merge work at all (their
-            // events are already in the total and can contribute nothing).
-            let mut window_ts = list.timestamps_in(window).peekable();
-            if window_ts.peek().is_none() {
-                continue;
-            }
-            probes.clear();
-            let mut impossible = false;
-            for (slot, other) in others.iter().enumerate() {
-                match other {
-                    OtherDevice::Indexed(other_postings) => {
-                        let lists = other_postings.ap_lists();
-                        let mut idx = ap_pos[slot];
-                        while idx < lists.len() && lists[idx].ap() < ap {
-                            idx += 1;
-                        }
-                        ap_pos[slot] = idx;
-                        if idx < lists.len() && lists[idx].ap() == ap {
-                            probes.push(OtherOnAp::Indexed(lists[idx].cursor()));
-                        } else {
-                            // That device never connected to this AP: nothing
-                            // here can intersect (the events are already in
-                            // the total).
-                            impossible = true;
-                            break;
-                        }
-                    }
-                    OtherDevice::Scanned(other) => probes.push(OtherOnAp::Scanned(*other)),
+    ) -> f64 {
+        let (mut total, mut intersecting) = (0usize, 0usize);
+        let mut cursors: Vec<PostingCursor<'_>> = Vec::with_capacity(devices.len());
+        for (&device, own) in devices.iter().zip(postings) {
+            total += self.store.timeline_of(device).count_in(window);
+            let delta = self.store.delta(device);
+            let others: Vec<&DevicePostings> = devices
+                .iter()
+                .zip(postings)
+                .filter(|&(&other, _)| other != device)
+                .map(|(_, &other)| other)
+                .collect();
+            // Sorted-merge position in each other member's AP lists; advances
+            // monotonically with this member's AP iteration.
+            let mut ap_pos = vec![0usize; others.len()];
+            for list in own.ap_lists() {
+                let ap = list.ap();
+                // Lists without window events need no merge work (their events
+                // are already in the total and can contribute nothing).
+                let mut window_ts = list.timestamps_in(window).peekable();
+                if window_ts.peek().is_none() {
+                    continue;
                 }
-            }
-            if impossible {
-                continue;
-            }
-            for t in window_ts {
-                // The window iterator is ascending, so `t - delta` never
-                // decreases — exactly the contract of the merge cursors.
-                let all_present = probes.iter_mut().all(|other| match other {
-                    OtherOnAp::Indexed(cursor) => cursor
-                        .advance_to(t - delta)
-                        .is_some_and(|ts| ts < t + delta + 1),
-                    OtherOnAp::Scanned(other) => self
-                        .store
-                        .events_of_in(*other, Interval::new(t - delta, t + delta + 1))
-                        .any(|e| e.ap == ap),
-                });
-                if all_present {
-                    *intersecting += 1;
+                cursors.clear();
+                for (pos, other) in ap_pos.iter_mut().zip(&others) {
+                    let lists = other.ap_lists();
+                    while *pos < lists.len() && lists[*pos].ap() < ap {
+                        *pos += 1;
+                    }
+                    match lists.get(*pos) {
+                        Some(list) if list.ap() == ap => cursors.push(list.cursor()),
+                        // That member never connected to this AP: nothing
+                        // here can intersect.
+                        _ => break,
+                    }
+                }
+                if cursors.len() < others.len() {
+                    continue;
+                }
+                for t in window_ts {
+                    // The window iterator is ascending, so `t - delta` never
+                    // decreases — exactly the contract of the merge cursors.
+                    let all_present = cursors.iter_mut().all(|cursor| {
+                        cursor
+                            .advance_to(t - delta)
+                            .is_some_and(|ts| ts < t + delta + 1)
+                    });
+                    intersecting += usize::from(all_present);
                 }
             }
         }
+        ratio(intersecting, total)
     }
 
-    /// The scan fallback of [`AffinityEngine::device_affinity`] for one device
-    /// of the set (used when its store view exposes no index): the original
-    /// segment-pruned per-event window scan.
-    fn tally_scanned(
-        &self,
-        devices: &[DeviceId],
-        device: DeviceId,
-        delta: Timestamp,
-        window: Interval,
-        total: &mut usize,
-        intersecting: &mut usize,
-    ) {
-        for event in self.store.events_of_in(device, window) {
-            *total += 1;
-            let near = Interval::new(event.t - delta, event.t + delta + 1);
-            let all_present = devices.iter().filter(|&&d| d != device).all(|&other| {
-                match self.store.postings_of(other) {
-                    // Another device of the set may still be indexed; the
-                    // probe answers identically either way.
-                    Some(other_postings) => other_postings
-                        .on_ap(event.ap)
-                        .is_some_and(|list| list.any_in(near)),
-                    None => self
-                        .store
+    /// The naive oracle of [`AffinityEngine::device_affinity`], for views that
+    /// leave a member unindexed: per member, a segment-pruned scan of its
+    /// window events, each probed by a window scan of every other member.
+    fn tally_scanned(&self, devices: &[DeviceId], window: Interval) -> f64 {
+        let (mut total, mut intersecting) = (0usize, 0usize);
+        for &device in devices {
+            let delta = self.store.delta(device);
+            for event in self.store.events_of_in(device, window) {
+                total += 1;
+                let near = Interval::new(event.t - delta, event.t + delta + 1);
+                let all_present = devices.iter().filter(|&&d| d != device).all(|&other| {
+                    self.store
                         .events_of_in(other, near)
-                        .any(|e| e.ap == event.ap),
-                }
-            });
-            if all_present {
-                *intersecting += 1;
+                        .any(|e| e.ap == event.ap)
+                });
+                intersecting += usize::from(all_present);
             }
         }
+        ratio(intersecting, total)
     }
 
     /// Pairwise device affinity `α({a, b})`.
@@ -490,55 +354,29 @@ impl<'a> AffinityEngine<'a> {
     // Group affinity
     // ------------------------------------------------------------------
 
-    /// Group affinity `α(D, r_j, t_q)` (Eq. 1): the probability of all devices in
-    /// `group` being co-located in `room`, given the regions each device is currently
-    /// located in and an already-computed device affinity for the set.
-    ///
-    /// `group` pairs each device with the region the coarse step (or its covering
-    /// event) placed it in at the query time. The intersection `R_is` of the candidate
-    /// rooms of those regions is computed here; the affinity is 0 when `room` lies
-    /// outside it.
-    pub fn group_affinity(
-        &self,
-        group: &[(DeviceId, RegionId)],
-        room: RoomId,
-        device_affinity: f64,
-    ) -> f64 {
-        if group.is_empty() || device_affinity <= 0.0 {
-            return 0.0;
-        }
-        let space = self.store.space();
-        let regions: Vec<RegionId> = group.iter().map(|&(_, g)| g).collect();
-        let intersection = space.intersect_regions(&regions);
-        if !intersection.contains(&room) {
-            return 0.0;
-        }
-        let mut probability = device_affinity;
-        for &(device, region) in group {
-            let affinity = self.room_affinities(device, region);
-            probability *= affinity.conditional_within(room, &intersection);
-        }
-        probability
-    }
-
     /// Memoized [`AffinityEngine::room_affinities`]: computes the distribution
     /// on first use and returns the cached copy afterwards.
-    pub fn room_affinities_memo<'m>(
+    pub(crate) fn room_affinities_memo<'m>(
         &self,
         memo: &'m mut RoomAffinityMemo,
         device: DeviceId,
         region: RegionId,
     ) -> &'m RoomAffinity {
-        memo.entries
-            .entry((device, region))
+        memo.entry((device, region))
             .or_insert_with(|| self.room_affinities(device, region))
     }
 
-    /// [`AffinityEngine::group_affinity`] evaluated over every room of
-    /// `rooms` at once: the region intersection is computed once per group
-    /// (not once per room) and per-device room affinities are read through
-    /// `memo`. Element `i` equals `group_affinity(group, rooms[i],
-    /// device_affinity)` bit for bit.
+    /// Group affinity `α(D, r_j, t_q)` (Eq. 1) of every room of `rooms`: the
+    /// probability of all devices in `group` being co-located in the room,
+    /// given an already-computed device affinity for the set.
+    ///
+    /// `group` pairs each device with the region the coarse step (or its
+    /// covering event) placed it in at the query time. The affinity is
+    /// `device_affinity × Π_d P(@(d, r_j) | @(d, R_is))` for a room of the
+    /// intersection `R_is` of those regions' candidate rooms, and 0 outside
+    /// it. A member whose distribution has zero mass on `R_is` contributes
+    /// the uniform `1 / |R_is|`, so devices without metadata still count.
+    /// Per-device room affinities are read through `memo`.
     pub fn group_affinities(
         &self,
         memo: &mut RoomAffinityMemo,
@@ -552,17 +390,15 @@ impl<'a> AffinityEngine<'a> {
         let space = self.store.space();
         let regions: Vec<RegionId> = group.iter().map(|&(_, g)| g).collect();
         let intersection = space.intersect_regions(&regions);
-        // Materialize every member's distribution, then cache its subset
-        // total: `conditional_within` recomputes the sum per room, which made
-        // this loop cubic in the candidate count. The total is the identical
-        // expression evaluated once, so every division is bit-identical.
+        // Materialize every member's distribution, then take each member's
+        // mass on `R_is` once per group, not once per room.
         for &(device, region) in group {
             self.room_affinities_memo(memo, device, region);
         }
         let members: Vec<(&RoomAffinity, f64)> = group
             .iter()
-            .map(|&(device, region)| {
-                let affinity = memo.get(device, region).expect("memoized above");
+            .map(|key| {
+                let affinity = &memo[key];
                 let total: f64 = intersection.iter().map(|&r| affinity.of(r)).sum();
                 (affinity, total)
             })
@@ -575,8 +411,6 @@ impl<'a> AffinityEngine<'a> {
                 }
                 let mut probability = device_affinity;
                 for &(affinity, total) in &members {
-                    // `conditional_within(room, intersection)` with the
-                    // subset total hoisted.
                     probability *= if total <= 0.0 {
                         1.0 / intersection.len() as f64
                     } else {
@@ -586,6 +420,15 @@ impl<'a> AffinityEngine<'a> {
                 probability
             })
             .collect()
+    }
+}
+
+/// `intersecting / total`, or 0 for an empty window.
+fn ratio(intersecting: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        intersecting as f64 / total as f64
     }
 }
 
@@ -743,14 +586,6 @@ impl<'a> PairAffinitySession<'a> {
         }
         intersecting as f64 / total as f64
     }
-
-    /// [`PairAffinitySession::affinity`] gated by the contribution threshold:
-    /// `Some(α)` exactly when `α >= floor && α > 0` — the neighbor-contribution
-    /// predicate of Algorithm 2, shared so every caller applies it identically.
-    pub fn contributing_affinity(&self, other: DeviceId, floor: f64) -> Option<f64> {
-        let pair = self.affinity(other);
-        (pair >= floor && pair > 0.0).then_some(pair)
-    }
 }
 
 #[cfg(test)]
@@ -807,7 +642,6 @@ mod tests {
         assert!((affinity.of(room("2065")) - 0.3).abs() < 1e-9);
         assert!((affinity.of(room("2059")) - 0.2 / 3.0).abs() < 1e-9);
         assert!((affinity.affinities.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert_eq!(affinity.best(), Some(room("2061")));
         assert_eq!(affinity.of(RoomId::new(999)), 0.0);
     }
 
@@ -836,25 +670,36 @@ mod tests {
 
     #[test]
     fn conditional_within_matches_paper_example() {
-        // P(@(d1, 2065) | @(d1, {2065, 2069, 2099})) = .3 / (.3 + .066 + .066) ≈ .69
-        let store = example_store();
+        // d1 in g3 (all five rooms), d2 in g2 = {2065, 2069, 2099} = R_is.
+        // P(@(d1, 2065) | @(d1, R_is)) = .3 / (.3 + .066 + .066) ≈ .69, and d2,
+        // with no preferred room in g2, has P(@(d2, 2065) | R_is) = .3 / .5.
+        let space = SpaceBuilder::new("fig3-overlap")
+            .add_access_point("wap3", &["2059", "2061", "2065", "2069", "2099"])
+            .add_access_point("wap2", &["2065", "2069", "2099"])
+            .room_type("2065", RoomType::Public)
+            .room_owner("2061", "d1")
+            .room_owner("2059", "d2")
+            .build()
+            .unwrap();
+        let mut store = EventStore::new(space);
+        store.ingest_raw("d1", 1_000, "wap3").unwrap();
+        store.ingest_raw("d2", 1_000, "wap2").unwrap();
         let engine = AffinityEngine::new(&store, RoomAffinityWeights::C3, 3_600);
-        let d1 = store.device_id("d1").unwrap();
-        let g3 = store.space().ap_id("wap3").unwrap().region();
-        let affinity = engine.room_affinities(d1, g3);
         let space = store.space();
-        let subset = vec![
-            space.room_id("2065").unwrap(),
-            space.room_id("2069").unwrap(),
-            space.room_id("2099").unwrap(),
-        ];
-        let p = affinity.conditional_within(space.room_id("2065").unwrap(), &subset);
-        assert!((p - 0.3 / (0.3 + 2.0 * 0.2 / 3.0)).abs() < 1e-9);
-        // Room outside the subset has zero conditional probability.
-        assert_eq!(
-            affinity.conditional_within(space.room_id("2061").unwrap(), &subset),
-            0.0
+        let room = |name: &str| space.room_id(name).unwrap();
+        let (d1, d2) = (
+            store.device_id("d1").unwrap(),
+            store.device_id("d2").unwrap(),
         );
+        let group = [
+            (d1, space.ap_id("wap3").unwrap().region()),
+            (d2, space.ap_id("wap2").unwrap().region()),
+        ];
+        let rooms = [room("2065"), room("2061")];
+        let alphas = engine.group_affinities(&mut RoomAffinityMemo::new(), &group, &rooms, 1.0);
+        assert!((alphas[0] / 0.6 - 0.3 / (0.3 + 2.0 * 0.2 / 3.0)).abs() < 1e-9);
+        // A room outside R_is has zero conditional probability.
+        assert_eq!(alphas[1], 0.0);
     }
 
     #[test]
@@ -911,14 +756,17 @@ mod tests {
         let g3 = space.ap_id("wap3").unwrap().region();
         let room_2065 = space.room_id("2065").unwrap();
         let device_affinity = 0.4;
-        let group = vec![(d1, g3), (d2, g3)];
-        let affinity = engine.group_affinity(&group, room_2065, device_affinity);
-        let a1 = engine.room_affinities(d1, g3);
-        let a2 = engine.room_affinities(d2, g3);
-        let candidates = space.rooms_in_region(g3).to_vec();
+        let group = [(d1, g3), (d2, g3)];
+        let mut memo = RoomAffinityMemo::new();
+        let affinity = engine.group_affinities(&mut memo, &group, &[room_2065], device_affinity)[0];
+        // One distribution per (device, region), computed once.
+        assert_eq!(memo.len(), 2);
+        let candidates = space.rooms_in_region(g3);
+        let conditional =
+            |a: &RoomAffinity| a.of(room_2065) / candidates.iter().map(|&r| a.of(r)).sum::<f64>();
         let expected = device_affinity
-            * a1.conditional_within(room_2065, &candidates)
-            * a2.conditional_within(room_2065, &candidates);
+            * conditional(&engine.room_affinities(d1, g3))
+            * conditional(&engine.room_affinities(d2, g3));
         assert!((affinity - expected).abs() < 1e-12);
         assert!(affinity > 0.0 && affinity < device_affinity);
     }
@@ -939,15 +787,22 @@ mod tests {
         let d2 = store.device_id("d2").unwrap();
         let g0 = space.ap_id("wap0").unwrap().region();
         let g1 = space.ap_id("wap1").unwrap().region();
-        let group = vec![(d1, g0), (d2, g1)];
+        let group = [(d1, g0), (d2, g1)];
         // Room "a" is only in g0, not in the intersection {c}.
-        let a = space.room_id("a").unwrap();
-        let c = space.room_id("c").unwrap();
-        assert_eq!(engine.group_affinity(&group, a, 0.5), 0.0);
-        assert!(engine.group_affinity(&group, c, 0.5) > 0.0);
+        let rooms = [space.room_id("a").unwrap(), space.room_id("c").unwrap()];
+        let mut memo = RoomAffinityMemo::new();
+        let alphas = engine.group_affinities(&mut memo, &group, &rooms, 0.5);
+        assert_eq!(alphas[0], 0.0);
+        assert!(alphas[1] > 0.0);
         // Zero device affinity kills the group affinity.
-        assert_eq!(engine.group_affinity(&group, c, 0.0), 0.0);
+        assert_eq!(
+            engine.group_affinities(&mut memo, &group, &rooms, 0.0),
+            [0.0; 2]
+        );
         // Empty group has no affinity.
-        assert_eq!(engine.group_affinity(&[], c, 0.5), 0.0);
+        assert_eq!(
+            engine.group_affinities(&mut memo, &[], &rooms, 0.5),
+            [0.0; 2]
+        );
     }
 }

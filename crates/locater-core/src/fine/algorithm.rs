@@ -207,38 +207,16 @@ impl FineLocalizer {
         region: RegionId,
         preferred_order: Option<&[DeviceId]>,
     ) -> FineOutcome {
-        self.locate_with_cache(store, device, t_q, region, preferred_order, None)
-    }
-
-    /// [`FineLocalizer::locate`] with an optional cache of pairwise device affinities:
-    /// when `cached_affinities` yields a value for a neighbor, the history scan that
-    /// would otherwise compute its device affinity is skipped (the caching engine of
-    /// §5 supplies this from the global affinity graph).
-    pub fn locate_with_cache(
-        &self,
-        store: &dyn EventRead,
-        device: DeviceId,
-        t_q: Timestamp,
-        region: RegionId,
-        preferred_order: Option<&[DeviceId]>,
-        cached_affinities: Option<&dyn Fn(DeviceId) -> Option<f64>>,
-    ) -> FineOutcome {
         let neighbors = self.candidate_neighbors(store, device, t_q, region);
-        self.locate_among(
-            store,
-            device,
-            t_q,
-            region,
-            neighbors,
-            preferred_order,
-            cached_affinities,
-        )
+        self.locate_among(store, device, t_q, region, neighbors, preferred_order, None)
     }
 
-    /// [`FineLocalizer::locate_with_cache`] over `neighbors`, the result of
-    /// [`FineLocalizer::candidate_neighbors`] for the same query — for a
-    /// caller that scanned them already (the engine plans its cache reads
-    /// from that list) and must not pay the scan twice.
+    /// [`FineLocalizer::locate`] over `neighbors`, the result of
+    /// [`FineLocalizer::candidate_neighbors`] for the same query, with an
+    /// optional cache of pairwise device affinities: when `cached_affinities`
+    /// yields a value for a neighbor, the history scan that would otherwise
+    /// compute it is skipped (the caching engine of §5 supplies this from the
+    /// global affinity graph).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn locate_among(
         &self,
@@ -252,11 +230,9 @@ impl FineLocalizer {
     ) -> FineOutcome {
         let engine = AffinityEngine::new(store, self.config.weights, self.config.affinity_window);
         let candidates: Vec<RoomId> = store.space().rooms_in_region(region).to_vec();
-        // One memo per query: every room-affinity distribution this call
-        // needs — the prior and one per processed neighbor/cluster member —
-        // is computed exactly once and reused by every group-affinity
-        // evaluation (the queried device's own distribution is in every
-        // group, so it is always a hit).
+        // One memo per query: the prior and every group member's distribution
+        // are computed once (the queried device is in every group, so its
+        // distribution is always a hit).
         let mut memo = RoomAffinityMemo::new();
         let prior = engine
             .room_affinities_memo(&mut memo, device, region)
@@ -278,20 +254,32 @@ impl FineLocalizer {
 
         order_neighbors(&mut neighbors, preferred_order);
         neighbors.truncate(self.config.max_neighbors);
-        let neighbors_considered = neighbors.len();
 
+        // The contribution gate, one per query: a neighbor's pair affinity
+        // (the cached value, else computed through the queried device's
+        // session, built on the first miss) contributes exactly when it
+        // reaches the floor and is positive.
+        let session = std::cell::OnceCell::new();
+        let gate = |neighbor: DeviceId| {
+            let pair = cached_affinities
+                .and_then(|lookup| lookup(neighbor))
+                .unwrap_or_else(|| {
+                    session
+                        .get_or_init(|| engine.pair_session(device, t_q))
+                        .affinity(neighbor)
+                });
+            (pair >= self.config.min_pair_affinity && pair > 0.0).then_some(pair)
+        };
         match self.config.mode {
             FineMode::Independent => self.locate_independent(
                 &engine,
                 &mut memo,
                 device,
-                t_q,
                 region,
                 &candidates,
                 &prior,
                 &neighbors,
-                neighbors_considered,
-                cached_affinities,
+                gate,
             ),
             FineMode::Dependent => self.locate_dependent(
                 &engine,
@@ -302,8 +290,7 @@ impl FineLocalizer {
                 &candidates,
                 &prior,
                 &neighbors,
-                neighbors_considered,
-                cached_affinities,
+                gate,
             ),
         }
     }
@@ -314,13 +301,11 @@ impl FineLocalizer {
         engine: &AffinityEngine<'_>,
         memo: &mut RoomAffinityMemo,
         device: DeviceId,
-        t_q: Timestamp,
         region: RegionId,
         candidates: &[RoomId],
         prior: &RoomAffinity,
         neighbors: &[(DeviceId, RegionId)],
-        neighbors_considered: usize,
-        cached_affinities: Option<&dyn Fn(DeviceId) -> Option<f64>>,
+        gate: impl Fn(DeviceId) -> Option<f64>,
     ) -> FineOutcome {
         let uniform_floor = 1.0 / candidates.len() as f64;
         let mut posteriors: Vec<RoomPosterior> = candidates
@@ -330,22 +315,10 @@ impl FineLocalizer {
         let mut contributions = Vec::new();
         let mut processed = 0usize;
         let mut stopped_early = false;
-        // The queried device's merge buffers are shared across neighbors and
-        // built only when the first affinity actually needs computing.
-        let session = std::cell::OnceCell::new();
 
         for (idx, &(neighbor, neighbor_region)) in neighbors.iter().enumerate() {
             processed += 1;
-            // A sub-threshold affinity is discarded unread;
-            // `contributing_affinity` centralizes the contribution predicate
-            // so cached and computed values are gated identically.
-            let contributing = match cached_affinities.and_then(|lookup| lookup(neighbor)) {
-                Some(pair) => (pair >= self.config.min_pair_affinity && pair > 0.0).then_some(pair),
-                None => session
-                    .get_or_init(|| engine.pair_session(device, t_q))
-                    .contributing_affinity(neighbor, self.config.min_pair_affinity),
-            };
-            if let Some(pair) = contributing {
+            if let Some(pair) = gate(neighbor) {
                 let group = [(device, region), (neighbor, neighbor_region)];
                 let weight = self.config.evidence_weight.clamp(0.0, 1.0);
                 let alphas = engine.group_affinities(memo, &group, candidates, pair);
@@ -399,7 +372,7 @@ impl FineLocalizer {
             room,
             region,
             probabilities,
-            neighbors_considered,
+            neighbors_considered: neighbors.len(),
             neighbors_processed: processed,
             stopped_early,
             contributions,
@@ -417,25 +390,17 @@ impl FineLocalizer {
         candidates: &[RoomId],
         prior: &RoomAffinity,
         neighbors: &[(DeviceId, RegionId)],
-        neighbors_considered: usize,
-        cached_affinities: Option<&dyn Fn(DeviceId) -> Option<f64>>,
+        gate: impl Fn(DeviceId) -> Option<f64>,
     ) -> FineOutcome {
         let uniform_floor = 1.0 / candidates.len() as f64;
         let mut clusters: Vec<Vec<(DeviceId, RegionId)>> = Vec::new();
         let mut contributions = Vec::new();
         let mut processed = 0usize;
         let mut stopped_early = false;
-        let session = std::cell::OnceCell::new();
 
-        for &(neighbor, neighbor_region) in neighbors {
+        for (idx, &(neighbor, neighbor_region)) in neighbors.iter().enumerate() {
             processed += 1;
-            let contributing = match cached_affinities.and_then(|lookup| lookup(neighbor)) {
-                Some(pair) => (pair > 0.0 && pair >= self.config.min_pair_affinity).then_some(pair),
-                None => session
-                    .get_or_init(|| engine.pair_session(device, t_q))
-                    .contributing_affinity(neighbor, self.config.min_pair_affinity),
-            };
-            let Some(pair) = contributing else {
+            let Some(pair) = gate(neighbor) else {
                 continue;
             };
             // Record the pairwise contribution for the caching engine.
@@ -468,8 +433,8 @@ impl FineLocalizer {
                     clusters[first].push((neighbor, neighbor_region));
                     // Merge the remaining linked clusters into the first, back to front
                     // so the indices stay valid.
-                    for &idx in rest.iter().rev() {
-                        let merged = clusters.remove(idx);
+                    for &other in rest.iter().rev() {
+                        let merged = clusters.remove(other);
                         clusters[first].extend(merged);
                     }
                 }
@@ -486,10 +451,10 @@ impl FineLocalizer {
                 stopped_early = true;
                 break;
             }
-            if (self.config.use_stop_conditions
-                && contributions.len() >= self.config.max_contributors)
-                || processed >= self.config.max_neighbors
+            if self.config.use_stop_conditions
+                && contributions.len() >= self.config.max_contributors
             {
+                stopped_early = idx + 1 < neighbors.len();
                 break;
             }
         }
@@ -520,7 +485,7 @@ impl FineLocalizer {
             room,
             region,
             probabilities,
-            neighbors_considered,
+            neighbors_considered: neighbors.len(),
             neighbors_processed: processed,
             stopped_early,
             contributions,
@@ -742,6 +707,34 @@ mod tests {
         assert_eq!(out.neighbors_processed, 1);
         let total: f64 = out.probabilities.iter().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn both_modes_report_stopping_at_the_contributor_cap() {
+        // d2 and d3 are both co-located with d1; with one contributor allowed,
+        // each mode stops after d2 with d3 left unprocessed.
+        let mut store = colocated_store(10);
+        for day in 0..10 {
+            for slot in 0..6 {
+                let t = clock::at(day, 9, slot * 10, 45);
+                store.ingest_raw("d3", t, "wap3").unwrap();
+            }
+        }
+        let d1 = store.device_id("d1").unwrap();
+        let g3 = store.space().ap_id("wap3").unwrap().region();
+        let t_q = clock::at(9, 9, 30, 10);
+        for mode in [FineMode::Independent, FineMode::Dependent] {
+            let localizer = FineLocalizer::new(FineConfig {
+                mode,
+                max_contributors: 1,
+                ..FineConfig::default()
+            });
+            let out = localizer.locate(&store, d1, t_q, g3, None);
+            assert_eq!(out.neighbors_considered, 2, "{mode}");
+            assert_eq!(out.neighbors_processed, 1, "{mode}");
+            assert_eq!(out.contributions.len(), 1, "{mode}");
+            assert!(out.stopped_early, "{mode} stopped with a neighbor left");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use super::epoch::{EpochRead, ModelEntry};
 use super::request::LocateRequest;
 use super::{assemble_answer, Answer, CacheMode, LocaterConfig, QueryDiagnostics};
 use crate::cache::FinePlan;
-use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel};
+use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseOutcome, DeviceCoarseModel};
 use crate::error::LocaterError;
 use crate::fine::{FineConfig, FineLocalizer, FineOutcome};
 use locater_events::clock::{self, Timestamp};
@@ -23,6 +23,7 @@ use locater_events::DeviceId;
 use locater_space::RegionId;
 use locater_store::EventRead;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::{Arc, LockResult, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -162,21 +163,9 @@ impl Engine {
         t_q: Timestamp,
         models: &ModelCache,
     ) -> (CoarseOutcome, bool) {
-        let certain = |label, method| CoarseOutcome {
-            label,
-            method,
-            confidence: 1.0,
-            gap: None,
-        };
-        if let Some(region) = store.covering_region(device, t_q) {
-            let label = CoarseLabel::Inside(region);
-            return (certain(label, CoarseMethod::CoveredByEvent), false);
-        }
-        let Some(gap) = store.gap_at(device, t_q) else {
-            return (
-                certain(CoarseLabel::Outside, CoarseMethod::OutOfSpan),
-                false,
-            );
+        let gap = match CoarseLocalizer::query_gap(store, device, t_q) {
+            ControlFlow::Continue(gap) => gap,
+            ControlFlow::Break(certain) => return (certain, false),
         };
         let epoch = epochs.epoch_of(device);
         let cached = relock(models.read())
@@ -204,10 +193,10 @@ impl Engine {
         t_q >= model.history.start && t_q <= model.history.end + MODEL_REFRESH_SLACK
     }
 
-    /// Runs the fine step. With the cache enabled, the neighbor scan (a store
-    /// read that needs no lock) runs once: its devices go to `cache_plan`,
-    /// and the scanned list itself to Algorithm 2. Returns the outcome and
-    /// whether the affinity graph was warm for the queried device.
+    /// Runs the fine step. The neighbor scan (a store read that needs no
+    /// lock) runs once: with the cache enabled its devices go to
+    /// `cache_plan`, and the scanned list itself to Algorithm 2. Returns the
+    /// outcome and whether the affinity graph was warm for the queried device.
     fn fine_exec(
         &self,
         store: &dyn EventRead,
@@ -217,10 +206,13 @@ impl Engine {
         region: RegionId,
         cache_plan: &dyn Fn(&[DeviceId]) -> FinePlan,
     ) -> (FineOutcome, bool) {
-        if eff.cache != CacheMode::Enabled {
-            return (eff.fine.locate(store, device, t_q, region, None), false);
-        }
         let neighbors = eff.fine.candidate_neighbors(store, device, t_q, region);
+        if eff.cache != CacheMode::Enabled {
+            let fine = eff
+                .fine
+                .locate_among(store, device, t_q, region, neighbors, None, None);
+            return (fine, false);
+        }
         let devices: Vec<DeviceId> = neighbors.iter().map(|&(d, _)| d).collect();
         let FinePlan { order, cached } = cache_plan(&devices);
         let warm = !cached.is_empty();

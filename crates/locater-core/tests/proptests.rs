@@ -6,11 +6,12 @@
 use locater_core::cache::GlobalAffinityGraph;
 use locater_core::coarse::{connection_densities, connection_density};
 use locater_core::fine::{
-    AffinityEngine, NeighborContribution, PosteriorBounds, RoomAffinityWeights, RoomPosterior,
+    AffinityEngine, NeighborContribution, PosteriorBounds, RoomAffinityMemo, RoomAffinityWeights,
+    RoomPosterior,
 };
 use locater_core::system::EpochTable;
 use locater_events::{DeviceId, EventId, Gap, Interval, StoredEvent};
-use locater_space::{AccessPointId, RegionId, RoomType, Space, SpaceBuilder};
+use locater_space::{AccessPointId, RegionId, RoomId, RoomType, Space, SpaceBuilder};
 use locater_store::EventStore;
 use proptest::prelude::*;
 
@@ -130,9 +131,10 @@ proptest! {
         let group = [(d1, ga), (d2, gb)];
         let space = store.space();
         let intersection = space.intersect_regions(&[ga, gb]);
+        let rooms: Vec<RoomId> = space.rooms().iter().map(|room| room.id).collect();
+        let alphas = engine.group_affinities(&mut RoomAffinityMemo::new(), &group, &rooms, device_affinity);
         let mut sum = 0.0;
-        for room in space.rooms() {
-            let alpha = engine.group_affinity(&group, room.id, device_affinity);
+        for (room, &alpha) in space.rooms().iter().zip(&alphas) {
             prop_assert!(alpha >= 0.0);
             prop_assert!(alpha <= device_affinity + 1e-12);
             if !intersection.contains(&room.id) {

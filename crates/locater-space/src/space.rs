@@ -81,6 +81,51 @@ impl Space {
         if access_points.is_empty() {
             return Err(SpaceError::EmptySpace);
         }
+        // Every id below is an index into its table: check them before any is
+        // used as one, so a foreign document fails with an error, not a panic.
+        let bad = |what: String| Err(SpaceError::Metadata(format!("inconsistent ids: {what}")));
+        if regions.len() != access_points.len() {
+            return bad(format!(
+                "{} regions for {} access points",
+                regions.len(),
+                access_points.len()
+            ));
+        }
+        for (idx, room) in rooms.iter().enumerate() {
+            if room.id.index() != idx {
+                return bad(format!("room {} at position {idx}", room.id));
+            }
+        }
+        for (idx, (ap, region)) in access_points.iter().zip(&regions).enumerate() {
+            if ap.id.index() != idx || region.id.index() != idx || region.access_point != ap.id {
+                return bad(format!("access point or region at position {idx}"));
+            }
+            if let Some(room) = region.rooms.iter().find(|r| r.index() >= rooms.len()) {
+                return bad(format!(
+                    "region {} names room {room} of {}",
+                    region.id,
+                    rooms.len()
+                ));
+            }
+        }
+        for (name, id) in &room_names {
+            if rooms.get(id.index()).is_none_or(|room| room.name != *name) {
+                return bad(format!("room name {name:?} maps to {id}"));
+            }
+        }
+        for (name, id) in &ap_names {
+            if access_points
+                .get(id.index())
+                .is_none_or(|ap| ap.name != *name)
+            {
+                return bad(format!("access point name {name:?} maps to {id}"));
+            }
+        }
+        for (mac, prefs) in &preferred {
+            if let Some(room) = prefs.iter().find(|r| r.index() >= rooms.len()) {
+                return bad(format!("device {mac:?} prefers room {room}"));
+            }
+        }
         for (ap, region) in access_points.iter().zip(regions.iter()) {
             if region.is_empty() {
                 return Err(SpaceError::EmptyCoverage(ap.name.clone()));
@@ -465,6 +510,42 @@ mod tests {
             r#"{"name":"B \"1\"","rooms":[{"id":0,"name":"r1","room_type":"Private","owners":[]},{"id":1,"name":"r2","room_type":"Public","owners":[]},{"id":2,"name":"r3","room_type":"Private","owners":["d1"]}],"room_names":[["r1",0],["r2",1],["r3",2]],"access_points":[{"id":0,"name":"wap1"},{"id":1,"name":"wap\\2"}],"ap_names":[["wap1",0],["wap\\2",1]],"regions":[{"id":0,"access_point":0,"rooms":[0,1]},{"id":1,"access_point":1,"rooms":[1,2]}],"room_regions":[[0],[0,1],[1]],"region_overlap":[true,true,true,true],"preferred":[["d1",[2]],["d2",[0]]]}"#
         );
         assert_eq!(Space::from_json(&json).unwrap(), space);
+    }
+
+    #[test]
+    fn from_json_rejects_ids_out_of_range_or_out_of_place() {
+        let space = SpaceBuilder::new("two-rooms")
+            .add_access_point("wap0", &["r0", "r1"])
+            .add_access_point("wap1", &["r1"])
+            .room_owner("r1", "d1")
+            .build()
+            .unwrap();
+        let json = space.to_json().unwrap();
+        for (from, to) in [
+            // A region naming room 99 of two.
+            (r#""rooms":[0,1]"#, r#""rooms":[0,99]"#),
+            // Room, access point and region ids that are not their position.
+            (r#"{"id":1,"name":"r1""#, r#"{"id":7,"name":"r1""#),
+            (r#"{"id":1,"name":"wap1"}"#, r#"{"id":5,"name":"wap1"}"#),
+            (
+                r#"{"id":1,"access_point":1,"#,
+                r#"{"id":9,"access_point":1,"#,
+            ),
+            // Name tables pointing past the end or at another entry.
+            (r#"["r1",1]"#, r#"["r1",99]"#),
+            (r#"["wap1",1]"#, r#"["wap1",0]"#),
+            // A preferred room past the end.
+            (r#"["d1",[1]]"#, r#"["d1",[42]]"#),
+            // One region for two access points.
+            (r#",{"id":1,"access_point":1,"rooms":[1]}"#, ""),
+        ] {
+            assert!(json.contains(from), "{from} not in {json}");
+            let bad = json.replace(from, to);
+            assert!(
+                matches!(Space::from_json(&bad), Err(SpaceError::Metadata(_))),
+                "{from} -> {to:?} must be rejected"
+            );
+        }
     }
 
     #[test]

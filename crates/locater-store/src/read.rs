@@ -58,10 +58,11 @@ pub trait EventRead: Sync {
 
     /// The co-location postings of a device (per-AP, time-bucketed event
     /// timestamps; see [`crate::colocation`]), when the implementation
-    /// maintains the index. `None` makes affinity computations fall back to
-    /// raw timeline scans — answers are bit-identical either way, only the
-    /// cost differs. The default is `None`, so index-less views (e.g.
-    /// [`ScanRead`]) are the reference semantics.
+    /// maintains the index. A device-affinity set with any member answering
+    /// `None` is computed by raw timeline scans only — answers are
+    /// bit-identical either way, only the cost differs. The default is
+    /// `None`, so index-less views (e.g. [`ScanRead`]) are the reference
+    /// semantics.
     fn postings_of(&self, device: DeviceId) -> Option<&DevicePostings> {
         let _ = device;
         None

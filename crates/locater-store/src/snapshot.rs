@@ -576,6 +576,25 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_space_ids_are_a_typed_error() {
+        // A checksummed v3 file whose space names a room the space does not
+        // have: the space section is rejected, never indexed with.
+        let current = sample_store().to_snapshot_bytes().unwrap();
+        let payload = &current[28..];
+        let space_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+        let space_json = std::str::from_utf8(&payload[4..4 + space_len]).unwrap();
+        assert!(space_json.contains(r#""rooms":[0,1]"#));
+        let bad_json = space_json.replace(r#""rooms":[0,1]"#, r#""rooms":[0,99]"#);
+        let mut bad = (bad_json.len() as u32).to_le_bytes().to_vec();
+        bad.extend_from_slice(bad_json.as_bytes());
+        bad.extend_from_slice(&payload[4 + space_len..]);
+        assert!(matches!(
+            EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &bad)),
+            Err(StoreError::Space(_))
+        ));
+    }
+
+    #[test]
     fn unknown_index_mode_byte_is_corrupt() {
         // 2 is the first value no build ever wrote.
         let current = sample_store().to_snapshot_bytes().unwrap();
