@@ -486,6 +486,14 @@ mod tests {
         assert_eq!(back.to_snapshot_bytes().unwrap(), bytes);
     }
 
+    /// The writer's bytes for [`sample_store`] (out-of-order event included),
+    /// pinned by length and FNV-1a 64: a reader change must not move them.
+    #[test]
+    fn encoder_emits_the_pinned_bytes() {
+        let bytes = sample_store().to_snapshot_bytes().unwrap();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (784, 0xf2f8_6853_9c4b_3ca5));
+    }
+
     #[test]
     fn io_roundtrip_through_writer_and_file() {
         let store = sample_store();

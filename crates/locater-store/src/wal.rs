@@ -1111,6 +1111,49 @@ mod tests {
         store
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact frame bytes the writer emits for one untagged and one
+    /// tagged record: `len u32, fnv64, id u64, t i64, ap u32, mac len u16,
+    /// mac[, request id u64]`, all little-endian.
+    #[test]
+    fn frames_emit_the_pinned_bytes() {
+        let untagged = WalRecord {
+            id: 0x0102,
+            t: 1_600_000_000,
+            ap: 3,
+            mac: "aa:bb:cc:dd:ee:01".into(),
+            request_id: None,
+        };
+        assert_eq!(
+            hex(&encode_frame(&untagged).unwrap()),
+            "27000000\
+             2039f4851ec1e1ce\
+             0201000000000000\
+             00105e5f00000000\
+             03000000\
+             1100\
+             61613a62623a63633a64643a65653a3031"
+        );
+        let tagged = WalRecord {
+            request_id: Some(0x0a0b_0c0d),
+            ..untagged
+        };
+        assert_eq!(
+            hex(&encode_frame(&tagged).unwrap()),
+            "2f000000\
+             5c7cbabfc4e25f6b\
+             0201000000000000\
+             00105e5f00000000\
+             03000000\
+             1100\
+             61613a62623a63633a64643a65653a3031\
+             0d0c0b0a00000000"
+        );
+    }
+
     #[test]
     fn fsync_policy_parses_and_displays() {
         assert_eq!(FsyncPolicy::parse("always").unwrap(), FsyncPolicy::Always);
