@@ -20,7 +20,6 @@
 //!   two-class special case.
 //! * [`SelfTrainingClassifier`] — Algorithm 1, generic over the number of classes,
 //!   with a configurable promotion batch size for large datasets.
-//! * [`metrics`] — accuracy and confusion matrices used by the evaluation harness.
 //!
 //! ```
 //! use locater_learn::{Dataset, LogisticRegression, TrainConfig};
@@ -43,7 +42,6 @@
 mod dataset;
 mod error;
 mod logistic;
-pub mod metrics;
 mod scaler;
 mod semi;
 

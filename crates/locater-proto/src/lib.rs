@@ -6,10 +6,10 @@
 //!
 //! * the TCP server (`locater-server`), which reads request lines off sockets
 //!   and writes response lines back in request order;
-//! * the `locater-cli serve` stdin REPL, whose legacy line syntax
-//!   (`ingest …` / `locate …` / `stats` / `quit`) is a thin compatibility
-//!   parser over the same frames ([`parse_repl_line`]) — raw JSON frames are
-//!   accepted on stdin too;
+//! * the `locater-cli serve` stdin REPL, which prints the same response
+//!   frames; its input is raw JSON frames or the verb shorthand
+//!   (`ingest …` / `locate …` / `stats` / `quit`, see [`parse_repl_line`])
+//!   that `locater-cli request` parses too;
 //! * the `locater-cli request` one-shot client and the repo benchmark's
 //!   `RetryClient` connections.
 //!
@@ -41,11 +41,15 @@
 //!
 //! ## Versioning
 //!
-//! [`PROTOCOL_VERSION`] names the current frame vocabulary; servers report it
-//! in [`WireResponse::Pong`] and [`WireStats::version`] so clients can detect
-//! skew. Additions (new variants, new optional fields) bump the version;
-//! unknown variants decode to a structured [`WireError::Parse`], never a
-//! panic.
+//! [`PROTOCOL_VERSION`] names the frame vocabulary; servers report it in
+//! [`WireResponse::Pong`] and [`WireStats::version`] so clients can detect
+//! skew. There is one version on the wire: a bump replaces the vocabulary
+//! rather than keeping the old one decodable beside it. A request frame with
+//! an unknown variant or field decodes to a structured [`WireError::Parse`]
+//! naming it, never a panic, and never a request with the field dropped
+//! (the events of an `IngestBatch` are [`RawEvent`]s, which, like NDJSON
+//! logs from other tools, may carry extra columns). Every response field is
+//! required; optional *request* fields may be left out and decode to `None`.
 
 use locater_core::system::{
     Answer, CacheMode, CompactionStatus, FineMode, LocateRequest, LocateResponse, ShardStats,
@@ -59,36 +63,17 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The wire-protocol version this crate speaks (reported by `ping`/`stats`).
-///
-/// v2 added [`WireRequest::Compact`] / [`WireResponse::Compacted`] and the
-/// tiering gauges on [`WireStats`] / [`WireShardStats`] (all `#[serde(default)]`,
-/// so v1 responses still decode).
-///
-/// v3 added the resilience surface: optional `request_id` on the ingest
-/// requests (servers deduplicate replays, making client retries idempotent
-/// across reconnects), the `degraded` flag on [`WireResponse::Located`]
-/// (coarse-only answer under deadline pressure), the
-/// [`WireError::retryable`] classification, and the `panics` / `degraded` /
-/// `deduped` counters on [`WireStats`]. All additions are `#[serde(default)]`
-/// optional, so v2 frames still decode.
-///
-/// v4 dropped `summary_rows` from [`WireCompactionStats`] (the dwell-summary
-/// tier it counted is gone). Unknown fields are ignored on decode, so a v3
-/// frame that still carries it decodes; a v3 client cannot decode a v4
-/// `Compacted` / `Stats` frame, which is what the bump announces.
-///
-/// v5 dropped the affinity-cache counters (`edges`, `live_edges`, `samples`,
-/// `live_samples`) from [`WireShardStats`]: the service holds one affinity
-/// graph, not one per shard, so only the [`WireStats`] totals remain. A v4
-/// `Stats` frame still decodes (the per-shard keys are ignored).
 pub const PROTOCOL_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
-/// One request frame: a single NDJSON line sent to a live service.
+/// One request frame: a single NDJSON line sent to a live service. A field
+/// this build does not know is a parse error, so a misspelled override is
+/// refused instead of silently dropped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum WireRequest {
     /// Liveness / version probe; answered with [`WireResponse::Pong`].
     Ping,
@@ -244,7 +229,6 @@ pub enum WireResponse {
         /// `true` when the server answered coarse-only because the request's
         /// deadline expired before the fine step could run: the answer is
         /// building/region-accurate but the room is unresolved.
-        #[serde(default)]
         degraded: bool,
     },
     /// Answer to [`WireRequest::Stats`].
@@ -463,46 +447,29 @@ pub struct WireStats {
     pub rejected_shutting_down: u64,
     /// Worker panics isolated into [`WireError::Internal`] responses since
     /// start (each one is a bug worth a report — but never a wedged server).
-    /// Defaulted for pre-v3 responses.
-    #[serde(default)]
     pub panics: u64,
     /// Locate requests answered coarse-only because their deadline expired.
-    /// Defaulted for pre-v3 responses.
-    #[serde(default)]
     pub degraded: u64,
     /// Replayed ingest `request_id`s acknowledged without re-applying.
-    /// Defaulted for pre-v3 responses.
-    #[serde(default)]
     pub deduped: u64,
     /// Completed replay-dedup entries aged out of the FIFO window since
     /// start. Nonzero under load means a client could retry past the
     /// window and double-apply — raise the window (it is sized off the
-    /// server's `--queue` admission limit). Defaulted for pre-v3 responses.
-    #[serde(default)]
+    /// server's `--queue` admission limit).
     pub dedup_evicted: u64,
     /// Approximate resident heap bytes across all shard stores (allocated
-    /// capacity of timelines, global index and posting lists). Defaulted for
-    /// v1 responses.
-    #[serde(default)]
+    /// capacity of timelines, global index and posting lists).
     pub resident_bytes: usize,
-    /// Mutable head segments across all shards. Defaulted for v1 responses.
-    #[serde(default)]
+    /// Mutable head segments across all shards.
     pub head_segments: usize,
-    /// Sealed (immutable) segments across all shards. Defaulted for v1
-    /// responses.
-    #[serde(default)]
+    /// Sealed (immutable) segments across all shards.
     pub sealed_segments: usize,
-    /// Cumulative compaction gauges since boot. Defaulted (all zero) for v1
-    /// responses.
-    #[serde(default)]
+    /// Cumulative compaction gauges since boot.
     pub compaction: WireCompactionStats,
     /// Per-shard breakdown.
     pub per_shard: Vec<WireShardStats>,
-    /// Write-ahead-log gauges — present only when the server runs with
-    /// `--wal-dir`. Absent on the wire (or `null`) for non-durable servers
-    /// and for responses from older servers, which also keeps new clients
-    /// compatible with them.
-    #[serde(default)]
+    /// Write-ahead-log gauges: `null` unless the server runs with
+    /// `--wal-dir`.
     pub wal: Option<WireWalStats>,
 }
 
@@ -553,7 +520,6 @@ pub struct WireCompactionStats {
     pub evicted_segments: u64,
     /// Bucket-aligned cut of the most recent effective run (`None` before the
     /// first eviction): every event with `t <` this is out of the hot tier.
-    #[serde(default)]
     pub last_cut: Option<Timestamp>,
 }
 
@@ -582,16 +548,11 @@ pub struct WireShardStats {
     pub index_ap_lists: usize,
     /// Co-location-index time buckets held by this shard.
     pub index_buckets: usize,
-    /// Mutable head segments in this shard's partition. Defaulted for v1
-    /// responses.
-    #[serde(default)]
+    /// Mutable head segments in this shard's partition.
     pub head_segments: usize,
-    /// Sealed segments in this shard's partition. Defaulted for v1 responses.
-    #[serde(default)]
+    /// Sealed segments in this shard's partition.
     pub sealed_segments: usize,
     /// Approximate resident heap bytes of this shard's store partition.
-    /// Defaulted for v1 responses.
-    #[serde(default)]
     pub resident_bytes: usize,
 }
 
@@ -683,7 +644,7 @@ fn decode_frame<T: Deserialize>(line: &str) -> Result<T, WireError> {
 // REPL compatibility syntax
 // ---------------------------------------------------------------------------
 
-/// One parsed line of the legacy `serve` REPL syntax.
+/// One parsed line of the `serve` REPL / `request` input syntax.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplCommand {
     /// A protocol request (from either the verb syntax or a raw JSON frame).
@@ -694,8 +655,9 @@ pub enum ReplCommand {
     Empty,
 }
 
-/// Parses one stdin line of the `locater-cli serve` REPL: the legacy verb
-/// syntax (`ingest <mac,timestamp,ap>`, `locate <mac> <timestamp>`, `stats`,
+/// Parses one stdin line of the `locater-cli serve` REPL (and the request
+/// line of `locater-cli request`): the verb shorthand
+/// (`ingest <mac,timestamp,ap>`, `locate <mac> <timestamp>`, `stats`,
 /// `compact [retain-seconds]`, `ping`, `snapshot <path>`, `shutdown`, `quit`)
 /// *or* a raw NDJSON
 /// [`WireRequest`] frame — the REPL is the wire protocol over stdio.
@@ -982,8 +944,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_frames_still_decode() {
-        // A v2 ingest frame has no request_id; it must decode to None.
+    fn omitted_optional_request_fields_decode_to_none() {
+        // Clients leave optional request fields out; each decodes to None.
+        let decoded = decode_request(r#"{"Locate":{"mac":"aa","t":5}}"#).unwrap();
+        assert_eq!(
+            decoded,
+            WireRequest::Locate {
+                mac: Some("aa".into()),
+                device: None,
+                t: 5,
+                fine_mode: None,
+                cache: None,
+            }
+        );
         let decoded = decode_request(r#"{"Ingest":{"mac":"aa:bb","t":5,"ap":"wap1"}}"#).unwrap();
         assert_eq!(
             decoded,
@@ -1001,6 +974,35 @@ mod tests {
                 events: Vec::new(),
                 request_id: None,
             }
+        );
+    }
+
+    #[test]
+    fn misspelled_request_fields_are_parse_errors() {
+        // Dropping the field would compact at the server's default retention
+        // and answer I-FINE for a D-FINE request.
+        for (frame, field) in [
+            (r#"{"Compact":{"retian":5}}"#, "retian"),
+            (
+                r#"{"Locate":{"mac":"aa","t":5,"fine_mod":"Dependent"}}"#,
+                "fine_mod",
+            ),
+        ] {
+            match decode_request(frame) {
+                Err(WireError::Parse { message, .. }) => {
+                    assert!(message.contains(&format!("`{field}`")), "{message}")
+                }
+                other => panic!("{frame} decoded to {other:?}"),
+            }
+        }
+        // Responses and batch events stay lenient about extra keys.
+        assert!(decode_request(
+            r#"{"IngestBatch":{"events":[{"mac":"aa","t":1,"ap":"w","rssi":-60}]}}"#
+        )
+        .is_ok());
+        assert_eq!(
+            decode_response(r#"{"Pong":{"version":5,"build":"x"}}"#).unwrap(),
+            WireResponse::Pong { version: 5 }
         );
     }
 

@@ -493,111 +493,6 @@ fn encoders_emit_the_pinned_bytes() {
     }
 }
 
-/// A `stats` frame from a server predating the WAL gauges (no `wal` key at
-/// all) still decodes — the field is optional on the wire.
-#[test]
-fn stats_without_wal_field_still_decodes() {
-    let mut stats = sample_stats();
-    stats.wal = None;
-    let line = encode_response(&WireResponse::Stats(stats.clone()));
-    let stripped = line.replace(",\"wal\":null", "");
-    assert_ne!(stripped, line, "the null wal field was present to strip");
-    let back = decode_response(&stripped).unwrap();
-    assert_eq!(back, WireResponse::Stats(stats));
-}
-
-/// A `stats` frame from a v1 server (no tiering gauges anywhere) still
-/// decodes — every v2 stats field defaults.
-#[test]
-fn v1_stats_without_tiering_fields_still_decodes() {
-    let mut stats = sample_stats();
-    stats.wal = None;
-    let line = encode_response(&WireResponse::Stats(stats.clone()));
-    let mut stripped = line.replace(",\"wal\":null", "");
-    for key in [
-        "resident_bytes",
-        "head_segments",
-        "sealed_segments",
-        "last_cut",
-    ] {
-        while let Some(start) = stripped.find(&format!(",\"{key}\":")) {
-            let tail = &stripped[start + 1..];
-            let len = tail
-                .char_indices()
-                .find(|&(_, c)| c == ',' || c == '}')
-                .map(|(i, _)| i)
-                .unwrap_or(tail.len());
-            stripped.replace_range(start..start + 1 + len, "");
-        }
-    }
-    stripped = stripped.replace(
-        ",\"compaction\":{\"runs\":2,\"evicted_events\":400,\"evicted_segments\":8}",
-        "",
-    );
-    assert_ne!(stripped, line, "the v2 fields were present to strip");
-    let back = decode_response(&stripped).unwrap();
-    stats.resident_bytes = 0;
-    stats.head_segments = 0;
-    stats.sealed_segments = 0;
-    stats.compaction = WireCompactionStats::default();
-    for shard in &mut stats.per_shard {
-        shard.resident_bytes = 0;
-        shard.head_segments = 0;
-        shard.sealed_segments = 0;
-    }
-    assert_eq!(back, WireResponse::Stats(stats));
-}
-
-/// A `Compacted` frame from a v3 server still carries the summary-row gauge
-/// v4 dropped with the tier it counted: the unknown field is ignored.
-#[test]
-fn v3_compacted_frame_still_decodes() {
-    let expected = WireResponse::Compacted(WireCompactionStats {
-        runs: 1,
-        evicted_events: 250,
-        evicted_segments: 5,
-        last_cut: Some(86_400),
-    });
-    let v4 = encode_response(&expected);
-    assert_eq!(
-        v4,
-        "{\"Compacted\":{\"runs\":1,\"evicted_events\":250,\"evicted_segments\":5,\"last_cut\":86400}}"
-    );
-    let v3 = v4.replace("}}", ",\"summary_rows\":9}}");
-    assert_eq!(decode_response(&v3).unwrap(), expected);
-}
-
-/// A `stats` frame from a v4 server still carries the per-shard cache
-/// counters v5 dropped with the per-shard caches: the unknown keys are
-/// ignored.
-#[test]
-fn a_v4_stats_frame_still_decodes() {
-    let expected = WireResponse::Stats(sample_stats());
-    let v5 = encode_response(&expected);
-    let mut v4 = v5.replace("\"version\":5", "\"version\":4");
-    // Where a v4 server wrote them: right after each shard's device count.
-    for (owned, counters) in [
-        (
-            "\"owned_devices\":2,",
-            "\"edges\":4,\"live_edges\":3,\"samples\":9,\"live_samples\":7,",
-        ),
-        (
-            "\"owned_devices\":1,",
-            "\"edges\":0,\"live_edges\":0,\"samples\":0,\"live_samples\":0,",
-        ),
-    ] {
-        let at = v4.find(owned).expect("every shard has a line") + owned.len();
-        v4.insert_str(at, counters);
-    }
-    assert_eq!(v4.matches("\"live_edges\"").count(), 3);
-    let WireResponse::Stats(mut back) = decode_response(&v4).unwrap() else {
-        panic!("a stats frame decodes to stats");
-    };
-    assert_eq!(back.version, 4);
-    back.version = PROTOCOL_VERSION;
-    assert_eq!(WireResponse::Stats(back), expected);
-}
-
 /// A deterministic LCG-driven fuzz pass: random structured requests round-trip,
 /// including MACs exercising JSON escaping and extreme timestamps.
 #[test]

@@ -1,16 +1,16 @@
 //! The request executor: one [`ServerState::execute`] path shared by every
-//! protocol front end (TCP connection threads, the stdin REPL, one-shot CLI
-//! requests).
+//! protocol front end (TCP connection threads and the stdin REPL, which
+//! write the same response frames).
 //!
 //! The executor owns the [`ShardedLocaterService`] plus the serving-layer
 //! counters ([`WireStats`] uptime, in-flight/queued gauges, rejection
 //! counters), so `stats` reports the same numbers no matter which transport
 //! asked.
 
-use locater_core::system::{Location, ShardedLocaterService};
+use locater_core::system::ShardedLocaterService;
 use locater_events::clock::Timestamp;
 use locater_proto::{WireError, WireRequest, WireResponse, WireStats, PROTOCOL_VERSION};
-use locater_space::{AccessPointId, Space};
+use locater_space::AccessPointId;
 use locater_store::RecoveryReport;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -608,148 +608,10 @@ impl DrainSummary {
     }
 }
 
-/// Human-readable description of a semantic location (shared by the REPL and
-/// the one-shot `locate` command).
-pub fn describe_location(space: &Space, location: &Location) -> String {
-    match location {
-        Location::Outside => "outside the building".to_string(),
-        Location::Region(region) => format!(
-            "inside, region {region} (AP {}), room undetermined",
-            space.access_point(space.ap_of_region(*region)).name
-        ),
-        Location::Room { room, region } => format!(
-            "room {} (region {region}, AP {})",
-            space.room(*room).name,
-            space.access_point(space.ap_of_region(*region)).name
-        ),
-    }
-}
-
-/// Renders a response as the legacy human-readable REPL text. The request is
-/// needed for context (e.g. `locate` echoes the queried MAC); the output for
-/// ingest/locate/stats/error lines is byte-compatible with the pre-protocol
-/// REPL, with `stats` gaining one trailing `server:` line.
-pub fn render_response(space: &Space, request: &WireRequest, response: &WireResponse) -> String {
-    use std::fmt::Write as _;
-    match response {
-        WireResponse::Pong { version } => format!("pong (protocol v{version})"),
-        WireResponse::Ingested {
-            mac,
-            t,
-            ap,
-            device_epoch,
-        } => format!("ingested {mac} @ {t} via {ap} (device epoch {device_epoch})"),
-        WireResponse::IngestedBatch { appended } => format!("ingested {appended} events"),
-        WireResponse::Located {
-            answer,
-            device_epoch,
-            events_seen,
-            degraded,
-        } => {
-            let who = match request {
-                WireRequest::Locate { mac: Some(mac), .. } => mac.clone(),
-                _ => format!("device {}", answer.device.0),
-            };
-            format!(
-                "{who} @ {}: {} (decided by {:?}, confidence {:.2}, epoch {device_epoch}, {events_seen} events){}",
-                locater_events::clock::format_timestamp(answer.t),
-                describe_location(space, &answer.location),
-                answer.coarse_method,
-                answer.confidence,
-                if *degraded {
-                    " [degraded: coarse only]"
-                } else {
-                    ""
-                }
-            )
-        }
-        WireResponse::Stats(stats) => {
-            let mut report = format!(
-                "{} events, {} devices across {} shard(s); affinity cache: {}/{} edges live, {}/{} samples live; co-location index: {} AP lists, {} buckets",
-                stats.events,
-                stats.devices,
-                stats.shards,
-                stats.live_edges,
-                stats.edges,
-                stats.live_samples,
-                stats.samples,
-                stats.index_ap_lists,
-                stats.index_buckets
-            );
-            for shard in &stats.per_shard {
-                let _ = write!(
-                    report,
-                    "\nshard {}: {} events, {} devices; index: {} AP lists, {} buckets",
-                    shard.shard,
-                    shard.events,
-                    shard.owned_devices,
-                    shard.index_ap_lists,
-                    shard.index_buckets
-                );
-            }
-            let _ = write!(
-                report,
-                "\nserver: protocol v{}, up {}ms; {} in flight, {} queued, {} served; rejected: {} overloaded, {} shutting-down; faults: {} panic(s), {} degraded, {} deduped, {} dedup-evicted",
-                stats.version,
-                stats.uptime_ms,
-                stats.in_flight,
-                stats.queued,
-                stats.requests_served,
-                stats.rejected_overloaded,
-                stats.rejected_shutting_down,
-                stats.panics,
-                stats.degraded,
-                stats.deduped,
-                stats.dedup_evicted
-            );
-            let _ = write!(
-                report,
-                "\ntiers: {} head + {} sealed segment(s), ~{} resident bytes; compaction: {} run(s), {} events evicted{}",
-                stats.head_segments,
-                stats.sealed_segments,
-                stats.resident_bytes,
-                stats.compaction.runs,
-                stats.compaction.evicted_events,
-                match stats.compaction.last_cut {
-                    Some(cut) => format!(", last cut @ {cut}"),
-                    None => String::new(),
-                }
-            );
-            if let Some(wal) = &stats.wal {
-                let _ = write!(
-                    report,
-                    "\nwal: {} (fsync={}); {} frames in {} segment(s), {} bytes; last checkpoint {}ms ago ({} since boot)",
-                    wal.dir,
-                    wal.fsync,
-                    wal.frames,
-                    wal.segments,
-                    wal.bytes,
-                    wal.last_checkpoint_age_ms,
-                    wal.checkpoints
-                );
-            }
-            report
-        }
-        WireResponse::SnapshotSaved { path, bytes } => format!("saved {path} ({bytes} bytes)"),
-        WireResponse::Compacted(c) => format!(
-            "compacted: {} run(s) since boot, {} events in {} segment(s) evicted{}",
-            c.runs,
-            c.evicted_events,
-            c.evicted_segments,
-            match c.last_cut {
-                Some(cut) => format!(", last cut @ {cut}"),
-                None => String::new(),
-            }
-        ),
-        WireResponse::ShuttingDown => "shutting down: draining in-flight requests".to_string(),
-        WireResponse::Error(e) => format!("error: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locater_core::system::LocaterConfig;
+    use locater_core::system::{LocaterConfig, Location};
     use locater_proto::{WireCompactionStats, PROTOCOL_VERSION};
     use locater_space::SpaceBuilder;
     use locater_store::EventStore;
@@ -898,43 +760,6 @@ mod tests {
         assert!(state.try_admit(2).is_ok());
         let stats = state.stats();
         assert_eq!(stats.rejected_overloaded, 2);
-    }
-
-    #[test]
-    fn renders_legacy_repl_text() {
-        let state = state();
-        state.execute(&WireRequest::Ingest {
-            mac: "aa".into(),
-            t: 1_000,
-            ap: "wap1".into(),
-            request_id: None,
-        });
-        let space = state.service().space();
-        let request = WireRequest::Locate {
-            mac: Some("aa".into()),
-            device: None,
-            t: 1_000,
-            fine_mode: None,
-            cache: None,
-        };
-        let rendered = render_response(&space, &request, &state.execute(&request));
-        assert!(rendered.starts_with("aa @ "), "rendered: {rendered}");
-        assert!(rendered.contains("confidence"));
-        let stats = render_response(
-            &space,
-            &WireRequest::Stats,
-            &state.execute(&WireRequest::Stats),
-        );
-        assert!(stats.contains("1 events, 1 devices across 2 shard(s)"));
-        assert!(stats.contains("shard 0:"));
-        assert!(stats.contains("server: protocol v5"));
-        assert!(stats.contains("rejected: 0 overloaded, 0 shutting-down"));
-        assert!(stats.contains("faults: 0 panic(s), 0 degraded, 0 deduped"));
-        assert!(
-            stats.contains("tiers: 1 head + 0 sealed segment(s)"),
-            "stats: {stats}"
-        );
-        assert!(stats.contains("compaction: 0 run(s)"));
     }
 
     #[test]

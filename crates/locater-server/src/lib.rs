@@ -12,8 +12,8 @@
 //! * [`ServerState`] — the transport-independent executor: it owns the
 //!   service plus the serving-layer counters and maps every request variant
 //!   to a response. The stdin REPL in `locater-cli serve` runs this executor
-//!   directly; the TCP server runs it on each connection's thread. One
-//!   protocol, one executor, N transports.
+//!   directly and prints the same frames; the TCP server runs it on each
+//!   connection's thread. One protocol, one executor, N transports.
 //! * [`Server`] — the socket machinery: an accept thread and one thread per
 //!   connection that reads a request, executes it under one of
 //!   [`ServerConfig::workers`] execution permits and writes the answer, so a
@@ -47,7 +47,7 @@
 mod exec;
 mod server;
 
-pub use exec::{describe_location, render_response, DrainSummary, ServerState};
+pub use exec::{DrainSummary, ServerState};
 #[cfg(unix)]
 pub use server::install_sigterm_drain;
 pub use server::{Server, ServerConfig, ServerReport};

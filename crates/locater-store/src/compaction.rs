@@ -81,8 +81,9 @@ pub fn write_spill(
     Ok(Some(path))
 }
 
-/// Lists the spill files in a directory, sorted by their cut timestamp (then
-/// by name). Also recognises the `spill-<cut>.snap` names older builds wrote.
+/// Lists the spill files in a directory — the `spill-<cut>.<first id>.snap`
+/// names [`write_spill`] writes — sorted by their cut timestamp (then by
+/// name).
 pub fn list_spills(dir: &Path) -> Result<Vec<(Timestamp, PathBuf)>, StoreError> {
     let mut out = Vec::new();
     if !dir.exists() {
@@ -96,8 +97,9 @@ pub fn list_spills(dir: &Path) -> Result<Vec<(Timestamp, PathBuf)>, StoreError> 
         if let Some(cut) = name
             .strip_prefix("spill-")
             .and_then(|rest| rest.strip_suffix(".snap"))
-            .and_then(|rest| rest.split('.').next())
-            .and_then(|cut| cut.parse::<Timestamp>().ok())
+            .and_then(|rest| rest.split_once('.'))
+            .filter(|(_, first_id)| first_id.parse::<u64>().is_ok())
+            .and_then(|(cut, _)| cut.parse::<Timestamp>().ok())
         {
             out.push((cut, path));
         }
@@ -152,8 +154,14 @@ mod tests {
             write_spill(&dir, nothing.cut, &nothing.evicted, &[], &RealIo).unwrap(),
             None
         );
-        // Names from older builds are listed too; anything else is skipped.
-        for name in ["spill-0.snap", "spill-x.1.snap", "checkpoint.snap"] {
+        // Only the names `write_spill` writes are listed: the `spill-<cut>`
+        // names earlier builds wrote and anything else are skipped.
+        for name in [
+            "spill-0.snap",
+            "spill-x.1.snap",
+            "spill-0.x.snap",
+            "checkpoint.snap",
+        ] {
             std::fs::write(dir.join(name), b"").unwrap();
         }
         let listed: Vec<(Timestamp, String)> = list_spills(&dir)
@@ -164,7 +172,6 @@ mod tests {
         assert_eq!(
             listed,
             vec![
-                (0, "spill-0.snap".to_string()),
                 (100, "spill-100.1.snap".to_string()),
                 (200, "spill-200.3.snap".to_string()),
             ]

@@ -140,7 +140,7 @@ pub use recovery::{
 };
 pub use segment::{DeviceTimeline, EventsInRange, Segment, TimelineIter, DEFAULT_SEGMENT_SPAN};
 pub use shard::{shard_of_device, ShardedRead};
-pub use snapshot::{MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::DatasetStatistics;
 pub use store::EventStore;
 pub use timeline::{NearbyDevice, Timeline};

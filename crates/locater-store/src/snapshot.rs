@@ -19,33 +19,24 @@
 //!   devices   u32 count, then per device: mac (u16 len + UTF-8), δ (i64)
 //!   runs      per device: u32 segment count, then per segment:
 //!             bucket (i64), u32 event count, events as (id u64, t i64, ap u32)
-//!   index     u8 mode: 0 = rebuild on load (the only mode written);
-//!             1 = legacy, skipped: an embedded posting-list section runs to
-//!             the end of the payload and is ignored
+//!   index     u8 mode: 0 = rebuild on load
 //! ```
 //!
 //! All integers are little-endian. Events inside a segment are stored in the
 //! segment's own (time-sorted, tie-stable) order, so replaying them through
 //! [`DeviceTimeline::push`] reproduces the exact in-memory structure — the
 //! round-trip is bit-identical, event ids and epoch-relevant ordering included.
+//! The space section is the full [`Space`] form, which round-trips every id
+//! verbatim, so `load(save(store))` equals the original store bit-for-bit.
 //!
 //! The co-location index (see [`crate::colocation`]) is a deterministic
 //! function of the event runs, so it is not persisted: the writer emits one
-//! mode byte (`0`) and the index is rebuilt on load. Files from older builds
-//! that embedded the posting lists (mode `1`) still load: the section is
-//! covered by the payload checksum, skipped, and the index rebuilt.
-//! Version-1 snapshots (no index section) rebuild on load too.
+//! mode byte (`0`) and the index is rebuilt on load.
 //!
-//! Versions 1 and 2 stored the space as name-canonical
-//! [`SpaceMetadata`] JSON and re-interned names on load, which could
-//! reassign [`locater_space::RoomId`]/[`AccessPointId`] values relative to
-//! the saved store (metadata iterates access points in name order, not
-//! first-mention order) — while the event records keep raw AP *ids*.
-//! Version 3 stores the full [`Space`] form instead, which round-trips
-//! every id verbatim, so `load(save(store))` equals the original store
-//! bit-for-bit for any space. Old snapshots still load through the
-//! metadata path (correct whenever name order and first-mention order
-//! agree).
+//! The reader accepts exactly what the writer produces: version 3 with mode
+//! byte `0`. A format bump replaces the reader rather than adding one beside
+//! it; `snapshot save` is the export path, so a store outlives a bump by
+//! being re-saved with the build that still reads it.
 //!
 //! Decoding failures surface as typed [`StoreError`]s ([`StoreError::NotASnapshot`],
 //! [`StoreError::UnsupportedVersion`], [`StoreError::Truncated`],
@@ -56,15 +47,13 @@ use crate::segment::{DeviceTimeline, Segment};
 use crate::store::EventStore;
 use locater_events::validity::ValidityConfig;
 use locater_events::{Device, DeviceId, EventId, MacAddress, StoredEvent, Timestamp};
-use locater_space::{AccessPointId, Space, SpaceMetadata};
+use locater_space::{AccessPointId, Space};
 use std::path::Path;
 
 /// Magic bytes every snapshot starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"LOCATRSN";
-/// Newest snapshot format version this build reads and writes.
+/// The snapshot format version this build writes, and the only one it reads.
 pub const SNAPSHOT_VERSION: u32 = 3;
-/// Oldest snapshot format version this build still reads.
-pub const MIN_SNAPSHOT_VERSION: u32 = 1;
 
 /// Magic (8) + version (4) + payload checksum (8) + payload length (8).
 const HEADER_LEN: usize = 28;
@@ -239,23 +228,12 @@ impl<'a> Decoder<'a> {
     }
 }
 
-fn decode_payload(payload: &[u8], version: u32) -> Result<EventStore, StoreError> {
+fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
     let mut d = Decoder::new(payload);
 
     let space_len = d.u32()? as usize;
-    let space_json = d.str(space_len)?;
-    let space = if version >= 3 {
-        // v3+: the full id-preserving form.
-        Space::from_json(space_json).map_err(|e| StoreError::Space(e.to_string()))?
-    } else {
-        // v1/v2 stored name-canonical metadata; rebuilding re-interns names,
-        // which matches the saved ids whenever name order and first-mention
-        // order agree (true for the spaces that era's tooling produced).
-        SpaceMetadata::from_json(space_json)
-            .map_err(|e| StoreError::Space(e.to_string()))?
-            .build()
-            .map_err(|e| StoreError::Space(e.to_string()))?
-    };
+    let space =
+        Space::from_json(d.str(space_len)?).map_err(|e| StoreError::Space(e.to_string()))?;
 
     let validity = ValidityConfig {
         default_delta: d.i64()?,
@@ -320,17 +298,12 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<EventStore, StoreError
         }
         timelines.push(timeline);
     }
-    // Version 1 predates the index-mode byte.
-    if version >= 2 {
-        match d.take(1)?[0] {
-            0 => {}
-            // Legacy embedded posting lists: the rest of the payload.
-            1 => d.pos = payload.len(),
-            mode => {
-                return Err(StoreError::Corrupt(format!(
-                    "unknown index mode byte {mode}"
-                )));
-            }
+    match d.take(1)?[0] {
+        0 => {}
+        mode => {
+            return Err(StoreError::Corrupt(format!(
+                "unknown index mode byte {mode}"
+            )));
         }
     }
     if !d.done() {
@@ -363,8 +336,9 @@ impl EventStore {
         })
     }
 
-    /// Decodes a snapshot produced by [`EventStore::to_snapshot_bytes`] (any
-    /// version from [`MIN_SNAPSHOT_VERSION`] to [`SNAPSHOT_VERSION`]).
+    /// Decodes a snapshot produced by [`EventStore::to_snapshot_bytes`]; any
+    /// version other than [`SNAPSHOT_VERSION`] is
+    /// [`StoreError::UnsupportedVersion`].
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut d = Decoder::new(bytes);
         let magic = d.take(8).map_err(|_| StoreError::NotASnapshot)?;
@@ -372,7 +346,7 @@ impl EventStore {
             return Err(StoreError::NotASnapshot);
         }
         let version = d.u32()?;
-        if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION,
@@ -385,7 +359,7 @@ impl EventStore {
         if actual != expected {
             return Err(StoreError::ChecksumMismatch { expected, actual });
         }
-        decode_payload(payload, version)
+        decode_payload(payload)
     }
 
     /// Saves the store as a snapshot file.
@@ -504,20 +478,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The current payload with the space section swapped back to the
-    /// v1/v2-era `SpaceMetadata` blob (everything after it is unchanged).
-    fn legacy_payload(store: &EventStore) -> Vec<u8> {
-        let current = store.to_snapshot_bytes().unwrap();
-        let payload = &current[28..];
-        let space_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-        let meta_json = SpaceMetadata::from_space(store.space()).to_json().unwrap();
-        let mut out = Vec::new();
-        out.extend_from_slice(&(meta_json.len() as u32).to_le_bytes());
-        out.extend_from_slice(meta_json.as_bytes());
-        out.extend_from_slice(&payload[4 + space_len..]);
-        out
-    }
-
     fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SNAPSHOT_MAGIC);
@@ -526,61 +486,6 @@ mod tests {
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(payload);
         bytes
-    }
-
-    #[test]
-    fn version_1_snapshots_without_index_section_still_load() {
-        // A v1 snapshot is the legacy (metadata-space) rebuild-mode payload
-        // minus the trailing mode byte. Craft one and check it decodes
-        // identically.
-        let store = sample_store();
-        let mut payload = legacy_payload(&store);
-        payload.pop(); // strip mode byte
-        let back = EventStore::from_snapshot_bytes(&frame(1, &payload)).unwrap();
-        assert_eq!(back, store, "v1 snapshots rebuild the index on load");
-    }
-
-    #[test]
-    fn version_2_snapshots_with_metadata_space_still_load() {
-        // v2 kept the mode byte but stored the space as name-canonical
-        // metadata rather than the id-preserving v3 form.
-        let store = sample_store();
-        let payload = legacy_payload(&store);
-        let back = EventStore::from_snapshot_bytes(&frame(2, &payload)).unwrap();
-        assert_eq!(back, store, "v2 snapshots rebuild the space from metadata");
-    }
-
-    #[test]
-    fn legacy_embedded_index_section_is_skipped_and_the_index_rebuilt() {
-        let store = sample_store();
-        let current = store.to_snapshot_bytes().unwrap();
-        // The mode byte is the last payload byte. Flip it to 1 and append a
-        // posting section the way the former embedding writer laid it out:
-        // per device a list count, per list (ap, bucket count), per bucket
-        // (bucket, timestamp count, timestamps).
-        let mut payload = current[28..].to_vec();
-        *payload.last_mut().unwrap() = 1;
-        for device in store.devices() {
-            let lists = store.device_postings(device.id).ap_lists();
-            payload.extend_from_slice(&(lists.len() as u32).to_le_bytes());
-            for list in lists {
-                payload.extend_from_slice(&list.ap().raw().to_le_bytes());
-                payload.extend_from_slice(&(list.num_buckets() as u32).to_le_bytes());
-                let span = store.segment_span();
-                let same_bucket = |a: &i64, b: &i64| a.div_euclid(span) == b.div_euclid(span);
-                for ts in list.timestamps().timestamps().chunk_by(same_bucket) {
-                    payload.extend_from_slice(&ts[0].div_euclid(span).to_le_bytes());
-                    payload.extend_from_slice(&(ts.len() as u32).to_le_bytes());
-                    ts.iter()
-                        .for_each(|t| payload.extend_from_slice(&t.to_le_bytes()));
-                }
-            }
-        }
-        assert!(payload.len() > current.len() - 28 + 8 * store.num_events());
-        let back = EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)).unwrap();
-        // `EventStore` equality covers the (rebuilt) index.
-        assert_eq!(back, store);
-        assert_eq!(back.to_snapshot_bytes().unwrap(), current);
     }
 
     #[test]
@@ -604,14 +509,20 @@ mod tests {
 
     #[test]
     fn unknown_index_mode_byte_is_corrupt() {
-        // 2 is the first value no build ever wrote.
+        // 1 is the embedded-posting-list mode earlier builds wrote; 2 no
+        // build ever wrote. The writer emits only 0.
         let current = sample_store().to_snapshot_bytes().unwrap();
         let mut payload = current[28..].to_vec();
-        *payload.last_mut().unwrap() = 2;
-        assert!(matches!(
-            EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)),
-            Err(StoreError::Corrupt(_))
-        ));
+        for mode in [1, 2] {
+            *payload.last_mut().unwrap() = mode;
+            assert!(
+                matches!(
+                    EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)),
+                    Err(StoreError::Corrupt(_))
+                ),
+                "mode {mode}"
+            );
+        }
     }
 
     #[test]
@@ -630,15 +541,19 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_reported() {
+        // Versions 1 and 2 are formats earlier builds wrote; one build reads
+        // one version.
         let mut bytes = sample_store().to_snapshot_bytes().unwrap();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            EventStore::from_snapshot_bytes(&bytes),
-            Err(StoreError::UnsupportedVersion {
-                found: 99,
-                supported: SNAPSHOT_VERSION
-            })
-        ));
+        for version in [0u32, 1, 2, 4, 99] {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    EventStore::from_snapshot_bytes(&bytes),
+                    Err(StoreError::UnsupportedVersion { found, supported: 3 }) if found == version
+                ),
+                "version {version}"
+            );
+        }
     }
 
     #[test]

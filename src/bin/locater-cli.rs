@@ -39,19 +39,19 @@
 //!   by one, progressively warming the cache, so row-level confidences could
 //!   differ from today's output).
 //! * `serve` starts a live [`ShardedLocaterService`] (`--shards N`, default
-//!   1). Without `--listen` it reads commands
-//!   from stdin — the legacy verb syntax (`ingest <mac,timestamp,ap>`,
+//!   1). Without `--listen` it reads requests from stdin — raw NDJSON
+//!   [`WireRequest`] frames or the verb shorthand (`ingest <mac,timestamp,ap>`,
 //!   `locate <mac> <timestamp>`, `stats`, `compact [retain-seconds]`,
-//!   `ping`, `snapshot <path>`, `shutdown`, `quit`) or raw NDJSON [`WireRequest`]
-//!   frames; the REPL is the
-//!   wire protocol over stdio (`locater_proto::parse_repl_line`). With
+//!   `ping`, `snapshot <path>`, `shutdown`, `quit`;
+//!   `locater_proto::parse_repl_line`) — and prints one NDJSON response frame
+//!   per request: the REPL is the wire protocol over stdio. With
 //!   `--listen <addr>` it serves the same protocol over TCP
 //!   ([`locater::server::Server`]): pipelined NDJSON frames, bounded admission
 //!   (`--queue`, explicit `overloaded` responses), idle timeouts, and graceful
-//!   drain + `--drain-snapshot` on SIGTERM or a `shutdown` request. `stats`
-//!   reports totals plus one line per shard and the serving-layer counters
-//!   (see `docs/OPERATIONS.md`); answers are byte-identical for every
-//!   `--shards` value.
+//!   drain + `--drain-snapshot` on SIGTERM or a `shutdown` request. The
+//!   `stats` frame carries totals, one entry per shard and the serving-layer
+//!   counters (see `docs/OPERATIONS.md`); answers are byte-identical for
+//!   every `--shards` value.
 //! * `serve --wal-dir` makes ingests durable: every accepted event is framed
 //!   into a per-shard write-ahead log before it mutates the store, a crash is
 //!   recovered on the next boot (checkpoint snapshot + WAL tail replay up to
@@ -82,11 +82,10 @@
 //!   `<out-prefix>.truth.csv` so the other commands (and external tools) can consume
 //!   a fully synthetic deployment.
 
+use locater::core::system::Location;
 use locater::prelude::*;
-use locater::proto::{parse_repl_line, ReplCommand, WireResponse};
-use locater::server::{
-    describe_location, render_response, DrainSummary, ServerConfig, ServerState,
-};
+use locater::proto::{encode_response, parse_repl_line, ReplCommand, WireResponse};
+use locater::server::{DrainSummary, ServerConfig, ServerState};
 use locater::space::SpaceMetadata;
 use locater::store::{
     inspect_wal, truncate_wal, Durability, FsyncPolicy, RealIo, RecoveryReport, ShardedRead,
@@ -311,6 +310,22 @@ fn resident_line(store: &EventStore) -> String {
     let bytes = store.approx_resident_bytes();
     let per_event = bytes as f64 / store.num_events().max(1) as f64;
     format!("resident: {bytes} bytes ({per_event:.1} B/event)")
+}
+
+/// Human-readable description of a semantic location.
+fn describe_location(space: &Space, location: &Location) -> String {
+    match location {
+        Location::Outside => "outside the building".to_string(),
+        Location::Region(region) => format!(
+            "inside, region {region} (AP {}), room undetermined",
+            space.access_point(space.ap_of_region(*region)).name
+        ),
+        Location::Room { room, region } => format!(
+            "room {} (region {region}, AP {})",
+            space.room(*room).name,
+            space.access_point(space.ap_of_region(*region)).name
+        ),
+    }
 }
 
 fn locate(args: &[String]) -> Result<String, CliError> {
@@ -591,10 +606,11 @@ fn serve_tcp(state: Arc<ServerState>, listen: &str, args: &[String]) -> Result<S
 }
 
 /// The `serve` stdin REPL: the wire protocol over stdio. Each line is parsed
-/// by [`parse_repl_line`] (legacy verb syntax or a raw NDJSON frame), executed
-/// by the shared [`ServerState`] executor, and rendered as the legacy
-/// human-readable text — responses are written (and flushed) as they are
-/// produced.
+/// by [`parse_repl_line`] (verb shorthand or a raw NDJSON frame), executed by
+/// the shared [`ServerState`] executor, and answered with the response frame
+/// a TCP connection would get (`request` prints the same line) — written and
+/// flushed as it is produced. A line that does not parse is answered with an
+/// `Error` frame, its parse errors stamped with the 1-based input line.
 ///
 /// ```text
 /// ingest <mac,timestamp,ap>   append one live event (CSV, same as events.csv rows)
@@ -609,30 +625,20 @@ fn serve_loop(
     input: impl BufRead,
     out: &mut impl std::io::Write,
 ) -> Result<usize, String> {
-    let space = state.service().space();
     let mut commands = 0usize;
-    for line in input.lines() {
+    for (line_no, line) in (1u64..).zip(input.lines()) {
         let line = line.map_err(|e| format!("cannot read command: {e}"))?;
-        let request = match parse_repl_line(&line) {
+        let response = match parse_repl_line(&line) {
             Ok(ReplCommand::Empty) => continue,
             Ok(ReplCommand::Quit) => {
                 commands += 1;
                 break;
             }
-            Ok(ReplCommand::Request(request)) => {
-                commands += 1;
-                request
-            }
-            Err(e) => {
-                commands += 1;
-                writeln!(out, "error: {e}").map_err(|e| format!("cannot write response: {e}"))?;
-                out.flush()
-                    .map_err(|e| format!("cannot write response: {e}"))?;
-                continue;
-            }
+            Ok(ReplCommand::Request(request)) => state.execute(&request),
+            Err(e) => WireResponse::Error(e.at_line(line_no)),
         };
-        let response = state.execute(&request);
-        writeln!(out, "{}", render_response(&space, &request, &response))
+        commands += 1;
+        writeln!(out, "{}", encode_response(&response))
             .map_err(|e| format!("cannot write response: {e}"))?;
         out.flush()
             .map_err(|e| format!("cannot write response: {e}"))?;
@@ -690,7 +696,7 @@ fn request(args: &[String]) -> Result<String, CliError> {
         Err(ClientError::Server(error)) => WireResponse::Error(error),
         Err(e) => return Err(CliError::Runtime(format!("request to {addr} failed: {e}"))),
     };
-    let mut frame = locater::proto::encode_response(&response);
+    let mut frame = encode_response(&response);
     frame.push('\n');
     Ok(frame)
 }
@@ -1130,9 +1136,11 @@ mod tests {
         let mut out: Vec<u8> = Vec::new();
         let input = format!("locate {} {}\nquit\n", first.mac, first.t);
         serve_loop(&state, std::io::Cursor::new(input), &mut out).expect("serve loop runs");
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains(&first.mac));
-        assert!(out.contains("room") || out.contains("outside"));
+        let frames = response_frames(&out);
+        assert!(
+            matches!(frames[..], [WireResponse::Located { .. }]),
+            "{frames:?}"
+        );
 
         // Corrupting the snapshot yields a typed, non-panicking CLI error.
         let mut bytes = std::fs::read(&snap).unwrap();
@@ -1279,6 +1287,18 @@ mod tests {
         );
     }
 
+    /// Every line the REPL wrote, decoded: each must be one response frame.
+    fn response_frames(out: &[u8]) -> Vec<WireResponse> {
+        std::str::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|line| {
+                locater::proto::decode_response(line)
+                    .unwrap_or_else(|e| panic!("not a frame: {line}: {e}"))
+            })
+            .collect()
+    }
+
     #[test]
     fn serve_loop_ingests_locates_and_reports_stats() {
         let space = locater::space::SpaceBuilder::new("serve-test")
@@ -1308,19 +1328,49 @@ stats
             serve_loop(&state, std::io::Cursor::new(input), &mut out).expect("serve loop runs");
         // `quit` stops the loop before the trailing stats line.
         assert_eq!(commands, 9);
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("0 events, 0 devices across 2 shard(s)"));
-        assert!(out.contains("co-location index: 0 AP lists, 0 buckets"));
-        assert!(out.contains("shard 0: 0 events"));
-        assert!(out.contains("shard 1: 0 events"));
-        assert!(out.contains("index: 0 AP lists, 0 buckets"));
-        assert!(out.contains("ingested aa:bb:cc:dd:ee:01 @ 1000 via wap1 (device epoch 1)"));
-        assert!(out.contains("(device epoch 2)"));
-        assert!(out.contains("room") || out.contains("outside"));
-        assert!(out.contains("2 events)"), "locate reports the store size");
-        assert!(out.contains("error: unknown device: ghost"));
-        assert!(out.contains("error: usage: locate <mac> <timestamp>"));
-        assert!(out.contains("error: unknown command \"frobnicate\""));
+        let frames = response_frames(&out);
+        assert_eq!(frames.len(), 8, "one frame per request: {frames:?}");
+        let WireResponse::Stats(stats) = &frames[0] else {
+            panic!("a stats frame: {:?}", frames[0]);
+        };
+        assert_eq!((stats.events, stats.devices, stats.shards), (0, 0, 2));
+        assert_eq!((stats.index_ap_lists, stats.index_buckets), (0, 0));
+        let shards: Vec<(usize, usize)> = stats
+            .per_shard
+            .iter()
+            .map(|s| (s.shard, s.events))
+            .collect();
+        assert_eq!(shards, [(0, 0), (1, 0)]);
+        let ingested = |t, device_epoch| WireResponse::Ingested {
+            mac: "aa:bb:cc:dd:ee:01".into(),
+            t,
+            ap: "wap1".into(),
+            device_epoch,
+        };
+        assert_eq!(frames[1..3], [ingested(1000, 1), ingested(4000, 2)]);
+        assert!(
+            matches!(
+                frames[3],
+                WireResponse::Located {
+                    events_seen: 2,
+                    device_epoch: 2,
+                    degraded: false,
+                    ..
+                }
+            ),
+            "{:?}",
+            frames[3]
+        );
+        let errors: Vec<String> = frames[4..]
+            .iter()
+            .map(|frame| match frame {
+                WireResponse::Error(e) => e.to_string(),
+                other => panic!("an error frame: {other:?}"),
+            })
+            .collect();
+        assert_eq!(errors[0], "unknown device: ghost");
+        assert_eq!(errors[2], "usage: locate <mac> <timestamp>");
+        assert!(errors[3].starts_with("unknown command \"frobnicate\""));
         assert_eq!(state.service().num_events(), 2);
     }
 
@@ -1337,9 +1387,14 @@ stats
         let input = "ingest aa,100,wap9\nlocate aa 1x0\n";
         let mut out: Vec<u8> = Vec::new();
         serve_loop(&state, std::io::Cursor::new(input), &mut out).unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("error:"));
-        assert!(out.contains("timestamp must be an integer"));
+        let frames = response_frames(&out);
+        assert!(
+            matches!(&frames[..], [
+                WireResponse::Error(WireError::Ingest { .. }),
+                WireResponse::Error(WireError::BadRequest { message }),
+            ] if message.contains("timestamp must be an integer")),
+            "{frames:?}"
+        );
         assert_eq!(state.service().num_events(), 0);
     }
 
@@ -1368,10 +1423,13 @@ locate aa:bb:cc:dd:ee:01 1000
         let commands =
             serve_loop(&state, std::io::Cursor::new(input), &mut out).expect("serve loop runs");
         assert_eq!(commands, 3, "shutdown stops the loop");
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("ingested aa:bb:cc:dd:ee:01 @ 1000 via wap1 (device epoch 1)"));
-        assert!(out.contains("pong (protocol v5)"));
-        assert!(out.contains("shutting down"));
+        // The lines `request` prints for the same requests.
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "{\"Ingested\":{\"mac\":\"aa:bb:cc:dd:ee:01\",\"t\":1000,\"ap\":\"wap1\",\"device_epoch\":1}}\n\
+             {\"Pong\":{\"version\":5}}\n\
+             \"ShuttingDown\"\n"
+        );
         assert!(state.is_draining());
         let summary = state.finish_drain();
         assert!(!summary.has_failure());

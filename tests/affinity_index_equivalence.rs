@@ -213,10 +213,9 @@ fn equivalence_survives_split_and_rejoin() {
 }
 
 #[test]
-fn equivalence_survives_snapshot_roundtrips_in_both_modes() {
-    // The writer has one mode (the index is rebuilt on load); the legacy
-    // embedded section the reader still accepts is unit-tested in
-    // `locater-store`'s snapshot module.
+fn equivalence_survives_a_snapshot_roundtrip() {
+    // A snapshot stores no index: the one rebuilt on load must answer
+    // exactly like the original.
     let (store, anchors) = random_store(7_777, 220);
     let bytes = store.to_snapshot_bytes().unwrap();
     let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
