@@ -120,8 +120,6 @@ pub struct ShardStats {
     /// Co-location-index posting lists held by this shard's store partition
     /// (one per `(owned device, access point)` pair with events).
     pub index_ap_lists: usize,
-    /// Co-location-index time buckets across those posting lists.
-    pub index_buckets: usize,
     /// Mutable head segments in this shard's partition (one per owned device
     /// with retained history).
     pub head_segments: usize,
@@ -944,7 +942,6 @@ impl ShardedLocaterService {
                         events: store.num_events(),
                         owned_devices,
                         index_ap_lists: colocation.ap_lists,
-                        index_buckets: colocation.buckets,
                         head_segments: tiers.head_segments,
                         sealed_segments: tiers.sealed_segments,
                         resident_bytes: tiers.resident_bytes,

@@ -63,7 +63,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The wire-protocol version this crate speaks (reported by `ping`/`stats`).
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -433,8 +433,6 @@ pub struct WireStats {
     pub live_samples: usize,
     /// Co-location-index AP posting lists.
     pub index_ap_lists: usize,
-    /// Co-location-index time buckets.
-    pub index_buckets: usize,
     /// Requests executed to completion since start (successes and errors).
     pub requests_served: u64,
     /// Requests executing right now.
@@ -546,8 +544,6 @@ pub struct WireShardStats {
     pub owned_devices: usize,
     /// Co-location-index AP posting lists held by this shard.
     pub index_ap_lists: usize,
-    /// Co-location-index time buckets held by this shard.
-    pub index_buckets: usize,
     /// Mutable head segments in this shard's partition.
     pub head_segments: usize,
     /// Sealed segments in this shard's partition.
@@ -563,7 +559,6 @@ impl From<ShardStats> for WireShardStats {
             events: s.events,
             owned_devices: s.owned_devices,
             index_ap_lists: s.index_ap_lists,
-            index_buckets: s.index_buckets,
             head_segments: s.head_segments,
             sealed_segments: s.sealed_segments,
             resident_bytes: s.resident_bytes,

@@ -465,7 +465,6 @@ impl ServerState {
             samples,
             live_samples,
             index_ap_lists: per_shard.iter().map(|s| s.index_ap_lists).sum(),
-            index_buckets: per_shard.iter().map(|s| s.index_buckets).sum(),
             requests_served: self.requests_served.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             queued: self.queued.load(Ordering::Relaxed),

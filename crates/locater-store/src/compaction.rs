@@ -6,9 +6,9 @@
 //! always-on service accumulates them forever. [`crate::EventStore::compact`]
 //! evicts every **whole segment bucket** below a horizon in one coherent
 //! mutation across all three structures (per-device segmented timelines, the
-//! global timeline index and the co-location posting lists — buckets
-//! partition time at the shared segment span, so the three trims remove
-//! exactly the same event set) and hands the evicted segments back
+//! global timeline index and the co-location posting lists — the cut is a
+//! bucket boundary, and the index and the lists drop every event below it,
+//! so the three trims remove exactly the same event set) and hands the evicted segments back
 //! ([`CompactionReport::evicted`]). It builds nothing from them.
 //!
 //! There is one cold tier, and only where a spill directory asks for it: the

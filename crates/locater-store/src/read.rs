@@ -56,7 +56,7 @@ pub trait EventRead: Sync {
         exclude: Option<DeviceId>,
     ) -> Vec<NearbyDevice>;
 
-    /// The co-location postings of a device (per-AP, time-bucketed event
+    /// The co-location postings of a device (per-AP sorted event
     /// timestamps; see [`crate::colocation`]), when the implementation
     /// maintains the index. A device-affinity set with any member answering
     /// `None` is computed by raw timeline scans only — answers are

@@ -77,7 +77,8 @@ impl EventStore {
                     .collect();
                 // The co-location index partitions with the timelines: a shard
                 // carries the postings of its owned devices, empty slots for
-                // the rest (identical to what a rebuild would produce).
+                // the rest (equal to what a rebuild would produce). Clones are
+                // sized exactly; a rebuild would leave doubling headroom.
                 let postings: Vec<DevicePostings> = devices
                     .iter()
                     .enumerate()
@@ -97,7 +98,7 @@ impl EventStore {
                     parts.next_event_id,
                     devices.to_vec(),
                     masked,
-                    Some(ColocationIndex::from_devices(span, postings)),
+                    Some(ColocationIndex::from_devices(postings)),
                 )
                 .expect("splitting a valid store yields valid shards")
             })
@@ -171,7 +172,7 @@ impl EventStore {
             next_event_id,
             devices.to_vec(),
             timelines,
-            Some(ColocationIndex::from_devices(span, postings)),
+            Some(ColocationIndex::from_devices(postings)),
         )
     }
 }

@@ -63,7 +63,7 @@ impl EventStore {
             mac_index: HashMap::new(),
             timelines: Vec::new(),
             timeline: Timeline::new(),
-            colocation: ColocationIndex::new(DEFAULT_SEGMENT_SPAN),
+            colocation: ColocationIndex::default(),
             next_event_id: 0,
             validity,
             segment_span: DEFAULT_SEGMENT_SPAN,
@@ -71,8 +71,9 @@ impl EventStore {
     }
 
     /// Re-partitions the store to the given segment span in seconds (clamped to
-    /// ≥ 1). Existing per-device timelines are re-bucketed; typically called on
-    /// an empty store right after construction.
+    /// ≥ 1). Existing per-device timelines are re-bucketed (the co-location
+    /// posting lists do not depend on the span); typically called on an empty
+    /// store right after construction.
     pub fn with_segment_span(mut self, span: Timestamp) -> Self {
         let span = span.max(1);
         if span != self.segment_span {
@@ -84,7 +85,6 @@ impl EventStore {
                 }
                 *timeline = rebucketed;
             }
-            self.colocation = ColocationIndex::rebuild(span, &self.timelines);
         }
         self
     }
@@ -361,8 +361,8 @@ impl EventStore {
         &self.timeline
     }
 
-    /// The co-location postings of one device (per-AP, time-bucketed posting
-    /// lists; see [`crate::colocation`]). Maintained in the same mutation that
+    /// The co-location postings of one device (per-AP sorted posting lists;
+    /// see [`crate::colocation`]). Maintained in the same mutation that
     /// appends an event, so they are never stale.
     ///
     /// # Panics
@@ -387,12 +387,12 @@ impl EventStore {
     /// [`CompactionReport`] — nothing else is built from them here.
     ///
     /// The cut is **bucket-aligned** (`cut = horizon.div_euclid(span) · span ≤
-    /// horizon`): buckets partition time uniformly for all devices and for
-    /// the posting lists, so all three structures drop exactly the events
-    /// with `t < cut` and can never disagree. The event-id counter, the
-    /// device table and every retained segment are untouched — answers whose
-    /// consulted window lies at or above `cut` are byte-identical with
-    /// compaction on or off.
+    /// horizon`): buckets partition time uniformly for all devices, so the
+    /// timelines drop exactly the events with `t < cut`, and the global index
+    /// and the posting lists trim `t < cut` to match — the three structures
+    /// can never disagree. The event-id counter, the device table and every
+    /// retained segment are untouched — answers whose consulted window lies
+    /// at or above `cut` are byte-identical with compaction on or off.
     pub fn compact(&mut self, horizon: Timestamp) -> CompactionReport {
         let cut_bucket = horizon.div_euclid(self.segment_span);
         let cut = cut_bucket.saturating_mul(self.segment_span);
@@ -409,7 +409,7 @@ impl EventStore {
         }
         if evicted_events > 0 {
             let trimmed_entries = self.timeline.trim_before(cut);
-            let trimmed_postings = self.colocation.trim_before_bucket(cut_bucket);
+            let trimmed_postings = self.colocation.trim_before(cut);
             debug_assert_eq!(trimmed_entries, evicted_events);
             debug_assert_eq!(trimmed_postings, evicted_events);
         }
@@ -520,11 +520,10 @@ impl EventStore {
     /// at exact capacity. Snapshot load, [`EventStore::split`],
     /// [`EventStore::rejoin`] and recovery all build their stores here.
     ///
-    /// `colocation` is an already-decoded (or partition-sliced) co-location
-    /// index to adopt instead of rebuilding one from the timelines; it must
-    /// describe exactly the same events (validated per device by count and
-    /// span, the cheap invariants — content equality is the encoder's job and
-    /// covered by the snapshot checksum).
+    /// `colocation` is a partition-sliced co-location index to adopt instead
+    /// of rebuilding one from the timelines (split and rejoin hand over the
+    /// existing lists); it must describe exactly the same events, which is
+    /// validated per device by count, the cheap invariant.
     pub(crate) fn from_snapshot_parts(
         space: Space,
         validity: ValidityConfig,
@@ -593,7 +592,7 @@ impl EventStore {
         let segment_span = segment_span.max(1);
         let colocation = match colocation {
             Some(index) => {
-                if index.span() != segment_span || index.num_devices() != timelines.len() {
+                if index.num_devices() != timelines.len() {
                     return Err(StoreError::Corrupt(
                         "co-location index does not match the event runs".to_string(),
                     ));
@@ -607,7 +606,7 @@ impl EventStore {
                 }
                 index
             }
-            None => ColocationIndex::rebuild(segment_span, &timelines),
+            None => ColocationIndex::rebuild(&timelines),
         };
         Ok(Self {
             space: Arc::new(space),
@@ -838,7 +837,7 @@ mod tests {
 
     #[test]
     fn memory_layout_is_pinned() {
-        use crate::colocation::{ApPostings, BucketRef};
+        use crate::colocation::ApPostings;
         use crate::segment::Segment;
         use std::mem::size_of;
         assert_eq!(size_of::<TimelineEntry>(), 16);
@@ -869,11 +868,11 @@ mod tests {
         let device_timeline =
             4 * size_of::<Segment>() + 4 * size_of::<usize>() + 4 * size_of::<StoredEvent>();
         let global_timeline = 3 * size_of::<TimelineEntry>();
-        let per_ap_list = 4 * size_of::<Timestamp>() + 4 * size_of::<BucketRef>();
+        let per_ap_list = 4 * size_of::<Timestamp>();
         let index = 4 * size_of::<DevicePostings>() + 4 * size_of::<ApPostings>() + 2 * per_ap_list;
         assert_eq!(
             (device_timeline, global_timeline, index),
-            (256, 48, 544),
+            (256, 48, 288),
             "part sizes on a 64-bit target"
         );
         assert_eq!(
@@ -893,6 +892,49 @@ mod tests {
         assert_eq!(report.evicted_events, 5);
         assert_eq!(store.colocation_stats().events, store.num_events());
         assert_eq!(store.num_events(), 2);
+    }
+
+    #[test]
+    fn respan_leaves_the_posting_lists_untouched() {
+        let events = [
+            ("d1", 1_000, "wap1"),
+            ("d1", 1_200, "wap1"),
+            ("d1", 10_000, "wap2"),
+            ("d2", 1_100, "wap2"),
+            ("d3", 9_800, "wap3"),
+            // Late splices: into an earlier bucket, at an existing timestamp,
+            // and before the tail of a later one.
+            ("d1", 500, "wap3"),
+            ("d2", 1_100, "wap1"),
+            ("d3", 9_700, "wap3"),
+        ];
+        let build = |keep: &dyn Fn(Timestamp) -> bool| {
+            let mut store = EventStore::new(space());
+            for &(mac, t, ap) in events.iter().filter(|(_, t, _)| keep(*t)) {
+                store.ingest_raw(mac, t, ap).unwrap();
+            }
+            store
+        };
+        let store = build(&|_| true);
+        let before: Vec<DevicePostings> = store
+            .devices()
+            .iter()
+            .map(|device| store.device_postings(device.id).clone())
+            .collect();
+        let mut store = store.with_segment_span(1_000);
+        for device in store.devices() {
+            assert_eq!(store.device_postings(device.id), &before[device.id.index()]);
+        }
+        let cut = store.compact(2_000).cut;
+        assert_eq!(cut, 2_000);
+        let retained = build(&|t| t >= cut);
+        for device in store.devices() {
+            let expected = retained
+                .device_id(device.mac.as_str())
+                .map(|id| retained.device_postings(id).clone())
+                .unwrap_or_default();
+            assert_eq!(store.device_postings(device.id), &expected);
+        }
     }
 
     #[test]

@@ -207,10 +207,9 @@ proptest! {
     }
 
     /// The co-location index holds exactly the timeline's `(t, ap)` multiset:
-    /// per-AP window slices, counts and existence probes agree with naive
-    /// timeline filters for arbitrary ingest orders and windows, and the
-    /// windowed total the affinity engine reads off the device timeline
-    /// counts the same events.
+    /// per-AP window slices agree with naive timeline filters for arbitrary
+    /// ingest orders and windows, and the windowed total the affinity engine
+    /// reads off the device timeline counts the same events.
     #[test]
     fn colocation_index_matches_timeline_filters(
         events in arb_events(),
@@ -227,7 +226,7 @@ proptest! {
             prop_assert_eq!(total, store.events_of_in(device.id, window).count());
             prop_assert_eq!(
                 total,
-                postings.ap_lists().iter().map(|list| list.count_in(window)).sum::<usize>()
+                postings.ap_lists().iter().map(|list| list.slice_in(window).len()).sum::<usize>()
             );
             let mut per_ap: std::collections::BTreeMap<u32, Vec<i64>> =
                 std::collections::BTreeMap::new();
@@ -239,8 +238,6 @@ proptest! {
                 let got: Vec<i64> = list.timestamps_in(window).collect();
                 prop_assert_eq!(&got, &expected);
                 prop_assert_eq!(list.slice_in(window), expected.as_slice());
-                prop_assert_eq!(list.count_in(window), expected.len());
-                prop_assert_eq!(list.any_in(window), !expected.is_empty());
             }
             // Every windowed AP group was accounted for by some posting list.
             prop_assert!(per_ap.is_empty());

@@ -11,10 +11,12 @@
 # * pub items: lines declaring a `pub` fn / struct / enum / trait / const /
 #   type, per crate (`crates/*/src`) and for the root crate (`src`);
 # * unnamed outside: of those, the items whose name appears nowhere outside
-#   the crate's own `src/` — not in another crate, an integration test
-#   (`tests/`, `crates/*/tests/`), `examples/` or `benchmark/`. Each is a
-#   candidate for `pub(crate)`; a name shared with an unrelated identifier
-#   elsewhere hides an item from this count, never adds one.
+#   the crate's library — not in another crate, an integration test
+#   (`tests/`, `crates/*/tests/`), `examples/`, `benchmark/`, or the crate's
+#   own `src/bin/` targets, which are separate crates that reach only `pub`
+#   items. Each is a candidate for `pub(crate)`; a name shared with an
+#   unrelated identifier elsewhere hides an item from this count, never adds
+#   one.
 set -eu
 export LC_ALL=C
 
@@ -30,9 +32,9 @@ total=0
 unnamed_total=0
 for dir in crates/*/src src; do
     count=$(grep -rhE 'pub (const fn|fn|struct|enum|trait|const|type) ' "$dir" | wc -l)
-    # Every identifier written anywhere outside this crate's src/.
+    # Every identifier written anywhere outside this crate's library.
     find crates src tests examples benchmark -name '*.rs' \
-        -not -path "$dir/*" -not -path '*/target/*' -print0 \
+        \( -not -path "$dir/*" -o -path "$dir/bin/*" \) -not -path '*/target/*' -print0 \
         | xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$scratch/outside"
     grep -rhoE "$pub_decl" "$dir" | awk '{print $NF}' | sort >"$scratch/names"
     unnamed=$(join -v 1 "$scratch/names" "$scratch/outside" | wc -l)

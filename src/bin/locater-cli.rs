@@ -297,8 +297,8 @@ fn stats(space_path: &str, events_path: &str) -> Result<String, CliError> {
     let index = store.colocation_stats();
     let _ = writeln!(
         out,
-        "co-location index: {} AP posting lists, {} time buckets over {} events ({} devices indexed)",
-        index.ap_lists, index.buckets, index.events, index.devices
+        "co-location index: {} AP posting lists over {} events ({} devices indexed)",
+        index.ap_lists, index.events, index.devices
     );
     let _ = writeln!(out, "{}", resident_line(&store));
     Ok(out)
@@ -791,8 +791,8 @@ fn snapshot(args: &[String]) -> Result<String, CliError> {
             let index = store.colocation_stats();
             let _ = writeln!(
                 out,
-                "co-location index: {} AP posting lists, {} time buckets",
-                index.ap_lists, index.buckets
+                "co-location index: {} AP posting lists",
+                index.ap_lists
             );
             let _ = writeln!(out, "{}", resident_line(&store));
             Ok(out)
@@ -1334,7 +1334,7 @@ stats
             panic!("a stats frame: {:?}", frames[0]);
         };
         assert_eq!((stats.events, stats.devices, stats.shards), (0, 0, 2));
-        assert_eq!((stats.index_ap_lists, stats.index_buckets), (0, 0));
+        assert_eq!(stats.index_ap_lists, 0);
         let shards: Vec<(usize, usize)> = stats
             .per_shard
             .iter()
@@ -1427,7 +1427,7 @@ locate aa:bb:cc:dd:ee:01 1000
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "{\"Ingested\":{\"mac\":\"aa:bb:cc:dd:ee:01\",\"t\":1000,\"ap\":\"wap1\",\"device_epoch\":1}}\n\
-             {\"Pong\":{\"version\":5}}\n\
+             {\"Pong\":{\"version\":6}}\n\
              \"ShuttingDown\"\n"
         );
         assert!(state.is_draining());
