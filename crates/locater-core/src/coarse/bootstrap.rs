@@ -52,8 +52,8 @@ pub struct BootstrapSummary {
 /// the history period, if any events fall in that window.
 ///
 /// `events` must be the device's events *already restricted to the history window*
-/// (the segmented store produces exactly that, zero-copy, via
-/// `EventStore::events_of_in(device, history)` without scanning older segments).
+/// (the store produces exactly that, zero-copy, via
+/// `EventStore::events_of_in(device, history)` without scanning older events).
 pub fn most_visited_region<'a>(
     gap: &Gap,
     events: impl IntoIterator<Item = &'a StoredEvent>,

@@ -36,9 +36,9 @@ pub struct GapFeatures {
 impl GapFeatures {
     /// Extracts features for `gap`, computing the connection density against the
     /// device's events over `history` (the `N`-day period `T` of the paper).
-    /// `events` must already be restricted to the history window; the segmented
-    /// store's windowed accessor (`EventStore::events_of_in`) produces exactly
-    /// that as a zero-copy iterator, without scanning older segments.
+    /// `events` must already be restricted to the history window; the store's
+    /// windowed accessor (`EventStore::events_of_in`) produces exactly that as
+    /// a zero-copy iterator, without scanning older events.
     pub fn extract<'a>(
         gap: &Gap,
         events: impl IntoIterator<Item = &'a StoredEvent>,

@@ -259,8 +259,8 @@ impl CoarseLocalizer {
     }
 
     /// Trains the per-device classifiers over the `history` window ending at
-    /// `until`, eagerly. Both the event scan and the gap scan are segment-pruned,
-    /// so a device with years of history costs the same as one with exactly
+    /// `until`, eagerly. Both the event scan and the gap scan binary-search the
+    /// window's ends, so a device with years of history costs the same as one with exactly
     /// `history` worth of data.
     pub fn train_device_model(
         &self,
@@ -306,7 +306,7 @@ impl CoarseLocalizer {
     }
 
     fn fit(&self, store: &dyn EventRead, device: DeviceId, history: Interval) -> FittedModel {
-        // One segment-pruned materialization of the window, shared by the
+        // One materialization of the window, shared by the
         // bootstrap heuristics and the gap densities below.
         let events: Vec<StoredEvent> = store.events_of_in(device, history).copied().collect();
         let mut gaps: Vec<Gap> = store.gaps_of_in(device, history);
@@ -406,8 +406,8 @@ impl CoarseLocalizer {
         }
 
         // Ambiguous duration: ask the classifiers. The density feature scans
-        // the model's history window through the zero-copy, segment-pruned
-        // iterator; older segments stay cold and nothing is materialized.
+        // the model's history window through the zero-copy window iterator;
+        // older events stay cold and nothing is materialized.
         let features = GapFeatures::extract(
             gap,
             store.events_of_in(model.device, model.history),
@@ -644,7 +644,7 @@ mod tests {
 
     /// [`gappy_store`] over the weekdays among `days`.
     fn gappy_store_on(days: impl Iterator<Item = i64>) -> EventStore {
-        let mut store = EventStore::new(space()).with_segment_span(clock::days(1));
+        let mut store = EventStore::new(space());
         for day in days.filter(|day| day % 7 < 5) {
             for (hour, minute) in [(9, 0), (9, 25), (9, 50), (10, 15), (13, 0)] {
                 store

@@ -318,7 +318,7 @@ impl<'a> AffinityEngine<'a> {
     }
 
     /// The naive oracle of [`AffinityEngine::device_affinity`], for views that
-    /// leave a member unindexed: per member, a segment-pruned scan of its
+    /// leave a member unindexed: per member, a scan of its
     /// window events, each probed by a window scan of every other member.
     fn tally_scanned(&self, devices: &[DeviceId], window: Interval) -> f64 {
         let (mut total, mut intersecting) = (0usize, 0usize);
@@ -439,8 +439,8 @@ fn ratio(intersecting: usize, total: usize) -> f64 {
 /// with the *same* queried device `d`, history window, and δ. The session
 /// materializes `d`'s side of the merge once — per-AP window/vicinity slices
 /// borrowed straight from the co-location index plus a dense AP dispatch
-/// table — so each neighbor costs only one pass over its own (contiguous,
-/// segment-pruned) timeline slice. [`PairAffinitySession::affinity`] is
+/// table — so each neighbor costs only one pass over its own contiguous
+/// timeline slice. [`PairAffinitySession::affinity`] is
 /// bit-identical to [`AffinityEngine::pair_affinity`] (asserted in
 /// `tests/affinity_index_equivalence.rs`); it falls back to the engine
 /// whenever either side has no index.
@@ -523,8 +523,7 @@ impl<'a> PairAffinitySession<'a> {
     /// `α({device, other})` — bit-identical to
     /// [`AffinityEngine::pair_affinity`]`(device, other, until)`.
     ///
-    /// One pass over the neighbor's (contiguous, segment-pruned) timeline
-    /// slice drives both merge directions: for each neighbor event near the
+    /// One pass over the neighbor's contiguous timeline slice drives both merge directions: for each neighbor event near the
     /// window, the session-side per-AP cursors (a) count the queried device's
     /// not-yet-counted window events the neighbor event reaches within the
     /// queried δ, and (b) probe whether the queried device has an event

@@ -4,7 +4,7 @@
 //! LOCATER's pipeline is embarrassingly partitionable by device — coarse
 //! localization, δ estimation, epochs and model state are per-device, and only
 //! the fine-grained affinity step reads across devices. The
-//! [`ShardedLocaterService`] exploits that: each shard owns its own segmented
+//! [`ShardedLocaterService`] exploits that: each shard owns its own
 //! [`EventStore`], `RwLock`, [`EpochTable`] and coarse-model cache, so
 //! **concurrent ingests for different devices never contend on a lock**.
 //! Cross-device reads go through a read-only multi-shard view
@@ -120,11 +120,6 @@ pub struct ShardStats {
     /// Co-location-index posting lists held by this shard's store partition
     /// (one per `(owned device, access point)` pair with events).
     pub index_ap_lists: usize,
-    /// Mutable head segments in this shard's partition (one per owned device
-    /// with retained history).
-    pub head_segments: usize,
-    /// Sealed (immutable) segments in this shard's partition.
-    pub sealed_segments: usize,
     /// Approximate resident heap bytes of this shard's store partition.
     pub resident_bytes: usize,
 }
@@ -138,10 +133,8 @@ pub struct CompactionStatus {
     pub runs: u64,
     /// Events evicted from the hot tier since boot.
     pub evicted_events: u64,
-    /// Sealed segments evicted since boot.
-    pub evicted_segments: u64,
-    /// The bucket-aligned cut of the most recent effective run, if any:
-    /// every event with `t <` this is out of the hot tier.
+    /// The cut of the most recent effective run, if any: every event with
+    /// `t <` this is out of the hot tier.
     pub last_cut: Option<Timestamp>,
 }
 
@@ -716,7 +709,7 @@ impl ShardedLocaterService {
     /// Persists the combined store as one binary snapshot — the same file a
     /// single-shard deployment writes, loadable with any shard count
     /// ([`ShardedLocaterService::from_snapshot`]). Encoded straight from the
-    /// segments the shards hold; no combined store is assembled.
+    /// timelines the shards hold; no combined store is assembled.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let bytes = self.with_view(|view, _| view.to_snapshot_bytes())?;
         locater_store::snapshot::write_atomic(path.as_ref(), &bytes)
@@ -766,11 +759,11 @@ impl ShardedLocaterService {
             .max()
     }
 
-    /// Compacts every shard to `horizon`: sealed segment buckets entirely
-    /// below the bucket-aligned cut leave the hot tier and — only when
-    /// `spill_dir` is given — are written there as one `spill-<cut>.<first
-    /// id>.snap` snapshot, encoded straight from the evicted segments.
-    /// Without a spill directory the run keeps nothing of what it evicts.
+    /// Compacts every shard to `horizon`: every event with `t < horizon`
+    /// leaves the hot tier and — only when `spill_dir` is given — is written
+    /// there in one `spill-<cut>.<first id>.snap` snapshot, encoded straight
+    /// from the evicted events. Without a spill directory the run keeps
+    /// nothing of what it evicts.
     ///
     /// Scheduling properties, in the order they matter operationally:
     ///
@@ -798,17 +791,13 @@ impl ShardedLocaterService {
         spill_dir: Option<&Path>,
     ) -> Result<CompactionStatus, WalError> {
         let mut evicted_events = 0usize;
-        let mut evicted_segments = 0usize;
-        let mut cut = horizon;
         let mut evicted = Vec::new();
         for shard in &self.shards {
             let mut live = relock(shard.live.write());
             self.fit_pending(shard, &live, horizon);
             let report = live.store.compact(horizon);
             drop(live);
-            cut = report.cut;
             evicted_events += report.evicted_events;
-            evicted_segments += report.evicted_segments;
             if spill_dir.is_some() {
                 evicted.extend(report.evicted);
             }
@@ -819,8 +808,7 @@ impl ShardedLocaterService {
             if evicted_events > 0 {
                 status.runs += 1;
                 status.evicted_events += evicted_events as u64;
-                status.evicted_segments += evicted_segments as u64;
-                status.last_cut = Some(cut);
+                status.last_cut = Some(horizon);
             }
             *status
         };
@@ -834,7 +822,7 @@ impl ShardedLocaterService {
                 Some(durability) => durability.io.as_ref(),
                 None => &RealIo,
             };
-            write_spill(dir, cut, &evicted, &bytes, io)?;
+            write_spill(dir, horizon, &evicted, &bytes, io)?;
         }
         if self.durability.is_some() {
             self.checkpoint()?;
@@ -843,9 +831,9 @@ impl ShardedLocaterService {
     }
 
     /// Compacts relative to the event-time watermark: keeps the most recent
-    /// `retain` seconds of history (rounded down to a whole segment bucket)
-    /// and ages out everything older — the periodic maintenance call a
-    /// long-running server makes. A no-op on an empty service.
+    /// `retain` seconds of history and ages out everything older — the
+    /// periodic maintenance call a long-running server makes. A no-op on an
+    /// empty service.
     pub fn compact_all(
         &self,
         retain: Timestamp,
@@ -935,16 +923,12 @@ impl ShardedLocaterService {
                     let owned_devices = (0..store.num_devices())
                         .filter(|&idx| shard_of_device(DeviceId::new(idx as u32), shards) == index)
                         .count();
-                    let colocation = store.colocation_stats();
-                    let tiers = store.tier_stats();
                     ShardStats {
                         shard: index,
                         events: store.num_events(),
                         owned_devices,
-                        index_ap_lists: colocation.ap_lists,
-                        head_segments: tiers.head_segments,
-                        sealed_segments: tiers.sealed_segments,
-                        resident_bytes: tiers.resident_bytes,
+                        index_ap_lists: store.colocation_stats().ap_lists,
+                        resident_bytes: store.approx_resident_bytes(),
                     }
                 })
                 .collect()

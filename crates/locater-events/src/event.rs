@@ -92,6 +92,15 @@ impl EventSeq {
         Self::default()
     }
 
+    /// Creates an empty sequence with room for exactly `capacity` events
+    /// (what a loader that knows the count allocates, so in-order pushes
+    /// never reallocate).
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            events: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Builds a sequence from `(timestamp, ap raw id)` pairs, sorting them by time.
     /// Event ids are assigned positionally. Intended for tests and examples.
     pub fn from_pairs(pairs: &[(Timestamp, u32)]) -> Self {
@@ -197,6 +206,21 @@ impl EventSeq {
         } else {
             None
         }
+    }
+
+    /// Removes and returns every event with `t < cut` (a prefix), in order.
+    pub fn trim_before(&mut self, cut: Timestamp) -> Vec<StoredEvent> {
+        let n = self.events.partition_point(|e| e.t < cut);
+        if n == 0 {
+            return Vec::new();
+        }
+        let evicted: Vec<StoredEvent> = self.events.drain(..n).collect();
+        // A trimmed sequence usually keeps receiving appends: shrinking to
+        // the exact length would make the next push double it, so keep room
+        // for half the retained length and release the rest.
+        let len = self.events.len();
+        self.events.shrink_to(len + len / 2);
+        evicted
     }
 
     /// Iterates over consecutive event pairs `(e_k, e_{k+1})`.
@@ -312,6 +336,28 @@ mod tests {
         let seq = EventSeq::from_pairs(&[(100, 0), (200, 0)]);
         assert_eq!(seq.span(), Some(Interval::new(100, 201)));
         assert_eq!(EventSeq::new().span(), None);
+    }
+
+    #[test]
+    fn trim_before_drains_the_prefix_and_keeps_headroom() {
+        let mut seq = EventSeq::with_capacity(6);
+        for (i, t) in [10, 20, 150, 420, 421, 999].into_iter().enumerate() {
+            seq.push(StoredEvent::new(
+                EventId::new(i as u64),
+                t,
+                AccessPointId::new(0),
+            ));
+        }
+        assert_eq!(seq.approx_bytes(), 6 * std::mem::size_of::<StoredEvent>());
+        let evicted: Vec<Timestamp> = seq.trim_before(420).iter().map(|e| e.t).collect();
+        assert_eq!(evicted, vec![10, 20, 150]);
+        let kept: Vec<Timestamp> = seq.events().iter().map(|e| e.t).collect();
+        assert_eq!(kept, vec![420, 421, 999]);
+        // Room for half the retained length stays: 3 + 1.
+        assert_eq!(seq.approx_bytes(), 4 * std::mem::size_of::<StoredEvent>());
+        // Nothing below the cut: nothing moves, capacity included.
+        assert!(seq.trim_before(420).is_empty());
+        assert_eq!(seq.approx_bytes(), 4 * std::mem::size_of::<StoredEvent>());
     }
 
     #[test]

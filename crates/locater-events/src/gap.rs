@@ -77,8 +77,7 @@ impl Gap {
 }
 
 /// The gap between two *consecutive* events of one device, if their spacing exceeds
-/// `2δ` (the segmented store uses this to detect gaps across segment boundaries
-/// without materializing the full sequence).
+/// `2δ` (the store's windowed gap scan pairs events with it directly).
 pub fn gap_between(prev: &StoredEvent, next: &StoredEvent, delta: Timestamp) -> Option<Gap> {
     if next.t - prev.t > 2 * delta {
         Some(Gap {

@@ -48,8 +48,7 @@ impl Default for ValidityConfig {
 /// Only inter-event times between consecutive events logged by the *same* access point
 /// are considered (the device was most likely stationary), and only those below
 /// `config.max_delta * 4` (larger spacings are treated as absences, not as connection
-/// periodicity). The events need not live in one contiguous slice: the segmented store
-/// estimates δ by chaining its segments.
+/// periodicity).
 pub fn estimate_delta_events<'a>(
     events: impl IntoIterator<Item = &'a crate::event::StoredEvent>,
     config: &ValidityConfig,

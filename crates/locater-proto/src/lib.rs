@@ -63,7 +63,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The wire-protocol version this crate speaks (reported by `ping`/`stats`).
-pub const PROTOCOL_VERSION: u32 = 6;
+pub const PROTOCOL_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -458,10 +458,6 @@ pub struct WireStats {
     /// Approximate resident heap bytes across all shard stores (allocated
     /// capacity of timelines, global index and posting lists).
     pub resident_bytes: usize,
-    /// Mutable head segments across all shards.
-    pub head_segments: usize,
-    /// Sealed (immutable) segments across all shards.
-    pub sealed_segments: usize,
     /// Cumulative compaction gauges since boot.
     pub compaction: WireCompactionStats,
     /// Per-shard breakdown.
@@ -514,10 +510,8 @@ pub struct WireCompactionStats {
     pub runs: u64,
     /// Events evicted from the hot tier since boot.
     pub evicted_events: u64,
-    /// Sealed segments evicted since boot.
-    pub evicted_segments: u64,
-    /// Bucket-aligned cut of the most recent effective run (`None` before the
-    /// first eviction): every event with `t <` this is out of the hot tier.
+    /// Cut of the most recent effective run (`None` before the first
+    /// eviction): every event with `t <` this is out of the hot tier.
     pub last_cut: Option<Timestamp>,
 }
 
@@ -526,7 +520,6 @@ impl From<CompactionStatus> for WireCompactionStats {
         Self {
             runs: status.runs,
             evicted_events: status.evicted_events,
-            evicted_segments: status.evicted_segments,
             last_cut: status.last_cut,
         }
     }
@@ -544,10 +537,6 @@ pub struct WireShardStats {
     pub owned_devices: usize,
     /// Co-location-index AP posting lists held by this shard.
     pub index_ap_lists: usize,
-    /// Mutable head segments in this shard's partition.
-    pub head_segments: usize,
-    /// Sealed segments in this shard's partition.
-    pub sealed_segments: usize,
     /// Approximate resident heap bytes of this shard's store partition.
     pub resident_bytes: usize,
 }
@@ -559,8 +548,6 @@ impl From<ShardStats> for WireShardStats {
             events: s.events,
             owned_devices: s.owned_devices,
             index_ap_lists: s.index_ap_lists,
-            head_segments: s.head_segments,
-            sealed_segments: s.sealed_segments,
             resident_bytes: s.resident_bytes,
         }
     }

@@ -36,12 +36,9 @@ fn sample_stats() -> WireStats {
         deduped: 3,
         dedup_evicted: 1,
         resident_bytes: 65_536,
-        head_segments: 3,
-        sealed_segments: 12,
         compaction: WireCompactionStats {
             runs: 2,
             evicted_events: 400,
-            evicted_segments: 8,
             last_cut: Some(604_800),
         },
         per_shard: vec![
@@ -50,8 +47,6 @@ fn sample_stats() -> WireStats {
                 events: 6,
                 owned_devices: 2,
                 index_ap_lists: 3,
-                head_segments: 2,
-                sealed_segments: 7,
                 resident_bytes: 40_960,
             },
             WireShardStats {
@@ -59,8 +54,6 @@ fn sample_stats() -> WireStats {
                 events: 4,
                 owned_devices: 1,
                 index_ap_lists: 2,
-                head_segments: 1,
-                sealed_segments: 5,
                 resident_bytes: 24_576,
             },
         ],
@@ -192,7 +185,6 @@ fn every_response() -> Vec<WireResponse> {
         WireResponse::Compacted(WireCompactionStats {
             runs: 1,
             evicted_events: 250,
-            evicted_segments: 5,
             last_cut: Some(86_400),
         }),
         WireResponse::Compacted(WireCompactionStats::default()),
@@ -356,7 +348,7 @@ fn golden_responses() -> Vec<(WireResponse, &'static str)> {
             WireResponse::Pong {
                 version: PROTOCOL_VERSION,
             },
-            r#"{"Pong":{"version":6}}"#,
+            r#"{"Pong":{"version":7}}"#,
         ),
         (
             WireResponse::Ingested {
@@ -408,11 +400,11 @@ fn golden_responses() -> Vec<(WireResponse, &'static str)> {
         ),
         (
             WireResponse::Stats(stats),
-            r#"{"Stats":{"version":6,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"head_segments":3,"sealed_segments":12,"compaction":{"runs":2,"evicted_events":400,"evicted_segments":8,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"head_segments":2,"sealed_segments":7,"resident_bytes":40960}],"wal":null}}"#,
+            r#"{"Stats":{"version":7,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"compaction":{"runs":2,"evicted_events":400,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"resident_bytes":40960}],"wal":null}}"#,
         ),
         (
             WireResponse::Stats(sample_stats()),
-            r#"{"Stats":{"version":6,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"head_segments":3,"sealed_segments":12,"compaction":{"runs":2,"evicted_events":400,"evicted_segments":8,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"head_segments":2,"sealed_segments":7,"resident_bytes":40960},{"shard":1,"events":4,"owned_devices":1,"index_ap_lists":2,"head_segments":1,"sealed_segments":5,"resident_bytes":24576}],"wal":{"dir":"/var/lib/locater/wal","fsync":"every=32","segments":3,"frames":128,"bytes":4096,"last_checkpoint_age_ms":60000,"checkpoints":2}}}"#,
+            r#"{"Stats":{"version":7,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"compaction":{"runs":2,"evicted_events":400,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"resident_bytes":40960},{"shard":1,"events":4,"owned_devices":1,"index_ap_lists":2,"resident_bytes":24576}],"wal":{"dir":"/var/lib/locater/wal","fsync":"every=32","segments":3,"frames":128,"bytes":4096,"last_checkpoint_age_ms":60000,"checkpoints":2}}}"#,
         ),
         (
             WireResponse::SnapshotSaved {
@@ -423,7 +415,7 @@ fn golden_responses() -> Vec<(WireResponse, &'static str)> {
         ),
         (
             WireResponse::Compacted(WireCompactionStats::default()),
-            r#"{"Compacted":{"runs":0,"evicted_events":0,"evicted_segments":0,"last_cut":null}}"#,
+            r#"{"Compacted":{"runs":0,"evicted_events":0,"last_cut":null}}"#,
         ),
         (WireResponse::ShuttingDown, r#""ShuttingDown""#),
     ];

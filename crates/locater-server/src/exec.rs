@@ -475,8 +475,6 @@ impl ServerState {
             deduped: self.deduped.load(Ordering::Relaxed),
             dedup_evicted: self.dedup_evicted.load(Ordering::Relaxed),
             resident_bytes: per_shard.iter().map(|s| s.resident_bytes).sum(),
-            head_segments: per_shard.iter().map(|s| s.head_segments).sum(),
-            sealed_segments: per_shard.iter().map(|s| s.sealed_segments).sum(),
             compaction: self.service.compaction_status().into(),
             per_shard,
             wal: self.service.wal_status().map(Into::into),

@@ -29,8 +29,7 @@
 //! `(t, ap)` pairs of the timeline, and the affinity engine counts the same
 //! events in a different order (sums are order-independent).
 //!
-//! The index is independent of the store's segment span. Rebuilding from
-//! timelines is deterministic and yields the same structure as incremental
+//! Rebuilding from timelines is deterministic and yields the same structure as incremental
 //! maintenance, whatever the ingestion order — posting lists are sorted
 //! multisets of timestamps — so snapshot loads rebuild it (see
 //! [`crate::snapshot`]) and per-device store partitions
@@ -313,8 +312,8 @@ mod tests {
     }
 
     /// The device timeline of the same scripted event set (ids in order).
-    fn timeline_with(events: &[(Timestamp, u32)], span: Timestamp) -> DeviceTimeline {
-        let mut timeline = DeviceTimeline::new(span);
+    fn timeline_with(events: &[(Timestamp, u32)]) -> DeviceTimeline {
+        let mut timeline = DeviceTimeline::default();
         for (i, &(t, a)) in events.iter().enumerate() {
             timeline.push(locater_events::StoredEvent::new(
                 locater_events::EventId::new(i as u64),
@@ -376,7 +375,7 @@ mod tests {
         ];
         let index = index_with(&events);
         let postings = index.device(DeviceId::new(0));
-        let timeline = timeline_with(&events, 100);
+        let timeline = timeline_with(&events);
         for window in [
             Interval::new(15, 421),
             Interval::new(-100, 0),
@@ -425,12 +424,8 @@ mod tests {
             (9_000, 0),
             (4, 1),
         ];
-        let incremental = index_with(&events);
-        // The index does not depend on the timeline's segment span.
-        for span in [1, 250, 1_000_000] {
-            let rebuilt = ColocationIndex::rebuild(&[timeline_with(&events, span)]);
-            assert_eq!(rebuilt, incremental);
-        }
+        let rebuilt = ColocationIndex::rebuild(&[timeline_with(&events)]);
+        assert_eq!(rebuilt, index_with(&events));
     }
 
     #[test]
@@ -444,7 +439,6 @@ mod tests {
             (999, 2),
         ];
         let mut index = index_with(&events);
-        // The cut is an exact time, not a bucket boundary.
         assert_eq!(index.trim_before(420), 3);
         let postings = index.device(DeviceId::new(0));
         assert_eq!(postings.len(), 3);
@@ -473,7 +467,7 @@ mod tests {
         let postings = DevicePostings::default();
         assert!(postings.is_empty());
         assert_eq!(postings.len(), 0);
-        assert_eq!(DeviceTimeline::new(100).count_in(Interval::new(0, 100)), 0);
+        assert_eq!(DeviceTimeline::default().count_in(Interval::new(0, 100)), 0);
         assert!(on_ap(&postings, 0).is_none());
         let list = ApPostings::new(ap(0));
         assert!(list.is_empty());

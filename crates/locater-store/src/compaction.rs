@@ -4,57 +4,52 @@
 //! (coarse bootstrap and fine affinity, paper §4–5), so events older than the
 //! retained horizon contribute nothing to in-window answers — yet an
 //! always-on service accumulates them forever. [`crate::EventStore::compact`]
-//! evicts every **whole segment bucket** below a horizon in one coherent
-//! mutation across all three structures (per-device segmented timelines, the
-//! global timeline index and the co-location posting lists — the cut is a
-//! bucket boundary, and the index and the lists drop every event below it,
-//! so the three trims remove exactly the same event set) and hands the evicted segments back
-//! ([`CompactionReport::evicted`]). It builds nothing from them.
+//! evicts every event below a horizon in one coherent mutation across all
+//! three structures (per-device timelines, the global timeline index and the
+//! co-location posting lists — each drops exactly the events with
+//! `t < horizon`, so the three trims remove the same event set) and hands the
+//! evicted events back ([`CompactionReport::evicted`]). It builds nothing
+//! from them.
 //!
 //! There is one cold tier, and only where a spill directory asks for it: the
-//! evicted segments are encoded — by the same encoder every snapshot goes
+//! evicted events are encoded — by the same encoder every snapshot goes
 //! through ([`crate::ShardedRead::spill_snapshot_bytes`]) — as an ordinary
 //! snapshot holding the full device table, the original event ids and only
 //! the evicted events, and written with [`write_spill`].
 //! [`crate::EventStore::load_snapshot`] opens it like any other snapshot.
-//! Without a spill directory the evicted segments are simply dropped.
+//! Without a spill directory the evicted events are simply dropped.
 //!
 //! Compaction never touches the event-id counter and never rewrites retained
-//! segments, so answers whose full consulted window lies at or above the cut
+//! events, so answers whose full consulted window lies at or above the cut
 //! are **byte-identical** with compaction on or off (the cornerstone
 //! `compaction_equivalence` test and the store property tests assert this).
 
 use crate::error::StoreError;
 use crate::io::StorageIo;
-use crate::segment::Segment;
 use crate::snapshot::write_atomic_io;
-use locater_events::{DeviceId, Timestamp};
+use locater_events::{DeviceId, StoredEvent, Timestamp};
 use std::path::{Path, PathBuf};
 
 /// What one [`crate::EventStore::compact`] call did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactionReport {
-    /// The horizon the caller asked for.
-    pub horizon: Timestamp,
-    /// The bucket-aligned cut actually applied (`≤ horizon`): every event
-    /// with `t < cut` was evicted, every event with `t >= cut` retained.
+    /// The cut applied — the horizon the caller asked for: every event with
+    /// `t < cut` was evicted, every event with `t >= cut` retained.
     pub cut: Timestamp,
     /// Events evicted from the hot tier.
     pub evicted_events: usize,
-    /// Sealed segments evicted.
-    pub evicted_segments: usize,
-    /// The evicted segments themselves, per device in device order, oldest
-    /// bucket first — moved out of the timelines, original event ids and
+    /// The evicted events themselves, per device in device order, each run
+    /// time-sorted — moved out of the timelines, original event ids and
     /// all. Drop them, or encode them into a spill file
     /// ([`crate::ShardedRead::spill_snapshot_bytes`]).
-    pub evicted: Vec<(DeviceId, Vec<Segment>)>,
+    pub evicted: Vec<(DeviceId, Vec<StoredEvent>)>,
 }
 
 /// Writes one run's spill file into `dir` (created if missing) as
 /// `spill-<cut>.<first id>.snap`: `bytes` is the encoding of `evicted`
 /// ([`crate::ShardedRead::spill_snapshot_bytes`]) and `first id` its lowest
-/// event id. Event ids are never reused, so two runs that land on the same
-/// bucket-aligned cut (a late ingest below it, evicted by the next run) get
+/// event id. Event ids are never reused, so two runs at the same cut (a late
+/// ingest below it, evicted by the next run) get
 /// distinct names and the later spill never replaces the earlier one — while
 /// re-running a compaction over the same input names the same file. The
 /// write is atomic: a faulted write leaves no partial spill behind. Returns
@@ -62,14 +57,13 @@ pub struct CompactionReport {
 pub fn write_spill(
     dir: &Path,
     cut: Timestamp,
-    evicted: &[(DeviceId, Vec<Segment>)],
+    evicted: &[(DeviceId, Vec<StoredEvent>)],
     bytes: &[u8],
     io: &dyn StorageIo,
 ) -> Result<Option<PathBuf>, StoreError> {
     let first_id = evicted
         .iter()
-        .flat_map(|(_, segments)| segments)
-        .flat_map(Segment::events)
+        .flat_map(|(_, events)| events)
         .map(|event| event.id.0)
         .min();
     let Some(first_id) = first_id else {
@@ -108,20 +102,6 @@ pub fn list_spills(dir: &Path) -> Result<Vec<(Timestamp, PathBuf)>, StoreError> 
     Ok(out)
 }
 
-/// Hot-tier shape gauges of a store, split by segment role, plus the
-/// capacity-based residency estimate the soak guard and the `stats` surfaces
-/// report. All derived, never stored — always consistent with the data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TierStats {
-    /// Mutable head segments (one per device with any retained history).
-    pub head_segments: usize,
-    /// Sealed (immutable) segments.
-    pub sealed_segments: usize,
-    /// Approximate resident heap bytes of the store (allocated capacity of
-    /// the timelines, the global index and the posting lists).
-    pub resident_bytes: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,12 +116,12 @@ mod tests {
             .add_access_point("wap0", &["r0"])
             .build()
             .unwrap();
-        let mut store = EventStore::new(space).with_segment_span(100);
+        let mut store = EventStore::new(space);
         for t in [250, 40, 10, 130] {
             store.ingest_raw("aa:00:00:00:00:01", t, "wap0").unwrap();
         }
         // Two runs: ids {1, 2} below cut 100, then id 3 below cut 200.
-        for (horizon, name) in [(150, "spill-100.1.snap"), (200, "spill-200.3.snap")] {
+        for (horizon, name) in [(100, "spill-100.1.snap"), (200, "spill-200.3.snap")] {
             let report = store.compact(horizon);
             let bytes = ShardedRead::new(vec![&store])
                 .spill_snapshot_bytes(&report.evicted)

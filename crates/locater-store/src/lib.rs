@@ -4,14 +4,14 @@
 //! LOCATER": ingestion engine + storage engine + the database of dirty data, clean
 //! data and metadata).
 //!
-//! The centerpiece is [`EventStore`]: a **time-partitioned, segmented** store of WiFi
-//! connectivity events organised for the access patterns of the cleaning engine:
+//! The centerpiece is [`EventStore`]: an in-memory store of WiFi connectivity
+//! events organised for the access patterns of the cleaning engine:
 //!
-//! * **per-device segmented timelines** ([`DeviceTimeline`]) — each device's
-//!   time-sorted history is split into immutable time-bucketed [`Segment`]s plus a
-//!   mutable *head* segment receiving live appends. Gap detection, validity lookups
-//!   and history scans prune whole segments by their time bounds before doing any
-//!   per-event work, so windowed queries cost `O(window)`, not `O(history)`;
+//! * **per-device timelines** ([`DeviceTimeline`]) — each device's history is
+//!   one array sorted by `(t, id)`, receiving live appends at its end. Gap
+//!   detection, validity lookups and history scans binary-search the array for
+//!   the window's ends before doing any per-event work, so windowed queries
+//!   cost `O(log history + window)`;
 //! * **a global timeline index** ([`Timeline`]) — "which devices were connected
 //!   around time `t`?" (needed to find the *neighbor devices* of the fine-grained
 //!   algorithm) is a range scan over one sorted index;
@@ -33,9 +33,9 @@
 //!   replaces the log), reproducing the pre-crash store bit-identically.
 //!   The ingest path that drives them (validate → draw id → append →
 //!   apply) lives in `locater-core`'s `ShardedLocaterService::with_durability`;
-//! * **compaction** ([`compaction`]) — [`EventStore::compact`] evicts whole
-//!   segment buckets below a retention horizon from all three structures in
-//!   one coherent mutation and hands the evicted segments back; where a
+//! * **compaction** ([`compaction`]) — [`EventStore::compact`] evicts every
+//!   event below a retention horizon from all three structures in one
+//!   coherent mutation and hands the evicted events back; where a
 //!   spill directory asks for them they are encoded as an ordinary snapshot
 //!   (the one cold tier), otherwise dropped, so an always-on service runs at
 //!   bounded memory while answers inside the retained window stay
@@ -48,7 +48,7 @@
 //!   one (the global [`Timeline`] keeps canonical `(t, device)` order exactly
 //!   so that this merge is exact).
 //!
-//! ## Ingest, query, segment layout
+//! ## Ingest and query
 //!
 //! ```
 //! use locater_events::Interval;
@@ -60,8 +60,7 @@
 //!     .add_access_point("wap2", &["r2", "r3"])
 //!     .build()
 //!     .unwrap();
-//! // Small segment span so this example shows several segments.
-//! let mut store = EventStore::new(space).with_segment_span(3_600);
+//! let mut store = EventStore::new(space);
 //! store.ingest_raw("aa:bb:cc:dd:ee:01", 100, "wap1").unwrap();
 //! store.ingest_raw("aa:bb:cc:dd:ee:02", 150, "wap2").unwrap();
 //! store.ingest_raw("aa:bb:cc:dd:ee:01", 4_000, "wap2").unwrap();
@@ -69,12 +68,11 @@
 //! assert_eq!(store.num_events(), 3);
 //!
 //! let d1 = store.device_id("aa:bb:cc:dd:ee:01").unwrap();
-//! // Two events, one hour apart → two segments; the newest is the head.
+//! // One time-sorted array per device.
 //! let timeline = store.timeline_of(d1);
 //! assert_eq!(timeline.len(), 2);
-//! assert_eq!(timeline.num_segments(), 2);
-//! assert_eq!(timeline.head().unwrap().bucket(), 1);
-//! // Window queries only visit segments overlapping the window.
+//! assert_eq!(timeline.last().unwrap().t, 4_000);
+//! // Window queries binary-search the array for the window's ends.
 //! let in_window: Vec<i64> = store
 //!     .events_of_in(d1, Interval::new(0, 3_600))
 //!     .map(|e| e.t)
@@ -95,7 +93,7 @@
 //! let mut store = EventStore::new(space);
 //! store.ingest_raw("aa:bb:cc:dd:ee:01", 1_000, "wap1").unwrap();
 //!
-//! // The snapshot embeds the space, devices and segment runs; reloading it
+//! // The snapshot embeds the space, devices and event runs; reloading it
 //! // reproduces the store bit-for-bit (event ids included).
 //! let bytes = store.to_snapshot_bytes().unwrap();
 //! let reloaded = EventStore::from_snapshot_bytes(&bytes).unwrap();
@@ -129,7 +127,7 @@ pub mod wal;
 pub use colocation::{
     ApPostings, ColocationIndex, ColocationIndexStats, DevicePostings, PostingCursor,
 };
-pub use compaction::{list_spills, write_spill, CompactionReport, TierStats};
+pub use compaction::{list_spills, write_spill, CompactionReport};
 pub use csv::{format_csv, parse_csv, parse_csv_line, RawEvent, CSV_HEADER};
 pub use error::{IngestError, StoreError};
 pub use io::{FaultIo, FaultKind, FaultPlan, RealIo, StorageIo};
@@ -138,7 +136,7 @@ pub use recovery::{
     initialize_wal, recover_store, recover_store_io, write_checkpoint, write_checkpoint_io,
     AckedIngest, RecoveryReport,
 };
-pub use segment::{DeviceTimeline, EventsInRange, Segment, TimelineIter, DEFAULT_SEGMENT_SPAN};
+pub use segment::DeviceTimeline;
 pub use shard::{shard_of_device, ShardedRead};
 pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::DatasetStatistics;

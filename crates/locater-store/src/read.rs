@@ -14,9 +14,11 @@
 //! identically by construction.
 
 use crate::colocation::DevicePostings;
-use crate::segment::{DeviceTimeline, EventsInRange};
+use crate::segment::DeviceTimeline;
 use crate::timeline::NearbyDevice;
-use locater_events::{Device, DeviceId, Gap, Interval, StoredEvent, Timestamp};
+use locater_events::{
+    gap_containing, gaps_in, Device, DeviceId, Gap, Interval, StoredEvent, Timestamp,
+};
 use locater_space::{RegionId, Space};
 use std::sync::Arc;
 
@@ -43,7 +45,7 @@ pub trait EventRead: Sync {
     /// The largest validity period δ across all devices.
     fn max_delta(&self) -> Timestamp;
 
-    /// The segmented, time-sorted event timeline of a device.
+    /// The time-sorted event timeline of a device.
     fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline;
 
     /// Devices with at least one event in `[t − slack, t + slack]`, excluding
@@ -90,10 +92,10 @@ pub trait EventRead: Sync {
         self.device(device).delta
     }
 
-    /// Events of a device with timestamps in `[range.start, range.end)`, as a
-    /// segment-pruned iterator.
-    fn events_of_in(&self, device: DeviceId, range: Interval) -> EventsInRange<'_> {
-        self.timeline_of(device).in_range(range)
+    /// Events of a device with timestamps in `[range.start, range.end)`, in
+    /// time order.
+    fn events_of_in(&self, device: DeviceId, range: Interval) -> std::slice::Iter<'_, StoredEvent> {
+        self.timeline_of(device).in_range(range).iter()
     }
 
     /// The event (and its index in the device timeline) whose validity interval
@@ -101,6 +103,7 @@ pub trait EventRead: Sync {
     fn covering_event(&self, device: DeviceId, t: Timestamp) -> Option<(usize, StoredEvent)> {
         self.timeline_of(device)
             .covering_event(t, self.delta(device))
+            .map(|(idx, event)| (idx, *event))
     }
 
     /// The region a covering event (if any) places the device in at time `t`.
@@ -110,11 +113,11 @@ pub trait EventRead: Sync {
 
     /// All gaps of a device (`GAP(d_i)`).
     fn gaps_of(&self, device: DeviceId) -> Vec<Gap> {
-        self.timeline_of(device).gaps(self.delta(device))
+        gaps_in(self.timeline_of(device), self.delta(device))
     }
 
     /// Gaps of a device whose interval intersects `window`, computed from the
-    /// segments overlapping the window only.
+    /// events around the window only.
     fn gaps_of_in(&self, device: DeviceId, window: Interval) -> Vec<Gap> {
         self.timeline_of(device)
             .gaps_in_window(window, self.delta(device))
@@ -122,7 +125,7 @@ pub trait EventRead: Sync {
 
     /// The gap containing `t` for this device, if `t` falls in one.
     fn gap_at(&self, device: DeviceId, t: Timestamp) -> Option<Gap> {
-        self.timeline_of(device).gap_at(t, self.delta(device))
+        gap_containing(self.timeline_of(device), t, self.delta(device))
     }
 
     /// Devices *online* at time `t` (a covering event exists at `t`), reported

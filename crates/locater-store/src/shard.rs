@@ -25,12 +25,12 @@
 
 use crate::colocation::{ColocationIndex, DevicePostings};
 use crate::read::EventRead;
-use crate::segment::{DeviceTimeline, Segment};
+use crate::segment::DeviceTimeline;
 use crate::snapshot::{encode_snapshot, SnapshotParts};
 use crate::store::EventStore;
 use crate::timeline::{devices_near_in, devices_online_in, entry_key, NearbyDevice, TimelineEntry};
 use crate::StoreError;
-use locater_events::{Device, DeviceId, Timestamp};
+use locater_events::{Device, DeviceId, StoredEvent, Timestamp};
 use locater_space::{RegionId, Space};
 use std::sync::Arc;
 
@@ -54,15 +54,15 @@ impl EventStore {
     /// Partitions the store into `shards` per-shard stores assigned by
     /// [`shard_of_device`].
     ///
-    /// Each returned store replicates the space, the validity configuration,
-    /// the segment span and the **whole device table** (ids, MACs and estimated
+    /// Each returned store replicates the space, the validity configuration
+    /// and the **whole device table** (ids, MACs and estimated
     /// δs included), but keeps only the timelines of its owned devices — event
     /// ids are carried over verbatim, so [`EventStore::rejoin`] reassembles the
     /// original store bit for bit.
     pub fn split(&self, shards: usize) -> Vec<EventStore> {
         let shards = shards.max(1);
         let parts = self.snapshot_parts();
-        let (span, devices) = (parts.span, parts.devices);
+        let devices = parts.devices;
         (0..shards)
             .map(|shard| {
                 let masked: Vec<DeviceTimeline> = devices
@@ -71,7 +71,7 @@ impl EventStore {
                         if shard_of_device(device.id, shards) == shard {
                             self.timeline_of(device.id).clone()
                         } else {
-                            DeviceTimeline::new(span)
+                            DeviceTimeline::default()
                         }
                     })
                     .collect();
@@ -94,7 +94,6 @@ impl EventStore {
                 EventStore::from_snapshot_parts(
                     parts.space.clone(),
                     *parts.validity,
-                    span,
                     parts.next_event_id,
                     devices.to_vec(),
                     masked,
@@ -112,7 +111,7 @@ impl EventStore {
     /// included.
     ///
     /// Returns [`StoreError::Corrupt`] when the shards disagree on the space,
-    /// device table, validity configuration or segment span (i.e. they were not
+    /// device table or validity configuration (i.e. they were not
     /// produced by splitting one store, or were mutated inconsistently).
     pub fn rejoin<'a>(
         shards: impl IntoIterator<Item = &'a EventStore>,
@@ -122,16 +121,15 @@ impl EventStore {
             .first()
             .ok_or_else(|| StoreError::Corrupt("cannot rejoin zero shards".to_string()))?;
         let parts = first.snapshot_parts();
-        let (span, devices, mut next_event_id) = (parts.span, parts.devices, parts.next_event_id);
+        let (devices, mut next_event_id) = (parts.devices, parts.next_event_id);
         for (idx, shard) in shards.iter().enumerate().skip(1) {
             let other = shard.snapshot_parts();
             if other.space != parts.space
                 || other.validity != parts.validity
-                || other.span != span
                 || other.devices != devices
             {
                 return Err(StoreError::Corrupt(format!(
-                    "shard {idx} disagrees with shard 0 on space/devices/validity/span"
+                    "shard {idx} disagrees with shard 0 on space/devices/validity"
                 )));
             }
             next_event_id = next_event_id.max(other.next_event_id);
@@ -158,7 +156,7 @@ impl EventStore {
         // would be read from non-owner (empty) slots. Catch that as an error
         // instead of silently dropping events.
         let total: usize = shards.iter().map(|shard| shard.num_events()).sum();
-        let rejoined_events: usize = timelines.iter().map(DeviceTimeline::len).sum();
+        let rejoined_events: usize = timelines.iter().map(|timeline| timeline.len()).sum();
         if rejoined_events != total {
             return Err(StoreError::Corrupt(format!(
                 "shards hold {total} events but their owner timelines hold {rejoined_events}; \
@@ -168,7 +166,6 @@ impl EventStore {
         EventStore::from_snapshot_parts(
             parts.space.clone(),
             *parts.validity,
-            span,
             next_event_id,
             devices.to_vec(),
             timelines,
@@ -230,7 +227,7 @@ impl<'a> ShardedRead<'a> {
         }
     }
 
-    /// Encodes the combined store as one snapshot, straight from the segments
+    /// Encodes the combined store as one snapshot, straight from the timelines
     /// the shards hold — byte-identical to
     /// `EventStore::rejoin(shards)?.to_snapshot_bytes()` without assembling
     /// that store.
@@ -238,25 +235,25 @@ impl<'a> ShardedRead<'a> {
         encode_snapshot(&self.snapshot_parts(), |device| {
             self.shards[self.owner_of(device)]
                 .timeline_of(device)
-                .segments()
+                .events()
         })
     }
 
-    /// Encodes the segments a compaction evicted from these shards
+    /// Encodes the events a compaction evicted from these shards
     /// ([`crate::CompactionReport::evicted`]; per-shard runs are disjoint by
     /// device and concatenate in any order) as a spill: an ordinary snapshot
-    /// with this deployment's space, device table, validity configuration,
-    /// span and event-id counter, holding only the evicted events under
+    /// with this deployment's space, device table, validity configuration
+    /// and event-id counter, holding only the evicted events under
     /// their original ids. The bytes are a pure function of the evicted event
     /// set and those tables — the shard count does not show.
     pub fn spill_snapshot_bytes(
         &self,
-        evicted: &[(DeviceId, Vec<Segment>)],
+        evicted: &[(DeviceId, Vec<StoredEvent>)],
     ) -> Result<Vec<u8>, StoreError> {
         let parts = self.snapshot_parts();
-        let mut runs: Vec<&[Segment]> = vec![&[]; parts.devices.len()];
-        for (device, segments) in evicted {
-            runs[device.index()] = segments;
+        let mut runs: Vec<&[StoredEvent]> = vec![&[]; parts.devices.len()];
+        for (device, events) in evicted {
+            runs[device.index()] = events;
         }
         encode_snapshot(&parts, |device| runs[device.index()])
     }
@@ -381,7 +378,7 @@ mod tests {
     /// Ten devices with interleaved histories, including exact timestamp ties
     /// across devices (the case canonical ordering exists for).
     fn store() -> EventStore {
-        let mut store = EventStore::new(space()).with_segment_span(5_000);
+        let mut store = EventStore::new(space());
         for i in 0..10u32 {
             let mac = format!("device-{i}");
             for k in 0..20i64 {

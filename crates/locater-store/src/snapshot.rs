@@ -1,31 +1,32 @@
 //! Versioned binary snapshot persistence for [`EventStore`].
 //!
 //! A snapshot captures the *entire* store — space metadata, device table,
-//! per-device segment runs, validity configuration and event-id counter — in a
+//! per-device event runs, validity configuration and event-id counter — in a
 //! compact binary layout, so a service restart costs one sequential file read
 //! instead of replaying (re-parsing, re-interning, re-sorting) the whole CSV
-//! log. The wire layout of version 3:
+//! log. The wire layout of version 4:
 //!
 //! ```text
 //! magic      8 B   "LOCATRSN"
-//! version    u32   3
+//! version    u32   4
 //! checksum   u64   FNV-1a 64 over the payload bytes
 //! length     u64   payload byte count
 //! payload:
 //!   space     u32 len + Space JSON (UTF-8; full id-preserving form)
 //!   validity  default/min/max δ (i64 ×3), percentile (f64 bits), min_samples (u64)
-//!   span      i64   segment span in seconds
 //!   next id   u64   event-id counter
 //!   devices   u32 count, then per device: mac (u16 len + UTF-8), δ (i64)
-//!   runs      per device: u32 segment count, then per segment:
-//!             bucket (i64), u32 event count, events as (id u64, t i64, ap u32)
+//!   runs      per device: u32 event count, then the events sorted by
+//!             (t, id), each as (id u64, t i64, ap u32)
 //!   index     u8 mode: 0 = rebuild on load
 //! ```
 //!
-//! All integers are little-endian. Events inside a segment are stored in the
-//! segment's own (time-sorted, tie-stable) order, so replaying them through
-//! [`DeviceTimeline::push`] reproduces the exact in-memory structure — the
-//! round-trip is bit-identical, event ids and epoch-relevant ordering included.
+//! All integers are little-endian. Each run is the device's timeline array in
+//! order, and the loader reads it into an array of exactly that length, so
+//! the round-trip is bit-identical, event ids and epoch-relevant ordering
+//! included. A run out of `(t, id)` order is [`StoreError::Corrupt`]; a run
+//! longer than the bytes left is [`StoreError::Truncated`] before anything is
+//! allocated for it.
 //! The space section is the full [`Space`] form, which round-trips every id
 //! verbatim, so `load(save(store))` equals the original store bit-for-bit.
 //!
@@ -43,20 +44,23 @@
 //! [`StoreError::ChecksumMismatch`], [`StoreError::Corrupt`]) — never panics.
 
 use crate::error::StoreError;
-use crate::segment::{DeviceTimeline, Segment};
+use crate::segment::DeviceTimeline;
 use crate::store::EventStore;
 use locater_events::validity::ValidityConfig;
-use locater_events::{Device, DeviceId, EventId, MacAddress, StoredEvent, Timestamp};
+use locater_events::{Device, DeviceId, EventId, EventSeq, MacAddress, StoredEvent};
 use locater_space::{AccessPointId, Space};
 use std::path::Path;
 
 /// Magic bytes every snapshot starts with.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"LOCATRSN";
 /// The snapshot format version this build writes, and the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Magic (8) + version (4) + payload checksum (8) + payload length (8).
 const HEADER_LEN: usize = 28;
+
+/// One event record: id (8) + t (8) + ap (4).
+const EVENT_LEN: usize = 20;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -88,31 +92,30 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
 }
 
 /// The parts of a store a snapshot is a pure function of, minus the event
-/// runs: what [`encode_snapshot`] needs besides one `&[Segment]` per device.
+/// runs: what [`encode_snapshot`] needs besides one event run per device.
 /// A whole store, a partitioned deployment ([`crate::ShardedRead`]) and a
 /// compaction's evicted runs all encode through it, so the three files are
 /// the same format by construction.
 pub(crate) struct SnapshotParts<'a> {
     pub space: &'a Space,
     pub validity: &'a ValidityConfig,
-    pub span: Timestamp,
     pub next_event_id: u64,
     pub devices: &'a [Device],
 }
 
 /// Encodes a snapshot byte buffer (header + checksummed payload) from the
-/// store-wide parts and each device's segment run, asked for in device order.
+/// store-wide parts and each device's time-sorted event run, asked for in
+/// device order.
 pub(crate) fn encode_snapshot<'a>(
     parts: &SnapshotParts<'_>,
-    segments_of: impl Fn(DeviceId) -> &'a [Segment],
+    events_of: impl Fn(DeviceId) -> &'a [StoredEvent],
 ) -> Result<Vec<u8>, StoreError> {
     let (validity, devices) = (parts.validity, parts.devices);
     let num_events: usize = devices
         .iter()
-        .flat_map(|device| segments_of(device.id))
-        .map(Segment::len)
+        .map(|device| events_of(device.id).len())
         .sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + 64 + num_events * 20);
+    let mut out = Vec::with_capacity(HEADER_LEN + 64 + num_events * EVENT_LEN);
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     // Checksum and length of the payload: filled in once it is written.
@@ -134,7 +137,6 @@ pub(crate) fn encode_snapshot<'a>(
     put_u64(&mut out, validity.percentile.to_bits());
     put_u64(&mut out, validity.min_samples as u64);
 
-    put_i64(&mut out, parts.span);
     put_u64(&mut out, parts.next_event_id);
 
     put_u32(&mut out, devices.len() as u32);
@@ -155,16 +157,12 @@ pub(crate) fn encode_snapshot<'a>(
         put_i64(&mut out, device.delta);
     }
     for device in devices {
-        let segments = segments_of(device.id);
-        put_u32(&mut out, segments.len() as u32);
-        for segment in segments {
-            put_i64(&mut out, segment.bucket());
-            put_u32(&mut out, segment.len() as u32);
-            for event in segment.events() {
-                put_u64(&mut out, event.id.0);
-                put_i64(&mut out, event.t);
-                put_u32(&mut out, event.ap.raw());
-            }
+        let events = events_of(device.id);
+        put_u32(&mut out, events.len() as u32);
+        for event in events {
+            put_u64(&mut out, event.id.0);
+            put_i64(&mut out, event.t);
+            put_u32(&mut out, event.ap.raw());
         }
     }
 
@@ -242,10 +240,6 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
         percentile: f64::from_bits(d.u64()?),
         min_samples: d.u64()? as usize,
     };
-    let span = d.i64()?;
-    if span < 1 {
-        return Err(StoreError::Corrupt(format!("segment span {span} < 1")));
-    }
     let next_event_id = d.u64()?;
 
     let device_count = d.u32()? as usize;
@@ -260,43 +254,29 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
 
     let mut timelines = Vec::with_capacity(device_count.min(1 << 20));
     for idx in 0..device_count {
-        let mut timeline = DeviceTimeline::new(span);
-        let segment_count = d.u32()? as usize;
-        let mut prev_bucket = i64::MIN;
-        for _ in 0..segment_count {
-            let bucket = d.i64()?;
-            if bucket <= prev_bucket {
+        let count = d.u32()? as usize;
+        // Taking the run's bytes first bounds the allocation below by the
+        // payload actually present.
+        let mut run = Decoder::new(d.take(count.saturating_mul(EVENT_LEN))?);
+        let mut events = EventSeq::with_capacity(count);
+        for _ in 0..count {
+            let event = StoredEvent::new(
+                EventId::new(run.u64()?),
+                run.i64()?,
+                AccessPointId::new(run.u32()?),
+            );
+            if events
+                .last()
+                .is_some_and(|last| (last.t, last.id) >= (event.t, event.id))
+            {
                 return Err(StoreError::Corrupt(format!(
-                    "device {idx}: segment buckets out of order ({prev_bucket} then {bucket})"
+                    "device {idx}: event {} out of (t, id) order",
+                    event.id
                 )));
             }
-            prev_bucket = bucket;
-            let event_count = d.u32()? as usize;
-            if event_count == 0 {
-                return Err(StoreError::Corrupt(format!(
-                    "device {idx}: empty segment {bucket}"
-                )));
-            }
-            let mut prev_t = i64::MIN;
-            for _ in 0..event_count {
-                let id = EventId::new(d.u64()?);
-                let t = d.i64()?;
-                let ap = AccessPointId::new(d.u32()?);
-                if t.div_euclid(span) != bucket {
-                    return Err(StoreError::Corrupt(format!(
-                        "device {idx}: event {id} at t={t} outside segment bucket {bucket}"
-                    )));
-                }
-                if t < prev_t {
-                    return Err(StoreError::Corrupt(format!(
-                        "device {idx}: events out of order inside segment {bucket}"
-                    )));
-                }
-                prev_t = t;
-                timeline.push(StoredEvent::new(id, t, ap));
-            }
+            events.push(event);
         }
-        timelines.push(timeline);
+        timelines.push(DeviceTimeline::from(events));
     }
     match d.take(1)?[0] {
         0 => {}
@@ -312,15 +292,7 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
             payload.len() - d.pos
         )));
     }
-    EventStore::from_snapshot_parts(
-        space,
-        validity,
-        span,
-        next_event_id,
-        devices,
-        timelines,
-        None,
-    )
+    EventStore::from_snapshot_parts(space, validity, next_event_id, devices, timelines, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +304,7 @@ impl EventStore {
     /// payload).
     pub fn to_snapshot_bytes(&self) -> Result<Vec<u8>, StoreError> {
         encode_snapshot(&self.snapshot_parts(), |device| {
-            self.timeline_of(device).segments()
+            self.timeline_of(device).events()
         })
     }
 
@@ -439,7 +411,7 @@ mod tests {
             .add_access_point("wap2", &["r2", "r3"])
             .build()
             .unwrap();
-        let mut store = EventStore::new(space).with_segment_span(1_000);
+        let mut store = EventStore::new(space);
         store.ingest_raw("aa:bb:cc:dd:ee:01", 100, "wap1").unwrap();
         store.ingest_raw("aa:bb:cc:dd:ee:02", 150, "wap2").unwrap();
         store
@@ -465,7 +437,7 @@ mod tests {
     #[test]
     fn encoder_emits_the_pinned_bytes() {
         let bytes = sample_store().to_snapshot_bytes().unwrap();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (784, 0xf2f8_6853_9c4b_3ca5));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (740, 0x1fbd_0a9e_a771_6bfb));
     }
 
     #[test]
@@ -490,7 +462,7 @@ mod tests {
 
     #[test]
     fn out_of_range_space_ids_are_a_typed_error() {
-        // A checksummed v3 file whose space names a room the space does not
+        // A checksummed file whose space names a room the space does not
         // have: the space section is rejected, never indexed with.
         let current = sample_store().to_snapshot_bytes().unwrap();
         let payload = &current[28..];
@@ -541,19 +513,65 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_reported() {
-        // Versions 1 and 2 are formats earlier builds wrote; one build reads
+        // Versions 1 to 3 are formats earlier builds wrote; one build reads
         // one version.
         let mut bytes = sample_store().to_snapshot_bytes().unwrap();
-        for version in [0u32, 1, 2, 4, 99] {
+        for version in [0u32, 1, 2, 3, 99] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(
                 matches!(
                     EventStore::from_snapshot_bytes(&bytes),
-                    Err(StoreError::UnsupportedVersion { found, supported: 3 }) if found == version
+                    Err(StoreError::UnsupportedVersion { found, supported: 4 }) if found == version
                 ),
                 "version {version}"
             );
         }
+    }
+
+    /// The payload of [`sample_store`] and the offset of its first device's
+    /// run: device 0 holds three events, device 1 one, then the mode byte.
+    fn payload_and_first_run() -> (Vec<u8>, usize) {
+        let payload = sample_store().to_snapshot_bytes().unwrap()[HEADER_LEN..].to_vec();
+        let first_run = payload.len() - 1 - (4 + EVENT_LEN) - (4 + 3 * EVENT_LEN);
+        assert_eq!(payload[first_run..first_run + 4], 3u32.to_le_bytes());
+        (payload, first_run)
+    }
+
+    #[test]
+    fn an_event_count_past_the_payload_is_truncated_before_allocating() {
+        let (mut payload, first_run) = payload_and_first_run();
+        // Room for u32::MAX events would be ~100 GB: the decoder must refuse
+        // from the byte count alone.
+        for count in [5, u32::MAX] {
+            payload[first_run..first_run + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(
+                matches!(
+                    EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)),
+                    Err(StoreError::Truncated { .. })
+                ),
+                "count {count}"
+            );
+        }
+    }
+
+    #[test]
+    fn events_out_of_order_are_corrupt() {
+        let (payload, first_run) = payload_and_first_run();
+        let records = first_run + 4;
+        // Swap the first two records (t = 100, then t = 900): out of time
+        // order. A repeated record is out of (t, id) order too.
+        let mut swapped = payload.clone();
+        swapped[records..records + 2 * EVENT_LEN].rotate_left(EVENT_LEN);
+        let mut repeated = payload.clone();
+        repeated.copy_within(records..records + EVENT_LEN, records + EVENT_LEN);
+        for bad in [swapped, repeated] {
+            assert!(matches!(
+                EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &bad)),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+        // The untouched payload still loads.
+        assert!(EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)).is_ok());
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The time-partitioned, segmented event store.
+//! The in-memory event store.
 
 use crate::colocation::{ColocationIndex, ColocationIndexStats, DevicePostings};
-use crate::compaction::{CompactionReport, TierStats};
+use crate::compaction::CompactionReport;
 use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
 use crate::error::{IngestError, StoreError};
-use crate::segment::{DeviceTimeline, EventsInRange, DEFAULT_SEGMENT_SPAN};
+use crate::segment::DeviceTimeline;
 use crate::snapshot::SnapshotParts;
 use crate::stats::DatasetStatistics;
 use crate::timeline::{entry_key, NearbyDevice, Timeline, TimelineEntry};
 use locater_events::validity::{estimate_delta_events, ValidityConfig};
 use locater_events::{
-    Device, DeviceId, EventId, Gap, Interval, MacAddress, StoredEvent, Timestamp,
+    gap_containing, gaps_in, Device, DeviceId, EventId, Gap, Interval, MacAddress, StoredEvent,
+    Timestamp,
 };
 use locater_space::{AccessPointId, RegionId, Space};
 use std::collections::HashMap;
@@ -25,14 +26,14 @@ fn csv_line_parser(line: &str, line_no: usize) -> Result<Option<RawEvent>, Inges
 }
 
 /// In-memory store of WiFi connectivity events for one building, organised as
-/// per-device **time-partitioned segmented timelines**.
+/// one **time-sorted timeline per device**.
 ///
 /// See the [crate-level documentation](crate) for the design rationale. The store owns
 /// the [`Space`] (shared behind an `Arc` so cleaning engines can hold cheap clones) and
-/// keeps, per device, a [`DeviceTimeline`] — immutable time-bucketed segments plus a
-/// mutable head segment — alongside a global [`Timeline`] index. Window queries
-/// ([`EventStore::events_of_in`], [`EventStore::gaps_of_in`]) prune whole segments by
-/// their time bounds before touching any event, and the whole store round-trips
+/// keeps, per device, a [`DeviceTimeline`] — one array sorted by `(t, id)` —
+/// alongside a global [`Timeline`] index. Window queries
+/// ([`EventStore::events_of_in`], [`EventStore::gaps_of_in`]) binary-search the
+/// device's array for the window's ends, and the whole store round-trips
 /// through a compact binary snapshot ([`EventStore::save_snapshot`] /
 /// [`EventStore::load_snapshot`]) so a service restart does not replay the CSV log.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,12 +46,10 @@ pub struct EventStore {
     colocation: ColocationIndex,
     next_event_id: u64,
     validity: ValidityConfig,
-    segment_span: Timestamp,
 }
 
 impl EventStore {
-    /// Creates an empty store over `space` with the default validity configuration
-    /// and the default one-week segment span.
+    /// Creates an empty store over `space` with the default validity configuration.
     pub fn new(space: Space) -> Self {
         Self::with_validity(space, ValidityConfig::default())
     }
@@ -66,32 +65,7 @@ impl EventStore {
             colocation: ColocationIndex::default(),
             next_event_id: 0,
             validity,
-            segment_span: DEFAULT_SEGMENT_SPAN,
         }
-    }
-
-    /// Re-partitions the store to the given segment span in seconds (clamped to
-    /// ≥ 1). Existing per-device timelines are re-bucketed (the co-location
-    /// posting lists do not depend on the span); typically called on an empty
-    /// store right after construction.
-    pub fn with_segment_span(mut self, span: Timestamp) -> Self {
-        let span = span.max(1);
-        if span != self.segment_span {
-            self.segment_span = span;
-            for timeline in &mut self.timelines {
-                let mut rebucketed = DeviceTimeline::new(span);
-                for event in timeline.iter() {
-                    rebucketed.push(*event);
-                }
-                *timeline = rebucketed;
-            }
-        }
-        self
-    }
-
-    /// The segment span (bucket width) in seconds.
-    pub fn segment_span(&self) -> Timestamp {
-        self.segment_span
     }
 
     /// The space metadata this store is attached to.
@@ -141,7 +115,7 @@ impl EventStore {
         let id = DeviceId::new(self.devices.len() as u32);
         self.devices
             .push(Device::new(id, mac.clone(), self.validity.default_delta));
-        self.timelines.push(DeviceTimeline::new(self.segment_span));
+        self.timelines.push(DeviceTimeline::default());
         self.colocation.add_device();
         self.mac_index.insert(mac, id);
         Ok(id)
@@ -209,7 +183,7 @@ impl EventStore {
     }
 
     /// Ingests one event with an already-resolved access point id. Appends to the
-    /// device's head segment (O(1) for in-timestamp-order arrivals).
+    /// device's timeline (O(1) for in-timestamp-order arrivals).
     pub fn ingest(
         &mut self,
         mac: &str,
@@ -231,6 +205,7 @@ impl EventStore {
         // entry takes the same rank among the device's entries at `t`.
         let rank = device_timeline
             .in_range(Interval::new(t, t + 1))
+            .iter()
             .filter(|e| e.id < id)
             .count();
         self.timeline.record(t, device, ap, rank);
@@ -274,26 +249,27 @@ impl EventStore {
         self.timeline.len()
     }
 
-    /// Total number of segments across all device timelines.
-    pub fn num_segments(&self) -> usize {
-        self.timelines.iter().map(|t| t.num_segments()).sum()
-    }
-
-    /// The segmented, time-sorted event timeline of a device (`E(d_i)`).
+    /// The time-sorted event timeline of a device (`E(d_i)`).
     pub fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline {
         &self.timelines[device.index()]
     }
 
-    /// Events of a device with timestamps in `[range.start, range.end)`, as a
-    /// segment-pruned iterator: segments outside the range are never touched.
-    pub fn events_of_in(&self, device: DeviceId, range: Interval) -> EventsInRange<'_> {
-        self.timelines[device.index()].in_range(range)
+    /// Events of a device with timestamps in `[range.start, range.end)`, in
+    /// time order (a sub-slice found by two binary searches).
+    pub fn events_of_in(
+        &self,
+        device: DeviceId,
+        range: Interval,
+    ) -> std::slice::Iter<'_, StoredEvent> {
+        self.timelines[device.index()].in_range(range).iter()
     }
 
-    /// The event (and its global index in the device timeline) whose validity interval
+    /// The event (and its index in the device timeline) whose validity interval
     /// covers `t`, if any.
     pub fn covering_event(&self, device: DeviceId, t: Timestamp) -> Option<(usize, StoredEvent)> {
-        self.timelines[device.index()].covering_event(t, self.delta(device))
+        self.timelines[device.index()]
+            .covering_event(t, self.delta(device))
+            .map(|(idx, event)| (idx, *event))
     }
 
     /// The region a covering event (if any) places the device in at time `t`.
@@ -303,18 +279,18 @@ impl EventStore {
 
     /// All gaps of a device (`GAP(d_i)`).
     pub fn gaps_of(&self, device: DeviceId) -> Vec<Gap> {
-        self.timelines[device.index()].gaps(self.delta(device))
+        gaps_in(&self.timelines[device.index()], self.delta(device))
     }
 
     /// Gaps of a device whose interval intersects `window` — computed from the
-    /// segments overlapping the window only, never from the full history.
+    /// events around the window only, never from the full history.
     pub fn gaps_of_in(&self, device: DeviceId, window: Interval) -> Vec<Gap> {
         self.timelines[device.index()].gaps_in_window(window, self.delta(device))
     }
 
     /// The gap containing `t` for this device, if `t` falls in one.
     pub fn gap_at(&self, device: DeviceId, t: Timestamp) -> Option<Gap> {
-        self.timelines[device.index()].gap_at(t, self.delta(device))
+        gap_containing(&self.timelines[device.index()], t, self.delta(device))
     }
 
     /// Devices with at least one event in `[t − slack, t + slack]`, excluding
@@ -380,31 +356,24 @@ impl EventStore {
     // Compaction / tiered ageing (policy lives in `crate::compaction`)
     // ------------------------------------------------------------------
 
-    /// Compacts the store against a retention horizon: evicts every whole
-    /// segment bucket strictly below `horizon` from the per-device timelines,
-    /// the global timeline index and the co-location posting lists in one
-    /// coherent mutation, and hands the evicted segments back in the returned
-    /// [`CompactionReport`] — nothing else is built from them here.
+    /// Compacts the store against a retention horizon `cut`: evicts every
+    /// event with `t < cut` from the per-device timelines, the global timeline
+    /// index and the co-location posting lists in one coherent mutation, and
+    /// hands the evicted events back in the returned [`CompactionReport`] —
+    /// nothing else is built from them here.
     ///
-    /// The cut is **bucket-aligned** (`cut = horizon.div_euclid(span) · span ≤
-    /// horizon`): buckets partition time uniformly for all devices, so the
-    /// timelines drop exactly the events with `t < cut`, and the global index
-    /// and the posting lists trim `t < cut` to match — the three structures
-    /// can never disagree. The event-id counter, the device table and every
-    /// retained segment are untouched — answers whose consulted window lies
-    /// at or above `cut` are byte-identical with compaction on or off.
-    pub fn compact(&mut self, horizon: Timestamp) -> CompactionReport {
-        let cut_bucket = horizon.div_euclid(self.segment_span);
-        let cut = cut_bucket.saturating_mul(self.segment_span);
+    /// All three structures trim the same `t < cut` prefix, so they can
+    /// never disagree. The event-id counter, the device table and every
+    /// retained event are untouched — answers whose consulted window lies at
+    /// or above `cut` are byte-identical with compaction on or off.
+    pub fn compact(&mut self, cut: Timestamp) -> CompactionReport {
         let mut evicted = Vec::new();
         let mut evicted_events = 0usize;
-        let mut evicted_segments = 0usize;
         for (idx, timeline) in self.timelines.iter_mut().enumerate() {
-            let segments = timeline.evict_before_bucket(cut_bucket);
-            if !segments.is_empty() {
-                evicted_segments += segments.len();
-                evicted_events += segments.iter().map(|s| s.len()).sum::<usize>();
-                evicted.push((DeviceId::new(idx as u32), segments));
+            let events = timeline.trim_before(cut);
+            if !events.is_empty() {
+                evicted_events += events.len();
+                evicted.push((DeviceId::new(idx as u32), events));
             }
         }
         if evicted_events > 0 {
@@ -414,10 +383,8 @@ impl EventStore {
             debug_assert_eq!(trimmed_postings, evicted_events);
         }
         CompactionReport {
-            horizon,
             cut,
             evicted_events,
-            evicted_segments,
             evicted,
         }
     }
@@ -425,31 +392,16 @@ impl EventStore {
     /// Approximate resident heap bytes of the store (allocated capacity of
     /// the per-device timelines, the global timeline index and the
     /// co-location posting lists — the structures that grow with history).
-    /// Compaction releases the freed capacity, so this gauge falls when
-    /// segments are evicted; it is what the soak harness and the `stats`
+    /// Compaction releases most of the freed capacity, so this gauge falls
+    /// when events are evicted; it is what the soak harness and the `stats`
     /// surfaces report.
     pub fn approx_resident_bytes(&self) -> usize {
         self.timelines
             .iter()
-            .map(DeviceTimeline::approx_bytes)
+            .map(|timeline| timeline.approx_bytes())
             .sum::<usize>()
             + self.timeline.approx_bytes()
             + self.colocation.approx_bytes()
-    }
-
-    /// Hot-tier shape of the store: head vs. sealed segment counts plus the
-    /// resident-bytes estimate (see [`TierStats`]).
-    pub fn tier_stats(&self) -> TierStats {
-        let head_segments = self
-            .timelines
-            .iter()
-            .filter(|timeline| !timeline.is_empty())
-            .count();
-        TierStats {
-            head_segments,
-            sealed_segments: self.num_segments() - head_segments,
-            resident_bytes: self.approx_resident_bytes(),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -508,7 +460,6 @@ impl EventStore {
         SnapshotParts {
             space: &self.space,
             validity: &self.validity,
-            span: self.segment_span,
             next_event_id: self.next_event_id,
             devices: &self.devices,
         }
@@ -527,7 +478,6 @@ impl EventStore {
     pub(crate) fn from_snapshot_parts(
         space: Space,
         validity: ValidityConfig,
-        segment_span: Timestamp,
         next_event_id: u64,
         devices: Vec<Device>,
         timelines: Vec<DeviceTimeline>,
@@ -554,7 +504,7 @@ impl EventStore {
                 )));
             }
         }
-        let num_events = timelines.iter().map(DeviceTimeline::len).sum();
+        let num_events = timelines.iter().map(|timeline| timeline.len()).sum();
         let mut entries = Vec::with_capacity(num_events);
         for (idx, timeline) in timelines.iter().enumerate() {
             let device = DeviceId::new(idx as u32);
@@ -589,7 +539,6 @@ impl EventStore {
             }
         }
         let timeline = Timeline::from_canonical(entries);
-        let segment_span = segment_span.max(1);
         let colocation = match colocation {
             Some(index) => {
                 if index.num_devices() != timelines.len() {
@@ -617,7 +566,6 @@ impl EventStore {
             colocation,
             next_event_id,
             validity,
-            segment_span,
         })
     }
 }
@@ -789,27 +737,10 @@ mod tests {
         store.ingest_raw("d1", week + 50, "wap2").unwrap();
         store.ingest_raw("d1", 3 * week + 10, "wap2").unwrap();
         let d1 = store.device_id("d1").unwrap();
-        let timeline = store.timeline_of(d1);
-        assert_eq!(timeline.num_segments(), 3);
-        assert_eq!(timeline.head().unwrap().bucket(), 3);
-        assert_eq!(store.num_segments(), 3);
-        // Window pruning only touches the overlapping segment.
+        assert_eq!(store.timeline_of(d1).len(), 4);
         let window = Interval::new(week, 2 * week);
         let in_window: Vec<Timestamp> = store.events_of_in(d1, window).map(|e| e.t).collect();
         assert_eq!(in_window, vec![week + 50]);
-    }
-
-    #[test]
-    fn with_segment_span_rebuckets_existing_events() {
-        let store = store_with_events().with_segment_span(1_000);
-        let d1 = store.device_id("d1").unwrap();
-        assert_eq!(store.segment_span(), 1_000);
-        // Events at 1_000/1_200 share bucket 1; 10_000 sits in bucket 10.
-        assert_eq!(store.timeline_of(d1).num_segments(), 2);
-        let ts: Vec<Timestamp> = store.timeline_of(d1).iter().map(|e| e.t).collect();
-        assert_eq!(ts, vec![1_000, 1_200, 10_000]);
-        // Gap structure is representation-independent.
-        assert_eq!(store.gaps_of(d1).len(), 1);
     }
 
     #[test]
@@ -838,7 +769,6 @@ mod tests {
     #[test]
     fn memory_layout_is_pinned() {
         use crate::colocation::ApPostings;
-        use crate::segment::Segment;
         use std::mem::size_of;
         assert_eq!(size_of::<TimelineEntry>(), 16);
         let entry_bytes = |store: &EventStore| store.num_events() * size_of::<TimelineEntry>();
@@ -857,22 +787,22 @@ mod tests {
         let rejoined = EventStore::rejoin(&shards).unwrap();
         assert_eq!(rejoined.timeline().approx_bytes(), entry_bytes(&rejoined));
 
-        // One device, three events in one segment on two APs, loaded from a
-        // snapshot. Each per-device vector holds at most four elements, so
-        // its first push reserved room for exactly four.
+        // One device, three events on two APs, loaded from a snapshot. The
+        // loader sizes the device timeline exactly; each posting-list vector
+        // holds at most four elements, so its first push reserved room for
+        // exactly four.
         let mut fixed = EventStore::new(space());
         fixed.ingest_raw("d1", 100, "wap1").unwrap();
         fixed.ingest_raw("d1", 200, "wap1").unwrap();
         fixed.ingest_raw("d1", 300, "wap2").unwrap();
         let fixed = EventStore::from_snapshot_bytes(&fixed.to_snapshot_bytes().unwrap()).unwrap();
-        let device_timeline =
-            4 * size_of::<Segment>() + 4 * size_of::<usize>() + 4 * size_of::<StoredEvent>();
+        let device_timeline = 3 * size_of::<StoredEvent>();
         let global_timeline = 3 * size_of::<TimelineEntry>();
         let per_ap_list = 4 * size_of::<Timestamp>();
         let index = 4 * size_of::<DevicePostings>() + 4 * size_of::<ApPostings>() + 2 * per_ap_list;
         assert_eq!(
             (device_timeline, global_timeline, index),
-            (256, 48, 288),
+            (72, 48, 288),
             "part sizes on a 64-bit target"
         );
         assert_eq!(
@@ -883,8 +813,8 @@ mod tests {
 
     #[test]
     fn index_stats_count_every_event() {
-        let mut store = store_with_events().with_segment_span(1_000);
-        // Late splices: into an earlier bucket and at an existing timestamp.
+        let mut store = store_with_events();
+        // Late splices: before earlier events and at an existing timestamp.
         store.ingest_raw("d1", 500, "wap3").unwrap();
         store.ingest_raw("d2", 1_100, "wap1").unwrap();
         assert_eq!(store.colocation_stats().events, store.num_events());
@@ -895,18 +825,18 @@ mod tests {
     }
 
     #[test]
-    fn respan_leaves_the_posting_lists_untouched() {
+    fn compact_cuts_at_the_exact_horizon() {
         let events = [
-            ("d1", 1_000, "wap1"),
-            ("d1", 1_200, "wap1"),
-            ("d1", 10_000, "wap2"),
-            ("d2", 1_100, "wap2"),
-            ("d3", 9_800, "wap3"),
-            // Late splices: into an earlier bucket, at an existing timestamp,
-            // and before the tail of a later one.
-            ("d1", 500, "wap3"),
-            ("d2", 1_100, "wap1"),
-            ("d3", 9_700, "wap3"),
+            ("d1", 10, "wap1"),
+            ("d2", 10, "wap2"),
+            ("d1", 150, "wap2"),
+            ("d2", 150, "wap2"),
+            ("d1", 420, "wap3"),
+            ("d2", 420, "wap1"),
+            ("d1", 999, "wap1"),
+            ("d2", 999, "wap3"),
+            // Late splice below the horizon.
+            ("d1", 390, "wap3"),
         ];
         let build = |keep: &dyn Fn(Timestamp) -> bool| {
             let mut store = EventStore::new(space());
@@ -915,26 +845,60 @@ mod tests {
             }
             store
         };
-        let store = build(&|_| true);
-        let before: Vec<DevicePostings> = store
-            .devices()
+        let mut store = build(&|_| true);
+        let report = store.compact(400);
+        assert_eq!(report.cut, 400);
+        // Exactly the t < 400 events leave, under their original ids.
+        let below: Vec<u64> = events
             .iter()
-            .map(|device| store.device_postings(device.id).clone())
+            .enumerate()
+            .filter(|(_, (_, t, _))| *t < 400)
+            .map(|(id, _)| id as u64)
             .collect();
-        let mut store = store.with_segment_span(1_000);
-        for device in store.devices() {
-            assert_eq!(store.device_postings(device.id), &before[device.id.index()]);
+        let mut evicted: Vec<u64> = report
+            .evicted
+            .iter()
+            .flat_map(|(_, events)| events.iter().map(|e| e.id.0))
+            .collect();
+        evicted.sort_unstable();
+        assert_eq!(evicted, below);
+        assert_eq!(report.evicted_events, below.len());
+        assert_eq!(store.num_events(), events.len() - below.len());
+        assert!(store.timeline().range(0, 400).is_empty());
+        // What is left equals a store built from the t ≥ 400 events alone.
+        let retained = build(&|t| t >= 400);
+        let t_ap = |store: &EventStore, mac: &str| -> Vec<(Timestamp, AccessPointId)> {
+            let device = store.device_id(mac).unwrap();
+            store
+                .timeline_of(device)
+                .iter()
+                .map(|e| (e.t, e.ap))
+                .collect()
+        };
+        for mac in ["d1", "d2"] {
+            assert_eq!(t_ap(&store, mac), t_ap(&retained, mac), "{mac}");
+            let (a, b) = (
+                store.device_id(mac).unwrap(),
+                retained.device_id(mac).unwrap(),
+            );
+            assert_eq!(
+                store.device_postings(a),
+                retained.device_postings(b),
+                "{mac}"
+            );
         }
-        let cut = store.compact(2_000).cut;
-        assert_eq!(cut, 2_000);
-        let retained = build(&|t| t >= cut);
-        for device in store.devices() {
-            let expected = retained
-                .device_id(device.mac.as_str())
-                .map(|id| retained.device_postings(id).clone())
-                .unwrap_or_default();
-            assert_eq!(store.device_postings(device.id), &expected);
-        }
+        let entries = |store: &EventStore| -> Vec<(Timestamp, String, AccessPointId)> {
+            store
+                .timeline()
+                .range(i64::MIN / 2, i64::MAX / 2)
+                .iter()
+                .map(|e| (e.t, store.device(e.device).mac.to_string(), e.ap))
+                .collect()
+        };
+        assert_eq!(entries(&store), entries(&retained));
+        assert_eq!(store.colocation_stats().events, retained.num_events());
+        // A second run at the same horizon evicts nothing.
+        assert_eq!(store.compact(400).evicted_events, 0);
     }
 
     #[test]

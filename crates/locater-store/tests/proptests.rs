@@ -1,4 +1,4 @@
-//! Property-based tests for the segmented event store.
+//! Property-based tests for the event store.
 
 use locater_events::{DeviceId, Interval};
 use locater_space::{RegionId, Space, SpaceBuilder};
@@ -18,10 +18,9 @@ fn arb_events() -> impl Strategy<Value = Vec<(u8, i64, u8)>> {
     prop::collection::vec((0u8..6, 0i64..500_000, 0u8..3), 1..150)
 }
 
-/// A store with a deliberately small segment span so arbitrary event sets
-/// produce many segments (and plenty of cross-segment boundaries).
-fn build_store(events: &[(u8, i64, u8)], span: i64) -> EventStore {
-    let mut store = EventStore::new(space()).with_segment_span(span);
+/// A store holding `events`, ingested in the given (arbitrary) order.
+fn build_store(events: &[(u8, i64, u8)]) -> EventStore {
+    let mut store = EventStore::new(space());
     for (dev, t, ap) in events {
         store
             .ingest_raw(&format!("device-{dev}"), *t, &format!("wap{ap}"))
@@ -31,42 +30,33 @@ fn build_store(events: &[(u8, i64, u8)], span: i64) -> EventStore {
 }
 
 proptest! {
-    /// Ingestion never loses events: per-device timeline lengths sum to the total,
-    /// every device timeline is globally sorted, and segment bucketing is consistent
-    /// with the configured span.
+    /// Ingestion never loses events: per-device timeline lengths sum to the
+    /// total, and every device timeline is sorted by `(t, id)`.
     #[test]
-    fn ingestion_preserves_and_sorts_events(events in arb_events(), span in 1_000i64..100_000) {
-        let store = build_store(&events, span);
+    fn ingestion_preserves_and_sorts_events(events in arb_events()) {
+        let store = build_store(&events);
         prop_assert_eq!(store.num_events(), events.len());
         let mut total = 0usize;
         for device in store.devices() {
             let timeline = store.timeline_of(device.id);
             total += timeline.len();
-            let ts: Vec<i64> = timeline.iter().map(|e| e.t).collect();
-            let mut sorted = ts.clone();
+            let keys: Vec<_> = timeline.iter().map(|e| (e.t, e.id)).collect();
+            let mut sorted = keys.clone();
             sorted.sort_unstable();
-            prop_assert_eq!(&ts, &sorted);
-            for segment in timeline.segments() {
-                prop_assert!(!segment.is_empty());
-                for e in segment.events() {
-                    prop_assert_eq!(e.t.div_euclid(span), segment.bucket());
-                }
-            }
+            prop_assert_eq!(&keys, &sorted);
         }
         prop_assert_eq!(total, events.len());
     }
 
-    /// The segmented representation is invisible to readers: window queries and
-    /// windowed gap detection agree exactly with brute-force filters over the full
-    /// history.
+    /// Window queries and windowed gap detection agree exactly with
+    /// brute-force filters over the full history.
     #[test]
     fn segment_pruned_queries_match_full_scans(
         events in arb_events(),
-        span in 500i64..80_000,
         win_start in -10_000i64..510_000,
         win_len in 0i64..200_000,
     ) {
-        let store = build_store(&events, span);
+        let store = build_store(&events);
         let window = Interval::new(win_start, win_start + win_len);
         for device in store.devices() {
             let timeline = store.timeline_of(device.id);
@@ -92,26 +82,10 @@ proptest! {
         }
     }
 
-    /// Segmentation is a pure function of the event order, not of the span: any two
-    /// spans produce identical query answers.
-    #[test]
-    fn segment_span_does_not_change_answers(events in arb_events(), probe in 0i64..500_000) {
-        let fine = build_store(&events, 2_000);
-        let coarse = build_store(&events, 1_000_000);
-        for device in fine.devices() {
-            prop_assert_eq!(
-                fine.covering_event(device.id, probe),
-                coarse.covering_event(device.id, probe)
-            );
-            prop_assert_eq!(fine.gap_at(device.id, probe), coarse.gap_at(device.id, probe));
-            prop_assert_eq!(fine.gaps_of(device.id), coarse.gaps_of(device.id));
-        }
-    }
-
     /// CSV roundtrips preserve the number of events and devices.
     #[test]
     fn csv_roundtrip(events in arb_events()) {
-        let store = build_store(&events, 50_000);
+        let store = build_store(&events);
         let csv = store.to_csv();
         let back = EventStore::from_csv(space(), &csv).unwrap();
         prop_assert_eq!(back.num_events(), store.num_events());
@@ -119,12 +93,12 @@ proptest! {
     }
 
     /// Snapshot roundtrips are **bit-identical**: the reloaded store compares equal
-    /// (devices, deltas, segment runs, event ids, global timeline order — the
+    /// (devices, deltas, event runs, event ids, global timeline order — the
     /// ordering the service's epoch bookkeeping depends on) and re-encodes to the
     /// same bytes.
     #[test]
-    fn snapshot_roundtrip_is_bit_identical(events in arb_events(), span in 1_000i64..100_000) {
-        let mut store = build_store(&events, span);
+    fn snapshot_roundtrip_is_bit_identical(events in arb_events()) {
+        let mut store = build_store(&events);
         store.estimate_deltas();
         let bytes = store.to_snapshot_bytes().unwrap();
         let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
@@ -136,7 +110,7 @@ proptest! {
     /// never a silently short store.
     #[test]
     fn truncated_snapshots_error_out(events in arb_events(), cut_fraction in 0.0f64..1.0) {
-        let store = build_store(&events, 10_000);
+        let store = build_store(&events);
         let bytes = store.to_snapshot_bytes().unwrap();
         let cut = ((bytes.len() - 1) as f64 * cut_fraction) as usize;
         prop_assert!(EventStore::from_snapshot_bytes(&bytes[..cut]).is_err());
@@ -146,7 +120,7 @@ proptest! {
     /// devices_online_at only reports devices with covering events.
     #[test]
     fn online_devices_are_covered(events in arb_events(), probe in 0i64..500_000) {
-        let store = build_store(&events, 25_000);
+        let store = build_store(&events);
         for (device, region) in store.devices_online_at(probe, None) {
             let covering = store.covering_event(device, probe);
             prop_assert!(covering.is_some());
@@ -160,10 +134,9 @@ proptest! {
     #[test]
     fn split_rejoin_roundtrip_is_bit_identical(
         events in arb_events(),
-        span in 1_000i64..100_000,
         shards in 1usize..9,
     ) {
-        let store = build_store(&events, span);
+        let store = build_store(&events);
         let pieces = store.split(shards);
         prop_assert_eq!(pieces.len(), shards);
         let rejoined = EventStore::rejoin(&pieces).unwrap();
@@ -180,12 +153,11 @@ proptest! {
     #[test]
     fn sharded_read_is_indistinguishable_from_combined_store(
         events in arb_events(),
-        span in 1_000i64..100_000,
         shards in 1usize..9,
         probe in 0i64..500_000,
         slack in 1i64..50_000,
     ) {
-        let store = build_store(&events, span);
+        let store = build_store(&events);
         let pieces = store.split(shards);
         let view = ShardedRead::new(pieces.iter().collect());
         prop_assert_eq!(EventRead::num_events(&view), store.num_events());
@@ -213,11 +185,10 @@ proptest! {
     #[test]
     fn colocation_index_matches_timeline_filters(
         events in arb_events(),
-        span in 1_000i64..100_000,
         start in 0i64..500_000,
         width in 1i64..200_000,
     ) {
-        let store = build_store(&events, span);
+        let store = build_store(&events);
         let window = Interval::new(start, start + width);
         for device in store.devices() {
             let postings = store.device_postings(device.id);
@@ -258,10 +229,9 @@ proptest! {
     #[test]
     fn pinned_id_replay_is_permutation_invariant(
         events in arb_events(),
-        span in 1_000i64..100_000,
         perm_seed in 0u64..u64::MAX,
     ) {
-        let mut reference = EventStore::new(space()).with_segment_span(span);
+        let mut reference = EventStore::new(space());
         let mut labeled = Vec::with_capacity(events.len());
         for (dev, t, ap) in &events {
             let id = reference.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
@@ -270,7 +240,7 @@ proptest! {
 
         shuffle(&mut labeled, perm_seed);
 
-        let mut replay = EventStore::new(space()).with_segment_span(span);
+        let mut replay = EventStore::new(space());
         for (dev, _, _) in &events {
             replay.intern_device(&mac_of(*dev)).unwrap();
         }
@@ -335,21 +305,21 @@ proptest! {
     }
 
     /// Compaction's coordinated trim evicts exactly the events below the
-    /// bucket-aligned cut and nothing else: every timeline read and every
-    /// co-location posting inside a window at or above the cut is identical
-    /// to the untrimmed store's.
+    /// horizon and nothing else: every timeline read and every co-location
+    /// posting inside a window at or above the cut is identical to the
+    /// untrimmed store's.
     #[test]
     fn compaction_trim_never_drops_an_in_window_posting(
         events in arb_events(),
-        span in 500i64..50_000,
         horizon in 0i64..600_000,
         start_off in 0i64..150_000,
         width in 1i64..150_000,
     ) {
-        let full = build_store(&events, span);
-        let mut compacted = build_store(&events, span);
+        let full = build_store(&events);
+        let mut compacted = build_store(&events);
         let report = compacted.compact(horizon);
         let cut = report.cut;
+        prop_assert_eq!(cut, horizon);
         prop_assert_eq!(
             compacted.num_events(),
             events.iter().filter(|(_, t, _)| *t >= cut).count(),
@@ -383,11 +353,10 @@ proptest! {
     #[test]
     fn compact_snapshot_load_roundtrip_is_bit_identical(
         events in arb_events(),
-        span in 500i64..50_000,
         horizon in 0i64..600_000,
         shards in 2usize..5,
     ) {
-        let mut full = build_store(&events, span);
+        let mut full = build_store(&events);
         full.estimate_deltas();
         let mut store = full.clone();
         let report = store.compact(horizon);
@@ -401,9 +370,7 @@ proptest! {
         let mut evicted: Vec<_> = report
             .evicted
             .iter()
-            .flat_map(|(device, segments)| {
-                segments.iter().flat_map(|s| s.events()).map(move |e| (*device, *e))
-            })
+            .flat_map(|(device, events)| events.iter().map(move |e| (*device, *e)))
             .collect();
         prop_assert_eq!(evicted.len(), report.evicted_events);
         prop_assert!(evicted.iter().all(|(_, e)| e.t < report.cut));
@@ -425,8 +392,8 @@ proptest! {
         prop_assert_eq!(spill.num_events(), report.evicted_events);
         prop_assert_eq!(spill.devices(), store.devices());
         prop_assert_eq!(spill.next_event_id(), store.next_event_id());
-        for (device, segments) in &report.evicted {
-            prop_assert_eq!(spill.timeline_of(*device).segments(), segments.as_slice());
+        for (device, events) in &report.evicted {
+            prop_assert_eq!(spill.timeline_of(*device).events(), events.as_slice());
         }
         prop_assert_eq!(spill.to_snapshot_bytes().unwrap(), &spill_bytes[..]);
 

@@ -12,7 +12,7 @@
 //! locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]
 //! locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]
 //! locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]
-//! locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]
+//! locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR]
 //! locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>
 //! locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]
 //! locater-cli snapshot save <space.json> <events.csv> <out.snap>
@@ -26,7 +26,7 @@
 //!   (AP coverage, public rooms, room owners, preferred rooms).
 //! * `events.csv` / `queries.csv` are `mac,timestamp,ap` and `mac,timestamp` files.
 //! * `snapshot save` ingests a CSV log once (estimating validity periods) and
-//!   persists the whole store — space, device table, segment runs — as one
+//!   persists the whole store — space, device table, event runs — as one
 //!   versioned binary file; `snapshot load` verifies and summarizes it; and
 //!   `serve --snapshot` cold-starts the live service from it without replaying
 //!   the CSV.
@@ -65,13 +65,13 @@
 //!   discarding everything from the first invalid frame onward (needed only
 //!   when damage sits before a shard's final segment, where recovery refuses).
 //! * `serve --retain SECS` bounds the hot tier: history older than the
-//!   retention (measured from the event-time watermark, rounded down to a
-//!   whole segment bucket) is compacted away — with `--spill-dir` spilled as
-//!   reloadable snapshot files (one per run, never replaced), otherwise
-//!   dropped. `--compact-interval SECS` schedules the compaction tick
-//!   on a background thread off the ingest path (`--listen` mode); the
-//!   `compact` REPL/wire verb triggers one on demand. Answers inside the
-//!   retained window are byte-identical with compaction on or off.
+//!   retention (measured from the event-time watermark) is compacted away —
+//!   with `--spill-dir` spilled as reloadable snapshot files (one per run,
+//!   never replaced), otherwise dropped. `--compact-interval SECS`
+//!   schedules the compaction tick on a background thread off the ingest
+//!   path (`--listen` mode); the `compact` REPL/wire verb triggers one on
+//!   demand. Answers inside the retained window are byte-identical with
+//!   compaction on or off.
 //! * `compact` is the offline counterpart: load a snapshot, evict history
 //!   below the horizon (absolute `--horizon` or watermark-relative
 //!   `--retain`), spill it into `--spill-dir`, write the compacted snapshot
@@ -149,7 +149,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR] [--segment-span SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
+    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
 }
 
 /// Parses arguments and runs one command, returning the text to print.
@@ -418,9 +418,9 @@ fn batch(args: &[String]) -> Result<String, CliError> {
 }
 
 fn serve(args: &[String]) -> Result<String, CliError> {
-    let mut store = if let Some(snapshot_path) = flag_value(args, "--snapshot") {
+    let store = if let Some(snapshot_path) = flag_value(args, "--snapshot") {
         // Cold start from the binary snapshot: no CSV replay, validity periods
-        // already estimated, segments restored verbatim.
+        // already estimated, timelines restored verbatim.
         EventStore::load_snapshot(&snapshot_path)
             .map_err(|e| format!("cannot load snapshot {snapshot_path}: {e}"))?
     } else {
@@ -431,11 +431,6 @@ fn serve(args: &[String]) -> Result<String, CliError> {
             None => EventStore::new(load_space(space_path)?),
         }
     };
-    // Compaction cuts are bucket-aligned, so a retention much shorter than
-    // the default one-week span needs a matching bucket width to bite.
-    if let Some(span) = secs_flag(args, "--segment-span")?.filter(|&secs| secs > 0) {
-        store = store.with_segment_span(span);
-    }
     let config = config_from_flags(args);
     let shards = shards_from_flags(args)?;
     let mut recovery_report = None;
@@ -702,8 +697,8 @@ fn request(args: &[String]) -> Result<String, CliError> {
 }
 
 /// The `compact` command: offline compaction of a snapshot file. Loads the
-/// store, evicts whole segment buckets below the horizon (absolute
-/// `--horizon T`, or `--retain SECS` behind the event-time watermark),
+/// store, evicts every event below the horizon (absolute `--horizon T`, or
+/// `--retain SECS` behind the event-time watermark; not both),
 /// writes the evicted events into `--spill-dir` as a spill snapshot, and
 /// writes the compacted snapshot back — in place, or to `--out`. Answers
 /// inside the retained window are unchanged; the evicted history stays
@@ -715,6 +710,9 @@ fn compact(args: &[String]) -> Result<String, CliError> {
         .ok_or("missing store.snap")?;
     let retain = secs_flag(args, "--retain")?;
     let horizon_flag = secs_flag(args, "--horizon")?;
+    if retain.is_some() && horizon_flag.is_some() {
+        return Err("compact takes a retain or a horizon, not both".into());
+    }
     let out_path = flag_value(args, "--out").unwrap_or_else(|| snap.clone());
     let spill_dir = flag_value(args, "--spill-dir");
     let mut store = EventStore::load_snapshot(snap)
@@ -729,9 +727,8 @@ fn compact(args: &[String]) -> Result<String, CliError> {
     };
     let report = store.compact(horizon);
     let mut out = format!(
-        "compacted {snap}: {} event(s) in {} segment(s) evicted below cut {}; {} event(s) retained\n",
+        "compacted {snap}: {} event(s) evicted below cut {}; {} event(s) retained\n",
         report.evicted_events,
-        report.evicted_segments,
         report.cut,
         store.num_events()
     );
@@ -769,10 +766,9 @@ fn snapshot(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| format!("cannot write {out_path}: {e}"))?;
             let size = std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0);
             Ok(format!(
-                "saved {out_path}: {} events, {} devices, {} segments ({size} bytes)\n",
+                "saved {out_path}: {} events, {} devices ({size} bytes)\n",
                 store.num_events(),
                 store.num_devices(),
-                store.num_segments(),
             ))
         }
         "load" => {
@@ -781,13 +777,6 @@ fn snapshot(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
             let mut out = String::new();
             let _ = writeln!(out, "{}", store.stats().to_report());
-            let _ = writeln!(
-                out,
-                "segments: {} across {} devices (span {}s)",
-                store.num_segments(),
-                store.num_devices(),
-                store.segment_span()
-            );
             let index = store.colocation_stats();
             let _ = writeln!(
                 out,
@@ -1113,14 +1102,12 @@ mod tests {
             snap.clone(),
         ])
         .expect("snapshot save succeeds");
-        assert!(saved.contains("saved"));
-        assert!(saved.contains("segments"));
+        assert!(saved.contains("saved") && saved.contains("devices"));
         assert!(!saved.contains("index"), "one index mode, not worth naming");
 
         let loaded =
             run(&["snapshot".into(), "load".into(), snap.clone()]).expect("snapshot load succeeds");
         assert!(loaded.contains("events"));
-        assert!(loaded.contains("segments:"));
         assert!(loaded.contains("co-location index:"));
         assert!(loaded.contains("resident: ") && loaded.contains(" B/event)"));
 
@@ -1199,10 +1186,7 @@ mod tests {
             compacted.clone(),
         ])
         .expect("no-op compact succeeds");
-        assert!(
-            noop.contains("0 event(s) in 0 segment(s) evicted"),
-            "{noop}"
-        );
+        assert!(noop.contains(": 0 event(s) evicted"), "{noop}");
         assert_eq!(EventStore::load_snapshot(&compacted).unwrap(), before);
 
         // One week of retention on a three-week corpus evicts history and
@@ -1220,7 +1204,7 @@ mod tests {
             .expect("compact succeeds")
         };
         let out = compact_in_place();
-        assert!(!out.contains("0 event(s) in 0 segment(s)"), "{out}");
+        assert!(!out.contains(": 0 event(s) evicted"), "{out}");
         assert!(out.contains("spilled"), "{out}");
         assert!(out.contains(&format!("wrote {snap}")), "{out}");
         let mut after = EventStore::load_snapshot(&snap).unwrap();
@@ -1233,7 +1217,7 @@ mod tests {
         assert_eq!(first.num_events() + after.num_events(), before.num_events());
 
         // A late event below the cut, then the same command again: the same
-        // bucket-aligned cut, a one-event spill — and the first spill is
+        // cut, a one-event spill — and the first spill is
         // still there, untouched.
         let late_mac = before.devices()[0].mac.as_str().to_string();
         let late_t = spills[0].0 - 1_000;
@@ -1241,7 +1225,7 @@ mod tests {
         let late = after.ingest_raw(&late_mac, late_t, &late_ap).unwrap();
         after.save_snapshot(&snap).unwrap();
         let out = compact_in_place();
-        assert!(out.contains("1 event(s) in 1 segment(s) evicted"), "{out}");
+        assert!(out.contains(": 1 event(s) evicted"), "{out}");
         let spills = locater::store::list_spills(&spill_dir).unwrap();
         assert_eq!(spills.len(), 2, "a spill never replaces a spill");
         assert_eq!((spills[0].0, spills[1].0), (late_t + 1_000, late_t + 1_000));
@@ -1268,6 +1252,39 @@ mod tests {
         assert!(run(&["compact".into(), snap, "--retain".into(), "soon".into()]).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compact_refuses_both_a_retention_and_a_horizon() {
+        let space = locater::space::SpaceBuilder::new("compact-both")
+            .add_access_point("wap0", &["r0"])
+            .build()
+            .unwrap();
+        let mut store = EventStore::new(space);
+        for t in [100, 5_000, 9_000] {
+            store.ingest_raw("aa:00:00:00:00:01", t, "wap0").unwrap();
+        }
+        let snap =
+            std::env::temp_dir().join(format!("locater-cli-both-{}.snap", std::process::id()));
+        store.save_snapshot(&snap).unwrap();
+        let kept = std::fs::read(&snap).unwrap();
+        // Refused in the wire verb's words, and the snapshot is left as it was.
+        let args = [
+            "compact",
+            &snap.to_string_lossy(),
+            "--retain",
+            "1",
+            "--horizon",
+            "6000",
+        ];
+        let err = run(&args.map(String::from)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "compact takes a retain or a horizon, not both"
+        );
+        assert_eq!(std::fs::read(&snap).unwrap(), kept);
+        std::fs::remove_file(&snap).ok();
     }
 
     #[test]
@@ -1427,7 +1444,7 @@ locate aa:bb:cc:dd:ee:01 1000
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "{\"Ingested\":{\"mac\":\"aa:bb:cc:dd:ee:01\",\"t\":1000,\"ap\":\"wap1\",\"device_epoch\":1}}\n\
-             {\"Pong\":{\"version\":6}}\n\
+             {\"Pong\":{\"version\":7}}\n\
              \"ShuttingDown\"\n"
         );
         assert!(state.is_draining());

@@ -30,7 +30,7 @@
 //! |---|---|
 //! | [`locater_space`] | space model: buildings, regions, rooms, APs, coverage, metadata |
 //! | [`locater_events`] | connectivity events, devices, validity periods, gap detection |
-//! | [`locater_store`] | segmented event storage, indices, per-device sharding, CSV ingestion, binary snapshots, statistics |
+//! | [`locater_store`] | per-device event timelines, indices, per-device sharding, CSV ingestion, binary snapshots, statistics |
 //! | [`locater_learn`] | logistic regression + semi-supervised self-training (Algorithm 1) |
 //! | [`locater_core`] | coarse & fine localization, caching, baselines, metrics, the `ShardedLocaterService` |
 //! | [`locater_sim`] | SmartBench-style scenario simulator + DBH-like campus dataset generator |

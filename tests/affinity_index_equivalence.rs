@@ -7,7 +7,7 @@
 //!
 //! The reference semantics is [`ScanRead`]: a view of the same store with the
 //! index masked, which forces [`AffinityEngine`] onto its scan oracle, the
-//! segment-pruned timeline scans. Equality is asserted on `f64::to_bits`, not
+//! windowed timeline scans. Equality is asserted on `f64::to_bits`, not
 //! approximate closeness, and extends to whole [`FineLocalizer`] outcomes
 //! (`FineOutcome` comparison is exact on every probability).
 
@@ -54,14 +54,14 @@ impl Lcg {
 /// around a handful of anchor instants.
 fn random_store(seed: u64, events: usize) -> (EventStore, Vec<i64>) {
     let mut rng = Lcg(seed);
-    let mut store = EventStore::new(space()).with_segment_span(4_000 + (seed % 7) as i64 * 997);
+    let mut store = EventStore::new(space());
     let mut t = 1_000i64;
     let mut anchors = Vec::new();
     for i in 0..events {
         t += rng.below(900) as i64;
         let mac = MACS[rng.below(MACS.len() as u64) as usize];
         let ap = APS[rng.below(APS.len() as u64) as usize];
-        // ~1 in 8 events arrives out of order, up to ~2 segments in the past.
+        // ~1 in 8 events arrives out of order, up to 9 000 s in the past.
         let at = if rng.below(8) == 0 {
             (t - 1 - rng.below(9_000) as i64).max(0)
         } else {

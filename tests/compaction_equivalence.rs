@@ -57,9 +57,7 @@ const HISTORY: i64 = 3_000;
 /// `ValidityConfig`'s default upper clamp on δ.
 const DELTA_MAX: i64 = 1_800;
 /// Event-time retention handed to `compact_all`.
-const RETAIN: i64 = 5_000;
-/// Segment span: small enough that a trace crosses many buckets.
-const SPAN: i64 = 500;
+const RETAIN: i64 = 6_000;
 
 /// A short consulted window so a bounded trace spans many retention cycles,
 /// and no affinity cache so each answer depends only on store contents —
@@ -73,7 +71,7 @@ fn config() -> LocaterConfig {
 }
 
 fn service(shards: usize) -> ShardedLocaterService {
-    let store = EventStore::new(space()).with_segment_span(SPAN);
+    let store = EventStore::new(space());
     ShardedLocaterService::new(store, config(), shards)
 }
 
@@ -357,7 +355,7 @@ fn durability(dir: &Path) -> Durability {
 }
 
 fn durable_service(dir: &Path, shards: usize) -> ShardedLocaterService {
-    let store = EventStore::new(space()).with_segment_span(SPAN);
+    let store = EventStore::new(space());
     let (service, _) =
         ShardedLocaterService::with_durability(store, config(), shards, durability(dir))
             .expect("durable boot");
@@ -365,7 +363,7 @@ fn durable_service(dir: &Path, shards: usize) -> ShardedLocaterService {
 }
 
 fn recover(dir: &Path, shards: usize) -> (ShardedLocaterService, u64) {
-    let store = EventStore::new(space()).with_segment_span(SPAN);
+    let store = EventStore::new(space());
     let (service, report) =
         ShardedLocaterService::with_durability(store, config(), shards, durability(dir))
             .expect("recovery boot");
@@ -600,7 +598,7 @@ fn spill_bytes_depend_on_the_evicted_events_not_on_shards_or_entry_point() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Two runs can land on the same bucket-aligned cut (a late ingest below it,
+/// Two runs can land on the same cut (a late ingest below it,
 /// then the next tick at the same retention). The second spill must not
 /// replace the first: after any sequence of runs every evicted event id is in
 /// exactly one spill file, and hot ∪ spills is the never-compacted store.

@@ -73,7 +73,7 @@ fn run_interleaving(out: &SimOutput, shards: usize, seed: u64) -> Vec<String> {
     let (late, boot): (Vec<_>, Vec<_>) = boot.iter().enumerate().partition(|(i, _)| i % 23 == 7);
     let late: Vec<&RawEvent> = late.into_iter().map(|(_, e)| e).collect();
     let service = || {
-        let mut store = EventStore::new(out.space.clone()).with_segment_span(clock::days(1));
+        let mut store = EventStore::new(out.space.clone());
         store
             .ingest_batch(boot.iter().map(|(_, e)| *e))
             .expect("boot events ingest");
@@ -188,7 +188,7 @@ fn compaction_fits_a_pending_model_before_evicting_its_inputs() {
     config.coarse.history = 40_000;
     config.fine.affinity_window = 2_000;
     let service = || {
-        let store = EventStore::new(space.clone()).with_segment_span(1_000);
+        let store = EventStore::new(space.clone());
         let service = ShardedLocaterService::new(store, config, 2);
         // Below 9 000: two inside gaps and an outside one, the bulk of what a
         // window ending at 14 000 is fitted on. From 9 000: one ambiguous and
