@@ -3,7 +3,7 @@
 use locater_events::clock::Timestamp;
 use locater_events::{DeviceId, Interval};
 use locater_space::{RegionId, RoomId};
-use locater_store::{DevicePostings, EventRead, PostingCursor};
+use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -115,8 +115,9 @@ pub type RoomAffinityMemo = HashMap<(DeviceId, RegionId), RoomAffinity>;
 
 /// Computes room, device and group affinities against one event store.
 ///
-/// The engine is cheap to construct (it only borrows the store); the expensive part is
-/// [`AffinityEngine::device_affinity`], which scans the devices' recent histories.
+/// The engine is cheap to construct (it borrows the store and reads its largest δ);
+/// the expensive part is [`AffinityEngine::device_affinity`], which scans the
+/// devices' recent histories.
 #[derive(Clone, Copy)]
 pub struct AffinityEngine<'a> {
     store: &'a dyn EventRead,
@@ -124,6 +125,9 @@ pub struct AffinityEngine<'a> {
     /// Length of the history window, ending at the query time, over which device
     /// affinities are computed.
     window: Timestamp,
+    /// The store's largest δ, read once: it bounds how far outside the window
+    /// a matching partner can lie.
+    max_delta: Timestamp,
 }
 
 impl<'a> AffinityEngine<'a> {
@@ -134,6 +138,7 @@ impl<'a> AffinityEngine<'a> {
             store,
             weights,
             window: window.max(1),
+            max_delta: store.max_delta(),
         }
     }
 
@@ -216,123 +221,93 @@ impl<'a> AffinityEngine<'a> {
     ///
     /// Returns 0 for sets of fewer than two devices or with no events in the window.
     ///
-    /// One dispatch, on [`EventRead::postings_of`] looked up once per member:
-    /// when every member is indexed, a distinct pair runs as one
-    /// [`PairAffinitySession`] merge and any other set as a bucket-intersection
-    /// merge over only the access points all members share. A view that
-    /// leaves any member unindexed is answered by the per-event window scan,
-    /// the naive oracle. Every route counts the same events, so the returned
-    /// ratio is **bit-identical** either way
+    /// One route per set shape: a distinct pair runs as one
+    /// [`PairAffinitySession`] merge, and any other set (a k-set, or one with
+    /// a repeated member) as a merge over each member's window events grouped
+    /// by access point. Every route counts the same events as the naive
+    /// per-event window scan, so the returned ratio is **bit-identical** to it
     /// (`tests/affinity_index_equivalence.rs`).
     pub fn device_affinity(&self, devices: &[DeviceId], until: Timestamp) -> f64 {
         if devices.len() < 2 {
             return 0.0;
         }
-        let window = Interval::new(until - self.window, until + 1);
         // A distinct pair, the dominant shape, runs as one session merge: even
         // one-shot, it measures faster than the per-AP merge of a k-set.
         if let [a, b] = *devices {
             if a != b {
-                return match (self.store.postings_of(a), self.store.postings_of(b)) {
-                    (Some(_), Some(_)) => self.pair_session(a, until).affinity(b),
-                    _ => self.tally_scanned(devices, window),
-                };
+                return self.pair_session(a, until).affinity(b);
             }
         }
-        let postings: Option<Vec<&DevicePostings>> = devices
-            .iter()
-            .map(|&device| self.store.postings_of(device))
-            .collect();
-        match postings {
-            Some(postings) => self.tally_indexed(devices, &postings, window),
-            None => self.tally_scanned(devices, window),
-        }
+        self.tally_runs(devices, self.window_until(until))
     }
 
-    /// The indexed route of [`AffinityEngine::device_affinity`] for a k-set
-    /// or a duplicate-member set; `postings[i]` belongs to `devices[i]`.
+    /// The history window ending at `until`: `[until − window, until]`.
+    fn window_until(&self, until: Timestamp) -> Interval {
+        Interval::new(until - self.window, until + 1)
+    }
+
+    /// `window` padded by the largest δ on both sides: every event any
+    /// member's merge can read. A partner of a window event lies within that
+    /// member's δ ≤ max δ of it.
+    fn reach(&self, window: Interval) -> Interval {
+        Interval::new(window.start - self.max_delta, window.end + self.max_delta)
+    }
+
+    /// The k-set (or repeated-member) route of
+    /// [`AffinityEngine::device_affinity`].
     ///
     /// Each member's window total is two partition points on its timeline.
     /// Its *intersecting* count only ever touches access points **every**
-    /// other member connected to: the AP lists are intersected by a sorted
-    /// merge, and on each shared AP the member's window timestamps merge
-    /// against one forward-only [`PostingCursor`] per other member. APs not
-    /// shared by the whole set cost nothing at all.
-    fn tally_indexed(
-        &self,
-        devices: &[DeviceId],
-        postings: &[&DevicePostings],
-        window: Interval,
-    ) -> f64 {
+    /// other member has events on within the reach: on each such AP the
+    /// member's window timestamps merge against one forward-only cursor over
+    /// each other member's run. A reach-limited run yields the same first
+    /// partner `≥ t − δ` as the member's whole history would, because any
+    /// partner that counts lies inside the reach.
+    fn tally_runs(&self, devices: &[DeviceId], window: Interval) -> f64 {
+        let reach = self.reach(window);
+        let runs: Vec<ApRuns> = devices
+            .iter()
+            .map(|&device| ApRuns::new(self.store, device, reach))
+            .collect();
         let (mut total, mut intersecting) = (0usize, 0usize);
-        let mut cursors: Vec<PostingCursor<'_>> = Vec::with_capacity(devices.len());
-        for (&device, own) in devices.iter().zip(postings) {
+        let mut cursors: Vec<&[Timestamp]> = Vec::with_capacity(devices.len());
+        for (&device, own) in devices.iter().zip(&runs) {
             total += self.store.timeline_of(device).count_in(window);
             let delta = self.store.delta(device);
-            let others: Vec<&DevicePostings> = devices
+            let others: Vec<&ApRuns> = devices
                 .iter()
-                .zip(postings)
+                .zip(&runs)
                 .filter(|&(&other, _)| other != device)
-                .map(|(_, &other)| other)
+                .map(|(_, other)| other)
                 .collect();
-            // Sorted-merge position in each other member's AP lists; advances
-            // monotonically with this member's AP iteration.
-            let mut ap_pos = vec![0usize; others.len()];
-            for list in own.ap_lists() {
-                let ap = list.ap();
-                // Lists without window events need no merge work (their events
+            for ap in 0..own.num_aps() {
+                // Runs without window events need no merge work (their events
                 // are already in the total and can contribute nothing).
-                let mut window_ts = list.timestamps_in(window).peekable();
-                if window_ts.peek().is_none() {
+                let window_ts = within(own.run(ap), window);
+                if window_ts.is_empty() {
                     continue;
                 }
                 cursors.clear();
-                for (pos, other) in ap_pos.iter_mut().zip(&others) {
-                    let lists = other.ap_lists();
-                    while *pos < lists.len() && lists[*pos].ap() < ap {
-                        *pos += 1;
-                    }
-                    match lists.get(*pos) {
-                        Some(list) if list.ap() == ap => cursors.push(list.cursor()),
-                        // That member never connected to this AP: nothing
-                        // here can intersect.
-                        _ => break,
-                    }
-                }
+                // A member without events on this AP within the reach
+                // leaves nothing here to intersect.
+                cursors.extend(
+                    others
+                        .iter()
+                        .map(|other| other.run(ap))
+                        .take_while(|run| !run.is_empty()),
+                );
                 if cursors.len() < others.len() {
                     continue;
                 }
-                for t in window_ts {
-                    // The window iterator is ascending, so `t - delta` never
-                    // decreases — exactly the contract of the merge cursors.
-                    let all_present = cursors.iter_mut().all(|cursor| {
-                        cursor
-                            .advance_to(t - delta)
-                            .is_some_and(|ts| ts < t + delta + 1)
+                for &t in window_ts {
+                    // Window timestamps ascend, so `t - delta` never
+                    // decreases and each cursor only moves forward.
+                    let all_present = cursors.iter_mut().all(|run| {
+                        *run = &run[run.partition_point(|&x| x < t - delta)..];
+                        run.first().is_some_and(|&x| x <= t + delta)
                     });
                     intersecting += usize::from(all_present);
                 }
-            }
-        }
-        ratio(intersecting, total)
-    }
-
-    /// The naive oracle of [`AffinityEngine::device_affinity`], for views that
-    /// leave a member unindexed: per member, a scan of its
-    /// window events, each probed by a window scan of every other member.
-    fn tally_scanned(&self, devices: &[DeviceId], window: Interval) -> f64 {
-        let (mut total, mut intersecting) = (0usize, 0usize);
-        for &device in devices {
-            let delta = self.store.delta(device);
-            for event in self.store.events_of_in(device, window) {
-                total += 1;
-                let near = Interval::new(event.t - delta, event.t + delta + 1);
-                let all_present = devices.iter().filter(|&&d| d != device).all(|&other| {
-                    self.store
-                        .events_of_in(other, near)
-                        .any(|e| e.ap == event.ap)
-                });
-                intersecting += usize::from(all_present);
             }
         }
         ratio(intersecting, total)
@@ -432,127 +407,152 @@ fn ratio(intersecting: usize, total: usize) -> f64 {
     }
 }
 
+/// The timestamps of `run` (ascending) in `[range.start, range.end)`.
+fn within(run: &[Timestamp], range: Interval) -> &[Timestamp] {
+    let lo = run.partition_point(|&t| t < range.start);
+    let hi = lo + run[lo..].partition_point(|&t| t < range.end);
+    &run[lo..hi]
+}
+
+/// One device's events in a reach, grouped by access point: what both
+/// device-affinity merges read.
+///
+/// Built per call by a counting sort over the device timeline's slice of the
+/// reach, so the store keeps no per-AP copy of its events. `ts` holds every
+/// AP's run back to back in AP order, each run ascending in time (the
+/// timeline is sorted by `(t, id)` and the sort is stable).
+struct ApRuns {
+    /// The run timestamps, one run after another.
+    ts: Vec<Timestamp>,
+    /// `ts[bounds[ap]..bounds[ap + 1]]` is the run on access point `ap`,
+    /// empty when the device has no events on it in the reach.
+    bounds: Vec<usize>,
+}
+
+impl ApRuns {
+    fn new(store: &dyn EventRead, device: DeviceId, reach: Interval) -> Self {
+        let events = store.timeline_of(device).in_range(reach);
+        // Count per AP, then turn the counts into run bounds.
+        let mut bounds = vec![0usize; store.space().num_access_points() + 1];
+        for event in events {
+            bounds[event.ap.index() + 1] += 1;
+        }
+        for ap in 1..bounds.len() {
+            bounds[ap] += bounds[ap - 1];
+        }
+        let mut next = bounds.clone();
+        let mut ts = vec![0; events.len()];
+        for event in events {
+            let at = &mut next[event.ap.index()];
+            ts[*at] = event.t;
+            *at += 1;
+        }
+        Self { ts, bounds }
+    }
+
+    /// The number of access points, one run each.
+    fn num_aps(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The run on access point `ap`.
+    fn run(&self, ap: usize) -> &[Timestamp] {
+        &self.ts[self.bounds[ap]..self.bounds[ap + 1]]
+    }
+}
+
 /// Precomputed query-side state for the pairwise device affinities of one
 /// `locate` call.
 ///
 /// Algorithm 2 evaluates `α({d, n})` for up to `max_neighbors` neighbors `n`
 /// with the *same* queried device `d`, history window, and δ. The session
-/// materializes `d`'s side of the merge once — per-AP window/vicinity slices
-/// borrowed straight from the co-location index plus a dense AP dispatch
-/// table — so each neighbor costs only one pass over its own contiguous
-/// timeline slice. [`PairAffinitySession::affinity`] is
-/// bit-identical to [`AffinityEngine::pair_affinity`] (asserted in
-/// `tests/affinity_index_equivalence.rs`); it falls back to the engine
-/// whenever either side has no index.
+/// groups `d`'s events near the window by access point once (an owned
+/// `ApRuns`), so each neighbor costs only one pass over its own contiguous
+/// timeline slice.
+/// [`PairAffinitySession::affinity`] is bit-identical to
+/// [`AffinityEngine::pair_affinity`] (asserted in
+/// `tests/affinity_index_equivalence.rs`).
 pub struct PairAffinitySession<'a> {
-    engine: AffinityEngine<'a>,
-    device: DeviceId,
-    until: Timestamp,
+    store: &'a dyn EventRead,
     window: Interval,
     delta: Timestamp,
-    /// `Some` when the queried device's store view is indexed.
-    side: Option<QuerySide<'a>>,
-}
-
-/// The queried device's precomputed merge slices (borrowed from the store).
-struct QuerySide<'a> {
     total_in_window: usize,
     /// The window padded by the queried device's δ: exactly the stretch of
     /// neighbor events that can take part in either merge direction.
     ext: Interval,
-    /// Dense AP dispatch: `slot_of[ap] = index into aps`, `u32::MAX` when the
-    /// queried device has no relevant events on that AP.
-    slot_of: Vec<u32>,
-    aps: Vec<QueryAp<'a>>,
-    /// Reused per-neighbor cursor pairs, one per entry of `aps`.
-    cursors: std::cell::RefCell<Vec<(u32, u32)>>,
-}
-
-struct QueryAp<'a> {
-    /// The device's events on this AP within the window padded by the global
-    /// max δ — every timestamp any neighbor's merge can involve (the partner
-    /// slice for the neighbor-side direction).
-    full: &'a [Timestamp],
-    /// The in-window sub-slice of `full` (the own slice).
-    win: &'a [Timestamp],
+    /// The queried device's events in the window padded by the global max δ
+    /// — every timestamp any neighbor's merge can involve (the partner runs
+    /// of the neighbor-side direction).
+    runs: ApRuns,
+    /// Per AP, where its in-window events end in `runs.ts`.
+    win_end: Vec<usize>,
+    /// Per AP, where the merge cursors start: its first in-window event and
+    /// the start of its run.
+    first: Vec<(usize, usize)>,
+    /// Reused per-neighbor cursor pairs, one per AP.
+    cursors: std::cell::RefCell<Vec<(usize, usize)>>,
 }
 
 impl<'a> PairAffinitySession<'a> {
     fn new(engine: AffinityEngine<'a>, device: DeviceId, until: Timestamp) -> Self {
-        let window = Interval::new(until - engine.window, until + 1);
-        let delta = engine.store.delta(device);
-        let side = engine.store.postings_of(device).map(|postings| {
-            // Lists with no events anywhere near the window cannot take part
-            // in any direction of any neighbor's merge (δ ≤ the global max δ
-            // bounds each side's reach), so they are dropped up front.
-            let slack = engine.store.max_delta();
-            let reach = Interval::new(window.start - slack, window.end + slack);
-            let mut slot_of = vec![u32::MAX; engine.store.space().num_access_points()];
-            let mut aps = Vec::new();
-            for list in postings.ap_lists() {
-                let full = list.slice_in(reach);
-                if full.is_empty() {
-                    continue;
-                }
-                let lo = full.partition_point(|&t| t < window.start);
-                let hi = lo + full[lo..].partition_point(|&t| t < window.end);
-                slot_of[list.ap().index()] = aps.len() as u32;
-                aps.push(QueryAp {
-                    full,
-                    win: &full[lo..hi],
-                });
-            }
-            QuerySide {
-                total_in_window: engine.store.timeline_of(device).count_in(window),
-                ext: Interval::new(window.start - delta, window.end + delta),
-                cursors: std::cell::RefCell::new(vec![(0, 0); aps.len()]),
-                slot_of,
-                aps,
-            }
-        });
+        let store = engine.store;
+        let window = engine.window_until(until);
+        let delta = store.delta(device);
+        // Events farther than the max δ from the window cannot take part in
+        // any direction of any neighbor's merge.
+        let runs = ApRuns::new(store, device, engine.reach(window));
+        let mut win_end = Vec::with_capacity(runs.num_aps());
+        let mut first = Vec::with_capacity(runs.num_aps());
+        for ap in 0..runs.num_aps() {
+            let run = runs.run(ap);
+            let lo = run.partition_point(|&t| t < window.start);
+            let hi = lo + run[lo..].partition_point(|&t| t < window.end);
+            let start = runs.bounds[ap];
+            win_end.push(start + hi);
+            first.push((start + lo, start));
+        }
         Self {
-            engine,
-            device,
-            until,
+            store,
             window,
             delta,
-            side,
+            total_in_window: store.timeline_of(device).count_in(window),
+            ext: Interval::new(window.start - delta, window.end + delta),
+            cursors: std::cell::RefCell::new(first.clone()),
+            runs,
+            win_end,
+            first,
         }
     }
 
     /// `α({device, other})` — bit-identical to
     /// [`AffinityEngine::pair_affinity`]`(device, other, until)`.
     ///
-    /// One pass over the neighbor's contiguous timeline slice drives both merge directions: for each neighbor event near the
-    /// window, the session-side per-AP cursors (a) count the queried device's
+    /// One pass over the neighbor's contiguous timeline slice drives both
+    /// merge directions: for each neighbor event near the window, the
+    /// session-side per-AP cursors (a) count the queried device's
     /// not-yet-counted window events the neighbor event reaches within the
     /// queried δ, and (b) probe whether the queried device has an event
-    /// within the neighbor's δ. The neighbor's per-AP posting lists are never
-    /// touched — only its timeline slice, read sequentially.
+    /// within the neighbor's δ. With `other` the queried device itself, both
+    /// directions match every window event to itself: the ratio is 1, as
+    /// for any set with a repeated member.
     pub fn affinity(&self, other: DeviceId) -> f64 {
-        let store = self.engine.store;
-        let side = match &self.side {
-            Some(side) if other != self.device && store.postings_of(other).is_some() => side,
-            _ => return self.engine.pair_affinity(self.device, other, self.until),
-        };
-        let timeline = store.timeline_of(other);
-        let total = side.total_in_window + timeline.count_in(self.window);
+        let timeline = self.store.timeline_of(other);
+        let total = self.total_in_window + timeline.count_in(self.window);
         if total == 0 {
             return 0.0;
         }
-        let delta_b = store.delta(other);
-        let mut cursors = side.cursors.borrow_mut();
-        cursors.fill((0, 0));
+        let delta_b = self.store.delta(other);
+        let ts = &self.runs.ts;
+        let mut cursors = self.cursors.borrow_mut();
+        cursors.copy_from_slice(&self.first);
         let mut intersecting = 0usize;
-        for event in timeline.in_range(side.ext) {
-            let slot = side.slot_of[event.ap.index()];
-            if slot == u32::MAX {
-                // The queried device has no events near the window on this
-                // AP: the neighbor event reaches nothing and has no partner.
-                continue;
-            }
-            let qa = &side.aps[slot as usize];
-            let (cover, probe) = &mut cursors[slot as usize];
+        for event in timeline.in_range(self.ext) {
+            // On an AP where the queried device has no events near the
+            // window, both cursors start at their ends: the neighbor event
+            // reaches nothing and has no partner.
+            let ap = event.ap.index();
+            let (win_end, full_end) = (self.win_end[ap], self.runs.bounds[ap + 1]);
+            let (cover, probe) = &mut cursors[ap];
             let t_b = event.t;
             // Query-side direction: count own window events in
             // [t_b − δ, t_b + δ] not counted yet. Reaches advance with t_b,
@@ -560,25 +560,25 @@ impl<'a> PairAffinitySession<'a> {
             // own event is counted at most once. Cursor steps are linear —
             // the per-AP strides are a handful of events, where a branchy
             // walk beats a binary search.
-            let mut cov = *cover as usize;
-            while cov < qa.win.len() && qa.win[cov] < t_b - self.delta {
+            let mut cov = *cover;
+            while cov < win_end && ts[cov] < t_b - self.delta {
                 cov += 1;
             }
             let start = cov;
-            while cov < qa.win.len() && qa.win[cov] <= t_b + self.delta {
+            while cov < win_end && ts[cov] <= t_b + self.delta {
                 cov += 1;
             }
             intersecting += cov - start;
-            *cover = cov as u32;
+            *cover = cov;
             // Neighbor-side direction: an in-window neighbor event intersects
             // iff the queried device has an event on this AP within δ_other.
             if self.window.contains(t_b) {
-                let mut pr = *probe as usize;
-                while pr < qa.full.len() && qa.full[pr] < t_b - delta_b {
+                let mut pr = *probe;
+                while pr < full_end && ts[pr] < t_b - delta_b {
                     pr += 1;
                 }
-                *probe = pr as u32;
-                if pr < qa.full.len() && qa.full[pr] <= t_b + delta_b {
+                *probe = pr;
+                if pr < full_end && ts[pr] <= t_b + delta_b {
                     intersecting += 1;
                 }
             }
@@ -590,7 +590,7 @@ impl<'a> PairAffinitySession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locater_space::{RoomType, SpaceBuilder};
+    use locater_space::{AccessPointId, RoomType, SpaceBuilder};
     use locater_store::EventStore;
 
     /// The paper's running example (Fig. 3): region g3 covers five rooms, 2061 is d1's
@@ -803,5 +803,108 @@ mod tests {
             engine.group_affinities(&mut memo, &[], &rooms, 0.5),
             [0.0; 2]
         );
+    }
+
+    /// The naive reference of [`AffinityEngine::device_affinity`]: per
+    /// member, each window event is probed by a window scan of every other
+    /// member for an event on the same AP within the member's δ.
+    fn scanned(store: &dyn EventRead, devices: &[DeviceId], window: Interval) -> f64 {
+        let (mut total, mut intersecting) = (0usize, 0usize);
+        for &device in devices {
+            let delta = store.delta(device);
+            for event in store.events_of_in(device, window) {
+                total += 1;
+                let near = Interval::new(event.t - delta, event.t + delta + 1);
+                let all_present = devices
+                    .iter()
+                    .filter(|&&d| d != device)
+                    .all(|&other| store.events_of_in(other, near).any(|e| e.ap == event.ap));
+                intersecting += usize::from(all_present);
+            }
+        }
+        ratio(intersecting, total)
+    }
+
+    #[test]
+    fn ap_runs_group_the_reach_by_access_point() {
+        let space = SpaceBuilder::new("runs")
+            .add_access_point("wap0", &["a"])
+            .add_access_point("wap1", &["b"])
+            .add_access_point("wap2", &["c"])
+            .build()
+            .unwrap();
+        let mut store = EventStore::new(space);
+        for (t, ap) in [
+            (100, "wap0"),
+            (200, "wap1"),
+            (300, "wap0"),
+            (300, "wap2"),
+            (300, "wap0"),
+            (500, "wap1"),
+            (600, "wap0"),
+        ] {
+            store.ingest_raw("d", t, ap).unwrap();
+        }
+        // Late splices: below the first event, between events and at a
+        // timestamp that already holds several events.
+        store.ingest_raw("d", 50, "wap2").unwrap();
+        store.ingest_raw("d", 150, "wap0").unwrap();
+        store.ingest_raw("d", 300, "wap1").unwrap();
+        store.ingest_raw("d", 300, "wap0").unwrap();
+        let d = store.device_id("d").unwrap();
+        let timeline = store.timeline_of(d);
+        for reach in [
+            // Events sit exactly on both bounds: 100 is in, 600 is out.
+            Interval::new(100, 600),
+            Interval::new(0, 1_000),
+            Interval::new(300, 301),
+            Interval::new(301, 500),
+            Interval::new(700, 800),
+        ] {
+            let runs = ApRuns::new(&store, d, reach);
+            assert_eq!(runs.ts.len(), timeline.count_in(reach), "reach {reach:?}");
+            for raw in 0..3 {
+                let ap = AccessPointId::new(raw);
+                let expected: Vec<Timestamp> = timeline
+                    .in_range(reach)
+                    .iter()
+                    .filter(|e| e.ap == ap)
+                    .map(|e| e.t)
+                    .collect();
+                let got = runs.run(ap.index());
+                assert_eq!(got, expected.as_slice(), "reach {reach:?}, ap {raw}");
+            }
+        }
+        let bounds = ApRuns::new(&store, d, Interval::new(100, 600));
+        assert!(bounds.ts.contains(&100) && !bounds.ts.contains(&600));
+    }
+
+    #[test]
+    fn k_set_counts_partners_outside_the_window_within_delta() {
+        // The window is [9_000, 10_000] and every δ is 100. a and c meet on
+        // wap0 at 9_050; b's only event lies before the window, `offset`
+        // seconds before theirs.
+        let space = SpaceBuilder::new("reach")
+            .add_access_point("wap0", &["a"])
+            .build()
+            .unwrap();
+        for (offset, expected) in [(100, 1.0), (101, 0.0)] {
+            let mut store = EventStore::new(space.clone());
+            store.ingest_raw("a", 9_050, "wap0").unwrap();
+            store.ingest_raw("b", 9_050 - offset, "wap0").unwrap();
+            store.ingest_raw("c", 9_050, "wap0").unwrap();
+            let ids: Vec<DeviceId> = ["a", "b", "c"]
+                .iter()
+                .map(|mac| store.device_id(mac).unwrap())
+                .collect();
+            for &id in &ids {
+                store.set_delta(id, 100);
+            }
+            let engine = AffinityEngine::new(&store, RoomAffinityWeights::C2, 1_000);
+            let got = engine.device_affinity(&ids, 10_000);
+            assert_eq!(got, expected, "b {offset} s before the meeting");
+            let reference = scanned(&store, &ids, Interval::new(9_000, 10_001));
+            assert_eq!(got.to_bits(), reference.to_bits(), "offset {offset}");
+        }
     }
 }

@@ -117,9 +117,6 @@ pub struct ShardStats {
     /// Devices whose home shard this is (their timelines, epochs and models
     /// live here).
     pub owned_devices: usize,
-    /// Co-location-index posting lists held by this shard's store partition
-    /// (one per `(owned device, access point)` pair with events).
-    pub index_ap_lists: usize,
     /// Approximate resident heap bytes of this shard's store partition.
     pub resident_bytes: usize,
 }
@@ -852,8 +849,8 @@ impl ShardedLocaterService {
     }
 
     /// Approximate resident heap bytes across all shard stores (allocated
-    /// capacity of timelines, global index and posting lists) — the gauge the
-    /// soak harness asserts stays flat under compaction.
+    /// capacity of the device timelines and the global timeline) — the gauge
+    /// the soak harness asserts stays flat under compaction.
     pub fn approx_resident_bytes(&self) -> usize {
         self.read_all()
             .iter()
@@ -927,7 +924,6 @@ impl ShardedLocaterService {
                         shard: index,
                         events: store.num_events(),
                         owned_devices,
-                        index_ap_lists: store.colocation_stats().ap_lists,
                         resident_bytes: store.approx_resident_bytes(),
                     }
                 })

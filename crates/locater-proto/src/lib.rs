@@ -63,7 +63,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The wire-protocol version this crate speaks (reported by `ping`/`stats`).
-pub const PROTOCOL_VERSION: u32 = 7;
+pub const PROTOCOL_VERSION: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -431,8 +431,6 @@ pub struct WireStats {
     pub samples: usize,
     /// Affinity samples live under current epochs.
     pub live_samples: usize,
-    /// Co-location-index AP posting lists.
-    pub index_ap_lists: usize,
     /// Requests executed to completion since start (successes and errors).
     pub requests_served: u64,
     /// Requests executing right now.
@@ -456,7 +454,7 @@ pub struct WireStats {
     /// server's `--queue` admission limit).
     pub dedup_evicted: u64,
     /// Approximate resident heap bytes across all shard stores (allocated
-    /// capacity of timelines, global index and posting lists).
+    /// capacity of the device timelines and the global timeline).
     pub resident_bytes: usize,
     /// Cumulative compaction gauges since boot.
     pub compaction: WireCompactionStats,
@@ -535,8 +533,6 @@ pub struct WireShardStats {
     pub events: usize,
     /// Devices whose home shard this is.
     pub owned_devices: usize,
-    /// Co-location-index AP posting lists held by this shard.
-    pub index_ap_lists: usize,
     /// Approximate resident heap bytes of this shard's store partition.
     pub resident_bytes: usize,
 }
@@ -547,7 +543,6 @@ impl From<ShardStats> for WireShardStats {
             shard: s.shard,
             events: s.events,
             owned_devices: s.owned_devices,
-            index_ap_lists: s.index_ap_lists,
             resident_bytes: s.resident_bytes,
         }
     }

@@ -25,7 +25,6 @@ fn sample_stats() -> WireStats {
         live_edges: 3,
         samples: 9,
         live_samples: 7,
-        index_ap_lists: 5,
         requests_served: 100,
         in_flight: 2,
         queued: 1,
@@ -46,14 +45,12 @@ fn sample_stats() -> WireStats {
                 shard: 0,
                 events: 6,
                 owned_devices: 2,
-                index_ap_lists: 3,
                 resident_bytes: 40_960,
             },
             WireShardStats {
                 shard: 1,
                 events: 4,
                 owned_devices: 1,
-                index_ap_lists: 2,
                 resident_bytes: 24_576,
             },
         ],
@@ -348,7 +345,7 @@ fn golden_responses() -> Vec<(WireResponse, &'static str)> {
             WireResponse::Pong {
                 version: PROTOCOL_VERSION,
             },
-            r#"{"Pong":{"version":7}}"#,
+            r#"{"Pong":{"version":8}}"#,
         ),
         (
             WireResponse::Ingested {
@@ -400,11 +397,11 @@ fn golden_responses() -> Vec<(WireResponse, &'static str)> {
         ),
         (
             WireResponse::Stats(stats),
-            r#"{"Stats":{"version":7,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"compaction":{"runs":2,"evicted_events":400,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"resident_bytes":40960}],"wal":null}}"#,
+            r#"{"Stats":{"version":8,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"compaction":{"runs":2,"evicted_events":400,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"resident_bytes":40960}],"wal":null}}"#,
         ),
         (
             WireResponse::Stats(sample_stats()),
-            r#"{"Stats":{"version":7,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"index_ap_lists":5,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"compaction":{"runs":2,"evicted_events":400,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"index_ap_lists":3,"resident_bytes":40960},{"shard":1,"events":4,"owned_devices":1,"index_ap_lists":2,"resident_bytes":24576}],"wal":{"dir":"/var/lib/locater/wal","fsync":"every=32","segments":3,"frames":128,"bytes":4096,"last_checkpoint_age_ms":60000,"checkpoints":2}}}"#,
+            r#"{"Stats":{"version":8,"uptime_ms":12345,"events":10,"devices":3,"shards":2,"edges":4,"live_edges":3,"samples":9,"live_samples":7,"requests_served":100,"in_flight":2,"queued":1,"rejected_overloaded":11,"rejected_shutting_down":1,"panics":1,"degraded":5,"deduped":3,"dedup_evicted":1,"resident_bytes":65536,"compaction":{"runs":2,"evicted_events":400,"last_cut":604800},"per_shard":[{"shard":0,"events":6,"owned_devices":2,"resident_bytes":40960},{"shard":1,"events":4,"owned_devices":1,"resident_bytes":24576}],"wal":{"dir":"/var/lib/locater/wal","fsync":"every=32","segments":3,"frames":128,"bytes":4096,"last_checkpoint_age_ms":60000,"checkpoints":2}}}"#,
         ),
         (
             WireResponse::SnapshotSaved {

@@ -464,7 +464,6 @@ impl ServerState {
             live_edges,
             samples,
             live_samples,
-            index_ap_lists: per_shard.iter().map(|s| s.index_ap_lists).sum(),
             requests_served: self.requests_served.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             queued: self.queued.load(Ordering::Relaxed),

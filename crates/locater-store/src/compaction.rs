@@ -4,10 +4,10 @@
 //! (coarse bootstrap and fine affinity, paper §4–5), so events older than the
 //! retained horizon contribute nothing to in-window answers — yet an
 //! always-on service accumulates them forever. [`crate::EventStore::compact`]
-//! evicts every event below a horizon in one coherent mutation across all
-//! three structures (per-device timelines, the global timeline index and the
-//! co-location posting lists — each drops exactly the events with
-//! `t < horizon`, so the three trims remove the same event set) and hands the
+//! evicts every event below a horizon in one coherent mutation across both
+//! structures (the per-device timelines and the global timeline index — each
+//! drops exactly the events with `t < horizon`, so the two trims remove the
+//! same event set) and hands the
 //! evicted events back ([`CompactionReport::evicted`]). It builds nothing
 //! from them.
 //!

@@ -14,7 +14,11 @@
 //!   cost `O(log history + window)`;
 //! * **a global timeline index** ([`Timeline`]) — "which devices were connected
 //!   around time `t`?" (needed to find the *neighbor devices* of the fine-grained
-//!   algorithm) is a range scan over one sorted index;
+//!   algorithm) is a range scan over one sorted index. These two are the only
+//!   copies of an event the store keeps — a 24-byte
+//!   [`StoredEvent`](locater_events::StoredEvent) and a 16-byte timeline entry;
+//!   the fine step's affinity merges group a timeline slice by access point
+//!   per call instead of reading a per-AP index;
 //! * **device interning** — MAC-address strings are interned to dense
 //!   [`DeviceId`](locater_events::DeviceId)s at ingestion; all downstream processing
 //!   uses integer ids;
@@ -34,7 +38,7 @@
 //!   The ingest path that drives them (validate → draw id → append →
 //!   apply) lives in `locater-core`'s `ShardedLocaterService::with_durability`;
 //! * **compaction** ([`compaction`]) — [`EventStore::compact`] evicts every
-//!   event below a retention horizon from all three structures in one
+//!   event below a retention horizon from both structures in one
 //!   coherent mutation and hands the evicted events back; where a
 //!   spill directory asks for them they are encoded as an ordinary snapshot
 //!   (the one cold tier), otherwise dropped, so an always-on service runs at
@@ -109,7 +113,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod colocation;
 pub mod compaction;
 mod csv;
 mod error;
@@ -124,14 +127,11 @@ mod store;
 mod timeline;
 pub mod wal;
 
-pub use colocation::{
-    ApPostings, ColocationIndex, ColocationIndexStats, DevicePostings, PostingCursor,
-};
 pub use compaction::{list_spills, write_spill, CompactionReport};
 pub use csv::{format_csv, parse_csv, parse_csv_line, RawEvent, CSV_HEADER};
 pub use error::{IngestError, StoreError};
 pub use io::{FaultIo, FaultKind, FaultPlan, RealIo, StorageIo};
-pub use read::{EventRead, ScanRead};
+pub use read::EventRead;
 pub use recovery::{
     initialize_wal, recover_store, recover_store_io, write_checkpoint, write_checkpoint_io,
     AckedIngest, RecoveryReport,

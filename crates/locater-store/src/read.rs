@@ -2,10 +2,12 @@
 //!
 //! The cleaning engines never mutate the store while answering a query — they
 //! only read per-device timelines, the device table, and the global "who was
-//! online near `t`?" index. [`EventRead`] captures exactly that surface, so an
-//! engine can run against either a single [`EventStore`](crate::EventStore) or
-//! a read-only view assembled from several per-device-partitioned stores
-//! ([`ShardedRead`](crate::ShardedRead)) without knowing the difference.
+//! online near `t`?" index (device affinity, too, reads only timelines: the
+//! store has no per-access-point index). [`EventRead`] captures exactly that
+//! surface, so an engine can run against either a single
+//! [`EventStore`](crate::EventStore) or a read-only view assembled from
+//! several per-device-partitioned stores ([`ShardedRead`](crate::ShardedRead))
+//! without knowing the difference.
 //!
 //! Most accessors are *provided* in terms of four primitives —
 //! [`EventRead::timeline_of`], [`EventRead::devices`],
@@ -13,7 +15,6 @@
 //! definitions the store itself uses, so every implementation answers
 //! identically by construction.
 
-use crate::colocation::DevicePostings;
 use crate::segment::DeviceTimeline;
 use crate::timeline::NearbyDevice;
 use locater_events::{
@@ -57,18 +58,6 @@ pub trait EventRead: Sync {
         slack: Timestamp,
         exclude: Option<DeviceId>,
     ) -> Vec<NearbyDevice>;
-
-    /// The co-location postings of a device (per-AP sorted event
-    /// timestamps; see [`crate::colocation`]), when the implementation
-    /// maintains the index. A device-affinity set with any member answering
-    /// `None` is computed by raw timeline scans only — answers are
-    /// bit-identical either way, only the cost differs. The default is
-    /// `None`, so index-less views (e.g. [`ScanRead`]) are the reference
-    /// semantics.
-    fn postings_of(&self, device: DeviceId) -> Option<&DevicePostings> {
-        let _ = device;
-        None
-    }
 
     // ------------------------------------------------------------------
     // Provided accessors (definitionally identical for every implementation)
@@ -189,10 +178,6 @@ impl EventRead for crate::EventStore {
         crate::EventStore::devices_near(self, t, slack, exclude)
     }
 
-    fn postings_of(&self, device: DeviceId) -> Option<&DevicePostings> {
-        Some(crate::EventStore::device_postings(self, device))
-    }
-
     fn devices_online_at(
         &self,
         t: Timestamp,
@@ -202,67 +187,4 @@ impl EventRead for crate::EventStore {
         // the provided reference definition (property-tested).
         crate::EventStore::devices_online_at(self, t, exclude)
     }
-}
-
-/// A view over a store with its co-location index masked: [`EventRead::postings_of`]
-/// always answers `None`, so every affinity computation falls back to raw
-/// timeline scans. This is the *reference semantics* the indexed fast path
-/// must reproduce bit for bit — equivalence tests and the `affinity_index`
-/// bench compare a store against `ScanRead` of the same store.
-#[derive(Clone, Copy)]
-pub struct ScanRead<'a>(&'a dyn EventRead);
-
-impl<'a> ScanRead<'a> {
-    /// Wraps a store (or any other read view), hiding its index.
-    pub fn new(inner: &'a dyn EventRead) -> Self {
-        Self(inner)
-    }
-}
-
-impl EventRead for ScanRead<'_> {
-    fn space(&self) -> &Arc<Space> {
-        self.0.space()
-    }
-
-    fn devices(&self) -> &[Device] {
-        self.0.devices()
-    }
-
-    fn device_id(&self, mac: &str) -> Option<DeviceId> {
-        self.0.device_id(mac)
-    }
-
-    fn num_events(&self) -> usize {
-        self.0.num_events()
-    }
-
-    fn max_delta(&self) -> Timestamp {
-        self.0.max_delta()
-    }
-
-    fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline {
-        self.0.timeline_of(device)
-    }
-
-    fn devices_near(
-        &self,
-        t: Timestamp,
-        slack: Timestamp,
-        exclude: Option<DeviceId>,
-    ) -> Vec<NearbyDevice> {
-        self.0.devices_near(t, slack, exclude)
-    }
-
-    fn devices_online_at(
-        &self,
-        t: Timestamp,
-        exclude: Option<DeviceId>,
-    ) -> Vec<(DeviceId, RegionId)> {
-        // Neighbor discovery is not part of the index; delegate so the
-        // wrapper isolates exactly the affinity fast path.
-        self.0.devices_online_at(t, exclude)
-    }
-
-    // `postings_of` intentionally keeps the trait default (`None`): that is
-    // the whole point of the wrapper.
 }

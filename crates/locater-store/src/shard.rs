@@ -23,7 +23,6 @@
 //! [`crate::Timeline`]) makes the merged neighbor scan of [`ShardedRead`]
 //! reproduce the single-store scan exactly.
 
-use crate::colocation::{ColocationIndex, DevicePostings};
 use crate::read::EventRead;
 use crate::segment::DeviceTimeline;
 use crate::snapshot::{encode_snapshot, SnapshotParts};
@@ -75,29 +74,12 @@ impl EventStore {
                         }
                     })
                     .collect();
-                // The co-location index partitions with the timelines: a shard
-                // carries the postings of its owned devices, empty slots for
-                // the rest (equal to what a rebuild would produce). Clones are
-                // sized exactly; a rebuild would leave doubling headroom.
-                let postings: Vec<DevicePostings> = devices
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, _)| {
-                        let device = DeviceId::new(idx as u32);
-                        if shard_of_device(device, shards) == shard {
-                            self.device_postings(device).clone()
-                        } else {
-                            DevicePostings::default()
-                        }
-                    })
-                    .collect();
                 EventStore::from_snapshot_parts(
                     parts.space.clone(),
                     *parts.validity,
                     parts.next_event_id,
                     devices.to_vec(),
                     masked,
-                    Some(ColocationIndex::from_devices(postings)),
                 )
                 .expect("splitting a valid store yields valid shards")
             })
@@ -142,15 +124,6 @@ impl EventStore {
                 shards[owner].timeline_of(DeviceId::new(idx as u32)).clone()
             })
             .collect();
-        let postings: Vec<DevicePostings> = devices
-            .iter()
-            .enumerate()
-            .map(|(idx, _)| {
-                let device = DeviceId::new(idx as u32);
-                let owner = shard_of_device(device, shards.len());
-                shards[owner].device_postings(device).clone()
-            })
-            .collect();
         // The replicated device tables make the consistency check above pass
         // even for shards supplied in the wrong order — but then timelines
         // would be read from non-owner (empty) slots. Catch that as an error
@@ -169,7 +142,6 @@ impl EventStore {
             next_event_id,
             devices.to_vec(),
             timelines,
-            Some(ColocationIndex::from_devices(postings)),
         )
     }
 }
@@ -321,12 +293,6 @@ impl EventRead for ShardedRead<'_> {
 
     fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline {
         self.shards[self.owner_of(device)].timeline_of(device)
-    }
-
-    fn postings_of(&self, device: DeviceId) -> Option<&DevicePostings> {
-        // Like the timeline, a device's co-location postings live on its
-        // owner shard (non-owners hold empty slots).
-        Some(self.shards[self.owner_of(device)].device_postings(device))
     }
 
     fn devices_near(

@@ -18,7 +18,7 @@
 //!   devices   u32 count, then per device: mac (u16 len + UTF-8), δ (i64)
 //!   runs      per device: u32 event count, then the events sorted by
 //!             (t, id), each as (id u64, t i64, ap u32)
-//!   index     u8 mode: 0 = rebuild on load
+//!   mode      u8    always 0
 //! ```
 //!
 //! All integers are little-endian. Each run is the device's timeline array in
@@ -30,11 +30,12 @@
 //! The space section is the full [`Space`] form, which round-trips every id
 //! verbatim, so `load(save(store))` equals the original store bit-for-bit.
 //!
-//! The co-location index (see [`crate::colocation`]) is a deterministic
-//! function of the event runs, so it is not persisted: the writer emits one
-//! mode byte (`0`) and the index is rebuilt on load.
+//! Nothing derived from the event runs is persisted: the loader rebuilds the
+//! global timeline from them. The trailing mode byte once named an index
+//! persistence mode; the writer emits `0` and the reader refuses any other
+//! value.
 //!
-//! The reader accepts exactly what the writer produces: version 3 with mode
+//! The reader accepts exactly what the writer produces: version 4 with mode
 //! byte `0`. A format bump replaces the reader rather than adding one beside
 //! it; `snapshot save` is the export path, so a store outlives a bump by
 //! being re-saved with the build that still reads it.
@@ -166,7 +167,7 @@ pub(crate) fn encode_snapshot<'a>(
         }
     }
 
-    // Index mode: always "rebuild on load".
+    // The mode byte: always 0.
     out.push(0);
 
     let (header, payload) = out.split_at_mut(HEADER_LEN);
@@ -281,9 +282,7 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
     match d.take(1)?[0] {
         0 => {}
         mode => {
-            return Err(StoreError::Corrupt(format!(
-                "unknown index mode byte {mode}"
-            )));
+            return Err(StoreError::Corrupt(format!("unknown mode byte {mode}")));
         }
     }
     if !d.done() {
@@ -292,7 +291,7 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
             payload.len() - d.pos
         )));
     }
-    EventStore::from_snapshot_parts(space, validity, next_event_id, devices, timelines, None)
+    EventStore::from_snapshot_parts(space, validity, next_event_id, devices, timelines)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 //! The in-memory event store.
 
-use crate::colocation::{ColocationIndex, ColocationIndexStats, DevicePostings};
 use crate::compaction::CompactionReport;
 use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
 use crate::error::{IngestError, StoreError};
@@ -43,7 +42,6 @@ pub struct EventStore {
     mac_index: HashMap<MacAddress, DeviceId>,
     timelines: Vec<DeviceTimeline>,
     timeline: Timeline,
-    colocation: ColocationIndex,
     next_event_id: u64,
     validity: ValidityConfig,
 }
@@ -62,7 +60,6 @@ impl EventStore {
             mac_index: HashMap::new(),
             timelines: Vec::new(),
             timeline: Timeline::new(),
-            colocation: ColocationIndex::default(),
             next_event_id: 0,
             validity,
         }
@@ -116,7 +113,6 @@ impl EventStore {
         self.devices
             .push(Device::new(id, mac.clone(), self.validity.default_delta));
         self.timelines.push(DeviceTimeline::default());
-        self.colocation.add_device();
         self.mac_index.insert(mac, id);
         Ok(id)
     }
@@ -209,7 +205,6 @@ impl EventStore {
             .filter(|e| e.id < id)
             .count();
         self.timeline.record(t, device, ap, rank);
-        self.colocation.record(device, t, ap);
         Ok(id)
     }
 
@@ -337,32 +332,17 @@ impl EventStore {
         &self.timeline
     }
 
-    /// The co-location postings of one device (per-AP sorted posting lists;
-    /// see [`crate::colocation`]). Maintained in the same mutation that
-    /// appends an event, so they are never stale.
-    ///
-    /// # Panics
-    /// Panics if the id does not belong to this store.
-    pub fn device_postings(&self, device: DeviceId) -> &DevicePostings {
-        self.colocation.device(device)
-    }
-
-    /// Size counters of the co-location index (reported by `locater-cli stats`).
-    pub fn colocation_stats(&self) -> ColocationIndexStats {
-        self.colocation.stats()
-    }
-
     // ------------------------------------------------------------------
     // Compaction / tiered ageing (policy lives in `crate::compaction`)
     // ------------------------------------------------------------------
 
     /// Compacts the store against a retention horizon `cut`: evicts every
-    /// event with `t < cut` from the per-device timelines, the global timeline
-    /// index and the co-location posting lists in one coherent mutation, and
-    /// hands the evicted events back in the returned [`CompactionReport`] —
-    /// nothing else is built from them here.
+    /// event with `t < cut` from the per-device timelines and the global
+    /// timeline index in one coherent mutation, and hands the evicted events
+    /// back in the returned [`CompactionReport`] — nothing else is built from
+    /// them here.
     ///
-    /// All three structures trim the same `t < cut` prefix, so they can
+    /// Both structures trim the same `t < cut` prefix, so they can
     /// never disagree. The event-id counter, the device table and every
     /// retained event are untouched — answers whose consulted window lies at
     /// or above `cut` are byte-identical with compaction on or off.
@@ -378,9 +358,7 @@ impl EventStore {
         }
         if evicted_events > 0 {
             let trimmed_entries = self.timeline.trim_before(cut);
-            let trimmed_postings = self.colocation.trim_before(cut);
             debug_assert_eq!(trimmed_entries, evicted_events);
-            debug_assert_eq!(trimmed_postings, evicted_events);
         }
         CompactionReport {
             cut,
@@ -390,8 +368,8 @@ impl EventStore {
     }
 
     /// Approximate resident heap bytes of the store (allocated capacity of
-    /// the per-device timelines, the global timeline index and the
-    /// co-location posting lists — the structures that grow with history).
+    /// the per-device timelines and the global timeline index — the
+    /// structures that grow with history).
     /// Compaction releases most of the freed capacity, so this gauge falls
     /// when events are evicted; it is what the soak harness and the `stats`
     /// surfaces report.
@@ -401,7 +379,6 @@ impl EventStore {
             .map(|timeline| timeline.approx_bytes())
             .sum::<usize>()
             + self.timeline.approx_bytes()
-            + self.colocation.approx_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -470,18 +447,12 @@ impl EventStore {
     /// is exactly the canonical order incremental ingestion keeps the index in)
     /// at exact capacity. Snapshot load, [`EventStore::split`],
     /// [`EventStore::rejoin`] and recovery all build their stores here.
-    ///
-    /// `colocation` is a partition-sliced co-location index to adopt instead
-    /// of rebuilding one from the timelines (split and rejoin hand over the
-    /// existing lists); it must describe exactly the same events, which is
-    /// validated per device by count, the cheap invariant.
     pub(crate) fn from_snapshot_parts(
         space: Space,
         validity: ValidityConfig,
         next_event_id: u64,
         devices: Vec<Device>,
         timelines: Vec<DeviceTimeline>,
-        colocation: Option<ColocationIndex>,
     ) -> Result<Self, StoreError> {
         if devices.len() != timelines.len() {
             return Err(StoreError::Corrupt(format!(
@@ -539,31 +510,12 @@ impl EventStore {
             }
         }
         let timeline = Timeline::from_canonical(entries);
-        let colocation = match colocation {
-            Some(index) => {
-                if index.num_devices() != timelines.len() {
-                    return Err(StoreError::Corrupt(
-                        "co-location index does not match the event runs".to_string(),
-                    ));
-                }
-                for (idx, timeline) in timelines.iter().enumerate() {
-                    if index.device(DeviceId::new(idx as u32)).len() != timeline.len() {
-                        return Err(StoreError::Corrupt(format!(
-                            "co-location index of device {idx} does not match its timeline"
-                        )));
-                    }
-                }
-                index
-            }
-            None => ColocationIndex::rebuild(&timelines),
-        };
         Ok(Self {
             space: Arc::new(space),
             devices,
             mac_index,
             timelines,
             timeline,
-            colocation,
             next_event_id,
             validity,
         })
@@ -768,7 +720,6 @@ mod tests {
 
     #[test]
     fn memory_layout_is_pinned() {
-        use crate::colocation::ApPostings;
         use std::mem::size_of;
         assert_eq!(size_of::<TimelineEntry>(), 16);
         let entry_bytes = |store: &EventStore| store.num_events() * size_of::<TimelineEntry>();
@@ -788,9 +739,8 @@ mod tests {
         assert_eq!(rejoined.timeline().approx_bytes(), entry_bytes(&rejoined));
 
         // One device, three events on two APs, loaded from a snapshot. The
-        // loader sizes the device timeline exactly; each posting-list vector
-        // holds at most four elements, so its first push reserved room for
-        // exactly four.
+        // loader sizes both copies of each event exactly: the 24-byte stored
+        // event and the 16-byte global entry.
         let mut fixed = EventStore::new(space());
         fixed.ingest_raw("d1", 100, "wap1").unwrap();
         fixed.ingest_raw("d1", 200, "wap1").unwrap();
@@ -798,16 +748,14 @@ mod tests {
         let fixed = EventStore::from_snapshot_bytes(&fixed.to_snapshot_bytes().unwrap()).unwrap();
         let device_timeline = 3 * size_of::<StoredEvent>();
         let global_timeline = 3 * size_of::<TimelineEntry>();
-        let per_ap_list = 4 * size_of::<Timestamp>();
-        let index = 4 * size_of::<DevicePostings>() + 4 * size_of::<ApPostings>() + 2 * per_ap_list;
         assert_eq!(
-            (device_timeline, global_timeline, index),
-            (72, 48, 288),
+            (device_timeline, global_timeline),
+            (72, 48),
             "part sizes on a 64-bit target"
         );
         assert_eq!(
             fixed.approx_resident_bytes(),
-            device_timeline + global_timeline + index
+            device_timeline + global_timeline
         );
     }
 
@@ -817,10 +765,12 @@ mod tests {
         // Late splices: before earlier events and at an existing timestamp.
         store.ingest_raw("d1", 500, "wap3").unwrap();
         store.ingest_raw("d2", 1_100, "wap1").unwrap();
-        assert_eq!(store.colocation_stats().events, store.num_events());
+        let timeline_events =
+            |store: &EventStore| -> usize { store.timelines.iter().map(|tl| tl.len()).sum() };
+        assert_eq!(timeline_events(&store), store.num_events());
         let report = store.compact(2_000);
         assert_eq!(report.evicted_events, 5);
-        assert_eq!(store.colocation_stats().events, store.num_events());
+        assert_eq!(timeline_events(&store), store.num_events());
         assert_eq!(store.num_events(), 2);
     }
 
@@ -877,15 +827,6 @@ mod tests {
         };
         for mac in ["d1", "d2"] {
             assert_eq!(t_ap(&store, mac), t_ap(&retained, mac), "{mac}");
-            let (a, b) = (
-                store.device_id(mac).unwrap(),
-                retained.device_id(mac).unwrap(),
-            );
-            assert_eq!(
-                store.device_postings(a),
-                retained.device_postings(b),
-                "{mac}"
-            );
         }
         let entries = |store: &EventStore| -> Vec<(Timestamp, String, AccessPointId)> {
             store
@@ -896,7 +837,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(entries(&store), entries(&retained));
-        assert_eq!(store.colocation_stats().events, retained.num_events());
+        assert_eq!(store.num_events(), retained.num_events());
         // A second run at the same horizon evicts nothing.
         assert_eq!(store.compact(400).evicted_events, 0);
     }

@@ -241,12 +241,17 @@ impl Timeline {
     }
 
     /// Drops every entry with `t < cut` (a prefix — entries are time-sorted)
-    /// and releases the freed capacity. Returns the number of entries removed.
+    /// and releases most of the freed capacity. Returns the number of entries
+    /// removed.
     pub fn trim_before(&mut self, cut: Timestamp) -> usize {
         let n = self.entries.partition_point(|e| e.t < cut);
         if n > 0 {
             self.entries.drain(..n);
-            self.entries.shrink_to_fit();
+            // A trimmed index usually keeps receiving appends: shrinking to
+            // the exact length would make the next push double it, so keep
+            // room for half the retained length and release the rest.
+            let len = self.entries.len();
+            self.entries.shrink_to(len + len / 2);
         }
         n
     }
@@ -386,11 +391,23 @@ mod tests {
 
     #[test]
     fn trim_before_drops_exact_prefix() {
+        let entry_bytes = std::mem::size_of::<TimelineEntry>();
         let mut tl = timeline(&[entry(100, 0, 0), entry(200, 1, 0), entry(300, 2, 0)]);
+        tl.entries.reserve_exact(200);
+        for k in 0..60 {
+            tl.record(400 + k, DeviceId::new(3), AccessPointId::new(0), 0);
+        }
+        assert_eq!(tl.len(), 63);
         assert_eq!(tl.trim_before(200), 1);
-        assert_eq!(tl.len(), 2);
+        assert_eq!(tl.len(), 62);
         assert_eq!(tl.range(0, 1_000).first().unwrap().t, 200);
-        assert_eq!(tl.trim_before(1_000), 2);
+        // A partial trim keeps room for half the retained length, so the
+        // next append does not double the array.
+        assert_eq!(tl.approx_bytes(), (62 + 62 / 2) * entry_bytes);
+        // A trim that removes nothing leaves the capacity alone.
+        assert_eq!(tl.trim_before(200), 0);
+        assert_eq!(tl.approx_bytes(), (62 + 62 / 2) * entry_bytes);
+        assert_eq!(tl.trim_before(460), 2 + 60);
         assert!(tl.is_empty());
         assert_eq!(tl.trim_before(1_000), 0);
         assert!(tl.approx_bytes() < std::mem::size_of::<TimelineEntry>() * 4);

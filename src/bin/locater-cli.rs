@@ -294,12 +294,6 @@ fn stats(space_path: &str, events_path: &str) -> Result<String, CliError> {
         "gaps to clean across all devices: {device_gaps} (δ estimated per device, mean {:.0}s)",
         stats.mean_delta_seconds
     );
-    let index = store.colocation_stats();
-    let _ = writeln!(
-        out,
-        "co-location index: {} AP posting lists over {} events ({} devices indexed)",
-        index.ap_lists, index.events, index.devices
-    );
     let _ = writeln!(out, "{}", resident_line(&store));
     Ok(out)
 }
@@ -777,12 +771,6 @@ fn snapshot(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
             let mut out = String::new();
             let _ = writeln!(out, "{}", store.stats().to_report());
-            let index = store.colocation_stats();
-            let _ = writeln!(
-                out,
-                "co-location index: {} AP posting lists",
-                index.ap_lists
-            );
             let _ = writeln!(out, "{}", resident_line(&store));
             Ok(out)
         }
@@ -1002,7 +990,7 @@ mod tests {
         let stats_out = run(&["stats".into(), space.clone(), events.clone()]).expect("stats");
         assert!(stats_out.contains("devices"));
         assert!(stats_out.contains("gaps to clean"));
-        assert!(stats_out.contains("co-location index:"));
+        assert!(!stats_out.contains("co-location"));
         assert!(stats_out.contains(" B/event)"));
 
         // Locate the first device found in the events file at its first event time:
@@ -1108,7 +1096,7 @@ mod tests {
         let loaded =
             run(&["snapshot".into(), "load".into(), snap.clone()]).expect("snapshot load succeeds");
         assert!(loaded.contains("events"));
-        assert!(loaded.contains("co-location index:"));
+        assert!(!loaded.contains("co-location"));
         assert!(loaded.contains("resident: ") && loaded.contains(" B/event)"));
 
         // Serving straight from the snapshot answers queries without the CSV.
@@ -1351,7 +1339,7 @@ stats
             panic!("a stats frame: {:?}", frames[0]);
         };
         assert_eq!((stats.events, stats.devices, stats.shards), (0, 0, 2));
-        assert_eq!(stats.index_ap_lists, 0);
+        assert_eq!(stats.resident_bytes, 0);
         let shards: Vec<(usize, usize)> = stats
             .per_shard
             .iter()
@@ -1444,7 +1432,7 @@ locate aa:bb:cc:dd:ee:01 1000
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "{\"Ingested\":{\"mac\":\"aa:bb:cc:dd:ee:01\",\"t\":1000,\"ap\":\"wap1\",\"device_epoch\":1}}\n\
-             {\"Pong\":{\"version\":7}}\n\
+             {\"Pong\":{\"version\":8}}\n\
              \"ShuttingDown\"\n"
         );
         assert!(state.is_draining());

@@ -1,19 +1,20 @@
-//! The correctness cornerstone of the co-location index: **every affinity the
-//! indexed fast paths compute is bit-identical to the reference timeline
-//! scan** — same event counts, same float divisions — for random ingest
-//! interleavings (out-of-window events, out-of-order arrivals and δ-boundary
-//! ties included), under per-device sharding at N ∈ {2, 3, 8}, and across
-//! snapshot round-trips in both index modes.
+//! The correctness cornerstone of device affinity: **every affinity the
+//! engine computes is bit-identical to the naive reference scan** — same
+//! event counts, same float divisions — for random ingest interleavings
+//! (out-of-window events, out-of-order arrivals and δ-boundary ties
+//! included), under per-device sharding at N ∈ {2, 3, 8}, and across a
+//! snapshot round-trip.
 //!
-//! The reference semantics is [`ScanRead`]: a view of the same store with the
-//! index masked, which forces [`AffinityEngine`] onto its scan oracle, the
-//! windowed timeline scans. Equality is asserted on `f64::to_bits`, not
-//! approximate closeness, and extends to whole [`FineLocalizer`] outcomes
-//! (`FineOutcome` comparison is exact on every probability).
+//! The reference is [`scanned_affinity`]: per member, each window event is
+//! probed by a window scan of every other member for an event on the same
+//! access point within the member's δ. Equality is asserted on
+//! `f64::to_bits`, not approximate closeness, and extends to the affinities
+//! whole [`FineLocalizer`] outcomes are built from.
 
 use locater::core::fine::{AffinityEngine, FineConfig, FineLocalizer, FineMode};
+use locater::events::Interval;
 use locater::prelude::*;
-use locater::store::{ScanRead, ShardedRead};
+use locater::store::ShardedRead;
 use locater_store::EventRead;
 
 fn space() -> Space {
@@ -104,29 +105,59 @@ fn probe_times(anchors: &[i64]) -> Vec<i64> {
     times
 }
 
-/// Asserts that every affinity and fine outcome computed through `indexed`
-/// equals the reference scan over the same view, bit for bit.
-fn assert_engine_equivalence(indexed: &dyn EventRead, label: &str, anchors: &[i64]) {
-    let scan = ScanRead::new(indexed);
+/// The reference semantics of `AffinityEngine::device_affinity` over the
+/// `window` seconds ending at `until`: per member, a scan of its window
+/// events, each probed by a window scan of every other member.
+fn scanned_affinity(store: &dyn EventRead, devices: &[DeviceId], until: i64, window: i64) -> f64 {
+    if devices.len() < 2 {
+        return 0.0;
+    }
+    let window = Interval::new(until - window, until + 1);
+    let (mut total, mut intersecting) = (0usize, 0usize);
+    for &device in devices {
+        let delta = store.delta(device);
+        for event in store.events_of_in(device, window) {
+            total += 1;
+            let near = Interval::new(event.t - delta, event.t + delta + 1);
+            let all_present = devices
+                .iter()
+                .filter(|&&d| d != device)
+                .all(|&other| store.events_of_in(other, near).any(|e| e.ap == event.ap));
+            intersecting += usize::from(all_present);
+        }
+    }
+    if total == 0 {
+        0.0
+    } else {
+        intersecting as f64 / total as f64
+    }
+}
+
+/// Asserts that every affinity the engine computes over `view` — one-shot
+/// pairs, a session reused across neighbours, triples, repeated-member sets
+/// and the sets fine outcomes are built from — equals the reference scan
+/// over the same view, bit for bit.
+fn assert_engine_equivalence(view: &dyn EventRead, label: &str, anchors: &[i64]) {
     let config = FineConfig::default();
-    let fast = AffinityEngine::new(indexed, config.weights, config.affinity_window);
-    let slow = AffinityEngine::new(&scan, config.weights, config.affinity_window);
-    let devices: Vec<DeviceId> = (0..indexed.num_devices() as u32)
-        .map(DeviceId::new)
-        .collect();
+    let window = config.affinity_window;
+    let engine = AffinityEngine::new(view, config.weights, window);
+    let reference =
+        |devices: &[DeviceId], until: i64| scanned_affinity(view, devices, until, window);
+    let devices: Vec<DeviceId> = (0..view.num_devices() as u32).map(DeviceId::new).collect();
 
     for &until in &probe_times(anchors) {
         for &a in &devices {
+            // One session per queried device, reused across neighbours as
+            // `locate` does.
+            let session = engine.pair_session(a, until);
             for &b in &devices {
-                let x = fast.pair_affinity(a, b, until);
-                let y = slow.pair_affinity(a, b, until);
+                let x = engine.pair_affinity(a, b, until);
+                let y = reference(&[a, b], until);
                 assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
                     "{label}: pair ({a}, {b}) at {until}: {x} != {y}"
                 );
-                // Session answers must match the one-shot engine bit for bit.
-                let session = fast.pair_session(a, until);
                 let s = session.affinity(b);
                 assert_eq!(
                     s.to_bits(),
@@ -135,21 +166,23 @@ fn assert_engine_equivalence(indexed: &dyn EventRead, label: &str, anchors: &[i6
                 );
             }
         }
-        // Triples (and a duplicate-member set) through the k-way path.
-        for window in devices.windows(3) {
-            let x = fast.device_affinity(window, until);
-            let y = slow.device_affinity(window, until);
-            assert_eq!(x.to_bits(), y.to_bits(), "{label}: triple at {until}");
+        // Triples and repeated-member sets through the per-AP runs merge.
+        let repeated = [
+            vec![devices[0], devices[0]],
+            vec![devices[0], devices[1], devices[0]],
+        ];
+        for members in devices.windows(3).chain(repeated.iter().map(Vec::as_slice)) {
+            assert_eq!(
+                engine.device_affinity(members, until).to_bits(),
+                reference(members, until).to_bits(),
+                "{label}: set {members:?} at {until}"
+            );
         }
-        let dup = [devices[0], devices[0]];
-        assert_eq!(
-            fast.device_affinity(&dup, until).to_bits(),
-            slow.device_affinity(&dup, until).to_bits(),
-            "{label}: duplicate-member set at {until}"
-        );
     }
 
-    // Whole fine outcomes — cold locate over both views, both modes.
+    // Whole fine outcomes, both modes: every pair affinity a contribution
+    // reports, and the joint affinity of the queried device with its
+    // contributors (the shape of a D-FINE cluster), equal the reference.
     for mode in [FineMode::Independent, FineMode::Dependent] {
         let localizer = FineLocalizer::new(FineConfig {
             mode,
@@ -157,14 +190,24 @@ fn assert_engine_equivalence(indexed: &dyn EventRead, label: &str, anchors: &[i6
         });
         for &t_q in probe_times(anchors).iter().take(6) {
             for &device in &devices {
-                let Some(region) = indexed.covering_region(device, t_q) else {
+                let Some(region) = view.covering_region(device, t_q) else {
                     continue;
                 };
-                let via_index = localizer.locate(indexed, device, t_q, region, None);
-                let via_scan = localizer.locate(&scan, device, t_q, region, None);
+                let outcome = localizer.locate(view, device, t_q, region, None);
+                let mut members = vec![device];
+                for contribution in &outcome.contributions {
+                    let pair = [device, contribution.device];
+                    assert_eq!(
+                        contribution.pair_affinity.to_bits(),
+                        reference(&pair, t_q).to_bits(),
+                        "{label}: {mode} contribution {pair:?} at {t_q}"
+                    );
+                    members.push(contribution.device);
+                }
                 assert_eq!(
-                    via_index, via_scan,
-                    "{label}: {mode} outcome for {device} at {t_q} diverged"
+                    engine.device_affinity(&members, t_q).to_bits(),
+                    reference(&members, t_q).to_bits(),
+                    "{label}: {mode} joint set {members:?} at {t_q}"
                 );
             }
         }
@@ -184,8 +227,8 @@ fn equivalence_survives_split_and_rejoin() {
     let (store, anchors) = random_store(99, 240);
     for shards in [2usize, 3, 8] {
         let pieces = store.split(shards);
-        // The sharded view routes postings to owner shards; affinities over it
-        // must equal both its own scan view and the combined store.
+        // The sharded view routes timeline reads to owner shards; affinities
+        // over it must equal both the reference and the combined store.
         let view = ShardedRead::new(pieces.iter().collect());
         assert_engine_equivalence(&view, &format!("sharded view N={shards}"), &anchors);
 
@@ -205,8 +248,6 @@ fn equivalence_survives_split_and_rejoin() {
             }
         }
 
-        // Rejoin restores the identical store, co-location index included
-        // (`EventStore` equality covers every index structure).
         let rejoined = EventStore::rejoin(&pieces).unwrap();
         assert_eq!(rejoined, store, "rejoin(split(store, {shards})) != store");
     }
@@ -214,8 +255,6 @@ fn equivalence_survives_split_and_rejoin() {
 
 #[test]
 fn equivalence_survives_a_snapshot_roundtrip() {
-    // A snapshot stores no index: the one rebuilt on load must answer
-    // exactly like the original.
     let (store, anchors) = random_store(7_777, 220);
     let bytes = store.to_snapshot_bytes().unwrap();
     let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
@@ -226,8 +265,8 @@ fn equivalence_survives_a_snapshot_roundtrip() {
 #[test]
 fn live_ingest_interleavings_keep_index_and_scan_in_step() {
     // Ingest/locate interleavings through the live service: after every burst
-    // the service's store (index included) equals a scan-checked rebuild, and
-    // engine answers stay bit-identical.
+    // the engine over the service's store answers like the reference scan,
+    // and the service answers like one freshly built over that store.
     let mut rng = Lcg(0xC01C);
     let service = ShardedLocaterService::new(EventStore::new(space()), LocaterConfig::default(), 1);
     let mut t = 1_000i64;
@@ -240,23 +279,18 @@ fn live_ingest_interleavings_keep_index_and_scan_in_step() {
         }
         let snapshot = service.store_snapshot();
         let config = FineConfig::default();
-        let fast = AffinityEngine::new(&snapshot, config.weights, config.affinity_window);
-        let scan = ScanRead::new(&snapshot);
-        let slow = AffinityEngine::new(&scan, config.weights, config.affinity_window);
+        let engine = AffinityEngine::new(&snapshot, config.weights, config.affinity_window);
         for a in 0..snapshot.num_devices() as u32 {
             for b in 0..snapshot.num_devices() as u32 {
                 let (a, b) = (DeviceId::new(a), DeviceId::new(b));
                 let until = t - rng.below(2_000) as i64;
                 assert_eq!(
-                    fast.pair_affinity(a, b, until).to_bits(),
-                    slow.pair_affinity(a, b, until).to_bits(),
+                    engine.pair_affinity(a, b, until).to_bits(),
+                    scanned_affinity(&snapshot, &[a, b], until, config.affinity_window).to_bits(),
                     "burst {burst}: pair ({a}, {b}) at {until}"
                 );
             }
         }
-        // And the service's answers match a freshly built service (the
-        // index is rebuilt from scratch there) — the service_equivalence
-        // guarantee extended over the index.
         let rebuilt = ShardedLocaterService::new(snapshot, LocaterConfig::default(), 1);
         let probe = LocateRequest::by_mac(MACS[burst % MACS.len()], t - 300);
         match (service.locate(&probe), rebuilt.locate(&probe)) {
