@@ -65,7 +65,7 @@ impl BenchScale {
     }
 
     /// The campus configuration for this scale.
-    pub fn campus_config(&self) -> CampusConfig {
+    pub(crate) fn campus_config(&self) -> CampusConfig {
         CampusConfig {
             access_points: self.campus_access_points,
             population: self.campus_population,
@@ -80,7 +80,7 @@ impl BenchScale {
 /// The campus dataset plus its query workloads and event store — the fixture most
 /// experiments run against.
 #[derive(Debug, Clone)]
-pub struct CampusFixture {
+pub(crate) struct CampusFixture {
     /// The simulated campus data.
     pub output: SimOutput,
     /// An event store over the data (with per-device δ estimated from the log).
@@ -92,7 +92,7 @@ pub struct CampusFixture {
 }
 
 /// Builds the campus fixture for a scale.
-pub fn campus_fixture(scale: &BenchScale) -> CampusFixture {
+pub(crate) fn campus_fixture(scale: &BenchScale) -> CampusFixture {
     let output = Simulator::new(0xBE7C).run_campus(&scale.campus_config());
     let store = output.build_store();
     let university = university_workload(&output, scale.queries_per_person, 0xACAD).shuffled(17);
@@ -107,9 +107,7 @@ pub fn campus_fixture(scale: &BenchScale) -> CampusFixture {
 
 /// The fixture of one Table-4 scenario.
 #[derive(Debug, Clone)]
-pub struct ScenarioFixture {
-    /// Which scenario this is.
-    pub kind: ScenarioKind,
+pub(crate) struct ScenarioFixture {
     /// The simulated data.
     pub output: SimOutput,
     /// Event store over the data.
@@ -119,7 +117,7 @@ pub struct ScenarioFixture {
 }
 
 /// Builds the fixture of one scenario.
-pub fn scenario_fixture(kind: ScenarioKind, scale: &BenchScale) -> ScenarioFixture {
+pub(crate) fn scenario_fixture(kind: ScenarioKind, scale: &BenchScale) -> ScenarioFixture {
     let config = ScenarioConfig::new(kind)
         .with_days(scale.scenario_days)
         .with_scale(scale.scenario_scale);
@@ -132,7 +130,6 @@ pub fn scenario_fixture(kind: ScenarioKind, scale: &BenchScale) -> ScenarioFixtu
     )
     .shuffled(23);
     ScenarioFixture {
-        kind,
         output,
         store,
         workload,
@@ -186,7 +183,6 @@ mod tests {
         let scale = tiny_scale();
         for kind in ScenarioKind::ALL {
             let fixture = scenario_fixture(kind, &scale);
-            assert_eq!(fixture.kind, kind);
             assert!(!fixture.output.events.is_empty(), "{kind}");
             assert!(!fixture.workload.is_empty(), "{kind}");
         }

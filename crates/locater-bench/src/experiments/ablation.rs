@@ -30,7 +30,7 @@ pub fn run(scale: &BenchScale) -> Vec<Table> {
 }
 
 /// Ablation 1: cached-affinity neighbor ordering vs natural order.
-pub fn neighbor_order(scale: &BenchScale) -> Table {
+pub(crate) fn neighbor_order(scale: &BenchScale) -> Table {
     let fixture = campus_fixture(scale);
     let mut table = Table::new(
         "Ablation — neighbor processing order (I-LOCATER)",
@@ -124,7 +124,7 @@ pub fn self_training(scale: &BenchScale) -> Table {
 }
 
 /// Ablation 3: sensitivity to the validity period δ.
-pub fn validity_sensitivity(scale: &BenchScale) -> Table {
+pub(crate) fn validity_sensitivity(scale: &BenchScale) -> Table {
     let fixture = campus_fixture(scale);
     let group = |_: &str| "all".to_string();
     let mut table = Table::new(
@@ -172,11 +172,11 @@ mod tests {
     fn ablation_tables_have_expected_shape() {
         let scale = test_scale();
         let order = neighbor_order(&scale);
-        assert_eq!(order.num_rows(), 2);
+        assert_eq!(order.rows.len(), 2);
         let selftrain = self_training(&scale);
-        assert_eq!(selftrain.num_rows(), 2);
+        assert_eq!(selftrain.rows.len(), 2);
         let validity = validity_sensitivity(&scale);
-        assert_eq!(validity.num_rows(), 3);
+        assert_eq!(validity.rows.len(), 3);
         for table in [&order, &selftrain, &validity] {
             for row in &table.rows {
                 assert!(!row[0].is_empty());

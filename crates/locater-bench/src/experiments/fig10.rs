@@ -12,7 +12,7 @@ use locater_core::system::{CacheMode, FineMode, LocaterConfig};
 use locater_sim::QueryWorkload;
 
 /// Number of checkpoints reported along each curve.
-pub const CHECKPOINTS: usize = 8;
+pub(crate) const CHECKPOINTS: usize = 8;
 
 /// Runs the experiment.
 pub fn run(scale: &BenchScale) -> Vec<Table> {
@@ -80,7 +80,7 @@ mod tests {
         let tables = run(&test_scale());
         assert_eq!(tables.len(), 2);
         for table in &tables {
-            assert!(table.num_rows() >= 2);
+            assert!(table.rows.len() >= 2);
             for row in &table.rows {
                 let processed: usize = row[0].parse().unwrap();
                 assert!(processed > 0);

@@ -73,7 +73,7 @@ mod tests {
         let tables = run(&test_scale());
         assert_eq!(tables.len(), 1);
         let table = &tables[0];
-        assert_eq!(table.num_rows(), 2);
+        assert_eq!(table.rows.len(), 2);
         for row in &table.rows {
             let with: f64 = row[1].parse().unwrap();
             let without: f64 = row[2].parse().unwrap();

@@ -67,7 +67,7 @@ mod tests {
     fn fig12_reports_cached_and_uncached_latencies() {
         let tables = run(&test_scale());
         assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].num_rows(), 2);
+        assert_eq!(tables[0].rows.len(), 2);
         for row in &tables[0].rows {
             let cached: f64 = row[1].parse().unwrap();
             let uncached: f64 = row[2].parse().unwrap();

@@ -12,13 +12,13 @@ use locater_core::system::LocaterConfig;
 use locater_events::clock;
 
 /// The `τ_l` sweep (minutes) of the left plot of Fig. 7.
-pub const TAU_L_MINUTES: [i64; 5] = [10, 15, 20, 25, 30];
+pub(crate) const TAU_L_MINUTES: [i64; 5] = [10, 15, 20, 25, 30];
 /// Paper-reported `P_c` (percent, read off the figure) for the `τ_l` sweep.
-pub const PAPER_TAU_L: [f64; 5] = [83.0, 84.5, 85.5, 85.2, 84.8];
+pub(crate) const PAPER_TAU_L: [f64; 5] = [83.0, 84.5, 85.5, 85.2, 84.8];
 /// The `τ_h` sweep (minutes) of the right plot of Fig. 7.
-pub const TAU_H_MINUTES: [i64; 5] = [60, 90, 120, 150, 180];
+pub(crate) const TAU_H_MINUTES: [i64; 5] = [60, 90, 120, 150, 180];
 /// Paper-reported `P_c` (percent, read off the figure) for the `τ_h` sweep.
-pub const PAPER_TAU_H: [f64; 5] = [77.0, 80.0, 82.5, 84.5, 85.8];
+pub(crate) const PAPER_TAU_H: [f64; 5] = [77.0, 80.0, 82.5, 84.5, 85.8];
 
 /// Runs the experiment.
 pub fn run(scale: &BenchScale) -> Vec<Table> {
@@ -86,8 +86,8 @@ mod tests {
     fn fig7_produces_both_sweeps() {
         let tables = run(&test_scale());
         assert_eq!(tables.len(), 2);
-        assert_eq!(tables[0].num_rows(), TAU_L_MINUTES.len());
-        assert_eq!(tables[1].num_rows(), TAU_H_MINUTES.len());
+        assert_eq!(tables[0].rows.len(), TAU_L_MINUTES.len());
+        assert_eq!(tables[1].rows.len(), TAU_H_MINUTES.len());
         // Every measured cell parses as a percentage.
         for table in &tables {
             for row in &table.rows {

@@ -14,10 +14,10 @@ use locater_events::clock;
 
 /// The history lengths (weeks) evaluated; a subset of the paper's 0..9 sweep chosen to
 /// show the knee of every curve.
-pub const WEEKS: [i64; 5] = [0, 1, 3, 5, 8];
+pub(crate) const WEEKS: [i64; 5] = [0, 1, 3, 5, 8];
 
 /// The predictability groups plotted by Fig. 8.
-pub const GROUPS: [&str; 2] = ["[40,55)", "[55,70)"];
+pub(crate) const GROUPS: [&str; 2] = ["[40,55)", "[55,70)"];
 
 /// Runs the experiment.
 pub fn run(scale: &BenchScale) -> Vec<Table> {

@@ -68,7 +68,7 @@ mod tests {
         let tables = run(&test_scale());
         assert_eq!(tables.len(), 1);
         let table = &tables[0];
-        assert_eq!(table.num_rows(), 4);
+        assert_eq!(table.rows.len(), 4);
         let systems: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
         assert!(systems.contains(&"I-LOCATER+C"));
         assert!(systems.contains(&"D-LOCATER"));

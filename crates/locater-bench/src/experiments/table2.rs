@@ -11,9 +11,9 @@ use locater_core::fine::RoomAffinityWeights;
 use locater_core::system::{FineMode, LocaterConfig};
 
 /// The paper's Table 2 values (percent): `P_f` of I-FINE for C1..C4.
-pub const PAPER_I_FINE: [f64; 4] = [81.8, 83.4, 82.3, 82.4];
+pub(crate) const PAPER_I_FINE: [f64; 4] = [81.8, 83.4, 82.3, 82.4];
 /// The paper's Table 2 values (percent): `P_f` of D-FINE for C1..C4.
-pub const PAPER_D_FINE: [f64; 4] = [86.1, 87.5, 86.6, 86.4];
+pub(crate) const PAPER_D_FINE: [f64; 4] = [86.1, 87.5, 86.6, 86.4];
 
 /// Runs the experiment.
 pub fn run(scale: &BenchScale) -> Vec<Table> {
@@ -78,7 +78,7 @@ mod tests {
         let tables = run(&test_scale());
         assert_eq!(tables.len(), 1);
         let table = &tables[0];
-        assert_eq!(table.num_rows(), 4);
+        assert_eq!(table.rows.len(), 4);
         let labels: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(labels, vec!["C1", "C2", "C3", "C4"]);
         for row in &table.rows {

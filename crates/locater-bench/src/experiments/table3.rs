@@ -14,10 +14,10 @@ use locater_core::baselines::{Baseline1, Baseline2};
 use locater_core::system::{FineMode, LocaterConfig};
 
 /// The predictability groups of Table 3, in paper order.
-pub const GROUPS: [&str; 4] = ["[40,55)", "[55,70)", "[70,85)", "[85,100)"];
+pub(crate) const GROUPS: [&str; 4] = ["[40,55)", "[55,70)", "[70,85)", "[85,100)"];
 
 /// The paper's Table 3 (`Pc|Pf|Po`, percent) for reference, row per system.
-pub const PAPER_ROWS: [(&str, [&str; 4]); 4] = [
+pub(crate) const PAPER_ROWS: [(&str, [&str; 4]); 4] = [
     ("Baseline1", ["56|10|24", "63|8|25", "67|10|26", "73|12|27"]),
     (
         "Baseline2",
@@ -123,7 +123,7 @@ mod tests {
         let tables = run(&test_scale());
         assert_eq!(tables.len(), 1);
         let table = &tables[0];
-        assert_eq!(table.num_rows(), 4);
+        assert_eq!(table.rows.len(), 4);
         let systems: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(
             systems,

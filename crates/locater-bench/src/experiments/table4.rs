@@ -15,7 +15,7 @@ use locater_core::system::{FineMode, LocaterConfig};
 use locater_sim::ScenarioKind;
 
 /// The paper's Table 4 per-profile cells (`Pc|Pf|Po(Δ)` percent), for reference.
-pub fn paper_reference(kind: ScenarioKind) -> Vec<(&'static str, &'static str)> {
+pub(crate) fn paper_reference(kind: ScenarioKind) -> Vec<(&'static str, &'static str)> {
     match kind {
         ScenarioKind::Office => vec![
             ("Janitorial", "88|32|31(8)"),
@@ -137,7 +137,7 @@ mod tests {
         // Run a single scenario in the unit test to keep it fast; the full sweep is
         // exercised by `exp table4`.
         let table = run_scenario(ScenarioKind::Office, &test_scale());
-        assert_eq!(table.num_rows(), 5);
+        assert_eq!(table.rows.len(), 5);
         let profiles: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(
             profiles,

@@ -26,9 +26,8 @@ pub mod experiments;
 pub mod report;
 pub mod runner;
 
-pub use datasets::{campus_fixture, scenario_fixture, BenchScale, CampusFixture, ScenarioFixture};
+pub use datasets::BenchScale;
 pub use report::Table;
-pub use runner::{evaluate_baseline, evaluate_locater, truth_at, SystemEvaluation};
 
 /// Prints a list of result tables to stdout as markdown, separated by blank lines.
 pub fn print_tables(tables: &[Table]) {

@@ -38,11 +38,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as markdown (title, caption, header, rows).
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -69,17 +64,17 @@ impl Table {
 
 /// Formats a fraction in `[0, 1]` as a percentage with one decimal, the way the
 /// paper's tables print precision values.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:.1}", fraction * 100.0)
 }
 
 /// Formats a duration in milliseconds with one decimal.
-pub fn millis(duration: std::time::Duration) -> String {
+pub(crate) fn millis(duration: std::time::Duration) -> String {
     format!("{:.1}", duration.as_secs_f64() * 1_000.0)
 }
 
 /// Formats the paper's `Pc|Pf|Po` triple-cell notation.
-pub fn triple(pc: f64, pf: f64, po: f64) -> String {
+pub(crate) fn triple(pc: f64, pf: f64, po: f64) -> String {
     format!("{:.0}|{:.0}|{:.0}", pc * 100.0, pf * 100.0, po * 100.0)
 }
 
@@ -93,7 +88,7 @@ mod tests {
         let mut table = Table::new("Figure X", "A caption.", &["a", "b"]);
         table.push_row(vec!["1".into(), "2".into()]);
         table.push_row(vec!["only-one".into()]);
-        assert_eq!(table.num_rows(), 2);
+        assert_eq!(table.rows.len(), 2);
         let md = table.to_markdown();
         assert!(md.contains("### Figure X"));
         assert!(md.contains("A caption."));

@@ -14,7 +14,7 @@ use locater_store::EventStore;
 use std::time::{Duration, Instant};
 
 /// The ground-truth location of `mac` at `t` according to the simulator.
-pub fn truth_at(output: &SimOutput, mac: &str, t: Timestamp) -> TruthLocation {
+pub(crate) fn truth_at(output: &SimOutput, mac: &str, t: Timestamp) -> TruthLocation {
     match output.ground_truth.room_at(mac, t) {
         Some(room) => TruthLocation::Room(room),
         None => TruthLocation::Outside,
@@ -22,7 +22,7 @@ pub fn truth_at(output: &SimOutput, mac: &str, t: Timestamp) -> TruthLocation {
 }
 
 /// Group label used by Table 3: the predictability band of the queried person.
-pub fn predictability_group(output: &SimOutput, mac: &str) -> String {
+pub(crate) fn predictability_group(output: &SimOutput, mac: &str) -> String {
     output
         .person(mac)
         .map(|p| p.group.clone())
@@ -30,7 +30,7 @@ pub fn predictability_group(output: &SimOutput, mac: &str) -> String {
 }
 
 /// Group label used by Table 4: the profile of the queried person.
-pub fn profile_group(output: &SimOutput, mac: &str) -> String {
+pub(crate) fn profile_group(output: &SimOutput, mac: &str) -> String {
     output
         .person(mac)
         .map(|p| p.profile.clone())
@@ -39,7 +39,7 @@ pub fn profile_group(output: &SimOutput, mac: &str) -> String {
 
 /// The outcome of evaluating one system over one workload.
 #[derive(Debug, Clone)]
-pub struct SystemEvaluation {
+pub(crate) struct SystemEvaluation {
     /// System name ("I-LOCATER", "Baseline2", …).
     pub name: String,
     /// Precision counters per group.
@@ -50,12 +50,12 @@ pub struct SystemEvaluation {
 
 impl SystemEvaluation {
     /// Precision counters aggregated over all groups.
-    pub fn overall(&self) -> PrecisionCounts {
+    pub(crate) fn overall(&self) -> PrecisionCounts {
         self.report.overall()
     }
 
     /// Mean wall-clock time per query.
-    pub fn avg_query_time(&self) -> Duration {
+    pub(crate) fn avg_query_time(&self) -> Duration {
         if self.per_query.is_empty() {
             return Duration::ZERO;
         }
@@ -64,7 +64,7 @@ impl SystemEvaluation {
 
     /// Cumulative average query time sampled at `points` evenly spaced checkpoints —
     /// the series Fig. 10 plots ("average time per query vs #processed queries").
-    pub fn cumulative_average_series(&self, points: usize) -> Vec<(usize, Duration)> {
+    pub(crate) fn cumulative_average_series(&self, points: usize) -> Vec<(usize, Duration)> {
         if self.per_query.is_empty() || points == 0 {
             return Vec::new();
         }
@@ -84,7 +84,7 @@ impl SystemEvaluation {
 
 /// Evaluates a LOCATER configuration over a workload. The event store is cloned so
 /// repeated evaluations never see each other's caches.
-pub fn evaluate_locater(
+pub(crate) fn evaluate_locater(
     name: &str,
     output: &SimOutput,
     store: &EventStore,
@@ -114,7 +114,7 @@ pub fn evaluate_locater(
 }
 
 /// Evaluates one of the baselines over a workload.
-pub fn evaluate_baseline(
+pub(crate) fn evaluate_baseline(
     output: &SimOutput,
     store: &EventStore,
     baseline: &mut dyn BaselineSystem,

@@ -106,12 +106,12 @@ impl GlobalAffinityGraph {
     }
 
     /// Number of edges physically held (live and stale).
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 
     /// Number of samples physically held across all edges (live and stale).
-    pub fn num_samples(&self) -> usize {
+    pub(crate) fn num_samples(&self) -> usize {
         self.edges.values().map(|edge| edge.samples.len()).sum()
     }
 
@@ -254,7 +254,7 @@ impl GlobalAffinityGraph {
 
     /// Number of edges and samples live under `epochs` — the state queries
     /// can observe.
-    pub fn live_stats(&self, epochs: &dyn EpochRead) -> (usize, usize) {
+    pub(crate) fn live_stats(&self, epochs: &dyn EpochRead) -> (usize, usize) {
         self.edges
             .iter()
             .filter(|&(&key, edge)| edge.stamp == stamp_of(key, epochs))

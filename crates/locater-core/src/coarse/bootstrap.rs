@@ -54,7 +54,7 @@ pub struct BootstrapSummary {
 /// `events` must be the device's events *already restricted to the history window*
 /// (the store produces exactly that, zero-copy, via
 /// `EventStore::events_of_in(device, history)` without scanning older events).
-pub fn most_visited_region<'a>(
+pub(crate) fn most_visited_region<'a>(
     gap: &Gap,
     events: impl IntoIterator<Item = &'a StoredEvent>,
 ) -> Option<RegionId> {
@@ -84,7 +84,7 @@ pub fn most_visited_region<'a>(
 ///   [`most_visited_region`]).
 /// * `tau_low` / `tau_high` — building-level thresholds (`τ_l`, `τ_h`).
 /// * `region_tau_low` / `region_tau_high` — region-level thresholds (`τ'_l`, `τ'_h`).
-pub fn bootstrap_label<'a>(
+pub(crate) fn bootstrap_label<'a>(
     gap: &Gap,
     events: impl IntoIterator<Item = &'a StoredEvent>,
     tau_low: Timestamp,

@@ -49,7 +49,7 @@ impl GapFeatures {
 
     /// The features of `gap` given its connection density, however computed
     /// ([`connection_density`] for one gap, [`connection_densities`] for many).
-    pub fn with_density(gap: &Gap, density: f64) -> Self {
+    pub(crate) fn with_density(gap: &Gap, density: f64) -> Self {
         Self {
             start_time_of_day: clock::seconds_of_day(gap.start) as f64,
             end_time_of_day: clock::seconds_of_day(gap.end) as f64,

@@ -715,7 +715,7 @@ mod tests {
         fn max_delta(&self) -> Timestamp {
             self.inner.max_delta()
         }
-        fn timeline_of(&self, device: DeviceId) -> &locater_store::DeviceTimeline {
+        fn timeline_of(&self, device: DeviceId) -> &locater_events::EventSeq {
             self.inner.timeline_of(device)
         }
         fn devices_near(

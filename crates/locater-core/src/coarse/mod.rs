@@ -17,9 +17,7 @@ mod bootstrap;
 mod features;
 mod localizer;
 
-pub use bootstrap::{
-    bootstrap_label, bootstrap_labels, most_visited_region, BootstrapLabel, BootstrapSummary,
-};
+pub use bootstrap::{bootstrap_labels, BootstrapLabel, BootstrapSummary};
 pub use features::{connection_densities, connection_density, GapFeatures, NUM_GAP_FEATURES};
 pub use localizer::{
     CoarseConfig, CoarseLabel, CoarseLocalizer, CoarseMethod, CoarseOutcome, DeviceCoarseModel,

@@ -54,7 +54,7 @@ impl RoomPosterior {
 
     /// A copy of the posterior with `count` additional hypothetical observations of
     /// affinity `alpha` folded in (used by the possible-world bounds).
-    pub fn with_hypothetical(&self, alpha: f64, count: usize) -> Self {
+    pub(crate) fn with_hypothetical(&self, alpha: f64, count: usize) -> Self {
         let alpha = alpha.clamp(0.0, 1.0);
         Self {
             support: self.support * alpha.powi(count as i32),
@@ -129,7 +129,7 @@ impl PosteriorBounds {
 ///
 /// 1. `minP(a) ≥ expP(b)`, or
 /// 2. `expP(a) ≥ maxP(b)`.
-pub fn stop_condition_met(leader: &PosteriorBounds, runner_up: &PosteriorBounds) -> bool {
+pub(crate) fn stop_condition_met(leader: &PosteriorBounds, runner_up: &PosteriorBounds) -> bool {
     leader.min >= runner_up.expected || leader.expected >= runner_up.max
 }
 

@@ -84,7 +84,7 @@ impl EpochTable {
 
     /// Bumps every device up to `num_devices` (bulk invalidation: delta
     /// re-estimation, explicit cache reset).
-    pub fn bump_all(&mut self, num_devices: usize) {
+    pub(crate) fn bump_all(&mut self, num_devices: usize) {
         if num_devices > self.counters.len() {
             self.counters.resize(num_devices, 0);
         }

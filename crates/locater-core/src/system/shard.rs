@@ -300,7 +300,7 @@ impl ShardedLocaterService {
     }
 
     /// The home shard of a device under this service's shard count.
-    pub fn home_shard(&self, device: DeviceId) -> usize {
+    pub(crate) fn home_shard(&self, device: DeviceId) -> usize {
         shard_of_device(device, self.shards.len())
     }
 

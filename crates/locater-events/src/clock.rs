@@ -14,9 +14,9 @@ use std::fmt;
 pub type Timestamp = i64;
 
 /// Number of seconds in a minute.
-pub const SECONDS_PER_MINUTE: Timestamp = 60;
+pub(crate) const SECONDS_PER_MINUTE: Timestamp = 60;
 /// Number of seconds in an hour.
-pub const SECONDS_PER_HOUR: Timestamp = 3_600;
+pub(crate) const SECONDS_PER_HOUR: Timestamp = 3_600;
 /// Number of seconds in a day.
 pub const SECONDS_PER_DAY: Timestamp = 86_400;
 /// Number of seconds in a week.
@@ -59,7 +59,7 @@ impl DayOfWeek {
     }
 
     /// Day from its index (`0` = Monday). Indices are taken modulo 7.
-    pub fn from_index(index: usize) -> Self {
+    pub(crate) fn from_index(index: usize) -> Self {
         Self::ALL[index % 7]
     }
 

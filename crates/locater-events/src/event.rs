@@ -147,6 +147,16 @@ impl EventSeq {
         &self.events
     }
 
+    /// The event at index `idx` (0-based, time order).
+    pub fn get(&self, idx: usize) -> Option<&StoredEvent> {
+        self.events.get(idx)
+    }
+
+    /// Iterates over all events in time order.
+    pub fn iter(&self) -> std::slice::Iter<'_, StoredEvent> {
+        self.events.iter()
+    }
+
     /// First event, if any.
     pub fn first(&self) -> Option<&StoredEvent> {
         self.events.first()
@@ -164,10 +174,28 @@ impl EventSeq {
         &self.events[lo..hi]
     }
 
+    /// Number of events with `t <= at`.
+    pub fn partition_le(&self, at: Timestamp) -> usize {
+        self.events.partition_point(|e| e.t <= at)
+    }
+
+    /// Number of events with `t < at`.
+    pub(crate) fn partition_lt(&self, at: Timestamp) -> usize {
+        self.events.partition_point(|e| e.t < at)
+    }
+
+    /// Number of events with `t` in `[range.start, range.end)` — two
+    /// partition points, no iteration. The affinity engine's windowed event
+    /// totals read this.
+    pub fn count_in(&self, range: Interval) -> usize {
+        self.partition_lt(range.end)
+            .saturating_sub(self.partition_lt(range.start))
+    }
+
     /// The validity interval of the event at `index`, given validity period `delta`:
     /// `(t − δ, t + δ)` truncated at the timestamp of the next event of the device
     /// (paper §2, Fig. 2).
-    pub fn validity_interval(&self, index: usize, delta: Timestamp) -> Interval {
+    pub(crate) fn validity_interval(&self, index: usize, delta: Timestamp) -> Interval {
         let event = &self.events[index];
         let end = match self.events.get(index + 1) {
             Some(next) => next.t.min(event.t + delta),
@@ -224,7 +252,7 @@ impl EventSeq {
     }
 
     /// Iterates over consecutive event pairs `(e_k, e_{k+1})`.
-    pub fn consecutive_pairs(&self) -> impl Iterator<Item = (&StoredEvent, &StoredEvent)> {
+    pub(crate) fn consecutive_pairs(&self) -> impl Iterator<Item = (&StoredEvent, &StoredEvent)> {
         self.events.windows(2).map(|w| (&w[0], &w[1]))
     }
 
@@ -246,6 +274,19 @@ impl EventSeq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gap::{gap_containing, gaps_in, gaps_in_window};
+
+    fn ev(id: u64, t: Timestamp, ap: u32) -> StoredEvent {
+        StoredEvent::new(EventId::new(id), t, AccessPointId::new(ap))
+    }
+
+    fn timeline(ts: &[Timestamp]) -> EventSeq {
+        let mut tl = EventSeq::default();
+        for (i, &t) in ts.iter().enumerate() {
+            tl.push(ev(i as u64, t, (i % 3) as u32));
+        }
+        tl
+    }
 
     #[test]
     fn from_pairs_sorts_by_time() {
@@ -375,5 +416,116 @@ mod tests {
         let s = StoredEvent::new(EventId::new(1), 5, AccessPointId::new(7));
         assert_eq!(s.region(), e.region());
         assert_eq!(EventId::new(3).to_string(), "e3");
+    }
+
+    #[test]
+    fn in_order_pushes_append() {
+        let tl = timeline(&[10, 20, 150, 420]);
+        assert_eq!(tl.len(), 4);
+        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t).collect();
+        assert_eq!(ts, vec![10, 20, 150, 420]);
+        assert_eq!(tl.last().map(|e| e.t), Some(420));
+    }
+
+    #[test]
+    fn out_of_order_events_splice_by_time_then_id() {
+        let mut tl = timeline(&[10, 250, 420]);
+        tl.push(ev(9, 150, 0));
+        tl.push(ev(10, 20, 1));
+        // A late event at an existing timestamp sorts after it by id.
+        tl.push(ev(11, 250, 2));
+        let ts: Vec<(Timestamp, u64)> = tl.iter().map(|e| (e.t, e.id.0)).collect();
+        assert_eq!(
+            ts,
+            vec![(10, 0), (20, 10), (150, 9), (250, 1), (250, 11), (420, 2)]
+        );
+        for (i, &(t, _)) in ts.iter().enumerate() {
+            assert_eq!(tl.get(i).unwrap().t, t);
+        }
+        assert_eq!(tl.get(6), None);
+        assert_eq!(tl.partition_le(250), 5);
+        assert_eq!(tl.partition_lt(250), 3);
+        assert_eq!(tl.count_in(Interval::new(20, 251)), 4);
+        assert_eq!(tl.count_in(Interval::new(400, 10)), 0);
+    }
+
+    #[test]
+    fn in_range_prunes_but_agrees_with_filter() {
+        let tl = timeline(&[10, 20, 150, 420, 421, 999]);
+        let window = Interval::new(15, 421);
+        let got: Vec<Timestamp> = tl.in_range(window).iter().map(|e| e.t).collect();
+        assert_eq!(got, vec![20, 150, 420]);
+        assert!(tl.in_range(Interval::new(2_000, 3_000)).is_empty());
+        assert_eq!(tl.in_range(Interval::new(0, 10_000)).len(), 6);
+        assert_eq!(tl.count_in(window), 3);
+    }
+
+    #[test]
+    fn covering_event_and_gap_containing_split_the_time_axis() {
+        // Events 90 and 410 with δ = 50.
+        let tl = timeline(&[90, 410]);
+        let (idx, e) = tl.covering_event(100, 50).unwrap();
+        assert_eq!((idx, e.t), (0, 90));
+        let (idx, e) = tl.covering_event(370, 50).unwrap();
+        assert_eq!((idx, e.t), (1, 410));
+        assert!(tl.covering_event(250, 50).is_none());
+        let gap = gap_containing(&tl, 250, 50).unwrap();
+        assert_eq!((gap.prev_t, gap.next_t), (90, 410));
+        assert_eq!((gap.start, gap.end), (140, 360));
+        assert!(gap_containing(&tl, 100, 50).is_none());
+        assert!(gap_containing(&tl, -10, 50).is_none());
+        assert!(gap_containing(&tl, 10_000, 50).is_none());
+        assert_eq!(gaps_in(&tl, 50).len(), 1);
+    }
+
+    #[test]
+    fn empty_sequence_answers_are_empty() {
+        let tl = EventSeq::default();
+        assert!(tl.is_empty());
+        assert_eq!(tl.len(), 0);
+        assert!(tl.first().is_none() && tl.last().is_none());
+        assert!(tl.span().is_none());
+        assert!(tl.covering_event(5, 10).is_none());
+        assert!(gap_containing(&tl, 5, 10).is_none());
+        assert!(gaps_in(&tl, 10).is_empty());
+        assert!(gaps_in_window(&tl, Interval::new(0, 100), 10).is_empty());
+        assert_eq!(tl.iter().count(), 0);
+        assert_eq!(tl.count_in(Interval::new(0, 100)), 0);
+    }
+
+    #[test]
+    fn trim_before_rebases_indexes_and_partition_points() {
+        let mut tl = timeline(&[10, 20, 150, 420, 421, 999]);
+        let evicted = tl.trim_before(420);
+        let old: Vec<Timestamp> = evicted.iter().map(|e| e.t).collect();
+        assert_eq!(old, vec![10, 20, 150]);
+        assert_eq!(tl.len(), 3);
+        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t).collect();
+        assert_eq!(ts, vec![420, 421, 999]);
+        // Indexes, partition points and window scans stay consistent.
+        assert_eq!(tl.get(0).unwrap().t, 420);
+        assert_eq!(tl.get(2).unwrap().t, 999);
+        assert_eq!(tl.partition_le(421), 2);
+        assert_eq!(tl.partition_lt(999), 2);
+        assert_eq!(tl.count_in(Interval::new(421, 1_000)), 2);
+        // The cut is exact.
+        assert!(tl.trim_before(420).is_empty());
+        assert_eq!(tl.trim_before(421).len(), 1);
+        // Evicting everything empties the sequence.
+        assert_eq!(tl.trim_before(Timestamp::MAX).len(), 2);
+        assert!(tl.is_empty());
+        assert_eq!(tl.iter().count(), 0);
+    }
+
+    #[test]
+    fn negative_timestamps_sort_like_any_other() {
+        // Timestamps below zero (snapshot loads may carry synthetic negative
+        // probes even though ingestion rejects them) sort like any other.
+        let mut tl = timeline(&[70, -50, -250]);
+        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t).collect();
+        assert_eq!(ts, vec![-250, -50, 70]);
+        assert_eq!(tl.partition_lt(0), 2);
+        assert_eq!(tl.trim_before(-50).len(), 1);
+        assert_eq!(tl.first().map(|e| e.t), Some(-50));
     }
 }

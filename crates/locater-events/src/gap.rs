@@ -77,8 +77,8 @@ impl Gap {
 }
 
 /// The gap between two *consecutive* events of one device, if their spacing exceeds
-/// `2δ` (the store's windowed gap scan pairs events with it directly).
-pub fn gap_between(prev: &StoredEvent, next: &StoredEvent, delta: Timestamp) -> Option<Gap> {
+/// `2δ`.
+pub(crate) fn gap_between(prev: &StoredEvent, next: &StoredEvent, delta: Timestamp) -> Option<Gap> {
     if next.t - prev.t > 2 * delta {
         Some(Gap {
             start: prev.t + delta,
@@ -98,6 +98,32 @@ pub fn gap_between(prev: &StoredEvent, next: &StoredEvent, delta: Timestamp) -> 
 pub fn gaps_in(seq: &EventSeq, delta: Timestamp) -> Vec<Gap> {
     seq.consecutive_pairs()
         .filter_map(|(prev, next)| gap_between(prev, next, delta))
+        .collect()
+}
+
+/// Gaps whose interval overlaps `window`. Only the consecutive event pairs
+/// that can bound such a gap are visited: a gap `[prev.t + δ, next.t − δ)`
+/// overlaps `window` only if `next.t > window.start + δ` and
+/// `prev.t < window.end − δ`, and both conditions are monotone in the pair
+/// index, so the qualifying pairs form one contiguous, binary-searchable run.
+pub fn gaps_in_window(seq: &EventSeq, window: Interval, delta: Timestamp) -> Vec<Gap> {
+    let events = seq.events();
+    if events.len() < 2 {
+        return Vec::new();
+    }
+    let lo = seq
+        .partition_le(window.start.saturating_add(delta))
+        .saturating_sub(1);
+    let hi = seq
+        .partition_lt(window.end.saturating_sub(delta))
+        .min(events.len() - 1);
+    if lo >= hi {
+        return Vec::new();
+    }
+    events[lo..=hi]
+        .windows(2)
+        .filter_map(|pair| gap_between(&pair[0], &pair[1], delta))
+        .filter(|gap| gap.interval().overlaps(&window))
         .collect()
 }
 
@@ -200,5 +226,36 @@ mod tests {
         let g = gaps_in(&seq, clock::minutes(10))[0];
         assert_eq!(g.start_day(), crate::clock::DayOfWeek::Tuesday);
         assert_eq!(g.end_day(), crate::clock::DayOfWeek::Wednesday);
+    }
+
+    #[test]
+    fn windowed_gaps_match_full_scan() {
+        let pairs: Vec<(Timestamp, u32)> = [0, 100, 5_000, 5_050, 12_000, 40_000, 40_100]
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| (t, (i % 3) as u32))
+            .collect();
+        let tl = EventSeq::from_pairs(&pairs);
+        let delta = 200;
+        let all = gaps_in(&tl, delta);
+        for window in [
+            Interval::new(0, 60_000),
+            Interval::new(4_000, 6_000),
+            Interval::new(300, 301),
+            Interval::new(13_000, 39_000),
+            Interval::new(-500, 50),
+            Interval::new(60_000, 70_000),
+        ] {
+            let expect: Vec<Gap> = all
+                .iter()
+                .filter(|g| g.interval().overlaps(&window))
+                .copied()
+                .collect();
+            assert_eq!(
+                gaps_in_window(&tl, window, delta),
+                expect,
+                "window {window:?}"
+            );
+        }
     }
 }

@@ -15,8 +15,12 @@
 //!   truncated at the next event of the same device.
 //! * [`ConnectivityEvent`] — one log tuple, with the access point interned to an
 //!   `AccessPointId` from [`locater_space`].
+//! * [`EventSeq`] — one device's events (`E(d_i)`) as one array sorted by
+//!   `(t, id)`: appends, range slices, partition points and windowed counts,
+//!   each a binary search or two. The store keeps one per device.
 //! * [`Gap`] — a maximal period during which no event of a device is valid. Gaps are
-//!   the *missing values* the coarse-grained localization must repair.
+//!   the *missing values* the coarse-grained localization must repair
+//!   ([`gaps_in`], [`gaps_in_window`], [`gap_containing`]).
 //! * [`Timestamp`] helpers ([`clock`]) — day-of-week / time-of-day arithmetic on the
 //!   integer-second timeline used throughout the project.
 //! * [`validity`] — estimation of `δ(d)` from the log itself (paper Appendix 9.1).
@@ -67,9 +71,9 @@ mod gap;
 mod interval;
 pub mod validity;
 
-pub use clock::{DayOfWeek, Timestamp, SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK};
+pub use clock::{DayOfWeek, Timestamp, SECONDS_PER_DAY, SECONDS_PER_WEEK};
 pub use device::{Device, DeviceId, MacAddress};
 pub use error::EventError;
 pub use event::{ConnectivityEvent, EventId, EventSeq, StoredEvent};
-pub use gap::{gap_between, gap_containing, gaps_in, Gap};
+pub use gap::{gap_containing, gaps_in, gaps_in_window, Gap};
 pub use interval::Interval;

@@ -50,13 +50,13 @@ impl Dataset {
     }
 
     /// Appends a row (the data set copies it into its flat buffer). Panics on a
-    /// dimension or label mismatch; use [`Dataset::try_push`] for checked insertion.
+    /// dimension or label mismatch.
     pub fn push_row(&mut self, features: &[f64], label: usize) {
         self.try_push(features, label).expect("invalid row");
     }
 
     /// Appends a row, validating dimensionality and label range.
-    pub fn try_push(&mut self, features: &[f64], label: usize) -> Result<(), LearnError> {
+    pub(crate) fn try_push(&mut self, features: &[f64], label: usize) -> Result<(), LearnError> {
         if features.len() != self.num_features {
             return Err(LearnError::DimensionMismatch {
                 expected: self.num_features,
@@ -96,7 +96,7 @@ impl Dataset {
     }
 
     /// Number of rows per class.
-    pub fn class_counts(&self) -> Vec<usize> {
+    pub(crate) fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
         for &label in &self.labels {
             counts[label] += 1;

@@ -51,7 +51,7 @@ impl StandardScaler {
 
     /// Identity scaler for `num_features` features (useful when features are already
     /// normalized).
-    pub fn identity(num_features: usize) -> Self {
+    pub(crate) fn identity(num_features: usize) -> Self {
         Self {
             means: vec![0.0; num_features],
             stds: vec![1.0; num_features],
@@ -64,7 +64,7 @@ impl StandardScaler {
     }
 
     /// Standardizes a single feature vector in place.
-    pub fn transform_in_place(&self, row: &mut [f64]) {
+    pub(crate) fn transform_in_place(&self, row: &mut [f64]) {
         for ((v, &m), &s) in row.iter_mut().zip(&self.means).zip(&self.stds) {
             *v = (*v - m) / s;
         }

@@ -62,8 +62,7 @@ enum DedupClaim {
 ///
 /// Front ends funnel every request through [`execute`](Self::execute); the
 /// TCP server additionally drives the admission counters
-/// ([`try_admit`](Self::try_admit), [`begin_execution`](Self::begin_execution),
-/// [`finish_execution`](Self::finish_execution)) so `stats` can report
+/// (`try_admit`, `begin_execution`, `finish_execution`) so `stats` can report
 /// in-flight/queued gauges and the load harness can assert that backpressure
 /// engaged.
 #[derive(Debug)]
@@ -181,7 +180,7 @@ impl ServerState {
     }
 
     /// Starts a graceful drain (idempotent).
-    pub fn request_drain(&self) {
+    pub(crate) fn request_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
 
@@ -199,7 +198,11 @@ impl ServerState {
     /// instead of spending the fine-grained budget the request no longer
     /// has; every other request type runs normally, since partial ingest or
     /// compaction would be worse than late ingest or compaction.
-    pub fn execute_with_budget(&self, request: &WireRequest, over_deadline: bool) -> WireResponse {
+    pub(crate) fn execute_with_budget(
+        &self,
+        request: &WireRequest,
+        over_deadline: bool,
+    ) -> WireResponse {
         let response = match Self::dedup_key(request) {
             Some(id) => match self.claim_dedup(id) {
                 DedupClaim::Replay(cached) => *cached,
@@ -486,7 +489,7 @@ impl ServerState {
     /// explicit backpressure, never a silent drop. The check is approximate
     /// under concurrent readers (it may overshoot by at most the number of
     /// connections), which is fine for a load-shedding bound.
-    pub fn try_admit(&self, limit: usize) -> Result<(), WireError> {
+    pub(crate) fn try_admit(&self, limit: usize) -> Result<(), WireError> {
         let queued = self.queued.load(Ordering::Relaxed);
         let in_flight = self.in_flight.load(Ordering::Relaxed);
         if queued + in_flight >= limit {
@@ -503,7 +506,7 @@ impl ServerState {
     }
 
     /// Counts one request turned away because the service is draining.
-    pub fn reject_shutting_down(&self) -> WireError {
+    pub(crate) fn reject_shutting_down(&self) -> WireError {
         self.rejected_shutting_down.fetch_add(1, Ordering::Relaxed);
         WireError::ShuttingDown
     }
@@ -511,13 +514,13 @@ impl ServerState {
     /// Moves one admitted request from the queued gauge to the in-flight
     /// gauge (called by the connection thread once it holds an execution
     /// permit).
-    pub fn begin_execution(&self) {
+    pub(crate) fn begin_execution(&self) {
         self.queued.fetch_sub(1, Ordering::Relaxed);
         self.in_flight.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops the in-flight gauge after [`begin_execution`](Self::begin_execution).
-    pub fn finish_execution(&self) {
+    pub(crate) fn finish_execution(&self) {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 

@@ -116,7 +116,7 @@ impl CampusConfig {
 const BAND_TARGETS: [f64; 4] = [0.26, 0.42, 0.60, 0.88];
 
 /// Builds the campus [`World`] for a configuration.
-pub fn build_world(config: &CampusConfig) -> World {
+pub(crate) fn build_world(config: &CampusConfig) -> World {
     let access_points = config.access_points.max(2);
     let rooms_per_ap = config.rooms_per_ap.max(3);
     let overlap = config.overlap.min(rooms_per_ap - 1);

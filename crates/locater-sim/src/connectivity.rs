@@ -30,7 +30,7 @@ const FIRST_EVENT_PROB: f64 = 0.9;
 ///
 /// Rooms not covered by any AP produce no events (the paper notes APs may not cover
 /// every room, which bounds what any log-based method can see).
-pub fn emit_events(
+pub(crate) fn emit_events(
     rng: &mut impl Rng,
     person: &Person,
     stays: &[Stay],

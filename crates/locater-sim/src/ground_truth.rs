@@ -93,13 +93,13 @@ impl GroundTruth {
     }
 
     /// Total number of seconds `mac` spent inside the building.
-    pub fn inside_seconds(&self, mac: &str) -> Timestamp {
+    pub(crate) fn inside_seconds(&self, mac: &str) -> Timestamp {
         self.stays_of(mac).iter().map(Stay::duration).sum()
     }
 
     /// Fraction of `mac`'s inside time spent in `room` (the predictability measure of
     /// §6.2). Returns 0 when the device has no recorded inside time.
-    pub fn room_fraction(&self, mac: &str, room: RoomId) -> f64 {
+    pub(crate) fn room_fraction(&self, mac: &str, room: RoomId) -> f64 {
         let total = self.inside_seconds(mac);
         if total == 0 {
             return 0.0;

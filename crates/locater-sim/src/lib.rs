@@ -9,11 +9,11 @@
 //! with the SmartBench simulator. Neither artifact is redistributable, so this crate
 //! rebuilds the generative model from the paper's description:
 //!
-//! * **People and profiles** ([`Person`], [`Behaviour`]) — each simulated person
+//! * **People and profiles** (`Person`, `Behaviour`) — each simulated person
 //!   carries one device, has a profile (TSA staff, professor, employee, visitor, …),
 //!   optionally a preferred *anchor room* (their office), and behavioural parameters
 //!   controlling predictability, presence, arrival times and device chattiness.
-//! * **Recurring events** ([`ScheduledEvent`]) — classes, meetings, boarding calls and
+//! * **Recurring events** (`ScheduledEvent`) — classes, meetings, boarding calls and
 //!   lunch rushes with rooms, time windows, capacities and eligible profiles.
 //! * **Trajectories** — per day and person, a time-sorted list of room [`Stay`]s
 //!   (the ground truth), generated from the behaviour and the event schedule.
@@ -67,11 +67,10 @@ mod world;
 
 pub use campus::CampusConfig;
 pub use ground_truth::{GroundTruth, Stay};
-pub use person::{predictability_band, Behaviour, Person, PersonRecord, PREDICTABILITY_BANDS};
+pub use person::PersonRecord;
 pub use scenario::{ScenarioConfig, ScenarioKind};
-pub use schedule::{DayAttendance, ScheduledEvent};
 pub use workload::{generated_workload, university_workload, QueryWorkload, WorkloadQuery};
-pub use world::{simulate, SimOutput, World};
+pub use world::SimOutput;
 
 /// The simulator entry point: a thin, seedable facade over the scenario and campus
 /// generators.
@@ -95,7 +94,7 @@ impl Simulator {
     /// Generates one of the four Table-4 scenarios.
     pub fn run_scenario(&self, config: &ScenarioConfig) -> SimOutput {
         let world = scenario::build_world(config);
-        simulate(&world, config.days, config.seed ^ self.seed)
+        world::simulate(&world, config.days, config.seed ^ self.seed)
     }
 
     /// Generates the DBH-like campus dataset.

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// Behavioural parameters of one simulated person and of the device they carry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Behaviour {
+pub(crate) struct Behaviour {
     /// Probability that a free time segment is spent in the person's anchor
     /// (preferred) room. This is the main predictability knob.
     pub anchor_prob: f64,
@@ -65,7 +65,7 @@ impl Behaviour {
     /// A behaviour tuned so that roughly `target` of the person's in-building time is
     /// spent in their anchor room (used to populate the predictability bands of
     /// Table 3).
-    pub fn with_predictability(target: f64) -> Self {
+    pub(crate) fn with_predictability(target: f64) -> Self {
         Self {
             anchor_prob: target.clamp(0.05, 0.98),
             event_prob: 0.35,
@@ -76,7 +76,7 @@ impl Behaviour {
 
 /// One simulated person together with the device they carry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Person {
+pub(crate) struct Person {
     /// The device identifier that will appear in the connectivity log.
     pub mac: String,
     /// Profile name ("Employees", "Passenger", "Graduate", …).
@@ -92,7 +92,7 @@ pub struct Person {
 
 impl Person {
     /// Creates a person with default behaviour.
-    pub fn new(mac: impl Into<String>, profile: impl Into<String>) -> Self {
+    pub(crate) fn new(mac: impl Into<String>, profile: impl Into<String>) -> Self {
         Self {
             mac: mac.into(),
             profile: profile.into(),
@@ -103,26 +103,26 @@ impl Person {
     }
 
     /// Sets the anchor (preferred) room.
-    pub fn with_anchor(mut self, room: RoomId) -> Self {
+    pub(crate) fn with_anchor(mut self, room: RoomId) -> Self {
         self.anchor_room = Some(room);
         self
     }
 
     /// Sets the behaviour.
-    pub fn with_behaviour(mut self, behaviour: Behaviour) -> Self {
+    pub(crate) fn with_behaviour(mut self, behaviour: Behaviour) -> Self {
         self.behaviour = behaviour;
         self
     }
 
     /// Marks the person as part of the monitored ground-truth panel.
-    pub fn monitored(mut self) -> Self {
+    pub(crate) fn monitored(mut self) -> Self {
         self.monitored = true;
         self
     }
 }
 
 /// The predictability bands the paper groups users into (§6.2).
-pub const PREDICTABILITY_BANDS: [(&str, f64, f64); 5] = [
+pub(crate) const PREDICTABILITY_BANDS: [(&str, f64, f64); 5] = [
     ("<40", 0.0, 0.40),
     ("[40,55)", 0.40, 0.55),
     ("[55,70)", 0.55, 0.70),
@@ -131,7 +131,7 @@ pub const PREDICTABILITY_BANDS: [(&str, f64, f64); 5] = [
 ];
 
 /// The band label for a measured predictability value in `[0, 1]`.
-pub fn predictability_band(predictability: f64) -> &'static str {
+pub(crate) fn predictability_band(predictability: f64) -> &'static str {
     for (label, lo, hi) in PREDICTABILITY_BANDS {
         if predictability >= lo && predictability < hi {
             return label;

@@ -9,13 +9,13 @@ use rand::Rng;
 
 /// An approximately normal sample with the given mean and standard deviation
 /// (Irwin–Hall with 12 uniforms, variance 1 before scaling).
-pub fn approx_normal(rng: &mut impl Rng, mean: f64, std: f64) -> f64 {
+pub(crate) fn approx_normal(rng: &mut impl Rng, mean: f64, std: f64) -> f64 {
     let sum: f64 = (0..12).map(|_| rng.gen::<f64>()).sum();
     mean + (sum - 6.0) * std
 }
 
 /// An approximately normal timestamp sample, clamped to `[min, max]`.
-pub fn normal_timestamp(
+pub(crate) fn normal_timestamp(
     rng: &mut impl Rng,
     mean: Timestamp,
     std: Timestamp,
@@ -27,7 +27,7 @@ pub fn normal_timestamp(
 }
 
 /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-pub fn chance(rng: &mut impl Rng, p: f64) -> bool {
+pub(crate) fn chance(rng: &mut impl Rng, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
@@ -38,7 +38,7 @@ pub fn chance(rng: &mut impl Rng, p: f64) -> bool {
 }
 
 /// A uniform duration in `[lo, hi]` seconds.
-pub fn duration_between(rng: &mut impl Rng, lo: Timestamp, hi: Timestamp) -> Timestamp {
+pub(crate) fn duration_between(rng: &mut impl Rng, lo: Timestamp, hi: Timestamp) -> Timestamp {
     if hi <= lo {
         return lo.max(1);
     }

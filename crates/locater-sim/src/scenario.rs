@@ -5,7 +5,7 @@
 //! Each scenario is described by a blueprint — its rooms, the AP coverage layout, the
 //! people profiles (with per-profile predictability, presence and event-attendance
 //! parameters) and the recurring events that drive movement — which is *realized* into
-//! a [`World`] and then simulated. Profile names match the columns of Table 4 so the
+//! a `World` and then simulated. Profile names match the columns of Table 4 so the
 //! benchmark harness can report the same rows.
 
 use crate::person::{Behaviour, Person};
@@ -657,7 +657,7 @@ fn blueprint_for(kind: ScenarioKind) -> Blueprint {
 // ---------------------------------------------------------------------------
 
 /// Builds the [`World`] of a scenario configuration.
-pub fn build_world(config: &ScenarioConfig) -> World {
+pub(crate) fn build_world(config: &ScenarioConfig) -> World {
     let blueprint = blueprint_for(config.kind);
 
     // Space: chunk the room list into overlapping AP coverage areas.

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// A recurring event hosted in one room of the space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScheduledEvent {
+pub(crate) struct ScheduledEvent {
     /// Human-readable name ("CS101 lecture", "security check", "lunch rush").
     pub name: String,
     /// Room the event takes place in.
@@ -31,7 +31,7 @@ pub struct ScheduledEvent {
 
 impl ScheduledEvent {
     /// Creates a daily (Monday–Friday) event.
-    pub fn weekdays(
+    pub(crate) fn weekdays(
         name: impl Into<String>,
         room: RoomId,
         start: Timestamp,
@@ -49,7 +49,7 @@ impl ScheduledEvent {
     }
 
     /// Creates an event occurring every day of the week.
-    pub fn daily(
+    pub(crate) fn daily(
         name: impl Into<String>,
         room: RoomId,
         start: Timestamp,
@@ -62,36 +62,36 @@ impl ScheduledEvent {
     }
 
     /// Sets the maximum number of attendees per occurrence.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
+    pub(crate) fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity.max(1);
         self
     }
 
     /// Restricts attendance to the listed profiles.
-    pub fn for_profiles(mut self, profiles: &[&str]) -> Self {
+    pub(crate) fn for_profiles(mut self, profiles: &[&str]) -> Self {
         self.profiles = profiles.iter().map(|p| p.to_string()).collect();
         self
     }
 
     /// `true` if the event occurs on the calendar day with index `day` (days count
     /// from the deployment epoch, which is a Monday).
-    pub fn occurs_on(&self, day: i64) -> bool {
+    pub(crate) fn occurs_on(&self, day: i64) -> bool {
         let dow = clock::day_of_week(day * clock::SECONDS_PER_DAY).index();
         self.days.contains(&dow)
     }
 
     /// `true` if members of `profile` may attend.
-    pub fn admits(&self, profile: &str) -> bool {
+    pub(crate) fn admits(&self, profile: &str) -> bool {
         self.profiles.is_empty() || self.profiles.iter().any(|p| p == profile)
     }
 
     /// Absolute start timestamp of the occurrence on calendar day `day`.
-    pub fn start_on(&self, day: i64) -> Timestamp {
+    pub(crate) fn start_on(&self, day: i64) -> Timestamp {
         day * clock::SECONDS_PER_DAY + self.start
     }
 
     /// Absolute end timestamp of the occurrence on calendar day `day`.
-    pub fn end_on(&self, day: i64) -> Timestamp {
+    pub(crate) fn end_on(&self, day: i64) -> Timestamp {
         self.start_on(day) + self.duration
     }
 }
@@ -99,33 +99,29 @@ impl ScheduledEvent {
 /// Per-day attendance bookkeeping used to enforce event capacities while day plans
 /// are being generated.
 #[derive(Debug, Clone, Default)]
-pub struct DayAttendance {
-    counts: Vec<usize>,
+pub(crate) struct DayAttendance {
+    /// Attendees recorded so far, per event index.
+    pub(crate) counts: Vec<usize>,
 }
 
 impl DayAttendance {
     /// Creates bookkeeping for `num_events` events.
-    pub fn new(num_events: usize) -> Self {
+    pub(crate) fn new(num_events: usize) -> Self {
         Self {
             counts: vec![0; num_events],
         }
     }
 
     /// `true` if event `index` still has room given its `capacity`.
-    pub fn has_room(&self, index: usize, capacity: usize) -> bool {
+    pub(crate) fn has_room(&self, index: usize, capacity: usize) -> bool {
         self.counts.get(index).is_some_and(|&c| c < capacity)
     }
 
     /// Records one attendee for event `index`.
-    pub fn attend(&mut self, index: usize) {
+    pub(crate) fn attend(&mut self, index: usize) {
         if let Some(count) = self.counts.get_mut(index) {
             *count += 1;
         }
-    }
-
-    /// Number of attendees recorded for event `index`.
-    pub fn count(&self, index: usize) -> usize {
-        self.counts.get(index).copied().unwrap_or(0)
     }
 }
 
@@ -182,12 +178,11 @@ mod tests {
         attendance.attend(0);
         assert!(!attendance.has_room(0, 2));
         assert!(attendance.has_room(1, 2));
-        assert_eq!(attendance.count(0), 2);
-        assert_eq!(attendance.count(1), 0);
+        assert_eq!(attendance.counts, [2, 0]);
         // Out-of-range indices are harmless.
         assert!(!attendance.has_room(9, 5));
         attendance.attend(9);
-        assert_eq!(attendance.count(9), 0);
+        assert_eq!(attendance.counts, [2, 0]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ const EVENT_LOOKAHEAD: Timestamp = clock::minutes(30);
 /// `attendance` tracks per-event occupancy for this day so capacities are enforced
 /// across people; call sites must iterate people within a day with a shared
 /// `DayAttendance`.
-pub fn generate_day(
+pub(crate) fn generate_day(
     rng: &mut impl Rng,
     person: &Person,
     space: &Space,
@@ -290,11 +290,11 @@ mod tests {
                 }
             }
             assert!(
-                attendance.count(0) <= 2,
+                attendance.counts[0] <= 2,
                 "capacity exceeded on day {day}: {}",
-                attendance.count(0)
+                attendance.counts[0]
             );
-            attended_total += attendance.count(0);
+            attended_total += attendance.counts[0];
         }
         assert!(attended_total > 0, "nobody ever attended the event");
         assert!(in_meeting_during_event >= attended_total);
@@ -326,7 +326,7 @@ mod tests {
         for day in 0..20 {
             let mut attendance = DayAttendance::new(events.len());
             let _ = generate_day(&mut rng, &person, &space, &events, day, &mut attendance);
-            hits += attendance.count(0);
+            hits += attendance.counts[0];
         }
         assert_eq!(hits, 0, "ineligible profile recorded as attendee");
     }

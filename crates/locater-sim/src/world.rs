@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// events. Scenario and campus builders produce a `World`; [`simulate`] turns it into
 /// data.
 #[derive(Debug, Clone)]
-pub struct World {
+pub(crate) struct World {
     /// The building.
     pub space: Space,
     /// The simulated people (each carrying one device).
@@ -73,7 +73,7 @@ impl SimOutput {
 
 /// Runs the generation loop: for every day and every person, generate the day plan,
 /// record it as ground truth and emit the connectivity events.
-pub fn simulate(world: &World, days: i64, seed: u64) -> SimOutput {
+pub(crate) fn simulate(world: &World, days: i64, seed: u64) -> SimOutput {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut truth = GroundTruth::new();
     let mut events: Vec<RawEvent> = Vec::new();

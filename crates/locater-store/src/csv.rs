@@ -35,7 +35,7 @@ impl RawEvent {
 }
 
 /// Header line used by [`format_csv`] and expected (optionally) by [`parse_csv`].
-pub const CSV_HEADER: &str = "mac,timestamp,ap";
+pub(crate) const CSV_HEADER: &str = "mac,timestamp,ap";
 
 /// Serializes events to CSV with a header line.
 pub fn format_csv(events: &[RawEvent]) -> String {
@@ -57,7 +57,7 @@ pub fn format_csv(events: &[RawEvent]) -> String {
 /// the caller decides whether a first-line header is expected. `line_no` is the
 /// 1-based position used in error messages; reported columns are 1-based byte
 /// offsets into `line`.
-pub fn parse_csv_line(line: &str, line_no: usize) -> Result<Option<RawEvent>, IngestError> {
+pub(crate) fn parse_csv_line(line: &str, line_no: usize) -> Result<Option<RawEvent>, IngestError> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Ok(None);

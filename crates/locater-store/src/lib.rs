@@ -7,8 +7,9 @@
 //! The centerpiece is [`EventStore`]: an in-memory store of WiFi connectivity
 //! events organised for the access patterns of the cleaning engine:
 //!
-//! * **per-device timelines** ([`DeviceTimeline`]) — each device's history is
-//!   one array sorted by `(t, id)`, receiving live appends at its end. Gap
+//! * **per-device timelines** ([`EventSeq`](locater_events::EventSeq)) — each
+//!   device's history is one array sorted by `(t, id)`, receiving live appends
+//!   at its end, returned as is by [`EventRead::timeline_of`]. Gap
 //!   detection, validity lookups and history scans binary-search the array for
 //!   the window's ends before doing any per-event work, so windowed queries
 //!   cost `O(log history + window)`;
@@ -119,7 +120,6 @@ mod error;
 pub mod io;
 mod read;
 pub mod recovery;
-mod segment;
 mod shard;
 pub mod snapshot;
 mod stats;
@@ -128,7 +128,7 @@ mod timeline;
 pub mod wal;
 
 pub use compaction::{list_spills, write_spill, CompactionReport};
-pub use csv::{format_csv, parse_csv, parse_csv_line, RawEvent, CSV_HEADER};
+pub use csv::{format_csv, parse_csv, RawEvent};
 pub use error::{IngestError, StoreError};
 pub use io::{FaultIo, FaultKind, FaultPlan, RealIo, StorageIo};
 pub use read::EventRead;
@@ -136,13 +136,11 @@ pub use recovery::{
     initialize_wal, recover_store, recover_store_io, write_checkpoint, write_checkpoint_io,
     AckedIngest, RecoveryReport,
 };
-pub use segment::DeviceTimeline;
 pub use shard::{shard_of_device, ShardedRead};
-pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use stats::DatasetStatistics;
 pub use store::EventStore;
 pub use timeline::{NearbyDevice, Timeline};
 pub use wal::{
-    checkpoint_path, inspect_wal, scan_segment, truncate_wal, Durability, FsyncPolicy, ShardWal,
-    WalError, WalInspection, WalRecord, WalShardStats,
+    checkpoint_path, inspect_wal, truncate_wal, Durability, FsyncPolicy, ShardWal, WalError,
+    WalInspection, WalRecord, WalShardStats,
 };

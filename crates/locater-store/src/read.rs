@@ -15,10 +15,10 @@
 //! definitions the store itself uses, so every implementation answers
 //! identically by construction.
 
-use crate::segment::DeviceTimeline;
 use crate::timeline::NearbyDevice;
 use locater_events::{
-    gap_containing, gaps_in, Device, DeviceId, Gap, Interval, StoredEvent, Timestamp,
+    gap_containing, gaps_in, gaps_in_window, Device, DeviceId, EventSeq, Gap, Interval,
+    StoredEvent, Timestamp,
 };
 use locater_space::{RegionId, Space};
 use std::sync::Arc;
@@ -47,7 +47,7 @@ pub trait EventRead: Sync {
     fn max_delta(&self) -> Timestamp;
 
     /// The time-sorted event timeline of a device.
-    fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline;
+    fn timeline_of(&self, device: DeviceId) -> &EventSeq;
 
     /// Devices with at least one event in `[t − slack, t + slack]`, excluding
     /// `exclude`, each with its event closest to `t`, in canonical
@@ -108,8 +108,7 @@ pub trait EventRead: Sync {
     /// Gaps of a device whose interval intersects `window`, computed from the
     /// events around the window only.
     fn gaps_of_in(&self, device: DeviceId, window: Interval) -> Vec<Gap> {
-        self.timeline_of(device)
-            .gaps_in_window(window, self.delta(device))
+        gaps_in_window(self.timeline_of(device), window, self.delta(device))
     }
 
     /// The gap containing `t` for this device, if `t` falls in one.
@@ -165,7 +164,7 @@ impl EventRead for crate::EventStore {
         crate::EventStore::max_delta(self)
     }
 
-    fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline {
+    fn timeline_of(&self, device: DeviceId) -> &EventSeq {
         crate::EventStore::timeline_of(self, device)
     }
 

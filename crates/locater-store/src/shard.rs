@@ -24,12 +24,11 @@
 //! reproduce the single-store scan exactly.
 
 use crate::read::EventRead;
-use crate::segment::DeviceTimeline;
 use crate::snapshot::{encode_snapshot, SnapshotParts};
 use crate::store::EventStore;
 use crate::timeline::{devices_near_in, devices_online_in, entry_key, NearbyDevice, TimelineEntry};
 use crate::StoreError;
-use locater_events::{Device, DeviceId, StoredEvent, Timestamp};
+use locater_events::{Device, DeviceId, EventSeq, StoredEvent, Timestamp};
 use locater_space::{RegionId, Space};
 use std::sync::Arc;
 
@@ -64,13 +63,13 @@ impl EventStore {
         let devices = parts.devices;
         (0..shards)
             .map(|shard| {
-                let masked: Vec<DeviceTimeline> = devices
+                let masked: Vec<EventSeq> = devices
                     .iter()
                     .map(|device| {
                         if shard_of_device(device.id, shards) == shard {
                             self.timeline_of(device.id).clone()
                         } else {
-                            DeviceTimeline::default()
+                            EventSeq::default()
                         }
                     })
                     .collect();
@@ -116,7 +115,7 @@ impl EventStore {
             }
             next_event_id = next_event_id.max(other.next_event_id);
         }
-        let timelines: Vec<DeviceTimeline> = devices
+        let timelines: Vec<EventSeq> = devices
             .iter()
             .enumerate()
             .map(|(idx, _)| {
@@ -179,7 +178,7 @@ impl<'a> ShardedRead<'a> {
     }
 
     /// The owner shard of a device under this view's shard count.
-    pub fn owner_of(&self, device: DeviceId) -> usize {
+    pub(crate) fn owner_of(&self, device: DeviceId) -> usize {
         shard_of_device(device, self.shards.len())
     }
 
@@ -291,7 +290,7 @@ impl EventRead for ShardedRead<'_> {
         self.shards[0].max_delta()
     }
 
-    fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline {
+    fn timeline_of(&self, device: DeviceId) -> &EventSeq {
         self.shards[self.owner_of(device)].timeline_of(device)
     }
 

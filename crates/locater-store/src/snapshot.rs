@@ -45,7 +45,6 @@
 //! [`StoreError::ChecksumMismatch`], [`StoreError::Corrupt`]) — never panics.
 
 use crate::error::StoreError;
-use crate::segment::DeviceTimeline;
 use crate::store::EventStore;
 use locater_events::validity::ValidityConfig;
 use locater_events::{Device, DeviceId, EventId, EventSeq, MacAddress, StoredEvent};
@@ -53,9 +52,9 @@ use locater_space::{AccessPointId, Space};
 use std::path::Path;
 
 /// Magic bytes every snapshot starts with.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"LOCATRSN";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"LOCATRSN";
 /// The snapshot format version this build writes, and the only one it reads.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub(crate) const SNAPSHOT_VERSION: u32 = 4;
 
 /// Magic (8) + version (4) + payload checksum (8) + payload length (8).
 const HEADER_LEN: usize = 28;
@@ -277,7 +276,7 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
             }
             events.push(event);
         }
-        timelines.push(DeviceTimeline::from(events));
+        timelines.push(events);
     }
     match d.take(1)?[0] {
         0 => {}
@@ -308,7 +307,7 @@ impl EventStore {
     }
 
     /// Decodes a snapshot produced by [`EventStore::to_snapshot_bytes`]; any
-    /// version other than [`SNAPSHOT_VERSION`] is
+    /// version other than `SNAPSHOT_VERSION` is
     /// [`StoreError::UnsupportedVersion`].
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut d = Decoder::new(bytes);

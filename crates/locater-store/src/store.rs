@@ -3,14 +3,13 @@
 use crate::compaction::CompactionReport;
 use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
 use crate::error::{IngestError, StoreError};
-use crate::segment::DeviceTimeline;
 use crate::snapshot::SnapshotParts;
 use crate::stats::DatasetStatistics;
 use crate::timeline::{entry_key, NearbyDevice, Timeline, TimelineEntry};
 use locater_events::validity::{estimate_delta_events, ValidityConfig};
 use locater_events::{
-    gap_containing, gaps_in, Device, DeviceId, EventId, Gap, Interval, MacAddress, StoredEvent,
-    Timestamp,
+    gap_containing, gaps_in, gaps_in_window, Device, DeviceId, EventId, EventSeq, Gap, Interval,
+    MacAddress, StoredEvent, Timestamp,
 };
 use locater_space::{AccessPointId, RegionId, Space};
 use std::collections::HashMap;
@@ -29,7 +28,7 @@ fn csv_line_parser(line: &str, line_no: usize) -> Result<Option<RawEvent>, Inges
 ///
 /// See the [crate-level documentation](crate) for the design rationale. The store owns
 /// the [`Space`] (shared behind an `Arc` so cleaning engines can hold cheap clones) and
-/// keeps, per device, a [`DeviceTimeline`] — one array sorted by `(t, id)` —
+/// keeps, per device, an [`EventSeq`] — one array sorted by `(t, id)` —
 /// alongside a global [`Timeline`] index. Window queries
 /// ([`EventStore::events_of_in`], [`EventStore::gaps_of_in`]) binary-search the
 /// device's array for the window's ends, and the whole store round-trips
@@ -40,7 +39,7 @@ pub struct EventStore {
     space: Arc<Space>,
     devices: Vec<Device>,
     mac_index: HashMap<MacAddress, DeviceId>,
-    timelines: Vec<DeviceTimeline>,
+    timelines: Vec<EventSeq>,
     timeline: Timeline,
     next_event_id: u64,
     validity: ValidityConfig,
@@ -53,7 +52,7 @@ impl EventStore {
     }
 
     /// Creates an empty store with an explicit validity configuration.
-    pub fn with_validity(space: Space, validity: ValidityConfig) -> Self {
+    pub(crate) fn with_validity(space: Space, validity: ValidityConfig) -> Self {
         Self {
             space: Arc::new(space),
             devices: Vec::new(),
@@ -112,7 +111,7 @@ impl EventStore {
         let id = DeviceId::new(self.devices.len() as u32);
         self.devices
             .push(Device::new(id, mac.clone(), self.validity.default_delta));
-        self.timelines.push(DeviceTimeline::default());
+        self.timelines.push(EventSeq::default());
         self.mac_index.insert(mac, id);
         Ok(id)
     }
@@ -245,7 +244,7 @@ impl EventStore {
     }
 
     /// The time-sorted event timeline of a device (`E(d_i)`).
-    pub fn timeline_of(&self, device: DeviceId) -> &DeviceTimeline {
+    pub fn timeline_of(&self, device: DeviceId) -> &EventSeq {
         &self.timelines[device.index()]
     }
 
@@ -280,7 +279,7 @@ impl EventStore {
     /// Gaps of a device whose interval intersects `window` — computed from the
     /// events around the window only, never from the full history.
     pub fn gaps_of_in(&self, device: DeviceId, window: Interval) -> Vec<Gap> {
-        self.timelines[device.index()].gaps_in_window(window, self.delta(device))
+        gaps_in_window(&self.timelines[device.index()], window, self.delta(device))
     }
 
     /// The gap containing `t` for this device, if `t` falls in one.
@@ -452,7 +451,7 @@ impl EventStore {
         validity: ValidityConfig,
         next_event_id: u64,
         devices: Vec<Device>,
-        timelines: Vec<DeviceTimeline>,
+        timelines: Vec<EventSeq>,
     ) -> Result<Self, StoreError> {
         if devices.len() != timelines.len() {
             return Err(StoreError::Corrupt(format!(

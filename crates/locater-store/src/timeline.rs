@@ -40,8 +40,8 @@ pub struct NearbyDevice {
 /// timestamp are ordered by device id, and ties of the *same* device at the
 /// same timestamp by event id. The id is not stored: an entry sits after the
 /// entries with a smaller `(t, device)`, at the rank its event has among the
-/// device's events at `t` — the device's own [`crate::DeviceTimeline`]
-/// orders those by id. This makes the index — and everything derived from
+/// device's events at `t` — the device's own
+/// [`EventSeq`](locater_events::EventSeq) orders those by id. This makes the index — and everything derived from
 /// it, most importantly the neighbor order of [`Timeline::devices_near`] — a
 /// pure function of the event *set*, independent of the interleaving the
 /// events arrived in (backfill included). Because one device's entries all
@@ -125,8 +125,9 @@ pub(crate) fn devices_near_in<'a>(
 /// The covering event is the nearest past event when it covers (`at − t < δ`),
 /// else the nearest future event when that covers (`t − at ≤ δ` — the validity
 /// interval is closed on the left) — exactly the preference order of
-/// [`crate::DeviceTimeline::covering_event`]. Devices are reported in the
-/// canonical first-event order of the window, matching the reference.
+/// [`EventSeq::covering_event`](locater_events::EventSeq::covering_event).
+/// Devices are reported in the canonical first-event order of the window,
+/// matching the reference.
 pub(crate) fn devices_online_in<'a>(
     window: impl IntoIterator<Item = &'a TimelineEntry>,
     at: Timestamp,

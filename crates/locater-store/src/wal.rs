@@ -43,7 +43,7 @@
 //! ```
 //!
 //! All integers are little-endian. A frame is valid only if it is complete
-//! *and* its checksum matches; [`scan_segment`] stops at the first invalid
+//! *and* its checksum matches; `scan_segment` stops at the first invalid
 //! frame and reports where, and a header must name the shard and segment its
 //! directory and file name say. Recovery accepts damage only in the **last**
 //! segment of a shard (a torn tail from a crash mid-write, whose frame was
@@ -77,16 +77,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Magic bytes every WAL segment starts with.
-pub const WAL_MAGIC: &[u8; 8] = b"LOCATRWL";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"LOCATRWL";
 /// Newest WAL segment format version this build reads and writes.
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 /// Segment header length: magic + version + shard + segment index.
-pub const WAL_HEADER_LEN: usize = 8 + 4 + 4 + 8;
+pub(crate) const WAL_HEADER_LEN: usize = 8 + 4 + 4 + 8;
 /// Frame header length: payload length + checksum.
-pub const WAL_FRAME_HEADER_LEN: usize = 4 + 8;
+pub(crate) const WAL_FRAME_HEADER_LEN: usize = 4 + 8;
 
 /// File name of the checkpoint snapshot inside a WAL directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.snap";
+pub(crate) const CHECKPOINT_FILE: &str = "checkpoint.snap";
 
 /// The checkpoint snapshot path inside `dir`.
 pub fn checkpoint_path(dir: &Path) -> PathBuf {
@@ -366,7 +366,7 @@ pub struct WalRecord {
 /// ap u32`) plus the device identifier (`u16` length + UTF-8 bytes) and,
 /// when present, the client request id (`u64`) — its presence is carried by
 /// the payload length, so untagged records keep the original frame bytes.
-pub fn encode_record(record: &WalRecord) -> Result<Vec<u8>, WalError> {
+pub(crate) fn encode_record(record: &WalRecord) -> Result<Vec<u8>, WalError> {
     let mac = record.mac.as_bytes();
     let mac_len = u16::try_from(mac.len()).map_err(|_| {
         WalError::Unencodable(format!(
@@ -475,7 +475,7 @@ fn encode_segment_header(shard: u32, index: u64) -> [u8; WAL_HEADER_LEN] {
 
 /// Where and why a scan stopped before the end of the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TornTail {
+pub(crate) struct TornTail {
     /// Byte offset of the first invalid frame: the valid prefix ends here.
     pub offset: u64,
     /// What was wrong with the frame (incomplete, checksum mismatch, …).
@@ -484,7 +484,7 @@ pub struct TornTail {
 
 /// The result of scanning one segment file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentScan {
+pub(crate) struct SegmentScan {
     /// The valid records, in append order.
     pub records: Vec<WalRecord>,
     /// Length in bytes of the valid prefix (header + valid frames; 0 when
@@ -504,7 +504,7 @@ pub struct SegmentScan {
 /// an unsupported version, or a header whose shard and index disagree with
 /// the `shard-NNNN` directory and `seg-<index>.wal` name (a
 /// [`WalError::Corrupt`] at byte 12).
-pub fn scan_segment(path: &Path, io: &dyn StorageIo) -> Result<SegmentScan, WalError> {
+pub(crate) fn scan_segment(path: &Path, io: &dyn StorageIo) -> Result<SegmentScan, WalError> {
     let bytes = io.read(path)?;
     let mut scan = SegmentScan {
         records: Vec::new(),

@@ -16,7 +16,7 @@
 #   own `src/bin/` targets, which are separate crates that reach only `pub`
 #   items. Each is a candidate for `pub(crate)`; a name shared with an
 #   unrelated identifier elsewhere hides an item from this count, never adds
-#   one.
+#   one. The names themselves are listed under each crate's count.
 set -eu
 export LC_ALL=C
 
@@ -37,8 +37,13 @@ for dir in crates/*/src src; do
         \( -not -path "$dir/*" -o -path "$dir/bin/*" \) -not -path '*/target/*' -print0 \
         | xargs -0 grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$scratch/outside"
     grep -rhoE "$pub_decl" "$dir" | awk '{print $NF}' | sort >"$scratch/names"
-    unnamed=$(join -v 1 "$scratch/names" "$scratch/outside" | wc -l)
+    join -v 1 "$scratch/names" "$scratch/outside" >"$scratch/unnamed"
+    unnamed=$(wc -l <"$scratch/unnamed")
     printf '  %-28s %5d pub items, %4d unnamed outside\n' "$dir" "$count" "$unnamed"
+    if [ "$unnamed" -gt 0 ]; then
+        tr '\n' ' ' <"$scratch/unnamed" | fold -s -w 68 | sed 's/ *$//; s/^/      /'
+        echo
+    fi
     total=$((total + count))
     unnamed_total=$((unnamed_total + unnamed))
 done

@@ -202,16 +202,10 @@ fn config_from_flags(args: &[String]) -> LocaterConfig {
     config
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|idx| args.get(idx + 1))
-        .cloned()
-}
-
 /// Parses the value after flag `name`: `None` when the flag is absent, a usage
-/// error when it is the last argument or its value does not parse as `T`
-/// (`what` names the expected value, e.g. "a positive integer").
+/// error when it is the last argument, when the next argument is itself a
+/// `--` flag, or when its value does not parse as `T` (`what` names the
+/// expected value, e.g. "a positive integer").
 fn parsed_flag<T: std::str::FromStr>(
     args: &[String],
     name: &str,
@@ -222,6 +216,7 @@ fn parsed_flag<T: std::str::FromStr>(
     };
     let value = args
         .get(idx + 1)
+        .filter(|value| !value.starts_with("--"))
         .ok_or_else(|| CliError::Usage(format!("{name} requires {what}")))?;
     let parsed = value.parse();
     parsed
@@ -231,6 +226,12 @@ fn parsed_flag<T: std::str::FromStr>(
 
 /// The `what` of every count flag; the `NonZero*` parsers reject `0`.
 const POSITIVE: &str = "a positive integer";
+
+/// The `what` of every directory flag.
+const DIRECTORY: &str = "a directory";
+
+/// The `what` of every snapshot-path flag.
+const SNAPSHOT: &str = "a snapshot path";
 
 /// Parses `--shards N` (default 1).
 fn shards_from_flags(args: &[String]) -> Result<usize, CliError> {
@@ -251,7 +252,7 @@ fn secs_flag(args: &[String], name: &str) -> Result<Option<Timestamp>, CliError>
 /// Parses the durability flags: `--wal-dir DIR` switches the WAL on,
 /// `--fsync` and `--wal-segment-bytes` tune it (and are rejected without it).
 fn durability_from_flags(args: &[String]) -> Result<Option<Durability>, CliError> {
-    let Some(dir) = parsed_flag::<String>(args, "--wal-dir", "a directory")? else {
+    let Some(dir) = parsed_flag::<String>(args, "--wal-dir", DIRECTORY)? else {
         for flag in ["--fsync", "--wal-segment-bytes"] {
             if args.iter().any(|a| a == flag) {
                 return Err(CliError::Usage(format!("{flag} requires --wal-dir")));
@@ -412,7 +413,7 @@ fn batch(args: &[String]) -> Result<String, CliError> {
 }
 
 fn serve(args: &[String]) -> Result<String, CliError> {
-    let store = if let Some(snapshot_path) = flag_value(args, "--snapshot") {
+    let store = if let Some(snapshot_path) = parsed_flag::<String>(args, "--snapshot", SNAPSHOT)? {
         // Cold start from the binary snapshot: no CSV replay, validity periods
         // already estimated, timelines restored verbatim.
         EventStore::load_snapshot(&snapshot_path)
@@ -447,15 +448,17 @@ fn serve(args: &[String]) -> Result<String, CliError> {
     if compact_interval.is_some() && retain.is_none() {
         return Err("--compact-interval requires --retain".into());
     }
-    let spill_dir = flag_value(args, "--spill-dir").map(std::path::PathBuf::from);
+    let spill_dir =
+        parsed_flag::<String>(args, "--spill-dir", DIRECTORY)?.map(std::path::PathBuf::from);
     // The replay-dedup window scales with admission (`--queue`): at 4× the
     // limit, an id acked moments ago survives at least three more full
     // admission waves before FIFO eviction can reach it — longer than any
     // client's retry backoff at the server's own saturation throughput.
     let admission_limit = parsed_flag::<NonZeroUsize>(args, "--queue", POSITIVE)?
         .map_or(ServerConfig::default().admission_limit, NonZeroUsize::get);
+    let drain_snapshot = parsed_flag::<String>(args, "--drain-snapshot", SNAPSHOT)?;
     let state = Arc::new(
-        ServerState::new(service, flag_value(args, "--drain-snapshot"))
+        ServerState::new(service, drain_snapshot)
             .with_retention(retain, spill_dir)
             .with_dedup_capacity(admission_limit.saturating_mul(4).max(1024)),
     );
@@ -467,7 +470,7 @@ fn serve(args: &[String]) -> Result<String, CliError> {
             println!("# wal: re-seeded replay dedup with {seeded} durable request id(s)");
         }
     }
-    if let Some(listen) = flag_value(args, "--listen") {
+    if let Some(listen) = parsed_flag::<String>(args, "--listen", "an address")? {
         if let Some(interval) = compact_interval.filter(|&secs| secs > 0) {
             spawn_compaction_ticker(Arc::clone(&state), interval as u64);
         }
@@ -707,8 +710,8 @@ fn compact(args: &[String]) -> Result<String, CliError> {
     if retain.is_some() && horizon_flag.is_some() {
         return Err("compact takes a retain or a horizon, not both".into());
     }
-    let out_path = flag_value(args, "--out").unwrap_or_else(|| snap.clone());
-    let spill_dir = flag_value(args, "--spill-dir");
+    let out_path = parsed_flag::<String>(args, "--out", SNAPSHOT)?.unwrap_or_else(|| snap.clone());
+    let spill_dir = parsed_flag::<String>(args, "--spill-dir", DIRECTORY)?;
     let mut store = EventStore::load_snapshot(snap)
         .map_err(|e| CliError::Runtime(format!("cannot load snapshot {snap}: {e}")))?;
     let horizon = match (retain, horizon_flag) {
@@ -1276,6 +1279,49 @@ mod tests {
     }
 
     #[test]
+    fn compact_refuses_a_dangling_value_flag() {
+        let space = locater::space::SpaceBuilder::new("compact-dangling")
+            .add_access_point("wap0", &["r0"])
+            .build()
+            .unwrap();
+        let mut store = EventStore::new(space);
+        for t in [100, 5_000, 9_000] {
+            store.ingest_raw("aa:00:00:00:00:01", t, "wap0").unwrap();
+        }
+        let snap =
+            std::env::temp_dir().join(format!("locater-cli-dangling-{}.snap", std::process::id()));
+        store.save_snapshot(&snap).unwrap();
+        let kept = std::fs::read(&snap).unwrap();
+        let spill =
+            std::env::temp_dir().join(format!("locater-cli-dangling-spill-{}", std::process::id()));
+        let spill = spill.to_string_lossy().to_string();
+        // `--retain 3600` alone would evict two of the three events, so a
+        // dropped flag would rewrite the snapshot.
+        for (flags, message) in [
+            (&["--spill-dir"][..], "--spill-dir requires a directory"),
+            (&["--out"], "--out requires a snapshot path"),
+            (
+                &["--out", "--spill-dir", &spill],
+                "--out requires a snapshot path",
+            ),
+        ] {
+            let mut args: Vec<String> = ["compact", &snap.to_string_lossy(), "--retain", "3600"]
+                .map(String::from)
+                .to_vec();
+            args.extend(flags.iter().map(|f| f.to_string()));
+            let err = run(&args).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(m) if m == message),
+                "{flags:?}: {err:?}"
+            );
+            assert_eq!(std::fs::read(&snap).unwrap(), kept, "{flags:?}");
+        }
+        assert!(!std::path::Path::new(&spill).exists());
+        assert!(!std::path::Path::new("--spill-dir").exists());
+        std::fs::remove_file(&snap).ok();
+    }
+
+    #[test]
     fn snapshot_command_rejects_bad_usage() {
         assert!(run(&["snapshot".into()]).is_err());
         assert!(run(&["snapshot".into(), "frob".into()]).is_err());
@@ -1660,8 +1706,26 @@ ingest aa:bb:cc:dd:ee:01,4000,wap1
             "9".into(),
             "--dependent".into(),
         ];
-        assert_eq!(flag_value(&args, "--days"), Some("9".to_string()));
-        assert_eq!(flag_value(&args, "--seed"), None);
+        assert_eq!(
+            parsed_flag::<String>(&args, "--days", "a count").unwrap(),
+            Some("9".to_string())
+        );
+        assert_eq!(
+            parsed_flag::<String>(&args, "--seed", "a seed").unwrap(),
+            None
+        );
+        // A flag with nothing after it, or with another flag after it, has no
+        // value: a usage error, never a silent default.
+        for dangling in [&["--out"][..], &["--out", "--spill-dir", "d"]] {
+            let dangling: Vec<String> = dangling.iter().map(|a| a.to_string()).collect();
+            assert!(
+                matches!(
+                    parsed_flag::<String>(&dangling, "--out", "a path"),
+                    Err(CliError::Usage(m)) if m == "--out requires a path"
+                ),
+                "{dangling:?}"
+            );
+        }
         let config = config_from_flags(&args);
         assert_eq!(config.fine.mode, FineMode::Dependent);
         assert_eq!(config.cache, CacheMode::Enabled);

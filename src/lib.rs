@@ -106,5 +106,5 @@ pub mod prelude {
         campus::CampusConfig, scenario::ScenarioKind, GroundTruth, SimOutput, Simulator,
     };
     pub use locater_space::{AccessPointId, RegionId, RoomId, RoomType, Space, SpaceBuilder};
-    pub use locater_store::{DeviceTimeline, EventStore, IngestError, StoreError};
+    pub use locater_store::{EventStore, IngestError, StoreError};
 }
