@@ -55,8 +55,7 @@ impl EpochRead for EpochTable {
 /// Per-device ingest epochs.
 ///
 /// `epoch(d)` starts at 0 and is bumped once per event ingested for `d` (and
-/// once per device by bulk invalidations such as
-/// [`ShardedLocaterService::invalidate_all`](super::ShardedLocaterService::invalidate_all)).
+/// once by a δ override, [`ShardedLocaterService::set_delta`](super::ShardedLocaterService::set_delta)).
 /// Devices the table has never seen report epoch 0.
 #[derive(Debug, Clone, Default)]
 pub struct EpochTable {
@@ -80,17 +79,6 @@ impl EpochTable {
             self.counters.resize(device.index() + 1, 0);
         }
         self.counters[device.index()] += 1;
-    }
-
-    /// Bumps every device up to `num_devices` (bulk invalidation: delta
-    /// re-estimation, explicit cache reset).
-    pub(crate) fn bump_all(&mut self, num_devices: usize) {
-        if num_devices > self.counters.len() {
-            self.counters.resize(num_devices, 0);
-        }
-        for counter in &mut self.counters {
-            *counter += 1;
-        }
     }
 
     /// Size of the table's backing storage: one more than the highest device
@@ -143,10 +131,6 @@ mod tests {
         assert_eq!(epochs.of(a), 0);
         assert_eq!(epochs.of(b), 1);
         assert_eq!(epochs.len(), 6);
-        epochs.bump_all(8);
-        assert_eq!(epochs.of(a), 1);
-        assert_eq!(epochs.of(b), 2);
-        assert_eq!(epochs.of(DeviceId::new(7)), 1);
         assert!(!epochs.is_empty());
     }
 

@@ -46,8 +46,9 @@
 //! representation-transparent, model/epoch placement partitions (never
 //! duplicates) the state a single-shard deployment would hold, and the
 //! affinity graph is the same one graph at every shard count.
-//! `tests/shard_equivalence.rs` enforces this for LCG-seeded ingest/locate
-//! interleavings at N ∈ {2, 3, 8}.
+//! `tests/shard_equivalence.rs` enforces this with the seeded twin harness
+//! (`tests/support/twin.rs`): subjects at N ∈ {2, 3} answer every op like a
+//! one-shard twin.
 
 use super::batch::{self, BatchItem};
 use super::engine::{relock, resolve_target, Engine, ModelCache};
@@ -57,7 +58,6 @@ use super::{CacheMode, LocaterConfig};
 use crate::cache::GlobalAffinityGraph;
 use crate::error::LocaterError;
 use locater_events::clock::Timestamp;
-use locater_events::validity::estimate_delta_events;
 use locater_events::{DeviceId, EventId};
 use locater_space::{AccessPointId, Space};
 use locater_store::recovery::{
@@ -485,29 +485,6 @@ impl ShardedLocaterService {
         Ok((device.expect("at least one shard"), ap))
     }
 
-    /// Re-estimates every device's validity period δ from its history (held by
-    /// its home shard), writes the result into every replicated device table,
-    /// and bumps **all** epochs: changing δ reshapes every device's gap
-    /// structure, so all cached state is invalidated.
-    pub fn reestimate_deltas(&self) {
-        let mut guards = self.write_all();
-        let shards = guards.len();
-        let num_devices = guards[0].store.num_devices();
-        let deltas: Vec<Timestamp> = (0..num_devices)
-            .map(|idx| {
-                let device = DeviceId::new(idx as u32);
-                let home = &guards[shard_of_device(device, shards)].store;
-                estimate_delta_events(home.timeline_of(device).iter(), home.validity_config())
-            })
-            .collect();
-        for guard in guards.iter_mut() {
-            for (idx, &delta) in deltas.iter().enumerate() {
-                guard.store.set_delta(DeviceId::new(idx as u32), delta);
-            }
-            guard.epochs.bump_all(num_devices);
-        }
-    }
-
     /// Overrides one device's validity period δ in every replicated device
     /// table and bumps its epoch.
     pub fn set_delta(&self, device: DeviceId, delta: Timestamp) {
@@ -519,25 +496,9 @@ impl ShardedLocaterService {
         guards[home].epochs.bump(device);
     }
 
-    /// Bumps every device's epoch, invalidating all cached state at once.
-    pub fn invalidate_all(&self) {
-        let mut guards = self.write_all();
-        let num_devices = guards[0].store.num_devices();
-        for guard in guards.iter_mut() {
-            guard.epochs.bump_all(num_devices);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
-
-    /// Resolves the device a request refers to (the device table is replicated,
-    /// so one shard answers).
-    pub fn resolve(&self, request: &LocateRequest) -> Result<DeviceId, LocaterError> {
-        let live = self.any_shard();
-        resolve_target(&live.store, request.mac.as_deref(), request.device)
-    }
 
     /// Answers one request over the multi-shard view. Holds every shard's read
     /// lock for the duration of the query (acquired in ascending order), so
@@ -710,11 +671,6 @@ impl ShardedLocaterService {
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let bytes = self.with_view(|view, _| view.to_snapshot_bytes())?;
         locater_store::snapshot::write_atomic(path.as_ref(), &bytes)
-    }
-
-    /// The durability configuration, when a WAL is attached.
-    pub fn durability(&self) -> Option<&Durability> {
-        self.durability.as_ref()
     }
 
     /// Checkpoints the durable service: writes one consistent combined
@@ -1080,7 +1036,6 @@ mod tests {
         per_request_cache_bypass_stores_nothing,
         per_request_fine_mode_override_answers,
         ingest_invalidates_exactly_the_touched_device,
-        invalidate_all_and_reestimate_deltas_bump_every_device,
     );
 
     fn office_service(weeks: i64, config: LocaterConfig, shards: usize) -> ShardedLocaterService {
@@ -1094,7 +1049,7 @@ mod tests {
     fn request_resolution_by_mac_and_id(shards: usize) {
         let service = office_service(1, LocaterConfig::default(), shards);
         let alice = service.device_id("alice").unwrap();
-        let resolve = |request: LocateRequest| service.resolve(&request);
+        let resolve = |request: LocateRequest| service.locate(&request).map(|r| r.answer.device);
         assert_eq!(resolve(LocateRequest::by_mac("alice", 0)).unwrap(), alice);
         assert_eq!(resolve(LocateRequest::by_device(alice, 0)).unwrap(), alice);
         assert!(matches!(
@@ -1645,17 +1600,5 @@ mod tests {
         let (edges_evicted, _) = service.purge_stale();
         assert!(edges_evicted >= 1);
         assert_eq!(service.cache_stats().0, 0);
-    }
-
-    fn invalidate_all_and_reestimate_deltas_bump_every_device(shards: usize) {
-        let service = office_service(1, LocaterConfig::default(), shards);
-        let alice = service.device_id("alice").unwrap();
-        let bob = service.device_id("bob").unwrap();
-        service.invalidate_all();
-        assert_eq!(service.device_epoch(alice), 1);
-        assert_eq!(service.device_epoch(bob), 1);
-        service.reestimate_deltas();
-        assert_eq!(service.device_epoch(alice), 2);
-        assert_eq!(service.device_epoch(bob), 2);
     }
 }

@@ -1,7 +1,6 @@
 //! Connectivity events and per-device event sequences.
 
 use crate::clock::Timestamp;
-use crate::device::DeviceId;
 use crate::interval::Interval;
 use locater_space::{AccessPointId, RegionId};
 use serde::{Deserialize, Serialize};
@@ -23,33 +22,6 @@ impl EventId {
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "e{}", self.0)
-    }
-}
-
-/// One tuple of the connectivity events table `E`: device `d` connected to access
-/// point `wap` at time `t` (paper §2, Fig. 1(b)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConnectivityEvent {
-    /// Event identifier.
-    pub id: EventId,
-    /// Device that produced the event.
-    pub device: DeviceId,
-    /// Timestamp of the association event.
-    pub t: Timestamp,
-    /// Access point that logged the event.
-    pub ap: AccessPointId,
-}
-
-impl ConnectivityEvent {
-    /// Creates an event.
-    pub fn new(id: EventId, device: DeviceId, t: Timestamp, ap: AccessPointId) -> Self {
-        Self { id, device, t, ap }
-    }
-
-    /// The region this event places the device in.
-    #[inline]
-    pub fn region(&self) -> RegionId {
-        self.ap.region()
     }
 }
 
@@ -411,10 +383,8 @@ mod tests {
 
     #[test]
     fn event_region_is_ap_region() {
-        let e = ConnectivityEvent::new(EventId::new(1), DeviceId::new(0), 5, AccessPointId::new(7));
-        assert_eq!(e.region(), AccessPointId::new(7).region());
         let s = StoredEvent::new(EventId::new(1), 5, AccessPointId::new(7));
-        assert_eq!(s.region(), e.region());
+        assert_eq!(s.region(), AccessPointId::new(7).region());
         assert_eq!(EventId::new(3).to_string(), "e3");
     }
 

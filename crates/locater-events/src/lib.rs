@@ -13,8 +13,6 @@
 //!   each with a device-specific **validity period** `δ(d)`: an event at time `t` is
 //!   considered valid evidence of the device's region during `(t − δ, t + δ)`,
 //!   truncated at the next event of the same device.
-//! * [`ConnectivityEvent`] — one log tuple, with the access point interned to an
-//!   `AccessPointId` from [`locater_space`].
 //! * [`EventSeq`] — one device's events (`E(d_i)`) as one array sorted by
 //!   `(t, id)`: appends, range slices, partition points and windowed counts,
 //!   each a binary search or two. The store keeps one per device.
@@ -74,6 +72,6 @@ pub mod validity;
 pub use clock::{DayOfWeek, Timestamp, SECONDS_PER_DAY, SECONDS_PER_WEEK};
 pub use device::{Device, DeviceId, MacAddress};
 pub use error::EventError;
-pub use event::{ConnectivityEvent, EventId, EventSeq, StoredEvent};
+pub use event::{EventId, EventSeq, StoredEvent};
 pub use gap::{gap_containing, gaps_in, gaps_in_window, Gap};
 pub use interval::Interval;

@@ -69,11 +69,6 @@ impl EventStore {
         &self.space
     }
 
-    /// The validity-estimation configuration.
-    pub fn validity_config(&self) -> &ValidityConfig {
-        &self.validity
-    }
-
     // ------------------------------------------------------------------
     // Devices
     // ------------------------------------------------------------------
@@ -645,7 +640,7 @@ mod tests {
         let regular = store.device_id("regular").unwrap();
         let sparse = store.device_id("sparse").unwrap();
         assert_eq!(store.delta(regular), 300);
-        assert_eq!(store.delta(sparse), store.validity_config().default_delta);
+        assert_eq!(store.delta(sparse), store.validity.default_delta);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 # * non-test lines: every `*.rs` under crates/ src/ vendor/ that is not in a
 #   `tests/` directory, counted up to (not including) its first
 #   `#[cfg(test)]`;
+# * test lines: every `*.rs` under tests/ and crates/*/tests/, plus the
+#   tails the non-test count stops at (from the first `#[cfg(test)]` on);
 # * pub items: lines declaring a `pub` fn / struct / enum / trait / const /
 #   type, per crate (`crates/*/src`) and for the root crate (`src`);
 # * unnamed outside: of those, the items whose name appears nowhere outside
@@ -23,6 +25,12 @@ export LC_ALL=C
 find crates src vendor -name '*.rs' -not -path '*/tests/*' | while read -r file; do
     awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$file"
 done | awk '{lines += $1} END {print "non-test lines (crates src vendor): " lines}'
+
+suites=$(find tests crates/*/tests -name '*.rs' -print0 | xargs -0 cat | wc -l)
+tails=$(find crates src vendor -name '*.rs' -not -path '*/tests/*' -print0 \
+    | xargs -0 awk 'FNR == 1 {t = 0} /#\[cfg\(test\)\]/ {t = 1} t {n++} END {print n + 0}' \
+    | awk '{n += $1} END {print n + 0}')
+echo "test lines: $((suites + tails)) ($suites in tests/ and crates/*/tests/, $tails in #[cfg(test)] tails)"
 
 pub_decl='pub (const fn|fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*'
 scratch=$(mktemp -d)

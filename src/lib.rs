@@ -99,7 +99,7 @@ pub mod prelude {
         Answer, CacheMode, FineMode, LocateRequest, LocateResponse, LocaterConfig, ShardStats,
         ShardedLocaterService,
     };
-    pub use locater_events::{ConnectivityEvent, Device, DeviceId, EventId, Gap, Timestamp};
+    pub use locater_events::{Device, DeviceId, EventId, Gap, Timestamp};
     pub use locater_proto::{WireError, WireRequest, WireResponse, WireStats, PROTOCOL_VERSION};
     pub use locater_server::{Server, ServerConfig, ServerReport, ServerState};
     pub use locater_sim::{

@@ -11,44 +11,21 @@
 //! `f64::to_bits`, not approximate closeness, and extends to the affinities
 //! whole [`FineLocalizer`] outcomes are built from.
 
+#[path = "support/fixture.rs"]
+mod fixture;
+#[path = "support/lcg.rs"]
+mod lcg;
+
+use fixture::space;
+use lcg::Lcg;
 use locater::core::fine::{AffinityEngine, FineConfig, FineLocalizer, FineMode};
 use locater::events::Interval;
 use locater::prelude::*;
 use locater::store::ShardedRead;
 use locater_store::EventRead;
 
-fn space() -> Space {
-    SpaceBuilder::new("affinity-index-equivalence")
-        .add_access_point("wap0", &["office-a", "office-b", "lounge"])
-        .add_access_point("wap1", &["lounge", "lab", "office-c"])
-        .add_access_point("wap2", &["office-c", "office-d"])
-        .room_type("lounge", RoomType::Public)
-        .room_owner("office-a", "alice")
-        .room_owner("office-b", "bob")
-        .room_owner("office-c", "carol")
-        .build()
-        .unwrap()
-}
-
 const MACS: [&str; 5] = ["alice", "bob", "carol", "dave", "erin"];
 const APS: [&str; 3] = ["wap0", "wap1", "wap2"];
-
-/// A tiny deterministic LCG so the interleavings are reproducible.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Builds a store from one LCG-seeded interleaving: mostly in-order events
 /// with occasional out-of-order arrivals, plus deliberate δ-boundary ties

@@ -22,47 +22,31 @@
 //! ingest that were applied twice would show up as two stored events at the
 //! same timestamp.
 
+#[path = "support/chaos_proxy.rs"]
+mod chaos_proxy;
+#[path = "support/fixture.rs"]
+mod fixture;
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use chaos_proxy::{ChaosConfig, ChaosProxy};
+use fixture::space;
 use locater::events::Interval;
 use locater::prelude::*;
 use locater::proto::{decode_response, encode_request};
 use locater::server::ServerState;
 use locater::store::{Durability, FaultIo, FaultPlan, FsyncPolicy, RealIo, StorageIo};
+use scratch::scratch;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-
-#[path = "support/chaos_proxy.rs"]
-mod chaos_proxy;
-use chaos_proxy::{ChaosConfig, ChaosProxy};
 
 const CLIENTS: usize = 2;
 const PER_CLIENT: usize = 24;
 
 const MACS: [&str; 2] = ["aa:00:00:00:00:01", "aa:00:00:00:00:02"];
-
-fn space() -> Space {
-    SpaceBuilder::new("chaos-test")
-        .add_access_point("wap0", &["office", "lounge"])
-        .add_access_point("wap1", &["lab", "lounge"])
-        .build()
-        .unwrap()
-}
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "locater-chaos-{tag}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn durability(dir: &Path, io: Arc<dyn StorageIo>) -> Durability {
     Durability::new(dir)

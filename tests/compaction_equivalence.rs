@@ -1,49 +1,42 @@
 //! The correctness cornerstone of the compaction subsystem: **answer
-//! equivalence inside the retained window**. A service that compacts while
-//! serving — under LCG-seeded interleavings of frontier ingest, heavy
-//! out-of-order backfill (including splices that land *below* the cut),
-//! δ-boundary ties, locates, and compaction runs — must answer every
-//! in-scope locate byte-identically to an uncompacted reference that
-//! ingested the same sequence.
+//! equivalence inside the retained window**, a flat resident set, and a cold
+//! tier that is a pure function of what was evicted.
 //!
-//! "In scope" is the documented contract, not a convenience: an answer is
-//! covered when its whole consulted window (coarse history and fine affinity
-//! window, padded by the validity slack δ on both sides) lies at or above
-//! the cut, and no consulted gap spans the cut (the coarse gap scan reads
-//! one event *before* the history window, so a device returning from an
-//! absence that reaches below the cut is explicitly out of scope). The
-//! probes here filter by exactly that rule and assert byte equality on
-//! everything that passes.
+//! A service that compacts while serving must answer exactly like its twin
+//! and hold exactly the acked events minus everything below each cut: the
+//! shared harness in `support/twin.rs` compacts, backfills below the cut and
+//! (on a durable subject) crashes and recovers across compaction
+//! checkpoints, and checks every answer and store against its eager
+//! one-shard twin and its event model.
 //!
-//! The second half reuses the `wal_recovery` harness idea — copy the WAL
-//! directory at chosen instants to freeze crash points — to prove
-//! compaction is WAL-coherent: a kill *before* the compaction checkpoint
-//! recovers the uncompacted prefix bit-for-bit; a kill *after* recovers the
-//! compacted state bit-for-bit; and a crash at the end recovers compacted
-//! prefix + replayed tail, byte-identical to an uncrashed control that
-//! compacted live.
+//! "In scope", for the plateau test below, is the documented contract: an
+//! answer is covered when its whole consulted window (coarse history and fine
+//! affinity window, padded by the validity slack δ on both sides) lies at or
+//! above the cut, and no consulted gap spans the cut (the coarse gap scan
+//! reads one event *before* the history window, so a device returning from
+//! an absence that reaches below the cut is explicitly out of scope).
 //!
-//! The third part pins the cold tier: a spill file is a pure function of the
-//! evicted event set (same bytes from 1 shard, 3 shards and the offline
-//! `locater-cli compact`), a run without a spill directory leaves nothing
-//! behind, and a spill never replaces a spill.
+//! The cold tier: a spill file is a pure function of the evicted event set
+//! (same bytes from 1 shard, 3 shards and the offline `locater-cli compact`),
+//! a run without a spill directory leaves nothing behind, and a spill never
+//! replaces a spill.
 
+#[path = "support/fixture.rs"]
+mod fixture;
+#[path = "support/lcg.rs"]
+mod lcg;
+#[path = "support/scratch.rs"]
+mod scratch;
+#[path = "support/twin.rs"]
+mod twin;
+
+use fixture::space;
+use lcg::Lcg;
 use locater::prelude::*;
-use locater::proto::{encode_response, WireResponse};
+use locater::proto::encode_response;
 use locater::store::{Durability, FsyncPolicy};
+use scratch::scratch;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn space() -> Space {
-    SpaceBuilder::new("compaction-eq")
-        .add_access_point("wap0", &["office-a", "office-b", "lounge"])
-        .add_access_point("wap1", &["lounge", "lab"])
-        .room_type("lounge", RoomType::Public)
-        .room_owner("office-a", "alice")
-        .room_owner("office-b", "bob")
-        .build()
-        .unwrap()
-}
 
 const MACS: [&str; 4] = [
     "aa:00:00:00:00:01",
@@ -73,22 +66,6 @@ fn config() -> LocaterConfig {
 fn service(shards: usize) -> ShardedLocaterService {
     let store = EventStore::new(space());
     ShardedLocaterService::new(store, config(), shards)
-}
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
 }
 
 enum Op {
@@ -133,21 +110,11 @@ fn trace(seed: u64, len: usize) -> Vec<Op> {
 /// compacted store holds fewer events by design; the equivalence claim
 /// covers the answer and the device epoch.
 fn answer_bytes(service: &ShardedLocaterService, mac: &str, t: i64) -> String {
-    let request = LocateRequest {
-        mac: Some(mac.to_string()),
-        device: None,
-        t,
-        fine_mode: None,
-        cache: None,
-        diagnostics: false,
-    };
-    match service.locate(&request) {
-        Ok(mut response) => {
-            response.events_seen = 0;
-            encode_response(&WireResponse::located(&response))
-        }
-        Err(e) => format!("error: {e}"),
+    let mut response = service.locate(&LocateRequest::by_mac(mac, t));
+    if let Ok(response) = &mut response {
+        response.events_seen = 0;
     }
+    encode_response(&twin::located(response))
 }
 
 /// `true` when a probe at `(times, t)` is inside the equivalence scope for
@@ -165,96 +132,19 @@ fn in_scope(times: &[i64], t: i64, cut: i64) -> bool {
     before_window == 0 || times[before_window - 1] >= cut
 }
 
+/// Every harness run compacts at least twice with evictions, compares every
+/// answer with its twin and every store with the event model minus the cuts.
 #[test]
 fn compacting_service_answers_byte_identically_inside_the_retained_window() {
-    for shards in [1usize, 4] {
-        for seed in [5u64, 71, 207] {
-            let ops = trace(seed, 600);
-            let compacted = service(shards);
-            let reference = service(shards);
-            let mut times: std::collections::HashMap<&str, Vec<i64>> =
-                std::collections::HashMap::new();
-            let mut compared = 0usize;
-            for op in &ops {
-                match op {
-                    Op::Ingest(mac, t, ap) => {
-                        compacted.ingest(mac, *t, ap).expect("compacted ingest");
-                        reference.ingest(mac, *t, ap).expect("reference ingest");
-                        let slot = times.entry(mac).or_default();
-                        let at = slot.partition_point(|&x| x <= *t);
-                        slot.insert(at, *t);
-                    }
-                    Op::Locate(mac, t) => {
-                        let cut = compacted.compaction_status().last_cut.unwrap_or(i64::MIN);
-                        let device_times = times.get(mac).map(Vec::as_slice).unwrap_or(&[]);
-                        if !in_scope(device_times, *t, cut) {
-                            continue;
-                        }
-                        compared += 1;
-                        assert_eq!(
-                            answer_bytes(&compacted, mac, *t),
-                            answer_bytes(&reference, mac, *t),
-                            "in-window answer drifted (shards={shards}, seed={seed}, \
-                             mac={mac}, t={t}, cut={cut})"
-                        );
-                    }
-                    Op::Compact => {
-                        compacted.compact_all(RETAIN, None).expect("compact");
-                    }
-                }
-            }
-            let status = compacted.compaction_status();
-            assert!(
-                status.evicted_events > 0,
-                "the trace must actually evict history (shards={shards}, seed={seed})"
-            );
-            assert!(
-                compared >= 20,
-                "too few probes survived scoping to mean anything \
-                 (shards={shards}, seed={seed}, compared={compared})"
-            );
-            assert!(
-                compacted.num_events() < reference.num_events(),
-                "compaction kept every event (shards={shards}, seed={seed})"
-            );
-        }
-    }
+    twin::check(0xC0A1, |axes| axes.shards == 3 && !axes.durable);
 }
 
+/// Every harness run ingests late events below an effective cut; the model
+/// check proves each was accepted under the twin's id and aged out by the
+/// next run.
 #[test]
 fn late_backfill_below_the_cut_is_accepted_and_aged_out_by_the_next_run() {
-    // An out-of-order event older than everything evicted so far must still
-    // ingest cleanly (same id sequencing as the reference), must not disturb
-    // retained answers, and must itself be evicted by the next run.
-    let compacted = service(4);
-    let reference = service(4);
-    let mut t = 5_000;
-    for i in 0..120 {
-        let mac = MACS[i % 4];
-        t += 400;
-        compacted.ingest(mac, t, "wap0").unwrap();
-        reference.ingest(mac, t, "wap0").unwrap();
-    }
-    compacted.compact_all(RETAIN, None).unwrap();
-    let cut = compacted.compaction_status().last_cut.expect("evicted");
-    assert!(cut > 5_000);
-
-    // Splice far below the cut, into both services.
-    let late = cut - 2_000;
-    let id_c = compacted.ingest(MACS[0], late, "wap1").unwrap();
-    let id_r = reference.ingest(MACS[0], late, "wap1").unwrap();
-    assert_eq!(id_c, id_r, "backfill keeps id sequencing aligned");
-    let probe = t - 300;
-    assert_eq!(
-        answer_bytes(&compacted, MACS[0], probe),
-        answer_bytes(&reference, MACS[0], probe),
-        "a below-cut splice must not disturb retained answers"
-    );
-
-    // The next run ages the splice out again.
-    let before = compacted.num_events();
-    compacted.compact_all(RETAIN, None).unwrap();
-    assert_eq!(compacted.num_events(), before - 1);
+    twin::check(0xC0A2, |axes| axes.shards == 2 && !axes.durable);
 }
 
 /// The bounded-memory claim: a service compacted once per simulated day holds
@@ -333,41 +223,16 @@ fn compacted_resident_bytes_plateau_while_the_control_grows() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Kill-and-recover equivalence across a compaction run
-// ---------------------------------------------------------------------------
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn scratch(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "locater-compact-eq-{tag}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// Every durable harness run crashes after an evicting compaction (whose
+/// checkpoint the reboot restarts from) and on top of its tail, and checks
+/// the recovered store against the event model.
+#[test]
+fn compaction_survives_kill_and_recover_at_every_interesting_instant() {
+    twin::check(0xC0A3, |axes| axes.shards == 2 && axes.durable);
 }
 
 fn durability(dir: &Path) -> Durability {
     Durability::new(dir).with_fsync(FsyncPolicy::Always)
-}
-
-fn durable_service(dir: &Path, shards: usize) -> ShardedLocaterService {
-    let store = EventStore::new(space());
-    let (service, _) =
-        ShardedLocaterService::with_durability(store, config(), shards, durability(dir))
-            .expect("durable boot");
-    service
-}
-
-fn recover(dir: &Path, shards: usize) -> (ShardedLocaterService, u64) {
-    let store = EventStore::new(space());
-    let (service, report) =
-        ShardedLocaterService::with_durability(store, config(), shards, durability(dir))
-            .expect("recovery boot");
-    (service, report.replayed)
 }
 
 fn snapshot_bytes(service: &ShardedLocaterService) -> Vec<u8> {
@@ -375,115 +240,6 @@ fn snapshot_bytes(service: &ShardedLocaterService) -> Vec<u8> {
         .store_snapshot()
         .to_snapshot_bytes()
         .expect("snapshot bytes")
-}
-
-fn copy_wal(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_wal(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}
-
-#[test]
-fn compaction_survives_kill_and_recover_at_every_interesting_instant() {
-    let ingests: Vec<(&'static str, i64, &'static str)> = trace(99, 400)
-        .into_iter()
-        .filter_map(|op| match op {
-            Op::Ingest(mac, t, ap) => Some((mac, t, ap)),
-            _ => None,
-        })
-        .collect();
-    assert!(ingests.len() >= 150);
-    let (prefix, suffix) = ingests.split_at(ingests.len() * 2 / 3);
-    let horizon = prefix.iter().map(|&(_, t, _)| t).max().unwrap() - RETAIN;
-
-    for shards in [1usize, 4] {
-        let dir = scratch("live");
-        let pre = scratch("pre");
-        let post = scratch("post");
-        {
-            let live = durable_service(&dir, shards);
-            for (mac, t, ap) in prefix {
-                live.ingest(mac, *t, ap).unwrap();
-            }
-            copy_wal(&dir, &pre); // kill before the compaction checkpoint
-            let status = live.compact_to(horizon, None).expect("durable compact");
-            assert!(status.evicted_events > 0, "the run must evict something");
-            copy_wal(&dir, &post); // kill right after
-            for (mac, t, ap) in suffix {
-                live.ingest(mac, *t, ap).unwrap();
-            }
-            // Dropped without a further checkpoint: the final crash.
-        }
-
-        // Uncrashed controls, rendered as snapshot bytes.
-        let uncompacted_prefix = {
-            let s = service(shards);
-            for (mac, t, ap) in prefix {
-                s.ingest(mac, *t, ap).unwrap();
-            }
-            snapshot_bytes(&s)
-        };
-        let compacted_prefix = {
-            let s = service(shards);
-            for (mac, t, ap) in prefix {
-                s.ingest(mac, *t, ap).unwrap();
-            }
-            s.compact_to(horizon, None).unwrap();
-            snapshot_bytes(&s)
-        };
-        let compacted_full = {
-            let s = service(shards);
-            for (mac, t, ap) in prefix {
-                s.ingest(mac, *t, ap).unwrap();
-            }
-            s.compact_to(horizon, None).unwrap();
-            for (mac, t, ap) in suffix {
-                s.ingest(mac, *t, ap).unwrap();
-            }
-            snapshot_bytes(&s)
-        };
-
-        // Kill before the checkpoint: nothing is lost, nothing is compacted.
-        let (recovered, replayed) = recover(&pre, shards);
-        assert_eq!(replayed, prefix.len() as u64);
-        assert_eq!(
-            snapshot_bytes(&recovered),
-            uncompacted_prefix,
-            "pre-compaction kill must recover the uncompacted prefix (shards={shards})"
-        );
-
-        // Kill after: recovery restarts from the compacted checkpoint — the
-        // WAL does not resurrect evicted history.
-        let (recovered, replayed) = recover(&post, shards);
-        assert_eq!(replayed, 0, "the compaction checkpoint covers the log");
-        assert_eq!(
-            snapshot_bytes(&recovered),
-            compacted_prefix,
-            "post-compaction kill must recover the compacted state (shards={shards})"
-        );
-
-        // Final crash: compacted checkpoint + replayed tail equals a control
-        // that compacted live, byte for byte.
-        let (recovered, replayed) = recover(&dir, shards);
-        assert_eq!(replayed, suffix.len() as u64);
-        assert_eq!(
-            snapshot_bytes(&recovered),
-            compacted_full,
-            "crash after post-compaction ingest must recover compacted prefix \
-             plus tail (shards={shards})"
-        );
-
-        for d in [&dir, &pre, &post] {
-            std::fs::remove_dir_all(d).ok();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,40 +1,41 @@
 //! The correctness cornerstone of the durability subsystem: **kill-and-recover
 //! equivalence**. A durable `ShardedLocaterService` killed at an arbitrary
-//! point of an LCG-seeded ingest interleaving, then recovered from its WAL,
-//! must be *byte-identical* — snapshot bytes included — to an uncrashed
-//! service that ingested exactly the durable prefix. With `fsync=always`
-//! every acknowledged ingest is durable, so the durable prefix is simply
-//! everything acknowledged before the kill.
+//! point, then recovered from its WAL, must hold exactly the acked events.
+//! The shared harness in `support/twin.rs` kills its durable subjects at
+//! seeded points of a live interleaving — after compactions, on top of the
+//! reboot of an earlier crash, rebooting at another shard count — and checks
+//! the recovered store against its event model and every later answer
+//! against its twin.
 //!
-//! "Killed" here means the service is dropped without a checkpoint: nothing
-//! runs between the last acknowledged append and the reboot, exactly like a
-//! `SIGKILL` after the last `fdatasync` returned. On top of the clean kills,
-//! the suite simulates *torn* final writes by truncating the last segment at
-//! **every byte boundary** of its final frame (and reboots once more to show
-//! the boot replaced the torn log), proves that a corrupt middle
+//! "Killed" means the service is dropped without a checkpoint: nothing runs
+//! between the last acknowledged append and the reboot, exactly like a
+//! `SIGKILL` after the last append returned. On top of the clean kills, the
+//! directed tests below simulate *torn* final writes by truncating the last
+//! segment at **every byte boundary** of its final frame (and reboot once
+//! more to show the boot replaced the torn log), prove that a corrupt middle
 //! segment is a typed error (never a panic, never silent data loss) repaired
 //! by `truncate_wal`, and that a graceful drain checkpoints so a clean
 //! shutdown leaves an empty tail.
 
+#[path = "support/fixture.rs"]
+mod fixture;
+#[path = "support/lcg.rs"]
+mod lcg;
+#[path = "support/scratch.rs"]
+mod scratch;
+#[path = "support/twin.rs"]
+mod twin;
+
+use fixture::space;
+use lcg::Lcg;
 use locater::prelude::*;
 use locater::proto::{WireRequest, WireResponse};
 use locater::server::ServerState;
 use locater::store::{
     checkpoint_path, inspect_wal, truncate_wal, Durability, FsyncPolicy, WalError,
 };
+use scratch::scratch;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn space() -> Space {
-    SpaceBuilder::new("wal-recovery")
-        .add_access_point("wap0", &["office-a", "office-b", "lounge"])
-        .add_access_point("wap1", &["lounge", "lab"])
-        .room_type("lounge", RoomType::Public)
-        .room_owner("office-a", "alice")
-        .room_owner("office-b", "bob")
-        .build()
-        .unwrap()
-}
 
 const MACS: [&str; 4] = [
     "aa:00:00:00:00:01",
@@ -42,24 +43,6 @@ const MACS: [&str; 4] = [
     "aa:00:00:00:00:03",
     "aa:00:00:00:00:04",
 ];
-
-/// A tiny deterministic LCG so every interleaving is reproducible from its
-/// seed.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// One LCG-seeded ingest trace: timestamps deliberately include exact
 /// cross-device ties and *out-of-order splices* (a third of the events land
@@ -83,20 +66,6 @@ fn trace(seed: u64, len: usize) -> Vec<(String, i64, String)> {
     ops
 }
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A unique scratch directory per call (parallel test threads included).
-fn scratch(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "locater-walrec-{tag}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn durability(dir: &Path) -> Durability {
     Durability::new(dir).with_fsync(FsyncPolicy::Always)
 }
@@ -115,62 +84,11 @@ fn reference_bytes(shards: usize, prefix: &[(String, i64, String)]) -> Vec<u8> {
         .expect("reference snapshot")
 }
 
-/// Boots a durable service on `dir`, ingests `prefix`, and drops it without a
-/// checkpoint — a crash, as far as the log is concerned.
-fn crash_after(dir: &Path, shards: usize, prefix: &[(String, i64, String)]) {
-    let (service, _) = ShardedLocaterService::with_durability(
-        EventStore::new(space()),
-        LocaterConfig::default(),
-        shards,
-        durability(dir),
-    )
-    .expect("durable boot");
-    for (mac, t, ap) in prefix {
-        service.ingest(mac, *t, ap).expect("durable ingest");
-    }
-}
-
+/// Every durable harness run crashes at seeded points and checks each
+/// recovered store against the model of what was acked.
 #[test]
 fn kill_and_recover_is_byte_identical_to_the_uncrashed_prefix() {
-    let ops = trace(17, 96);
-    for shards in [1usize, 4] {
-        for seed in [3u64, 29] {
-            // Kill points chosen by the LCG: boundaries (0, 1, all) plus
-            // arbitrary interior cuts.
-            let mut rng = Lcg(seed);
-            let mut kills = vec![0usize, 1, ops.len()];
-            for _ in 0..3 {
-                kills.push(1 + rng.below(ops.len() as u64 - 1) as usize);
-            }
-            for kill in kills {
-                let dir = scratch("kill");
-                crash_after(&dir, shards, &ops[..kill]);
-
-                let (recovered, report) = ShardedLocaterService::with_durability(
-                    EventStore::new(space()),
-                    LocaterConfig::default(),
-                    shards,
-                    durability(&dir),
-                )
-                .expect("recovery boot");
-                assert_eq!(
-                    report.replayed, kill as u64,
-                    "every acknowledged ingest is durable (shards={shards}, kill={kill})"
-                );
-                assert!(report.torn.is_empty(), "clean kill has no torn tail");
-                assert_eq!(recovered.num_events(), kill);
-                assert_eq!(
-                    recovered
-                        .store_snapshot()
-                        .to_snapshot_bytes()
-                        .expect("recovered snapshot"),
-                    reference_bytes(shards, &ops[..kill]),
-                    "recovered store must be byte-identical (shards={shards}, kill={kill})"
-                );
-                std::fs::remove_dir_all(&dir).ok();
-            }
-        }
-    }
+    twin::check(0x3A1, |axes| axes.shards == 1 && axes.durable);
 }
 
 #[test]
@@ -230,43 +148,11 @@ fn rejected_ingests_reach_neither_the_log_nor_the_store() {
     }
 }
 
+/// Every durable harness run crashes at least twice, each reboot recovering
+/// the previous reboot's checkpoint plus the new tail.
 #[test]
 fn recovery_survives_a_reboot_of_a_reboot() {
-    // Crash, recover, ingest more, crash again, recover again: the second
-    // recovery sees the first recovery's checkpoint plus the new tail.
-    let ops = trace(41, 60);
-    let (first, second) = ops.split_at(35);
-    let dir = scratch("rere");
-    crash_after(&dir, 4, first);
-    {
-        let (service, report) = ShardedLocaterService::with_durability(
-            EventStore::new(space()),
-            LocaterConfig::default(),
-            4,
-            durability(&dir),
-        )
-        .expect("first recovery");
-        assert_eq!(report.replayed, first.len() as u64);
-        for (mac, t, ap) in second {
-            service.ingest(mac, *t, ap).unwrap();
-        }
-        // Dropped without checkpoint: second crash.
-    }
-    let (recovered, report) = ShardedLocaterService::with_durability(
-        EventStore::new(space()),
-        LocaterConfig::default(),
-        4,
-        durability(&dir),
-    )
-    .expect("second recovery");
-    assert!(report.checkpoint_loaded);
-    assert_eq!(report.base_events, first.len(), "checkpointed at reboot");
-    assert_eq!(report.replayed, second.len() as u64);
-    assert_eq!(
-        recovered.store_snapshot().to_snapshot_bytes().unwrap(),
-        reference_bytes(4, &ops),
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    twin::check(0x3A2, |axes| axes.shards == 3 && axes.durable);
 }
 
 /// Copies a WAL directory tree (checkpoint + shard dirs) into `dst`.
@@ -615,27 +501,9 @@ fn checkpoint_file_is_the_snapshot_of_the_rejoined_store() {
     }
 }
 
+/// The WAL layout is per-shard, but recovery merges by global event id:
+/// every durable harness run reboots at another shard count.
 #[test]
 fn recovery_across_a_shard_count_change_is_byte_identical() {
-    // The WAL layout is per-shard, but recovery merges by global event id —
-    // crash with 4 shards, recover with 1 (and vice versa), same bytes.
-    let ops = trace(53, 48);
-    for (crash_shards, boot_shards) in [(4usize, 1usize), (1, 4)] {
-        let dir = scratch("reshard");
-        crash_after(&dir, crash_shards, &ops);
-        let (recovered, report) = ShardedLocaterService::with_durability(
-            EventStore::new(space()),
-            LocaterConfig::default(),
-            boot_shards,
-            durability(&dir),
-        )
-        .expect("recovery boot");
-        assert_eq!(report.replayed, ops.len() as u64);
-        assert_eq!(
-            recovered.store_snapshot().to_snapshot_bytes().unwrap(),
-            reference_bytes(boot_shards, &ops),
-            "{crash_shards} shards crashed, {boot_shards} recovered"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    twin::check(0x3A3, |axes| axes.shards == 2 && axes.durable);
 }
