@@ -9,12 +9,15 @@
 //! checkpoints, and checks every answer and store against its eager
 //! one-shard twin and its event model.
 //!
-//! "In scope", for the plateau test below, is the documented contract: an
-//! answer is covered when its whole consulted window (coarse history and fine
-//! affinity window, padded by the validity slack δ on both sides) lies at or
-//! above the cut, and no consulted gap spans the cut (the coarse gap scan
-//! reads one event *before* the history window, so a device returning from
-//! an absence that reaches below the cut is explicitly out of scope).
+//! Compaction itself must not show in an answer "in scope"
+//! (`twin::in_scope`), the documented contract: an answer is covered when
+//! its whole consulted window (coarse history and fine affinity window,
+//! padded by the validity slack δ on both sides) lies at or above the cut,
+//! and no consulted gap spans the cut (the coarse gap scan reads one event
+//! *before* the history window, so a device returning from an absence that
+//! reaches below the cut is explicitly out of scope). The harness checks it
+//! against a build over every acked event; the plateau test below against
+//! an uncompacted control fed the same events.
 //!
 //! The cold tier: a spill file is a pure function of the evicted event set
 //! (same bytes from 1 shard, 3 shards and the offline `locater-cli compact`),
@@ -47,8 +50,6 @@ const MACS: [&str; 4] = [
 
 /// Coarse history / fine affinity window of the test config (seconds).
 const HISTORY: i64 = 3_000;
-/// `ValidityConfig`'s default upper clamp on δ.
-const DELTA_MAX: i64 = 1_800;
 /// Event-time retention handed to `compact_all`.
 const RETAIN: i64 = 6_000;
 
@@ -117,34 +118,28 @@ fn answer_bytes(service: &ShardedLocaterService, mac: &str, t: i64) -> String {
     encode_response(&twin::located(response))
 }
 
-/// `true` when a probe at `(times, t)` is inside the equivalence scope for
-/// the given cut: the full consulted window clears the cut and every event
-/// the gap scans reach back to is retained.
-fn in_scope(times: &[i64], t: i64, cut: i64) -> bool {
-    if t - HISTORY - DELTA_MAX < cut {
-        return false;
-    }
-    let at = times.partition_point(|&x| x <= t);
-    if at == 0 || times[at - 1] < cut {
-        return false; // the gap containing t is left-bounded below the cut
-    }
-    let before_window = times.partition_point(|&x| x <= t - HISTORY + DELTA_MAX);
-    before_window == 0 || times[before_window - 1] >= cut
-}
-
-/// Every harness run compacts at least twice with evictions, compares every
-/// answer with its twin and every store with the event model minus the cuts.
+/// Every harness run compacts at least twice with evictions; after each
+/// tie burst, a fresh build over the compacted events answers every probe
+/// inside the retained window like one over every acked event.
 #[test]
 fn compacting_service_answers_byte_identically_inside_the_retained_window() {
-    twin::check(0xC0A1, |axes| axes.shards == 3 && !axes.durable);
+    twin::check(
+        &[0xC0A1],
+        |axes| axes.shards == 3 && !axes.durable,
+        |tally| tally.evicting >= 2 && tally.controlled >= 20,
+    );
 }
 
-/// Every harness run ingests late events below an effective cut; the model
-/// check proves each was accepted under the twin's id and aged out by the
-/// next run.
+/// Late events land below an effective cut: each is accepted under the
+/// twin's id, the model check proves the next run aged it out, and probes
+/// made while it was held answer like the uncompacted control.
 #[test]
 fn late_backfill_below_the_cut_is_accepted_and_aged_out_by_the_next_run() {
-    twin::check(0xC0A2, |axes| axes.shards == 2 && !axes.durable);
+    twin::check(
+        &[0xC0A2],
+        |axes| axes.shards == 2 && !axes.durable,
+        |tally| tally.below_cut >= 2 && tally.controlled_over_splice >= 1,
+    );
 }
 
 /// The bounded-memory claim: a service compacted once per simulated day holds
@@ -185,7 +180,8 @@ fn compacted_resident_bytes_plateau_while_the_control_grows() {
             }
             Op::Locate(mac, t) => {
                 let cut = compacted.compaction_status().last_cut.unwrap_or(i64::MIN);
-                if in_scope(times.get(mac).map(Vec::as_slice).unwrap_or(&[]), t, cut) {
+                let times = times.get(mac).map(Vec::as_slice).unwrap_or(&[]);
+                if twin::in_scope(times, t, cut, HISTORY) {
                     compared += 1;
                     assert_eq!(
                         answer_bytes(&compacted, mac, t),
@@ -223,12 +219,16 @@ fn compacted_resident_bytes_plateau_while_the_control_grows() {
     );
 }
 
-/// Every durable harness run crashes after an evicting compaction (whose
-/// checkpoint the reboot restarts from) and on top of its tail, and checks
-/// the recovered store against the event model.
+/// Durable harness runs crash right after an evicting compaction (the
+/// reboot restarts from its checkpoint and replays nothing) and on top of a
+/// tail acked after one, and check each recovered store against the model.
 #[test]
 fn compaction_survives_kill_and_recover_at_every_interesting_instant() {
-    twin::check(0xC0A3, |axes| axes.shards == 2 && axes.durable);
+    twin::check(
+        &[0xC0A3],
+        |axes| axes.shards == 2 && axes.durable,
+        |tally| tally.crashes_at_compaction >= 1 && tally.tails_over_compaction >= 1,
+    );
 }
 
 fn durability(dir: &Path) -> Durability {

@@ -26,9 +26,15 @@ mod twin;
 use locater::prelude::*;
 use locater::proto::encode_response;
 
+/// The covering rows with one and two shards and no WAL, one in each fine
+/// mode: every run holds fitted and unfitted lazy models at its checks.
 #[test]
 fn a_lazy_service_and_its_eager_twin_answer_byte_identically() {
-    twin::check(0xFEED, |axes| axes.shards == 1 && !axes.durable);
+    twin::check(
+        &[0xFEED],
+        |axes| axes.shards < 3 && !axes.durable,
+        |tally| tally.fitted >= 3 && tally.unfitted >= 3,
+    );
 }
 
 /// A model cached by a query that never needed its classifiers, a compaction

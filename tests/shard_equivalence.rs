@@ -23,18 +23,19 @@ use fixture::space;
 use locater::prelude::*;
 use locater::store::RawEvent;
 
+/// The covering rows with two and three shards in I-FINE, against their
+/// one-shard twin: answers, stores, lazy models and cache counts.
 #[test]
 fn sharded_answers_equal_single_shard_independent_mode() {
-    twin::check(0x5A1, |axes| {
-        axes.shards > 1 && axes.fine_mode == FineMode::Independent
-    });
+    let rows = |axes: &twin::Axes| axes.shards > 1 && axes.fine_mode == FineMode::Independent;
+    twin::check(&[0x5A1], rows, |_| true);
 }
 
+/// The covering rows with two and three shards in D-FINE.
 #[test]
 fn sharded_answers_equal_single_shard_dependent_mode() {
-    twin::check(0x5A2, |axes| {
-        axes.shards > 1 && axes.fine_mode == FineMode::Dependent
-    });
+    let rows = |axes: &twin::Axes| axes.shards > 1 && axes.fine_mode == FineMode::Dependent;
+    twin::check(&[0x5A2], rows, |_| true);
 }
 
 #[test]

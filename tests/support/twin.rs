@@ -16,19 +16,26 @@
 //! * **Twin.** A one-shard, in-memory reference service gets the same ops and
 //!   fits every pending coarse model after each one, so it fits eagerly. Every
 //!   ack, locate and batch answer and compaction status is compared as its
-//!   wire line. At a crash the reference is rebuilt from its own store, so
-//!   both sides restart with cold caches and epoch 0.
+//!   wire line, and at every check the affinity cache holds as many edges and
+//!   samples, live and in all, on both sides. At a crash the reference is
+//!   rebuilt from its own store, so both sides restart with cold caches and
+//!   epoch 0; the subject's recovery must have replayed exactly the acked
+//!   ingests since its last checkpoint, without a torn tail.
 //! * **Model.** An [`EventStore`] built single-threaded from the harness's own
 //!   log of acked events and compaction cuts equals both services' stores at
-//!   every check. Right after a tie burst, which leaves every cached affinity
-//!   and model stale, probes answered by a fresh one-shard service over the
-//!   model equal the subject's. The twin cannot see a defect in code both
-//!   sides share; this part can.
+//!   every check. A tie burst leaves every cached affinity and model stale
+//!   (checked: nothing in the cache is live after it), so the probes after
+//!   it must answer like a fresh one-shard service over the model, and leave
+//!   as many live edges and samples behind. A second model keeps every acked event and no cut: a fresh
+//!   service over it answers every probe whose consulted window clears the
+//!   last cut ([`in_scope`]) like one over the compacted model. The twin
+//!   cannot see a defect in code both sides share; this part can.
 //!
-//! Every row of [`COVERING`] also proves it exercised what it claims to: a
-//! run without evicting compactions, tie bursts, late ingests below a cut,
-//! lazily fitted models — or, on its axes, crashes, a reshard and replayed
-//! retries — fails. A failing assertion names its axes, seed and step.
+//! Every run proves it exercised the oracle: a run without evicting
+//! compactions, fresh-build probes or lazily fitted models fails, and so
+//! does one whose [`Tally`] misses what the calling test names (crashes
+//! right after a compaction, say). A failing assertion names its axes, seed
+//! and step.
 
 use crate::lcg::Lcg;
 use crate::scratch::scratch;
@@ -37,7 +44,7 @@ use locater::events::clock;
 use locater::prelude::*;
 use locater::proto::encode_response;
 use locater::sim::workload::generated_workload;
-use locater::store::{Durability, FsyncPolicy, RawEvent};
+use locater::store::{Durability, FsyncPolicy, RawEvent, RecoveryReport};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -87,19 +94,83 @@ pub const COVERING: [Axes; 6] = [
     axes(3, D, ON, true, false),
 ];
 
-/// Runs every [`COVERING`] row `select` picks, with `seed`.
-pub fn check(seed: u64, select: impl Fn(&Axes) -> bool) {
+/// What one run exercised, beyond the answers every run checks.
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Locate and batch answers compared with the twin.
+    pub answers: usize,
+    /// Tie bursts, and those that found the affinity cache holding edges.
+    pub bursts: usize,
+    pub warm_bursts: usize,
+    /// Probes after a tie burst compared with a fresh build over the model.
+    pub probes: usize,
+    /// Probes inside the retained window compared with a fresh build over
+    /// every acked event, no cut applied.
+    pub controlled: usize,
+    /// Of those, probes made while a late event below the last cut was held.
+    pub controlled_over_splice: usize,
+    /// Compactions that evicted events.
+    pub evicting: usize,
+    /// Late ingests acked below the last cut.
+    pub below_cut: usize,
+    /// Lazy models the subject held fitted / unfitted, summed over checks.
+    pub fitted: usize,
+    pub unfitted: usize,
+    pub crashes: usize,
+    /// WAL records the reboots replayed.
+    pub replayed: u64,
+    /// Reboots at another shard count than the crashed service had.
+    pub reshards: usize,
+    /// Reboots that replayed a tail on top of a compaction checkpoint.
+    pub tails_over_compaction: usize,
+    /// Reboots right after an evicting compaction, with nothing to replay.
+    pub crashes_at_compaction: usize,
+    /// Retried ingests the server answered from its replay window.
+    pub replays: usize,
+}
+
+/// Runs every [`COVERING`] row `select` picks with each of `seeds`, and
+/// asserts that each run `exercised` the property the calling test names.
+pub fn check(seeds: &[u64], select: impl Fn(&Axes) -> bool, exercised: impl Fn(&Tally) -> bool) {
     let rows: Vec<&Axes> = COVERING.iter().filter(|axes| select(axes)).collect();
     assert!(!rows.is_empty(), "the selection picks no covering row");
     for axes in rows {
-        run(axes, seed);
+        for &seed in seeds {
+            let tally = run(axes, seed);
+            assert!(
+                exercised(&tally),
+                "{axes:?}, seed {seed:#x} did not exercise what the test checks: {tally:?}"
+            );
+        }
     }
 }
 
 /// Event-time retention of every `Compact`: the coarse history below is
 /// shorter, so compaction meets model windows on both sides of its cut.
 const RETAIN: i64 = clock::days(6);
+/// Coarse history and fine affinity window of the subjects.
+const HISTORY: i64 = clock::days(4);
+/// `ValidityConfig`'s default upper clamp on δ.
+const DELTA_MAX: i64 = 1_800;
 const STEPS: usize = 240;
+
+/// `true` when a probe of a device with event times `times` at `t` is inside
+/// the compaction contract for `cut` under a consulted window of `history`:
+/// the whole window, padded by δ, clears the cut, and so do the event that
+/// opens the gap holding `t` and the one before the window, which the coarse
+/// gap scan reads. A device returning from an absence that reaches below the
+/// cut is out of scope.
+pub fn in_scope(times: &[i64], t: i64, cut: i64, history: i64) -> bool {
+    if t - history - DELTA_MAX < cut {
+        return false;
+    }
+    let at = times.partition_point(|&x| x <= t);
+    if at == 0 || times[at - 1] < cut {
+        return false; // the gap containing t is left-bounded below the cut
+    }
+    let before_window = times.partition_point(|&x| x <= t - history + DELTA_MAX);
+    before_window == 0 || times[before_window - 1] >= cut
+}
 
 fn campus() -> &'static SimOutput {
     static CAMPUS: OnceLock<SimOutput> = OnceLock::new();
@@ -107,11 +178,10 @@ fn campus() -> &'static SimOutput {
 }
 
 fn config(axes: &Axes) -> LocaterConfig {
-    let mut config = LocaterConfig::default()
+    LocaterConfig::default()
         .with_fine_mode(axes.fine_mode)
-        .with_cache(axes.cache);
-    config.coarse.history = clock::days(4);
-    config
+        .with_cache(axes.cache)
+        .with_history(HISTORY)
 }
 
 enum Op {
@@ -120,9 +190,10 @@ enum Op {
     Send(WireRequest),
     /// `locate_batch` (no wire verb) at one or two jobs.
     Batch(Vec<LocateRequest>, usize),
-    /// The event's timestamp and access point for every device so far, then
-    /// probes: the burst leaves every cached affinity and model stale, so the
-    /// probes must answer like a fresh build.
+    /// Probes, which warm the cache for themselves; then the event's
+    /// timestamp and access point for every device so far, which leaves every
+    /// cached affinity and model stale; then the probes again, which must
+    /// answer like a fresh build.
     Burst(RawEvent, Vec<LocateRequest>),
     /// The last tagged ingest again, with its request id.
     Retry,
@@ -148,9 +219,26 @@ fn generate(out: &SimOutput, durable: bool, seed: u64) -> (Vec<RawEvent>, Vec<Op
     let mut now = boot.last().expect("boot events").clone();
     let (mut newcomers, mut request_id) = (0usize, seed << 20);
     let mut rng = Lcg(seed);
-    let mut ops = Vec::with_capacity(STEPS);
+    // A late event, half of them tagged with a request id; once the late
+    // events run out, a retry of the last tagged ingest.
+    let mut late_ingest = |rng: &mut Lcg| match late.next() {
+        Some(event) => {
+            request_id += 1;
+            Op::Send(WireRequest::Ingest {
+                mac: event.mac.clone(),
+                t: event.t,
+                ap: event.ap.clone(),
+                request_id: (rng.below(2) == 0).then_some(request_id),
+            })
+        }
+        None => Op::Retry,
+    };
+    let mut ops = Vec::with_capacity(STEPS + STEPS / 20);
     for step in 0..STEPS {
-        // Bursts and crashes at fixed steps, so every run has its share.
+        let mut then_crash = false;
+        // Bursts and crashes at fixed steps, so every run has its share; the
+        // late events are the oldest of the campus, so once a compaction has
+        // cut, the one before each burst lands below the cut.
         let op = if step % 40 == 20 {
             // Half the probes ask about the burst's own instant, where every
             // device is a neighbour tied at one timestamp.
@@ -160,6 +248,8 @@ fn generate(out: &SimOutput, durable: bool, seed: u64) -> (Vec<RawEvent>, Vec<Op
                 ..q
             });
             Op::Burst(now.clone(), probes.collect())
+        } else if step % 40 == 19 {
+            late_ingest(&mut rng)
         } else if durable && step % 60 == 50 {
             Op::Crash
         } else {
@@ -182,18 +272,7 @@ fn generate(out: &SimOutput, durable: bool, seed: u64) -> (Vec<RawEvent>, Vec<Op
                         request_id: None,
                     })
                 }
-                22..=25 => match late.next() {
-                    Some(event) => {
-                        request_id += 1;
-                        Op::Send(WireRequest::Ingest {
-                            mac: event.mac.clone(),
-                            t: event.t,
-                            ap: event.ap.clone(),
-                            request_id: (rng.below(2) == 0).then_some(request_id),
-                        })
-                    }
-                    None => Op::Retry,
-                },
+                22..=25 => late_ingest(&mut rng),
                 26 => {
                     newcomers += 1;
                     Op::Send(WireRequest::Ingest {
@@ -208,14 +287,22 @@ fn generate(out: &SimOutput, durable: bool, seed: u64) -> (Vec<RawEvent>, Vec<Op
                     Op::Batch(requests, 1 + rng.below(2) as usize)
                 }
                 33 => Op::Purge,
-                34 | 35 => Op::Send(WireRequest::Compact {
-                    retain: Some(RETAIN),
-                    horizon: None,
-                }),
+                34 | 35 => {
+                    // On a durable subject, a third of the compactions are
+                    // followed by a crash: the reboot has nothing to replay.
+                    then_crash = durable && rng.below(3) == 0;
+                    Op::Send(WireRequest::Compact {
+                        retain: Some(RETAIN),
+                        horizon: None,
+                    })
+                }
                 _ => Op::Retry,
             }
         };
         ops.push(op);
+        if then_crash {
+            ops.push(Op::Crash);
+        }
     }
     (boot, ops)
 }
@@ -229,9 +316,14 @@ struct Subject {
 
 impl Subject {
     /// Boots the subject over `store`; on a WAL directory, recovers it first
-    /// (the checkpoint there, once written, wins over `store`) and seeds the
-    /// server's replay window from the recovery.
-    fn boot(store: EventStore, axes: &Axes, shards: usize, wal: Option<&Path>) -> Self {
+    /// (the checkpoint there, once written, wins over `store`), seeds the
+    /// server's replay window from the recovery and returns its report.
+    fn boot(
+        store: EventStore,
+        axes: &Axes,
+        shards: usize,
+        wal: Option<&Path>,
+    ) -> (Self, Option<RecoveryReport>) {
         let (service, report) = match wal {
             None => (
                 ShardedLocaterService::new(store, config(axes), shards),
@@ -246,13 +338,14 @@ impl Subject {
             }
         };
         let state = ServerState::new(service, None);
-        if let Some(report) = report {
-            state.seed_dedup_from_recovery(&report);
+        if let Some(report) = &report {
+            state.seed_dedup_from_recovery(report);
         }
-        Subject {
+        let subject = Subject {
             state,
             wire: axes.wire,
-        }
+        };
+        (subject, report)
     }
 
     fn service(&self) -> &ShardedLocaterService {
@@ -311,37 +404,53 @@ pub fn located(result: Result<LocateResponse, LocaterError>) -> WireResponse {
     }
 }
 
-/// A located frame without its device epoch: a fresh build counts epochs
-/// from 0, the live service from its first ingest.
-fn without_epoch(mut response: WireResponse) -> String {
-    if let WireResponse::Located { device_epoch, .. } = &mut response {
+/// A located frame without its counters: a fresh build counts epochs from
+/// 0, the live service from its first ingest, and a compacted store holds
+/// fewer events by design (the store checks compare the event sets).
+fn bare(mut response: WireResponse) -> String {
+    if let WireResponse::Located {
+        device_epoch,
+        events_seen,
+        ..
+    } = &mut response
+    {
         *device_epoch = 0;
+        *events_seen = 0;
     }
     encode_response(&response)
 }
 
 /// Runs one seeded sequence on the subject `axes` describes, against the
-/// eager one-shard twin and the event model.
-fn run(axes: &Axes, seed: u64) {
+/// eager one-shard twin and the event models.
+fn run(axes: &Axes, seed: u64) -> Tally {
     let out = campus();
     let (boot, ops) = generate(out, axes.durable, seed);
     let mut model = EventStore::new(out.space.clone());
     model.ingest_batch(boot.iter()).expect("boot events ingest");
     model.estimate_deltas();
+    // Every acked event, no cut: the control of compaction.
+    let mut uncut = model.clone();
     let wal = axes.durable.then(|| scratch("twin-wal"));
-    let mut subject = Subject::boot(model.clone(), axes, axes.shards, wal.as_deref());
+    let (mut subject, report) = Subject::boot(model.clone(), axes, axes.shards, wal.as_deref());
+    if let Some(report) = report {
+        assert!(
+            !report.checkpoint_loaded && report.replayed == 0 && report.torn.is_empty(),
+            "{axes:?}, seed {seed:#x}: a first boot recovered {report:?}"
+        );
+    }
     let mut reference = ShardedLocaterService::new(model.clone(), config(axes), 1);
+    let mut tally = Tally::default();
 
     // The last tagged ingest, and whether a reboot would still find its id
     // in a log tail: a checkpoint drops it from there, while the server's
     // replay window keeps it until a crash.
     let mut last_tagged: Option<(WireRequest, bool)> = None;
     let mut last_cut = None;
-    let mut crashes = 0;
-    let (mut answers, mut probes, mut replays, mut below_cut, mut evicting) = (0, 0, 0, 0, 0);
-    let (mut reshards, mut crashes_after_eviction) = (0, 0);
-    // Models the lazy subject held fitted and unfitted, summed over checks.
-    let mut lazy = (0, 0);
+    // A late event below `last_cut` is held until the next evicting run.
+    let mut splice_held = false;
+    // Events acked since the durable subject's last checkpoint, and whether
+    // that checkpoint was a compaction's (else the boot's).
+    let (mut since_checkpoint, mut compaction_checkpoint) = (0u64, false);
 
     for (step, op) in ops.iter().enumerate() {
         let ctx = format!("{axes:?}, seed {seed:#x}, step {step}");
@@ -357,7 +466,7 @@ fn run(axes: &Axes, seed: u64) {
                 let (a, b) = (subject.send(request), call(&reference, request));
                 twin(&a, &b);
                 match (request, &a) {
-                    (WireRequest::Locate { .. }, _) => answers += 1,
+                    (WireRequest::Locate { .. }, _) => tally.answers += 1,
                     (
                         WireRequest::Ingest {
                             mac,
@@ -368,7 +477,12 @@ fn run(axes: &Axes, seed: u64) {
                         WireResponse::Ingested { .. },
                     ) => {
                         model.ingest_raw(mac, *t, ap).unwrap();
-                        below_cut += usize::from(last_cut.is_some_and(|cut| *t < cut));
+                        uncut.ingest_raw(mac, *t, ap).unwrap();
+                        since_checkpoint += 1;
+                        if last_cut.is_some_and(|cut| *t < cut) {
+                            tally.below_cut += 1;
+                            splice_held = true;
+                        }
                         if request_id.is_some() {
                             last_tagged = Some((request.clone(), true));
                         }
@@ -378,16 +492,22 @@ fn run(axes: &Axes, seed: u64) {
                         WireResponse::IngestedBatch { .. },
                     ) => {
                         model.ingest_batch(events.iter()).unwrap();
+                        uncut.ingest_batch(events.iter()).unwrap();
+                        since_checkpoint += events.len() as u64;
                     }
                     (WireRequest::Compact { .. }, WireResponse::Compacted(_)) => {
                         let cut = model.time_span().map(|span| span.end - 1 - RETAIN);
                         if let Some(cut) = cut {
                             if model.compact(cut).evicted_events > 0 {
-                                evicting += 1;
+                                tally.evicting += 1;
                                 last_cut = Some(cut);
+                                splice_held = false;
                                 // The durable subject checkpointed.
-                                if let Some((_, in_tail)) = last_tagged.as_mut() {
-                                    *in_tail &= !axes.durable;
+                                if axes.durable {
+                                    (since_checkpoint, compaction_checkpoint) = (0, true);
+                                    if let Some((_, in_tail)) = last_tagged.as_mut() {
+                                        *in_tail = false;
+                                    }
                                 }
                             }
                         }
@@ -400,11 +520,20 @@ fn run(axes: &Axes, seed: u64) {
                 let b = reference.locate_batch(requests, *jobs);
                 for (a, b) in a.into_iter().zip(b) {
                     twin(&located(a), &located(b));
-                    answers += 1;
+                    tally.answers += 1;
                 }
             }
             Op::Burst(at, requests) => {
-                compare_models(&subject, &reference, &model, &ctx, &mut lazy);
+                // The probes warm the cache for themselves first.
+                for request in requests {
+                    let request = WireRequest::locate(request);
+                    twin(&subject.send(&request), &call(&reference, &request));
+                    tally.answers += 1;
+                }
+                reference.fit_pending_models(i64::MAX);
+                compare_models(&subject, &reference, &model, &ctx, &mut tally);
+                tally.bursts += 1;
+                tally.warm_bursts += usize::from(subject.service().cache_stats().0 > 0);
                 let events: Vec<RawEvent> = model
                     .devices()
                     .iter()
@@ -416,18 +545,54 @@ fn run(axes: &Axes, seed: u64) {
                 };
                 twin(&subject.send(&burst), &call(&reference, &burst));
                 model.ingest_batch(events.iter()).unwrap();
+                uncut.ingest_batch(events.iter()).unwrap();
+                since_checkpoint += events.len() as u64;
+                assert_eq!(
+                    subject.service().live_cache_stats(),
+                    (0, 0),
+                    "{ctx}: cached affinities outlived a burst over every device"
+                );
                 let fresh = ShardedLocaterService::new(model.clone(), config(axes), 1);
                 for request in requests {
                     let request = WireRequest::locate(request);
                     let a = subject.send(&request);
                     twin(&a, &call(&reference, &request));
                     assert_eq!(
-                        without_epoch(a),
-                        without_epoch(call(&fresh, &request)),
+                        bare(a),
+                        bare(call(&fresh, &request)),
                         "{ctx}: after every device went stale, the subject answers unlike a \
                          fresh build over the acked events"
                     );
-                    probes += 1;
+                    tally.probes += 1;
+                }
+                assert_eq!(
+                    subject.service().live_cache_stats(),
+                    fresh.live_cache_stats(),
+                    "{ctx}: the probes left other live cache state than on a fresh build"
+                );
+                // Each in-scope probe on its own, so no model an out-of-scope
+                // probe cached is reused: compaction must not show in it.
+                let control = ShardedLocaterService::new(uncut.clone(), config(axes), 1);
+                let cut = last_cut.unwrap_or(i64::MIN);
+                for request in requests {
+                    let device = uncut.device_id(request.mac.as_deref().unwrap_or_default());
+                    let times: Vec<i64> = device
+                        .map(|device| uncut.timeline_of(device).iter().map(|e| e.t).collect())
+                        .unwrap_or_default();
+                    if !in_scope(&times, request.t, cut, HISTORY) {
+                        continue;
+                    }
+                    fresh.clear_cache();
+                    control.clear_cache();
+                    let request = WireRequest::locate(request);
+                    assert_eq!(
+                        bare(call(&fresh, &request)),
+                        bare(call(&control, &request)),
+                        "{ctx}: inside the retained window (cut {cut}), the compacted events \
+                         answer unlike every acked event"
+                    );
+                    tally.controlled += 1;
+                    tally.controlled_over_splice += usize::from(splice_held);
                 }
             }
             Op::Retry => match &last_tagged {
@@ -442,7 +607,7 @@ fn run(axes: &Axes, seed: u64) {
                     );
                     let after = subject.service().num_events();
                     assert_eq!(after, before, "{ctx}: a retry applied twice");
-                    replays += 1;
+                    tally.replays += 1;
                 }
                 _ => {}
             },
@@ -451,23 +616,40 @@ fn run(axes: &Axes, seed: u64) {
                 assert_eq!(a, b, "{ctx}: the twin purged other stale state");
             }
             Op::Crash => {
-                compare_models(&subject, &reference, &model, &ctx, &mut lazy);
-                crashes += 1;
-                crashes_after_eviction += usize::from(evicting > 0);
+                compare_models(&subject, &reference, &model, &ctx, &mut tally);
+                tally.crashes += 1;
                 // Every other reboot changes the shard count.
-                let shards = if crashes % 2 == 1 {
+                let shards = if tally.crashes % 2 == 1 {
                     axes.shards % 3 + 1
                 } else {
                     axes.shards
                 };
-                reshards += usize::from(shards != subject.service().num_shards());
+                tally.reshards += usize::from(shards != subject.service().num_shards());
                 drop(subject);
-                subject = Subject::boot(
+                let (rebooted, report) = Subject::boot(
                     EventStore::new(out.space.clone()),
                     axes,
                     shards,
                     wal.as_deref(),
                 );
+                subject = rebooted;
+                let report = report.expect("a crash reboots a durable subject");
+                assert!(
+                    report.checkpoint_loaded
+                        && report.torn.is_empty()
+                        && report.replayed == since_checkpoint
+                        && report.base_events as u64 + report.replayed == model.num_events() as u64,
+                    "{ctx}: {since_checkpoint} acked ingests since the last checkpoint, \
+                     {} events acked, recovered {report:?}",
+                    model.num_events()
+                );
+                tally.replayed += report.replayed;
+                match (compaction_checkpoint, since_checkpoint) {
+                    (true, 0) => tally.crashes_at_compaction += 1,
+                    (true, _) => tally.tails_over_compaction += 1,
+                    _ => {}
+                }
+                (since_checkpoint, compaction_checkpoint) = (0, false);
                 reference = ShardedLocaterService::new(reference.store_snapshot(), config(axes), 1);
                 // The reboot replayed the tail into the replay window, then
                 // checkpointed over it.
@@ -491,40 +673,40 @@ fn run(axes: &Axes, seed: u64) {
                 reference.store_snapshot() == model,
                 "{ctx}: the twin's store is not the acked events"
             );
+            let cache = |service: &ShardedLocaterService| {
+                (service.cache_stats(), service.live_cache_stats())
+            };
+            assert_eq!(
+                cache(subject.service()),
+                cache(&reference),
+                "{ctx}: the twin's affinity cache holds other (all, live) edges and samples"
+            );
         }
     }
     let end = format!("{axes:?}, seed {seed:#x}, end");
-    compare_models(&subject, &reference, &model, &end, &mut lazy);
-    let (fitted, unfitted) = lazy;
+    compare_models(&subject, &reference, &model, &end, &mut tally);
 
-    let tally = format!(
-        "{axes:?}, seed {seed:#x}: {answers} answers, {probes} fresh-build probes, \
-         {evicting} evicting compactions, {below_cut} late ingests below a cut, \
-         {fitted} / {unfitted} lazily fitted / unfitted models, {crashes} crashes \
-         ({reshards} reshards, {crashes_after_eviction} after an eviction), {replays} replays"
-    );
-    assert!(answers >= 200 && probes >= 24, "{tally}");
-    assert!(evicting >= 2 && below_cut >= 1, "{tally}");
-    assert!(fitted >= 3 && unfitted >= 3, "{tally}");
-    assert!(
-        !axes.durable || (crashes >= 2 && reshards >= 1 && crashes_after_eviction >= 1),
-        "{tally}"
-    );
-    assert!(!axes.wire || replays >= 1, "{tally}");
+    let ran = format!("{axes:?}, seed {seed:#x}: {tally:?}");
+    assert!(tally.answers >= 200 && tally.probes >= 24, "{ran}");
+    assert!(tally.evicting >= 2 && tally.controlled >= 12, "{ran}");
+    assert!(tally.fitted >= 3 && tally.unfitted >= 3, "{ran}");
+    assert!(!axes.durable || tally.crashes >= 2, "{ran}");
+    assert!(!axes.wire || tally.replays >= 1, "{ran}");
     if let Some(dir) = wal {
         std::fs::remove_dir_all(dir).ok();
     }
+    tally
 }
 
 /// Every model the lazy subject holds is the one its eager twin holds, and
-/// one it fitted holds the twin's classifiers. Adds how many of its models
-/// were fitted and how many were not to `tally`.
+/// one it fitted holds the twin's classifiers. Counts the fitted and the
+/// unfitted ones in `tally`.
 fn compare_models(
     subject: &Subject,
     reference: &ShardedLocaterService,
     model: &EventStore,
     ctx: &str,
-    tally: &mut (usize, usize),
+    tally: &mut Tally,
 ) {
     for device in model.devices() {
         let lazy = subject.service().cached_model(device.id);
@@ -536,13 +718,13 @@ fn compare_models(
                     "{ctx}"
                 );
                 if a.model.is_fitted() {
-                    tally.0 += 1;
+                    tally.fitted += 1;
                     assert!(
                         *a.model == *b.model,
                         "{ctx}: lazily fitted classifiers differ"
                     );
                 } else {
-                    tally.1 += 1;
+                    tally.unfitted += 1;
                 }
             }
             (a, b) => assert!(a.is_none() && b.is_none(), "{ctx}: one side cached a model"),
