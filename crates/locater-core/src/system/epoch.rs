@@ -54,8 +54,9 @@ impl EpochRead for EpochTable {
 
 /// Per-device ingest epochs.
 ///
-/// `epoch(d)` starts at 0 and is bumped once per event ingested for `d` (and
-/// once by a δ override, [`ShardedLocaterService::set_delta`](super::ShardedLocaterService::set_delta)).
+/// `epoch(d)` starts at 0 and is bumped once per event ingested for `d`, so
+/// it is a function of the acked events alone (a δ override is store
+/// configuration, set on the `EventStore` before a service is built over it).
 /// Devices the table has never seen report epoch 0.
 #[derive(Debug, Clone, Default)]
 pub struct EpochTable {

@@ -33,7 +33,7 @@ pub mod shard;
 
 pub use epoch::{EpochRead, EpochTable, ModelEntry};
 pub use request::{LocateRequest, LocateResponse};
-pub use shard::{CompactionStatus, ShardStats, ShardedLocaterService, WalStatus};
+pub use shard::{CompactionStatus, Cut, ShardStats, ShardedLocaterService, WalStatus};
 
 use crate::coarse::{CoarseConfig, CoarseLabel, CoarseMethod, CoarseOutcome};
 use crate::fine::{FineConfig, FineOutcome};

@@ -67,8 +67,9 @@ use locater_store::{
     shard_of_device, write_spill, Durability, EventRead, EventStore, IngestError, RawEvent, RealIo,
     ShardWal, ShardedRead, StorageIo, StoreError, WalError, WalRecord, WalShardStats,
 };
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
@@ -107,8 +108,9 @@ impl Shard {
 }
 
 /// Per-shard observability counters reported by
-/// [`ShardedLocaterService::shard_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`ShardedLocaterService::shard_stats`]; the server's `stats` frame carries
+/// them as they are, one `per_shard` entry each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
@@ -122,9 +124,10 @@ pub struct ShardStats {
 }
 
 /// Service-wide compaction gauges reported by
-/// [`ShardedLocaterService::compaction_status`] (and surfaced through the
-/// server's `stats` response and `locater-cli stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`ShardedLocaterService::compaction_status`] and returned by every
+/// [`ShardedLocaterService::compact`] run; the server sends them as they are,
+/// in the `stats` frame and as the `Compacted` reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CompactionStatus {
     /// Compaction runs since boot that evicted at least one event.
     pub runs: u64,
@@ -136,9 +139,9 @@ pub struct CompactionStatus {
 }
 
 /// Service-wide write-ahead-log gauges reported by
-/// [`ShardedLocaterService::wal_status`] (and surfaced through the server's
-/// `stats` response) when durability is configured.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`ShardedLocaterService::wal_status`] when durability is configured; the
+/// server's `stats` frame carries them as they are.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WalStatus {
     /// The WAL directory.
     pub dir: String,
@@ -155,8 +158,49 @@ pub struct WalStatus {
     pub last_checkpoint_age_ms: u64,
     /// Checkpoints taken since boot (the boot checkpoint included).
     pub checkpoints: u64,
-    /// Per-shard breakdown.
-    pub per_shard: Vec<WalShardStats>,
+}
+
+/// Where a compaction run cuts the hot tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cut {
+    /// Keep the newest `retain` seconds behind the event-time watermark
+    /// ([`ShardedLocaterService::watermark`]).
+    Retain(Timestamp),
+    /// Evict every event with `t <` this timestamp.
+    Horizon(Timestamp),
+}
+
+impl Cut {
+    /// The one rule turning a compaction request into a cut, shared by the
+    /// wire verb and offline `locater-cli compact`: a request names a retain
+    /// or a horizon, never both; naming neither falls back to `default_retain`
+    /// (the server's `--retain`); a negative retain — a horizon past the
+    /// newest event, so the whole hot tier would go — is refused. A negative
+    /// horizon is not refused: it cuts below every event and evicts nothing.
+    pub fn from_request(
+        retain: Option<Timestamp>,
+        horizon: Option<Timestamp>,
+        default_retain: Option<Timestamp>,
+    ) -> Result<Cut, &'static str> {
+        match (retain, horizon) {
+            (Some(_), Some(_)) => Err("compact takes a retain or a horizon, not both"),
+            (None, Some(horizon)) => Ok(Cut::Horizon(horizon)),
+            (retain, None) => match retain.or(default_retain) {
+                Some(retain) if retain < 0 => Err("compact retain must be 0 or more seconds"),
+                Some(retain) => Ok(Cut::Retain(retain)),
+                None => Err("compact needs a retain or a horizon"),
+            },
+        }
+    }
+
+    /// The horizon this cut evicts below, given the event-time watermark
+    /// (`None` for a retention over an empty store: there is nothing to cut).
+    pub fn horizon(self, watermark: Option<Timestamp>) -> Option<Timestamp> {
+        match self {
+            Cut::Retain(retain) => watermark.map(|w| w.saturating_sub(retain)),
+            Cut::Horizon(horizon) => Some(horizon),
+        }
+    }
 }
 
 /// Epoch view over the per-shard tables: the table of a device's home shard is
@@ -230,6 +274,8 @@ pub struct ShardedLocaterService {
     /// `stats` reads — never while a shard lock is held for ingest or query
     /// work.
     compaction: Mutex<CompactionStatus>,
+    /// Where the most recent effective compaction run spilled, if anywhere.
+    last_spill: Mutex<Option<PathBuf>>,
 }
 
 impl ShardedLocaterService {
@@ -251,6 +297,7 @@ impl ShardedLocaterService {
             last_checkpoint: Mutex::new(None),
             checkpoints: AtomicU64::new(0),
             compaction: Mutex::new(CompactionStatus::default()),
+            last_spill: Mutex::new(None),
         }
     }
 
@@ -485,17 +532,6 @@ impl ShardedLocaterService {
         Ok((device.expect("at least one shard"), ap))
     }
 
-    /// Overrides one device's validity period δ in every replicated device
-    /// table and bumps its epoch.
-    pub fn set_delta(&self, device: DeviceId, delta: Timestamp) {
-        let mut guards = self.write_all();
-        for guard in guards.iter_mut() {
-            guard.store.set_delta(device, delta);
-        }
-        let home = shard_of_device(device, guards.len());
-        guards[home].epochs.bump(device);
-    }
-
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
@@ -702,7 +738,7 @@ impl ShardedLocaterService {
     // ------------------------------------------------------------------
 
     /// The service's event-time watermark: the timestamp of the newest stored
-    /// event, or `None` while empty. [`Self::compact_all`] retains relative to
+    /// event, or `None` while empty. A [`Cut::Retain`] retains relative to
     /// this, so retention follows event time (deterministic under replay and
     /// in simulations), never the wall clock.
     pub fn watermark(&self) -> Option<Timestamp> {
@@ -712,11 +748,14 @@ impl ShardedLocaterService {
             .max()
     }
 
-    /// Compacts every shard to `horizon`: every event with `t < horizon`
-    /// leaves the hot tier and — only when `spill_dir` is given — is written
-    /// there in one `spill-<cut>.<first id>.snap` snapshot, encoded straight
-    /// from the evicted events. Without a spill directory the run keeps
-    /// nothing of what it evicts.
+    /// Compacts every shard to `cut` ([`Cut::horizon`]): every event with
+    /// `t <` the horizon leaves the hot tier and — only when `spill_dir` is
+    /// given — is written there in one `spill-<cut>.<first id>.snap`
+    /// snapshot, encoded straight from the evicted events. Without a spill
+    /// directory the run keeps nothing of what it evicts. A retention over an
+    /// empty service is a no-op. This is the one compaction path: the wire
+    /// verb, the server's `--compact-interval` tick and offline
+    /// `locater-cli compact` (over a one-shard service) all run it.
     ///
     /// Scheduling properties, in the order they matter operationally:
     ///
@@ -738,11 +777,14 @@ impl ShardedLocaterService {
     /// spill write fails the events are already out of the hot tier and the
     /// checkpoint is skipped: on a durable service the previous checkpoint
     /// plus the logs still hold them.
-    pub fn compact_to(
+    pub fn compact(
         &self,
-        horizon: Timestamp,
+        cut: Cut,
         spill_dir: Option<&Path>,
     ) -> Result<CompactionStatus, WalError> {
+        let Some(horizon) = cut.horizon(self.watermark()) else {
+            return Ok(self.compaction_status());
+        };
         let mut evicted_events = 0usize;
         let mut evicted = Vec::new();
         for shard in &self.shards {
@@ -769,33 +811,26 @@ impl ShardedLocaterService {
             return Ok(status);
         }
 
+        let mut spill = None;
         if let Some(dir) = spill_dir {
             let bytes = self.with_view(|view, _| view.spill_snapshot_bytes(&evicted))?;
             let io: &dyn StorageIo = match self.durability.as_ref() {
                 Some(durability) => durability.io.as_ref(),
                 None => &RealIo,
             };
-            write_spill(dir, horizon, &evicted, &bytes, io)?;
+            spill = write_spill(dir, horizon, &evicted, &bytes, io)?;
         }
+        *relock(self.last_spill.lock()) = spill;
         if self.durability.is_some() {
             self.checkpoint()?;
         }
         Ok(status)
     }
 
-    /// Compacts relative to the event-time watermark: keeps the most recent
-    /// `retain` seconds of history and ages out everything older — the
-    /// periodic maintenance call a long-running server makes. A no-op on an
-    /// empty service.
-    pub fn compact_all(
-        &self,
-        retain: Timestamp,
-        spill_dir: Option<&Path>,
-    ) -> Result<CompactionStatus, WalError> {
-        match self.watermark() {
-            Some(watermark) => self.compact_to(watermark.saturating_sub(retain), spill_dir),
-            None => Ok(self.compaction_status()),
-        }
+    /// The spill file the most recent effective [`Self::compact`] run wrote
+    /// (`None` when that run had no spill directory).
+    pub fn last_spill(&self) -> Option<PathBuf> {
+        relock(self.last_spill.lock()).clone()
     }
 
     /// The cumulative compaction gauges (runs, evictions, last cut) since
@@ -814,8 +849,9 @@ impl ShardedLocaterService {
             .sum()
     }
 
-    /// Current WAL gauges (`None` when the service has no WAL): per-shard and
-    /// summed segment/frame/byte counts, fsync policy, checkpoint age.
+    /// Current WAL gauges (`None` when the service has no WAL): segment,
+    /// frame and byte counts summed over the shards, fsync policy, checkpoint
+    /// age.
     pub fn wal_status(&self) -> Option<WalStatus> {
         let durability = self.durability.as_ref()?;
         let guards = self.read_all();
@@ -834,7 +870,6 @@ impl ShardedLocaterService {
             bytes: per_shard.iter().map(|s| s.bytes).sum(),
             last_checkpoint_age_ms: age,
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            per_shard,
         })
     }
 
@@ -898,7 +933,7 @@ impl ShardedLocaterService {
     /// not needed them yet and whose fit reads an event older than `below`;
     /// returns how many were fitted. Classifiers are a pure function of the
     /// device's events in the model's window, so this changes no answer:
-    /// [`Self::compact_to`] does it before evicting those events, and with
+    /// [`Self::compact`] does it before evicting those events, and with
     /// `below = i64::MAX` the service becomes one that trains eagerly.
     pub fn fit_pending_models(&self, below: Timestamp) -> usize {
         let fit = |shard: &Shard| {

@@ -62,6 +62,11 @@ use locater_store::{parse_csv, IngestError, RawEvent};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The `Compacted` reply and the `stats` frame's `compaction` object: the
+/// service's own gauges under the name wire clients already use. The status
+/// types the `stats` frame carries are the service's, sent as they are.
+pub use locater_core::system::CompactionStatus as WireCompactionStats;
+
 /// The wire-protocol version this crate speaks (reported by `ping`/`stats`).
 pub const PROTOCOL_VERSION: u32 = 8;
 
@@ -126,7 +131,8 @@ pub enum WireRequest {
         path: String,
     },
     /// Compact the store: age history out of the hot tier (see
-    /// `ShardedLocaterService::compact_to` in `locater-core`). Spill-file
+    /// `ShardedLocaterService::compact` and `Cut::from_request` in
+    /// `locater-core`, which states the rule for the two fields). Spill-file
     /// placement is server configuration (`--spill-dir`), not part of the
     /// request.
     Compact {
@@ -243,7 +249,7 @@ pub enum WireResponse {
     /// Answer to [`WireRequest::Compact`]: the cumulative compaction gauges
     /// after the run (a run that evicted nothing still answers, with the
     /// counters unchanged).
-    Compacted(WireCompactionStats),
+    Compacted(CompactionStatus),
     /// Acknowledgement of [`WireRequest::Shutdown`]: the drain has begun.
     ShuttingDown,
     /// The request failed; the frame slot is preserved so pipelined responses
@@ -457,95 +463,12 @@ pub struct WireStats {
     /// capacity of the device timelines and the global timeline).
     pub resident_bytes: usize,
     /// Cumulative compaction gauges since boot.
-    pub compaction: WireCompactionStats,
+    pub compaction: CompactionStatus,
     /// Per-shard breakdown.
-    pub per_shard: Vec<WireShardStats>,
+    pub per_shard: Vec<ShardStats>,
     /// Write-ahead-log gauges: `null` unless the server runs with
     /// `--wal-dir`.
-    pub wal: Option<WireWalStats>,
-}
-
-/// The wire form of the server's write-ahead-log gauges (see
-/// `ShardedLocaterService::wal_status` in `locater-core`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireWalStats {
-    /// The WAL directory the server logs to.
-    pub dir: String,
-    /// The fsync policy, rendered (`always` / `every=N`).
-    pub fsync: String,
-    /// Live segment files across all shards.
-    pub segments: u64,
-    /// Frames (logged events) across all shards — the replay cost of a crash
-    /// right now.
-    pub frames: u64,
-    /// Bytes across all shard logs.
-    pub bytes: u64,
-    /// Milliseconds since the last checkpoint.
-    pub last_checkpoint_age_ms: u64,
-    /// Checkpoints taken since boot.
-    pub checkpoints: u64,
-}
-
-impl From<WalStatus> for WireWalStats {
-    fn from(wal: WalStatus) -> Self {
-        Self {
-            dir: wal.dir,
-            fsync: wal.fsync,
-            segments: wal.segments,
-            frames: wal.frames,
-            bytes: wal.bytes,
-            last_checkpoint_age_ms: wal.last_checkpoint_age_ms,
-            checkpoints: wal.checkpoints,
-        }
-    }
-}
-
-/// The wire form of the service's cumulative compaction gauges (see
-/// `ShardedLocaterService::compaction_status` in `locater-core`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct WireCompactionStats {
-    /// Compaction runs since boot that evicted at least one event.
-    pub runs: u64,
-    /// Events evicted from the hot tier since boot.
-    pub evicted_events: u64,
-    /// Cut of the most recent effective run (`None` before the first
-    /// eviction): every event with `t <` this is out of the hot tier.
-    pub last_cut: Option<Timestamp>,
-}
-
-impl From<CompactionStatus> for WireCompactionStats {
-    fn from(status: CompactionStatus) -> Self {
-        Self {
-            runs: status.runs,
-            evicted_events: status.evicted_events,
-            last_cut: status.last_cut,
-        }
-    }
-}
-
-/// The wire form of one shard's counters (see
-/// [`ShardStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Events stored in this shard's partition.
-    pub events: usize,
-    /// Devices whose home shard this is.
-    pub owned_devices: usize,
-    /// Approximate resident heap bytes of this shard's store partition.
-    pub resident_bytes: usize,
-}
-
-impl From<ShardStats> for WireShardStats {
-    fn from(s: ShardStats) -> Self {
-        Self {
-            shard: s.shard,
-            events: s.events,
-            owned_devices: s.owned_devices,
-            resident_bytes: s.resident_bytes,
-        }
-    }
+    pub wal: Option<WalStatus>,
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 //! malformed frame decodes to a structured parse error (never a panic).
 
 use locater_core::coarse::CoarseMethod;
-use locater_core::system::{Answer, CacheMode, FineMode, Location};
+use locater_core::system::{Answer, CacheMode, FineMode, Location, ShardStats, WalStatus};
 use locater_events::DeviceId;
 use locater_proto::{
     decode_request, decode_response, encode_request, encode_request_into, encode_response,
-    encode_response_into, WireCompactionStats, WireError, WireRequest, WireResponse,
-    WireShardStats, WireStats, WireWalStats, PROTOCOL_VERSION,
+    encode_response_into, WireCompactionStats, WireError, WireRequest, WireResponse, WireStats,
+    PROTOCOL_VERSION,
 };
 use locater_space::{RegionId, RoomId};
 use locater_store::RawEvent;
@@ -41,20 +41,20 @@ fn sample_stats() -> WireStats {
             last_cut: Some(604_800),
         },
         per_shard: vec![
-            WireShardStats {
+            ShardStats {
                 shard: 0,
                 events: 6,
                 owned_devices: 2,
                 resident_bytes: 40_960,
             },
-            WireShardStats {
+            ShardStats {
                 shard: 1,
                 events: 4,
                 owned_devices: 1,
                 resident_bytes: 24_576,
             },
         ],
-        wal: Some(WireWalStats {
+        wal: Some(WalStatus {
             dir: "/var/lib/locater/wal".into(),
             fsync: "every=32".into(),
             segments: 3,

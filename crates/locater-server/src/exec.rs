@@ -7,7 +7,7 @@
 //! counters), so `stats` reports the same numbers no matter which transport
 //! asked.
 
-use locater_core::system::ShardedLocaterService;
+use locater_core::system::{Cut, ShardedLocaterService};
 use locater_events::clock::Timestamp;
 use locater_proto::{WireError, WireRequest, WireResponse, WireStats, PROTOCOL_VERSION};
 use locater_space::AccessPointId;
@@ -140,11 +140,6 @@ impl ServerState {
         self
     }
 
-    /// The configured default retention, if any.
-    pub fn retain(&self) -> Option<Timestamp> {
-        self.retain
-    }
-
     /// Sizes the replay-dedup window. The TCP server passes a multiple of
     /// its admission limit: with a window no smaller than the number of
     /// requests that can be in the building at once, an id acked moments ago
@@ -163,7 +158,7 @@ impl ServerState {
             return Ok(());
         };
         self.service
-            .compact_all(retain, self.spill_dir.as_deref())
+            .compact(Cut::Retain(retain), self.spill_dir.as_deref())
             .map(|_| ())
             .map_err(|e| e.to_string())
     }
@@ -401,35 +396,16 @@ impl ServerState {
                 }),
             },
             WireRequest::Compact { retain, horizon } => {
-                let spill = self.spill_dir.as_deref();
-                let bad_request = |message: &str| {
-                    WireResponse::Error(WireError::BadRequest {
-                        message: message.to_string(),
-                    })
-                };
-                // A negative retention puts the horizon past the newest
-                // event: the whole hot tier would go.
-                let outcome = match (*retain, *horizon) {
-                    (Some(_), Some(_)) => {
-                        return bad_request("compact takes a retain or a horizon, not both")
+                let cut = match Cut::from_request(*retain, *horizon, self.retain) {
+                    Ok(cut) => cut,
+                    Err(message) => {
+                        return WireResponse::Error(WireError::BadRequest {
+                            message: message.to_string(),
+                        })
                     }
-                    (Some(retain), None) if retain < 0 => {
-                        return bad_request("compact retain must be 0 or more seconds")
-                    }
-                    (Some(retain), None) => self.service.compact_all(retain, spill),
-                    (None, Some(horizon)) => self.service.compact_to(horizon, spill),
-                    (None, None) => match self.retain {
-                        Some(retain) => self.service.compact_all(retain, spill),
-                        None => {
-                            return bad_request(
-                                "compact needs a retain or horizon (or start the server with \
-                                 --retain)",
-                            )
-                        }
-                    },
                 };
-                match outcome {
-                    Ok(status) => WireResponse::Compacted(status.into()),
+                match self.service.compact(cut, self.spill_dir.as_deref()) {
+                    Ok(status) => WireResponse::Compacted(status),
                     Err(e) => WireResponse::Error(WireError::Internal {
                         message: e.to_string(),
                     }),
@@ -446,21 +422,13 @@ impl ServerState {
     /// (the header can never disagree with the lines), plus the affinity
     /// graph's counters and the serving-layer gauges.
     pub fn stats(&self) -> WireStats {
-        let per_shard: Vec<_> = self
-            .service
-            .shard_stats()
-            .into_iter()
-            .map(Into::into)
-            .collect();
+        let per_shard = self.service.shard_stats();
         let (edges, samples) = self.service.cache_stats();
         let (live_edges, live_samples) = self.service.live_cache_stats();
         WireStats {
             version: PROTOCOL_VERSION,
             uptime_ms: self.started.elapsed().as_millis() as u64,
-            events: per_shard
-                .iter()
-                .map(|s: &locater_proto::WireShardStats| s.events)
-                .sum(),
+            events: per_shard.iter().map(|s| s.events).sum(),
             devices: self.service.num_devices(),
             shards: self.service.num_shards(),
             edges,
@@ -477,9 +445,9 @@ impl ServerState {
             deduped: self.deduped.load(Ordering::Relaxed),
             dedup_evicted: self.dedup_evicted.load(Ordering::Relaxed),
             resident_bytes: per_shard.iter().map(|s| s.resident_bytes).sum(),
-            compaction: self.service.compaction_status().into(),
+            compaction: self.service.compaction_status(),
             per_shard,
-            wal: self.service.wal_status().map(Into::into),
+            wal: self.service.wal_status(),
         }
     }
 
@@ -700,21 +668,29 @@ mod tests {
         assert_eq!(stats.events, 1);
         assert_eq!(stats.shards, 2);
         assert_eq!(stats.requests_served, 4);
-        // Without a configured or per-request horizon, compaction is refused.
-        assert!(matches!(
-            state.execute(&WireRequest::Compact {
-                retain: None,
-                horizon: None
-            }),
-            WireResponse::Error(WireError::BadRequest { .. })
-        ));
-        // A negative retention (it would evict the whole hot tier) and a
-        // request naming both a retention and a horizon are refused too.
-        for (retain, horizon) in [(Some(-10_000_000), None), (Some(1_000_000), Some(500))] {
-            assert!(matches!(
+        // Without a configured or per-request horizon, compaction is refused;
+        // so are a negative retention (it would evict the whole hot tier) and
+        // a request naming both a retention and a horizon — each in the words
+        // of the one rule, `Cut::from_request`, that offline compact shares.
+        for (retain, horizon, message) in [
+            (None, None, "compact needs a retain or a horizon"),
+            (
+                Some(-10_000_000),
+                None,
+                "compact retain must be 0 or more seconds",
+            ),
+            (
+                Some(1_000_000),
+                Some(500),
+                "compact takes a retain or a horizon, not both",
+            ),
+        ] {
+            assert_eq!(
                 state.execute(&WireRequest::Compact { retain, horizon }),
-                WireResponse::Error(WireError::BadRequest { .. })
-            ));
+                WireResponse::Error(WireError::BadRequest {
+                    message: message.into()
+                })
+            );
         }
         let WireResponse::Stats(after) = state.execute(&WireRequest::Stats) else {
             panic!("stats request answers with stats");

@@ -624,20 +624,15 @@ pub(crate) fn walk_wal(dir: &Path) -> Result<Vec<ShardLog>, WalError> {
 // The writer
 // ---------------------------------------------------------------------------
 
-/// Live WAL counters for one shard (reported through `stats`).
+/// Live WAL counters for one shard (summed into the service's `stats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalShardStats {
-    /// Shard index.
-    pub shard: u32,
     /// Live segment files (sealed + the active one).
     pub segments: u64,
     /// Frames across live segments.
     pub frames: u64,
     /// Bytes across live segments (headers included).
     pub bytes: u64,
-    /// Frames in the active (not yet sealed) segment — the tail a crash with
-    /// `fsync=always` could at most tear mid-frame.
-    pub tail_frames: u64,
 }
 
 /// The append side of one shard's WAL: owns the active segment file and the
@@ -843,11 +838,9 @@ impl ShardWal {
     /// Live counters for `stats`.
     pub fn stats(&self) -> WalShardStats {
         WalShardStats {
-            shard: self.shard,
             segments: self.sealed_segments + 1,
             frames: self.sealed_frames + self.active_frames,
             bytes: self.sealed_bytes + self.active_bytes,
-            tail_frames: self.active_frames,
         }
     }
 }
@@ -1334,7 +1327,6 @@ mod tests {
         let stats = wal.stats();
         assert_eq!(stats.segments, 2);
         assert_eq!(stats.frames, 2);
-        assert_eq!(stats.tail_frames, 1);
         wal.reset().unwrap();
         let stats = wal.stats();
         assert_eq!((stats.segments, stats.frames), (1, 0));

@@ -48,11 +48,18 @@ fn main() {
     let day = 3; // a Thursday
     let at = |h: i64, m: i64, s: i64| locater::events::clock::at(day, h, m, s);
 
-    // The service starts over an *empty* store and ingests the live event
-    // stream as it arrives — the always-on regime the paper's service framing
-    // targets.
-    let service =
-        ShardedLocaterService::new(EventStore::new(space.clone()), LocaterConfig::default(), 1);
+    // 7fbh is a chatty laptop whose events are only trusted for ±2 minutes, so the
+    // stretch after its 13:04:35 event will be a genuine hole in its log — the
+    // missing value of Fig. 1(c) that the coarse cleaning step has to repair.
+    // δ is store configuration: it is set before the service is built.
+    let mut store = EventStore::new(space.clone());
+    let laptop = store.intern_device("7fbh").expect("a valid identifier");
+    store.set_delta(laptop, 120);
+
+    // The service starts over a store with no events and ingests the live
+    // event stream as it arrives — the always-on regime the paper's service
+    // framing targets.
+    let service = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
     let events = [
         ("7fbh", at(12, 45, 2), "wap3"),
         ("7fbh", at(13, 4, 35), "wap3"),
@@ -68,12 +75,6 @@ fn main() {
         service.num_events(),
         service.num_devices()
     );
-
-    // 7fbh is a chatty laptop whose events are only trusted for ±2 minutes, so the
-    // stretch after its 13:04:35 event is a genuine hole in its log — the missing
-    // value of Fig. 1(c) that the coarse cleaning step has to repair.
-    let laptop = service.device_id("7fbh").expect("device was ingested");
-    service.set_delta(laptop, 120);
 
     // ------------------------------------------------------------------
     // 3. Ask LOCATER where device 7fbh was at 13:10. The device has not been

@@ -72,10 +72,11 @@
 //!   path (`--listen` mode); the `compact` REPL/wire verb triggers one on
 //!   demand. Answers inside the retained window are byte-identical with
 //!   compaction on or off.
-//! * `compact` is the offline counterpart: load a snapshot, evict history
-//!   below the horizon (absolute `--horizon` or watermark-relative
-//!   `--retain`), spill it into `--spill-dir`, write the compacted snapshot
-//!   back (in place, or to `--out`).
+//! * `compact` is the offline counterpart: load a snapshot into a one-shard
+//!   service, run the same compaction the `compact` verb runs (absolute
+//!   `--horizon` or watermark-relative `--retain`, spilled into
+//!   `--spill-dir`), write the compacted snapshot back (in place, or to
+//!   `--out`).
 //! * `request` sends one request (verb syntax or raw JSON) to a running
 //!   `serve --listen` server and prints the raw NDJSON response frame.
 //! * `simulate` writes `<out-prefix>.space.json`, `<out-prefix>.events.csv` and
@@ -88,8 +89,7 @@ use locater::proto::{encode_response, parse_repl_line, ReplCommand, WireResponse
 use locater::server::{DrainSummary, ServerConfig, ServerState};
 use locater::space::SpaceMetadata;
 use locater::store::{
-    inspect_wal, truncate_wal, Durability, FsyncPolicy, RealIo, RecoveryReport, ShardedRead,
-    WalInspection,
+    inspect_wal, truncate_wal, Durability, FsyncPolicy, RecoveryReport, WalInspection,
 };
 use std::fmt::Write as _;
 use std::io::{BufRead, Write as _};
@@ -238,8 +238,8 @@ fn shards_from_flags(args: &[String]) -> Result<usize, CliError> {
     Ok(parsed_flag::<NonZeroUsize>(args, "--shards", POSITIVE)?.map_or(1, NonZeroUsize::get))
 }
 
-/// Parses an optional non-negative integer-seconds flag (`--retain`,
-/// `--horizon`, `--compact-interval`), rejecting a dangling flag or a bad
+/// Parses an optional non-negative integer-seconds flag (`serve`'s
+/// `--retain` and `--compact-interval`), rejecting a dangling flag or a bad
 /// value.
 fn secs_flag(args: &[String], name: &str) -> Result<Option<Timestamp>, CliError> {
     let what = "a non-negative integer";
@@ -694,10 +694,11 @@ fn request(args: &[String]) -> Result<String, CliError> {
 }
 
 /// The `compact` command: offline compaction of a snapshot file. Loads the
-/// store, evicts every event below the horizon (absolute `--horizon T`, or
-/// `--retain SECS` behind the event-time watermark; not both),
-/// writes the evicted events into `--spill-dir` as a spill snapshot, and
-/// writes the compacted snapshot back — in place, or to `--out`. Answers
+/// store into a one-shard service and runs the service's own compaction —
+/// the cut rule ([`Cut::from_request`]: absolute `--horizon T` or
+/// `--retain SECS` behind the event-time watermark, not both), the eviction
+/// and the spill into `--spill-dir` are the ones the live server runs —
+/// then writes the compacted snapshot back, in place or to `--out`. Answers
 /// inside the retained window are unchanged; the evicted history stays
 /// reloadable from the spill file (without `--spill-dir` it is dropped).
 fn compact(args: &[String]) -> Result<String, CliError> {
@@ -705,44 +706,29 @@ fn compact(args: &[String]) -> Result<String, CliError> {
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .ok_or("missing store.snap")?;
-    let retain = secs_flag(args, "--retain")?;
-    let horizon_flag = secs_flag(args, "--horizon")?;
-    if retain.is_some() && horizon_flag.is_some() {
-        return Err("compact takes a retain or a horizon, not both".into());
-    }
+    let seconds = "an integer number of seconds";
+    let retain = parsed_flag::<Timestamp>(args, "--retain", seconds)?;
+    let horizon = parsed_flag::<Timestamp>(args, "--horizon", "a timestamp")?;
+    let cut = Cut::from_request(retain, horizon, None)?;
     let out_path = parsed_flag::<String>(args, "--out", SNAPSHOT)?.unwrap_or_else(|| snap.clone());
     let spill_dir = parsed_flag::<String>(args, "--spill-dir", DIRECTORY)?;
-    let mut store = EventStore::load_snapshot(snap)
+    let store = EventStore::load_snapshot(snap)
         .map_err(|e| CliError::Runtime(format!("cannot load snapshot {snap}: {e}")))?;
-    let horizon = match (retain, horizon_flag) {
-        (Some(retain), _) => store
-            .time_span()
-            .map(|span| (span.end - 1).saturating_sub(retain))
-            .unwrap_or(0),
-        (None, Some(horizon)) => horizon,
-        (None, None) => return Err("compact needs --retain or --horizon".into()),
-    };
-    let report = store.compact(horizon);
+    let service = ShardedLocaterService::new(store, LocaterConfig::default(), 1);
+    let horizon = cut.horizon(service.watermark()).unwrap_or_default();
+    let status = service
+        .compact(cut, spill_dir.as_deref().map(std::path::Path::new))
+        .map_err(|e| format!("cannot compact {snap}: {e}"))?;
     let mut out = format!(
-        "compacted {snap}: {} event(s) evicted below cut {}; {} event(s) retained\n",
-        report.evicted_events,
-        report.cut,
-        store.num_events()
+        "compacted {snap}: {} event(s) evicted below cut {horizon}; {} event(s) retained\n",
+        status.evicted_events,
+        service.num_events()
     );
-    if let Some(dir) = &spill_dir {
-        let spilled = ShardedRead::new(vec![&store])
-            .spill_snapshot_bytes(&report.evicted)
-            .and_then(|bytes| {
-                let dir = std::path::Path::new(dir);
-                locater::store::write_spill(dir, report.cut, &report.evicted, &bytes, &RealIo)
-            })
-            .map_err(|e| format!("cannot write the spill into {dir}: {e}"))?;
-        if let Some(path) = spilled {
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            let _ = writeln!(out, "spilled {} ({bytes} bytes)", path.display());
-        }
+    if let Some(path) = service.last_spill() {
+        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let _ = writeln!(out, "spilled {} ({bytes} bytes)", path.display());
     }
-    store
+    service
         .save_snapshot(&out_path)
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     let bytes = std::fs::metadata(&out_path).map(|m| m.len()).unwrap_or(0);
@@ -1182,6 +1168,8 @@ mod tests {
 
         // One week of retention on a three-week corpus evicts history and
         // spills it.
+        let live_snap = dir.join("live.snap");
+        std::fs::copy(&snap, &live_snap).unwrap();
         let spill_dir = dir.join("spill");
         let compact_in_place = || {
             run(&[
@@ -1206,6 +1194,37 @@ mod tests {
         assert_eq!(spills.len(), 1);
         let first = EventStore::load_snapshot(&spills[0].1).unwrap();
         assert_eq!(first.num_events() + after.num_events(), before.num_events());
+
+        // Offline compact is the live verb: `serve --snapshot --spill-dir`
+        // answering `compact 604800` and then `snapshot` writes the same
+        // snapshot and the same spill, byte for byte.
+        let live_spill = dir.join("live-spill");
+        let live_out = dir.join("live-compacted.snap");
+        let state = ServerState::new(
+            ShardedLocaterService::from_snapshot(&live_snap, LocaterConfig::default(), 1).unwrap(),
+            None,
+        )
+        .with_retention(None, Some(live_spill.clone()));
+        let input = format!("compact 604800\nsnapshot {}\nquit\n", live_out.display());
+        let mut frames = Vec::new();
+        serve_loop(&state, std::io::Cursor::new(input), &mut frames).expect("serve loop runs");
+        let frames = response_frames(&frames);
+        assert!(
+            matches!(&frames[..], [WireResponse::Compacted(status), WireResponse::SnapshotSaved { .. }]
+                if status.evicted_events == first.num_events() as u64),
+            "{frames:?}"
+        );
+        assert_eq!(
+            std::fs::read(&live_out).unwrap(),
+            std::fs::read(&snap).unwrap()
+        );
+        let live_spills = locater::store::list_spills(&live_spill).unwrap();
+        assert_eq!(live_spills.len(), 1);
+        assert_eq!(live_spills[0].1.file_name(), spills[0].1.file_name());
+        assert_eq!(
+            std::fs::read(&live_spills[0].1).unwrap(),
+            std::fs::read(&spills[0].1).unwrap()
+        );
 
         // A late event below the cut, then the same command again: the same
         // cut, a one-event spill — and the first spill is
@@ -1257,24 +1276,50 @@ mod tests {
         }
         let snap =
             std::env::temp_dir().join(format!("locater-cli-both-{}.snap", std::process::id()));
+        let snap_arg = snap.to_string_lossy().to_string();
         store.save_snapshot(&snap).unwrap();
         let kept = std::fs::read(&snap).unwrap();
-        // Refused in the wire verb's words, and the snapshot is left as it was.
-        let args = [
-            "compact",
-            &snap.to_string_lossy(),
-            "--retain",
-            "1",
-            "--horizon",
-            "6000",
-        ];
-        let err = run(&args.map(String::from)).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        assert_eq!(
-            err.to_string(),
-            "compact takes a retain or a horizon, not both"
+        // Each refusal — both given, a negative retention, neither given — is
+        // the wire verb's, word for word, and leaves the snapshot as it was.
+        let wire = ServerState::new(
+            ShardedLocaterService::new(store, LocaterConfig::default(), 1),
+            None,
         );
-        assert_eq!(std::fs::read(&snap).unwrap(), kept);
+        for (flags, retain, horizon) in [
+            (
+                &["--retain", "1", "--horizon", "6000"][..],
+                Some(1),
+                Some(6_000),
+            ),
+            (&["--retain", "-5"], Some(-5), None),
+            (&[], None, None),
+        ] {
+            let mut args = vec!["compact".to_string(), snap_arg.clone()];
+            args.extend(flags.iter().map(|f| f.to_string()));
+            let err = run(&args).unwrap_err();
+            let WireResponse::Error(WireError::BadRequest { message }) =
+                wire.execute(&WireRequest::Compact { retain, horizon })
+            else {
+                panic!("{flags:?}: the wire verb must refuse too");
+            };
+            assert!(
+                matches!(&err, CliError::Usage(m) if *m == message),
+                "{flags:?}: {err:?} vs {message}"
+            );
+            assert_eq!(std::fs::read(&snap).unwrap(), kept, "{flags:?}");
+        }
+        // A negative horizon cuts below every event: both paths accept it and
+        // evict nothing.
+        let out = run(&["compact", &snap_arg, "--horizon", "-5"].map(String::from)).unwrap();
+        assert!(out.contains(": 0 event(s) evicted below cut -5;"), "{out}");
+        assert_eq!(
+            wire.execute(&WireRequest::Compact {
+                retain: None,
+                horizon: Some(-5)
+            }),
+            WireResponse::Compacted(Default::default())
+        );
+        assert_eq!(EventStore::load_snapshot(&snap).unwrap().num_events(), 3);
         std::fs::remove_file(&snap).ok();
     }
 

@@ -96,7 +96,7 @@ pub mod prelude {
     pub use locater_core::baselines::{Baseline1, Baseline2, BaselineSystem};
     pub use locater_core::metrics::{EvaluationReport, PrecisionCounts};
     pub use locater_core::system::{
-        Answer, CacheMode, FineMode, LocateRequest, LocateResponse, LocaterConfig, ShardStats,
+        Answer, CacheMode, Cut, FineMode, LocateRequest, LocateResponse, LocaterConfig, ShardStats,
         ShardedLocaterService,
     };
     pub use locater_events::{Device, DeviceId, EventId, Gap, Timestamp};

@@ -50,7 +50,7 @@ const MACS: [&str; 4] = [
 
 /// Coarse history / fine affinity window of the test config (seconds).
 const HISTORY: i64 = 3_000;
-/// Event-time retention handed to `compact_all`.
+/// Event-time retention handed to `compact`.
 const RETAIN: i64 = 6_000;
 
 /// A short consulted window so a bounded trace spans many retention cycles,
@@ -163,7 +163,9 @@ fn compacted_resident_bytes_plateau_while_the_control_grows() {
             Op::Ingest(mac, t, ap) => {
                 let watermark = compacted.watermark().unwrap_or(t);
                 if t.div_euclid(DAY) > watermark.div_euclid(DAY) {
-                    compacted.compact_all(2 * DAY, None).expect("compact");
+                    compacted
+                        .compact(Cut::Retain(2 * DAY), None)
+                        .expect("compact");
                     samples.push((
                         compacted.approx_resident_bytes(),
                         control.approx_resident_bytes(),
@@ -291,7 +293,9 @@ fn spill_bytes_depend_on_the_evicted_events_not_on_shards_or_entry_point() {
     let (durable, _) =
         ShardedLocaterService::with_durability(seeded.clone(), config(), 3, durability(&wal))
             .expect("durable boot");
-    let status = durable.compact_to(horizon, None).expect("durable compact");
+    let status = durable
+        .compact(Cut::Horizon(horizon), None)
+        .expect("durable compact");
     assert!(status.evicted_events > 0, "the run must evict something");
     let mut left: Vec<String> = std::fs::read_dir(&wal)
         .unwrap()
@@ -315,7 +319,9 @@ fn spill_bytes_depend_on_the_evicted_events_not_on_shards_or_entry_point() {
     for shards in [1usize, 3] {
         let s = ShardedLocaterService::new(seeded.clone(), config(), shards);
         let spill_dir = dir.join(format!("spill-{shards}"));
-        let run = s.compact_to(horizon, Some(&spill_dir)).expect("compact");
+        let run = s
+            .compact(Cut::Horizon(horizon), Some(&spill_dir))
+            .expect("compact");
         assert_eq!(run.evicted_events, status.evicted_events);
         files.push(spill_of(&spill_dir));
         hot.push(snapshot_bytes(&s));
@@ -373,14 +379,14 @@ fn a_spill_never_replaces_a_spill() {
             t += 400;
             both(MACS[i % 4], t, "wap0");
         }
-        let first = compacted.compact_all(RETAIN, Some(&dir)).unwrap();
+        let first = compacted.compact(Cut::Retain(RETAIN), Some(&dir)).unwrap();
         let cut = first.last_cut.expect("evicted");
         assert_eq!(read_spills(&dir).len(), 1);
         let first_spill = std::fs::read(&locater::store::list_spills(&dir).unwrap()[0].1).unwrap();
 
         // One late event below the cut; the next tick lands on the same cut.
         both(MACS[0], cut - 2_000, "wap1");
-        let second = compacted.compact_all(RETAIN, Some(&dir)).unwrap();
+        let second = compacted.compact(Cut::Retain(RETAIN), Some(&dir)).unwrap();
         assert_eq!(second.last_cut, Some(cut));
         assert_eq!(second.evicted_events, first.evicted_events + 1);
         let spills = locater::store::list_spills(&dir).unwrap();
@@ -399,7 +405,7 @@ fn a_spill_never_replaces_a_spill() {
                 Op::Ingest(mac, at, ap) => both(mac, t + at, ap),
                 Op::Locate(..) => {}
                 Op::Compact => {
-                    compacted.compact_all(RETAIN, Some(&dir)).unwrap();
+                    compacted.compact(Cut::Retain(RETAIN), Some(&dir)).unwrap();
                 }
             }
         }

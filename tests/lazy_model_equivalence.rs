@@ -83,7 +83,7 @@ fn compaction_fits_a_pending_model_before_evicting_its_inputs() {
     assert_eq!(bytes(&compacted, 14_000), bytes(&reference, 14_000));
     assert!(!is_fitted(&compacted) && !is_fitted(&reference));
 
-    let status = compacted.compact_to(9_000, None).unwrap();
+    let status = compacted.compact(Cut::Horizon(9_000), None).unwrap();
     assert_eq!(status.evicted_events, 4);
     assert!(is_fitted(&compacted), "fitted ahead of the eviction");
     assert!(!is_fitted(&reference));

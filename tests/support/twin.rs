@@ -386,8 +386,8 @@ fn call(service: &ShardedLocaterService, request: &WireRequest) -> WireResponse 
         WireRequest::Compact {
             retain: Some(retain),
             horizon: None,
-        } => match service.compact_all(*retain, None) {
-            Ok(status) => WireResponse::Compacted(status.into()),
+        } => match service.compact(Cut::Retain(*retain), None) {
+            Ok(status) => WireResponse::Compacted(status),
             Err(e) => WireResponse::Error(WireError::Internal {
                 message: e.to_string(),
             }),
