@@ -62,7 +62,7 @@ pub(crate) fn most_visited_region<'a>(
     let window_end = clock::seconds_of_day(gap.end);
     let mut counts: HashMap<RegionId, usize> = HashMap::new();
     for event in events {
-        let sod = clock::seconds_of_day(event.t);
+        let sod = clock::seconds_of_day(event.t());
         let in_window = if window_start <= window_end {
             sod >= window_start && sod <= window_end
         } else {

@@ -91,7 +91,7 @@ pub fn connection_density<'a>(
     let count = events
         .into_iter()
         .filter(|e| {
-            let sod = clock::seconds_of_day(e.t);
+            let sod = clock::seconds_of_day(e.t());
             if window_start <= window_end {
                 sod >= window_start && sod <= window_end
             } else {
@@ -111,7 +111,10 @@ fn days_of(history: Interval) -> i64 {
 /// [`connection_density`] of every gap in `gaps`: the events' seconds of day are
 /// sorted once, and each gap then costs two binary searches instead of a scan.
 pub fn connection_densities(gaps: &[Gap], events: &[StoredEvent], history: Interval) -> Vec<f64> {
-    let mut sod: Vec<_> = events.iter().map(|e| clock::seconds_of_day(e.t)).collect();
+    let mut sod: Vec<_> = events
+        .iter()
+        .map(|e| clock::seconds_of_day(e.t()))
+        .collect();
     sod.sort_unstable();
     let days = days_of(history) as f64;
     let density = |gap: &Gap| {

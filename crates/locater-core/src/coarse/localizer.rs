@@ -290,7 +290,7 @@ impl CoarseLocalizer {
             .start
             .saturating_add(store.delta(model.device));
         let oldest = timeline.get(timeline.partition_le(reach).saturating_sub(1));
-        let fit = !model.is_fitted() && oldest.is_some_and(|event| event.t < below);
+        let fit = !model.is_fitted() && oldest.is_some_and(|event| event.t() < below);
         if fit {
             self.fitted(store, model);
         }

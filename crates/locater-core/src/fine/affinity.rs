@@ -435,7 +435,7 @@ impl ApRuns {
         // Count per AP, then turn the counts into run bounds.
         let mut bounds = vec![0usize; store.space().num_access_points() + 1];
         for event in events {
-            bounds[event.ap.index() + 1] += 1;
+            bounds[event.ap().index() + 1] += 1;
         }
         for ap in 1..bounds.len() {
             bounds[ap] += bounds[ap - 1];
@@ -443,8 +443,8 @@ impl ApRuns {
         let mut next = bounds.clone();
         let mut ts = vec![0; events.len()];
         for event in events {
-            let at = &mut next[event.ap.index()];
-            ts[*at] = event.t;
+            let at = &mut next[event.ap().index()];
+            ts[*at] = event.t();
             *at += 1;
         }
         Self { ts, bounds }
@@ -550,10 +550,10 @@ impl<'a> PairAffinitySession<'a> {
             // On an AP where the queried device has no events near the
             // window, both cursors start at their ends: the neighbor event
             // reaches nothing and has no partner.
-            let ap = event.ap.index();
+            let ap = event.ap().index();
             let (win_end, full_end) = (self.win_end[ap], self.runs.bounds[ap + 1]);
             let (cover, probe) = &mut cursors[ap];
-            let t_b = event.t;
+            let t_b = event.t();
             // Query-side direction: count own window events in
             // [t_b − δ, t_b + δ] not counted yet. Reaches advance with t_b,
             // so skipped events (below the reach) are dead for good and each
@@ -814,11 +814,12 @@ mod tests {
             let delta = store.delta(device);
             for event in store.events_of_in(device, window) {
                 total += 1;
-                let near = Interval::new(event.t - delta, event.t + delta + 1);
-                let all_present = devices
-                    .iter()
-                    .filter(|&&d| d != device)
-                    .all(|&other| store.events_of_in(other, near).any(|e| e.ap == event.ap));
+                let near = Interval::new(event.t() - delta, event.t() + delta + 1);
+                let all_present = devices.iter().filter(|&&d| d != device).all(|&other| {
+                    store
+                        .events_of_in(other, near)
+                        .any(|e| e.ap() == event.ap())
+                });
                 intersecting += usize::from(all_present);
             }
         }
@@ -868,8 +869,8 @@ mod tests {
                 let expected: Vec<Timestamp> = timeline
                     .in_range(reach)
                     .iter()
-                    .filter(|e| e.ap == ap)
-                    .map(|e| e.t)
+                    .filter(|e| e.ap() == ap)
+                    .map(|e| e.t())
                     .collect();
                 let got = runs.run(ap.index());
                 assert_eq!(got, expected.as_slice(), "reach {reach:?}, ap {raw}");

@@ -58,7 +58,7 @@ use super::{CacheMode, LocaterConfig};
 use crate::cache::GlobalAffinityGraph;
 use crate::error::LocaterError;
 use locater_events::clock::Timestamp;
-use locater_events::{DeviceId, EventId};
+use locater_events::{DeviceId, EventId, EVENT_ID_LIMIT};
 use locater_space::{AccessPointId, Space};
 use locater_store::recovery::{
     initialize_wal, recover_store_io, write_checkpoint_io, RecoveryReport,
@@ -466,6 +466,10 @@ impl ShardedLocaterService {
         request_id: Option<u64>,
     ) -> Result<(EventId, DeviceId, u64), IngestError> {
         let id = self.next_event_id.fetch_add(1, Ordering::Relaxed);
+        // An id a stored event cannot hold must not reach the log either.
+        if id >= EVENT_ID_LIMIT {
+            return Err(IngestError::InvalidEventId(id));
+        }
         if let Some(wal) = live.wal.as_mut() {
             wal.append(&WalRecord {
                 id,

@@ -9,6 +9,10 @@ pub enum EventError {
     InvalidMac(String),
     /// A timestamp was outside the acceptable range (e.g. negative at ingestion).
     InvalidTimestamp(i64),
+    /// An event id was at or above [`crate::EVENT_ID_LIMIT`].
+    InvalidEventId(u64),
+    /// An access point id did not fit the 16 bits a stored event keeps.
+    InvalidAccessPoint(u32),
     /// A validity period was non-positive.
     InvalidValidity(i64),
 }
@@ -18,6 +22,8 @@ impl fmt::Display for EventError {
         match self {
             EventError::InvalidMac(raw) => write!(f, "invalid device identifier: {raw:?}"),
             EventError::InvalidTimestamp(t) => write!(f, "invalid timestamp: {t}"),
+            EventError::InvalidEventId(id) => write!(f, "event id out of range: {id}"),
+            EventError::InvalidAccessPoint(ap) => write!(f, "access point id out of range: {ap}"),
             EventError::InvalidValidity(d) => {
                 write!(f, "invalid validity period (must be positive): {d}")
             }

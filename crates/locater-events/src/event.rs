@@ -1,6 +1,7 @@
 //! Connectivity events and per-device event sequences.
 
 use crate::clock::Timestamp;
+use crate::error::EventError;
 use crate::interval::Interval;
 use locater_space::{AccessPointId, RegionId};
 use serde::{Deserialize, Serialize};
@@ -25,35 +26,100 @@ impl fmt::Display for EventId {
     }
 }
 
+/// Exclusive upper bound of event ids: a [`StoredEvent`] keeps its id in 48
+/// bits, room for ≈ 2.8 · 10¹⁴ events ever minted.
+pub const EVENT_ID_LIMIT: u64 = 1 << 48;
+
+/// Exclusive upper bound of event timestamps: a [`StoredEvent`] keeps its
+/// timestamp, in seconds after the deployment epoch, in 32 bits (≈ 136
+/// years). Events before the epoch are refused too.
+pub const EVENT_TIME_LIMIT: Timestamp = 1 << 32;
+
 /// Compact per-device representation of an event (the device id is implied by the
-/// sequence the event is stored in).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// sequence the event is stored in): 12 bytes, holding the timestamp in 32
+/// bits, the id in 48 and the access point in 16. [`StoredEvent::try_new`]
+/// refuses values outside those ranges, so the accessors return exactly what
+/// the event was built from.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct StoredEvent {
-    /// Event identifier.
-    pub id: EventId,
-    /// Timestamp of the association event.
-    pub t: Timestamp,
-    /// Access point that logged the event.
-    pub ap: AccessPointId,
+    t: u32,
+    id_lo: u32,
+    id_hi: u16,
+    ap: u16,
 }
 
 impl StoredEvent {
     /// Creates a stored event.
+    ///
+    /// # Panics
+    /// Panics if a value is out of range (see [`StoredEvent::try_new`]);
+    /// callers holding unchecked input use `try_new`.
     pub fn new(id: EventId, t: Timestamp, ap: AccessPointId) -> Self {
-        Self { id, t, ap }
+        Self::try_new(id, t, ap).unwrap_or_else(|err| panic!("unstorable event {id}: {err}"))
+    }
+
+    /// Creates a stored event, refusing a timestamp outside
+    /// `[0, EVENT_TIME_LIMIT)`, an id at or above [`EVENT_ID_LIMIT`] and an
+    /// access point id above `u16::MAX`.
+    pub fn try_new(id: EventId, t: Timestamp, ap: AccessPointId) -> Result<Self, EventError> {
+        let t = u32::try_from(t).map_err(|_| EventError::InvalidTimestamp(t))?;
+        if id.0 >= EVENT_ID_LIMIT {
+            return Err(EventError::InvalidEventId(id.0));
+        }
+        let ap = u16::try_from(ap.raw()).map_err(|_| EventError::InvalidAccessPoint(ap.raw()))?;
+        Ok(Self {
+            t,
+            id_lo: id.0 as u32,
+            id_hi: (id.0 >> 32) as u16,
+            ap,
+        })
+    }
+
+    /// Timestamp of the association event.
+    #[inline]
+    pub fn t(&self) -> Timestamp {
+        Timestamp::from(self.t)
+    }
+
+    /// Event identifier.
+    #[inline]
+    pub fn id(&self) -> EventId {
+        EventId((u64::from(self.id_hi) << 32) | u64::from(self.id_lo))
+    }
+
+    /// Access point that logged the event.
+    #[inline]
+    pub fn ap(&self) -> AccessPointId {
+        AccessPointId::new(u32::from(self.ap))
     }
 
     /// The region this event places the device in.
     #[inline]
     pub fn region(&self) -> RegionId {
-        self.ap.region()
+        self.ap().region()
+    }
+
+    /// The `(t, id)` key sequences are sorted by.
+    #[inline]
+    fn key(&self) -> (Timestamp, EventId) {
+        (self.t(), self.id())
+    }
+}
+
+impl fmt::Debug for StoredEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StoredEvent")
+            .field("id", &self.id())
+            .field("t", &self.t())
+            .field("ap", &self.ap())
+            .finish()
     }
 }
 
 /// A time-sorted sequence of events of a single device (`E(d_i)` in the paper).
 ///
 /// The sequence is the unit the gap-detection and validity logic operates on.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventSeq {
     events: Vec<StoredEvent>,
 }
@@ -83,7 +149,7 @@ impl EventSeq {
                 StoredEvent::new(EventId::new(i as u64), t, AccessPointId::new(ap))
             })
             .collect();
-        events.sort_by_key(|e| e.t);
+        events.sort_by_key(|e| e.t());
         Self { events }
     }
 
@@ -94,10 +160,10 @@ impl EventSeq {
     /// bytes (normal ingestion assigns monotone ids, for which `(t, id)` order
     /// coincides with the old insertion order).
     pub fn push(&mut self, event: StoredEvent) {
-        let key = (event.t, event.id);
+        let key = event.key();
         match self.events.last() {
-            Some(last) if (last.t, last.id) > key => {
-                let pos = self.events.partition_point(|e| (e.t, e.id) <= key);
+            Some(last) if last.key() > key => {
+                let pos = self.events.partition_point(|e| e.key() <= key);
                 self.events.insert(pos, event);
             }
             _ => self.events.push(event),
@@ -141,19 +207,19 @@ impl EventSeq {
 
     /// Events with `t` in `[range.start, range.end)`, as a sub-slice.
     pub fn in_range(&self, range: Interval) -> &[StoredEvent] {
-        let lo = self.events.partition_point(|e| e.t < range.start);
-        let hi = self.events.partition_point(|e| e.t < range.end);
+        let lo = self.events.partition_point(|e| e.t() < range.start);
+        let hi = self.events.partition_point(|e| e.t() < range.end);
         &self.events[lo..hi]
     }
 
     /// Number of events with `t <= at`.
     pub fn partition_le(&self, at: Timestamp) -> usize {
-        self.events.partition_point(|e| e.t <= at)
+        self.events.partition_point(|e| e.t() <= at)
     }
 
     /// Number of events with `t < at`.
     pub(crate) fn partition_lt(&self, at: Timestamp) -> usize {
-        self.events.partition_point(|e| e.t < at)
+        self.events.partition_point(|e| e.t() < at)
     }
 
     /// Number of events with `t` in `[range.start, range.end)` — two
@@ -168,12 +234,12 @@ impl EventSeq {
     /// `(t − δ, t + δ)` truncated at the timestamp of the next event of the device
     /// (paper §2, Fig. 2).
     pub(crate) fn validity_interval(&self, index: usize, delta: Timestamp) -> Interval {
-        let event = &self.events[index];
+        let t = self.events[index].t();
         let end = match self.events.get(index + 1) {
-            Some(next) => next.t.min(event.t + delta),
-            None => event.t + delta,
+            Some(next) => next.t().min(t + delta),
+            None => t + delta,
         };
-        Interval::new(event.t - delta, end)
+        Interval::new(t - delta, end)
     }
 
     /// The event whose validity interval covers `at` (the latest such event if several
@@ -184,7 +250,7 @@ impl EventSeq {
         if self.events.is_empty() {
             return None;
         }
-        let pos = self.events.partition_point(|e| e.t <= at);
+        let pos = self.events.partition_point(|e| e.t() <= at);
         if pos < self.events.len() {
             let next = &self.events[pos];
             // `at` may be covered by the *next* event's backward validity.
@@ -208,9 +274,14 @@ impl EventSeq {
         }
     }
 
+    /// Releases the capacity beyond the current length.
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+    }
+
     /// Removes and returns every event with `t < cut` (a prefix), in order.
     pub fn trim_before(&mut self, cut: Timestamp) -> Vec<StoredEvent> {
-        let n = self.events.partition_point(|e| e.t < cut);
+        let n = self.events.partition_point(|e| e.t() < cut);
         if n == 0 {
             return Vec::new();
         }
@@ -231,7 +302,7 @@ impl EventSeq {
     /// Time span `[first.t, last.t]` covered by the sequence, if non-empty.
     pub fn span(&self) -> Option<Interval> {
         match (self.first(), self.last()) {
-            (Some(f), Some(l)) => Some(Interval::new(f.t, l.t + 1)),
+            (Some(f), Some(l)) => Some(Interval::new(f.t(), l.t() + 1)),
             _ => None,
         }
     }
@@ -263,7 +334,7 @@ mod tests {
     #[test]
     fn from_pairs_sorts_by_time() {
         let seq = EventSeq::from_pairs(&[(300, 1), (100, 0), (200, 2)]);
-        let ts: Vec<Timestamp> = seq.events().iter().map(|e| e.t).collect();
+        let ts: Vec<Timestamp> = seq.events().iter().map(|e| e.t()).collect();
         assert_eq!(ts, vec![100, 200, 300]);
         assert_eq!(seq.len(), 3);
         assert!(!seq.is_empty());
@@ -287,7 +358,7 @@ mod tests {
             200,
             AccessPointId::new(2),
         ));
-        let ts: Vec<Timestamp> = seq.events().iter().map(|e| e.t).collect();
+        let ts: Vec<Timestamp> = seq.events().iter().map(|e| e.t()).collect();
         assert_eq!(ts, vec![100, 200, 300]);
     }
 
@@ -296,8 +367,8 @@ mod tests {
         let seq = EventSeq::from_pairs(&[(100, 0), (200, 0), (300, 0), (400, 0)]);
         let mid = seq.in_range(Interval::new(150, 350));
         assert_eq!(mid.len(), 2);
-        assert_eq!(mid[0].t, 200);
-        assert_eq!(mid[1].t, 300);
+        assert_eq!(mid[0].t(), 200);
+        assert_eq!(mid[1].t(), 300);
         assert!(seq.in_range(Interval::new(500, 600)).is_empty());
         assert_eq!(seq.in_range(Interval::new(100, 101)).len(), 1);
     }
@@ -319,11 +390,11 @@ mod tests {
         // Covered by first event's forward validity.
         let (i, e) = seq.covering_event(1_050, delta).unwrap();
         assert_eq!(i, 0);
-        assert_eq!(e.ap, AccessPointId::new(3));
+        assert_eq!(e.ap(), AccessPointId::new(3));
         // Covered by second event's backward validity.
         let (i, e) = seq.covering_event(1_950, delta).unwrap();
         assert_eq!(i, 1);
-        assert_eq!(e.ap, AccessPointId::new(4));
+        assert_eq!(e.ap(), AccessPointId::new(4));
         // In the gap: not covered.
         assert!(seq.covering_event(1_500, delta).is_none());
         // Before all events but within backward validity of the first.
@@ -362,9 +433,9 @@ mod tests {
             ));
         }
         assert_eq!(seq.approx_bytes(), 6 * std::mem::size_of::<StoredEvent>());
-        let evicted: Vec<Timestamp> = seq.trim_before(420).iter().map(|e| e.t).collect();
+        let evicted: Vec<Timestamp> = seq.trim_before(420).iter().map(|e| e.t()).collect();
         assert_eq!(evicted, vec![10, 20, 150]);
-        let kept: Vec<Timestamp> = seq.events().iter().map(|e| e.t).collect();
+        let kept: Vec<Timestamp> = seq.events().iter().map(|e| e.t()).collect();
         assert_eq!(kept, vec![420, 421, 999]);
         // Room for half the retained length stays: 3 + 1.
         assert_eq!(seq.approx_bytes(), 4 * std::mem::size_of::<StoredEvent>());
@@ -376,8 +447,10 @@ mod tests {
     #[test]
     fn consecutive_pairs_are_adjacent() {
         let seq = EventSeq::from_pairs(&[(1, 0), (2, 0), (3, 0)]);
-        let pairs: Vec<(Timestamp, Timestamp)> =
-            seq.consecutive_pairs().map(|(a, b)| (a.t, b.t)).collect();
+        let pairs: Vec<(Timestamp, Timestamp)> = seq
+            .consecutive_pairs()
+            .map(|(a, b)| (a.t(), b.t()))
+            .collect();
         assert_eq!(pairs, vec![(1, 2), (2, 3)]);
     }
 
@@ -392,9 +465,9 @@ mod tests {
     fn in_order_pushes_append() {
         let tl = timeline(&[10, 20, 150, 420]);
         assert_eq!(tl.len(), 4);
-        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t).collect();
+        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t()).collect();
         assert_eq!(ts, vec![10, 20, 150, 420]);
-        assert_eq!(tl.last().map(|e| e.t), Some(420));
+        assert_eq!(tl.last().map(|e| e.t()), Some(420));
     }
 
     #[test]
@@ -404,13 +477,13 @@ mod tests {
         tl.push(ev(10, 20, 1));
         // A late event at an existing timestamp sorts after it by id.
         tl.push(ev(11, 250, 2));
-        let ts: Vec<(Timestamp, u64)> = tl.iter().map(|e| (e.t, e.id.0)).collect();
+        let ts: Vec<(Timestamp, u64)> = tl.iter().map(|e| (e.t(), e.id().0)).collect();
         assert_eq!(
             ts,
             vec![(10, 0), (20, 10), (150, 9), (250, 1), (250, 11), (420, 2)]
         );
         for (i, &(t, _)) in ts.iter().enumerate() {
-            assert_eq!(tl.get(i).unwrap().t, t);
+            assert_eq!(tl.get(i).unwrap().t(), t);
         }
         assert_eq!(tl.get(6), None);
         assert_eq!(tl.partition_le(250), 5);
@@ -423,7 +496,7 @@ mod tests {
     fn in_range_prunes_but_agrees_with_filter() {
         let tl = timeline(&[10, 20, 150, 420, 421, 999]);
         let window = Interval::new(15, 421);
-        let got: Vec<Timestamp> = tl.in_range(window).iter().map(|e| e.t).collect();
+        let got: Vec<Timestamp> = tl.in_range(window).iter().map(|e| e.t()).collect();
         assert_eq!(got, vec![20, 150, 420]);
         assert!(tl.in_range(Interval::new(2_000, 3_000)).is_empty());
         assert_eq!(tl.in_range(Interval::new(0, 10_000)).len(), 6);
@@ -435,9 +508,9 @@ mod tests {
         // Events 90 and 410 with δ = 50.
         let tl = timeline(&[90, 410]);
         let (idx, e) = tl.covering_event(100, 50).unwrap();
-        assert_eq!((idx, e.t), (0, 90));
+        assert_eq!((idx, e.t()), (0, 90));
         let (idx, e) = tl.covering_event(370, 50).unwrap();
-        assert_eq!((idx, e.t), (1, 410));
+        assert_eq!((idx, e.t()), (1, 410));
         assert!(tl.covering_event(250, 50).is_none());
         let gap = gap_containing(&tl, 250, 50).unwrap();
         assert_eq!((gap.prev_t, gap.next_t), (90, 410));
@@ -467,14 +540,14 @@ mod tests {
     fn trim_before_rebases_indexes_and_partition_points() {
         let mut tl = timeline(&[10, 20, 150, 420, 421, 999]);
         let evicted = tl.trim_before(420);
-        let old: Vec<Timestamp> = evicted.iter().map(|e| e.t).collect();
+        let old: Vec<Timestamp> = evicted.iter().map(|e| e.t()).collect();
         assert_eq!(old, vec![10, 20, 150]);
         assert_eq!(tl.len(), 3);
-        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t).collect();
+        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t()).collect();
         assert_eq!(ts, vec![420, 421, 999]);
         // Indexes, partition points and window scans stay consistent.
-        assert_eq!(tl.get(0).unwrap().t, 420);
-        assert_eq!(tl.get(2).unwrap().t, 999);
+        assert_eq!(tl.get(0).unwrap().t(), 420);
+        assert_eq!(tl.get(2).unwrap().t(), 999);
         assert_eq!(tl.partition_le(421), 2);
         assert_eq!(tl.partition_lt(999), 2);
         assert_eq!(tl.count_in(Interval::new(421, 1_000)), 2);
@@ -488,14 +561,52 @@ mod tests {
     }
 
     #[test]
-    fn negative_timestamps_sort_like_any_other() {
-        // Timestamps below zero (snapshot loads may carry synthetic negative
-        // probes even though ingestion rejects them) sort like any other.
-        let mut tl = timeline(&[70, -50, -250]);
-        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t).collect();
-        assert_eq!(ts, vec![-250, -50, 70]);
-        assert_eq!(tl.partition_lt(0), 2);
-        assert_eq!(tl.trim_before(-50).len(), 1);
-        assert_eq!(tl.first().map(|e| e.t), Some(-50));
+    fn timestamps_sort_across_the_stored_range() {
+        // The first and the last second a stored event can carry sort like
+        // any other, and read back exactly.
+        let last = EVENT_TIME_LIMIT - 1;
+        let mut tl = timeline(&[70, last, 0]);
+        let ts: Vec<Timestamp> = tl.iter().map(|e| e.t()).collect();
+        assert_eq!(ts, vec![0, 70, last]);
+        assert_eq!(tl.partition_lt(last), 2);
+        assert_eq!(tl.trim_before(70).len(), 1);
+        assert_eq!(tl.first().map(|e| e.t()), Some(70));
+    }
+
+    #[test]
+    fn stored_events_are_twelve_bytes_and_round_trip_their_fields() {
+        assert_eq!(std::mem::size_of::<StoredEvent>(), 12);
+        let id = EventId::new(EVENT_ID_LIMIT - 1);
+        let ap = AccessPointId::new(u32::from(u16::MAX));
+        let e = StoredEvent::try_new(id, EVENT_TIME_LIMIT - 1, ap).unwrap();
+        assert_eq!((e.id(), e.t(), e.ap()), (id, EVENT_TIME_LIMIT - 1, ap));
+        let e = ev((7 << 32) | 5, 3, 2);
+        assert_eq!(
+            (e.id(), e.t(), e.ap()),
+            (EventId::new((7 << 32) | 5), 3, AccessPointId::new(2))
+        );
+        assert_eq!(
+            format!("{e:?}"),
+            "StoredEvent { id: EventId(30064771077), t: 3, ap: AccessPointId(2) }"
+        );
+    }
+
+    #[test]
+    fn out_of_range_fields_are_refused() {
+        let (id, ap) = (EventId::new(1), AccessPointId::new(0));
+        for t in [-1, EVENT_TIME_LIMIT, i64::MAX, i64::MIN] {
+            assert_eq!(
+                StoredEvent::try_new(id, t, ap),
+                Err(EventError::InvalidTimestamp(t))
+            );
+        }
+        assert_eq!(
+            StoredEvent::try_new(EventId::new(EVENT_ID_LIMIT), 0, ap),
+            Err(EventError::InvalidEventId(EVENT_ID_LIMIT))
+        );
+        assert_eq!(
+            StoredEvent::try_new(id, 0, AccessPointId::new(1 << 16)),
+            Err(EventError::InvalidAccessPoint(1 << 16))
+        );
     }
 }

@@ -79,14 +79,14 @@ impl Gap {
 /// The gap between two *consecutive* events of one device, if their spacing exceeds
 /// `2δ`.
 pub(crate) fn gap_between(prev: &StoredEvent, next: &StoredEvent, delta: Timestamp) -> Option<Gap> {
-    if next.t - prev.t > 2 * delta {
+    if next.t() - prev.t() > 2 * delta {
         Some(Gap {
-            start: prev.t + delta,
-            end: next.t - delta,
-            prev_t: prev.t,
-            next_t: next.t,
-            start_ap: prev.ap,
-            end_ap: next.ap,
+            start: prev.t() + delta,
+            end: next.t() - delta,
+            prev_t: prev.t(),
+            next_t: next.t(),
+            start_ap: prev.ap(),
+            end_ap: next.ap(),
         })
     } else {
         None
@@ -137,7 +137,7 @@ pub fn gap_containing(seq: &EventSeq, at: Timestamp, delta: Timestamp) -> Option
         return None;
     }
     // Find the last event with t <= at and pair it with the next event.
-    let pos = events.partition_point(|e| e.t <= at);
+    let pos = events.partition_point(|e| e.t() <= at);
     if pos == 0 || pos >= events.len() {
         return None;
     }

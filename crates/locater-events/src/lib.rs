@@ -15,7 +15,10 @@
 //!   truncated at the next event of the same device.
 //! * [`EventSeq`] — one device's events (`E(d_i)`) as one array sorted by
 //!   `(t, id)`: appends, range slices, partition points and windowed counts,
-//!   each a binary search or two. The store keeps one per device.
+//!   each a binary search or two. The store keeps one per device. Each
+//!   [`StoredEvent`] is 12 bytes: a timestamp below [`EVENT_TIME_LIMIT`]
+//!   (2³² s after the epoch), an id below [`EVENT_ID_LIMIT`] (2⁴⁸) and an
+//!   access point below 2¹⁶.
 //! * [`Gap`] — a maximal period during which no event of a device is valid. Gaps are
 //!   the *missing values* the coarse-grained localization must repair
 //!   ([`gaps_in`], [`gaps_in_window`], [`gap_containing`]).
@@ -72,6 +75,6 @@ pub mod validity;
 pub use clock::{DayOfWeek, Timestamp, SECONDS_PER_DAY, SECONDS_PER_WEEK};
 pub use device::{Device, DeviceId, MacAddress};
 pub use error::EventError;
-pub use event::{EventId, EventSeq, StoredEvent};
+pub use event::{EventId, EventSeq, StoredEvent, EVENT_ID_LIMIT, EVENT_TIME_LIMIT};
 pub use gap::{gap_containing, gaps_in, gaps_in_window, Gap};
 pub use interval::Interval;

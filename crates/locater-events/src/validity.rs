@@ -58,8 +58,8 @@ pub fn estimate_delta_events<'a>(
     let mut prev: Option<&crate::event::StoredEvent> = None;
     for event in events {
         if let Some(p) = prev {
-            if p.ap == event.ap {
-                let dt = event.t - p.t;
+            if p.ap() == event.ap() {
+                let dt = event.t() - p.t();
                 if dt > 0 && dt <= cap {
                     samples.push(dt);
                 }

@@ -55,7 +55,7 @@ proptest! {
         for (i, &t) in times.iter().enumerate() {
             seq.push(StoredEvent::new(EventId::new(i as u64), t, AccessPointId::new(0)));
         }
-        let ts: Vec<i64> = seq.events().iter().map(|e| e.t).collect();
+        let ts: Vec<i64> = seq.events().iter().map(|e| e.t()).collect();
         let mut sorted = ts.clone();
         sorted.sort_unstable();
         prop_assert_eq!(ts, sorted);

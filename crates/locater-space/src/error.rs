@@ -15,6 +15,9 @@ pub enum SpaceError {
     UnknownAccessPoint(String),
     /// The space has no access points (and therefore no regions).
     EmptySpace,
+    /// The space has more access points than [`crate::MAX_ACCESS_POINTS`]:
+    /// a stored event keeps its access point id in 16 bits.
+    TooManyAccessPoints(usize),
     /// An access point covers no rooms, which would make fine localization impossible
     /// for devices connected to it.
     EmptyCoverage(String),
@@ -32,6 +35,11 @@ impl fmt::Display for SpaceError {
             SpaceError::UnknownRoom(name) => write!(f, "unknown room: {name}"),
             SpaceError::UnknownAccessPoint(name) => write!(f, "unknown access point: {name}"),
             SpaceError::EmptySpace => write!(f, "space has no access points"),
+            SpaceError::TooManyAccessPoints(count) => write!(
+                f,
+                "space has {count} access points (limit {})",
+                crate::MAX_ACCESS_POINTS
+            ),
             SpaceError::EmptyCoverage(name) => {
                 write!(f, "access point {name} covers no rooms")
             }

@@ -60,4 +60,4 @@ pub use ids::{AccessPointId, RegionId, RoomId};
 pub use metadata::SpaceMetadata;
 pub use region::Region;
 pub use room::{Room, RoomType};
-pub use space::Space;
+pub use space::{Space, MAX_ACCESS_POINTS};

@@ -8,6 +8,10 @@ use crate::room::Room;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// The most access points one [`Space`] may hold: events store their access
+/// point id in 16 bits.
+pub const MAX_ACCESS_POINTS: usize = 1 << 16;
+
 /// An immutable description of one building: its rooms, the WiFi access points
 /// deployed in it, the coverage region of each access point, and the device metadata
 /// (preferred rooms) used by LOCATER's fine-grained localization.
@@ -80,6 +84,9 @@ impl Space {
     ) -> Result<Self, SpaceError> {
         if access_points.is_empty() {
             return Err(SpaceError::EmptySpace);
+        }
+        if access_points.len() > MAX_ACCESS_POINTS {
+            return Err(SpaceError::TooManyAccessPoints(access_points.len()));
         }
         // Every id below is an index into its table: check them before any is
         // used as one, so a foreign document fails with an error, not a panic.
@@ -545,6 +552,39 @@ mod tests {
                 matches!(Space::from_json(&bad), Err(SpaceError::Metadata(_))),
                 "{from} -> {to:?} must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn more_access_points_than_an_event_can_name_are_refused() {
+        let too_many = MAX_ACCESS_POINTS + 1;
+        let err = (0..too_many)
+            .fold(SpaceBuilder::new("wide"), |builder, i| {
+                builder.add_access_point(&format!("w{i}"), &["r"])
+            })
+            .build()
+            .unwrap_err();
+        assert_eq!(err, SpaceError::TooManyAccessPoints(too_many));
+        assert_eq!(
+            err.to_string(),
+            "space has 65537 access points (limit 65536)"
+        );
+        // The JSON loader, on a hand-made document: one room, every access
+        // point covering it.
+        let aps: Vec<String> = (0..too_many)
+            .map(|i| format!(r#"{{"id":{i},"name":"w{i}"}}"#))
+            .collect();
+        let regions: Vec<String> = (0..too_many)
+            .map(|i| format!(r#"{{"id":{i},"access_point":{i},"rooms":[0]}}"#))
+            .collect();
+        let json = format!(
+            r#"{{"name":"wide","rooms":[{{"id":0,"name":"r","room_type":"Private","owners":[]}}],"room_names":[["r",0]],"access_points":[{}],"ap_names":[],"regions":[{}],"preferred":[]}}"#,
+            aps.join(","),
+            regions.join(",")
+        );
+        match Space::from_json(&json) {
+            Err(SpaceError::Metadata(msg)) => assert!(msg.contains("limit 65536"), "{msg}"),
+            other => panic!("expected the access point limit, got {other:?}"),
         }
     }
 

@@ -64,7 +64,7 @@ pub fn write_spill(
     let first_id = evicted
         .iter()
         .flat_map(|(_, events)| events)
-        .map(|event| event.id.0)
+        .map(|event| event.id().0)
         .min();
     let Some(first_id) = first_id else {
         return Ok(None);

@@ -10,8 +10,13 @@ pub enum IngestError {
     UnknownAccessPoint(String),
     /// The device identifier was invalid.
     InvalidDevice(EventError),
-    /// The timestamp was negative (events are expected after the deployment epoch).
+    /// The timestamp was outside `[0, 2³²)`: before the deployment epoch, or
+    /// past the last second a stored event can carry.
     InvalidTimestamp(i64),
+    /// The event id to draw was at or above
+    /// [`EVENT_ID_LIMIT`](locater_events::EVENT_ID_LIMIT): ids are stored in
+    /// 48 bits.
+    InvalidEventId(u64),
     /// A CSV line could not be parsed.
     Malformed {
         /// 1-based line number.
@@ -67,6 +72,7 @@ impl fmt::Display for IngestError {
             }
             IngestError::InvalidDevice(err) => write!(f, "invalid device: {err}"),
             IngestError::InvalidTimestamp(t) => write!(f, "invalid event timestamp: {t}"),
+            IngestError::InvalidEventId(id) => write!(f, "event id out of range: {id}"),
             IngestError::Malformed {
                 line,
                 column,

@@ -16,8 +16,10 @@
 //! * **a global timeline index** ([`Timeline`]) — "which devices were connected
 //!   around time `t`?" (needed to find the *neighbor devices* of the fine-grained
 //!   algorithm) is a range scan over one sorted index. These two are the only
-//!   copies of an event the store keeps — a 24-byte
-//!   [`StoredEvent`](locater_events::StoredEvent) and a 16-byte timeline entry;
+//!   copies of an event the store keeps — a 12-byte
+//!   [`StoredEvent`](locater_events::StoredEvent) and a 12-byte timeline entry
+//!   (a timestamp below 2³² s, an access point below 2¹⁶ and, in the stored
+//!   event, a 48-bit id; ingest and every decoder refuse what does not fit);
 //!   the fine step's affinity merges group a timeline slice by access point
 //!   per call instead of reading a per-AP index;
 //! * **device interning** — MAC-address strings are interned to dense
@@ -76,11 +78,11 @@
 //! // One time-sorted array per device.
 //! let timeline = store.timeline_of(d1);
 //! assert_eq!(timeline.len(), 2);
-//! assert_eq!(timeline.last().unwrap().t, 4_000);
+//! assert_eq!(timeline.last().unwrap().t(), 4_000);
 //! // Window queries binary-search the array for the window's ends.
 //! let in_window: Vec<i64> = store
 //!     .events_of_in(d1, Interval::new(0, 3_600))
-//!     .map(|e| e.t)
+//!     .map(|e| e.t())
 //!     .collect();
 //! assert_eq!(in_window, vec![100]);
 //! ```

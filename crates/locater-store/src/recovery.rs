@@ -442,6 +442,46 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_records_are_typed_replay_errors() {
+        // Frames with a valid checksum whose timestamp or id a stored event
+        // cannot hold (the WAL keeps them at full width): replay refuses
+        // them with the ingest error, never a panic or a wrapped value.
+        use locater_events::{EVENT_ID_LIMIT, EVENT_TIME_LIMIT};
+        for (id, t, expected) in [
+            (0, i64::MAX, IngestError::InvalidTimestamp(i64::MAX)),
+            (
+                0,
+                EVENT_TIME_LIMIT,
+                IngestError::InvalidTimestamp(EVENT_TIME_LIMIT),
+            ),
+            (0, -1, IngestError::InvalidTimestamp(-1)),
+            (
+                EVENT_ID_LIMIT,
+                100,
+                IngestError::InvalidEventId(EVENT_ID_LIMIT),
+            ),
+        ] {
+            let dir = temp_dir("out-of-range");
+            std::fs::remove_dir_all(&dir).ok();
+            let (mut wal, _) = ShardWal::open(&Durability::new(&dir), 0).unwrap();
+            wal.append(&WalRecord {
+                id,
+                t,
+                ap: 0,
+                mac: "aa:bb:cc:dd:ee:01".into(),
+                request_id: None,
+            })
+            .unwrap();
+            drop(wal);
+            match recover_store(&dir, EventStore::new(space())) {
+                Err(WalError::Replay(err)) => assert_eq!(err, expected),
+                other => panic!("id {id} t {t}: expected a replay error, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn a_segment_whose_header_disagrees_with_its_name_is_refused() {
         let dir = temp_dir("misnamed");
         std::fs::remove_dir_all(&dir).ok();

@@ -24,7 +24,11 @@
 //! All integers are little-endian. Each run is the device's timeline array in
 //! order, and the loader reads it into an array of exactly that length, so
 //! the round-trip is bit-identical, event ids and epoch-relevant ordering
-//! included. A run out of `(t, id)` order is [`StoreError::Corrupt`]; a run
+//! included. The record fields are wider than the 12 bytes a
+//! [`StoredEvent`] keeps, so the loader converts at the boundary: a `t`
+//! outside `[0, 2³²)`, an id at or above 2⁴⁸ (or an id counter past it) and
+//! an `ap` above `u16::MAX` are [`StoreError::Corrupt`], as is a run out of
+//! `(t, id)` order; a run
 //! longer than the bytes left is [`StoreError::Truncated`] before anything is
 //! allocated for it.
 //! The space section is the full [`Space`] form, which round-trips every id
@@ -47,7 +51,9 @@
 use crate::error::StoreError;
 use crate::store::EventStore;
 use locater_events::validity::ValidityConfig;
-use locater_events::{Device, DeviceId, EventId, EventSeq, MacAddress, StoredEvent};
+use locater_events::{
+    Device, DeviceId, EventId, EventSeq, MacAddress, StoredEvent, EVENT_ID_LIMIT,
+};
 use locater_space::{AccessPointId, Space};
 use std::path::Path;
 
@@ -160,9 +166,9 @@ pub(crate) fn encode_snapshot<'a>(
         let events = events_of(device.id);
         put_u32(&mut out, events.len() as u32);
         for event in events {
-            put_u64(&mut out, event.id.0);
-            put_i64(&mut out, event.t);
-            put_u32(&mut out, event.ap.raw());
+            put_u64(&mut out, event.id().0);
+            put_i64(&mut out, event.t());
+            put_u32(&mut out, event.ap().raw());
         }
     }
 
@@ -241,6 +247,11 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
         min_samples: d.u64()? as usize,
     };
     let next_event_id = d.u64()?;
+    if next_event_id > EVENT_ID_LIMIT {
+        return Err(StoreError::Corrupt(format!(
+            "event-id counter {next_event_id} past the id limit {EVENT_ID_LIMIT}"
+        )));
+    }
 
     let device_count = d.u32()? as usize;
     let mut devices = Vec::with_capacity(device_count.min(1 << 20));
@@ -260,18 +271,19 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
         let mut run = Decoder::new(d.take(count.saturating_mul(EVENT_LEN))?);
         let mut events = EventSeq::with_capacity(count);
         for _ in 0..count {
-            let event = StoredEvent::new(
+            let event = StoredEvent::try_new(
                 EventId::new(run.u64()?),
                 run.i64()?,
                 AccessPointId::new(run.u32()?),
-            );
+            )
+            .map_err(|err| StoreError::Corrupt(format!("device {idx}: {err}")))?;
             if events
                 .last()
-                .is_some_and(|last| (last.t, last.id) >= (event.t, event.id))
+                .is_some_and(|last| (last.t(), last.id()) >= (event.t(), event.id()))
             {
                 return Err(StoreError::Corrupt(format!(
                     "device {idx}: event {} out of (t, id) order",
-                    event.id
+                    event.id()
                 )));
             }
             events.push(event);
@@ -570,6 +582,71 @@ mod tests {
         }
         // The untouched payload still loads.
         assert!(EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)).is_ok());
+    }
+
+    #[test]
+    fn fields_a_stored_event_cannot_hold_are_corrupt() {
+        let (payload, first_run) = payload_and_first_run();
+        let record = first_run + 4;
+        // Each field of the first record, then the event-id counter, set
+        // just past what the 12-byte in-memory event keeps.
+        let patch = |at: usize, bytes: &[u8]| {
+            let mut bad = payload.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &bad))
+        };
+        let space_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+        let counter = 4 + space_len + 5 * 8;
+        assert_eq!(
+            payload[counter..counter + 8],
+            sample_store().next_event_id().to_le_bytes()
+        );
+        for (at, bytes, reason) in [
+            (
+                record + 8,
+                (-1i64).to_le_bytes().to_vec(),
+                "invalid timestamp: -1",
+            ),
+            (
+                record + 8,
+                (1i64 << 32).to_le_bytes().to_vec(),
+                "invalid timestamp: 4294967296",
+            ),
+            (
+                record + 8,
+                i64::MAX.to_le_bytes().to_vec(),
+                "invalid timestamp: 9223372036854775807",
+            ),
+            (
+                record,
+                (1u64 << 48).to_le_bytes().to_vec(),
+                "event id out of range: 281474976710656",
+            ),
+            (
+                record + 16,
+                (1u32 << 16).to_le_bytes().to_vec(),
+                "access point id out of range: 65536",
+            ),
+            (
+                counter,
+                ((1u64 << 48) + 1).to_le_bytes().to_vec(),
+                "past the id limit",
+            ),
+        ] {
+            match patch(at, &bytes) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains(reason), "{msg}"),
+                other => panic!("{reason}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // The largest values that fit load and read back exactly.
+        let mut edge = payload.clone();
+        edge[record..record + 8].copy_from_slice(&((1u64 << 48) - 1).to_le_bytes());
+        edge[counter..counter + 8].copy_from_slice(&(1u64 << 48).to_le_bytes());
+        let store = EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &edge)).unwrap();
+        let device = store.device_id("aa:bb:cc:dd:ee:01").unwrap();
+        let first = store.timeline_of(device).events()[0];
+        assert_eq!((first.id(), first.t()), (EventId::new((1 << 48) - 1), 100));
+        assert_eq!(store.to_snapshot_bytes().unwrap()[HEADER_LEN..], edge[..]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::timeline::{entry_key, NearbyDevice, Timeline, TimelineEntry};
 use locater_events::validity::{estimate_delta_events, ValidityConfig};
 use locater_events::{
     gap_containing, gaps_in, gaps_in_window, Device, DeviceId, EventId, EventSeq, Gap, Interval,
-    MacAddress, StoredEvent, Timestamp,
+    MacAddress, StoredEvent, Timestamp, EVENT_ID_LIMIT, EVENT_TIME_LIMIT,
 };
 use locater_space::{AccessPointId, RegionId, Space};
 use std::collections::HashMap;
@@ -21,6 +21,16 @@ fn csv_line_parser(line: &str, line_no: usize) -> Result<Option<RawEvent>, Inges
         return Ok(None);
     }
     parse_csv_line(line, line_no)
+}
+
+/// Refuses a timestamp a stored event cannot hold: before the deployment
+/// epoch, or 2³² s or more after it.
+fn check_timestamp(t: Timestamp) -> Result<(), IngestError> {
+    if (0..EVENT_TIME_LIMIT).contains(&t) {
+        Ok(())
+    } else {
+        Err(IngestError::InvalidTimestamp(t))
+    }
 }
 
 /// In-memory store of WiFi connectivity events for one building, organised as
@@ -146,18 +156,17 @@ impl EventStore {
 
     /// Validates a raw event without ingesting it, with exactly the checks and
     /// error order of [`EventStore::ingest_raw`] (access point, then
-    /// timestamp). The sharded service calls this before drawing a global
-    /// event id, so a rejected event never consumes an id — keeping this the
-    /// single source of truth is what guarantees sharded and single-shard
-    /// stores assign identical id sequences.
+    /// timestamp: seconds in `[0, 2³²)` after the deployment epoch). The
+    /// sharded service calls this before drawing a global event id, so a
+    /// rejected event never consumes an id — keeping this the single source
+    /// of truth is what guarantees sharded and single-shard stores assign
+    /// identical id sequences.
     pub fn validate_raw(&self, t: Timestamp, ap_name: &str) -> Result<AccessPointId, IngestError> {
         let ap = self
             .space
             .ap_id(ap_name)
             .ok_or_else(|| IngestError::UnknownAccessPoint(ap_name.to_string()))?;
-        if t < 0 {
-            return Err(IngestError::InvalidTimestamp(t));
-        }
+        check_timestamp(t)?;
         Ok(ap)
     }
 
@@ -174,31 +183,37 @@ impl EventStore {
 
     /// Ingests one event with an already-resolved access point id. Appends to the
     /// device's timeline (O(1) for in-timestamp-order arrivals).
+    ///
+    /// Refuses a timestamp outside `[0, 2³²)`, an access point the space does
+    /// not have, and — once [`EVENT_ID_LIMIT`] ids are spent — any further
+    /// event, in that order and before the device is interned.
     pub fn ingest(
         &mut self,
         mac: &str,
         t: Timestamp,
         ap: AccessPointId,
     ) -> Result<EventId, IngestError> {
-        if t < 0 {
-            return Err(IngestError::InvalidTimestamp(t));
-        }
+        check_timestamp(t)?;
         if ap.index() >= self.space.num_access_points() {
             return Err(IngestError::UnknownAccessPoint(ap.to_string()));
+        }
+        if self.next_event_id >= EVENT_ID_LIMIT {
+            return Err(IngestError::InvalidEventId(self.next_event_id));
         }
         let device = self.intern_device(mac)?;
         let id = EventId::new(self.next_event_id);
         self.next_event_id += 1;
+        let event = StoredEvent::new(id, t, ap);
         let device_timeline = &mut self.timelines[device.index()];
-        device_timeline.push(StoredEvent::new(id, t, ap));
+        device_timeline.push(event);
         // The device timeline orders its events at `t` by id; the global
         // entry takes the same rank among the device's entries at `t`.
         let rank = device_timeline
             .in_range(Interval::new(t, t + 1))
             .iter()
-            .filter(|e| e.id < id)
+            .filter(|e| e.id() < id)
             .count();
-        self.timeline.record(t, device, ap, rank);
+        self.timeline.record(device, &event, rank);
         Ok(id)
     }
 
@@ -211,7 +226,9 @@ impl EventStore {
     /// keeps event ids globally sequential across per-shard partitions by
     /// setting the owning shard's counter from one shared sequence before each
     /// append (see [`EventStore::split`]), so a rejoined store is bit-identical
-    /// to what one unpartitioned store would have produced.
+    /// to what one unpartitioned store would have produced. A pinned id at or
+    /// above [`EVENT_ID_LIMIT`] is refused by the next ingest
+    /// ([`IngestError::InvalidEventId`]), which is how WAL replay reports it.
     pub fn set_next_event_id(&mut self, next: u64) {
         self.next_event_id = next;
     }
@@ -316,9 +333,8 @@ impl EventStore {
 
     /// Overall time span `[first event, last event]` of the dataset, if non-empty.
     pub fn time_span(&self) -> Option<Interval> {
-        let first = self.timeline.range(i64::MIN / 2, i64::MAX / 2).first()?.t;
-        let last = self.timeline.range(i64::MIN / 2, i64::MAX / 2).last()?.t;
-        Some(Interval::new(first, last + 1))
+        let all = self.timeline.range(0, EVENT_TIME_LIMIT);
+        Some(Interval::new(all.first()?.t(), all.last()?.t() + 1))
     }
 
     /// The global timeline index.
@@ -391,8 +407,8 @@ impl EventStore {
             for event in self.timelines[device.id.index()].iter() {
                 rows.push(RawEvent {
                     mac: device.mac.as_str().to_string(),
-                    t: event.t,
-                    ap: self.space.access_point(event.ap).name.clone(),
+                    t: event.t(),
+                    ap: self.space.access_point(event.ap()).name.clone(),
                 });
             }
         }
@@ -403,12 +419,17 @@ impl EventStore {
     /// Builds a store by parsing CSV produced by [`EventStore::to_csv`] (or any
     /// `mac,timestamp,ap` file with a header). Streams line by line; semantic
     /// ingestion errors (unknown AP, bad MAC) are annotated with the offending
-    /// line number.
+    /// line number. The event arrays end at exact capacity, as a snapshot
+    /// load leaves them, so both loaders report the same resident bytes.
     pub fn from_csv(space: Space, csv: &str) -> Result<Self, IngestError> {
         let mut store = Self::new(space);
         for (idx, line) in csv.lines().enumerate() {
             store.ingest_parsed_line(line, idx + 1)?;
         }
+        for timeline in &mut store.timelines {
+            timeline.shrink_to_fit();
+        }
+        store.timeline.shrink_to_fit();
         Ok(store)
     }
 
@@ -474,17 +495,14 @@ impl EventStore {
         for (idx, timeline) in timelines.iter().enumerate() {
             let device = DeviceId::new(idx as u32);
             for event in timeline.iter() {
-                if event.ap.index() >= space.num_access_points() {
+                if event.ap().index() >= space.num_access_points() {
                     return Err(StoreError::Corrupt(format!(
                         "event {} references unknown access point {}",
-                        event.id, event.ap
+                        event.id(),
+                        event.ap()
                     )));
                 }
-                entries.push(TimelineEntry {
-                    t: event.t,
-                    device,
-                    ap: event.ap,
-                });
+                entries.push(TimelineEntry::of(device, event));
             }
         }
         // An unstable sort (about 2.4× faster than a stable one on a
@@ -497,10 +515,10 @@ impl EventStore {
             .chunk_by_mut(|a, b| entry_key(a) == entry_key(b))
             .filter(|run| run.len() > 1)
         {
-            let (t, device) = entry_key(&run[0]);
+            let (t, device) = (run[0].t(), run[0].device());
             let events = timelines[device.index()].in_range(Interval::new(t, t + 1));
             for (entry, event) in run.iter_mut().zip(events) {
-                entry.ap = event.ap;
+                *entry = TimelineEntry::of(device, event);
             }
         }
         let timeline = Timeline::from_canonical(entries);
@@ -566,6 +584,76 @@ mod tests {
         let mut store = EventStore::new(space());
         let err = store.ingest_raw("d1", -5, "wap1").unwrap_err();
         assert_eq!(err, IngestError::InvalidTimestamp(-5));
+    }
+
+    #[test]
+    fn out_of_range_timestamps_change_nothing() {
+        // Seconds before the epoch, or 2³² and more after it, do not fit a
+        // stored event: refused before a device is interned or an id drawn.
+        let mut store = store_with_events();
+        let before = store.clone();
+        for t in [
+            -1,
+            EVENT_TIME_LIMIT,
+            EVENT_TIME_LIMIT + 1,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let err = IngestError::InvalidTimestamp(t);
+            assert_eq!(store.validate_raw(t, "wap1").unwrap_err(), err);
+            assert_eq!(store.ingest_raw("new", t, "wap1").unwrap_err(), err);
+            assert_eq!(
+                store.ingest("d1", t, AccessPointId::new(0)).unwrap_err(),
+                err
+            );
+            let batch = [RawEvent {
+                mac: "new".into(),
+                t,
+                ap: "wap1".into(),
+            }];
+            assert_eq!(store.ingest_batch(&batch).unwrap_err(), err);
+            let csv = format!("mac,timestamp,ap\nd1,100,wap1\nnew,{t},wap1\n");
+            let csv_err = EventStore::from_csv(space(), &csv).unwrap_err();
+            assert_eq!(csv_err, err.clone().at_line(3));
+        }
+        assert_eq!(store, before);
+        // The last representable second is an ordinary event, found by a
+        // neighbour scan around it.
+        let last = EVENT_TIME_LIMIT - 1;
+        let id = store.ingest_raw("late", last, "wap2").unwrap();
+        assert_eq!(id, EventId::new(before.next_event_id()));
+        let late = store.device_id("late").unwrap();
+        let near = store.devices_near(last, 60, None);
+        assert_eq!(near.len(), 1);
+        assert_eq!((near[0].device, near[0].t), (late, last));
+        assert_eq!(store.time_span().unwrap().end, EVENT_TIME_LIMIT);
+    }
+
+    #[test]
+    fn event_ids_stop_at_the_limit() {
+        let mut store = store_with_events();
+        store.set_next_event_id(EVENT_ID_LIMIT - 1);
+        assert_eq!(
+            store.ingest_raw("d1", 500, "wap1").unwrap(),
+            EventId::new(EVENT_ID_LIMIT - 1)
+        );
+        // Every 48-bit id is spent: the next ingest is refused and interns
+        // nothing, as is one pinned past the limit (how WAL replay meets it).
+        for pinned in [EVENT_ID_LIMIT, u64::MAX] {
+            store.set_next_event_id(pinned);
+            assert_eq!(
+                store.ingest_raw("newcomer", 600, "wap1").unwrap_err(),
+                IngestError::InvalidEventId(pinned)
+            );
+            assert_eq!(store.device_id("newcomer"), None);
+        }
+        let d1 = store.device_id("d1").unwrap();
+        let last = store.timeline_of(d1).iter().map(|e| e.id()).max();
+        assert_eq!(last, Some(EventId::new(EVENT_ID_LIMIT - 1)));
+        // It survives a snapshot round trip at full width.
+        store.set_next_event_id(EVENT_ID_LIMIT);
+        let back = EventStore::from_snapshot_bytes(&store.to_snapshot_bytes().unwrap()).unwrap();
+        assert_eq!(back, store);
     }
 
     #[test]
@@ -670,7 +758,7 @@ mod tests {
         store.ingest_raw("d1", 1_000, "wap2").unwrap();
         store.ingest_raw("d1", 3_000, "wap3").unwrap();
         let d1 = store.device_id("d1").unwrap();
-        let ts: Vec<Timestamp> = store.timeline_of(d1).iter().map(|e| e.t).collect();
+        let ts: Vec<Timestamp> = store.timeline_of(d1).iter().map(|e| e.t()).collect();
         assert_eq!(ts, vec![1_000, 3_000, 5_000]);
     }
 
@@ -685,7 +773,7 @@ mod tests {
         let d1 = store.device_id("d1").unwrap();
         assert_eq!(store.timeline_of(d1).len(), 4);
         let window = Interval::new(week, 2 * week);
-        let in_window: Vec<Timestamp> = store.events_of_in(d1, window).map(|e| e.t).collect();
+        let in_window: Vec<Timestamp> = store.events_of_in(d1, window).map(|e| e.t()).collect();
         assert_eq!(in_window, vec![week + 50]);
     }
 
@@ -715,7 +803,10 @@ mod tests {
     #[test]
     fn memory_layout_is_pinned() {
         use std::mem::size_of;
-        assert_eq!(size_of::<TimelineEntry>(), 16);
+        assert_eq!(
+            (size_of::<StoredEvent>(), size_of::<TimelineEntry>()),
+            (12, 12)
+        );
         let entry_bytes = |store: &EventStore| store.num_events() * size_of::<TimelineEntry>();
 
         // Ingest grows the global timeline by doubling (5 entries in room
@@ -731,10 +822,21 @@ mod tests {
         }
         let rejoined = EventStore::rejoin(&shards).unwrap();
         assert_eq!(rejoined.timeline().approx_bytes(), entry_bytes(&rejoined));
+        // The CSV loader trims both arrays to the events they hold, so it
+        // reports the snapshot loader's resident bytes for the same events.
+        let from_csv = EventStore::from_csv(space(), &store.to_csv()).unwrap();
+        assert_eq!(
+            from_csv.approx_resident_bytes(),
+            loaded.approx_resident_bytes()
+        );
+        assert_eq!(
+            from_csv.approx_resident_bytes(),
+            store.num_events() * (size_of::<StoredEvent>() + size_of::<TimelineEntry>())
+        );
 
         // One device, three events on two APs, loaded from a snapshot. The
-        // loader sizes both copies of each event exactly: the 24-byte stored
-        // event and the 16-byte global entry.
+        // loader sizes both copies of each event exactly: the 12-byte stored
+        // event and the 12-byte global entry.
         let mut fixed = EventStore::new(space());
         fixed.ingest_raw("d1", 100, "wap1").unwrap();
         fixed.ingest_raw("d1", 200, "wap1").unwrap();
@@ -744,7 +846,7 @@ mod tests {
         let global_timeline = 3 * size_of::<TimelineEntry>();
         assert_eq!(
             (device_timeline, global_timeline),
-            (72, 48),
+            (36, 36),
             "part sizes on a 64-bit target"
         );
         assert_eq!(
@@ -802,7 +904,7 @@ mod tests {
         let mut evicted: Vec<u64> = report
             .evicted
             .iter()
-            .flat_map(|(_, events)| events.iter().map(|e| e.id.0))
+            .flat_map(|(_, events)| events.iter().map(|e| e.id().0))
             .collect();
         evicted.sort_unstable();
         assert_eq!(evicted, below);
@@ -816,7 +918,7 @@ mod tests {
             store
                 .timeline_of(device)
                 .iter()
-                .map(|e| (e.t, e.ap))
+                .map(|e| (e.t(), e.ap()))
                 .collect()
         };
         for mac in ["d1", "d2"] {
@@ -827,7 +929,7 @@ mod tests {
                 .timeline()
                 .range(i64::MIN / 2, i64::MAX / 2)
                 .iter()
-                .map(|e| (e.t, store.device(e.device).mac.to_string(), e.ap))
+                .map(|e| (e.t(), store.device(e.device()).mac.to_string(), e.ap()))
                 .collect()
         };
         assert_eq!(entries(&store), entries(&retained));

@@ -6,21 +6,50 @@
 //! connected in `[t_q − slack, t_q + slack]`, and to which AP?" with one binary search
 //! plus a short range scan.
 
-use locater_events::{Device, DeviceId, Timestamp};
+use locater_events::{Device, DeviceId, StoredEvent, Timestamp};
 use locater_space::{AccessPointId, RegionId};
-use serde::{Deserialize, Serialize};
 
 /// One entry of the global timeline: a device connected to an AP at a time
-/// (16 bytes). It carries no event id: entries of one device at one
-/// timestamp keep the order of the device's own timeline, which is by id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// (12 bytes, with the widths of a [`StoredEvent`]). It carries no event id:
+/// entries of one device at one timestamp keep the order of the device's own
+/// timeline, which is by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEntry {
+    t: u32,
+    device: DeviceId,
+    ap: u16,
+}
+
+impl TimelineEntry {
+    /// The entry of one of `device`'s events.
+    #[inline]
+    pub(crate) fn of(device: DeviceId, event: &StoredEvent) -> Self {
+        // Exact: a stored event's timestamp fits 32 bits and its access
+        // point 16.
+        Self {
+            t: event.t() as u32,
+            device,
+            ap: event.ap().raw() as u16,
+        }
+    }
+
     /// Event timestamp.
-    pub t: Timestamp,
+    #[inline]
+    pub fn t(&self) -> Timestamp {
+        Timestamp::from(self.t)
+    }
+
     /// Device that produced the event.
-    pub device: DeviceId,
+    #[inline]
+    pub fn device(&self) -> DeviceId {
+        self.device
+    }
+
     /// Access point that logged it.
-    pub ap: AccessPointId,
+    #[inline]
+    pub fn ap(&self) -> AccessPointId {
+        AccessPointId::new(u32::from(self.ap))
+    }
 }
 
 /// A device observed near a probe time, with its closest event.
@@ -50,14 +79,14 @@ pub struct NearbyDevice {
 /// (per-device partitioned stores, see [`crate::ShardedRead`]) reproduce the
 /// answers of a single store bit for bit, and what makes late/out-of-order
 /// ingest safe.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
     entries: Vec<TimelineEntry>,
 }
 
 /// The stored part of the canonical ordering key: time, then device id.
 #[inline]
-pub(crate) fn entry_key(entry: &TimelineEntry) -> (Timestamp, DeviceId) {
+pub(crate) fn entry_key(entry: &TimelineEntry) -> (u32, DeviceId) {
     (entry.t, entry.device)
 }
 
@@ -79,10 +108,10 @@ pub(crate) fn devices_near_in<'a>(
     const NO_SLOT: u32 = u32::MAX;
     let mut slot_of: Vec<u32> = Vec::new();
     for entry in window {
-        if Some(entry.device) == exclude {
+        if Some(entry.device()) == exclude {
             continue;
         }
-        let idx = entry.device.index();
+        let idx = entry.device().index();
         if idx >= slot_of.len() {
             slot_of.resize(idx + 1, NO_SLOT);
         }
@@ -90,16 +119,16 @@ pub(crate) fn devices_near_in<'a>(
             NO_SLOT => {
                 slot_of[idx] = best.len() as u32;
                 best.push(NearbyDevice {
-                    device: entry.device,
-                    ap: entry.ap,
-                    t: entry.t,
+                    device: entry.device(),
+                    ap: entry.ap(),
+                    t: entry.t(),
                 });
             }
             slot => {
                 let existing = &mut best[slot as usize];
-                if (entry.t - around).abs() < (existing.t - around).abs() {
-                    existing.ap = entry.ap;
-                    existing.t = entry.t;
+                if (entry.t() - around).abs() < (existing.t - around).abs() {
+                    existing.ap = entry.ap();
+                    existing.t = entry.t();
                 }
             }
         }
@@ -147,10 +176,10 @@ pub(crate) fn devices_online_in<'a>(
     // replicated device table.
     let mut slot_of: Vec<u32> = vec![NO_SLOT; devices.len()];
     for entry in window {
-        if Some(entry.device) == exclude {
+        if Some(entry.device()) == exclude {
             continue;
         }
-        let idx = entry.device.index();
+        let idx = entry.device().index();
         if idx >= slot_of.len() {
             slot_of.resize(idx + 1, NO_SLOT);
         }
@@ -158,7 +187,7 @@ pub(crate) fn devices_online_in<'a>(
             NO_SLOT => {
                 slot_of[idx] = candidates.len() as u32;
                 candidates.push(Candidate {
-                    device: entry.device,
+                    device: entry.device(),
                     past: None,
                     future: None,
                 });
@@ -167,12 +196,12 @@ pub(crate) fn devices_online_in<'a>(
             slot => slot as usize,
         };
         let candidate = &mut candidates[slot];
-        if entry.t <= at {
+        if entry.t() <= at {
             // Scan order is canonical, so the last such entry wins — the
             // event `partition_le` would find.
-            candidate.past = Some((entry.t, entry.ap));
+            candidate.past = Some((entry.t(), entry.ap()));
         } else if candidate.future.is_none() {
-            candidate.future = Some((entry.t, entry.ap));
+            candidate.future = Some((entry.t(), entry.ap()));
         }
     }
     candidates
@@ -219,18 +248,12 @@ impl Timeline {
         Self { entries }
     }
 
-    /// Records an event, keeping the index in canonical `(t, device, id)`
-    /// order: `rank` is the number of the device's events at `t` with a
-    /// smaller id. Appends are O(1) when events arrive in canonical order;
-    /// out-of-order backfill splices into place.
-    pub(crate) fn record(
-        &mut self,
-        t: Timestamp,
-        device: DeviceId,
-        ap: AccessPointId,
-        rank: usize,
-    ) {
-        let entry = TimelineEntry { t, device, ap };
+    /// Records one of `device`'s events, keeping the index in canonical
+    /// `(t, device, id)` order: `rank` is the number of the device's events
+    /// at `t` with a smaller id. Appends are O(1) when events arrive in
+    /// canonical order; out-of-order backfill splices into place.
+    pub(crate) fn record(&mut self, device: DeviceId, event: &StoredEvent, rank: usize) {
+        let entry = TimelineEntry::of(device, event);
         let key = entry_key(&entry);
         match self.entries.last() {
             Some(last) if entry_key(last) >= key => {
@@ -245,7 +268,7 @@ impl Timeline {
     /// and releases most of the freed capacity. Returns the number of entries
     /// removed.
     pub fn trim_before(&mut self, cut: Timestamp) -> usize {
-        let n = self.entries.partition_point(|e| e.t < cut);
+        let n = self.entries.partition_point(|e| e.t() < cut);
         if n > 0 {
             self.entries.drain(..n);
             // A trimmed index usually keeps receiving appends: shrinking to
@@ -257,6 +280,11 @@ impl Timeline {
         n
     }
 
+    /// Releases the capacity beyond the current length.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+    }
+
     /// Approximate heap footprint of the index in bytes (allocated capacity).
     pub fn approx_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<TimelineEntry>()
@@ -264,8 +292,8 @@ impl Timeline {
 
     /// All entries with `t` in `[from, to)`.
     pub fn range(&self, from: Timestamp, to: Timestamp) -> &[TimelineEntry] {
-        let lo = self.entries.partition_point(|e| e.t < from);
-        let hi = self.entries.partition_point(|e| e.t < to);
+        let lo = self.entries.partition_point(|e| e.t() < from);
+        let hi = self.entries.partition_point(|e| e.t() < to);
         &self.entries[lo..hi]
     }
 
@@ -290,6 +318,11 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locater_events::EventId;
+
+    fn event(id: u64, t: Timestamp, ap: u32) -> StoredEvent {
+        StoredEvent::new(EventId::new(id), t, AccessPointId::new(ap))
+    }
 
     fn entry(t: Timestamp, d: u32, ap: u32) -> (Timestamp, DeviceId, AccessPointId) {
         (t, DeviceId::new(d), AccessPointId::new(ap))
@@ -304,7 +337,7 @@ mod tests {
                 .iter()
                 .filter(|&&(pt, pd, pid, _)| (pt, pd) == (t, d) && pid < id)
                 .count();
-            tl.record(t, DeviceId::new(d), AccessPointId::new(ap), rank);
+            tl.record(DeviceId::new(d), &event(id, t, ap), rank);
         }
     }
 
@@ -322,7 +355,7 @@ mod tests {
     #[test]
     fn record_keeps_sorted_order() {
         let tl = timeline(&[entry(300, 0, 0), entry(100, 1, 1), entry(200, 2, 0)]);
-        let ts: Vec<Timestamp> = tl.range(0, 1_000).iter().map(|e| e.t).collect();
+        let ts: Vec<Timestamp> = tl.range(0, 1_000).iter().map(|e| e.t()).collect();
         assert_eq!(ts, vec![100, 200, 300]);
         assert_eq!(tl.len(), 3);
         assert!(!tl.is_empty());
@@ -386,7 +419,11 @@ mod tests {
         record_all(&mut backward, &reversed);
         assert_eq!(forward, backward);
         // Device 0's three events at t = 100 keep their id order (APs 0, 2, 1).
-        let aps: Vec<u32> = forward.range(0, 1_000).iter().map(|e| e.ap.raw()).collect();
+        let aps: Vec<u32> = forward
+            .range(0, 1_000)
+            .iter()
+            .map(|e| e.ap().raw())
+            .collect();
         assert_eq!(aps, vec![0, 0, 2, 1, 1]);
     }
 
@@ -396,12 +433,12 @@ mod tests {
         let mut tl = timeline(&[entry(100, 0, 0), entry(200, 1, 0), entry(300, 2, 0)]);
         tl.entries.reserve_exact(200);
         for k in 0..60 {
-            tl.record(400 + k, DeviceId::new(3), AccessPointId::new(0), 0);
+            tl.record(DeviceId::new(3), &event(100 + k as u64, 400 + k, 0), 0);
         }
         assert_eq!(tl.len(), 63);
         assert_eq!(tl.trim_before(200), 1);
         assert_eq!(tl.len(), 62);
-        assert_eq!(tl.range(0, 1_000).first().unwrap().t, 200);
+        assert_eq!(tl.range(0, 1_000).first().unwrap().t(), 200);
         // A partial trim keeps room for half the retained length, so the
         // next append does not double the array.
         assert_eq!(tl.approx_bytes(), (62 + 62 / 2) * entry_bytes);

@@ -40,7 +40,7 @@ proptest! {
         for device in store.devices() {
             let timeline = store.timeline_of(device.id);
             total += timeline.len();
-            let keys: Vec<_> = timeline.iter().map(|e| (e.t, e.id)).collect();
+            let keys: Vec<_> = timeline.iter().map(|e| (e.t(), e.id())).collect();
             let mut sorted = keys.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&keys, &sorted);
@@ -63,12 +63,12 @@ proptest! {
             let all: Vec<_> = timeline.iter().copied().collect();
             let expect_events: Vec<i64> = all
                 .iter()
-                .filter(|e| e.t >= window.start && e.t < window.end)
-                .map(|e| e.t)
+                .filter(|e| e.t() >= window.start && e.t() < window.end)
+                .map(|e| e.t())
                 .collect();
             let got_events: Vec<i64> = store
                 .events_of_in(device.id, window)
-                .map(|e| e.t)
+                .map(|e| e.t())
                 .collect();
             prop_assert_eq!(got_events, expect_events);
 
@@ -330,15 +330,15 @@ proptest! {
             .flat_map(|(device, events)| events.iter().map(move |e| (*device, *e)))
             .collect();
         prop_assert_eq!(evicted.len(), report.evicted_events);
-        prop_assert!(evicted.iter().all(|(_, e)| e.t < report.cut));
+        prop_assert!(evicted.iter().all(|(_, e)| e.t() < report.cut));
         let mut removed: Vec<_> = full
             .devices()
             .iter()
             .flat_map(|d| full.timeline_of(d.id).iter().map(move |e| (d.id, *e)))
-            .filter(|(d, e)| !store.timeline_of(*d).iter().any(|kept| kept.id == e.id))
+            .filter(|(d, e)| !store.timeline_of(*d).iter().any(|kept| kept.id() == e.id()))
             .collect();
-        evicted.sort_by_key(|(_, e)| e.id);
-        removed.sort_by_key(|(_, e)| e.id);
+        evicted.sort_by_key(|(_, e)| e.id());
+        removed.sort_by_key(|(_, e)| e.id());
         prop_assert_eq!(&evicted, &removed);
 
         // The spill is a snapshot of exactly those events.
@@ -451,7 +451,7 @@ fn reference_near(view: &dyn EventRead, t: i64, slack: i64) -> Vec<NearbyDevice>
             continue;
         };
         let nearest = events.fold(first, |best, &e| {
-            if (e.t - t).abs() < (best.t - t).abs() {
+            if (e.t() - t).abs() < (best.t() - t).abs() {
                 e
             } else {
                 best
@@ -459,10 +459,10 @@ fn reference_near(view: &dyn EventRead, t: i64, slack: i64) -> Vec<NearbyDevice>
         });
         let near = NearbyDevice {
             device: device.id,
-            ap: nearest.ap,
-            t: nearest.t,
+            ap: nearest.ap(),
+            t: nearest.t(),
         };
-        found.push((first.t, near));
+        found.push((first.t(), near));
     }
     found.sort_by_key(|&(first_t, near)| (first_t, near.device));
     found.into_iter().map(|(_, near)| near).collect()
@@ -477,7 +477,7 @@ fn reference_online(view: &dyn EventRead, t: i64) -> Vec<(DeviceId, RegionId)> {
     for device in view.devices() {
         if let Some((_, event)) = view.covering_event(device.id, t) {
             let first = view.events_of_in(device.id, window).next();
-            let first_t = first.expect("a covering event lies within max δ").t;
+            let first_t = first.expect("a covering event lies within max δ").t();
             found.push((first_t, device.id, event.region()));
         }
     }

@@ -980,7 +980,8 @@ mod tests {
         assert!(stats_out.contains("devices"));
         assert!(stats_out.contains("gaps to clean"));
         assert!(!stats_out.contains("co-location"));
-        assert!(stats_out.contains(" B/event)"));
+        // Two 12-byte copies of each event, at exact capacity.
+        assert!(stats_out.contains("(24.0 B/event)"), "{stats_out}");
 
         // Locate the first device found in the events file at its first event time:
         // always answerable.
@@ -1086,7 +1087,7 @@ mod tests {
             run(&["snapshot".into(), "load".into(), snap.clone()]).expect("snapshot load succeeds");
         assert!(loaded.contains("events"));
         assert!(!loaded.contains("co-location"));
-        assert!(loaded.contains("resident: ") && loaded.contains(" B/event)"));
+        assert!(loaded.contains("resident: ") && loaded.contains("(24.0 B/event)"));
 
         // Serving straight from the snapshot answers queries without the CSV.
         let csv = std::fs::read_to_string(&events).unwrap();
@@ -1243,14 +1244,14 @@ mod tests {
         for (_, path) in &spills {
             let spill = EventStore::load_snapshot(path).unwrap();
             for device in spill.devices() {
-                spilled_ids.extend(spill.timeline_of(device.id).iter().map(|e| e.id));
+                spilled_ids.extend(spill.timeline_of(device.id).iter().map(|e| e.id()));
             }
         }
         spilled_ids.sort();
         let mut expected: Vec<_> = first
             .devices()
             .iter()
-            .flat_map(|d| first.timeline_of(d.id).iter().map(|e| e.id))
+            .flat_map(|d| first.timeline_of(d.id).iter().map(|e| e.id()))
             .chain([late])
             .collect();
         expected.sort();

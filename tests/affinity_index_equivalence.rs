@@ -95,11 +95,12 @@ fn scanned_affinity(store: &dyn EventRead, devices: &[DeviceId], until: i64, win
         let delta = store.delta(device);
         for event in store.events_of_in(device, window) {
             total += 1;
-            let near = Interval::new(event.t - delta, event.t + delta + 1);
-            let all_present = devices
-                .iter()
-                .filter(|&&d| d != device)
-                .all(|&other| store.events_of_in(other, near).any(|e| e.ap == event.ap));
+            let near = Interval::new(event.t() - delta, event.t() + delta + 1);
+            let all_present = devices.iter().filter(|&&d| d != device).all(|&other| {
+                store
+                    .events_of_in(other, near)
+                    .any(|e| e.ap() == event.ap())
+            });
             intersecting += usize::from(all_present);
         }
     }

@@ -257,7 +257,7 @@ fn verify_recovery(dir: &Path, storm: &Storm, label: &str) {
                     end: *t + 1,
                 },
             )
-            .filter(|e| e.t == *t)
+            .filter(|e| e.t() == *t)
             .count();
         assert_eq!(
             hits, 1,
@@ -276,7 +276,7 @@ fn verify_recovery(dir: &Path, storm: &Storm, label: &str) {
                     end: *t + 1,
                 },
             )
-            .filter(|e| e.t == *t)
+            .filter(|e| e.t() == *t)
             .count();
         assert!(
             hits <= 1,

@@ -254,10 +254,14 @@ fn events_of(store: &EventStore) -> Vec<(u64, String, i64, u32)> {
         .devices()
         .iter()
         .flat_map(|device| {
-            store
-                .timeline_of(device.id)
-                .iter()
-                .map(|e| (e.id.0, device.mac.as_str().to_string(), e.t, e.ap.raw()))
+            store.timeline_of(device.id).iter().map(|e| {
+                (
+                    e.id().0,
+                    device.mac.as_str().to_string(),
+                    e.t(),
+                    e.ap().raw(),
+                )
+            })
         })
         .collect();
     events.sort();

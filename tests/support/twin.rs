@@ -577,7 +577,7 @@ fn run(axes: &Axes, seed: u64) -> Tally {
                 for request in requests {
                     let device = uncut.device_id(request.mac.as_deref().unwrap_or_default());
                     let times: Vec<i64> = device
-                        .map(|device| uncut.timeline_of(device).iter().map(|e| e.t).collect())
+                        .map(|device| uncut.timeline_of(device).iter().map(|e| e.t()).collect())
                         .unwrap_or_default();
                     if !in_scope(&times, request.t, cut, HISTORY) {
                         continue;

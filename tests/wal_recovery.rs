@@ -153,6 +153,88 @@ fn rejected_ingests_reach_neither_the_log_nor_the_store() {
     }
 }
 
+#[test]
+fn out_of_range_timestamps_draw_no_id_and_reach_no_log() {
+    // A stored event keeps t in 32 bits. Every ingest path refuses a t
+    // outside [0, 2³²) before it draws an id or appends a frame: the next
+    // accepted event takes the id the refused ones would have, and a reboot
+    // replays exactly the accepted events.
+    use locater::events::EVENT_TIME_LIMIT;
+    use locater::store::RawEvent;
+    const NEWCOMER: &str = "bb:00:00:00:00:09";
+    for shards in [1usize, 3] {
+        let dir = scratch("out-of-range");
+        let (service, _) = ShardedLocaterService::with_durability(
+            EventStore::new(space()),
+            LocaterConfig::default(),
+            shards,
+            durability(&dir),
+        )
+        .expect("durable boot");
+        let state = ServerState::new(service, None);
+        let service = state.service();
+        let mut accepted = Vec::new();
+        for (i, t) in [-1, EVENT_TIME_LIMIT, i64::MAX].into_iter().enumerate() {
+            let gauges = || {
+                (
+                    service.wal_status().expect("durable").frames,
+                    service.num_events(),
+                )
+            };
+            let before = gauges();
+            let expected = IngestError::InvalidTimestamp(t);
+            // A known device (after the first round) and one never seen.
+            for mac in [MACS[0], NEWCOMER] {
+                let tagged = service.ingest_tagged(mac, t, "wap0", Some(i as u64));
+                assert_eq!(tagged.unwrap_err(), expected, "{mac} {t}");
+                let batch = [RawEvent {
+                    mac: mac.into(),
+                    t,
+                    ap: "wap0".into(),
+                }];
+                assert_eq!(service.ingest_batch(&batch).unwrap_err(), expected);
+                let wire = state.execute(&WireRequest::Ingest {
+                    mac: mac.into(),
+                    t,
+                    ap: "wap0".into(),
+                    request_id: Some(100 + i as u64),
+                });
+                let WireResponse::Error(err) = wire else {
+                    panic!("{mac} {t}: expected an error, got {wire:?}");
+                };
+                assert!(err.to_string().contains(&expected.to_string()), "{err}");
+            }
+            assert_eq!(gauges(), before, "t {t} (shards={shards})");
+            assert_eq!(service.device_id(NEWCOMER), None, "nothing interned");
+            let event = (
+                MACS[0].to_string(),
+                2_000 + 60 * i as i64,
+                "wap0".to_string(),
+            );
+            let id = service.ingest(&event.0, event.1, &event.2).unwrap();
+            assert_eq!(id, EventId::new(accepted.len() as u64), "no id drawn");
+            accepted.push(event);
+        }
+        assert_eq!(service.wal_status().unwrap().frames, accepted.len() as u64);
+        drop(state); // crash
+
+        let (rebooted, report) = ShardedLocaterService::with_durability(
+            EventStore::new(space()),
+            LocaterConfig::default(),
+            shards,
+            durability(&dir),
+        )
+        .expect("reboot");
+        assert_eq!(report.replayed, accepted.len() as u64);
+        assert_eq!(
+            rebooted.store_snapshot().to_snapshot_bytes().unwrap(),
+            reference_bytes(shards, &accepted),
+            "exactly the accepted ingests replay (shards={shards})"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Every durable harness run crashes again after a reboot: the second
 /// reboot recovers the first one's boot checkpoint plus the new tail.
 #[test]
