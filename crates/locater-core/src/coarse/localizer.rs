@@ -24,7 +24,7 @@ use crate::coarse::features::{connection_densities, GapFeatures};
 use crate::error::LocaterError;
 use locater_events::clock::{self, Timestamp};
 use locater_events::{DeviceId, Gap, Interval, StoredEvent};
-use locater_learn::{Dataset, SelfTrainingClassifier, SelfTrainingConfig, TrainConfig};
+use locater_learn::{Dataset, SelfTrainingClassifier, SelfTrainingConfig};
 use locater_space::RegionId;
 use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
@@ -66,16 +66,7 @@ impl Default for CoarseConfig {
             region_tau_high: clock::minutes(40),
             history: clock::weeks(8),
             max_training_gaps: 600,
-            self_training: SelfTrainingConfig {
-                train: TrainConfig {
-                    epochs: 80,
-                    ..TrainConfig::default()
-                },
-                // The paper promotes one gap per round; batching keeps query latency
-                // practical on large histories without changing the fixed point much.
-                promote_per_round: 20,
-                max_rounds: 400,
-            },
+            self_training: SelfTrainingConfig::default(),
         }
     }
 }

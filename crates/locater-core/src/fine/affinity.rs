@@ -464,7 +464,7 @@ impl ApRuns {
 /// Precomputed query-side state for the pairwise device affinities of one
 /// `locate` call.
 ///
-/// Algorithm 2 evaluates `α({d, n})` for up to `max_neighbors` neighbors `n`
+/// Algorithm 2 evaluates `α({d, n})` for up to 25 neighbors `n`
 /// with the *same* queried device `d`, history window, and δ. The session
 /// groups `d`'s events near the window by access point once (an owned
 /// `ApRuns`), so each neighbor costs only one pass over its own contiguous

@@ -38,6 +38,15 @@ use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// Maximum number of neighbor devices processed per query.
+const MAX_NEIGHBORS: usize = 25;
+/// Per-device group affinity assumed in the least-favourable possible world when
+/// computing `minP` (Theorem 2 bound).
+const MIN_UNPROCESSED_AFFINITY: f64 = 0.05;
+/// Per-device group affinity assumed in the most-favourable possible world when
+/// computing `maxP` (Theorem 1 bound).
+const MAX_UNPROCESSED_AFFINITY: f64 = 0.8;
+
 /// Which variant of Algorithm 2 to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum FineMode {
@@ -68,8 +77,6 @@ pub struct FineConfig {
     /// History window (ending at the query time) over which device affinities are
     /// computed. Default: 3 weeks (where Fig. 8 shows the fine precision plateaus).
     pub affinity_window: Timestamp,
-    /// Maximum number of neighbor devices processed per query.
-    pub max_neighbors: usize,
     /// Minimum pairwise device affinity a neighbor must have with the queried device
     /// for its group affinity to be folded into the posterior. Devices below the
     /// threshold are effectively not neighbors (the paper requires a strictly positive
@@ -90,12 +97,6 @@ pub struct FineConfig {
     /// Whether to use the loosened early-stop conditions of §4.2. Disabling them makes
     /// the algorithm process every neighbor (the "no stop condition" line of Fig. 11).
     pub use_stop_conditions: bool,
-    /// Per-device group-affinity assumed in the least-favourable possible world when
-    /// computing `minP` (Theorem 2 bound).
-    pub min_unprocessed_affinity: f64,
-    /// Per-device group-affinity assumed in the most-favourable possible world when
-    /// computing `maxP` (Theorem 1 bound).
-    pub max_unprocessed_affinity: f64,
 }
 
 impl Default for FineConfig {
@@ -104,13 +105,10 @@ impl Default for FineConfig {
             weights: RoomAffinityWeights::default(),
             mode: FineMode::Independent,
             affinity_window: clock::weeks(3),
-            max_neighbors: 25,
             min_pair_affinity: 0.2,
             max_contributors: 2,
             evidence_weight: 0.3,
             use_stop_conditions: true,
-            min_unprocessed_affinity: 0.05,
-            max_unprocessed_affinity: 0.8,
         }
     }
 }
@@ -253,7 +251,7 @@ impl FineLocalizer {
         }
 
         order_neighbors(&mut neighbors, preferred_order);
-        neighbors.truncate(self.config.max_neighbors);
+        neighbors.truncate(MAX_NEIGHBORS);
 
         // The contribution gate, one per query: a neighbor's pair affinity
         // (the cached value, else computed through the queried device's
@@ -349,14 +347,14 @@ impl FineLocalizer {
                     let leader_bounds = PosteriorBounds::compute(
                         &posteriors[leader],
                         remaining,
-                        self.config.min_unprocessed_affinity,
-                        self.config.max_unprocessed_affinity,
+                        MIN_UNPROCESSED_AFFINITY,
+                        MAX_UNPROCESSED_AFFINITY,
                     );
                     let runner_bounds = PosteriorBounds::compute(
                         &posteriors[runner_up],
                         remaining,
-                        self.config.min_unprocessed_affinity,
-                        self.config.max_unprocessed_affinity,
+                        MIN_UNPROCESSED_AFFINITY,
+                        MAX_UNPROCESSED_AFFINITY,
                     );
                     if stop_condition_met(&leader_bounds, &runner_bounds) {
                         stopped_early = true;
@@ -796,20 +794,22 @@ mod tests {
     fn max_neighbors_caps_processing() {
         let mut store = EventStore::new(space());
         store.ingest_raw("d1", 1_000, "wap3").unwrap();
-        for i in 0..30 {
+        for i in 0..MAX_NEIGHBORS + 5 {
             store.ingest_raw(&format!("n{i}"), 1_000, "wap3").unwrap();
         }
         let d1 = store.device_id("d1").unwrap();
         let g3 = store.space().ap_id("wap3").unwrap().region();
         let localizer = FineLocalizer::new(FineConfig {
-            max_neighbors: 5,
-            max_contributors: 16,
             use_stop_conditions: false,
             ..FineConfig::default()
         });
+        assert_eq!(
+            localizer.candidate_neighbors(&store, d1, 1_000, g3).len(),
+            MAX_NEIGHBORS + 5
+        );
         let out = localizer.locate(&store, d1, 1_000, g3, None);
-        assert_eq!(out.neighbors_considered, 5);
-        assert_eq!(out.neighbors_processed, 5);
+        assert_eq!(out.neighbors_considered, MAX_NEIGHBORS);
+        assert_eq!(out.neighbors_processed, MAX_NEIGHBORS);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! We do not know the exact group affinity an unprocessed device will contribute until
 //! we process it (computing it requires a history scan), so the bounds are evaluated
-//! with configurable per-device extremes: `max_unprocessed_affinity` for the
-//! most-favourable world and `min_unprocessed_affinity` for the least-favourable one.
+//! with assumed per-device extremes: a high affinity (0.8 in Algorithm 2) for the
+//! most-favourable world and a low one (0.05) for the least-favourable one.
 //! The resulting `min ≤ expected ≤ max` envelope is what the loosened stop conditions
 //! of §4.2 compare.
 

@@ -46,14 +46,14 @@
 //! reconnection rhythm:
 //!
 //! ```
-//! use locater_events::validity::{estimate_delta_events, ValidityConfig};
+//! use locater_events::validity::estimate_delta_events;
 //! use locater_events::EventSeq;
 //!
 //! // A device reconnecting every 5 minutes on the same AP...
 //! let pairs: Vec<(i64, u32)> = (0..20).map(|i| (i * 300, 0)).collect();
 //! let seq = EventSeq::from_pairs(&pairs);
-//! // ...earns a 5-minute validity period (clamped to the configured bounds).
-//! let delta = estimate_delta_events(seq.events(), &ValidityConfig::default());
+//! // ...earns a 5-minute validity period (clamped to [2 min, 30 min]).
+//! let delta = estimate_delta_events(seq.events());
 //! assert_eq!(delta, 300);
 //! // An instant shortly after an event is covered by it; instants past the
 //! // last event's validity are not.

@@ -19,10 +19,10 @@
 //!   batch gradient descent with L2 regularization; binary classification is the
 //!   two-class special case.
 //! * [`SelfTrainingClassifier`] — Algorithm 1, generic over the number of classes,
-//!   with a configurable promotion batch size for large datasets.
+//!   promoting a fixed batch of samples per round for large datasets.
 //!
 //! ```
-//! use locater_learn::{Dataset, LogisticRegression, TrainConfig};
+//! use locater_learn::{Dataset, LogisticRegression};
 //!
 //! // A linearly separable toy problem: class = (x0 + x1 > 1.0).
 //! let mut data = Dataset::new(2, 2);
@@ -31,7 +31,7 @@
 //!     let x1 = (i / 10) as f64 / 4.0;
 //!     data.push(vec![x0, x1], if x0 + x1 > 1.0 { 1 } else { 0 });
 //! }
-//! let model = LogisticRegression::fit(&data, &TrainConfig::default()).unwrap();
+//! let model = LogisticRegression::fit(&data).unwrap();
 //! assert_eq!(model.predict(&[0.9, 0.9]).label, 1);
 //! assert_eq!(model.predict(&[0.1, 0.1]).label, 0);
 //! ```
@@ -47,6 +47,6 @@ mod semi;
 
 pub use dataset::Dataset;
 pub use error::LearnError;
-pub use logistic::{LogisticRegression, Prediction, TrainConfig};
+pub use logistic::{LogisticRegression, Prediction};
 pub use scaler::StandardScaler;
 pub use semi::{SelfTrainingClassifier, SelfTrainingConfig, SelfTrainingReport};

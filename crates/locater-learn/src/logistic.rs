@@ -14,32 +14,14 @@ use crate::error::LearnError;
 use crate::scaler::StandardScaler;
 use serde::{Deserialize, Serialize};
 
-/// Hyper-parameters for gradient-descent training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrainConfig {
-    /// Learning rate. Default 0.1.
-    pub learning_rate: f64,
-    /// Number of full-batch epochs. Default 200.
-    pub epochs: usize,
-    /// L2 regularization strength. Default 1e-3.
-    pub l2: f64,
-    /// Whether to fit a [`StandardScaler`] on the training data. Default `true`.
-    pub standardize: bool,
-    /// Early-stopping tolerance on the training loss improvement. Default 1e-7.
-    pub tolerance: f64,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self {
-            learning_rate: 0.1,
-            epochs: 200,
-            l2: 1e-3,
-            standardize: true,
-            tolerance: 1e-7,
-        }
-    }
-}
+/// Gradient-descent step size.
+const LEARNING_RATE: f64 = 0.1;
+/// Upper bound on the number of full-batch epochs.
+const EPOCHS: usize = 80;
+/// L2 regularization strength.
+const L2: f64 = 1e-3;
+/// Training stops early once an epoch improves the mean loss by less than this.
+const TOLERANCE: f64 = 1e-7;
 
 /// Result of classifying one feature vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,18 +64,17 @@ pub struct LogisticRegression {
 }
 
 impl LogisticRegression {
-    /// Trains a model on `data` with the given configuration.
-    pub fn fit(data: &Dataset, config: &TrainConfig) -> Result<Self, LearnError> {
+    /// Trains a model on `data`: features standardized by a [`StandardScaler`]
+    /// fitted on it, then up to 80 full-batch epochs of gradient descent
+    /// (learning rate 0.1, L2 strength 10⁻³), stopping early once an epoch
+    /// improves the mean loss by less than 10⁻⁷.
+    pub fn fit(data: &Dataset) -> Result<Self, LearnError> {
         if data.is_empty() {
             return Err(LearnError::EmptyDataset);
         }
         let nf = data.num_features();
         let nc = data.num_classes();
-        let scaler = if config.standardize {
-            StandardScaler::fit(data)
-        } else {
-            StandardScaler::identity(nf)
-        };
+        let scaler = StandardScaler::fit(data);
 
         // Every epoch reads the same standardized rows: transform them once.
         let mut scaled = Vec::with_capacity(data.len() * nf);
@@ -112,7 +93,7 @@ impl LogisticRegression {
         let mut probs = vec![0.0; BLOCK * nc];
         let mut prev_loss = f64::INFINITY;
 
-        for _ in 0..config.epochs {
+        for _ in 0..EPOCHS {
             grad_w.iter_mut().for_each(|g| *g = 0.0);
             grad_b.iter_mut().for_each(|g| *g = 0.0);
             let mut loss = 0.0;
@@ -151,13 +132,13 @@ impl LogisticRegression {
             }
             // L2 penalty and parameter update.
             for (w, g) in weights.iter_mut().zip(&grad_w) {
-                *w -= config.learning_rate * (g / n + config.l2 * *w);
+                *w -= LEARNING_RATE * (g / n + L2 * *w);
             }
             for (b, g) in biases.iter_mut().zip(&grad_b) {
-                *b -= config.learning_rate * (g / n);
+                *b -= LEARNING_RATE * (g / n);
             }
             let avg_loss = loss / n;
-            if (prev_loss - avg_loss).abs() < config.tolerance {
+            if (prev_loss - avg_loss).abs() < TOLERANCE {
                 break;
             }
             prev_loss = avg_loss;
@@ -315,7 +296,7 @@ mod tests {
     #[test]
     fn learns_a_separable_binary_problem() {
         let data = separable_binary();
-        let model = LogisticRegression::fit(&data, &TrainConfig::default()).unwrap();
+        let model = LogisticRegression::fit(&data).unwrap();
         assert!(model.accuracy(&data) > 0.95);
         assert_eq!(model.predict(&[0.2, 0.3]).label, 0);
         assert_eq!(model.predict(&[2.5, 0.7]).label, 1);
@@ -332,7 +313,7 @@ mod tests {
             d.push(vec![5.0 + jitter, 0.0], 1);
             d.push(vec![0.0 + jitter, 5.0], 2);
         }
-        let model = LogisticRegression::fit(&d, &TrainConfig::default()).unwrap();
+        let model = LogisticRegression::fit(&d).unwrap();
         assert!(model.accuracy(&d) > 0.95);
         assert_eq!(model.predict(&[0.1, 0.1]).label, 0);
         assert_eq!(model.predict(&[5.1, 0.2]).label, 1);
@@ -342,7 +323,7 @@ mod tests {
     #[test]
     fn probabilities_sum_to_one() {
         let data = separable_binary();
-        let model = LogisticRegression::fit(&data, &TrainConfig::default()).unwrap();
+        let model = LogisticRegression::fit(&data).unwrap();
         let p = model.predict_proba(&[1.0, 0.5]);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -352,7 +333,7 @@ mod tests {
     fn empty_dataset_is_rejected() {
         let d = Dataset::new(2, 2);
         assert_eq!(
-            LogisticRegression::fit(&d, &TrainConfig::default()).unwrap_err(),
+            LogisticRegression::fit(&d).unwrap_err(),
             LearnError::EmptyDataset
         );
     }
@@ -363,14 +344,14 @@ mod tests {
         for i in 0..10 {
             d.push(vec![i as f64], 1);
         }
-        let model = LogisticRegression::fit(&d, &TrainConfig::default()).unwrap();
+        let model = LogisticRegression::fit(&d).unwrap();
         assert_eq!(model.predict(&[3.0]).label, 1);
     }
 
     #[test]
     fn prediction_confidence_and_variance() {
         let data = separable_binary();
-        let model = LogisticRegression::fit(&data, &TrainConfig::default()).unwrap();
+        let model = LogisticRegression::fit(&data).unwrap();
         let sure = model.predict(&[3.0, 0.7]);
         let unsure = model.predict(&[1.2, 0.5]);
         assert!(sure.confidence() > unsure.confidence());
@@ -388,19 +369,16 @@ mod tests {
         let mut d = Dataset::new(1, 2);
         d.push(vec![f64::NAN], 0);
         d.push(vec![1.0], 1);
-        let config = TrainConfig {
-            standardize: false,
-            ..TrainConfig::default()
-        };
         assert_eq!(
-            LogisticRegression::fit(&d, &config).unwrap_err(),
+            LogisticRegression::fit(&d).unwrap_err(),
             LearnError::Diverged
         );
     }
 
     /// The fit loop as it stood before rows were standardized once and the max
-    /// logit's `exp` was skipped; `fit` must reproduce it bit for bit.
-    fn fit_reference(data: &Dataset, config: &TrainConfig) -> LogisticRegression {
+    /// logit's `exp` was skipped; `fit` must reproduce it bit for bit. Also
+    /// returns the number of epochs run.
+    fn fit_reference(data: &Dataset) -> (LogisticRegression, usize) {
         fn softmax_into(w: &[f64], b: &[f64], x: &[f64], nf: usize, nc: usize, out: &mut [f64]) {
             let mut max_logit = f64::NEG_INFINITY;
             for c in 0..nc {
@@ -422,11 +400,7 @@ mod tests {
         }
         let nf = data.num_features();
         let nc = data.num_classes();
-        let scaler = if config.standardize {
-            StandardScaler::fit(data)
-        } else {
-            StandardScaler::identity(nf)
-        };
+        let scaler = StandardScaler::fit(data);
 
         let n = data.len() as f64;
         let mut weights = vec![0.0; nc * nf];
@@ -436,8 +410,10 @@ mod tests {
         let mut probs = vec![0.0; nc];
         let mut scaled_row = vec![0.0; nf];
         let mut prev_loss = f64::INFINITY;
+        let mut epochs = 0;
 
-        for _ in 0..config.epochs {
+        for _ in 0..EPOCHS {
+            epochs += 1;
             grad_w.iter_mut().for_each(|g| *g = 0.0);
             grad_b.iter_mut().for_each(|g| *g = 0.0);
             let mut loss = 0.0;
@@ -460,25 +436,26 @@ mod tests {
 
             assert!(loss.is_finite());
             for (w, g) in weights.iter_mut().zip(&grad_w) {
-                *w -= config.learning_rate * (g / n + config.l2 * *w);
+                *w -= LEARNING_RATE * (g / n + L2 * *w);
             }
             for (b, g) in biases.iter_mut().zip(&grad_b) {
-                *b -= config.learning_rate * (g / n);
+                *b -= LEARNING_RATE * (g / n);
             }
             let avg_loss = loss / n;
-            if (prev_loss - avg_loss).abs() < config.tolerance {
+            if (prev_loss - avg_loss).abs() < TOLERANCE {
                 break;
             }
             prev_loss = avg_loss;
         }
 
-        LogisticRegression {
+        let model = LogisticRegression {
             num_features: nf,
             num_classes: nc,
             weights,
             biases,
             scaler,
-        }
+        };
+        (model, epochs)
     }
 
     /// `rows` rows of three varying features, one constant column (σ < 1e-12,
@@ -513,62 +490,51 @@ mod tests {
     }
 
     /// Production's gap features are 8 wide; the row counts cover less than
-    /// one block of four and every remainder of a block.
+    /// one block of four and every remainder of a block. Every `overlapping`
+    /// run takes all the epochs; one class-balanced set of identical rows
+    /// (gradient zero from the first epoch on) stops at the tolerance.
     #[test]
     fn fit_matches_the_reference_loop_bit_for_bit() {
-        for (features, classes, rows) in (2..=5)
+        let (mut stopped_early, mut ran_to_the_end) = (0, 0);
+        let mut identical = Dataset::new(8, 2);
+        for i in 0..42 {
+            identical.push(vec![1.5; 8], i % 2);
+        }
+        let cases = (2..=5)
             .flat_map(|classes| [(4, classes, 40), (8, classes, 3)])
             .chain((40..=43).map(|rows| (8, 3, rows)))
             .chain([(8, 5, 42), (8, 2, 43)])
-        {
-            let data = overlapping(features, classes, rows);
-            for standardize in [true, false] {
-                // Unscaled features of this size need a small step to stay finite.
-                let learning_rate = if standardize { 0.1 } else { 1e-8 };
-                let run_to_the_end = TrainConfig {
-                    standardize,
-                    learning_rate,
-                    epochs: 80,
-                    tolerance: 0.0,
-                    ..TrainConfig::default()
-                };
-                let stops_early = TrainConfig {
-                    tolerance: 1e-2,
-                    ..run_to_the_end
-                };
-                let case = format!("{features} features, {classes} classes, {rows} rows, standardize {standardize}");
-                let full = LogisticRegression::fit(&data, &run_to_the_end).unwrap();
-                let reference = fit_reference(&data, &run_to_the_end);
-                assert_eq!(full, reference, "{case}");
-                assert_eq!(parameter_bits(&full), parameter_bits(&reference), "{case}");
-                let early = LogisticRegression::fit(&data, &stops_early).unwrap();
-                let early_reference = fit_reference(&data, &stops_early);
-                assert_eq!(early, early_reference, "{case}");
-                assert_eq!(
-                    parameter_bits(&early),
-                    parameter_bits(&early_reference),
-                    "{case}"
-                );
-                if standardize {
-                    assert_ne!(early, full, "the tolerance must cut the run short: {case}");
-                }
-                // Prediction goes through the same softmax.
-                let probe = data.row(1);
-                assert_eq!(
-                    full.predict_proba(probe).iter().sum::<f64>(),
-                    reference.predict_proba(probe).iter().sum::<f64>(),
-                    "{case}"
-                );
+            .map(|(features, classes, rows)| {
+                let case = format!("{features} features, {classes} classes, {rows} rows");
+                (case, overlapping(features, classes, rows))
+            })
+            .chain([("42 identical rows".to_string(), identical)]);
+        for (case, data) in cases {
+            let model = LogisticRegression::fit(&data).unwrap();
+            let (reference, epochs) = fit_reference(&data);
+            assert_eq!(model, reference, "{case}");
+            assert_eq!(parameter_bits(&model), parameter_bits(&reference), "{case}");
+            if epochs < EPOCHS {
+                stopped_early += 1;
+            } else {
+                ran_to_the_end += 1;
             }
+            // Prediction goes through the same softmax.
+            let probe = data.row(1);
+            assert_eq!(
+                model.predict_proba(probe).iter().sum::<f64>(),
+                reference.predict_proba(probe).iter().sum::<f64>(),
+                "{case}"
+            );
         }
+        assert!(
+            stopped_early > 0 && ran_to_the_end > 0,
+            "{stopped_early} early, {ran_to_the_end} full"
+        );
     }
 
     #[test]
     fn nan_in_the_third_row_of_a_block_still_diverges() {
-        let config = TrainConfig {
-            standardize: false,
-            ..TrainConfig::default()
-        };
         for nan_row in [2, 6] {
             let mut data = Dataset::new(8, 3);
             for (i, (row, label)) in overlapping(8, 3, 43).iter().enumerate() {
@@ -579,9 +545,24 @@ mod tests {
                 data.push(row, label);
             }
             assert_eq!(
-                LogisticRegression::fit(&data, &config).unwrap_err(),
+                LogisticRegression::fit(&data).unwrap_err(),
                 LearnError::Diverged,
                 "NaN in row {nan_row}"
+            );
+        }
+        // The scaler spreads the NaN over its whole column, so the forward
+        // pass of one block on its own must keep it to the row it is in.
+        let (nf, nc) = (8, 3);
+        let mut xs: Vec<f64> = (0..BLOCK * nf).map(|i| (i % 5) as f64 * 0.25).collect();
+        xs[2 * nf + 5] = f64::NAN;
+        let weights: Vec<f64> = (0..nc * nf).map(|i| (i % 3) as f64 * 0.1).collect();
+        let mut probs = vec![0.0; BLOCK * nc];
+        softmax_block(&weights, &[0.0; 3], &xs, nf, nc, &mut probs);
+        for (r, row) in probs.chunks_exact(nc).enumerate() {
+            assert_eq!(
+                row.iter().all(|p| p.is_finite()),
+                r != 2,
+                "row {r}: {row:?}"
             );
         }
     }
@@ -589,7 +570,7 @@ mod tests {
     #[test]
     fn accuracy_of_empty_dataset_is_zero() {
         let data = separable_binary();
-        let model = LogisticRegression::fit(&data, &TrainConfig::default()).unwrap();
+        let model = LogisticRegression::fit(&data).unwrap();
         assert_eq!(model.accuracy(&Dataset::new(2, 2)), 0.0);
     }
 }

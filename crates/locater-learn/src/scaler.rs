@@ -49,15 +49,6 @@ impl StandardScaler {
         Self { means, stds }
     }
 
-    /// Identity scaler for `num_features` features (useful when features are already
-    /// normalized).
-    pub(crate) fn identity(num_features: usize) -> Self {
-        Self {
-            means: vec![0.0; num_features],
-            stds: vec![1.0; num_features],
-        }
-    }
-
     /// Number of features this scaler was fitted for.
     pub fn num_features(&self) -> usize {
         self.means.len()
@@ -128,12 +119,5 @@ mod tests {
         let t = scaler.transform(&[5.0]);
         assert!(t[0].is_finite());
         assert!(t[0].abs() < 1e-12);
-    }
-
-    #[test]
-    fn identity_scaler_is_noop() {
-        let scaler = StandardScaler::identity(3);
-        assert_eq!(scaler.num_features(), 3);
-        assert_eq!(scaler.transform(&[1.0, -2.0, 3.5]), vec![1.0, -2.0, 3.5]);
     }
 }

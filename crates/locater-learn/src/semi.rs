@@ -12,33 +12,29 @@
 //! until `S_unlabeled` is empty, and returns the classifier trained in the last round.
 //!
 //! The paper promotes exactly one gap per round; with thousands of gaps that costs a
-//! full retraining per gap, so [`SelfTrainingConfig::promote_per_round`] makes the
-//! batch size configurable (1 reproduces the paper exactly and is the default).
+//! full retraining per gap, so each round promotes the 20 most confident samples
+//! instead: query latency stays practical on large histories without moving the
+//! fixed point much.
 
 use crate::dataset::Dataset;
 use crate::error::LearnError;
-use crate::logistic::{LogisticRegression, Prediction, TrainConfig};
+use crate::logistic::{LogisticRegression, Prediction};
 use serde::{Deserialize, Serialize};
+
+/// Number of unlabelled samples promoted per round (paper: 1).
+const PROMOTE_PER_ROUND: usize = 20;
 
 /// Configuration of the self-training loop.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SelfTrainingConfig {
-    /// Training hyper-parameters used in every round.
-    pub train: TrainConfig,
-    /// Number of unlabelled samples promoted per round (paper: 1).
-    pub promote_per_round: usize,
     /// Safety bound on the number of rounds (the loop otherwise ends when the
-    /// unlabelled pool is exhausted).
+    /// unlabelled pool is exhausted). Default: 400.
     pub max_rounds: usize,
 }
 
 impl Default for SelfTrainingConfig {
     fn default() -> Self {
-        Self {
-            train: TrainConfig::default(),
-            promote_per_round: 1,
-            max_rounds: 10_000,
-        }
+        Self { max_rounds: 400 }
     }
 }
 
@@ -87,9 +83,8 @@ impl SelfTrainingClassifier {
         // Original indices of the samples still unlabelled.
         let mut pool: Vec<usize> = (0..unlabeled.len()).collect();
         let mut assigned_labels = vec![None; unlabeled.len()];
-        let mut model = LogisticRegression::fit(&working, &config.train)?;
+        let mut model = LogisticRegression::fit(&working)?;
         let mut rounds = 0usize;
-        let promote = config.promote_per_round.max(1);
         let mut scaled = vec![0.0; labeled.num_features()];
         let mut prediction = Prediction {
             label: 0,
@@ -110,7 +105,7 @@ impl SelfTrainingClassifier {
             // Highest confidence (variance) first; the sort is stable, so ties
             // promote in pool order.
             scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            let take = promote.min(scored.len());
+            let take = PROMOTE_PER_ROUND.min(scored.len());
             // Remove promoted items from the pool in descending pool-index order so the
             // indices stay valid while swapping out.
             let mut chosen: Vec<(usize, usize)> = scored[..take]
@@ -123,7 +118,7 @@ impl SelfTrainingClassifier {
                 assigned_labels[original_idx] = Some(label);
                 working.push_row(&unlabeled[original_idx], label);
             }
-            model = LogisticRegression::fit(&working, &config.train)?;
+            model = LogisticRegression::fit(&working)?;
         }
 
         let promoted = unlabeled.len() - pool.len();
@@ -164,8 +159,9 @@ impl SelfTrainingClassifier {
 mod tests {
     use super::*;
 
-    /// Two well-separated clusters; only a few points are labelled.
-    fn clustered_problem() -> (Dataset, Vec<Vec<f64>>, Vec<usize>) {
+    /// Two well-separated clusters; only a few points are labelled, `pairs`
+    /// unlabelled points lie in each cluster.
+    fn clustered_problem(pairs: usize) -> (Dataset, Vec<Vec<f64>>, Vec<usize>) {
         let mut labeled = Dataset::new(2, 2);
         labeled.push(vec![0.0, 0.0], 0);
         labeled.push(vec![0.2, 0.1], 0);
@@ -173,7 +169,7 @@ mod tests {
         labeled.push(vec![5.2, 4.9], 1);
         let mut unlabeled = Vec::new();
         let mut truth = Vec::new();
-        for i in 0..20 {
+        for i in 0..pairs {
             let jitter = (i % 5) as f64 * 0.05;
             unlabeled.push(vec![0.1 + jitter, 0.2 + jitter]);
             truth.push(0);
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn self_training_labels_clusters_correctly() {
-        let (labeled, unlabeled, truth) = clustered_problem();
+        let (labeled, unlabeled, truth) = clustered_problem(20);
         let clf =
             SelfTrainingClassifier::train(&labeled, &unlabeled, &SelfTrainingConfig::default())
                 .unwrap();
@@ -198,24 +194,28 @@ mod tests {
         assert!(correct as f64 / truth.len() as f64 > 0.95);
         assert_eq!(clf.report().initially_labeled, 4);
         assert_eq!(clf.report().promoted, unlabeled.len());
-        assert_eq!(clf.report().rounds, unlabeled.len()); // one promotion per round
+        // PROMOTE_PER_ROUND promotions per round.
+        assert_eq!(
+            clf.report().rounds,
+            unlabeled.len().div_ceil(PROMOTE_PER_ROUND)
+        );
     }
 
     #[test]
     fn batched_promotion_takes_fewer_rounds() {
-        let (labeled, unlabeled, _) = clustered_problem();
-        let config = SelfTrainingConfig {
-            promote_per_round: 8,
-            ..SelfTrainingConfig::default()
-        };
-        let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
-        assert!(clf.report().rounds <= unlabeled.len() / 8 + 1);
+        // 50 samples: two full rounds, then one of the 10 left.
+        let (labeled, unlabeled, _) = clustered_problem(25);
+        let clf =
+            SelfTrainingClassifier::train(&labeled, &unlabeled, &SelfTrainingConfig::default())
+                .unwrap();
+        assert_eq!(clf.report().rounds, 3);
         assert_eq!(clf.report().promoted, unlabeled.len());
+        assert!(clf.assigned_labels().iter().all(Option::is_some));
     }
 
     #[test]
     fn no_unlabeled_data_still_trains_a_model() {
-        let (labeled, _, _) = clustered_problem();
+        let (labeled, _, _) = clustered_problem(20);
         let clf =
             SelfTrainingClassifier::train(&labeled, &[], &SelfTrainingConfig::default()).unwrap();
         assert_eq!(clf.report().rounds, 0);
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn ragged_unlabeled_row_is_a_dimension_mismatch() {
-        let (labeled, mut unlabeled, _) = clustered_problem();
+        let (labeled, mut unlabeled, _) = clustered_problem(20);
         unlabeled.insert(7, vec![1.0, 2.0, 3.0]);
         let err =
             SelfTrainingClassifier::train(&labeled, &unlabeled, &SelfTrainingConfig::default())
@@ -253,30 +253,30 @@ mod tests {
 
     #[test]
     fn max_rounds_bounds_the_loop() {
-        let (labeled, unlabeled, _) = clustered_problem();
-        let config = SelfTrainingConfig {
-            max_rounds: 3,
-            ..SelfTrainingConfig::default()
-        };
+        let (labeled, unlabeled, _) = clustered_problem(50);
+        let config = SelfTrainingConfig { max_rounds: 3 };
         let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
         assert_eq!(clf.report().rounds, 3);
-        assert_eq!(clf.report().promoted, 3);
+        assert_eq!(clf.report().promoted, 3 * PROMOTE_PER_ROUND);
     }
 
     #[test]
     fn samples_never_promoted_carry_no_label() {
-        let (labeled, _, _) = clustered_problem();
-        // The middle sample sits deepest inside cluster 0, so one round of one
-        // promotion takes it and must leave the other two unassigned — not
-        // reported as class 0.
-        let unlabeled = vec![vec![4.0, 4.0], vec![-3.0, -3.0], vec![4.5, 4.4]];
-        let config = SelfTrainingConfig {
-            max_rounds: 1,
-            promote_per_round: 1,
-            ..SelfTrainingConfig::default()
-        };
+        let (labeled, _, _) = clustered_problem(0);
+        // Twenty samples deep inside cluster 0 between two on the boundary
+        // between the clusters: one round takes the twenty and must leave the
+        // two unassigned — not reported as class 0.
+        let boundary = vec![2.6, 2.5];
+        let mut unlabeled = vec![boundary.clone()];
+        unlabeled.extend((0..PROMOTE_PER_ROUND).map(|i| vec![-3.0 - i as f64 * 0.1, -3.0]));
+        unlabeled.push(boundary);
+        let config = SelfTrainingConfig { max_rounds: 1 };
         let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
-        assert_eq!(clf.report().promoted, 1);
-        assert_eq!(clf.assigned_labels(), &[None, Some(0), None]);
+        assert_eq!(clf.report().promoted, PROMOTE_PER_ROUND);
+        let assigned = clf.assigned_labels();
+        assert_eq!((assigned[0], assigned[unlabeled.len() - 1]), (None, None));
+        assert!(assigned[1..unlabeled.len() - 1]
+            .iter()
+            .all(|&label| label == Some(0)));
     }
 }

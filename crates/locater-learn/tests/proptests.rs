@@ -1,6 +1,6 @@
 //! Property-based tests for the learning substrate.
 
-use locater_learn::{Dataset, LogisticRegression, StandardScaler, TrainConfig};
+use locater_learn::{Dataset, LogisticRegression, StandardScaler};
 use proptest::prelude::*;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -24,8 +24,7 @@ proptest! {
     /// Softmax probabilities always form a distribution, whatever the training data.
     #[test]
     fn predicted_probabilities_form_a_distribution(data in arb_dataset(), probe in prop::collection::vec(-20.0f64..20.0, 2..5)) {
-        let config = TrainConfig { epochs: 30, ..TrainConfig::default() };
-        let model = LogisticRegression::fit(&data, &config).unwrap();
+        let model = LogisticRegression::fit(&data).unwrap();
         let mut probe = probe;
         probe.resize(model.num_features(), 0.0);
         let p = model.predict_proba(&probe);
@@ -55,8 +54,7 @@ proptest! {
     /// Training never panics and accuracy is a valid fraction.
     #[test]
     fn accuracy_is_in_unit_interval(data in arb_dataset()) {
-        let config = TrainConfig { epochs: 20, ..TrainConfig::default() };
-        let model = LogisticRegression::fit(&data, &config).unwrap();
+        let model = LogisticRegression::fit(&data).unwrap();
         let acc = model.accuracy(&data);
         prop_assert!((0.0..=1.0).contains(&acc));
     }

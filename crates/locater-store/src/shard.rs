@@ -52,8 +52,8 @@ impl EventStore {
     /// Partitions the store into `shards` per-shard stores assigned by
     /// [`shard_of_device`].
     ///
-    /// Each returned store replicates the space, the validity configuration
-    /// and the **whole device table** (ids, MACs and estimated
+    /// Each returned store replicates the space and the **whole device
+    /// table** (ids, MACs and estimated
     /// δs included), but keeps only the timelines of its owned devices — event
     /// ids are carried over verbatim, so [`EventStore::rejoin`] reassembles the
     /// original store bit for bit.
@@ -75,7 +75,6 @@ impl EventStore {
                     .collect();
                 EventStore::from_snapshot_parts(
                     parts.space.clone(),
-                    *parts.validity,
                     parts.next_event_id,
                     devices.to_vec(),
                     masked,
@@ -91,9 +90,9 @@ impl EventStore {
     /// `rejoin(&split(&store, n))` equals `store` bit for bit — snapshot bytes
     /// included.
     ///
-    /// Returns [`StoreError::Corrupt`] when the shards disagree on the space,
-    /// device table or validity configuration (i.e. they were not
-    /// produced by splitting one store, or were mutated inconsistently).
+    /// Returns [`StoreError::Corrupt`] when the shards disagree on the space
+    /// or the device table (i.e. they were not produced by splitting one
+    /// store, or were mutated inconsistently).
     pub fn rejoin<'a>(
         shards: impl IntoIterator<Item = &'a EventStore>,
     ) -> Result<EventStore, StoreError> {
@@ -105,12 +104,9 @@ impl EventStore {
         let (devices, mut next_event_id) = (parts.devices, parts.next_event_id);
         for (idx, shard) in shards.iter().enumerate().skip(1) {
             let other = shard.snapshot_parts();
-            if other.space != parts.space
-                || other.validity != parts.validity
-                || other.devices != devices
-            {
+            if other.space != parts.space || other.devices != devices {
                 return Err(StoreError::Corrupt(format!(
-                    "shard {idx} disagrees with shard 0 on space/devices/validity"
+                    "shard {idx} disagrees with shard 0 on space/devices"
                 )));
             }
             next_event_id = next_event_id.max(other.next_event_id);
@@ -137,7 +133,6 @@ impl EventStore {
         }
         EventStore::from_snapshot_parts(
             parts.space.clone(),
-            *parts.validity,
             next_event_id,
             devices.to_vec(),
             timelines,
@@ -213,10 +208,10 @@ impl<'a> ShardedRead<'a> {
     /// Encodes the events a compaction evicted from these shards
     /// ([`crate::CompactionReport::evicted`]; per-shard runs are disjoint by
     /// device and concatenate in any order) as a spill: an ordinary snapshot
-    /// with this deployment's space, device table, validity configuration
-    /// and event-id counter, holding only the evicted events under
-    /// their original ids. The bytes are a pure function of the evicted event
-    /// set and those tables — the shard count does not show.
+    /// with this deployment's space, device table and event-id counter,
+    /// holding only the evicted events under their original ids. The bytes
+    /// are a pure function of the evicted event set and those tables — the
+    /// shard count does not show.
     pub fn spill_snapshot_bytes(
         &self,
         evicted: &[(DeviceId, Vec<StoredEvent>)],

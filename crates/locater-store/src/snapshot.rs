@@ -1,24 +1,22 @@
 //! Versioned binary snapshot persistence for [`EventStore`].
 //!
 //! A snapshot captures the *entire* store — space metadata, device table,
-//! per-device event runs, validity configuration and event-id counter — in a
-//! compact binary layout, so a service restart costs one sequential file read
-//! instead of replaying (re-parsing, re-interning, re-sorting) the whole CSV
-//! log. The wire layout of version 4:
+//! per-device event runs and event-id counter — in a compact binary layout,
+//! so a service restart costs one sequential file read instead of replaying
+//! (re-parsing, re-interning, re-sorting) the whole CSV log. The wire layout
+//! of version 5:
 //!
 //! ```text
 //! magic      8 B   "LOCATRSN"
-//! version    u32   4
+//! version    u32   5
 //! checksum   u64   FNV-1a 64 over the payload bytes
 //! length     u64   payload byte count
 //! payload:
 //!   space     u32 len + Space JSON (UTF-8; full id-preserving form)
-//!   validity  default/min/max δ (i64 ×3), percentile (f64 bits), min_samples (u64)
 //!   next id   u64   event-id counter
 //!   devices   u32 count, then per device: mac (u16 len + UTF-8), δ (i64)
 //!   runs      per device: u32 event count, then the events sorted by
 //!             (t, id), each as (id u64, t i64, ap u32)
-//!   mode      u8    always 0
 //! ```
 //!
 //! All integers are little-endian. Each run is the device's timeline array in
@@ -28,21 +26,20 @@
 //! [`StoredEvent`] keeps, so the loader converts at the boundary: a `t`
 //! outside `[0, 2³²)`, an id at or above 2⁴⁸ (or an id counter past it) and
 //! an `ap` above `u16::MAX` are [`StoreError::Corrupt`], as is a run out of
-//! `(t, id)` order; a run
-//! longer than the bytes left is [`StoreError::Truncated`] before anything is
-//! allocated for it.
+//! `(t, id)` order and a device δ outside `[1, 2³²)` (the range
+//! [`EventStore::set_delta`] clamps to); a run longer than the bytes left is
+//! [`StoreError::Truncated`] before anything is allocated for it.
 //! The space section is the full [`Space`] form, which round-trips every id
 //! verbatim, so `load(save(store))` equals the original store bit-for-bit.
 //!
 //! Nothing derived from the event runs is persisted: the loader rebuilds the
-//! global timeline from them. The trailing mode byte once named an index
-//! persistence mode; the writer emits `0` and the reader refuses any other
-//! value.
+//! global timeline from them. The δ estimator's settings are constants of
+//! the build ([`locater_events::validity`]), so no file carries them.
 //!
-//! The reader accepts exactly what the writer produces: version 4 with mode
-//! byte `0`. A format bump replaces the reader rather than adding one beside
-//! it; `snapshot save` is the export path, so a store outlives a bump by
-//! being re-saved with the build that still reads it.
+//! The reader accepts exactly what the writer produces: version 5. A format
+//! bump replaces the reader rather than adding one beside it; `snapshot save`
+//! is the export path, so a store outlives a bump by being re-saved with the
+//! build that still reads it.
 //!
 //! Decoding failures surface as typed [`StoreError`]s ([`StoreError::NotASnapshot`],
 //! [`StoreError::UnsupportedVersion`], [`StoreError::Truncated`],
@@ -50,9 +47,8 @@
 
 use crate::error::StoreError;
 use crate::store::EventStore;
-use locater_events::validity::ValidityConfig;
 use locater_events::{
-    Device, DeviceId, EventId, EventSeq, MacAddress, StoredEvent, EVENT_ID_LIMIT,
+    Device, DeviceId, EventId, EventSeq, MacAddress, StoredEvent, EVENT_ID_LIMIT, EVENT_TIME_LIMIT,
 };
 use locater_space::{AccessPointId, Space};
 use std::path::Path;
@@ -60,7 +56,7 @@ use std::path::Path;
 /// Magic bytes every snapshot starts with.
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"LOCATRSN";
 /// The snapshot format version this build writes, and the only one it reads.
-pub(crate) const SNAPSHOT_VERSION: u32 = 4;
+pub(crate) const SNAPSHOT_VERSION: u32 = 5;
 
 /// Magic (8) + version (4) + payload checksum (8) + payload length (8).
 const HEADER_LEN: usize = 28;
@@ -104,7 +100,6 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
 /// the same format by construction.
 pub(crate) struct SnapshotParts<'a> {
     pub space: &'a Space,
-    pub validity: &'a ValidityConfig,
     pub next_event_id: u64,
     pub devices: &'a [Device],
 }
@@ -116,7 +111,7 @@ pub(crate) fn encode_snapshot<'a>(
     parts: &SnapshotParts<'_>,
     events_of: impl Fn(DeviceId) -> &'a [StoredEvent],
 ) -> Result<Vec<u8>, StoreError> {
-    let (validity, devices) = (parts.validity, parts.devices);
+    let devices = parts.devices;
     let num_events: usize = devices
         .iter()
         .map(|device| events_of(device.id).len())
@@ -136,12 +131,6 @@ pub(crate) fn encode_snapshot<'a>(
         .map_err(|e| StoreError::Space(e.to_string()))?;
     put_u32(&mut out, space_json.len() as u32);
     out.extend_from_slice(space_json.as_bytes());
-
-    put_i64(&mut out, validity.default_delta);
-    put_i64(&mut out, validity.min_delta);
-    put_i64(&mut out, validity.max_delta);
-    put_u64(&mut out, validity.percentile.to_bits());
-    put_u64(&mut out, validity.min_samples as u64);
 
     put_u64(&mut out, parts.next_event_id);
 
@@ -171,9 +160,6 @@ pub(crate) fn encode_snapshot<'a>(
             put_u32(&mut out, event.ap().raw());
         }
     }
-
-    // The mode byte: always 0.
-    out.push(0);
 
     let (header, payload) = out.split_at_mut(HEADER_LEN);
     header[12..20].copy_from_slice(&fnv1a(payload).to_le_bytes());
@@ -239,13 +225,6 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
     let space =
         Space::from_json(d.str(space_len)?).map_err(|e| StoreError::Space(e.to_string()))?;
 
-    let validity = ValidityConfig {
-        default_delta: d.i64()?,
-        min_delta: d.i64()?,
-        max_delta: d.i64()?,
-        percentile: f64::from_bits(d.u64()?),
-        min_samples: d.u64()? as usize,
-    };
     let next_event_id = d.u64()?;
     if next_event_id > EVENT_ID_LIMIT {
         return Err(StoreError::Corrupt(format!(
@@ -260,6 +239,11 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
         let mac = MacAddress::parse(d.str(mac_len)?)
             .map_err(|e| StoreError::Corrupt(format!("device {idx}: {e}")))?;
         let delta = d.i64()?;
+        if !(1..EVENT_TIME_LIMIT).contains(&delta) {
+            return Err(StoreError::Corrupt(format!(
+                "device {idx}: validity period {delta} outside [1, {EVENT_TIME_LIMIT})"
+            )));
+        }
         devices.push(Device::new(DeviceId::new(idx as u32), mac, delta));
     }
 
@@ -290,19 +274,13 @@ fn decode_payload(payload: &[u8]) -> Result<EventStore, StoreError> {
         }
         timelines.push(events);
     }
-    match d.take(1)?[0] {
-        0 => {}
-        mode => {
-            return Err(StoreError::Corrupt(format!("unknown mode byte {mode}")));
-        }
-    }
     if !d.done() {
         return Err(StoreError::Corrupt(format!(
             "{} trailing bytes after payload",
             payload.len() - d.pos
         )));
     }
-    EventStore::from_snapshot_parts(space, validity, next_event_id, devices, timelines)
+    EventStore::from_snapshot_parts(space, next_event_id, devices, timelines)
 }
 
 // ---------------------------------------------------------------------------
@@ -447,7 +425,7 @@ mod tests {
     #[test]
     fn encoder_emits_the_pinned_bytes() {
         let bytes = sample_store().to_snapshot_bytes().unwrap();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (740, 0x1fbd_0a9e_a771_6bfb));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (699, 0xa202_9f48_bd74_dd42));
     }
 
     #[test]
@@ -490,24 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_index_mode_byte_is_corrupt() {
-        // 1 is the embedded-posting-list mode earlier builds wrote; 2 no
-        // build ever wrote. The writer emits only 0.
-        let current = sample_store().to_snapshot_bytes().unwrap();
-        let mut payload = current[28..].to_vec();
-        for mode in [1, 2] {
-            *payload.last_mut().unwrap() = mode;
-            assert!(
-                matches!(
-                    EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &payload)),
-                    Err(StoreError::Corrupt(_))
-                ),
-                "mode {mode}"
-            );
-        }
-    }
-
-    #[test]
     fn wrong_magic_is_not_a_snapshot() {
         let mut bytes = sample_store().to_snapshot_bytes().unwrap();
         bytes[0] = b'X';
@@ -523,15 +483,15 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_reported() {
-        // Versions 1 to 3 are formats earlier builds wrote; one build reads
+        // Versions 1 to 4 are formats earlier builds wrote; one build reads
         // one version.
         let mut bytes = sample_store().to_snapshot_bytes().unwrap();
-        for version in [0u32, 1, 2, 3, 99] {
+        for version in [0u32, 1, 2, 3, 4, 99] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(
                 matches!(
                     EventStore::from_snapshot_bytes(&bytes),
-                    Err(StoreError::UnsupportedVersion { found, supported: 4 }) if found == version
+                    Err(StoreError::UnsupportedVersion { found, supported: 5 }) if found == version
                 ),
                 "version {version}"
             );
@@ -539,10 +499,11 @@ mod tests {
     }
 
     /// The payload of [`sample_store`] and the offset of its first device's
-    /// run: device 0 holds three events, device 1 one, then the mode byte.
+    /// run: device 0 holds three events, device 1 one, and the payload ends
+    /// with them.
     fn payload_and_first_run() -> (Vec<u8>, usize) {
         let payload = sample_store().to_snapshot_bytes().unwrap()[HEADER_LEN..].to_vec();
-        let first_run = payload.len() - 1 - (4 + EVENT_LEN) - (4 + 3 * EVENT_LEN);
+        let first_run = payload.len() - (4 + EVENT_LEN) - (4 + 3 * EVENT_LEN);
         assert_eq!(payload[first_run..first_run + 4], 3u32.to_le_bytes());
         (payload, first_run)
     }
@@ -596,7 +557,7 @@ mod tests {
             EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &bad))
         };
         let space_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-        let counter = 4 + space_len + 5 * 8;
+        let counter = 4 + space_len;
         assert_eq!(
             payload[counter..counter + 8],
             sample_store().next_event_id().to_le_bytes()
@@ -647,6 +608,38 @@ mod tests {
         let first = store.timeline_of(device).events()[0];
         assert_eq!((first.id(), first.t()), (EventId::new((1 << 48) - 1), 100));
         assert_eq!(store.to_snapshot_bytes().unwrap()[HEADER_LEN..], edge[..]);
+    }
+
+    #[test]
+    fn a_validity_period_out_of_range_is_corrupt() {
+        let (payload, _) = payload_and_first_run();
+        // The first device's δ follows its 17-byte identifier: counter (8),
+        // device count (4), mac length (2), mac (17).
+        let space_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+        let delta_at = 4 + space_len + 8 + 4 + 2 + 17;
+        let store = sample_store();
+        let device = store.device_id("aa:bb:cc:dd:ee:01").unwrap();
+        assert_eq!(
+            payload[delta_at..delta_at + 8],
+            store.delta(device).to_le_bytes()
+        );
+        let patch = |delta: i64| {
+            let mut bad = payload.clone();
+            bad[delta_at..delta_at + 8].copy_from_slice(&delta.to_le_bytes());
+            EventStore::from_snapshot_bytes(&frame(SNAPSHOT_VERSION, &bad))
+        };
+        for delta in [0, -600, 1 << 32, i64::MIN, i64::MAX] {
+            match patch(delta) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("validity period {delta}")), "{msg}")
+                }
+                other => panic!("δ = {delta}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // The ends of the range load and read back exactly.
+        for delta in [1, (1 << 32) - 1] {
+            assert_eq!(patch(delta).unwrap().delta(device), delta);
+        }
     }
 
     #[test]

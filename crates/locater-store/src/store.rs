@@ -6,7 +6,7 @@ use crate::error::{IngestError, StoreError};
 use crate::snapshot::SnapshotParts;
 use crate::stats::DatasetStatistics;
 use crate::timeline::{entry_key, NearbyDevice, Timeline, TimelineEntry};
-use locater_events::validity::{estimate_delta_events, ValidityConfig};
+use locater_events::validity::{estimate_delta_events, DEFAULT_DELTA};
 use locater_events::{
     gap_containing, gaps_in, gaps_in_window, Device, DeviceId, EventId, EventSeq, Gap, Interval,
     MacAddress, StoredEvent, Timestamp, EVENT_ID_LIMIT, EVENT_TIME_LIMIT,
@@ -52,17 +52,11 @@ pub struct EventStore {
     timelines: Vec<EventSeq>,
     timeline: Timeline,
     next_event_id: u64,
-    validity: ValidityConfig,
 }
 
 impl EventStore {
-    /// Creates an empty store over `space` with the default validity configuration.
+    /// Creates an empty store over `space`.
     pub fn new(space: Space) -> Self {
-        Self::with_validity(space, ValidityConfig::default())
-    }
-
-    /// Creates an empty store with an explicit validity configuration.
-    pub(crate) fn with_validity(space: Space, validity: ValidityConfig) -> Self {
         Self {
             space: Arc::new(space),
             devices: Vec::new(),
@@ -70,7 +64,6 @@ impl EventStore {
             timelines: Vec::new(),
             timeline: Timeline::new(),
             next_event_id: 0,
-            validity,
         }
     }
 
@@ -115,7 +108,7 @@ impl EventStore {
         }
         let id = DeviceId::new(self.devices.len() as u32);
         self.devices
-            .push(Device::new(id, mac.clone(), self.validity.default_delta));
+            .push(Device::new(id, mac.clone(), DEFAULT_DELTA));
         self.timelines.push(EventSeq::default());
         self.mac_index.insert(mac, id);
         Ok(id)
@@ -126,9 +119,10 @@ impl EventStore {
         self.devices[device.index()].delta
     }
 
-    /// Overrides the validity period of a device.
+    /// Overrides the validity period of a device, clamped into `[1, 2³²)`
+    /// seconds: the range a snapshot accepts.
     pub fn set_delta(&mut self, device: DeviceId, delta: Timestamp) {
-        self.devices[device.index()].delta = delta.max(1);
+        self.devices[device.index()].delta = delta.clamp(1, EVENT_TIME_LIMIT - 1);
     }
 
     /// The largest validity period across all devices (used as the slack when scanning
@@ -138,7 +132,7 @@ impl EventStore {
             .iter()
             .map(|d| d.delta)
             .max()
-            .unwrap_or(self.validity.default_delta)
+            .unwrap_or(DEFAULT_DELTA)
     }
 
     /// Re-estimates every device's validity period from its own history
@@ -146,7 +140,7 @@ impl EventStore {
     pub fn estimate_deltas(&mut self) {
         for device in &mut self.devices {
             let timeline = &self.timelines[device.id.index()];
-            device.delta = estimate_delta_events(timeline.iter(), &self.validity);
+            device.delta = estimate_delta_events(timeline.iter());
         }
     }
 
@@ -451,7 +445,6 @@ impl EventStore {
     pub(crate) fn snapshot_parts(&self) -> SnapshotParts<'_> {
         SnapshotParts {
             space: &self.space,
-            validity: &self.validity,
             next_event_id: self.next_event_id,
             devices: &self.devices,
         }
@@ -464,7 +457,6 @@ impl EventStore {
     /// [`EventStore::rejoin`] and recovery all build their stores here.
     pub(crate) fn from_snapshot_parts(
         space: Space,
-        validity: ValidityConfig,
         next_event_id: u64,
         devices: Vec<Device>,
         timelines: Vec<EventSeq>,
@@ -529,7 +521,6 @@ impl EventStore {
             timelines,
             timeline,
             next_event_id,
-            validity,
         })
     }
 }
@@ -728,7 +719,7 @@ mod tests {
         let regular = store.device_id("regular").unwrap();
         let sparse = store.device_id("sparse").unwrap();
         assert_eq!(store.delta(regular), 300);
-        assert_eq!(store.delta(sparse), store.validity.default_delta);
+        assert_eq!(store.delta(sparse), DEFAULT_DELTA);
     }
 
     #[test]

@@ -577,3 +577,84 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+// ---------------------------------------------------------------------------
+// The δ invariant: every device δ lies in [1, 2³²) however a store is built
+// ---------------------------------------------------------------------------
+
+fn assert_deltas_in_range(store: &EventStore, after: &str) {
+    for device in store.devices() {
+        assert!(
+            (1..1i64 << 32).contains(&device.delta),
+            "after {after}: {} has δ = {}",
+            device.mac,
+            device.delta
+        );
+    }
+}
+
+/// Any `i64`, with the extremes and the ends of the range drawn often.
+fn arb_delta() -> impl Strategy<Value = i64> {
+    (0u8..8, any::<i64>()).prop_map(|(pick, any)| match pick {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => 0,
+        3 => 1 << 32,
+        _ => any,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// CSV load then δ estimation, `set_delta` with any value (both
+    /// extremes included), a snapshot round trip and WAL recovery from a
+    /// checkpoint all leave every device δ in `[1, 2³²)`.
+    #[test]
+    fn every_way_to_build_a_store_keeps_delta_in_range(
+        events in arb_events(),
+        period in 1i64..10_000,
+        overrides in prop::collection::vec((0u8..6, arb_delta()), 0..6),
+    ) {
+        let mut store = build_store(&events);
+        // One device reconnecting every `period` seconds on one AP, so the
+        // estimate is not always the fallback.
+        for i in 0..12 {
+            store.ingest_raw("periodic", i * period, "wap0").unwrap();
+        }
+        let mut store = EventStore::from_csv(space(), &store.to_csv()).unwrap();
+        store.estimate_deltas();
+        assert_deltas_in_range(&store, "CSV load and estimate_deltas");
+
+        let ids: Vec<DeviceId> = store.devices().iter().map(|d| d.id).collect();
+        for (dev, delta) in overrides {
+            let device = ids[usize::from(dev) % ids.len()];
+            store.set_delta(device, delta);
+            prop_assert_eq!(store.delta(device), delta.clamp(1, (1 << 32) - 1));
+        }
+        store.set_delta(ids[0], i64::MIN);
+        prop_assert_eq!(store.delta(ids[0]), 1);
+        store.set_delta(ids[ids.len() - 1], i64::MAX);
+        prop_assert_eq!(store.delta(ids[ids.len() - 1]), (1 << 32) - 1);
+        assert_deltas_in_range(&store, "set_delta");
+
+        let bytes = store.to_snapshot_bytes().unwrap();
+        let loaded = EventStore::from_snapshot_bytes(&bytes).unwrap();
+        assert_deltas_in_range(&loaded, "a snapshot round trip");
+        prop_assert_eq!(&loaded, &store);
+
+        // Checkpoint the store, then log a tail of new devices and events.
+        let dir = wal_scratch();
+        write_checkpoint(&dir, &store).unwrap();
+        {
+            let mut live = store.clone();
+            let (mut wal, _) = ShardWal::open(&wal_config(&dir), 0).unwrap();
+            for event in events.iter().take(20) {
+                log_then_apply(&mut live, &mut wal, *event);
+            }
+        }
+        let (recovered, _) = recover_store(&dir, EventStore::new(space())).unwrap();
+        assert_deltas_in_range(&recovered, "WAL recovery");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

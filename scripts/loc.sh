@@ -18,7 +18,9 @@
 #   own `src/bin/` targets, which are separate crates that reach only `pub`
 #   items. Each is a candidate for `pub(crate)`; a name shared with an
 #   unrelated identifier elsewhere hides an item from this count, never adds
-#   one. The names themselves are listed under each crate's count.
+#   one. The names themselves are listed under each crate's count;
+# * config fields: the `pub` fields of structs named `*Config`, `*Weights`
+#   or `*Policy`, per crate and in total — the knobs a caller can set.
 set -eu
 export LC_ALL=C
 
@@ -36,8 +38,18 @@ pub_decl='pub (const fn|fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*'
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
+# `pub` fields of the `*Config` / `*Weights` / `*Policy` structs under $1.
+config_fields() {
+    find "$1" -name '*.rs' -print0 | xargs -0 awk '
+        /^ *(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]*(Config|Weights|Policy) *\{/ { inside = 1; next }
+        inside && /^ *\}/ { inside = 0 }
+        inside && /^ *pub [a-z_][a-z0-9_]*:/ { n++ }
+        END { print n + 0 }'
+}
+
 total=0
 unnamed_total=0
+knobs_total=0
 for dir in crates/*/src src; do
     count=$(grep -rhE 'pub (const fn|fn|struct|enum|trait|const|type) ' "$dir" | wc -l)
     # Every identifier written anywhere outside this crate's library.
@@ -47,12 +59,16 @@ for dir in crates/*/src src; do
     grep -rhoE "$pub_decl" "$dir" | awk '{print $NF}' | sort >"$scratch/names"
     join -v 1 "$scratch/names" "$scratch/outside" >"$scratch/unnamed"
     unnamed=$(wc -l <"$scratch/unnamed")
-    printf '  %-28s %5d pub items, %4d unnamed outside\n' "$dir" "$count" "$unnamed"
+    knobs=$(config_fields "$dir")
+    printf '  %-28s %5d pub items, %4d unnamed outside, %3d config fields\n' \
+        "$dir" "$count" "$unnamed" "$knobs"
     if [ "$unnamed" -gt 0 ]; then
         tr '\n' ' ' <"$scratch/unnamed" | fold -s -w 68 | sed 's/ *$//; s/^/      /'
         echo
     fi
     total=$((total + count))
     unnamed_total=$((unnamed_total + unnamed))
+    knobs_total=$((knobs_total + knobs))
 done
 echo "pub items (crates/*/src src): $total ($unnamed_total unnamed outside their crate)"
+echo "config fields (pub fields of *Config, *Weights, *Policy structs): $knobs_total"

@@ -150,7 +150,7 @@ pub fn check(seeds: &[u64], select: impl Fn(&Axes) -> bool, exercised: impl Fn(&
 const RETAIN: i64 = clock::days(6);
 /// Coarse history and fine affinity window of the subjects.
 const HISTORY: i64 = clock::days(4);
-/// `ValidityConfig`'s default upper clamp on δ.
+/// The upper clamp of the δ estimate (`locater_events::validity`).
 const DELTA_MAX: i64 = 1_800;
 const STEPS: usize = 240;
 
