@@ -6,23 +6,26 @@
 //! devices online at the query time whose region overlaps `g_x`; each contributes its
 //! group affinity with the queried device for every candidate room.
 //!
-//! ## Evidence smoothing
+//! ## Departures from §4
 //!
-//! The paper's Eq. 3 multiplies the raw group affinities into the posterior; taken
-//! literally, a candidate room that lies outside the intersection `R_is` of the two
-//! devices' regions would receive a hard zero and be eliminated by a single neighbor,
-//! even when the pairwise device affinity (the probability the devices are together at
-//! all) is small. We therefore fold in, per neighbor, the observation value
+//! Eq. 3 multiplies raw group affinities into the posterior, so one neighbor whose
+//! region misses a candidate room would zero it even when the pair affinity (the
+//! chance the devices are together at all) is small. Each neighbor instead folds in
 //!
 //! ```text
-//! obs(r_j) = (1 − α_pair) / |R(g_x)|  +  α({d_i, d_k}, r_j, t_q)
+//! obs(r_j) = (1 − w·α_pair) / |R(g_x)|  +  w·α({d_i, d_k}, r_j, t_q)
 //! ```
 //!
-//! i.e. "with probability `1 − α_pair` the devices are not co-located and the neighbor
-//! carries no information (uniform floor); with probability `α_pair` they are, and the
-//! group affinity applies". This keeps the update monotone in the group affinity,
-//! reduces to the paper's behaviour as `α_pair → 1`, and is a documented deviation
-//! from the paper.
+//! — uniform with probability `1 − w·α_pair`, the group affinity otherwise — which is
+//! monotone in the group affinity and is Eq. 3 as `w·α_pair → 1`. Four constants
+//! depart from the published algorithm; `docs/PAPER_MAPPING.md` measures each, and
+//! `tests/support/paper.rs`, the naive §4 reference, takes them as switches:
+//!
+//! 1. the pair floor `MIN_PAIR_AFFINITY` (§4 folds in every positive pair affinity);
+//! 2. the contributor cap `MAX_CONTRIBUTORS` (§4 stops only on its bounds or, in
+//!    D-FINE, on a dead cluster);
+//! 3. the evidence weight `EVIDENCE_WEIGHT`, the `w` above (§4 has `w = 1`);
+//! 4. the neighbor cut `MAX_NEIGHBORS` (§4 processes every neighbor).
 //!
 //! The independent variant (`I-FINE`) treats neighbors as conditionally independent;
 //! the dependent variant (`D-FINE`) clusters neighbors that are themselves co-located
@@ -38,8 +41,14 @@ use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Maximum number of neighbor devices processed per query.
+/// Neighbors processed per query at most: bounds the worst-case work of one query.
 const MAX_NEIGHBORS: usize = 25;
+/// Least pair affinity that contributes: without it the cached affinity graph grows 9–14 %.
+const MIN_PAIR_AFFINITY: f64 = 0.2;
+/// Contributors folded in before the iteration stops: more lose up to 0.9 points.
+const MAX_CONTRIBUTORS: usize = 2;
+/// Share of same-AP co-location taken as same-room evidence: 1.0 loses up to 0.8 points.
+const EVIDENCE_WEIGHT: f64 = 0.3;
 /// Per-device group affinity assumed in the least-favourable possible world when
 /// computing `minP` (Theorem 2 bound).
 const MIN_UNPROCESSED_AFFINITY: f64 = 0.05;
@@ -77,23 +86,6 @@ pub struct FineConfig {
     /// History window (ending at the query time) over which device affinities are
     /// computed. Default: 3 weeks (where Fig. 8 shows the fine precision plateaus).
     pub affinity_window: Timestamp,
-    /// Minimum pairwise device affinity a neighbor must have with the queried device
-    /// for its group affinity to be folded into the posterior. Devices below the
-    /// threshold are effectively not neighbors (the paper requires a strictly positive
-    /// group affinity; a near-zero one carries no co-location information and, folded
-    /// in en masse, would drown the room-affinity prior).
-    pub min_pair_affinity: f64,
-    /// Maximum number of *contributing* neighbors folded into the posterior. The
-    /// paper's iterative algorithm effectively uses only the few most-affiliated
-    /// neighbors before its stop conditions fire; this cap bounds the same behaviour
-    /// deterministically.
-    pub max_contributors: usize,
-    /// How strongly a co-located neighbor's group affinity is allowed to shift the
-    /// posterior, in `[0, 1]`. Device affinity is measured from *same-AP*
-    /// co-occurrence, which overstates *same-room* co-location (an AP covers ~11
-    /// rooms); this factor is the assumed probability that devices co-located at the
-    /// AP level actually share a room, and it scales the evidence accordingly.
-    pub evidence_weight: f64,
     /// Whether to use the loosened early-stop conditions of §4.2. Disabling them makes
     /// the algorithm process every neighbor (the "no stop condition" line of Fig. 11).
     pub use_stop_conditions: bool,
@@ -105,9 +97,6 @@ impl Default for FineConfig {
             weights: RoomAffinityWeights::default(),
             mode: FineMode::Independent,
             affinity_window: clock::weeks(3),
-            min_pair_affinity: 0.2,
-            max_contributors: 2,
-            evidence_weight: 0.3,
             use_stop_conditions: true,
         }
     }
@@ -256,7 +245,7 @@ impl FineLocalizer {
         // The contribution gate, one per query: a neighbor's pair affinity
         // (the cached value, else computed through the queried device's
         // session, built on the first miss) contributes exactly when it
-        // reaches the floor and is positive.
+        // reaches the (positive) floor.
         let session = std::cell::OnceCell::new();
         let gate = |neighbor: DeviceId| {
             let pair = cached_affinities
@@ -266,7 +255,7 @@ impl FineLocalizer {
                         .get_or_init(|| engine.pair_session(device, t_q))
                         .affinity(neighbor)
                 });
-            (pair >= self.config.min_pair_affinity && pair > 0.0).then_some(pair)
+            (pair >= MIN_PAIR_AFFINITY).then_some(pair)
         };
         match self.config.mode {
             FineMode::Independent => self.locate_independent(
@@ -318,13 +307,13 @@ impl FineLocalizer {
             processed += 1;
             if let Some(pair) = gate(neighbor) {
                 let group = [(device, region), (neighbor, neighbor_region)];
-                let weight = self.config.evidence_weight.clamp(0.0, 1.0);
                 let alphas = engine.group_affinities(memo, &group, candidates, pair);
                 let mut edge_weight = 0.0;
                 for (posterior, &alpha) in posteriors.iter_mut().zip(&alphas) {
                     edge_weight += alpha;
-                    let observation =
-                        ((1.0 - weight * pair) * uniform_floor + weight * alpha).min(1.0);
+                    let observation = ((1.0 - EVIDENCE_WEIGHT * pair) * uniform_floor
+                        + EVIDENCE_WEIGHT * alpha)
+                        .min(1.0);
                     posterior.observe(observation);
                 }
                 edge_weight /= candidates.len() as f64;
@@ -334,9 +323,7 @@ impl FineLocalizer {
                     pair_affinity: pair,
                     edge_weight,
                 });
-                if self.config.use_stop_conditions
-                    && contributions.len() >= self.config.max_contributors
-                {
+                if self.config.use_stop_conditions && contributions.len() >= MAX_CONTRIBUTORS {
                     stopped_early = idx + 1 < neighbors.len();
                     break;
                 }
@@ -416,13 +403,17 @@ impl FineLocalizer {
             });
 
             // Attach the neighbor to every cluster it is co-located with; merge them.
+            // One session groups the neighbor's events by AP once for every member.
             let mut linked: Vec<usize> = Vec::new();
-            for (cluster_idx, cluster) in clusters.iter().enumerate() {
-                let colocated = cluster
-                    .iter()
-                    .any(|&(member, _)| engine.pair_affinity(neighbor, member, t_q) > 0.0);
-                if colocated {
-                    linked.push(cluster_idx);
+            if !clusters.is_empty() {
+                let session = engine.pair_session(neighbor, t_q);
+                for (cluster_idx, cluster) in clusters.iter().enumerate() {
+                    if cluster
+                        .iter()
+                        .any(|&(member, _)| session.affinity(member) > 0.0)
+                    {
+                        linked.push(cluster_idx);
+                    }
                 }
             }
             match linked.split_first() {
@@ -449,9 +440,7 @@ impl FineLocalizer {
                 stopped_early = true;
                 break;
             }
-            if self.config.use_stop_conditions
-                && contributions.len() >= self.config.max_contributors
-            {
+            if self.config.use_stop_conditions && contributions.len() >= MAX_CONTRIBUTORS {
                 stopped_early = idx + 1 < neighbors.len();
                 break;
             }
@@ -462,7 +451,6 @@ impl FineLocalizer {
             .iter()
             .map(|&room| RoomPosterior::from_prior(prior.of(room)))
             .collect();
-        let weight = self.config.evidence_weight.clamp(0.0, 1.0);
         for cluster in &clusters {
             let mut members: Vec<DeviceId> = cluster.iter().map(|&(d, _)| d).collect();
             members.push(device);
@@ -471,8 +459,9 @@ impl FineLocalizer {
             group.push((device, region));
             let alphas = engine.group_affinities(memo, &group, candidates, joint_affinity);
             for (posterior, &alpha) in posteriors.iter_mut().zip(&alphas) {
-                let observation =
-                    ((1.0 - weight * joint_affinity) * uniform_floor + weight * alpha).min(1.0);
+                let observation = ((1.0 - EVIDENCE_WEIGHT * joint_affinity) * uniform_floor
+                    + EVIDENCE_WEIGHT * alpha)
+                    .min(1.0);
                 posterior.observe(observation);
             }
         }
@@ -709,13 +698,16 @@ mod tests {
 
     #[test]
     fn both_modes_report_stopping_at_the_contributor_cap() {
-        // d2 and d3 are both co-located with d1; with one contributor allowed,
-        // each mode stops after d2 with d3 left unprocessed.
+        // d2, d3 and d4 are all co-located with d1; with `MAX_CONTRIBUTORS`
+        // (two) contributors allowed, each mode stops after d3 with d4 left
+        // unprocessed.
         let mut store = colocated_store(10);
-        for day in 0..10 {
-            for slot in 0..6 {
-                let t = clock::at(day, 9, slot * 10, 45);
-                store.ingest_raw("d3", t, "wap3").unwrap();
+        for (mac, second) in [("d3", 45), ("d4", 50)] {
+            for day in 0..10 {
+                for slot in 0..6 {
+                    let t = clock::at(day, 9, slot * 10, second);
+                    store.ingest_raw(mac, t, "wap3").unwrap();
+                }
             }
         }
         let d1 = store.device_id("d1").unwrap();
@@ -724,13 +716,12 @@ mod tests {
         for mode in [FineMode::Independent, FineMode::Dependent] {
             let localizer = FineLocalizer::new(FineConfig {
                 mode,
-                max_contributors: 1,
                 ..FineConfig::default()
             });
             let out = localizer.locate(&store, d1, t_q, g3, None);
-            assert_eq!(out.neighbors_considered, 2, "{mode}");
-            assert_eq!(out.neighbors_processed, 1, "{mode}");
-            assert_eq!(out.contributions.len(), 1, "{mode}");
+            assert_eq!(out.neighbors_considered, 3, "{mode}");
+            assert_eq!(out.neighbors_processed, 2, "{mode}");
+            assert_eq!(out.contributions.len(), 2, "{mode}");
             assert!(out.stopped_early, "{mode} stopped with a neighbor left");
         }
     }

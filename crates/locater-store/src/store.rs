@@ -3,13 +3,14 @@
 use crate::compaction::CompactionReport;
 use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
 use crate::error::{IngestError, StoreError};
+use crate::read::EventRead;
 use crate::snapshot::SnapshotParts;
 use crate::stats::DatasetStatistics;
 use crate::timeline::{entry_key, NearbyDevice, Timeline, TimelineEntry};
 use locater_events::validity::{estimate_delta_events, DEFAULT_DELTA};
 use locater_events::{
-    gap_containing, gaps_in, gaps_in_window, Device, DeviceId, EventId, EventSeq, Gap, Interval,
-    MacAddress, StoredEvent, Timestamp, EVENT_ID_LIMIT, EVENT_TIME_LIMIT,
+    Device, DeviceId, EventId, EventSeq, Gap, Interval, MacAddress, StoredEvent, Timestamp,
+    EVENT_ID_LIMIT, EVENT_TIME_LIMIT,
 };
 use locater_space::{AccessPointId, RegionId, Space};
 use std::collections::HashMap;
@@ -261,36 +262,34 @@ impl EventStore {
         device: DeviceId,
         range: Interval,
     ) -> std::slice::Iter<'_, StoredEvent> {
-        self.timelines[device.index()].in_range(range).iter()
+        EventRead::events_of_in(self, device, range)
     }
 
     /// The event (and its index in the device timeline) whose validity interval
     /// covers `t`, if any.
     pub fn covering_event(&self, device: DeviceId, t: Timestamp) -> Option<(usize, StoredEvent)> {
-        self.timelines[device.index()]
-            .covering_event(t, self.delta(device))
-            .map(|(idx, event)| (idx, *event))
+        EventRead::covering_event(self, device, t)
     }
 
     /// The region a covering event (if any) places the device in at time `t`.
     pub fn covering_region(&self, device: DeviceId, t: Timestamp) -> Option<RegionId> {
-        self.covering_event(device, t).map(|(_, e)| e.region())
+        EventRead::covering_region(self, device, t)
     }
 
     /// All gaps of a device (`GAP(d_i)`).
     pub fn gaps_of(&self, device: DeviceId) -> Vec<Gap> {
-        gaps_in(&self.timelines[device.index()], self.delta(device))
+        EventRead::gaps_of(self, device)
     }
 
     /// Gaps of a device whose interval intersects `window` — computed from the
     /// events around the window only, never from the full history.
     pub fn gaps_of_in(&self, device: DeviceId, window: Interval) -> Vec<Gap> {
-        gaps_in_window(&self.timelines[device.index()], window, self.delta(device))
+        EventRead::gaps_of_in(self, device, window)
     }
 
     /// The gap containing `t` for this device, if `t` falls in one.
     pub fn gap_at(&self, device: DeviceId, t: Timestamp) -> Option<Gap> {
-        gap_containing(&self.timelines[device.index()], t, self.delta(device))
+        EventRead::gap_at(self, device, t)
     }
 
     /// Devices with at least one event in `[t − slack, t + slack]`, excluding

@@ -20,7 +20,9 @@
 #   unrelated identifier elsewhere hides an item from this count, never adds
 #   one. The names themselves are listed under each crate's count;
 # * config fields: the `pub` fields of structs named `*Config`, `*Weights`
-#   or `*Policy`, per crate and in total — the knobs a caller can set.
+#   or `*Policy`, per crate and in total — the knobs a caller can set. Their
+#   `Struct.field` names are listed under each crate's count, after
+#   `config:`.
 set -eu
 export LC_ALL=C
 
@@ -38,13 +40,23 @@ pub_decl='pub (const fn|fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*'
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
-# `pub` fields of the `*Config` / `*Weights` / `*Policy` structs under $1.
+# `pub` fields of the `*Config` / `*Weights` / `*Policy` structs under $1,
+# one `Struct.field` per line, sorted.
 config_fields() {
     find "$1" -name '*.rs' -print0 | xargs -0 awk '
-        /^ *(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]*(Config|Weights|Policy) *\{/ { inside = 1; next }
+        /^ *(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]*(Config|Weights|Policy) *\{/ {
+            name = $0
+            sub(/^ *(pub(\([a-z]+\))? )?struct /, "", name)
+            sub(/[ {].*/, "", name)
+            inside = 1
+            next
+        }
         inside && /^ *\}/ { inside = 0 }
-        inside && /^ *pub [a-z_][a-z0-9_]*:/ { n++ }
-        END { print n + 0 }'
+        inside && /^ *pub [a-z_][a-z0-9_]*:/ {
+            field = $2
+            sub(/:.*/, "", field)
+            print name "." field
+        }' | sort
 }
 
 total=0
@@ -59,11 +71,16 @@ for dir in crates/*/src src; do
     grep -rhoE "$pub_decl" "$dir" | awk '{print $NF}' | sort >"$scratch/names"
     join -v 1 "$scratch/names" "$scratch/outside" >"$scratch/unnamed"
     unnamed=$(wc -l <"$scratch/unnamed")
-    knobs=$(config_fields "$dir")
+    config_fields "$dir" >"$scratch/knobs"
+    knobs=$(wc -l <"$scratch/knobs")
     printf '  %-28s %5d pub items, %4d unnamed outside, %3d config fields\n' \
         "$dir" "$count" "$unnamed" "$knobs"
     if [ "$unnamed" -gt 0 ]; then
         tr '\n' ' ' <"$scratch/unnamed" | fold -s -w 68 | sed 's/ *$//; s/^/      /'
+        echo
+    fi
+    if [ "$knobs" -gt 0 ]; then
+        { printf 'config: '; tr '\n' ' ' <"$scratch/knobs"; } | fold -s -w 68 | sed 's/ *$//; s/^/      /'
         echo
     fi
     total=$((total + count))

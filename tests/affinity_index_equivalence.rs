@@ -1,28 +1,34 @@
-//! The correctness cornerstone of device affinity: **every affinity the
-//! engine computes is bit-identical to the naive reference scan** — same
-//! event counts, same float divisions — for random ingest interleavings
+//! The correctness cornerstone of the fine step: **every affinity the engine
+//! computes, and every whole fine outcome, is bit-identical to the naive §4
+//! reference** of `support/paper.rs` — same event counts, same float
+//! operations in the same order — for random ingest interleavings
 //! (out-of-window events, out-of-order arrivals and δ-boundary ties
-//! included), under per-device sharding at N ∈ {2, 3, 8}, and across a
-//! snapshot round-trip.
+//! included), under per-device sharding at N ∈ {2, 3, 8}, across a snapshot
+//! round-trip, on a simulated small campus, in a 40-device crowd (where the
+//! 25-neighbour cut and D-FINE's dead cluster fire), and through the service
+//! at one and three shards with the cache off.
 //!
-//! The reference is [`scanned_affinity`]: per member, each window event is
-//! probed by a window scan of every other member for an event on the same
-//! access point within the member's δ. Equality is asserted on
-//! `f64::to_bits`, not approximate closeness, and extends to the affinities
-//! whole [`FineLocalizer`] outcomes are built from.
+//! The affinity reference is [`paper::device_affinity`]: per member, each
+//! window event is probed by a window scan of every other member for an event
+//! on the same access point within the member's δ. The outcome reference is
+//! [`paper::locate`] at [`Deviations::PRODUCTION`], in both modes: room,
+//! probabilities, contributions, neighbour counts and the early-stop flag.
+//! Equality is asserted on `f64::to_bits`, not approximate closeness.
 
 #[path = "support/fixture.rs"]
 mod fixture;
 #[path = "support/lcg.rs"]
 mod lcg;
+#[path = "support/paper.rs"]
+mod paper;
 
 use fixture::space;
 use lcg::Lcg;
-use locater::core::fine::{AffinityEngine, FineConfig, FineLocalizer, FineMode};
-use locater::events::Interval;
+use locater::core::fine::{AffinityEngine, FineConfig, FineLocalizer, FineMode, FineOutcome};
 use locater::prelude::*;
 use locater::store::ShardedRead;
 use locater_store::EventRead;
+use paper::{bits, Deviations};
 
 const MACS: [&str; 5] = ["alice", "bob", "carol", "dave", "erin"];
 const APS: [&str; 3] = ["wap0", "wap1", "wap2"];
@@ -82,35 +88,6 @@ fn probe_times(anchors: &[i64]) -> Vec<i64> {
     times
 }
 
-/// The reference semantics of `AffinityEngine::device_affinity` over the
-/// `window` seconds ending at `until`: per member, a scan of its window
-/// events, each probed by a window scan of every other member.
-fn scanned_affinity(store: &dyn EventRead, devices: &[DeviceId], until: i64, window: i64) -> f64 {
-    if devices.len() < 2 {
-        return 0.0;
-    }
-    let window = Interval::new(until - window, until + 1);
-    let (mut total, mut intersecting) = (0usize, 0usize);
-    for &device in devices {
-        let delta = store.delta(device);
-        for event in store.events_of_in(device, window) {
-            total += 1;
-            let near = Interval::new(event.t() - delta, event.t() + delta + 1);
-            let all_present = devices.iter().filter(|&&d| d != device).all(|&other| {
-                store
-                    .events_of_in(other, near)
-                    .any(|e| e.ap() == event.ap())
-            });
-            intersecting += usize::from(all_present);
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        intersecting as f64 / total as f64
-    }
-}
-
 /// Asserts that every affinity the engine computes over `view` — one-shot
 /// pairs, a session reused across neighbours, triples, repeated-member sets
 /// and the sets fine outcomes are built from — equals the reference scan
@@ -120,7 +97,7 @@ fn assert_engine_equivalence(view: &dyn EventRead, label: &str, anchors: &[i64])
     let window = config.affinity_window;
     let engine = AffinityEngine::new(view, config.weights, window);
     let reference =
-        |devices: &[DeviceId], until: i64| scanned_affinity(view, devices, until, window);
+        |devices: &[DeviceId], until: i64| paper::device_affinity(view, devices, until, window);
     let devices: Vec<DeviceId> = (0..view.num_devices() as u32).map(DeviceId::new).collect();
 
     for &until in &probe_times(anchors) {
@@ -158,38 +135,40 @@ fn assert_engine_equivalence(view: &dyn EventRead, label: &str, anchors: &[i64])
         }
     }
 
-    // Whole fine outcomes, both modes: every pair affinity a contribution
-    // reports, and the joint affinity of the queried device with its
-    // contributors (the shape of a D-FINE cluster), equal the reference.
-    for mode in [FineMode::Independent, FineMode::Dependent] {
-        let localizer = FineLocalizer::new(FineConfig {
-            mode,
-            ..FineConfig::default()
-        });
-        for &t_q in probe_times(anchors).iter().take(6) {
-            for &device in &devices {
-                let Some(region) = view.covering_region(device, t_q) else {
-                    continue;
-                };
-                let outcome = localizer.locate(view, device, t_q, region, None);
-                let mut members = vec![device];
-                for contribution in &outcome.contributions {
-                    let pair = [device, contribution.device];
-                    assert_eq!(
-                        contribution.pair_affinity.to_bits(),
-                        reference(&pair, t_q).to_bits(),
-                        "{label}: {mode} contribution {pair:?} at {t_q}"
-                    );
-                    members.push(contribution.device);
-                }
-                assert_eq!(
-                    engine.device_affinity(&members, t_q).to_bits(),
-                    reference(&members, t_q).to_bits(),
-                    "{label}: {mode} joint set {members:?} at {t_q}"
-                );
+    // Whole fine outcomes, both modes, equal the naive Algorithm 2's.
+    for &t_q in probe_times(anchors).iter().take(6) {
+        for &device in &devices {
+            if let Some(region) = view.covering_region(device, t_q) {
+                assert_fine_equals_paper(view, device, t_q, region, label);
             }
         }
     }
+}
+
+/// Asserts that the fine step's outcome for `(device, t_q)` in `region`
+/// equals the naive Algorithm 2's at the production deviations, bit for bit,
+/// in both modes; returns the two outcomes (I-FINE, D-FINE).
+fn assert_fine_equals_paper(
+    view: &dyn EventRead,
+    device: DeviceId,
+    t_q: i64,
+    region: RegionId,
+    label: &str,
+) -> [FineOutcome; 2] {
+    [FineMode::Independent, FineMode::Dependent].map(|mode| {
+        let config = FineConfig {
+            mode,
+            ..FineConfig::default()
+        };
+        let outcome = FineLocalizer::new(config).locate(view, device, t_q, region, None);
+        let reference = paper::locate(view, &config, &Deviations::PRODUCTION, device, t_q, region);
+        assert_eq!(
+            bits(&outcome),
+            bits(&reference),
+            "{label}: {mode} outcome for {device} at {t_q} in {region}"
+        );
+        outcome
+    })
 }
 
 #[test]
@@ -264,7 +243,8 @@ fn live_ingest_interleavings_keep_index_and_scan_in_step() {
                 let until = t - rng.below(2_000) as i64;
                 assert_eq!(
                     engine.pair_affinity(a, b, until).to_bits(),
-                    scanned_affinity(&snapshot, &[a, b], until, config.affinity_window).to_bits(),
+                    paper::device_affinity(&snapshot, &[a, b], until, config.affinity_window)
+                        .to_bits(),
                     "burst {burst}: pair ({a}, {b}) at {until}"
                 );
             }
@@ -274,6 +254,161 @@ fn live_ingest_interleavings_keep_index_and_scan_in_step() {
         match (service.locate(&probe), rebuilt.locate(&probe)) {
             (Ok(live), Ok(fresh)) => assert_eq!(live.answer, fresh.answer, "burst {burst}"),
             (live, fresh) => assert_eq!(live.is_err(), fresh.is_err(), "burst {burst}"),
+        }
+    }
+}
+
+/// The simulated small campus and its probes: one minute after every
+/// `stride`-th event (a covered instant, so the fine step runs with online
+/// neighbours), as device ids.
+fn small_campus(probes: usize) -> (EventStore, Vec<(DeviceId, i64)>) {
+    let output = Simulator::new(0x5A11).run_campus(&CampusConfig::small());
+    let store = output.build_store();
+    let stride = (output.events.len() / probes).max(1);
+    let queries = output
+        .events
+        .iter()
+        .step_by(stride)
+        .take(probes)
+        .map(|e| (store.device_id(e.mac.as_str()).unwrap(), e.t + 60))
+        .collect();
+    (store, queries)
+}
+
+/// How often each branch of Algorithm 2 ran over a set of compared outcomes.
+#[derive(Debug, Default)]
+struct Branches {
+    /// I-FINE folded in at least one neighbour.
+    contributed: usize,
+    /// Queries with more eligible neighbours than the 25-neighbour cut keeps.
+    cut: usize,
+    /// I-FINE stopped by the §4.2 bounds.
+    bounds_stop: usize,
+    /// Either mode stopped by the contributor cap with neighbours left.
+    cap_stop: usize,
+    /// D-FINE met a cluster whose joint affinity is zero.
+    dead_cluster: usize,
+}
+
+impl Branches {
+    fn count(
+        &mut self,
+        store: &EventStore,
+        device: DeviceId,
+        t_q: i64,
+        region: RegionId,
+        [independent, dependent]: &[FineOutcome; 2],
+    ) {
+        let eligible = FineLocalizer::default()
+            .candidate_neighbors(store, device, t_q, region)
+            .len();
+        let capped = |o: &FineOutcome| o.stopped_early && o.contributions.len() == 2;
+        self.contributed += usize::from(!independent.contributions.is_empty());
+        self.cut += usize::from(eligible > independent.neighbors_considered);
+        self.bounds_stop += usize::from(independent.stopped_early && !capped(independent));
+        self.cap_stop += usize::from(capped(independent) || capped(dependent));
+        // D-FINE's second contributor joined the first one's cluster, and the
+        // merged cluster was never co-located with the queried device.
+        if let [first, second] = dependent.contributions.as_slice() {
+            let window = FineConfig::default().affinity_window;
+            let affinity =
+                |members: &[DeviceId]| paper::device_affinity(store, members, t_q, window);
+            self.dead_cluster += usize::from(
+                affinity(&[second.device, first.device]) > 0.0
+                    && affinity(&[first.device, second.device, device]) <= 0.0,
+            );
+        }
+    }
+}
+
+#[test]
+fn fine_outcomes_equal_the_paper_on_the_small_campus() {
+    let (store, queries) = small_campus(150);
+    let mut branches = Branches::default();
+    for &(device, t_q) in &queries {
+        if let Some(region) = store.covering_region(device, t_q) {
+            let outcomes = assert_fine_equals_paper(&store, device, t_q, region, "small campus");
+            branches.count(&store, device, t_q, region, &outcomes);
+        }
+    }
+    assert!(
+        branches.contributed > 0 && branches.bounds_stop > 0 && branches.cap_stop > 0,
+        "a stop condition went unexercised: {branches:?}"
+    );
+}
+
+/// Forty devices of the fixture space that connect within one minute of each
+/// other, each to a random access point, once an hour for six hours, with a
+/// five-minute δ: at the last hour every device is online, more than the
+/// 25-neighbour cut keeps, and many co-located pairs were never co-located
+/// as a triple with the queried device (D-FINE's dead cluster).
+fn crowd(seed: u64) -> (EventStore, i64) {
+    let mut rng = Lcg(seed);
+    let mut store = EventStore::new(space());
+    let macs: Vec<String> = (0..40).map(|i| format!("guest-{i:02}")).collect();
+    for hour in 0..6 {
+        for mac in &macs {
+            let t = 10_000 + hour * 3_600 + rng.below(60) as i64;
+            let ap = APS[rng.below(APS.len() as u64) as usize];
+            store.ingest_raw(mac, t, ap).unwrap();
+        }
+    }
+    for mac in &macs {
+        store.set_delta(store.device_id(mac).unwrap(), 300);
+    }
+    (store, 10_000 + 5 * 3_600 + 90)
+}
+
+#[test]
+fn fine_outcomes_equal_the_paper_in_a_crowd() {
+    let mut branches = Branches::default();
+    for seed in [5u64, 6, 7] {
+        let (store, t_q) = crowd(seed);
+        for device in (0..store.num_devices() as u32).map(DeviceId::new) {
+            let region = store.covering_region(device, t_q).unwrap();
+            let label = format!("crowd {seed}");
+            let outcomes = assert_fine_equals_paper(&store, device, t_q, region, &label);
+            branches.count(&store, device, t_q, region, &outcomes);
+        }
+    }
+    assert!(
+        branches.cut > 0 && branches.dead_cluster > 0 && branches.cap_stop > 0,
+        "a branch of Algorithm 2 went unexercised: {branches:?}"
+    );
+}
+
+#[test]
+fn service_answers_carry_the_paper_outcome_with_the_cache_off() {
+    let (store, queries) = small_campus(60);
+    for shards in [1usize, 3] {
+        for mode in [FineMode::Independent, FineMode::Dependent] {
+            let config = LocaterConfig::default()
+                .with_fine_mode(mode)
+                .with_cache(CacheMode::Disabled);
+            let service = ShardedLocaterService::new(store.clone(), config, shards);
+            let mut compared = 0usize;
+            for &(device, t_q) in &queries {
+                let request = LocateRequest::by_device(device, t_q).with_diagnostics();
+                let diagnostics = service.locate(&request).unwrap().diagnostics.unwrap();
+                let Some(fine) = diagnostics.fine else {
+                    continue;
+                };
+                let reference = paper::locate(
+                    &store,
+                    &config.fine,
+                    &Deviations::PRODUCTION,
+                    device,
+                    t_q,
+                    fine.region,
+                );
+                assert_eq!(
+                    bits(&fine),
+                    bits(&reference),
+                    "{shards} shard(s), {mode}: {device} at {t_q}"
+                );
+                compared += 1;
+            }
+            assert!(compared > 0, "{shards} shard(s), {mode}: no fine answer");
         }
     }
 }

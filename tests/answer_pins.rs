@@ -3,10 +3,13 @@
 //! caching engine on and off, must hash to the constants below.
 //!
 //! The hash is an FNV-1a over each answer's location, confidence bits and
-//! coarse method, in query order. A behaviour-preserving refactor of the
-//! coarse or fine step leaves every constant unchanged; a change that is
-//! meant to move answers updates them and says so.
+//! coarse method, in query order. With the cache off, `locate_batch` at one
+//! and two jobs must hash to the same pins as `locate`. A
+//! behaviour-preserving refactor of the coarse or fine step leaves every
+//! constant unchanged; a change that is meant to move answers updates them
+//! and says so.
 
+use locater::core::LocaterError;
 use locater::prelude::*;
 use locater::sim::generated_workload;
 
@@ -76,12 +79,14 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// The FNV of every answer, and how many answers name a room.
-fn answer_hash(service: &ShardedLocaterService, queries: &[LocateRequest]) -> (u64, usize) {
+/// The FNV of every answer, in query order, and how many answers name a room.
+fn answer_hash(
+    answers: impl IntoIterator<Item = Result<LocateResponse, LocaterError>>,
+) -> (u64, usize) {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut rooms = 0usize;
-    for query in queries {
-        let line = match service.locate(query) {
+    for result in answers {
+        let line = match result {
             Ok(response) => {
                 let answer = response.answer;
                 rooms += usize::from(answer.location.room().is_some());
@@ -109,7 +114,7 @@ fn answers_are_pinned_in_both_fine_modes_with_and_without_the_cache() {
             .with_fine_mode(mode)
             .with_cache(cache);
         let service = ShardedLocaterService::new(store.clone(), config, 2);
-        measured.push(answer_hash(&service, &queries));
+        measured.push(answer_hash(queries.iter().map(|q| service.locate(q))));
     }
     for ((mode, cache, fnv), &(got_fnv, got_rooms)) in PINS.iter().zip(&measured) {
         assert_eq!(
@@ -117,5 +122,28 @@ fn answers_are_pinned_in_both_fine_modes_with_and_without_the_cache() {
             (*fnv, ROOM_ANSWERS),
             "{mode} with cache {cache:?}: answers moved (all pins measured: {measured:x?})"
         );
+    }
+}
+
+#[test]
+fn batch_answers_match_the_cache_off_pins() {
+    // With the cache off no answer depends on query history, so
+    // `locate_batch` answers like `locate`, for every job count.
+    let (store, queries) = campus();
+    for (mode, cache, fnv) in PINS {
+        if cache != CacheMode::Disabled {
+            continue;
+        }
+        let config = LocaterConfig::default()
+            .with_fine_mode(mode)
+            .with_cache(cache);
+        let service = ShardedLocaterService::new(store.clone(), config, 2);
+        for jobs in [1, 2] {
+            assert_eq!(
+                answer_hash(service.locate_batch(&queries, jobs)),
+                (fnv, ROOM_ANSWERS),
+                "{mode}: locate_batch with {jobs} job(s) answers unlike locate"
+            );
+        }
     }
 }
