@@ -422,16 +422,17 @@ impl ShardedLocaterService {
     /// client might replay (see `RecoveryReport::acked_ingests`) — without it,
     /// a replay-dedup cache cannot survive a restart.
     ///
-    /// Returns the event id together with the device's id and the epoch this
-    /// very ingest left it at (read under the same write lock), which is what
-    /// an ack reports.
+    /// Returns the event id together with the device's id, the resolved
+    /// access point and the epoch this very ingest left the device at (read
+    /// under the same write lock) — what an ack reports, and what a replay
+    /// window keeps to recognise the event again without resolving it twice.
     pub fn ingest_tagged(
         &self,
         mac: &str,
         t: Timestamp,
         ap_name: &str,
         request_id: Option<u64>,
-    ) -> Result<(EventId, DeviceId, u64), IngestError> {
+    ) -> Result<(EventId, DeviceId, AccessPointId, u64), IngestError> {
         let known = self.any_shard().store.device_id(mac);
         if let Some(device) = known {
             let mut live = relock(self.shards[self.home_shard(device)].live.write());
@@ -464,7 +465,7 @@ impl ShardedLocaterService {
         t: Timestamp,
         ap: AccessPointId,
         request_id: Option<u64>,
-    ) -> Result<(EventId, DeviceId, u64), IngestError> {
+    ) -> Result<(EventId, DeviceId, AccessPointId, u64), IngestError> {
         let id = self.next_event_id.fetch_add(1, Ordering::Relaxed);
         // An id a stored event cannot hold must not reach the log either.
         if id >= EVENT_ID_LIMIT {
@@ -483,7 +484,7 @@ impl ShardedLocaterService {
         live.store.set_next_event_id(id);
         let id = live.store.ingest(mac, t, ap)?;
         live.epochs.bump(device);
-        Ok((id, device, live.epochs.of(device)))
+        Ok((id, device, ap, live.epochs.of(device)))
     }
 
     /// Appends a batch of raw events under one all-shard write lock (the batch

@@ -9,33 +9,47 @@
 
 use locater_core::system::{Cut, ShardedLocaterService};
 use locater_events::clock::Timestamp;
+use locater_events::DeviceId;
 use locater_proto::{WireError, WireRequest, WireResponse, WireStats, PROTOCOL_VERSION};
-use locater_space::AccessPointId;
+use locater_space::{AccessPointId, Space};
 use locater_store::RecoveryReport;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Default bound on how many acknowledged ingest request ids the server
-/// remembers for replay deduplication ([`ServerState::with_dedup_capacity`]
-/// overrides it — the server sizes the window off its admission limit). Old
-/// entries age out in insertion order; a client retrying within this window
-/// gets the original ack back instead of a second apply.
+/// Default bound on how many acknowledged ingest request ids a
+/// [`ServerState`] remembers for replay deduplication. `locater-cli serve`
+/// overrides it with [`ServerState::with_dedup_capacity`], sizing the window
+/// off its admission limit; [`Server::bind`](crate::Server::bind) keeps
+/// whatever window the state it is given carries. Old entries age out in
+/// insertion order; a client retrying within this window gets the original
+/// ack back instead of a second apply.
 const DEDUP_CAPACITY: usize = 1024;
 
-/// One request id's place in the replay-dedup window.
-#[derive(Debug, Clone)]
+/// One request id's place in the replay-dedup window. A completed ack is
+/// kept as the ids it resolved to, not as a response frame: a replay
+/// rebuilds the frame from the retry's own strings, so a verbatim retry
+/// gets the original bytes back and the window costs 24 bytes a slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DedupSlot {
     /// A thread claimed the id and is executing it right now. Concurrent
     /// arrivals of the same id park on the marker instead of executing a
     /// second apply.
     InFlight,
-    /// The id completed with this ack; retries replay it verbatim.
-    /// (Boxed: the slot map holds up to the whole window's worth of acks.)
-    Done(Box<WireResponse>),
+    /// The id acked one `Ingest`: the device and access point it resolved
+    /// to, its timestamp (ingest refuses any outside `u32`) and the epoch
+    /// the ack reported.
+    Ingested {
+        device: DeviceId,
+        t: u32,
+        ap: AccessPointId,
+        device_epoch: u64,
+    },
+    /// The id acked one `IngestBatch` of `appended` events.
+    IngestedBatch { appended: usize },
 }
 
 /// The bounded replay cache: per-request-id slots plus the insertion order
@@ -55,7 +69,7 @@ enum DedupClaim {
     Execute,
     /// The id already completed (possibly while this call waited out an
     /// in-flight marker): answer with the original ack, apply nothing.
-    Replay(Box<WireResponse>),
+    Replay(DedupSlot),
 }
 
 /// A live service plus the serving-layer bookkeeping around it.
@@ -68,6 +82,9 @@ enum DedupClaim {
 #[derive(Debug)]
 pub struct ServerState {
     service: ShardedLocaterService,
+    /// The service's space (fixed for its lifetime), kept to resolve a
+    /// replayed ingest's access point without a shard lock.
+    space: Arc<Space>,
     started: Instant,
     requests_served: AtomicU64,
     in_flight: AtomicUsize,
@@ -100,6 +117,7 @@ impl ServerState {
     /// persisted to when a graceful drain completes (`None` to skip).
     pub fn new(service: ShardedLocaterService, drain_snapshot: Option<String>) -> Self {
         ServerState {
+            space: service.space(),
             service,
             started: Instant::now(),
             requests_served: AtomicU64::new(0),
@@ -140,11 +158,12 @@ impl ServerState {
         self
     }
 
-    /// Sizes the replay-dedup window. The TCP server passes a multiple of
-    /// its admission limit: with a window no smaller than the number of
-    /// requests that can be in the building at once, an id acked moments ago
-    /// cannot be evicted while its client is still inside the retry backoff
-    /// (evictions under load are visible as `dedup_evicted` in `stats`).
+    /// Sizes the replay-dedup window. `locater-cli serve` passes 4× its
+    /// admission limit (at least 1024): with a window no smaller than the
+    /// number of requests that can be in the building at once, an id acked
+    /// moments ago cannot be evicted while its client is still inside the
+    /// retry backoff (evictions under load are visible as `dedup_evicted` in
+    /// `stats`).
     /// Clamped to at least one entry.
     pub fn with_dedup_capacity(mut self, capacity: usize) -> Self {
         self.dedup_capacity = capacity.max(1);
@@ -200,14 +219,19 @@ impl ServerState {
     ) -> WireResponse {
         let response = match Self::dedup_key(request) {
             Some(id) => match self.claim_dedup(id) {
-                DedupClaim::Replay(cached) => *cached,
+                DedupClaim::Replay(slot) => self.replay(id, request, slot),
                 DedupClaim::Execute => {
-                    let response = self.execute_guarded(request, over_deadline);
-                    self.complete_dedup(id, &response);
+                    let (response, acked) = match self.fenced(|| self.apply_ingest(request)) {
+                        Ok((response, slot)) => (response, Some(slot)),
+                        Err(e) => (WireResponse::Error(e), None),
+                    };
+                    self.complete_dedup(id, acked);
                     response
                 }
             },
-            None => self.execute_guarded(request, over_deadline),
+            None => self
+                .fenced(|| Ok(self.execute_inner(request, over_deadline)))
+                .unwrap_or_else(WireResponse::Error),
         };
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         response
@@ -238,16 +262,13 @@ impl ServerState {
         let mut cache = self.dedup.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             match cache.slots.get(&id) {
-                Some(DedupSlot::Done(response)) => {
-                    self.deduped.fetch_add(1, Ordering::Relaxed);
-                    return DedupClaim::Replay(response.clone());
-                }
                 Some(DedupSlot::InFlight) => {
                     cache = self
                         .dedup_done
                         .wait(cache)
                         .unwrap_or_else(|p| p.into_inner());
                 }
+                Some(&slot) => return DedupClaim::Replay(slot),
                 None => {
                     cache.slots.insert(id, DedupSlot::InFlight);
                     return DedupClaim::Execute;
@@ -256,17 +277,62 @@ impl ServerState {
         }
     }
 
+    /// Answers a retry of the completed id `id` from its slot, applying
+    /// nothing. The ack is rebuilt from the retry's own frame — its MAC, `t`
+    /// and AP strings as sent, the epoch the slot kept — so a verbatim retry
+    /// gets the original bytes back, and a retry spelling the same device's
+    /// MAC in another case echoes its own spelling. A retry whose frame names
+    /// another event than the one the id acked (another device, time or
+    /// access point, or a batch id reused for a single ingest) is refused
+    /// with `BadRequest`: answering it with an ack would confirm an event the
+    /// server never applied. The slot is kept either way.
+    fn replay(&self, id: u64, request: &WireRequest, slot: DedupSlot) -> WireResponse {
+        let ack = match (request, slot) {
+            (
+                WireRequest::Ingest { mac, t, ap, .. },
+                DedupSlot::Ingested {
+                    device,
+                    t: acked_t,
+                    ap: acked_ap,
+                    device_epoch,
+                },
+            ) if u32::try_from(*t) == Ok(acked_t)
+                && self.space.ap_id(ap) == Some(acked_ap)
+                && self.service.device_id(mac) == Some(device) =>
+            {
+                WireResponse::Ingested {
+                    mac: mac.clone(),
+                    t: *t,
+                    ap: ap.clone(),
+                    device_epoch,
+                }
+            }
+            (WireRequest::IngestBatch { .. }, DedupSlot::IngestedBatch { appended }) => {
+                WireResponse::IngestedBatch { appended }
+            }
+            _ => {
+                return WireResponse::Error(WireError::BadRequest {
+                    message: format!("request_id {id} was already used for another event"),
+                })
+            }
+        };
+        self.deduped.fetch_add(1, Ordering::Relaxed);
+        ack
+    }
+
     /// Resolves an in-flight marker planted by [`claim_dedup`](Self::claim_dedup)
     /// and wakes every duplicate parked on it. Only acks are remembered for
-    /// replay: a failed ingest applied nothing, so its marker is dropped and
-    /// a retry after an error re-executes instead of replaying the failure.
-    fn complete_dedup(&self, id: u64, response: &WireResponse) {
+    /// replay: a failed ingest (`acked` is `None`) applied nothing, so its
+    /// marker is dropped and a retry after an error re-executes instead of
+    /// replaying the failure.
+    fn complete_dedup(&self, id: u64, acked: Option<DedupSlot>) {
         {
             let mut cache = self.dedup.lock().unwrap_or_else(|p| p.into_inner());
-            if matches!(response, WireResponse::Error(_)) {
-                cache.slots.remove(&id);
-            } else {
-                self.remember_locked(&mut cache, id, response.clone());
+            match acked {
+                Some(slot) => self.remember_locked(&mut cache, id, slot),
+                None => {
+                    cache.slots.remove(&id);
+                }
             }
         }
         self.dedup_done.notify_all();
@@ -276,9 +342,9 @@ impl ServerState {
     /// oldest completed entries beyond the window. Every eviction bumps the
     /// `dedup_evicted` gauge — a nonzero value in `stats` means retries can
     /// outlive the window under the current load.
-    fn remember_locked(&self, cache: &mut DedupCache, id: u64, response: WireResponse) {
-        let previous = cache.slots.insert(id, DedupSlot::Done(Box::new(response)));
-        if !matches!(previous, Some(DedupSlot::Done(_))) {
+    fn remember_locked(&self, cache: &mut DedupCache, id: u64, slot: DedupSlot) {
+        let previous = cache.slots.insert(id, slot);
+        if matches!(previous, None | Some(DedupSlot::InFlight)) {
             cache.order.push_back(id);
         }
         while cache.order.len() > self.dedup_capacity {
@@ -295,55 +361,61 @@ impl ServerState {
     /// ack was lost to the crash is answered instead of re-applied. The
     /// reconstructed `device_epoch` is the *post-recovery* epoch (the
     /// pre-crash value died with the process, and recovery rebuilt the
-    /// device's state wholesale anyway). Ids whose device or access point
-    /// no longer resolves (a checkpoint from a different space) are skipped,
-    /// not errors. Returns how many acks were seeded.
+    /// device's state wholesale anyway). Ids whose device, access point or
+    /// timestamp no longer resolves (a checkpoint from a different space)
+    /// are skipped, not errors. `acked_ingests` is in event-id order, so only
+    /// its newest window's worth is seeded: an older id would only be
+    /// evicted again at once, and boot must not read as `dedup_evicted`
+    /// load. Returns how many acks were seeded.
     pub fn seed_dedup_from_recovery(&self, report: &RecoveryReport) -> usize {
-        let space = self.service.space();
+        let newest = report
+            .acked_ingests
+            .len()
+            .saturating_sub(self.dedup_capacity);
         let mut seeded = 0;
         let mut cache = self.dedup.lock().unwrap_or_else(|p| p.into_inner());
-        for acked in &report.acked_ingests {
+        for acked in &report.acked_ingests[newest..] {
             let Some(device) = self.service.device_id(&acked.mac) else {
                 continue;
             };
             let ap = AccessPointId::new(acked.ap);
-            if ap.index() >= space.num_access_points() {
+            let Ok(t) = u32::try_from(acked.t) else {
+                continue;
+            };
+            if ap.index() >= self.space.num_access_points() {
                 continue;
             }
-            let response = WireResponse::Ingested {
-                mac: acked.mac.clone(),
-                t: acked.t,
-                ap: space.access_point(ap).name.clone(),
+            let slot = DedupSlot::Ingested {
+                device,
+                t,
+                ap,
                 device_epoch: self.service.device_epoch(device),
             };
-            self.remember_locked(&mut cache, acked.request_id, response);
+            self.remember_locked(&mut cache, acked.request_id, slot);
             seeded += 1;
         }
         seeded
     }
 
-    /// Runs the request with a panic fence around it: a panic anywhere in
-    /// the service becomes a typed `Internal` error (retryable — the client
+    /// Runs `f` with a panic fence around it: a panic anywhere in the
+    /// service becomes a typed `Internal` error (retryable — the client
     /// cannot know how far the request got) and bumps the `panics` counter,
     /// instead of unwinding through the serving thread and poisoning shared
     /// locks.
-    fn execute_guarded(&self, request: &WireRequest, over_deadline: bool) -> WireResponse {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.execute_inner(request, over_deadline)
-        }))
-        .unwrap_or_else(|payload| {
+    fn fenced<R>(&self, f: impl FnOnce() -> Result<R, WireError>) -> Result<R, WireError> {
+        catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
             self.panics.fetch_add(1, Ordering::Relaxed);
-            WireResponse::Error(WireError::Internal {
+            Err(WireError::Internal {
                 message: format!("worker panicked: {}", panic_message(&payload)),
             })
         })
     }
 
-    fn execute_inner(&self, request: &WireRequest, over_deadline: bool) -> WireResponse {
+    /// Applies an `Ingest` or `IngestBatch` request, returning its ack and
+    /// the slot a replay window keeps for it — the ids the apply resolved,
+    /// so nothing is parsed or locked a second time to remember it.
+    fn apply_ingest(&self, request: &WireRequest) -> Result<(WireResponse, DedupSlot), WireError> {
         match request {
-            WireRequest::Ping => WireResponse::Pong {
-                version: PROTOCOL_VERSION,
-            },
             WireRequest::Ingest {
                 mac,
                 t,
@@ -353,23 +425,44 @@ impl ServerState {
                 if let Some(hook) = self.ingest_hook {
                     hook(mac);
                 }
-                match self.service.ingest_tagged(mac, *t, ap, *request_id) {
-                    Ok((_, _, device_epoch)) => WireResponse::Ingested {
-                        mac: mac.clone(),
-                        t: *t,
-                        ap: ap.clone(),
-                        device_epoch,
-                    },
-                    Err(e) => WireResponse::Error(e.into()),
-                }
+                let (_, device, resolved, device_epoch) =
+                    self.service.ingest_tagged(mac, *t, ap, *request_id)?;
+                let slot = DedupSlot::Ingested {
+                    device,
+                    // Ingest refuses any timestamp outside `u32`.
+                    t: *t as u32,
+                    ap: resolved,
+                    device_epoch,
+                };
+                let ack = WireResponse::Ingested {
+                    mac: mac.clone(),
+                    t: *t,
+                    ap: ap.clone(),
+                    device_epoch,
+                };
+                Ok((ack, slot))
             }
-            WireRequest::IngestBatch {
-                events,
-                request_id: _,
-            } => match self.service.ingest_batch(events.iter()) {
-                Ok(appended) => WireResponse::IngestedBatch { appended },
-                Err(e) => WireResponse::Error(e.into()),
+            WireRequest::IngestBatch { events, .. } => {
+                let appended = self.service.ingest_batch(events.iter())?;
+                Ok((
+                    WireResponse::IngestedBatch { appended },
+                    DedupSlot::IngestedBatch { appended },
+                ))
+            }
+            _ => Err(WireError::BadRequest {
+                message: "only ingest requests carry a request_id".into(),
+            }),
+        }
+    }
+
+    fn execute_inner(&self, request: &WireRequest, over_deadline: bool) -> WireResponse {
+        match request {
+            WireRequest::Ping => WireResponse::Pong {
+                version: PROTOCOL_VERSION,
             },
+            WireRequest::Ingest { .. } | WireRequest::IngestBatch { .. } => self
+                .apply_ingest(request)
+                .map_or_else(WireResponse::Error, |(ack, _)| ack),
             WireRequest::Locate { .. } => {
                 let locate = request.to_locate().expect("Locate variant");
                 if over_deadline {
@@ -896,6 +989,201 @@ mod tests {
         let stats = state.stats();
         assert_eq!(stats.events, 1);
         assert_eq!(stats.deduped, 1);
+    }
+
+    fn ingest(mac: &str, t: i64, ap: &str, request_id: u64) -> WireRequest {
+        WireRequest::Ingest {
+            mac: mac.into(),
+            t,
+            ap: ap.into(),
+            request_id: Some(request_id),
+        }
+    }
+
+    #[test]
+    fn a_dedup_slot_is_ids_not_a_response() {
+        // The window holds thousands of slots; a boxed response frame (and
+        // its echoed strings) per slot must not creep back in.
+        assert!(std::mem::size_of::<DedupSlot>() <= 24);
+    }
+
+    #[test]
+    fn verbatim_retries_replay_the_original_bytes() {
+        use locater_proto::encode_response;
+        use locater_store::RawEvent;
+        let state = state();
+        let batch = WireRequest::IngestBatch {
+            events: vec![
+                RawEvent {
+                    mac: "dd".into(),
+                    t: 4_000,
+                    ap: "wap1".into(),
+                },
+                RawEvent {
+                    mac: "aa".into(),
+                    t: 4_100,
+                    ap: "wap1".into(),
+                },
+            ],
+            request_id: Some(20),
+        };
+        let frames = [
+            ingest("aa", 2_000, "wap1", 10),
+            // The same device in upper case: its ack echoes its own spelling.
+            ingest("AA", 3_000, "wap1", 11),
+            // Late: before the device's newest event.
+            ingest("aa", 1_000, "wap1", 12),
+            // A device seen for the first time.
+            ingest("bb", 2_500, "wap1", 13),
+            batch,
+        ];
+        let acks: Vec<String> = frames
+            .iter()
+            .map(|frame| encode_response(&state.execute(frame)))
+            .collect();
+        assert!(acks.iter().all(|ack| !ack.contains("Error")), "{acks:?}");
+        let events = state.stats().events;
+        for _ in 0..3 {
+            for (frame, ack) in frames.iter().zip(&acks) {
+                assert_eq!(&encode_response(&state.execute(frame)), ack);
+            }
+        }
+        let stats = state.stats();
+        assert_eq!(stats.deduped, 3 * frames.len() as u64);
+        assert_eq!(stats.events, events, "a replay applies nothing");
+        assert!(acks[1].contains("\"AA\""), "{}", acks[1]);
+    }
+
+    #[test]
+    fn a_reused_request_id_naming_another_event_is_refused() {
+        use locater_store::RawEvent;
+        let state = state();
+        let first = state.execute(&ingest("aa", 1_000, "wap1", 5));
+        assert!(matches!(first, WireResponse::Ingested { .. }));
+        state.execute(&ingest("bb", 1_000, "wap1", 99));
+        let batch = |request_id| WireRequest::IngestBatch {
+            events: vec![RawEvent {
+                mac: "cc".into(),
+                t: 1_000,
+                ap: "wap1".into(),
+            }],
+            request_id: Some(request_id),
+        };
+        let refused = WireResponse::Error(WireError::BadRequest {
+            message: "request_id 5 was already used for another event".into(),
+        });
+        // Another time, another (known) device, an access point that does
+        // not resolve to the acked one, an unknown device, another kind of
+        // request: each names an event id 5 never acked.
+        for other in [
+            ingest("aa", 1_001, "wap1", 5),
+            ingest("bb", 1_000, "wap1", 5),
+            ingest("aa", 1_000, "wap2", 5),
+            ingest("zz", 1_000, "wap1", 5),
+            batch(5),
+        ] {
+            assert_eq!(state.execute(&other), refused, "{other:?}");
+        }
+        let stats = state.stats();
+        assert_eq!((stats.events, stats.deduped), (2, 0), "nothing applied");
+        // The slot survives: the same device in another case still replays,
+        // echoing its own spelling, and so does the original frame.
+        let WireResponse::Ingested { mac, .. } = state.execute(&ingest("AA", 1_000, "wap1", 5))
+        else {
+            panic!("a same-event retry replays");
+        };
+        assert_eq!(mac, "AA");
+        assert_eq!(state.execute(&ingest("aa", 1_000, "wap1", 5)), first);
+        // A batch id replays its count to a batch frame, whatever it holds,
+        // and refuses a single ingest.
+        let appended = state.execute(&batch(6));
+        assert_eq!(appended, WireResponse::IngestedBatch { appended: 1 });
+        assert_eq!(state.execute(&batch(6)), appended);
+        assert!(matches!(
+            state.execute(&ingest("cc", 1_000, "wap1", 6)),
+            WireResponse::Error(WireError::BadRequest { .. })
+        ));
+        let stats = state.stats();
+        assert_eq!((stats.events, stats.deduped), (3, 3));
+    }
+
+    fn recovered(acked: &[(u64, &str, i64)]) -> RecoveryReport {
+        RecoveryReport {
+            checkpoint_loaded: false,
+            base_events: 0,
+            replayed: acked.len() as u64,
+            skipped: 0,
+            shards: 1,
+            segments: 1,
+            torn: Vec::new(),
+            acked_ingests: acked
+                .iter()
+                .map(|&(request_id, mac, t)| locater_store::AckedIngest {
+                    request_id,
+                    mac: mac.into(),
+                    t,
+                    ap: 0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn recovery_seeding_keeps_only_the_newest_window() {
+        let state = state().with_dedup_capacity(2);
+        for (mac, t) in [("aa", 1_000), ("bb", 1_001), ("cc", 1_002)] {
+            state.execute(&WireRequest::Ingest {
+                mac: mac.into(),
+                t,
+                ap: "wap1".into(),
+                request_id: None,
+            });
+        }
+        let report = recovered(&[(1, "aa", 1_000), (2, "bb", 1_001), (3, "cc", 1_002)]);
+        assert_eq!(state.seed_dedup_from_recovery(&report), 2);
+        assert_eq!(state.stats().dedup_evicted, 0, "boot evicts nothing");
+        // The two newest ids replay…
+        state.execute(&ingest("bb", 1_001, "wap1", 2));
+        state.execute(&ingest("cc", 1_002, "wap1", 3));
+        assert_eq!((state.stats().events, state.stats().deduped), (3, 2));
+        // …and the oldest, never seeded, re-executes.
+        state.execute(&ingest("aa", 1_000, "wap1", 1));
+        assert_eq!((state.stats().events, state.stats().deduped), (4, 2));
+    }
+
+    #[test]
+    fn recovery_seeded_retries_echo_their_frame_at_the_recovered_epoch() {
+        let state = state();
+        for (mac, t) in [("aa", 1_000), ("aa", 2_000), ("bb", 1_500)] {
+            state.execute(&WireRequest::Ingest {
+                mac: mac.into(),
+                t,
+                ap: "wap1".into(),
+                request_id: None,
+            });
+        }
+        // The log keeps each frame's MAC as sent.
+        let report = recovered(&[(1, "AA", 1_000), (2, "aa", 2_000), (3, "bb", 1_500)]);
+        assert_eq!(state.seed_dedup_from_recovery(&report), 3);
+        for (request_id, mac, t, epoch) in [
+            (1, "AA", 1_000, 2),
+            (2, "aa", 2_000, 2),
+            (3, "bb", 1_500, 1),
+        ] {
+            assert_eq!(
+                state.execute(&ingest(mac, t, "wap1", request_id)),
+                WireResponse::Ingested {
+                    mac: mac.into(),
+                    t,
+                    ap: "wap1".into(),
+                    // Both of `aa`'s acks report the epoch recovery left it
+                    // at, not the one the first ack carried before the crash.
+                    device_epoch: epoch,
+                }
+            );
+        }
+        let stats = state.stats();
+        assert_eq!((stats.events, stats.deduped), (3, 3));
     }
 
     #[test]

@@ -370,7 +370,7 @@ fn call(service: &ShardedLocaterService, request: &WireRequest) -> WireResponse 
             ap,
             request_id,
         } => match service.ingest_tagged(mac, *t, ap, *request_id) {
-            Ok((_, _, device_epoch)) => WireResponse::Ingested {
+            Ok((.., device_epoch)) => WireResponse::Ingested {
                 mac: mac.clone(),
                 t: *t,
                 ap: ap.clone(),
