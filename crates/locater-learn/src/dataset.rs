@@ -1,11 +1,10 @@
 //! Dense labelled datasets.
 
 use crate::error::LearnError;
-use serde::{Deserialize, Serialize};
 
 /// A dense labelled dataset: `n` rows of `num_features` `f64` features and one class
 /// label in `0..num_classes` per row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     num_features: usize,
     num_classes: usize,

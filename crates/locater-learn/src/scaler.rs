@@ -1,14 +1,13 @@
 //! Per-feature standardization.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Standardizes features to zero mean and unit variance, fitted on a training set.
 ///
 /// Gap feature vectors mix very different scales (seconds-of-day up to 86,400,
 /// day-of-week in 0..7, densities below 1); gradient-descent logistic regression needs
 /// them on comparable scales to converge in a reasonable number of epochs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

@@ -158,6 +158,7 @@ impl SelfTrainingClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logistic::tests::{fit_reference, gap_shaped, parameter_bits};
 
     /// Two well-separated clusters; only a few points are labelled, `pairs`
     /// unlabelled points lie in each cluster.
@@ -278,5 +279,79 @@ mod tests {
         assert!(assigned[1..unlabeled.len() - 1]
             .iter()
             .all(|&label| label == Some(0)));
+    }
+
+    /// Algorithm 1 on the reference fit: every round re-scores the whole pool
+    /// with a fresh [`LogisticRegression::predict`], stable-sorts it by
+    /// variance, highest first, and promotes the first 20 with their predicted
+    /// labels. The promoted rows join the labelled set in descending pool
+    /// position, each leaving the pool by a swap-remove: that order fixes the
+    /// order of the next fit's gradient sums, so it is part of the contract.
+    fn train_reference(
+        labeled: &Dataset,
+        unlabeled: &[Vec<f64>],
+        max_rounds: usize,
+    ) -> (LogisticRegression, Vec<Option<usize>>, SelfTrainingReport) {
+        let mut working = labeled.clone();
+        let mut pool: Vec<usize> = (0..unlabeled.len()).collect();
+        let mut assigned = vec![None; unlabeled.len()];
+        let mut model = fit_reference(&working).0;
+        let mut rounds = 0;
+        while !pool.is_empty() && rounds < max_rounds {
+            rounds += 1;
+            let mut scored: Vec<(usize, f64, usize)> = pool
+                .iter()
+                .enumerate()
+                .map(|(at, &sample)| {
+                    let prediction = model.predict(&unlabeled[sample]);
+                    (at, prediction.variance(), prediction.label)
+                })
+                .collect();
+            scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+            scored.truncate(20);
+            scored.sort_by_key(|&(at, _, _)| std::cmp::Reverse(at));
+            for (at, _, label) in scored {
+                let sample = pool.swap_remove(at);
+                assigned[sample] = Some(label);
+                working.push_row(&unlabeled[sample], label);
+            }
+            model = fit_reference(&working).0;
+        }
+        let report = SelfTrainingReport {
+            rounds,
+            initially_labeled: labeled.len(),
+            promoted: unlabeled.len() - pool.len(),
+        };
+        (model, assigned, report)
+    }
+
+    /// Production's self-training equals the reference bit for bit on
+    /// gap-shaped binary problems: one that empties its pool in three rounds
+    /// and one that `max_rounds` stops with 50 samples left.
+    #[test]
+    fn self_training_matches_the_reference_algorithm_bit_for_bit() {
+        for (pool, max_rounds, rounds) in [(50, 400, 3), (90, 2, 2)] {
+            let labeled = gap_shaped(2, 30, 17);
+            let unlabeled: Vec<Vec<f64>> = gap_shaped(2, pool, 29)
+                .iter()
+                .map(|(row, _)| row.to_vec())
+                .collect();
+            let config = SelfTrainingConfig { max_rounds };
+            let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
+            let (model, assigned, report) = train_reference(&labeled, &unlabeled, max_rounds);
+            let case = format!("{pool} unlabelled, max_rounds {max_rounds}");
+            assert_eq!(clf.report(), &report, "{case}");
+            assert_eq!(report.rounds, rounds, "{case}");
+            assert_eq!(clf.assigned_labels(), &assigned[..], "{case}");
+            assert_eq!(
+                parameter_bits(clf.model()),
+                parameter_bits(&model),
+                "{case}"
+            );
+            assert!(
+                assigned.contains(&Some(0)) && assigned.contains(&Some(1)),
+                "{case}"
+            );
+        }
     }
 }
