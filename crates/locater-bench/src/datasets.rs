@@ -10,10 +10,9 @@ use locater_sim::{
     ScenarioKind, SimOutput, Simulator,
 };
 use locater_store::EventStore;
-use serde::{Deserialize, Serialize};
 
 /// Sizing knobs for the experiment datasets and workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchScale {
     /// Weeks of campus data to generate.
     pub campus_weeks: i64,

@@ -1,6 +1,5 @@
 //! Result tables and paper-reference formatting shared by all experiments.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A simple column-oriented result table rendered as GitHub-flavoured markdown.
@@ -8,7 +7,7 @@ use std::fmt::Write as _;
 /// Every experiment produces one or more `Table`s containing the *measured* values of
 /// this reproduction next to the values the paper reports, so `exp all` regenerates
 /// the whole paper-vs-measured record mechanically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Table title (e.g. "Figure 7 — Pc vs τ_l").
     pub title: String,

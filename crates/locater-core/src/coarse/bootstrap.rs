@@ -19,11 +19,10 @@
 use locater_events::clock::{self, Timestamp};
 use locater_events::{Gap, StoredEvent};
 use locater_space::RegionId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Label assigned to a historical gap by the bootstrapping heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BootstrapLabel {
     /// The device was outside the building for the whole gap.
     Outside,
@@ -36,7 +35,7 @@ pub enum BootstrapLabel {
 }
 
 /// Counters describing a bootstrapping pass, used in reports and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BootstrapSummary {
     /// Gaps labelled inside the building.
     pub inside: usize,

@@ -7,13 +7,12 @@
 
 use locater_events::clock;
 use locater_events::{Gap, Interval, StoredEvent};
-use serde::{Deserialize, Serialize};
 
 /// Number of numeric features produced per gap.
 pub const NUM_GAP_FEATURES: usize = 8;
 
 /// The feature vector of one gap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapFeatures {
     /// Gap start, seconds since midnight (`gap.t_str.time`).
     pub start_time_of_day: f64,

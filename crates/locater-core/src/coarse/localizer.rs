@@ -35,7 +35,7 @@ use std::sync::OnceLock;
 use crate::coarse::features::NUM_GAP_FEATURES;
 
 /// Configuration of the coarse-grained localization algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoarseConfig {
     /// Building-level lower threshold `τ_l`: gaps shorter than this are bootstrapped
     /// as *inside*. Default: 20 minutes (the paper's best value, Fig. 7).
@@ -72,7 +72,7 @@ impl Default for CoarseConfig {
 }
 
 /// Coarse-level location decided for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoarseLabel {
     /// The device was outside the building at the query time.
     Outside,
@@ -114,7 +114,7 @@ pub enum CoarseMethod {
 }
 
 /// Result of coarse-grained localization for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoarseOutcome {
     /// The decided label.
     pub label: CoarseLabel,

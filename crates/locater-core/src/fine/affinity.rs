@@ -4,13 +4,12 @@ use locater_events::clock::Timestamp;
 use locater_events::{DeviceId, Interval};
 use locater_space::{RegionId, RoomId};
 use locater_store::EventRead;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The three room-affinity weights of §4.1: preferred (`w_pf`), public (`w_pb`) and
 /// private (`w_pr`) rooms. They must be strictly ordered `w_pf > w_pb > w_pr` and sum
 /// to 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoomAffinityWeights {
     /// Weight of the device's preferred rooms (`w_pf`).
     pub preferred: f64,
@@ -87,7 +86,7 @@ enum Partition {
 
 /// The room-affinity distribution of one device over the candidate rooms of a region:
 /// `α(d_i, r_j, t_q)` for every `r_j ∈ R(g_x)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoomAffinity {
     /// Candidate rooms, in the order of [`locater_space::Space::rooms_in_region`].
     pub rooms: Vec<RoomId>,

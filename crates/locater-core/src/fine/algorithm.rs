@@ -77,7 +77,7 @@ impl std::fmt::Display for FineMode {
 }
 
 /// Configuration of the fine-grained localization algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FineConfig {
     /// Room-affinity weights (§4.1). Default: the paper's best combination `C2`.
     pub weights: RoomAffinityWeights,
@@ -104,7 +104,7 @@ impl Default for FineConfig {
 
 /// The contribution of one processed neighbor, reported for the caching engine (the
 /// edge weights of the *local affinity graph*, §5) and for diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborContribution {
     /// The neighbor device.
     pub device: DeviceId,
@@ -118,7 +118,7 @@ pub struct NeighborContribution {
 }
 
 /// Result of fine-grained localization for one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FineOutcome {
     /// The selected room (highest posterior probability).
     pub room: RoomId,

@@ -19,7 +19,6 @@
 //! The resulting `min ≤ expected ≤ max` envelope is what the loosened stop conditions
 //! of §4.2 compare.
 
-use serde::{Deserialize, Serialize};
 
 /// Accumulated evidence for one candidate room under the independence assumption.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// `support = P(r_j) · Π_k α_k` and `against = (1 − P(r_j)) · Π_k (1 − α_k)` over the
 /// processed neighbors `k`; this form avoids the numerically delicate ratio of the
 /// paper's formula.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoomPosterior {
     /// Product of the prior and the group affinities of processed neighbors.
     pub support: f64,
@@ -76,7 +75,7 @@ impl RoomPosterior {
 
 /// The `min ≤ expected ≤ max` envelope of a room's posterior over the possible worlds
 /// of the unprocessed neighbors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PosteriorBounds {
     /// `minP(r_j | D̄_n)` — Theorem 2's least-favourable world.
     pub min: f64,

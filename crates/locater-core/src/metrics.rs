@@ -16,11 +16,10 @@
 
 use crate::system::{Answer, Location};
 use locater_space::{RoomId, Space};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Ground-truth location of a device at a query time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TruthLocation {
     /// The person was outside the building.
     Outside,
@@ -36,7 +35,7 @@ impl TruthLocation {
 }
 
 /// Accumulated precision counters for one group of queries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrecisionCounts {
     /// Total number of queries scored (`|Q|`).
     pub queries: usize,
@@ -131,7 +130,7 @@ fn ratio(num: usize, den: usize) -> f64 {
 
 /// Precision counters grouped by a label, the way Tables 3 and 4 report per
 /// predictability band / user profile.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvaluationReport {
     /// System or configuration name this report describes (e.g. "D-LOCATER").
     pub system: String,

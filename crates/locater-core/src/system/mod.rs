@@ -150,7 +150,7 @@ pub struct QueryDiagnostics {
 }
 
 /// Configuration of the full LOCATER system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocaterConfig {
     /// Coarse-grained localization parameters (§3).
     pub coarse: CoarseConfig,

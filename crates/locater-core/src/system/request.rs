@@ -22,14 +22,13 @@ use super::{Answer, CacheMode, QueryDiagnostics};
 use crate::fine::FineMode;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
-use serde::{Deserialize, Serialize};
 
 /// A location request `Q = (d_i, t_q)` with per-request overrides.
 ///
 /// Build one with [`LocateRequest::by_mac`] / [`LocateRequest::by_device`] and
 /// the `with_*` builder methods; fields left `None` inherit the service-level
 /// [`LocaterConfig`](super::LocaterConfig).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocateRequest {
     /// Device MAC address / log identifier, if the caller knows it.
     pub mac: Option<String>,

@@ -6,7 +6,6 @@
 //! that is defined to fall on a Monday at 00:00. The paper's DBH-WIFI dataset starts
 //! on Monday, Jan 22nd 2018, which is exactly such an epoch.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Seconds since the deployment epoch (Monday 00:00). Negative values are allowed for
@@ -23,7 +22,7 @@ pub const SECONDS_PER_DAY: Timestamp = 86_400;
 pub const SECONDS_PER_WEEK: Timestamp = 7 * SECONDS_PER_DAY;
 
 /// Day of the week. The deployment epoch (timestamp 0) is a Monday.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DayOfWeek {
     /// Monday (day index 0).
     Monday,

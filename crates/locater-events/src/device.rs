@@ -39,8 +39,7 @@ impl fmt::Display for DeviceId {
 /// as `7fbh…`. `MacAddress` therefore accepts any non-empty identifier, normalizes it
 /// to lowercase with trimmed whitespace, and validates proper `xx:xx:xx:xx:xx:xx`
 /// syntax only when the string looks like a colon-separated hardware address.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddress(String);
 
 impl MacAddress {
@@ -85,7 +84,7 @@ impl std::str::FromStr for MacAddress {
 }
 
 /// A device observed in the connectivity log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     /// Dense identifier assigned by the store.
     pub id: DeviceId,

@@ -4,12 +4,10 @@ use crate::clock::Timestamp;
 use crate::error::EventError;
 use crate::interval::Interval;
 use locater_space::{AccessPointId, RegionId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a connectivity event (`eid` in the paper), unique within a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub u64);
 
 impl EventId {

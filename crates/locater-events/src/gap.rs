@@ -9,10 +9,9 @@ use crate::clock::{self, Timestamp};
 use crate::event::{EventSeq, StoredEvent};
 use crate::interval::Interval;
 use locater_space::{AccessPointId, RegionId};
-use serde::{Deserialize, Serialize};
 
 /// A gap `gap_{t0,t1}(d)` in the connectivity log of one device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gap {
     /// Start of the gap: `t_0 + δ`.
     pub start: Timestamp,

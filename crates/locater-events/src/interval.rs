@@ -1,14 +1,13 @@
 //! Half-open time intervals.
 
 use crate::clock::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open time interval `[start, end)` on the integer-second timeline.
 ///
 /// Used for event validity intervals, gaps, ground-truth occupancy records and
 /// history windows. An interval with `end <= start` is considered empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Inclusive start.
     pub start: Timestamp,

@@ -10,14 +10,13 @@
 //! picks the epoch's pass once per call from the data set's shape. For 8 features and 2
 //! to 6 classes it runs a kernel on compile-time shapes — `[f64; 8]` rows and
 //! `[[f64; 8]; NC]` weights — whose loops the compiler unrolls without bounds checks.
-//! Every other shape takes a loop on runtime slices that computes the logits of four
-//! rows together, four independent chains the CPU overlaps. Both take the rows in
-//! order, every row sums its features in order starting from `-0.0`, and both compute
-//! the per-row loss and its `Diverged` check with the same arithmetic. They share the
-//! softmax and the epoch loop: the check on the summed loss, the L2 update and the
-//! 10⁻⁷ early stop. So the parameters are bit-identical whichever path fitted them,
-//! and bit-identical to the naive row-at-a-time loop the tests keep as the oracle.
-//! The inner loops allocate nothing.
+//! Every other shape (about 1 % of the fits on the repo benchmark) takes the plain
+//! row-at-a-time loop on runtime slices. Both take the rows in order, every row sums
+//! its features in order starting from `-0.0`, and both compute the per-row loss and
+//! its `Diverged` check with the same arithmetic. They share the softmax and the epoch
+//! loop: the check on the summed loss, the L2 update and the 10⁻⁷ early stop. So the
+//! parameters are bit-identical whichever path fitted them, and bit-identical to the
+//! naive loop the tests keep as the oracle. The inner loops allocate nothing.
 
 use crate::dataset::Dataset;
 use crate::error::LearnError;
@@ -101,25 +100,15 @@ impl LogisticRegression {
         // The inside/outside classifier has two classes, a region one has one
         // per region seen. Two to six classes were 99 % of the fits on the
         // repo benchmark; more take the runtime pass.
-        let (xs, labels) = (&scaled[..], data.labels());
-        let fixed = |pass: Pass| {
-            descend(nf, nc, labels.len(), |w, b, gw, gb| {
-                pass(xs, labels, w, b, gw, gb)
-            })
+        let pass: Pass = match (nf, nc) {
+            (GAP_FEATURES, 2) => pass_fixed::<GAP_FEATURES, 2>,
+            (GAP_FEATURES, 3) => pass_fixed::<GAP_FEATURES, 3>,
+            (GAP_FEATURES, 4) => pass_fixed::<GAP_FEATURES, 4>,
+            (GAP_FEATURES, 5) => pass_fixed::<GAP_FEATURES, 5>,
+            (GAP_FEATURES, 6) => pass_fixed::<GAP_FEATURES, 6>,
+            _ => pass_runtime,
         };
-        let (weights, biases, epochs) = match (nf, nc) {
-            (GAP_FEATURES, 2) => fixed(pass_fixed::<GAP_FEATURES, 2>),
-            (GAP_FEATURES, 3) => fixed(pass_fixed::<GAP_FEATURES, 3>),
-            (GAP_FEATURES, 4) => fixed(pass_fixed::<GAP_FEATURES, 4>),
-            (GAP_FEATURES, 5) => fixed(pass_fixed::<GAP_FEATURES, 5>),
-            (GAP_FEATURES, 6) => fixed(pass_fixed::<GAP_FEATURES, 6>),
-            _ => {
-                let mut probs = vec![0.0; BLOCK * nc];
-                descend(nf, nc, labels.len(), |w, b, gw, gb| {
-                    pass_runtime(xs, labels, w, b, gw, gb, &mut probs)
-                })
-            }
-        }?;
+        let (weights, biases, epochs) = descend(nf, nc, &scaled, data.labels(), pass)?;
         let model = Self {
             num_features: nf,
             num_classes: nc,
@@ -185,17 +174,17 @@ impl LogisticRegression {
     }
 }
 
-/// Up to [`EPOCHS`] full-batch epochs of gradient descent from zero on `n`
-/// rows into `nc × nf` weights (row-major) and `nc` biases, returned with the
-/// number of epochs run. `pass` takes the weights, the biases and the zeroed
-/// gradient buffers of one epoch; see [`Pass`].
+/// Up to [`EPOCHS`] full-batch epochs of gradient descent from zero on the
+/// standardized rows `xs` into `nc × nf` weights (row-major) and `nc` biases,
+/// returned with the number of epochs run. `pass` runs one epoch; see [`Pass`].
 fn descend(
     nf: usize,
     nc: usize,
-    n: usize,
-    mut pass: impl FnMut(&[f64], &[f64], &mut [f64], &mut [f64]) -> Result<f64, LearnError>,
+    xs: &[f64],
+    labels: &[usize],
+    pass: Pass,
 ) -> Result<(Vec<f64>, Vec<f64>, usize), LearnError> {
-    let n = n as f64;
+    let n = labels.len() as f64;
     let mut weights = vec![0.0; nc * nf];
     let mut biases = vec![0.0; nc];
     let mut grad_w = vec![0.0; nc * nf];
@@ -206,7 +195,7 @@ fn descend(
         epochs += 1;
         grad_w.fill(0.0);
         grad_b.fill(0.0);
-        let loss = pass(&weights, &biases, &mut grad_w, &mut grad_b)?;
+        let loss = pass(xs, labels, &weights, &biases, &mut grad_w, &mut grad_b)?;
         if !loss.is_finite() {
             return Err(LearnError::Diverged);
         }
@@ -280,9 +269,8 @@ fn pass_fixed<const NF: usize, const NC: usize>(
     Ok(loss)
 }
 
-/// [`pass_fixed`] for any shape, with `probs` room for the class
-/// probabilities of `BLOCK` rows. The forward pass runs a block of rows at a time; the loss
-/// and the gradient still take the rows one by one, in order.
+/// The [`Pass`] for any other shape: the naive loop on runtime slices, one
+/// row at a time through [`softmax_into`].
 fn pass_runtime(
     xs: &[f64],
     labels: &[usize],
@@ -290,42 +278,28 @@ fn pass_runtime(
     biases: &[f64],
     grad_w: &mut [f64],
     grad_b: &mut [f64],
-    probs: &mut [f64],
 ) -> Result<f64, LearnError> {
     let nc = biases.len();
     let nf = weights.len() / nc;
+    let mut probs = vec![0.0; nc];
     let mut loss = 0.0;
-    for (first, labels) in (0..).step_by(BLOCK).zip(labels.chunks(BLOCK)) {
-        let xs = &xs[first * nf..(first + labels.len()) * nf];
-        if labels.len() == BLOCK {
-            softmax_block(weights, biases, xs, nf, nc, probs);
-        } else {
-            for (r, out) in probs.chunks_exact_mut(nc).take(labels.len()).enumerate() {
-                softmax_into(weights, biases, &xs[r * nf..(r + 1) * nf], nf, nc, out);
-            }
+    for (x, &label) in xs.chunks_exact(nf).zip(labels) {
+        softmax_into(weights, biases, x, nf, nc, &mut probs);
+        if !probs[label].is_finite() {
+            return Err(LearnError::Diverged);
         }
-        for (r, &label) in labels.iter().enumerate() {
-            let x = &xs[r * nf..(r + 1) * nf];
-            let probs = &probs[r * nc..(r + 1) * nc];
-            if !probs[label].is_finite() {
-                return Err(LearnError::Diverged);
-            }
-            loss -= (probs[label].max(1e-15)).ln();
-            for c in 0..nc {
-                let err = probs[c] - if c == label { 1.0 } else { 0.0 };
-                grad_b[c] += err;
-                let wrow = &mut grad_w[c * nf..(c + 1) * nf];
-                for (g, &v) in wrow.iter_mut().zip(x) {
-                    *g += err * v;
-                }
+        loss -= (probs[label].max(1e-15)).ln();
+        for c in 0..nc {
+            let err = probs[c] - if c == label { 1.0 } else { 0.0 };
+            grad_b[c] += err;
+            let wrow = &mut grad_w[c * nf..(c + 1) * nf];
+            for (g, &v) in wrow.iter_mut().zip(x) {
+                *g += err * v;
             }
         }
     }
     Ok(loss)
 }
-
-/// Rows per block in [`pass_runtime`]'s forward pass.
-const BLOCK: usize = 4;
 
 fn softmax_into(weights: &[f64], biases: &[f64], x: &[f64], nf: usize, nc: usize, out: &mut [f64]) {
     for c in 0..nc {
@@ -333,37 +307,6 @@ fn softmax_into(weights: &[f64], biases: &[f64], x: &[f64], nf: usize, nc: usize
         out[c] = biases[c] + wrow.iter().zip(x).map(|(w, v)| w * v).sum::<f64>();
     }
     softmax_in_place(out);
-}
-
-/// [`softmax_into`] for the `BLOCK` rows of `xs` (row-major) into `out`
-/// (`BLOCK × nc`, row-major). The logits of a class are computed for all
-/// rows together: `BLOCK` independent sums instead of one serial chain. Each
-/// row still adds its features in order from the start value `f64::sum`
-/// uses, so every probability is bit-identical to [`softmax_into`]'s.
-fn softmax_block(
-    weights: &[f64],
-    biases: &[f64],
-    xs: &[f64],
-    nf: usize,
-    nc: usize,
-    out: &mut [f64],
-) {
-    let rows: [&[f64]; BLOCK] = std::array::from_fn(|r| &xs[r * nf..(r + 1) * nf]);
-    for c in 0..nc {
-        let wrow = &weights[c * nf..(c + 1) * nf];
-        let mut sums = [-0.0; BLOCK];
-        for (j, &w) in wrow.iter().enumerate() {
-            for (sum, row) in sums.iter_mut().zip(&rows) {
-                *sum += w * row[j];
-            }
-        }
-        for (r, sum) in sums.into_iter().enumerate() {
-            out[r * nc + c] = biases[c] + sum;
-        }
-    }
-    for probs in out.chunks_exact_mut(nc) {
-        softmax_in_place(probs);
-    }
 }
 
 /// Turns logits into class probabilities, shifted by the largest logit.
@@ -715,7 +658,7 @@ pub(crate) mod tests {
     #[test]
     fn nan_in_the_third_row_of_a_block_still_diverges() {
         // Three classes take the fixed-shape pass, seven the runtime one;
-        // row 42 is in the remainder after ten blocks of four.
+        // row 42 is the last of the 43.
         for (classes, nan_row) in [(3, 2), (3, 6), (3, 42), (7, 2), (7, 42)] {
             let mut data = Dataset::new(8, classes);
             for (i, (row, label)) in overlapping(8, classes, 43).iter().enumerate() {
@@ -729,21 +672,6 @@ pub(crate) mod tests {
                 LogisticRegression::fit(&data).unwrap_err(),
                 LearnError::Diverged,
                 "{classes} classes, NaN in row {nan_row}"
-            );
-        }
-        // The scaler spreads the NaN over its whole column, so the forward
-        // pass of one block on its own must keep it to the row it is in.
-        let (nf, nc) = (8, 3);
-        let mut xs: Vec<f64> = (0..BLOCK * nf).map(|i| (i % 5) as f64 * 0.25).collect();
-        xs[2 * nf + 5] = f64::NAN;
-        let weights: Vec<f64> = (0..nc * nf).map(|i| (i % 3) as f64 * 0.1).collect();
-        let mut probs = vec![0.0; BLOCK * nc];
-        softmax_block(&weights, &[0.0; 3], &xs, nf, nc, &mut probs);
-        for (r, row) in probs.chunks_exact(nc).enumerate() {
-            assert_eq!(
-                row.iter().all(|p| p.is_finite()),
-                r != 2,
-                "row {r}: {row:?}"
             );
         }
     }

@@ -19,13 +19,12 @@
 use crate::dataset::Dataset;
 use crate::error::LearnError;
 use crate::logistic::{LogisticRegression, Prediction};
-use serde::{Deserialize, Serialize};
 
 /// Number of unlabelled samples promoted per round (paper: 1).
 const PROMOTE_PER_ROUND: usize = 20;
 
 /// Configuration of the self-training loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelfTrainingConfig {
     /// Safety bound on the number of rounds (the loop otherwise ends when the
     /// unlabelled pool is exhausted). Default: 400.
@@ -39,7 +38,7 @@ impl Default for SelfTrainingConfig {
 }
 
 /// Summary of a finished self-training run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelfTrainingReport {
     /// Number of training rounds executed.
     pub rounds: usize,

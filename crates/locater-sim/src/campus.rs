@@ -14,14 +14,13 @@ use crate::schedule::ScheduledEvent;
 use crate::world::{simulate, SimOutput, World};
 use locater_events::clock;
 use locater_space::{RoomType, SpaceBuilder};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic campus dataset.
 ///
 /// The defaults are sized so that the full evaluation suite runs on a laptop in
 /// minutes; scaling `access_points` to 64 and `population` into the thousands
 /// reproduces the paper's deployment scale when more time is available.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampusConfig {
     /// Number of WiFi access points (the paper's building has 64).
     pub access_points: usize,

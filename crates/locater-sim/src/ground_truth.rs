@@ -8,11 +8,10 @@
 use locater_events::clock::Timestamp;
 use locater_events::Interval;
 use locater_space::RoomId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One contiguous stay of a person in a room.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stay {
     /// The room.
     pub room: RoomId,
@@ -36,7 +35,7 @@ impl Stay {
 }
 
 /// Ground-truth room occupancy per device, time-sorted.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroundTruth {
     stays: BTreeMap<String, Vec<Stay>>,
 }

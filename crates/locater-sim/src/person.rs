@@ -10,10 +10,9 @@
 
 use locater_events::clock::{self, Timestamp};
 use locater_space::RoomId;
-use serde::{Deserialize, Serialize};
 
 /// Behavioural parameters of one simulated person and of the device they carry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Behaviour {
     /// Probability that a free time segment is spent in the person's anchor
     /// (preferred) room. This is the main predictability knob.
@@ -75,7 +74,7 @@ impl Behaviour {
 }
 
 /// One simulated person together with the device they carry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Person {
     /// The device identifier that will appear in the connectivity log.
     pub mac: String,
@@ -141,7 +140,7 @@ pub(crate) fn predictability_band(predictability: f64) -> &'static str {
 }
 
 /// What the simulator reports about each simulated person.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersonRecord {
     /// Device identifier in the connectivity log.
     pub mac: String,

@@ -13,10 +13,9 @@ use crate::schedule::ScheduledEvent;
 use crate::world::World;
 use locater_events::clock::{self, Timestamp};
 use locater_space::{RoomType, SpaceBuilder};
-use serde::{Deserialize, Serialize};
 
 /// The simulated environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioKind {
     /// An office building (most predictable occupants).
     Office,
@@ -89,7 +88,7 @@ impl std::fmt::Display for ScenarioKind {
 }
 
 /// Configuration of one scenario simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// Which environment to simulate.
     pub kind: ScenarioKind,

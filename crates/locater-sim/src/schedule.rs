@@ -8,10 +8,9 @@
 
 use locater_events::clock::{self, Timestamp};
 use locater_space::RoomId;
-use serde::{Deserialize, Serialize};
 
 /// A recurring event hosted in one room of the space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScheduledEvent {
     /// Human-readable name ("CS101 lecture", "security check", "lunch rush").
     pub name: String,

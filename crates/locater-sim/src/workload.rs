@@ -16,10 +16,9 @@ use crate::world::SimOutput;
 use locater_events::clock::Timestamp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One location query of a workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadQuery {
     /// Device identifier queried.
     pub mac: String,
@@ -28,7 +27,7 @@ pub struct WorkloadQuery {
 }
 
 /// A named list of queries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryWorkload {
     /// Workload name ("university", "generated", …).
     pub name: String,

@@ -10,7 +10,6 @@ use locater_space::Space;
 use locater_store::{EventStore, RawEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A fully specified simulation world: the space, its people and its recurring
 /// events. Scenario and campus builders produce a `World`; [`simulate`] turns it into
@@ -27,7 +26,7 @@ pub(crate) struct World {
 
 /// Everything a simulation run produces: the space, the raw connectivity log, the
 /// ground-truth trajectories and a record per simulated person.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimOutput {
     /// The building the data was generated for.
     pub space: Space,

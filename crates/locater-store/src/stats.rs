@@ -7,10 +7,9 @@
 
 use crate::store::EventStore;
 use locater_events::clock;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a connectivity dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStatistics {
     /// Building name.
     pub building: String,

@@ -22,7 +22,12 @@
 # * config fields: the `pub` fields of structs named `*Config`, `*Weights`
 #   or `*Policy`, per crate and in total — the knobs a caller can set. Their
 #   `Struct.field` names are listed under each crate's count, after
-#   `config:`.
+#   `config:`;
+# * formats: the types that derive or implement serde's `Serialize` or
+#   `Deserialize`, per crate and in total — everything a wire frame, a file
+#   or a snapshot carries. Their names are listed under each crate's count,
+#   after `formats:`; the ids a serializing `macro_rules!` defines are listed
+#   by the names its invocations give them.
 set -eu
 export LC_ALL=C
 
@@ -59,9 +64,37 @@ config_fields() {
         }' | sort
 }
 
+# Names of the types under $1 that derive or implement `Serialize` /
+# `Deserialize`, one per line, sorted and deduplicated.
+formats() {
+    find "$1" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { derive = 0; serial = 0; invoking = 0 }
+        /^ *macro_rules! [a-z_]+/ { macro = $2; sub(/!.*/, "", macro) }
+        /#\[derive\(/ { derive = 1; serial = 0 }
+        derive && /(Serialize|Deserialize)/ { serial = 1 }
+        derive && /\)\]/ { derive = 0 }
+        serial && /^ *(pub(\([a-z]+\))? )?(struct|enum) / {
+            name = $0
+            sub(/^ *(pub(\([a-z]+\))? )?(struct|enum) /, "", name)
+            sub(/[^$A-Za-z0-9_].*/, "", name)
+            if (name ~ /^\$/) serializing[macro] = 1; else print name
+            serial = 0
+        }
+        /^ *impl(<[^>]*>)? +(serde::)?(Serialize|Deserialize)(<[^>]*>)? +for +/ {
+            name = $0
+            sub(/.* for +/, "", name)
+            sub(/[^A-Za-z0-9_].*/, "", name)
+            print name
+        }
+        /^ *[a-z_]+!\($/ { invoked = $1; sub(/!.*/, "", invoked); invoking = (invoked in serializing); next }
+        invoking && /^ *[A-Z][A-Za-z0-9_]*,$/ { name = $1; sub(/,/, "", name); print name; invoking = 0 }
+    ' | sort -u
+}
+
 total=0
 unnamed_total=0
 knobs_total=0
+formats_total=0
 for dir in crates/*/src src; do
     count=$(grep -rhE 'pub (const fn|fn|struct|enum|trait|const|type) ' "$dir" | wc -l)
     # Every identifier written anywhere outside this crate's library.
@@ -73,6 +106,8 @@ for dir in crates/*/src src; do
     unnamed=$(wc -l <"$scratch/unnamed")
     config_fields "$dir" >"$scratch/knobs"
     knobs=$(wc -l <"$scratch/knobs")
+    formats "$dir" >"$scratch/formats"
+    serialized=$(wc -l <"$scratch/formats")
     printf '  %-28s %5d pub items, %4d unnamed outside, %3d config fields\n' \
         "$dir" "$count" "$unnamed" "$knobs"
     if [ "$unnamed" -gt 0 ]; then
@@ -83,9 +118,15 @@ for dir in crates/*/src src; do
         { printf 'config: '; tr '\n' ' ' <"$scratch/knobs"; } | fold -s -w 68 | sed 's/ *$//; s/^/      /'
         echo
     fi
+    if [ "$serialized" -gt 0 ]; then
+        { printf 'formats: '; tr '\n' ' ' <"$scratch/formats"; } | fold -s -w 68 | sed 's/ *$//; s/^/      /'
+        echo
+    fi
     total=$((total + count))
     unnamed_total=$((unnamed_total + unnamed))
     knobs_total=$((knobs_total + knobs))
+    formats_total=$((formats_total + serialized))
 done
 echo "pub items (crates/*/src src): $total ($unnamed_total unnamed outside their crate)"
 echo "config fields (pub fields of *Config, *Weights, *Policy structs): $knobs_total"
+echo "formats (types that derive or implement Serialize/Deserialize): $formats_total"

@@ -7,12 +7,13 @@
 //! ```text
 //! locater-cli stats    <space.json> <events.csv>
 //! locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]
-//! locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]
+//! locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--no-cache] [--jobs N] [--shards N]
 //! locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]
 //! locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]
-//! locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]
+//! locater-cli serve    ... [--queue N] [--drain-snapshot PATH]
+//! locater-cli serve    ... --listen <addr> [--workers N] [--idle-timeout SECS]
 //! locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]
-//! locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR]
+//! locater-cli serve    ... --retain SECS [--spill-dir DIR] [--listen <addr> --compact-interval SECS]
 //! locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>
 //! locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]
 //! locater-cli snapshot save <space.json> <events.csv> <out.snap>
@@ -51,7 +52,10 @@
 //!   drain + `--drain-snapshot` on SIGTERM or a `shutdown` request. The
 //!   `stats` frame carries totals, one entry per shard and the serving-layer
 //!   counters (see `docs/OPERATIONS.md`); answers are byte-identical for
-//!   every `--shards` value.
+//!   every `--shards` value. `--workers`, `--idle-timeout` and
+//!   `--compact-interval` are `--listen`-only and refused without it;
+//!   `--queue` (which also sizes the replay-dedup window) and
+//!   `--drain-snapshot` apply over stdio too.
 //! * `serve --wal-dir` makes ingests durable: every accepted event is framed
 //!   into a per-shard write-ahead log before it mutates the store, a crash is
 //!   recovered on the next boot (checkpoint snapshot + WAL tail replay up to
@@ -69,7 +73,7 @@
 //!   with `--spill-dir` spilled as reloadable snapshot files (one per run,
 //!   never replaced), otherwise dropped. `--compact-interval SECS`
 //!   schedules the compaction tick on a background thread off the ingest
-//!   path (`--listen` mode); the `compact` REPL/wire verb triggers one on
+//!   path (`--listen` only); the `compact` REPL/wire verb triggers one on
 //!   demand. Answers inside the retained window are byte-identical with
 //!   compaction on or off.
 //! * `compact` is the offline counterpart: load a snapshot into a one-shard
@@ -149,7 +153,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... --listen <addr> [--workers N] [--queue N] [--idle-timeout SECS] [--drain-snapshot PATH]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--compact-interval SECS] [--spill-dir DIR]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
+    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--no-cache] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... [--queue N] [--drain-snapshot PATH]\n  locater-cli serve    ... --listen <addr> [--workers N] [--idle-timeout SECS]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--spill-dir DIR] [--listen <addr> --compact-interval SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
 }
 
 /// Parses arguments and runs one command, returning the text to print.
@@ -412,7 +416,22 @@ fn batch(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The `serve` flags only the TCP server reads: without `--listen` they
+/// would be silently ignored, so they are refused instead.
+fn listen_only_flags(args: &[String]) -> Result<(), CliError> {
+    if args.iter().any(|a| a == "--listen") {
+        return Ok(());
+    }
+    for flag in ["--workers", "--idle-timeout", "--compact-interval"] {
+        if args.iter().any(|a| a == flag) {
+            return Err(CliError::Usage(format!("{flag} requires --listen")));
+        }
+    }
+    Ok(())
+}
+
 fn serve(args: &[String]) -> Result<String, CliError> {
+    listen_only_flags(args)?;
     let store = if let Some(snapshot_path) = parsed_flag::<String>(args, "--snapshot", SNAPSHOT)? {
         // Cold start from the binary snapshot: no CSV replay, validity periods
         // already estimated, timelines restored verbatim.
@@ -1693,6 +1712,36 @@ ingest aa:bb:cc:dd:ee:01,4000,wap1
         .expect("flags parse");
         assert_eq!(durability.fsync.to_string(), "every=64");
         assert_eq!(durability.segment_max_bytes, 65_536);
+    }
+
+    #[test]
+    fn listen_only_flags_are_refused_over_stdio() {
+        for flags in [
+            &["--workers", "2"][..],
+            &["--idle-timeout", "30"],
+            &["--retain", "3600", "--compact-interval", "60"],
+        ] {
+            // Refused before the space file is read, so the path need not exist.
+            let mut args: Vec<String> = vec!["serve".into(), "missing.space.json".into()];
+            args.extend(flags.iter().map(|f| f.to_string()));
+            let error = run(&args).expect_err("listen-only flag over stdio must not run");
+            assert!(
+                matches!(&error, CliError::Usage(m) if m.ends_with("requires --listen")),
+                "{flags:?}: {error:?}"
+            );
+            args.extend(["--listen".to_string(), "127.0.0.1:0".to_string()]);
+            assert!(listen_only_flags(&args).is_ok(), "{flags:?}");
+        }
+        // `--queue` and `--drain-snapshot` pass the flag checks over stdio:
+        // the run gets as far as reading the (missing) space file.
+        let stdio = ["--queue", "8", "--drain-snapshot", "drain.snap"];
+        let mut args: Vec<String> = vec!["serve".into(), "missing.space.json".into()];
+        args.extend(stdio.iter().map(|f| f.to_string()));
+        let error = run(&args).expect_err("the space file does not exist");
+        assert!(
+            matches!(&error, CliError::Runtime(m) if m.starts_with("cannot read")),
+            "{error:?}"
+        );
     }
 
     #[test]
