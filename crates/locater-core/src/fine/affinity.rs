@@ -225,7 +225,7 @@ impl<'a> AffinityEngine<'a> {
     /// a repeated member) as a merge over each member's window events grouped
     /// by access point. Every route counts the same events as the naive
     /// per-event window scan, so the returned ratio is **bit-identical** to it
-    /// (`tests/affinity_index_equivalence.rs`).
+    /// (`tests/equivalence/affinity_index.rs`).
     pub fn device_affinity(&self, devices: &[DeviceId], until: Timestamp) -> f64 {
         if devices.len() < 2 {
             return 0.0;
@@ -470,7 +470,7 @@ impl ApRuns {
 /// timeline slice.
 /// [`PairAffinitySession::affinity`] is bit-identical to
 /// [`AffinityEngine::pair_affinity`] (asserted in
-/// `tests/affinity_index_equivalence.rs`).
+/// `tests/equivalence/affinity_index.rs`).
 pub struct PairAffinitySession<'a> {
     store: &'a dyn EventRead,
     window: Interval,

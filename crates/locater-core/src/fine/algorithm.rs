@@ -19,7 +19,7 @@
 //! — uniform with probability `1 − w·α_pair`, the group affinity otherwise — which is
 //! monotone in the group affinity and is Eq. 3 as `w·α_pair → 1`. Four constants
 //! depart from the published algorithm; `docs/PAPER_MAPPING.md` measures each, and
-//! `tests/support/paper.rs`, the naive §4 reference, takes them as switches:
+//! `tests/equivalence/support/paper.rs`, the naive §4 reference, takes them as switches:
 //!
 //! 1. the pair floor `MIN_PAIR_AFFINITY` (§4 folds in every positive pair affinity);
 //! 2. the contributor cap `MAX_CONTRIBUTORS` (§4 stops only on its bounds or, in

@@ -19,7 +19,6 @@
 //! The resulting `min ≤ expected ≤ max` envelope is what the loosened stop conditions
 //! of §4.2 compare.
 
-
 /// Accumulated evidence for one candidate room under the independence assumption.
 ///
 /// The posterior of Eq. 3 can be written as `support / (support + against)` where

@@ -46,8 +46,8 @@
 //! representation-transparent, model/epoch placement partitions (never
 //! duplicates) the state a single-shard deployment would hold, and the
 //! affinity graph is the same one graph at every shard count.
-//! `tests/shard_equivalence.rs` enforces this with the seeded twin harness
-//! (`tests/support/twin.rs`): subjects at N ∈ {2, 3} answer every op like a
+//! `tests/equivalence/` enforces this with the seeded twin harness
+//! (`support/twin.rs` there): subjects at N ∈ {2, 3} answer every op like a
 //! one-shard twin.
 
 use super::batch::{self, BatchItem};

@@ -22,7 +22,7 @@
 //! Compaction never touches the event-id counter and never rewrites retained
 //! events, so answers whose full consulted window lies at or above the cut
 //! are **byte-identical** with compaction on or off (the cornerstone
-//! `compaction_equivalence` test and the store property tests assert this).
+//! `tests/equivalence/compaction.rs` suite and the store property tests assert this).
 
 use crate::error::StoreError;
 use crate::io::StorageIo;

@@ -10,6 +10,9 @@
 #   `#[cfg(test)]`;
 # * test lines: every `*.rs` under tests/ and crates/*/tests/, plus the
 #   tails the non-test count stops at (from the first `#[cfg(test)]` on);
+# * test targets: the integration-test binaries cargo builds from tests/
+#   and crates/*/tests/ — each `*.rs` file there and each directory with a
+#   `main.rs` — so a suite split into its own crate shows;
 # * pub items: lines declaring a `pub` fn / struct / enum / trait / const /
 #   type, per crate (`crates/*/src`) and for the root crate (`src`);
 # * unnamed outside: of those, the items whose name appears nowhere outside
@@ -40,6 +43,15 @@ tails=$(find crates src vendor -name '*.rs' -not -path '*/tests/*' -print0 \
     | xargs -0 awk 'FNR == 1 {t = 0} /#\[cfg\(test\)\]/ {t = 1} t {n++} END {print n + 0}' \
     | awk '{n += $1} END {print n + 0}')
 echo "test lines: $((suites + tails)) ($suites in tests/ and crates/*/tests/, $tails in #[cfg(test)] tails)"
+
+# Integration-test binaries under the test directories $@: their top-level
+# `*.rs` files and their subdirectories' `main.rs`.
+test_targets() {
+    { find "$@" -mindepth 1 -maxdepth 1 -name '*.rs'; find "$@" -mindepth 2 -maxdepth 2 -name main.rs; } | wc -l
+}
+root_targets=$(test_targets tests)
+crate_targets=$(test_targets crates/*/tests)
+echo "test targets: $((root_targets + crate_targets)) ($root_targets in tests/, $crate_targets in crates/*/tests/)"
 
 pub_decl='pub (const fn|fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*'
 scratch=$(mktemp -d)

@@ -85,7 +85,9 @@
 //!   `serve --listen` server and prints the raw NDJSON response frame.
 //! * `simulate` writes `<out-prefix>.space.json`, `<out-prefix>.events.csv` and
 //!   `<out-prefix>.truth.csv` so the other commands (and external tools) can consume
-//!   a fully synthetic deployment.
+//!   a fully synthetic deployment. Its summary counts the simulated people and
+//!   the devices the events file holds, which is what `stats` reports: a person
+//!   who never connects logs no device.
 
 use locater::core::system::Location;
 use locater::prelude::*;
@@ -955,10 +957,15 @@ fn simulate(args: &[String]) -> Result<String, CliError> {
     }
     std::fs::write(&truth_path, truth).map_err(|e| format!("cannot write {truth_path}: {e}"))?;
 
+    // Some simulated people never connect: they log no device.
+    let mut devices: Vec<&str> = output.events.iter().map(|e| e.mac.as_str()).collect();
+    devices.sort_unstable();
+    devices.dedup();
     Ok(format!(
-        "simulated {kind}: {} events, {} devices, {} days\nwrote {space_path}, {events_path}, {truth_path}\n",
+        "simulated {kind}: {} events, {} people, {} devices, {} days\nwrote {space_path}, {events_path}, {truth_path}\n",
         output.events.len(),
         output.people.len(),
+        devices.len(),
         output.days
     ))
 }
@@ -996,7 +1003,12 @@ mod tests {
         let space = format!("{prefix}.space.json");
         let events = format!("{prefix}.events.csv");
         let stats_out = run(&["stats".into(), space.clone(), events.clone()]).expect("stats");
-        assert!(stats_out.contains("devices"));
+        // The device count of a line: the number before " devices".
+        let devices = |line: &str| {
+            let before = &line[..line.find(" devices").expect("a device count")];
+            before[before.rfind(' ').unwrap() + 1..].to_string()
+        };
+        assert_eq!(devices(&report), devices(&stats_out), "{report}{stats_out}");
         assert!(stats_out.contains("gaps to clean"));
         assert!(!stats_out.contains("co-location"));
         // Two 12-byte copies of each event, at exact capacity.

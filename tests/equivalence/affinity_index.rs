@@ -15,15 +15,7 @@
 //! probabilities, contributions, neighbour counts and the early-stop flag.
 //! Equality is asserted on `f64::to_bits`, not approximate closeness.
 
-#[path = "support/fixture.rs"]
-mod fixture;
-#[path = "support/lcg.rs"]
-mod lcg;
-#[path = "support/paper.rs"]
-mod paper;
-
-use fixture::space;
-use lcg::Lcg;
+use crate::support::{fixture::space, lcg::Lcg, paper};
 use locater::core::fine::{AffinityEngine, FineConfig, FineLocalizer, FineMode, FineOutcome};
 use locater::prelude::*;
 use locater::store::ShardedRead;

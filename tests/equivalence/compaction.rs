@@ -7,7 +7,11 @@
 //! shared harness in `support/twin.rs` compacts, backfills below the cut and
 //! (on a durable subject) crashes and recovers across compaction
 //! checkpoints, and checks every answer and store against its eager
-//! one-shard twin and its event model.
+//! one-shard twin and its event model. Every run compacts at least twice
+//! with evictions; R4 requires at least 20 probes inside the retained
+//! window, R3 late events acked below the cut and probes made while one was
+//! held, and R2 crashes right after an evicting compaction (the reboot
+//! replays nothing) and on top of a tail acked after one.
 //!
 //! Compaction itself must not show in an answer "in scope"
 //! (`twin::in_scope`), the documented contract: an answer is covered when
@@ -16,37 +20,20 @@
 //! and no consulted gap spans the cut (the coarse gap scan reads one event
 //! *before* the history window, so a device returning from an absence that
 //! reaches below the cut is explicitly out of scope). The harness checks it
-//! against a build over every acked event; the plateau test below against
-//! an uncompacted control fed the same events.
+//! against a build over every acked event (after each tie burst, a fresh
+//! build over the compacted events answers every in-scope probe like one
+//! over every acked event); the plateau test below against an uncompacted
+//! control fed the same events.
 //!
 //! The cold tier: a spill file is a pure function of the evicted event set
 //! (same bytes from 1 shard, 3 shards and the offline `locater-cli compact`),
 //! a run without a spill directory leaves nothing behind, and a spill never
 //! replaces a spill.
 
-#[path = "support/fixture.rs"]
-mod fixture;
-#[path = "support/lcg.rs"]
-mod lcg;
-#[path = "support/scratch.rs"]
-mod scratch;
-#[path = "support/twin.rs"]
-mod twin;
-
-use fixture::space;
-use lcg::Lcg;
+use crate::support::{durability, fixture::space, lcg::Lcg, scratch::scratch, twin, MACS};
 use locater::prelude::*;
 use locater::proto::encode_response;
-use locater::store::{Durability, FsyncPolicy};
-use scratch::scratch;
 use std::path::Path;
-
-const MACS: [&str; 4] = [
-    "aa:00:00:00:00:01",
-    "aa:00:00:00:00:02",
-    "aa:00:00:00:00:03",
-    "aa:00:00:00:00:04",
-];
 
 /// Coarse history / fine affinity window of the test config (seconds).
 const HISTORY: i64 = 3_000;
@@ -120,26 +107,27 @@ fn answer_bytes(service: &ShardedLocaterService, mac: &str, t: i64) -> String {
 
 /// Every harness run compacts at least twice with evictions; after each
 /// tie burst, a fresh build over the compacted events answers every probe
-/// inside the retained window like one over every acked event.
+/// inside the retained window like one over every acked event (R4).
 #[test]
 fn compacting_service_answers_byte_identically_inside_the_retained_window() {
-    twin::check(
-        &[0xC0A1],
-        |axes| axes.shards == 3 && !axes.durable,
-        |tally| tally.evicting >= 2 && tally.controlled >= 20,
-    );
+    twin::check(4);
 }
 
 /// Late events land below an effective cut: each is accepted under the
 /// twin's id, the model check proves the next run aged it out, and probes
-/// made while it was held answer like the uncompacted control.
+/// made while it was held answer like the uncompacted control (R3).
 #[test]
 fn late_backfill_below_the_cut_is_accepted_and_aged_out_by_the_next_run() {
-    twin::check(
-        &[0xC0A2],
-        |axes| axes.shards == 2 && !axes.durable,
-        |tally| tally.below_cut >= 2 && tally.controlled_over_splice >= 1,
-    );
+    twin::check(3);
+}
+
+/// Durable harness runs crash right after an evicting compaction (the
+/// reboot restarts from its checkpoint and replays nothing) and on top of a
+/// tail acked after one, and check each recovered store against the model
+/// (R2).
+#[test]
+fn compaction_survives_kill_and_recover_at_every_interesting_instant() {
+    twin::check(2);
 }
 
 /// The bounded-memory claim: a service compacted once per simulated day holds
@@ -219,22 +207,6 @@ fn compacted_resident_bytes_plateau_while_the_control_grows() {
         quarter.1,
         last.1
     );
-}
-
-/// Durable harness runs crash right after an evicting compaction (the
-/// reboot restarts from its checkpoint and replays nothing) and on top of a
-/// tail acked after one, and check each recovered store against the model.
-#[test]
-fn compaction_survives_kill_and_recover_at_every_interesting_instant() {
-    twin::check(
-        &[0xC0A3],
-        |axes| axes.shards == 2 && axes.durable,
-        |tally| tally.crashes_at_compaction >= 1 && tally.tails_over_compaction >= 1,
-    );
-}
-
-fn durability(dir: &Path) -> Durability {
-    Durability::new(dir).with_fsync(FsyncPolicy::Always)
 }
 
 fn snapshot_bytes(service: &ShardedLocaterService) -> Vec<u8> {

@@ -12,29 +12,21 @@
 //! That eager service is not a second implementation: it is the same service
 //! with `fit_pending_models(i64::MAX)` called after every operation — the
 //! twin of the shared harness in `support/twin.rs`, which also checks that
-//! every model the lazy side fitted holds the twin's classifiers.
+//! every model the lazy side fitted holds the twin's classifiers. Every run
+//! of every covering row holds fitted and unfitted lazy models at its
+//! checks.
 
-#[path = "support/fixture.rs"]
-mod fixture;
-#[path = "support/lcg.rs"]
-mod lcg;
-#[path = "support/scratch.rs"]
-mod scratch;
-#[path = "support/twin.rs"]
-mod twin;
-
+use crate::support::{fixture, twin};
 use locater::prelude::*;
 use locater::proto::encode_response;
 
 /// The covering rows with one and two shards and no WAL, one in each fine
-/// mode: every run holds fitted and unfitted lazy models at its checks.
+/// mode (R0, R3): every run holds fitted and unfitted lazy models at its
+/// checks.
 #[test]
 fn a_lazy_service_and_its_eager_twin_answer_byte_identically() {
-    twin::check(
-        &[0xFEED],
-        |axes| axes.shards < 3 && !axes.durable,
-        |tally| tally.fitted >= 3 && tally.unfitted >= 3,
-    );
+    twin::check(0);
+    twin::check(3);
 }
 
 /// A model cached by a query that never needed its classifiers, a compaction

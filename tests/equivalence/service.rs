@@ -7,43 +7,25 @@
 //! tie bursts give every device an event at one instant, after which nothing
 //! in the cache may be live, and the probes after each burst must answer
 //! exactly like a service freshly built over the acked events and leave the
-//! same live cache state behind. The tests below run the covering rows with
-//! the cache on and require most bursts to have found it warm.
+//! same live cache state behind. The covering rows with the cache on (R0,
+//! R2 and R5) require most bursts of every run to have found it warm.
 
-#[path = "support/fixture.rs"]
-mod fixture;
-#[path = "support/lcg.rs"]
-mod lcg;
-#[path = "support/scratch.rs"]
-mod scratch;
-#[path = "support/twin.rs"]
-mod twin;
-
-use fixture::space;
+use crate::support::{fixture::space, twin};
 use locater::events::clock;
 use locater::prelude::*;
 use locater::store::RawEvent;
 
-/// The covering rows with the cache on, in I-FINE.
+/// The covering rows with the cache on, in I-FINE (R0, R2).
 #[test]
 fn ingest_then_locate_equals_fresh_build_independent_mode() {
-    let rows = |axes: &twin::Axes| {
-        axes.cache == CacheMode::Enabled && axes.fine_mode == FineMode::Independent
-    };
-    twin::check(&[0x5E1], rows, |tally| {
-        tally.warm_bursts * 3 >= tally.bursts * 2
-    });
+    twin::check(0);
+    twin::check(2);
 }
 
-/// The covering row with the cache on, in D-FINE, with two seeds.
+/// The covering row with the cache on, in D-FINE (R5).
 #[test]
 fn ingest_then_locate_equals_fresh_build_dependent_mode() {
-    let rows = |axes: &twin::Axes| {
-        axes.cache == CacheMode::Enabled && axes.fine_mode == FineMode::Dependent
-    };
-    twin::check(&[0x5E2, 0x5E4], rows, |tally| {
-        tally.warm_bursts * 3 >= tally.bursts * 2
-    });
+    twin::check(5);
 }
 
 #[test]

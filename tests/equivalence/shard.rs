@@ -8,34 +8,27 @@
 //! are the shared harness in `support/twin.rs`; its tie bursts fill the
 //! global timeline with exact cross-device ties, so the canonical
 //! `(t, device)` neighbour order — what makes sharding
-//! representation-transparent — is exercised, not dodged.
+//! representation-transparent — is exercised, not dodged. The covering rows
+//! R2–R5 run two and three shards in both fine modes against their
+//! one-shard twin: answers, stores, lazy models and cache counts.
 
-#[path = "support/fixture.rs"]
-mod fixture;
-#[path = "support/lcg.rs"]
-mod lcg;
-#[path = "support/scratch.rs"]
-mod scratch;
-#[path = "support/twin.rs"]
-mod twin;
-
-use fixture::space;
+use crate::support::{fixture::space, scratch, twin};
 use locater::prelude::*;
 use locater::store::RawEvent;
 
-/// The covering rows with two and three shards in I-FINE, against their
-/// one-shard twin: answers, stores, lazy models and cache counts.
+/// The covering rows with two and three shards in I-FINE (R2, R4), against
+/// their one-shard twin: answers, stores, lazy models and cache counts.
 #[test]
 fn sharded_answers_equal_single_shard_independent_mode() {
-    let rows = |axes: &twin::Axes| axes.shards > 1 && axes.fine_mode == FineMode::Independent;
-    twin::check(&[0x5A1], rows, |_| true);
+    twin::check(2);
+    twin::check(4);
 }
 
-/// The covering rows with two and three shards in D-FINE.
+/// The covering rows with two and three shards in D-FINE (R3, R5).
 #[test]
 fn sharded_answers_equal_single_shard_dependent_mode() {
-    let rows = |axes: &twin::Axes| axes.shards > 1 && axes.fine_mode == FineMode::Dependent;
-    twin::check(&[0x5A2], rows, |_| true);
+    twin::check(3);
+    twin::check(5);
 }
 
 #[test]

@@ -33,12 +33,12 @@
 //!
 //! Every run proves it exercised the oracle: a run without evicting
 //! compactions, fresh-build probes or lazily fitted models fails, and so
-//! does one whose [`Tally`] misses what the calling test names (crashes
-//! right after a compaction, say). A failing assertion names its axes, seed
-//! and step.
+//! does one whose [`Tally`] misses a requirement of its [`COVERING`] row
+//! (crashes right after a compaction, say). A failing assertion names its
+//! row, axes, seed and step.
 
-use crate::lcg::Lcg;
-use crate::scratch::scratch;
+use super::lcg::Lcg;
+use super::scratch::scratch;
 use locater::core::LocaterError;
 use locater::events::clock;
 use locater::prelude::*;
@@ -80,18 +80,61 @@ const fn axes(
 use CacheMode::{Disabled as OFF, Enabled as ON};
 use FineMode::{Dependent as D, Independent as I};
 
+/// A property a run must have exercised, by name.
+type Requirement = (&'static str, fn(&Tally) -> bool);
+
+/// Most bursts found the affinity cache holding edges.
+const WARM: Requirement = ("warm bursts >= 2/3 of bursts", |t| {
+    t.warm_bursts * 3 >= t.bursts * 2
+});
+const REPLAYED: Requirement = ("replayed > 0", |t| t.replayed > 0);
+const CRASH_AT_COMPACTION: Requirement = ("crashes at compaction >= 1", |t| {
+    t.crashes_at_compaction >= 1
+});
+const TAIL_OVER_COMPACTION: Requirement = ("tails over compaction >= 1", |t| {
+    t.tails_over_compaction >= 1
+});
+const RESHARD: Requirement = ("reshards >= 1", |t| t.reshards >= 1);
+const BELOW_CUT: Requirement = ("below cut >= 2", |t| t.below_cut >= 2);
+const SPLICE: Requirement = ("controlled over splice >= 1", |t| {
+    t.controlled_over_splice >= 1
+});
+const CONTROLLED: Requirement = ("controlled >= 20", |t| t.controlled >= 20);
+
+/// One covering row: a subject configuration, the seed its row test runs,
+/// and what that run must exercise beyond the floor every run meets (see
+/// [`run`]: fitted and unfitted models, evicting compactions, in-scope
+/// controls, and two crashes on a durable subject).
+pub struct Row {
+    axes: Axes,
+    seed: u64,
+    requires: &'static [Requirement],
+}
+
+const fn row(axes: Axes, seed: u64, requires: &'static [Requirement]) -> Row {
+    Row {
+        axes,
+        seed,
+        requires,
+    }
+}
+
 /// Shards {1, 2, 3} × fine mode × cache × durability × entry point, covered
 /// pairwise instead of by the 48-way product: the two rows of each shard
 /// count are complements on the four two-valued axes, and the three
 /// complement pairs (0000, 0011, 0101) meet every pair of those axes in all
-/// four value combinations.
-pub const COVERING: [Axes; 6] = [
-    axes(1, I, ON, false, false),
-    axes(1, D, OFF, true, true),
-    axes(2, I, ON, true, true),
-    axes(2, D, OFF, false, false),
-    axes(3, I, OFF, false, true),
-    axes(3, D, ON, true, false),
+/// four value combinations. Row `Rn` is entry `n`; each has one row test.
+pub const COVERING: [Row; 6] = [
+    row(axes(1, I, ON, false, false), 0x5E1, &[WARM]),
+    row(axes(1, D, OFF, true, true), 0x3A1, &[REPLAYED]),
+    row(
+        axes(2, I, ON, true, true),
+        0xC0A3,
+        &[WARM, CRASH_AT_COMPACTION, TAIL_OVER_COMPACTION, RESHARD],
+    ),
+    row(axes(2, D, OFF, false, false), 0xC0A2, &[BELOW_CUT, SPLICE]),
+    row(axes(3, I, OFF, false, true), 0xC0A1, &[CONTROLLED]),
+    row(axes(3, D, ON, true, false), 0x5E2, &[WARM]),
 ];
 
 /// What one run exercised, beyond the answers every run checks.
@@ -129,19 +172,24 @@ pub struct Tally {
     pub replays: usize,
 }
 
-/// Runs every [`COVERING`] row `select` picks with each of `seeds`, and
-/// asserts that each run `exercised` the property the calling test names.
-pub fn check(seeds: &[u64], select: impl Fn(&Axes) -> bool, exercised: impl Fn(&Tally) -> bool) {
-    let rows: Vec<&Axes> = COVERING.iter().filter(|axes| select(axes)).collect();
-    assert!(!rows.is_empty(), "the selection picks no covering row");
-    for axes in rows {
-        for &seed in seeds {
-            let tally = run(axes, seed);
-            assert!(
-                exercised(&tally),
-                "{axes:?}, seed {seed:#x} did not exercise what the test checks: {tally:?}"
-            );
-        }
+/// Runs [`COVERING`] row `row` with its seed, and asserts that the run met
+/// every requirement of the row. The row's own test and the tests of every
+/// invariant that rides on it share one run per test process: a later call
+/// checks the first run's tally. A panicking run leaves nothing behind, so
+/// every caller fails.
+pub fn check(row: usize) {
+    static TALLIES: [OnceLock<Tally>; COVERING.len()] = [const { OnceLock::new() }; COVERING.len()];
+    let Row {
+        axes,
+        seed,
+        requires,
+    } = &COVERING[row];
+    let tally = TALLIES[row].get_or_init(|| run(row));
+    for (name, met) in *requires {
+        assert!(
+            met(tally),
+            "R{row} {axes:?}, seed {seed:#x} did not exercise {name}: {tally:?}"
+        );
     }
 }
 
@@ -420,9 +468,11 @@ fn bare(mut response: WireResponse) -> String {
     encode_response(&response)
 }
 
-/// Runs one seeded sequence on the subject `axes` describes, against the
-/// eager one-shard twin and the event models.
-fn run(axes: &Axes, seed: u64) -> Tally {
+/// Runs the seeded sequence of [`COVERING`] row `row` on its subject,
+/// against the eager one-shard twin and the event models.
+fn run(row: usize) -> Tally {
+    let Row { axes, seed, .. } = &COVERING[row];
+    let seed = *seed;
     let out = campus();
     let (boot, ops) = generate(out, axes.durable, seed);
     let mut model = EventStore::new(out.space.clone());
@@ -435,7 +485,7 @@ fn run(axes: &Axes, seed: u64) -> Tally {
     if let Some(report) = report {
         assert!(
             !report.checkpoint_loaded && report.replayed == 0 && report.torn.is_empty(),
-            "{axes:?}, seed {seed:#x}: a first boot recovered {report:?}"
+            "R{row} {axes:?}, seed {seed:#x}: a first boot recovered {report:?}"
         );
     }
     let mut reference = ShardedLocaterService::new(model.clone(), config(axes), 1);
@@ -453,7 +503,7 @@ fn run(axes: &Axes, seed: u64) -> Tally {
     let (mut since_checkpoint, mut compaction_checkpoint) = (0u64, false);
 
     for (step, op) in ops.iter().enumerate() {
-        let ctx = format!("{axes:?}, seed {seed:#x}, step {step}");
+        let ctx = format!("R{row} {axes:?}, seed {seed:#x}, step {step}");
         let twin = |a: &WireResponse, b: &WireResponse| {
             assert_eq!(
                 encode_response(a),
@@ -683,10 +733,10 @@ fn run(axes: &Axes, seed: u64) -> Tally {
             );
         }
     }
-    let end = format!("{axes:?}, seed {seed:#x}, end");
+    let end = format!("R{row} {axes:?}, seed {seed:#x}, end");
     compare_models(&subject, &reference, &model, &end, &mut tally);
 
-    let ran = format!("{axes:?}, seed {seed:#x}: {tally:?}");
+    let ran = format!("R{row} {axes:?}, seed {seed:#x}: {tally:?}");
     assert!(tally.answers >= 200 && tally.probes >= 24, "{ran}");
     assert!(tally.evicting >= 2 && tally.controlled >= 12, "{ran}");
     assert!(tally.fitted >= 3 && tally.unfitted >= 3, "{ran}");

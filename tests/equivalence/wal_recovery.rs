@@ -1,11 +1,15 @@
 //! The correctness cornerstone of the durability subsystem: **kill-and-recover
 //! equivalence**. A durable `ShardedLocaterService` killed at an arbitrary
 //! point, then recovered from its WAL, must hold exactly the acked events.
-//! The shared harness in `support/twin.rs` kills its durable subjects at
-//! seeded points of a live interleaving — after compactions, on top of the
-//! reboot of an earlier crash, rebooting at another shard count — and checks
-//! the recovered store against its event model and every later answer
-//! against its twin.
+//! The shared harness in `support/twin.rs` kills its durable subjects (R1,
+//! R2 and R5) at seeded points of a live interleaving — after compactions,
+//! on top of the reboot of an earlier crash, rebooting at another shard
+//! count — and checks the recovered store against its event model and
+//! every later answer against its twin: each reboot replays exactly the
+//! ingests acked since the last checkpoint, with no torn tail. R1 requires
+//! a replayed tail, R2 a reboot at another shard count (the WAL layout is
+//! per-shard, but recovery merges by global event id), and every durable
+//! run a second crash after a reboot.
 //!
 //! "Killed" means the service is dropped without a checkpoint: nothing runs
 //! between the last acknowledged append and the reboot, exactly like a
@@ -17,32 +21,14 @@
 //! by `truncate_wal`, and that a graceful drain checkpoints so a clean
 //! shutdown leaves an empty tail.
 
-#[path = "support/fixture.rs"]
-mod fixture;
-#[path = "support/lcg.rs"]
-mod lcg;
-#[path = "support/scratch.rs"]
-mod scratch;
-#[path = "support/twin.rs"]
-mod twin;
-
-use fixture::space;
-use lcg::Lcg;
+use crate::support::{durability, fixture::space, lcg::Lcg, scratch::scratch, twin, MACS};
 use locater::prelude::*;
 use locater::proto::{WireRequest, WireResponse};
 use locater::server::ServerState;
 use locater::store::{
     checkpoint_path, inspect_wal, truncate_wal, Durability, FsyncPolicy, WalError,
 };
-use scratch::scratch;
 use std::path::Path;
-
-const MACS: [&str; 4] = [
-    "aa:00:00:00:00:01",
-    "aa:00:00:00:00:02",
-    "aa:00:00:00:00:03",
-    "aa:00:00:00:00:04",
-];
 
 /// One LCG-seeded ingest trace: timestamps deliberately include exact
 /// cross-device ties and *out-of-order splices* (a third of the events land
@@ -66,10 +52,6 @@ fn trace(seed: u64, len: usize) -> Vec<(String, i64, String)> {
     ops
 }
 
-fn durability(dir: &Path) -> Durability {
-    Durability::new(dir).with_fsync(FsyncPolicy::Always)
-}
-
 /// The uncrashed reference: a plain (non-durable) service that ingested the
 /// prefix, rendered as snapshot bytes.
 fn reference_bytes(shards: usize, prefix: &[(String, i64, String)]) -> Vec<u8> {
@@ -86,14 +68,25 @@ fn reference_bytes(shards: usize, prefix: &[(String, i64, String)]) -> Vec<u8> {
 
 /// Every durable harness run crashes at seeded points: each reboot replays
 /// exactly the ingests acked since the last checkpoint, with no torn tail,
-/// and recovers the model of what was acked.
+/// and recovers the model of what was acked (R1).
 #[test]
 fn kill_and_recover_is_byte_identical_to_the_uncrashed_prefix() {
-    twin::check(
-        &[0x3A1],
-        |axes| axes.shards == 1 && axes.durable,
-        |tally| tally.replayed > 0,
-    );
+    twin::check(1);
+}
+
+/// Every durable harness run crashes again after a reboot: the second
+/// reboot recovers the first one's boot checkpoint plus the new tail (R5).
+#[test]
+fn recovery_survives_a_reboot_of_a_reboot() {
+    twin::check(5);
+}
+
+/// The WAL layout is per-shard, but recovery merges by global event id:
+/// every other crash of a durable harness run reboots at another shard
+/// count (R2).
+#[test]
+fn recovery_across_a_shard_count_change_is_byte_identical() {
+    twin::check(2);
 }
 
 #[test]
@@ -233,17 +226,6 @@ fn out_of_range_timestamps_draw_no_id_and_reach_no_log() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// Every durable harness run crashes again after a reboot: the second
-/// reboot recovers the first one's boot checkpoint plus the new tail.
-#[test]
-fn recovery_survives_a_reboot_of_a_reboot() {
-    twin::check(
-        &[0x3A2],
-        |axes| axes.shards == 3 && axes.durable,
-        |tally| tally.crashes >= 2,
-    );
 }
 
 /// Copies a WAL directory tree (checkpoint + shard dirs) into `dst`.
@@ -590,16 +572,4 @@ fn checkpoint_file_is_the_snapshot_of_the_rejoined_store() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// The WAL layout is per-shard, but recovery merges by global event id:
-/// every other crash of a durable harness run reboots at another shard
-/// count.
-#[test]
-fn recovery_across_a_shard_count_change_is_byte_identical() {
-    twin::check(
-        &[0x3A3],
-        |axes| axes.shards == 2 && axes.durable,
-        |tally| tally.reshards >= 1,
-    );
 }

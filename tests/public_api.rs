@@ -200,7 +200,7 @@ fn live_service_surface_ingest_locate_and_epochs() {
     assert!(responses[1].is_err());
 
     // A fresh ingest invalidates: the service stays queryable and the answer
-    // tracks the new data (equivalence is covered by tests/service_equivalence.rs).
+    // tracks the new data (equivalence is covered by tests/equivalence/service.rs).
     service.ingest("aa:aa:aa:aa:aa:01", 5_500, "wap-b").unwrap();
     assert_eq!(service.device_epoch(d1), 3);
     let after = service.locate(&request).unwrap();
