@@ -269,7 +269,7 @@ impl<'a> AffinityEngine<'a> {
             .map(|&device| ApRuns::new(self.store, device, reach))
             .collect();
         let (mut total, mut intersecting) = (0usize, 0usize);
-        let mut cursors: Vec<&[Timestamp]> = Vec::with_capacity(devices.len());
+        let mut cursors: Vec<&[u32]> = Vec::with_capacity(devices.len());
         for (&device, own) in devices.iter().zip(&runs) {
             total += self.store.timeline_of(device).count_in(window);
             let delta = self.store.delta(device);
@@ -298,12 +298,14 @@ impl<'a> AffinityEngine<'a> {
                 if cursors.len() < others.len() {
                     continue;
                 }
-                for &t in window_ts {
+                for t in window_ts.iter().map(|&t| Timestamp::from(t)) {
                     // Window timestamps ascend, so `t - delta` never
                     // decreases and each cursor only moves forward.
                     let all_present = cursors.iter_mut().all(|run| {
-                        *run = &run[run.partition_point(|&x| x < t - delta)..];
-                        run.first().is_some_and(|&x| x <= t + delta)
+                        let skip = run.partition_point(|&x| Timestamp::from(x) < t - delta);
+                        *run = &run[skip..];
+                        run.first()
+                            .is_some_and(|&x| Timestamp::from(x) <= t + delta)
                     });
                     intersecting += usize::from(all_present);
                 }
@@ -406,10 +408,17 @@ fn ratio(intersecting: usize, total: usize) -> f64 {
     }
 }
 
+/// Where the timestamps of `run` (ascending) in `[range.start, range.end)`
+/// start and end.
+fn bounds_within(run: &[u32], range: Interval) -> (usize, usize) {
+    let lo = run.partition_point(|&t| Timestamp::from(t) < range.start);
+    let hi = lo + run[lo..].partition_point(|&t| Timestamp::from(t) < range.end);
+    (lo, hi)
+}
+
 /// The timestamps of `run` (ascending) in `[range.start, range.end)`.
-fn within(run: &[Timestamp], range: Interval) -> &[Timestamp] {
-    let lo = run.partition_point(|&t| t < range.start);
-    let hi = lo + run[lo..].partition_point(|&t| t < range.end);
+fn within(run: &[u32], range: Interval) -> &[u32] {
+    let (lo, hi) = bounds_within(run, range);
     &run[lo..hi]
 }
 
@@ -419,10 +428,12 @@ fn within(run: &[Timestamp], range: Interval) -> &[Timestamp] {
 /// Built per call by a counting sort over the device timeline's slice of the
 /// reach, so the store keeps no per-AP copy of its events. `ts` holds every
 /// AP's run back to back in AP order, each run ascending in time (the
-/// timeline is sorted by `(t, id)` and the sort is stable).
+/// timeline is sorted by `(t, id)` and the sort is stable). A stored
+/// timestamp is below 2³², so each takes 4 bytes; comparisons widen it to
+/// [`Timestamp`].
 struct ApRuns {
     /// The run timestamps, one run after another.
-    ts: Vec<Timestamp>,
+    ts: Vec<u32>,
     /// `ts[bounds[ap]..bounds[ap + 1]]` is the run on access point `ap`,
     /// empty when the device has no events on it in the reach.
     bounds: Vec<usize>,
@@ -443,7 +454,8 @@ impl ApRuns {
         let mut ts = vec![0; events.len()];
         for event in events {
             let at = &mut next[event.ap().index()];
-            ts[*at] = event.t();
+            // Exact: a stored event's timestamp fits 32 bits.
+            ts[*at] = event.t() as u32;
             *at += 1;
         }
         Self { ts, bounds }
@@ -455,7 +467,7 @@ impl ApRuns {
     }
 
     /// The run on access point `ap`.
-    fn run(&self, ap: usize) -> &[Timestamp] {
+    fn run(&self, ap: usize) -> &[u32] {
         &self.ts[self.bounds[ap]..self.bounds[ap + 1]]
     }
 }
@@ -504,8 +516,7 @@ impl<'a> PairAffinitySession<'a> {
         let mut first = Vec::with_capacity(runs.num_aps());
         for ap in 0..runs.num_aps() {
             let run = runs.run(ap);
-            let lo = run.partition_point(|&t| t < window.start);
-            let hi = lo + run[lo..].partition_point(|&t| t < window.end);
+            let (lo, hi) = bounds_within(run, window);
             let start = runs.bounds[ap];
             win_end.push(start + hi);
             first.push((start + lo, start));
@@ -560,11 +571,11 @@ impl<'a> PairAffinitySession<'a> {
             // the per-AP strides are a handful of events, where a branchy
             // walk beats a binary search.
             let mut cov = *cover;
-            while cov < win_end && ts[cov] < t_b - self.delta {
+            while cov < win_end && Timestamp::from(ts[cov]) < t_b - self.delta {
                 cov += 1;
             }
             let start = cov;
-            while cov < win_end && ts[cov] <= t_b + self.delta {
+            while cov < win_end && Timestamp::from(ts[cov]) <= t_b + self.delta {
                 cov += 1;
             }
             intersecting += cov - start;
@@ -573,11 +584,11 @@ impl<'a> PairAffinitySession<'a> {
             // iff the queried device has an event on this AP within δ_other.
             if self.window.contains(t_b) {
                 let mut pr = *probe;
-                while pr < full_end && ts[pr] < t_b - delta_b {
+                while pr < full_end && Timestamp::from(ts[pr]) < t_b - delta_b {
                     pr += 1;
                 }
                 *probe = pr;
-                if pr < full_end && ts[pr] <= t_b + delta_b {
+                if pr < full_end && Timestamp::from(ts[pr]) <= t_b + delta_b {
                     intersecting += 1;
                 }
             }
@@ -851,9 +862,15 @@ mod tests {
         store.ingest_raw("d", 150, "wap0").unwrap();
         store.ingest_raw("d", 300, "wap1").unwrap();
         store.ingest_raw("d", 300, "wap0").unwrap();
+        // The last storable seconds: 4-byte run timestamps hold them exactly.
+        let last = locater_events::EVENT_TIME_LIMIT - 1;
+        store.ingest_raw("d", last - 1, "wap1").unwrap();
+        store.ingest_raw("d", last, "wap1").unwrap();
         let d = store.device_id("d").unwrap();
         let timeline = store.timeline_of(d);
         for reach in [
+            Interval::new(last - 1, last + 1),
+            Interval::new(last, i64::MAX / 2),
             // Events sit exactly on both bounds: 100 is in, 600 is out.
             Interval::new(100, 600),
             Interval::new(0, 1_000),
@@ -871,8 +888,12 @@ mod tests {
                     .filter(|e| e.ap() == ap)
                     .map(|e| e.t())
                     .collect();
-                let got = runs.run(ap.index());
-                assert_eq!(got, expected.as_slice(), "reach {reach:?}, ap {raw}");
+                let got: Vec<Timestamp> = runs
+                    .run(ap.index())
+                    .iter()
+                    .map(|&t| Timestamp::from(t))
+                    .collect();
+                assert_eq!(got, expected, "reach {reach:?}, ap {raw}");
             }
         }
         let bounds = ApRuns::new(&store, d, Interval::new(100, 600));

@@ -42,8 +42,8 @@
 //!
 //! Answers are **byte-identical for every shard count**, `shards = 1` — one
 //! store behind one lock — included. The canonical `(t, device)` order of the
-//! global timeline index makes the merged neighbor scan
-//! representation-transparent, model/epoch placement partitions (never
+//! global timeline index makes the per-shard neighbor scans, merged by each
+//! device's first-entry key, representation-transparent, model/epoch placement partitions (never
 //! duplicates) the state a single-shard deployment would hold, and the
 //! affinity graph is the same one graph at every shard count.
 //! `tests/equivalence/` enforces this with the seeded twin harness

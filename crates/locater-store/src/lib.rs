@@ -17,9 +17,11 @@
 //!   around time `t`?" (needed to find the *neighbor devices* of the fine-grained
 //!   algorithm) is a range scan over one sorted index. These two are the only
 //!   copies of an event the store keeps — a 12-byte
-//!   [`StoredEvent`](locater_events::StoredEvent) and a 12-byte timeline entry
-//!   (a timestamp below 2³² s, an access point below 2¹⁶ and, in the stored
-//!   event, a 48-bit id; ingest and every decoder refuse what does not fit);
+//!   [`StoredEvent`](locater_events::StoredEvent) and an 8-byte timeline
+//!   entry (a timestamp below 2³² s, an access point below 2¹⁶ and, in the
+//!   stored event, a 48-bit id; ingest and every decoder refuse what does
+//!   not fit). The entry keeps the timestamp's offset into its 65,536-second
+//!   bucket; a small table of bucket starts holds the high bits;
 //!   the fine step's affinity merges group a timeline slice by access point
 //!   per call instead of reading a per-AP index;
 //! * **device interning** — MAC-address strings are interned to dense
@@ -52,8 +54,9 @@
 //!   bit-identically ([`shard_of_device`] is the assignment), and the
 //!   [`EventRead`] trait + [`ShardedRead`] view let readers treat the
 //!   partitions as one logical store with answers identical to the combined
-//!   one (the global [`Timeline`] keeps canonical `(t, device)` order exactly
-//!   so that this merge is exact).
+//!   one (the global [`Timeline`] keeps canonical `(t, device)` order, so the
+//!   view scans each shard's window in place and merges the per-shard results
+//!   exactly by each device's first `(t, device)` key).
 //!
 //! ## Ingest and query
 //!

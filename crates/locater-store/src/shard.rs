@@ -20,13 +20,14 @@
 //! of the devices it owns**; all other timelines are empty. Device-table
 //! lookups therefore work against any one shard, while timeline reads route to
 //! the owner. The global `(t, device)`-canonical timeline order (see
-//! [`crate::Timeline`]) makes the merged neighbor scan of [`ShardedRead`]
-//! reproduce the single-store scan exactly.
+//! [`crate::Timeline`]) lets [`ShardedRead`] scan each shard's window in place
+//! and merge the per-shard results by the key of each device's first entry,
+//! reproducing the single-store scan exactly.
 
 use crate::read::EventRead;
 use crate::snapshot::{encode_snapshot, SnapshotParts};
 use crate::store::EventStore;
-use crate::timeline::{devices_near_in, devices_online_in, entry_key, NearbyDevice, TimelineEntry};
+use crate::timeline::{devices_near_in, devices_online_in, merge_first_seen, NearbyDevice};
 use crate::StoreError;
 use locater_events::{Device, DeviceId, EventSeq, StoredEvent, Timestamp};
 use locater_space::{RegionId, Space};
@@ -144,9 +145,10 @@ impl EventStore {
 /// presenting them as a single logical store through [`EventRead`].
 ///
 /// Device-table lookups answer from shard 0 (the table is replicated);
-/// timeline reads route to the owner shard; the neighbor scan merges the
-/// shards' global indices in canonical `(t, device)` order, so every accessor
-/// returns exactly what the combined store would.
+/// timeline reads route to the owner shard; the neighbor scans run on each
+/// shard's global index and merge their results by each device's first
+/// `(t, device)` key, so every accessor returns exactly what the combined
+/// store would.
 ///
 /// The view borrows the shard stores — in a live service the borrows come from
 /// per-shard read guards acquired in ascending shard order.
@@ -223,44 +225,6 @@ impl<'a> ShardedRead<'a> {
         }
         encode_snapshot(&parts, |device| runs[device.index()])
     }
-
-    /// K-way merge of the shards' canonically sorted windows in `[from, to)`
-    /// — restores the canonical global scan order, so the shared scan helpers
-    /// run exactly as they would on the combined index. Comparing `(t,
-    /// device)` suffices: a device's entries never span shards, so equal keys
-    /// come from one window, already in order.
-    fn merged_window(&self, from: Timestamp, to: Timestamp) -> Vec<&'a TimelineEntry> {
-        let windows: Vec<&[TimelineEntry]> = self
-            .shards
-            .iter()
-            .map(|s| s.timeline().range(from, to))
-            .collect();
-        let mut cursors = vec![0usize; windows.len()];
-        let total: usize = windows.iter().map(|w| w.len()).sum();
-        let mut merged: Vec<&TimelineEntry> = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<(usize, &TimelineEntry)> = None;
-            for (shard, window) in windows.iter().enumerate() {
-                if let Some(entry) = window.get(cursors[shard]) {
-                    let better = match best {
-                        None => true,
-                        Some((_, current)) => entry_key(entry) < entry_key(current),
-                    };
-                    if better {
-                        best = Some((shard, entry));
-                    }
-                }
-            }
-            match best {
-                Some((shard, entry)) => {
-                    cursors[shard] += 1;
-                    merged.push(entry);
-                }
-                None => break,
-            }
-        }
-        merged
-    }
 }
 
 impl EventRead for ShardedRead<'_> {
@@ -298,7 +262,12 @@ impl EventRead for ShardedRead<'_> {
         if self.shards.len() == 1 {
             return self.shards[0].devices_near(t, slack, exclude);
         }
-        devices_near_in(self.merged_window(t - slack, t + slack + 1), t, exclude)
+        merge_first_seen(
+            self.shards
+                .iter()
+                .map(|s| devices_near_in(s.timeline().range(t - slack, t + slack + 1), t, exclude))
+                .collect(),
+        )
     }
 
     fn devices_online_at(
@@ -306,17 +275,20 @@ impl EventRead for ShardedRead<'_> {
         t: Timestamp,
         exclude: Option<DeviceId>,
     ) -> Vec<(DeviceId, RegionId)> {
-        // Same one-scan fast path as the combined store, over the merged
-        // canonical window (the device table, δs included, is replicated).
+        // Same one-scan fast path as the combined store, run on each shard's
+        // window (the device table, δs included, is replicated).
         if self.shards.len() == 1 {
             return self.shards[0].devices_online_at(t, exclude);
         }
         let slack = self.max_delta();
-        devices_online_in(
-            self.merged_window(t - slack, t + slack + 1),
-            t,
-            exclude,
-            self.devices(),
+        merge_first_seen(
+            self.shards
+                .iter()
+                .map(|s| {
+                    let window = s.timeline().range(t - slack, t + slack + 1);
+                    devices_online_in(window, t, exclude, self.devices())
+                })
+                .collect(),
         )
     }
 }

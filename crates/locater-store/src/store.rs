@@ -6,7 +6,7 @@ use crate::error::{IngestError, StoreError};
 use crate::read::EventRead;
 use crate::snapshot::SnapshotParts;
 use crate::stats::DatasetStatistics;
-use crate::timeline::{entry_key, NearbyDevice, Timeline, TimelineEntry};
+use crate::timeline::{devices_online_in, NearbyDevice, Timeline};
 use locater_events::validity::{estimate_delta_events, DEFAULT_DELTA};
 use locater_events::{
     Device, DeviceId, EventId, EventSeq, Gap, Interval, MacAddress, StoredEvent, Timestamp,
@@ -34,6 +34,15 @@ fn check_timestamp(t: Timestamp) -> Result<(), IngestError> {
     }
 }
 
+/// The largest δ of a device table, or [`DEFAULT_DELTA`] for an empty one.
+fn max_delta_of(devices: &[Device]) -> Timestamp {
+    devices
+        .iter()
+        .map(|device| device.delta)
+        .max()
+        .unwrap_or(DEFAULT_DELTA)
+}
+
 /// In-memory store of WiFi connectivity events for one building, organised as
 /// one **time-sorted timeline per device**.
 ///
@@ -52,6 +61,9 @@ pub struct EventStore {
     mac_index: HashMap<MacAddress, DeviceId>,
     timelines: Vec<EventSeq>,
     timeline: Timeline,
+    /// The largest δ of the device table ([`DEFAULT_DELTA`] while it is
+    /// empty), kept current by every change of a δ.
+    max_delta: Timestamp,
     next_event_id: u64,
 }
 
@@ -64,6 +76,7 @@ impl EventStore {
             mac_index: HashMap::new(),
             timelines: Vec::new(),
             timeline: Timeline::new(),
+            max_delta: DEFAULT_DELTA,
             next_event_id: 0,
         }
     }
@@ -112,6 +125,7 @@ impl EventStore {
             .push(Device::new(id, mac.clone(), DEFAULT_DELTA));
         self.timelines.push(EventSeq::default());
         self.mac_index.insert(mac, id);
+        self.max_delta = self.max_delta.max(DEFAULT_DELTA);
         Ok(id)
     }
 
@@ -123,17 +137,21 @@ impl EventStore {
     /// Overrides the validity period of a device, clamped into `[1, 2³²)`
     /// seconds: the range a snapshot accepts.
     pub fn set_delta(&mut self, device: DeviceId, delta: Timestamp) {
-        self.devices[device.index()].delta = delta.clamp(1, EVENT_TIME_LIMIT - 1);
+        let delta = delta.clamp(1, EVENT_TIME_LIMIT - 1);
+        let old = std::mem::replace(&mut self.devices[device.index()].delta, delta);
+        if delta >= self.max_delta {
+            self.max_delta = delta;
+        } else if old == self.max_delta {
+            // The device may have held the only largest δ.
+            self.max_delta = max_delta_of(&self.devices);
+        }
     }
 
     /// The largest validity period across all devices (used as the slack when scanning
-    /// the global timeline for nearby devices).
+    /// the global timeline for nearby devices), or [`DEFAULT_DELTA`] for a
+    /// store without devices.
     pub fn max_delta(&self) -> Timestamp {
-        self.devices
-            .iter()
-            .map(|d| d.delta)
-            .max()
-            .unwrap_or(DEFAULT_DELTA)
+        self.max_delta
     }
 
     /// Re-estimates every device's validity period from its own history
@@ -143,6 +161,7 @@ impl EventStore {
             let timeline = &self.timelines[device.id.index()];
             device.delta = estimate_delta_events(timeline.iter());
         }
+        self.max_delta = max_delta_of(&self.devices);
     }
 
     // ------------------------------------------------------------------
@@ -315,19 +334,22 @@ impl EventStore {
         t: Timestamp,
         exclude: Option<DeviceId>,
     ) -> Vec<(DeviceId, RegionId)> {
-        let slack = self.max_delta();
-        crate::timeline::devices_online_in(
+        let slack = self.max_delta;
+        devices_online_in(
             self.timeline.range(t - slack, t + slack + 1),
             t,
             exclude,
             &self.devices,
         )
+        .into_items()
     }
 
     /// Overall time span `[first event, last event]` of the dataset, if non-empty.
     pub fn time_span(&self) -> Option<Interval> {
-        let all = self.timeline.range(0, EVENT_TIME_LIMIT);
-        Some(Interval::new(all.first()?.t(), all.last()?.t() + 1))
+        let mut all = self.timeline.range(0, EVENT_TIME_LIMIT);
+        let first = all.next()?;
+        let last = all.last().unwrap_or(first);
+        Some(Interval::new(first.t(), last.t() + 1))
     }
 
     /// The global timeline index.
@@ -449,8 +471,8 @@ impl EventStore {
         }
     }
 
-    /// Reassembles a store from decoded snapshot parts: rebuilds the MAC index
-    /// and the global timeline (events sorted by `(t, device, event id)`, which
+    /// Reassembles a store from decoded snapshot parts: rebuilds the MAC index,
+    /// the max δ and the global timeline (events sorted by `(t, device, event id)`, which
     /// is exactly the canonical order incremental ingestion keeps the index in)
     /// at exact capacity. Snapshot load, [`EventStore::split`],
     /// [`EventStore::rejoin`] and recovery all build their stores here.
@@ -481,44 +503,24 @@ impl EventStore {
                 )));
             }
         }
-        let num_events = timelines.iter().map(|timeline| timeline.len()).sum();
-        let mut entries = Vec::with_capacity(num_events);
-        for (idx, timeline) in timelines.iter().enumerate() {
-            let device = DeviceId::new(idx as u32);
-            for event in timeline.iter() {
-                if event.ap().index() >= space.num_access_points() {
-                    return Err(StoreError::Corrupt(format!(
-                        "event {} references unknown access point {}",
-                        event.id(),
-                        event.ap()
-                    )));
-                }
-                entries.push(TimelineEntry::of(device, event));
+        for event in timelines.iter().flat_map(EventSeq::iter) {
+            if event.ap().index() >= space.num_access_points() {
+                return Err(StoreError::Corrupt(format!(
+                    "event {} references unknown access point {}",
+                    event.id(),
+                    event.ap()
+                )));
             }
         }
-        // An unstable sort (about 2.4× faster than a stable one on a
-        // 421k-event store) may shuffle one device's entries at one
-        // timestamp. They differ only in AP, so each such run takes its APs
-        // from the device timeline, which orders them by id: the canonical
-        // `(t, device, id)` order, at exactly the capacity it needs.
-        entries.sort_unstable_by_key(entry_key);
-        for run in entries
-            .chunk_by_mut(|a, b| entry_key(a) == entry_key(b))
-            .filter(|run| run.len() > 1)
-        {
-            let (t, device) = (run[0].t(), run[0].device());
-            let events = timelines[device.index()].in_range(Interval::new(t, t + 1));
-            for (entry, event) in run.iter_mut().zip(events) {
-                *entry = TimelineEntry::of(device, event);
-            }
-        }
-        let timeline = Timeline::from_canonical(entries);
+        let timeline = Timeline::from_device_timelines(&timelines);
+        let max_delta = max_delta_of(&devices);
         Ok(Self {
             space: Arc::new(space),
             devices,
             mac_index,
             timelines,
             timeline,
+            max_delta,
             next_event_id,
         })
     }
@@ -722,6 +724,54 @@ mod tests {
     }
 
     #[test]
+    fn max_delta_tracks_every_change_of_a_delta() {
+        let naive = |store: &EventStore| {
+            store
+                .devices()
+                .iter()
+                .map(|device| device.delta)
+                .max()
+                .unwrap_or(DEFAULT_DELTA)
+        };
+        let check = |store: &EventStore, after: &str| {
+            assert_eq!(store.max_delta(), naive(store), "after {after}");
+        };
+        let mut store = EventStore::new(space());
+        check(&store, "new");
+        let a = store.intern_device("a").unwrap();
+        check(&store, "interning the first device");
+        store.set_delta(a, 50);
+        check(&store, "lowering the only δ");
+        let b = store.intern_device("b").unwrap();
+        check(&store, "interning a device at the default δ");
+        store.set_delta(b, 10_000);
+        check(&store, "raising a δ");
+        store.set_delta(b, 5);
+        check(&store, "lowering the largest δ");
+        store.set_delta(a, i64::MAX);
+        check(&store, "raising a δ to the clamp");
+        store.set_delta(a, i64::MIN);
+        check(&store, "lowering it to the clamp");
+        for i in 0..30 {
+            store.ingest_raw("regular", i * 300, "wap1").unwrap();
+        }
+        store.ingest_raw("sparse", 0, "wap1").unwrap();
+        check(&store, "interning on ingest");
+        store.estimate_deltas();
+        check(&store, "estimate_deltas");
+        let regular = store.device_id("regular").unwrap();
+        store.set_delta(regular, 7_200);
+        let loaded = EventStore::from_snapshot_bytes(&store.to_snapshot_bytes().unwrap()).unwrap();
+        check(&loaded, "a snapshot load");
+        assert_eq!(loaded.max_delta(), 7_200);
+        let shards = store.split(3);
+        for shard in &shards {
+            check(shard, "split");
+        }
+        check(&EventStore::rejoin(&shards).unwrap(), "rejoin");
+    }
+
+    #[test]
     fn time_span_covers_all_events() {
         let store = store_with_events();
         let span = store.time_span().unwrap();
@@ -792,26 +842,31 @@ mod tests {
 
     #[test]
     fn memory_layout_is_pinned() {
+        use crate::timeline::{Bucket, PackedEntry};
         use std::mem::size_of;
         assert_eq!(
-            (size_of::<StoredEvent>(), size_of::<TimelineEntry>()),
-            (12, 12)
+            (size_of::<StoredEvent>(), size_of::<PackedEntry>()),
+            (12, 8)
         );
-        let entry_bytes = |store: &EventStore| store.num_events() * size_of::<TimelineEntry>();
+        // Every event of these stores lies in the first 65,536 s: one bucket.
+        let exact_bytes = |store: &EventStore| {
+            let buckets = usize::from(store.num_events() > 0);
+            store.num_events() * size_of::<PackedEntry>() + buckets * size_of::<Bucket>()
+        };
 
         // Ingest grows the global timeline by doubling (5 entries in room
         // for 8); every builder behind snapshot load, split and rejoin sizes
         // it exactly.
         let store = store_with_events();
-        assert!(store.timeline().approx_bytes() > entry_bytes(&store));
+        assert!(store.timeline().approx_bytes() > exact_bytes(&store));
         let loaded = EventStore::from_snapshot_bytes(&store.to_snapshot_bytes().unwrap()).unwrap();
-        assert_eq!(loaded.timeline().approx_bytes(), entry_bytes(&loaded));
+        assert_eq!(loaded.timeline().approx_bytes(), exact_bytes(&loaded));
         let shards = store.split(2);
         for shard in &shards {
-            assert_eq!(shard.timeline().approx_bytes(), entry_bytes(shard));
+            assert_eq!(shard.timeline().approx_bytes(), exact_bytes(shard));
         }
         let rejoined = EventStore::rejoin(&shards).unwrap();
-        assert_eq!(rejoined.timeline().approx_bytes(), entry_bytes(&rejoined));
+        assert_eq!(rejoined.timeline().approx_bytes(), exact_bytes(&rejoined));
         // The CSV loader trims both arrays to the events they hold, so it
         // reports the snapshot loader's resident bytes for the same events.
         let from_csv = EventStore::from_csv(space(), &store.to_csv()).unwrap();
@@ -821,27 +876,28 @@ mod tests {
         );
         assert_eq!(
             from_csv.approx_resident_bytes(),
-            store.num_events() * (size_of::<StoredEvent>() + size_of::<TimelineEntry>())
+            store.num_events() * size_of::<StoredEvent>() + exact_bytes(&store)
         );
 
         // One device, three events on two APs, loaded from a snapshot. The
         // loader sizes both copies of each event exactly: the 12-byte stored
-        // event and the 12-byte global entry.
+        // event and the 8-byte global entry, 20 B/event, plus the one
+        // 16-byte row of the bucket table.
         let mut fixed = EventStore::new(space());
         fixed.ingest_raw("d1", 100, "wap1").unwrap();
         fixed.ingest_raw("d1", 200, "wap1").unwrap();
         fixed.ingest_raw("d1", 300, "wap2").unwrap();
         let fixed = EventStore::from_snapshot_bytes(&fixed.to_snapshot_bytes().unwrap()).unwrap();
         let device_timeline = 3 * size_of::<StoredEvent>();
-        let global_timeline = 3 * size_of::<TimelineEntry>();
+        let global_timeline = 3 * size_of::<PackedEntry>();
         assert_eq!(
-            (device_timeline, global_timeline),
-            (36, 36),
+            (device_timeline, global_timeline, size_of::<Bucket>()),
+            (36, 24, 16),
             "part sizes on a 64-bit target"
         );
         assert_eq!(
             fixed.approx_resident_bytes(),
-            device_timeline + global_timeline
+            device_timeline + global_timeline + size_of::<Bucket>()
         );
     }
 
@@ -918,7 +974,6 @@ mod tests {
             store
                 .timeline()
                 .range(i64::MIN / 2, i64::MAX / 2)
-                .iter()
                 .map(|e| (e.t(), store.device(e.device()).mac.to_string(), e.ap()))
                 .collect()
         };

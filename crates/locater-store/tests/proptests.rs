@@ -148,7 +148,7 @@ proptest! {
     }
 
     /// The multi-shard read view is indistinguishable from the combined store:
-    /// routed timeline reads and the merged canonical neighbor scan agree
+    /// routed timeline reads and the merged per-shard neighbor scans agree
     /// exactly (ties across devices included — `arb_events` produces plenty).
     #[test]
     fn sharded_read_is_indistinguishable_from_combined_store(
@@ -298,8 +298,8 @@ proptest! {
             );
         }
         prop_assert_eq!(
-            compacted.timeline().range(window.start, window.end),
-            full.timeline().range(window.start, window.end)
+            compacted.timeline().range(window.start, window.end).collect::<Vec<_>>(),
+            full.timeline().range(window.start, window.end).collect::<Vec<_>>()
         );
     }
 
@@ -656,5 +656,221 @@ proptest! {
         let (recovered, _) = recover_store(&dir, EventStore::new(space())).unwrap();
         assert_deltas_in_range(&recovered, "WAL recovery");
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The global timeline across its 65,536-second bucket boundaries
+// ---------------------------------------------------------------------------
+
+const BUCKET: i64 = 1 << 16;
+const LAST_SECOND: i64 = (1 << 32) - 1;
+
+/// Timestamps on and around bucket boundaries, both ends of the storable
+/// range included.
+fn boundary_times() -> Vec<i64> {
+    let mut times = vec![0, 1, LAST_SECOND - 1, LAST_SECOND];
+    for k in [1, 2, 3, 17, 65_535] {
+        times.extend([k * BUCKET - 1, k * BUCKET, k * BUCKET + 1]);
+    }
+    times
+}
+
+/// One step of the timeline model test.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Ingest { dev: u8, t: i64, ap: u8 },
+    Compact(i64),
+}
+
+/// A store and its 2- and 3-shard partitions, fed the same steps under one
+/// shared id sequence, beside the events they should hold.
+struct TimelineModel {
+    stores: Vec<Vec<EventStore>>,
+    /// `(t, device, id, ap)` of every event not compacted away.
+    events: Vec<(i64, u32, u64, u32)>,
+    next_id: u64,
+}
+
+impl TimelineModel {
+    /// Four devices; device 3's δ of two buckets makes every
+    /// `devices_online_at` window span three buckets or more.
+    fn new() -> Self {
+        let mut base = EventStore::new(space());
+        for (dev, delta) in [(0u8, 300), (1, 450), (2, 600), (3, 2 * BUCKET)] {
+            let device = base.intern_device(&mac_of(dev)).unwrap();
+            base.set_delta(device, delta);
+        }
+        let stores = [1, 2, 3].iter().map(|&n| base.split(n)).collect();
+        Self {
+            stores,
+            events: Vec::new(),
+            next_id: 0,
+        }
+    }
+
+    fn apply(&mut self, step: Step) {
+        match step {
+            Step::Ingest { dev, t, ap } => {
+                let device = DeviceId::new(u32::from(dev));
+                for shards in &mut self.stores {
+                    let owner = shard_of_device(device, shards.len());
+                    let store = &mut shards[owner];
+                    store.set_next_event_id(self.next_id);
+                    store
+                        .ingest_raw(&mac_of(dev), t, &format!("wap{ap}"))
+                        .unwrap();
+                }
+                self.events.push((t, device.0, self.next_id, u32::from(ap)));
+                self.next_id += 1;
+            }
+            Step::Compact(cut) => {
+                for store in self.stores.iter_mut().flatten() {
+                    store.compact(cut);
+                }
+                self.events.retain(|&(t, ..)| t >= cut);
+            }
+        }
+    }
+
+    /// Every reader agrees with the model after `step`.
+    fn check(&self, step: Step) {
+        let mut expected = self.events.clone();
+        expected.sort_unstable();
+        let entries = |from: i64, to: i64| -> Vec<(i64, u32, u32)> {
+            expected
+                .iter()
+                .filter(|&&(t, ..)| from <= t && t < to)
+                .map(|&(t, device, _, ap)| (t, device, ap))
+                .collect()
+        };
+        let single = &self.stores[0][0];
+        let range = |from: i64, to: i64| -> Vec<(i64, u32, u32)> {
+            single
+                .timeline()
+                .range(from, to)
+                .map(|e| (e.t(), e.device().0, e.ap().raw()))
+                .collect()
+        };
+        assert_eq!(
+            range(i64::MIN / 2, i64::MAX / 2),
+            entries(0, 1 << 32),
+            "after {step:?}"
+        );
+        let times = boundary_times();
+        for &t in &times {
+            assert_eq!(
+                range(t, t + 2),
+                entries(t, t + 2),
+                "range at {t} after {step:?}"
+            );
+            assert_eq!(
+                range(t - BUCKET, t),
+                entries(t - BUCKET, t),
+                "after {step:?}"
+            );
+        }
+        for shards in &self.stores {
+            let view = ShardedRead::new(shards.iter().collect());
+            for &t in &times {
+                for probe in [t - 400, t, t + 1] {
+                    assert_eq!(
+                        view.devices_online_at(probe, None),
+                        reference_online(&view, probe),
+                        "{} shard(s), probe {probe}, after {step:?}",
+                        shards.len()
+                    );
+                }
+                for slack in [0, 1, 700, BUCKET + 5] {
+                    assert_eq!(
+                        view.devices_near(t, slack, None),
+                        reference_near(&view, t, slack),
+                        "{} shard(s), probe {t}, slack {slack}, after {step:?}",
+                        shards.len()
+                    );
+                }
+            }
+            // The incremental index equals the one a load rebuilds.
+            assert_eq!(
+                &EventStore::rejoin(shards).unwrap(),
+                single,
+                "after {step:?}"
+            );
+        }
+    }
+}
+
+fn run_timeline_model(steps: &[Step]) {
+    let mut model = TimelineModel::new();
+    for &step in steps {
+        model.apply(step);
+        model.check(step);
+    }
+    let single = &model.stores[0][0];
+    let loaded = EventStore::from_snapshot_bytes(&single.to_snapshot_bytes().unwrap()).unwrap();
+    assert_eq!(&loaded, single);
+}
+
+/// Boundary timestamps, late splices into earlier buckets, same-`t` ties of
+/// one device and cuts on and inside a bucket boundary, in that order.
+#[test]
+fn timeline_matches_a_sorted_model_across_bucket_boundaries() {
+    let ingest = |dev: u8, t: i64, ap: u8| Step::Ingest { dev, t, ap };
+    run_timeline_model(&[
+        ingest(0, 0, 0),
+        ingest(1, BUCKET - 1, 1),
+        ingest(2, BUCKET, 2),
+        ingest(3, LAST_SECOND, 0),
+        ingest(0, 3 * BUCKET + 1, 1),
+        // Late splices: into an earlier bucket, into a bucket not yet held
+        // and below everything.
+        ingest(3, BUCKET - 1, 2),
+        ingest(1, 2 * BUCKET - 1, 0),
+        ingest(2, 17 * BUCKET, 1),
+        ingest(2, 1, 0),
+        ingest(0, 65_535 * BUCKET - 1, 2),
+        ingest(1, 65_535 * BUCKET + 1, 1),
+        // Same-`t` ties of one device, then across devices.
+        ingest(0, BUCKET, 0),
+        ingest(0, BUCKET, 2),
+        ingest(0, BUCKET, 1),
+        ingest(1, BUCKET, 1),
+        ingest(3, LAST_SECOND, 2),
+        ingest(3, LAST_SECOND - 1, 1),
+        // A cut on a boundary, one inside a bucket, a splice below the
+        // cut, and a cut that keeps only the last second.
+        Step::Compact(BUCKET),
+        Step::Compact(2 * BUCKET + 7),
+        ingest(2, BUCKET + 3, 0),
+        ingest(0, 3 * BUCKET - 1, 1),
+        Step::Compact(3 * BUCKET),
+        Step::Compact(LAST_SECOND),
+        ingest(1, 0, 0),
+        Step::Compact(1 << 32),
+    ]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random steps over the boundary timestamps (and one second either
+    /// side): the index equals the sorted model after every step.
+    #[test]
+    fn timeline_model_holds_for_random_boundary_steps(
+        raw in prop::collection::vec((0u8..10, 0u8..4, 0usize..19, 0u8..3, 0i64..3), 1..32),
+    ) {
+        let times = boundary_times();
+        let steps: Vec<Step> = raw
+            .iter()
+            .map(|&(kind, dev, pick, ap, nudge)| {
+                let t = (times[pick % times.len()] + nudge - 1).clamp(0, LAST_SECOND);
+                if kind == 0 {
+                    Step::Compact(t)
+                } else {
+                    Step::Ingest { dev, t, ap }
+                }
+            })
+            .collect();
+        run_timeline_model(&steps);
     }
 }

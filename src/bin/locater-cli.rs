@@ -1011,8 +1011,9 @@ mod tests {
         assert_eq!(devices(&report), devices(&stats_out), "{report}{stats_out}");
         assert!(stats_out.contains("gaps to clean"));
         assert!(!stats_out.contains("co-location"));
-        // Two 12-byte copies of each event, at exact capacity.
-        assert!(stats_out.contains("(24.0 B/event)"), "{stats_out}");
+        // A 12-byte stored event and an 8-byte timeline entry per event, at
+        // exact capacity; the bucket table adds under 0.05 B/event.
+        assert!(stats_out.contains("(20.0 B/event)"), "{stats_out}");
 
         // Locate the first device found in the events file at its first event time:
         // always answerable.
@@ -1118,7 +1119,7 @@ mod tests {
             run(&["snapshot".into(), "load".into(), snap.clone()]).expect("snapshot load succeeds");
         assert!(loaded.contains("events"));
         assert!(!loaded.contains("co-location"));
-        assert!(loaded.contains("resident: ") && loaded.contains("(24.0 B/event)"));
+        assert!(loaded.contains("resident: ") && loaded.contains("(20.0 B/event)"));
 
         // Serving straight from the snapshot answers queries without the CSV.
         let csv = std::fs::read_to_string(&events).unwrap();
