@@ -709,13 +709,13 @@ mod tests {
         fn timeline_of(&self, device: DeviceId) -> &locater_events::EventSeq {
             self.inner.timeline_of(device)
         }
-        fn devices_near(
+        fn devices_seen_by(
             &self,
-            t: Timestamp,
-            slack: Timestamp,
-            exclude: Option<DeviceId>,
-        ) -> Vec<locater_store::NearbyDevice> {
-            self.inner.devices_near(t, slack, exclude)
+            aps: &[locater_space::AccessPointId],
+            window: Interval,
+            out: &mut Vec<DeviceId>,
+        ) {
+            self.inner.devices_seen_by(aps, window, out)
         }
         fn gaps_of_in(&self, device: DeviceId, window: Interval) -> Vec<Gap> {
             self.fits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);

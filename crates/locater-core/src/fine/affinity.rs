@@ -5,6 +5,7 @@ use locater_events::{DeviceId, Interval};
 use locater_space::{RegionId, RoomId};
 use locater_store::EventRead;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// The three room-affinity weights of §4.1: preferred (`w_pf`), public (`w_pb`) and
 /// private (`w_pr`) rooms. They must be strictly ordered `w_pf > w_pb > w_pr` and sum
@@ -111,6 +112,30 @@ impl RoomAffinity {
 /// store, so one `locate` call computes each distribution at most once: the
 /// prior, and every member of every group Algorithm 2 evaluates, read it here.
 pub type RoomAffinityMemo = HashMap<(DeviceId, RegionId), RoomAffinity>;
+
+/// Per-query memo of device runs: each device's events in the reach of the
+/// history window ending at one `until`, grouped by access point, keyed by
+/// device.
+///
+/// The runs are a pure function of `(device, until)` against a frozen store,
+/// so one `locate` call builds each device's at most once: the D-FINE
+/// clusters re-read their members after every processed neighbor, and each
+/// neighbor's pair session reads the same runs.
+pub(crate) struct ApRunsMemo {
+    until: Timestamp,
+    runs: HashMap<DeviceId, Rc<ApRuns>>,
+}
+
+impl ApRunsMemo {
+    /// An empty memo for affinities over the history window ending at
+    /// `until`.
+    pub(crate) fn new(until: Timestamp) -> Self {
+        Self {
+            until,
+            runs: HashMap::new(),
+        }
+    }
+}
 
 /// Computes room, device and group affinities against one event store.
 ///
@@ -227,6 +252,12 @@ impl<'a> AffinityEngine<'a> {
     /// per-event window scan, so the returned ratio is **bit-identical** to it
     /// (`tests/equivalence/affinity_index.rs`).
     pub fn device_affinity(&self, devices: &[DeviceId], until: Timestamp) -> f64 {
+        self.device_affinity_memo(&mut ApRunsMemo::new(until), devices)
+    }
+
+    /// [`AffinityEngine::device_affinity`] at the memo's `until`, each
+    /// member's runs read through `memo`.
+    pub(crate) fn device_affinity_memo(&self, memo: &mut ApRunsMemo, devices: &[DeviceId]) -> f64 {
         if devices.len() < 2 {
             return 0.0;
         }
@@ -234,10 +265,23 @@ impl<'a> AffinityEngine<'a> {
         // one-shot, it measures faster than the per-AP merge of a k-set.
         if let [a, b] = *devices {
             if a != b {
-                return self.pair_session(a, until).affinity(b);
+                return self.pair_session_memo(memo, a).affinity(b);
             }
         }
-        self.tally_runs(devices, self.window_until(until))
+        let runs: Vec<Rc<ApRuns>> = devices
+            .iter()
+            .map(|&device| self.runs_memo(memo, device))
+            .collect();
+        self.tally_runs(devices, &runs, self.window_until(memo.until))
+    }
+
+    /// `device`'s runs in the reach of the memo's window, built on first use.
+    fn runs_memo(&self, memo: &mut ApRunsMemo, device: DeviceId) -> Rc<ApRuns> {
+        let reach = self.reach(self.window_until(memo.until));
+        memo.runs
+            .entry(device)
+            .or_insert_with(|| Rc::new(ApRuns::new(self.store, device, reach)))
+            .clone()
     }
 
     /// The history window ending at `until`: `[until − window, until]`.
@@ -253,7 +297,8 @@ impl<'a> AffinityEngine<'a> {
     }
 
     /// The k-set (or repeated-member) route of
-    /// [`AffinityEngine::device_affinity`].
+    /// [`AffinityEngine::device_affinity`], over each member's runs in the
+    /// reach of `window`.
     ///
     /// Each member's window total is two partition points on its timeline.
     /// Its *intersecting* count only ever touches access points **every**
@@ -262,22 +307,17 @@ impl<'a> AffinityEngine<'a> {
     /// each other member's run. A reach-limited run yields the same first
     /// partner `≥ t − δ` as the member's whole history would, because any
     /// partner that counts lies inside the reach.
-    fn tally_runs(&self, devices: &[DeviceId], window: Interval) -> f64 {
-        let reach = self.reach(window);
-        let runs: Vec<ApRuns> = devices
-            .iter()
-            .map(|&device| ApRuns::new(self.store, device, reach))
-            .collect();
+    fn tally_runs(&self, devices: &[DeviceId], runs: &[Rc<ApRuns>], window: Interval) -> f64 {
         let (mut total, mut intersecting) = (0usize, 0usize);
         let mut cursors: Vec<&[u32]> = Vec::with_capacity(devices.len());
-        for (&device, own) in devices.iter().zip(&runs) {
+        for (&device, own) in devices.iter().zip(runs) {
             total += self.store.timeline_of(device).count_in(window);
             let delta = self.store.delta(device);
             let others: Vec<&ApRuns> = devices
                 .iter()
-                .zip(&runs)
+                .zip(runs)
                 .filter(|&(&other, _)| other != device)
-                .map(|(_, other)| other)
+                .map(|(_, other)| &**other)
                 .collect();
             for ap in 0..own.num_aps() {
                 // Runs without window events need no merge work (their events
@@ -323,7 +363,19 @@ impl<'a> AffinityEngine<'a> {
     /// evaluations of one query — same answers as
     /// [`AffinityEngine::pair_affinity`], the queried side computed once.
     pub fn pair_session(&self, device: DeviceId, until: Timestamp) -> PairAffinitySession<'a> {
-        PairAffinitySession::new(*self, device, until)
+        let runs = ApRuns::new(self.store, device, self.reach(self.window_until(until)));
+        PairAffinitySession::new(*self, device, until, Rc::new(runs))
+    }
+
+    /// [`AffinityEngine::pair_session`] at the memo's `until`, over the
+    /// device's runs read through `memo`.
+    pub(crate) fn pair_session_memo(
+        &self,
+        memo: &mut ApRunsMemo,
+        device: DeviceId,
+    ) -> PairAffinitySession<'a> {
+        let runs = self.runs_memo(memo, device);
+        PairAffinitySession::new(*self, device, memo.until, runs)
     }
 
     // ------------------------------------------------------------------
@@ -494,7 +546,7 @@ pub struct PairAffinitySession<'a> {
     /// The queried device's events in the window padded by the global max δ
     /// — every timestamp any neighbor's merge can involve (the partner runs
     /// of the neighbor-side direction).
-    runs: ApRuns,
+    runs: Rc<ApRuns>,
     /// Per AP, where its in-window events end in `runs.ts`.
     win_end: Vec<usize>,
     /// Per AP, where the merge cursors start: its first in-window event and
@@ -505,13 +557,18 @@ pub struct PairAffinitySession<'a> {
 }
 
 impl<'a> PairAffinitySession<'a> {
-    fn new(engine: AffinityEngine<'a>, device: DeviceId, until: Timestamp) -> Self {
+    /// The session of `device` at `until` over its `runs` in the reach of
+    /// the window: events farther than the max δ from the window cannot take
+    /// part in any direction of any neighbor's merge.
+    fn new(
+        engine: AffinityEngine<'a>,
+        device: DeviceId,
+        until: Timestamp,
+        runs: Rc<ApRuns>,
+    ) -> Self {
         let store = engine.store;
         let window = engine.window_until(until);
         let delta = store.delta(device);
-        // Events farther than the max δ from the window cannot take part in
-        // any direction of any neighbor's merge.
-        let runs = ApRuns::new(store, device, engine.reach(window));
         let mut win_end = Vec::with_capacity(runs.num_aps());
         let mut first = Vec::with_capacity(runs.num_aps());
         for ap in 0..runs.num_aps() {

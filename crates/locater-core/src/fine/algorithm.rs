@@ -32,7 +32,9 @@
 //! and folds in one observation per cluster, computed from the cluster's joint device
 //! affinity (Eq. 6).
 
-use crate::fine::affinity::{AffinityEngine, RoomAffinity, RoomAffinityMemo, RoomAffinityWeights};
+use crate::fine::affinity::{
+    AffinityEngine, ApRunsMemo, RoomAffinity, RoomAffinityMemo, RoomAffinityWeights,
+};
 use crate::fine::worlds::{stop_condition_met, PosteriorBounds, RoomPosterior};
 use locater_events::clock::{self, Timestamp};
 use locater_events::DeviceId;
@@ -174,11 +176,7 @@ impl FineLocalizer {
         t_q: Timestamp,
         region: RegionId,
     ) -> Vec<(DeviceId, RegionId)> {
-        store
-            .devices_online_at(t_q, Some(device))
-            .into_iter()
-            .filter(|&(_, other_region)| store.space().regions_overlap(region, other_region))
-            .collect()
+        store.devices_online_near(t_q, region, Some(device))
     }
 
     /// Runs Algorithm 2 for `Q = (device, t_q)` with candidate rooms `R(region)`.
@@ -378,6 +376,9 @@ impl FineLocalizer {
         gate: impl Fn(DeviceId) -> Option<f64>,
     ) -> FineOutcome {
         let uniform_floor = 1.0 / candidates.len() as f64;
+        // Every affinity below reads the window ending at `t_q`: each
+        // device's runs are built once.
+        let mut runs = ApRunsMemo::new(t_q);
         let mut clusters: Vec<Vec<(DeviceId, RegionId)>> = Vec::new();
         let mut contributions = Vec::new();
         let mut processed = 0usize;
@@ -406,7 +407,7 @@ impl FineLocalizer {
             // One session groups the neighbor's events by AP once for every member.
             let mut linked: Vec<usize> = Vec::new();
             if !clusters.is_empty() {
-                let session = engine.pair_session(neighbor, t_q);
+                let session = engine.pair_session_memo(&mut runs, neighbor);
                 for (cluster_idx, cluster) in clusters.iter().enumerate() {
                     if cluster
                         .iter()
@@ -434,7 +435,7 @@ impl FineLocalizer {
             let any_dead_cluster = clusters.iter().any(|cluster| {
                 let mut members: Vec<DeviceId> = cluster.iter().map(|&(d, _)| d).collect();
                 members.push(device);
-                engine.device_affinity(&members, t_q) <= 0.0
+                engine.device_affinity_memo(&mut runs, &members) <= 0.0
             });
             if any_dead_cluster {
                 stopped_early = true;
@@ -454,7 +455,7 @@ impl FineLocalizer {
         for cluster in &clusters {
             let mut members: Vec<DeviceId> = cluster.iter().map(|&(d, _)| d).collect();
             members.push(device);
-            let joint_affinity = engine.device_affinity(&members, t_q);
+            let joint_affinity = engine.device_affinity_memo(&mut runs, &members);
             let mut group: Vec<(DeviceId, RegionId)> = cluster.clone();
             group.push((device, region));
             let alphas = engine.group_affinities(memo, &group, candidates, joint_affinity);

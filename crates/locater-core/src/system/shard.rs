@@ -41,9 +41,9 @@
 //! ## Equivalence
 //!
 //! Answers are **byte-identical for every shard count**, `shards = 1` — one
-//! store behind one lock — included. The canonical `(t, device)` order of the
-//! global timeline index makes the per-shard neighbor scans, merged by each
-//! device's first-entry key, representation-transparent, model/epoch placement partitions (never
+//! store behind one lock — included. Neighbor discovery collects devices from
+//! every shard's per-AP index lists and orders them by each device's first
+//! `(t, device)` key, so it is representation-transparent; model/epoch placement partitions (never
 //! duplicates) the state a single-shard deployment would hold, and the
 //! affinity graph is the same one graph at every shard count.
 //! `tests/equivalence/` enforces this with the seeded twin harness

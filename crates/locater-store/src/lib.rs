@@ -13,17 +13,17 @@
 //!   detection, validity lookups and history scans binary-search the array for
 //!   the window's ends before doing any per-event work, so windowed queries
 //!   cost `O(log history + window)`;
-//! * **a global timeline index** ([`Timeline`]) — "which devices were connected
-//!   around time `t`?" (needed to find the *neighbor devices* of the fine-grained
-//!   algorithm) is a range scan over one sorted index. These two are the only
+//! * **a global timeline index** ([`Timeline`]) — "which devices did the access
+//!   points of this region see around time `t`?" (needed to find the *neighbor
+//!   devices* of the fine-grained algorithm) is one short scan per AP of one
+//!   time-sorted posting list per access point. These two are the only
 //!   copies of an event the store keeps — a 12-byte
-//!   [`StoredEvent`](locater_events::StoredEvent) and an 8-byte timeline
-//!   entry (a timestamp below 2³² s, an access point below 2¹⁶ and, in the
-//!   stored event, a 48-bit id; ingest and every decoder refuse what does
-//!   not fit). The entry keeps the timestamp's offset into its 65,536-second
-//!   bucket; a small table of bucket starts holds the high bits;
-//!   the fine step's affinity merges group a timeline slice by access point
-//!   per call instead of reading a per-AP index;
+//!   [`StoredEvent`](locater_events::StoredEvent) and an 8-byte posting
+//!   (a timestamp below 2³² s and the device; the access point, below 2¹⁶
+//!   in the stored event, is the list's; the stored event also holds a
+//!   48-bit id; ingest and every decoder refuse what does not fit);
+//!   the fine step's affinity merges group a device timeline slice by access
+//!   point per call;
 //! * **device interning** — MAC-address strings are interned to dense
 //!   [`DeviceId`](locater_events::DeviceId)s at ingestion; all downstream processing
 //!   uses integer ids;
@@ -54,9 +54,9 @@
 //!   bit-identically ([`shard_of_device`] is the assignment), and the
 //!   [`EventRead`] trait + [`ShardedRead`] view let readers treat the
 //!   partitions as one logical store with answers identical to the combined
-//!   one (the global [`Timeline`] keeps canonical `(t, device)` order, so the
-//!   view scans each shard's window in place and merges the per-shard results
-//!   exactly by each device's first `(t, device)` key).
+//!   one (neighbor reads collect devices from every shard's [`Timeline`]
+//!   lists, check each against its owner's timeline and sort the result by
+//!   each device's first `(t, device)` key in the window).
 //!
 //! ## Ingest and query
 //!
@@ -136,7 +136,7 @@ pub use compaction::{list_spills, write_spill, CompactionReport};
 pub use csv::{format_csv, parse_csv, RawEvent};
 pub use error::{IngestError, StoreError};
 pub use io::{FaultIo, FaultKind, FaultPlan, RealIo, StorageIo};
-pub use read::EventRead;
+pub use read::{EventRead, NearbyDevice};
 pub use recovery::{
     initialize_wal, recover_store, recover_store_io, write_checkpoint, write_checkpoint_io,
     AckedIngest, RecoveryReport,
@@ -144,7 +144,7 @@ pub use recovery::{
 pub use shard::{shard_of_device, ShardedRead};
 pub use stats::DatasetStatistics;
 pub use store::EventStore;
-pub use timeline::{NearbyDevice, Timeline};
+pub use timeline::Timeline;
 pub use wal::{
     checkpoint_path, inspect_wal, truncate_wal, Durability, FsyncPolicy, ShardWal, WalError,
     WalInspection, WalRecord, WalShardStats,

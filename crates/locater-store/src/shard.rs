@@ -19,18 +19,18 @@
 //! ids, same MAC index, same validity periods δ) but only the **event timelines
 //! of the devices it owns**; all other timelines are empty. Device-table
 //! lookups therefore work against any one shard, while timeline reads route to
-//! the owner. The global `(t, device)`-canonical timeline order (see
-//! [`crate::Timeline`]) lets [`ShardedRead`] scan each shard's window in place
-//! and merge the per-shard results by the key of each device's first entry,
-//! reproducing the single-store scan exactly.
+//! the owner. Neighbor discovery collects the devices each shard's per-AP
+//! index lists saw (see [`crate::Timeline`]), checks each against its owner's
+//! timeline and sorts the survivors by their `(t, device)` key, so it reads
+//! the shards exactly as it reads one store, with no per-shard merge.
 
 use crate::read::EventRead;
 use crate::snapshot::{encode_snapshot, SnapshotParts};
 use crate::store::EventStore;
-use crate::timeline::{devices_near_in, devices_online_in, merge_first_seen, NearbyDevice};
+use crate::timeline::devices_seen_in;
 use crate::StoreError;
-use locater_events::{Device, DeviceId, EventSeq, StoredEvent, Timestamp};
-use locater_space::{RegionId, Space};
+use locater_events::{Device, DeviceId, EventSeq, Interval, StoredEvent, Timestamp};
+use locater_space::{AccessPointId, Space};
 use std::sync::Arc;
 
 /// The deterministic `DeviceId → shard` assignment shared by every layer of a
@@ -145,10 +145,9 @@ impl EventStore {
 /// presenting them as a single logical store through [`EventRead`].
 ///
 /// Device-table lookups answer from shard 0 (the table is replicated);
-/// timeline reads route to the owner shard; the neighbor scans run on each
-/// shard's global index and merge their results by each device's first
-/// `(t, device)` key, so every accessor returns exactly what the combined
-/// store would.
+/// timeline reads route to the owner shard; index reads collect from every
+/// shard's lists, so every accessor returns exactly what the combined store
+/// would.
 ///
 /// The view borrows the shard stores — in a live service the borrows come from
 /// per-shard read guards acquired in ascending shard order.
@@ -253,43 +252,12 @@ impl EventRead for ShardedRead<'_> {
         self.shards[self.owner_of(device)].timeline_of(device)
     }
 
-    fn devices_near(
-        &self,
-        t: Timestamp,
-        slack: Timestamp,
-        exclude: Option<DeviceId>,
-    ) -> Vec<NearbyDevice> {
-        if self.shards.len() == 1 {
-            return self.shards[0].devices_near(t, slack, exclude);
-        }
-        merge_first_seen(
-            self.shards
-                .iter()
-                .map(|s| devices_near_in(s.timeline().range(t - slack, t + slack + 1), t, exclude))
-                .collect(),
-        )
-    }
-
-    fn devices_online_at(
-        &self,
-        t: Timestamp,
-        exclude: Option<DeviceId>,
-    ) -> Vec<(DeviceId, RegionId)> {
-        // Same one-scan fast path as the combined store, run on each shard's
-        // window (the device table, δs included, is replicated).
-        if self.shards.len() == 1 {
-            return self.shards[0].devices_online_at(t, exclude);
-        }
-        let slack = self.max_delta();
-        merge_first_seen(
-            self.shards
-                .iter()
-                .map(|s| {
-                    let window = s.timeline().range(t - slack, t + slack + 1);
-                    devices_online_in(window, t, exclude, self.devices())
-                })
-                .collect(),
-        )
+    fn devices_seen_by(&self, aps: &[AccessPointId], window: Interval, out: &mut Vec<DeviceId>) {
+        let lists = self
+            .shards
+            .iter()
+            .flat_map(|shard| shard.timeline().lists(aps));
+        devices_seen_in(lists, window, out);
     }
 }
 

@@ -3,10 +3,10 @@
 use crate::compaction::CompactionReport;
 use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
 use crate::error::{IngestError, StoreError};
-use crate::read::EventRead;
+use crate::read::{EventRead, NearbyDevice};
 use crate::snapshot::SnapshotParts;
 use crate::stats::DatasetStatistics;
-use crate::timeline::{devices_online_in, NearbyDevice, Timeline};
+use crate::timeline::Timeline;
 use locater_events::validity::{estimate_delta_events, DEFAULT_DELTA};
 use locater_events::{
     Device, DeviceId, EventId, EventSeq, Gap, Interval, MacAddress, StoredEvent, Timestamp,
@@ -71,11 +71,11 @@ impl EventStore {
     /// Creates an empty store over `space`.
     pub fn new(space: Space) -> Self {
         Self {
+            timeline: Timeline::new(space.num_access_points()),
             space: Arc::new(space),
             devices: Vec::new(),
             mac_index: HashMap::new(),
             timelines: Vec::new(),
-            timeline: Timeline::new(),
             max_delta: DEFAULT_DELTA,
             next_event_id: 0,
         }
@@ -218,16 +218,8 @@ impl EventStore {
         let id = EventId::new(self.next_event_id);
         self.next_event_id += 1;
         let event = StoredEvent::new(id, t, ap);
-        let device_timeline = &mut self.timelines[device.index()];
-        device_timeline.push(event);
-        // The device timeline orders its events at `t` by id; the global
-        // entry takes the same rank among the device's entries at `t`.
-        let rank = device_timeline
-            .in_range(Interval::new(t, t + 1))
-            .iter()
-            .filter(|e| e.id() < id)
-            .count();
-        self.timeline.record(device, &event, rank);
+        self.timelines[device.index()].push(event);
+        self.timeline.record(device, &event);
         Ok(id)
     }
 
@@ -319,37 +311,13 @@ impl EventStore {
         slack: Timestamp,
         exclude: Option<DeviceId>,
     ) -> Vec<NearbyDevice> {
-        self.timeline.devices_near(t, slack, exclude)
-    }
-
-    /// Devices *online* at time `t`: devices with a covering event at `t`, reported
-    /// with the region that event places them in. `exclude` is omitted from the result.
-    ///
-    /// Answered with **one scan** over the global timeline window instead of
-    /// a per-device covering-event lookup; results are identical to the
-    /// reference `devices_near` + `covering_region` composition of
-    /// [`crate::EventRead::devices_online_at`] (property-tested).
-    pub fn devices_online_at(
-        &self,
-        t: Timestamp,
-        exclude: Option<DeviceId>,
-    ) -> Vec<(DeviceId, RegionId)> {
-        let slack = self.max_delta;
-        devices_online_in(
-            self.timeline.range(t - slack, t + slack + 1),
-            t,
-            exclude,
-            &self.devices,
-        )
-        .into_items()
+        EventRead::devices_near(self, t, slack, exclude)
     }
 
     /// Overall time span `[first event, last event]` of the dataset, if non-empty.
     pub fn time_span(&self) -> Option<Interval> {
-        let mut all = self.timeline.range(0, EVENT_TIME_LIMIT);
-        let first = all.next()?;
-        let last = all.last().unwrap_or(first);
-        Some(Interval::new(first.t(), last.t() + 1))
+        let (first, last) = self.timeline.span()?;
+        Some(Interval::new(first, last + 1))
     }
 
     /// The global timeline index.
@@ -472,9 +440,9 @@ impl EventStore {
     }
 
     /// Reassembles a store from decoded snapshot parts: rebuilds the MAC index,
-    /// the max δ and the global timeline (events sorted by `(t, device, event id)`, which
-    /// is exactly the canonical order incremental ingestion keeps the index in)
-    /// at exact capacity. Snapshot load, [`EventStore::split`],
+    /// the max δ and the global index (each access point's list in the
+    /// `(t, device)` order incremental ingestion keeps it in) at exact
+    /// capacity. Snapshot load, [`EventStore::split`],
     /// [`EventStore::rejoin`] and recovery all build their stores here.
     pub(crate) fn from_snapshot_parts(
         space: Space,
@@ -512,7 +480,7 @@ impl EventStore {
                 )));
             }
         }
-        let timeline = Timeline::from_device_timelines(&timelines);
+        let timeline = Timeline::from_device_timelines(space.num_access_points(), &timelines);
         let max_delta = max_delta_of(&devices);
         Ok(Self {
             space: Arc::new(space),
@@ -842,21 +810,16 @@ mod tests {
 
     #[test]
     fn memory_layout_is_pinned() {
-        use crate::timeline::{Bucket, PackedEntry};
         use std::mem::size_of;
-        assert_eq!(
-            (size_of::<StoredEvent>(), size_of::<PackedEntry>()),
-            (12, 8)
-        );
-        // Every event of these stores lies in the first 65,536 s: one bucket.
-        let exact_bytes = |store: &EventStore| {
-            let buckets = usize::from(store.num_events() > 0);
-            store.num_events() * size_of::<PackedEntry>() + buckets * size_of::<Bucket>()
-        };
+        // A 12-byte stored event and an 8-byte posting (pinned in the
+        // timeline's tests).
+        const POSTING: usize = 8;
+        assert_eq!(size_of::<StoredEvent>(), 12);
+        let exact_bytes = |store: &EventStore| store.num_events() * POSTING;
 
-        // Ingest grows the global timeline by doubling (5 entries in room
-        // for 8); every builder behind snapshot load, split and rejoin sizes
-        // it exactly.
+        // Ingest grows each list by doubling (2 entries in room for 4);
+        // every builder behind snapshot load, split and rejoin sizes each
+        // list exactly.
         let store = store_with_events();
         assert!(store.timeline().approx_bytes() > exact_bytes(&store));
         let loaded = EventStore::from_snapshot_bytes(&store.to_snapshot_bytes().unwrap()).unwrap();
@@ -867,7 +830,7 @@ mod tests {
         }
         let rejoined = EventStore::rejoin(&shards).unwrap();
         assert_eq!(rejoined.timeline().approx_bytes(), exact_bytes(&rejoined));
-        // The CSV loader trims both arrays to the events they hold, so it
+        // The CSV loader trims both copies to the events they hold, so it
         // reports the snapshot loader's resident bytes for the same events.
         let from_csv = EventStore::from_csv(space(), &store.to_csv()).unwrap();
         assert_eq!(
@@ -881,23 +844,22 @@ mod tests {
 
         // One device, three events on two APs, loaded from a snapshot. The
         // loader sizes both copies of each event exactly: the 12-byte stored
-        // event and the 8-byte global entry, 20 B/event, plus the one
-        // 16-byte row of the bucket table.
+        // event and the 8-byte posting, 20 B/event.
         let mut fixed = EventStore::new(space());
         fixed.ingest_raw("d1", 100, "wap1").unwrap();
         fixed.ingest_raw("d1", 200, "wap1").unwrap();
         fixed.ingest_raw("d1", 300, "wap2").unwrap();
         let fixed = EventStore::from_snapshot_bytes(&fixed.to_snapshot_bytes().unwrap()).unwrap();
         let device_timeline = 3 * size_of::<StoredEvent>();
-        let global_timeline = 3 * size_of::<PackedEntry>();
+        let global_timeline = 3 * POSTING;
         assert_eq!(
-            (device_timeline, global_timeline, size_of::<Bucket>()),
-            (36, 24, 16),
+            (device_timeline, global_timeline),
+            (36, 24),
             "part sizes on a 64-bit target"
         );
         assert_eq!(
             fixed.approx_resident_bytes(),
-            device_timeline + global_timeline + size_of::<Bucket>()
+            device_timeline + global_timeline
         );
     }
 
@@ -956,7 +918,8 @@ mod tests {
         assert_eq!(evicted, below);
         assert_eq!(report.evicted_events, below.len());
         assert_eq!(store.num_events(), events.len() - below.len());
-        assert!(store.timeline().range(0, 400).is_empty());
+        let aps = || (0..3).map(AccessPointId::new);
+        assert!(aps().all(|ap| store.timeline().entries(ap).all(|(t, _)| t >= 400)));
         // What is left equals a store built from the t ≥ 400 events alone.
         let retained = build(&|t| t >= 400);
         let t_ap = |store: &EventStore, mac: &str| -> Vec<(Timestamp, AccessPointId)> {
@@ -970,11 +933,14 @@ mod tests {
         for mac in ["d1", "d2"] {
             assert_eq!(t_ap(&store, mac), t_ap(&retained, mac), "{mac}");
         }
-        let entries = |store: &EventStore| -> Vec<(Timestamp, String, AccessPointId)> {
-            store
-                .timeline()
-                .range(i64::MIN / 2, i64::MAX / 2)
-                .map(|e| (e.t(), store.device(e.device()).mac.to_string(), e.ap()))
+        let entries = |store: &EventStore| -> Vec<(AccessPointId, Timestamp, String)> {
+            aps()
+                .flat_map(|ap| {
+                    store
+                        .timeline()
+                        .entries(ap)
+                        .map(move |(t, device)| (ap, t, store.device(device).mac.to_string()))
+                })
                 .collect()
         };
         assert_eq!(entries(&store), entries(&retained));

@@ -1,7 +1,7 @@
 //! Property-based tests for the event store.
 
 use locater_events::{DeviceId, Interval};
-use locater_space::{RegionId, Space, SpaceBuilder};
+use locater_space::{AccessPointId, RegionId, Space, SpaceBuilder};
 use locater_store::{shard_of_device, EventRead, EventStore, NearbyDevice, ShardedRead};
 use proptest::prelude::*;
 
@@ -10,6 +10,10 @@ fn space() -> Space {
         .add_access_point("wap0", &["a", "b"])
         .add_access_point("wap1", &["b", "c"])
         .add_access_point("wap2", &["c", "d"])
+        // Regions that overlap no other: wap3's logs events in the region
+        // tests, wap4's never does.
+        .add_access_point("wap3", &["e"])
+        .add_access_point("wap4", &["f"])
         .build()
         .unwrap()
 }
@@ -297,10 +301,16 @@ proptest! {
                 full.events_of_in(device.id, window).copied().collect::<Vec<_>>()
             );
         }
-        prop_assert_eq!(
-            compacted.timeline().range(window.start, window.end).collect::<Vec<_>>(),
-            full.timeline().range(window.start, window.end).collect::<Vec<_>>()
-        );
+        for ap in (0..3).map(AccessPointId::new) {
+            let in_window = |store: &EventStore| -> Vec<_> {
+                store
+                    .timeline()
+                    .entries(ap)
+                    .filter(|&(t, _)| window.contains(t))
+                    .collect()
+            };
+            prop_assert_eq!(in_window(&compacted), in_window(&full));
+        }
     }
 
     /// Compact → snapshot → load is bit-identical, and the evicted runs the
@@ -679,8 +689,16 @@ fn boundary_times() -> Vec<i64> {
 /// One step of the timeline model test.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    Ingest { dev: u8, t: i64, ap: u8 },
+    Ingest {
+        dev: u8,
+        t: i64,
+        ap: u8,
+    },
     Compact(i64),
+    /// Every deployment rejoins its shards and splits them again.
+    Rejoin,
+    /// Every deployment reloads from its snapshot and splits it again.
+    Reload,
 }
 
 /// A store and its 2- and 3-shard partitions, fed the same steps under one
@@ -693,11 +711,10 @@ struct TimelineModel {
 }
 
 impl TimelineModel {
-    /// Four devices; device 3's δ of two buckets makes every
-    /// `devices_online_at` window span three buckets or more.
-    fn new() -> Self {
+    /// Four devices with the validity periods `deltas`.
+    fn new(deltas: [i64; 4]) -> Self {
         let mut base = EventStore::new(space());
-        for (dev, delta) in [(0u8, 300), (1, 450), (2, 600), (3, 2 * BUCKET)] {
+        for (dev, delta) in (0u8..).zip(deltas) {
             let device = base.intern_device(&mac_of(dev)).unwrap();
             base.set_delta(device, delta);
         }
@@ -730,27 +747,88 @@ impl TimelineModel {
                 }
                 self.events.retain(|&(t, ..)| t >= cut);
             }
+            Step::Rejoin => {
+                for shards in &mut self.stores {
+                    *shards = EventStore::rejoin(&*shards).unwrap().split(shards.len());
+                }
+            }
+            Step::Reload => {
+                for shards in &mut self.stores {
+                    let bytes = ShardedRead::new(shards.iter().collect())
+                        .to_snapshot_bytes()
+                        .unwrap();
+                    *shards = EventStore::from_snapshot_bytes(&bytes)
+                        .unwrap()
+                        .split(shards.len());
+                }
+            }
+        }
+    }
+
+    /// The region-scoped neighbor read and `devices_near` of every
+    /// deployment equal the per-device references at `probe`, for every
+    /// region and for `exclude`.
+    fn check_region_reads(&self, probe: i64, exclude: Option<DeviceId>, step: Step) {
+        let space = space();
+        let without = |device: DeviceId| Some(device) != exclude;
+        for shards in &self.stores {
+            let view = ShardedRead::new(shards.iter().collect());
+            let online = reference_online(&view, probe);
+            for region in (0..space.num_regions() as u32).map(RegionId::new) {
+                let expected: Vec<_> = online
+                    .iter()
+                    .copied()
+                    .filter(|&(device, other)| {
+                        without(device) && space.regions_overlap(region, other)
+                    })
+                    .collect();
+                assert_eq!(
+                    view.devices_online_near(probe, region, exclude),
+                    expected,
+                    "{} shard(s), probe {probe}, {region}, exclude {exclude:?}, after {step:?}",
+                    shards.len()
+                );
+            }
+            for slack in [0, 100, 700] {
+                let mut expected = reference_near(&view, probe, slack);
+                expected.retain(|near| without(near.device));
+                assert_eq!(
+                    view.devices_near(probe, slack, exclude),
+                    expected,
+                    "{} shard(s), probe {probe}, slack {slack}, after {step:?}",
+                    shards.len()
+                );
+            }
         }
     }
 
     /// Every reader agrees with the model after `step`.
     fn check(&self, step: Step) {
-        let mut expected = self.events.clone();
-        expected.sort_unstable();
+        let expected = &self.events;
+        // One entry per event, as `(t, device, ap)`, sorted.
         let entries = |from: i64, to: i64| -> Vec<(i64, u32, u32)> {
-            expected
+            let mut found: Vec<_> = expected
                 .iter()
                 .filter(|&&(t, ..)| from <= t && t < to)
                 .map(|&(t, device, _, ap)| (t, device, ap))
-                .collect()
+                .collect();
+            found.sort_unstable();
+            found
         };
         let single = &self.stores[0][0];
         let range = |from: i64, to: i64| -> Vec<(i64, u32, u32)> {
-            single
-                .timeline()
-                .range(from, to)
-                .map(|e| (e.t(), e.device().0, e.ap().raw()))
-                .collect()
+            let mut found: Vec<_> = (0..3)
+                .map(AccessPointId::new)
+                .flat_map(|ap| {
+                    single
+                        .timeline()
+                        .entries(ap)
+                        .filter(move |&(t, _)| from <= t && t < to)
+                        .map(move |(t, device)| (t, device.0, ap.raw()))
+                })
+                .collect();
+            found.sort_unstable();
+            found
         };
         assert_eq!(
             range(i64::MIN / 2, i64::MAX / 2),
@@ -801,7 +879,9 @@ impl TimelineModel {
 }
 
 fn run_timeline_model(steps: &[Step]) {
-    let mut model = TimelineModel::new();
+    // Device 3's δ of two buckets makes every `devices_online_at` window
+    // span three buckets or more.
+    let mut model = TimelineModel::new([300, 450, 600, 2 * BUCKET]);
     for &step in steps {
         model.apply(step);
         model.check(step);
@@ -872,5 +952,98 @@ proptest! {
             })
             .collect();
         run_timeline_model(&steps);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The region-scoped neighbor read against the per-device reference
+// ---------------------------------------------------------------------------
+
+/// Applies `steps` to 1-, 2- and 3-shard deployments of four devices with
+/// δs of 300–900 s, and checks every region-scoped read at `probes` (and
+/// around each ingest) after every step.
+fn run_region_model(steps: &[Step], probes: &[i64], exclude: Option<DeviceId>) {
+    let mut model = TimelineModel::new([300, 450, 600, 900]);
+    for &step in steps {
+        model.apply(step);
+        let mut times = probes.to_vec();
+        if let Step::Ingest { t, .. } | Step::Compact(t) = step {
+            times.extend([t - 300, t - 1, t, t + 1, t + 450]);
+        }
+        for probe in times {
+            model.check_region_reads(probe, exclude, step);
+            model.check_region_reads(probe, None, step);
+        }
+    }
+}
+
+/// Late splices on several APs, one device at one `t` on two APs (the
+/// closest-event tie of `devices_near`), a cut on an event, a rejoin and a
+/// snapshot load, in that order.
+#[test]
+fn region_reads_match_the_reference_across_splices_cuts_and_rebuilds() {
+    let ingest = |dev: u8, t: i64, ap: u8| Step::Ingest { dev, t, ap };
+    let steps = [
+        ingest(0, 1_000, 0),
+        ingest(1, 1_200, 1),
+        ingest(2, 1_500, 2),
+        ingest(3, 2_000, 3),
+        ingest(0, 2_400, 1),
+        ingest(1, 3_000, 2),
+        // Late splices on three APs.
+        ingest(2, 900, 1),
+        ingest(3, 1_100, 0),
+        ingest(1, 1_900, 2),
+        // Device 0 at one `t` on two APs; device 1 ties it on a third.
+        ingest(0, 1_700, 2),
+        ingest(0, 1_700, 0),
+        ingest(1, 1_700, 1),
+        // A cut on an event, then appends to exact-capacity lists after a
+        // rejoin and after a load.
+        Step::Compact(1_100),
+        Step::Rejoin,
+        ingest(2, 3_100, 0),
+        ingest(3, 1_150, 2),
+        Step::Reload,
+        ingest(0, 3_200, 3),
+        ingest(1, 1_300, 1),
+        Step::Compact(1_700),
+    ];
+    let probes: Vec<i64> = (0..45).map(|k| 100 * k - 200).collect();
+    for exclude in [0, 1, 3] {
+        run_region_model(&steps, &probes, Some(DeviceId::new(exclude)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random ingests (late ones and same-`t` ties included), cuts on
+    /// ingested times, rejoins and reloads: the region-scoped read equals
+    /// the reference after every step, for every region and a random
+    /// excluded device.
+    #[test]
+    fn region_reads_hold_for_random_steps(
+        raw in prop::collection::vec((0u8..16, 0u8..4, 0i64..40, 0u8..4), 1..40),
+        probes in prop::collection::vec(-500i64..4_500, 1..4),
+        exclude in 0u32..5,
+    ) {
+        let mut times = Vec::new();
+        let steps: Vec<Step> = raw
+            .iter()
+            .map(|&(kind, dev, slot, ap)| match kind {
+                0 => Step::Compact(times.get(slot as usize % times.len().max(1)).copied().unwrap_or(0)),
+                1 => Step::Rejoin,
+                2 => Step::Reload,
+                _ => {
+                    // Slots of 100 s make same-`t` ties across devices and APs.
+                    let t = slot * 100;
+                    times.push(t);
+                    Step::Ingest { dev, t, ap }
+                }
+            })
+            .collect();
+        // Device 4 does not exist: no device is excluded.
+        run_region_model(&steps, &probes, Some(DeviceId::new(exclude)).filter(|d| d.0 < 4));
     }
 }

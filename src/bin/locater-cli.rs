@@ -1011,8 +1011,8 @@ mod tests {
         assert_eq!(devices(&report), devices(&stats_out), "{report}{stats_out}");
         assert!(stats_out.contains("gaps to clean"));
         assert!(!stats_out.contains("co-location"));
-        // A 12-byte stored event and an 8-byte timeline entry per event, at
-        // exact capacity; the bucket table adds under 0.05 B/event.
+        // A 12-byte stored event and an 8-byte index posting per event, at
+        // exact capacity.
         assert!(stats_out.contains("(20.0 B/event)"), "{stats_out}");
 
         // Locate the first device found in the events file at its first event time:
