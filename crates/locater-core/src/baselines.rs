@@ -18,11 +18,9 @@
 use crate::coarse::CoarseMethod;
 use crate::system::{Answer, Location};
 use locater_events::clock::{self, Timestamp};
-use locater_events::DeviceId;
+use locater_events::{DeviceId, SeededRng};
 use locater_space::RegionId;
 use locater_store::EventStore;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A localization system comparable with LOCATER on the same query interface.
 ///
@@ -63,14 +61,14 @@ const OUTSIDE_THRESHOLD: Timestamp = clock::hours(1);
 /// candidates of the region.
 #[derive(Debug, Clone)]
 pub struct Baseline1 {
-    rng: StdRng,
+    rng: SeededRng,
 }
 
 impl Baseline1 {
     /// Creates the baseline with the paper's one-hour threshold and a fixed seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            rng: SeededRng::new(seed),
         }
     }
 }
@@ -95,7 +93,7 @@ impl BaselineSystem for Baseline1 {
                 if candidates.is_empty() {
                     Location::Region(region)
                 } else {
-                    let room = candidates[self.rng.gen_range(0..candidates.len())];
+                    let room = candidates[self.rng.range(0..candidates.len())];
                     Location::Room { room, region }
                 }
             }

@@ -1,7 +1,8 @@
 //! Property-based tests of the cleaning engine's probabilistic invariants:
 //! room-affinity distributions, group affinities, the possible-world bounds of
 //! Theorems 1–3, the stop conditions, the caching engine's ordering, and the
-//! indexed connection density against its naive definition.
+//! indexed connection density against its naive definition. Each property
+//! runs over seeded random cases.
 
 use locater_core::cache::GlobalAffinityGraph;
 use locater_core::coarse::{connection_densities, connection_density};
@@ -10,10 +11,9 @@ use locater_core::fine::{
     RoomPosterior,
 };
 use locater_core::system::EpochTable;
-use locater_events::{DeviceId, EventId, Gap, Interval, StoredEvent};
+use locater_events::{DeviceId, EventId, Gap, Interval, SeededRng, StoredEvent};
 use locater_space::{AccessPointId, RegionId, RoomId, RoomType, Space, SpaceBuilder};
 use locater_store::EventStore;
-use proptest::prelude::*;
 
 /// Builds a space with `num_aps` access points each covering `rooms_per_ap` rooms with
 /// one room of overlap, and marks every third room public.
@@ -35,23 +35,23 @@ fn build_space(num_aps: usize, rooms_per_ap: usize) -> Space {
     builder.build().unwrap()
 }
 
-fn arb_weights() -> impl Strategy<Value = RoomAffinityWeights> {
-    prop::sample::select(RoomAffinityWeights::TABLE2.to_vec())
+/// One of the four weight combinations of Table 2.
+fn arb_weights(rng: &mut SeededRng) -> RoomAffinityWeights {
+    let table = RoomAffinityWeights::TABLE2;
+    table[rng.range(0..table.len())]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Room affinities always form a probability distribution over the candidate
-    /// rooms, for any space shape, any device and any weight combination (§4.1).
-    #[test]
-    fn room_affinities_are_a_distribution(
-        num_aps in 2usize..6,
-        rooms_per_ap in 3usize..8,
-        weights in arb_weights(),
-        preferred_room in 0usize..10,
-        region_idx in 0usize..6,
-    ) {
+/// Room affinities always form a probability distribution over the candidate
+/// rooms, for any space shape, any device and any weight combination (§4.1).
+#[test]
+fn room_affinities_are_a_distribution() {
+    let mut rng = SeededRng::new(0x9ff7_ad66_73f1_abc9);
+    for _ in 0..48 {
+        let num_aps = rng.range(2usize..6);
+        let rooms_per_ap = rng.range(3usize..8);
+        let weights = arb_weights(&mut rng);
+        let preferred_room = rng.range(0usize..10);
+        let region_idx = rng.range(0usize..6);
         let space = build_space(num_aps, rooms_per_ap);
         let mut store = EventStore::new(space);
         store.ingest_raw("probe", 100, "wap0").unwrap();
@@ -62,9 +62,12 @@ proptest! {
         let region = locater_space::RegionId::new((region_idx % num_aps) as u32);
         let affinity = engine.room_affinities(device, region);
         let total: f64 = affinity.affinities.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
-        prop_assert!(affinity.affinities.iter().all(|&a| a > 0.0 && a <= 1.0));
-        prop_assert_eq!(affinity.rooms.len(), store.space().rooms_in_region(region).len());
+        assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
+        assert!(affinity.affinities.iter().all(|&a| a > 0.0 && a <= 1.0));
+        assert_eq!(
+            affinity.rooms.len(),
+            store.space().rooms_in_region(region).len()
+        );
         // Public rooms never get less affinity than non-preferred private rooms.
         let space = store.space();
         let min_public = affinity
@@ -82,17 +85,24 @@ proptest! {
             .map(|(_, a)| *a)
             .fold(0.0, f64::max);
         if min_public.is_finite() && max_private > 0.0 {
-            prop_assert!(min_public >= max_private - 1e-12);
+            assert!(min_public >= max_private - 1e-12);
         }
     }
+}
 
-    /// Device affinity is symmetric in its arguments, bounded to [0, 1], and zero for
-    /// devices that never co-occur.
-    #[test]
-    fn device_affinity_is_symmetric_and_bounded(
-        events_a in prop::collection::vec((0i64..200_000, 0u8..3), 1..60),
-        events_b in prop::collection::vec((0i64..200_000, 0u8..3), 1..60),
-    ) {
+/// Device affinity is symmetric in its arguments, bounded to [0, 1], and zero for
+/// devices that never co-occur.
+#[test]
+fn device_affinity_is_symmetric_and_bounded() {
+    let mut rng = SeededRng::new(0x9c27_3cd9_665e_6c6d);
+    for _ in 0..48 {
+        let events = |rng: &mut SeededRng| -> Vec<(i64, u8)> {
+            let len = rng.range(1usize..60);
+            (0..len)
+                .map(|_| (rng.range(0i64..200_000), rng.range(0u8..3)))
+                .collect()
+        };
+        let (events_a, events_b) = (events(&mut rng), events(&mut rng));
         let space = build_space(3, 4);
         let mut store = EventStore::new(space);
         for (t, ap) in &events_a {
@@ -106,23 +116,29 @@ proptest! {
         let engine = AffinityEngine::new(&store, RoomAffinityWeights::default(), 400_000);
         let ab = engine.pair_affinity(a, b, 250_000);
         let ba = engine.pair_affinity(b, a, 250_000);
-        prop_assert!((ab - ba).abs() < 1e-12);
-        prop_assert!((0.0..=1.0).contains(&ab));
+        assert!((ab - ba).abs() < 1e-12);
+        assert!((0.0..=1.0).contains(&ab));
     }
+}
 
-    /// Group affinity never exceeds the device affinity it is derived from, is zero
-    /// outside the intersection of the group's regions, and sums to at most the device
-    /// affinity over the candidate rooms (Eq. 1).
-    #[test]
-    fn group_affinity_is_dominated_by_device_affinity(
-        device_affinity in 0.0f64..1.0,
-        region_a in 0usize..3,
-        region_b in 0usize..3,
-    ) {
+/// Group affinity never exceeds the device affinity it is derived from, is zero
+/// outside the intersection of the group's regions, and sums to at most the device
+/// affinity over the candidate rooms (Eq. 1).
+#[test]
+fn group_affinity_is_dominated_by_device_affinity() {
+    let mut rng = SeededRng::new(0xf258_aa09_0c6c_969e);
+    for _ in 0..48 {
+        let device_affinity = rng.range(0.0..1.0);
+        let region_a = rng.range(0usize..3);
+        let region_b = rng.range(0usize..3);
         let space = build_space(3, 5);
         let mut store = EventStore::new(space);
-        store.ingest_raw("d1", 1_000, &format!("wap{region_a}")).unwrap();
-        store.ingest_raw("d2", 1_000, &format!("wap{region_b}")).unwrap();
+        store
+            .ingest_raw("d1", 1_000, &format!("wap{region_a}"))
+            .unwrap();
+        store
+            .ingest_raw("d2", 1_000, &format!("wap{region_b}"))
+            .unwrap();
         let d1 = store.device_id("d1").unwrap();
         let d2 = store.device_id("d2").unwrap();
         let engine = AffinityEngine::new(&store, RoomAffinityWeights::default(), 3_600);
@@ -132,54 +148,75 @@ proptest! {
         let space = store.space();
         let intersection = space.intersect_regions(&[ga, gb]);
         let rooms: Vec<RoomId> = space.rooms().iter().map(|room| room.id).collect();
-        let alphas = engine.group_affinities(&mut RoomAffinityMemo::new(), &group, &rooms, device_affinity);
+        let alphas = engine.group_affinities(
+            &mut RoomAffinityMemo::new(),
+            &group,
+            &rooms,
+            device_affinity,
+        );
         let mut sum = 0.0;
         for (room, &alpha) in space.rooms().iter().zip(&alphas) {
-            prop_assert!(alpha >= 0.0);
-            prop_assert!(alpha <= device_affinity + 1e-12);
+            assert!(alpha >= 0.0);
+            assert!(alpha <= device_affinity + 1e-12);
             if !intersection.contains(&room.id) {
-                prop_assert_eq!(alpha, 0.0);
+                assert_eq!(alpha, 0.0);
             }
             sum += alpha;
         }
-        prop_assert!(sum <= device_affinity + 1e-9);
+        assert!(sum <= device_affinity + 1e-9);
     }
+}
 
-    /// The possible-world envelope of Theorems 1–3 is always ordered
-    /// `min ≤ expected ≤ max`, and collapses to a point when no devices are left
-    /// unprocessed.
-    #[test]
-    fn posterior_bounds_are_ordered(
-        prior in 0.0f64..1.0,
-        observations in prop::collection::vec(0.0f64..1.0, 0..6),
-        unprocessed in 0usize..8,
-        lo in 0.0f64..1.0,
-        hi in 0.0f64..1.0,
-    ) {
+/// The possible-world envelope of Theorems 1–3 is always ordered
+/// `min ≤ expected ≤ max`, and collapses to a point when no devices are left
+/// unprocessed.
+#[test]
+fn posterior_bounds_are_ordered() {
+    let mut rng = SeededRng::new(0x33af_3356_a363_0bbd);
+    for _ in 0..48 {
+        let prior = rng.range(0.0..1.0);
+        let len = rng.range(0usize..6);
+        let observations: Vec<f64> = (0..len).map(|_| rng.range(0.0..1.0)).collect();
+        let unprocessed = rng.range(0usize..8);
+        let lo = rng.range(0.0..1.0);
+        let hi = rng.range(0.0..1.0);
         let mut posterior = RoomPosterior::from_prior(prior);
         for obs in observations {
             posterior.observe(obs);
         }
         let bounds = PosteriorBounds::compute(&posterior, unprocessed, lo, hi);
-        prop_assert!(bounds.is_consistent(), "{bounds:?}");
+        assert!(bounds.is_consistent(), "{bounds:?}");
         if unprocessed == 0 {
-            prop_assert_eq!(bounds.min, bounds.max);
+            assert_eq!(bounds.min, bounds.max);
         }
-        prop_assert!((0.0..=1.0).contains(&bounds.expected));
-        prop_assert!((0.0..=1.0).contains(&bounds.min));
-        prop_assert!((0.0..=1.0).contains(&bounds.max));
+        assert!((0.0..=1.0).contains(&bounds.expected));
+        assert!((0.0..=1.0).contains(&bounds.min));
+        assert!((0.0..=1.0).contains(&bounds.max));
     }
+}
 
-    /// The caching engine's neighbor ordering is a permutation of its input,
-    /// sorted by decreasing live cached weight, and the plan's cached
-    /// affinities are exactly the live edges' — also when some went stale.
-    #[test]
-    fn cache_ordering_is_a_sorted_permutation(
-        edges in prop::collection::vec((1u32..40, 0.0f64..1.0, 0i64..500_000), 0..60),
-        candidates in prop::collection::vec(1u32..40, 1..20),
-        bumped in prop::collection::vec(0u32..40, 0..4),
-        t_q in 0i64..500_000,
-    ) {
+/// The caching engine's neighbor ordering is a permutation of its input,
+/// sorted by decreasing live cached weight, and the plan's cached
+/// affinities are exactly the live edges' — also when some went stale.
+#[test]
+fn cache_ordering_is_a_sorted_permutation() {
+    let mut rng = SeededRng::new(0x6384_3f99_d230_b542);
+    for _ in 0..48 {
+        let len = rng.range(0usize..60);
+        let edges: Vec<(u32, f64, i64)> = (0..len)
+            .map(|_| {
+                (
+                    rng.range(1u32..40),
+                    rng.range(0.0..1.0),
+                    rng.range(0i64..500_000),
+                )
+            })
+            .collect();
+        let len = rng.range(1usize..20);
+        let candidates: Vec<u32> = (0..len).map(|_| rng.range(1u32..40)).collect();
+        let len = rng.range(0usize..4);
+        let bumped: Vec<u32> = (0..len).map(|_| rng.range(0u32..40)).collect();
+        let t_q = rng.range(0i64..500_000);
         let center = DeviceId::new(0);
         let mut epochs = EpochTable::new();
         let mut graph = GlobalAffinityGraph::new();
@@ -198,35 +235,44 @@ proptest! {
         let candidate_ids: Vec<DeviceId> = candidates.iter().map(|&c| DeviceId::new(c)).collect();
         let plan = graph.plan(center, &candidate_ids, t_q, &epochs);
         let ordered = plan.order;
-        prop_assert_eq!(ordered.len(), candidate_ids.len());
+        assert_eq!(ordered.len(), candidate_ids.len());
         let mut sorted_input = candidate_ids.clone();
         sorted_input.sort();
         let mut sorted_output = ordered.clone();
         sorted_output.sort();
-        prop_assert_eq!(sorted_input, sorted_output);
+        assert_eq!(sorted_input, sorted_output);
         let lookup = |d: DeviceId| graph.lookup(center, d, t_q, &epochs);
-        let weights: Vec<f64> = ordered.iter().map(|&d| lookup(d).map_or(0.0, |(w, _)| w)).collect();
+        let weights: Vec<f64> = ordered
+            .iter()
+            .map(|&d| lookup(d).map_or(0.0, |(w, _)| w))
+            .collect();
         for pair in weights.windows(2) {
-            prop_assert!(pair[0] >= pair[1] - 1e-12);
+            assert!(pair[0] >= pair[1] - 1e-12);
         }
         for &device in &candidate_ids {
-            prop_assert_eq!(plan.cached.get(&device).copied(), lookup(device).map(|(_, pair)| pair));
+            assert_eq!(
+                plan.cached.get(&device).copied(),
+                lookup(device).map(|(_, pair)| pair)
+            );
         }
     }
+}
 
-    /// The sorted-seconds-of-day index counts exactly the events the naive scan
-    /// counts: for windows inside a day and windows that wrap midnight, for
-    /// events sitting on either (inclusive) window bound, and for no events.
-    #[test]
-    fn indexed_density_equals_the_naive_scan(
-        raw_times in prop::collection::vec(0i64..(30 * 86_400), 0..80),
-        band in (0i64..86_400, 1i64..86_400),
-        start in 0i64..(30 * 86_400),
-        duration in 1i64..(3 * 86_400),
-        start_on_event in 0usize..80,
-        end_on_event in 0usize..80,
-        snap in 0u8..4,
-    ) {
+/// The sorted-seconds-of-day index counts exactly the events the naive scan
+/// counts: for windows inside a day and windows that wrap midnight, for
+/// events sitting on either (inclusive) window bound, and for no events.
+#[test]
+fn indexed_density_equals_the_naive_scan() {
+    let mut rng = SeededRng::new(0x665e_eaea_bd56_432f);
+    for _ in 0..48 {
+        let len = rng.range(0usize..80);
+        let raw_times: Vec<i64> = (0..len).map(|_| rng.range(0i64..30 * 86_400)).collect();
+        let band = (rng.range(0i64..86_400), rng.range(1i64..86_400));
+        let start = rng.range(0i64..30 * 86_400);
+        let duration = rng.range(1i64..3 * 86_400);
+        let start_on_event = rng.range(0usize..80);
+        let end_on_event = rng.range(0usize..80);
+        let snap = rng.range(0u8..4);
         let ap = AccessPointId::new(0);
         // Events keep to one band of the day, so windows with nothing between
         // their bounds — on either side of midnight — are common.
@@ -248,12 +294,23 @@ proptest! {
         if !times.is_empty() && snap & 2 != 0 {
             end = start - start % 86_400 + 86_400 + times[end_on_event % times.len()] % 86_400;
         }
-        let gap = Gap { start, end, prev_t: start - 600, next_t: end + 600, start_ap: ap, end_ap: ap };
+        let gap = Gap {
+            start,
+            end,
+            prev_t: start - 600,
+            next_t: end + 600,
+            start_ap: ap,
+            end_ap: ap,
+        };
         let history = Interval::new(0, 30 * 86_400);
-        let wrapping = Gap { start: end, end: start + 86_400 * 4, ..gap };
+        let wrapping = Gap {
+            start: end,
+            end: start + 86_400 * 4,
+            ..gap
+        };
         let indexed = connection_densities(&[gap, wrapping], &events, history);
-        prop_assert_eq!(indexed[0], connection_density(&gap, &events, history));
-        prop_assert_eq!(indexed[1], connection_density(&wrapping, &events, history));
-        prop_assert_eq!(connection_densities(&[gap], &[], history), vec![0.0]);
+        assert_eq!(indexed[0], connection_density(&gap, &events, history));
+        assert_eq!(indexed[1], connection_density(&wrapping, &events, history));
+        assert_eq!(connection_densities(&[gap], &[], history), vec![0.0]);
     }
 }

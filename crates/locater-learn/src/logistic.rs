@@ -543,15 +543,8 @@ pub(crate) mod tests {
     /// connection density. Labels cycle over the classes, one row in four
     /// drawn at random, and shift the duration and the start region.
     pub(crate) fn gap_shaped(classes: usize, rows: usize, seed: u64) -> Dataset {
-        let mut state = seed;
-        // SplitMix64.
-        let mut next = |bound: u64| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % bound
-        };
+        let mut rng = locater_events::SeededRng::new(seed);
+        let mut next = |bound: u64| rng.range(0..bound);
         let mut d = Dataset::new(8, classes);
         for i in 0..rows {
             let label = if next(4) == 0 {

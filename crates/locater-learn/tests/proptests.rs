@@ -1,42 +1,46 @@
-//! Property-based tests for the learning substrate.
+//! Property-based tests for the learning substrate, each run over seeded
+//! random cases.
 
+use locater_events::SeededRng;
 use locater_learn::{Dataset, LogisticRegression, StandardScaler};
-use proptest::prelude::*;
 
-fn arb_dataset() -> impl Strategy<Value = Dataset> {
-    (2usize..5, 2usize..4, 4usize..40).prop_flat_map(|(nf, nc, n)| {
-        (
-            Just(nf),
-            Just(nc),
-            prop::collection::vec((prop::collection::vec(-10.0f64..10.0, nf), 0usize..nc), n),
-        )
-            .prop_map(|(nf, nc, rows)| {
-                let mut d = Dataset::new(nf, nc);
-                for (features, label) in rows {
-                    d.push(features, label);
-                }
-                d
-            })
-    })
+/// 4–39 rows of 2–4 features in `[-10, 10)`, labelled over 2–3 classes.
+fn arb_dataset(rng: &mut SeededRng) -> Dataset {
+    let features = rng.range(2usize..5);
+    let classes = rng.range(2usize..4);
+    let rows = rng.range(4usize..40);
+    let mut d = Dataset::new(features, classes);
+    for _ in 0..rows {
+        let row: Vec<f64> = (0..features).map(|_| rng.range(-10.0..10.0)).collect();
+        d.push(row, rng.range(0..classes));
+    }
+    d
 }
 
-proptest! {
-    /// Softmax probabilities always form a distribution, whatever the training data.
-    #[test]
-    fn predicted_probabilities_form_a_distribution(data in arb_dataset(), probe in prop::collection::vec(-20.0f64..20.0, 2..5)) {
+/// Softmax probabilities always form a distribution, whatever the training data.
+#[test]
+fn predicted_probabilities_form_a_distribution() {
+    let mut rng = SeededRng::new(0x7d71_f60e_81a6_9981);
+    for _ in 0..64 {
+        let data = arb_dataset(&mut rng);
+        let len = rng.range(2usize..5);
+        let mut probe: Vec<f64> = (0..len).map(|_| rng.range(-20.0..20.0)).collect();
         let model = LogisticRegression::fit(&data).unwrap();
-        let mut probe = probe;
         probe.resize(model.num_features(), 0.0);
         let p = model.predict_proba(&probe);
-        prop_assert_eq!(p.len(), model.num_classes());
+        assert_eq!(p.len(), model.num_classes());
         let sum: f64 = p.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-6, "sum = {}", sum);
-        prop_assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()));
+        assert!((sum - 1.0).abs() < 1e-6, "sum = {}", sum);
+        assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()));
     }
+}
 
-    /// Standardization maps the training rows to (approximately) zero mean.
-    #[test]
-    fn scaler_centers_training_data(data in arb_dataset()) {
+/// Standardization maps the training rows to (approximately) zero mean.
+#[test]
+fn scaler_centers_training_data() {
+    let mut rng = SeededRng::new(0x859d_7c2a_4415_bce4);
+    for _ in 0..64 {
+        let data = arb_dataset(&mut rng);
         let scaler = StandardScaler::fit(&data);
         let nf = data.num_features();
         let mut sums = vec![0.0; nf];
@@ -47,15 +51,19 @@ proptest! {
             }
         }
         for s in sums {
-            prop_assert!((s / data.len() as f64).abs() < 1e-6);
+            assert!((s / data.len() as f64).abs() < 1e-6);
         }
     }
+}
 
-    /// Training never panics and accuracy is a valid fraction.
-    #[test]
-    fn accuracy_is_in_unit_interval(data in arb_dataset()) {
+/// Training never panics and accuracy is a valid fraction.
+#[test]
+fn accuracy_is_in_unit_interval() {
+    let mut rng = SeededRng::new(0x6c23_78b0_5d3e_4668);
+    for _ in 0..64 {
+        let data = arb_dataset(&mut rng);
         let model = LogisticRegression::fit(&data).unwrap();
         let acc = model.accuracy(&data);
-        prop_assert!((0.0..=1.0).contains(&acc));
+        assert!((0.0..=1.0).contains(&acc));
     }
 }

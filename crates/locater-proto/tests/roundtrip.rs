@@ -4,7 +4,7 @@
 
 use locater_core::coarse::CoarseMethod;
 use locater_core::system::{Answer, CacheMode, FineMode, Location, ShardStats, WalStatus};
-use locater_events::DeviceId;
+use locater_events::{DeviceId, SeededRng};
 use locater_proto::{
     decode_request, decode_response, encode_request, encode_request_into, encode_response,
     encode_response_into, WireCompactionStats, WireError, WireRequest, WireResponse, WireStats,
@@ -483,13 +483,8 @@ fn encoders_emit_the_pinned_bytes() {
 /// including MACs exercising JSON escaping and extreme timestamps.
 #[test]
 fn fuzzed_requests_roundtrip() {
-    let mut state = 0x4d595df4d0f33173u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as u32
-    };
+    let mut rng = SeededRng::new(0x4d59_5df4_d0f3_3173);
+    let mut next = move || (rng.next_u64() >> 32) as u32;
     let alphabet: Vec<char> = "ab:01\"\\\n\t,{}[]é个 ".chars().collect();
     let rand_string = |n: &mut dyn FnMut() -> u32| {
         let len = (n() % 12) as usize;

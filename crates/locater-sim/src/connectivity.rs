@@ -14,9 +14,9 @@
 use crate::ground_truth::Stay;
 use crate::person::Person;
 use crate::rng::chance;
+use locater_events::SeededRng;
 use locater_space::Space;
 use locater_store::RawEvent;
-use rand::Rng;
 
 /// Probability that an emission is attributed to the room's primary covering AP (as
 /// opposed to another AP that also covers the room).
@@ -31,7 +31,7 @@ const FIRST_EVENT_PROB: f64 = 0.9;
 /// Rooms not covered by any AP produce no events (the paper notes APs may not cover
 /// every room, which bounds what any log-based method can see).
 pub(crate) fn emit_events(
-    rng: &mut impl Rng,
+    rng: &mut SeededRng,
     person: &Person,
     stays: &[Stay],
     space: &Space,
@@ -46,7 +46,7 @@ pub(crate) fn emit_events(
         // A stable primary AP per (person, room): derived from the room id so the same
         // person in the same room keeps connecting to the same AP across days.
         let primary = regions[stay.room.index() % regions.len()];
-        let mut t = stay.interval.start + rng.gen_range(0..=period / 2);
+        let mut t = stay.interval.start + rng.range(0..=period / 2);
         let mut first = true;
         while t < stay.interval.end {
             let fires = if first {
@@ -58,14 +58,14 @@ pub(crate) fn emit_events(
                 let region = if regions.len() == 1 || chance(rng, PRIMARY_AP_PROB) {
                     primary
                 } else {
-                    regions[rng.gen_range(0..regions.len())]
+                    regions[rng.range(0..regions.len())]
                 };
                 let ap_name = space.access_point(region.access_point()).name.clone();
                 out.push(RawEvent::new(person.mac.clone(), t, ap_name));
             }
             first = false;
             // Jittered period: 75%–125% of the nominal spacing.
-            let jitter = rng.gen_range(-(period / 4)..=period / 4);
+            let jitter = rng.range(-(period / 4)..=period / 4);
             t += (period + jitter).max(30);
         }
     }
@@ -77,8 +77,6 @@ mod tests {
     use crate::person::Behaviour;
     use locater_events::clock;
     use locater_space::SpaceBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn space() -> Space {
         SpaceBuilder::new("emit")
@@ -102,7 +100,7 @@ mod tests {
         let space = space();
         let office = space.room_id("office").unwrap();
         let stays = vec![Stay::new(office, clock::hours(9), clock::hours(11))];
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SeededRng::new(1);
         let mut events = Vec::new();
         emit_events(&mut rng, &person(0.8), &stays, &space, &mut events);
         assert!(!events.is_empty());
@@ -121,7 +119,7 @@ mod tests {
         let space = space();
         let lounge = space.room_id("lounge").unwrap();
         let stays = vec![Stay::new(lounge, 0, clock::hours(40))];
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SeededRng::new(2);
         let mut events = Vec::new();
         emit_events(&mut rng, &person(0.9), &stays, &space, &mut events);
         let aps: std::collections::HashSet<&str> = events.iter().map(|e| e.ap.as_str()).collect();
@@ -136,7 +134,7 @@ mod tests {
         let space = space();
         let office = space.room_id("office").unwrap();
         let stays = vec![Stay::new(office, 0, clock::hours(8))];
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SeededRng::new(3);
         let mut dense = Vec::new();
         emit_events(&mut rng, &person(0.95), &stays, &space, &mut dense);
         let mut sparse = Vec::new();
@@ -159,7 +157,7 @@ mod tests {
             .unwrap();
         let dark = space.room_id("dark").unwrap();
         let stays = vec![Stay::new(dark, 0, clock::hours(4))];
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SeededRng::new(4);
         let mut events = Vec::new();
         emit_events(&mut rng, &person(0.9), &stays, &space, &mut events);
         assert!(events.is_empty());
@@ -171,7 +169,7 @@ mod tests {
         let office = space.room_id("office").unwrap();
         let stays = vec![Stay::new(office, 0, clock::hours(3))];
         let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SeededRng::new(seed);
             let mut events = Vec::new();
             emit_events(&mut rng, &person(0.7), &stays, &space, &mut events);
             events

@@ -1,22 +1,22 @@
 //! Small random-sampling helpers shared by the generators.
 //!
-//! Only `rand` is used (no `rand_distr`); approximately normal samples are produced
+//! Every draw comes from [`SeededRng`]; approximately normal samples are produced
 //! with an Irwin–Hall sum of uniforms, which is more than adequate for arrival-time
 //! and stay-length jitter.
 
 use locater_events::clock::Timestamp;
-use rand::Rng;
+use locater_events::SeededRng;
 
 /// An approximately normal sample with the given mean and standard deviation
 /// (Irwin–Hall with 12 uniforms, variance 1 before scaling).
-pub(crate) fn approx_normal(rng: &mut impl Rng, mean: f64, std: f64) -> f64 {
-    let sum: f64 = (0..12).map(|_| rng.gen::<f64>()).sum();
+pub(crate) fn approx_normal(rng: &mut SeededRng, mean: f64, std: f64) -> f64 {
+    let sum: f64 = (0..12).map(|_| rng.unit_f64()).sum();
     mean + (sum - 6.0) * std
 }
 
 /// An approximately normal timestamp sample, clamped to `[min, max]`.
 pub(crate) fn normal_timestamp(
-    rng: &mut impl Rng,
+    rng: &mut SeededRng,
     mean: Timestamp,
     std: Timestamp,
     min: Timestamp,
@@ -27,33 +27,31 @@ pub(crate) fn normal_timestamp(
 }
 
 /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-pub(crate) fn chance(rng: &mut impl Rng, p: f64) -> bool {
+pub(crate) fn chance(rng: &mut SeededRng, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
     if p >= 1.0 {
         return true;
     }
-    rng.gen::<f64>() < p
+    rng.unit_f64() < p
 }
 
 /// A uniform duration in `[lo, hi]` seconds.
-pub(crate) fn duration_between(rng: &mut impl Rng, lo: Timestamp, hi: Timestamp) -> Timestamp {
+pub(crate) fn duration_between(rng: &mut SeededRng, lo: Timestamp, hi: Timestamp) -> Timestamp {
     if hi <= lo {
         return lo.max(1);
     }
-    rng.gen_range(lo..=hi)
+    rng.range(lo..=hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn approx_normal_has_roughly_the_requested_moments() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SeededRng::new(42);
         let samples: Vec<f64> = (0..5_000)
             .map(|_| approx_normal(&mut rng, 10.0, 2.0))
             .collect();
@@ -65,7 +63,7 @@ mod tests {
 
     #[test]
     fn normal_timestamp_is_clamped() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SeededRng::new(1);
         for _ in 0..200 {
             let t = normal_timestamp(&mut rng, 100, 1_000, 50, 150);
             assert!((50..=150).contains(&t));
@@ -74,7 +72,7 @@ mod tests {
 
     #[test]
     fn chance_handles_degenerate_probabilities() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SeededRng::new(2);
         assert!(!chance(&mut rng, 0.0));
         assert!(!chance(&mut rng, -1.0));
         assert!(chance(&mut rng, 1.0));
@@ -85,7 +83,7 @@ mod tests {
 
     #[test]
     fn duration_between_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SeededRng::new(3);
         for _ in 0..100 {
             let d = duration_between(&mut rng, 60, 120);
             assert!((60..=120).contains(&d));

@@ -12,8 +12,8 @@ use crate::person::Person;
 use crate::rng::{chance, duration_between, normal_timestamp};
 use crate::schedule::{DayAttendance, ScheduledEvent};
 use locater_events::clock::{self, Timestamp};
+use locater_events::SeededRng;
 use locater_space::{RoomId, Space};
-use rand::Rng;
 
 /// Minimum / maximum length of a free-segment stay, seconds.
 const ANCHOR_STAY_RANGE: (Timestamp, Timestamp) = (clock::minutes(30), clock::minutes(120));
@@ -28,7 +28,7 @@ const EVENT_LOOKAHEAD: Timestamp = clock::minutes(30);
 /// across people; call sites must iterate people within a day with a shared
 /// `DayAttendance`.
 pub(crate) fn generate_day(
-    rng: &mut impl Rng,
+    rng: &mut SeededRng,
     person: &Person,
     space: &Space,
     events: &[ScheduledEvent],
@@ -94,7 +94,7 @@ pub(crate) fn generate_day(
         }
 
         // 2. Free segment: leave briefly, sit in the anchor room, or visit some room.
-        let roll: f64 = rng.gen();
+        let roll = rng.unit_f64();
         if roll < behaviour.exit_prob {
             t += duration_between(rng, EXIT_RANGE.0, EXIT_RANGE.1);
         } else if roll < behaviour.exit_prob + behaviour.anchor_prob && person.anchor_room.is_some()
@@ -133,7 +133,7 @@ fn push_stay(stays: &mut Vec<Stay>, room: RoomId, start: Timestamp, end: Timesta
 /// lounges, kitchens and meeting rooms far more often than into someone else's
 /// office), any other room otherwise; the person's own anchor room is excluded so a
 /// "visit" always means leaving it.
-fn random_room(rng: &mut impl Rng, space: &Space, anchor: Option<RoomId>) -> RoomId {
+fn random_room(rng: &mut SeededRng, space: &Space, anchor: Option<RoomId>) -> RoomId {
     let rooms = space.rooms();
     debug_assert!(!rooms.is_empty());
     let publics: Vec<RoomId> = rooms
@@ -142,10 +142,10 @@ fn random_room(rng: &mut impl Rng, space: &Space, anchor: Option<RoomId>) -> Roo
         .map(|r| r.id)
         .collect();
     if !publics.is_empty() && chance(rng, 0.65) {
-        return publics[rng.gen_range(0..publics.len())];
+        return publics[rng.range(0..publics.len())];
     }
     for _ in 0..8 {
-        let candidate = rooms[rng.gen_range(0..rooms.len())].id;
+        let candidate = rooms[rng.range(0..rooms.len())].id;
         if Some(candidate) != anchor {
             return candidate;
         }
@@ -158,8 +158,6 @@ mod tests {
     use super::*;
     use crate::person::Behaviour;
     use locater_space::{RoomType, SpaceBuilder};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn space() -> Space {
         SpaceBuilder::new("traj")
@@ -182,7 +180,7 @@ mod tests {
     fn stays_are_ordered_disjoint_and_within_the_day() {
         let space = space();
         let person = worker(&space, 0.7);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SeededRng::new(7);
         for day in 0..10 {
             let mut attendance = DayAttendance::new(0);
             let stays = generate_day(&mut rng, &person, &space, &[], day, &mut attendance);
@@ -204,8 +202,8 @@ mod tests {
     fn higher_predictability_means_more_anchor_time() {
         let space = space();
         let anchor = space.room_id("office-1").unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let fraction_of = |predictability: f64, rng: &mut StdRng| -> f64 {
+        let mut rng = SeededRng::new(11);
+        let fraction_of = |predictability: f64, rng: &mut SeededRng| -> f64 {
             let person = worker(&space, predictability);
             let mut anchor_time = 0i64;
             let mut total = 0i64;
@@ -230,7 +228,7 @@ mod tests {
     fn weekends_are_mostly_absent() {
         let space = space();
         let person = worker(&space, 0.7);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SeededRng::new(3);
         let mut weekday_days_present = 0;
         let mut weekend_days_present = 0;
         for week in 0..8 {
@@ -259,7 +257,7 @@ mod tests {
             .with_capacity(2)
             .for_profiles(&["Employees"]);
         let events = vec![event];
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SeededRng::new(5);
         // Four eager attendees, capacity two: at most two may attend per day.
         let people: Vec<Person> = (0..4)
             .map(|i| {
@@ -318,7 +316,7 @@ mod tests {
             weekday_presence: 1.0,
             ..Behaviour::default()
         });
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = SeededRng::new(9);
         // Visitors may still wander into the meeting room randomly, but never via the
         // event path with its exact time window — check the event slot is not always
         // occupied by them.

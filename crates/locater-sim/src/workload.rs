@@ -14,8 +14,7 @@
 
 use crate::world::SimOutput;
 use locater_events::clock::Timestamp;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use locater_events::SeededRng;
 
 /// One location query of a workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,12 +47,7 @@ impl QueryWorkload {
 
     /// Shuffles the execution order (the paper randomizes query order per run).
     pub fn shuffled(mut self, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Fisher–Yates.
-        for i in (1..self.queries.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            self.queries.swap(i, j);
-        }
+        SeededRng::new(seed).shuffle(&mut self.queries);
         self
     }
 }
@@ -63,19 +57,19 @@ impl QueryWorkload {
 /// room per the ground truth, the rest drawn uniformly over the dataset span (mostly
 /// nights/weekends, i.e. outside).
 pub fn university_workload(output: &SimOutput, per_person: usize, seed: u64) -> QueryWorkload {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::new(seed);
     let inside_fraction = 0.7;
     let span = output.span();
     let mut queries = Vec::new();
     for record in output.monitored() {
         let stays = output.ground_truth.stays_of(&record.mac);
         for _ in 0..per_person {
-            let inside_pick = !stays.is_empty() && rng.gen::<f64>() < inside_fraction;
+            let inside_pick = !stays.is_empty() && rng.unit_f64() < inside_fraction;
             let t = if inside_pick {
-                let stay = &stays[rng.gen_range(0..stays.len())];
-                rng.gen_range(stay.interval.start..stay.interval.end)
+                let stay = &stays[rng.range(0..stays.len())];
+                rng.range(stay.interval.start..stay.interval.end)
             } else if let Some(span) = span {
-                rng.gen_range(span.start..span.end)
+                rng.range(span.start..span.end)
             } else {
                 0
             };
@@ -94,7 +88,7 @@ pub fn university_workload(output: &SimOutput, per_person: usize, seed: u64) -> 
 /// Builds the generated query set: `n` queries over devices and times drawn uniformly
 /// (devices uniformly over all simulated people, times uniformly over the span).
 pub fn generated_workload(output: &SimOutput, n: usize, seed: u64) -> QueryWorkload {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::new(seed);
     let Some(span) = output.span() else {
         return QueryWorkload {
             name: "generated".to_string(),
@@ -104,8 +98,8 @@ pub fn generated_workload(output: &SimOutput, n: usize, seed: u64) -> QueryWorkl
     let people = &output.people;
     let queries = (0..n)
         .map(|_| WorkloadQuery {
-            mac: people[rng.gen_range(0..people.len())].mac.clone(),
-            t: rng.gen_range(span.start..span.end),
+            mac: people[rng.range(0..people.len())].mac.clone(),
+            t: rng.range(span.start..span.end),
         })
         .collect();
     QueryWorkload {

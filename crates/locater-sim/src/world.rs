@@ -5,11 +5,9 @@ use crate::ground_truth::GroundTruth;
 use crate::person::{predictability_band, Person, PersonRecord};
 use crate::schedule::{DayAttendance, ScheduledEvent};
 use crate::trajectory::generate_day;
-use locater_events::Interval;
+use locater_events::{Interval, SeededRng};
 use locater_space::Space;
 use locater_store::{EventStore, RawEvent};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A fully specified simulation world: the space, its people and its recurring
 /// events. Scenario and campus builders produce a `World`; [`simulate`] turns it into
@@ -73,7 +71,7 @@ impl SimOutput {
 /// Runs the generation loop: for every day and every person, generate the day plan,
 /// record it as ground truth and emit the connectivity events.
 pub(crate) fn simulate(world: &World, days: i64, seed: u64) -> SimOutput {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::new(seed);
     let mut truth = GroundTruth::new();
     let mut events: Vec<RawEvent> = Vec::new();
 

@@ -160,6 +160,11 @@ pub trait EventRead: Sync {
     /// `exclude`, each with its event closest to `t` (the earlier one in
     /// timeline order on a tie), in the canonical `(t, device)` order of
     /// their first event in the window.
+    ///
+    /// The reference behind [`devices_online_at`](Self::devices_online_at) and
+    /// the benchmark's `store.devices_near_us` probe, on no locate path (those
+    /// read only their region's APs, in [`Self::devices_online_near`]): not
+    /// scoped to a region, it reads every AP's list by definition.
     fn devices_near(
         &self,
         t: Timestamp,

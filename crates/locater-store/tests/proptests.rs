@@ -1,9 +1,9 @@
-//! Property-based tests for the event store.
+//! Property-based tests for the event store, each run over seeded random
+//! cases.
 
-use locater_events::{DeviceId, Interval};
+use locater_events::{DeviceId, Interval, SeededRng};
 use locater_space::{AccessPointId, RegionId, Space, SpaceBuilder};
 use locater_store::{shard_of_device, EventRead, EventStore, NearbyDevice, ShardedRead};
-use proptest::prelude::*;
 
 fn space() -> Space {
     SpaceBuilder::new("prop")
@@ -18,8 +18,19 @@ fn space() -> Space {
         .unwrap()
 }
 
-fn arb_events() -> impl Strategy<Value = Vec<(u8, i64, u8)>> {
-    prop::collection::vec((0u8..6, 0i64..500_000, 0u8..3), 1..150)
+/// 1–149 `(device, t, ap)` triples: six devices, three APs, `t` below
+/// 500,000.
+fn arb_events(rng: &mut SeededRng) -> Vec<(u8, i64, u8)> {
+    let len = rng.range(1usize..150);
+    (0..len)
+        .map(|_| {
+            (
+                rng.range(0u8..6),
+                rng.range(0i64..500_000),
+                rng.range(0u8..3),
+            )
+        })
+        .collect()
 }
 
 /// A store holding `events`, ingested in the given (arbitrary) order.
@@ -33,13 +44,15 @@ fn build_store(events: &[(u8, i64, u8)]) -> EventStore {
     store
 }
 
-proptest! {
-    /// Ingestion never loses events: per-device timeline lengths sum to the
-    /// total, and every device timeline is sorted by `(t, id)`.
-    #[test]
-    fn ingestion_preserves_and_sorts_events(events in arb_events()) {
+/// Ingestion never loses events: per-device timeline lengths sum to the
+/// total, and every device timeline is sorted by `(t, id)`.
+#[test]
+fn ingestion_preserves_and_sorts_events() {
+    let mut rng = SeededRng::new(0x9dce_b4ef_a489_51bd);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
         let store = build_store(&events);
-        prop_assert_eq!(store.num_events(), events.len());
+        assert_eq!(store.num_events(), events.len());
         let mut total = 0usize;
         for device in store.devices() {
             let timeline = store.timeline_of(device.id);
@@ -47,19 +60,21 @@ proptest! {
             let keys: Vec<_> = timeline.iter().map(|e| (e.t(), e.id())).collect();
             let mut sorted = keys.clone();
             sorted.sort_unstable();
-            prop_assert_eq!(&keys, &sorted);
+            assert_eq!(&keys, &sorted);
         }
-        prop_assert_eq!(total, events.len());
+        assert_eq!(total, events.len());
     }
+}
 
-    /// Window queries and windowed gap detection agree exactly with
-    /// brute-force filters over the full history.
-    #[test]
-    fn segment_pruned_queries_match_full_scans(
-        events in arb_events(),
-        win_start in -10_000i64..510_000,
-        win_len in 0i64..200_000,
-    ) {
+/// Window queries and windowed gap detection agree exactly with
+/// brute-force filters over the full history.
+#[test]
+fn segment_pruned_queries_match_full_scans() {
+    let mut rng = SeededRng::new(0xe318_c6d4_ae33_8373);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let win_start = rng.range(-10_000i64..510_000);
+        let win_len = rng.range(0i64..200_000);
         let store = build_store(&events);
         let window = Interval::new(win_start, win_start + win_len);
         for device in store.devices() {
@@ -74,7 +89,7 @@ proptest! {
                 .events_of_in(device.id, window)
                 .map(|e| e.t())
                 .collect();
-            prop_assert_eq!(got_events, expect_events);
+            assert_eq!(got_events, expect_events);
 
             let full_gaps = store.gaps_of(device.id);
             let expect_gaps: Vec<_> = full_gaps
@@ -82,100 +97,125 @@ proptest! {
                 .filter(|g| g.interval().overlaps(&window))
                 .copied()
                 .collect();
-            prop_assert_eq!(store.gaps_of_in(device.id, window), expect_gaps);
+            assert_eq!(store.gaps_of_in(device.id, window), expect_gaps);
         }
     }
+}
 
-    /// CSV roundtrips preserve the number of events and devices.
-    #[test]
-    fn csv_roundtrip(events in arb_events()) {
+/// CSV roundtrips preserve the number of events and devices.
+#[test]
+fn csv_roundtrip() {
+    let mut rng = SeededRng::new(0x226e_628a_b5d2_f333);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
         let store = build_store(&events);
         let csv = store.to_csv();
         let back = EventStore::from_csv(space(), &csv).unwrap();
-        prop_assert_eq!(back.num_events(), store.num_events());
-        prop_assert_eq!(back.num_devices(), store.num_devices());
+        assert_eq!(back.num_events(), store.num_events());
+        assert_eq!(back.num_devices(), store.num_devices());
     }
+}
 
-    /// Snapshot roundtrips are **bit-identical**: the reloaded store compares equal
-    /// (devices, deltas, event runs, event ids, global timeline order — the
-    /// ordering the service's epoch bookkeeping depends on) and re-encodes to the
-    /// same bytes.
-    #[test]
-    fn snapshot_roundtrip_is_bit_identical(events in arb_events()) {
+/// Snapshot roundtrips are **bit-identical**: the reloaded store compares equal
+/// (devices, deltas, event runs, event ids, global timeline order — the
+/// ordering the service's epoch bookkeeping depends on) and re-encodes to the
+/// same bytes.
+#[test]
+fn snapshot_roundtrip_is_bit_identical() {
+    let mut rng = SeededRng::new(0x26b1_dd95_1d3e_b4c6);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
         let mut store = build_store(&events);
         store.estimate_deltas();
         let bytes = store.to_snapshot_bytes().unwrap();
         let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
-        prop_assert_eq!(&back, &store);
-        prop_assert_eq!(back.to_snapshot_bytes().unwrap(), bytes);
+        assert_eq!(&back, &store);
+        assert_eq!(back.to_snapshot_bytes().unwrap(), bytes);
     }
+}
 
-    /// Any truncation of a valid snapshot fails with a typed error — never a panic,
-    /// never a silently short store.
-    #[test]
-    fn truncated_snapshots_error_out(events in arb_events(), cut_fraction in 0.0f64..1.0) {
+/// Any truncation of a valid snapshot fails with a typed error — never a panic,
+/// never a silently short store.
+#[test]
+fn truncated_snapshots_error_out() {
+    let mut rng = SeededRng::new(0x72c1_ac03_b479_87f5);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let cut_fraction = rng.range(0.0..1.0);
         let store = build_store(&events);
         let bytes = store.to_snapshot_bytes().unwrap();
         let cut = ((bytes.len() - 1) as f64 * cut_fraction) as usize;
-        prop_assert!(EventStore::from_snapshot_bytes(&bytes[..cut]).is_err());
+        assert!(EventStore::from_snapshot_bytes(&bytes[..cut]).is_err());
     }
+}
 
-    /// A probe instant is never both covered by an event and inside a gap, and
-    /// devices_online_at only reports devices with covering events.
-    #[test]
-    fn online_devices_are_covered(events in arb_events(), probe in 0i64..500_000) {
+/// A probe instant is never both covered by an event and inside a gap, and
+/// devices_online_at only reports devices with covering events.
+#[test]
+fn online_devices_are_covered() {
+    let mut rng = SeededRng::new(0xc1ae_d6af_272b_ba4a);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let probe = rng.range(0i64..500_000);
         let store = build_store(&events);
         for (device, region) in store.devices_online_at(probe, None) {
             let covering = store.covering_event(device, probe);
-            prop_assert!(covering.is_some());
-            prop_assert_eq!(covering.unwrap().1.region(), region);
-            prop_assert!(store.gap_at(device, probe).is_none());
+            assert!(covering.is_some());
+            assert_eq!(covering.unwrap().1.region(), region);
+            assert!(store.gap_at(device, probe).is_none());
         }
     }
+}
 
-    /// Splitting a store into per-device shards and rejoining reproduces it
-    /// bit for bit — snapshot bytes included — for any shard count.
-    #[test]
-    fn split_rejoin_roundtrip_is_bit_identical(
-        events in arb_events(),
-        shards in 1usize..9,
-    ) {
+/// Splitting a store into per-device shards and rejoining reproduces it
+/// bit for bit — snapshot bytes included — for any shard count.
+#[test]
+fn split_rejoin_roundtrip_is_bit_identical() {
+    let mut rng = SeededRng::new(0xbc22_acf5_5b31_7fc2);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let shards = rng.range(1usize..9);
         let store = build_store(&events);
         let pieces = store.split(shards);
-        prop_assert_eq!(pieces.len(), shards);
+        assert_eq!(pieces.len(), shards);
         let rejoined = EventStore::rejoin(&pieces).unwrap();
-        prop_assert_eq!(&rejoined, &store);
-        prop_assert_eq!(
+        assert_eq!(&rejoined, &store);
+        assert_eq!(
             rejoined.to_snapshot_bytes().unwrap(),
             store.to_snapshot_bytes().unwrap()
         );
     }
+}
 
-    /// The multi-shard read view is indistinguishable from the combined store:
-    /// routed timeline reads and the merged per-shard neighbor scans agree
-    /// exactly (ties across devices included — `arb_events` produces plenty).
-    #[test]
-    fn sharded_read_is_indistinguishable_from_combined_store(
-        events in arb_events(),
-        shards in 1usize..9,
-        probe in 0i64..500_000,
-        slack in 1i64..50_000,
-    ) {
+/// The multi-shard read view is indistinguishable from the combined store:
+/// routed timeline reads and the merged per-shard neighbor scans agree
+/// exactly (ties across devices included — `arb_events` produces plenty).
+#[test]
+fn sharded_read_is_indistinguishable_from_combined_store() {
+    let mut rng = SeededRng::new(0x57d2_9d0d_9c1a_aa54);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let shards = rng.range(1usize..9);
+        let probe = rng.range(0i64..500_000);
+        let slack = rng.range(1i64..50_000);
         let store = build_store(&events);
         let pieces = store.split(shards);
         let view = ShardedRead::new(pieces.iter().collect());
-        prop_assert_eq!(EventRead::num_events(&view), store.num_events());
-        prop_assert_eq!(
+        assert_eq!(EventRead::num_events(&view), store.num_events());
+        assert_eq!(
             view.devices_near(probe, slack, None),
             store.devices_near(probe, slack, None)
         );
-        prop_assert_eq!(
+        assert_eq!(
             view.devices_online_at(probe, None),
             store.devices_online_at(probe, None)
         );
         for device in store.devices() {
-            prop_assert_eq!(view.gap_at(device.id, probe), store.gap_at(device.id, probe));
-            prop_assert_eq!(
+            assert_eq!(
+                view.gap_at(device.id, probe),
+                store.gap_at(device.id, probe)
+            );
+            assert_eq!(
                 view.covering_event(device.id, probe),
                 store.covering_event(device.id, probe)
             );
@@ -187,25 +227,27 @@ proptest! {
 // Compaction, tiered ageing, and the pinned-id backfill path
 // ---------------------------------------------------------------------------
 
-proptest! {
-    /// The backfill-splice path is fully order-independent: replaying the
-    /// same labelled event set in *any* permutation — devices pre-interned
-    /// in canonical order, each event ingested under its pinned id — yields
-    /// a bit-identical store, snapshot bytes included. This is the invariant
-    /// WAL replay and spill merging stand on.
-    #[test]
-    fn pinned_id_replay_is_permutation_invariant(
-        events in arb_events(),
-        perm_seed in 0u64..u64::MAX,
-    ) {
+/// The backfill-splice path is fully order-independent: replaying the
+/// same labelled event set in *any* permutation — devices pre-interned
+/// in canonical order, each event ingested under its pinned id — yields
+/// a bit-identical store, snapshot bytes included. This is the invariant
+/// WAL replay and spill merging stand on.
+#[test]
+fn pinned_id_replay_is_permutation_invariant() {
+    let mut rng = SeededRng::new(0xf2e4_014f_bfb0_1cd6);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let perm_seed = rng.range(0..u64::MAX);
         let mut reference = EventStore::new(space());
         let mut labeled = Vec::with_capacity(events.len());
         for (dev, t, ap) in &events {
-            let id = reference.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
+            let id = reference
+                .ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}"))
+                .unwrap();
             labeled.push((id.0, mac_of(*dev), *t, format!("wap{ap}")));
         }
 
-        shuffle(&mut labeled, perm_seed);
+        SeededRng::new(perm_seed).shuffle(&mut labeled);
 
         let mut replay = EventStore::new(space());
         for (dev, _, _) in &events {
@@ -217,26 +259,41 @@ proptest! {
         }
         replay.set_next_event_id(reference.next_event_id());
 
-        prop_assert_eq!(&replay, &reference);
-        prop_assert_eq!(
+        assert_eq!(&replay, &reference);
+        assert_eq!(
             replay.to_snapshot_bytes().unwrap(),
             reference.to_snapshot_bytes().unwrap()
         );
     }
+}
 
-    /// Ordering ties need no stored event id. Events with the same
-    /// `(t, device)` on different APs, plus timestamp ties across devices,
-    /// are replayed under pinned ids in two permuted orders straight into 1
-    /// and 3 shards. Every neighbour scan equals the reference built from
-    /// per-device lookups alone, the answers are identical across the
-    /// permutations, and so are the snapshot bytes. The store loaded from
-    /// those bytes answers the same.
-    #[test]
-    fn ties_order_without_event_ids(
-        base in prop::collection::vec((0u8..4, 0i64..30, 0u8..3, 0u8..3), 1..80),
-        seeds in (0u64..u64::MAX, 0u64..u64::MAX),
-        probes in prop::collection::vec((-700i64..3_700, 1i64..2_000), 1..6),
-    ) {
+/// Ordering ties need no stored event id. Events with the same
+/// `(t, device)` on different APs, plus timestamp ties across devices,
+/// are replayed under pinned ids in two permuted orders straight into 1
+/// and 3 shards. Every neighbour scan equals the reference built from
+/// per-device lookups alone, the answers are identical across the
+/// permutations, and so are the snapshot bytes. The store loaded from
+/// those bytes answers the same.
+#[test]
+fn ties_order_without_event_ids() {
+    let mut rng = SeededRng::new(0x6c99_c0d6_f74e_ab54);
+    for _ in 0..64 {
+        let len = rng.range(1usize..80);
+        let base: Vec<(u8, i64, u8, u8)> = (0..len)
+            .map(|_| {
+                (
+                    rng.range(0u8..4),
+                    rng.range(0i64..30),
+                    rng.range(0u8..3),
+                    rng.range(0u8..3),
+                )
+            })
+            .collect();
+        let seeds = (rng.range(0..u64::MAX), rng.range(0..u64::MAX));
+        let len = rng.range(1usize..6);
+        let probes: Vec<(i64, i64)> = (0..len)
+            .map(|_| (rng.range(-700i64..3_700), rng.range(1i64..2_000)))
+            .collect();
         // Slot times tie across devices; a non-zero `dup` adds a second
         // event at the same `(t, device)` on another AP.
         let mut events: Vec<(u8, i64, u8)> = Vec::new();
@@ -254,51 +311,61 @@ proptest! {
                 let mut answers = Vec::new();
                 for &(probe, slack) in &probes {
                     let near = view.devices_near(probe, slack, None);
-                    prop_assert_eq!(&near, &reference_near(&view, probe, slack));
+                    assert_eq!(&near, &reference_near(&view, probe, slack));
                     let online = view.devices_online_at(probe, None);
-                    prop_assert_eq!(&online, &reference_online(&view, probe));
+                    assert_eq!(&online, &reference_online(&view, probe));
                     answers.push((near, online));
                 }
                 let bytes = view.to_snapshot_bytes().unwrap();
                 let loaded = EventStore::from_snapshot_bytes(&bytes).unwrap();
                 for (&(probe, slack), (near, online)) in probes.iter().zip(&answers) {
-                    prop_assert_eq!(&loaded.devices_near(probe, slack, None), near);
-                    prop_assert_eq!(&loaded.devices_online_at(probe, None), online);
+                    assert_eq!(&loaded.devices_near(probe, slack, None), near);
+                    assert_eq!(&loaded.devices_online_at(probe, None), online);
                 }
                 runs.push((answers, bytes));
             }
-            prop_assert_eq!(&runs[0], &runs[1]);
+            assert_eq!(&runs[0], &runs[1]);
         }
     }
+}
 
-    /// Compaction's coordinated trim evicts exactly the events below the
-    /// horizon and nothing else: every timeline read and every global
-    /// timeline entry inside a window at or above the cut is identical to the
-    /// untrimmed store's.
-    #[test]
-    fn compaction_trim_never_drops_an_in_window_posting(
-        events in arb_events(),
-        horizon in 0i64..600_000,
-        start_off in 0i64..150_000,
-        width in 1i64..150_000,
-    ) {
+/// Compaction's coordinated trim evicts exactly the events below the
+/// horizon and nothing else: every timeline read and every global
+/// timeline entry inside a window at or above the cut is identical to the
+/// untrimmed store's.
+#[test]
+fn compaction_trim_never_drops_an_in_window_posting() {
+    let mut rng = SeededRng::new(0x8da3_54fb_b0f1_9b5b);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let horizon = rng.range(0i64..600_000);
+        let start_off = rng.range(0i64..150_000);
+        let width = rng.range(1i64..150_000);
         let full = build_store(&events);
         let mut compacted = build_store(&events);
         let report = compacted.compact(horizon);
         let cut = report.cut;
-        prop_assert_eq!(cut, horizon);
-        prop_assert_eq!(
+        assert_eq!(cut, horizon);
+        assert_eq!(
             compacted.num_events(),
             events.iter().filter(|(_, t, _)| *t >= cut).count(),
             "the cut evicts exactly the events below it"
         );
-        prop_assert_eq!(report.evicted_events, full.num_events() - compacted.num_events());
+        assert_eq!(
+            report.evicted_events,
+            full.num_events() - compacted.num_events()
+        );
 
         let window = Interval::new(cut + start_off, cut + start_off + width);
         for device in full.devices() {
-            prop_assert_eq!(
-                compacted.events_of_in(device.id, window).copied().collect::<Vec<_>>(),
-                full.events_of_in(device.id, window).copied().collect::<Vec<_>>()
+            assert_eq!(
+                compacted
+                    .events_of_in(device.id, window)
+                    .copied()
+                    .collect::<Vec<_>>(),
+                full.events_of_in(device.id, window)
+                    .copied()
+                    .collect::<Vec<_>>()
             );
         }
         for ap in (0..3).map(AccessPointId::new) {
@@ -309,20 +376,22 @@ proptest! {
                     .filter(|&(t, _)| window.contains(t))
                     .collect()
             };
-            prop_assert_eq!(in_window(&compacted), in_window(&full));
+            assert_eq!(in_window(&compacted), in_window(&full));
         }
     }
+}
 
-    /// Compact → snapshot → load is bit-identical, and the evicted runs the
-    /// report hands back are exactly the removed events (original ids): the
-    /// spill encoded from them is an ordinary round-trippable snapshot, and
-    /// the per-shard runs of a partitioned store encode to the same bytes.
-    #[test]
-    fn compact_snapshot_load_roundtrip_is_bit_identical(
-        events in arb_events(),
-        horizon in 0i64..600_000,
-        shards in 2usize..5,
-    ) {
+/// Compact → snapshot → load is bit-identical, and the evicted runs the
+/// report hands back are exactly the removed events (original ids): the
+/// spill encoded from them is an ordinary round-trippable snapshot, and
+/// the per-shard runs of a partitioned store encode to the same bytes.
+#[test]
+fn compact_snapshot_load_roundtrip_is_bit_identical() {
+    let mut rng = SeededRng::new(0x9847_22e6_d3fe_0afd);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let horizon = rng.range(0i64..600_000);
+        let shards = rng.range(2usize..5);
         let mut full = build_store(&events);
         full.estimate_deltas();
         let mut store = full.clone();
@@ -330,8 +399,8 @@ proptest! {
 
         let bytes = store.to_snapshot_bytes().unwrap();
         let back = EventStore::from_snapshot_bytes(&bytes).unwrap();
-        prop_assert_eq!(&back, &store);
-        prop_assert_eq!(back.to_snapshot_bytes().unwrap(), bytes);
+        assert_eq!(&back, &store);
+        assert_eq!(back.to_snapshot_bytes().unwrap(), bytes);
 
         // The runs, concatenated, are the events the hot tier lost.
         let mut evicted: Vec<_> = report
@@ -339,8 +408,8 @@ proptest! {
             .iter()
             .flat_map(|(device, events)| events.iter().map(move |e| (*device, *e)))
             .collect();
-        prop_assert_eq!(evicted.len(), report.evicted_events);
-        prop_assert!(evicted.iter().all(|(_, e)| e.t() < report.cut));
+        assert_eq!(evicted.len(), report.evicted_events);
+        assert!(evicted.iter().all(|(_, e)| e.t() < report.cut));
         let mut removed: Vec<_> = full
             .devices()
             .iter()
@@ -349,20 +418,20 @@ proptest! {
             .collect();
         evicted.sort_by_key(|(_, e)| e.id());
         removed.sort_by_key(|(_, e)| e.id());
-        prop_assert_eq!(&evicted, &removed);
+        assert_eq!(&evicted, &removed);
 
         // The spill is a snapshot of exactly those events.
         let spill_bytes = ShardedRead::new(vec![&store])
             .spill_snapshot_bytes(&report.evicted)
             .unwrap();
         let spill = EventStore::from_snapshot_bytes(&spill_bytes).unwrap();
-        prop_assert_eq!(spill.num_events(), report.evicted_events);
-        prop_assert_eq!(spill.devices(), store.devices());
-        prop_assert_eq!(spill.next_event_id(), store.next_event_id());
+        assert_eq!(spill.num_events(), report.evicted_events);
+        assert_eq!(spill.devices(), store.devices());
+        assert_eq!(spill.next_event_id(), store.next_event_id());
         for (device, events) in &report.evicted {
-            prop_assert_eq!(spill.timeline_of(*device).events(), events.as_slice());
+            assert_eq!(spill.timeline_of(*device).events(), events.as_slice());
         }
-        prop_assert_eq!(spill.to_snapshot_bytes().unwrap(), &spill_bytes[..]);
+        assert_eq!(spill.to_snapshot_bytes().unwrap(), &spill_bytes[..]);
 
         // Per-shard evictions concatenate (in any order) to the same file.
         let mut parts = full.split(shards);
@@ -371,8 +440,8 @@ proptest! {
             runs.extend(part.compact(horizon).evicted);
         }
         let view = ShardedRead::new(parts.iter().collect());
-        prop_assert_eq!(view.spill_snapshot_bytes(&runs).unwrap(), spill_bytes);
-        prop_assert_eq!(view.to_snapshot_bytes().unwrap(), bytes);
+        assert_eq!(view.spill_snapshot_bytes(&runs).unwrap(), spill_bytes);
+        assert_eq!(view.to_snapshot_bytes().unwrap(), bytes);
     }
 }
 
@@ -387,7 +456,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static WAL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A unique WAL scratch directory per proptest case.
+/// A unique WAL scratch directory per property case.
 fn wal_scratch() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "locater-store-prop-wal-{}-{}",
@@ -410,20 +479,6 @@ fn mac_of(dev: u8) -> String {
     format!("aa:00:00:00:00:{:02x}", dev + 1)
 }
 
-/// Seeded Fisher–Yates: every seed gets its own permutation.
-fn shuffle<T>(items: &mut [T], seed: u64) {
-    let mut state = seed | 1;
-    let mut rand = move |n: usize| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) % n as u64) as usize
-    };
-    for i in (1..items.len()).rev() {
-        items.swap(i, rand(i + 1));
-    }
-}
-
 /// Ingests `events` (event `i` under pinned id `i`) in the order `seed`
 /// permutes them, each into its owner among `shards` stores that share one
 /// device table — four devices with distinct validity periods.
@@ -435,7 +490,7 @@ fn replay_into_shards(events: &[(u8, i64, u8)], seed: u64, shards: usize) -> Vec
     }
     let mut stores = base.split(shards);
     let mut labeled: Vec<(u64, (u8, i64, u8))> = (0u64..).zip(events.iter().copied()).collect();
-    shuffle(&mut labeled, seed);
+    SeededRng::new(seed).shuffle(&mut labeled);
     for (id, (dev, t, ap)) in labeled {
         let store = &mut stores[shard_of_device(DeviceId::new(u32::from(dev)), shards)];
         store.set_next_event_id(id);
@@ -517,14 +572,16 @@ fn log_then_apply(store: &mut EventStore, wal: &mut ShardWal, (dev, t, ap): (u8,
     id
 }
 
-proptest! {
-    /// Any trace — out-of-order *splice* ingests, cross-device timestamp
-    /// ties, arbitrary AP churn — written through the WAL recovers
-    /// byte-identically (snapshot bytes included) to a store that ingested
-    /// the same trace directly. Recovery is also idempotent: replaying the
-    /// same log twice yields the same bytes, and the log is untouched.
-    #[test]
-    fn wal_roundtrip_recovers_spliced_ingests_byte_identically(events in arb_events()) {
+/// Any trace — out-of-order *splice* ingests, cross-device timestamp
+/// ties, arbitrary AP churn — written through the WAL recovers
+/// byte-identically (snapshot bytes included) to a store that ingested
+/// the same trace directly. Recovery is also idempotent: replaying the
+/// same log twice yields the same bytes, and the log is untouched.
+#[test]
+fn wal_roundtrip_recovers_spliced_ingests_byte_identically() {
+    let mut rng = SeededRng::new(0x9707_7c2c_cafe_5e80);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
         let dir = wal_scratch();
         let mut expected = EventStore::new(space());
         {
@@ -532,32 +589,36 @@ proptest! {
             let (mut wal, _) = ShardWal::open(&wal_config(&dir), 0).unwrap();
             for (dev, t, ap) in &events {
                 let appended = log_then_apply(&mut store, &mut wal, (*dev, *t, *ap));
-                let direct = expected.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
-                prop_assert_eq!(appended, direct.0, "ids advance in lockstep");
+                let direct = expected
+                    .ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}"))
+                    .unwrap();
+                assert_eq!(appended, direct.0, "ids advance in lockstep");
             }
             // Dropped without a checkpoint: a crash once the OS buffers land.
         }
         let expected_bytes = expected.to_snapshot_bytes().unwrap();
         let (first, report) = recover_store(&dir, EventStore::new(space())).unwrap();
-        prop_assert_eq!(report.replayed, events.len() as u64);
-        prop_assert_eq!(report.skipped, 0);
-        prop_assert_eq!(first.to_snapshot_bytes().unwrap(), expected_bytes.clone());
+        assert_eq!(report.replayed, events.len() as u64);
+        assert_eq!(report.skipped, 0);
+        assert_eq!(first.to_snapshot_bytes().unwrap(), expected_bytes.clone());
         // Read-only and repeatable: a second replay of the same log agrees.
         let (second, _) = recover_store(&dir, EventStore::new(space())).unwrap();
-        prop_assert_eq!(second.to_snapshot_bytes().unwrap(), expected_bytes);
+        assert_eq!(second.to_snapshot_bytes().unwrap(), expected_bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
 
-    /// The checkpoint/trim crash window: a checkpoint written *without*
-    /// trimming the log (the state left by a crash between the two steps)
-    /// replays idempotently — frames the checkpoint already covers are
-    /// skipped by id, the rest are applied, and the recovered bytes equal
-    /// the direct store's.
-    #[test]
-    fn checkpoint_crash_window_replay_is_idempotent(
-        events in arb_events(),
-        cut_seed in 0u64..1_000,
-    ) {
+/// The checkpoint/trim crash window: a checkpoint written *without*
+/// trimming the log (the state left by a crash between the two steps)
+/// replays idempotently — frames the checkpoint already covers are
+/// skipped by id, the rest are applied, and the recovered bytes equal
+/// the direct store's.
+#[test]
+fn checkpoint_crash_window_replay_is_idempotent() {
+    let mut rng = SeededRng::new(0x5d73_17e3_a5f2_c6ff);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let cut_seed = rng.range(0u64..1_000);
         let dir = wal_scratch();
         let cut = (cut_seed as usize) % (events.len() + 1);
         let mut expected = EventStore::new(space());
@@ -570,17 +631,22 @@ proptest! {
                     write_checkpoint(&dir, &store).unwrap();
                 }
                 log_then_apply(&mut store, &mut wal, (*dev, *t, *ap));
-                expected.ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}")).unwrap();
+                expected
+                    .ingest_raw(&mac_of(*dev), *t, &format!("wap{ap}"))
+                    .unwrap();
             }
             if cut == events.len() {
                 write_checkpoint(&dir, &store).unwrap();
             }
         }
         let (recovered, report) = recover_store(&dir, EventStore::new(space())).unwrap();
-        prop_assert_eq!(report.base_events, cut);
-        prop_assert_eq!(report.skipped, cut as u64, "covered frames are skipped by id");
-        prop_assert_eq!(report.replayed, (events.len() - cut) as u64);
-        prop_assert_eq!(
+        assert_eq!(report.base_events, cut);
+        assert_eq!(
+            report.skipped, cut as u64,
+            "covered frames are skipped by id"
+        );
+        assert_eq!(report.replayed, (events.len() - cut) as u64);
+        assert_eq!(
             recovered.to_snapshot_bytes().unwrap(),
             expected.to_snapshot_bytes().unwrap()
         );
@@ -604,28 +670,31 @@ fn assert_deltas_in_range(store: &EventStore, after: &str) {
 }
 
 /// Any `i64`, with the extremes and the ends of the range drawn often.
-fn arb_delta() -> impl Strategy<Value = i64> {
-    (0u8..8, any::<i64>()).prop_map(|(pick, any)| match pick {
+fn arb_delta(rng: &mut SeededRng) -> i64 {
+    let pick = rng.range(0u8..8);
+    let any = rng.next_u64() as i64;
+    match pick {
         0 => i64::MIN,
         1 => i64::MAX,
         2 => 0,
         3 => 1 << 32,
         _ => any,
-    })
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// CSV load then δ estimation, `set_delta` with any value (both
-    /// extremes included), a snapshot round trip and WAL recovery from a
-    /// checkpoint all leave every device δ in `[1, 2³²)`.
-    #[test]
-    fn every_way_to_build_a_store_keeps_delta_in_range(
-        events in arb_events(),
-        period in 1i64..10_000,
-        overrides in prop::collection::vec((0u8..6, arb_delta()), 0..6),
-    ) {
+/// CSV load then δ estimation, `set_delta` with any value (both
+/// extremes included), a snapshot round trip and WAL recovery from a
+/// checkpoint all leave every device δ in `[1, 2³²)`.
+#[test]
+fn every_way_to_build_a_store_keeps_delta_in_range() {
+    let mut rng = SeededRng::new(0x9a29_fe56_27f1_f82b);
+    for _ in 0..64 {
+        let events = arb_events(&mut rng);
+        let period = rng.range(1i64..10_000);
+        let len = rng.range(0usize..6);
+        let overrides: Vec<(u8, i64)> = (0..len)
+            .map(|_| (rng.range(0u8..6), arb_delta(&mut rng)))
+            .collect();
         let mut store = build_store(&events);
         // One device reconnecting every `period` seconds on one AP, so the
         // estimate is not always the fallback.
@@ -640,18 +709,18 @@ proptest! {
         for (dev, delta) in overrides {
             let device = ids[usize::from(dev) % ids.len()];
             store.set_delta(device, delta);
-            prop_assert_eq!(store.delta(device), delta.clamp(1, (1 << 32) - 1));
+            assert_eq!(store.delta(device), delta.clamp(1, (1 << 32) - 1));
         }
         store.set_delta(ids[0], i64::MIN);
-        prop_assert_eq!(store.delta(ids[0]), 1);
+        assert_eq!(store.delta(ids[0]), 1);
         store.set_delta(ids[ids.len() - 1], i64::MAX);
-        prop_assert_eq!(store.delta(ids[ids.len() - 1]), (1 << 32) - 1);
+        assert_eq!(store.delta(ids[ids.len() - 1]), (1 << 32) - 1);
         assert_deltas_in_range(&store, "set_delta");
 
         let bytes = store.to_snapshot_bytes().unwrap();
         let loaded = EventStore::from_snapshot_bytes(&bytes).unwrap();
         assert_deltas_in_range(&loaded, "a snapshot round trip");
-        prop_assert_eq!(&loaded, &store);
+        assert_eq!(&loaded, &store);
 
         // Checkpoint the store, then log a tail of new devices and events.
         let dir = wal_scratch();
@@ -930,15 +999,24 @@ fn timeline_matches_a_sorted_model_across_bucket_boundaries() {
     ]);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random steps over the boundary timestamps (and one second either
-    /// side): the index equals the sorted model after every step.
-    #[test]
-    fn timeline_model_holds_for_random_boundary_steps(
-        raw in prop::collection::vec((0u8..10, 0u8..4, 0usize..19, 0u8..3, 0i64..3), 1..32),
-    ) {
+/// Random steps over the boundary timestamps (and one second either
+/// side): the index equals the sorted model after every step.
+#[test]
+fn timeline_model_holds_for_random_boundary_steps() {
+    let mut rng = SeededRng::new(0x2883_9629_a8e5_c690);
+    for _ in 0..24 {
+        let len = rng.range(1usize..32);
+        let raw: Vec<(u8, u8, usize, u8, i64)> = (0..len)
+            .map(|_| {
+                (
+                    rng.range(0u8..10),
+                    rng.range(0u8..4),
+                    rng.range(0usize..19),
+                    rng.range(0u8..3),
+                    rng.range(0i64..3),
+                )
+            })
+            .collect();
         let times = boundary_times();
         let steps: Vec<Step> = raw
             .iter()
@@ -1015,24 +1093,38 @@ fn region_reads_match_the_reference_across_splices_cuts_and_rebuilds() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Random ingests (late ones and same-`t` ties included), cuts on
-    /// ingested times, rejoins and reloads: the region-scoped read equals
-    /// the reference after every step, for every region and a random
-    /// excluded device.
-    #[test]
-    fn region_reads_hold_for_random_steps(
-        raw in prop::collection::vec((0u8..16, 0u8..4, 0i64..40, 0u8..4), 1..40),
-        probes in prop::collection::vec(-500i64..4_500, 1..4),
-        exclude in 0u32..5,
-    ) {
+/// Random ingests (late ones and same-`t` ties included), cuts on
+/// ingested times, rejoins and reloads: the region-scoped read equals
+/// the reference after every step, for every region and a random
+/// excluded device.
+#[test]
+fn region_reads_hold_for_random_steps() {
+    let mut rng = SeededRng::new(0x3a40_79d1_2e14_edc9);
+    for _ in 0..32 {
+        let len = rng.range(1usize..40);
+        let raw: Vec<(u8, u8, i64, u8)> = (0..len)
+            .map(|_| {
+                (
+                    rng.range(0u8..16),
+                    rng.range(0u8..4),
+                    rng.range(0i64..40),
+                    rng.range(0u8..4),
+                )
+            })
+            .collect();
+        let len = rng.range(1usize..4);
+        let probes: Vec<i64> = (0..len).map(|_| rng.range(-500i64..4_500)).collect();
+        let exclude = rng.range(0u32..5);
         let mut times = Vec::new();
         let steps: Vec<Step> = raw
             .iter()
             .map(|&(kind, dev, slot, ap)| match kind {
-                0 => Step::Compact(times.get(slot as usize % times.len().max(1)).copied().unwrap_or(0)),
+                0 => Step::Compact(
+                    times
+                        .get(slot as usize % times.len().max(1))
+                        .copied()
+                        .unwrap_or(0),
+                ),
                 1 => Step::Rejoin,
                 2 => Step::Reload,
                 _ => {
@@ -1044,6 +1136,10 @@ proptest! {
             })
             .collect();
         // Device 4 does not exist: no device is excluded.
-        run_region_model(&steps, &probes, Some(DeviceId::new(exclude)).filter(|d| d.0 < 4));
+        run_region_model(
+            &steps,
+            &probes,
+            Some(DeviceId::new(exclude)).filter(|d| d.0 < 4),
+        );
     }
 }

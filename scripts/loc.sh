@@ -7,7 +7,7 @@
 #
 # * non-test lines: every `*.rs` under crates/ src/ vendor/ that is not in a
 #   `tests/` directory, counted up to (not including) its first
-#   `#[cfg(test)]`;
+#   `#[cfg(test)]`, and on a line of its own the share under vendor/;
 # * test lines: every `*.rs` under tests/ and crates/*/tests/, plus the
 #   tails the non-test count stops at (from the first `#[cfg(test)]` on);
 # * test targets: the integration-test binaries cargo builds from tests/
@@ -35,8 +35,11 @@ set -eu
 export LC_ALL=C
 
 find crates src vendor -name '*.rs' -not -path '*/tests/*' | while read -r file; do
-    awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$file"
-done | awk '{lines += $1} END {print "non-test lines (crates src vendor): " lines}'
+    awk -v file="$file" '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0, file}' "$file"
+done | awk '{lines += $1} $2 ~ /^vendor\// {vendor += $1} END {
+    print "non-test lines (crates src vendor): " lines
+    print "  of which vendored shims (vendor/): " vendor + 0
+}'
 
 suites=$(find tests crates/*/tests -name '*.rs' -print0 | xargs -0 cat | wc -l)
 tails=$(find crates src vendor -name '*.rs' -not -path '*/tests/*' -print0 \

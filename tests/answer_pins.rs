@@ -147,3 +147,39 @@ fn batch_answers_match_the_cache_off_pins() {
         }
     }
 }
+
+/// Baseline1's answers to the same queries: its rooms are random draws
+/// from each region's candidates, so this pins the seeded generator's
+/// index draws as well as the shared coarse baseline.
+const BASELINE1_PIN: (u64, usize) = (0x409e_048c_dba8_f6bb, 227);
+
+#[test]
+fn baseline1_answers_are_pinned() {
+    use locater::core::baselines::{Baseline1, BaselineSystem};
+    let (store, queries) = campus();
+    let mut baseline = Baseline1::default();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut rooms = 0usize;
+    for query in &queries {
+        let mac = query
+            .mac
+            .as_deref()
+            .expect("every campus query names a MAC");
+        let line = match store.device_id(mac) {
+            Some(device) => {
+                let answer = baseline.locate(&store, device, query.t);
+                rooms += usize::from(answer.location.room().is_some());
+                format!(
+                    "{:?}|{:016x}|{:?}",
+                    answer.location,
+                    answer.confidence.to_bits(),
+                    answer.coarse_method
+                )
+            }
+            None => format!("unknown device {mac}"),
+        };
+        fnv1a(&mut hash, line.as_bytes());
+        fnv1a(&mut hash, b"\n");
+    }
+    assert_eq!((hash, rooms), BASELINE1_PIN, "Baseline1's answers moved");
+}

@@ -1,58 +1,74 @@
 //! Property-based tests for the retry client's backoff schedule: across
 //! arbitrary policies, delays stay inside their jitter envelope, the
 //! envelope itself is monotone and capped, and equal seeds reproduce the
-//! schedule byte-for-byte (the determinism the chaos tests lean on).
+//! schedule byte-for-byte (the determinism the chaos tests lean on). Each
+//! property runs over seeded random cases.
 
 use locater::client::BackoffPolicy;
-use proptest::prelude::*;
+use locater::events::SeededRng;
 use std::time::Duration;
 
-fn arb_policy() -> impl Strategy<Value = BackoffPolicy> {
-    (1u64..5_000, 1u64..60_000, any::<u64>()).prop_map(|(base_ms, extra_ms, seed)| BackoffPolicy {
+/// A base of 1–4,999 ms, a cap up to a minute above it, and any seed.
+fn arb_policy(rng: &mut SeededRng) -> BackoffPolicy {
+    let base_ms = rng.range(1u64..5_000);
+    let extra_ms = rng.range(1u64..60_000);
+    BackoffPolicy {
         base: Duration::from_millis(base_ms),
         // The cap is at least the base, so the envelope always has room.
         cap: Duration::from_millis(base_ms + extra_ms),
-        seed,
-    })
+        seed: rng.next_u64(),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every delay sits inside `[envelope/2, envelope]` and never exceeds
-    /// the cap; the pre-jitter envelope is monotone non-decreasing and
-    /// saturates exactly at the cap.
-    #[test]
-    fn delays_respect_the_envelope_and_the_cap(policy in arb_policy(), attempts in 1u32..64) {
+/// Every delay sits inside `[envelope/2, envelope]` and never exceeds
+/// the cap; the pre-jitter envelope is monotone non-decreasing and
+/// saturates exactly at the cap.
+#[test]
+fn delays_respect_the_envelope_and_the_cap() {
+    let mut rng = SeededRng::new(0xd37c_ee97_8999_b344);
+    for _ in 0..64 {
+        let policy = arb_policy(&mut rng);
+        let attempts = rng.range(1u32..64);
         let mut previous_envelope = Duration::ZERO;
         for n in 0..attempts {
             let envelope = policy.envelope(n);
-            prop_assert!(envelope <= policy.cap);
-            prop_assert!(envelope >= previous_envelope, "envelope must be monotone");
+            assert!(envelope <= policy.cap);
+            assert!(envelope >= previous_envelope, "envelope must be monotone");
             previous_envelope = envelope;
 
             let delay = policy.delay(n);
-            prop_assert!(delay <= envelope, "attempt {n}: {delay:?} > {envelope:?}");
-            prop_assert!(delay >= envelope / 2, "attempt {n}: {delay:?} below half envelope");
-            prop_assert!(delay <= policy.cap);
+            assert!(delay <= envelope, "attempt {n}: {delay:?} > {envelope:?}");
+            assert!(
+                delay >= envelope / 2,
+                "attempt {n}: {delay:?} below half envelope"
+            );
+            assert!(delay <= policy.cap);
         }
         // Enough doublings always reach the cap exactly.
-        prop_assert_eq!(policy.envelope(80), policy.cap);
+        assert_eq!(policy.envelope(80), policy.cap);
     }
+}
 
-    /// The schedule is a pure function of the policy: the same policy yields
-    /// a byte-identical schedule every time, and changing only the seed
-    /// yields a different one (jitter decorrelates distinct clients).
-    #[test]
-    fn schedules_are_seed_deterministic(policy in arb_policy(), attempts in 8u32..64) {
+/// The schedule is a pure function of the policy: the same policy yields
+/// a byte-identical schedule every time, and changing only the seed
+/// yields a different one (jitter decorrelates distinct clients).
+#[test]
+fn schedules_are_seed_deterministic() {
+    let mut rng = SeededRng::new(0xe04d_2204_c6d1_9d49);
+    for _ in 0..64 {
+        let policy = arb_policy(&mut rng);
+        let attempts = rng.range(8u32..64);
         let first = policy.schedule(attempts);
         let second = policy.schedule(attempts);
-        prop_assert_eq!(&first, &second, "same policy, same schedule");
-        prop_assert_eq!(first.len(), attempts as usize);
+        assert_eq!(&first, &second, "same policy, same schedule");
+        assert_eq!(first.len(), attempts as usize);
 
-        let reseeded = BackoffPolicy { seed: policy.seed.wrapping_add(1), ..policy };
+        let reseeded = BackoffPolicy {
+            seed: policy.seed.wrapping_add(1),
+            ..policy
+        };
         // With ≥ 8 jittered draws, two adjacent seeds colliding on every
         // draw would mean the mixer is broken.
-        prop_assert_ne!(first, reseeded.schedule(attempts));
+        assert_ne!(first, reseeded.schedule(attempts));
     }
 }
