@@ -18,6 +18,11 @@ use locater_store::EventStore;
 /// Builds a space with `num_aps` access points each covering `rooms_per_ap` rooms with
 /// one room of overlap, and marks every third room public.
 fn build_space(num_aps: usize, rooms_per_ap: usize) -> Space {
+    space_builder(num_aps, rooms_per_ap).build().unwrap()
+}
+
+/// The builder of [`build_space`]'s space, rooms named `r0`, `r1`, …
+fn space_builder(num_aps: usize, rooms_per_ap: usize) -> SpaceBuilder {
     let mut builder = SpaceBuilder::new("prop-space");
     let total_rooms = num_aps * (rooms_per_ap - 1) + 1;
     let names: Vec<String> = (0..total_rooms).map(|i| format!("r{i}")).collect();
@@ -32,7 +37,7 @@ fn build_space(num_aps: usize, rooms_per_ap: usize) -> Space {
             builder = builder.room_type(name, RoomType::Public);
         }
     }
-    builder.build().unwrap()
+    builder
 }
 
 /// One of the four weight combinations of Table 2.
@@ -43,21 +48,29 @@ fn arb_weights(rng: &mut SeededRng) -> RoomAffinityWeights {
 
 /// Room affinities always form a probability distribution over the candidate
 /// rooms, for any space shape, any device and any weight combination (§4.1).
+/// The device has a preferred room whenever the draw names one of the
+/// space's rooms; when that room is a candidate it gets the strictly largest
+/// affinity.
 #[test]
 fn room_affinities_are_a_distribution() {
     let mut rng = SeededRng::new(0x9ff7_ad66_73f1_abc9);
+    let mut preferred_candidates = 0;
     for _ in 0..48 {
         let num_aps = rng.range(2usize..6);
         let rooms_per_ap = rng.range(3usize..8);
         let weights = arb_weights(&mut rng);
         let preferred_room = rng.range(0usize..10);
         let region_idx = rng.range(0usize..6);
-        let space = build_space(num_aps, rooms_per_ap);
-        let mut store = EventStore::new(space);
+        let mut builder = space_builder(num_aps, rooms_per_ap);
+        let total_rooms = num_aps * (rooms_per_ap - 1) + 1;
+        let preferred_name = (preferred_room < total_rooms).then(|| format!("r{preferred_room}"));
+        if let Some(name) = &preferred_name {
+            builder = builder.preferred_room("probe", name);
+        }
+        let mut store = EventStore::new(builder.build().unwrap());
         store.ingest_raw("probe", 100, "wap0").unwrap();
         let device = store.device_id("probe").unwrap();
-        // Optionally give the device a preferred room via a second store with metadata.
-        let _ = preferred_room;
+        let preferred = preferred_name.and_then(|name| store.space().room_id(&name));
         let engine = AffinityEngine::new(&store, weights, 3_600);
         let region = locater_space::RegionId::new((region_idx % num_aps) as u32);
         let affinity = engine.room_affinities(device, region);
@@ -68,19 +81,31 @@ fn room_affinities_are_a_distribution() {
             affinity.rooms.len(),
             store.space().rooms_in_region(region).len()
         );
+        // The preferred room, when a candidate, outweighs every other one.
+        if let Some(room) = preferred.filter(|room| affinity.rooms.contains(room)) {
+            preferred_candidates += 1;
+            let others = affinity
+                .rooms
+                .iter()
+                .zip(&affinity.affinities)
+                .filter(|(r, _)| **r != room);
+            for (other, &a) in others {
+                assert!(affinity.of(room) > a, "{room:?} vs {other:?}");
+            }
+        }
         // Public rooms never get less affinity than non-preferred private rooms.
         let space = store.space();
-        let min_public = affinity
+        let not_preferred = affinity
             .rooms
             .iter()
             .zip(&affinity.affinities)
+            .filter(|(r, _)| Some(**r) != preferred);
+        let min_public = not_preferred
+            .clone()
             .filter(|(r, _)| space.is_public(**r))
             .map(|(_, a)| *a)
             .fold(f64::INFINITY, f64::min);
-        let max_private = affinity
-            .rooms
-            .iter()
-            .zip(&affinity.affinities)
+        let max_private = not_preferred
             .filter(|(r, _)| !space.is_public(**r))
             .map(|(_, a)| *a)
             .fold(0.0, f64::max);
@@ -88,6 +113,10 @@ fn room_affinities_are_a_distribution() {
             assert!(min_public >= max_private - 1e-12);
         }
     }
+    assert!(
+        preferred_candidates > 0,
+        "no case had a preferred candidate"
+    );
 }
 
 /// Device affinity is symmetric in its arguments, bounded to [0, 1], and zero for

@@ -21,7 +21,8 @@ pub enum LearnError {
         /// Number of classes of the dataset.
         num_classes: usize,
     },
-    /// Training diverged (non-finite loss), typically caused by non-finite features.
+    /// Training diverged (a non-finite class probability), typically caused by
+    /// non-finite features.
     Diverged,
 }
 
@@ -38,7 +39,7 @@ impl fmt::Display for LearnError {
             LearnError::InvalidLabel { label, num_classes } => {
                 write!(f, "label {label} out of range for {num_classes} classes")
             }
-            LearnError::Diverged => write!(f, "training diverged (non-finite loss)"),
+            LearnError::Diverged => write!(f, "training diverged (non-finite probability)"),
         }
     }
 }

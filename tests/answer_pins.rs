@@ -1,6 +1,8 @@
 //! Pinned answers: a fixed small-campus query set, answered through
 //! `ShardedLocaterService` in both fine modes (I-FINE, D-FINE) with the
-//! caching engine on and off, must hash to the constants below.
+//! caching engine on and off, must hash to the constants below. A second
+//! set, one query in the middle of each gap the duration thresholds leave
+//! ambiguous, pins the answers of the fitted classifiers.
 //!
 //! The hash is an FNV-1a over each answer's location, confidence bits and
 //! coarse method, in query order. With the cache off, `locate_batch` at one
@@ -9,6 +11,7 @@
 //! constant unchanged; a change that is meant to move answers updates them
 //! and says so.
 
+use locater::core::coarse::CoarseMethod;
 use locater::core::LocaterError;
 use locater::prelude::*;
 use locater::sim::generated_workload;
@@ -79,17 +82,23 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// The FNV of every answer, in query order, and how many answers name a room.
+fn names_a_room(answer: &Answer) -> bool {
+    answer.location.room().is_some()
+}
+
+/// The FNV of every answer, in query order, and how many answers `counted`
+/// holds for.
 fn answer_hash(
     answers: impl IntoIterator<Item = Result<LocateResponse, LocaterError>>,
+    counted: fn(&Answer) -> bool,
 ) -> (u64, usize) {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut rooms = 0usize;
+    let mut count = 0usize;
     for result in answers {
         let line = match result {
             Ok(response) => {
                 let answer = response.answer;
-                rooms += usize::from(answer.location.room().is_some());
+                count += usize::from(counted(&answer));
                 format!(
                     "{:?}|{:016x}|{:?}",
                     answer.location,
@@ -102,7 +111,7 @@ fn answer_hash(
         fnv1a(&mut hash, line.as_bytes());
         fnv1a(&mut hash, b"\n");
     }
-    (hash, rooms)
+    (hash, count)
 }
 
 #[test]
@@ -114,7 +123,10 @@ fn answers_are_pinned_in_both_fine_modes_with_and_without_the_cache() {
             .with_fine_mode(mode)
             .with_cache(cache);
         let service = ShardedLocaterService::new(store.clone(), config, 2);
-        measured.push(answer_hash(queries.iter().map(|q| service.locate(q))));
+        measured.push(answer_hash(
+            queries.iter().map(|q| service.locate(q)),
+            names_a_room,
+        ));
     }
     for ((mode, cache, fnv), &(got_fnv, got_rooms)) in PINS.iter().zip(&measured) {
         assert_eq!(
@@ -140,7 +152,7 @@ fn batch_answers_match_the_cache_off_pins() {
         let service = ShardedLocaterService::new(store.clone(), config, 2);
         for jobs in [1, 2] {
             assert_eq!(
-                answer_hash(service.locate_batch(&queries, jobs)),
+                answer_hash(service.locate_batch(&queries, jobs), names_a_room),
                 (fnv, ROOM_ANSWERS),
                 "{mode}: locate_batch with {jobs} job(s) answers unlike locate"
             );
@@ -182,4 +194,44 @@ fn baseline1_answers_are_pinned() {
         fnv1a(&mut hash, b"\n");
     }
     assert_eq!((hash, rooms), BASELINE1_PIN, "Baseline1's answers moved");
+}
+
+/// The mid-gap answers under the default configuration: the FNV and how
+/// many came from `CoarseMethod::Classifier`.
+const MID_GAP_PIN: (u64, usize) = (0x8c35_3df4_ee73_c355, 75);
+
+/// The midpoint of every gap (between two events' validity intervals) that
+/// lasts 20 to 180 minutes, the band between the default duration
+/// thresholds that the fitted classifiers decide, in device then time order;
+/// every `k`-th of them, so that at most 200 remain.
+fn mid_gap_queries(store: &EventStore) -> Vec<LocateRequest> {
+    let queries: Vec<LocateRequest> = store
+        .devices()
+        .iter()
+        .flat_map(|device| {
+            store
+                .gaps_of(device.id)
+                .into_iter()
+                .filter(|gap| (20 * 60..=180 * 60).contains(&gap.duration()))
+                .map(|gap| LocateRequest::by_mac(device.mac.as_str(), (gap.start + gap.end) / 2))
+        })
+        .collect();
+    let stride = queries.len().div_ceil(200).max(1);
+    queries.into_iter().step_by(stride).collect()
+}
+
+#[test]
+fn mid_gap_answers_pin_the_fitted_classifiers() {
+    let (store, _) = campus();
+    let queries = mid_gap_queries(&store);
+    let service = ShardedLocaterService::new(store, LocaterConfig::default(), 2);
+    let measured = answer_hash(queries.iter().map(|q| service.locate(q)), |answer| {
+        answer.coarse_method == CoarseMethod::Classifier
+    });
+    assert_eq!(
+        measured,
+        MID_GAP_PIN,
+        "mid-gap answers moved ({} queries, measured {measured:x?})",
+        queries.len()
+    );
 }
