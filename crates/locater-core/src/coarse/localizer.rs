@@ -15,16 +15,18 @@
 //! Fitting the per-device classifiers is the expensive part, and only step 3
 //! reads them: a [`DeviceCoarseModel`] is a `(device, history window)` pair whose
 //! classifiers are fitted the first time [`CoarseLocalizer::classify_with_model`]
-//! meets a gap the duration thresholds cannot decide. The service
-//! ([`crate::system::ShardedLocaterService`]) caches one model per device;
-//! [`CoarseLocalizer::train_device_model`] is the eager form.
+//! meets a gap the duration thresholds cannot decide. The window of a query is
+//! fixed by its time alone ([`CoarseConfig::model_window`]), so a model is a
+//! function of the device, the window's grid end and the device's events. The
+//! service ([`crate::system::ShardedLocaterService`]) caches one model per
+//! device; [`CoarseLocalizer::train_device_model`] is the eager form.
 
 use crate::coarse::bootstrap::{bootstrap_labels, BootstrapLabel};
 use crate::coarse::features::{connection_densities, GapFeatures};
 use crate::error::LocaterError;
 use locater_events::clock::{self, Timestamp};
 use locater_events::{DeviceId, Gap, Interval, StoredEvent};
-use locater_learn::{Dataset, SelfTrainingClassifier, SelfTrainingConfig};
+use locater_learn::{Dataset, LogisticRegression, SelfTrainingClassifier, SelfTrainingConfig};
 use locater_space::RegionId;
 use locater_store::EventRead;
 use serde::{Deserialize, Serialize};
@@ -55,6 +57,17 @@ pub struct CoarseConfig {
     pub max_training_gaps: usize,
     /// Configuration of the self-training loop (Algorithm 1).
     pub self_training: SelfTrainingConfig,
+}
+
+impl CoarseConfig {
+    /// The history window that classifies a gap query at `t_q`:
+    /// `[W − history, W)`, where `W` is `t_q` rounded down to a grid of one
+    /// week, or of `history` when that is shorter. Every query of a device in
+    /// one grid cell reads the same window, whichever query came first.
+    pub fn model_window(&self, t_q: Timestamp) -> Interval {
+        let end = t_q - t_q.rem_euclid(self.history.clamp(1, clock::weeks(1)));
+        Interval::new(end - self.history, end)
+    }
 }
 
 impl Default for CoarseConfig {
@@ -147,7 +160,8 @@ pub struct DeviceCoarseModel {
     pub device: DeviceId,
     /// History window the model is (to be) fitted on.
     pub history: Interval,
-    fitted: OnceLock<FittedModel>,
+    /// Boxed, so a model never fitted stays a few words.
+    fitted: OnceLock<Box<FittedModel>>,
 }
 
 impl DeviceCoarseModel {
@@ -157,13 +171,14 @@ impl DeviceCoarseModel {
     }
 }
 
-/// What only ambiguous gaps (and the region fallback of short ones) read.
+/// What only ambiguous gaps (and the region fallback of short ones) read: the
+/// classifiers Algorithm 1 ends with, without its per-sample labels.
 #[derive(Debug, Clone, PartialEq)]
 struct FittedModel {
     /// Inside/outside classifier (class 0 = inside, 1 = outside), if trainable.
-    building: Option<SelfTrainingClassifier>,
+    building: Option<LogisticRegression>,
     /// Region classifier and its class-index → region mapping, if trainable.
-    region: Option<(SelfTrainingClassifier, Vec<RegionId>)>,
+    region: Option<(LogisticRegression, Vec<RegionId>)>,
     /// The most frequently seen region in the history window (fallback label).
     dominant_region: Option<RegionId>,
 }
@@ -188,9 +203,11 @@ impl CoarseLocalizer {
         &self.config
     }
 
-    /// Full pipeline for one query: train (or retrain) the device model and classify.
-    /// Use [`CoarseLocalizer::train_device_model`] + [`CoarseLocalizer::classify_with_model`]
-    /// when issuing many queries against the same device.
+    /// Full pipeline for one query: the device model of the query's window
+    /// ([`CoarseConfig::model_window`]), fitted only if the gap needs it, and
+    /// its classification. Use [`CoarseLocalizer::train_device_model`] +
+    /// [`CoarseLocalizer::classify_with_model`] when issuing many queries
+    /// against the same device.
     pub fn localize(
         &self,
         store: &dyn EventRead,
@@ -204,7 +221,7 @@ impl CoarseLocalizer {
             ControlFlow::Continue(gap) => gap,
             ControlFlow::Break(certain) => return Ok(certain),
         };
-        let model = self.train_device_model(store, device, t_q);
+        let model = self.prepare_device_model(device, self.config.model_window(t_q).end);
         Ok(self.classify_with_model(store, &model, &gap))
     }
 
@@ -293,18 +310,26 @@ impl CoarseLocalizer {
     fn fitted<'m>(&self, store: &dyn EventRead, model: &'m DeviceCoarseModel) -> &'m FittedModel {
         model
             .fitted
-            .get_or_init(|| self.fit(store, model.device, model.history))
+            .get_or_init(|| Box::new(self.fit(store, model.device, model.history)))
+    }
+
+    /// What a fit over `history` is grown from: the device's events in the
+    /// window (one materialization, shared by the bootstrap heuristics and the
+    /// gap densities) and the newest `max_training_gaps` gaps overlapping it.
+    fn training_window(
+        &self,
+        store: &dyn EventRead,
+        device: DeviceId,
+        history: Interval,
+    ) -> (Vec<StoredEvent>, Vec<Gap>) {
+        let events = store.events_of_in(device, history).copied().collect();
+        let mut gaps = store.gaps_of_in(device, history);
+        gaps.drain(..gaps.len().saturating_sub(self.config.max_training_gaps));
+        (events, gaps)
     }
 
     fn fit(&self, store: &dyn EventRead, device: DeviceId, history: Interval) -> FittedModel {
-        // One materialization of the window, shared by the
-        // bootstrap heuristics and the gap densities below.
-        let events: Vec<StoredEvent> = store.events_of_in(device, history).copied().collect();
-        let mut gaps: Vec<Gap> = store.gaps_of_in(device, history);
-        if gaps.len() > self.config.max_training_gaps {
-            let skip = gaps.len() - self.config.max_training_gaps;
-            gaps.drain(..skip);
-        }
+        let (events, gaps) = self.training_window(store, device, history);
         let (labels, _) = bootstrap_labels(
             &gaps,
             &events,
@@ -345,7 +370,9 @@ impl CoarseLocalizer {
             }
         }
         let train = |labeled: &Dataset, unlabeled: &[Vec<f64>]| {
-            SelfTrainingClassifier::train(labeled, unlabeled, &self.config.self_training).ok()
+            SelfTrainingClassifier::train(labeled, unlabeled, &self.config.self_training)
+                .ok()
+                .map(SelfTrainingClassifier::into_model)
         };
         let building = building_labeled
             .has_multiple_classes()
@@ -408,7 +435,7 @@ impl CoarseLocalizer {
         let fitted = self.fitted(store, model);
         match &fitted.building {
             Some(classifier) => {
-                let prediction = classifier.model().predict(&features);
+                let prediction = classifier.predict(&features);
                 if prediction.label == 1 {
                     return CoarseOutcome {
                         label: CoarseLabel::Outside,
@@ -420,7 +447,7 @@ impl CoarseLocalizer {
                 // Inside: pick the region.
                 let (region, region_confidence) = match &fitted.region {
                     Some((clf, classes)) => {
-                        let p = clf.model().predict(&features);
+                        let p = clf.predict(&features);
                         (classes[p.label], p.confidence())
                     }
                     None => (self.heuristic_region(store, model, gap), 1.0),
@@ -527,6 +554,28 @@ mod tests {
     }
 
     #[test]
+    fn queries_in_one_grid_cell_share_a_window() {
+        let weekly = CoarseConfig::default();
+        let week_start = at(14, 0, 0, 0);
+        for t_q in [week_start, at(16, 12, 0, 0), at(21, 0, 0, 0) - 1] {
+            assert_eq!(
+                weekly.model_window(t_q),
+                Interval::new(week_start - clock::weeks(8), week_start)
+            );
+        }
+        assert_eq!(weekly.model_window(week_start - 1).end, at(7, 0, 0, 0));
+        // A history shorter than a week is its own grid.
+        let short = CoarseConfig {
+            history: 3_000,
+            ..CoarseConfig::default()
+        };
+        for t_q in [6_000, 8_999] {
+            assert_eq!(short.model_window(t_q), Interval::new(3_000, 6_000));
+        }
+        assert_eq!(short.model_window(-1), Interval::new(-6_000, -3_000));
+    }
+
+    #[test]
     fn covered_instant_needs_no_cleaning() {
         let store = predictable_store(2);
         let device = store.device_id("worker").unwrap();
@@ -591,7 +640,8 @@ mod tests {
         let device = store.device_id("worker").unwrap();
         let localizer = CoarseLocalizer::default();
         let t_q = at(39, 12, 30, 0);
-        let model = localizer.train_device_model(&store, device, t_q);
+        let until = localizer.config().model_window(t_q).end;
+        let model = localizer.train_device_model(&store, device, until);
         assert!(model.is_fitted());
         let gap = store.gap_at(device, t_q).unwrap();
         let from_model = localizer.classify_with_model(&store, &model, &gap);
@@ -646,11 +696,19 @@ mod tests {
         store
     }
 
-    /// Number of gaps the model's building classifier was grown from.
-    fn training_gaps(model: &DeviceCoarseModel) -> usize {
-        let fitted = model.fitted.get().expect("fitted");
-        let building = fitted.building.as_ref().expect("two classes");
-        building.report().initially_labeled + building.assigned_labels().len()
+    /// Number of gaps a fit of `model` is grown from: each one is a row of
+    /// the building classifier's data, labelled or not.
+    fn training_gaps(
+        localizer: &CoarseLocalizer,
+        store: &EventStore,
+        model: &DeviceCoarseModel,
+    ) -> usize {
+        let fitted = localizer.fitted(store, model);
+        assert!(fitted.building.is_some(), "two classes");
+        localizer
+            .training_window(store, model.device, model.history)
+            .1
+            .len()
     }
 
     #[test]
@@ -666,9 +724,11 @@ mod tests {
             ..CoarseConfig::default()
         });
         let t_q = at(55, 12, 0, 0);
-        let short_model = short.train_device_model(&store, device, t_q);
-        let long_model = long.train_device_model(&store, device, t_q);
-        assert!(training_gaps(&long_model) > training_gaps(&short_model));
+        let short_model = short.prepare_device_model(device, t_q);
+        let long_model = long.prepare_device_model(device, t_q);
+        assert!(
+            training_gaps(&long, &store, &long_model) > training_gaps(&short, &store, &short_model)
+        );
     }
 
     #[test]
@@ -679,8 +739,8 @@ mod tests {
             max_training_gaps: 10,
             ..CoarseConfig::default()
         });
-        let model = capped.train_device_model(&store, device, at(55, 12, 0, 0));
-        assert_eq!(training_gaps(&model), 10);
+        let model = capped.prepare_device_model(device, at(55, 12, 0, 0));
+        assert_eq!(training_gaps(&capped, &store, &model), 10);
     }
 
     /// A store view that counts the gap scans of model fits (`fit` is the only

@@ -4,21 +4,20 @@
 //!
 //! The engine itself is stateless — configuration plus the two localizers.
 //! The state a query reads and warms (per-device coarse models, affinity
-//! edges) is handed in by the caller, because *where it lives* is the only
-//! thing the callers differ in: the live service passes the queried device's
-//! home-shard model map and a plan closure that read-locks the service's one
-//! affinity graph for the plan alone; the batch workers ([`super::batch`])
-//! pass a worker-local model map and a plan closure over the graph their
-//! batch holds read-locked throughout.
+//! edges) is handed in by the caller. Every caller passes the queried
+//! device's home-shard model map; they differ in the plan closure: the live
+//! service read-locks the service's one affinity graph for the plan alone,
+//! the batch workers ([`super::batch`]) plan over the graph their batch holds
+//! read-locked throughout.
 
 use super::epoch::{EpochRead, ModelEntry};
 use super::request::LocateRequest;
 use super::{assemble_answer, Answer, CacheMode, LocaterConfig, QueryDiagnostics};
 use crate::cache::FinePlan;
-use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseOutcome, DeviceCoarseModel};
+use crate::coarse::{CoarseLabel, CoarseLocalizer, CoarseOutcome};
 use crate::error::LocaterError;
 use crate::fine::{FineConfig, FineLocalizer, FineOutcome};
-use locater_events::clock::{self, Timestamp};
+use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use locater_space::RegionId;
 use locater_store::EventRead;
@@ -36,8 +35,8 @@ pub(crate) fn relock<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Per-device coarse models, epoch-stamped: one map per shard (the models of
-/// the devices it owns) or per batch worker.
+/// Per-device coarse models, epoch-stamped: one map per shard, holding the
+/// models of the devices it owns.
 pub(crate) type ModelCache = RwLock<HashMap<DeviceId, ModelEntry>>;
 
 /// The stateless half of the service: the configuration and the two
@@ -147,10 +146,14 @@ impl Engine {
     }
 
     /// Runs the coarse step, reusing the cached per-device model when it is
-    /// still epoch-live and covers the query time. Returns the outcome and
-    /// whether a cached model was reused; an outcome that carries a gap and
-    /// did not reuse a model cached a new one (a window — its classifiers are
-    /// fitted by the first gap the duration thresholds leave undecided).
+    /// epoch-live and its window is the query's
+    /// ([`CoarseConfig::model_window`](crate::coarse::CoarseConfig::model_window)).
+    /// Returns the outcome and whether a cached model was reused. On a miss
+    /// the new model (a window — its classifiers are fitted by the first gap
+    /// the duration thresholds leave undecided) replaces the entry unless it
+    /// stayed unfitted and the entry is a live fitted model: two models of
+    /// one window are equal, so which one is kept moves no answer, and a
+    /// placeholder never throws a fit away.
     ///
     /// The map lock is held only to look an entry up or to insert one;
     /// classification, and with it any fit, runs on the `Arc` taken out of
@@ -168,29 +171,25 @@ impl Engine {
             ControlFlow::Break(certain) => return (certain, false),
         };
         let epoch = epochs.epoch_of(device);
+        let window = self.coarse.config().model_window(t_q);
         let cached = relock(models.read())
             .get(&device)
-            .filter(|entry| entry.epoch == epoch && Self::model_covers(&entry.model, t_q))
+            .filter(|entry| entry.epoch == epoch && entry.model.history == window)
             .map(|entry| Arc::clone(&entry.model));
         if let Some(model) = cached {
             return (self.coarse.classify_with_model(store, &model, &gap), true);
         }
         // Classify with the model just made — never a re-read of the shared
-        // map, which a concurrent query for the same device at a different
-        // time could have overwritten with a model that does not cover `t_q`.
-        let model = Arc::new(self.coarse.prepare_device_model(device, t_q));
+        // map, which a concurrent query for the same device in another grid
+        // cell could have overwritten with a model of another window.
+        let model = Arc::new(self.coarse.prepare_device_model(device, window.end));
         let outcome = self.coarse.classify_with_model(store, &model, &gap);
-        relock(models.write()).insert(device, ModelEntry { model, epoch });
+        let mut map = relock(models.write());
+        let keep = |entry: &ModelEntry| entry.epoch == epoch && entry.model.is_fitted();
+        if model.is_fitted() || !map.get(&device).is_some_and(keep) {
+            map.insert(device, ModelEntry { model, epoch });
+        }
         (outcome, false)
-    }
-
-    /// `true` if a cached model is still valid for a query at `t_q` (time
-    /// coverage only; epoch liveness is checked by the caller).
-    fn model_covers(model: &DeviceCoarseModel, t_q: Timestamp) -> bool {
-        /// A cached model is reused for queries up to this long after the end
-        /// of the window it was trained on.
-        const MODEL_REFRESH_SLACK: Timestamp = clock::days(7);
-        t_q >= model.history.start && t_q <= model.history.end + MODEL_REFRESH_SLACK
     }
 
     /// Runs the fine step. The neighbor scan (a store read that needs no

@@ -96,7 +96,7 @@ impl EpochTable {
 
 /// A cached per-device coarse model plus the device epoch it was cached at.
 /// The model sits behind an `Arc` so a reader can take it out of the map and
-/// fit it with no map lock held, and so a batch's seeds share that fit.
+/// fit it with no map lock held, and racing readers share that fit.
 #[derive(Debug, Clone)]
 pub struct ModelEntry {
     /// The model: a history window, fitted on first ambiguous use.

@@ -20,9 +20,10 @@
 //! and the **caching engine** ([`crate::cache`]) persists the pairwise affinities
 //! computed for the answer into the global affinity graph and uses it to order
 //! neighbor processing for subsequent queries. Per-device coarse models are
-//! trained lazily and cached; they are refreshed when a query falls outside the
-//! window the model was trained for — or when ingestion bumps the device's
-//! epoch ([`epoch`]). One function sequences those steps for every caller
+//! trained lazily and cached; a query's model window is fixed by its time
+//! alone (rounded down to a week), and a cached model is replaced when a query
+//! needs another window — or when ingestion bumps the device's epoch
+//! ([`epoch`]). One function sequences those steps for every caller
 //! (`engine::Engine::locate_detailed`).
 
 pub mod batch;

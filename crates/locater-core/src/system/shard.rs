@@ -68,7 +68,6 @@ use locater_store::{
     ShardWal, ShardedRead, StorageIo, StoreError, WalError, WalRecord, WalShardStats,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -600,11 +599,11 @@ impl ShardedLocaterService {
     /// (see [`super::batch`]): requests are grouped by device, `jobs`
     /// workers (the calling thread is one) claim device groups as they free
     /// up, and every group is answered under one read guard of the affinity
-    /// graph; after the workers join, the guard is dropped and the results
-    /// merge back — edges into the graph in query order, models to their
-    /// devices' home shards. Responses are identical for every
-    /// `jobs` value **and every shard count**, in request order; per-request
-    /// overrides are honored; batch responses carry no diagnostics.
+    /// graph and with its device's live home-shard model map; after the
+    /// workers join, the guard is dropped and the edges merge into the graph
+    /// in query order. Responses are identical for every `jobs` value **and
+    /// every shard count**, in request order; per-request overrides are
+    /// honored; batch responses carry no diagnostics.
     pub fn locate_batch(
         &self,
         requests: &[LocateRequest],
@@ -620,28 +619,15 @@ impl ShardedLocaterService {
                 })
                 .collect();
 
-            // Epoch-live model seeds come from each device's home shard.
-            let mut seeds: HashMap<DeviceId, ModelEntry> = HashMap::new();
-            for &device in items.iter().filter_map(|item| item.device.as_ref().ok()) {
-                if seeds.contains_key(&device) {
-                    continue;
-                }
-                let models = relock(self.shards[self.home_shard(device)].models.read());
-                if let Some(entry) = models.get(&device) {
-                    if entry.epoch == epochs.epoch_of(device) {
-                        seeds.insert(device, entry.clone());
-                    }
-                }
-            }
-
             // The read guard must be gone before the merge below takes the
             // write lock on the same graph.
+            let models_of = |device| &self.shards[self.home_shard(device)].models;
             let graph = relock(self.cache.read());
-            let outcome = batch::run_batch(&self.engine, view, epochs, &items, jobs, seeds, &graph);
+            let outcome =
+                batch::run_batch(&self.engine, view, epochs, &items, jobs, &models_of, &graph);
             drop(graph);
 
-            // Post-join merge: contributions in query order, trained models
-            // to their devices' home shards.
+            // Post-join merge: contributions in query order.
             if !outcome.contributions.is_empty() {
                 let mut graph = relock(self.cache.write());
                 for contribution in &outcome.contributions {
@@ -652,9 +638,6 @@ impl ShardedLocaterService {
                         epochs,
                     );
                 }
-            }
-            for (device, entry) in outcome.trained {
-                relock(self.shards[self.home_shard(device)].models.write()).insert(device, entry);
             }
 
             let events_seen = view.num_events();
@@ -1058,6 +1041,7 @@ mod tests {
         overnight_query_is_outside,
         out_of_span_query_is_outside,
         coarse_models_are_cached_and_reused,
+        a_placeholder_never_displaces_a_fitted_model,
         caching_engine_accumulates_edges_across_queries,
         disabled_cache_never_stores_affinities,
         configured_modes_answer,
@@ -1182,6 +1166,38 @@ mod tests {
         }
     }
 
+    fn a_placeholder_never_displaces_a_fitted_model(shards: usize) {
+        let service = three_team_service(shards);
+        let erin = service.device_id("erin").unwrap();
+        let locate = |t| {
+            service
+                .locate(&LocateRequest::by_mac("erin", t).with_diagnostics())
+                .unwrap()
+                .diagnostics
+                .unwrap()
+        };
+        let cached = || {
+            let entry = service.cached_model(erin).expect("cached");
+            (entry.model.history.end, entry.model.is_fitted())
+        };
+        // Erin's silent lunch of the fourth week: the classifiers decide it,
+        // with the window that ends at the start of that week.
+        let lunch = clock::at(22, 12, 0, 0);
+        assert_eq!(locate(lunch).coarse.method, CoarseMethod::Classifier);
+        assert_eq!(cached(), (clock::days(21), true));
+        // A night of the third week misses (another window) and is decided by
+        // duration: its unfitted model does not replace the fitted one.
+        let night = locate(clock::at(15, 3, 0, 0));
+        assert_eq!(night.coarse.method, CoarseMethod::BootstrapHeuristic);
+        assert!(!night.coarse_model_reused);
+        assert_eq!(cached(), (clock::days(21), true));
+        assert!(locate(lunch + 60).coarse_model_reused);
+        // One that does fit replaces it.
+        let earlier_lunch = locate(clock::at(15, 12, 0, 0));
+        assert_eq!(earlier_lunch.coarse.method, CoarseMethod::Classifier);
+        assert_eq!(cached(), (clock::days(14), true));
+    }
+
     fn caching_engine_accumulates_edges_across_queries(shards: usize) {
         let service = office_service(3, LocaterConfig::default(), shards);
         assert_eq!(service.cache_stats(), (0, 0));
@@ -1288,8 +1304,8 @@ mod tests {
         );
         assert!(samples >= 1);
 
-        // A batch of gap queries trains alice's model; the write-back makes
-        // the next single query reuse it.
+        // A batch gap query caches alice's model in the live map, so the next
+        // single query in the same grid cell reuses it.
         let gap = clock::at(15, 9, 20, 10);
         service.locate_batch(&[LocateRequest::by_mac("alice", gap)], 2);
         let diagnostics = service
@@ -1350,8 +1366,9 @@ mod tests {
     }
 
     fn consecutive_locate_batches_are_identical_across_job_counts(shards: usize) {
-        // The second call reads the models and edges the first merged, so a
-        // write-back that depends on which thread answered shows up there.
+        // The second call reads the models the first cached and the edges it
+        // merged, so a cache state that depends on which thread answered
+        // shows up there.
         let (first, second) = (skewed_requests(0), skewed_requests(60));
         let run = |jobs: usize| {
             let service = three_team_service(shards);

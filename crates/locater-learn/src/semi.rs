@@ -137,6 +137,12 @@ impl SelfTrainingClassifier {
         &self.model
     }
 
+    /// The classifier trained in the final round, without the per-sample
+    /// labels and the report: all a caller that only predicts needs to keep.
+    pub fn into_model(self) -> LogisticRegression {
+        self.model
+    }
+
     /// Labels assigned to the initially unlabelled samples, in their original order;
     /// `None` for a sample `max_rounds` ended the loop before promoting.
     pub fn assigned_labels(&self) -> &[Option<usize>] {
@@ -344,6 +350,11 @@ mod tests {
             assert_eq!(clf.assigned_labels(), &assigned[..], "{case}");
             assert_eq!(
                 parameter_bits(clf.model()),
+                parameter_bits(&model),
+                "{case}"
+            );
+            assert_eq!(
+                parameter_bits(&clf.clone().into_model()),
                 parameter_bits(&model),
                 "{case}"
             );

@@ -6,7 +6,8 @@
 //!
 //! The hash is an FNV-1a over each answer's location, confidence bits and
 //! coarse method, in query order. With the cache off, `locate_batch` at one
-//! and two jobs must hash to the same pins as `locate`. A
+//! and two jobs must hash to the same pins as `locate`, and no answer of
+//! either set may depend on the queries answered before it. A
 //! behaviour-preserving refactor of the coarse or fine step leaves every
 //! constant unchanged; a change that is meant to move answers updates them
 //! and says so.
@@ -21,22 +22,22 @@ const PINS: [(FineMode, CacheMode, u64); 4] = [
     (
         FineMode::Independent,
         CacheMode::Enabled,
-        0x1e8f_81cf_ddd5_17ce,
+        0x2be3_1c2c_821e_70c6,
     ),
     (
         FineMode::Independent,
         CacheMode::Disabled,
-        0xcbb6_d9dc_6c94_f18f,
+        0x3010_0e87_b3c9_d7da,
     ),
     (
         FineMode::Dependent,
         CacheMode::Enabled,
-        0x1792_33c1_52cb_a9fe,
+        0x1e4d_c694_2820_9930,
     ),
     (
         FineMode::Dependent,
         CacheMode::Disabled,
-        0x0e8a_74d9_2d16_a088,
+        0x6555_43ab_235c_88b5,
     ),
 ];
 
@@ -86,6 +87,23 @@ fn names_a_room(answer: &Answer) -> bool {
     answer.location.room().is_some()
 }
 
+/// What the hash reads of one answer: its location, confidence bits and
+/// coarse method, or the error.
+fn answer_line(result: &Result<LocateResponse, LocaterError>) -> String {
+    match result {
+        Ok(response) => {
+            let answer = &response.answer;
+            format!(
+                "{:?}|{:016x}|{:?}",
+                answer.location,
+                answer.confidence.to_bits(),
+                answer.coarse_method
+            )
+        }
+        Err(err) => format!("error: {err}"),
+    }
+}
+
 /// The FNV of every answer, in query order, and how many answers `counted`
 /// holds for.
 fn answer_hash(
@@ -95,20 +113,10 @@ fn answer_hash(
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut count = 0usize;
     for result in answers {
-        let line = match result {
-            Ok(response) => {
-                let answer = response.answer;
-                count += usize::from(counted(&answer));
-                format!(
-                    "{:?}|{:016x}|{:?}",
-                    answer.location,
-                    answer.confidence.to_bits(),
-                    answer.coarse_method
-                )
-            }
-            Err(err) => format!("error: {err}"),
-        };
-        fnv1a(&mut hash, line.as_bytes());
+        if let Ok(response) = &result {
+            count += usize::from(counted(&response.answer));
+        }
+        fnv1a(&mut hash, answer_line(&result).as_bytes());
         fnv1a(&mut hash, b"\n");
     }
     (hash, count)
@@ -139,8 +147,9 @@ fn answers_are_pinned_in_both_fine_modes_with_and_without_the_cache() {
 
 #[test]
 fn batch_answers_match_the_cache_off_pins() {
-    // With the cache off no answer depends on query history, so
-    // `locate_batch` answers like `locate`, for every job count.
+    // With the cache off `locate_batch` answers like `locate`, for every job
+    // count: a coarse model is a function of its device, its query's grid
+    // window and the device's events (`answers_do_not_depend_on_query_history`).
     let (store, queries) = campus();
     for (mode, cache, fnv) in PINS {
         if cache != CacheMode::Disabled {
@@ -198,7 +207,7 @@ fn baseline1_answers_are_pinned() {
 
 /// The mid-gap answers under the default configuration: the FNV and how
 /// many came from `CoarseMethod::Classifier`.
-const MID_GAP_PIN: (u64, usize) = (0x8c35_3df4_ee73_c355, 75);
+const MID_GAP_PIN: (u64, usize) = (0x1738_404b_91ff_3597, 54);
 
 /// The midpoint of every gap (between two events' validity intervals) that
 /// lasts 20 to 180 minutes, the band between the default duration
@@ -234,4 +243,61 @@ fn mid_gap_answers_pin_the_fitted_classifiers() {
         "mid-gap answers moved ({} queries, measured {measured:x?})",
         queries.len()
     );
+}
+
+/// With the affinity cache off, no answer depends on the queries answered
+/// before it: a coarse model is a function of its device, its query's grid
+/// window and the device's events, whichever query cached or fitted it. Five
+/// runs over the pinned and the mid-gap queries agree bit for bit in both
+/// fine modes: a forward `locate` pass; a reversed one; a fresh service per
+/// query; `locate_batch` at one job after the forward pass, and at two jobs
+/// after that.
+#[test]
+fn answers_do_not_depend_on_query_history() {
+    let (store, pinned) = campus();
+    let mid_gap = mid_gap_queries(&store);
+    let lines = |answers: Vec<Result<LocateResponse, LocaterError>>| -> Vec<String> {
+        answers.iter().map(answer_line).collect()
+    };
+    for mode in [FineMode::Independent, FineMode::Dependent] {
+        let config = LocaterConfig::default()
+            .with_fine_mode(mode)
+            .with_cache(CacheMode::Disabled);
+        let service = || ShardedLocaterService::new(store.clone(), config, 2);
+        for (set, queries) in [("pinned", &pinned), ("mid-gap", &mid_gap)] {
+            let forward_service = service();
+            let forward = lines(queries.iter().map(|q| forward_service.locate(q)).collect());
+            let reversed_service = service();
+            let mut reversed = lines(
+                queries
+                    .iter()
+                    .rev()
+                    .map(|q| reversed_service.locate(q))
+                    .collect(),
+            );
+            reversed.reverse();
+            let fresh = lines(queries.iter().map(|q| service().locate(q)).collect());
+            let runs = [
+                ("a reversed pass", reversed),
+                ("a fresh service per query", fresh),
+                (
+                    "locate_batch at 1 job",
+                    lines(forward_service.locate_batch(queries, 1)),
+                ),
+                (
+                    "locate_batch at 2 jobs",
+                    lines(forward_service.locate_batch(queries, 2)),
+                ),
+            ];
+            for (run, answers) in runs {
+                let differ = forward.iter().zip(&answers).filter(|(a, b)| a != b).count();
+                assert_eq!(
+                    differ,
+                    0,
+                    "{mode}, {set} queries: {run} answers {differ} of {} unlike a forward pass",
+                    queries.len()
+                );
+            }
+        }
+    }
 }

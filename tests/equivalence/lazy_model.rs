@@ -11,10 +11,11 @@
 //!
 //! That eager service is not a second implementation: it is the same service
 //! with `fit_pending_models(i64::MAX)` called after every operation — the
-//! twin of the shared harness in `support/twin.rs`, which also checks that
-//! every model the lazy side fitted holds the twin's classifiers. Every run
-//! of every covering row holds fitted and unfitted lazy models at its
-//! checks.
+//! twin of the shared harness in `support/twin.rs`, which also checks that a
+//! model the lazy side fitted holds the twin's classifiers wherever both
+//! sides hold a model of the same window (a lazy miss that fits nothing may
+//! cache a newer window where the twin keeps its fitted one). Every run of
+//! every covering row holds fitted and unfitted lazy models at its checks.
 
 use crate::support::{fixture, twin};
 use locater::prelude::*;
@@ -42,17 +43,18 @@ fn compaction_fits_a_pending_model_before_evicting_its_inputs() {
     config.coarse.tau_high = 3_000;
     config.coarse.region_tau_low = 300;
     config.coarse.region_tau_high = 600;
+    // The model grid is the history: queries in [40 000, 80 000) are
+    // classified by the window [0, 40 000).
     config.coarse.history = 40_000;
     config.fine.affinity_window = 2_000;
     let service = || {
         let store = EventStore::new(fixture::space());
         let service = ShardedLocaterService::new(store, config, 2);
-        // Below 9 000: two inside gaps and an outside one, the bulk of what a
-        // window ending at 14 000 is fitted on. From 9 000: one ambiguous and
-        // one outside gap (a single class: not enough to fit on).
-        for t in [
-            1_000, 2_400, 3_800, 8_300, 9_700, 11_700, 16_300, 17_700, 19_700, 21_100,
-        ] {
+        // Below 9 000: two inside gaps and an outside one, the bulk of what
+        // the window is fitted on. From 9 000: one ambiguous and one outside
+        // gap (a single class: not enough to fit on). Then the two gaps the
+        // queries fall in.
+        for t in [1_000, 2_400, 3_800, 8_300, 9_700, 11_700, 41_000, 42_700] {
             service.ingest("d", t, "wap0").unwrap();
         }
         service
@@ -71,8 +73,8 @@ fn compaction_fits_a_pending_model_before_evicting_its_inputs() {
         entry.model.is_fitted()
     };
 
-    // 14 000 lies in the outside gap [12 300, 15 700): decided by duration.
-    assert_eq!(bytes(&compacted, 14_000), bytes(&reference, 14_000));
+    // 40 000 lies in the outside gap [12 300, 40 400): decided by duration.
+    assert_eq!(bytes(&compacted, 40_000), bytes(&reference, 40_000));
     assert!(!is_fitted(&compacted) && !is_fitted(&reference));
 
     let status = compacted.compact(Cut::Horizon(9_000), None).unwrap();
@@ -80,10 +82,10 @@ fn compaction_fits_a_pending_model_before_evicting_its_inputs() {
     assert!(is_fitted(&compacted), "fitted ahead of the eviction");
     assert!(!is_fitted(&reference));
 
-    // 18 700 lies in the ambiguous gap [18 300, 19 100), covered by the entry
-    // the first query cached.
+    // 41 850 lies in the ambiguous gap [41 600, 42 100), in the grid cell of
+    // the entry the first query cached.
     let response = compacted
-        .locate(&LocateRequest::by_mac("d", 18_700).with_diagnostics())
+        .locate(&LocateRequest::by_mac("d", 41_850).with_diagnostics())
         .unwrap();
     let diagnostics = response.diagnostics.expect("asked for");
     assert!(diagnostics.coarse_model_reused);
@@ -91,6 +93,6 @@ fn compaction_fits_a_pending_model_before_evicting_its_inputs() {
         diagnostics.coarse.method,
         locater::core::coarse::CoarseMethod::Classifier
     );
-    assert_eq!(bytes(&compacted, 18_700), bytes(&reference, 18_700));
+    assert_eq!(bytes(&compacted, 41_850), bytes(&reference, 41_850));
     assert!(is_fitted(&reference));
 }

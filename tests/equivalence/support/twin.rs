@@ -39,6 +39,7 @@
 
 use super::lcg::Lcg;
 use super::scratch::scratch;
+use locater::core::coarse::CoarseConfig;
 use locater::core::LocaterError;
 use locater::events::clock;
 use locater::prelude::*;
@@ -156,7 +157,8 @@ pub struct Tally {
     pub evicting: usize,
     /// Late ingests acked below the last cut.
     pub below_cut: usize,
-    /// Lazy models the subject held fitted / unfitted, summed over checks.
+    /// Lazy models the subject held fitted (and checked against the twin's
+    /// model of the same window) / unfitted, summed over checks.
     pub fitted: usize,
     pub unfitted: usize,
     pub crashes: usize,
@@ -197,26 +199,33 @@ pub fn check(row: usize) {
 /// shorter, so compaction meets model windows on both sides of its cut.
 const RETAIN: i64 = clock::days(6);
 /// Coarse history and fine affinity window of the subjects.
-const HISTORY: i64 = clock::days(4);
+const HISTORY: i64 = clock::days(2);
 /// The upper clamp of the δ estimate (`locater_events::validity`).
 const DELTA_MAX: i64 = 1_800;
 const STEPS: usize = 240;
 
 /// `true` when a probe of a device with event times `times` at `t` is inside
-/// the compaction contract for `cut` under a consulted window of `history`:
-/// the whole window, padded by δ, clears the cut, and so do the event that
-/// opens the gap holding `t` and the one before the window, which the coarse
-/// gap scan reads. A device returning from an absence that reaches below the
-/// cut is out of scope.
+/// the compaction contract for `cut` under a coarse history and fine
+/// affinity window of `history`: the whole consulted window — from the start
+/// of the coarse model's window (`CoarseConfig::model_window`, which ends at
+/// or before `t`) to `t` — padded by δ, clears the cut, and so do the event
+/// that opens the gap holding `t` and the one before the window, which the
+/// coarse gap scan reads. A device returning from an absence that reaches
+/// below the cut is out of scope.
 pub fn in_scope(times: &[i64], t: i64, cut: i64, history: i64) -> bool {
-    if t - history - DELTA_MAX < cut {
+    let coarse = CoarseConfig {
+        history,
+        ..CoarseConfig::default()
+    };
+    let start = coarse.model_window(t).start;
+    if start - DELTA_MAX < cut {
         return false;
     }
     let at = times.partition_point(|&x| x <= t);
     if at == 0 || times[at - 1] < cut {
         return false; // the gap containing t is left-bounded below the cut
     }
-    let before_window = times.partition_point(|&x| x <= t - history + DELTA_MAX);
+    let before_window = times.partition_point(|&x| x <= start + DELTA_MAX);
     before_window == 0 || times[before_window - 1] >= cut
 }
 
@@ -748,9 +757,12 @@ fn run(row: usize) -> Tally {
     tally
 }
 
-/// Every model the lazy subject holds is the one its eager twin holds, and
-/// one it fitted holds the twin's classifiers. Counts the fitted and the
-/// unfitted ones in `tally`.
+/// Every model the lazy subject holds was cached at the epoch of its eager
+/// twin's: both cache a model on the same misses of an empty or stale slot.
+/// Their windows may differ, because a miss that fits nothing keeps a live
+/// fitted model, and the twin's live models are all fitted. Where the
+/// windows agree, a model the subject fitted holds the twin's classifiers.
+/// Counts those fitted models and the unfitted ones in `tally`.
 fn compare_models(
     subject: &Subject,
     reference: &ShardedLocaterService,
@@ -762,19 +774,15 @@ fn compare_models(
         let lazy = subject.service().cached_model(device.id);
         match (lazy, reference.cached_model(device.id)) {
             (Some(a), Some(b)) => {
-                assert_eq!(
-                    (a.epoch, a.model.history),
-                    (b.epoch, b.model.history),
-                    "{ctx}"
-                );
-                if a.model.is_fitted() {
+                assert_eq!(a.epoch, b.epoch, "{ctx}");
+                if !a.model.is_fitted() {
+                    tally.unfitted += 1;
+                } else if a.model.history == b.model.history {
                     tally.fitted += 1;
                     assert!(
                         *a.model == *b.model,
                         "{ctx}: lazily fitted classifiers differ"
                     );
-                } else {
-                    tally.unfitted += 1;
                 }
             }
             (a, b) => assert!(a.is_none() && b.is_none(), "{ctx}: one side cached a model"),
