@@ -45,7 +45,7 @@ fn stamp_of(key: (DeviceId, DeviceId), epochs: &dyn EpochRead) -> (u64, u64) {
 }
 
 /// Upper bound on the number of samples kept per edge (oldest evicted first).
-const MAX_SAMPLES_PER_EDGE: usize = 64;
+pub(crate) const MAX_SAMPLES_PER_EDGE: usize = 64;
 
 /// Standard deviation, in seconds, of the temporal weighting kernel: one day.
 /// The paper uses a unit-variance normal; on our integer-second timeline a

@@ -1,46 +1,40 @@
-//! The deterministic batch pipeline behind
-//! [`ShardedLocaterService::locate_batch`](super::ShardedLocaterService::locate_batch).
+//! The parallel map behind every query of
+//! [`ShardedLocaterService`](super::ShardedLocaterService): `locate` and
+//! `locate_coarse` run it with one item, `locate_batch` with many.
 //!
-//! The pipeline is built for determinism: results are **identical for every
-//! `jobs` value** (including the sequential `jobs = 1` path) and are returned
-//! in query order. Two properties make that hold:
+//! Each resolved item is answered once, through [`Engine::locate_detailed`],
+//! and its answer and diagnostics go into the item's own slot, so the results
+//! come back in request order however the work was split. Unresolvable items
+//! error in place and never reach a worker.
 //!
-//! 1. every query is answered against the same state of the global affinity
-//!    graph (the caller holds the service's one graph read-locked for the
-//!    whole run), so no worker observes another worker's cache warming —
-//!    and, unlike per-query `locate` loops, no query observes warming from
-//!    *earlier batch queries* either;
-//! 2. the worker-local affinity contributions are handed back in ascending
-//!    query order (`BatchOutcome::contributions`) and the caller applies
-//!    them to the graph only after all workers join and it has dropped its
-//!    read guard.
+//! Items are split into one run per device (in request order within a run),
+//! so one device's queries share its model. Workers claim runs from one
+//! shared atomic index over the runs sorted by decreasing length (ties by
+//! device id): the longest runs start first, and a worker that drew cheap
+//! devices takes more. With one worker the map runs on the calling thread and
+//! spawns nothing.
 //!
-//! Coarse models need no such care: a model is a function of the device, its
-//! query's grid window and the device's events, so workers read and write the
-//! live model maps of the devices' home shards, as `locate` does.
-//!
-//! Queries are grouped by device, so one device's queries share its model.
-//! Workers claim device groups as they free up, from one shared atomic index
-//! over the groups sorted by decreasing query count (ties by device id): the
-//! largest groups start first, and a worker that drew cheap devices takes
-//! more. The calling thread is one of the `jobs` workers, so `jobs = 1`
-//! spawns no thread.
+//! Results are identical for every `jobs` value. Coarse models are a function
+//! of the device, its query's grid window and the device's events, so workers
+//! share the live model maps of the devices' home shards. The affinity graph
+//! is only read here, through the caller's `plan`: `locate_batch` plans every
+//! item over one read guard held for the whole run, and the caller merges the
+//! fine steps' contributions into the graph afterwards, in request order.
 
 use super::engine::{Effective, Engine, ModelCache};
 use super::epoch::EpochRead;
-use super::{Answer, CacheMode};
-use crate::cache::GlobalAffinityGraph;
+use super::{Answer, QueryDiagnostics};
+use crate::cache::FinePlan;
 use crate::error::LocaterError;
-use crate::fine::NeighborContribution;
 use locater_events::clock::Timestamp;
 use locater_events::DeviceId;
 use locater_store::EventRead;
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// One batch entry: the query time, the resolved device (or the error to
-/// report in place), and the per-request effective engine view.
+/// One query: the query time, the resolved device (or the error to report in
+/// place), and the per-request effective engine view.
 #[derive(Debug)]
 pub(crate) struct BatchItem {
     pub(crate) t: Timestamp,
@@ -48,50 +42,19 @@ pub(crate) struct BatchItem {
     pub(crate) eff: Effective,
 }
 
-/// The local affinity graph of one batch-answered query, queued for the
-/// post-join merge into the global affinity graph.
-#[derive(Debug, Clone)]
-pub(crate) struct BatchContribution {
-    query_index: usize,
-    pub(crate) device: DeviceId,
-    pub(crate) t: Timestamp,
-    pub(crate) neighbors: Vec<NeighborContribution>,
-}
-
-/// One device's share of a batch: its query indices in query order.
-#[derive(Debug)]
-struct DeviceGroup {
-    device: DeviceId,
-    indices: Vec<usize>,
-}
-
-/// Everything one worker produces: answers (tagged with their query index)
-/// and affinity contributions.
-#[derive(Debug, Default)]
-struct WorkerOutput {
-    answers: Vec<(usize, Answer)>,
-    contributions: Vec<BatchContribution>,
-}
-
-/// What a batch run hands back to its caller: in-order answers and affinity
-/// contributions sorted by query index (apply them to the live cache in this
-/// order).
-#[derive(Debug)]
-pub(crate) struct BatchOutcome {
-    pub(crate) answers: Vec<Result<Answer, LocaterError>>,
-    pub(crate) contributions: Vec<BatchContribution>,
-}
+/// One item's result: its answer and the diagnostics of the query that gave
+/// it, or the item's resolution error.
+pub(crate) type Answered = Result<(Answer, QueryDiagnostics), LocaterError>;
 
 /// The live coarse-model map of a device's home shard.
-pub(crate) type ModelsOf<'s> = dyn Fn(DeviceId) -> &'s ModelCache + Sync + 's;
+type ModelsOf<'s> = dyn Fn(DeviceId) -> &'s ModelCache + Sync + 's;
 
-/// Answers a batch of resolved items across `jobs` workers, the calling
-/// thread included. Unresolvable items error in place and never reach a
-/// worker.
-///
-/// `models_of` gives each device's live model map. `graph` is the global
-/// affinity graph every worker reads; nothing here locks or writes it. The
-/// caller owns applying [`BatchOutcome::contributions`] back to it.
+/// The fine step's plan for `(device, t_q, neighbors)`: where the caller
+/// reads the affinity graph.
+type PlanOf<'s> = dyn Fn(DeviceId, Timestamp, &[DeviceId]) -> FinePlan + Sync + 's;
+
+/// Answers `items` across at most `jobs` workers, the calling thread
+/// included, and returns one result per item, in request order.
 pub(crate) fn run_batch(
     engine: &Engine,
     store: &dyn EventRead,
@@ -99,107 +62,57 @@ pub(crate) fn run_batch(
     items: &[BatchItem],
     jobs: usize,
     models_of: &ModelsOf<'_>,
-    graph: &GlobalAffinityGraph,
-) -> BatchOutcome {
-    let mut by_device: HashMap<DeviceId, Vec<usize>> = HashMap::new();
-    for (idx, item) in items.iter().enumerate() {
-        if let Ok(device) = item.device {
-            by_device.entry(device).or_default().push(idx);
-        }
-    }
-    let mut groups: Vec<DeviceGroup> = by_device
-        .into_iter()
-        .map(|(device, indices)| DeviceGroup { device, indices })
+    plan: &PlanOf<'_>,
+) -> Vec<Answered> {
+    // (device, item index) of every resolved item, sorted: one run per
+    // device, in request order within it. The pairs are distinct, so the
+    // unstable sort is the stable sort by device, without its scratch buffer.
+    let mut resolved: Vec<(DeviceId, usize)> = (items.iter().enumerate())
+        .filter_map(|(idx, item)| Some((*item.device.as_ref().ok()?, idx)))
         .collect();
-    groups.sort_by_key(|group| (Reverse(group.indices.len()), group.device));
+    resolved.sort_unstable();
+    let mut runs: Vec<&[(DeviceId, usize)]> = resolved.chunk_by(|a, b| a.0 == b.0).collect();
+    runs.sort_unstable_by_key(|run| (Reverse(run.len()), run[0].0));
 
-    // Parallel phase: all workers answer against the same graph, whose epoch
-    // stamps keep stale edges invisible inside the batch too. A worker is a
-    // real thread, so there are never more workers than groups. The scope
-    // joins every worker and re-raises a worker's panic on this thread.
-    let jobs = jobs.clamp(1, groups.len().max(1));
+    let slots: Vec<OnceLock<(Answer, QueryDiagnostics)>> =
+        items.iter().map(|_| OnceLock::new()).collect();
+    // `Relaxed` suffices: the index publishes no data — `runs` is frozen
+    // before any worker starts, and the scope's join orders the slots.
     let next = AtomicUsize::new(0);
     let work = || {
-        run_worker(
-            engine, store, epochs, items, &groups, &next, models_of, graph,
-        )
-    };
-    let mut outputs: Vec<WorkerOutput> = Vec::new();
-    outputs.resize_with(jobs, WorkerOutput::default);
-    std::thread::scope(|scope| {
-        let (caller, spawned) = outputs.split_first_mut().expect("jobs >= 1");
-        for out in spawned {
-            scope.spawn(move || *out = work());
-        }
-        *caller = work();
-    });
-
-    // Deterministic merge: contributions in query order.
-    let mut answers: Vec<Option<Answer>> = vec![None; items.len()];
-    let mut contributions: Vec<BatchContribution> = Vec::new();
-    for output in outputs {
-        for (idx, answer) in output.answers {
-            answers[idx] = Some(answer);
-        }
-        contributions.extend(output.contributions);
-    }
-    contributions.sort_by_key(|c| c.query_index);
-
-    let answers = answers
-        .into_iter()
-        .zip(items)
-        .map(|(answer, item)| match &item.device {
-            Ok(_) => Ok(answer.expect("every resolved query is answered by its worker")),
-            Err(e) => Err(e.clone()),
-        })
-        .collect();
-    BatchOutcome {
-        answers,
-        contributions,
-    }
-}
-
-/// Claims device groups until none is left and answers each group's queries
-/// (in query order) through the one locate path
-/// ([`Engine::locate_detailed`]), with the model state in the live maps and
-/// the cache state in the shared graph; collects answers and affinity
-/// contributions.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    engine: &Engine,
-    store: &dyn EventRead,
-    epochs: &dyn EpochRead,
-    items: &[BatchItem],
-    groups: &[DeviceGroup],
-    next: &AtomicUsize,
-    models_of: &ModelsOf<'_>,
-    graph: &GlobalAffinityGraph,
-) -> WorkerOutput {
-    let mut output = WorkerOutput::default();
-    // `Relaxed` suffices: the index publishes no data — `groups` is frozen
-    // before the spawn, and the scope's join orders the outputs.
-    while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-        let device = group.device;
-        let models = models_of(device);
-        for &idx in &group.indices {
-            let item = &items[idx];
-            let t_q = item.t;
-            let plan = |neighbors: &[DeviceId]| graph.plan(device, neighbors, t_q, epochs);
-            let (answer, diagnostics) =
-                engine.locate_detailed(store, epochs, device, t_q, &item.eff, models, &plan);
-            output.answers.push((idx, answer));
-            let neighbors = diagnostics
-                .fine
-                .map_or_else(Vec::new, |fine| fine.contributions);
-            if item.eff.cache == CacheMode::Enabled && !neighbors.is_empty() {
-                output.contributions.push(BatchContribution {
-                    query_index: idx,
-                    device,
-                    t: t_q,
-                    neighbors,
-                });
+        while let Some(run) = runs.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let models = models_of(run[0].0);
+            for &(device, idx) in *run {
+                let item = &items[idx];
+                let plan = |neighbors: &[DeviceId]| plan(device, item.t, neighbors);
+                let answered =
+                    engine.locate_detailed(store, epochs, device, item.t, &item.eff, models, &plan);
+                slots[idx]
+                    .set(answered)
+                    .expect("each item is in exactly one run");
             }
         }
+    };
+    // A worker is a real thread, so there are never more workers than runs.
+    // The scope joins every worker and re-raises a worker's panic here.
+    let jobs = jobs.clamp(1, runs.len().max(1));
+    if jobs == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 1..jobs {
+                scope.spawn(work);
+            }
+            work();
+        });
     }
-    output
+
+    items
+        .iter()
+        .zip(slots)
+        .map(|(item, slot)| match &item.device {
+            Ok(_) => Ok(slot.into_inner().expect("every resolved item is answered")),
+            Err(e) => Err(e.clone()),
+        })
+        .collect()
 }

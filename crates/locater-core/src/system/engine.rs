@@ -4,11 +4,11 @@
 //!
 //! The engine itself is stateless — configuration plus the two localizers.
 //! The state a query reads and warms (per-device coarse models, affinity
-//! edges) is handed in by the caller. Every caller passes the queried
-//! device's home-shard model map; they differ in the plan closure: the live
-//! service read-locks the service's one affinity graph for the plan alone,
-//! the batch workers ([`super::batch`]) plan over the graph their batch holds
-//! read-locked throughout.
+//! edges) is handed in by its one caller, the parallel map every query runs
+//! through ([`super::batch`]): the queried device's home-shard model map, and
+//! the plan closure of the verb — `locate` read-locks the service's one
+//! affinity graph for the plan alone, `locate_batch` plans over the graph it
+//! holds read-locked for the whole run.
 
 use super::epoch::{EpochRead, ModelEntry};
 use super::request::LocateRequest;

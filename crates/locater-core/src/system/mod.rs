@@ -23,10 +23,11 @@
 //! trained lazily and cached; a query's model window is fixed by its time
 //! alone (rounded down to a week), and a cached model is replaced when a query
 //! needs another window — or when ingestion bumps the device's epoch
-//! ([`epoch`]). One function sequences those steps for every caller
-//! (`engine::Engine::locate_detailed`).
+//! ([`epoch`]). One function sequences those steps
+//! (`engine::Engine::locate_detailed`), and one parallel map calls it for
+//! every query (`batch::run_batch`): `locate` is a batch of one.
 
-pub mod batch;
+mod batch;
 mod engine;
 pub mod epoch;
 pub mod request;

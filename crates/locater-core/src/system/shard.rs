@@ -50,7 +50,7 @@
 //! (`support/twin.rs` there): subjects at N ∈ {2, 3} answer every op like a
 //! one-shard twin.
 
-use super::batch::{self, BatchItem};
+use super::batch::{self, Answered, BatchItem};
 use super::engine::{relock, resolve_target, Engine, ModelCache};
 use super::epoch::{EpochRead, EpochTable, ModelEntry};
 use super::request::{LocateRequest, LocateResponse};
@@ -558,52 +558,46 @@ impl ShardedLocaterService {
         self.locate_to_depth(request, true)
     }
 
-    /// The live-service caller of [`Engine::locate_detailed`]: model state is
-    /// the queried device's home-shard map; the affinity graph is read-locked
-    /// for the fine-step plan and write-locked for the merge, each alone.
+    /// One request as a batch of one ([`super::batch`]): the affinity graph is
+    /// read-locked for the fine-step plan and write-locked for the merge,
+    /// each alone.
     fn locate_to_depth(
         &self,
         request: &LocateRequest,
         coarse_only: bool,
     ) -> Result<LocateResponse, LocaterError> {
         self.with_view(|view, epochs| {
-            let device = resolve_target(view, request.mac.as_deref(), request.device)?;
-            let eff = self.engine.effective_for(request, coarse_only);
-            let models = &self.shards[self.home_shard(device)].models;
-            let plan = |neighbors: &[DeviceId]| {
-                relock(self.cache.read()).plan(device, neighbors, request.t, epochs)
+            let items = [BatchItem {
+                t: request.t,
+                device: resolve_target(view, request.mac.as_deref(), request.device),
+                eff: self.engine.effective_for(request, coarse_only),
+            }];
+            let models_of = |device| &self.shards[self.home_shard(device)].models;
+            let plan = |device, t_q, neighbors: &[DeviceId]| {
+                relock(self.cache.read()).plan(device, neighbors, t_q, epochs)
             };
-            let (answer, diagnostics) = self
-                .engine
-                .locate_detailed(view, epochs, device, request.t, &eff, models, &plan);
-            if let Some(fine) = &diagnostics.fine {
-                if eff.cache == CacheMode::Enabled && !fine.contributions.is_empty() {
-                    relock(self.cache.write()).merge_stamped(
-                        device,
-                        &fine.contributions,
-                        request.t,
-                        epochs,
-                    );
-                }
-            }
+            let answered =
+                batch::run_batch(&self.engine, view, epochs, &items, 1, &models_of, &plan);
+            self.merge(&items, &answered, epochs);
+            let (answer, diagnostics) = answered.into_iter().next().expect("one item")?;
             Ok(LocateResponse {
-                answer,
-                device_epoch: epochs.epoch_of(device),
+                device_epoch: epochs.epoch_of(answer.device),
                 events_seen: view.num_events(),
+                answer,
                 diagnostics: (request.diagnostics && !coarse_only).then_some(diagnostics),
             })
         })
     }
 
-    /// Answers a batch of requests through the deterministic batch pipeline
-    /// (see [`super::batch`]): requests are grouped by device, `jobs`
-    /// workers (the calling thread is one) claim device groups as they free
-    /// up, and every group is answered under one read guard of the affinity
-    /// graph and with its device's live home-shard model map; after the
-    /// workers join, the guard is dropped and the edges merge into the graph
-    /// in query order. Responses are identical for every `jobs` value **and
-    /// every shard count**, in request order; per-request overrides are
-    /// honored; batch responses carry no diagnostics.
+    /// Answers a batch of requests through the parallel map every query runs
+    /// through (`system/batch.rs`): `jobs` workers (the calling thread is
+    /// one) claim the requests' per-device runs, each answered with its
+    /// device's live home-shard model map and planned under one read guard of
+    /// the affinity graph held for the whole run; after the workers join, the
+    /// guard is dropped and the edges merge into the graph in request order.
+    /// Responses are identical for every `jobs` value **and every shard
+    /// count**, in request order; per-request overrides are honored; batch
+    /// responses carry no diagnostics.
     pub fn locate_batch(
         &self,
         requests: &[LocateRequest],
@@ -618,34 +612,22 @@ impl ShardedLocaterService {
                     eff: self.engine.effective_for(request, false),
                 })
                 .collect();
-
-            // The read guard must be gone before the merge below takes the
-            // write lock on the same graph.
+            // The read guard is gone before the merge takes the write lock on
+            // the same graph.
             let models_of = |device| &self.shards[self.home_shard(device)].models;
-            let graph = relock(self.cache.read());
-            let outcome =
-                batch::run_batch(&self.engine, view, epochs, &items, jobs, &models_of, &graph);
-            drop(graph);
-
-            // Post-join merge: contributions in query order.
-            if !outcome.contributions.is_empty() {
-                let mut graph = relock(self.cache.write());
-                for contribution in &outcome.contributions {
-                    graph.merge_stamped(
-                        contribution.device,
-                        &contribution.neighbors,
-                        contribution.t,
-                        epochs,
-                    );
-                }
-            }
-
+            let answered = {
+                let graph = relock(self.cache.read());
+                let plan = |device, t_q, neighbors: &[DeviceId]| {
+                    graph.plan(device, neighbors, t_q, epochs)
+                };
+                batch::run_batch(&self.engine, view, epochs, &items, jobs, &models_of, &plan)
+            };
+            self.merge(&items, &answered, epochs);
             let events_seen = view.num_events();
-            outcome
-                .answers
+            answered
                 .into_iter()
-                .map(|answer| {
-                    answer.map(|answer| LocateResponse {
+                .map(|answered| {
+                    answered.map(|(answer, _)| LocateResponse {
                         device_epoch: epochs.epoch_of(answer.device),
                         events_seen,
                         answer,
@@ -654,6 +636,27 @@ impl ShardedLocaterService {
                 })
                 .collect()
         })
+    }
+
+    /// Merges the affinity contributions of answered items into the graph,
+    /// in request order, under one write lock taken only if there is one.
+    fn merge(&self, items: &[BatchItem], answered: &[Answered], epochs: &dyn EpochRead) {
+        let mut contributions = items
+            .iter()
+            .zip(answered)
+            .filter(|(item, _)| item.eff.cache == CacheMode::Enabled)
+            .filter_map(|(_, answered)| {
+                let (answer, diagnostics) = answered.as_ref().ok()?;
+                let neighbors = &diagnostics.fine.as_ref()?.contributions;
+                (!neighbors.is_empty()).then_some((answer, neighbors))
+            })
+            .peekable();
+        if contributions.peek().is_some() {
+            let mut graph = relock(self.cache.write());
+            for (answer, neighbors) in contributions {
+                graph.merge_stamped(answer.device, neighbors, answer.t, epochs);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -974,6 +977,7 @@ impl ShardedLocaterService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::MAX_SAMPLES_PER_EDGE;
     use crate::coarse::CoarseMethod;
     use crate::fine::FineMode;
     use crate::system::{Answer, Location};
@@ -1049,6 +1053,7 @@ mod tests {
         locate_batch_preserves_request_order_and_errors,
         locate_batch_warms_cache_and_models_afterwards,
         locate_batch_with_cache_disabled_stores_nothing,
+        locate_batch_merges_in_request_order,
         locate_batch_on_empty_input_is_empty,
         consecutive_locate_batches_are_identical_across_job_counts,
         locate_batch_of_only_unresolvable_requests_errors_in_place,
@@ -1111,8 +1116,12 @@ mod tests {
     fn coarse_only_answer_stops_at_the_region(shards: usize) {
         let service = office_service(2, LocaterConfig::default(), shards);
         let request = LocateRequest::by_mac("alice", clock::at(8, 9, 5, 10)).with_diagnostics();
-        let full = service.locate(&request).unwrap();
+        // On a fresh service the coarse-only answer writes no edge, where the
+        // full answer to the same request does.
         let degraded = service.locate_coarse(&request).unwrap();
+        assert_eq!(service.cache_stats(), (0, 0));
+        let full = service.locate(&request).unwrap();
+        assert_ne!(service.cache_stats(), (0, 0));
         assert_eq!(
             degraded.answer.location,
             Location::Region(full.answer.region().unwrap())
@@ -1324,6 +1333,53 @@ mod tests {
         let results = service.locate_batch(&batch_requests(), 4);
         assert!(results.iter().any(Result::is_ok));
         assert_eq!(service.cache_stats(), (0, 0));
+    }
+
+    /// A batch that alternates between Alice and Bob gives their one edge
+    /// more contributions than it keeps samples, so which samples survive
+    /// depends on the merge order. The batch must leave the graph that merging
+    /// the same contributions in request order builds. Each reference
+    /// contribution comes from a fresh service, whose graph is empty, as the
+    /// batch's frozen graph is.
+    fn locate_batch_merges_in_request_order(shards: usize) {
+        let fresh = || office_service(3, LocaterConfig::default(), shards);
+        let requests: Vec<LocateRequest> = (14..19)
+            .flat_map(|day| (0..8).map(move |slot| clock::at(day, 9, slot * 30, 50)))
+            .flat_map(|t| {
+                [
+                    LocateRequest::by_mac("alice", t),
+                    LocateRequest::by_mac("bob", t + 5),
+                ]
+            })
+            .collect();
+        let service = fresh();
+        assert!(service.locate_batch(&requests, 2).iter().all(Result::is_ok));
+        let (alice, bob) = (
+            service.device_id("alice").unwrap(),
+            service.device_id("bob").unwrap(),
+        );
+        service.with_view(|_, epochs| {
+            let mut reference = GlobalAffinityGraph::new();
+            let mut on_edge = 0;
+            for request in &requests {
+                let response = fresh().locate(&request.clone().with_diagnostics()).unwrap();
+                let device = response.answer.device;
+                let fine = response.diagnostics.unwrap().fine.expect("a covered query");
+                on_edge += (fine.contributions.iter())
+                    .filter(|c| c.device != device && [alice, bob].contains(&c.device))
+                    .count();
+                reference.merge_stamped(device, &fine.contributions, request.t, epochs);
+            }
+            assert!(on_edge > MAX_SAMPLES_PER_EDGE, "{on_edge} contributions");
+            let graph = relock(service.cache.read());
+            for request in &requests {
+                let bits = |graph: &GlobalAffinityGraph| {
+                    let (weight, pair) = graph.lookup(alice, bob, request.t, epochs)?;
+                    Some((weight.to_bits(), pair.to_bits()))
+                };
+                assert_eq!(bits(&graph), bits(&reference), "at t = {}", request.t);
+            }
+        });
     }
 
     fn locate_batch_on_empty_input_is_empty(shards: usize) {

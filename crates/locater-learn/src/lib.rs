@@ -49,4 +49,4 @@ pub use dataset::Dataset;
 pub use error::LearnError;
 pub use logistic::{LogisticRegression, Prediction};
 pub use scaler::StandardScaler;
-pub use semi::{SelfTrainingClassifier, SelfTrainingConfig, SelfTrainingReport};
+pub use semi::{SelfTrainingClassifier, SelfTrainingConfig};

@@ -37,24 +37,10 @@ impl Default for SelfTrainingConfig {
     }
 }
 
-/// Summary of a finished self-training run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelfTrainingReport {
-    /// Number of training rounds executed.
-    pub rounds: usize,
-    /// Number of samples that started labelled.
-    pub initially_labeled: usize,
-    /// Number of unlabelled samples promoted by the loop.
-    pub promoted: usize,
-}
-
-/// The classifier produced by Algorithm 1, together with the labels it assigned to the
-/// initially unlabelled samples.
+/// The classifier produced by Algorithm 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelfTrainingClassifier {
     model: LogisticRegression,
-    assigned_labels: Vec<Option<usize>>,
-    report: SelfTrainingReport,
 }
 
 impl SelfTrainingClassifier {
@@ -81,7 +67,6 @@ impl SelfTrainingClassifier {
         let mut working = labeled.clone();
         // Original indices of the samples still unlabelled.
         let mut pool: Vec<usize> = (0..unlabeled.len()).collect();
-        let mut assigned_labels = vec![None; unlabeled.len()];
         let mut model = LogisticRegression::fit(&working)?;
         let mut rounds = 0usize;
         let mut scaled = vec![0.0; labeled.num_features()];
@@ -114,49 +99,16 @@ impl SelfTrainingClassifier {
             chosen.sort_by_key(|&(pool_idx, _)| std::cmp::Reverse(pool_idx));
             for (pool_idx, label) in chosen {
                 let original_idx = pool.swap_remove(pool_idx);
-                assigned_labels[original_idx] = Some(label);
                 working.push_row(&unlabeled[original_idx], label);
             }
             model = LogisticRegression::fit(&working)?;
         }
-
-        let promoted = unlabeled.len() - pool.len();
-        Ok(Self {
-            model,
-            assigned_labels,
-            report: SelfTrainingReport {
-                rounds,
-                initially_labeled: labeled.len(),
-                promoted,
-            },
-        })
+        Ok(Self { model })
     }
 
     /// The classifier trained in the final round.
-    pub fn model(&self) -> &LogisticRegression {
-        &self.model
-    }
-
-    /// The classifier trained in the final round, without the per-sample
-    /// labels and the report: all a caller that only predicts needs to keep.
     pub fn into_model(self) -> LogisticRegression {
         self.model
-    }
-
-    /// Labels assigned to the initially unlabelled samples, in their original order;
-    /// `None` for a sample `max_rounds` ended the loop before promoting.
-    pub fn assigned_labels(&self) -> &[Option<usize>] {
-        &self.assigned_labels
-    }
-
-    /// Run statistics.
-    pub fn report(&self) -> &SelfTrainingReport {
-        &self.report
-    }
-
-    /// Convenience: predicts the class of a new feature vector with the final model.
-    pub fn predict(&self, features: &[f64]) -> usize {
-        self.model.predict(features).label
     }
 }
 
@@ -185,49 +137,121 @@ mod tests {
         (labeled, unlabeled, truth)
     }
 
+    /// A run of [`train_reference`]: its final model, the label it assigned to
+    /// each initially unlabelled sample (`None` for one `max_rounds` ended the
+    /// loop before promoting), and its round count.
+    struct Reference {
+        model: LogisticRegression,
+        assigned: Vec<Option<usize>>,
+        rounds: usize,
+    }
+
+    impl Reference {
+        fn promoted(&self) -> usize {
+            self.assigned.iter().flatten().count()
+        }
+    }
+
+    /// Algorithm 1 on the reference fit: every round re-scores the whole pool
+    /// with a fresh [`LogisticRegression::predict`], stable-sorts it by
+    /// variance, highest first, and promotes the first 20 with their predicted
+    /// labels. The promoted rows join the labelled set in descending pool
+    /// position, each leaving the pool by a swap-remove: that order fixes the
+    /// order of the next fit's gradient sums, so it is part of the contract.
+    fn train_reference(labeled: &Dataset, unlabeled: &[Vec<f64>], max_rounds: usize) -> Reference {
+        let mut working = labeled.clone();
+        let mut pool: Vec<usize> = (0..unlabeled.len()).collect();
+        let mut assigned = vec![None; unlabeled.len()];
+        let mut model = fit_reference(&working).0;
+        let mut rounds = 0;
+        while !pool.is_empty() && rounds < max_rounds {
+            rounds += 1;
+            let mut scored: Vec<(usize, f64, usize)> = pool
+                .iter()
+                .enumerate()
+                .map(|(at, &sample)| {
+                    let prediction = model.predict(&unlabeled[sample]);
+                    (at, prediction.variance(), prediction.label)
+                })
+                .collect();
+            scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+            scored.truncate(20);
+            scored.sort_by_key(|&(at, _, _)| std::cmp::Reverse(at));
+            for (at, _, label) in scored {
+                let sample = pool.swap_remove(at);
+                assigned[sample] = Some(label);
+                working.push_row(&unlabeled[sample], label);
+            }
+            model = fit_reference(&working).0;
+        }
+        Reference {
+            model,
+            assigned,
+            rounds,
+        }
+    }
+
+    /// Runs production's Algorithm 1 and the reference on one problem,
+    /// checks that their final models are equal bit for bit, and returns the
+    /// reference run, whose labels and rounds production no longer keeps.
+    fn train_checked(labeled: &Dataset, unlabeled: &[Vec<f64>], max_rounds: usize) -> Reference {
+        let config = SelfTrainingConfig { max_rounds };
+        let model = SelfTrainingClassifier::train(labeled, unlabeled, &config)
+            .unwrap()
+            .into_model();
+        let reference = train_reference(labeled, unlabeled, max_rounds);
+        assert_eq!(
+            parameter_bits(&model),
+            parameter_bits(&reference.model),
+            "{} unlabelled, max_rounds {max_rounds}",
+            unlabeled.len()
+        );
+        reference
+    }
+
     #[test]
     fn self_training_labels_clusters_correctly() {
         let (labeled, unlabeled, truth) = clustered_problem(20);
-        let clf =
-            SelfTrainingClassifier::train(&labeled, &unlabeled, &SelfTrainingConfig::default())
-                .unwrap();
-        let correct = clf
-            .assigned_labels()
+        let run = train_checked(
+            &labeled,
+            &unlabeled,
+            SelfTrainingConfig::default().max_rounds,
+        );
+        let correct = run
+            .assigned
             .iter()
             .zip(&truth)
             .filter(|(a, b)| **a == Some(**b))
             .count();
         assert!(correct as f64 / truth.len() as f64 > 0.95);
-        assert_eq!(clf.report().initially_labeled, 4);
-        assert_eq!(clf.report().promoted, unlabeled.len());
+        assert_eq!(run.promoted(), unlabeled.len());
         // PROMOTE_PER_ROUND promotions per round.
-        assert_eq!(
-            clf.report().rounds,
-            unlabeled.len().div_ceil(PROMOTE_PER_ROUND)
-        );
+        assert_eq!(run.rounds, unlabeled.len().div_ceil(PROMOTE_PER_ROUND));
     }
 
     #[test]
     fn batched_promotion_takes_fewer_rounds() {
         // 50 samples: two full rounds, then one of the 10 left.
         let (labeled, unlabeled, _) = clustered_problem(25);
-        let clf =
-            SelfTrainingClassifier::train(&labeled, &unlabeled, &SelfTrainingConfig::default())
-                .unwrap();
-        assert_eq!(clf.report().rounds, 3);
-        assert_eq!(clf.report().promoted, unlabeled.len());
-        assert!(clf.assigned_labels().iter().all(Option::is_some));
+        let run = train_checked(
+            &labeled,
+            &unlabeled,
+            SelfTrainingConfig::default().max_rounds,
+        );
+        assert_eq!(run.rounds, 3);
+        assert_eq!(run.promoted(), unlabeled.len());
     }
 
     #[test]
     fn no_unlabeled_data_still_trains_a_model() {
         let (labeled, _, _) = clustered_problem(20);
-        let clf =
-            SelfTrainingClassifier::train(&labeled, &[], &SelfTrainingConfig::default()).unwrap();
-        assert_eq!(clf.report().rounds, 0);
-        assert_eq!(clf.report().promoted, 0);
-        assert_eq!(clf.predict(&[0.0, 0.1]), 0);
-        assert_eq!(clf.predict(&[5.0, 5.0]), 1);
+        let run = train_checked(&labeled, &[], SelfTrainingConfig::default().max_rounds);
+        assert_eq!(run.rounds, 0);
+        let model = SelfTrainingClassifier::train(&labeled, &[], &SelfTrainingConfig::default())
+            .unwrap()
+            .into_model();
+        assert_eq!(model.predict(&[0.0, 0.1]).label, 0);
+        assert_eq!(model.predict(&[5.0, 5.0]).label, 1);
     }
 
     #[test]
@@ -260,10 +284,9 @@ mod tests {
     #[test]
     fn max_rounds_bounds_the_loop() {
         let (labeled, unlabeled, _) = clustered_problem(50);
-        let config = SelfTrainingConfig { max_rounds: 3 };
-        let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
-        assert_eq!(clf.report().rounds, 3);
-        assert_eq!(clf.report().promoted, 3 * PROMOTE_PER_ROUND);
+        let run = train_checked(&labeled, &unlabeled, 3);
+        assert_eq!(run.rounds, 3);
+        assert_eq!(run.promoted(), 3 * PROMOTE_PER_ROUND);
     }
 
     #[test]
@@ -276,58 +299,13 @@ mod tests {
         let mut unlabeled = vec![boundary.clone()];
         unlabeled.extend((0..PROMOTE_PER_ROUND).map(|i| vec![-3.0 - i as f64 * 0.1, -3.0]));
         unlabeled.push(boundary);
-        let config = SelfTrainingConfig { max_rounds: 1 };
-        let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
-        assert_eq!(clf.report().promoted, PROMOTE_PER_ROUND);
-        let assigned = clf.assigned_labels();
+        let run = train_checked(&labeled, &unlabeled, 1);
+        assert_eq!(run.promoted(), PROMOTE_PER_ROUND);
+        let assigned = &run.assigned;
         assert_eq!((assigned[0], assigned[unlabeled.len() - 1]), (None, None));
         assert!(assigned[1..unlabeled.len() - 1]
             .iter()
             .all(|&label| label == Some(0)));
-    }
-
-    /// Algorithm 1 on the reference fit: every round re-scores the whole pool
-    /// with a fresh [`LogisticRegression::predict`], stable-sorts it by
-    /// variance, highest first, and promotes the first 20 with their predicted
-    /// labels. The promoted rows join the labelled set in descending pool
-    /// position, each leaving the pool by a swap-remove: that order fixes the
-    /// order of the next fit's gradient sums, so it is part of the contract.
-    fn train_reference(
-        labeled: &Dataset,
-        unlabeled: &[Vec<f64>],
-        max_rounds: usize,
-    ) -> (LogisticRegression, Vec<Option<usize>>, SelfTrainingReport) {
-        let mut working = labeled.clone();
-        let mut pool: Vec<usize> = (0..unlabeled.len()).collect();
-        let mut assigned = vec![None; unlabeled.len()];
-        let mut model = fit_reference(&working).0;
-        let mut rounds = 0;
-        while !pool.is_empty() && rounds < max_rounds {
-            rounds += 1;
-            let mut scored: Vec<(usize, f64, usize)> = pool
-                .iter()
-                .enumerate()
-                .map(|(at, &sample)| {
-                    let prediction = model.predict(&unlabeled[sample]);
-                    (at, prediction.variance(), prediction.label)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-            scored.truncate(20);
-            scored.sort_by_key(|&(at, _, _)| std::cmp::Reverse(at));
-            for (at, _, label) in scored {
-                let sample = pool.swap_remove(at);
-                assigned[sample] = Some(label);
-                working.push_row(&unlabeled[sample], label);
-            }
-            model = fit_reference(&working).0;
-        }
-        let report = SelfTrainingReport {
-            rounds,
-            initially_labeled: labeled.len(),
-            promoted: unlabeled.len() - pool.len(),
-        };
-        (model, assigned, report)
     }
 
     /// Production's self-training equals the reference bit for bit on
@@ -341,25 +319,16 @@ mod tests {
                 .iter()
                 .map(|(row, _)| row.to_vec())
                 .collect();
-            let config = SelfTrainingConfig { max_rounds };
-            let clf = SelfTrainingClassifier::train(&labeled, &unlabeled, &config).unwrap();
-            let (model, assigned, report) = train_reference(&labeled, &unlabeled, max_rounds);
+            let run = train_checked(&labeled, &unlabeled, max_rounds);
             let case = format!("{pool} unlabelled, max_rounds {max_rounds}");
-            assert_eq!(clf.report(), &report, "{case}");
-            assert_eq!(report.rounds, rounds, "{case}");
-            assert_eq!(clf.assigned_labels(), &assigned[..], "{case}");
+            assert_eq!(run.rounds, rounds, "{case}");
             assert_eq!(
-                parameter_bits(clf.model()),
-                parameter_bits(&model),
-                "{case}"
-            );
-            assert_eq!(
-                parameter_bits(&clf.clone().into_model()),
-                parameter_bits(&model),
+                run.promoted(),
+                pool.min(rounds * PROMOTE_PER_ROUND),
                 "{case}"
             );
             assert!(
-                assigned.contains(&Some(0)) && assigned.contains(&Some(1)),
+                run.assigned.contains(&Some(0)) && run.assigned.contains(&Some(1)),
                 "{case}"
             );
         }

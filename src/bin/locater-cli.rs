@@ -33,12 +33,12 @@
 //!   the CSV.
 //! * `simulate metro_campus` generates the large metropolitan-campus corpus
 //!   (`CampusConfig::metro`: 64 APs, 13 weeks unless `--days` says otherwise).
-//! * `batch` runs the parallel batch pipeline
-//!   (`ShardedLocaterService::locate_batch` through the typed request layer): every query is answered against the same
-//!   state of the affinity cache, so the output is deterministic and
-//!   identical for every `--jobs` value (earlier CLI releases answered rows one
-//!   by one, progressively warming the cache, so row-level confidences could
-//!   differ from today's output).
+//! * `batch` runs every row through the parallel map that answers all queries
+//!   (`ShardedLocaterService::locate_batch` through the typed request layer):
+//!   every row is answered against the same state of the affinity cache, so
+//!   the output is deterministic and identical for every `--jobs` value
+//!   (earlier CLI releases answered rows one by one, progressively warming the
+//!   cache, so row-level confidences could differ from today's output).
 //! * `serve` starts a live [`ShardedLocaterService`] (`--shards N`, default
 //!   1). Without `--listen` it reads requests from stdin — raw NDJSON
 //!   [`WireRequest`] frames or the verb shorthand (`ingest <mac,timestamp,ap>`,
@@ -387,7 +387,7 @@ fn batch(args: &[String]) -> Result<String, CliError> {
         requests.push(LocateRequest::by_mac(mac, t));
     }
 
-    // The parallel batch pipeline: responses are deterministic and ordered
+    // The parallel map: responses are deterministic and in row order
     // regardless of the job count.
     let responses = service.locate_batch(&requests, jobs);
     let mut out = String::from("mac,timestamp,location,room,confidence\n");
