@@ -1,9 +1,10 @@
 //! Room, device and group affinities (paper §4.1).
 
 use locater_events::clock::Timestamp;
-use locater_events::{DeviceId, Interval};
+use locater_events::{DeviceId, Interval, StoredEvent};
 use locater_space::{RegionId, RoomId};
 use locater_store::EventRead;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -535,6 +536,16 @@ impl ApRuns {
 /// [`PairAffinitySession::affinity`] is bit-identical to
 /// [`AffinityEngine::pair_affinity`] (asserted in
 /// `tests/equivalence/affinity_index.rs`).
+///
+/// Most neighbors fall far below Algorithm 2's pair floor and share almost
+/// no time on an access point with `d`, so
+/// [`PairAffinitySession::affinity_at_least`] merges only the neighbor
+/// events that time cells cannot rule out. Cells are `w` wide, `w` the
+/// least power of two ≥ the store's max δ, and each holds a mask of the
+/// access points on which `d` has events in the reach, in that cell or one
+/// beside it. The masks are built on the session's first floor test, so a
+/// session that only runs [`PairAffinitySession::affinity`] never pays for
+/// them.
 pub struct PairAffinitySession<'a> {
     store: &'a dyn EventRead,
     window: Interval,
@@ -543,6 +554,8 @@ pub struct PairAffinitySession<'a> {
     /// The window padded by the queried device's δ: exactly the stretch of
     /// neighbor events that can take part in either merge direction.
     ext: Interval,
+    /// The window padded by the max δ: where `runs` and `ext` lie.
+    reach: Interval,
     /// The queried device's events in the window padded by the global max δ
     /// — every timestamp any neighbor's merge can involve (the partner runs
     /// of the neighbor-side direction).
@@ -553,7 +566,13 @@ pub struct PairAffinitySession<'a> {
     /// the start of its run.
     first: Vec<(usize, usize)>,
     /// Reused per-neighbor cursor pairs, one per AP.
-    cursors: std::cell::RefCell<Vec<(usize, usize)>>,
+    cursors: RefCell<Vec<(usize, usize)>>,
+    /// `log₂ w`: a floor-test cell is `w ≥` max δ seconds wide.
+    cell_shift: u32,
+    /// Per cell, bit `ap % 64` set for every access point `ap` on which the
+    /// queried device has an event in the reach, in this cell or one beside
+    /// it. Built on the first floor test.
+    cell_masks: OnceCell<Vec<u64>>,
 }
 
 impl<'a> PairAffinitySession<'a> {
@@ -584,15 +603,82 @@ impl<'a> PairAffinitySession<'a> {
             delta,
             total_in_window: store.timeline_of(device).count_in(window),
             ext: Interval::new(window.start - delta, window.end + delta),
-            cursors: std::cell::RefCell::new(first.clone()),
+            reach: engine.reach(window),
+            cursors: RefCell::new(first.clone()),
             runs,
             win_end,
             first,
+            // A cell is at least a second wide, whatever the store's δs.
+            cell_shift: (engine.max_delta.max(1) as u64)
+                .next_power_of_two()
+                .trailing_zeros(),
+            cell_masks: OnceCell::new(),
         }
+    }
+
+    /// The neighbor's events in `ext`, in time order: one binary search for
+    /// the first, then a walk to the end of `ext`. `ext` holds the window,
+    /// so the walk sees every window event of the neighbor.
+    fn events_near(&self, other: DeviceId) -> impl Iterator<Item = &'a StoredEvent> {
+        let events = self.store.timeline_of(other).events();
+        let end = self.ext.end;
+        events[events.partition_point(|e| e.t() < self.ext.start)..]
+            .iter()
+            .take_while(move |e| e.t() < end)
+    }
+
+    /// The floor-test cell of `t`, for `t` in the reach: the whole cells
+    /// between the start of the reach and `t`, plus one, so that every cell
+    /// has a neighbor on either side.
+    fn cell(&self, t: Timestamp) -> usize {
+        ((t - self.reach.start) >> self.cell_shift) as usize + 1
+    }
+
+    /// The cell masks: each of the queried device's events in the reach
+    /// marks its own cell and the two beside it.
+    fn build_cell_masks(&self) -> Vec<u64> {
+        let mut masks = vec![0u64; self.cell(self.reach.end - 1) + 2];
+        for ap in 0..self.runs.num_aps() {
+            let bit = 1u64 << (ap % 64);
+            for &t in self.runs.run(ap) {
+                let cell = self.cell(Timestamp::from(t));
+                for mask in &mut masks[cell - 1..=cell + 1] {
+                    *mask |= bit;
+                }
+            }
+        }
+        masks
+    }
+
+    /// `Some(α({device, other}))` when it reaches `floor`, else `None` —
+    /// bit-identical to `(affinity(other) >= floor).then_some(affinity(other))`:
+    /// the floor test of Algorithm 2's contribution gate.
+    ///
+    /// It runs the exact merge of [`PairAffinitySession::affinity`], but only
+    /// on the neighbor events the cell masks cannot rule out. An event whose
+    /// cell mask lacks its access point has no partner in either direction:
+    /// a partner lies within δ ≤ max δ ≤ `w` of it, so in its cell or one
+    /// beside it, and would have set the bit. Skipping such an event changes
+    /// no count (it counts only toward the neighbor's window total), and
+    /// the next event the merge does run on that AP moves its cursors past
+    /// whatever the skipped one would have. Mask collisions (`ap % 64`) only
+    /// let more events through to the merge. Most neighbors share almost no
+    /// cells with the queried device on the same access point, so most of
+    /// their events cost one mask read.
+    pub fn affinity_at_least(&self, other: DeviceId, floor: f64) -> Option<f64> {
+        let masks = self.cell_masks.get_or_init(|| self.build_cell_masks());
+        let pair = self.merge(other, Some(masks));
+        (pair >= floor).then_some(pair)
     }
 
     /// `α({device, other})` — bit-identical to
     /// [`AffinityEngine::pair_affinity`]`(device, other, until)`.
+    pub fn affinity(&self, other: DeviceId) -> f64 {
+        self.merge(other, None)
+    }
+
+    /// The pair merge, run on every neighbor event in `ext` that `masks`
+    /// (when given) leaves in.
     ///
     /// One pass over the neighbor's contiguous timeline slice drives both
     /// merge directions: for each neighbor event near the window, the
@@ -602,25 +688,25 @@ impl<'a> PairAffinitySession<'a> {
     /// within the neighbor's δ. With `other` the queried device itself, both
     /// directions match every window event to itself: the ratio is 1, as
     /// for any set with a repeated member.
-    pub fn affinity(&self, other: DeviceId) -> f64 {
-        let timeline = self.store.timeline_of(other);
-        let total = self.total_in_window + timeline.count_in(self.window);
-        if total == 0 {
-            return 0.0;
-        }
+    fn merge(&self, other: DeviceId, masks: Option<&[u64]>) -> f64 {
         let delta_b = self.store.delta(other);
         let ts = &self.runs.ts;
         let mut cursors = self.cursors.borrow_mut();
         cursors.copy_from_slice(&self.first);
-        let mut intersecting = 0usize;
-        for event in timeline.in_range(self.ext) {
+        let (mut in_window, mut intersecting) = (0usize, 0usize);
+        for event in self.events_near(other) {
+            let t_b = event.t();
+            let in_win = self.window.contains(t_b);
+            in_window += usize::from(in_win);
+            let ap = event.ap().index();
+            if masks.is_some_and(|masks| masks[self.cell(t_b)] & (1u64 << (ap % 64)) == 0) {
+                continue;
+            }
             // On an AP where the queried device has no events near the
             // window, both cursors start at their ends: the neighbor event
             // reaches nothing and has no partner.
-            let ap = event.ap().index();
             let (win_end, full_end) = (self.win_end[ap], self.runs.bounds[ap + 1]);
             let (cover, probe) = &mut cursors[ap];
-            let t_b = event.t();
             // Query-side direction: count own window events in
             // [t_b − δ, t_b + δ] not counted yet. Reaches advance with t_b,
             // so skipped events (below the reach) are dead for good and each
@@ -639,7 +725,7 @@ impl<'a> PairAffinitySession<'a> {
             *cover = cov;
             // Neighbor-side direction: an in-window neighbor event intersects
             // iff the queried device has an event on this AP within δ_other.
-            if self.window.contains(t_b) {
+            if in_win {
                 let mut pr = *probe;
                 while pr < full_end && Timestamp::from(ts[pr]) < t_b - delta_b {
                     pr += 1;
@@ -650,7 +736,7 @@ impl<'a> PairAffinitySession<'a> {
                 }
             }
         }
-        intersecting as f64 / total as f64
+        ratio(intersecting, self.total_in_window + in_window)
     }
 }
 
@@ -984,5 +1070,80 @@ mod tests {
             let reference = scanned(&store, &ids, Interval::new(9_000, 10_001));
             assert_eq!(got.to_bits(), reference.to_bits(), "offset {offset}");
         }
+    }
+
+    #[test]
+    fn floor_test_equals_the_exact_merge() {
+        // 70 access points, so `k` and `k + 64` share a mask bit; the events
+        // crowd onto three such pairs. The largest δ, 700 s, is no power of
+        // two (cells are 1,024 s wide); the other devices' δs lie below it.
+        let names: Vec<String> = (0..70).map(|i| format!("wap{i}")).collect();
+        let rooms: Vec<String> = (0..70).map(|i| format!("r{i}")).collect();
+        let mut builder = SpaceBuilder::new("cells");
+        for (name, room) in names.iter().zip(&rooms) {
+            builder = builder.add_access_point(name, &[room.as_str()]);
+        }
+        let mut store = EventStore::new(builder.build().unwrap());
+        let hot = [0, 64, 1, 65, 5, 69];
+        let mut rng = locater_events::SeededRng::new(0xCE11);
+        for device in 0..5 {
+            for _ in 0..60 {
+                let ap = &names[hot[rng.range(0..hot.len())]];
+                store
+                    .ingest_raw(&format!("d{device}"), rng.range(0..12_000i64), ap)
+                    .unwrap();
+            }
+        }
+        // A neighbor with no events in any probed window, and one whose only
+        // events lie just past a window's end, within δ of it.
+        store.ingest_raw("far", 60_000, "wap0").unwrap();
+        store.ingest_raw("edge", 9_200, "wap64").unwrap();
+        store.ingest_raw("edge", 9_500, "wap0").unwrap();
+        let ids: Vec<DeviceId> = (0..store.num_devices() as u32).map(DeviceId::new).collect();
+        for (&id, delta) in ids.iter().zip([700, 300, 650, 120, 512, 700, 400]) {
+            store.set_delta(id, delta);
+        }
+        assert_eq!(store.max_delta(), 700);
+
+        // A 5,000 s window: the first probes reach back before time 0.
+        let engine = AffinityEngine::new(&store, RoomAffinityWeights::C2, 5_000);
+        let floors = [f64::MIN_POSITIVE, 0.05, 0.2, 0.5, 1.0];
+        let (mut reached, mut turned_away) = (0usize, 0usize);
+        for until in [0, 700, 2_000, 4_321, 9_000, 12_000] {
+            let window = Interval::new(until - 5_000, until + 1);
+            for &a in &ids {
+                let session = engine.pair_session(a, until);
+                // The queried device as its own neighbor is in this loop.
+                for &b in &ids {
+                    let exact = session.affinity(b);
+                    let reference = scanned(&store, &[a, b], window);
+                    assert_eq!(
+                        exact.to_bits(),
+                        reference.to_bits(),
+                        "({a}, {b}) at {until}"
+                    );
+                    for floor in floors {
+                        let got = session.affinity_at_least(b, floor);
+                        let want = (exact >= floor).then_some(exact);
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "({a}, {b}) at {until}, floor {floor:e}"
+                        );
+                    }
+                    if a != b && exact > 0.0 {
+                        if exact >= 0.2 {
+                            reached += 1;
+                        } else {
+                            turned_away += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            reached > 0 && turned_away > 0,
+            "both verdicts must be exercised: {reached} reached, {turned_away} turned away"
+        );
     }
 }

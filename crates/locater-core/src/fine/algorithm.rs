@@ -241,19 +241,21 @@ impl FineLocalizer {
         neighbors.truncate(MAX_NEIGHBORS);
 
         // The contribution gate, one per query: a neighbor's pair affinity
-        // (the cached value, else computed through the queried device's
-        // session, built on the first miss) contributes exactly when it
-        // reaches the (positive) floor.
+        // (the cached value, else the queried device's session, built on
+        // the first miss) contributes exactly when it reaches the (positive)
+        // floor. An uncached pair goes through the session's floor test:
+        // the exact merge, run only on the neighbor events that time cells
+        // cannot rule out as partnerless, so its verdict and value are the
+        // full merge's while most neighbor events cost one mask read.
         let session = std::cell::OnceCell::new();
         let gate = |neighbor: DeviceId| {
-            let pair = cached_affinities
-                .and_then(|lookup| lookup(neighbor))
-                .unwrap_or_else(|| {
-                    session
-                        .get_or_init(|| engine.pair_session(device, t_q))
-                        .affinity(neighbor)
-                });
-            (pair >= MIN_PAIR_AFFINITY).then_some(pair)
+            let cached = cached_affinities.and_then(|lookup| lookup(neighbor));
+            match cached {
+                Some(pair) => (pair >= MIN_PAIR_AFFINITY).then_some(pair),
+                None => session
+                    .get_or_init(|| engine.pair_session(device, t_q))
+                    .affinity_at_least(neighbor, MIN_PAIR_AFFINITY),
+            }
         };
         match self.config.mode {
             FineMode::Independent => self.locate_independent(

@@ -80,10 +80,15 @@ fn probe_times(anchors: &[i64]) -> Vec<i64> {
     times
 }
 
+/// The floors a session's floor test is checked at: the least positive
+/// value (any co-location at all), Algorithm 2's pair floor 0.2, and values
+/// on either side of it.
+const FLOORS: [f64; 5] = [f64::MIN_POSITIVE, 0.05, 0.2, 0.5, 1.0];
+
 /// Asserts that every affinity the engine computes over `view` — one-shot
-/// pairs, a session reused across neighbours, triples, repeated-member sets
-/// and the sets fine outcomes are built from — equals the reference scan
-/// over the same view, bit for bit.
+/// pairs, a session reused across neighbours (and its floor test),
+/// triples, repeated-member sets and the sets fine outcomes are built from
+/// — equals the reference scan over the same view, bit for bit.
 fn assert_engine_equivalence(view: &dyn EventRead, label: &str, anchors: &[i64]) {
     let config = FineConfig::default();
     let window = config.affinity_window;
@@ -111,6 +116,14 @@ fn assert_engine_equivalence(view: &dyn EventRead, label: &str, anchors: &[i64])
                     x.to_bits(),
                     "{label}: session pair ({a}, {b}) at {until}: {s} != {x}"
                 );
+                // The floor test returns the merge's verdict and value.
+                for floor in FLOORS {
+                    assert_eq!(
+                        session.affinity_at_least(b, floor).map(f64::to_bits),
+                        (s >= floor).then_some(s).map(f64::to_bits),
+                        "{label}: floor test ({a}, {b}) at {until}, floor {floor:e}"
+                    );
+                }
             }
         }
         // Triples and repeated-member sets through the per-AP runs merge.
