@@ -3,6 +3,7 @@
 use crate::clock::Timestamp;
 use crate::error::EventError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Dense identifier of a device (`d_i ∈ D` in the paper), assigned by the event store
@@ -39,6 +40,11 @@ impl fmt::Display for DeviceId {
 /// as `7fbh…`. `MacAddress` therefore accepts any non-empty identifier, normalizes it
 /// to lowercase with trimmed whitespace, and validates proper `xx:xx:xx:xx:xx:xx`
 /// syntax only when the string looks like a colon-separated hardware address.
+///
+/// It compares and hashes as its normalized string, so a map keyed by
+/// `MacAddress` can be probed with a `&str` ([`Borrow<str>`]). A string in
+/// normal form (no ASCII uppercase, no surrounding whitespace) is its own
+/// parse, so it finds its key without one.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddress(String);
 
@@ -65,6 +71,12 @@ impl MacAddress {
     /// The normalized identifier string.
     #[inline]
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for MacAddress {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }
@@ -138,6 +150,23 @@ mod tests {
         let a: MacAddress = "AA:BB:CC:DD:EE:FF".parse().unwrap();
         let b = MacAddress::parse("aa:bb:cc:dd:ee:ff").unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_normal_form_string_is_its_own_parse() {
+        for raw in ["aa:bb:cc:dd:ee:0f", "7fbh-anon-123", "d1", "é-device"] {
+            assert_eq!(MacAddress::parse(raw).unwrap().as_str(), raw);
+        }
+        for raw in ["AA:bb:cc:dd:ee:0f", " d1", "d1\t", "\u{a0}d1", "D1"] {
+            assert_ne!(MacAddress::parse(raw).unwrap().as_str(), raw);
+        }
+        // A map keyed by addresses answers a normal-form probe directly,
+        // and misses every other spelling.
+        let mac = MacAddress::parse(" AA:BB:CC:DD:EE:0F").unwrap();
+        let map = std::collections::HashMap::from([(mac, 7)]);
+        assert_eq!(map.get("aa:bb:cc:dd:ee:0f"), Some(&7));
+        assert_eq!(map.get("AA:BB:CC:DD:EE:0F"), None);
+        assert_eq!(map.get(" aa:bb:cc:dd:ee:0f"), None);
     }
 
     #[test]

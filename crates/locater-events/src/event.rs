@@ -272,9 +272,16 @@ impl EventSeq {
         }
     }
 
-    /// Releases the capacity beyond the current length.
-    pub fn shrink_to_fit(&mut self) {
-        self.events.shrink_to_fit();
+    /// Makes room for `additional` more events: exactly that many in an
+    /// empty sequence (a bulk load that counted them leaves no slack), by
+    /// `Vec`'s amortized growth in a non-empty one (so repeated small loads
+    /// stay O(1) per event).
+    pub fn reserve(&mut self, additional: usize) {
+        if self.events.is_empty() {
+            self.events.reserve_exact(additional);
+        } else {
+            self.events.reserve(additional);
+        }
     }
 
     /// Removes and returns every event with `t < cut` (a prefix), in order.

@@ -34,6 +34,14 @@ impl RawEvent {
     }
 }
 
+/// The fields of one CSV data line, borrowed from the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CsvRow<'a> {
+    pub(crate) mac: &'a str,
+    pub(crate) t: Timestamp,
+    pub(crate) ap: &'a str,
+}
+
 /// Header line used by [`format_csv`] and expected (optionally) by [`parse_csv`].
 pub(crate) const CSV_HEADER: &str = "mac,timestamp,ap";
 
@@ -53,11 +61,14 @@ pub fn format_csv(events: &[RawEvent]) -> String {
     out
 }
 
-/// Parses one CSV data line into an event. Returns `Ok(None)` for blank lines;
+/// Parses one CSV data line into its fields. Returns `Ok(None)` for blank lines;
 /// the caller decides whether a first-line header is expected. `line_no` is the
 /// 1-based position used in error messages; reported columns are 1-based byte
 /// offsets into `line`.
-pub(crate) fn parse_csv_line(line: &str, line_no: usize) -> Result<Option<RawEvent>, IngestError> {
+pub(crate) fn parse_csv_line(
+    line: &str,
+    line_no: usize,
+) -> Result<Option<CsvRow<'_>>, IngestError> {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Ok(None);
@@ -101,7 +112,7 @@ pub(crate) fn parse_csv_line(line: &str, line_no: usize) -> Result<Option<RawEve
     let t: Timestamp = t_str
         .parse()
         .map_err(|_| malformed(t_off, format!("invalid timestamp {t_str:?}")))?;
-    Ok(Some(RawEvent::new(mac, t, ap)))
+    Ok(Some(CsvRow { mac, t, ap }))
 }
 
 /// `true` if `line` is the (case-insensitive) `mac,timestamp,ap` header.
@@ -117,8 +128,8 @@ pub fn parse_csv(csv: &str) -> Result<Vec<RawEvent>, IngestError> {
         if idx == 0 && is_csv_header(line) {
             continue;
         }
-        if let Some(event) = parse_csv_line(line, idx + 1)? {
-            out.push(event);
+        if let Some(row) = parse_csv_line(line, idx + 1)? {
+            out.push(RawEvent::new(row.mac, row.t, row.ap));
         }
     }
     Ok(out)
@@ -197,8 +208,12 @@ mod tests {
     fn parse_csv_line_skips_blanks() {
         assert_eq!(parse_csv_line("   ", 5).unwrap(), None);
         assert_eq!(
-            parse_csv_line("d1,100,wap1", 5).unwrap(),
-            Some(RawEvent::new("d1", 100, "wap1"))
+            parse_csv_line(" d1 , 100,wap1", 5).unwrap(),
+            Some(CsvRow {
+                mac: "d1",
+                t: 100,
+                ap: "wap1"
+            })
         );
     }
 }

@@ -32,9 +32,10 @@
 //!   through a compact, versioned, checksummed binary format (see [`snapshot`]), so
 //!   cold starts skip CSV replay entirely;
 //! * **a CSV loader** — CSV, the one event-file format
-//!   ([`EventStore::from_csv`]), is ingested one line at a time, with parse
-//!   *and* semantic errors annotated with their input line (and column, for
-//!   field errors);
+//!   ([`EventStore::from_csv`]), is parsed one line at a time into the
+//!   two-pass bulk load [`EventStore::ingest_batch`] runs, with parse *and*
+//!   semantic errors annotated with their input line (and column, for field
+//!   errors);
 //! * **durability** ([`wal`] + [`recovery`]) — a per-shard append-only
 //!   write-ahead log of checksummed frames makes every acknowledged ingest
 //!   crash-safe; recovery loads the last checkpoint snapshot and replays the

@@ -51,6 +51,7 @@ use locater_events::{
     Device, DeviceId, EventId, EventSeq, MacAddress, StoredEvent, EVENT_ID_LIMIT, EVENT_TIME_LIMIT,
 };
 use locater_space::{AccessPointId, Space};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 
 /// Magic bytes every snapshot starts with.
@@ -68,13 +69,42 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a 64 continued over `bytes` from the state `hash`.
+fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
+
+/// FNV-1a 64 as a map hasher: a few cycles on keys as short as a MAC or
+/// an access point name, where SipHash costs tens of nanoseconds. It has no
+/// defence against chosen collisions, so only the bulk loaders of local
+/// input key maps with it; nothing the wire feeds does.
+pub(crate) struct Fnv1aHasher(u64);
+
+impl Default for Fnv1aHasher {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
+    }
+}
+
+impl Hasher for Fnv1aHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_from(self.0, bytes);
+    }
+}
+
+/// Builds [`Fnv1aHasher`]s for a `HashMap`.
+pub(crate) type Fnv1aBuild = BuildHasherDefault<Fnv1aHasher>;
 
 // ---------------------------------------------------------------------------
 // Encoding

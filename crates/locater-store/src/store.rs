@@ -1,10 +1,10 @@
 //! The in-memory event store.
 
 use crate::compaction::CompactionReport;
-use crate::csv::{format_csv, is_csv_header, parse_csv_line, RawEvent};
+use crate::csv::{format_csv, is_csv_header, parse_csv_line, CsvRow, RawEvent};
 use crate::error::{IngestError, StoreError};
 use crate::read::{EventRead, NearbyDevice};
-use crate::snapshot::SnapshotParts;
+use crate::snapshot::{Fnv1aBuild, SnapshotParts};
 use crate::stats::DatasetStatistics;
 use crate::timeline::Timeline;
 use locater_events::validity::{estimate_delta_events, DEFAULT_DELTA};
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The per-line parser the CSV loaders share (skips a first-line header).
-fn csv_line_parser(line: &str, line_no: usize) -> Result<Option<RawEvent>, IngestError> {
+fn csv_line_parser(line: &str, line_no: usize) -> Result<Option<CsvRow<'_>>, IngestError> {
     if line_no == 1 && is_csv_header(line) {
         return Ok(None);
     }
@@ -58,6 +58,9 @@ fn max_delta_of(devices: &[Device]) -> Timestamp {
 pub struct EventStore {
     space: Arc<Space>,
     devices: Vec<Device>,
+    /// Every key is a parse's output, so a raw id equal to one (no ASCII
+    /// uppercase, no surrounding whitespace) is that key's own parse:
+    /// lookups probe with the raw id first and parse only on a miss.
     mac_index: HashMap<MacAddress, DeviceId>,
     timelines: Vec<EventSeq>,
     timeline: Timeline,
@@ -110,12 +113,17 @@ impl EventStore {
 
     /// Looks up a device id by MAC address / log identifier.
     pub fn device_id(&self, mac: &str) -> Option<DeviceId> {
-        let mac = MacAddress::parse(mac).ok()?;
-        self.mac_index.get(&mac).copied()
+        self.mac_index.get(mac).copied().or_else(|| {
+            let mac = MacAddress::parse(mac).ok()?;
+            self.mac_index.get(&mac).copied()
+        })
     }
 
     /// Interns a device, creating it with the default validity period if unseen.
     pub fn intern_device(&mut self, mac: &str) -> Result<DeviceId, IngestError> {
+        if let Some(&id) = self.mac_index.get(mac) {
+            return Ok(id);
+        }
         let mac = MacAddress::parse(mac)?;
         if let Some(&id) = self.mac_index.get(&mac) {
             return Ok(id);
@@ -239,17 +247,21 @@ impl EventStore {
         self.next_event_id = next;
     }
 
-    /// Ingests a batch of raw events, stopping at the first error.
+    /// Ingests a batch of raw events, stopping at the first error: the
+    /// store, the error and the events kept before it are those of one
+    /// [`EventStore::ingest_raw`] per event. A bulk load in two passes: each
+    /// distinct MAC and access point spelling is resolved once, and each
+    /// touched array grows once, to its exact length when it was empty.
     pub fn ingest_batch<'a>(
         &mut self,
         events: impl IntoIterator<Item = &'a RawEvent>,
     ) -> Result<usize, IngestError> {
-        let mut count = 0;
-        for event in events {
-            self.ingest_raw(&event.mac, event.t, &event.ap)?;
-            count += 1;
-        }
-        Ok(count)
+        let mut events = events.into_iter();
+        let mut load = BulkLoad::with_capacity(events.size_hint().0);
+        let resolved =
+            events.try_for_each(|event| load.resolve(self, &event.mac, event.t, &event.ap));
+        let count = load.commit(self);
+        resolved.map(|()| count)
     }
 
     // ------------------------------------------------------------------
@@ -400,31 +412,24 @@ impl EventStore {
     }
 
     /// Builds a store by parsing CSV produced by [`EventStore::to_csv`] (or any
-    /// `mac,timestamp,ap` file with a header). Streams line by line; semantic
-    /// ingestion errors (unknown AP, bad MAC) are annotated with the offending
-    /// line number. The event arrays end at exact capacity, as a snapshot
-    /// load leaves them, so both loaders report the same resident bytes.
+    /// `mac,timestamp,ap` file with a header). Streams line by line into the
+    /// bulk load [`EventStore::ingest_batch`] runs, fields borrowed from the
+    /// input; semantic ingestion errors (unknown AP, bad MAC) are annotated
+    /// with the offending line number. The event arrays end at exact
+    /// capacity, as a snapshot load leaves them, so both loaders report the
+    /// same resident bytes.
     pub fn from_csv(space: Space, csv: &str) -> Result<Self, IngestError> {
         let mut store = Self::new(space);
+        let mut load = BulkLoad::with_capacity(0);
         for (idx, line) in csv.lines().enumerate() {
-            store.ingest_parsed_line(line, idx + 1)?;
+            let line_no = idx + 1;
+            if let Some(row) = csv_line_parser(line, line_no)? {
+                load.resolve(&mut store, row.mac, row.t, row.ap)
+                    .map_err(|err| err.at_line(line_no))?;
+            }
         }
-        for timeline in &mut store.timelines {
-            timeline.shrink_to_fit();
-        }
-        store.timeline.shrink_to_fit();
+        load.commit(&mut store);
         Ok(store)
-    }
-
-    /// Parses and ingests one input line, annotating semantic ingestion errors
-    /// with the 1-based line number. Blank and header lines ingest nothing.
-    fn ingest_parsed_line(&mut self, line: &str, line_no: usize) -> Result<(), IngestError> {
-        let Some(event) = csv_line_parser(line, line_no)? else {
-            return Ok(());
-        };
-        self.ingest_raw(&event.mac, event.t, &event.ap)
-            .map_err(|err| err.at_line(line_no))?;
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -491,6 +496,92 @@ impl EventStore {
             max_delta,
             next_event_id,
         })
+    }
+}
+
+/// A bulk load of raw events into one store, in two passes.
+///
+/// Pass 1 ([`BulkLoad::resolve`]) checks each event in input order exactly as
+/// [`EventStore::ingest_raw`] does — access point, timestamp,
+/// [`EVENT_ID_LIMIT`], MAC — and interns its device, so the device table and
+/// the first error match the per-event path. Each raw MAC and access point
+/// spelling is resolved once per load: later sightings are one FNV-1a probe
+/// of a memo keyed by the borrowed input string. Pass 2
+/// ([`BulkLoad::commit`]) reserves each touched timeline and posting list
+/// for its count and appends the resolved events.
+struct BulkLoad<'a> {
+    macs: HashMap<&'a str, DeviceId, Fnv1aBuild>,
+    aps: HashMap<&'a str, AccessPointId, Fnv1aBuild>,
+    events: Vec<(DeviceId, StoredEvent)>,
+}
+
+impl<'a> BulkLoad<'a> {
+    fn with_capacity(events: usize) -> Self {
+        Self {
+            macs: HashMap::default(),
+            aps: HashMap::default(),
+            events: Vec::with_capacity(events),
+        }
+    }
+
+    /// Pass 1 for one event. An event that fails changes neither the load
+    /// nor the store.
+    fn resolve(
+        &mut self,
+        store: &mut EventStore,
+        mac: &'a str,
+        t: Timestamp,
+        ap_name: &'a str,
+    ) -> Result<(), IngestError> {
+        let ap = match self.aps.get(ap_name) {
+            Some(&ap) => ap,
+            None => {
+                let ap = store
+                    .space
+                    .ap_id(ap_name)
+                    .ok_or_else(|| IngestError::UnknownAccessPoint(ap_name.to_string()))?;
+                self.aps.insert(ap_name, ap);
+                ap
+            }
+        };
+        check_timestamp(t)?;
+        // Only a counter below the limit lets an event through, so this
+        // cannot overflow.
+        let id = store.next_event_id + self.events.len() as u64;
+        if id >= EVENT_ID_LIMIT {
+            return Err(IngestError::InvalidEventId(id));
+        }
+        let device = match self.macs.get(mac) {
+            Some(&device) => device,
+            None => {
+                let device = store.intern_device(mac)?;
+                self.macs.insert(mac, device);
+                device
+            }
+        };
+        self.events
+            .push((device, StoredEvent::new(EventId::new(id), t, ap)));
+        Ok(())
+    }
+
+    /// Pass 2: appends the resolved events and returns how many there were.
+    fn commit(self, store: &mut EventStore) -> usize {
+        let mut per_device = vec![0usize; store.timelines.len()];
+        let mut per_ap = vec![0usize; store.space.num_access_points()];
+        for (device, event) in &self.events {
+            per_device[device.index()] += 1;
+            per_ap[event.ap().index()] += 1;
+        }
+        for (timeline, &count) in store.timelines.iter_mut().zip(&per_device) {
+            timeline.reserve(count);
+        }
+        store.timeline.reserve(&per_ap);
+        for (device, event) in &self.events {
+            store.timelines[device.index()].push(*event);
+            store.timeline.record(*device, event);
+        }
+        store.next_event_id += self.events.len() as u64;
+        self.events.len()
     }
 }
 
@@ -817,9 +908,9 @@ mod tests {
         assert_eq!(size_of::<StoredEvent>(), 12);
         let exact_bytes = |store: &EventStore| store.num_events() * POSTING;
 
-        // Ingest grows each list by doubling (2 entries in room for 4);
-        // every builder behind snapshot load, split and rejoin sizes each
-        // list exactly.
+        // Per-event ingest grows each list by doubling (2 entries in room
+        // for 4); every builder behind snapshot load, split and rejoin sizes
+        // each list exactly.
         let store = store_with_events();
         assert!(store.timeline().approx_bytes() > exact_bytes(&store));
         let loaded = EventStore::from_snapshot_bytes(&store.to_snapshot_bytes().unwrap()).unwrap();
@@ -830,8 +921,9 @@ mod tests {
         }
         let rejoined = EventStore::rejoin(&shards).unwrap();
         assert_eq!(rejoined.timeline().approx_bytes(), exact_bytes(&rejoined));
-        // The CSV loader trims both copies to the events they hold, so it
-        // reports the snapshot loader's resident bytes for the same events.
+        // The CSV loader counts before it appends and sizes both copies
+        // exactly, so it reports the snapshot loader's resident bytes for
+        // the same events.
         let from_csv = EventStore::from_csv(space(), &store.to_csv()).unwrap();
         assert_eq!(
             from_csv.approx_resident_bytes(),

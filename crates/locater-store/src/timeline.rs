@@ -137,9 +137,17 @@ impl Timeline {
         removed
     }
 
-    /// Releases the capacity beyond the current length.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.lists.iter_mut().for_each(Vec::shrink_to_fit);
+    /// Makes room for `counts[i]` more entries in access point `i`'s list:
+    /// exactly that many in an empty list, by `Vec`'s amortized growth in a
+    /// non-empty one (as [`EventSeq::reserve`]).
+    pub(crate) fn reserve(&mut self, counts: &[usize]) {
+        for (list, &additional) in self.lists.iter_mut().zip(counts) {
+            if list.is_empty() {
+                list.reserve_exact(additional);
+            } else {
+                list.reserve(additional);
+            }
+        }
     }
 
     /// Approximate heap footprint of the index in bytes: the allocated

@@ -573,3 +573,56 @@ fn checkpoint_file_is_the_snapshot_of_the_rejoined_store() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Pins a known divergence between boot paths, not a property to keep: a
+/// device first seen through `Ingest` keeps `DEFAULT_DELTA` across a
+/// checkpoint, a log replay and a reboot, because δ is estimated only when
+/// a store is built from raw events (the CSV, simulator and benchmark
+/// loaders). Re-loading the same events from a CSV re-estimates its δ, so
+/// its answers depend on the boot path (docs/OPERATIONS.md). Closing the
+/// gap moves answers; when it is closed, this test changes with it.
+#[test]
+fn a_device_first_seen_live_keeps_the_default_delta_until_a_csv_reload() {
+    use locater::events::validity::DEFAULT_DELTA;
+    let mac = "aa:00:00:00:00:09";
+    // Every 300 s: a history the estimator reads as δ = 300 s.
+    let events: Vec<(i64, &str)> = (0..40).map(|i| (1_000 + i * 300, "wap0")).collect();
+    let dir = scratch("live-delta");
+    let boot = || {
+        ShardedLocaterService::with_durability(
+            EventStore::new(space()),
+            LocaterConfig::default(),
+            2,
+            durability(&dir),
+        )
+        .unwrap()
+        .0
+    };
+    let delta = |service: &ShardedLocaterService| {
+        let store = service.store_snapshot();
+        store.delta(store.device_id(mac).expect("the device is known"))
+    };
+    {
+        let service = boot();
+        let (head, tail) = events.split_at(30);
+        for &(t, ap) in head {
+            service.ingest(mac, t, ap).unwrap();
+        }
+        service.checkpoint().unwrap().expect("wal attached");
+        for &(t, ap) in tail {
+            service.ingest(mac, t, ap).unwrap();
+        }
+        assert_eq!(delta(&service), DEFAULT_DELTA, "live");
+        // Dropped without a checkpoint: the tail is replayed on reboot.
+    }
+    let recovered = boot();
+    assert_eq!(recovered.num_events(), events.len());
+    assert_eq!(delta(&recovered), DEFAULT_DELTA, "after recovery");
+
+    // The same events through the CSV boot path (`locater-cli`'s loader).
+    let mut reloaded = EventStore::from_csv(space(), &recovered.store_snapshot().to_csv()).unwrap();
+    reloaded.estimate_deltas();
+    let device = reloaded.device_id(mac).unwrap();
+    assert_eq!(reloaded.delta(device), 300, "after a CSV reload");
+    std::fs::remove_dir_all(&dir).ok();
+}
