@@ -396,7 +396,11 @@ impl CoarseLocalizer {
 
     /// Classifies the query gap with a device model, fitting the model's
     /// classifiers first if this is the first gap to need them. A gap the
-    /// duration thresholds decide reads no event of the history window.
+    /// duration thresholds decide is outside, or inside with both ends in one
+    /// region, reads no event of the history window. A short gap between two
+    /// regions does: the region heuristic scans the window for the gap's
+    /// time-of-day region and, when it finds none, reads the fitted model's
+    /// dominant region, which fits the classifiers.
     pub fn classify_with_model(
         &self,
         store: &dyn EventRead,

@@ -31,7 +31,15 @@
 //! the dependent variant (`D-FINE`) clusters neighbors that are themselves co-located
 //! and folds in one observation per cluster, computed from the cluster's joint device
 //! affinity (Eq. 6).
+//!
+//! Both variants run as one loop over the neighbors. Each neighbor that passes the
+//! contribution gate gets its pair group affinities and its [`NeighborContribution`]
+//! computed once; the mode decides only three things: whether the contribution is
+//! observed at once (I-FINE) or joins a cluster (D-FINE), whether the §4.2
+//! possible-world bounds may stop the loop (I-FINE), and whether the clusters are
+//! folded in after it (D-FINE).
 
+use crate::cache::FinePlan;
 use crate::fine::affinity::{
     AffinityEngine, ApRunsMemo, RoomAffinity, RoomAffinityMemo, RoomAffinityWeights,
 };
@@ -193,16 +201,20 @@ impl FineLocalizer {
         preferred_order: Option<&[DeviceId]>,
     ) -> FineOutcome {
         let neighbors = self.candidate_neighbors(store, device, t_q, region);
-        self.locate_among(store, device, t_q, region, neighbors, preferred_order, None)
+        let plan = preferred_order.map(|order| FinePlan {
+            order: order.to_vec(),
+            cached: HashMap::new(),
+        });
+        self.locate_among(store, device, t_q, region, neighbors, plan.as_ref())
     }
 
     /// [`FineLocalizer::locate`] over `neighbors`, the result of
-    /// [`FineLocalizer::candidate_neighbors`] for the same query, with an
-    /// optional cache of pairwise device affinities: when `cached_affinities`
-    /// yields a value for a neighbor, the history scan that would otherwise
-    /// compute it is skipped (the caching engine of §5 supplies this from the
-    /// global affinity graph).
-    #[allow(clippy::too_many_arguments)]
+    /// [`FineLocalizer::candidate_neighbors`] for the same query, in the
+    /// order of `plan` when one is given: a neighbor whose pair affinity the
+    /// plan caches skips the history scan that would otherwise compute it
+    /// (the caching engine of §5 builds the plan from the global affinity
+    /// graph). Both variants run this one loop (see the [module
+    /// docs](self)).
     pub(crate) fn locate_among(
         &self,
         store: &dyn EventRead,
@@ -210,8 +222,7 @@ impl FineLocalizer {
         t_q: Timestamp,
         region: RegionId,
         mut neighbors: Vec<(DeviceId, RegionId)>,
-        preferred_order: Option<&[DeviceId]>,
-        cached_affinities: Option<&dyn Fn(DeviceId) -> Option<f64>>,
+        plan: Option<&FinePlan>,
     ) -> FineOutcome {
         let engine = AffinityEngine::new(store, self.config.weights, self.config.affinity_window);
         let candidates: Vec<RoomId> = store.space().rooms_in_region(region).to_vec();
@@ -237,7 +248,7 @@ impl FineLocalizer {
             };
         }
 
-        order_neighbors(&mut neighbors, preferred_order);
+        order_neighbors(&mut neighbors, plan.map(|plan| plan.order.as_slice()));
         neighbors.truncate(MAX_NEIGHBORS);
 
         // The contribution gate, one per query: a neighbor's pair affinity
@@ -248,57 +259,24 @@ impl FineLocalizer {
         // cannot rule out as partnerless, so its verdict and value are the
         // full merge's while most neighbor events cost one mask read.
         let session = std::cell::OnceCell::new();
-        let gate = |neighbor: DeviceId| {
-            let cached = cached_affinities.and_then(|lookup| lookup(neighbor));
-            match cached {
-                Some(pair) => (pair >= MIN_PAIR_AFFINITY).then_some(pair),
-                None => session
-                    .get_or_init(|| engine.pair_session(device, t_q))
-                    .affinity_at_least(neighbor, MIN_PAIR_AFFINITY),
-            }
+        let gate = |neighbor: DeviceId| match plan.and_then(|plan| plan.cached.get(&neighbor)) {
+            Some(&pair) => (pair >= MIN_PAIR_AFFINITY).then_some(pair),
+            None => session
+                .get_or_init(|| engine.pair_session(device, t_q))
+                .affinity_at_least(neighbor, MIN_PAIR_AFFINITY),
         };
-        match self.config.mode {
-            FineMode::Independent => self.locate_independent(
-                &engine,
-                &mut memo,
-                device,
-                region,
-                &candidates,
-                &prior,
-                &neighbors,
-                gate,
-            ),
-            FineMode::Dependent => self.locate_dependent(
-                &engine,
-                &mut memo,
-                device,
-                t_q,
-                region,
-                &candidates,
-                &prior,
-                &neighbors,
-                gate,
-            ),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn locate_independent(
-        &self,
-        engine: &AffinityEngine<'_>,
-        memo: &mut RoomAffinityMemo,
-        device: DeviceId,
-        region: RegionId,
-        candidates: &[RoomId],
-        prior: &RoomAffinity,
-        neighbors: &[(DeviceId, RegionId)],
-        gate: impl Fn(DeviceId) -> Option<f64>,
-    ) -> FineOutcome {
         let uniform_floor = 1.0 / candidates.len() as f64;
         let mut posteriors: Vec<RoomPosterior> = candidates
             .iter()
             .map(|&room| RoomPosterior::from_prior(prior.of(room)))
             .collect();
+        let mut clusters = match self.config.mode {
+            FineMode::Independent => None,
+            FineMode::Dependent => Some(Clusters {
+                runs: ApRunsMemo::new(t_q),
+                list: Vec::new(),
+            }),
+        };
         let mut contributions = Vec::new();
         let mut processed = 0usize;
         let mut stopped_early = false;
@@ -307,43 +285,46 @@ impl FineLocalizer {
             processed += 1;
             if let Some(pair) = gate(neighbor) {
                 let group = [(device, region), (neighbor, neighbor_region)];
-                let alphas = engine.group_affinities(memo, &group, candidates, pair);
-                let mut edge_weight = 0.0;
-                for (posterior, &alpha) in posteriors.iter_mut().zip(&alphas) {
-                    edge_weight += alpha;
-                    let observation = ((1.0 - EVIDENCE_WEIGHT * pair) * uniform_floor
-                        + EVIDENCE_WEIGHT * alpha)
-                        .min(1.0);
-                    posterior.observe(observation);
-                }
-                edge_weight /= candidates.len() as f64;
+                let alphas = engine.group_affinities(&mut memo, &group, &candidates, pair);
                 contributions.push(NeighborContribution {
                     device: neighbor,
                     region: neighbor_region,
                     pair_affinity: pair,
-                    edge_weight,
+                    edge_weight: alphas.iter().sum::<f64>() / candidates.len() as f64,
                 });
+                match clusters.as_mut() {
+                    None => observe(&mut posteriors, &alphas, pair, uniform_floor),
+                    // Paper: the dependent variant terminates when a cluster's
+                    // joint group affinity collapses to zero. Only the joined
+                    // cluster can have: every other one was alive at the last
+                    // check, and its members have not changed since.
+                    Some(clusters) => {
+                        if clusters.join(&engine, device, (neighbor, neighbor_region)) <= 0.0 {
+                            stopped_early = true;
+                            break;
+                        }
+                    }
+                }
                 if self.config.use_stop_conditions && contributions.len() >= MAX_CONTRIBUTORS {
                     stopped_early = idx + 1 < neighbors.len();
                     break;
                 }
             }
             let remaining = neighbors.len() - (idx + 1);
-            if self.config.use_stop_conditions && remaining > 0 {
+            if clusters.is_none() && self.config.use_stop_conditions && remaining > 0 {
                 if let Some((leader, runner_up)) = top_two(&posteriors) {
-                    let leader_bounds = PosteriorBounds::compute(
-                        &posteriors[leader],
-                        remaining,
-                        MIN_UNPROCESSED_AFFINITY,
-                        MAX_UNPROCESSED_AFFINITY,
-                    );
-                    let runner_bounds = PosteriorBounds::compute(
-                        &posteriors[runner_up],
-                        remaining,
-                        MIN_UNPROCESSED_AFFINITY,
-                        MAX_UNPROCESSED_AFFINITY,
-                    );
-                    if stop_condition_met(&leader_bounds, &runner_bounds) {
+                    let bounds = |posterior: &RoomPosterior| {
+                        PosteriorBounds::compute(
+                            posterior,
+                            remaining,
+                            MIN_UNPROCESSED_AFFINITY,
+                            MAX_UNPROCESSED_AFFINITY,
+                        )
+                    };
+                    if stop_condition_met(
+                        &bounds(&posteriors[leader]),
+                        &bounds(&posteriors[runner_up]),
+                    ) {
                         stopped_early = true;
                         break;
                     }
@@ -351,8 +332,16 @@ impl FineLocalizer {
             }
         }
 
-        let probabilities = normalize(candidates, &posteriors, prior);
-        let room = select_room(&probabilities, prior);
+        // Fold one observation per cluster into the posterior (Eq. 6 analogue).
+        for cluster in clusters.iter().flat_map(|clusters| &clusters.list) {
+            let mut group = cluster.members.clone();
+            group.push((device, region));
+            let alphas = engine.group_affinities(&mut memo, &group, &candidates, cluster.joint);
+            observe(&mut posteriors, &alphas, cluster.joint, uniform_floor);
+        }
+
+        let probabilities = normalize(&candidates, &posteriors, &prior);
+        let room = select_room(&probabilities, &prior);
         FineOutcome {
             room,
             region,
@@ -363,123 +352,83 @@ impl FineLocalizer {
             contributions,
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn locate_dependent(
-        &self,
+/// Folds one observation per candidate room into the posterior: the group
+/// affinity `alpha` of the room, evidence-weighted over the uniform floor by
+/// the group's device `affinity`.
+fn observe(posteriors: &mut [RoomPosterior], alphas: &[f64], affinity: f64, uniform_floor: f64) {
+    for (posterior, &alpha) in posteriors.iter_mut().zip(alphas) {
+        let observation =
+            ((1.0 - EVIDENCE_WEIGHT * affinity) * uniform_floor + EVIDENCE_WEIGHT * alpha).min(1.0);
+        posterior.observe(observation);
+    }
+}
+
+/// D-FINE's clusters of co-located contributors (Eq. 6), in the order they
+/// were formed.
+struct Clusters {
+    /// Every affinity here reads the window ending at the query time: each
+    /// device's runs are built once.
+    runs: ApRunsMemo,
+    list: Vec<Cluster>,
+}
+
+/// One D-FINE cluster: its members in joining order, and their joint device
+/// affinity with the queried device. At the query's fixed window the joint
+/// affinity is a pure function of the members, so it is computed only when
+/// they change.
+struct Cluster {
+    members: Vec<(DeviceId, RegionId)>,
+    joint: f64,
+}
+
+impl Clusters {
+    /// Attaches `neighbor` to every cluster holding a device it is co-located
+    /// with, merging those clusters into the first (or opens a cluster of its
+    /// own), and returns the joint affinity of the cluster it ends up in —
+    /// the only cluster whose joint affinity changed.
+    fn join(
+        &mut self,
         engine: &AffinityEngine<'_>,
-        memo: &mut RoomAffinityMemo,
         device: DeviceId,
-        t_q: Timestamp,
-        region: RegionId,
-        candidates: &[RoomId],
-        prior: &RoomAffinity,
-        neighbors: &[(DeviceId, RegionId)],
-        gate: impl Fn(DeviceId) -> Option<f64>,
-    ) -> FineOutcome {
-        let uniform_floor = 1.0 / candidates.len() as f64;
-        // Every affinity below reads the window ending at `t_q`: each
-        // device's runs are built once.
-        let mut runs = ApRunsMemo::new(t_q);
-        let mut clusters: Vec<Vec<(DeviceId, RegionId)>> = Vec::new();
-        let mut contributions = Vec::new();
-        let mut processed = 0usize;
-        let mut stopped_early = false;
-
-        for (idx, &(neighbor, neighbor_region)) in neighbors.iter().enumerate() {
-            processed += 1;
-            let Some(pair) = gate(neighbor) else {
-                continue;
+        neighbor: (DeviceId, RegionId),
+    ) -> f64 {
+        // One session groups the neighbor's events by AP once for every member.
+        let mut linked: Vec<usize> = Vec::new();
+        if !self.list.is_empty() {
+            let session = engine.pair_session_memo(&mut self.runs, neighbor.0);
+            let co_located = |members: &[(DeviceId, RegionId)]| {
+                members
+                    .iter()
+                    .any(|&(member, _)| session.affinity(member) > 0.0)
             };
-            // Record the pairwise contribution for the caching engine.
-            let group = [(device, region), (neighbor, neighbor_region)];
-            let edge_weight = engine
-                .group_affinities(memo, &group, candidates, pair)
-                .iter()
-                .sum::<f64>()
-                / candidates.len() as f64;
-            contributions.push(NeighborContribution {
-                device: neighbor,
-                region: neighbor_region,
-                pair_affinity: pair,
-                edge_weight,
-            });
-
-            // Attach the neighbor to every cluster it is co-located with; merge them.
-            // One session groups the neighbor's events by AP once for every member.
-            let mut linked: Vec<usize> = Vec::new();
-            if !clusters.is_empty() {
-                let session = engine.pair_session_memo(&mut runs, neighbor);
-                for (cluster_idx, cluster) in clusters.iter().enumerate() {
-                    if cluster
-                        .iter()
-                        .any(|&(member, _)| session.affinity(member) > 0.0)
-                    {
-                        linked.push(cluster_idx);
-                    }
+            linked.extend((0..self.list.len()).filter(|&idx| co_located(&self.list[idx].members)));
+        }
+        let changed = match linked.split_first() {
+            None => {
+                self.list.push(Cluster {
+                    members: vec![neighbor],
+                    joint: 0.0,
+                });
+                self.list.len() - 1
+            }
+            Some((&first, rest)) => {
+                self.list[first].members.push(neighbor);
+                // Merge the remaining linked clusters into the first, back to
+                // front so the indices stay valid.
+                for &other in rest.iter().rev() {
+                    let merged = self.list.remove(other);
+                    self.list[first].members.extend(merged.members);
                 }
+                first
             }
-            match linked.split_first() {
-                None => clusters.push(vec![(neighbor, neighbor_region)]),
-                Some((&first, rest)) => {
-                    clusters[first].push((neighbor, neighbor_region));
-                    // Merge the remaining linked clusters into the first, back to front
-                    // so the indices stay valid.
-                    for &other in rest.iter().rev() {
-                        let merged = clusters.remove(other);
-                        clusters[first].extend(merged);
-                    }
-                }
-            }
-
-            // Paper: the dependent variant terminates when any cluster's joint group
-            // affinity collapses to zero.
-            let any_dead_cluster = clusters.iter().any(|cluster| {
-                let mut members: Vec<DeviceId> = cluster.iter().map(|&(d, _)| d).collect();
-                members.push(device);
-                engine.device_affinity_memo(&mut runs, &members) <= 0.0
-            });
-            if any_dead_cluster {
-                stopped_early = true;
-                break;
-            }
-            if self.config.use_stop_conditions && contributions.len() >= MAX_CONTRIBUTORS {
-                stopped_early = idx + 1 < neighbors.len();
-                break;
-            }
-        }
-
-        // Fold one observation per cluster into the posterior (Eq. 6 analogue).
-        let mut posteriors: Vec<RoomPosterior> = candidates
-            .iter()
-            .map(|&room| RoomPosterior::from_prior(prior.of(room)))
-            .collect();
-        for cluster in &clusters {
-            let mut members: Vec<DeviceId> = cluster.iter().map(|&(d, _)| d).collect();
-            members.push(device);
-            let joint_affinity = engine.device_affinity_memo(&mut runs, &members);
-            let mut group: Vec<(DeviceId, RegionId)> = cluster.clone();
-            group.push((device, region));
-            let alphas = engine.group_affinities(memo, &group, candidates, joint_affinity);
-            for (posterior, &alpha) in posteriors.iter_mut().zip(&alphas) {
-                let observation = ((1.0 - EVIDENCE_WEIGHT * joint_affinity) * uniform_floor
-                    + EVIDENCE_WEIGHT * alpha)
-                    .min(1.0);
-                posterior.observe(observation);
-            }
-        }
-
-        let probabilities = normalize(candidates, &posteriors, prior);
-        let room = select_room(&probabilities, prior);
-        FineOutcome {
-            room,
-            region,
-            probabilities,
-            neighbors_considered: neighbors.len(),
-            neighbors_processed: processed,
-            stopped_early,
-            contributions,
-        }
+        };
+        let cluster = &mut self.list[changed];
+        let mut members: Vec<DeviceId> = cluster.members.iter().map(|&(d, _)| d).collect();
+        members.push(device);
+        cluster.joint = engine.device_affinity_memo(&mut self.runs, &members);
+        cluster.joint
     }
 }
 

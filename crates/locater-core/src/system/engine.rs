@@ -206,25 +206,14 @@ impl Engine {
         cache_plan: &dyn Fn(&[DeviceId]) -> FinePlan,
     ) -> (FineOutcome, bool) {
         let neighbors = eff.fine.candidate_neighbors(store, device, t_q, region);
-        if eff.cache != CacheMode::Enabled {
-            let fine = eff
-                .fine
-                .locate_among(store, device, t_q, region, neighbors, None, None);
-            return (fine, false);
-        }
-        let devices: Vec<DeviceId> = neighbors.iter().map(|&(d, _)| d).collect();
-        let FinePlan { order, cached } = cache_plan(&devices);
-        let warm = !cached.is_empty();
-        let lookup = move |neighbor: DeviceId| cached.get(&neighbor).copied();
-        let fine = eff.fine.locate_among(
-            store,
-            device,
-            t_q,
-            region,
-            neighbors,
-            Some(&order),
-            Some(&lookup),
-        );
+        let plan = (eff.cache == CacheMode::Enabled).then(|| {
+            let devices: Vec<DeviceId> = neighbors.iter().map(|&(d, _)| d).collect();
+            cache_plan(&devices)
+        });
+        let warm = plan.as_ref().is_some_and(|plan| !plan.cached.is_empty());
+        let fine = eff
+            .fine
+            .locate_among(store, device, t_q, region, neighbors, plan.as_ref());
         (fine, warm)
     }
 }

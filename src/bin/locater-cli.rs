@@ -7,7 +7,7 @@
 //! ```text
 //! locater-cli stats    <space.json> <events.csv>
 //! locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]
-//! locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--no-cache] [--jobs N] [--shards N]
+//! locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--no-cache] [--jobs N]
 //! locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]
 //! locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]
 //! locater-cli serve    ... [--queue N] [--drain-snapshot PATH]
@@ -34,11 +34,13 @@
 //! * `simulate metro_campus` generates the large metropolitan-campus corpus
 //!   (`CampusConfig::metro`: 64 APs, 13 weeks unless `--days` says otherwise).
 //! * `batch` runs every row through the parallel map that answers all queries
-//!   (`ShardedLocaterService::locate_batch` through the typed request layer):
-//!   every row is answered against the same state of the affinity cache, so
-//!   the output is deterministic and identical for every `--jobs` value
-//!   (earlier CLI releases answered rows one by one, progressively warming the
-//!   cache, so row-level confidences could differ from today's output).
+//!   (`ShardedLocaterService::locate_batch` through the typed request layer,
+//!   on one shard: a batch never ingests, so more shards would only add
+//!   routing): every row is answered against the same state of the affinity
+//!   cache, so the output is deterministic and identical for every `--jobs`
+//!   value (earlier CLI releases answered rows one by one, progressively
+//!   warming the cache, so row-level confidences could differ from today's
+//!   output).
 //! * `serve` starts a live [`ShardedLocaterService`] (`--shards N`, default
 //!   1). Without `--listen` it reads requests from stdin — raw NDJSON
 //!   [`WireRequest`] frames or the verb shorthand (`ingest <mac,timestamp,ap>`,
@@ -155,7 +157,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--no-cache] [--jobs N] [--shards N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... [--queue N] [--drain-snapshot PATH]\n  locater-cli serve    ... --listen <addr> [--workers N] [--idle-timeout SECS]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--spill-dir DIR] [--listen <addr> --compact-interval SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
+    "usage:\n  locater-cli stats    <space.json> <events.csv>\n  locater-cli locate   <space.json> <events.csv> <mac> <timestamp> [--dependent] [--no-cache]\n  locater-cli batch    <space.json> <events.csv> <queries.csv> [--dependent] [--no-cache] [--jobs N]\n  locater-cli serve    <space.json> [<events.csv>] [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    --snapshot <store.snap> [--dependent] [--no-cache] [--shards N]\n  locater-cli serve    ... [--queue N] [--drain-snapshot PATH]\n  locater-cli serve    ... --listen <addr> [--workers N] [--idle-timeout SECS]\n  locater-cli serve    ... --wal-dir <dir> [--fsync always|every=N] [--wal-segment-bytes N]\n  locater-cli serve    ... --retain SECS [--spill-dir DIR] [--listen <addr> --compact-interval SECS]\n  locater-cli request  <addr> [--retries N] <verb line or raw JSON frame>\n  locater-cli compact  <store.snap> (--retain SECS | --horizon T) [--spill-dir DIR] [--out PATH]\n  locater-cli snapshot save <space.json> <events.csv> <out.snap>\n  locater-cli snapshot load <store.snap>\n  locater-cli wal inspect  <wal-dir>\n  locater-cli wal truncate <wal-dir>\n  locater-cli simulate campus|metro_campus|office|university|mall|airport <out-prefix> [--days N] [--seed N]"
 }
 
 /// Parses arguments and runs one command, returning the text to print.
@@ -363,10 +365,9 @@ fn batch(args: &[String]) -> Result<String, CliError> {
             .map(|n| n.get())
             .unwrap_or(1),
     };
-    let shards = shards_from_flags(args)?;
     let store = load_store(space_path, events_path)?;
     let space = store.space().clone();
-    let service = ShardedLocaterService::new(store, config_from_flags(args), shards);
+    let service = ShardedLocaterService::new(store, config_from_flags(args), 1);
 
     let queries_text = std::fs::read_to_string(queries_path)
         .map_err(|e| format!("cannot read {queries_path}: {e}"))?;
@@ -1056,8 +1057,8 @@ mod tests {
         // The same batch on one job is byte-identical (deterministic pipeline).
         let batch_one = run(&[
             "batch".into(),
-            space.clone(),
-            events.clone(),
+            space,
+            events,
             queries.to_string_lossy().to_string(),
             "--jobs".into(),
             "1".into(),
@@ -1067,20 +1068,6 @@ mod tests {
             batch_one.replace("(1 jobs)", ""),
             batch_out.replace("(2 jobs)", "")
         );
-
-        // ...and byte-identical again when the service is sharded.
-        let batch_sharded = run(&[
-            "batch".into(),
-            space,
-            events,
-            queries.to_string_lossy().to_string(),
-            "--jobs".into(),
-            "2".into(),
-            "--shards".into(),
-            "3".into(),
-        ])
-        .expect("sharded batch succeeds");
-        assert_eq!(batch_sharded, batch_out);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -11,8 +11,9 @@
 //! The affinity reference is [`paper::device_affinity`]: per member, each
 //! window event is probed by a window scan of every other member for an event
 //! on the same access point within the member's δ. The outcome reference is
-//! [`paper::locate`] at [`Deviations::PRODUCTION`], in both modes: room,
-//! probabilities, contributions, neighbour counts and the early-stop flag.
+//! [`paper::locate`] at [`Deviations::PRODUCTION`], in both modes, with the
+//! stop conditions on and off: room, probabilities, contributions, neighbour
+//! counts and the early-stop flag.
 //! Equality is asserted on `f64::to_bits`, not approximate closeness.
 
 use crate::support::{fixture::space, lcg::Lcg, paper};
@@ -150,19 +151,30 @@ fn assert_engine_equivalence(view: &dyn EventRead, label: &str, anchors: &[i64])
     }
 }
 
+/// The configs every fine outcome is compared in: both modes, with the stop
+/// conditions on (production) and off. Off, D-FINE has no contributor cap,
+/// so a neighbour can join, and merge, two clusters.
+const COMPARED: [(FineMode, bool); 4] = [
+    (FineMode::Independent, true),
+    (FineMode::Dependent, true),
+    (FineMode::Independent, false),
+    (FineMode::Dependent, false),
+];
+
 /// Asserts that the fine step's outcome for `(device, t_q)` in `region`
 /// equals the naive Algorithm 2's at the production deviations, bit for bit,
-/// in both modes; returns the two outcomes (I-FINE, D-FINE).
+/// in every config of [`COMPARED`]; returns the outcomes in that order.
 fn assert_fine_equals_paper(
     view: &dyn EventRead,
     device: DeviceId,
     t_q: i64,
     region: RegionId,
     label: &str,
-) -> [FineOutcome; 2] {
-    [FineMode::Independent, FineMode::Dependent].map(|mode| {
+) -> [FineOutcome; 4] {
+    COMPARED.map(|(mode, use_stop_conditions)| {
         let config = FineConfig {
             mode,
+            use_stop_conditions,
             ..FineConfig::default()
         };
         let outcome = FineLocalizer::new(config).locate(view, device, t_q, region, None);
@@ -170,7 +182,8 @@ fn assert_fine_equals_paper(
         assert_eq!(
             bits(&outcome),
             bits(&reference),
-            "{label}: {mode} outcome for {device} at {t_q} in {region}"
+            "{label}: {mode} outcome (stop conditions {use_stop_conditions}) \
+             for {device} at {t_q} in {region}"
         );
         outcome
     })
@@ -293,6 +306,8 @@ struct Branches {
     cap_stop: usize,
     /// D-FINE met a cluster whose joint affinity is zero.
     dead_cluster: usize,
+    /// D-FINE without the stop conditions merged two clusters.
+    merge: usize,
 }
 
 impl Branches {
@@ -302,7 +317,7 @@ impl Branches {
         device: DeviceId,
         t_q: i64,
         region: RegionId,
-        [independent, dependent]: &[FineOutcome; 2],
+        [independent, dependent, _, unstopped]: &[FineOutcome; 4],
     ) {
         let eligible = FineLocalizer::default()
             .candidate_neighbors(store, device, t_q, region)
@@ -312,16 +327,35 @@ impl Branches {
         self.cut += usize::from(eligible > independent.neighbors_considered);
         self.bounds_stop += usize::from(independent.stopped_early && !capped(independent));
         self.cap_stop += usize::from(capped(independent) || capped(dependent));
+        let window = FineConfig::default().affinity_window;
+        let affinity = |members: &[DeviceId]| paper::device_affinity(store, members, t_q, window);
         // D-FINE's second contributor joined the first one's cluster, and the
         // merged cluster was never co-located with the queried device.
         if let [first, second] = dependent.contributions.as_slice() {
-            let window = FineConfig::default().affinity_window;
-            let affinity =
-                |members: &[DeviceId]| paper::device_affinity(store, members, t_q, window);
             self.dead_cluster += usize::from(
                 affinity(&[second.device, first.device]) > 0.0
                     && affinity(&[first.device, second.device, device]) <= 0.0,
             );
+        }
+        // Replay the uncapped D-FINE clustering from its contributions: a
+        // contributor co-located with members of two clusters merges them.
+        let mut clusters: Vec<Vec<DeviceId>> = Vec::new();
+        for contribution in &unstopped.contributions {
+            let linked: Vec<usize> = (0..clusters.len())
+                .filter(|&c| {
+                    clusters[c]
+                        .iter()
+                        .any(|&member| affinity(&[contribution.device, member]) > 0.0)
+                })
+                .collect();
+            match linked.as_slice() {
+                [] => clusters.push(vec![contribution.device]),
+                [first] => clusters[*first].push(contribution.device),
+                _ => {
+                    self.merge += 1;
+                    break;
+                }
+            }
         }
     }
 }
@@ -337,8 +371,11 @@ fn fine_outcomes_equal_the_paper_on_the_small_campus() {
         }
     }
     assert!(
-        branches.contributed > 0 && branches.bounds_stop > 0 && branches.cap_stop > 0,
-        "a stop condition went unexercised: {branches:?}"
+        branches.contributed > 0
+            && branches.bounds_stop > 0
+            && branches.cap_stop > 0
+            && branches.merge > 0,
+        "a branch of Algorithm 2 went unexercised: {branches:?}"
     );
 }
 
@@ -377,7 +414,10 @@ fn fine_outcomes_equal_the_paper_in_a_crowd() {
         }
     }
     assert!(
-        branches.cut > 0 && branches.dead_cluster > 0 && branches.cap_stop > 0,
+        branches.cut > 0
+            && branches.dead_cluster > 0
+            && branches.cap_stop > 0
+            && branches.merge > 0,
         "a branch of Algorithm 2 went unexercised: {branches:?}"
     );
 }
